@@ -38,6 +38,26 @@ func crossHistory(n int) (spec.Interface, history.History) {
 	return sp, h
 }
 
+// TestCrossHistoryStatesExplored pins the size of the refinement search
+// on the contended fixture: the checker's representation (an OpID-ordered
+// slice, a bitset, byte-slice memo keys) is free to change, the search it
+// performs — candidate order, memo hits — is not.
+func TestCrossHistoryStatesExplored(t *testing.T) {
+	sp, h := crossHistory(4)
+	for _, c := range []struct {
+		opts history.Options
+		want int
+	}{
+		{history.Options{}, 1695},
+		{history.Options{DisableMemo: true}, 260554},
+	} {
+		res := history.CheckWith(sp, h, c.opts)
+		if res.OK || res.StatesExplored != c.want {
+			t.Errorf("%+v: OK=%v, %d states explored, want a rejection after %d", c.opts, res.OK, res.StatesExplored, c.want)
+		}
+	}
+}
+
 // BenchmarkAblationCheckerMemo compares the refinement checker with and
 // without search-state memoization on a contended history.
 func BenchmarkAblationCheckerMemo(b *testing.B) {

@@ -10,6 +10,7 @@
 //	perennial-check [-pattern substr] [-heaviest] [-max N] [-workers N]
 //	                [-dedup] [-nodedup] [-selfcheck] [-v] [-min]
 //	                [-progress d] [-benchjson FILE]
+//	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // The systematic search runs on -workers workers (default GOMAXPROCS)
 // with crash-boundary state dedup on (disable with -nodedup, or
@@ -21,7 +22,9 @@
 // so verdicts and counterexamples are identical with and without it.
 // -benchjson runs each selected scenario at 1 and -workers workers,
 // dedup off and on, and writes the measurements as JSON (the source of
-// BENCH_explore.json). See docs/CHECKING.md for the checker handbook.
+// BENCH_explore.json). -cpuprofile and -memprofile write pprof profiles
+// of the run (`-workers 1 -cpuprofile cpu.prof` is the profile
+// docs/CHECKING.md reads). See docs/CHECKING.md for the checker handbook.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -49,6 +53,8 @@ func main() {
 	minimize := flag.Bool("min", false, "minimize counterexample choice sequences before printing")
 	benchJSON := flag.String("benchjson", "", "write 1-vs-N-worker throughput measurements for the selected scenarios to this JSON file")
 	progress := flag.Duration("progress", 0, "stream live search progress to stderr at this period (0 = off)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
 	entries := selectEntries(*pattern, *heaviest)
@@ -57,12 +63,26 @@ func main() {
 		os.Exit(1)
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	// exit writes the profiles out first: os.Exit runs no deferred calls.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+		os.Exit(code)
+	}
+
 	if *benchJSON != "" {
 		if err := writeBench(*benchJSON, entries, *maxExec, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1)
 		}
-		return
+		exit(0)
 	}
 
 	failed := 0
@@ -146,8 +166,43 @@ func main() {
 	}
 	fmt.Printf("\n%d scenarios, %d failed\n", len(entries), failed)
 	if failed > 0 {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
+}
+
+// startProfiles starts the requested pprof profiles; the returned
+// function finishes them and writes them out.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // bring the allocation statistics up to date
+		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return mem.Close()
+	}, nil
 }
 
 func selectEntries(pattern string, heaviest bool) []suite.Entry {

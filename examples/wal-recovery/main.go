@@ -96,4 +96,8 @@ func demoHelpingWindow() {
 	fmt.Printf("  disk: flag=%d data=(%d,%d)\n", d.Peek(0), d.Peek(3), d.Peek(4))
 	fmt.Printf("  spec source state after helping + crash step: %+v\n", g.Source())
 	fmt.Printf("  helping tokens remaining: %d\n", len(g.HelpingTokens()))
+	fmt.Println("machine trace (TraceDepth keeps the last 40 lines):")
+	for _, line := range m.Trace() {
+		fmt.Printf("  %s\n", line)
+	}
 }

@@ -1,8 +1,11 @@
 package explore
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
 
+	"repro/internal/history"
 	"repro/internal/machine"
 )
 
@@ -115,6 +118,30 @@ type dedupRun struct {
 	unfingerprintable bool
 }
 
+// appendHistory appends a canonical encoding of h: per event its kind
+// and op ID, then the length-prefixed %v form of what the event adds —
+// the operation at an Invoke, the response at a Return (whose operation
+// the matching Invoke already fixed).
+func appendHistory(b []byte, h history.History) []byte {
+	b = machine.AppendUint64(b, uint64(len(h)))
+	for _, e := range h {
+		b = append(b, byte(e.Kind))
+		if e.Kind == history.Crash {
+			continue
+		}
+		b = machine.AppendUint64(b, uint64(e.ID))
+		at := len(b)
+		b = machine.AppendUint64(b, 0) // length, patched below
+		if e.Kind == history.Invoke {
+			b = fmt.Append(b, e.Op)
+		} else {
+			b = fmt.Append(b, e.Ret)
+		}
+		binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	}
+	return b
+}
+
 // boundaryPrune is called immediately after Machine.CrashReset. It
 // computes the crash-boundary fingerprint and reports whether this
 // execution should stop here because the boundary's recovery subtree is
@@ -138,7 +165,7 @@ func (dd *dedupRun) boundaryPrune(m *machine.Machine, w any, h *Harness, rec *sc
 		calls = rpc.calls
 	}
 	b = machine.AppendUint64(b, uint64(calls))
-	b = machine.AppendString(b, h.rec.History().Format())
+	b = appendHistory(b, h.rec.History())
 
 	fp := fnvBytes(fnvOffset, b)
 	owner := fnvOffset

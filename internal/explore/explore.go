@@ -345,26 +345,42 @@ func Run(s *Scenario, opts Options) *Report {
 		}
 	}()
 
-	// Systematic phase: prefix-partitioned parallel DFS.
+	search(s, opts, workers, rep)
+	if rep.Counterexample != nil {
+		rep.Counterexample = retrace(s, rep.Counterexample)
+	}
+	return rep
+}
+
+// search runs the systematic phase (prefix-partitioned parallel DFS),
+// then the randomized stress, stopping at the first counterexample.
+func search(s *Scenario, opts Options, workers int, rep *Report) {
 	runSystematic(s, opts, workers, rep)
 	if rep.Counterexample != nil {
-		return rep
+		return
 	}
+	if opts.StressParallelism > 1 {
+		runStressParallel(s, opts, rep)
+		return
+	}
+	for i := 0; i < opts.StressExecutions && rep.Counterexample == nil; i++ {
+		rep.Executions++
+		rep.Counterexample = stressOne(s, opts, i, rep)
+	}
+}
 
-	// Randomized stress.
-	if opts.StressParallelism <= 1 {
-		for i := 0; i < opts.StressExecutions; i++ {
-			rep.Executions++
-			cx := stressOne(s, opts, i, rep)
-			if cx != nil {
-				rep.Counterexample = cx
-				return rep
-			}
-		}
-		return rep
+// retrace fills in what the search left out. A searched execution
+// attaches no trace and records no structured schedule (see runOne);
+// executions are a deterministic function of their choice sequence, so
+// replaying the failing one once regenerates both. Should the replay
+// not fail — the scenario leaks nondeterminism the Chooser does not
+// control — the search's own finding is kept and says so.
+func retrace(s *Scenario, cx *Counterexample) *Counterexample {
+	if full := ReplayCx(s, cx.Choices); full != nil {
+		return full
 	}
-	runStressParallel(s, opts, rep)
-	return rep
+	cx.Reason += " (the failure did not reproduce on replay, so there is no trace: the scenario is nondeterministic)"
+	return cx
 }
 
 // stressOne runs one randomized execution at seed offset i.
@@ -372,7 +388,7 @@ func stressOne(s *Scenario, opts Options, i int, rep *Report) *Counterexample {
 	rc := machine.NewRandChooser(opts.StressSeed + int64(i))
 	rc.CrashWeight = opts.StressCrashWeight
 	rc.CrashOption = s.MaxCrashes > 0
-	return runOne(s, rc, rep, nil)
+	return runOne(s, rc, rep, nil, false)
 }
 
 // runStressParallel fans the stress executions across workers. Each
@@ -444,11 +460,16 @@ func runStressParallel(s *Scenario, opts Options, rep *Report) {
 // A non-nil dd enables crash-boundary dedup: the execution may be cut
 // short (dd.pruned) when it reaches a boundary state whose recovery
 // subtree another choice prefix already enumerated.
-func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun) *Counterexample {
+//
+// Only a traced run (ReplayCx) attaches the machine trace and records
+// the structured schedule; a searched execution keeps just its choice
+// sequence, and its counterexample carries no Trace or Schedule until
+// retrace replays it.
+func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun, traced bool) *Counterexample {
 	// The recorder sits at the inner-chooser position (below any
 	// RandPolicy), so its choice sequence is exactly what ScriptChooser
 	// replays, and doubles as the machine Observer for thread identity.
-	rec := &scheduleRecorder{inner: ch}
+	rec := &scheduleRecorder{inner: ch, traced: traced}
 	chooser := machine.Chooser(rec)
 	var rpc *randPolicyChooser
 	if s.RandPolicy != nil {
@@ -456,7 +477,14 @@ func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun) *Counter
 		chooser = rpc
 	}
 	mo := s.MachineOpts
-	mo.Observer = rec
+	switch {
+	case !traced:
+		mo.Observer, mo.TraceDepth = nil, 0
+	case mo.TraceDepth == 0:
+		mo.Observer, mo.TraceDepth = rec, machine.TraceAll
+	default:
+		mo.Observer = rec // the scenario bounds its own trace
+	}
 	m := machine.New(mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
 	w := s.Setup(m)
@@ -464,9 +492,9 @@ func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun) *Counter
 
 	fail := func(reason string) *Counterexample {
 		return &Counterexample{
-			Choices:  append([]int{}, rec.choices...),
-			Schedule: append(Schedule{}, rec.steps...),
-			Trace:    append([]string{}, m.Trace()...),
+			Choices:  rec.choices,
+			Schedule: rec.steps,
+			Trace:    m.Trace(),
 			History:  h.rec.History(),
 			Reason:   reason,
 		}
@@ -662,8 +690,7 @@ func (r *randPolicyChooser) Choose(n int, tag string) int {
 // longer fails.
 func ReplayCx(s *Scenario, choices []int) *Counterexample {
 	rep := &Report{}
-	sc := &machine.ScriptChooser{Script: append([]int{}, choices...)}
-	return runOne(s, sc, rep, nil)
+	return runOne(s, &machine.ScriptChooser{Script: choices}, rep, nil, true)
 }
 
 // Replay runs the scenario once with an explicit choice script and
@@ -685,8 +712,7 @@ func Replay(s *Scenario, choices []int) (trace []string, h history.History, reas
 // to read.
 func Minimize(s *Scenario, choices []int) []int {
 	fails := func(c []int) bool {
-		rep := &Report{}
-		return runOne(s, &machine.ScriptChooser{Script: append([]int{}, c...)}, rep, nil) != nil
+		return runOne(s, &machine.ScriptChooser{Script: c}, &Report{}, nil, false) != nil
 	}
 	if !fails(choices) {
 		return choices

@@ -3,6 +3,8 @@ package explore
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Parallel systematic search (DESIGN.md §5). The choice tree is
@@ -26,7 +28,9 @@ import (
 // the winner is still visited. A search that completes therefore
 // reports the same counterexample the sequential DFS would have found
 // first; with one worker the machinery degenerates to exactly the
-// sequential loop.
+// sequential loop. Jobs that lie wholly after the winner were run only
+// because their worker had not seen it yet; their executions are left
+// out of the report, so its counts do not depend on that race.
 
 type searchPool struct {
 	s       *Scenario
@@ -79,15 +83,14 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 		go p.progressLoop(opts.Progress, s.Name, rep.Stats.Depth, progStop, progDone)
 	}
 
-	wreps := make([]*Report, workers)
+	wjobs := make([][]jobRun, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// The depth histogram is lock-free, so workers share it.
-		wreps[w] = &Report{Stats: Stats{Depth: rep.Stats.Depth}}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p.worker(w, wreps[w])
+			// The depth histogram is lock-free, so workers share it.
+			wjobs[w] = p.worker(w, rep.Stats.Depth)
 		}(w)
 	}
 	wg.Wait()
@@ -99,12 +102,18 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 	}
 
 	per := make([]WorkerStats, workers)
-	for w, r := range wreps {
-		rep.Executions += r.Executions
-		rep.CrashedExecutions += r.CrashedExecutions
-		rep.CheckedStates += r.CheckedStates
-		rep.Stats.PrunedStates += r.Stats.PrunedStates
-		per[w] = WorkerStats{Executions: r.Executions, Pruned: r.Stats.PrunedStates}
+	for w, jobs := range wjobs {
+		for _, j := range jobs {
+			if p.best != nil && cmpChoices(j.prefix, p.best.Choices) > 0 {
+				continue // wholly after the winner
+			}
+			rep.Executions += j.rep.Executions
+			rep.CrashedExecutions += j.rep.CrashedExecutions
+			rep.CheckedStates += j.rep.CheckedStates
+			rep.Stats.PrunedStates += j.rep.Stats.PrunedStates
+			per[w].Executions += j.rep.Executions
+			per[w].Pruned += j.rep.Stats.PrunedStates
+		}
 	}
 	rep.Stats.PerWorker = per
 	rep.Stats.DedupActive = p.table != nil && !p.dedupOff
@@ -115,13 +124,21 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 	rep.Complete = p.best == nil && !p.budgetHit
 }
 
-func (p *searchPool) worker(w int, wrep *Report) {
+// jobRun is one finished job's share of the search.
+type jobRun struct {
+	prefix []int
+	rep    Report
+}
+
+func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
 	for {
 		prefix, ok := p.take()
 		if !ok {
-			return
+			return jobs
 		}
-		p.explore(prefix, wrep, w)
+		j := jobRun{prefix: prefix, rep: Report{Stats: Stats{Depth: depth}}}
+		p.explore(prefix, &j.rep, w)
+		jobs = append(jobs, j)
 		p.finish()
 	}
 }
@@ -190,7 +207,7 @@ func (p *searchPool) explore(prefix []int, wrep *Report, w int) {
 		if p.table != nil {
 			dd = &dedupRun{table: p.table, s: p.s}
 		}
-		cx := runOne(p.s, d, wrep, dd)
+		cx := runOne(p.s, d, wrep, dd, false)
 		if dd != nil {
 			if dd.pruned {
 				wrep.Stats.PrunedStates++

@@ -98,6 +98,7 @@ func (sc Schedule) Crashes() int {
 // scheduleRecorder sits at the inner-chooser position of runOne's
 // chooser chain and doubles as the machine Observer. It records (a) the
 // raw choice sequence, aligned with what ScriptChooser replays, and (b)
+// — in a traced run only; a searched execution is replayed to get it —
 // the structured schedule, including RandPolicy-resolved choices that
 // are NOT part of the replayable sequence.
 //
@@ -107,6 +108,7 @@ func (sc Schedule) Crashes() int {
 // observer callback fills it in.
 type scheduleRecorder struct {
 	inner   machine.Chooser
+	traced  bool
 	choices []int
 	steps   Schedule
 }
@@ -117,11 +119,17 @@ func (r *scheduleRecorder) Choose(n int, tag string) int {
 	r.choices = append(r.choices, c)
 	if tag == "sched" {
 		// Thread identity arrives via the Observer callback.
-		r.steps = append(r.steps, TraceStep{Kind: StepThread, Thread: -1, N: n, Chosen: c})
+		r.step(TraceStep{Kind: StepThread, Thread: -1, N: n, Chosen: c})
 	} else {
-		r.steps = append(r.steps, TraceStep{Kind: StepChoice, Tag: tag, N: n, Chosen: c})
+		r.step(TraceStep{Kind: StepChoice, Tag: tag, N: n, Chosen: c})
 	}
 	return c
+}
+
+func (r *scheduleRecorder) step(st TraceStep) {
+	if r.traced {
+		r.steps = append(r.steps, st)
+	}
 }
 
 // Scheduled implements machine.Observer.
@@ -142,10 +150,10 @@ func (r *scheduleRecorder) CrashInjected() {
 // structured schedule, not of the replayable choice sequence (replay
 // re-applies the policy itself).
 func (r *scheduleRecorder) policyChoice(n, chosen int) {
-	r.steps = append(r.steps, TraceStep{Kind: StepChoice, Tag: "rand(policy)", N: n, Chosen: chosen})
+	r.step(TraceStep{Kind: StepChoice, Tag: "rand(policy)", N: n, Chosen: chosen})
 }
 
 // era marks an era boundary in the schedule.
 func (r *scheduleRecorder) era(label string) {
-	r.steps = append(r.steps, TraceStep{Kind: StepEra, Tag: label})
+	r.step(TraceStep{Kind: StepEra, Tag: label})
 }

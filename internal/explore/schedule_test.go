@@ -142,3 +142,81 @@ func TestScheduleFormatCompressesRuns(t *testing.T) {
 		t.Errorf("thread run not compressed:\n%s", got)
 	}
 }
+
+// TestSearchAttachesNoTrace: searched executions (systematic, stress,
+// Minimize) run on machines with no trace attached, whatever the
+// scenario's MachineOpts ask for; only the replay that regenerates a
+// counterexample's trace attaches one.
+func TestSearchAttachesNoTrace(t *testing.T) {
+	traced, untraced := 0, 0
+	count := func(s *Scenario) *Scenario {
+		s.MachineOpts.TraceDepth = 64
+		setup := s.Setup
+		s.Setup = func(m *machine.Machine) any {
+			if m.Tracing() {
+				traced++
+			} else {
+				untraced++
+			}
+			return setup(m)
+		}
+		return s
+	}
+
+	rep := Run(count(scenario(true, true)), Options{MaxExecutions: 1000, Workers: 1, StressExecutions: 20})
+	if !rep.OK() || !rep.Complete {
+		t.Fatalf("clean scenario: %s", rep)
+	}
+	if traced != 0 || untraced != rep.Executions {
+		t.Fatalf("verified run of %d executions: %d traced, %d untraced", rep.Executions, traced, untraced)
+	}
+
+	traced, untraced = 0, 0
+	s := count(brokenScenario())
+	rep = Run(s, Options{MaxExecutions: 1000, Workers: 1})
+	if rep.OK() {
+		t.Fatal("torn write not caught")
+	}
+	if traced != 1 || untraced != rep.Executions {
+		t.Fatalf("convicting run of %d executions: %d traced (want 1, the replay), %d untraced", rep.Executions, traced, untraced)
+	}
+	cx := rep.Counterexample
+	if len(cx.Trace) == 0 || len(cx.Trace) > 64 {
+		t.Fatalf("replayed trace has %d lines, want 1..64 (the scenario's TraceDepth)", len(cx.Trace))
+	}
+	if again := ReplayCx(s, cx.Choices); again == nil || again.Format() != cx.Format() {
+		t.Fatal("the search's counterexample is not byte-identical to its replay")
+	}
+
+	traced, untraced = 0, 0
+	Minimize(s, cx.Choices)
+	if traced != 0 || untraced == 0 {
+		t.Fatalf("Minimize: %d traced executions, %d untraced", traced, untraced)
+	}
+}
+
+// TestRetraceKeepsFindingThatDoesNotReplay: a scenario that is not a
+// function of its choices (here: it fails on its first execution only)
+// still gets its violation reported, flagged as unreproducible, rather
+// than dropped because the trace-regenerating replay came out clean.
+func TestRetraceKeepsFindingThatDoesNotReplay(t *testing.T) {
+	s := scenario(true, false)
+	runs := 0
+	s.Invariant = func(m *machine.Machine, w any) error {
+		if runs++; runs == 1 {
+			return fmt.Errorf("only the first time")
+		}
+		return nil
+	}
+	rep := Run(s, Options{MaxExecutions: 10, Workers: 1})
+	if rep.OK() {
+		t.Fatal("violation lost")
+	}
+	cx := rep.Counterexample
+	if !strings.Contains(cx.Reason, "only the first time") || !strings.Contains(cx.Reason, "did not reproduce") {
+		t.Fatalf("reason: %s", cx.Reason)
+	}
+	if len(cx.Trace) != 0 || len(cx.Schedule) != 0 {
+		t.Fatalf("unreproduced counterexample carries a trace: %s", cx.Format())
+	}
+}

@@ -14,8 +14,10 @@
 package history
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -91,15 +93,15 @@ func (h History) Format() string {
 type Recorder struct {
 	mu     sync.Mutex
 	events History
-	nextID OpID
+	ops    []spec.Op // by OpID: IDs are handed out densely from 0
 }
 
 // Invoke records an invocation and returns its fresh OpID.
 func (r *Recorder) Invoke(op spec.Op) OpID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	id := r.nextID
-	r.nextID++
+	id := OpID(len(r.ops))
+	r.ops = append(r.ops, op)
 	r.events = append(r.events, Event{Kind: Invoke, ID: id, Op: op})
 	return id
 }
@@ -109,10 +111,8 @@ func (r *Recorder) Return(id OpID, ret spec.Ret) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var op spec.Op
-	for _, e := range r.events {
-		if e.Kind == Invoke && e.ID == id {
-			op = e.Op
-		}
+	if id >= 0 && int(id) < len(r.ops) {
+		op = r.ops[id]
 	}
 	r.events = append(r.events, Event{Kind: Return, ID: id, Op: op, Ret: ret})
 }
@@ -137,7 +137,7 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = nil
-	r.nextID = 0
+	r.ops = nil
 }
 
 // Result reports the outcome of checking one history.
@@ -171,12 +171,12 @@ type Options struct {
 
 // CheckWith is Check with explicit checker options.
 func CheckWith(sp spec.Interface, h History, opts Options) Result {
-	if err := validate(h); err != nil {
+	c, err := newChecker(sp, h)
+	if err != nil {
 		return Result{Reason: "malformed history: " + err.Error()}
 	}
-	c := &checker{sp: sp, h: h, memo: map[string]bool{}, noMemo: opts.DisableMemo}
-	c.index()
-	ok := c.dfs(0, sp.Init(), nil)
+	c.noMemo = opts.DisableMemo
+	ok := c.dfs(0, sp.Init())
 	res := Result{OK: ok || c.ub, UB: c.ub, StatesExplored: c.visits}
 	if !res.OK {
 		res.Reason = fmt.Sprintf(
@@ -193,40 +193,8 @@ func eventAt(h History, i int) string {
 	return "end"
 }
 
-// validate rejects structurally broken histories so the checker can
-// assume well-formedness: every Return matches exactly one earlier
-// Invoke with no Crash in between, and IDs are not reused.
-func validate(h History) error {
-	invoked := map[OpID]int{}
-	returned := map[OpID]bool{}
-	lastCrash := -1
-	for i, e := range h {
-		switch e.Kind {
-		case Invoke:
-			if _, dup := invoked[e.ID]; dup {
-				return fmt.Errorf("op %d invoked twice", e.ID)
-			}
-			invoked[e.ID] = i
-		case Return:
-			inv, ok := invoked[e.ID]
-			if !ok {
-				return fmt.Errorf("op %d returns without invocation", e.ID)
-			}
-			if returned[e.ID] {
-				return fmt.Errorf("op %d returns twice", e.ID)
-			}
-			if lastCrash > inv {
-				return fmt.Errorf("op %d returns after a crash killed it (invoked at %d, crash at %d)", e.ID, inv, lastCrash)
-			}
-			returned[e.ID] = true
-		case Crash:
-			lastCrash = i
-		}
-	}
-	return nil
-}
-
 type opInfo struct {
+	id     OpID
 	invoke int
 	ret    int // -1 if never returned
 	retVal spec.Ret
@@ -234,71 +202,138 @@ type opInfo struct {
 	dies   int // index of crash that kills it, or len(h) if none
 }
 
+// checker is the search state of one refinement check. The operations
+// sit in an OpID-ordered slice and the set of operations that have taken
+// their atomic effect but not yet returned is a bitset over that slice,
+// mutated in place and undone on backtrack, so a search node allocates
+// nothing but its memo entry.
 type checker struct {
-	sp     spec.Interface
-	h      History
-	ops    map[OpID]*opInfo
+	sp  spec.Interface
+	h   History
+	ops []opInfo // ordered by OpID
+	// opAt[i] is the ops index of the Return event h[i].
+	opAt []int
+	// lin has bit k set while ops[k] is linearized and not yet returned.
+	// A history of any length gets the words it needs.
+	lin []uint64
+	// saved stacks the lin words a Crash event cleared, for backtracking.
+	saved []uint64
+
 	memo   map[string]bool
+	key    []byte // scratch for memo keys
 	noMemo bool
 	visits int
 	ub     bool
 	best   int // deepest event index reached, for diagnostics
 }
 
-func (c *checker) index() {
-	c.ops = map[OpID]*opInfo{}
-	for i, e := range c.h {
+// newChecker indexes h, rejecting structurally broken histories so the
+// search can assume well-formedness: every Return matches exactly one
+// earlier Invoke with no Crash in between, and IDs are not reused.
+func newChecker(sp spec.Interface, h History) (*checker, error) {
+	c := &checker{sp: sp, h: h, opAt: make([]int, len(h)), memo: map[string]bool{}}
+	for i, e := range h {
+		if e.Kind == Invoke {
+			c.ops = append(c.ops, opInfo{id: e.ID, invoke: i, ret: -1, op: e.Op, dies: len(h)})
+		}
+	}
+	// A Recorder hands out IDs in invocation order; only hand-built
+	// histories need the sort.
+	byID := func(a, b opInfo) int { return cmp.Compare(a.id, b.id) }
+	if !slices.IsSortedFunc(c.ops, byID) {
+		slices.SortFunc(c.ops, byID)
+	}
+	for k := 1; k < len(c.ops); k++ {
+		if c.ops[k].id == c.ops[k-1].id {
+			return nil, fmt.Errorf("op %d invoked twice", c.ops[k].id)
+		}
+	}
+	lastCrash := -1
+	for i, e := range h {
 		switch e.Kind {
-		case Invoke:
-			c.ops[e.ID] = &opInfo{invoke: i, ret: -1, op: e.Op, dies: len(c.h)}
-		case Return:
-			info := c.ops[e.ID]
-			info.ret = i
-			info.retVal = e.Ret
 		case Crash:
-			for _, info := range c.ops {
-				if info.ret == -1 && info.invoke < i && info.dies == len(c.h) {
-					info.dies = i
-				}
+			lastCrash = i
+		case Return:
+			k, found := slices.BinarySearchFunc(c.ops, e.ID, func(o opInfo, id OpID) int { return cmp.Compare(o.id, id) })
+			if !found || c.ops[k].invoke > i {
+				return nil, fmt.Errorf("op %d returns without invocation", e.ID)
+			}
+			info := &c.ops[k]
+			if info.ret != -1 {
+				return nil, fmt.Errorf("op %d returns twice", e.ID)
+			}
+			if lastCrash > info.invoke {
+				return nil, fmt.Errorf("op %d returns after a crash killed it (invoked at %d, crash at %d)", e.ID, info.invoke, lastCrash)
+			}
+			info.ret, info.retVal = i, e.Ret
+			c.opAt[i] = k
+		}
+	}
+	// An op with no response dies at the first crash after its invocation.
+	for k := range c.ops {
+		info := &c.ops[k]
+		if info.ret != -1 {
+			continue
+		}
+		for i := info.invoke + 1; i < len(h); i++ {
+			if h[i].Kind == Crash {
+				info.dies = i
+				break
 			}
 		}
 	}
+	c.lin = make([]uint64, (len(c.ops)+63)/64)
+	return c, nil
 }
 
-// linearizable reports the ops that may take their atomic effect at
+func (c *checker) linearized(k int) bool { return c.lin[k/64]&(1<<(k%64)) != 0 }
+func (c *checker) setLin(k int)          { c.lin[k/64] |= 1 << (k % 64) }
+func (c *checker) clearLin(k int)        { c.lin[k/64] &^= 1 << (k % 64) }
+
+// linearizable reports whether ops[k] may take its atomic effect at
 // position i: invoked before i, not yet returned, not yet linearized,
 // and not killed by a crash before i.
-func (c *checker) linearizable(i int, lin map[OpID]bool) []OpID {
-	var out []OpID
-	for id, info := range c.ops {
-		if lin[id] {
-			continue
-		}
-		if info.invoke >= i {
-			continue
-		}
-		if info.ret != -1 && info.ret < i {
-			continue
-		}
-		if info.dies < i {
-			continue
-		}
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+func (c *checker) linearizable(k, i int) bool {
+	info := &c.ops[k]
+	return !c.linearized(k) && info.invoke < i && (info.ret == -1 || info.ret >= i) && info.dies >= i
 }
 
-func (c *checker) key(i int, st spec.State, lin map[OpID]bool) string {
-	ids := make([]int, 0, len(lin))
-	for id := range lin {
-		ids = append(ids, int(id))
+// stepRet is the return value ops[k]'s spec step must allow: the
+// observed one, or spec.Pending when no caller saw a response. helped
+// says which.
+func (c *checker) stepRet(k int) (ret spec.Ret, helped bool) {
+	if info := &c.ops[k]; info.ret != -1 {
+		return info.retVal, false
 	}
-	sort.Ints(ids)
-	return fmt.Sprintf("%d|%s|%v", i, c.sp.Key(st), ids)
+	return spec.Pending, true
 }
 
-func (c *checker) dfs(i int, st spec.State, lin map[OpID]bool) bool {
+// crash clears lin for the events after a Crash (the ops in it took
+// effect and are dead) and returns the mark to hand to uncrash.
+func (c *checker) crash() int {
+	mark := len(c.saved)
+	c.saved = append(c.saved, c.lin...)
+	clear(c.lin)
+	return mark
+}
+
+func (c *checker) uncrash(mark int) {
+	copy(c.lin, c.saved[mark:])
+	c.saved = c.saved[:mark]
+}
+
+// memoKey encodes the search state (i, lin, st) into the scratch buffer.
+func (c *checker) memoKey(i int, st spec.State) []byte {
+	b := binary.LittleEndian.AppendUint32(c.key[:0], uint32(i))
+	for _, w := range c.lin {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	b = append(b, c.sp.Key(st)...)
+	c.key = b
+	return b
+}
+
+func (c *checker) dfs(i int, st spec.State) bool {
 	if c.ub {
 		return true
 	}
@@ -311,78 +346,56 @@ func (c *checker) dfs(i int, st spec.State, lin map[OpID]bool) bool {
 	c.visits++
 	var k string
 	if !c.noMemo {
-		k = c.key(i, st, lin)
-		if seen, ok := c.memo[k]; ok {
+		b := c.memoKey(i, st)
+		if seen, ok := c.memo[string(b)]; ok {
 			return seen
 		}
+		k = string(b)
 		c.memo[k] = false // cycle guard; overwritten on success
 	}
 
 	ok := false
-	e := c.h[i]
-	switch e.Kind {
+	switch e := c.h[i]; e.Kind {
 	case Invoke:
-		ok = c.dfs(i+1, st, lin)
+		ok = c.dfs(i+1, st)
 	case Return:
-		if lin[e.ID] {
-			next := copyWithout(lin, e.ID)
-			ok = c.dfs(i+1, st, next)
+		if op := c.opAt[i]; c.linearized(op) {
+			c.clearLin(op)
+			ok = c.dfs(i+1, st)
+			c.setLin(op)
 		}
 	case Crash:
 		// All unreturned, unlinearized ops die here; linearized ones have
 		// taken effect (helping). The spec takes its crash step.
-		ok = c.dfs(i+1, c.sp.Crash(st), nil)
+		mark := c.crash()
+		ok = c.dfs(i+1, c.sp.Crash(st))
+		c.uncrash(mark)
 	}
 
-	if !ok {
-		// Try linearizing some pending op now (before advancing).
-		for _, id := range c.linearizable(i, lin) {
-			info := c.ops[id]
-			ret := info.retVal
-			if info.ret == -1 {
-				ret = spec.Pending
-			}
-			nexts, ub := c.sp.Step(st, info.op, ret)
-			if ub {
-				c.ub = true
-				if !c.noMemo {
-					c.memo[k] = true
-				}
-				return true
-			}
-			for _, ns := range nexts {
-				if c.dfs(i, ns, copyWith(lin, id)) {
-					ok = true
-					break
-				}
-			}
-			if ok {
+	// Otherwise try linearizing some pending op now (before advancing).
+	for op := 0; op < len(c.ops) && !ok; op++ {
+		if !c.linearizable(op, i) {
+			continue
+		}
+		ret, _ := c.stepRet(op)
+		nexts, ub := c.sp.Step(st, c.ops[op].op, ret)
+		if ub {
+			c.ub = true
+			ok = true
+			break
+		}
+		c.setLin(op)
+		for _, ns := range nexts {
+			if c.dfs(i, ns) {
+				ok = true
 				break
 			}
 		}
+		c.clearLin(op)
 	}
 
-	if !c.noMemo {
-		c.memo[k] = ok
+	if ok && !c.noMemo {
+		c.memo[k] = true
 	}
 	return ok
-}
-
-func copyWith(lin map[OpID]bool, id OpID) map[OpID]bool {
-	out := make(map[OpID]bool, len(lin)+1)
-	for k := range lin {
-		out[k] = true
-	}
-	out[id] = true
-	return out
-}
-
-func copyWithout(lin map[OpID]bool, id OpID) map[OpID]bool {
-	out := make(map[OpID]bool, len(lin))
-	for k := range lin {
-		if k != id {
-			out[k] = true
-		}
-	}
-	return out
 }

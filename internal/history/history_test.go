@@ -1,6 +1,8 @@
 package history
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -290,14 +292,88 @@ func TestUBIsVacuouslyAccepted(t *testing.T) {
 }
 
 // Reference checker: brute-force enumeration of all linearization
-// orders, no memoization, used to cross-check the DFS on small
-// histories.
+// orders over map-based sets, no memoization, sharing nothing with the
+// production checker — used to cross-check it on small histories.
+type refOp struct {
+	invoke, ret, dies int
+	retVal            spec.Ret
+	op                spec.Op
+}
+
+// refIndex is the map-based index (and well-formedness check) the
+// production checker used before it moved to an OpID-ordered slice.
+func refIndex(h History) (map[OpID]*refOp, error) {
+	ops := map[OpID]*refOp{}
+	lastCrash := -1
+	for i, e := range h {
+		switch e.Kind {
+		case Invoke:
+			if _, dup := ops[e.ID]; dup {
+				return nil, fmt.Errorf("op %d invoked twice", e.ID)
+			}
+			ops[e.ID] = &refOp{invoke: i, ret: -1, op: e.Op, dies: len(h)}
+		case Return:
+			info, ok := ops[e.ID]
+			if !ok {
+				return nil, fmt.Errorf("op %d returns without invocation", e.ID)
+			}
+			if info.ret != -1 {
+				return nil, fmt.Errorf("op %d returns twice", e.ID)
+			}
+			if lastCrash > info.invoke {
+				return nil, fmt.Errorf("op %d returns after a crash killed it", e.ID)
+			}
+			info.ret, info.retVal = i, e.Ret
+		case Crash:
+			lastCrash = i
+			for _, info := range ops {
+				if info.ret == -1 && info.dies == len(h) {
+					info.dies = i
+				}
+			}
+		}
+	}
+	return ops, nil
+}
+
+// linearizable lists, in OpID order, the ops that may take their atomic
+// effect at position i.
+func linearizable(ops map[OpID]*refOp, i int, lin map[OpID]bool) []OpID {
+	var out []OpID
+	for id, info := range ops {
+		if lin[id] || info.invoke >= i || (info.ret != -1 && info.ret < i) || info.dies < i {
+			continue
+		}
+		out = append(out, id)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+func copyWith(lin map[OpID]bool, id OpID) map[OpID]bool {
+	out := make(map[OpID]bool, len(lin)+1)
+	for k := range lin {
+		out[k] = true
+	}
+	out[id] = true
+	return out
+}
+
+func copyWithout(lin map[OpID]bool, id OpID) map[OpID]bool {
+	out := make(map[OpID]bool, len(lin))
+	for k := range lin {
+		if k != id {
+			out[k] = true
+		}
+	}
+	return out
+}
+
 func referenceCheck(sp spec.Interface, h History) bool {
-	if validate(h) != nil {
+	ops, err := refIndex(h)
+	if err != nil {
 		return false
 	}
-	c := &checker{sp: sp, h: h, memo: map[string]bool{}}
-	c.index()
 	var rec func(i int, st spec.State, lin map[OpID]bool) bool
 	rec = func(i int, st spec.State, lin map[OpID]bool) bool {
 		if i == len(h) {
@@ -318,8 +394,8 @@ func referenceCheck(sp spec.Interface, h History) bool {
 				return true
 			}
 		}
-		for _, id := range c.linearizable(i, lin) {
-			info := c.ops[id]
+		for _, id := range linearizable(ops, i, lin) {
+			info := ops[id]
 			ret := info.retVal
 			if info.ret == -1 {
 				ret = spec.Pending
@@ -339,63 +415,177 @@ func referenceCheck(sp spec.Interface, h History) bool {
 	return rec(0, sp.Init(), map[OpID]bool{})
 }
 
-// TestQuickAgainstReference generates random small histories and checks
-// the memoized DFS agrees with the brute-force reference.
+// genHistory generates a pseudo-random well-formed history of n events
+// over the register alphabet; crashPct is the share of crash events.
+// IDs are handed out from firstID, and stepped by idStep, so that
+// sparse and unordered-looking ID spaces are covered too.
+func genHistory(seed, n, crashPct int, firstID, idStep OpID) History {
+	var h History
+	nextID := firstID
+	open := []OpID{}
+	opOf := map[OpID]spec.Op{}
+	rnd := seed
+	rand := func(n int) int {
+		rnd = rnd*1103515245 + 12345
+		if rnd < 0 {
+			rnd = -rnd
+		}
+		return rnd % n
+	}
+	for i := 0; i < n; i++ {
+		if rand(100) < crashPct {
+			h = append(h, Event{Kind: Crash})
+			open = nil
+			continue
+		}
+		switch rand(3) {
+		case 0: // invoke write
+			op := opWrite{v: rand(3)}
+			h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
+			opOf[nextID] = op
+			open = append(open, nextID)
+			nextID += idStep
+		case 1: // invoke read
+			op := opRead{}
+			h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
+			opOf[nextID] = op
+			open = append(open, nextID)
+			nextID += idStep
+		case 2: // return some open op with a random-ish value
+			if len(open) == 0 {
+				continue
+			}
+			k := rand(len(open))
+			id := open[k]
+			open = append(open[:k], open[k+1:]...)
+			var ret spec.Ret
+			if _, isRead := opOf[id].(opRead); isRead {
+				ret = rand(3)
+			}
+			h = append(h, Event{Kind: Return, ID: id, Op: opOf[id], Ret: ret})
+		}
+	}
+	return h
+}
+
+// pendingAtCrash is the largest number of unreturned ops any crash of h
+// cuts off.
+func pendingAtCrash(h History) int {
+	open, most := map[OpID]bool{}, 0
+	for _, e := range h {
+		switch e.Kind {
+		case Invoke:
+			open[e.ID] = true
+		case Return:
+			delete(open, e.ID)
+		case Crash:
+			most = max(most, len(open))
+			open = map[OpID]bool{}
+		}
+	}
+	return most
+}
+
+// TestQuickAgainstReference generates random small histories — with
+// crashes, and with several ops pending at a crash — and checks the
+// memoized bitset DFS agrees with the brute-force reference.
 func TestQuickAgainstReference(t *testing.T) {
-	// Deterministic pseudo-random generation over a fixed op alphabet.
-	gen := func(seed int) History {
+	crashes, multiPending := 0, 0
+	for seed := 1; seed <= 400; seed++ {
+		for _, g := range []struct {
+			n, crashPct int
+			first, step OpID
+		}{
+			{8, 25, 0, 1},   // the original shape
+			{10, 15, 7, 3},  // sparse IDs
+			{9, 12, 40, -1}, // IDs descending in invocation order
+		} {
+			h := genHistory(seed, g.n, g.crashPct, g.first, g.step)
+			got := Check(regSpec(), h).OK
+			want := referenceCheck(regSpec(), h)
+			if got != want {
+				t.Fatalf("seed %d %+v: Check=%v reference=%v\n%s", seed, g, got, want, h.Format())
+			}
+			if _, ok := Witness(regSpec(), h); ok != want {
+				t.Fatalf("seed %d %+v: Witness ok=%v, reference=%v\n%s", seed, g, ok, want, h.Format())
+			}
+			if p := pendingAtCrash(h); p >= 2 {
+				multiPending++
+			}
+			for _, e := range h {
+				if e.Kind == Crash {
+					crashes++
+					break
+				}
+			}
+		}
+	}
+	if crashes < 200 || multiPending < 50 {
+		t.Fatalf("generator too tame: %d histories with a crash, %d with >=2 ops pending at one", crashes, multiPending)
+	}
+}
+
+// TestLongHistoryPast64Ops: the linearized set is a bitset of as many
+// words as the history needs. 70 sequential write/read pairs (140 ops,
+// three words) with two ops left pending at a crash in the middle must
+// check, and one stale read at the far end — past bit 64 — must fail.
+func TestLongHistoryPast64Ops(t *testing.T) {
+	build := func(lastRead int) History {
 		var h History
-		nextID := OpID(0)
-		open := []OpID{}
-		opOf := map[OpID]spec.Op{}
-		rnd := seed
-		rand := func(n int) int {
-			rnd = rnd*1103515245 + 12345
-			if rnd < 0 {
-				rnd = -rnd
-			}
-			return rnd % n
+		id := OpID(0)
+		call := func(op spec.Op, ret spec.Ret) {
+			h = append(h, Event{Kind: Invoke, ID: id, Op: op}, Event{Kind: Return, ID: id, Op: op, Ret: ret})
+			id++
 		}
-		for i := 0; i < 8; i++ {
-			switch rand(4) {
-			case 0: // invoke write
-				op := opWrite{v: rand(3)}
-				h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
-				opOf[nextID] = op
-				open = append(open, nextID)
-				nextID++
-			case 1: // invoke read
-				op := opRead{}
-				h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
-				opOf[nextID] = op
-				open = append(open, nextID)
-				nextID++
-			case 2: // return some open op with a random-ish value
-				if len(open) == 0 {
-					continue
-				}
-				k := rand(len(open))
-				id := open[k]
-				open = append(open[:k], open[k+1:]...)
-				var ret spec.Ret
-				if _, isRead := opOf[id].(opRead); isRead {
-					ret = rand(3)
-				}
-				h = append(h, Event{Kind: Return, ID: id, Op: opOf[id], Ret: ret})
-			case 3: // crash
-				h = append(h, Event{Kind: Crash})
-				open = nil
+		for i := 0; i < 70; i++ {
+			if i == 35 {
+				// Two writes in flight at a crash: the read after it
+				// decides which (if either) took effect.
+				h = append(h, Event{Kind: Invoke, ID: id, Op: opWrite{v: 1001}}, Event{Kind: Invoke, ID: id + 1, Op: opWrite{v: 1002}}, Event{Kind: Crash})
+				id += 2
+				call(opRead{}, 1002)
 			}
+			call(opWrite{v: i}, nil)
+			call(opRead{}, i)
 		}
+		h[len(h)-1].Ret = lastRead
 		return h
 	}
-	for seed := 1; seed <= 400; seed++ {
-		h := gen(seed)
-		got := Check(regSpec(), h).OK
-		want := referenceCheck(regSpec(), h)
-		if got != want {
-			t.Fatalf("seed %d: Check=%v reference=%v\n%s", seed, got, want, h.Format())
-		}
+	good := build(69)
+	if len(good) <= 2*64 {
+		t.Fatalf("history has only %d events", len(good))
+	}
+	if res := Check(regSpec(), good); !res.OK {
+		t.Fatalf("long history rejected: %s", res.Reason)
+	}
+	if !referenceCheck(regSpec(), good) {
+		t.Fatal("reference rejects the long history")
+	}
+	if _, ok := Witness(regSpec(), good); !ok {
+		t.Fatal("no witness for the long history")
+	}
+	bad := build(68)
+	if Check(regSpec(), bad).OK || referenceCheck(regSpec(), bad) {
+		t.Fatal("stale read past op 64 accepted")
+	}
+	// Concurrency past the first word: ops 64.. all overlapping.
+	var wide History
+	for i := 0; i < 64; i++ {
+		wide = append(wide, Event{Kind: Invoke, ID: OpID(i), Op: opWrite{v: i}}, Event{Kind: Return, ID: OpID(i), Op: opWrite{v: i}})
+	}
+	for i := 64; i < 70; i++ {
+		wide = append(wide, Event{Kind: Invoke, ID: OpID(i), Op: opWrite{v: i}})
+	}
+	wide = append(wide, Event{Kind: Invoke, ID: 70, Op: opRead{}}, Event{Kind: Return, ID: 70, Op: opRead{}, Ret: 66})
+	for i := 64; i < 70; i++ {
+		wide = append(wide, Event{Kind: Return, ID: OpID(i), Op: opWrite{v: i}})
+	}
+	if got, want := Check(regSpec(), wide).OK, referenceCheck(regSpec(), wide); !got || !want {
+		t.Fatalf("overlap past op 64: Check=%v reference=%v", got, want)
+	}
+	wide[len(wide)-7].Ret = 5 // a value none of the overlapping writes wrote
+	if got, want := Check(regSpec(), wide).OK, referenceCheck(regSpec(), wide); got || want {
+		t.Fatalf("stale read under overlap past op 64: Check=%v reference=%v", got, want)
 	}
 }
 
@@ -403,54 +593,8 @@ func TestQuickAgainstReference(t *testing.T) {
 // optimization — on random histories the memoized and unmemoized
 // checkers must agree.
 func TestQuickMemoDoesNotChangeVerdicts(t *testing.T) {
-	gen := func(seed int) History {
-		var h History
-		nextID := OpID(0)
-		open := []OpID{}
-		opOf := map[OpID]spec.Op{}
-		rnd := seed
-		rand := func(n int) int {
-			rnd = rnd*48271 + 11
-			if rnd < 0 {
-				rnd = -rnd
-			}
-			return rnd % n
-		}
-		for i := 0; i < 10; i++ {
-			switch rand(4) {
-			case 0:
-				op := opWrite{v: rand(3)}
-				h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
-				opOf[nextID] = op
-				open = append(open, nextID)
-				nextID++
-			case 1:
-				op := opRead{}
-				h = append(h, Event{Kind: Invoke, ID: nextID, Op: op})
-				opOf[nextID] = op
-				open = append(open, nextID)
-				nextID++
-			case 2:
-				if len(open) == 0 {
-					continue
-				}
-				k := rand(len(open))
-				id := open[k]
-				open = append(open[:k], open[k+1:]...)
-				var ret spec.Ret
-				if _, isRead := opOf[id].(opRead); isRead {
-					ret = rand(3)
-				}
-				h = append(h, Event{Kind: Return, ID: id, Op: opOf[id], Ret: ret})
-			case 3:
-				h = append(h, Event{Kind: Crash})
-				open = nil
-			}
-		}
-		return h
-	}
 	for seed := 1; seed <= 300; seed++ {
-		h := gen(seed)
+		h := genHistory(seed*31+7, 10, 25, 0, 1)
 		a := CheckWith(regSpec(), h, Options{})
 		b := CheckWith(regSpec(), h, Options{DisableMemo: true})
 		if a.OK != b.OK {

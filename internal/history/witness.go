@@ -33,78 +33,80 @@ type WitnessStep struct {
 // fall. It reports ok=false when the history does not refine the spec
 // (or is vacuous via UB, which has no meaningful witness).
 func Witness(sp spec.Interface, h History) ([]WitnessStep, bool) {
-	if validate(h) != nil {
+	c, err := newChecker(sp, h)
+	if err != nil {
 		return nil, false
 	}
-	c := &checker{sp: sp, h: h, memo: map[string]bool{}}
-	c.index()
 
 	var trail []WitnessStep
-	var rec func(i int, st spec.State, lin map[OpID]bool) bool
-	rec = func(i int, st spec.State, lin map[OpID]bool) bool {
+	push := func(s WitnessStep) { trail = append(trail, s) }
+	pop := func() { trail = trail[:len(trail)-1] }
+	var rec func(i int, st spec.State) bool
+	rec = func(i int, st spec.State) bool {
 		if i == len(h) {
 			return true
 		}
-		// Prune with the memoized verdicts from a prior Check-style
-		// search so witness extraction stays fast.
-		k := c.key(i, st, lin)
-		if seen, ok := c.memo[k]; ok && !seen {
+		// Remember dead ends (memo verdict false, as in the checker's
+		// search) so witness extraction stays fast.
+		if ok, seen := c.memo[string(c.memoKey(i, st))]; seen && !ok {
 			return false
 		}
-
-		e := h[i]
-		switch e.Kind {
+		switch e := h[i]; e.Kind {
 		case Invoke:
-			trail = append(trail, WitnessStep{Kind: "event", EventIndex: i, StateKey: sp.Key(st)})
-			if rec(i+1, st, lin) {
+			push(WitnessStep{Kind: "event", EventIndex: i, StateKey: sp.Key(st)})
+			if rec(i+1, st) {
 				return true
 			}
-			trail = trail[:len(trail)-1]
+			pop()
 		case Return:
-			if lin[e.ID] {
-				trail = append(trail, WitnessStep{Kind: "event", EventIndex: i, StateKey: sp.Key(st)})
-				if rec(i+1, st, copyWithout(lin, e.ID)) {
+			if op := c.opAt[i]; c.linearized(op) {
+				push(WitnessStep{Kind: "event", EventIndex: i, StateKey: sp.Key(st)})
+				c.clearLin(op)
+				if rec(i+1, st) {
 					return true
 				}
-				trail = trail[:len(trail)-1]
+				c.setLin(op)
+				pop()
 			}
 		case Crash:
 			next := sp.Crash(st)
-			trail = append(trail, WitnessStep{Kind: "crash-step", EventIndex: i, StateKey: sp.Key(next)})
-			if rec(i+1, next, nil) {
+			push(WitnessStep{Kind: "crash-step", EventIndex: i, StateKey: sp.Key(next)})
+			mark := c.crash()
+			if rec(i+1, next) {
 				return true
 			}
-			trail = trail[:len(trail)-1]
+			c.uncrash(mark)
+			pop()
 		}
 
-		for _, id := range c.linearizable(i, lin) {
-			info := c.ops[id]
-			ret := info.retVal
-			helped := false
-			if info.ret == -1 {
-				ret = spec.Pending
-				helped = true
+		for op := range c.ops {
+			if !c.linearizable(op, i) {
+				continue
 			}
+			info := &c.ops[op]
+			ret, helped := c.stepRet(op)
 			nexts, ub := sp.Step(st, info.op, ret)
 			if ub {
 				return false // vacuous histories have no witness
 			}
+			c.setLin(op)
 			for _, ns := range nexts {
-				trail = append(trail, WitnessStep{
-					Kind: "linearize", ID: id, Op: info.op,
+				push(WitnessStep{
+					Kind: "linearize", ID: info.id, Op: info.op,
 					Helped: helped, StateKey: sp.Key(ns),
 				})
-				if rec(i, ns, copyWith(lin, id)) {
+				if rec(i, ns) {
 					return true
 				}
-				trail = trail[:len(trail)-1]
+				pop()
 			}
+			c.clearLin(op)
 		}
-		c.memo[k] = false
+		c.memo[string(c.memoKey(i, st))] = false
 		return false
 	}
 
-	if !rec(0, sp.Init(), nil) {
+	if !rec(0, sp.Init()) {
 		return nil, false
 	}
 	return trail, true

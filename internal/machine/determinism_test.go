@@ -11,7 +11,7 @@ import (
 // function of the script (the property the stateless model checker's
 // replay depends on).
 func runScripted(script []int) []string {
-	m := New(Options{MaxSteps: 500})
+	m := New(Options{MaxSteps: 500, TraceDepth: TraceAll})
 	sc := &ScriptChooser{Script: script}
 	m.RunEra(sc, true, func(t *T) {
 		l := NewLock(t, "l")

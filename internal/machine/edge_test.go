@@ -68,7 +68,7 @@ func TestStepsCounterAdvances(t *testing.T) {
 }
 
 func TestResetTraceClears(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{TraceDepth: TraceAll})
 	m.RunEra(SeqChooser{}, false, func(mt *T) { mt.Tracef("hello") })
 	if len(m.Trace()) == 0 {
 		t.Fatal("no trace recorded")

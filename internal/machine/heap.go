@@ -27,7 +27,7 @@ type Ref[V any] struct {
 func NewRef[V any](t *T, name string, v V) *Ref[V] {
 	t.Step("alloc")
 	c := &cell{version: t.m.version, value: v, writer: -1, name: name}
-	t.m.Tracef("t%d: alloc %s", t.th.id, name)
+	t.trace("alloc", name)
 	return &Ref[V]{c: c}
 }
 
@@ -35,7 +35,7 @@ func NewRef[V any](t *T, name string, v V) *Ref[V] {
 // store to the same cell is a race and therefore undefined behaviour.
 func (r *Ref[V]) Load(t *T) V {
 	t.Step("load")
-	t.checkVersion("pointer "+r.c.name, r.c.version)
+	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 && r.c.writer != t.th.id {
 		t.Failf("data race: t%d loads %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
 	}
@@ -50,20 +50,20 @@ func (r *Ref[V]) Load(t *T) V {
 // access between the steps is a race.
 func (r *Ref[V]) Store(t *T, v V) {
 	t.Step("store-start")
-	t.checkVersion("pointer "+r.c.name, r.c.version)
+	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d starts storing %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
 	}
 	r.c.writer = t.th.id
 
 	t.Step("store-end")
-	t.checkVersion("pointer "+r.c.name, r.c.version)
+	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != t.th.id {
 		t.Failf("data race: %s store by t%d interleaved with another store", r.c.name, t.th.id)
 	}
 	r.c.writer = -1
 	r.c.value = v
-	t.m.Tracef("t%d: store %s", t.th.id, r.c.name)
+	t.trace("store", r.c.name)
 }
 
 // StoreAtomic writes the cell in a single atomic step. Goose does not
@@ -71,7 +71,7 @@ func (r *Ref[V]) Store(t *T, v V) {
 // bookkeeping that should not introduce extra interleavings.
 func (r *Ref[V]) StoreAtomic(t *T, v V) {
 	t.Step("store-atomic")
-	t.checkVersion("pointer "+r.c.name, r.c.version)
+	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d atomically stores %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
 	}

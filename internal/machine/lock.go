@@ -17,7 +17,7 @@ type Lock struct {
 func NewLock(t *T, name string) *Lock {
 	t.Step("newlock")
 	l := &Lock{version: t.m.version, name: name, holder: -1, m: t.m}
-	t.m.Tracef("t%d: newlock %s", t.th.id, name)
+	t.trace("newlock", name)
 	return l
 }
 
@@ -26,10 +26,10 @@ func NewLock(t *T, name string) *Lock {
 func (l *Lock) Acquire(t *T) {
 	t.Step("acquire")
 	for {
-		t.checkVersion("lock "+l.name, l.version)
+		t.checkVersion("lock", l.name, l.version)
 		if l.holder == -1 {
 			l.holder = t.th.id
-			t.m.Tracef("t%d: acquire %s", t.th.id, l.name)
+			t.trace("acquire", l.name)
 			return
 		}
 		if l.holder == t.th.id {
@@ -46,7 +46,7 @@ func (l *Lock) Acquire(t *T) {
 // behaviour, matching sync.Mutex's fatal unlock-of-unlocked-mutex.
 func (l *Lock) Release(t *T) {
 	t.Step("release")
-	t.checkVersion("lock "+l.name, l.version)
+	t.checkVersion("lock", l.name, l.version)
 	if l.holder != t.th.id {
 		t.Failf("lock %s released by t%d but held by t%d", l.name, t.th.id, l.holder)
 	}
@@ -57,7 +57,7 @@ func (l *Lock) Release(t *T) {
 		}
 	}
 	l.waiters = nil
-	t.m.Tracef("t%d: release %s", t.th.id, l.name)
+	t.trace("release", l.name)
 }
 
 // Holder returns the current holder TID, or -1. For harness assertions.

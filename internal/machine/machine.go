@@ -26,6 +26,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // TID identifies a simulated thread within one era of execution.
@@ -101,7 +102,8 @@ type EraResult struct {
 }
 
 // thread lifecycle statuses. Only the scheduler and the single running
-// thread mutate these, and hand-offs through channels order all accesses.
+// thread mutate these, and the coroutine switches between the two order
+// all accesses. A parking thread yields the status it parks in.
 type status int
 
 const (
@@ -110,30 +112,12 @@ const (
 	statusExited
 )
 
-type resumeKind int
-
-const (
-	resumeGo resumeKind = iota
-	resumeKill
-)
-
-type reportKind int
-
-const (
-	reportParked reportKind = iota
-	reportBlocked
-	reportExited
-	reportDead
-)
-
-type report struct {
-	tid  TID
-	kind reportKind
-}
-
 // killedSentinel is panicked by a primitive when its thread is killed by
-// a crash; the thread wrapper recovers it and reports death.
+// a crash (or aborts itself with Failf); the thread wrapper recovers it.
 type killedSentinel struct{}
+
+// TraceAll is the TraceDepth that retains every trace line.
+const TraceAll = math.MaxInt
 
 // Options configures a Machine.
 type Options struct {
@@ -141,7 +125,10 @@ type Options struct {
 	// is reported as a violation (possible infinite loop — the class of
 	// bug in §9.5's Pickup loop). 0 means the default of 100000.
 	MaxSteps int
-	// TraceDepth bounds the retained trace (0 = keep everything).
+	// TraceDepth attaches the trace: the machine keeps the last
+	// TraceDepth lines (TraceAll keeps every line). 0 attaches none, and
+	// Tracef then formats nothing — the model checker searches this way
+	// and regenerates a failing execution's trace by replaying it.
 	TraceDepth int
 	// Observer, when non-nil, receives structured schedule events.
 	Observer Observer
@@ -158,11 +145,15 @@ type Machine struct {
 
 	threads []*thread
 	alive   int
-	reports chan report
+	ready   []*thread // runnable()'s buffer, reused between steps
 
 	steps   int
 	failure error
-	trace   []string
+
+	// trace is a ring of the last opts.TraceDepth lines: it grows by
+	// append until full, then traceHead is the oldest line's slot.
+	trace     []string
+	traceHead int
 
 	running bool
 }
@@ -198,21 +189,37 @@ func (m *Machine) Failf(format string, args ...any) {
 // Failure returns the recorded violation, if any.
 func (m *Machine) Failure() error { return m.failure }
 
-// Tracef appends a line to the execution trace.
+// Tracing reports whether a trace is attached (Options.TraceDepth > 0).
+func (m *Machine) Tracing() bool { return m.opts.TraceDepth > 0 }
+
+// Tracef appends a line to the execution trace, if one is attached.
 func (m *Machine) Tracef(format string, args ...any) {
-	if m.opts.TraceDepth > 0 && len(m.trace) >= m.opts.TraceDepth {
-		copy(m.trace, m.trace[1:])
-		m.trace[len(m.trace)-1] = fmt.Sprintf(format, args...)
-		return
+	if m.Tracing() {
+		m.traceLine(fmt.Sprintf(format, args...))
 	}
-	m.trace = append(m.trace, fmt.Sprintf(format, args...))
 }
 
-// Trace returns the accumulated execution trace (for counterexamples).
-func (m *Machine) Trace() []string { return m.trace }
+func (m *Machine) traceLine(line string) {
+	if len(m.trace) < m.opts.TraceDepth {
+		m.trace = append(m.trace, line)
+		return
+	}
+	m.trace[m.traceHead] = line
+	m.traceHead = (m.traceHead + 1) % len(m.trace)
+}
 
-// ResetTrace clears the trace between explored executions.
-func (m *Machine) ResetTrace() { m.trace = m.trace[:0] }
+// Trace returns the retained execution trace, oldest line first.
+func (m *Machine) Trace() []string {
+	if m.traceHead == 0 {
+		return m.trace
+	}
+	out := make([]string, 0, len(m.trace))
+	out = append(out, m.trace[m.traceHead:]...)
+	return append(out, m.trace[:m.traceHead]...)
+}
+
+// ResetTrace clears the trace between executions.
+func (m *Machine) ResetTrace() { m.trace, m.traceHead = m.trace[:0], 0 }
 
 // CrashReset models the machine crashing and rebooting: all volatile
 // state is gone, the memory version advances, and devices keep only
@@ -266,7 +273,6 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	m.failure = nil
 	m.threads = nil
 	m.alive = 0
-	m.reports = make(chan report)
 
 	m.spawn(main)
 
@@ -308,9 +314,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 		if m.opts.Observer != nil {
 			m.opts.Observer.Scheduled(th.id)
 		}
-		th.resume <- resumeGo
-		rep := <-m.reports
-		m.handleReport(rep)
+		m.resume(th)
 
 		if m.steps > m.opts.MaxSteps && m.failure == nil {
 			m.Failf("step budget exceeded (%d steps): possible infinite loop or livelock", m.opts.MaxSteps)
@@ -318,76 +322,78 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	}
 }
 
-func (m *Machine) handleReport(rep report) {
-	th := m.threads[rep.tid]
-	switch rep.kind {
-	case reportParked:
-		th.status = statusReady
-	case reportBlocked:
-		th.status = statusBlocked
-	case reportExited, reportDead:
-		th.status = statusExited
+// resume switches to th until it parks at its next step boundary, blocks
+// or returns, and records the status it stopped in.
+func (m *Machine) resume(th *thread) {
+	st, parked := th.next()
+	if !parked {
+		st = statusExited
 		m.alive--
 	}
+	th.status = st
 }
 
 func (m *Machine) runnable() []*thread {
-	var out []*thread
+	out := m.ready[:0]
 	for _, th := range m.threads {
 		if th.status == statusReady {
 			out = append(out, th)
 		}
 	}
+	m.ready = out
 	return out
 }
 
 // killAll terminates every live thread. It is only called between steps,
-// when no thread is executing.
+// when no thread is executing. A parked thread unwinds on the kill
+// sentinel (its deferred calls run, but take no machine step: see
+// T.Step); a thread that was never scheduled simply never starts.
 func (m *Machine) killAll() {
 	for _, th := range m.threads {
 		if th.status == statusExited {
 			continue
 		}
-		th.resume <- resumeKill
-		rep := <-m.reports
-		m.handleReport(rep)
+		th.stop()
+		th.status = statusExited
+		m.alive--
 	}
 }
 
-// spawn creates a thread and starts its goroutine parked: it waits for
-// its first resume before running fn.
+// spawn creates a thread as a coroutine (pull is iter.Pull): the
+// scheduler's next() switches straight to it without a trip through the
+// Go scheduler, and its yield switches straight back. It first runs
+// when first scheduled.
 func (m *Machine) spawn(fn func(t *T)) TID {
 	tid := TID(len(m.threads))
-	th := &thread{
-		id:     tid,
-		status: statusReady,
-		resume: make(chan resumeKind),
-	}
+	th := &thread{id: tid, status: statusReady}
 	m.threads = append(m.threads, th)
 	m.alive++
 
 	t := &T{m: m, th: th}
-	go func() {
-		kind := reportExited
+	th.next, th.stop = pull(func(yield func(status) bool) {
+		th.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedSentinel); !ok {
 					m.Failf("thread %d panicked: %v", tid, r)
 				}
-				kind = reportDead
 			}
-			m.reports <- report{tid: tid, kind: kind}
 		}()
-		t.await() // park until first scheduled
 		fn(t)
-	}()
+	})
 	return tid
 }
 
 type thread struct {
 	id     TID
 	status status
-	resume chan resumeKind
+	// dead is set once the thread is killed or has aborted itself: it
+	// is unwinding and takes no further machine step.
+	dead bool
+
+	next  func() (status, bool) // scheduler side: run until the next park
+	stop  func()                // scheduler side: kill
+	yield func(status) bool     // thread side: park; false means killed
 }
 
 // T is the handle a simulated thread uses to interact with the machine.
@@ -404,42 +410,56 @@ func (t *T) ID() TID { return t.th.id }
 // implement new primitives.
 func (t *T) Machine() *Machine { return t.m }
 
-// await blocks until the scheduler resumes this thread, panicking with
-// the kill sentinel if the thread is being killed by a crash.
-func (t *T) await() {
-	if <-t.th.resume == resumeKill {
+// park hands control back to the scheduler, leaving the thread in
+// status st, until it is resumed. A killed thread panics with the kill
+// sentinel instead — also on every later call, so that code running
+// while it unwinds (a deferred lock.Release, say) takes no machine step
+// and touches no device state: primitives park before they act.
+func (t *T) park(st status) {
+	if t.th.dead || !t.th.yield(st) {
+		t.th.dead = true
 		panic(killedSentinel{})
 	}
 }
 
 // Step marks an atomic step boundary: the thread parks and the scheduler
 // picks who runs next. Device packages call this exactly once per
-// primitive, before applying the primitive's effect. tag describes the
-// primitive for traces.
+// primitive, before applying the primitive's effect. tag names the
+// primitive for readers of the call site.
 func (t *T) Step(tag string) {
-	t.m.steps++
-	t.m.reports <- report{tid: t.th.id, kind: reportParked}
-	t.await()
-	_ = tag
+	if !t.th.dead {
+		t.m.steps++
+	}
+	t.park(statusReady)
 }
 
 // block parks the thread in a non-runnable state; wake from another
 // thread makes it runnable again.
-func (t *T) block() {
-	t.m.reports <- report{tid: t.th.id, kind: reportBlocked}
-	t.await()
-}
+func (t *T) block() { t.park(statusBlocked) }
 
 // Failf reports undefined behaviour or a model violation detected by
 // this thread and aborts it.
 func (t *T) Failf(format string, args ...any) {
 	t.m.Failf(format, args...)
+	t.th.dead = true
 	panic(killedSentinel{})
 }
 
 // Tracef appends a line to the machine trace, prefixed with the thread.
 func (t *T) Tracef(format string, args ...any) {
-	t.m.Tracef("t%d: %s", t.th.id, fmt.Sprintf(format, args...))
+	if t.m.Tracing() {
+		line := fmt.Appendf(nil, "t%d: ", t.th.id)
+		t.m.traceLine(string(fmt.Appendf(line, format, args...)))
+	}
+}
+
+// trace is Tracef("<verb> <name>") for the heap and lock primitives. It
+// takes the strings as they are, so that nothing is boxed — and an
+// untraced primitive allocates nothing — when no trace is attached.
+func (t *T) trace(verb, name string) {
+	if t.m.Tracing() {
+		t.Tracef("%s %s", verb, name)
+	}
 }
 
 // Go spawns a new thread running fn, like a Go `go` statement (§6.1).
@@ -447,7 +467,7 @@ func (t *T) Tracef(format string, args ...any) {
 func (t *T) Go(fn func(t *T)) TID {
 	t.Step("go")
 	tid := t.m.spawn(fn)
-	t.m.Tracef("t%d: go -> t%d", t.th.id, tid)
+	t.Tracef("go -> t%d", tid)
 	return tid
 }
 
@@ -465,7 +485,7 @@ func (t *T) RandUint64(bound uint64) uint64 {
 		n = maxEnum
 	}
 	v := uint64(t.m.chooser.Choose(int(n), "rand"))
-	t.m.Tracef("t%d: rand(%d) = %d", t.th.id, bound, v)
+	t.Tracef("rand(%d) = %d", bound, v)
 	return v
 }
 
@@ -485,8 +505,8 @@ var ErrStale = errors.New("use of volatile resource from a previous version")
 
 // checkVersion verifies a volatile resource is from the current memory
 // version, the executable form of the p ↦ₙ v version check of §5.2.
-func (t *T) checkVersion(kind string, v uint64) {
+func (t *T) checkVersion(kind, name string, v uint64) {
 	if v != t.m.version {
-		t.Failf("%s allocated at version %d used at version %d: %w", kind, v, t.m.version, ErrStale)
+		t.Failf("%s %s allocated at version %d used at version %d: %w", kind, name, v, t.m.version, ErrStale)
 	}
 }

@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -282,7 +285,7 @@ type countingDevice struct{ crashes int }
 func (d *countingDevice) Crash() { d.crashes++ }
 
 func TestTraceRecordsEvents(t *testing.T) {
-	m := New(Options{})
+	m := New(Options{TraceDepth: TraceAll})
 	m.RunEra(SeqChooser{}, false, func(mt *T) {
 		r := NewRef(mt, "cell", 0)
 		r.Store(mt, 1)
@@ -299,10 +302,112 @@ func TestTraceDepthBoundsTrace(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			mt.Tracef("line %d", i)
 			mt.Step("nop")
+			// The ring holds the newest lines, oldest first, at every
+			// fill level and wrap position.
+			var want []string
+			for j := max(0, i-4); j <= i; j++ {
+				want = append(want, fmt.Sprintf("t0: line %d", j))
+			}
+			if got := m.Trace(); !slices.Equal(got, want) {
+				mt.Failf("after line %d: trace %q, want %q", i, got, want)
+			}
 		}
 	})
-	if len(m.Trace()) > 5 {
-		t.Fatalf("trace len=%d", len(m.Trace()))
+	if err := m.Failure(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Trace(); len(got) != 5 || got[0] != "t0: line 45" || got[4] != "t0: line 49" {
+		t.Fatalf("final trace %q", got)
+	}
+	m.ResetTrace()
+	m.Tracef("after reset")
+	if got := m.Trace(); !slices.Equal(got, []string{"after reset"}) {
+		t.Fatalf("trace after reset %q", got)
+	}
+}
+
+// TestNoTraceAttachedFormatsNothing: without a TraceDepth the machine
+// keeps no trace, and a step neither formats nor allocates — the state
+// the model checker searches in.
+func TestNoTraceAttachedFormatsNothing(t *testing.T) {
+	m := New(Options{MaxSteps: 1 << 30})
+	if m.Tracing() {
+		t.Fatal("a machine with no TraceDepth reports a trace attached")
+	}
+	var stepAllocs, primAllocs float64
+	res := m.RunEra(SeqChooser{}, false, func(mt *T) {
+		l := NewLock(mt, "l")
+		r := NewRef(mt, "x", 0)
+		stepAllocs = testing.AllocsPerRun(1000, func() { mt.Step("bench") })
+		primAllocs = testing.AllocsPerRun(1000, func() {
+			l.Acquire(mt)
+			r.Store(mt, r.Load(mt))
+			l.Release(mt)
+			mt.Tracef("never formatted")
+		})
+	})
+	if res.Outcome != Done {
+		t.Fatalf("res=%+v", res)
+	}
+	if stepAllocs != 0 || primAllocs != 0 {
+		t.Fatalf("allocations per T.Step = %v, per acquire+load+store+release = %v; want 0", stepAllocs, primAllocs)
+	}
+	if len(m.Trace()) != 0 {
+		t.Fatalf("trace kept without a TraceDepth: %q", m.Trace())
+	}
+}
+
+// TestKilledThreadTakesNoFurtherStep: a thread killed by a crash while
+// it holds a lock unwinds through its deferred Release, which must not
+// run as a machine step: the step counter stays put, the lock keeps its
+// holder, and the thread's goroutine is gone when RunEra returns.
+func TestKilledThreadTakesNoFurtherStep(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := New(Options{})
+	var l *Lock
+	unwound, stepsAtKill := 0, 0
+	holder := func(c *T) {
+		l.Acquire(c)
+		defer func() {
+			stepsAtKill = m.Steps()
+			defer func() { unwound++ }()
+			l.Release(c) // re-panics the kill: never returns
+			t.Error("Release returned in a killed thread")
+		}()
+		for {
+			c.Step("hold")
+		}
+	}
+	calls := 0
+	ch := ChooserFunc(func(n int, tag string) int {
+		if calls++; calls > 12 {
+			return n - 1 // crash
+		}
+		return calls % (n - 1)
+	})
+	res := m.RunEra(ch, true, func(mt *T) {
+		l = NewLock(mt, "l")
+		mt.Go(holder)
+		mt.Go(func(c *T) { // a waiter, blocked on the lock when killed
+			l.Acquire(c)
+			defer l.Release(c)
+		})
+		mt.Go(func(c *T) {}) // possibly never scheduled
+	})
+	if res.Outcome != Crashed {
+		t.Fatalf("res=%+v", res)
+	}
+	if unwound != 1 {
+		t.Fatalf("holder's deferred calls ran %d times, want 1", unwound)
+	}
+	if m.Steps() != stepsAtKill {
+		t.Fatalf("steps advanced from %d to %d while killed threads unwound", stepsAtKill, m.Steps())
+	}
+	if l.Holder() != 1 {
+		t.Fatalf("lock holder is %d after the kill, want the killed thread 1", l.Holder())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the era, %d after", before, after)
 	}
 }
 

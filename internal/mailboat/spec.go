@@ -3,7 +3,7 @@ package mailboat
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/spec"
 	"repro/internal/tsl"
@@ -50,20 +50,26 @@ func (s State) MessagesOf(user uint64) []Message {
 
 // Key renders the state canonically.
 func (s State) Key() string {
-	var b strings.Builder
+	var b []byte
+	var ids []string
 	for u, box := range s.Boxes {
-		ids := make([]string, 0, len(box))
+		ids = ids[:0]
 		for id := range box {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
-		fmt.Fprintf(&b, "u%d{", u)
+		b = append(b, 'u')
+		b = strconv.AppendInt(b, int64(u), 10)
+		b = append(b, '{')
 		for _, id := range ids {
-			fmt.Fprintf(&b, "%s=%q,", id, box[id])
+			b = append(b, id...)
+			b = append(b, '=')
+			b = strconv.AppendQuote(b, box[id])
+			b = append(b, ',')
 		}
-		b.WriteString("}")
+		b = append(b, '}')
 	}
-	return b.String()
+	return string(b)
 }
 
 // OpDeliver is Deliver(user, msg): either insert msg under some fresh

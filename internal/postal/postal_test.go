@@ -2,6 +2,7 @@ package postal
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -116,29 +117,49 @@ func TestFig11ShapeSingleCore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput comparison is slow")
 	}
-	tps := map[string]float64{}
-	for _, server := range []string{"mailboat", "gomail", "cmail"} {
-		// The paper's measurement method ran Mailboat without durability
-		// barriers, so the parity comparison uses the fast mode (the
-		// baselines ignore the knob either way).
-		b, cleanup, err := NewFastBackend(server, RAMDir(), 25, 1, 7)
-		if err != nil {
-			t.Fatal(err)
+	// One ~100 ms sample per server is at the mercy of whatever else the
+	// host runs during it. Take several rounds with the servers
+	// interleaved within each (rotating who goes first), so that the
+	// three samples of a round see the same host, and compare the
+	// medians of the per-round throughput ratios.
+	const rounds = 9
+	servers := []string{"mailboat", "gomail", "cmail"}
+	var overGoMail, overCMail []float64
+	for round := 0; round < rounds; round++ {
+		tps := map[string]float64{}
+		for i := range servers {
+			server := servers[(i+round)%len(servers)]
+			// The paper's measurement method ran Mailboat without durability
+			// barriers, so the parity comparison uses the fast mode (the
+			// baselines ignore the knob either way).
+			b, cleanup, err := NewFastBackend(server, RAMDir(), 25, 1, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := Run(b, Options{Workers: 1, Users: 25, TotalRequests: 4000, Seed: 7})
+			cleanup()
+			if res.BadHashes != 0 || res.Errors != 0 {
+				t.Fatalf("%s: %s", server, res)
+			}
+			tps[server] = res.Throughput
+			if round == 0 {
+				t.Logf("%s: %s", server, res)
+			}
 		}
-		res := Run(b, Options{Workers: 1, Users: 25, TotalRequests: 4000, Seed: 7})
-		cleanup()
-		if res.BadHashes != 0 || res.Errors != 0 {
-			t.Fatalf("%s: %s", server, res)
-		}
-		tps[server] = res.Throughput
-		t.Logf("%s: %s", server, res)
+		overGoMail = append(overGoMail, tps["mailboat"]/tps["gomail"])
+		overCMail = append(overCMail, tps["gomail"]/tps["cmail"])
 	}
-	if tps["mailboat"] < tps["gomail"]*1.05 {
-		t.Errorf("expected Mailboat > GoMail: %.0f vs %.0f", tps["mailboat"], tps["gomail"])
+	median := func(s []float64) float64 {
+		sort.Float64s(s)
+		return s[len(s)/2]
 	}
-	if tps["gomail"] < tps["cmail"]*1.05 {
-		t.Errorf("expected GoMail > CMAIL: %.0f vs %.0f", tps["gomail"], tps["cmail"])
+	if r := median(overGoMail); r < 1.05 {
+		t.Errorf("expected Mailboat > GoMail: median ratio %.3f over %d rounds %.3f", r, rounds, overGoMail)
 	}
+	if r := median(overCMail); r < 1.05 {
+		t.Errorf("expected GoMail > CMAIL: median ratio %.3f over %d rounds %.3f", r, rounds, overCMail)
+	}
+	t.Logf("Mailboat/GoMail %.3f, GoMail/CMAIL %.3f (medians of %d interleaved rounds)", overGoMail[rounds/2], overCMail[rounds/2], rounds)
 }
 
 func TestRunNetBackendCleanWorkload(t *testing.T) {

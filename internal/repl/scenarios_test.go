@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,5 +194,64 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
 	if !with.Stats.DedupActive {
 		t.Fatal("dedup did not activate on the replicated scenario")
+	}
+}
+
+// TestSearchLeavesNoGoroutines: the replicated scenarios kill threads
+// that hold locks released by defer (the pair's per-user and role
+// locks). A killed thread must unwind without re-entering the scheduler
+// — when it did, it parked forever, and a 20k-execution run of the
+// crash+net scenario left 15,637 goroutines behind for every later GC
+// to scan. After a verified run and after a conviction (search, replay,
+// minimize), the goroutine count is back where it started.
+func TestSearchLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	settled := func() int {
+		// A search worker that has signalled completion may still be on
+		// its way out; give it the moment it needs.
+		n := runtime.NumGoroutine()
+		for i := 0; i < 1000 && n > before; i++ {
+			runtime.Gosched()
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+
+	// The suite's mb/replicated+crash+net, at a small budget.
+	rep := explore.Run(Scenario("mb-repl-crash-net-leak", ScenarioOptions{
+		Config:         smallConfig(),
+		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers:    []uint64{0},
+		PostPickups:    true,
+		MaxCrashes:     1,
+		NetFaultBudget: 1,
+	}), explore.Options{MaxExecutions: 1500})
+	if !rep.OK() || rep.CrashedExecutions == 0 {
+		t.Fatalf("report: %s", rep)
+	}
+	if n := settled(); n > before {
+		t.Fatalf("verified run of %d executions (%d crashed) left %d goroutines, started with %d",
+			rep.Executions, rep.CrashedExecutions, n, before)
+	}
+
+	// The suite's mb/repl-bug:resync-skips-epoch.
+	bug := Scenario("mb-repl-bug-resync-skips-epoch-leak", ScenarioOptions{
+		Config:         smallConfig(),
+		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PostPickups:    true,
+		MaxCrashes:     1,
+		NetFaultBudget: 1,
+		NetFaults:      []netmodel.Fault{netmodel.FaultReorder},
+		Mut:            Mutations{ResyncSkipsEpoch: true},
+	})
+	rep = explore.Run(bug, explore.Options{MaxExecutions: 400000})
+	if rep.OK() {
+		t.Fatal("mutation not convicted")
+	}
+	if cx := explore.ReplayCx(bug, explore.Minimize(bug, rep.Counterexample.Choices)); cx == nil {
+		t.Fatal("minimized counterexample does not replay")
+	}
+	if n := settled(); n > before {
+		t.Fatalf("conviction after %d executions left %d goroutines, started with %d", rep.Executions, n, before)
 	}
 }

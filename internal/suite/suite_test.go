@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/explore"
@@ -10,6 +11,14 @@ import (
 // cmd/perennial-check: every verified artifact's scenario must check
 // clean.
 func TestVerifiedSuiteAllClean(t *testing.T) {
+	before := runtime.NumGoroutine()
+	defer func() {
+		// Every simulated thread of every execution is gone again: none
+		// is left parked for later garbage collections to scan.
+		if after := runtime.NumGoroutine(); after > before+2 {
+			t.Errorf("the verified pass left %d goroutines, started with %d", after, before)
+		}
+	}()
 	for _, e := range Verified() {
 		e := e
 		t.Run(e.Scenario.Name, func(t *testing.T) {
@@ -41,6 +50,43 @@ func TestBugSuiteAllFound(t *testing.T) {
 				t.Fatal("counterexample has no reproduction choices")
 			}
 		})
+	}
+}
+
+// TestCounterexamplesAreTheirReplay: the search keeps no trace and
+// rebuilds a failing execution's trace, schedule and history by
+// replaying its choices, so for every seeded bug the counterexample the
+// search reports is byte for byte what ReplayCx prints, sequential or
+// parallel, and the sequential search convicts in exactly the pinned
+// number of executions (a faster checker must not be a different one).
+func TestCounterexamplesAreTheirReplay(t *testing.T) {
+	total := 0
+	for _, e := range Bugs() {
+		for _, workers := range []int{1, 4} {
+			opts := e.Opts
+			opts.Workers = workers
+			rep := explore.Run(e.Scenario, opts)
+			if rep.OK() {
+				t.Fatalf("%s: seeded bug not found at Workers: %d", e.Scenario.Name, workers)
+			}
+			cx := rep.Counterexample
+			if len(cx.Trace) == 0 || len(cx.Schedule) == 0 {
+				t.Fatalf("%s: counterexample has %d trace lines and %d schedule steps", e.Scenario.Name, len(cx.Trace), len(cx.Schedule))
+			}
+			replay := explore.ReplayCx(e.Scenario, cx.Choices)
+			if replay == nil {
+				t.Fatalf("%s: counterexample does not replay", e.Scenario.Name)
+			}
+			if got, want := cx.Format(), replay.Format(); got != want {
+				t.Fatalf("%s, Workers: %d: search and replay differ\nsearch:\n%s\nreplay:\n%s", e.Scenario.Name, workers, got, want)
+			}
+			if workers == 1 {
+				total += rep.Executions
+			}
+		}
+	}
+	if total != 1047 {
+		t.Errorf("sequential convictions took %d executions in all, want 1047", total)
 	}
 }
 
