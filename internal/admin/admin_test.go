@@ -274,6 +274,43 @@ func TestAdminScrubEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthzDegradedFromBoot: a message rotten on both replicas when
+// the server comes up must show on /healthz from the first request.
+// Boot recovery's one sweep is the only pass that has looked at the
+// store by then — no separate baseline scrub runs — so this pins that
+// its report reaches LastScrub, and that /metrics counts it as the one
+// scrub pass it was.
+func TestHealthzDegradedFromBoot(t *testing.T) {
+	root0, root1 := t.TempDir(), t.TempDir()
+	boot := func(reg *obs.Registry) *mailboatd.Adapter {
+		a, err := mailboatd.NewWithOptions(root0, mailboatd.Options{
+			Users: 2, Seed: 1, MirrorRoot: root1, Checksum: true, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	a := boot(obs.NewRegistry())
+	if err := a.Deliver(0, []byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if path := a.CorruptReplica(0); path == "" || a.CorruptReplica(1) != path {
+		t.Fatalf("could not rot %q on both replicas", path)
+	}
+	a.Close()
+
+	reg := obs.NewRegistry()
+	a = boot(reg)
+	t.Cleanup(a.Close)
+	srv := httptest.NewServer(admin.Handler(reg, nil, a.MirrorStatus, a, nil, nil, a.ShedStatus))
+	t.Cleanup(srv.Close)
+	get(t, srv.URL+"/healthz", http.StatusServiceUnavailable)
+	if metrics := get(t, srv.URL+"/metrics", http.StatusOK); !strings.Contains(metrics, "gfs_integrity_scrub_seconds_count 1\n") {
+		t.Errorf("/metrics does not show exactly one scrub pass at boot")
+	}
+}
+
 // TestScrubWithoutIntegrityLayer checks the no-op contract: a plain
 // (non-checksummed) store has nothing to scrub, so POST answers 409 and
 // /healthz keeps the plain 200.

@@ -314,8 +314,10 @@ func (c *Checksummed) Close(t T, fd FD) {
 // unsealed file is either still being written or was torn by a crash,
 // and in both cases its contents were never published.
 func (c *Checksummed) Open(t T, dir, name string) (FD, bool) {
-	raw, verdict := c.readRaw(t, dir, name)
-	if verdict == VerdictAbsent {
+	// A backend that stops answering mid-file leaves a prefix, which
+	// verification below classifies like any other torn envelope.
+	raw, opened, _ := readAll(t, c.inner, dir, name)
+	if !opened {
 		return nil, false
 	}
 	if c.TrustReads {
@@ -332,27 +334,6 @@ func (c *Checksummed) Open(t T, dir, name string) (FD, bool) {
 		return nil, false
 	}
 	return &checksumFD{dir: dir, name: name, data: data}, true
-}
-
-// readRaw reads the file's entire envelope through the inner system.
-func (c *Checksummed) readRaw(t T, dir, name string) ([]byte, Verdict) {
-	fd, ok := c.inner.Open(t, dir, name)
-	if !ok {
-		return nil, VerdictAbsent
-	}
-	defer c.inner.Close(t, fd)
-	size := c.inner.Size(t, fd)
-	raw := make([]byte, 0, size)
-	for uint64(len(raw)) < size {
-		chunk := c.inner.ReadAt(t, fd, uint64(len(raw)), MaxAppend)
-		if len(chunk) == 0 {
-			// The backend stopped answering mid-file; surface what we
-			// have and let verification classify it.
-			break
-		}
-		raw = append(raw, chunk...)
-	}
-	return raw, VerdictOK
 }
 
 // decodeVerify parses and verifies a full envelope, returning the
@@ -500,8 +481,8 @@ func (c *Checksummed) List(t T, dir string) []string { return c.inner.List(t, di
 // VerifyFile reads dir/name's raw envelope and classifies it. Corrupt
 // verdicts tick the detection counter.
 func (c *Checksummed) VerifyFile(t T, dir, name string) Verdict {
-	raw, verdict := c.readRaw(t, dir, name)
-	if verdict == VerdictAbsent {
+	raw, opened, _ := readAll(t, c.inner, dir, name)
+	if !opened {
 		return VerdictAbsent
 	}
 	_, v := decodeVerify(raw)
@@ -558,18 +539,5 @@ func (c *Checksummed) AppendIntegrityState(b []byte) []byte {
 	return append(b, buf[:]...)
 }
 
-// AsChecksummed unwraps middleware layers (via Inner) until it finds a
-// Checksummed, returning nil if the stack has none.
-func AsChecksummed(sys System) *Checksummed {
-	for sys != nil {
-		if c, ok := sys.(*Checksummed); ok {
-			return c
-		}
-		in, ok := sys.(innerer)
-		if !ok {
-			return nil
-		}
-		sys = in.Inner()
-	}
-	return nil
-}
+// AsChecksummed finds the stack's Checksummed; nil if it has none.
+func AsChecksummed(sys System) *Checksummed { return asLayer[*Checksummed](sys) }

@@ -135,21 +135,9 @@ type Corrupter interface {
 	CorruptFile(t T, dir, name string, mode CorruptMode) bool
 }
 
-// AsCorrupter unwraps middleware layers (via Inner) until it finds a
-// Corrupter, returning nil if the stack bottoms out without one.
-func AsCorrupter(sys System) Corrupter {
-	for sys != nil {
-		if c, ok := sys.(Corrupter); ok {
-			return c
-		}
-		in, ok := sys.(innerer)
-		if !ok {
-			return nil
-		}
-		sys = in.Inner()
-	}
-	return nil
-}
+// AsCorrupter finds the stack's Corrupter; nil if it bottoms out
+// without one.
+func AsCorrupter(sys System) Corrupter { return asLayer[Corrupter](sys) }
 
 // FaultEvent is one injected fault, recorded in the replayable log.
 // Index is the per-class invocation counter at injection time, so an

@@ -38,7 +38,8 @@ func writeSealed(sys System, th T, dir, name string, data []byte) bool {
 
 // readSealed opens and fully reads one file through sys.
 func readSealed(sys System, th T, dir, name string) ([]byte, bool) {
-	return readAll(th, sys, dir, name)
+	data, _, whole := readAll(th, sys, dir, name)
+	return data, whole
 }
 
 // TestChecksummedRoundTrip: the envelope is invisible to well-behaved
@@ -465,7 +466,7 @@ func TestResilverVerifiesSource(t *testing.T) {
 			// resilver source — and replica 0's copy is rotten.
 			mir.ReplaceReplica(1)
 			mods[0].CorruptFile(mt, "box", "m", CorruptFlip)
-			n, ok = mir.Resilver(mt)
+			_, n, ok = mir.Resilver(mt)
 		})
 		if res.Outcome != machine.Done {
 			t.Fatalf("res=%+v", res)
@@ -540,7 +541,7 @@ func TestResilverVerifyCatchesShortCopy(t *testing.T) {
 		m0.Close(mt, fd)
 		mir.ReplaceReplica(1)
 
-		if _, ok := mir.Resilver(mt); ok {
+		if _, _, ok := mir.Resilver(mt); ok {
 			mt.Failf("resilver reported success over a lying destination")
 		}
 	})

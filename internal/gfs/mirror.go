@@ -3,6 +3,7 @@ package gfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -72,44 +73,52 @@ type FailStopper interface {
 type Resilverer interface {
 	// Resilver copies the authoritative replica onto the other and
 	// returns the bytes written and whether full redundancy was
-	// restored. It must only run quiescent (single-threaded recovery).
-	Resilver(t T) (resilverBytes uint64, ok bool)
+	// restored. The pass reads every file once per replica, so it also
+	// returns what a Scrub of the repaired store would report — when ok,
+	// recovery need not read the store again to learn it. It must only
+	// run quiescent (single-threaded recovery).
+	Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool)
+}
+
+// NoSpacer is implemented by layers that can latch disk-full
+// (gfs.Faulty's FaultNoSpace). Unlike a fail-stop the latch clears once
+// space is freed, but while it holds every write fails the same way.
+type NoSpacer interface {
+	NoSpace() bool
 }
 
 type innerer interface{ Inner() System }
 
-// AsFailStopper unwraps Inner() chains (Observed, Faulty, …) until it
-// finds a FailStopper; nil if the stack has none.
-func AsFailStopper(sys System) FailStopper {
+// asLayer unwraps Inner() chains (Observed, Checksummed, Faulty, …)
+// until it finds a layer implementing L; the zero L (a nil interface or
+// pointer) if the stack has none. Capability discovery must go through
+// it: a direct type assertion answers "no" as soon as any wrapper —
+// metrics, an envelope — sits on top of the layer that has the
+// capability.
+func asLayer[L any](sys System) (layer L) {
 	for sys != nil {
-		if fs, ok := sys.(FailStopper); ok {
-			return fs
+		if l, ok := sys.(L); ok {
+			return l
 		}
-		iw, ok := sys.(innerer)
+		in, ok := sys.(innerer)
 		if !ok {
-			return nil
+			break
 		}
-		sys = iw.Inner()
+		sys = in.Inner()
 	}
-	return nil
+	return layer
 }
 
-// AsResilverer unwraps Inner() chains until it finds a Resilverer
-// (in practice the Mirrored under an Observed); nil if the stack has
-// none — which is how single-backend stacks skip resilvering entirely.
-func AsResilverer(sys System) Resilverer {
-	for sys != nil {
-		if r, ok := sys.(Resilverer); ok {
-			return r
-		}
-		iw, ok := sys.(innerer)
-		if !ok {
-			return nil
-		}
-		sys = iw.Inner()
-	}
-	return nil
-}
+// AsFailStopper finds the stack's FailStopper; nil if it has none.
+func AsFailStopper(sys System) FailStopper { return asLayer[FailStopper](sys) }
+
+// AsNoSpacer finds the stack's NoSpacer; nil if it has none.
+func AsNoSpacer(sys System) NoSpacer { return asLayer[NoSpacer](sys) }
+
+// AsResilverer finds the stack's Resilverer (in practice the Mirrored
+// under an Observed); nil if it has none — which is how single-backend
+// stacks skip resilvering entirely.
+func AsResilverer(sys System) Resilverer { return asLayer[Resilverer](sys) }
 
 // ReplicaStatus is one replica's health in a MirrorStatus.
 type ReplicaStatus struct {
@@ -267,8 +276,7 @@ func (m *Mirrored) Status() MirrorStatus {
 
 // Degraded reports whether the mirror is not fully redundant.
 func (m *Mirrored) Degraded() bool {
-	s := m.Status()
-	return s.Degraded
+	return m.Status().Degraded
 }
 
 // ReplaceReplica declares replica i replaced: live again immediately,
@@ -332,9 +340,7 @@ func (m *Mirrored) markFailed(t T, i int, why string) {
 	}
 	m.mu.Unlock()
 
-	if mt, ok := t.(*machine.T); ok {
-		mt.Tracef("mirror: replica %d failed (%s); degraded", i, why)
-	}
+	tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
 	m.Metrics.replicaFailed(i)
 	m.bumpGeneration(t, 1-i)
 }
@@ -377,9 +383,7 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 	ok = m.rep[j].Sync(t, fd)
 	m.rep[j].Close(t, fd)
 	if ok {
-		if mt, isModel := t.(*machine.T); isModel {
-			mt.Tracef("mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
-		}
+		tracef(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
 		m.Integrity.healed()
 	}
 	return ok
@@ -389,11 +393,18 @@ func (m *Mirrored) countFailover(t T) {
 	m.mu.Lock()
 	m.failovers++
 	m.mu.Unlock()
-	if mt, ok := t.(*machine.T); ok {
-		mt.Tracef("mirror: read failed over to survivor")
-	}
 	m.Metrics.failover()
-	trace.Event(t, "mirror: read failed over to survivor")
+	tracef(t, "mirror: read failed over to survivor")
+}
+
+// tracef records a mirror event where someone can see it: in the
+// checker's execution trace on a modeled thread, and on the request's
+// span when the caller carries one.
+func tracef(t T, format string, args ...any) {
+	if mt, ok := t.(*machine.T); ok {
+		mt.Tracef(format, args...)
+	}
+	trace.Event(t, format, args...)
 }
 
 // mirrorFD is the mirror's descriptor. Append-mode descriptors carry
@@ -520,24 +531,13 @@ func (m *Mirrored) raw(i int) System {
 // peer's copy, after verifying that the EXACT peer bytes it will copy
 // are sealed and sound (verifying in a separate read would race the
 // fault layer: a corruption injected at the copy's own read would slip
-// past the earlier verdict). The copy itself is not atomic (delete +
-// create + appends), so the protocol persists authority FIRST: the good
-// replica's generation is bumped before the rotten copy is touched,
-// making the good replica the resilver source should a crash land
-// mid-heal — otherwise the half-healed (deleted) copy on the published
-// replica would read as "unpublished orphan on the peer" and the next
-// resilver would delete the only good copy. After a successful copy the
-// healed replica's generation is bumped too, restoring equal marker
-// counts (equal generations assert "replicas identical").
+// past the earlier verdict).
 func (m *Mirrored) healFile(t T, dir, name string, bad int) bool {
 	good := 1 - bad
-	if !m.alive(good) || !m.alive(bad) {
+	if !m.alive(good) || !m.alive(bad) || AsChecksummed(m.rep[good]) == nil {
 		return false
 	}
-	if AsChecksummed(m.rep[good]) == nil {
-		return false
-	}
-	data, ok := readAll(t, m.raw(good), dir, name)
+	data, _, ok := readAll(t, m.raw(good), dir, name)
 	if !ok || m.noteDead(t, good) {
 		return false
 	}
@@ -548,17 +548,30 @@ func (m *Mirrored) healFile(t T, dir, name string, bad int) bool {
 	if v := VerifyEnvelope(data); v != VerdictOK && v != VerdictUnsealed {
 		return false
 	}
+	return m.healFrom(t, dir, name, bad, data)
+}
+
+// healFrom rewrites replica bad's copy of dir/name as data — the peer's
+// bytes, which the caller has read and judged good in this same
+// operation. The copy itself is not atomic (delete + create + appends),
+// so the protocol persists authority FIRST: the good replica's
+// generation is bumped before the rotten copy is touched, making the
+// good replica the resilver source should a crash land mid-heal —
+// otherwise the half-healed (deleted) copy on the published replica
+// would read as "unpublished orphan on the peer" and the next resilver
+// would delete the only good copy. After a successful copy the healed
+// replica's generation is bumped too, restoring equal marker counts
+// (equal generations assert "replicas identical").
+func (m *Mirrored) healFrom(t T, dir, name string, bad int, data []byte) bool {
+	good := 1 - bad
 	m.bumpGeneration(t, good)
 	if _, ok := copyFile(t, m.raw(bad), dir, name, data); !ok {
 		m.noteDead(t, bad)
 		return false
 	}
 	m.bumpGeneration(t, bad)
-	if mt, isModel := t.(*machine.T); isModel {
-		mt.Tracef("mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
-	}
 	m.Integrity.healed()
-	trace.Event(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
+	tracef(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
 	return true
 }
 
@@ -842,23 +855,28 @@ func (m *Mirrored) blank(t T, i int) bool {
 	return true
 }
 
-// readAll reads a whole file from one replica in MaxAppend chunks.
-func readAll(t T, sys System, dir, name string) ([]byte, bool) {
+// readAll reads dir/name whole from sys in MaxAppend chunks. opened is
+// false when the file cannot be opened (absent, or the backend dead);
+// whole is false when the backend stopped answering before Size bytes
+// arrived, and data is then the prefix it did serve. The envelope layer
+// lets verification classify such a prefix; the mirror treats anything
+// short of whole as a failed read.
+func readAll(t T, sys System, dir, name string) (data []byte, opened, whole bool) {
 	fd, ok := sys.Open(t, dir, name)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	defer sys.Close(t, fd)
 	size := sys.Size(t, fd)
-	buf := make([]byte, 0, size)
-	for uint64(len(buf)) < size {
-		chunk := sys.ReadAt(t, fd, uint64(len(buf)), MaxAppend)
+	data = make([]byte, 0, size)
+	for uint64(len(data)) < size {
+		chunk := sys.ReadAt(t, fd, uint64(len(data)), MaxAppend)
 		if len(chunk) == 0 {
-			return nil, false
+			return data, true, false
 		}
-		buf = append(buf, chunk...)
+		data = append(data, chunk...)
 	}
-	return buf, true
+	return data, true, true
 }
 
 // copyFile rewrites dir/name on dst as an exact copy of data (the API
@@ -894,14 +912,18 @@ func copyFile(t T, dst System, dir, name string, data []byte) (uint64, bool) {
 // the copy (every step is idempotent). On success both replicas are
 // byte-identical, the stale flags clear, and the mirror is redundant
 // again. It must run quiescent (the single-threaded recovery era).
-func (m *Mirrored) Resilver(t T) (resilverBytes uint64, ok bool) {
+//
+// The pass reads every file once per replica (reconcile), and those two
+// reads also settle both copies' envelope verdicts, so rep is what a
+// Scrub of the repaired store would report: recovery's integrity sweep
+// and its redundancy repair are the same sweep. rep is a return value,
+// not mirror state — nothing of it outlives the call.
+func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool) {
 	src, ok := m.resilverSource(t)
-	if !ok {
-		return 0, false
-	}
-	dst := 1 - src
-	if !m.alive(dst) {
-		return 0, false // dead and not replaced: still degraded
+	if !ok || !m.alive(1-src) {
+		// No trusted source, or a peer dead and not replaced: still
+		// degraded.
+		return rep, 0, false
 	}
 
 	m.mu.Lock()
@@ -924,49 +946,51 @@ func (m *Mirrored) Resilver(t T) (resilverBytes uint64, ok bool) {
 		}
 	}()
 
-	if mt, isModel := t.(*machine.T); isModel {
-		mt.Tracef("mirror: resilver replica %d <- replica %d", dst, src)
-	}
+	tracef(t, "mirror: resilver replica %d <- replica %d", 1-src, src)
 
 	// Data directories first, the generation directory LAST: equal
 	// generations assert "replicas identical", so they must become
-	// equal only after the data truly is — and only after the copy has
-	// been re-read and verified (a destination that silently dropped
-	// bytes mid-copy must not be declared redundant). A failed
-	// verification earns ONE retry of the whole data pass: the common
-	// honest cause is rot injected by the verify pass's own reads
-	// (silent corruption strikes whenever a file is opened), which the
-	// retry detects at the integrity gate and heals — while a
+	// equal only after the data truly is — and only after every file
+	// the pass wrote has been re-read and verified (a destination that
+	// silently dropped bytes mid-copy must not be declared redundant).
+	// A failed verification earns ONE retry of the whole data pass: the
+	// common honest cause is rot injected by the verification's own
+	// reads (silent corruption strikes whenever a file is opened), which
+	// the retry detects at the integrity gate and heals — while a
 	// destination that keeps lying about its writes still fails the
 	// second pass and leaves the mirror degraded.
 	for pass := 0; ; pass++ {
+		// Checked, Unsealed and Bad describe the store as the last pass
+		// left it; Corrupt and Healed count events across both.
+		rep.Checked, rep.Unsealed, rep.Bad = 0, 0, nil
+		verified := true
 		for _, dir := range m.dirs {
-			n, dok := m.resilverDir(t, src, dir)
+			n, rewritten, dok := m.resilverDir(t, src, dir, &rep)
 			resilverBytes += n
 			if !dok {
-				return resilverBytes, false
+				return rep, resilverBytes, false
+			}
+			if verified = m.verifyDir(t, src, dir, rewritten); !verified {
+				break
 			}
 		}
-		if m.verifyCopied(t, src) {
+		if verified {
 			break
 		}
 		if pass == 1 {
-			return resilverBytes, false
+			return rep, resilverBytes, false
 		}
 	}
-	n, dok := m.resilverDir(t, src, MirrorMetaDir)
-	resilverBytes += n
-	if !dok {
-		return resilverBytes, false
-	}
-	return resilverBytes, true
+	n, _, ok := m.resilverDir(t, src, MirrorMetaDir, &rep)
+	return rep, resilverBytes + n, ok
 }
 
 // resilverDir copies one directory from replica src onto its peer:
 // extraneous destination names are deleted, then every source file is
-// integrity-checked and copied (at the raw, below-envelope level) when
-// the destination's bytes differ.
-func (m *Mirrored) resilverDir(t T, src int, dir string) (written uint64, ok bool) {
+// reconciled with the destination's copy. It returns the bytes written
+// to the destination and the names of the files either replica had
+// rewritten — the ones verifyDir must re-read.
+func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport) (written uint64, rewritten []string, ok bool) {
 	dst := 1 - src
 	srcNames := m.rep[src].List(t, dir)
 	// A fail-stopped source lies plausibly: its List reads as an
@@ -976,7 +1000,7 @@ func (m *Mirrored) resilverDir(t T, src int, dir string) (written uint64, ok boo
 	// to the destination (the recovery era is single-threaded, so no
 	// new death can slip in between the read and the check).
 	if m.noteDead(t, src) {
-		return 0, false
+		return 0, nil, false
 	}
 	have := make(map[string]bool, len(srcNames))
 	for _, name := range srcNames {
@@ -984,96 +1008,164 @@ func (m *Mirrored) resilverDir(t T, src int, dir string) (written uint64, ok boo
 	}
 	for _, name := range m.rep[dst].List(t, dir) {
 		if !have[name] && !m.rep[dst].Delete(t, dir, name) {
-			return written, false
+			return 0, nil, false
 		}
 	}
-	cSrc := AsChecksummed(m.rep[src])
 	for _, name := range srcNames {
-		want, rok := readAll(t, m.raw(src), dir, name)
-		if !rok || m.noteDead(t, src) {
-			return written, false
-		}
-		// Integrity gate: the resilver source is authoritative for
-		// EXISTENCE (generations say so), but each file's BYTES must
-		// still prove themselves — a survivor can rot on the shelf, and
-		// copying it unverified would clobber the peer's good copy with
-		// garbage. The verdict is computed on the exact bytes just read
-		// (a corruption injected at the read itself cannot slip past a
-		// verdict computed on an earlier read). A rotten source file
-		// whose peer copy verifies is healed in reverse (peer -> source)
-		// before the copy proceeds. Rot with no good copy anywhere is an
-		// unrecoverable file, not a reason to stay degraded: like a
-		// RAID scrub logging an unreadable sector, the resilver copies
-		// the rotten bytes verbatim — replicas converge, the evidence
-		// survives, reads of the file keep failing loudly, and Scrub
-		// reports it — while every other file regains redundancy.
-		// Unsealed files are crash-abandoned writes, not rot, and copy
-		// as they are.
-		if cSrc != nil && !m.ResilverNoVerify && VerifyEnvelope(want) == VerdictCorrupt {
-			cSrc.noteDetected(t, dir, name, VerdictCorrupt)
-			healed := m.healFile(t, dir, name, src)
-			if !healed && dir == MirrorMetaDir {
-				// Generation markers carry no payload, so a rotten
-				// marker needs no peer copy: regenerating it through
-				// the envelope layer restores the exact bytes the
-				// peer's copy has. This matters during a blank-replica
-				// resilver, where the source's fresh marker rots at
-				// this very read before the destination holds any copy
-				// to heal from.
-				healed = m.rewriteMarker(t, src, name)
-			}
-			if healed {
-				if want, rok = readAll(t, m.raw(src), dir, name); !rok || m.noteDead(t, src) {
-					return written, false
-				}
-			} else if mt, isModel := t.(*machine.T); isModel {
-				mt.Tracef("mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
-			}
-		}
-		if got, gok := readAll(t, m.raw(dst), dir, name); gok && bytes.Equal(got, want) {
-			continue
-		}
-		n, wok := copyFile(t, m.raw(dst), dir, name, want)
+		n, rewrote, rok := m.reconcile(t, rep, dir, name, src, true)
 		written += n
-		if !wok {
-			return written, false
+		if !rok {
+			return written, rewritten, false
+		}
+		if rewrote {
+			rewritten = append(rewritten, name)
 		}
 	}
-	return written, true
+	return written, rewritten, true
 }
 
-// verifyCopied re-reads every data file on both replicas after the
-// copy loop and confirms the destination is byte-identical to the
-// source. It runs BEFORE the generation markers are equalized, so a
-// destination leg that silently dropped or shortened a file (a lying
-// device, a fault swallowed mid-copy) leaves the generations unequal
-// and the next recovery re-runs the copy instead of trusting it.
-func (m *Mirrored) verifyCopied(t T, src int) bool {
+// reconcile is the per-file unit of both Resilver and Scrub. It reads
+// dir/name ONCE per live replica and draws every conclusion those reads
+// license: each copy's envelope verdict — computed on the exact bytes
+// read, so a corruption injected at the read itself cannot slip past a
+// verdict from an earlier read — whether the copies are byte-identical,
+// and the file's lines in the scrub report, which describe the copies
+// as reconcile LEAVES them (Corrupt and Healed count what it found and
+// mended on the way). Copies no envelope layer can judge are compared
+// and copied but never counted.
+//
+// With heal set, a copy that fails verification while its peer's copy
+// verifies is rewritten from the peer's bytes already in hand.
+//
+// src >= 0 is resilver mode (pass -1 to scrub). Replica src is then
+// authoritative for EXISTENCE (generations say so), but each file's
+// BYTES must still prove themselves — a survivor can rot on the shelf,
+// and copying it unverified would clobber the peer's good copy with
+// garbage — so only the source is healed in reverse (peer -> source; a
+// generation marker, which carries no payload, is regenerated from its
+// name when the peer has no copy to heal from, as at a blank-replica
+// resilver), and then the destination is rewritten wherever its bytes
+// differ from the source's. Rot with no good copy anywhere is an
+// unrecoverable file, not a reason to stay degraded: like a RAID scrub
+// logging an unreadable sector, the rotten bytes are copied verbatim —
+// replicas converge, the evidence survives, reads of the file keep
+// failing loudly, and the report lists it in Bad — while every other
+// file regains redundancy. Unsealed files are crash-abandoned writes,
+// not rot, and copy as they are.
+//
+// rewrote reports whether either replica's copy was rewritten, i.e.
+// whether the resilver owes the file a verify-after-write: an untouched
+// file was proven byte-identical by this very read. ok is false when
+// the source could not be read or a resilver write failed.
+func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, heal bool) (written uint64, rewrote, ok bool) {
+	var data [2][]byte
+	var have [2]bool
+	var v [2]Verdict
+	order := [2]int{max(src, 0), 1 - max(src, 0)}
+	// read loads replica i's copy and judges it; false means the
+	// authoritative source could not be read. A fail-stopped source
+	// lies plausibly (see resilverDir), so its health is re-checked
+	// after every read of it, before anything is written.
+	read := func(i int) bool {
+		have[i], v[i] = false, VerdictAbsent
+		if m.alive(i) {
+			data[i], _, have[i] = readAll(t, m.raw(i), dir, name)
+		}
+		if i == src && (!have[i] || m.noteDead(t, src)) {
+			return false
+		}
+		c := AsChecksummed(m.rep[i])
+		if !have[i] || c == nil || (i == src && m.ResilverNoVerify) {
+			return true
+		}
+		// Identical bytes earn the identical verdict: on a healthy pair
+		// the second copy costs a comparison, not a second checksum.
+		if first := order[0]; i != first && v[first] != VerdictAbsent && bytes.Equal(data[i], data[first]) {
+			v[i] = v[first]
+		} else {
+			v[i] = VerifyEnvelope(data[i])
+		}
+		if v[i] == VerdictCorrupt {
+			c.noteDetected(t, dir, name, v[i])
+			rep.Corrupt++
+		}
+		return true
+	}
+	good := func(i int) bool { return v[i] == VerdictOK || v[i] == VerdictUnsealed }
+	for _, i := range order {
+		if !read(i) {
+			return 0, false, false
+		}
+	}
+	for _, i := range order {
+		if !heal || v[i] != VerdictCorrupt || (src >= 0 && i != src) {
+			continue
+		}
+		switch {
+		case good(1-i) && m.healFrom(t, dir, name, i, data[1-i]):
+			data[i], v[i] = data[1-i], v[1-i]
+			rep.Healed++
+			rewrote = true
+		case i == src && dir == MirrorMetaDir && m.rewriteMarker(t, i, name):
+			rep.Healed++
+			if !read(i) {
+				return 0, false, false
+			}
+		case i == src:
+			tracef(t, "mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
+		}
+	}
+	if src >= 0 {
+		dst := 1 - src
+		if !have[dst] || !bytes.Equal(data[dst], data[src]) {
+			n, wok := copyFile(t, m.raw(dst), dir, name, data[src])
+			if !wok {
+				return n, rewrote, false
+			}
+			written, rewrote = n, true
+			if v[dst] == VerdictCorrupt && good(src) {
+				rep.Healed++
+				m.Integrity.healed()
+			}
+		}
+		v[dst] = v[src]
+	}
+	for _, verdict := range v {
+		switch verdict {
+		case VerdictAbsent:
+			continue
+		case VerdictUnsealed:
+			rep.Unsealed++
+		case VerdictCorrupt:
+			rep.Bad = append(rep.Bad, dir+"/"+name)
+		}
+		rep.Checked++
+	}
+	return written, rewrote, true
+}
+
+// verifyDir is the resilver's verify-after-write for one directory: the
+// two listings must be equal, and every file the pass rewrote is read
+// back from both replicas and compared. A file the pass left alone
+// needs no second look — the pass's own read proved it byte-identical.
+// It runs BEFORE the generation markers are equalized, so a destination
+// leg that silently dropped or shortened a file (a lying device, a
+// fault swallowed mid-copy) leaves the generations unequal and the next
+// recovery re-runs the copy instead of trusting it.
+func (m *Mirrored) verifyDir(t T, src int, dir string, rewritten []string) bool {
 	dst := 1 - src
-	for _, dir := range m.dirs {
-		srcNames := m.rep[src].List(t, dir)
-		if m.noteDead(t, src) {
+	srcNames := m.rep[src].List(t, dir)
+	if m.noteDead(t, src) || !slices.Equal(srcNames, m.rep[dst].List(t, dir)) {
+		return false
+	}
+	for _, name := range rewritten {
+		want, _, rok := readAll(t, m.raw(src), dir, name)
+		if !rok || m.noteDead(t, src) {
 			return false
 		}
-		dstNames := m.rep[dst].List(t, dir)
-		if len(srcNames) != len(dstNames) {
+		if got, _, gok := readAll(t, m.raw(dst), dir, name); !gok || !bytes.Equal(got, want) {
+			tracef(t, "mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
 			return false
-		}
-		for k, name := range srcNames {
-			if dstNames[k] != name {
-				return false
-			}
-			want, rok := readAll(t, m.raw(src), dir, name)
-			if !rok || m.noteDead(t, src) {
-				return false
-			}
-			got, gok := readAll(t, m.raw(dst), dir, name)
-			if !gok || !bytes.Equal(got, want) {
-				if mt, isModel := t.(*machine.T); isModel {
-					mt.Tracef("mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
-				}
-				return false
-			}
 		}
 	}
 	return true
@@ -1082,60 +1174,24 @@ func (m *Mirrored) verifyCopied(t T, src int) bool {
 // Scrub implements Scrubber over the whole mirror: every file on every
 // live replica is verified against its envelope; with heal set, a copy
 // that fails verification while its peer's copy verifies is rewritten
-// from the peer via healFile. Files rotten on both replicas (or
-// unhealable) are reported in Bad. Like Resilver it should run
-// quiescent — recovery, or the server's background scrub loop, which
-// tolerates the transient delete-then-rewrite window inside healFile.
+// from the peer. Files rotten on both replicas (or unhealable) are
+// reported in Bad. It is reconcile with no authoritative side — the
+// code boot recovery runs under the checker — and like Resilver it
+// should run quiescent: recovery, or the server's background scrub
+// loop, which tolerates the transient delete-then-rewrite window
+// inside a heal.
 func (m *Mirrored) Scrub(t T, heal bool) ScrubReport {
 	var rep ScrubReport
-	dirs := append(append([]string{}, m.dirs...), MirrorMetaDir)
-	for _, dir := range dirs {
-		union := map[string]bool{}
+	for _, dir := range append(append([]string{}, m.dirs...), MirrorMetaDir) {
+		var names []string
 		for i := 0; i < 2; i++ {
-			if !m.alive(i) {
-				continue
+			if m.alive(i) {
+				names = append(names, m.rep[i].List(t, dir)...)
 			}
-			for _, name := range m.rep[i].List(t, dir) {
-				union[name] = true
-			}
-		}
-		names := make([]string, 0, len(union))
-		for name := range union {
-			names = append(names, name)
 		}
 		sort.Strings(names)
-		for _, name := range names {
-			v := [2]Verdict{VerdictAbsent, VerdictAbsent}
-			for i := 0; i < 2; i++ {
-				if !m.alive(i) {
-					continue
-				}
-				c := AsChecksummed(m.rep[i])
-				if c == nil {
-					continue
-				}
-				v[i] = c.VerifyFile(t, dir, name)
-				if v[i] == VerdictAbsent {
-					continue
-				}
-				rep.Checked++
-				switch v[i] {
-				case VerdictCorrupt:
-					rep.Corrupt++
-				case VerdictUnsealed:
-					rep.Unsealed++
-				}
-			}
-			for i := 0; i < 2; i++ {
-				if v[i] != VerdictCorrupt {
-					continue
-				}
-				if heal && (v[1-i] == VerdictOK || v[1-i] == VerdictUnsealed) && m.healFile(t, dir, name, i) {
-					rep.Healed++
-					continue
-				}
-				rep.Bad = append(rep.Bad, dir+"/"+name)
-			}
+		for _, name := range slices.Compact(names) {
+			m.reconcile(t, &rep, dir, name, -1, heal)
 		}
 	}
 	return rep

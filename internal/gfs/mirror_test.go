@@ -30,7 +30,7 @@ func snapshot(t *testing.T, sys System, th T, dirs []string) map[string]string {
 	out := map[string]string{}
 	for _, dir := range dirs {
 		for _, name := range sys.List(th, dir) {
-			data, ok := readAll(th, sys, dir, name)
+			data, ok := readSealed(sys, th, dir, name)
 			if !ok {
 				t.Fatalf("snapshot: read %s/%s failed", dir, name)
 			}
@@ -142,7 +142,7 @@ func TestMirroredWritesSurviveReplicaDeath(t *testing.T) {
 		if !m.Delete(th, "spool", "post") {
 			t.Fatalf("victim %d: post-death delete failed", victim)
 		}
-		data, ok := readAll(th, m, "box", "msg")
+		data, ok := readSealed(m, th, "box", "msg")
 		if !ok || string(data) != "post" {
 			t.Fatalf("victim %d: post-death read %q ok=%v", victim, data, ok)
 		}
@@ -181,7 +181,7 @@ func TestMirroredResilverRestoresRedundancy(t *testing.T) {
 		if !m.Degraded() {
 			t.Fatalf("victim %d: replacement cleared degraded before resilver", victim)
 		}
-		bytes, ok := m.Resilver(th)
+		_, bytes, ok := m.Resilver(th)
 		if !ok {
 			t.Fatalf("victim %d: resilver failed", victim)
 		}
@@ -230,11 +230,11 @@ func TestMirroredGenerationSurvivesReboot(t *testing.T) {
 	// layer revived (the stale disk is back, contents intact but old).
 	f[0].Revive()
 	m2 := NewMirrored(f[0], f[1], mirrorDirs)
-	bytes, ok := m2.Resilver(th)
+	_, bytes, ok := m2.Resilver(th)
 	if !ok {
 		t.Fatalf("post-reboot resilver failed (copied %d bytes)", bytes)
 	}
-	data, ok := readAll(th, m2.Replica(0), "box", "acked")
+	data, ok := readSealed(m2.Replica(0), th, "box", "acked")
 	if !ok || string(data) != "only the survivor has this" {
 		t.Fatalf("resilver went backwards: acked write lost (ok=%v, %q)", ok, data)
 	}
@@ -243,7 +243,7 @@ func TestMirroredGenerationSurvivesReboot(t *testing.T) {
 		t.Fatal("replicas differ after post-reboot resilver")
 	}
 	// And with equal generations and no death, resilver is a no-op copy.
-	if n, ok := m2.Resilver(th); !ok || n != 0 {
+	if _, n, ok := m2.Resilver(th); !ok || n != 0 {
 		t.Fatalf("idempotent re-resilver: bytes=%d ok=%v", n, ok)
 	}
 }
@@ -330,11 +330,11 @@ func TestMirroredBlankReplacementNeverSource(t *testing.T) {
 	// installed; reboot = a fresh mirror over (blank, survivor).
 	blank0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
 	m2 := NewMirrored(blank0, m.Replica(1), mirrorDirs)
-	n, ok := m2.Resilver(th)
+	_, n, ok := m2.Resilver(th)
 	if !ok || n == 0 {
 		t.Fatalf("resilver onto blank replacement: bytes=%d ok=%v", n, ok)
 	}
-	data, ok := readAll(th, m2.Replica(0), "box", "acked")
+	data, ok := readSealed(m2.Replica(0), th, "box", "acked")
 	if !ok || string(data) != "survivor payload" {
 		t.Fatalf("blank replacement wiped the survivor: ok=%v, %q", ok, data)
 	}
@@ -357,10 +357,10 @@ func TestMirroredBlankReplacementNeverSource(t *testing.T) {
 	// regression from the exception.
 	blank1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
 	m3 := NewMirrored(m2.Replica(0), blank1, mirrorDirs)
-	if n, ok := m3.Resilver(th); !ok || n == 0 {
+	if _, n, ok := m3.Resilver(th); !ok || n == 0 {
 		t.Fatalf("resilver onto blank replica 1: bytes=%d ok=%v", n, ok)
 	}
-	data, ok = readAll(th, m3.Replica(1), "box", "acked")
+	data, ok = readSealed(m3.Replica(1), th, "box", "acked")
 	if !ok || string(data) != "survivor payload" {
 		t.Fatalf("replica 1 replacement not populated: ok=%v, %q", ok, data)
 	}

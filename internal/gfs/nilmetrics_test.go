@@ -73,7 +73,7 @@ func TestNilMetricsFullStack(t *testing.T) {
 		// resilverDone on the nil MirrorMetrics.
 		flts[0].Revive()
 		mir.ReplaceReplica(0)
-		if _, ok := mir.Resilver(mt); !ok {
+		if _, _, ok := mir.Resilver(mt); !ok {
 			mt.Failf("resilver failed")
 		}
 		if mir.Degraded() {

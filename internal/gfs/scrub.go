@@ -7,7 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// ScrubReport summarizes one scrub pass over a store.
+// ScrubReport summarizes one scrub pass over a store. Checked, Unsealed
+// and Bad describe the store as the pass left it; Corrupt and Healed
+// count what it met and mended on the way.
 type ScrubReport struct {
 	// Checked counts file instances verified (per replica on a mirror).
 	Checked int
@@ -34,27 +36,16 @@ func (r ScrubReport) Clean() bool { return len(r.Bad) == 0 }
 
 // Scrubber is implemented by stores that can verify (and, given
 // redundancy, repair) their integrity: Checksummed detects, Mirrored
-// detects and heals. mailboat.Recover scrubs at boot, and mailboatd
-// exposes scrubbing as a background loop and an admin endpoint.
+// detects and heals. mailboat.Recover scrubs at boot wherever a
+// completed Resilver has not already reported on every copy, and
+// mailboatd exposes scrubbing as a background loop and an admin
+// endpoint.
 type Scrubber interface {
 	Scrub(t T, heal bool) ScrubReport
 }
 
-// AsScrubber unwraps middleware layers (via Inner) until it finds a
-// Scrubber, returning nil if the stack has none.
-func AsScrubber(sys System) Scrubber {
-	for sys != nil {
-		if s, ok := sys.(Scrubber); ok {
-			return s
-		}
-		in, ok := sys.(innerer)
-		if !ok {
-			return nil
-		}
-		sys = in.Inner()
-	}
-	return nil
-}
+// AsScrubber finds the stack's outermost Scrubber; nil if it has none.
+func AsScrubber(sys System) Scrubber { return asLayer[Scrubber](sys) }
 
 // IntegrityMetrics is the integrity layer's slice of the observability
 // surface. All methods tolerate a nil receiver, so checker runs stay

@@ -6,6 +6,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/gfs"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // These tests check the Mailboat spec under *transient-fault*
@@ -165,5 +166,66 @@ func TestDeliverRecoversFromSingleFault(t *testing.T) {
 	}
 	if n := len(fs.PeekDir(SpoolDir)); n != 0 {
 		t.Fatalf("delivery left %d spool files", n)
+	}
+}
+
+// dieOnSyncDir fail-stops the fault layer above it the first time a
+// directory barrier reaches it — a disk that dies between a publish
+// and its barrier.
+type dieOnSyncDir struct {
+	gfs.System
+	f        *gfs.Faulty
+	barriers int
+}
+
+func (d *dieOnSyncDir) SyncDir(t gfs.T, dir string) bool {
+	if d.barriers++; d.barriers > 100 {
+		panic("barrier loop is spinning on a dead store")
+	}
+	d.f.FailStopNow("died under the barrier")
+	return false
+}
+
+// TestStoreLatchesSeenThroughWrappers: the fast-abort checks must find
+// the fault layer's latches under whatever wraps it. With gfs.Observed
+// (or an envelope) outermost — every metrics-enabled daemon running a
+// drill — a direct type assertion on the stack's top answered false,
+// so a full store burnt every retry and a store that died under a
+// directory barrier spun on it forever.
+func TestStoreLatchesSeenThroughWrappers(t *testing.T) {
+	cfg := Config{Users: 1, RandBound: 1 << 20, SyncDirs: true, DeliverRetries: 4, Metrics: NewMetrics(obs.NewRegistry())}
+	fs, err := gfs.NewOS(t.TempDir(), Dirs(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.CloseAll()
+	hook := &dieOnSyncDir{System: fs}
+	f := gfs.NewFaulty(hook, gfs.NeverPolicy{})
+	hook.f = f
+	th := gfs.NewNative(1)
+	mb := Init(th, nil, gfs.NewObserved(gfs.NewChecksummed(f, Dirs(cfg)), nil), cfg)
+
+	if mb.storeNoSpace() || mb.storeDead() {
+		t.Fatal("healthy store reads as latched")
+	}
+	f.NoSpaceNow("test")
+	if !mb.storeNoSpace() {
+		t.Fatal("no-space latch invisible through Observed(Checksummed(Faulty))")
+	}
+	if mb.Deliver(th, nil, 0, []byte("no room")) {
+		t.Fatal("deliver onto a full store succeeded")
+	}
+	if n := cfg.Metrics.DeliverAttempts.Value(); n != 1 {
+		t.Fatalf("deliver onto a full store made %d attempts of %d; the fast abort allows one", n, cfg.DeliverRetries)
+	}
+	f.FreeSpace()
+
+	// The link publishes, then the disk dies under the barrier: Deliver
+	// must withhold its ack and return, not retry the barrier forever.
+	if mb.Deliver(th, nil, 0, []byte("dies mid-barrier")) {
+		t.Fatal("deliver acked across a barrier that never committed")
+	}
+	if !mb.storeDead() {
+		t.Fatal("fail-stop latch invisible through Observed(Checksummed(Faulty))")
 	}
 }

@@ -147,6 +147,10 @@ type Mailboat struct {
 	boxMasters []*core.SetMaster
 	boxLeases  []*core.SetLease
 
+	// boot is what Recover's integrity sweep reported (see BootScrub).
+	boot         gfs.ScrubReport
+	bootScrubbed bool
+
 	// quota is the per-user byte accounting behind Config.QuotaBytes;
 	// nil when quotas are disabled. Shared (not copied) by WithSystem,
 	// so the fault-wrapped steady-state store and the bare recovery
@@ -532,20 +536,23 @@ func (mb *Mailboat) syncDirBarrier(t gfs.T, dir string) bool {
 }
 
 // storeDead reports whether the store has latched permanently dead
-// (gfs.Faulty after a fail-stop). Layers without the latch never are.
+// (gfs.Faulty after a fail-stop). Stacks without the latch never are.
+// The latch is found through any wrappers above it (metrics, an
+// envelope): asserting on mb.sys itself would answer false on every
+// metrics-enabled daemon and leave the retry loops spinning.
 func (mb *Mailboat) storeDead() bool {
-	fs, ok := mb.sys.(interface{ FailStopped() bool })
-	return ok && fs.FailStopped()
+	fs := gfs.AsFailStopper(mb.sys)
+	return fs != nil && fs.FailStopped()
 }
 
 // storeNoSpace reports whether the store has latched disk-full
 // (gfs.Faulty's FaultNoSpace). Unlike a fail-stop the latch is
 // recoverable — freeing space (deleting files) clears it — but while it
 // holds, every write fails the same way, so retry loops should abort
-// rather than spin. Layers without the latch never report full.
+// rather than spin. Stacks without the latch never report full.
 func (mb *Mailboat) storeNoSpace() bool {
-	fs, ok := mb.sys.(interface{ NoSpace() bool })
-	return ok && fs.NoSpace()
+	ns := gfs.AsNoSpacer(mb.sys)
+	return ns != nil && ns.NoSpace()
 }
 
 // Pickup lists and reads user's mailbox (Figure 10's Pickup),
@@ -672,12 +679,15 @@ func (mb *Mailboat) Unlock(t gfs.T, j *core.JTok, user uint64) {
 }
 
 // Recover restores the library after a crash (Figure 10's Recover): it
-// deletes every leftover spool file (they belong to deliveries that
-// never linked, so they are invisible at the spec level — the TmpInv of
+// repairs the store's redundancy and integrity in one sweep, deletes
+// every leftover spool file (they belong to deliveries that never
+// linked, so they are invisible at the spec level — the TmpInv of
 // §8.3), discharges the spec-level crash step, resynthesizes the
 // mailbox capabilities from their masters, and re-allocates the locks.
 // old carries the pre-crash ghost handles; it may be nil when the ghost
-// context is nil (production boot).
+// context is nil (production boot). What the sweep found is kept on the
+// returned Mailboat (BootScrub), so a daemon can publish it as its
+// integrity baseline without reading the store again.
 func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *Mailboat {
 	sp := trace.Enter(t, "mailboat.recover")
 	defer trace.Exit(t, sp)
@@ -689,22 +699,27 @@ func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *M
 	// mutation the checker catches — the replacement replica would serve
 	// stale reads. Resilver is idempotent, so a crash mid-copy is
 	// repaired by the next boot's call.
+	//
+	// With a checksum envelope in the stack, that same sweep is the boot
+	// scrub — fsck's role for silent corruption: rot that accrued while
+	// the machine was down is found (and, on a mirror, mended from the
+	// verified peer) at boot, not at some unlucky future read. A
+	// resilver that completes has read every file once per replica and
+	// judged the exact bytes it read, so its report IS the scrub of the
+	// repaired store and nothing is read twice.
+	var boot gfs.ScrubReport
+	scrubbed := false
 	if r := gfs.AsResilverer(sys); r != nil {
 		rsp := trace.Enter(t, "recover.resilver")
-		r.Resilver(t)
+		boot, _, scrubbed = r.Resilver(t)
 		trace.Exit(t, rsp)
 	}
-	// With a checksum envelope somewhere in the stack, recovery also
-	// scrubs: every file's envelope is verified — and, on a mirror, a
-	// rotten copy is healed from its verified peer — before the server
-	// takes traffic again. This is fsck's role for silent corruption:
-	// rot that accrued while the machine was down is found (and mended)
-	// at boot, not at some unlucky future read. Stacks without an
-	// envelope layer make this a cheap directory walk (nothing to
-	// verify), and single-backend envelopes detect without healing.
-	if sc := gfs.AsScrubber(sys); sc != nil {
+	// The standalone scrub runs only where no verified resilver
+	// completed: a single backend (which detects without healing), or a
+	// mirror left degraded, whose surviving replica is still verified.
+	if sc := gfs.AsScrubber(sys); sc != nil && !scrubbed {
 		ssp := trace.Enter(t, "recover.scrub")
-		sc.Scrub(t, true)
+		boot, scrubbed = sc.Scrub(t, true), true
 		trace.Exit(t, ssp)
 	}
 	// The spool sweep is also the store's garbage collector for disk
@@ -732,12 +747,14 @@ func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *M
 	trace.Exit(t, wsp)
 	cfg.Metrics.observeRecover(swept, sweepFailed, reclaimed)
 	if g == nil {
-		return Init(t, nil, sys, cfg)
+		mb := Init(t, nil, sys, cfg)
+		mb.boot, mb.bootScrubbed = boot, scrubbed
+		return mb
 	}
 	if g.CrashPending() {
 		g.CrashSim(modelT(t))
 	}
-	mb := &Mailboat{sys: sys, cfg: cfg, g: g}
+	mb := &Mailboat{sys: sys, cfg: cfg, g: g, boot: boot, bootScrubbed: scrubbed}
 	mb.locks = make([]gfs.Lock, cfg.Users)
 	mb.boxMasters = make([]*core.SetMaster, cfg.Users)
 	mb.boxLeases = make([]*core.SetLease, cfg.Users)
@@ -748,6 +765,14 @@ func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *M
 	}
 	mb.initQuota(t)
 	return mb
+}
+
+// BootScrub returns the integrity report of the recovery that built mb
+// — the store as Recover left it, spool sweep aside. ok is false when
+// the stack has nothing to scrub with (no envelope, no mirror) or mb
+// came from Init.
+func (mb *Mailboat) BootScrub() (rep gfs.ScrubReport, ok bool) {
+	return mb.boot, mb.bootScrubbed
 }
 
 // equalStrings compares two sorted string slices.

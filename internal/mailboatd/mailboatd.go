@@ -227,9 +227,11 @@ func New(root string, users uint64, seed int64) (*Adapter, error) {
 // recovery first — on boot we cannot know whether the previous process
 // exited cleanly, so Recover's spool cleanup always runs, exactly as
 // §8.1 prescribes ("run Recover to restore the system following a
-// shutdown or crash"). Recovery always runs on the bare file system:
+// shutdown or crash"). A plain store recovers on the bare file system:
 // fault drills exercise steady-state traffic, not the repair path that
-// makes the store consistent again.
+// makes the store consistent again. With Checksum, recovery runs
+// through the full stack and its one integrity sweep — each file read
+// once — is also the LastScrub baseline (see bootRecover).
 func NewWithOptions(root string, o Options) (*Adapter, error) {
 	cfg := mailboat.Config{
 		Users:          o.Users,
@@ -284,14 +286,7 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 		a := &Adapter{fs: fs, cfg: cfg}
 		base := gfs.System(fs)
 		if o.Fault != nil {
-			a.faulty = gfs.NewFaulty(fs, &gfs.SeededPolicy{
-				Seed:      o.Fault.Seed,
-				Rates:     o.Fault.Rates,
-				MaxFaults: o.Fault.MaxFaults,
-			})
-			a.faulty.Latency = o.Fault.Latency
-			a.faulty.LatencyEveryN = o.Fault.LatencyEveryN
-			a.faulty.Metrics = fsm
+			a.faulty = newDrill(fs, o.Fault, fsm)
 			base = a.faulty
 		}
 		a.chk = gfs.NewChecksummed(base, mailboat.Dirs(cfg))
@@ -306,10 +301,6 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 		a.rng.Store(uint64(o.Seed))
 		a.tracer = o.Tracer
 		a.bootRecover(sys, cfg)
-		// Recovery already swept rot it could reach; record a baseline
-		// pass so LastScrub (and the admin /healthz degradation) reflect
-		// the store's integrity from the first request on.
-		a.Scrub(true)
 		if o.ScrubEvery > 0 {
 			a.startScrubber(o.ScrubEvery)
 		}
@@ -328,14 +319,7 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 	a.tracer = o.Tracer
 	a.bootRecover(sys, cfg)
 	if o.Fault != nil {
-		a.faulty = gfs.NewFaulty(fs, &gfs.SeededPolicy{
-			Seed:      o.Fault.Seed,
-			Rates:     o.Fault.Rates,
-			MaxFaults: o.Fault.MaxFaults,
-		})
-		a.faulty.Latency = o.Fault.Latency
-		a.faulty.LatencyEveryN = o.Fault.LatencyEveryN
-		a.faulty.Metrics = fsm
+		a.faulty = newDrill(fs, o.Fault, fsm)
 		a.sys = a.faulty
 		if fsm != nil {
 			a.sys = gfs.NewObserved(a.faulty, fsm)
@@ -355,13 +339,23 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 	return a, nil
 }
 
+// newDrill builds the seeded fault-injection layer of a drill over fs.
+func newDrill(fs *gfs.OS, o *FaultOptions, fsm *gfs.FSMetrics) *gfs.Faulty {
+	f := gfs.NewFaulty(fs, &gfs.SeededPolicy{Seed: o.Seed, Rates: o.Rates, MaxFaults: o.MaxFaults})
+	f.Latency, f.LatencyEveryN, f.Metrics = o.Latency, o.LatencyEveryN, fsm
+	return f
+}
+
 // newMirrored builds the mirrored stack: two OS backends (each with the
 // generation-marker directory alongside the data directories), each
 // behind a quiet gfs.Faulty whose only job is the FailStopReplica kill
 // switch, joined by gfs.Mirrored, with metrics observed outermost.
 // Unlike the single-backend boot, recovery runs through the FULL stack:
 // Recover's resilver hook needs to see the mirror to repair a replaced
-// replica before the first byte of traffic.
+// replica before the first byte of traffic. With Checksum that resilver
+// is the whole boot-time integrity story: it reads each file once per
+// replica, gates, heals and compares on those bytes, and its report is
+// recorded as the LastScrub baseline — no second sweep.
 func newMirrored(root string, o Options, cfg mailboat.Config) (*Adapter, error) {
 	metaDirs := append([]string{gfs.MirrorMetaDir}, mailboat.Dirs(cfg)...)
 	fs0, err := gfs.NewOS(root, metaDirs)
@@ -403,19 +397,12 @@ func newMirrored(root string, o Options, cfg mailboat.Config) (*Adapter, error) 
 			m.Integrity = a.integ
 		}
 		sys = gfs.NewObserved(m, fsm)
-	}
-	a.sys = sys
-	if o.Metrics != nil {
 		a.ops = newOpMetrics(o.Metrics)
 	}
+	a.sys = sys
 	a.rng.Store(uint64(o.Seed))
 	a.tracer = o.Tracer
 	a.bootRecover(sys, cfg)
-	if o.Checksum {
-		// Record the boot-time integrity baseline (recovery's own scrub
-		// runs below the adapter and is not captured by LastScrub).
-		a.Scrub(true)
-	}
 	if o.ScrubEvery > 0 {
 		a.startScrubber(o.ScrubEvery)
 	}
@@ -455,11 +442,17 @@ func (a *Adapter) Scrub(heal bool) (gfs.ScrubReport, bool) {
 	defer a.scrubMu.Unlock()
 	start := time.Now()
 	rep := sc.Scrub(a, heal)
+	a.recordScrub(rep, start)
+	return rep, true
+}
+
+// recordScrub publishes one finished integrity pass: its duration into
+// gfs_integrity_scrub_seconds, its report as LastScrub.
+func (a *Adapter) recordScrub(rep gfs.ScrubReport, start time.Time) {
 	a.integ.ScrubDone(time.Since(start))
 	a.lastMu.Lock()
 	a.lastScrub, a.lastAt, a.scrubbed = rep, time.Now(), true
 	a.lastMu.Unlock()
-	return rep, true
 }
 
 // LastScrub returns the most recent scrub pass's report and finish
@@ -611,11 +604,20 @@ func (a *Adapter) thread(sp *trace.Span) gfs.T {
 
 // bootRecover runs crash recovery; with a tracer configured the boot is
 // recorded as a trace under op "recover" (resilver, scrub, and spool
-// sweep each show as stage spans).
+// sweep each show as stage spans). On an envelope store, recovery's
+// integrity sweep already judged every stored file, so what it found
+// becomes the LastScrub baseline — /healthz reflects the store's
+// integrity from the first request on — and the sweep is never
+// repeated; its scrub-seconds sample spans the recovery it is all but
+// the spool sweep of.
 func (a *Adapter) bootRecover(sys gfs.System, cfg mailboat.Config) {
+	start := time.Now()
 	root := a.tracer.Start("recover", "mailboatd.boot")
 	a.mb = mailboat.Recover(a.thread(root), nil, sys, cfg, nil)
 	root.End()
+	if rep, ok := a.mb.BootScrub(); ok && (a.chk != nil || a.chks[0] != nil) {
+		a.recordScrub(rep, start)
+	}
 }
 
 // Tracer returns the adapter's tracer (nil when tracing is off).

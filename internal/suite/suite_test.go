@@ -85,8 +85,13 @@ func TestCounterexamplesAreTheirReplay(t *testing.T) {
 			}
 		}
 	}
-	if total != 1047 {
-		t.Errorf("sequential convictions took %d executions in all, want 1047", total)
+	// 1039 = the 1047 of the trace-free search, less 8 on one entry:
+	// mb/integrity-bug:no-verify-resilver convicts in 13 executions, not
+	// 21, since boot recovery reads each file once per replica — the
+	// recovery era has fewer steps, so the DFS reaches the corrupting
+	// branch sooner. Every other entry's count is unchanged.
+	if total != 1039 {
+		t.Errorf("sequential convictions took %d executions in all, want 1039", total)
 	}
 }
 
