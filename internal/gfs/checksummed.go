@@ -52,33 +52,47 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64a(h uint64, chunks ...[]byte) uint64 {
-	for _, c := range chunks {
-		for _, b := range c {
-			h ^= uint64(b)
-			h *= fnvPrime64
-		}
+func fnv64a(h uint64, p []byte) uint64 {
+	for _, b := range p {
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
 	return h
 }
 
-func frameSum(path string, index uint64, kind byte, payload []byte) uint64 {
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], index)
-	return fnv64a(fnvOffset64, []byte(path), idx[:], []byte{kind}, payload)
+// fnv64a2 advances two independent FNV-64a chains over the same bytes
+// in one traversal. Every payload byte feeds both its frame's sum and
+// the file's seal; a single chain is bound by the multiplier's latency,
+// so the second one rides in its shadow (about twice the throughput of
+// two passes).
+func fnv64a2(a, b uint64, p []byte) (uint64, uint64) {
+	for _, c := range p {
+		a = (a ^ uint64(c)) * fnvPrime64
+		b = (b ^ uint64(c)) * fnvPrime64
+	}
+	return a, b
 }
 
-func sealSum(path string, plaintext []byte) uint64 {
-	return fnv64a(fnvOffset64, []byte(path), plaintext)
+// frameStart returns a frame's sum chain as it stands before the
+// payload, given pathSum, the chain after the birth path — which every
+// frame sum and the seal sum share as their prefix.
+func frameStart(pathSum, index uint64, kind byte) uint64 {
+	var b [9]byte
+	binary.BigEndian.PutUint64(b[:8], index)
+	b[8] = kind
+	return fnv64a(pathSum, b[:])
 }
 
-func buildFrame(path string, index uint64, kind byte, payload []byte) []byte {
+// frame builds one frame in place, advancing seal over the payload in
+// the same traversal that sums the frame; only a data frame's caller
+// keeps the advanced seal.
+func frame(pathSum, index uint64, kind byte, payload []byte, seal uint64) ([]byte, uint64) {
 	f := make([]byte, frameOverhead+len(payload))
 	f[0] = kind
 	binary.BigEndian.PutUint32(f[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint64(f[5:13], frameSum(path, index, kind, payload))
 	copy(f[frameOverhead:], payload)
-	return f
+	sum, seal := fnv64a2(frameStart(pathSum, index, kind), seal, payload)
+	binary.BigEndian.PutUint64(f[5:13], sum)
+	return f, seal
 }
 
 // Verdict classifies a file's envelope state.
@@ -190,14 +204,16 @@ type checksumFD struct {
 	dir, name string
 	closed    bool
 
-	// Append mode.
+	// Append mode. An open writer holds O(1) state, not the file: the
+	// running seal chain and the plaintext length are all the seal needs.
 	w         FD
 	writing   bool
 	sealed    bool
 	nextFrame uint64
-	plaintext []byte
 	writeOK   bool
-	birthPath string
+	pathSum   uint64 // FNV chain after the birth path
+	sealSum   uint64 // pathSum advanced over every appended byte
+	plainLen  uint64
 
 	// Read mode: the verified, decoded contents.
 	data []byte
@@ -215,15 +231,17 @@ func (c *Checksummed) Create(t T, dir, name string) (FD, bool) {
 	if !ok {
 		return nil, false
 	}
-	path := dir + "/" + name
-	if !c.inner.Append(t, w, buildFrame(path, 0, frameHeader, []byte(path))) {
+	path := []byte(dir + "/" + name)
+	pathSum := fnv64a(fnvOffset64, path)
+	header, _ := frame(pathSum, 0, frameHeader, path, 0)
+	if !c.inner.Append(t, w, header) {
 		c.inner.Close(t, w)
 		c.inner.Delete(t, dir, name)
 		return nil, false
 	}
 	return &checksumFD{
 		dir: dir, name: name, w: w, writing: true,
-		nextFrame: 1, writeOK: true, birthPath: path,
+		nextFrame: 1, writeOK: true, pathSum: pathSum, sealSum: pathSum,
 	}, true
 }
 
@@ -243,12 +261,14 @@ func (c *Checksummed) Append(t T, fd FD, data []byte) bool {
 		if n > maxFramePayload {
 			n = maxFramePayload
 		}
-		if !c.inner.Append(t, f.w, buildFrame(f.birthPath, f.nextFrame, frameData, data[:n])) {
+		fr, seal := frame(f.pathSum, f.nextFrame, frameData, data[:n], f.sealSum)
+		if !c.inner.Append(t, f.w, fr) {
 			f.writeOK = false
 			return false
 		}
 		f.nextFrame++
-		f.plaintext = append(f.plaintext, data[:n]...)
+		f.sealSum = seal
+		f.plainLen += uint64(n)
 		data = data[n:]
 	}
 	return true
@@ -259,10 +279,11 @@ func (c *Checksummed) seal(t T, f *checksumFD) bool {
 	if f.sealed || !f.writeOK {
 		return f.sealed
 	}
-	payload := make([]byte, 16)
-	binary.BigEndian.PutUint64(payload[:8], uint64(len(f.plaintext)))
-	binary.BigEndian.PutUint64(payload[8:], sealSum(f.birthPath, f.plaintext))
-	if !c.inner.Append(t, f.w, buildFrame(f.birthPath, f.nextFrame, frameSeal, payload)) {
+	var payload [16]byte
+	binary.BigEndian.PutUint64(payload[:8], f.plainLen)
+	binary.BigEndian.PutUint64(payload[8:], f.sealSum)
+	fr, _ := frame(f.pathSum, f.nextFrame, frameSeal, payload[:], 0)
+	if !c.inner.Append(t, f.w, fr) {
 		f.writeOK = false
 		return false
 	}
@@ -324,7 +345,7 @@ func (c *Checksummed) Open(t T, dir, name string) (FD, bool) {
 		// Seeded bug: strip the envelope without verifying anything.
 		return &checksumFD{dir: dir, name: name, data: decodeTrusting(raw)}, true
 	}
-	data, v := decodeVerify(raw)
+	data, v := decodeVerify(raw, true)
 	if v != VerdictOK {
 		// Only rot counts as a detection; an unsealed file is an
 		// in-progress or crash-abandoned write and simply never opens.
@@ -344,7 +365,11 @@ func (c *Checksummed) Open(t T, dir, name string) (FD, bool) {
 // flip side is that a wholesale swap with a different self-consistent
 // envelope is locally undetectable (see the envelope comment above:
 // that needs an authority outside the file).
-func decodeVerify(raw []byte) ([]byte, Verdict) {
+//
+// Each payload byte is traversed once: the loop that verifies a frame's
+// sum advances the seal chain beside it. With keep unset the plaintext
+// is not materialised — the verdict is all the caller wants.
+func decodeVerify(raw []byte, keep bool) ([]byte, Verdict) {
 	if len(raw) == 0 {
 		// Zero frames. A crash can tear a just-created file back to zero
 		// bytes (the header append not yet synced), so emptiness is the
@@ -353,8 +378,10 @@ func decodeVerify(raw []byte) ([]byte, Verdict) {
 		return nil, VerdictUnsealed
 	}
 	var plaintext []byte
-	var index uint64
-	var path string
+	if keep {
+		plaintext = make([]byte, 0, sealedLen(raw))
+	}
+	var index, pathSum, sealSum, plainLen uint64
 	sealed := false
 	for len(raw) > 0 {
 		if sealed {
@@ -375,25 +402,31 @@ func decodeVerify(raw []byte) ([]byte, Verdict) {
 			if kind != frameHeader {
 				return nil, VerdictCorrupt // missing header
 			}
-			path = string(payload)
+			pathSum = fnv64a(fnvOffset64, payload)
+			sealSum = pathSum
 		} else if kind == frameHeader {
 			return nil, VerdictCorrupt // duplicate header
 		}
-		if frameSum(path, index, kind, payload) != sum {
+		got, seal := fnv64a2(frameStart(pathSum, index, kind), sealSum, payload)
+		if got != sum {
 			return nil, VerdictCorrupt
 		}
 		switch kind {
 		case frameHeader:
 		case frameData:
-			plaintext = append(plaintext, payload...)
+			sealSum = seal
+			plainLen += uint64(plen)
+			if keep {
+				plaintext = append(plaintext, payload...)
+			}
 		case frameSeal:
 			if len(payload) != 16 {
 				return nil, VerdictCorrupt
 			}
-			if binary.BigEndian.Uint64(payload[:8]) != uint64(len(plaintext)) {
+			if binary.BigEndian.Uint64(payload[:8]) != plainLen {
 				return nil, VerdictCorrupt
 			}
-			if binary.BigEndian.Uint64(payload[8:]) != sealSum(path, plaintext) {
+			if binary.BigEndian.Uint64(payload[8:]) != sealSum {
 				return nil, VerdictCorrupt
 			}
 			sealed = true
@@ -408,6 +441,21 @@ func decodeVerify(raw []byte) ([]byte, Verdict) {
 	return plaintext, VerdictOK
 }
 
+// sealedLen is the plaintext length a sealed envelope's last frame
+// claims: the capacity to decode into, so the plaintext is allocated
+// once. The claim is unverified at this point; one the file could not
+// hold is ignored (the decode then refuses the file anyway).
+func sealedLen(raw []byte) uint64 {
+	if len(raw) < 16 {
+		return 0
+	}
+	n := binary.BigEndian.Uint64(raw[len(raw)-16:])
+	if n > uint64(len(raw)) {
+		return 0
+	}
+	return n
+}
+
 // VerifyEnvelope classifies envelope bytes already in hand. The mirror's
 // heal and resilver paths use it to judge the EXACT bytes they are about
 // to copy: verifying the file again through the store would race the
@@ -415,7 +463,7 @@ func decodeVerify(raw []byte) ([]byte, Verdict) {
 // corruption injected at the re-read would slip past a verdict computed
 // on an earlier one).
 func VerifyEnvelope(raw []byte) Verdict {
-	_, v := decodeVerify(raw)
+	_, v := decodeVerify(raw, false)
 	return v
 }
 
@@ -444,12 +492,11 @@ func (c *Checksummed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	if f.writing || f.closed || off >= uint64(len(f.data)) {
 		return nil
 	}
-	end := off + n
-	if end > uint64(len(f.data)) {
-		end = uint64(len(f.data))
+	if rest := uint64(len(f.data)) - off; n > rest {
+		n = rest // also keeps off+n from wrapping
 	}
-	out := make([]byte, end-off)
-	copy(out, f.data[off:end])
+	out := make([]byte, n)
+	copy(out, f.data[off:])
 	return out
 }
 
@@ -458,7 +505,7 @@ func (c *Checksummed) ReadAt(t T, fd FD, off, n uint64) []byte {
 func (c *Checksummed) Size(t T, fd FD) uint64 {
 	f := fd.(*checksumFD)
 	if f.writing {
-		return uint64(len(f.plaintext))
+		return f.plainLen
 	}
 	return uint64(len(f.data))
 }
@@ -485,7 +532,7 @@ func (c *Checksummed) VerifyFile(t T, dir, name string) Verdict {
 	if !opened {
 		return VerdictAbsent
 	}
-	_, v := decodeVerify(raw)
+	v := VerifyEnvelope(raw)
 	if v == VerdictCorrupt {
 		c.noteDetected(t, dir, name, v)
 	}

@@ -498,6 +498,12 @@ func (f *Faulty) spaceFreed() {
 	f.noSpace = false
 }
 
+// describe renders the detail a FaultEvent and the trace lines carry.
+// The gates call it only once the policy has decided to inject, so a
+// call that does not fault costs its counters and one Decide — no
+// string is built for it.
+type describe func() string
+
 // noSpaceGate is the per-write disk-full gate, consulted by the
 // space-consuming operations (Create, Append, Link) after the
 // fail-stop gate. It reports true when the write must fail
@@ -507,7 +513,7 @@ func (f *Faulty) spaceFreed() {
 // write is one decision point with its own index, so seeded schedules
 // replay and the checker enumerates "the disk fills at write i" for
 // every i under the "nospace" tag.
-func (f *Faulty) noSpaceGate(t T, detail string) bool {
+func (f *Faulty) noSpaceGate(t T, what describe) bool {
 	f.mu.Lock()
 	if f.noSpace {
 		f.mu.Unlock()
@@ -523,6 +529,7 @@ func (f *Faulty) noSpaceGate(t T, detail string) bool {
 	if !f.policy.Decide(t, FaultNoSpace, idx) {
 		return false
 	}
+	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.nospace")
 		mt.Tracef("fs.nospace #%d %s", idx, detail)
@@ -545,7 +552,7 @@ func (f *Faulty) noSpaceGate(t T, detail string) bool {
 // death. Each alive call is one decision point with its own index, so
 // seeded schedules replay and the model checker enumerates "the replica
 // dies at step i" for every i.
-func (f *Faulty) failStop(t T, detail string) bool {
+func (f *Faulty) failStop(t T, what describe) bool {
 	f.mu.Lock()
 	if f.failStopped {
 		f.mu.Unlock()
@@ -561,6 +568,7 @@ func (f *Faulty) failStop(t T, detail string) bool {
 	if !f.policy.Decide(t, FaultFailStop, idx) {
 		return false
 	}
+	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.failstop")
 		mt.Tracef("fs.failstop #%d %s", idx, detail)
@@ -577,7 +585,7 @@ func (f *Faulty) failStop(t T, detail string) bool {
 // begin counts the call, applies optional latency, and decides the
 // fault. On injection it records the event and, under the model, makes
 // the failed operation one atomic step (like a real faulted syscall).
-func (f *Faulty) begin(t T, op FaultOp, detail string) bool {
+func (f *Faulty) begin(t T, op FaultOp, what describe) bool {
 	f.mu.Lock()
 	idx := f.calls[op]
 	f.calls[op]++
@@ -590,6 +598,7 @@ func (f *Faulty) begin(t T, op FaultOp, detail string) bool {
 	if !f.policy.Decide(t, op, idx) {
 		return false
 	}
+	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.fault")
 		mt.Tracef("fs.fault %s#%d %s", op, idx, detail)
@@ -610,16 +619,11 @@ func (f *Faulty) NewLock(t T, name string) Lock { return f.inner.NewLock(t, name
 // latch, the no-space latch (creating an entry consumes space), and the
 // transient fd-exhaustion class, before the ordinary FaultCreate class.
 func (f *Faulty) Create(t T, dir, name string) (FD, bool) {
-	if f.failStop(t, "create "+dir+"/"+name) {
+	what := func() string { return "create " + dir + "/" + name }
+	if f.failStop(t, what) || f.noSpaceGate(t, what) || f.begin(t, FaultNoFiles, what) {
 		return nil, false
 	}
-	if f.noSpaceGate(t, "create "+dir+"/"+name) {
-		return nil, false
-	}
-	if f.begin(t, FaultNoFiles, "create "+dir+"/"+name) {
-		return nil, false
-	}
-	if f.begin(t, FaultCreate, dir+"/"+name) {
+	if f.begin(t, FaultCreate, func() string { return dir + "/" + name }) {
 		return nil, false
 	}
 	return f.inner.Create(t, dir, name)
@@ -632,10 +636,8 @@ func (f *Faulty) Create(t T, dir, name string) (FD, bool) {
 // a file is one chance for its stored bytes to have silently rotted
 // before the (still successful) open observes them.
 func (f *Faulty) Open(t T, dir, name string) (FD, bool) {
-	if f.failStop(t, "open "+dir+"/"+name) {
-		return nil, false
-	}
-	if f.begin(t, FaultNoFiles, "open "+dir+"/"+name) {
+	what := func() string { return "open " + dir + "/" + name }
+	if f.failStop(t, what) || f.begin(t, FaultNoFiles, what) {
 		return nil, false
 	}
 	f.corrupt(t, dir, name)
@@ -678,13 +680,13 @@ func (f *Faulty) corrupt(t T, dir, name string) {
 // Append implements System. Appending consumes space, so it passes the
 // no-space gate before the transient FaultAppend class.
 func (f *Faulty) Append(t T, fd FD, data []byte) bool {
-	if f.failStop(t, "append") {
+	if f.failStop(t, func() string { return "append" }) {
 		return false
 	}
-	if f.noSpaceGate(t, fmt.Sprintf("append %d bytes", len(data))) {
+	if f.noSpaceGate(t, func() string { return fmt.Sprintf("append %d bytes", len(data)) }) {
 		return false
 	}
-	if f.begin(t, FaultAppend, fmt.Sprintf("%d bytes", len(data))) {
+	if f.begin(t, FaultAppend, func() string { return fmt.Sprintf("%d bytes", len(data)) }) {
 		return false
 	}
 	return f.inner.Append(t, fd, data)
@@ -702,15 +704,16 @@ func (f *Faulty) Close(t T, fd FD) { f.inner.Close(t, fd) }
 // empty read as end-of-file are exactly why Mirrored checks the latch
 // (FailStopped) rather than inferring death from results.
 func (f *Faulty) ReadAt(t T, fd FD, off, n uint64) []byte {
-	if f.failStop(t, fmt.Sprintf("read off %d", off)) {
+	if f.failStop(t, func() string { return fmt.Sprintf("read off %d", off) }) {
 		return nil
 	}
 	data := f.inner.ReadAt(t, fd, off, n)
 	if len(data) < 2 {
 		return data
 	}
-	if f.begin(t, FaultReadShort, fmt.Sprintf("off %d: %d -> %d bytes", off, len(data), (len(data)+1)/2)) {
-		return data[:(len(data)+1)/2]
+	short := (len(data) + 1) / 2
+	if f.begin(t, FaultReadShort, func() string { return fmt.Sprintf("off %d: %d -> %d bytes", off, len(data), short) }) {
+		return data[:short]
 	}
 	return data
 }
@@ -718,7 +721,7 @@ func (f *Faulty) ReadAt(t T, fd FD, off, n uint64) []byte {
 // Size implements System (no transient class). A fail-stopped backend
 // reports zero; callers distinguish "dead" from "empty" via FailStopped.
 func (f *Faulty) Size(t T, fd FD) uint64 {
-	if f.failStop(t, "size") {
+	if f.failStop(t, func() string { return "size" }) {
 		return 0
 	}
 	return f.inner.Size(t, fd)
@@ -726,10 +729,10 @@ func (f *Faulty) Size(t T, fd FD) uint64 {
 
 // Sync implements System.
 func (f *Faulty) Sync(t T, fd FD) bool {
-	if f.failStop(t, "sync") {
+	if f.failStop(t, func() string { return "sync" }) {
 		return false
 	}
-	if f.begin(t, FaultSync, "") {
+	if f.begin(t, FaultSync, func() string { return "" }) {
 		return false
 	}
 	return f.inner.Sync(t, fd)
@@ -740,10 +743,10 @@ func (f *Faulty) Sync(t T, fd FD) bool {
 // the barrier did not happen — the caller must not ack anything that
 // depended on it (though, unlike a file Sync, it may retry).
 func (f *Faulty) SyncDir(t T, dir string) bool {
-	if f.failStop(t, "syncdir "+dir) {
+	if f.failStop(t, func() string { return "syncdir " + dir }) {
 		return false
 	}
-	if f.begin(t, FaultSync, dir) {
+	if f.begin(t, FaultSync, func() string { return dir }) {
 		return false
 	}
 	return f.inner.SyncDir(t, dir)
@@ -753,10 +756,10 @@ func (f *Faulty) SyncDir(t T, dir string) bool {
 // latch — removing data is how a full disk recovers — and a successful
 // delete releases space, clearing the latch.
 func (f *Faulty) Delete(t T, dir, name string) bool {
-	if f.failStop(t, "delete "+dir+"/"+name) {
+	if f.failStop(t, func() string { return "delete " + dir + "/" + name }) {
 		return false
 	}
-	if f.begin(t, FaultDelete, dir+"/"+name) {
+	if f.begin(t, FaultDelete, func() string { return dir + "/" + name }) {
 		return false
 	}
 	ok := f.inner.Delete(t, dir, name)
@@ -769,13 +772,9 @@ func (f *Faulty) Delete(t T, dir, name string) bool {
 // Link implements System. A new directory entry consumes space, so
 // Link passes the no-space gate.
 func (f *Faulty) Link(t T, oldDir, oldName, newDir, newName string) bool {
-	if f.failStop(t, "link "+oldDir+"/"+oldName+" -> "+newDir+"/"+newName) {
-		return false
-	}
-	if f.noSpaceGate(t, "link "+oldDir+"/"+oldName+" -> "+newDir+"/"+newName) {
-		return false
-	}
-	if f.begin(t, FaultLink, oldDir+"/"+oldName+" -> "+newDir+"/"+newName) {
+	arrow := func() string { return oldDir + "/" + oldName + " -> " + newDir + "/" + newName }
+	what := func() string { return "link " + arrow() }
+	if f.failStop(t, what) || f.noSpaceGate(t, what) || f.begin(t, FaultLink, arrow) {
 		return false
 	}
 	return f.inner.Link(t, oldDir, oldName, newDir, newName)
@@ -784,7 +783,7 @@ func (f *Faulty) Link(t T, oldDir, oldName, newDir, newName string) bool {
 // List implements System (no transient class; the model keeps it
 // atomic). A fail-stopped backend lists nothing.
 func (f *Faulty) List(t T, dir string) []string {
-	if f.failStop(t, "list "+dir) {
+	if f.failStop(t, func() string { return "list " + dir }) {
 		return nil
 	}
 	return f.inner.List(t, dir)

@@ -1,7 +1,9 @@
 package gfs
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -437,5 +439,113 @@ func TestChooserPolicyFailStopOptIn(t *testing.T) {
 	}
 	if !f2.FailStopped() {
 		t.Fatal("injection did not latch")
+	}
+}
+
+// detailOps calls each Faulty operation once, on descriptors taken from
+// the inner backend — so a policy that fails every Create cannot starve
+// the operations that need a file.
+var detailOps = []struct {
+	name string
+	call func(f *Faulty, th T, w, r FD)
+}{
+	{"create", func(f *Faulty, th T, w, r FD) { f.Create(th, "spool", "n") }},
+	{"open", func(f *Faulty, th T, w, r FD) { f.Open(th, "box", "r") }},
+	{"append", func(f *Faulty, th T, w, r FD) { f.Append(th, w, []byte("12345")) }},
+	{"readat", func(f *Faulty, th T, w, r FD) { f.ReadAt(th, r, 3, 64) }},
+	{"size", func(f *Faulty, th T, w, r FD) { f.Size(th, r) }},
+	{"sync", func(f *Faulty, th T, w, r FD) { f.Sync(th, w) }},
+	{"syncdir", func(f *Faulty, th T, w, r FD) { f.SyncDir(th, "box") }},
+	{"delete", func(f *Faulty, th T, w, r FD) { f.Delete(th, "box", "r") }},
+	{"link", func(f *Faulty, th T, w, r FD) { f.Link(th, "box", "r", "spool", "l") }},
+	{"list", func(f *Faulty, th T, w, r FD) { f.List(th, "box") }},
+}
+
+// faultDetailsGolden is what every gate of every operation records when
+// it injects — "class/operation: the FaultEvent as the shutdown dump
+// prints it | the machine trace line" — as rendered by the code that
+// built each detail string eagerly, on every call. Details are now
+// rendered only on injection; what is rendered must not have moved.
+const faultDetailsGolden = `create/create: create#0 spool/n | t0: fs.fault create#0 spool/n
+append/append: append#0 5 bytes | t0: fs.fault append#0 5 bytes
+read-short/readat: read-short#0 off 3: 7 -> 4 bytes | t0: fs.fault read-short#0 off 3: 7 -> 4 bytes
+sync/sync: sync#0  | t0: fs.fault sync#0 
+sync/syncdir: sync#0 box | t0: fs.fault sync#0 box
+delete/delete: delete#0 box/r | t0: fs.fault delete#0 box/r
+link/link: link#0 box/r -> spool/l | t0: fs.fault link#0 box/r -> spool/l
+fail-stop/create: fail-stop#0 create spool/n | t0: fs.failstop #0 create spool/n
+fail-stop/open: fail-stop#0 open box/r | t0: fs.failstop #0 open box/r
+fail-stop/append: fail-stop#0 append | t0: fs.failstop #0 append
+fail-stop/readat: fail-stop#0 read off 3 | t0: fs.failstop #0 read off 3
+fail-stop/size: fail-stop#0 size | t0: fs.failstop #0 size
+fail-stop/sync: fail-stop#0 sync | t0: fs.failstop #0 sync
+fail-stop/syncdir: fail-stop#0 syncdir box | t0: fs.failstop #0 syncdir box
+fail-stop/delete: fail-stop#0 delete box/r | t0: fs.failstop #0 delete box/r
+fail-stop/link: fail-stop#0 link box/r -> spool/l | t0: fs.failstop #0 link box/r -> spool/l
+fail-stop/list: fail-stop#0 list box | t0: fs.failstop #0 list box
+no-space/create: no-space#0 create spool/n | t0: fs.nospace #0 create spool/n
+no-space/append: no-space#0 append 5 bytes | t0: fs.nospace #0 append 5 bytes
+no-space/link: no-space#0 link box/r -> spool/l | t0: fs.nospace #0 link box/r -> spool/l
+no-files/create: no-files#0 create spool/n | t0: fs.fault no-files#0 create spool/n
+no-files/open: no-files#0 open box/r | t0: fs.fault no-files#0 open box/r
+`
+
+// TestFaultDetailsGolden drives every operation through every gate that
+// can fire on it, once under a SeededPolicy that always fires and once
+// under a ChooserPolicy whose chooser always injects, and pins every
+// FaultEvent, its dump line and its trace line. (FaultCorrupt is left
+// out: its detail was always built on injection only, and its mode is
+// chosen differently by the two policies.)
+func TestFaultDetailsGolden(t *testing.T) {
+	run := func(class FaultOp, policy Policy, chooser machine.Chooser) string {
+		var out strings.Builder
+		for _, op := range detailOps {
+			mm := machine.New(machine.Options{MaxSteps: 10000, TraceDepth: machine.TraceAll})
+			fs := NewModel(mm, faultScriptDirs)
+			f := NewFaulty(fs, policy)
+			res := mm.RunEra(chooser, false, func(mt *machine.T) {
+				fd, _ := fs.Create(mt, "box", "r")
+				fs.Append(mt, fd, []byte("0123456789"))
+				fs.Close(mt, fd)
+				w, _ := fs.Create(mt, "spool", "w")
+				r, _ := fs.Open(mt, "box", "r")
+				op.call(f, mt, w, r)
+			})
+			if res.Outcome != machine.Done {
+				t.Fatalf("%s/%s: %+v", class, op.name, res)
+			}
+			var lines []string
+			for _, l := range mm.Trace() {
+				if strings.Contains(l, "fs.fault ") || strings.Contains(l, "fs.failstop ") || strings.Contains(l, "fs.nospace ") {
+					lines = append(lines, l)
+				}
+			}
+			log := f.Log()
+			if len(log) != len(lines) || len(log) > 1 {
+				t.Fatalf("%s/%s: %d events, %d trace lines: %v %v", class, op.name, len(log), len(lines), log, lines)
+			}
+			if len(log) == 1 {
+				fmt.Fprintf(&out, "%s/%s: %s | %s\n", class, op.name, log[0], lines[0])
+			}
+		}
+		return out.String()
+	}
+
+	var seeded, chosen strings.Builder
+	for class := FaultOp(0); class < NumFaultOps; class++ {
+		if class == FaultCorrupt {
+			continue
+		}
+		var rates [NumFaultOps]uint64
+		rates[class] = 1
+		seeded.WriteString(run(class, &SeededPolicy{Seed: 14, Rates: rates}, machine.SeqChooser{}))
+		always := machine.ChooserFunc(func(n int, tag string) int { return n - 1 })
+		chosen.WriteString(run(class, &ChooserPolicy{Budget: 1 << 30, Eligible: map[FaultOp]bool{class: true}}, always))
+	}
+	if seeded.String() != faultDetailsGolden {
+		t.Errorf("SeededPolicy details moved:\n got:\n%s\nwant:\n%s", seeded.String(), faultDetailsGolden)
+	}
+	if chosen.String() != faultDetailsGolden {
+		t.Errorf("ChooserPolicy details moved:\n got:\n%s\nwant:\n%s", chosen.String(), faultDetailsGolden)
 	}
 }

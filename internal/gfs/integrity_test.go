@@ -2,7 +2,15 @@ package gfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io/fs"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -64,6 +72,13 @@ func TestChecksummedRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: ok=%v len=%d want %d", ok, len(got), len(payload))
 	}
+	// off+n past the top of uint64 means "to the end", not a wrapped
+	// (negative) length.
+	rfd0, _ := c.Open(th, "box", "b")
+	if rest := c.ReadAt(th, rfd0, 6, math.MaxUint64); !bytes.Equal(rest, big) {
+		t.Fatalf("read to the end with a wrapping length: %d bytes, want %d", len(rest), len(big))
+	}
+	c.Close(th, rfd0)
 
 	// Empty file: Create then Close seals a zero-byte plaintext.
 	fd, ok := c.Create(th, "box", "empty")
@@ -592,4 +607,507 @@ func TestIntegrityMetricsRegister(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+}
+
+// ---- The envelope oracle -------------------------------------------------
+//
+// referenceFNV, frameSum, sealSum, buildFrame and referenceDecodeVerify
+// are the two-pass envelope code as it stood before the one-traversal
+// rewrite, kept verbatim (decodeVerify and fnv64a renamed, since the
+// names live on in checksummed.go) as the specification the production
+// code is tested against: a frame sum and the seal sum each get their own
+// pass over the bytes, and the plaintext is accumulated.
+
+func referenceFNV(h uint64, chunks ...[]byte) uint64 {
+	for _, c := range chunks {
+		for _, b := range c {
+			h ^= uint64(b)
+			h *= fnvPrime64
+		}
+	}
+	return h
+}
+
+func frameSum(path string, index uint64, kind byte, payload []byte) uint64 {
+	var idx [8]byte
+	binary.BigEndian.PutUint64(idx[:], index)
+	return referenceFNV(fnvOffset64, []byte(path), idx[:], []byte{kind}, payload)
+}
+
+func sealSum(path string, plaintext []byte) uint64 {
+	return referenceFNV(fnvOffset64, []byte(path), plaintext)
+}
+
+func buildFrame(path string, index uint64, kind byte, payload []byte) []byte {
+	f := make([]byte, frameOverhead+len(payload))
+	f[0] = kind
+	binary.BigEndian.PutUint32(f[1:5], uint32(len(payload)))
+	binary.BigEndian.PutUint64(f[5:13], frameSum(path, index, kind, payload))
+	copy(f[frameOverhead:], payload)
+	return f
+}
+
+func referenceDecodeVerify(raw []byte) ([]byte, Verdict) {
+	if len(raw) == 0 {
+		return nil, VerdictUnsealed
+	}
+	var plaintext []byte
+	var index uint64
+	var path string
+	sealed := false
+	for len(raw) > 0 {
+		if sealed {
+			return nil, VerdictCorrupt // trailing bytes after the seal
+		}
+		if len(raw) < frameOverhead {
+			return nil, VerdictCorrupt // torn frame header
+		}
+		kind := raw[0]
+		plen := binary.BigEndian.Uint32(raw[1:5])
+		sum := binary.BigEndian.Uint64(raw[5:13])
+		if uint64(len(raw)-frameOverhead) < uint64(plen) {
+			return nil, VerdictCorrupt // torn payload
+		}
+		payload := raw[frameOverhead : frameOverhead+int(plen)]
+		raw = raw[frameOverhead+int(plen):]
+		if index == 0 {
+			if kind != frameHeader {
+				return nil, VerdictCorrupt // missing header
+			}
+			path = string(payload)
+		} else if kind == frameHeader {
+			return nil, VerdictCorrupt // duplicate header
+		}
+		if frameSum(path, index, kind, payload) != sum {
+			return nil, VerdictCorrupt
+		}
+		switch kind {
+		case frameHeader:
+		case frameData:
+			plaintext = append(plaintext, payload...)
+		case frameSeal:
+			if len(payload) != 16 {
+				return nil, VerdictCorrupt
+			}
+			if binary.BigEndian.Uint64(payload[:8]) != uint64(len(plaintext)) {
+				return nil, VerdictCorrupt
+			}
+			if binary.BigEndian.Uint64(payload[8:]) != sealSum(path, plaintext) {
+				return nil, VerdictCorrupt
+			}
+			sealed = true
+		default:
+			return nil, VerdictCorrupt // unknown frame kind
+		}
+		index++
+	}
+	if !sealed {
+		return nil, VerdictUnsealed
+	}
+	return plaintext, VerdictOK
+}
+
+// referenceFrames is the reference writer: the frames of the envelope
+// the old Create / Append... / Sync sequence put on disk for appends
+// born at path, one element per frame.
+func referenceFrames(path string, appends [][]byte) [][]byte {
+	frames := [][]byte{buildFrame(path, 0, frameHeader, []byte(path))}
+	var plaintext []byte
+	for _, data := range appends {
+		for len(data) > 0 {
+			n := min(len(data), maxFramePayload)
+			frames = append(frames, buildFrame(path, uint64(len(frames)), frameData, data[:n]))
+			plaintext = append(plaintext, data[:n]...)
+			data = data[n:]
+		}
+	}
+	return append(frames, buildFrame(path, uint64(len(frames)), frameSeal, referenceSeal(path, plaintext)))
+}
+
+// referenceSeal is the seal frame's payload: plaintext length, seal sum.
+func referenceSeal(path string, plaintext []byte) []byte {
+	payload := make([]byte, 16)
+	binary.BigEndian.PutUint64(payload[:8], uint64(len(plaintext)))
+	binary.BigEndian.PutUint64(payload[8:], sealSum(path, plaintext))
+	return payload
+}
+
+// captureFS is the inner System the oracle writes through: it keeps the
+// bytes of every file Checksummed puts on it, in memory, and serves
+// them back whole.
+type captureFS struct {
+	System // the operations an envelope round trip never calls
+	files  map[string][]byte
+}
+
+type captureFD struct{ path string }
+
+func newCaptureFS() *captureFS { return &captureFS{files: map[string][]byte{}} }
+
+func (c *captureFS) Create(_ T, dir, name string) (FD, bool) {
+	c.files[dir+"/"+name] = []byte{}
+	return &captureFD{dir + "/" + name}, true
+}
+func (c *captureFS) Open(_ T, dir, name string) (FD, bool) {
+	_, ok := c.files[dir+"/"+name]
+	return &captureFD{dir + "/" + name}, ok
+}
+func (c *captureFS) Append(_ T, fd FD, data []byte) bool {
+	p := fd.(*captureFD).path
+	c.files[p] = append(c.files[p], data...)
+	return true
+}
+func (c *captureFS) Size(_ T, fd FD) uint64 { return uint64(len(c.files[fd.(*captureFD).path])) }
+func (c *captureFS) ReadAt(_ T, fd FD, off, n uint64) []byte {
+	data := c.files[fd.(*captureFD).path]
+	if off >= uint64(len(data)) {
+		return nil
+	}
+	return bytes.Clone(data[off:min(off+n, uint64(len(data)))])
+}
+func (c *captureFS) Sync(T, FD) bool { return true }
+func (c *captureFS) Close(T, FD)     {}
+
+// randomAppends cuts a random payload of total bytes into appends of at
+// most MaxAppend, a good share of them longer than maxFramePayload (one
+// append, two frames).
+func randomAppends(rng *rand.Rand, total int) [][]byte {
+	var out [][]byte
+	for total > 0 {
+		n := 1 + rng.Intn(MaxAppend)
+		if rng.Intn(3) == 0 {
+			n = maxFramePayload - 1 + rng.Intn(3) // around the frame boundary
+		}
+		n = min(n, total)
+		b := make([]byte, n)
+		rng.Read(b)
+		out = append(out, b)
+		total -= n
+	}
+	return out
+}
+
+// TestEnvelopeWriterMatchesReference is the byte-identity half of the
+// oracle: over random payloads, append splits on both sides of
+// maxFramePayload, and birth paths, the bytes the one-traversal writer
+// puts on disk are the reference envelope's, and they read back whole.
+func TestEnvelopeWriterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	th := NewNative(1)
+	paths := [][2]string{{"spool", "a"}, {"box", "tmp-1234567890"}, {MirrorMetaDir, "g0"}, {"user9999", strings.Repeat("n", 200)}}
+	sizes := []int{0, 1, 300, maxFramePayload - 1, maxFramePayload, maxFramePayload + 1, MaxAppend, 3 * MaxAppend}
+	for i := 0; i < 200; i++ {
+		total := rng.Intn(4 * MaxAppend)
+		if i < len(sizes) {
+			total = sizes[i]
+		}
+		dir, name := paths[i%len(paths)][0], paths[i%len(paths)][1]
+		appends := randomAppends(rng, total)
+
+		inner := newCaptureFS()
+		c := NewChecksummed(inner, []string{dir})
+		fd, _ := c.Create(th, dir, name)
+		for _, a := range appends {
+			if !c.Append(th, fd, a) {
+				t.Fatalf("case %d: append failed", i)
+			}
+		}
+		if got := c.Size(th, fd); got != uint64(total) {
+			t.Fatalf("case %d: writer reports size %d after %d bytes", i, got, total)
+		}
+		if !c.Sync(th, fd) {
+			t.Fatalf("case %d: sync failed", i)
+		}
+		c.Close(th, fd)
+
+		want := bytes.Join(referenceFrames(dir+"/"+name, appends), nil)
+		if got := inner.files[dir+"/"+name]; !bytes.Equal(got, want) {
+			t.Fatalf("case %d (%s/%s, %d bytes in %d appends): envelope differs from the reference\n got %x\nwant %x", i, dir, name, total, len(appends), got, want)
+		}
+		got, whole := readSealed(c, th, dir, name)
+		if !whole || !bytes.Equal(got, bytes.Join(appends, nil)) {
+			t.Fatalf("case %d: read back %d bytes (whole=%v), wrote %d", i, len(got), whole, total)
+		}
+	}
+}
+
+// goldenEnvelope is the envelope of "hello, envelope" appended in one
+// piece to a file born at box/golden, as the code before the
+// one-traversal rewrite wrote it. A change to the on-disk format fails
+// here by name.
+const goldenEnvelope = "" +
+	"000000000a46b0e30252547d51626f782f676f6c64656e" + // header: kind 0, length 10, sum, "box/golden"
+	"010000000fc5f2bb01f513825468656c6c6f2c20656e76656c6f7065" + // data: kind 1, length 15, sum, the payload
+	"02000000106902b8f1ac36145f000000000000000f931aedb27c3236a6" // seal: kind 2, length 16, sum, plaintext length 15, seal sum
+
+func TestEnvelopeGolden(t *testing.T) {
+	th := NewNative(1)
+	inner := newCaptureFS()
+	c := NewChecksummed(inner, []string{"box"})
+	if !writeSealed(c, th, "box", "golden", []byte("hello, envelope")) {
+		t.Fatal("write failed")
+	}
+	if got := hex.EncodeToString(inner.files["box/golden"]); got != goldenEnvelope {
+		t.Fatalf("on-disk format drifted:\n got %s\nwant %s", got, goldenEnvelope)
+	}
+	raw, _ := hex.DecodeString(goldenEnvelope)
+	if got, v := decodeVerify(raw, true); v != VerdictOK || string(got) != "hello, envelope" {
+		t.Fatalf("golden envelope decodes to %q, verdict %v", got, v)
+	}
+}
+
+// TestEnvelopeVerdictsMatchReference is the verdict half of the oracle:
+// for every mutation class the envelope exists to catch, the
+// one-traversal decoder — keeping the plaintext or only judging — rules
+// exactly as the reference does, and a store serving those bytes opens
+// or refuses, and counts a detection, exactly when the reference says.
+func TestEnvelopeVerdictsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	small := referenceFrames("box/m", [][]byte{[]byte("acked mail, "), []byte("two frames")})
+	big := referenceFrames("box/m", randomAppends(rng, 2*MaxAppend+100))
+	other := referenceFrames("box/other", [][]byte{[]byte("acked mail, "), []byte("two frames")})
+	join := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	sound := join(small...)
+
+	type mutant struct {
+		class string
+		raw   []byte
+	}
+	muts := []mutant{
+		{"sound", sound},
+		{"sound multi-frame", join(big...)},
+		{"zero-length file", nil},
+		{"frames swapped", join(small[0], small[2], small[1], small[3])},
+		{"frames swapped (big)", join(append([][]byte{big[0], big[2], big[1]}, big[3:]...)...)},
+		{"frame spliced from another birth path", join(small[0], other[1], small[2], small[3])},
+		{"whole envelope of another birth path", join(other...)}, // sound: a wholesale swap needs an outside authority
+		{"trailing bytes after the seal", append(bytes.Clone(sound), 0)},
+		{"trailing frame after the seal", join(small[0], small[1], small[2], small[3], small[1])},
+		{"second seal", join(small[0], small[1], small[2], small[3], small[3])},
+		{"trailing data frame dropped", join(small[0], small[1], small[3])},
+		{"seal dropped", join(small[0], small[1], small[2])},
+		{"header only", small[0]},
+		{"header dropped", join(small[1:]...)},
+		{"header repeated", join(small[0], small[0], small[1], small[2], small[3])},
+	}
+	// Forgeries: every frame sum is right and the frames agree with one
+	// another, so only the one check named stands between each of these
+	// and a decoder that would serve it.
+	forge := func(path string, kinds []byte, payloads ...string) []byte {
+		var out, plaintext []byte
+		for i, kind := range kinds {
+			payload := []byte(payloads[i])
+			if kind == frameSeal && payloads[i] == "" {
+				payload = referenceSeal(path, plaintext)
+			}
+			if kind == frameData {
+				plaintext = append(plaintext, payload...)
+			}
+			out = append(out, buildFrame(path, uint64(i), kind, payload)...)
+		}
+		return out
+	}
+	sealOf := string(small[3][frameOverhead:])
+	flip := func(p string, i int) string {
+		b := []byte(p)
+		b[i] ^= 1
+		return string(b)
+	}
+	muts = append(muts,
+		mutant{"forgery: the sound file, rebuilt", forge("box/m", []byte{0, 1, 1, 2}, "box/m", "acked mail, ", "two frames", "")},
+		mutant{"forgery: wrong seal sum", forge("box/m", []byte{0, 1, 1, 2}, "box/m", "acked mail, ", "two frames", flip(sealOf, 15))},
+		mutant{"forgery: wrong seal length", forge("box/m", []byte{0, 1, 1, 2}, "box/m", "acked mail, ", "two frames", flip(sealOf, 7))},
+		mutant{"forgery: 15-byte seal", forge("box/m", []byte{0, 1, 1, 2}, "box/m", "acked mail, ", "two frames", sealOf[:15])},
+		mutant{"forgery: frame of an unknown kind", forge("box/m", []byte{0, 1, 3, 2}, "box/m", "acked mail, ", "two frames", "")},
+		mutant{"forgery: second header", forge("box/m", []byte{0, 0, 1, 2}, "box/m", "box/m", "acked mail, ", "")},
+		mutant{"forgery: first frame is no header", forge("acked mail, ", []byte{1, 1, 2}, "acked mail, ", "two frames", "")},
+		mutant{"forgery: data frame after the seal", forge("box/m", []byte{0, 1, 2, 1}, "box/m", "acked mail, ", "", "two frames")},
+	)
+	for off := range sound {
+		for bit := 0; bit < 8; bit++ {
+			m := bytes.Clone(sound)
+			m[off] ^= 1 << bit
+			muts = append(muts, mutant{fmt.Sprintf("bit %d of byte %d flipped", bit, off), m})
+		}
+		muts = append(muts, mutant{fmt.Sprintf("truncated to %d bytes", off), sound[:off]})
+	}
+	for i := 0; i < 200; i++ { // the big file is sampled, not swept
+		m := bytes.Clone(join(big...))
+		m[rng.Intn(len(m))] ^= 1 << rng.Intn(8)
+		muts = append(muts, mutant{"random bit flipped (big)", m}, mutant{"random truncation (big)", m[:rng.Intn(len(m))]})
+	}
+
+	th := NewNative(1)
+	inner := newCaptureFS()
+	c := NewChecksummed(inner, []string{"box"})
+	verdicts := map[Verdict]int{}
+	for _, m := range muts {
+		wantData, want := referenceDecodeVerify(m.raw)
+		verdicts[want]++
+		if got := VerifyEnvelope(m.raw); got != want {
+			t.Fatalf("%s: VerifyEnvelope says %v, the reference %v", m.class, got, want)
+		}
+		if data, got := decodeVerify(m.raw, true); got != want || !bytes.Equal(data, wantData) {
+			t.Fatalf("%s: decodeVerify says %v with %d bytes, the reference %v with %d", m.class, got, len(data), want, len(wantData))
+		}
+
+		inner.files["box/m"] = m.raw
+		before := c.Detected()
+		data, whole := readSealed(c, th, "box", "m")
+		if whole != (want == VerdictOK) || !bytes.Equal(data, wantData) {
+			t.Fatalf("%s: the store served %d bytes (whole=%v) of a file the reference rules %v", m.class, len(data), whole, want)
+		}
+		if got := c.VerifyFile(th, "box", "m"); got != want {
+			t.Fatalf("%s: VerifyFile says %v, the reference %v", m.class, got, want)
+		}
+		// One detection per look at a corrupt file — the open and the
+		// verify are two looks — and none for any other verdict.
+		wantDetected := before
+		if want == VerdictCorrupt {
+			wantDetected += 2
+		}
+		if got := c.Detected(); got != wantDetected {
+			t.Fatalf("%s (%v): Detected went %d -> %d, want %d", m.class, want, before, got, wantDetected)
+		}
+	}
+	if verdicts[VerdictOK] != 4 || verdicts[VerdictUnsealed] < 4 || verdicts[VerdictCorrupt] < 1000 {
+		t.Fatalf("the mutants do not cover the verdicts: %v", verdicts)
+	}
+}
+
+// ---- The parent-written fixture store ------------------------------------
+//
+// testdata/parent-store is a mirrored, checksummed store written by
+// writeFixtureStore compiled at commit d7c470e — the two-pass writer,
+// before the one-traversal rewrite. (To regenerate it, check out the
+// commit that should write it, add this function to a test there, and
+// point it at the directory.)
+
+var fixtureDirs = []string{"spool", "box"}
+
+// fixtureSizes straddle the frame and append boundaries.
+var fixtureSizes = []int{0, 1, 300, maxFramePayload, maxFramePayload + 1, 2*MaxAppend + 8}
+
+func fixtureName(size int) string { return fmt.Sprintf("m%d", size) }
+
+func fixtureBody(size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte((i*31 + size) % 251)
+	}
+	return b
+}
+
+func openFixtureStore(root string) (*Mirrored, [2]*OS, error) {
+	var oses [2]*OS
+	var reps [2]System
+	for i := range oses {
+		o, err := NewOS(filepath.Join(root, fmt.Sprintf("r%d", i)), append([]string{MirrorMetaDir}, fixtureDirs...))
+		if err != nil {
+			return nil, oses, err
+		}
+		oses[i] = o
+		reps[i] = NewChecksummed(o, fixtureDirs)
+	}
+	return NewMirrored(reps[0], reps[1], fixtureDirs), oses, nil
+}
+
+// writeFixtureStore delivers one message of every fixture size the way
+// mailboat does: spool, seal, link into the box, unlink the spool entry.
+func writeFixtureStore(root string) error {
+	mir, oses, err := openFixtureStore(root)
+	if err != nil {
+		return err
+	}
+	defer oses[0].CloseAll()
+	defer oses[1].CloseAll()
+	th := NewNative(1)
+	for _, size := range fixtureSizes {
+		name := fixtureName(size)
+		if !writeSealed(mir, th, "spool", name, fixtureBody(size)) ||
+			!mir.Link(th, "spool", name, "box", name) || !mir.Delete(th, "spool", name) {
+			return fmt.Errorf("writing %s failed", name)
+		}
+	}
+	return nil
+}
+
+// TestParentWrittenStoreOpensClean: the format did not move. A store the
+// parent commit wrote boots (resilver, scrub) clean under this code and
+// serves every message; and this code, asked to write the same store,
+// puts the same bytes on disk, file for file.
+func TestParentWrittenStoreOpensClean(t *testing.T) {
+	const fixture = "testdata/parent-store"
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	mir, oses, err := openFixtureStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oses[0].CloseAll()
+	defer oses[1].CloseAll()
+	th := NewNative(1)
+	if rep, _, ok := mir.Resilver(th); !ok || !rep.Clean() || rep.Corrupt+rep.Unsealed+rep.Healed != 0 {
+		t.Fatalf("boot resilver of the parent's store: ok=%v %v", ok, rep)
+	}
+	if rep := mir.Scrub(th, false); rep.Checked != 2*len(fixtureSizes) || rep.Corrupt+rep.Unsealed != 0 {
+		t.Fatalf("scrub of the parent's store: %v", rep)
+	}
+	for _, size := range fixtureSizes {
+		if got, whole := readSealed(mir, th, "box", fixtureName(size)); !whole || !bytes.Equal(got, fixtureBody(size)) {
+			t.Fatalf("%s: read %d bytes (whole=%v) of the parent's %d", fixtureName(size), len(got), whole, size)
+		}
+	}
+	for i := range oses {
+		if n := AsChecksummed(mir.rep[i]).Detected(); n != 0 {
+			t.Fatalf("replica %d: %d detections on the parent's store", i, n)
+		}
+	}
+
+	rewritten := t.TempDir()
+	if err := writeFixtureStore(rewritten); err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	err = filepath.WalkDir(fixture, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		files++
+		rel, _ := filepath.Rel(fixture, path)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if got, err := os.ReadFile(filepath.Join(rewritten, rel)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: this code writes %d bytes (%v), the parent wrote %d — not the same file", rel, len(got), err, len(want))
+		}
+		return nil
+	})
+	if err != nil || files != 2*len(fixtureSizes) {
+		t.Fatalf("walked %d fixture files, want %d: %v", files, 2*len(fixtureSizes), err)
+	}
+}
+
+// BenchmarkFrameAndSealSum is the microbenchmark behind the
+// one-traversal rewrite: the two sums every payload byte feeds, computed
+// in two passes (the reference) and in one (fnv64a2).
+func BenchmarkFrameAndSealSum(b *testing.B) {
+	payload := bytes.Repeat([]byte("perennial "), 410)[:maxFramePayload]
+	b.Run("two-pass", func(b *testing.B) {
+		b.SetBytes(int64(len(payload)))
+		for b.Loop() {
+			frameSum("box/m", 1, frameData, payload)
+			sealSum("box/m", payload)
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		pathSum := fnv64a(fnvOffset64, []byte("box/m"))
+		b.SetBytes(int64(len(payload)))
+		for b.Loop() {
+			fnv64a2(frameStart(pathSum, 1, frameData), pathSum, payload)
+		}
+	})
 }

@@ -855,7 +855,8 @@ func (m *Mirrored) blank(t T, i int) bool {
 	return true
 }
 
-// readAll reads dir/name whole from sys in MaxAppend chunks. opened is
+// readAll reads dir/name whole from sys, asking each ReadAt for what
+// remains of the file (at most MaxAppend a call). opened is
 // false when the file cannot be opened (absent, or the backend dead);
 // whole is false when the backend stopped answering before Size bytes
 // arrived, and data is then the prefix it did serve. The envelope layer
@@ -870,7 +871,7 @@ func readAll(t T, sys System, dir, name string) (data []byte, opened, whole bool
 	size := sys.Size(t, fd)
 	data = make([]byte, 0, size)
 	for uint64(len(data)) < size {
-		chunk := sys.ReadAt(t, fd, uint64(len(data)), MaxAppend)
+		chunk := sys.ReadAt(t, fd, uint64(len(data)), min(size-uint64(len(data)), MaxAppend))
 		if len(chunk) == 0 {
 			return data, true, false
 		}

@@ -413,12 +413,11 @@ func (fs *Model) ReadAt(t T, fd FD, off, n uint64) []byte {
 	if off >= uint64(len(data)) {
 		return nil
 	}
-	end := off + n
-	if end > uint64(len(data)) {
-		end = uint64(len(data))
+	if rest := uint64(len(data)) - off; n > rest {
+		n = rest // also keeps off+n from wrapping
 	}
-	out := make([]byte, end-off)
-	copy(out, data[off:end])
+	out := make([]byte, n)
+	copy(out, data[off:])
 	return out
 }
 

@@ -2,6 +2,7 @@ package gfs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,11 @@ func TestModelCreateWriteReadBack(t *testing.T) {
 		}
 		if tail := fs.ReadAt(mt, rfd, 11, 5); len(tail) != 0 {
 			mt.Failf("read past EOF returned %q", tail)
+		}
+		// off+n past the top of uint64 means "to the end", not a wrapped
+		// (negative) length.
+		if rest := fs.ReadAt(mt, rfd, 6, math.MaxUint64); string(rest) != "world" {
+			mt.Failf("read to the end with a wrapping length returned %q", rest)
 		}
 		fs.Close(mt, rfd)
 	})

@@ -25,6 +25,7 @@ package mailboat
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -592,6 +593,7 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 
 	rsp := trace.Enter(t, "mailbox.read")
 	msgs := make([]Message, 0, len(names))
+	var chunks [][]byte
 	for _, name := range names {
 		var fd gfs.FD
 		opened := false
@@ -615,18 +617,27 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 		// arrived: short reads (a POSIX possibility, and gfs.Faulty's
 		// injected fault) are retried from the new offset rather than
 		// mistaken for end-of-file, which only a zero-length read
-		// signals.
-		var contents []byte
-		for off := uint64(0); ; {
+		// signals. The chunks are held as they arrive and joined once the
+		// length is known (asking Size for it would be one more step of
+		// the checked execution), so each byte is copied once, into a
+		// string allocated at its final size.
+		chunks = chunks[:0]
+		off := uint64(0)
+		for {
 			chunk := mb.sys.ReadAt(t, fd, off, gfs.ReadChunk)
 			if len(chunk) == 0 {
 				break
 			}
-			contents = append(contents, chunk...)
+			chunks = append(chunks, chunk)
 			off += uint64(len(chunk))
 		}
 		mb.sys.Close(t, fd)
-		msgs = append(msgs, Message{ID: name, Contents: string(contents)})
+		var contents strings.Builder
+		contents.Grow(int(off))
+		for _, chunk := range chunks {
+			contents.Write(chunk)
+		}
+		msgs = append(msgs, Message{ID: name, Contents: contents.String()})
 	}
 	trace.Exit(t, rsp)
 	mb.cfg.Metrics.observePickup(start, msgs)
