@@ -10,10 +10,13 @@
 //     file-system capability forms (dir ↦ names, (dir,name) ↦ inode,
 //     fd ↦ₙ (inode, mode), inode ↦ bytes).
 //
-//   - OS: the real operating system's file system, accessed relative to
-//     cached per-directory handles (os.Root), reproducing the Goose
-//     library's "lookups relative to a cached directory fd" optimization
-//     that §9.3 credits for part of Mailboat's speedup.
+//   - OS: the real operating system's file system. Each call is one
+//     system call relative to a cached raw directory descriptor (openat,
+//     unlinkat, linkat, fsync of the held descriptor; on Linux — elsewhere
+//     the same calls go through os.Root), reproducing the Goose library's
+//     "lookups relative to a cached directory fd" optimization that §9.3
+//     credits for part of Mailboat's speedup. A file name is a single
+//     path component and is never followed as a symlink.
 //
 // A third, composable layer — Faulty — wraps either backend and
 // deterministically injects transient faults (failed creates, links,

@@ -183,13 +183,11 @@ func TestChecksummedUnsealedIsNotRot(t *testing.T) {
 	}
 
 	// Zero-byte file, as a torn create leaves behind.
-	r, release := o.root("box")
-	if f, err := r.Create("torn"); err != nil {
-		t.Fatal(err)
+	if f, ok := o.Create(th, "box", "torn"); !ok {
+		t.Fatal("bare create failed")
 	} else {
-		f.Close()
+		o.Close(th, f)
 	}
-	release()
 	if v := c.VerifyFile(th, "box", "torn"); v != VerdictUnsealed {
 		t.Fatalf("empty-file verdict %v, want unsealed", v)
 	}

@@ -3,12 +3,11 @@ package gfs
 import (
 	"container/list"
 	"fmt"
-	"io"
-	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/trace"
@@ -49,9 +48,16 @@ type nativeLock struct{ mu sync.Mutex }
 func (l *nativeLock) Acquire(T) { l.mu.Lock() }
 func (l *nativeLock) Release(T) { l.mu.Unlock() }
 
-// OS is the real-file-system backend. It keeps cached os.Root handles
-// per directory and performs every lookup relative to them — the Goose
-// library's directory-descriptor caching that §9.3 measures.
+// OS is the real-file-system backend. It holds one raw descriptor per
+// cached directory and performs every call as one system call relative
+// to it (openat, unlinkat, linkat, fsync of the held descriptor) — the
+// Goose library's directory-descriptor caching that §9.3 measures. The
+// system calls themselves are the build-tagged primitives of
+// osfs_linux.go (osfs_other.go: the same primitives over os.Root).
+//
+// Containment is explicit: a file name must be a single path component
+// (validName) and is never followed as a symlink, so no call can reach
+// outside the directory it names.
 //
 // The cache is bounded: a million-mailbox layout is a million
 // directories, and one kernel descriptor per directory would exhaust
@@ -61,8 +67,8 @@ func (l *nativeLock) Release(T) { l.mu.Unlock() }
 // layouts open handles lazily and evict least-recently-used ones, so
 // a zipfian workload's hot mailboxes keep their descriptors while the
 // cold tail is reopened on touch. Handles are refcounted so an
-// eviction or CloseAll never closes a root out from under an op in
-// flight.
+// eviction or CloseAll never closes a descriptor out from under an op
+// in flight.
 type OS struct {
 	path string
 
@@ -73,19 +79,21 @@ type OS struct {
 	lru   *list.List // of *osRoot; front = most recently used
 }
 
-// osRoot is one cached directory handle.
+// osRoot is one cached directory descriptor.
 type osRoot struct {
+	o    *OS
 	dir  string
-	r    *os.Root
+	d    dirH
 	refs int
 	el   *list.Element
-	gone bool // evicted/closed: the last release closes r
+	gone bool // evicted/closed: the last unpin closes d
 }
 
-type osFD struct {
-	f       *os.File
-	append_ bool
-}
+// osFD is an open file. Close resets f to noFile, on which every
+// primitive fails: an op on a stale FD reports failure and can never
+// act on a descriptor number the kernel has since handed to another
+// file.
+type osFD struct{ f fileH }
 
 // DefaultMaxDirHandles is the stock directory-handle budget: large
 // enough that every pre-harness layout (hundreds of user dirs) stays
@@ -103,12 +111,9 @@ func NewOS(path string, dirs []string) (*OS, error) {
 // (min 1). Layouts within the budget behave exactly like the
 // unbounded original.
 func NewOSLimited(path string, dirs []string, maxHandles int) (*OS, error) {
-	if maxHandles < 1 {
-		maxHandles = 1
-	}
 	o := &OS{
 		path:  path,
-		max:   maxHandles,
+		max:   max(maxHandles, 1),
 		known: make(map[string]bool, len(dirs)),
 		roots: make(map[string]*osRoot),
 		lru:   list.New(),
@@ -116,7 +121,7 @@ func NewOSLimited(path string, dirs []string, maxHandles int) (*OS, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("gfs: preparing root: %w", err)
 	}
-	eager := len(dirs) <= maxHandles
+	eager := len(dirs) <= o.max
 	for _, d := range dirs {
 		full := filepath.Join(path, d)
 		if err := os.MkdirAll(full, 0o755); err != nil {
@@ -124,13 +129,12 @@ func NewOSLimited(path string, dirs []string, maxHandles int) (*OS, error) {
 		}
 		o.known[d] = true
 		if eager {
-			r, err := os.OpenRoot(full)
+			h, err := openDir(full)
 			if err != nil {
+				o.CloseAll()
 				return nil, fmt.Errorf("gfs: opening %s: %w", d, err)
 			}
-			e := &osRoot{dir: d, r: r}
-			e.el = o.lru.PushFront(e)
-			o.roots[d] = e
+			o.cache(d, h)
 		}
 	}
 	return o, nil
@@ -142,88 +146,98 @@ func (o *OS) CloseAll() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, e := range o.roots {
-		e.gone = true
-		if e.refs == 0 {
-			e.r.Close()
-		}
+		o.drop(e)
 	}
-	o.roots = make(map[string]*osRoot)
 	o.lru.Init()
 }
 
 // Path returns the backing directory.
 func (o *OS) Path() string { return o.path }
 
-// cachedRoot returns the directory's handle pinned against eviction
-// only if it is already cached — a miss reports ok=false without
-// opening anything. Unknown directories panic like root.
-func (o *OS) cachedRoot(dir string) (*os.Root, func(), bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	e, ok := o.roots[dir]
-	if !ok {
-		if !o.known[dir] {
-			panic(fmt.Sprintf("gfs: unknown directory %q (fixed layout)", dir))
-		}
-		return nil, nil, false
-	}
-	o.lru.MoveToFront(e.el)
-	e.refs++
-	return e.r, func() {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		e.refs--
-		if e.gone && e.refs == 0 {
-			e.r.Close()
-		}
-	}, true
+// cache enters dir's freshly opened descriptor at the front of the LRU.
+func (o *OS) cache(dir string, d dirH) *osRoot {
+	e := &osRoot{o: o, dir: dir, d: d}
+	e.el = o.lru.PushFront(e)
+	o.roots[dir] = e
+	return e
 }
 
-// root returns the directory's handle pinned against eviction; the
-// caller must invoke release when done with it. Unknown directories
-// panic (the layout is fixed); a handle that cannot be (re)opened —
-// possible only in the lazy regime — returns nil, and the op reports
-// failure like any other I/O error.
-func (o *OS) root(dir string) (*os.Root, func()) {
+// drop removes e from the cache (the caller fixes up the LRU list); its
+// descriptor closes now, or at the last unpin if an op still holds it.
+func (o *OS) drop(e *osRoot) {
+	delete(o.roots, e.dir)
+	e.gone = true
+	if e.refs == 0 {
+		closeH(e.d)
+	}
+}
+
+// pin returns dir's cache entry, touched in the LRU and pinned against
+// eviction; the caller must unpin it. On a miss it returns nil unless
+// open is set: then it opens the directory, evicting the least recently
+// used entries beyond the budget, and returns nil only if the directory
+// cannot be (re)opened — possible only in the lazy regime, and the op
+// reports failure like any other I/O error. Unknown directories panic
+// (the layout is fixed).
+func (o *OS) pin(dir string, open bool) *osRoot {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	e, ok := o.roots[dir]
-	if !ok {
+	if ok {
+		o.lru.MoveToFront(e.el)
+	} else {
 		if !o.known[dir] {
 			panic(fmt.Sprintf("gfs: unknown directory %q (fixed layout)", dir))
 		}
-		r, err := os.OpenRoot(filepath.Join(o.path, dir))
+		if !open {
+			return nil
+		}
+		d, err := openDir(filepath.Join(o.path, dir))
 		if err != nil {
-			return nil, func() {}
+			return nil
 		}
-		e = &osRoot{dir: dir, r: r}
-		e.el = o.lru.PushFront(e)
-		o.roots[dir] = e
+		e = o.cache(dir, d)
 		for len(o.roots) > o.max {
-			back := o.lru.Back()
-			if back == nil {
-				break
-			}
-			v := back.Value.(*osRoot)
-			o.lru.Remove(back)
-			delete(o.roots, v.dir)
-			v.gone = true
-			if v.refs == 0 {
-				v.r.Close()
-			}
+			o.drop(o.lru.Remove(o.lru.Back()).(*osRoot))
 		}
-	} else {
-		o.lru.MoveToFront(e.el)
 	}
 	e.refs++
-	return e.r, func() {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		e.refs--
-		if e.gone && e.refs == 0 {
-			e.r.Close()
-		}
+	return e
+}
+
+// unpin releases a pin; unpinning the nil of a failed pin is a no-op, so
+// a caller can defer it before looking at what pin returned.
+func (e *osRoot) unpin() {
+	if e == nil {
+		return
 	}
+	e.o.mu.Lock()
+	defer e.o.mu.Unlock()
+	e.refs--
+	if e.gone && e.refs == 0 {
+		closeH(e.d)
+	}
+}
+
+// validName reports whether name is a single path component. Together
+// with the primitives never following a symlink at name, this is what
+// keeps every call inside the directory it was given.
+func validName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, "/\x00")
+}
+
+// openIn opens name relative to dir's descriptor.
+func (o *OS) openIn(dir, name string, flag int) (FD, bool) {
+	e := o.pin(dir, true)
+	defer e.unpin()
+	if e == nil || !validName(name) {
+		return nil, false
+	}
+	f, err := openAt(e.d, name, flag)
+	if err != nil {
+		return nil, false
+	}
+	return &osFD{f: f}, true
 }
 
 // NewLock implements System with a sync.Mutex.
@@ -231,73 +245,45 @@ func (o *OS) NewLock(T, string) Lock { return &nativeLock{} }
 
 // Create implements System (O_CREATE|O_EXCL, append mode).
 func (o *OS) Create(_ T, dir, name string) (FD, bool) {
-	r, release := o.root(dir)
-	if r == nil {
-		return nil, false
-	}
-	defer release()
-	f, err := r.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, false
-	}
-	return &osFD{f: f, append_: true}, true
+	return o.openIn(dir, name, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND)
 }
 
 // Open implements System (read mode).
 func (o *OS) Open(_ T, dir, name string) (FD, bool) {
-	r, release := o.root(dir)
-	if r == nil {
-		return nil, false
-	}
-	defer release()
-	f, err := r.Open(name)
-	if err != nil {
-		return nil, false
-	}
-	return &osFD{f: f}, true
+	return o.openIn(dir, name, os.O_RDONLY)
 }
 
 // Append implements System. A short write (n < len(data)) counts as
 // failure — the partial data may be on disk, but the caller must treat
 // the append as not having happened and abandon the file, exactly like
 // an EIO/ENOSPC error. Appending to a read-mode descriptor (reachable
-// only via a faulted or buggy path) reports failure instead of downing
-// the server with a panic; the model backend still flags it as UB.
+// only via a faulted or buggy path) is refused by the kernel (EBADF)
+// and reports failure instead of downing the server with a panic; the
+// model backend still flags it as UB.
 func (o *OS) Append(_ T, fd FD, data []byte) bool {
-	f := fd.(*osFD)
-	if !f.append_ {
-		return false
-	}
 	if len(data) > MaxAppend {
 		panic("gfs: append exceeds atomic limit")
 	}
-	n, err := f.f.Write(data)
+	n, err := writeFile(fd.(*osFD).f, data)
 	return err == nil && n == len(data)
 }
 
-// Close implements System.
+// Close implements System; closing twice is harmless.
 func (o *OS) Close(_ T, fd FD) {
-	fd.(*osFD).f.Close()
-}
-
-// ReadAt implements System.
-func (o *OS) ReadAt(_ T, fd FD, off, n uint64) []byte {
 	f := fd.(*osFD)
-	buf := make([]byte, n)
-	read, err := f.f.ReadAt(buf, int64(off))
-	if err != nil && err != io.EOF {
-		return nil
-	}
-	return buf[:read]
+	closeH(f.f)
+	f.f = noFile
 }
 
-// Size implements System.
+// ReadAt implements System; a failed read returns no bytes.
+func (o *OS) ReadAt(_ T, fd FD, off, n uint64) []byte {
+	buf := make([]byte, n)
+	return buf[:preadFile(fd.(*osFD).f, buf, int64(off))]
+}
+
+// Size implements System; 0 if the descriptor cannot be examined.
 func (o *OS) Size(_ T, fd FD) uint64 {
-	st, err := fd.(*osFD).f.Stat()
-	if err != nil {
-		return 0
-	}
-	return uint64(st.Size())
+	return uint64(sizeFile(fd.(*osFD).f))
 }
 
 // Sync implements System via fsync. A failed fsync reports false: the
@@ -305,62 +291,53 @@ func (o *OS) Size(_ T, fd FD) uint64 {
 // must not treat the data as durable nor retry the sync on this
 // descriptor.
 func (o *OS) Sync(_ T, fd FD) bool {
-	return fd.(*osFD).f.Sync() == nil
+	return syncFile(fd.(*osFD).f) == nil
 }
 
 // SyncDir implements System by fsyncing the directory itself, which is
 // what ext4-style file systems require before a create, link, or unlink
-// in it may be assumed durable. os.Root does not expose the directory
-// descriptor, so the directory is opened by path for the fsync; a
-// failed open or fsync reports false (not a barrier), and retrying a
-// directory fsync is sound — metadata goes through the journal, unlike
-// the fsyncgate'd data pages behind a failed file Sync.
+// in it may be assumed durable. The fsync goes to the descriptor the
+// cache already holds: fsync flushes the inode, not the descriptor, so
+// a long-held descriptor is the same barrier as a freshly opened one —
+// unless the directory was unlinked from under the store, which the
+// primitive reports as failure. A failed open or fsync reports false
+// (not a barrier), and retrying a directory fsync is sound — metadata
+// goes through the journal, unlike the fsyncgate'd data pages behind a
+// failed file Sync.
 func (o *OS) SyncDir(_ T, dir string) bool {
-	r, release := o.root(dir) // panic on layout violations like every other op
-	if r == nil {
-		return false
-	}
-	release()
-	f, err := os.Open(filepath.Join(o.path, dir))
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	return f.Sync() == nil
+	e := o.pin(dir, true)
+	defer e.unpin()
+	return e != nil && syncDir(e.d) == nil
 }
 
 // Delete implements System.
 func (o *OS) Delete(_ T, dir, name string) bool {
-	r, release := o.root(dir)
-	if r == nil {
-		return false
-	}
-	defer release()
-	return r.Remove(name) == nil
+	e := o.pin(dir, true)
+	defer e.unpin()
+	return e != nil && validName(name) && unlinkAt(e.d, name) == nil
 }
 
-// Link implements System. os.Root has no Link in this Go version, so the
-// link itself uses full paths; EEXIST (or any failure) reports false.
+// Link implements System: one linkat between the two directories'
+// descriptors; EEXIST (or any failure) reports false.
 func (o *OS) Link(_ T, oldDir, oldName, newDir, newName string) bool {
-	oldPath := filepath.Join(o.path, oldDir, oldName)
-	newPath := filepath.Join(o.path, newDir, newName)
-	return os.Link(oldPath, newPath) == nil
+	from := o.pin(oldDir, true)
+	defer from.unpin()
+	to := o.pin(newDir, true)
+	defer to.unpin()
+	return from != nil && to != nil && validName(oldName) && validName(newName) &&
+		linkAt(from.d, oldName, to.d, newName) == nil
 }
 
 // CorruptFile implements Corrupter on the real file system: it mangles
 // the named file's stored bytes in place (read-write open under the
-// cached directory root), for corruption drills against a live server.
-// Absent and empty files report false.
+// cached directory descriptor), for corruption drills against a live
+// server. Absent and empty files report false.
 func (o *OS) CorruptFile(_ T, dir, name string, mode CorruptMode) bool {
-	r, release := o.root(dir)
-	if r == nil {
+	fd, ok := o.openIn(dir, name, os.O_RDWR)
+	if !ok {
 		return false
 	}
-	defer release()
-	f, err := r.OpenFile(name, os.O_RDWR, 0)
-	if err != nil {
-		return false
-	}
+	f := asFile(fd.(*osFD).f, name)
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil || st.Size() == 0 {
@@ -380,30 +357,19 @@ func (o *OS) CorruptFile(_ T, dir, name string, mode CorruptMode) bool {
 }
 
 // List implements System, sorted like the model. On a handle-cache
-// miss it reads the directory by path instead of opening a root: the
-// big List consumers are one-shot full-population sweeps (recovery,
+// miss it reads the directory by path instead of caching a descriptor:
+// the big List consumers are one-shot full-population sweeps (recovery,
 // resync, scrub, audits), and letting a 100k-mailbox sweep stream
 // through the LRU would churn the hot mailboxes' handles out of the
-// cache while paying an open/close per cold directory.
+// cache.
 func (o *OS) List(_ T, dir string) []string {
-	var entries []fs.DirEntry
-	var err error
-	if r, release, ok := o.cachedRoot(dir); ok {
-		entries, err = fs.ReadDir(r.FS(), ".")
-		release()
+	var names []string
+	if e := o.pin(dir, false); e != nil {
+		names = listDir(e.d, ".")
+		e.unpin()
 	} else {
-		entries, err = os.ReadDir(filepath.Join(o.path, dir))
+		names = listDir(cwdDir, filepath.Join(o.path, dir))
 	}
-	if err != nil {
-		return nil
-	}
-	out := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		out = append(out, e.Name())
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(names)
+	return names
 }

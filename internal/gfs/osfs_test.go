@@ -1,6 +1,7 @@
 package gfs
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -185,13 +186,22 @@ func TestNativeRandBounded(t *testing.T) {
 // TestBackendEquivalence drives identical valid operation sequences
 // against the model and the OS backend and requires identical observable
 // results — the reproduction's version of trusting that the Goose model
-// matches the running file system (§9.2's TCB discussion).
+// matches the running file system (§9.2's TCB discussion). The OS
+// backend runs every script twice: with the whole layout cached, and
+// with a handle budget of one, where nearly every op reopens its
+// directory and evicts another.
 func TestBackendEquivalence(t *testing.T) {
 	dirs := []string{"spool", "u0", "u1"}
 	names := []string{"a", "b", "c"}
 
+	fullReads, shortReads := 0, 0 // what the scripts exercised, over all seeds
 	for seed := int64(1); seed <= 40; seed++ {
 		osfs := newOSFS(t, dirs)
+		lazy, err := NewOSLimited(t.TempDir(), dirs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(lazy.CloseAll)
 		n := NewNative(seed)
 
 		// Generate a random but always-valid op script.
@@ -199,7 +209,7 @@ func TestBackendEquivalence(t *testing.T) {
 			op   string
 			outs []string
 		}
-		var osLog, mLog []rec
+		var osLog, lazyLog, mLog []rec
 
 		drive := func(sys System, th T, log *[]rec) {
 			rng := NewNative(seed) // same decisions on both backends
@@ -209,10 +219,10 @@ func TestBackendEquivalence(t *testing.T) {
 			}
 			var fds []open
 			exists := map[string]bool{} // "dir/name"
-			for step := 0; step < 60; step++ {
+			for step := 0; step < 150; step++ {
 				dir := dirs[rng.RandUint64(uint64(len(dirs)))]
 				name := names[rng.RandUint64(uint64(len(names)))]
-				switch rng.RandUint64(7) {
+				switch rng.RandUint64(14) { // appends and reads three times as likely
 				case 0:
 					fd, ok := sys.Create(th, dir, name)
 					*log = append(*log, rec{op: "create " + dir + "/" + name, outs: []string{boolStr(ok)}})
@@ -220,7 +230,7 @@ func TestBackendEquivalence(t *testing.T) {
 						exists[dir+"/"+name] = true
 						fds = append(fds, open{fd: fd, append_: true})
 					}
-				case 1:
+				case 1, 10, 11:
 					if len(fds) == 0 {
 						continue
 					}
@@ -228,16 +238,18 @@ func TestBackendEquivalence(t *testing.T) {
 					if !f.append_ {
 						continue
 					}
-					data := []byte(name + "-data")
-					sys.Append(th, f.fd, data)
-					*log = append(*log, rec{op: "append"})
+					// Up to MaxAppend bytes a call: a few appends make a
+					// multi-KiB file.
+					data := bytes.Repeat([]byte(name+"-data"), 1+int(rng.RandUint64(MaxAppend/6)))
+					ok := sys.Append(th, f.fd, data)
+					*log = append(*log, rec{op: "append", outs: []string{boolStr(ok)}})
 				case 2:
 					fd, ok := sys.Open(th, dir, name)
 					*log = append(*log, rec{op: "open " + dir + "/" + name, outs: []string{boolStr(ok)}})
 					if ok {
 						fds = append(fds, open{fd: fd})
 					}
-				case 3:
+				case 3, 12, 13:
 					if len(fds) == 0 {
 						continue
 					}
@@ -246,8 +258,15 @@ func TestBackendEquivalence(t *testing.T) {
 					if f.append_ {
 						continue
 					}
-					data := sys.ReadAt(th, f.fd, 0, 64)
-					*log = append(*log, rec{op: "read", outs: []string{string(data)}})
+					// Offsets and lengths on both sides of end of file.
+					off, n := rng.RandUint64(3*MaxAppend), rng.RandUint64(2*MaxAppend)
+					data := sys.ReadAt(th, f.fd, off, n)
+					*log = append(*log, rec{op: fmt.Sprintf("read %d+%d", off, n), outs: []string{string(data)}})
+					if len(data) > 0 && uint64(len(data)) == n {
+						fullReads++
+					} else if len(data) > 0 {
+						shortReads++
+					}
 				case 4:
 					ok := sys.Delete(th, dir, name)
 					*log = append(*log, rec{op: "delete " + dir + "/" + name, outs: []string{boolStr(ok)}})
@@ -266,6 +285,23 @@ func TestBackendEquivalence(t *testing.T) {
 				case 6:
 					ls := sys.List(th, dir)
 					*log = append(*log, rec{op: "list " + dir, outs: ls})
+				case 7:
+					if len(fds) == 0 {
+						continue
+					}
+					f := fds[rng.RandUint64(uint64(len(fds)))]
+					*log = append(*log, rec{op: "size", outs: []string{fmt.Sprint(sys.Size(th, f.fd))}})
+				case 8:
+					if len(fds) == 0 {
+						continue
+					}
+					f := fds[rng.RandUint64(uint64(len(fds)))]
+					if !f.append_ {
+						continue
+					}
+					*log = append(*log, rec{op: "sync", outs: []string{boolStr(sys.Sync(th, f.fd))}})
+				case 9:
+					*log = append(*log, rec{op: "syncdir " + dir, outs: []string{boolStr(sys.SyncDir(th, dir))}})
 				}
 			}
 			for _, f := range fds {
@@ -274,6 +310,7 @@ func TestBackendEquivalence(t *testing.T) {
 		}
 
 		drive(osfs, n, &osLog)
+		drive(lazy, n, &lazyLog)
 
 		// Model run inside one era.
 		mm := machine.New(machine.Options{})
@@ -285,24 +322,35 @@ func TestBackendEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: model violation: %v", seed, res.Err)
 		}
 
-		if len(osLog) != len(mLog) {
-			t.Fatalf("seed %d: log lengths differ: os=%d model=%d", seed, len(osLog), len(mLog))
-		}
-		for i := range osLog {
-			if osLog[i].op != mLog[i].op {
-				t.Fatalf("seed %d step %d: ops diverge: %q vs %q", seed, i, osLog[i].op, mLog[i].op)
+		for _, run := range []struct {
+			backend string
+			log     []rec
+		}{{"os", osLog}, {"os(budget 1)", lazyLog}} {
+			osLog := run.log
+			if len(osLog) != len(mLog) {
+				t.Fatalf("seed %d: log lengths differ: %s=%d model=%d", seed, run.backend, len(osLog), len(mLog))
 			}
-			if len(osLog[i].outs) != len(mLog[i].outs) {
-				t.Fatalf("seed %d step %d (%s): outputs differ: %v vs %v",
-					seed, i, osLog[i].op, osLog[i].outs, mLog[i].outs)
-			}
-			for k := range osLog[i].outs {
-				if osLog[i].outs[k] != mLog[i].outs[k] {
-					t.Fatalf("seed %d step %d (%s): output %d differs: %q vs %q",
-						seed, i, osLog[i].op, k, osLog[i].outs[k], mLog[i].outs[k])
+			for i := range osLog {
+				if osLog[i].op != mLog[i].op {
+					t.Fatalf("seed %d step %d: ops diverge: %q vs %q", seed, i, osLog[i].op, mLog[i].op)
+				}
+				if len(osLog[i].outs) != len(mLog[i].outs) {
+					t.Fatalf("seed %d step %d (%s on %s): outputs differ: %v vs %v",
+						seed, i, osLog[i].op, run.backend, osLog[i].outs, mLog[i].outs)
+				}
+				for k := range osLog[i].outs {
+					if osLog[i].outs[k] != mLog[i].outs[k] {
+						t.Fatalf("seed %d step %d (%s on %s): output %d differs: %q vs %q",
+							seed, i, osLog[i].op, run.backend, k, osLog[i].outs[k], mLog[i].outs[k])
+					}
 				}
 			}
 		}
+	}
+	t.Logf("over three backends: %d reads inside a file, %d cut short by end of file", fullReads, shortReads)
+	if fullReads < 30 || shortReads < 30 {
+		t.Errorf("scripts too weak: %d reads inside a file and %d cut short by end of file, want 30 of each",
+			fullReads, shortReads)
 	}
 }
 
@@ -442,5 +490,212 @@ func TestOSEagerWithinBudget(t *testing.T) {
 	}
 	if got := len(o.roots); got != 3 {
 		t.Errorf("eager cache evicted: %d handles, want 3", got)
+	}
+}
+
+// treeSnapshot maps every path under root to what is there: a regular
+// file's bytes, a symlink's target, "dir" for a directory.
+func treeSnapshot(t *testing.T, root string) map[string]string {
+	t.Helper()
+	snap := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir():
+			snap[path] = "dir"
+		case d.Type()&os.ModeSymlink != 0:
+			target, err := os.Readlink(path)
+			snap[path] = "-> " + target
+			return err
+		default:
+			data, err := os.ReadFile(path)
+			snap[path] = "file " + string(data)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestOSNamesStayInsideTheirDirectory: a name is one path component and
+// is never followed as a symlink, so no call reaches a file outside the
+// directory it was given — spool/victim here, which every refused name
+// below would otherwise open, unlink, overwrite or corrupt.
+func TestOSNamesStayInsideTheirDirectory(t *testing.T) {
+	o := newOSFS(t, []string{"spool", "u0"})
+	th := NewNative(1)
+	for _, f := range [][2]string{{"spool", "victim"}, {"u0", "real"}} {
+		fd, ok := o.Create(th, f[0], f[1])
+		if !ok || !o.Append(th, fd, []byte("contents of "+f[1])) {
+			t.Fatalf("preparing %s/%s failed", f[0], f[1])
+		}
+		o.Close(th, fd)
+	}
+	victim := filepath.Join(o.Path(), "spool", "victim")
+	symlinks := map[string]string{ // name in u0 → target
+		"rel":    "../spool/victim",
+		"abs":    victim,
+		"dangle": "../spool/planted",
+		"updir":  "../spool",
+	}
+	for name, target := range symlinks {
+		if err := os.Symlink(target, filepath.Join(o.Path(), "u0", name)); err != nil {
+			t.Skipf("cannot plant symlinks here: %v", err)
+		}
+	}
+	before := treeSnapshot(t, o.Path())
+
+	refused := []string{"", ".", "..", "a/b", "real/", "/real", "../spool/victim", "updir/victim", victim, "re\x00al"}
+	for name := range symlinks {
+		refused = append(refused, name)
+	}
+	for _, name := range refused {
+		if fd, ok := o.Create(th, "u0", name); ok {
+			o.Close(th, fd)
+			t.Errorf("Create(%q) succeeded", name)
+		}
+		if fd, ok := o.Open(th, "u0", name); ok {
+			o.Close(th, fd)
+			t.Errorf("Open(%q) succeeded", name)
+		}
+		if o.CorruptFile(th, "u0", name, CorruptFlip) || o.CorruptFile(th, "u0", name, CorruptTruncate) {
+			t.Errorf("CorruptFile(%q) succeeded", name)
+		}
+		if _, planted := symlinks[name]; planted {
+			// Unlinking or hard-linking the symlink itself stays inside
+			// u0; what must not happen is following it, checked above.
+			continue
+		}
+		if o.Delete(th, "u0", name) {
+			t.Errorf("Delete(%q) succeeded", name)
+		}
+		if o.Link(th, "u0", name, "u0", "fresh") {
+			t.Errorf("Link from %q succeeded", name)
+		}
+		if o.Link(th, "u0", "real", "u0", name) {
+			t.Errorf("Link to %q succeeded", name)
+		}
+	}
+	after := treeSnapshot(t, o.Path())
+	for path, was := range before {
+		if is, ok := after[path]; !ok || is != was {
+			t.Errorf("%s changed: was %q, is %q (present %v)", path, was, is, ok)
+		}
+	}
+	for path := range after {
+		if _, ok := before[path]; !ok {
+			t.Errorf("%s appeared", path)
+		}
+	}
+
+	// The same names are fine as what they are: ordinary file names.
+	if !o.Link(th, "u0", "real", "u0", "fresh") || !o.Delete(th, "u0", "fresh") {
+		t.Error("link and delete of an ordinary name failed")
+	}
+}
+
+// TestOSLinkUnknownDirPanics: Link checks both directories against the
+// fixed layout, like every other operation.
+func TestOSLinkUnknownDirPanics(t *testing.T) {
+	o := newOSFS(t, []string{"d"})
+	th := NewNative(1)
+	fd, _ := o.Create(th, "d", "x")
+	o.Close(th, fd)
+	for _, tc := range []struct{ what, from, to string }{
+		{"from an unknown directory", "nope", "d"},
+		{"to an unknown directory", "d", "nope"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Link %s did not panic", tc.what)
+				}
+			}()
+			o.Link(th, tc.from, "x", tc.to, "y")
+		}()
+	}
+	// The panic released its pin: the handle still closes with the cache.
+	if got := o.roots["d"].refs; got != 0 {
+		t.Errorf("d still pinned %d times after the panics", got)
+	}
+}
+
+// openDescriptors counts this process's open descriptors.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor table to count: %v", err)
+	}
+	return len(fds)
+}
+
+// TestOSLeavesNoDescriptors runs full file life cycles — and the calls
+// that fail — from several goroutines over a handle budget of two, so
+// directory descriptors are evicted under ops in flight the whole time,
+// and requires the process to hold exactly as many descriptors after
+// CloseAll as before NewOS. Under -race it is also the check that pin
+// and unpin order every access to the cache.
+func TestOSLeavesNoDescriptors(t *testing.T) {
+	openDescriptors(t) // the first count opens what the runtime keeps
+	start := openDescriptors(t)
+
+	dirs := make([]string, 12)
+	for i := range dirs {
+		dirs[i] = fmt.Sprintf("b%02d", i)
+	}
+	o, err := NewOSLimited(t.TempDir(), dirs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, cycles = 4, 600
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := NewNative(int64(w))
+			for i := 0; i < cycles; i++ {
+				from, to := dirs[(w+i)%len(dirs)], dirs[(w+3*i+1)%len(dirs)]
+				name := fmt.Sprintf("w%d-%d", w, i)
+				fd, ok := o.Create(th, from, name)
+				if !ok {
+					t.Errorf("create %s/%s failed", from, name)
+					return
+				}
+				ok = o.Append(th, fd, []byte(name)) && o.Sync(th, fd)
+				o.Close(th, fd)
+				ok = ok && o.Link(th, from, name, to, name) && o.SyncDir(th, to)
+				if _, again := o.Create(th, from, name); again {
+					t.Errorf("second create of %s/%s succeeded", from, name)
+				}
+				if _, ghost := o.Open(th, from, name+"-ghost"); ghost {
+					t.Errorf("open of an absent name succeeded")
+				}
+				if o.Link(th, from, name, to, name) || o.Delete(th, to, name+"-ghost") {
+					t.Errorf("link over %s/%s or delete of an absent name succeeded", to, name)
+				}
+				o.List(th, to)
+				rfd, opened := o.Open(th, to, name)
+				if ok = ok && opened; opened {
+					ok = string(o.ReadAt(th, rfd, 0, 64)) == name && o.Size(th, rfd) == uint64(len(name))
+					o.Close(th, rfd)
+				}
+				if !(ok && o.Delete(th, from, name) && o.Delete(th, to, name)) {
+					t.Errorf("cycle %d of worker %d failed", i, w)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	o.CloseAll()
+	if end := openDescriptors(t); end != start {
+		t.Errorf("%d descriptors open after CloseAll, %d before NewOS", end, start)
 	}
 }

@@ -212,8 +212,11 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return w.Flush()
 	}
+	// follows starts a multi-line reply: the status line stays in the
+	// buffer and leaves with the body and the terminator, in one flush.
+	follows := func(msg string) { fmt.Fprintf(w, "+OK %s\r\n", msg) }
 	ok := func(msg string) bool {
-		fmt.Fprintf(w, "+OK %s\r\n", msg)
+		follows(msg)
 		return flush() == nil
 	}
 	bad := func(msg string) bool {
@@ -297,7 +300,7 @@ func (s *Server) handle(conn net.Conn) {
 				bad("authenticate first")
 				return false
 			}
-			ok("scan listing follows")
+			follows("scan listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
 					fmt.Fprintf(w, "%d %d\r\n", i+1, len(m.Contents))
@@ -313,7 +316,7 @@ func (s *Server) handle(conn net.Conn) {
 				bad("no such message")
 				return false
 			}
-			ok(fmt.Sprintf("%d octets", len(msgs[i].Contents)))
+			follows(fmt.Sprintf("%d octets", len(msgs[i].Contents)))
 			writeMultiline(w, msgs[i].Contents)
 			if flush() != nil {
 				return true
@@ -326,7 +329,7 @@ func (s *Server) handle(conn net.Conn) {
 				bad("no such message")
 				return false
 			}
-			ok("top of message follows")
+			follows("top of message follows")
 			writeMultiline(w, topOf(msgs[i].Contents, lines))
 			if flush() != nil {
 				return true
@@ -345,7 +348,7 @@ func (s *Server) handle(conn net.Conn) {
 				ok(fmt.Sprintf("%d %s", i+1, msgs[i].ID))
 				return false
 			}
-			ok("unique-id listing follows")
+			follows("unique-id listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
 					fmt.Fprintf(w, "%d %s\r\n", i+1, m.ID)

@@ -328,3 +328,72 @@ func TestUidlListsStableIDs(t *testing.T) {
 	c.send(t, "UIDL 1")
 	c.expect(t, "-ERR")
 }
+
+// countingConn counts the Writes that reach the connection and keeps
+// their bytes.
+type countingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes int
+	wire   strings.Builder
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	c.wire.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// sent returns how many Writes there were and everything they wrote.
+func (c *countingConn) sent() (int, string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes, c.wire.String()
+}
+
+// TestMultilineReplyIsOneWrite: the status line of a multi-line reply
+// waits in the buffer for the body and the terminator, so a reply that
+// fits the buffer is one Write on the connection — one segment on
+// loopback, not two — and the bytes on the wire are exactly RFC 1939's.
+func TestMultilineReplyIsOneWrite(t *testing.T) {
+	drop := newFakeDrop()
+	drop.mail[3] = []mailboat.Message{
+		{ID: "msgA", Contents: "Subject: a\n\nfirst line\n.dot-stuffed\nlast"},
+		{ID: "msgB", Contents: "Subject: b\n\nbody"},
+	}
+	server, peer := net.Pipe()
+	conn := &countingConn{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewServer(drop, 10).handle(conn)
+		server.Close()
+	}()
+	c := &client{conn: peer, r: bufio.NewReader(peer)}
+	defer peer.Close()
+	auth(t, c, "user3")
+
+	for _, tc := range []struct{ cmd, reply string }{
+		{"LIST", "+OK scan listing follows\r\n1 40\r\n2 16\r\n.\r\n"},
+		{"UIDL", "+OK unique-id listing follows\r\n1 msgA\r\n2 msgB\r\n.\r\n"},
+		{"RETR 1", "+OK 40 octets\r\nSubject: a\r\n\r\nfirst line\r\n..dot-stuffed\r\nlast\r\n.\r\n"},
+		{"TOP 2 0", "+OK top of message follows\r\nSubject: b\r\n\r\n.\r\n"},
+	} {
+		writes, wire := conn.sent()
+		c.send(t, tc.cmd)
+		c.expect(t, "+OK")
+		c.readMultiline(t)
+		after, all := conn.sent()
+		if got := after - writes; got != 1 {
+			t.Errorf("%s: reply took %d writes, want 1", tc.cmd, got)
+		}
+		if got := all[len(wire):]; got != tc.reply {
+			t.Errorf("%s: wire bytes %q, want %q", tc.cmd, got, tc.reply)
+		}
+	}
+	c.send(t, "QUIT")
+	c.expect(t, "+OK")
+	<-done
+}

@@ -370,7 +370,7 @@ func (s *Server) command(st *session, verb, arg string, readLine func() (string,
 // readData reads a DATA body up to the lone-dot terminator, undoing
 // dot-stuffing per RFC 5321 §4.5.2.
 func readData(readLine func() (string, error)) ([]byte, error) {
-	var b strings.Builder
+	var body []byte
 	for {
 		line, err := readLine()
 		if err != nil {
@@ -378,10 +378,8 @@ func readData(readLine func() (string, error)) ([]byte, error) {
 		}
 		line = strings.TrimRight(line, "\r\n")
 		if line == "." {
-			return []byte(b.String()), nil
+			return body, nil
 		}
-		line = strings.TrimPrefix(line, ".")
-		b.WriteString(line)
-		b.WriteString("\n")
+		body = append(append(body, strings.TrimPrefix(line, ".")...), '\n')
 	}
 }
