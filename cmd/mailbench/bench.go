@@ -25,22 +25,23 @@ import (
 //
 //	v1  date/revision/go/store/durability/users + "sweep" (Figure 11
 //	    points), "openloop" (trace profile), "slo"/"slo_pass".
-//	v2  added the optional "partition" field: the replication
-//	    partition drill's results (acked/lost counts, resync seconds,
-//	    stores-identical verdict).
+//	v2  added the optional "partition" field: the results of the
+//	    standalone -partition mode (since folded into -drill
+//	    partition). This writer no longer emits it; runs that carry
+//	    it are preserved like any other field it does not know.
 //	v3  the load harness: "skew"/"mix" name the multi-tenant workload
 //	    model, "deployment" the store stack it ran against,
 //	    "drills" the executed mid-load drill schedule, "audit" the
 //	    post-run durability audit, "phase_slo" the per-steady-phase
 //	    gate verdicts; "openloop" grows a "phases" array with
 //	    per-window latency slices. All new fields are omitempty, so
-//	    sweep/trace/partition runs look exactly like v2 wrote them.
+//	    sweep and trace runs look exactly like v2 wrote them.
 const benchSchema = "mailboat-bench/v3"
 
 // benchRun is one dated entry in BENCH_mailboat.json. A sweep run
 // carries Sweep; a trace-profile run carries OpenLoop + SLO; a -json
-// run carries both; a -partition run carries Partition; a -load run
-// carries OpenLoop (with phases) + Drills + Audit + PhaseSLO.
+// run carries both; a -load run carries OpenLoop (with phases) +
+// Drills + Audit + PhaseSLO.
 type benchRun struct {
 	Date       string                   `json:"date"`
 	Revision   string                   `json:"revision"`
@@ -56,7 +57,6 @@ type benchRun struct {
 	SLO        []postal.GateResult      `json:"slo,omitempty"`
 	PhaseSLO   []postal.PhaseGateResult `json:"phase_slo,omitempty"`
 	SLOPass    *bool                    `json:"slo_pass,omitempty"`
-	Partition  *partitionResult         `json:"partition,omitempty"`
 	Drills     []drillRecord            `json:"drills,omitempty"`
 	Audit      *loadAudit               `json:"audit,omitempty"`
 }

@@ -24,6 +24,7 @@ func TestAppendBenchRunPreservesUnknownFields(t *testing.T) {
       "date": "2031-01-01T00:00:00Z",
       "users": 100,
       "quantum_latency": {"p50": 1e-12},
+      "partition": {"workers": 2, "acked": 9, "stores_identical": true},
       "hyperdrills": ["warp"]
     }
   ],
@@ -56,7 +57,9 @@ func TestAppendBenchRunPreservesUnknownFields(t *testing.T) {
 		t.Fatalf("want 2 runs, got %d", len(runs))
 	}
 	// (a) unknown fields inside the pre-existing run survive.
-	for _, key := range []string{"quantum_latency", "hyperdrills"} {
+	// "partition" is the block the retired standalone -partition mode
+	// wrote; BENCH_mailboat.json still carries two such runs.
+	for _, key := range []string{"quantum_latency", "hyperdrills", "partition"} {
 		if _, ok := runs[0][key]; !ok {
 			t.Errorf("existing run lost unknown field %q:\n%s", key, b)
 		}

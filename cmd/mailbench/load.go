@@ -93,6 +93,9 @@ type loadAudit struct {
 	ZeroAckedLoss   bool     `json:"zero_acked_loss"`
 	ResyncSec       *float64 `json:"resync_seconds,omitempty"`
 	StoresIdentical *bool    `json:"stores_identical,omitempty"`
+	// FinalScrub is the last heal-scrub's report on the mirror+checksum
+	// deployment; the sweep above then ran after a reboot.
+	FinalScrub string `json:"final_scrub,omitempty"`
 }
 
 // loadOutcome bundles everything a load run reports and records.
@@ -106,10 +109,11 @@ type loadOutcome struct {
 	Audit      loadAudit
 }
 
-// deploymentFor picks the store deployment the requested drills need,
-// and rejects combinations the mailboatd option matrix excludes
-// (replication is exclusive with the checksum/mirror and fault
-// layers; the mirror is exclusive with the fault layer).
+// deploymentFor picks the store deployment the requested drills need.
+// Whether the drills' needs compose is not restated here: they are
+// written down as the mailboatd.Options a store serving them all would
+// boot with, and Options.Validate (gfs.StackSpec.Validate's table plus
+// the Replica rule) accepts or refuses.
 func deploymentFor(drills []string) (string, error) {
 	has := map[string]bool{}
 	for _, d := range drills {
@@ -123,13 +127,18 @@ func deploymentFor(drills []string) (string, error) {
 				d, drillCrash, drillFault, drillCorrupt, drillPartition, drillDiskFull)
 		}
 	}
-	if has[drillPartition] && (has[drillCorrupt] || has[drillFault]) {
-		return "", fmt.Errorf("drill %q needs the replicated deployment, which excludes %q and %q (see mailboatd.Options)",
-			drillPartition, drillCorrupt, drillFault)
+	needs := mailboatd.Options{Users: 1, Checksum: has[drillCorrupt]}
+	if has[drillCorrupt] {
+		needs.MirrorRoot = "mirror"
 	}
-	if has[drillCorrupt] && has[drillFault] {
-		return "", fmt.Errorf("drill %q needs the mirrored deployment, which excludes the fault layer of %q",
-			drillCorrupt, drillFault)
+	if has[drillFault] {
+		needs.Fault = &mailboatd.FaultOptions{}
+	}
+	if has[drillPartition] {
+		needs.Replica = &mailboatd.ReplicaOptions{ListenAddr: "backup"}
+	}
+	if err := needs.Validate(); err != nil {
+		return "", fmt.Errorf("drills %s do not share a deployment: %w", strings.Join(drills, ","), err)
 	}
 	switch {
 	case has[drillPartition]:
@@ -618,6 +627,38 @@ func (h *loadHarness) audit() (loadAudit, error) {
 	return a, nil
 }
 
+// dirsEqual compares two directories file for file.
+func dirsEqual(a, b string) (bool, error) {
+	ea, err := os.ReadDir(a)
+	if err != nil {
+		return false, err
+	}
+	eb, err := os.ReadDir(b)
+	if err != nil {
+		return false, err
+	}
+	if len(ea) != len(eb) {
+		return false, nil
+	}
+	for _, e := range ea {
+		ca, err := os.ReadFile(filepath.Join(a, e.Name()))
+		if err != nil {
+			return false, err
+		}
+		cb, err := os.ReadFile(filepath.Join(b, e.Name()))
+		if err != nil {
+			if os.IsNotExist(err) {
+				return false, nil
+			}
+			return false, err
+		}
+		if string(ca) != string(cb) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // storesIdentical closes both nodes and compares every user
 // directory byte for byte (replicated deployment only).
 func (h *loadHarness) storesIdentical() (bool, error) {
@@ -730,8 +771,21 @@ func runLoad(cfg loadConfig) (*loadOutcome, error) {
 			return out, fail(err)
 		}
 	}
+	if deployment == "mirror+checksum" {
+		// The integrity claim is about what survives: a last heal-scrub
+		// must leave no damage, and the audit below reads the store
+		// after a reboot, through recovery's resilver and scrub.
+		rep, _ := h.primary.Scrub(true)
+		out.Audit.FinalScrub = rep.String()
+		if !rep.Clean() {
+			return out, fail(fmt.Errorf("final scrub left damage: %s", rep))
+		}
+		if err := h.restart(nil); err != nil {
+			return out, fail(err)
+		}
+	}
 	audit, auditErr := h.audit()
-	audit.ResyncSec = out.Audit.ResyncSec
+	audit.ResyncSec, audit.FinalScrub = out.Audit.ResyncSec, out.Audit.FinalScrub
 	out.Audit = audit
 	if auditErr != nil {
 		return out, fail(auditErr)
@@ -803,6 +857,9 @@ func printLoad(w io.Writer, cfg loadConfig, out *loadOutcome) {
 	}
 	if a.StoresIdentical != nil {
 		fmt.Fprintf(w, ", stores identical=%v", *a.StoresIdentical)
+	}
+	if a.FinalScrub != "" {
+		fmt.Fprintf(w, ", final scrub %s, swept after a reboot", a.FinalScrub)
 	}
 	fmt.Fprintln(w)
 	switch {

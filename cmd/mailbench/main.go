@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mailbench [-cores 1,2,4,8] [-requests N] [-users N] [-servers a,b,c]
-//	          [-dir path] [-seed N] [-json path] [-corrupt] [-partition]
+//	          [-dir path] [-seed N] [-json path]
 //	          [-no-fsync] [-trace] [-rate N] [-profile-duration d]
 //	          [-bench path] [-slo] [-load] [-duration d] [-skew uniform|zipf]
 //	          [-zipf-s S] [-mix F] [-drill crash,fault,corrupt,partition,diskfull]
@@ -36,27 +36,20 @@
 // BENCH_mailboat.json by default, so a working tree accretes a
 // performance history; -slo makes a failing gate exit nonzero.
 //
-// -partition runs the replication drill instead of the sweep: a
-// primary/backup pair over loopback TCP takes a concurrent delivery
-// workload while the replication link is cut and healed mid-load. The
-// run fails unless every acknowledged delivery is still readable, the
-// pair reports in-sync after the heal (catch-up resync), and the two
-// stores end byte-identical; the result is appended to -bench under
-// the schema-v2 "partition" field.
-//
-// -corrupt runs the integrity drill instead of the sweep: a
-// checksummed, mirrored store takes a concurrent deliver/pickup
-// workload, one replica's live bytes are silently flipped mid-run, a
-// heal-scrub repairs them under load, and the run fails unless every
-// acknowledged delivery is still readable afterwards and the rot was
-// detected rather than served.
-//
 // -load (implied by -drill) runs the sustained load harness instead
 // of the sweep: an open-loop multi-tenant workload — -users mailboxes
 // under -skew uniform|zipf (exponent -zipf-s) with a -mix fraction of
 // deliveries — at -rate req/s for -duration, while the -drill list
 // (crash, fault, corrupt, partition, diskfull; comma-separated,
 // evenly spaced through the run) executes against the live store.
+// The corrupt drill runs a checksummed, mirrored store: one replica's
+// live bytes are silently flipped mid-load and heal-scrubbed under
+// load, and the run fails unless the rot was detected rather than
+// served, a final scrub is clean, and every acknowledged delivery is
+// readable after a reboot. The partition drill runs a primary/backup
+// pair over loopback TCP: the replication link is cut and healed
+// mid-load, and the run fails unless the pair reports in-sync after
+// the heal (catch-up resync) and the two stores end byte-identical.
 // The diskfull drill forces the store's no-space signal mid-load
 // (fill), asserts every delivery is refused with the 452-class
 // insufficient-storage marker rather than hung or lost (shed), then
@@ -87,12 +80,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/mailboatd"
-	"repro/internal/obs"
 	"repro/internal/postal"
 )
 
@@ -104,8 +93,6 @@ func main() {
 	dir := flag.String("dir", "", "scratch directory (default: RAM-backed)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file")
-	corrupt := flag.Bool("corrupt", false, "run the silent-corruption heal drill instead of the throughput sweep")
-	partition := flag.Bool("partition", false, "run the replication partition drill instead of the throughput sweep (two-node pair, link cut and healed mid-load)")
 	noFsync := flag.Bool("no-fsync", false, "run the mailboat backends without durability barriers (acked mail may be lost on an OS crash; contract weakens to prefix durability)")
 	traceMode := flag.Bool("trace", false, "run only the traced open-loop profile (per-stage latency breakdown + SLO gates) and append it to -bench")
 	rate := flag.Float64("rate", 1000, "offered load for the open-loop trace profile, requests/second")
@@ -176,37 +163,6 @@ func main() {
 		if (!out.SLOPass || len(regressions) > 0) && *sloStrict {
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *corrupt {
-		if err := corruptDrill(*dir, *users, *requests, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mailbench: corrupt drill: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *partition {
-		pr, err := partitionDrill(*dir, *users, *requests, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mailbench: partition drill: %v\n", err)
-			os.Exit(1)
-		}
-		run := benchRun{
-			Date:       time.Now().UTC().Format(time.RFC3339),
-			Revision:   gitRevision(),
-			Go:         runtime.Version(),
-			Store:      storeDesc(*dir),
-			Durability: durabilityDesc(false), // the drill always runs the full sync discipline
-			Users:      *users,
-			Partition:  &pr,
-		}
-		if err := appendBenchRun(*benchPath, run); err != nil {
-			fmt.Fprintf(os.Stderr, "mailbench: writing %s: %v\n", *benchPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench history appended to %s\n", *benchPath)
 		return
 	}
 
@@ -304,135 +260,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// corruptDrill boots a checksummed mirror under scratch roots, runs a
-// concurrent deliver/pickup workload, flips a byte of replica 0 halfway
-// through, heal-scrubs under load, and audits: every acknowledged
-// delivery readable after a reboot, nothing served that was never sent,
-// detection counter moved, final scrub clean.
-func corruptDrill(base string, users uint64, requests int, seed int64) error {
-	root0, err := os.MkdirTemp(base, "mailbench-corrupt-r0-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root0)
-	root1, err := os.MkdirTemp(base, "mailbench-corrupt-r1-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root1)
-
-	a, err := mailboatd.NewWithOptions(root0, mailboatd.Options{
-		Users:      users,
-		Seed:       seed,
-		MirrorRoot: root1,
-		Checksum:   true,
-		Metrics:    obs.NewRegistry(),
-	})
-	if err != nil {
-		return err
-	}
-
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	perWorker := requests / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	var mu sync.Mutex
-	acked := map[string]bool{}
-	var next atomic.Uint64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				n := next.Add(1)
-				user := n % users
-				body := fmt.Sprintf("drill-%d", n)
-				if err := a.Deliver(user, []byte(body)); err == nil {
-					mu.Lock()
-					acked[body] = true
-					mu.Unlock()
-				}
-				if n%8 == 0 {
-					a.Pickup(user)
-					a.Unlock(user)
-				}
-			}
-		}(w)
-	}
-
-	// Halfway into the load, rot a published file on replica 0 and heal
-	// it back while deliveries keep committing.
-	time.Sleep(time.Millisecond)
-	corrupted := a.CorruptReplica(0)
-	rep, _ := a.Scrub(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if corrupted == "" {
-		a.Close()
-		return fmt.Errorf("found nothing to corrupt; drill exercised nothing")
-	}
-	final, _ := a.Scrub(true)
-	detected := a.IntegrityDetected()
-	a.Close()
-
-	// Audit on a fresh boot: recovery resilvers and scrubs, and every
-	// acknowledged delivery must still be readable.
-	b, err := mailboatd.NewWithOptions(root0, mailboatd.Options{
-		Users:      users,
-		Seed:       seed + 1,
-		MirrorRoot: root1,
-		Checksum:   true,
-	})
-	if err != nil {
-		return err
-	}
-	defer b.Close()
-	present := map[string]bool{}
-	for u := uint64(0); u < users; u++ {
-		msgs, err := b.Pickup(u)
-		if err != nil {
-			return err
-		}
-		for _, m := range msgs {
-			present[m.Contents] = true
-			if !strings.HasPrefix(m.Contents, "drill-") {
-				return fmt.Errorf("mailbox serves bytes nobody sent: %q", m.Contents)
-			}
-		}
-		b.Unlock(u)
-	}
-	lost := 0
-	for body := range acked {
-		if !present[body] {
-			lost++
-		}
-	}
-
-	fmt.Printf("corrupt drill: %d workers, %d acked deliveries in %v (%.0f req/s)\n",
-		workers, len(acked), elapsed.Round(time.Millisecond),
-		float64(workers*perWorker)/elapsed.Seconds())
-	fmt.Printf("corrupt drill: flipped %s on replica 0; mid-load scrub %s; final scrub %s; detected=%d\n",
-		corrupted, rep, final, detected)
-	if detected == 0 {
-		return fmt.Errorf("corruption never detected")
-	}
-	if !final.Clean() {
-		return fmt.Errorf("final scrub left damage: %s", final)
-	}
-	if lost > 0 {
-		return fmt.Errorf("%d acknowledged deliveries lost", lost)
-	}
-	fmt.Println("corrupt drill: zero acked-mail loss, rot detected and healed")
-	return nil
 }
 
 func defaultCores() string {

@@ -40,7 +40,8 @@
 // different disks): every write goes to both replicas, reads fail over
 // if a replica dies, and a reboot resilvers a replaced replica from the
 // survivor before serving. While degraded, /healthz answers 503 with
-// the per-replica status as JSON. Mutually exclusive with -fault-rate.
+// the per-replica status as JSON. Does not compose with -fault-rate
+// (gfs.StackSpec.Validate has the rule and the reason).
 //
 // -checksum stores every file inside a checksummed envelope: reads that
 // fail verification error out loudly instead of serving rot, and on a
@@ -80,7 +81,7 @@
 // last-resync time, answering 503 while the pair is degraded.
 // Promotion of a backup is an operator action (restart it with
 // -replica); only promote a backup whose /healthz shows it in sync.
-// Replication is mutually exclusive with -mirror, -checksum, and
+// Replication runs on a single bare store: no -mirror, -checksum or
 // -fault-rate.
 //
 // The -fault-* flags run the server in fault-drill mode: a
@@ -170,7 +171,7 @@ func main() {
 	flag.Parse()
 
 	if *replicaAddr != "" && *backupOf != "" {
-		log.Fatal("mailboat: -replica and -backup-of are mutually exclusive (a node is primary or backup, not both)")
+		log.Fatal("mailboat: -replica and -backup-of cannot both be set (a node is primary or backup, not both)")
 	}
 	if *backupOf != "" && *replListen == "" {
 		log.Fatal("mailboat: -backup-of requires -repl-listen (the backup must serve the replication protocol)")

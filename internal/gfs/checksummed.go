@@ -182,8 +182,11 @@ func NewChecksummed(inner System, dirs []string) *Checksummed {
 func (c *Checksummed) Inner() System { return c.inner }
 
 // Detected returns the number of integrity failures detected so far
-// (failed opens and corrupt verify verdicts).
+// (failed opens and corrupt verify verdicts); 0 on a nil layer.
 func (c *Checksummed) Detected() uint64 {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.detected
@@ -579,11 +582,7 @@ func (c *Checksummed) Scrub(t T, heal bool) ScrubReport {
 // dedup: scenario assertions read Detected(), so two boundary states
 // with different detection histories must not be merged.
 func (c *Checksummed) AppendIntegrityState(b []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], c.detected)
-	return append(b, buf[:]...)
+	return binary.BigEndian.AppendUint64(b, c.Detected())
 }
 
 // AsChecksummed finds the stack's Checksummed; nil if it has none.

@@ -120,7 +120,7 @@ func UserDir(u uint64) string { return "user" + strconv.FormatUint(u, 10) }
 
 // Dirs returns the fixed directory layout for cfg, for gfs setup.
 func Dirs(cfg Config) []string {
-	out := []string{SpoolDir}
+	out := append(make([]string, 0, 1+cfg.Users), SpoolDir)
 	for u := uint64(0); u < cfg.Users; u++ {
 		out = append(out, UserDir(u))
 	}

@@ -358,7 +358,7 @@ func TestUBClientDeleteUnlistedIsVacuouslyAccepted(t *testing.T) {
 				// Bypass the verified Delete (whose ghost lower-bound
 				// check would flag the misuse before the spec does) and
 				// hit the file system directly, like a raw client.
-				w.FS.Delete(ct, UserDir(0), "msg0")
+				w.FS[0].Delete(ct, UserDir(0), "msg0")
 				return nil
 			})
 		})

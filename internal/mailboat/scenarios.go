@@ -2,6 +2,7 @@ package mailboat
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,29 +16,29 @@ import (
 // World carries the store and ghost state across eras of one checked
 // execution.
 type World struct {
-	G  *core.Ctx
-	FS *gfs.Model
-	// Sys is the System the library runs against: FS itself, FS wrapped
-	// in a fault-injecting gfs.Faulty when the scenario enumerates
-	// transient faults, or a gfs.Mirrored pair when o.Mirror is set.
-	Sys gfs.System
-	MB  *Mailboat
-	// Mirror-mode state: FS is replica 0's model, FS1 replica 1's, F the
-	// per-replica fail-stop layers (sharing one chooser budget), Mirror
-	// the middleware the library runs against.
-	FS1    *gfs.Model
-	F      [2]*gfs.Faulty
-	Mirror *gfs.Mirrored
-	// Pol is the chooser-driven fault policy behind Sys (fault and
-	// mirror scenarios); the dedup fingerprint covers its spent budget.
-	Pol *gfs.ChooserPolicy
-	// Corruption-mode state: Chk is the single-backend envelope layer,
-	// Chks the per-replica layers under a mirror, and Acked the set of
-	// message payloads whose delivery the workload saw acknowledged —
-	// the detection property's ground truth.
-	Chk   *gfs.Checksummed
-	Chks  [2]*gfs.Checksummed
+	G *core.Ctx
+	// FS are the backend models (both set under a mirror, else only
+	// FS[0]) and Stack the layers gfs.NewStack composed over them — the
+	// constructor the daemon boots on (DESIGN.md "Storage stack"). The
+	// library runs on Stack.Top; the dedup fingerprint covers Stack's
+	// checker state.
+	FS    [2]*gfs.Model
+	Stack *gfs.Stack
+	MB    *Mailboat
+	// Acked is the set of message payloads whose delivery the workload
+	// saw acknowledged — the ground truth of the detection and
+	// exhaustion properties (nil in refinement scenarios).
 	Acked map[string]bool
+}
+
+// ackedSorted returns the acked payloads in a deterministic order.
+func (w *World) ackedSorted() []string {
+	acked := make([]string, 0, len(w.Acked))
+	for msg := range w.Acked {
+		acked = append(acked, msg)
+	}
+	sort.Strings(acked)
+	return acked
 }
 
 // Variant selects the implementation under check.
@@ -125,8 +126,9 @@ type ScenarioOptions struct {
 	// Config.SyncDirs. Writeback scenarios run ghost-free: the ghost
 	// machinery commits the spec step atomically with the link, which a
 	// writeback crash can roll back, so refinement rests on the
-	// black-box history check. Implies BufferedFS semantics; exclusive
-	// with Mirror and Corrupt.
+	// black-box history check. Implies BufferedFS semantics; like
+	// BufferedFS it composes with FaultBudget and NoSpaceGC but not with
+	// Mirror or Corrupt (gfs.StackSpec.Validate has the rules).
 	Writeback bool
 	// PrefixContract (requires Writeback) checks the honest contract
 	// of the barrier-free fast mode (mailboatd -no-fsync) instead of
@@ -160,8 +162,9 @@ type ScenarioOptions struct {
 	// which breaks the one-atomic-step linearization the ghost machinery
 	// assumes — so refinement rests on the black-box history check, plus
 	// a between-era availability invariant (redundancy restored after
-	// recovery, replicas byte-identical, no leaked descriptors).
-	// Exclusive with BufferedFS and FaultBudget.
+	// recovery, replicas byte-identical, no leaked descriptors). Runs on
+	// the strict model with its own policy: refused with BufferedFS,
+	// Writeback (gfs.StackSpec.Validate) or FaultBudget.
 	Mirror bool
 	// NoSpaceGC runs the resource-exhaustion property scenario: the
 	// store sits behind gfs.Faulty with the disk-full latch armed
@@ -176,7 +179,10 @@ type ScenarioOptions struct {
 	// abort's own spool delete) has freed space the store must accept
 	// fresh mail, and while still full it must refuse cleanly with the
 	// mailbox unchanged. Ghost-free: the property, not refinement, is
-	// the claim. Exclusive with Mirror, Corrupt, BufferedFS, Writeback.
+	// the claim. Requires FaultBudget (the latch lives in the fault
+	// layer), so it inherits FaultBudget's refusal of Mirror and Corrupt;
+	// it composes with BufferedFS and Writeback
+	// (TestWritebackNoSpaceExhaustive) but not with PrefixContract.
 	NoSpaceGC bool
 	// Corrupt arms the silent-corruption fault class: the store runs
 	// behind gfs.Checksummed over a gfs.Faulty whose chooser-driven
@@ -190,13 +196,69 @@ type ScenarioOptions struct {
 	// if the integrity layer detected rot. With Mirror, each replica
 	// gets its own envelope and the full refinement + byte-identical
 	// invariant stands: the mirror must heal rot from the peer, so
-	// corruption is never visible at all. Exclusive with BufferedFS and
-	// FaultBudget.
+	// corruption is never visible at all. Runs on the strict model with
+	// its own policy: refused with BufferedFS, Writeback
+	// (gfs.StackSpec.Validate) or FaultBudget.
 	Corrupt bool
+}
+
+// replicas is the number of backend models the scenario runs on.
+func (o ScenarioOptions) replicas() int {
+	if o.Mirror {
+		return 2
+	}
+	return 1
+}
+
+// check refuses the combinations Scenario would otherwise accept and
+// silently ignore. Which layers compose over which crash model is
+// gfs.StackSpec.Validate's table; the rules here are about options that
+// need, or would override, one another.
+func (o ScenarioOptions) check() error {
+	switch {
+	case o.PrefixContract && !o.Writeback:
+		return errors.New("PrefixContract requires Writeback: on any other model every delivery is durable when acked, and the prefix property degenerates to refinement")
+	case o.NoSpaceGC && o.FaultBudget <= 0:
+		return errors.New("NoSpaceGC requires FaultBudget (with FaultOps [FaultNoSpace]): the disk-full latch lives in the fault layer")
+	case o.NoSpaceGC && o.PrefixContract:
+		return errors.New("NoSpaceGC and PrefixContract each replace the scenario's Post property; only one can be checked")
+	case o.FaultBudget > 0 && (o.Mirror || o.Corrupt):
+		return errors.New("FaultBudget would be ignored: Mirror and Corrupt fix the execution's fault policy at one fail-stop or one corruption")
+	}
+	return gfs.StackSpec{Checksum: o.Corrupt}.Validate(o.replicas(), o.BufferedFS || o.Writeback)
+}
+
+// policy builds the execution's chooser-driven fault policy; nil when
+// the scenario injects nothing. A ChooserPolicy is per-execution state,
+// so Setup calls this afresh. Mirror and Corrupt spend a budget of one —
+// a replica death, or one silent corruption — on whichever replica and
+// operation the chooser picks.
+func (o ScenarioOptions) policy() gfs.Policy {
+	budget, ops := o.FaultBudget, o.FaultOps
+	switch {
+	case o.Corrupt:
+		budget, ops = 1, []gfs.FaultOp{gfs.FaultCorrupt}
+	case o.Mirror:
+		budget, ops = 1, []gfs.FaultOp{gfs.FaultFailStop}
+	}
+	if budget <= 0 {
+		return nil
+	}
+	pol := &gfs.ChooserPolicy{Budget: budget}
+	if ops != nil {
+		pol.Eligible = make(map[gfs.FaultOp]bool, len(ops))
+		for _, op := range ops {
+			pol.Eligible[op] = true
+		}
+	}
+	return pol
 }
 
 // Scenario builds the checkable scenario for the chosen variant.
 func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
+	if err := o.check(); err != nil {
+		panic(fmt.Sprintf("mailboat.Scenario refused %s: %v", name, err))
+	}
 	ghost := v == VariantVerified && !o.Mirror && !o.Corrupt && !o.Writeback && !o.NoSpaceGC
 	// The single-backend corruption scenario checks detection, not
 	// refinement: it records no history (deliveries and pickups run
@@ -224,9 +286,11 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	}
 
 	deliver := func(t *machine.T, w *World, h *explore.Harness, op OpDeliver) {
-		if nospaceOnly {
-			// History-free: the acked set is the property's ground truth,
-			// exactly as in detection mode.
+		if detectOnly || nospaceOnly {
+			// History-free: the acked set is the property's ground truth.
+			// An acked payload is the property's obligation — it may go
+			// missing only if the integrity layer said so (detection),
+			// or never (exhaustion).
 			var delivered bool
 			switch v {
 			case VariantDeliverAckOnNoSpace:
@@ -237,15 +301,6 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 				delivered = w.MB.Deliver(t, nil, op.User, []byte(op.Msg))
 			}
 			if delivered {
-				w.Acked[op.Msg] = true
-			}
-			return
-		}
-		if detectOnly {
-			// No history: track the acknowledgement instead. An acked
-			// payload is the detection property's obligation — it may
-			// only go missing if the integrity layer said so.
-			if w.MB.Deliver(t, nil, op.User, []byte(op.Msg)) {
 				w.Acked[op.Msg] = true
 			}
 			return
@@ -343,77 +398,29 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		MaxCrashes:  o.MaxCrashes,
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
-			w := &World{}
-			if o.Mirror {
-				dirs := Dirs(o.Config)
-				metaDirs := append([]string{gfs.MirrorMetaDir}, dirs...)
-				w.FS = gfs.NewModel(m, metaDirs)
-				w.FS1 = gfs.NewModel(m, metaDirs)
-				// One shared policy instance: its budget of 1 bounds the
-				// execution to at most one fault (a replica death, or — in
-				// corrupt mode — one silent corruption), whichever replica
-				// and operation the chooser picks.
-				pol := &gfs.ChooserPolicy{
-					Budget:   1,
-					Eligible: map[gfs.FaultOp]bool{gfs.FaultFailStop: true},
-				}
-				if o.Corrupt {
-					pol.Eligible = map[gfs.FaultOp]bool{gfs.FaultCorrupt: true}
-				}
-				w.Pol = pol
-				w.F[0] = gfs.NewFaulty(w.FS, pol)
-				w.F[1] = gfs.NewFaulty(w.FS1, pol)
-				r0, r1 := gfs.System(w.F[0]), gfs.System(w.F[1])
-				if o.Corrupt {
-					// One envelope per replica, UNDER the mirror: the
-					// mirror can then tell "corrupt" from "absent" and heal
-					// the rotten copy from its verified peer.
-					w.Chks[0] = gfs.NewChecksummed(w.F[0], dirs)
-					w.Chks[1] = gfs.NewChecksummed(w.F[1], dirs)
-					r0, r1 = w.Chks[0], w.Chks[1]
-				}
-				w.Mirror = gfs.NewMirrored(r0, r1, dirs)
-				if v == VariantResilverNoVerify {
-					w.Mirror.ResilverNoVerify = true
-				}
-				w.Sys = w.Mirror
-				return w
-			}
+			// Pick the crash model, then compose the stack over it.
+			newModel := gfs.NewModel
 			switch {
 			case o.Writeback:
-				w.FS = gfs.NewWritebackModel(m, Dirs(o.Config))
+				newModel = gfs.NewWritebackModel
 			case o.BufferedFS:
-				w.FS = gfs.NewBufferedModel(m, Dirs(o.Config))
-			default:
-				w.FS = gfs.NewModel(m, Dirs(o.Config))
+				newModel = gfs.NewBufferedModel
 			}
-			w.Sys = w.FS
-			if o.Corrupt {
-				pol := &gfs.ChooserPolicy{
-					Budget:   1,
-					Eligible: map[gfs.FaultOp]bool{gfs.FaultCorrupt: true},
-				}
-				w.Pol = pol
-				w.F[0] = gfs.NewFaulty(w.FS, pol)
-				w.Chk = gfs.NewChecksummed(w.F[0], Dirs(o.Config))
-				w.Chk.TrustReads = v == VariantTrustReads
-				w.Sys = w.Chk
-				w.Acked = map[string]bool{}
-				return w
+			w := &World{}
+			dirs := Dirs(o.Config)
+			var backends [2]gfs.System
+			n := o.replicas()
+			for i, bdirs := 0, gfs.BackendDirs(dirs, n); i < n; i++ {
+				w.FS[i] = newModel(m, bdirs)
+				backends[i] = w.FS[i]
 			}
-			if o.FaultBudget > 0 {
-				pol := &gfs.ChooserPolicy{Budget: o.FaultBudget}
-				if o.FaultOps != nil {
-					pol.Eligible = map[gfs.FaultOp]bool{}
-					for _, fo := range o.FaultOps {
-						pol.Eligible[fo] = true
-					}
-				}
-				w.Pol = pol
-				w.F[0] = gfs.NewFaulty(w.FS, pol)
-				w.Sys = w.F[0]
+			w.Stack = gfs.NewStack(backends[:n], dirs, gfs.StackSpec{Checksum: o.Corrupt, Policy: o.policy()})
+			if mir := w.Stack.Mirror(); mir != nil {
+				mir.ResilverNoVerify = v == VariantResilverNoVerify
+			} else if chk := w.Stack.Checksummed(0); chk != nil {
+				chk.TrustReads = v == VariantTrustReads
 			}
-			if o.NoSpaceGC {
+			if detectOnly || nospaceOnly {
 				w.Acked = map[string]bool{}
 			}
 			if ghost {
@@ -424,7 +431,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		},
 		Init: func(t *machine.T, wAny any) {
 			w := wAny.(*World)
-			w.MB = Init(t, w.G, w.Sys, o.Config)
+			w.MB = Init(t, w.G, w.Stack.Top, o.Config)
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
@@ -448,29 +455,29 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		},
 		Recover: func(t *machine.T, wAny any) {
 			w := wAny.(*World)
-			if w.Mirror != nil {
+			if mir := w.Stack.Mirror(); mir != nil {
 				// The crash models the whole site rebooting: the operator
 				// swaps any fail-stopped replica for a replacement before
 				// the server restarts. The replacement still holds the
 				// replica's pre-death (stale) contents — Recover's
 				// resilver is what makes it trustworthy again, and the
 				// no-resilver variant is how its absence shows up.
-				for i := range w.F {
-					if w.F[i].FailStopped() {
-						w.F[i].Revive()
-						w.Mirror.ReplaceReplica(i)
+				for i := 0; i < 2; i++ {
+					if f := w.Stack.Faulty(i); f.FailStopped() {
+						f.Revive()
+						mir.ReplaceReplica(i)
 					}
 				}
 			}
 			switch {
 			case v == VariantRecoverWipes:
-				w.MB = RecoverWipesMailboxes(t, w.FS, o.Config)
+				w.MB = RecoverWipesMailboxes(t, w.FS[0], o.Config)
 			case v == VariantRecoverNoResilver:
-				w.MB = RecoverSkipResilver(t, w.Sys, o.Config)
+				w.MB = RecoverSkipResilver(t, w.Stack.Top, o.Config)
 			case v == VariantReplaySpool:
-				w.MB = RecoverReplaySpool(t, w.Sys, o.Config)
+				w.MB = RecoverReplaySpool(t, w.Stack.Top, o.Config)
 			default:
-				w.MB = Recover(t, w.G, w.Sys, o.Config, w.MB)
+				w.MB = Recover(t, w.G, w.Stack.Top, o.Config, w.MB)
 			}
 		},
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
@@ -500,43 +507,16 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	// Crash-boundary dedup (DESIGN.md §5): the file-system models and
 	// the ghost Ctx are fingerprintable devices, so the hook only has to
 	// cover the crash-surviving state the world holds outside them — the
-	// fault policy's spent budget, the per-replica fail-stop latches,
-	// the mirror's control flags, and (in corruption mode) the envelope
-	// layers' detection counters plus the set of acked payloads, both of
-	// which the detection property reads after the crash. The BufferedFS
-	// variant is covered too: the synced-prefix map is part of the
-	// model's own encoding.
+	// stack's (policy budget, latches, mirror flags, detection counters)
+	// and the set of acked payloads the property scenarios read after
+	// the crash. The deferred-durability models are covered too: the
+	// synced-prefix map is part of the model's own encoding.
 	s.Fingerprint = func(wAny any, b []byte) []byte {
 		w := wAny.(*World)
-		if w.Pol != nil {
-			b = w.Pol.AppendState(b)
-		}
-		for i := range w.F {
-			if w.F[i] != nil {
-				b = w.F[i].AppendCheckerState(b)
-			}
-		}
-		if w.Mirror != nil {
-			b = w.Mirror.AppendMirrorState(b)
-		}
-		if w.Chk != nil {
-			b = w.Chk.AppendIntegrityState(b)
-		}
-		for i := range w.Chks {
-			if w.Chks[i] != nil {
-				b = w.Chks[i].AppendIntegrityState(b)
-			}
-		}
-		if w.Acked != nil {
-			acked := make([]string, 0, len(w.Acked))
-			for msg := range w.Acked {
-				acked = append(acked, msg)
-			}
-			sort.Strings(acked)
-			for _, msg := range acked {
-				b = append(b, msg...)
-				b = append(b, 0)
-			}
+		b = w.Stack.AppendCheckerState(b)
+		for _, msg := range w.ackedSorted() {
+			b = append(b, msg...)
+			b = append(b, 0)
 		}
 		return b
 	}
@@ -544,7 +524,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	if detectOnly || prefixOnly || nospaceOnly {
 		s.Invariant = func(m *machine.Machine, wAny any) error {
 			w := wAny.(*World)
-			if n := w.FS.OpenFDs(); n != 0 {
+			if n := w.FS[0].OpenFDs(); n != 0 {
 				return fmt.Errorf("resource leak: %d file descriptors still open", n)
 			}
 			return nil
@@ -560,13 +540,13 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			// Iron-style resource accounting (§9.5 found an fd leak that
 			// Perennial's proofs could not): at era boundaries every
 			// descriptor must be closed.
-			if n := w.FS.OpenFDs(); n != 0 {
+			if n := w.FS[0].OpenFDs(); n != 0 {
 				return fmt.Errorf("resource leak: %d file descriptors still open", n)
 			}
 			// MsgsInv: each mailbox directory matches the source state.
 			src := w.G.Source().(State)
 			for u := uint64(0); u < o.Config.Users; u++ {
-				onDisk := w.FS.PeekDir(UserDir(u))
+				onDisk := w.FS[0].PeekDir(UserDir(u))
 				if len(onDisk) != len(src.Boxes[u]) {
 					return fmt.Errorf("MsgsInv: user %d has %d files but source has %d messages",
 						u, len(onDisk), len(src.Boxes[u]))
@@ -593,25 +573,25 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	if o.Mirror {
 		s.Invariant = func(m *machine.Machine, wAny any) error {
 			w := wAny.(*World)
-			if n0, n1 := w.FS.OpenFDs(), w.FS1.OpenFDs(); n0 != 0 || n1 != 0 {
+			if n0, n1 := w.FS[0].OpenFDs(), w.FS[1].OpenFDs(); n0 != 0 || n1 != 0 {
 				return fmt.Errorf("resource leak: %d/%d descriptors open on replicas", n0, n1)
 			}
 			// While a replica is fail-stopped the mirror legitimately runs
 			// degraded; redundancy is only owed once recovery has replaced
 			// and resilvered it.
-			for i := range w.F {
-				if w.F[i].FailStopped() {
+			for i := 0; i < 2; i++ {
+				if w.Stack.Faulty(i).FailStopped() {
 					return nil
 				}
 			}
-			st := w.Mirror.Status()
+			st := w.Stack.Mirror().Status()
 			if st.Degraded || st.Resilvering {
 				return fmt.Errorf("availability: mirror still degraded with both replicas live: %+v", st)
 			}
 			// Both replicas live and repaired: they must be byte-identical
 			// (including the generation markers the resilver copies last).
-			for _, dir := range append([]string{gfs.MirrorMetaDir}, Dirs(o.Config)...) {
-				d0, d1 := w.FS.PeekDir(dir), w.FS1.PeekDir(dir)
+			for _, dir := range gfs.BackendDirs(Dirs(o.Config), 2) {
+				d0, d1 := w.FS[0].PeekDir(dir), w.FS[1].PeekDir(dir)
 				if len(d0) != len(d1) {
 					return fmt.Errorf("replica divergence: dir %s has %d vs %d files", dir, len(d0), len(d1))
 				}
@@ -631,16 +611,10 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	return s
 }
 
-// postDetect is the Post hook for detection-mode scenarios (Corrupt
-// without Mirror). With a single backend there is no redundant copy to
-// heal from, so the property is weaker than refinement: corruption may
-// destroy an acknowledged message, but it must never do so *silently*.
-// Concretely, after the final recovery every byte sequence a pickup
-// serves must be one the workload actually delivered (the envelope
-// layer may fail a rotten read loudly, but must never pass mangled
-// payload through), and any acknowledged message that has gone missing
-// must be accounted for by the integrity layer's detection counter.
-func postDetect(t *machine.T, w *World, o ScenarioOptions) {
+// sweep picks up every mailbox after the final recovery and returns the
+// payloads present; a pickup serving bytes that were never delivered
+// fails the execution under the property's name.
+func sweep(t *machine.T, w *World, o ScenarioOptions, property string) map[string]bool {
 	allowed := map[string]bool{}
 	for _, d := range o.Delivers {
 		allowed[d.Msg] = true
@@ -651,18 +625,27 @@ func postDetect(t *machine.T, w *World, o ScenarioOptions) {
 		w.MB.Unlock(t, nil, u)
 		for _, msg := range msgs {
 			if !allowed[msg.Contents] {
-				t.Failf("integrity: pickup served bytes never delivered: %q", msg.Contents)
+				t.Failf("%s: pickup served bytes never delivered: %q", property, msg.Contents)
 			}
 			present[msg.Contents] = true
 		}
 	}
-	acked := make([]string, 0, len(w.Acked))
-	for msg := range w.Acked {
-		acked = append(acked, msg)
-	}
-	sort.Strings(acked)
-	for _, msg := range acked {
-		if !present[msg] && w.Chk.Detected() == 0 {
+	return present
+}
+
+// postDetect is the Post hook for detection-mode scenarios (Corrupt
+// without Mirror). With a single backend there is no redundant copy to
+// heal from, so the property is weaker than refinement: corruption may
+// destroy an acknowledged message, but it must never do so *silently*.
+// Concretely, after the final recovery every byte sequence a pickup
+// serves must be one the workload actually delivered (the envelope
+// layer may fail a rotten read loudly, but must never pass mangled
+// payload through), and any acknowledged message that has gone missing
+// must be accounted for by the integrity layer's detection counter.
+func postDetect(t *machine.T, w *World, o ScenarioOptions) {
+	present := sweep(t, w, o, "integrity")
+	for _, msg := range w.ackedSorted() {
+		if !present[msg] && w.Stack.Detected() == 0 {
 			t.Failf("silent loss: acked delivery %q missing with no integrity detection", msg)
 		}
 	}
@@ -679,27 +662,8 @@ func postDetect(t *machine.T, w *World, o ScenarioOptions) {
 // the latch has cleared a probe delivery must succeed, and while it
 // still holds the probe must fail cleanly with nothing published.
 func postNoSpace(t *machine.T, w *World, o ScenarioOptions) {
-	allowed := map[string]bool{}
-	for _, d := range o.Delivers {
-		allowed[d.Msg] = true
-	}
-	present := map[string]bool{}
-	for u := uint64(0); u < o.Config.Users; u++ {
-		msgs := w.MB.Pickup(t, nil, u)
-		w.MB.Unlock(t, nil, u)
-		for _, msg := range msgs {
-			if !allowed[msg.Contents] {
-				t.Failf("nospace: pickup served bytes never delivered: %q", msg.Contents)
-			}
-			present[msg.Contents] = true
-		}
-	}
-	acked := make([]string, 0, len(w.Acked))
-	for msg := range w.Acked {
-		acked = append(acked, msg)
-	}
-	sort.Strings(acked)
-	for _, msg := range acked {
+	present := sweep(t, w, o, "nospace")
+	for _, msg := range w.ackedSorted() {
 		if !present[msg] {
 			t.Failf("acked loss: delivery %q acknowledged but missing after disk-full", msg)
 		}
@@ -708,12 +672,12 @@ func postNoSpace(t *machine.T, w *World, o ScenarioOptions) {
 	// published); a failed probe with the latch clear — both before and
 	// after, since the chooser may spend a leftover budget on the probe
 	// itself — means the store wrongly refused writable space.
-	latched := w.F[0].NoSpace()
+	latched := w.Stack.Faulty(0).NoSpace()
 	ok := w.MB.Deliver(t, nil, 0, []byte("probe"))
 	if latched && ok {
 		t.Failf("nospace: store accepted a delivery while the disk-full latch holds")
 	}
-	if !ok && !latched && !w.F[0].NoSpace() {
+	if !ok && !latched && !w.Stack.Faulty(0).NoSpace() {
 		t.Failf("nospace: store refused a delivery with space free")
 	}
 	if !ok {

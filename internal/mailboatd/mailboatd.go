@@ -78,9 +78,8 @@ type Options struct {
 	// goes to both, and reads fail over if a replica is fail-stopped
 	// (FailStopReplica, or a real dead disk). Boot-time recovery
 	// resilvers a replaced replica from the survivor before serving.
-	// Exclusive with Fault: the drill layer injects transient faults
-	// into a single backend, which the mirror would misread as replica
-	// divergence.
+	// Does not compose with Fault (gfs.StackSpec.Validate has the rule
+	// and the reason; DESIGN.md "Storage stack" prints the table).
 	MirrorRoot string
 	// Metrics, when non-nil, registers the full store-side metric
 	// surface there: gfs_* file-system counters and latency histograms
@@ -103,10 +102,10 @@ type Options struct {
 	// Replica, when non-nil, runs this node as half of a primary/backup
 	// replicated pair over the TCP replication transport: the primary
 	// acknowledges a Deliver or Delete only after the backup has
-	// durably applied it (see ReplicaOptions). Exclusive with
-	// MirrorRoot, Fault, and Checksum — replication is cross-machine
-	// redundancy and composing it with the same-machine layers is
-	// future work.
+	// durably applied it (see ReplicaOptions). Requires the zero
+	// gfs.StackSpec — no MirrorRoot, Fault or Checksum: replication is
+	// cross-machine redundancy, and composing it with the same-machine
+	// layers is future work.
 	Replica *ReplicaOptions
 	// QuotaBytes caps each mailbox's stored bytes (0 = unlimited). A
 	// delivery that would push the recipient over quota is refused up
@@ -168,26 +167,15 @@ func newOpMetrics(r *obs.Registry) opMetrics {
 // SplitMix64, so concurrent connections never contend on a shared
 // rand.Rand lock while staying deterministic for sequential callers).
 type Adapter struct {
-	fs     *gfs.OS
-	sys    gfs.System
-	faulty *gfs.Faulty // nil unless Options.Fault was set
-	mb     *mailboat.Mailboat
-	cfg    mailboat.Config
-	ops    opMetrics
-
-	// Mirror-mode state (nil / zero unless Options.MirrorRoot was set):
-	// fs1 is replica 1's backend, rep the per-replica fail-stop layers
-	// (the kill switch FailStopReplica flips), mirror the middleware.
-	fs1    *gfs.OS
-	rep    [2]*gfs.Faulty
-	mirror *gfs.Mirrored
-
-	// Integrity state (nil / zero unless Options.Checksum was set):
-	// chk is the single-backend envelope layer, chks the per-replica
-	// ones under a mirror, integ the shared gfs_integrity_* metrics.
-	chk   *gfs.Checksummed
-	chks  [2]*gfs.Checksummed
-	integ *gfs.IntegrityMetrics
+	// fs are the OS backends (two when Options.MirrorRoot was set) and
+	// stack the layers gfs.NewStack composed over them — the same
+	// constructor the checker's scenarios run on (DESIGN.md "Storage
+	// stack"). The library runs on stack.Top.
+	fs    []*gfs.OS
+	stack *gfs.Stack
+	mb    *mailboat.Mailboat
+	cfg   mailboat.Config
+	ops   opMetrics
 
 	// Replication state (nil unless Options.Replica was set): node is
 	// the protocol engine over this store, replClient the TCP client
@@ -223,16 +211,58 @@ func New(root string, users uint64, seed int64) (*Adapter, error) {
 	return NewWithOptions(root, Options{Users: users, Seed: seed})
 }
 
+// stack maps the options onto the storage stack — how many backends,
+// which gfs.StackSpec over them — and refuses what does not compose.
+// The layer rules are gfs.StackSpec.Validate's; the rules of its own
+// are Replica's.
+func (o Options) stack() (replicas int, spec gfs.StackSpec, err error) {
+	replicas = 1
+	spec = gfs.StackSpec{Checksum: o.Checksum, Metrics: o.Metrics}
+	if o.MirrorRoot != "" {
+		// A quiet fault layer per replica: its only job is the
+		// FailStopReplica kill switch.
+		replicas, spec.Policy = 2, gfs.NeverPolicy{}
+	}
+	if o.Fault != nil {
+		spec.Policy = &gfs.SeededPolicy{Seed: o.Fault.Seed, Rates: o.Fault.Rates, MaxFaults: o.Fault.MaxFaults}
+	}
+	if r := o.Replica; r != nil {
+		switch {
+		case replicas != 1 || spec.Policy != nil || spec.Checksum:
+			return 0, spec, errors.New("mailboatd: Replica requires the zero gfs.StackSpec (no MirrorRoot, Fault or Checksum): replication is cross-machine redundancy, and composing it with the same-machine layers is future work")
+		case !r.Primary && r.ListenAddr == "":
+			return 0, spec, errors.New("mailboatd: a backup replica needs a ListenAddr to receive frames on")
+		case r.Primary && r.PeerAddr == "":
+			return 0, spec, errors.New("mailboatd: a primary replica needs the backup's PeerAddr")
+		}
+	}
+	return replicas, spec, spec.Validate(replicas, false)
+}
+
+// Validate reports whether NewWithOptions would accept the options,
+// without touching the file system.
+func (o Options) Validate() error {
+	_, _, err := o.stack()
+	return err
+}
+
 // NewWithOptions opens (or creates) a mail store under root, running
 // recovery first — on boot we cannot know whether the previous process
 // exited cleanly, so Recover's spool cleanup always runs, exactly as
 // §8.1 prescribes ("run Recover to restore the system following a
-// shutdown or crash"). A plain store recovers on the bare file system:
+// shutdown or crash"). A plain store recovers below the fault layer:
 // fault drills exercise steady-state traffic, not the repair path that
-// makes the store consistent again. With Checksum, recovery runs
-// through the full stack and its one integrity sweep — each file read
-// once — is also the LastScrub baseline (see bootRecover).
+// makes the store consistent again. With Checksum or MirrorRoot,
+// recovery runs through the full stack — the files on disk are
+// envelopes, and Recover's resilver hook needs to see the mirror to
+// repair a replaced replica before the first byte of traffic — and its
+// one integrity sweep, each file read once per replica, is also the
+// LastScrub baseline (see bootRecover).
 func NewWithOptions(root string, o Options) (*Adapter, error) {
+	replicas, spec, err := o.stack()
+	if err != nil {
+		return nil, err
+	}
 	cfg := mailboat.Config{
 		Users:          o.Users,
 		RandBound:      1 << 62,
@@ -242,93 +272,45 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 		DeliverBackoff: o.DeliverBackoff,
 		QuotaBytes:     o.QuotaBytes,
 	}
-	if o.Replica != nil {
-		if o.MirrorRoot != "" || o.Fault != nil || o.Checksum {
-			return nil, errors.New("mailboatd: Replica is exclusive with MirrorRoot, Fault, and Checksum")
-		}
-		if !o.Replica.Primary && o.Replica.ListenAddr == "" {
-			return nil, errors.New("mailboatd: a backup replica needs a ListenAddr to receive frames on")
-		}
-		if o.Replica.Primary && o.Replica.PeerAddr == "" {
-			return nil, errors.New("mailboatd: a primary replica needs the backup's PeerAddr")
-		}
-	}
-	if o.MirrorRoot != "" {
-		if o.Fault != nil {
-			return nil, errors.New("mailboatd: MirrorRoot and Fault are mutually exclusive")
-		}
-		return newMirrored(root, o, cfg)
-	}
 	dirs := mailboat.Dirs(cfg)
+	osDirs := gfs.BackendDirs(dirs, replicas)
 	if o.Replica != nil {
 		// The replicated store carries the .repl epoch meta-directory
 		// beside the mailboxes it fences.
-		dirs = repl.ReplDirs(cfg)
+		osDirs = repl.ReplDirs(cfg)
 	}
-	fs, err := gfs.NewOS(root, dirs)
-	if err != nil {
-		return nil, err
+	a := &Adapter{tracer: o.Tracer}
+	backends := make([]gfs.System, replicas)
+	for i, r := range []string{root, o.MirrorRoot}[:replicas] {
+		fs, err := gfs.NewOS(r, osDirs)
+		if err != nil {
+			a.Close()
+			return nil, err
+		}
+		a.fs, backends[i] = append(a.fs, fs), fs
 	}
-	// Metrics wrap OUTERMOST: under a fault drill the histograms record
-	// the latency and call counts the library experiences, injected
-	// faults included.
-	var fsm *gfs.FSMetrics
+	a.stack = gfs.NewStack(backends, dirs, spec)
 	if o.Metrics != nil {
-		fsm = gfs.NewFSMetrics(o.Metrics)
 		cfg.Metrics = mailboat.NewMetrics(o.Metrics)
-	}
-	if o.Checksum {
-		// Envelope boot: the files on disk are envelopes, so every
-		// layer of the stack — recovery and its boot-time scrub
-		// included — must run above the checksum layer. The envelope
-		// sits above any fault drill, so injected corruption (and real
-		// rot) is detected on read instead of served.
-		a := &Adapter{fs: fs, cfg: cfg}
-		base := gfs.System(fs)
-		if o.Fault != nil {
-			a.faulty = newDrill(fs, o.Fault, fsm)
-			base = a.faulty
-		}
-		a.chk = gfs.NewChecksummed(base, mailboat.Dirs(cfg))
-		sys := gfs.System(a.chk)
-		if o.Metrics != nil {
-			a.integ = gfs.NewIntegrityMetrics(o.Metrics)
-			a.chk.Metrics = a.integ
-			sys = gfs.NewObserved(a.chk, fsm)
-			a.ops = newOpMetrics(o.Metrics)
-		}
-		a.sys = sys
-		a.rng.Store(uint64(o.Seed))
-		a.tracer = o.Tracer
-		a.bootRecover(sys, cfg)
-		if o.ScrubEvery > 0 {
-			a.startScrubber(o.ScrubEvery)
-		}
-		a.initShed(o)
-		return a, nil
-	}
-	sys := gfs.System(fs)
-	if o.Metrics != nil {
-		sys = gfs.NewObserved(fs, fsm)
-	}
-	a := &Adapter{fs: fs, sys: sys, cfg: cfg}
-	if o.Metrics != nil {
 		a.ops = newOpMetrics(o.Metrics)
 	}
+	a.cfg = cfg
 	a.rng.Store(uint64(o.Seed))
-	a.tracer = o.Tracer
-	a.bootRecover(sys, cfg)
-	if o.Fault != nil {
-		a.faulty = newDrill(fs, o.Fault, fsm)
-		a.sys = a.faulty
-		if fsm != nil {
-			a.sys = gfs.NewObserved(a.faulty, fsm)
+	boot := a.stack
+	if f := a.drill(); f != nil {
+		f.Latency, f.LatencyEveryN = o.Fault.Latency, o.Fault.LatencyEveryN
+		if !o.Checksum {
+			spec.Policy = nil
+			boot = gfs.NewStack(backends, dirs, spec)
 		}
-		a.mb = a.mb.WithSystem(a.sys)
+	}
+	a.bootRecover(boot.Top, cfg)
+	if boot != a.stack {
+		a.mb = a.mb.WithSystem(a.stack.Top)
 	}
 	if o.Replica != nil {
 		if err := a.startReplica(o); err != nil {
-			a.fs.CloseAll()
+			a.Close()
 			return nil, err
 		}
 	}
@@ -339,75 +321,13 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 	return a, nil
 }
 
-// newDrill builds the seeded fault-injection layer of a drill over fs.
-func newDrill(fs *gfs.OS, o *FaultOptions, fsm *gfs.FSMetrics) *gfs.Faulty {
-	f := gfs.NewFaulty(fs, &gfs.SeededPolicy{Seed: o.Seed, Rates: o.Rates, MaxFaults: o.MaxFaults})
-	f.Latency, f.LatencyEveryN, f.Metrics = o.Latency, o.LatencyEveryN, fsm
-	return f
-}
-
-// newMirrored builds the mirrored stack: two OS backends (each with the
-// generation-marker directory alongside the data directories), each
-// behind a quiet gfs.Faulty whose only job is the FailStopReplica kill
-// switch, joined by gfs.Mirrored, with metrics observed outermost.
-// Unlike the single-backend boot, recovery runs through the FULL stack:
-// Recover's resilver hook needs to see the mirror to repair a replaced
-// replica before the first byte of traffic. With Checksum that resilver
-// is the whole boot-time integrity story: it reads each file once per
-// replica, gates, heals and compares on those bytes, and its report is
-// recorded as the LastScrub baseline — no second sweep.
-func newMirrored(root string, o Options, cfg mailboat.Config) (*Adapter, error) {
-	metaDirs := append([]string{gfs.MirrorMetaDir}, mailboat.Dirs(cfg)...)
-	fs0, err := gfs.NewOS(root, metaDirs)
-	if err != nil {
-		return nil, err
+// drill returns the seeded fault layer of an Options.Fault drill; nil
+// otherwise — a mirror's per-replica kill switches are not a drill.
+func (a *Adapter) drill() *gfs.Faulty {
+	if a.stack.Mirror() != nil {
+		return nil
 	}
-	fs1, err := gfs.NewOS(o.MirrorRoot, metaDirs)
-	if err != nil {
-		fs0.CloseAll()
-		return nil, err
-	}
-	rep := [2]*gfs.Faulty{
-		gfs.NewFaulty(fs0, gfs.NeverPolicy{}),
-		gfs.NewFaulty(fs1, gfs.NeverPolicy{}),
-	}
-	a := &Adapter{fs: fs0, fs1: fs1, rep: rep, cfg: cfg}
-	r0, r1 := gfs.System(rep[0]), gfs.System(rep[1])
-	if o.Checksum {
-		// Per-replica envelopes UNDER the mirror: each replica can
-		// vouch for its own bytes, so a rotten read fails over to the
-		// peer and is healed in place, and the resilver refuses to
-		// propagate rot.
-		a.chks[0] = gfs.NewChecksummed(rep[0], mailboat.Dirs(cfg))
-		a.chks[1] = gfs.NewChecksummed(rep[1], mailboat.Dirs(cfg))
-		r0, r1 = a.chks[0], a.chks[1]
-	}
-	m := gfs.NewMirrored(r0, r1, mailboat.Dirs(cfg))
-	a.mirror = m
-	sys := gfs.System(m)
-	if o.Metrics != nil {
-		fsm := gfs.NewFSMetrics(o.Metrics)
-		cfg.Metrics = mailboat.NewMetrics(o.Metrics)
-		a.cfg.Metrics = cfg.Metrics
-		m.Metrics = gfs.NewMirrorMetrics(o.Metrics)
-		if o.Checksum {
-			a.integ = gfs.NewIntegrityMetrics(o.Metrics)
-			a.chks[0].Metrics = a.integ
-			a.chks[1].Metrics = a.integ
-			m.Integrity = a.integ
-		}
-		sys = gfs.NewObserved(m, fsm)
-		a.ops = newOpMetrics(o.Metrics)
-	}
-	a.sys = sys
-	a.rng.Store(uint64(o.Seed))
-	a.tracer = o.Tracer
-	a.bootRecover(sys, cfg)
-	if o.ScrubEvery > 0 {
-		a.startScrubber(o.ScrubEvery)
-	}
-	a.initShed(o)
-	return a, nil
+	return a.stack.Faulty(0)
 }
 
 // Close stops the background scrubber (waiting out any in-flight
@@ -420,9 +340,8 @@ func (a *Adapter) Close() {
 		a.scrubStop = nil
 	}
 	a.stopReplica()
-	a.fs.CloseAll()
-	if a.fs1 != nil {
-		a.fs1.CloseAll()
+	for _, fs := range a.fs {
+		fs.CloseAll()
 	}
 }
 
@@ -434,7 +353,7 @@ func (a *Adapter) Close() {
 // Passes are serialized; concurrent mail traffic keeps flowing (a file
 // mid-append reads as unsealed, which a scrub never touches).
 func (a *Adapter) Scrub(heal bool) (gfs.ScrubReport, bool) {
-	sc := gfs.AsScrubber(a.sys)
+	sc := gfs.AsScrubber(a.stack.Top)
 	if sc == nil {
 		return gfs.ScrubReport{}, false
 	}
@@ -449,7 +368,9 @@ func (a *Adapter) Scrub(heal bool) (gfs.ScrubReport, bool) {
 // recordScrub publishes one finished integrity pass: its duration into
 // gfs_integrity_scrub_seconds, its report as LastScrub.
 func (a *Adapter) recordScrub(rep gfs.ScrubReport, start time.Time) {
-	a.integ.ScrubDone(time.Since(start))
+	if c := a.stack.Checksummed(0); c != nil {
+		c.Metrics.ScrubDone(time.Since(start))
+	}
 	a.lastMu.Lock()
 	a.lastScrub, a.lastAt, a.scrubbed = rep, time.Now(), true
 	a.lastMu.Unlock()
@@ -465,18 +386,7 @@ func (a *Adapter) LastScrub() (rep gfs.ScrubReport, at time.Time, ok bool) {
 
 // IntegrityDetected sums the envelope layers' detection counters —
 // how many rotten reads the store has refused to serve since boot.
-func (a *Adapter) IntegrityDetected() uint64 {
-	var n uint64
-	if a.chk != nil {
-		n += a.chk.Detected()
-	}
-	for i := range a.chks {
-		if a.chks[i] != nil {
-			n += a.chks[i].Detected()
-		}
-	}
-	return n
-}
+func (a *Adapter) IntegrityDetected() uint64 { return a.stack.Detected() }
 
 // startScrubber runs Scrub(heal) at the given interval until Close.
 func (a *Adapter) startScrubber(every time.Duration) {
@@ -504,9 +414,9 @@ func (a *Adapter) startScrubber(every time.Duration) {
 // rot would. Returns the "dir/name" it mangled, or "" when the replica
 // holds no mailbox files (or the store cannot corrupt in place).
 func (a *Adapter) CorruptReplica(i int) string {
-	backend := gfs.System(a.fs)
-	if a.mirror != nil && i == 1 {
-		backend = a.fs1
+	backend := a.fs[0]
+	if i == 1 && len(a.fs) == 2 {
+		backend = a.fs[1]
 	}
 	c := gfs.AsCorrupter(backend)
 	if c == nil {
@@ -529,23 +439,25 @@ func (a *Adapter) Users() uint64 { return a.cfg.Users }
 // FaultLog returns the injected-fault log when a fault layer is
 // configured (nil otherwise) — the replayable record of a drill.
 func (a *Adapter) FaultLog() []gfs.FaultEvent {
-	if a.faulty == nil {
+	f := a.drill()
+	if f == nil {
 		return nil
 	}
-	return a.faulty.Log()
+	return f.Log()
 }
 
 // Mirror returns the mirrored middleware when Options.MirrorRoot was
 // set, nil otherwise.
-func (a *Adapter) Mirror() *gfs.Mirrored { return a.mirror }
+func (a *Adapter) Mirror() *gfs.Mirrored { return a.stack.Mirror() }
 
 // MirrorStatus reports the mirror's replica health (nil when the store
 // is not mirrored) — what /healthz serves while degraded.
 func (a *Adapter) MirrorStatus() *gfs.MirrorStatus {
-	if a.mirror == nil {
+	m := a.stack.Mirror()
+	if m == nil {
 		return nil
 	}
-	st := a.mirror.Status()
+	st := m.Status()
 	return &st
 }
 
@@ -555,10 +467,10 @@ func (a *Adapter) MirrorStatus() *gfs.MirrorStatus {
 // over, and runs degraded until the next boot resilvers a replacement.
 // No-op when the store is not mirrored or i is out of range.
 func (a *Adapter) FailStopReplica(i int) {
-	if a.mirror == nil || i < 0 || i > 1 {
+	if a.stack.Mirror() == nil || i < 0 || i > 1 {
 		return
 	}
-	a.rep[i].FailStopNow("operator kill switch")
+	a.stack.Faulty(i).FailStopNow("operator kill switch")
 }
 
 // RandUint64 implements gfs.T: a lock-free SplitMix64 stream over an
@@ -615,7 +527,7 @@ func (a *Adapter) bootRecover(sys gfs.System, cfg mailboat.Config) {
 	root := a.tracer.Start("recover", "mailboatd.boot")
 	a.mb = mailboat.Recover(a.thread(root), nil, sys, cfg, nil)
 	root.End()
-	if rep, ok := a.mb.BootScrub(); ok && (a.chk != nil || a.chks[0] != nil) {
+	if rep, ok := a.mb.BootScrub(); ok && a.stack.Checksummed(0) != nil {
 		a.recordScrub(rep, start)
 	}
 }

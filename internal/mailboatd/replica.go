@@ -52,8 +52,8 @@ type ReplicaOptions struct {
 const deliverAttempts = 128
 
 // startReplica builds the node, transport, and background loops. The
-// caller validated exclusivity (replica mode runs on the plain store
-// path) and built the store with repl.ReplDirs so the epoch
+// caller validated the options (replica mode runs on a single bare
+// backend) and built the store with repl.ReplDirs so the epoch
 // meta-directory exists.
 func (a *Adapter) startReplica(o Options) error {
 	ro := o.Replica
@@ -72,7 +72,7 @@ func (a *Adapter) startReplica(o Options) error {
 	if ro.Primary {
 		id = 0
 	}
-	a.node = repl.NewNode(a, id, a.mb, a.sys, rcfg)
+	a.node = repl.NewNode(a, id, a.mb, a.stack.Top, rcfg)
 	if ro.PeerAddr != "" {
 		a.replClient = &repl.TCPClient{Addr: ro.PeerAddr, Timeout: ro.CallTimeout}
 		if o.Metrics != nil {

@@ -225,11 +225,9 @@ func (a *Adapter) initShed(o Options) {
 		// tripped; default to 2x low for sane hysteresis.
 		s.high = 2 * s.low
 	}
-	if a.fs != nil {
-		s.statfs = a.fs.StatFS
-	}
-	if a.faulty != nil {
-		s.latched = a.faulty.NoSpace
+	s.statfs = a.fs[0].StatFS
+	if f := a.drill(); f != nil {
+		s.latched = f.NoSpace
 	}
 	if o.Metrics != nil {
 		s.m = newShedMetrics(o.Metrics)

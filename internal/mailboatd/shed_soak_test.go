@@ -102,7 +102,7 @@ func TestDiskFullSoakSMTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := a.fs.StatFS(); !ok {
+	if _, _, ok := a.fs[0].StatFS(); !ok {
 		a.Close()
 		t.Skip("statfs unavailable on this platform; the watermark soak needs it")
 	}
@@ -274,7 +274,7 @@ func fill(t *testing.T, path string, a *Adapter) {
 	defer f.Close()
 	chunk := make([]byte, 256<<10)
 	for i := 0; i < 4096; i++ {
-		if free, _, ok := a.fs.StatFS(); ok && free < soakLowWater/2 {
+		if free, _, ok := a.fs[0].StatFS(); ok && free < soakLowWater/2 {
 			return
 		}
 		if _, err := f.Write(chunk); err != nil {
@@ -285,7 +285,7 @@ func fill(t *testing.T, path string, a *Adapter) {
 }
 
 func statfsDesc(a *Adapter) string {
-	free, total, ok := a.fs.StatFS()
+	free, total, ok := a.fs[0].StatFS()
 	if !ok {
 		return "unavailable"
 	}

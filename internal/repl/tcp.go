@@ -189,7 +189,7 @@ func (c *TCPClient) deadAfter() int64 {
 // Partition opens or heals the drill's partition gate: while open,
 // every call is dropped before the wire and reported Lost — the
 // deployment analogue of netmodel's FaultPartition, exercised by the
-// replica soak and mailbench -partition.
+// replica soak and mailbench -drill partition.
 func (c *TCPClient) Partition(on bool) { c.partitioned.Store(on) }
 
 // Partitioned reports the gate's state.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/mailboat"
 )
 
 // TestVerifiedSuiteAllClean is the test-suite form of
@@ -156,5 +157,44 @@ func TestSuiteShape(t *testing.T) {
 		if !patterns[want] {
 			t.Fatalf("pattern %q missing from the suite", want)
 		}
+	}
+}
+
+// canonicalMailboat is the construction the budget below prices: the
+// options are built outside the measured call, as a suite entry's
+// literals are not.
+var canonicalMailboat = mailboat.ScenarioOptions{
+	Config:      mailboat.Config{Users: 2, RandBound: 2},
+	Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+	PickupUsers: []uint64{0},
+	MaxCrashes:  1,
+	PostPickups: true,
+}
+
+// TestConstructionBudget guards the benchmark's check-suite/setup_s,
+// which times Verified() + Bugs() and nothing else: tens of
+// microseconds, of which the mailboat.Scenario calls are the larger
+// half, so half a dozen extra allocations per scenario breach its 25 %
+// bound. Whatever a scenario derives from its options (directory lists,
+// the gfs.StackSpec, policies, eligibility maps) belongs in Setup, and
+// option validation must allocate nothing on the success path.
+func TestConstructionBudget(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Verified(); Bugs() }); n > 519 {
+		t.Errorf("Verified()+Bugs() allocates %.0f objects, budget 519", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		mailboat.Scenario("budget", mailboat.VariantVerified, canonicalMailboat)
+	}); n > 18 {
+		t.Errorf("one mailboat.Scenario allocates %.0f objects, budget 18", n)
+	}
+}
+
+// BenchmarkConstruct is check-suite/setup_s under the go tool:
+// `go test -run '^$' -bench Construct -benchmem ./internal/suite`.
+func BenchmarkConstruct(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Verified()
+		Bugs()
 	}
 }
