@@ -233,6 +233,9 @@ type benchRun struct {
 	ExecsPerSec float64 `json:"execs_per_sec"`
 	Complete    bool    `json:"complete"`
 	Verdict     string  `json:"verdict"`
+	// Reseats is explore.Stats.Reseats: present only when something is
+	// wrong (an execution was not a function of its choices).
+	Reseats int `json:"reseats,omitempty"`
 }
 
 type benchScenario struct {
@@ -304,7 +307,11 @@ func writeBench(path string, entries []suite.Entry, maxExec, workers int) error 
 				ExecsPerSec: rep.Stats.ExecsPerSec,
 				Complete:    rep.Complete,
 				Verdict:     verdict,
+				Reseats:     rep.Stats.Reseats,
 			})
+			if rep.Stats.Reseats > 0 {
+				verdict += fmt.Sprintf(" (%d choice points reseated)", rep.Stats.Reseats)
+			}
 			fmt.Printf("%-34s workers=%d dedup=%-5v %8d execs %8.0f execs/s %s\n",
 				e.Scenario.Name, c.workers, c.dedup, rep.Executions, rep.Stats.ExecsPerSec, verdict)
 		}

@@ -239,6 +239,13 @@ type Stats struct {
 	// work but not part of the deterministic result, so Executions and
 	// the throughput rates exclude them.
 	StressDiscarded int
+	// Reseats counts choice points at which a replayed prefix offered a
+	// different number of options than when it was recorded, summed
+	// over workers. An execution is a function of its choices, so this
+	// is 0 unless state leaks into the model from outside them: harness
+	// nondeterminism (map iteration, say), or something one execution
+	// left behind for the next.
+	Reseats int
 	// PerWorker is each systematic worker's share of the search.
 	PerWorker []WorkerStats
 }
@@ -262,6 +269,9 @@ func (st Stats) String() string {
 	}
 	if st.StressDiscarded > 0 {
 		s += fmt.Sprintf(", %d stress retries discarded", st.StressDiscarded)
+	}
+	if st.Reseats > 0 {
+		s += fmt.Sprintf(", %d choice points RESEATED (an execution is not a function of its choices)", st.Reseats)
 	}
 	return s
 }
@@ -363,9 +373,11 @@ func search(s *Scenario, opts Options, workers int, rep *Report) {
 		runStressParallel(s, opts, rep)
 		return
 	}
+	var x runner
+	defer x.carriers.Release()
 	for i := 0; i < opts.StressExecutions && rep.Counterexample == nil; i++ {
 		rep.Executions++
-		rep.Counterexample = stressOne(s, opts, i, rep)
+		rep.Counterexample = x.stressOne(s, opts, i, rep)
 	}
 }
 
@@ -384,11 +396,11 @@ func retrace(s *Scenario, cx *Counterexample) *Counterexample {
 }
 
 // stressOne runs one randomized execution at seed offset i.
-func stressOne(s *Scenario, opts Options, i int, rep *Report) *Counterexample {
+func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Counterexample {
 	rc := machine.NewRandChooser(opts.StressSeed + int64(i))
 	rc.CrashWeight = opts.StressCrashWeight
 	rc.CrashOption = s.MaxCrashes > 0
-	return runOne(s, rc, rep, nil, false)
+	return x.runOne(s, rc, rep, nil, false)
 }
 
 // runStressParallel fans the stress executions across workers. Each
@@ -417,6 +429,8 @@ func runStressParallel(s *Scenario, opts Options, rep *Report) {
 		reps[w] = &Report{Stats: Stats{Depth: rep.Stats.Depth}}
 		go func(w int) {
 			defer wg.Done()
+			var x runner
+			defer x.carriers.Release()
 			for i := w; i < opts.StressExecutions; i += workers {
 				mu.Lock()
 				stop := best.offset != -1 && best.offset < i
@@ -425,7 +439,7 @@ func runStressParallel(s *Scenario, opts Options, rep *Report) {
 					return
 				}
 				reps[w].Executions++
-				if cx := stressOne(s, opts, i, reps[w]); cx != nil {
+				if cx := x.stressOne(s, opts, i, reps[w]); cx != nil {
 					mu.Lock()
 					if best.offset == -1 || i < best.offset {
 						best = result{offset: i, cx: cx}
@@ -455,6 +469,18 @@ func runStressParallel(s *Scenario, opts Options, rep *Report) {
 	rep.Counterexample = best.cx
 }
 
+// runner is what an owner of executions — a search worker, a stress
+// worker, one ReplayCx or Minimize call — keeps from one execution to
+// the next: the carriers its machines' threads run on, with the stacks
+// they have grown, and the schedule recorder's buffers. Nothing an
+// execution can observe lives here. A runner belongs to one goroutine,
+// which releases the carriers before returning (none of their goroutines
+// is left); the zero value is ready to use.
+type runner struct {
+	carriers machine.Carriers
+	rec      scheduleRecorder
+}
+
 // runOne executes the scenario once under the given chooser and checks
 // the resulting history. It returns a counterexample on violation.
 // A non-nil dd enables crash-boundary dedup: the execution may be cut
@@ -465,11 +491,12 @@ func runStressParallel(s *Scenario, opts Options, rep *Report) {
 // the structured schedule; a searched execution keeps just its choice
 // sequence, and its counterexample carries no Trace or Schedule until
 // retrace replays it.
-func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun, traced bool) *Counterexample {
+func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun, traced bool) *Counterexample {
 	// The recorder sits at the inner-chooser position (below any
 	// RandPolicy), so its choice sequence is exactly what ScriptChooser
 	// replays, and doubles as the machine Observer for thread identity.
-	rec := &scheduleRecorder{inner: ch, traced: traced}
+	rec := &x.rec
+	*rec = scheduleRecorder{inner: ch, traced: traced, choices: rec.choices[:0], steps: rec.steps[:0]}
 	chooser := machine.Chooser(rec)
 	var rpc *randPolicyChooser
 	if s.RandPolicy != nil {
@@ -485,16 +512,19 @@ func runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun, traced b
 	default:
 		mo.Observer = rec // the scenario bounds its own trace
 	}
-	m := machine.New(mo)
+	m := machine.NewOn(&x.carriers, mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
 	w := s.Setup(m)
 	h := &Harness{}
 
+	// A counterexample owns its slices (nil when empty, as they always
+	// were): the recorder's buffers go on to the runner's next
+	// execution, and Trace may hand out the machine's ring itself.
 	fail := func(reason string) *Counterexample {
 		return &Counterexample{
-			Choices:  rec.choices,
-			Schedule: rec.steps,
-			Trace:    m.Trace(),
+			Choices:  append([]int(nil), rec.choices...),
+			Schedule: append(Schedule(nil), rec.steps...),
+			Trace:    append([]string(nil), m.Trace()...),
 			History:  h.rec.History(),
 			Reason:   reason,
 		}
@@ -588,6 +618,9 @@ type dfsChooser struct {
 	points []choicePoint
 	pos    int
 	pinned int
+	// reseats counts replayed points that had to be re-seated (see
+	// Choose and Stats.Reseats).
+	reseats int
 }
 
 type choicePoint struct {
@@ -616,7 +649,9 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 		if p.n != n {
 			// The machine must be deterministic given prior choices; a
 			// mismatch indicates harness nondeterminism (e.g. map
-			// iteration leaking into the model). Re-seat the point.
+			// iteration leaking into the model). Re-seat the point,
+			// and say so.
+			d.reseats++
 			d.points = d.points[:d.pos]
 			d.points = append(d.points, choicePoint{n: n, tag: tag})
 		}
@@ -689,8 +724,9 @@ func (r *randPolicyChooser) Choose(n int, tag string) int {
 // — schedule, trace, and history included — or nil when the script no
 // longer fails.
 func ReplayCx(s *Scenario, choices []int) *Counterexample {
-	rep := &Report{}
-	return runOne(s, &machine.ScriptChooser{Script: choices}, rep, nil, true)
+	var x runner
+	defer x.carriers.Release()
+	return x.runOne(s, &machine.ScriptChooser{Script: choices}, &Report{}, nil, true)
 }
 
 // Replay runs the scenario once with an explicit choice script and
@@ -711,8 +747,10 @@ func Replay(s *Scenario, choices []int) (trace []string, h history.History, reas
 // a failure (not necessarily the same one) and is usually much easier
 // to read.
 func Minimize(s *Scenario, choices []int) []int {
+	var x runner
+	defer x.carriers.Release()
 	fails := func(c []int) bool {
-		return runOne(s, &machine.ScriptChooser{Script: c}, &Report{}, nil, false) != nil
+		return x.runOne(s, &machine.ScriptChooser{Script: c}, &Report{}, nil, false) != nil
 	}
 	if !fails(choices) {
 		return choices

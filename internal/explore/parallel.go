@@ -104,6 +104,7 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 	per := make([]WorkerStats, workers)
 	for w, jobs := range wjobs {
 		for _, j := range jobs {
+			rep.Stats.Reseats += j.rep.Stats.Reseats // never expected: every job's count
 			if p.best != nil && cmpChoices(j.prefix, p.best.Choices) > 0 {
 				continue // wholly after the winner
 			}
@@ -131,13 +132,15 @@ type jobRun struct {
 }
 
 func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
+	var x runner
+	defer x.carriers.Release()
 	for {
 		prefix, ok := p.take()
 		if !ok {
 			return jobs
 		}
 		j := jobRun{prefix: prefix, rep: Report{Stats: Stats{Depth: depth}}}
-		p.explore(prefix, &j.rep, w)
+		p.explore(&x, prefix, &j.rep, w)
 		jobs = append(jobs, j)
 		p.finish()
 	}
@@ -189,10 +192,12 @@ func (p *searchPool) claim() bool {
 	return false
 }
 
-// explore enumerates the subtree pinned at prefix on behalf of worker w.
-func (p *searchPool) explore(prefix []int, wrep *Report, w int) {
+// explore enumerates the subtree pinned at prefix on behalf of worker w,
+// on the worker's runner.
+func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
 	d := &dfsChooser{}
 	d.seed(prefix)
+	defer func() { wrep.Stats.Reseats += d.reseats }()
 	for {
 		if p.pastBest(d) {
 			return
@@ -207,7 +212,7 @@ func (p *searchPool) explore(prefix []int, wrep *Report, w int) {
 		if p.table != nil {
 			dd = &dedupRun{table: p.table, s: p.s}
 		}
-		cx := runOne(p.s, d, wrep, dd, false)
+		cx := x.runOne(p.s, d, wrep, dd, false)
 		if dd != nil {
 			if dd.pruned {
 				wrep.Stats.PrunedStates++

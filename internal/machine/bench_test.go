@@ -57,14 +57,57 @@ func BenchmarkEraSetupTeardown(b *testing.B) {
 	}
 }
 
-func BenchmarkThreadSpawn(b *testing.B) {
-	m := New(Options{MaxSteps: 2*b.N + 10})
-	res := m.RunEra(SeqChooser{}, false, func(t *T) {
-		for i := 0; i < b.N; i++ {
-			t.Go(func(c *T) {})
+// benchThreads prices one spawned thread — spawn, first resume, body,
+// exit — in eras of 32 threads on machines from newMachine, so that the
+// era's own cost is a thirtieth of the figure and the thread list stays
+// short. Fresh is a bare machine (New): a new coroutine per thread, as
+// every thread had before carriers. Warm is one owner's carrier set
+// (NewOn), as the checker's workers run.
+func benchThreads(b *testing.B, newMachine func() *Machine, body func(c *T)) {
+	const perEra = 32
+	b.ReportAllocs()
+	for left := b.N; left > 0; left -= perEra {
+		n := min(left, perEra)
+		res := newMachine().RunEra(SeqChooser{}, false, func(t *T) {
+			for i := 0; i < n; i++ {
+				t.Go(body)
+			}
+		})
+		if res.Outcome != Done {
+			b.Fatal(res.Err)
 		}
-	})
-	if res.Outcome != Done {
-		b.Fatal(res.Err)
 	}
 }
+
+func fresh() *Machine { return New(Options{}) }
+
+// warm returns a constructor of machines on one carrier set, released
+// when the benchmark ends.
+func warm(b *testing.B) func() *Machine {
+	cs := &Carriers{}
+	b.Cleanup(cs.Release)
+	return func() *Machine { return NewOn(cs, Options{}) }
+}
+
+func shallow(c *T) { c.Step("x") }
+
+// deep recurses past 8 KB of stack before its first step, as a mailboat
+// operation does on its way down to the file-system model: a fresh 2 KB
+// coroutine stack is grown (copied) three times to hold it.
+func deep(c *T) { descend(c, 64) }
+
+//go:noinline
+func descend(c *T, n int) byte {
+	var frame [192]byte
+	frame[n] = byte(n)
+	if n == 0 {
+		c.Step("bottom")
+		return frame[0]
+	}
+	return descend(c, n-1) + frame[n]
+}
+
+func BenchmarkThreadSpawn(b *testing.B)     { benchThreads(b, fresh, shallow) }
+func BenchmarkThreadSpawnWarm(b *testing.B) { benchThreads(b, warm(b), shallow) }
+func BenchmarkDeepThreadFresh(b *testing.B) { benchThreads(b, fresh, deep) }
+func BenchmarkDeepThreadWarm(b *testing.B)  { benchThreads(b, warm(b), deep) }

@@ -103,7 +103,8 @@ type EraResult struct {
 
 // thread lifecycle statuses. Only the scheduler and the single running
 // thread mutate these, and the coroutine switches between the two order
-// all accesses. A parking thread yields the status it parks in.
+// all accesses. A parking thread yields the status it parks in; a
+// carrier whose thread has returned yields statusExited and goes idle.
 type status int
 
 const (
@@ -143,9 +144,11 @@ type Machine struct {
 	version uint64
 	devices []Device
 
-	threads []*thread
-	alive   int
-	ready   []*thread // runnable()'s buffer, reused between steps
+	carriers *Carriers // what the threads run on: NewOn's set, or private
+	private  Carriers  // a bare machine's own era-scoped set
+	threads  []*thread // the running era's threads, by TID
+	alive    int
+	ready    []*thread // runnable()'s buffer, reused between steps
 
 	steps   int
 	failure error
@@ -158,12 +161,25 @@ type Machine struct {
 	running bool
 }
 
-// New creates a machine with no devices at version 1.
-func New(opts Options) *Machine {
+// New creates a machine with no devices at version 1. Its threads run
+// on a private, era-scoped carrier set: every thread's goroutine is gone
+// when RunEra returns, and there is nothing to release.
+func New(opts Options) *Machine { return NewOn(nil, opts) }
+
+// NewOn is New for a caller that runs many executions: the machine's
+// threads run on cs, whose carriers outlive the machine and keep their
+// grown stacks for the caller's next one. The caller owns cs and
+// releases it. A nil cs is New.
+func NewOn(cs *Carriers, opts Options) *Machine {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 100000
 	}
-	return &Machine{opts: opts, version: 1}
+	m := &Machine{opts: opts, version: 1, carriers: cs}
+	if cs == nil {
+		m.private.eraScoped = true
+		m.carriers = &m.private
+	}
+	return m
 }
 
 // Version returns the current memory generation number n of §5.2. It
@@ -230,8 +246,6 @@ func (m *Machine) CrashReset() {
 		panic("machine: CrashReset during a running era")
 	}
 	m.version++
-	m.threads = nil
-	m.alive = 0
 	for _, d := range m.devices {
 		d.Crash()
 	}
@@ -267,11 +281,19 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 		panic("machine: RunEra reentered")
 	}
 	m.running = true
-	defer func() { m.running = false }()
+	// The thread list and runnable()'s buffer are the set's, on loan for
+	// the era; every return below leaves no thread alive to be in them.
+	cs := m.carriers
+	m.threads, m.ready, cs.threads, cs.ready = cs.threads, cs.ready, nil, nil
+	defer func() {
+		clear(m.threads)
+		clear(m.ready[:cap(m.ready)])
+		cs.threads, cs.ready, m.threads, m.ready = m.threads[:0], m.ready[:0], nil, nil
+		m.running = false
+	}()
 
 	m.chooser = chooser
 	m.failure = nil
-	m.threads = nil
 	m.alive = 0
 
 	m.spawn(main)
@@ -322,17 +344,6 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	}
 }
 
-// resume switches to th until it parks at its next step boundary, blocks
-// or returns, and records the status it stopped in.
-func (m *Machine) resume(th *thread) {
-	st, parked := th.next()
-	if !parked {
-		st = statusExited
-		m.alive--
-	}
-	th.status = st
-}
-
 func (m *Machine) runnable() []*thread {
 	out := m.ready[:0]
 	for _, th := range m.threads {
@@ -345,43 +356,32 @@ func (m *Machine) runnable() []*thread {
 }
 
 // killAll terminates every live thread. It is only called between steps,
-// when no thread is executing. A parked thread unwinds on the kill
-// sentinel (its deferred calls run, but take no machine step: see
-// T.Step); a thread that was never scheduled simply never starts.
+// when no thread is executing. A parked thread is marked dead and
+// resumed once: it unwinds on the kill sentinel (its deferred calls run,
+// but take no machine step: see T.Step) and hands its carrier back. A
+// thread that was never scheduled simply never starts.
 func (m *Machine) killAll() {
 	for _, th := range m.threads {
-		if th.status == statusExited {
-			continue
+		switch {
+		case th.status == statusExited:
+		case th.c == nil:
+			th.status = statusExited
+			m.alive--
+		default:
+			th.dead = true
+			m.resume(th)
 		}
-		th.stop()
-		th.status = statusExited
-		m.alive--
 	}
 }
 
-// spawn creates a thread as a coroutine (pull is iter.Pull): the
-// scheduler's next() switches straight to it without a trip through the
-// Go scheduler, and its yield switches straight back. It first runs
-// when first scheduled.
+// spawn creates a thread. It takes a carrier, and first runs, when first
+// scheduled (see resume).
 func (m *Machine) spawn(fn func(t *T)) TID {
-	tid := TID(len(m.threads))
-	th := &thread{id: tid, status: statusReady}
+	th := &thread{id: TID(len(m.threads)), status: statusReady, fn: fn}
+	th.t = T{m: m, th: th}
 	m.threads = append(m.threads, th)
 	m.alive++
-
-	t := &T{m: m, th: th}
-	th.next, th.stop = pull(func(yield func(status) bool) {
-		th.yield = yield
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedSentinel); !ok {
-					m.Failf("thread %d panicked: %v", tid, r)
-				}
-			}
-		}()
-		fn(t)
-	})
-	return tid
+	return th.id
 }
 
 type thread struct {
@@ -391,9 +391,9 @@ type thread struct {
 	// is unwinding and takes no further machine step.
 	dead bool
 
-	next  func() (status, bool) // scheduler side: run until the next park
-	stop  func()                // scheduler side: kill
-	yield func(status) bool     // thread side: park; false means killed
+	fn func(t *T) // the body
+	t  T          // the handle fn is given
+	c  *carrier   // what it runs on, from its first resume to its exit
 }
 
 // T is the handle a simulated thread uses to interact with the machine.
@@ -411,13 +411,16 @@ func (t *T) ID() TID { return t.th.id }
 func (t *T) Machine() *Machine { return t.m }
 
 // park hands control back to the scheduler, leaving the thread in
-// status st, until it is resumed. A killed thread panics with the kill
-// sentinel instead — also on every later call, so that code running
-// while it unwinds (a deferred lock.Release, say) takes no machine step
-// and touches no device state: primitives park before they act.
+// status st, until it is resumed. A thread killed while parked wakes up
+// dead and panics with the kill sentinel — as does every later call,
+// without parking, so that code running while it unwinds (a deferred
+// lock.Release, say) takes no machine step and touches no device state:
+// primitives park before they act.
 func (t *T) park(st status) {
-	if t.th.dead || !t.th.yield(st) {
-		t.th.dead = true
+	if !t.th.dead {
+		t.th.c.yield(st) // always true: only an idle carrier is ever stopped
+	}
+	if t.th.dead {
 		panic(killedSentinel{})
 	}
 }

@@ -4,6 +4,9 @@ package machine
 
 import "iter"
 
+// raceBuild tells the tests which pull they run on.
+const raceBuild = true
+
 // pull, under the race detector, is iter.Pull's contract kept by a
 // goroutine and two channels. Go 1.24's race runtime gives every
 // coroutine a race context and never frees it (newcoro calls
@@ -11,7 +14,10 @@ import "iter"
 // racegoend), about 5 KB apiece: a -short -race run of internal/repl, a
 // few million simulated threads, grew past 15 GB. A goroutine's context
 // is freed when it exits. Only race-instrumented builds take this file,
-// and the machine above it is the same code either way.
+// and everything above it — the carrier loop included — is the same
+// code either way. One difference shows: a body that leaves by
+// runtime.Goexit ends this goroutine, and next reports the coroutine
+// finished where iter.Pull forwards the Goexit to its caller.
 func pull(body iter.Seq[status]) (next func() (status, bool), stop func()) {
 	type parked struct {
 		st status

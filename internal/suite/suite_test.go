@@ -96,6 +96,31 @@ func TestCounterexamplesAreTheirReplay(t *testing.T) {
 	}
 }
 
+// TestNoChoicePointIsReseated: an execution is a function of its choice
+// sequence, so a replayed prefix must offer, point for point, the
+// branching factors it was recorded with. A search worker carries its
+// carrier coroutines and recorder buffers from one execution to the
+// next; anything an execution could observe leaking through them would
+// show here first, as a re-seated choice point (explore.Stats.Reseats).
+func TestNoChoicePointIsReseated(t *testing.T) {
+	for _, e := range All() {
+		for _, workers := range []int{1, 4} {
+			opts := e.Opts
+			opts.Workers = workers
+			if testing.Short() {
+				opts.MaxExecutions = 1000
+			}
+			rep := explore.Run(e.Scenario, opts)
+			if rep.OK() == e.WantViolation {
+				t.Errorf("%s, Workers: %d: wrong verdict: %s", e.Scenario.Name, workers, rep)
+			}
+			if rep.Stats.Reseats != 0 {
+				t.Errorf("%s, Workers: %d: %d choice points re-seated: %s", e.Scenario.Name, workers, rep.Stats.Reseats, rep.Stats)
+			}
+		}
+	}
+}
+
 // TestDedupSelfCheckMailboatMirror runs the dedup soundness self-check
 // (explore.SelfCheckDedup) on the mirrored-store scenario — the suite's
 // richest fingerprint, covering the filesystem model, fault latches,
