@@ -54,7 +54,9 @@
 // -quota caps each mailbox's stored bytes: an over-quota delivery is
 // refused up front with SMTP 452 (insufficient system storage) and the
 // store untouched; deleting mail over POP3 credits the bytes back.
-// Usage is re-derived from the store on every boot.
+// Usage is re-derived from the store on every boot. Refused together
+// with -replica / -backup-of: the replicated delivery path keeps no
+// quota.
 //
 // -shed-low/-shed-high and -max-inflight are the overload-shedding
 // policy: when the file system backing -dir drops below -shed-low free
@@ -161,7 +163,7 @@ func main() {
 	replicaAddr := flag.String("replica", "", "run as replication PRIMARY: the backup's -repl-listen address to replicate to")
 	backupOf := flag.String("backup-of", "", "run as replication BACKUP of the primary at this address (requires -repl-listen; no SMTP/POP3)")
 	replListen := flag.String("repl-listen", "", "replication protocol listen address (required with -backup-of)")
-	quota := flag.Uint64("quota", 0, "per-mailbox byte quota (0 = unlimited); over-quota deliveries are refused with SMTP 452")
+	quota := flag.Uint64("quota", 0, "per-mailbox byte quota (0 = unlimited); over-quota deliveries are refused with SMTP 452; refused with -replica/-backup-of, whose delivery path keeps no quota")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently admitted deliveries; excess sheds with SMTP 452 (0 = unlimited)")
 	shedLow := flag.Uint64("shed-low", 0, "free-byte low watermark: shed deliveries (SMTP 452, /healthz 503) when the store's file system has less free space (0 = off)")
 	shedHigh := flag.Uint64("shed-high", 0, "free-byte high watermark: stop shedding once free space rises above this (default 2x -shed-low)")

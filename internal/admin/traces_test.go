@@ -128,8 +128,8 @@ func TestTracedDeliveryEndToEnd(t *testing.T) {
 	p.cmd(t, "QUIT", "+OK")
 
 	// The delivery trace: one root, correctly nested, ≥4 levels deep
-	// (smtp.DATA → mailboat.deliver → publish.link → syncdir.barrier →
-	// gfs.syncdir under the durable discipline).
+	// (smtp.DATA → mailboat.deliver → syncdir.barrier → gfs.syncdir
+	// under the durable discipline; the delivery stages are siblings).
 	recent := tracer.Recent("deliver", 10)
 	if len(recent) != 1 {
 		t.Fatalf("want exactly 1 deliver trace, got %d", len(recent))

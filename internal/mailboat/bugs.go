@@ -2,42 +2,42 @@ package mailboat
 
 import "repro/internal/gfs"
 
-// This file contains deliberately buggy variants of the mail server,
-// including the two §9.5 bugs the authors describe. They carry no ghost
-// annotations; the model checker finds counterexamples (or, for the
-// resource leak, demonstrably does not — matching the paper's
+// This file contains the deliberately buggy variants of the mail
+// server, including the two §9.5 bugs the authors describe; Scenario
+// reaches each only through its Variant row (scenarios.go). They carry
+// no ghost annotations; the model checker finds counterexamples (or,
+// for the resource leak, demonstrably does not — matching the paper's
 // observation that Perennial's proofs do not cover resource leaks).
+//
+// A delivery bug is the production stages of mailboat.go composed with
+// one difference — a stage skipped, a token forged, a chunk size — so
+// it keeps every retry exit, no-space exit and clean-up the real
+// Deliver has, and is convicted for its bug alone. This is the only
+// file allowed to forge a stage token.
 
-// DeliverDirect skips the spool-and-link protocol and writes the
+// deliverDirect skips the spool-and-link protocol and writes the
 // message directly into the mailbox directory. A concurrent (or
 // post-crash) Pickup can observe a partially written message — the
-// atomicity failure the spool exists to prevent.
-func (mb *Mailboat) DeliverDirect(t gfs.T, user uint64, msg []byte) {
+// atomicity failure the spool exists to prevent. It is the one delivery
+// that uses none of the stages, which is its bug.
+func (mb *Mailboat) deliverDirect(t gfs.T, user uint64, msg []byte) bool {
 	var fd gfs.FD
-	for {
-		id := t.RandUint64(mb.cfg.RandBound)
-		f, ok := mb.sys.Create(t, UserDir(user), MsgName(id))
-		if ok {
-			fd = f
-			break
-		}
+	for created := false; !created; {
+		fd, created = mb.sys.Create(t, UserDir(user), MsgName(t.RandUint64(mb.cfg.RandBound)))
 	}
 	for off := 0; off < len(msg); off += gfs.MaxAppend {
-		end := off + gfs.MaxAppend
-		if end > len(msg) {
-			end = len(msg)
-		}
-		mb.sys.Append(t, fd, msg[off:end])
+		mb.sys.Append(t, fd, msg[off:min(off+gfs.MaxAppend, len(msg))])
 	}
 	mb.sys.Close(t, fd)
+	return true
 }
 
-// PickupNoAdvance is the §9.5 infinite-loop bug: the chunked read loop
+// pickupNoAdvance is the §9.5 infinite-loop bug: the chunked read loop
 // never advances its offset, so any message of at least one full chunk
 // (512 bytes) loops forever. The machine's step budget reports it as a
 // possible infinite loop — the paper's authors likewise "caught this bug
 // while doing the proof" even though termination is not proved.
-func (mb *Mailboat) PickupNoAdvance(t gfs.T, user uint64) []Message {
+func (mb *Mailboat) pickupNoAdvance(t gfs.T, user uint64) []Message {
 	mb.locks[user].Acquire(t)
 	names := mb.sys.List(t, UserDir(user))
 	msgs := make([]Message, 0, len(names))
@@ -60,38 +60,33 @@ func (mb *Mailboat) PickupNoAdvance(t gfs.T, user uint64) []Message {
 	return msgs
 }
 
-// PickupLeaky is the §9.5 resource-leak bug: it never closes the
+// pickupLeaky is the §9.5 resource-leak bug: it never closes the
 // message file descriptors. This violates no refinement property — the
 // checker accepts it, exactly as the paper reports that Perennial's
 // proofs do not cover resource leaks — but gfs.Model.OpenFDs exposes it
 // to ordinary tests.
-func (mb *Mailboat) PickupLeaky(t gfs.T, user uint64) []Message {
+func (mb *Mailboat) pickupLeaky(t gfs.T, user uint64) []Message {
 	mb.locks[user].Acquire(t)
 	names := mb.sys.List(t, UserDir(user))
 	msgs := make([]Message, 0, len(names))
+	var chunks [][]byte
 	for _, name := range names {
 		fd, ok := mb.sys.Open(t, UserDir(user), name)
 		if !ok {
 			continue
 		}
-		var contents []byte
-		for off := uint64(0); ; off += gfs.ReadChunk {
-			chunk := mb.sys.ReadAt(t, fd, off, gfs.ReadChunk)
-			contents = append(contents, chunk...)
-			if uint64(len(chunk)) < gfs.ReadChunk {
-				break
-			}
-		}
+		var contents string
+		contents, chunks = readAll(t, mb.sys, fd, chunks)
 		// BUG: fd is never closed.
-		msgs = append(msgs, Message{ID: name, Contents: string(contents)})
+		msgs = append(msgs, Message{ID: name, Contents: contents})
 	}
 	return msgs
 }
 
-// RecoverWipesMailboxes is an overzealous recovery that cleans not just
+// recoverWipesMailboxes is an overzealous recovery that cleans not just
 // the spool but the user mailboxes too, destroying delivered (durable)
 // mail — a durability violation the checker catches.
-func RecoverWipesMailboxes(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
+func recoverWipesMailboxes(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 	for _, name := range sys.List(t, SpoolDir) {
 		sys.Delete(t, SpoolDir, name)
 	}
@@ -103,14 +98,14 @@ func RecoverWipesMailboxes(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 	return Init(t, nil, sys, cfg)
 }
 
-// RecoverSkipResilver is a recovery that forgets the mirror-repair step:
+// recoverSkipResilver is a recovery that forgets the mirror-repair step:
 // it sweeps the spool and reinitializes like Recover, but never calls
 // Resilver on the mirrored stack. On a mirror whose replaced replica has
 // not been repaired, the replica serves stale (empty) reads; because the
 // mirror fails reads over to replica 0 by position, skipping resilver
 // makes delivered mail invisible after the next failover — an
 // availability/durability violation the checker catches.
-func RecoverSkipResilver(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
+func recoverSkipResilver(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 	// BUG: no gfs.AsResilverer(sys).Resilver(t) call.
 	for _, name := range sys.List(t, SpoolDir) {
 		sys.Delete(t, SpoolDir, name)
@@ -118,38 +113,29 @@ func RecoverSkipResilver(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 	return Init(t, nil, sys, cfg)
 }
 
-// DeliverForgetSpoolDelete links the message but forgets to remove the
+// spoolAndPublish is deliverAttempt as far as the link, ghost-free —
+// the part every delivery bug below shares with production — spooling
+// in appends of at most chunk bytes.
+func (mb *Mailboat) spoolAndPublish(t gfs.T, user uint64, msg []byte, chunk int) (published, bool) {
+	spool, ok := mb.spoolWrite(t, msg, chunk)
+	if !ok {
+		return published{}, false
+	}
+	return mb.publishLink(t, nil, user, spool, msg)
+}
+
+// deliverForgetSpoolDelete links the message but forgets to remove the
 // spool entry. This is a space leak, not a correctness bug: the spec
 // does not mandate cleanup (§8.2's Recovery note), and Recover deletes
 // the leftovers after the next crash. The checker accepts it.
-func (mb *Mailboat) DeliverForgetSpoolDelete(t gfs.T, user uint64, msg []byte) {
-	var sname string
-	for {
-		id := t.RandUint64(mb.cfg.RandBound)
-		sname = tmpName(id)
-		fd, ok := mb.sys.Create(t, SpoolDir, sname)
-		if ok {
-			for off := 0; off < len(msg); off += gfs.MaxAppend {
-				end := off + gfs.MaxAppend
-				if end > len(msg) {
-					end = len(msg)
-				}
-				mb.sys.Append(t, fd, msg[off:end])
-			}
-			mb.sys.Close(t, fd)
-			break
-		}
-	}
-	for {
-		id := t.RandUint64(mb.cfg.RandBound)
-		if mb.sys.Link(t, SpoolDir, sname, UserDir(user), MsgName(id)) {
-			break
-		}
-	}
-	// BUG (benign for refinement): spool entry not deleted.
+func (mb *Mailboat) deliverForgetSpoolDelete(t gfs.T, user uint64, msg []byte) bool {
+	// BUG (benign for refinement): stops at the link — no ack, so the
+	// spool entry is never deleted.
+	_, ok := mb.spoolAndPublish(t, user, msg, gfs.MaxAppend)
+	return ok
 }
 
-// DeliverAckOnNoSpace is the ack-after-ENOSPC bug: it runs the real
+// deliverAckOnNoSpace is the ack-after-ENOSPC bug: it runs the real
 // spool-write-link protocol, but when an attempt fails on a full disk
 // it acknowledges anyway, reasoning that the sender will surely retry
 // "later" and the mailbox will surely have room "then". Nothing was
@@ -157,9 +143,9 @@ func (mb *Mailboat) DeliverForgetSpoolDelete(t gfs.T, user uint64, msg []byte) {
 // yes: acked-but-absent, the exact loss the clean-abort contract (fail
 // the delivery, surface a temp-failure code) exists to prevent. The
 // exhaustion property convicts it at the post-recovery audit.
-func (mb *Mailboat) DeliverAckOnNoSpace(t gfs.T, user uint64, msg []byte) bool {
+func (mb *Mailboat) deliverAckOnNoSpace(t gfs.T, user uint64, msg []byte) bool {
 	for attempt := 0; attempt < 3; attempt++ {
-		if mb.deliverAttempt(t, nil, user, msg) {
+		if _, ok := mb.deliverAttempt(t, nil, user, msg); ok {
 			return true
 		}
 		if mb.storeNoSpace() {
@@ -171,7 +157,7 @@ func (mb *Mailboat) DeliverAckOnNoSpace(t gfs.T, user uint64, msg []byte) bool {
 	return false
 }
 
-// DeliverGreedySpoolGC is the gc-eats-live-spool bug: when a delivery
+// deliverGreedySpoolGC is the gc-eats-live-spool bug: when a delivery
 // hits a full disk it "helpfully" sweeps the entire spool directory to
 // free space before retrying, reasoning that spool files are garbage —
 // recovery deletes them, after all. The flaw is that recovery runs
@@ -180,9 +166,9 @@ func (mb *Mailboat) DeliverAckOnNoSpace(t gfs.T, user uint64, msg []byte) bool {
 // written it but not yet linked it. Eating one makes that delivery's
 // link target vanish out from under it — a protocol violation the
 // model's link-source assertion catches red-handed.
-func (mb *Mailboat) DeliverGreedySpoolGC(t gfs.T, user uint64, msg []byte) bool {
+func (mb *Mailboat) deliverGreedySpoolGC(t gfs.T, user uint64, msg []byte) bool {
 	for attempt := 0; attempt < 3; attempt++ {
-		if mb.deliverAttempt(t, nil, user, msg) {
+		if _, ok := mb.deliverAttempt(t, nil, user, msg); ok {
 			return true
 		}
 		if mb.storeNoSpace() {
@@ -196,72 +182,26 @@ func (mb *Mailboat) DeliverGreedySpoolGC(t gfs.T, user uint64, msg []byte) bool 
 	return false
 }
 
-// readWhole reads an entire file in 512-byte chunks, the same loop the
-// real Pickup uses. Used by the buggy replay recovery below.
-func readWhole(t gfs.T, sys gfs.System, dir, name string) ([]byte, bool) {
-	fd, ok := sys.Open(t, dir, name)
-	if !ok {
-		return nil, false
-	}
-	var contents []byte
-	for off := uint64(0); ; off += gfs.ReadChunk {
-		chunk := sys.ReadAt(t, fd, off, gfs.ReadChunk)
-		contents = append(contents, chunk...)
-		if uint64(len(chunk)) < gfs.ReadChunk {
-			break
-		}
-	}
-	sys.Close(t, fd)
-	return contents, true
-}
-
-// DeliverTinyAppends is the delivery half of the torn-append bug pair.
+// deliverTinyAppends is the delivery half of the torn-append bug pair.
 // It follows the real spool-sync-link protocol — the spool file is
 // fsynced before the link, so every *published* message is durable and
 // complete — but writes the spool one byte per append instead of in
 // 4 KiB chunks. That is not a bug by itself; it only becomes one when
-// paired with RecoverReplaySpool, which trusts whatever prefix of those
+// paired with recoverReplaySpool, which trusts whatever prefix of those
 // appends a crash happened to preserve.
-func (mb *Mailboat) DeliverTinyAppends(t gfs.T, user uint64, msg []byte) bool {
-	var spool gfs.FD
-	var sname string
-	created := false
-	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		sname = tmpName(id)
-		if fd, ok := mb.sys.Create(t, SpoolDir, sname); ok {
-			spool, created = fd, true
-			break
-		}
-	}
-	if !created {
+func (mb *Mailboat) deliverTinyAppends(t gfs.T, user uint64, msg []byte) bool {
+	pub, ok := mb.spoolAndPublish(t, user, msg, 1) // one byte per append
+	if !ok {
 		return false
 	}
-	for off := 0; off < len(msg); off++ { // one byte per append
-		if !mb.sys.Append(t, spool, msg[off:off+1]) {
-			mb.sys.Close(t, spool)
-			mb.sys.Delete(t, SpoolDir, sname)
-			return false
-		}
+	d, ok := mb.barrier(t, pub)
+	if ok {
+		mb.ack(t, d)
 	}
-	if !mb.sys.Sync(t, spool) {
-		mb.sys.Close(t, spool)
-		mb.sys.Delete(t, SpoolDir, sname)
-		return false
-	}
-	mb.sys.Close(t, spool)
-	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		if mb.sys.Link(t, SpoolDir, sname, UserDir(user), MsgName(id)) {
-			mb.sys.Delete(t, SpoolDir, sname)
-			return true
-		}
-	}
-	mb.sys.Delete(t, SpoolDir, sname)
-	return false
+	return ok
 }
 
-// DeliverAckBeforeSync is the missing-directory-barrier delivery bug:
+// deliverAckBeforeSync is the missing-directory-barrier delivery bug:
 // it follows the full spool-sync-link protocol — the message bytes are
 // fsynced before the link, so no surviving message is ever torn — but
 // acknowledges as soon as the link lands, without SyncDir on the
@@ -270,52 +210,17 @@ func (mb *Mailboat) DeliverTinyAppends(t gfs.T, user uint64, msg []byte) bool {
 // is still sitting in the directory cache when the true return reaches
 // the client, so a crash can take back an acknowledged delivery — a
 // durability violation only the "writeback" crash enumeration exposes.
-func (mb *Mailboat) DeliverAckBeforeSync(t gfs.T, user uint64, msg []byte) bool {
-	var spool gfs.FD
-	var sname string
-	created := false
-	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		sname = tmpName(id)
-		if fd, ok := mb.sys.Create(t, SpoolDir, sname); ok {
-			spool, created = fd, true
-			break
-		}
+func (mb *Mailboat) deliverAckBeforeSync(t gfs.T, user uint64, msg []byte) bool {
+	pub, ok := mb.spoolAndPublish(t, user, msg, gfs.MaxAppend)
+	if ok {
+		// BUG: the durable token is forged, not earned from barrier —
+		// the link may be lost at a crash after the client was told yes.
+		mb.ack(t, durable{pub})
 	}
-	if !created {
-		return false
-	}
-	for off := 0; off < len(msg); off += gfs.MaxAppend {
-		end := off + gfs.MaxAppend
-		if end > len(msg) {
-			end = len(msg)
-		}
-		if !mb.sys.Append(t, spool, msg[off:end]) {
-			mb.sys.Close(t, spool)
-			mb.sys.Delete(t, SpoolDir, sname)
-			return false
-		}
-	}
-	if !mb.sys.Sync(t, spool) {
-		mb.sys.Close(t, spool)
-		mb.sys.Delete(t, SpoolDir, sname)
-		return false
-	}
-	mb.sys.Close(t, spool)
-	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		if mb.sys.Link(t, SpoolDir, sname, UserDir(user), MsgName(id)) {
-			// BUG: no SyncDir(UserDir(user)) before acking — the link
-			// may be lost at a crash after the client was told yes.
-			mb.sys.Delete(t, SpoolDir, sname)
-			return true
-		}
-	}
-	mb.sys.Delete(t, SpoolDir, sname)
-	return false
+	return ok
 }
 
-// DeleteNoBarrier is the recovery-trusts-cache bug's operational half:
+// deleteNoBarrier is the recovery-trusts-cache bug's operational half:
 // it acknowledges a delete straight from the directory cache, with no
 // barrier after the unlink. A crash may then resurrect the entry —
 // un-synced deletes are lost like any other un-synced directory
@@ -323,13 +228,12 @@ func (mb *Mailboat) DeliverAckBeforeSync(t gfs.T, user uint64, msg []byte) bool 
 // directory entries survived the crash, re-serves the message the
 // user was told was gone. The spec's Delete removed it, so the
 // post-crash pickup has no linearization.
-func (mb *Mailboat) DeleteNoBarrier(t gfs.T, user uint64, id string) bool {
+func (mb *Mailboat) deleteNoBarrier(t gfs.T, user uint64, id string) bool {
 	mb.checkUser(t, user)
-	// BUG: no syncDirBarrier(UserDir(user)) before acking the unlink.
-	return mb.sys.Delete(t, UserDir(user), id)
+	return mb.unlink(t, user, id, false) // BUG: no barrier, whatever Config.SyncDirs says
 }
 
-// RecoverReplaySpool is a recovery that tries to be helpful: instead of
+// recoverReplaySpool is a recovery that tries to be helpful: instead of
 // sweeping leftover spool files it *replays* them into user 0's
 // mailbox, reasoning that a spool file left behind by a crash is a
 // delivery the sender never got acknowledged for, so salvaging it can
@@ -344,21 +248,21 @@ func (mb *Mailboat) DeleteNoBarrier(t gfs.T, user uint64, id string) bool {
 // leaves an empty spool file (swept harmlessly), and preserving all of
 // it replays exactly what a completed delivery would have published, so
 // the bug is invisible without torn-append enumeration.
-func RecoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
-	published := map[string]bool{}
+func recoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
+	inMailbox := map[string]bool{}
 	for u := uint64(0); u < cfg.Users; u++ {
 		for _, name := range sys.List(t, UserDir(u)) {
-			if data, ok := readWhole(t, sys, UserDir(u), name); ok {
-				published[string(data)] = true
+			if data, ok := readFile(t, sys, UserDir(u), name); ok {
+				inMailbox[data] = true
 			}
 		}
 	}
 	for _, name := range sys.List(t, SpoolDir) {
-		data, ok := readWhole(t, sys, SpoolDir, name)
+		data, ok := readFile(t, sys, SpoolDir, name)
 		if !ok {
 			continue
 		}
-		if len(data) == 0 || published[string(data)] {
+		if len(data) == 0 || inMailbox[data] {
 			sys.Delete(t, SpoolDir, name)
 			continue
 		}
@@ -366,7 +270,7 @@ func RecoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 		for i := 0; i < nameAttempts; i++ {
 			id := t.RandUint64(cfg.RandBound)
 			if sys.Link(t, SpoolDir, name, UserDir(0), MsgName(id)) {
-				published[string(data)] = true
+				inMailbox[data] = true
 				sys.Delete(t, SpoolDir, name)
 				break
 			}

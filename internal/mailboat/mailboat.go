@@ -353,7 +353,10 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 			mb.backoff(t, attempt)
 		}
 		attempts++
-		if mb.deliverAttempt(t, j, user, msg) {
+		if name, ok := mb.deliverAttempt(t, j, user, msg); ok {
+			// The committed delivery's bytes are pinned to the name the
+			// link claimed, so a later Delete credits the quota correctly.
+			mb.quotaCommit(user, name, uint64(len(msg)))
 			mb.cfg.Metrics.observeDeliver(start, attempts, true)
 			return true
 		}
@@ -381,81 +384,107 @@ func (mb *Mailboat) backoff(t gfs.T, attempt int) {
 	time.Sleep(mb.cfg.DeliverBackoff << (attempt - 1))
 }
 
-// deliverAttempt runs one round of the spool-write-link protocol. On
-// any transient failure it deletes its spool file (best effort — a
-// leftover file is invisible at the spec level and reclaimed by
-// Recover, the TmpInv of §8.3) and reports false with the mailbox
-// untouched. The two phases are separate functions so each shows up as
-// its own stage span on a traced request.
-func (mb *Mailboat) deliverAttempt(t gfs.T, j *core.JTok, user uint64, msg []byte) bool {
-	sname, ok := mb.spoolWrite(t, msg)
-	if !ok {
-		return false
-	}
-	return mb.publishLink(t, j, user, sname, msg)
+// Delivery is four stages that hand each other value tokens (DESIGN.md
+// "Delivery protocol" has the table): a stage can only run on the token
+// the stage before it minted, so the order crash safety hangs on is the
+// order that builds. Each stage deletes the spool file on its own
+// failure (best effort — a leftover is invisible at the spec level and
+// reclaimed by Recover, the TmpInv of §8.3) and leaves the mailbox
+// untouched. A seeded bug composes these same functions and forges the
+// token it has not earned, in bugs.go and nowhere else
+// (TestTokensForgedOnlyInBugs).
+
+// spooled is a complete spool file: every byte appended, fsynced when
+// Config.SyncOnDeliver says so, descriptor closed.
+type spooled struct{ name string }
+
+// published is a spooled message linked into user's mailbox under name:
+// visible to Pickup (the linearization point is behind it), its
+// directory entry not yet known to be durable.
+type published struct {
+	spool spooled
+	user  uint64
+	name  string
 }
 
-// spoolWrite spools msg under a fresh name: create, chunked appends,
-// optional fsync. On failure the spool file is already cleaned up.
-func (mb *Mailboat) spoolWrite(t gfs.T, msg []byte) (sname string, ok bool) {
+// durable is a published message whose directory entry is past the
+// Config.SyncDirs barrier (the persist point). It is all ack accepts,
+// so acking before the barrier does not build.
+type durable struct{ pub published }
+
+// deliverAttempt runs one round of the protocol and reports the mailbox
+// name it published under. Each stage is its own function so each shows
+// up as its own span on a traced request.
+func (mb *Mailboat) deliverAttempt(t gfs.T, j *core.JTok, user uint64, msg []byte) (name string, ok bool) {
+	spool, ok := mb.spoolWrite(t, msg, gfs.MaxAppend)
+	if !ok {
+		return "", false
+	}
+	pub, ok := mb.publishLink(t, j, user, spool, msg)
+	if !ok {
+		return "", false
+	}
+	d, ok := mb.barrier(t, pub)
+	if !ok {
+		return "", false
+	}
+	mb.ack(t, d)
+	return pub.name, true
+}
+
+// unspool deletes a spool file: a failed stage's clean-up, and ack.
+func (mb *Mailboat) unspool(t gfs.T, spool spooled) { mb.sys.Delete(t, SpoolDir, spool.name) }
+
+// spoolWrite spools msg under a fresh name: create, appends of at most
+// chunk bytes, optional fsync, close.
+func (mb *Mailboat) spoolWrite(t gfs.T, msg []byte, chunk int) (spooled, bool) {
 	sp := trace.Enter(t, "spool.write")
 	defer trace.Exit(t, sp)
-	var spool gfs.FD
+	var spool spooled
+	var fd gfs.FD
 	created := false
-	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		sname = tmpName(id)
-		if fd, ok := mb.sys.Create(t, SpoolDir, sname); ok {
-			spool, created = fd, true
-			break
-		}
-		if mb.storeNoSpace() {
+	for i := 0; i < nameAttempts && !created; i++ {
+		spool = spooled{tmpName(t.RandUint64(mb.cfg.RandBound))}
+		fd, created = mb.sys.Create(t, SpoolDir, spool.name)
+		if !created && mb.storeNoSpace() {
 			// A failed create on a full disk is not a name collision:
 			// every retry fails the same way until space is freed, so
 			// abort instead of walking the whole name space.
 			trace.Event(t, "spool create abandoned: store out of space")
-			return "", false
+			break
 		}
 	}
 	if !created {
-		return "", false
+		return spooled{}, false
 	}
-	for off := 0; off < len(msg); off += gfs.MaxAppend {
-		end := off + gfs.MaxAppend
-		if end > len(msg) {
-			end = len(msg)
-		}
-		if !mb.sys.Append(t, spool, msg[off:end]) {
-			mb.sys.Close(t, spool)
-			mb.sys.Delete(t, SpoolDir, sname)
-			return "", false
-		}
+	ok := true
+	for off := 0; ok && off < len(msg); off += chunk {
+		ok = mb.sys.Append(t, fd, msg[off:min(off+chunk, len(msg))])
 	}
-	if mb.cfg.SyncOnDeliver {
-		if !mb.sys.Sync(t, spool) {
-			// fsyncgate: after a failed fsync the kernel may already
-			// have dropped the dirty pages, so re-syncing this
-			// descriptor could report success for lost data. Abandon
-			// the file and rewrite from scratch.
-			mb.sys.Close(t, spool)
-			mb.sys.Delete(t, SpoolDir, sname)
-			return "", false
-		}
+	if ok && mb.cfg.SyncOnDeliver {
+		// fsyncgate: after a failed fsync the kernel may already have
+		// dropped the dirty pages, so re-syncing this descriptor could
+		// report success for lost data. Abandon the file and rewrite
+		// from scratch.
+		ok = mb.sys.Sync(t, fd)
 	}
-	mb.sys.Close(t, spool)
-	return sname, true
+	mb.sys.Close(t, fd)
+	if !ok {
+		mb.unspool(t, spool)
+		return spooled{}, false
+	}
+	return spool, true
 }
 
-// publishLink publishes the spooled message atomically under a fresh
-// mailbox name, barriers the directory when configured, and removes the
-// spool entry.
-func (mb *Mailboat) publishLink(t gfs.T, j *core.JTok, user uint64, sname string, msg []byte) bool {
+// publishLink links the spooled message into user's mailbox under a
+// fresh name — the linearization point — and takes the ghost step in
+// the same atomic turn.
+func (mb *Mailboat) publishLink(t gfs.T, j *core.JTok, user uint64, spool spooled, msg []byte) (published, bool) {
 	sp := trace.Enter(t, "publish.link")
 	defer trace.Exit(t, sp)
 	for i := 0; i < nameAttempts; i++ {
-		id := t.RandUint64(mb.cfg.RandBound)
-		mname := MsgName(id)
-		if !mb.sys.Link(t, SpoolDir, sname, UserDir(user), mname) {
+		mname := MsgName(t.RandUint64(mb.cfg.RandBound))
+		if !mb.sys.Link(t, SpoolDir, spool.name, UserDir(user), mname) {
 			if mb.storeNoSpace() {
 				// The link failed for space, not a name collision; stop
 				// here. Deleting the spool file below releases space, so
@@ -480,27 +509,28 @@ func (mb *Mailboat) publishLink(t gfs.T, j *core.JTok, user uint64, sname string
 				})
 			}
 		}
-		if mb.cfg.SyncDirs {
-			// The link is visible but not yet durable: barrier the
-			// mailbox directory before acking, so a crash after the
-			// true return cannot take the message back. A store that
-			// fail-stopped under the barrier can never ack: report
-			// failure (the node is dead; no client hears from it).
-			if !mb.syncDirBarrier(t, UserDir(user)) {
-				mb.sys.Delete(t, SpoolDir, sname)
-				return false
-			}
-		}
-		// The spool entry is no longer needed, and the committed
-		// delivery's bytes are pinned to the name the link claimed so a
-		// later Delete credits the quota correctly.
-		mb.quotaCommit(user, mname, uint64(len(msg)))
-		mb.sys.Delete(t, SpoolDir, sname)
-		return true
+		return published{spool, user, mname}, true
 	}
-	mb.sys.Delete(t, SpoolDir, sname)
-	return false
+	mb.unspool(t, spool)
+	return published{}, false
 }
+
+// barrier is the persist point: the link is visible but not yet
+// durable, so the mailbox directory is barriered before anything may
+// ack — a crash after the true return cannot take the message back. A
+// store that fail-stopped under the barrier can never ack: the stage
+// fails (the node is dead; no client hears from it).
+func (mb *Mailboat) barrier(t gfs.T, pub published) (durable, bool) {
+	if mb.cfg.SyncDirs && !mb.syncDirBarrier(t, UserDir(pub.user)) {
+		mb.unspool(t, pub.spool)
+		return durable{}, false
+	}
+	return durable{pub}, true
+}
+
+// ack retires the spool entry of a durable delivery; the caller may now
+// answer yes.
+func (mb *Mailboat) ack(t gfs.T, d durable) { mb.unspool(t, d.pub.spool) }
 
 // syncDirBarrier makes dir's entries durable, retrying transient
 // failures with backoff until the barrier commits. A failed SyncDir is
@@ -560,9 +590,7 @@ func (mb *Mailboat) storeNoSpace() bool {
 // implicitly acquiring the user's pickup/delete lock; the caller must
 // eventually call Unlock. Deliveries may run concurrently; the listing
 // is the linearization point, and every listed message is complete
-// (delivery publishes atomically). Messages are read in 512-byte
-// chunks, the loop whose off-by-one variant is the §9.5 infinite-loop
-// bug.
+// (delivery publishes atomically). Messages are read by readAll.
 func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 	mb.checkUser(t, user)
 	sp := trace.Enter(t, "mailboat.pickup")
@@ -613,35 +641,66 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 			// persistently failing open skips the message.
 			continue
 		}
-		// Read in chunks, advancing by however many bytes actually
-		// arrived: short reads (a POSIX possibility, and gfs.Faulty's
-		// injected fault) are retried from the new offset rather than
-		// mistaken for end-of-file, which only a zero-length read
-		// signals. The chunks are held as they arrive and joined once the
-		// length is known (asking Size for it would be one more step of
-		// the checked execution), so each byte is copied once, into a
-		// string allocated at its final size.
-		chunks = chunks[:0]
-		off := uint64(0)
-		for {
-			chunk := mb.sys.ReadAt(t, fd, off, gfs.ReadChunk)
-			if len(chunk) == 0 {
-				break
-			}
-			chunks = append(chunks, chunk)
-			off += uint64(len(chunk))
-		}
+		var contents string
+		contents, chunks = readAll(t, mb.sys, fd, chunks)
 		mb.sys.Close(t, fd)
-		var contents strings.Builder
-		contents.Grow(int(off))
-		for _, chunk := range chunks {
-			contents.Write(chunk)
-		}
-		msgs = append(msgs, Message{ID: name, Contents: contents.String()})
+		msgs = append(msgs, Message{ID: name, Contents: contents})
 	}
 	trace.Exit(t, rsp)
 	mb.cfg.Metrics.observePickup(start, msgs)
 	return msgs
+}
+
+// readAll reads fd to end of file in gfs.ReadChunk pieces — the one
+// chunked read loop (its off-by-one variant is the §9.5 infinite-loop
+// bug). It advances by however many bytes actually arrived: short reads
+// (a POSIX possibility, and gfs.Faulty's injected fault) are retried
+// from the new offset rather than mistaken for end-of-file, which only
+// a zero-length read signals. The chunks are held as they arrive and
+// joined once the length is known (asking Size for it would be one more
+// step of the checked execution), so each byte is copied once, into a
+// string allocated at its final size. chunks is scratch, handed back so
+// a caller reading many files reuses it.
+func readAll(t gfs.T, sys gfs.System, fd gfs.FD, chunks [][]byte) (string, [][]byte) {
+	chunks = chunks[:0]
+	off := uint64(0)
+	for {
+		chunk := sys.ReadAt(t, fd, off, gfs.ReadChunk)
+		if len(chunk) == 0 {
+			break
+		}
+		chunks = append(chunks, chunk)
+		off += uint64(len(chunk))
+	}
+	var contents strings.Builder
+	contents.Grow(int(off))
+	for _, chunk := range chunks {
+		contents.Write(chunk)
+	}
+	return contents.String(), chunks
+}
+
+// readFile reads dir/name in full; ok is false when the name cannot be
+// opened (absent — or every store op failing, which the caller's next
+// write will discover anyway).
+func readFile(t gfs.T, sys gfs.System, dir, name string) (contents string, ok bool) {
+	fd, ok := sys.Open(t, dir, name)
+	if !ok {
+		return "", false
+	}
+	var scratch [4][]byte // on the stack: most messages are a chunk or two
+	contents, _ = readAll(t, sys, fd, scratch[:0])
+	sys.Close(t, fd)
+	return contents, true
+}
+
+// unlink removes user's message id and, when syncDirs is set, barriers
+// the mailbox directory: the unlink may still be sitting in the
+// directory cache, and an un-barriered ack would let a crash resurrect
+// the entry after the user was told it is gone. On a fail-stopped store
+// the barrier is unreachable forever: refuse the ack.
+func (mb *Mailboat) unlink(t gfs.T, user uint64, id string, syncDirs bool) bool {
+	return mb.sys.Delete(t, UserDir(user), id) && (!syncDirs || mb.syncDirBarrier(t, UserDir(user)))
 }
 
 // Delete removes a message picked up earlier (Figure 10's Delete). The
@@ -654,14 +713,7 @@ func (mb *Mailboat) Delete(t gfs.T, j *core.JTok, user uint64, id string) bool {
 	mb.checkUser(t, user)
 	sp := trace.Enter(t, "mailboat.delete")
 	defer trace.Exit(t, sp)
-	ok := mb.sys.Delete(t, UserDir(user), id)
-	if ok && mb.cfg.SyncDirs {
-		// The unlink may still be sitting in the directory cache; an
-		// un-barriered ack would let a crash resurrect the entry after
-		// the user was told it is gone. On a fail-stopped store the
-		// barrier is unreachable forever: refuse the ack.
-		ok = mb.syncDirBarrier(t, UserDir(user))
-	}
+	ok := mb.unlink(t, user, id, mb.cfg.SyncDirs)
 	if ok {
 		mb.quotaCredit(user, id)
 	}

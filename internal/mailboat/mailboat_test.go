@@ -239,7 +239,7 @@ func TestBugFdLeakNotARefinementViolation(t *testing.T) {
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		mb := Init(mt, nil, fs, Config{Users: 1, RandBound: 4})
 		mb.Deliver(mt, nil, 0, []byte("mail"))
-		mb.PickupLeaky(mt, 0)
+		VariantPickupLeaky.Pickup(mb, mt, 0)
 		mb.Unlock(mt, nil, 0)
 	})
 	if res.Outcome != machine.Done {
@@ -271,7 +271,7 @@ func TestRecoverCleansSpool(t *testing.T) {
 	fs := gfs.NewModel(m, Dirs(c))
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		mb := Init(mt, nil, fs, c)
-		mb.DeliverForgetSpoolDelete(mt, 0, []byte("mail"))
+		VariantForgetSpoolDelete.Deliver(mb, mt, 0, []byte("mail"))
 	})
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)

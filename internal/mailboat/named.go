@@ -61,39 +61,41 @@ func (mb *Mailboat) Users() uint64 { return mb.cfg.Users }
 // layer draws candidate names from the same space Deliver would.
 func (mb *Mailboat) RandBound() uint64 { return mb.cfg.RandBound }
 
-// readMsgFile reads user's message name in full; ok is false when the
-// name cannot be opened (absent — or every store op failing, which the
-// caller's next write will discover anyway). Short reads are retried
-// from the advanced offset exactly as in Pickup.
-func (mb *Mailboat) readMsgFile(t gfs.T, user uint64, name string) (contents []byte, ok bool) {
-	fd, ok := mb.sys.Open(t, UserDir(user), name)
-	if !ok {
-		return nil, false
-	}
-	for off := uint64(0); ; {
-		chunk := mb.sys.ReadAt(t, fd, off, gfs.ReadChunk)
-		if len(chunk) == 0 {
-			break
-		}
-		contents = append(contents, chunk...)
-		off += uint64(len(chunk))
-	}
-	mb.sys.Close(t, fd)
-	return contents, true
-}
-
 // ReadMessage reads user's message name in full; ok is false when the
 // name is absent (or unreadable). The replication layer pre-checks
 // candidate names with it before committing a fresh delivery to one.
-func (mb *Mailboat) ReadMessage(t gfs.T, user uint64, name string) ([]byte, bool) {
+func (mb *Mailboat) ReadMessage(t gfs.T, user uint64, name string) (string, bool) {
 	mb.checkUser(t, user)
-	return mb.readMsgFile(t, user, name)
+	return readFile(t, mb.sys, UserDir(user), name)
+}
+
+// classify names the idempotent outcome when user's mailbox already
+// holds name: a duplicate if the contents match, a conflict if not.
+func (mb *Mailboat) classify(t gfs.T, user uint64, name string, msg []byte) (st ApplyStatus, present bool) {
+	existing, present := readFile(t, mb.sys, UserDir(user), name)
+	if present && existing != string(msg) {
+		return NameTaken, true
+	}
+	return AlreadyApplied, present
+}
+
+// publishAs is the named path's publish stage: one link claiming
+// exactly name, where Deliver's publishLink draws fresh ones.
+func (mb *Mailboat) publishAs(t gfs.T, user uint64, spool spooled, name string) (published, bool) {
+	if !mb.sys.Link(t, SpoolDir, spool.name, UserDir(user), name) {
+		mb.unspool(t, spool)
+		return published{}, false
+	}
+	return published{spool, user, name}, true
 }
 
 // DeliverAs stores msg in user's mailbox under exactly the given name:
-// spool write, then an atomic link claiming name. One attempt — the
-// retry policy belongs to the replication layer, which knows whether a
-// failure is worth a backoff, a peer consultation, or giving up.
+// Deliver's stages around publishAs (DESIGN.md "Delivery protocol").
+// One attempt — the retry policy belongs to the replication layer,
+// which knows whether a failure is worth a backoff, a peer
+// consultation, or giving up — and no quota: Config.QuotaBytes is
+// Deliver's reserve/commit pair, which mailboatd refuses to combine
+// with a replica rather than half-apply here.
 func (mb *Mailboat) DeliverAs(t gfs.T, user uint64, name string, msg []byte) ApplyStatus {
 	mb.checkUser(t, user)
 	if mb.storeDead() {
@@ -101,38 +103,32 @@ func (mb *Mailboat) DeliverAs(t gfs.T, user uint64, name string, msg []byte) App
 		// entries would be mistaken for absent ones.
 		return ApplyFailed
 	}
-	if existing, ok := mb.readMsgFile(t, user, name); ok {
-		if string(existing) == string(msg) {
-			return AlreadyApplied
-		}
-		return NameTaken
+	if st, present := mb.classify(t, user, name, msg); present {
+		return st
 	}
-	sname, ok := mb.spoolWrite(t, msg)
+	spool, ok := mb.spoolWrite(t, msg, gfs.MaxAppend)
 	if !ok {
 		return ApplyFailed
 	}
-	if mb.sys.Link(t, SpoolDir, sname, UserDir(user), name) {
-		if mb.cfg.SyncDirs && !mb.syncDirBarrier(t, UserDir(user)) {
-			// Linked but the store died before the durability barrier:
-			// not applied. The retry (after failover or revival) resolves
-			// idempotently.
-			mb.sys.Delete(t, SpoolDir, sname)
-			return ApplyFailed
+	pub, ok := mb.publishAs(t, user, spool, name)
+	if !ok {
+		// The link was refused: either the name appeared concurrently or
+		// the store faulted. Re-check so a lost race is classified as the
+		// duplicate/conflict it is rather than a transient failure.
+		if st, present := mb.classify(t, user, name, msg); present {
+			return st
 		}
-		mb.sys.Delete(t, SpoolDir, sname)
-		return Applied
+		return ApplyFailed
 	}
-	mb.sys.Delete(t, SpoolDir, sname)
-	// The link was refused: either the name appeared concurrently or
-	// the store faulted. Re-check so a lost race is classified as the
-	// duplicate/conflict it is rather than a transient failure.
-	if existing, ok := mb.readMsgFile(t, user, name); ok {
-		if string(existing) == string(msg) {
-			return AlreadyApplied
-		}
-		return NameTaken
+	d, ok := mb.barrier(t, pub)
+	if !ok {
+		// Linked but the store died before the durability barrier: not
+		// applied. The retry (after failover or revival) resolves
+		// idempotently.
+		return ApplyFailed
 	}
-	return ApplyFailed
+	mb.ack(t, d)
+	return Applied
 }
 
 // DeleteAs removes user's message name without taking the per-user
@@ -147,13 +143,10 @@ func (mb *Mailboat) DeleteAs(t gfs.T, user uint64, name string) ApplyStatus {
 		// Unreadable must not be reported as absent/AlreadyApplied.
 		return ApplyFailed
 	}
-	if _, ok := mb.readMsgFile(t, user, name); !ok {
+	if _, ok := readFile(t, mb.sys, UserDir(user), name); !ok {
 		return AlreadyApplied
 	}
-	if !mb.sys.Delete(t, UserDir(user), name) {
-		return ApplyFailed
-	}
-	if mb.cfg.SyncDirs && !mb.syncDirBarrier(t, UserDir(user)) {
+	if !mb.unlink(t, user, name, mb.cfg.SyncDirs) {
 		return ApplyFailed
 	}
 	return Applied
@@ -170,11 +163,9 @@ func (mb *Mailboat) ReadBox(t gfs.T, user uint64) []Message {
 	names := mb.sys.List(t, UserDir(user))
 	msgs := make([]Message, 0, len(names))
 	for _, name := range names {
-		contents, ok := mb.readMsgFile(t, user, name)
-		if !ok {
-			continue
+		if contents, ok := readFile(t, mb.sys, UserDir(user), name); ok {
+			msgs = append(msgs, Message{ID: name, Contents: contents})
 		}
-		msgs = append(msgs, Message{ID: name, Contents: string(contents)})
 	}
 	return msgs
 }

@@ -41,63 +41,98 @@ func (w *World) ackedSorted() []string {
 	return acked
 }
 
-// Variant selects the implementation under check.
-type Variant int
+// Variant selects the implementation under check: a row of optional
+// overrides, each replacing one production entry point (or one stack
+// flag) with a seeded bug from bugs.go. A nil field is the production
+// code; the zero Variant is the verified implementation, and the only
+// one that runs ghost-annotated. Seeding a mutation is adding a row
+// (DESIGN.md §4n lists them with their scenarios).
+type Variant struct {
+	Deliver func(mb *Mailboat, t gfs.T, user uint64, msg []byte) bool
+	Pickup  func(mb *Mailboat, t gfs.T, user uint64) []Message
+	Delete  func(mb *Mailboat, t gfs.T, user uint64, id string) bool
+	Recover func(t gfs.T, sys gfs.System, cfg Config) *Mailboat
+	// Stack sets a mutation flag on the composed storage stack.
+	Stack func(*gfs.Stack)
+}
 
-const (
+var (
 	// VariantVerified is the ghost-annotated implementation.
-	VariantVerified Variant = iota
+	VariantVerified = Variant{}
 	// VariantDeliverDirect writes into the mailbox without spooling.
-	VariantDeliverDirect
+	VariantDeliverDirect = Variant{Deliver: (*Mailboat).deliverDirect}
 	// VariantPickupNoAdvance has the §9.5 infinite read loop.
-	VariantPickupNoAdvance
+	VariantPickupNoAdvance = Variant{Pickup: (*Mailboat).pickupNoAdvance}
 	// VariantPickupLeaky leaks message file descriptors (§9.5).
-	VariantPickupLeaky
+	VariantPickupLeaky = Variant{Pickup: (*Mailboat).pickupLeaky}
 	// VariantRecoverWipes destroys mailboxes during recovery.
-	VariantRecoverWipes
+	VariantRecoverWipes = Variant{Recover: recoverWipesMailboxes}
 	// VariantForgetSpoolDelete leaves spool entries behind (benign).
-	VariantForgetSpoolDelete
+	VariantForgetSpoolDelete = Variant{Deliver: (*Mailboat).deliverForgetSpoolDelete}
 	// VariantRecoverNoResilver skips the mirror-repair step during
 	// recovery (only meaningful with ScenarioOptions.Mirror).
-	VariantRecoverNoResilver
+	VariantRecoverNoResilver = Variant{Recover: recoverSkipResilver}
 	// VariantTrustReads serves reads without verifying the checksum
 	// envelope (gfs.Checksummed.TrustReads) — the silent-corruption bug
-	// the detection scenarios catch as garbage served to a pickup. Only
-	// meaningful with ScenarioOptions.Corrupt.
-	VariantTrustReads
+	// the detection scenarios catch as garbage served to a pickup. Needs
+	// ScenarioOptions.Corrupt (there is no envelope to blind without it).
+	VariantTrustReads = Variant{Stack: func(s *gfs.Stack) { s.Checksummed(0).TrustReads = true }}
 	// VariantResilverNoVerify skips the resilver's source integrity
 	// check (gfs.Mirrored.ResilverNoVerify), so a survivor that rotted
-	// on the shelf is copied verbatim over the good replica. Only
-	// meaningful with Mirror + Corrupt.
-	VariantResilverNoVerify
+	// on the shelf is copied verbatim over the good replica. Needs
+	// ScenarioOptions.Mirror, and only bites with Corrupt.
+	VariantResilverNoVerify = Variant{Stack: func(s *gfs.Stack) { s.Mirror().ResilverNoVerify = true }}
 	// VariantReplaySpool delivers with one-byte appends and recovers by
 	// replaying non-empty spool files into the mailbox — a design that
 	// wrongly assumes a crashed spool file is either empty or complete.
 	// Only a TORN crash tail (a partial prefix of the unsynced appends)
 	// exposes it; whole-tail loss leaves nothing to replay. Only
 	// meaningful with BufferedFS.
-	VariantReplaySpool
+	VariantReplaySpool = Variant{Deliver: (*Mailboat).deliverTinyAppends, Recover: recoverReplaySpool}
 	// VariantAckBeforeSync delivers with the full spool-sync-link
 	// protocol but acknowledges as soon as the link lands, skipping the
 	// directory barrier — so on a writeback store an acked message's
 	// directory entry may still be sitting in the cache and be lost at
 	// a crash. Only meaningful with Writeback.
-	VariantAckBeforeSync
+	VariantAckBeforeSync = Variant{Deliver: (*Mailboat).deliverAckBeforeSync}
 	// VariantRecoverTrustsCache acknowledges deletes straight from the
 	// directory cache (no barrier after the unlink): a crash may
 	// resurrect the entry, and recovery — trusting whatever directory
 	// entries survived — serves the message the user already deleted.
 	// Only meaningful with Writeback.
-	VariantRecoverTrustsCache
+	VariantRecoverTrustsCache = Variant{Delete: (*Mailboat).deleteNoBarrier}
 	// VariantDeliverAckOnNoSpace acknowledges a delivery the full disk
 	// refused (nothing published) — acked-but-absent. Only meaningful
 	// with NoSpaceGC.
-	VariantDeliverAckOnNoSpace
+	VariantDeliverAckOnNoSpace = Variant{Deliver: (*Mailboat).deliverAckOnNoSpace}
 	// VariantDeliverGreedySpoolGC sweeps the whole spool directory when
 	// a delivery hits a full disk, eating concurrent deliveries' live
 	// spooled-but-unlinked files. Only meaningful with NoSpaceGC.
-	VariantDeliverGreedySpoolGC
+	VariantDeliverGreedySpoolGC = Variant{Deliver: (*Mailboat).deliverGreedySpoolGC}
 )
+
+// verified reports whether v overrides nothing.
+func (v Variant) verified() bool {
+	return v.Deliver == nil && v.Pickup == nil && v.Delete == nil && v.Recover == nil && v.Stack == nil
+}
+
+// deliverVia runs op's delivery and reports what it reported: the row's
+// override if it has one, else production Deliver — ghost-annotated
+// when the scenario is.
+func deliverVia(override func(*Mailboat, gfs.T, uint64, []byte) bool, t *machine.T, w *World, ghost bool, op OpDeliver) bool {
+	if override != nil {
+		return override(w.MB, t, op.User, []byte(op.Msg))
+	}
+	var j *core.JTok
+	if ghost {
+		j = w.G.NewJTok(op)
+	}
+	delivered := w.MB.Deliver(t, j, op.User, []byte(op.Msg))
+	if ghost {
+		w.G.FinishOp(t, j, delivered)
+	}
+	return delivered
+}
 
 // ScenarioOptions shapes the workload.
 type ScenarioOptions struct {
@@ -259,7 +294,11 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	if err := o.check(); err != nil {
 		panic(fmt.Sprintf("mailboat.Scenario refused %s: %v", name, err))
 	}
-	ghost := v == VariantVerified && !o.Mirror && !o.Corrupt && !o.Writeback && !o.NoSpaceGC
+	// The hooks below each capture the one override they consult, not
+	// the row: a closure carries a copy of what it captures, a row is
+	// five words, and construction is what check-suite's setup_s times.
+	deliverBug, pickupBug, deleteBug, recoverBug, stackBug := v.Deliver, v.Pickup, v.Delete, v.Recover, v.Stack
+	ghost := v.verified() && !o.Mirror && !o.Corrupt && !o.Writeback && !o.NoSpaceGC
 	// The single-backend corruption scenario checks detection, not
 	// refinement: it records no history (deliveries and pickups run
 	// outside the harness) and asserts its property directly in Post.
@@ -291,65 +330,29 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			// An acked payload is the property's obligation — it may go
 			// missing only if the integrity layer said so (detection),
 			// or never (exhaustion).
-			var delivered bool
-			switch v {
-			case VariantDeliverAckOnNoSpace:
-				delivered = w.MB.DeliverAckOnNoSpace(t, op.User, []byte(op.Msg))
-			case VariantDeliverGreedySpoolGC:
-				delivered = w.MB.DeliverGreedySpoolGC(t, op.User, []byte(op.Msg))
-			default:
-				delivered = w.MB.Deliver(t, nil, op.User, []byte(op.Msg))
-			}
-			if delivered {
+			if deliverVia(deliverBug, t, w, false, op) {
 				w.Acked[op.Msg] = true
 			}
 			return
 		}
-		h.Op(op, func() spec.Ret {
-			switch v {
-			case VariantDeliverDirect:
-				w.MB.DeliverDirect(t, op.User, []byte(op.Msg))
-				return true
-			case VariantForgetSpoolDelete:
-				w.MB.DeliverForgetSpoolDelete(t, op.User, []byte(op.Msg))
-				return true
-			case VariantReplaySpool:
-				return w.MB.DeliverTinyAppends(t, op.User, []byte(op.Msg))
-			case VariantAckBeforeSync:
-				return w.MB.DeliverAckBeforeSync(t, op.User, []byte(op.Msg))
-			default:
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
-				delivered := w.MB.Deliver(t, j, op.User, []byte(op.Msg))
-				if ghost {
-					w.G.FinishOp(t, j, delivered)
-				}
-				return delivered
-			}
-		})
+		h.Op(op, func() spec.Ret { return deliverVia(deliverBug, t, w, ghost, op) })
 	}
 
 	pickup := func(t *machine.T, w *World, h *explore.Harness, user uint64) []Message {
 		op := OpPickup{User: user}
 		ret := h.Op(op, func() spec.Ret {
-			switch v {
-			case VariantPickupNoAdvance:
-				return w.MB.PickupNoAdvance(t, user)
-			case VariantPickupLeaky:
-				return w.MB.PickupLeaky(t, user)
-			default:
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
-				msgs := w.MB.Pickup(t, j, user)
-				if ghost {
-					w.G.FinishOp(t, j, msgs)
-				}
-				return msgs
+			if pickupBug != nil {
+				return pickupBug(w.MB, t, user)
 			}
+			var j *core.JTok
+			if ghost {
+				j = w.G.NewJTok(op)
+			}
+			msgs := w.MB.Pickup(t, j, user)
+			if ghost {
+				w.G.FinishOp(t, j, msgs)
+			}
+			return msgs
 		})
 		return ret.([]Message)
 	}
@@ -374,8 +377,8 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		if len(msgs) > 0 {
 			op := OpDelete{User: user, ID: msgs[0].ID}
 			h.Op(op, func() spec.Ret {
-				if v == VariantRecoverTrustsCache {
-					return w.MB.DeleteNoBarrier(t, user, msgs[0].ID)
+				if deleteBug != nil {
+					return deleteBug(w.MB, t, user, msgs[0].ID)
 				}
 				var j *core.JTok
 				if ghost {
@@ -415,10 +418,8 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 				backends[i] = w.FS[i]
 			}
 			w.Stack = gfs.NewStack(backends[:n], dirs, gfs.StackSpec{Checksum: o.Corrupt, Policy: o.policy()})
-			if mir := w.Stack.Mirror(); mir != nil {
-				mir.ResilverNoVerify = v == VariantResilverNoVerify
-			} else if chk := w.Stack.Checksummed(0); chk != nil {
-				chk.TrustReads = v == VariantTrustReads
+			if stackBug != nil {
+				stackBug(w.Stack)
 			}
 			if detectOnly || nospaceOnly {
 				w.Acked = map[string]bool{}
@@ -469,14 +470,9 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 					}
 				}
 			}
-			switch {
-			case v == VariantRecoverWipes:
-				w.MB = RecoverWipesMailboxes(t, w.FS[0], o.Config)
-			case v == VariantRecoverNoResilver:
-				w.MB = RecoverSkipResilver(t, w.Stack.Top, o.Config)
-			case v == VariantReplaySpool:
-				w.MB = RecoverReplaySpool(t, w.Stack.Top, o.Config)
-			default:
+			if recoverBug != nil {
+				w.MB = recoverBug(t, w.Stack.Top, o.Config)
+			} else {
 				w.MB = Recover(t, w.G, w.Stack.Top, o.Config, w.MB)
 			}
 		},

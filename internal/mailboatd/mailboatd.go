@@ -111,7 +111,8 @@ type Options struct {
 	// delivery that would push the recipient over quota is refused up
 	// front as a transient failure with the store untouched; deleting
 	// mail credits the bytes back. Usage is re-derived from the store
-	// at every recovery, so the bound survives crashes.
+	// at every recovery, so the bound survives crashes. Refused with
+	// Replica, whose delivery path keeps no quota.
 	QuotaBytes uint64
 	// MaxInFlight caps concurrently admitted deliveries; excess
 	// deliveries are refused immediately with ErrOverloaded (surfaced
@@ -230,6 +231,8 @@ func (o Options) stack() (replicas int, spec gfs.StackSpec, err error) {
 		switch {
 		case replicas != 1 || spec.Policy != nil || spec.Checksum:
 			return 0, spec, errors.New("mailboatd: Replica requires the zero gfs.StackSpec (no MirrorRoot, Fault or Checksum): replication is cross-machine redundancy, and composing it with the same-machine layers is future work")
+		case o.QuotaBytes != 0:
+			return 0, spec, errors.New("mailboatd: Replica and QuotaBytes are mutually exclusive: a replicated node delivers through mailboat.DeliverAs, which reserves and commits no quota, so the bound would be accepted and never enforced")
 		case !r.Primary && r.ListenAddr == "":
 			return 0, spec, errors.New("mailboatd: a backup replica needs a ListenAddr to receive frames on")
 		case r.Primary && r.PeerAddr == "":

@@ -2,6 +2,7 @@ package mailboatd
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -67,5 +68,33 @@ func TestDaemonRunsTheCheckedStack(t *testing.T) {
 				t.Errorf("daemon serves on  %s\nchecker builds    %s\nwant              %s", got, checked, c.want)
 			}
 		})
+	}
+}
+
+// TestReplicaRefusesQuota: a replicated node delivers only through
+// mailboat.DeliverAs, which keeps no quota, so Replica + QuotaBytes used
+// to boot and enforce nothing. The pair is refused before anything is
+// created under the root, and Validate agrees with the constructor.
+func TestReplicaRefusesQuota(t *testing.T) {
+	o := Options{Users: 1, QuotaBytes: 10, Replica: &ReplicaOptions{ListenAddr: "127.0.0.1:0"}}
+	root := t.TempDir()
+	_, err := NewWithOptions(root, o)
+	if err == nil {
+		t.Fatal("Replica + QuotaBytes accepted")
+	}
+	for _, want := range []string{"Replica", "QuotaBytes", "DeliverAs"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %s", err, want)
+		}
+	}
+	if verr := o.Validate(); verr == nil || verr.Error() != err.Error() {
+		t.Errorf("Validate says %v, NewWithOptions said %v", verr, err)
+	}
+	if left, _ := os.ReadDir(root); len(left) != 0 {
+		t.Errorf("refused boot left %d entries under the root", len(left))
+	}
+	o.QuotaBytes = 0
+	if err := o.Validate(); err != nil {
+		t.Errorf("Replica alone refused: %v", err)
 	}
 }

@@ -16,8 +16,11 @@ import (
 //	    mailboat.deliver                +121µs   1.69ms
 //	      spool.write                   +130µs   801µs
 //	        gfs.create                  +132µs   210µs
-//	      publish.link                  +940µs   733µs
-//	        syncdir.barrier             +1.1ms   520µs
+//	      publish.link                  +940µs   213µs
+//	      syncdir.barrier               +1.16ms  520µs
+//
+// (Mailboat's delivery stages are siblings: the directory barrier is a
+// stage of its own, not a child of the link.)
 func WriteText(w io.Writer, t *Trace) {
 	if t == nil || t.Root == nil {
 		return
