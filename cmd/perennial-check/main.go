@@ -8,15 +8,15 @@
 // Usage:
 //
 //	perennial-check [-pattern substr] [-heaviest] [-max N] [-workers N]
-//	                [-dedup] [-nodedup] [-selfcheck] [-v] [-min]
+//	                [-nodedup] [-selfcheck] [-v] [-min]
 //	                [-progress d] [-benchjson FILE]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // The systematic search runs on -workers workers (default GOMAXPROCS)
-// with crash-boundary state dedup on (disable with -nodedup, or
-// -dedup=false). -selfcheck runs every selected scenario twice — dedup
-// off and on — and fails if pruning changes any verdict (the mechanical
-// witness of DESIGN.md §5). -progress streams live search telemetry to
+// with crash-boundary state dedup on (disable with -nodedup).
+// -selfcheck runs every selected scenario twice — dedup off and on —
+// and fails if pruning changes any verdict (the mechanical witness of
+// DESIGN.md §5). -progress streams live search telemetry to
 // stderr at the given period (execs/s, frontier depth, dedup hit rate,
 // per-worker donations, budget ETA); it reads only lock-free counters,
 // so verdicts and counterexamples are identical with and without it.
@@ -46,8 +46,7 @@ func main() {
 	heaviest := flag.Bool("heaviest", false, "only run the heaviest verified scenarios (the benchmark targets)")
 	maxExec := flag.Int("max", 0, "override per-scenario execution budget")
 	workers := flag.Int("workers", 0, "systematic-search workers (0 = GOMAXPROCS)")
-	dedup := flag.Bool("dedup", true, "enable crash-boundary state dedup")
-	noDedup := flag.Bool("nodedup", false, "disable crash-boundary state dedup (escape hatch; same as -dedup=false)")
+	noDedup := flag.Bool("nodedup", false, "disable crash-boundary state dedup (escape hatch)")
 	selfCheck := flag.Bool("selfcheck", false, "run each scenario with dedup off and on and fail if verdicts differ")
 	verbose := flag.Bool("v", false, "print counterexamples for expected bugs too, and per-worker stats")
 	minimize := flag.Bool("min", false, "minimize counterexample choice sequences before printing")
@@ -92,7 +91,7 @@ func main() {
 			opts.MaxExecutions = *maxExec
 		}
 		opts.Workers = *workers
-		opts.NoDedup = *noDedup || !*dedup
+		opts.NoDedup = *noDedup
 		if *progress > 0 {
 			// Telemetry goes to stderr so stdout stays the stable
 			// machine-readable report surface.

@@ -14,9 +14,8 @@
 // examples (internal/examples/...), the Mailboat mail server with SMTP
 // and POP3 front ends (internal/mailboat, internal/smtp,
 // internal/pop3), the GoMail and simulated-CMAIL baselines
-// (internal/gomail, internal/cmail), the postal/rabid-style workload
-// generator (internal/postal), and the Goose subset checker/translator
-// (internal/goose).
+// (internal/gomail, internal/cmail), and the postal/rabid-style workload
+// generator (internal/postal).
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and

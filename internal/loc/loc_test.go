@@ -1,8 +1,11 @@
 package loc
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -83,7 +86,7 @@ func TestTable2AgainstThisRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
+	if len(rows) != 4 {
 		t.Fatalf("rows=%d", len(rows))
 	}
 	for _, r := range rows {
@@ -123,6 +126,58 @@ func TestTable4AgainstThisRepo(t *testing.T) {
 	// positive and separate from the implementation.
 	if rows[1].Measured <= 0 {
 		t.Errorf("proof-analog row: %d", rows[1].Measured)
+	}
+}
+
+// TestTablesMatchExperimentsDoc holds EXPERIMENTS.md's Tables 2–4 to
+// what `locstats -table N` prints today: in each "## Table N" section,
+// the table with a "This repo" column must list exactly TableN's rows
+// with TableN's counts. A row the paper has and this repository does
+// not (the Goose translator) carries "—" in place of a count.
+func TestTablesMatchExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, gen := range map[int]func(string) ([]Row, error){2: Table2, 3: Table3, 4: Table4} {
+		_, section, ok := strings.Cut(string(doc), fmt.Sprintf("\n## Table %d ", n))
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has no Table %d section", n)
+			continue
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		// The documented count per component; col < 0 outside the table.
+		documented, col := map[string]string{}, -1
+		for _, line := range strings.Split(section, "\n") {
+			cells := strings.Split(strings.Trim(line, "|"), "|")
+			for i := range cells {
+				cells[i] = strings.TrimSpace(cells[i])
+			}
+			switch {
+			case !strings.HasPrefix(line, "|"):
+				col = -1
+			case col < 0:
+				col = slices.Index(cells, "This repo")
+			case col < len(cells) && !strings.HasPrefix(cells[0], "---"):
+				documented[cells[0]] = cells[col]
+			}
+		}
+		rows, err := gen(repoRoot(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			got, ok := documented[r.Name]
+			if want := strconv.Itoa(r.Measured); !ok || strings.ReplaceAll(got, ",", "") != want {
+				t.Errorf("Table %d, %q: EXPERIMENTS.md says %q, locstats -table %d says %s", n, r.Name, got, n, want)
+			}
+			delete(documented, r.Name)
+		}
+		for name, cell := range documented {
+			if !strings.HasPrefix(cell, "—") {
+				t.Errorf("Table %d, %q: EXPERIMENTS.md says %q, locstats -table %d has no such row", n, name, cell, n)
+			}
+		}
 	}
 }
 

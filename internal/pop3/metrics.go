@@ -1,96 +1,31 @@
 package pop3
 
 import (
-	"strings"
-	"time"
-
+	"repro/internal/netsrv"
 	"repro/internal/obs"
 )
 
-// pop3Verbs are the commands with their own counter series; anything
-// else lands on "other" to bound label cardinality against hostile
-// clients.
-var pop3Verbs = []string{"USER", "PASS", "STAT", "LIST", "RETR", "TOP", "UIDL", "DELE", "RSET", "NOOP", "QUIT", "other"}
+// pop3Verbs are the commands that get their own counter series.
+var pop3Verbs = []string{"USER", "PASS", "STAT", "LIST", "RETR", "TOP", "UIDL", "DELE", "RSET", "NOOP", "QUIT"}
 
-// Metrics is the POP3 front end's slice of the observability surface.
-// All methods are nil-receiver-safe; a Server with nil Metrics behaves
-// exactly as before.
+// Metrics is the POP3 front end's slice of the observability surface:
+// the shared connection and command set plus the transient-failure
+// counter. All methods are nil-receiver-safe; a Server with nil Metrics
+// behaves exactly the same.
 type Metrics struct {
-	Accepted *obs.Counter
-	Refused  *obs.Counter
-	Active   *obs.Gauge
-	Panics   *obs.Counter
-
-	commands map[string]*obs.Counter
+	*netsrv.Metrics
 	TempFail *obs.Counter
-	CmdTime  *obs.Histogram
 }
 
 // NewMetrics registers the pop3_* metric families in r.
 func NewMetrics(r *obs.Registry) *Metrics {
-	m := &Metrics{
-		Accepted: r.Counter("pop3_connections_accepted_total", "POP3 connections accepted for service."),
-		Refused:  r.Counter("pop3_connections_refused_total", "POP3 connections refused (full or shutting down)."),
-		Active:   r.Gauge("pop3_connections_active", "POP3 connections currently being served."),
-		Panics:   r.Counter("pop3_handler_panics_total", "Connection handlers killed by a recovered panic."),
+	return &Metrics{
+		Metrics:  netsrv.NewMetrics(r, "pop3", "POP3 connections refused (full or shutting down).", pop3Verbs),
 		TempFail: r.Counter("pop3_tempfail_responses_total", "-ERR [SYS/TEMP] responses sent (transient store failure surfaced to the client)."),
-		CmdTime:  r.Histogram("pop3_command_seconds", "Latency from command receipt to response flush.", obs.DefLatencyBuckets),
-		commands: map[string]*obs.Counter{},
 	}
-	for _, v := range pop3Verbs {
-		m.commands[v] = r.Counter("pop3_commands_total", "POP3 commands processed, by verb.", "verb", v)
-	}
-	return m
 }
 
-func (m *Metrics) connOpened() {
-	if m == nil {
-		return
-	}
-	m.Accepted.Inc()
-	m.Active.Inc()
-}
-
-func (m *Metrics) connClosed() {
-	if m == nil {
-		return
-	}
-	m.Active.Dec()
-}
-
-func (m *Metrics) connRefused() {
-	if m == nil {
-		return
-	}
-	m.Refused.Inc()
-}
-
-func (m *Metrics) panicked() {
-	if m == nil {
-		return
-	}
-	m.Panics.Inc()
-}
-
-func (m *Metrics) cmdStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (m *Metrics) command(verb string, start time.Time) {
-	if m == nil {
-		return
-	}
-	c, ok := m.commands[strings.ToUpper(verb)]
-	if !ok {
-		c = m.commands["other"]
-	}
-	c.Inc()
-	m.CmdTime.ObserveSince(start)
-}
-
+// tempFailure counts one -ERR [SYS/TEMP] response.
 func (m *Metrics) tempFailure() {
 	if m == nil {
 		return

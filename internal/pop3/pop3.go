@@ -16,15 +16,13 @@ package pop3
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/mailboat"
+	"repro/internal/netsrv"
 	"repro/internal/trace"
 )
 
@@ -45,19 +43,15 @@ type TracedMaildrop interface {
 	DeleteTraced(sp *trace.Span, user uint64, id string) error
 }
 
-// Server is one POP3 listener.
+// Server is one POP3 listener: the shared connection server (Serve,
+// Close, Shutdown, Addr, ReadTimeout, WriteTimeout, MaxConns — excess
+// connections are answered "-ERR [SYS/TEMP]"; a forced Shutdown still
+// runs each handler's deferred Unlock) plus the protocol below.
 type Server struct {
+	*netsrv.Server
 	users   uint64
 	backend Maildrop
 
-	// ReadTimeout and WriteTimeout bound each command read and each
-	// response write; zero means no deadline.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// MaxConns caps concurrently served connections; excess connections
-	// are answered "-ERR [SYS/TEMP] too busy" and closed. Zero means
-	// unlimited.
-	MaxConns int
 	// Metrics, when non-nil, records connection and command metrics
 	// (see NewMetrics). Set it before Serve.
 	Metrics *Metrics
@@ -65,163 +59,32 @@ type Server struct {
 	// and per QUIT with pending deletes (op "delete"), threading them
 	// through a TracedMaildrop backend. Set it before Serve.
 	Tracer *trace.Tracer
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewServer creates a POP3 server over backend.
 func NewServer(backend Maildrop, users uint64) *Server {
-	return &Server{users: users, backend: backend, conns: map[net.Conn]struct{}{}}
-}
-
-// Serve accepts connections on ln until Close/Shutdown. It blocks, and
-// returns nil after a deliberate Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.wg.Wait()
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
+	s := &Server{users: users, backend: backend}
+	s.Server = netsrv.New("-ERR [SYS/TEMP] server too busy, try again later", s.handle, func() *netsrv.Metrics {
+		if s.Metrics == nil {
+			return nil
 		}
-		if !s.track(conn) {
-			s.Metrics.connRefused()
-			s.refuse(conn)
-			continue
-		}
-		s.Metrics.connOpened()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.untrack(conn)
-			defer conn.Close()
-			defer s.Metrics.connClosed()
-			// A panic in the unverified handler costs only this
-			// connection; the handler's own deferred Unlock has already
-			// run by the time the panic reaches here.
-			defer func() {
-				if r := recover(); r != nil {
-					s.Metrics.panicked()
-				}
-			}()
-			s.handle(conn)
-		}()
-	}
-}
-
-// track registers conn, refusing when at capacity or shutting down.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || (s.MaxConns > 0 && len(s.conns) >= s.MaxConns) {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// refuse answers a connection the server cannot serve right now.
-func (s *Server) refuse(conn net.Conn) {
-	if s.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
-	fmt.Fprintf(conn, "-ERR [SYS/TEMP] server too busy, try again later\r\n")
-	conn.Close()
-}
-
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Close stops accepting connections. In-flight sessions keep running;
-// use Shutdown to wait for (or cut off) them.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
-}
-
-// Shutdown closes the listener and waits for in-flight sessions. If
-// ctx expires first the remaining connections are force-closed (each
-// handler's deferred Unlock still releases its mailbox lock) and ctx's
-// error is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.Close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// Addr returns the listener address, for tests.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
+		return s.Metrics.Metrics
+	})
+	return s
 }
 
 func (s *Server) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	flush := func() error {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		return w.Flush()
-	}
+	c := s.NewConn(conn)
 	// follows starts a multi-line reply: the status line stays in the
 	// buffer and leaves with the body and the terminator, in one flush.
-	follows := func(msg string) { fmt.Fprintf(w, "+OK %s\r\n", msg) }
+	follows := func(msg string) { fmt.Fprintf(c, "+OK %s\r\n", msg) }
 	ok := func(msg string) bool {
 		follows(msg)
-		return flush() == nil
+		return c.Flush() == nil
 	}
 	bad := func(msg string) bool {
-		fmt.Fprintf(w, "-ERR %s\r\n", msg)
-		return flush() == nil
+		fmt.Fprintf(c, "-ERR %s\r\n", msg)
+		return c.Flush() == nil
 	}
 	if !ok("mailboat POP3 ready") {
 		return
@@ -241,10 +104,10 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 
-	// command executes one POP3 command against the session state,
-	// reporting true when the connection must end (QUIT, or a write
-	// failure mid-response).
-	command := func(verb, arg string) (quit bool) {
+	// Each POP3 command runs against the session state, reporting true
+	// when the connection must end (QUIT, or a write failure
+	// mid-response).
+	c.Commands(func(verb, arg string) (quit bool) {
 		switch strings.ToUpper(verb) {
 		case "USER":
 			pendUser = strings.TrimSpace(arg)
@@ -303,11 +166,11 @@ func (s *Server) handle(conn net.Conn) {
 			follows("scan listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
-					fmt.Fprintf(w, "%d %d\r\n", i+1, len(m.Contents))
+					fmt.Fprintf(c, "%d %d\r\n", i+1, len(m.Contents))
 				}
 			}
-			fmt.Fprintf(w, ".\r\n")
-			if flush() != nil {
+			fmt.Fprintf(c, ".\r\n")
+			if c.Flush() != nil {
 				return true
 			}
 		case "RETR":
@@ -317,8 +180,8 @@ func (s *Server) handle(conn net.Conn) {
 				return false
 			}
 			follows(fmt.Sprintf("%d octets", len(msgs[i].Contents)))
-			writeMultiline(w, msgs[i].Contents)
-			if flush() != nil {
+			writeMultiline(&c.Writer, msgs[i].Contents)
+			if c.Flush() != nil {
 				return true
 			}
 		case "TOP":
@@ -330,8 +193,8 @@ func (s *Server) handle(conn net.Conn) {
 				return false
 			}
 			follows("top of message follows")
-			writeMultiline(w, topOf(msgs[i].Contents, lines))
-			if flush() != nil {
+			writeMultiline(&c.Writer, topOf(msgs[i].Contents, lines))
+			if c.Flush() != nil {
 				return true
 			}
 		case "UIDL":
@@ -351,11 +214,11 @@ func (s *Server) handle(conn net.Conn) {
 			follows("unique-id listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
-					fmt.Fprintf(w, "%d %s\r\n", i+1, m.ID)
+					fmt.Fprintf(c, "%d %s\r\n", i+1, m.ID)
 				}
 			}
-			fmt.Fprintf(w, ".\r\n")
-			if flush() != nil {
+			fmt.Fprintf(c, ".\r\n")
+			if c.Flush() != nil {
 				return true
 			}
 		case "DELE":
@@ -420,25 +283,7 @@ func (s *Server) handle(conn net.Conn) {
 			bad("unrecognized command")
 		}
 		return false
-	}
-
-	for {
-		if s.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
-		}
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
-		line = strings.TrimRight(line, "\r\n")
-		verb, arg, _ := strings.Cut(line, " ")
-		start := s.Metrics.cmdStart()
-		quit := command(verb, arg)
-		s.Metrics.command(verb, start)
-		if quit {
-			return
-		}
-	}
+	})
 }
 
 func (s *Server) msgIndex(arg string, msgs []mailboat.Message, deleted []bool) (int, bool) {

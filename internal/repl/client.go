@@ -161,7 +161,7 @@ func (nd *Node) replicate(t gfs.T, r request) OpResult {
 			nd.cfg.Metrics.ReplicateObserved("failed")
 			return OpFailed
 		}
-		if everUnknown && !modeled && attempt >= nd.indetRetries() {
+		if everUnknown && !modeled && attempt >= indetRetries {
 			nd.cfg.Metrics.IndeterminateInc()
 			nd.cfg.Metrics.ReplicateObserved("failed")
 			return OpFailed

@@ -30,7 +30,6 @@
 package repl
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"time"
@@ -74,21 +73,10 @@ type Config struct {
 	// MaxCallRetries bounds retries of a definitely-failed call (Lost,
 	// or the backup transiently refusing). 0 means the default of 6.
 	MaxCallRetries int
-	// IndeterminateRetries bounds, on native threads only, how long an
-	// operation whose outcome went Unknown keeps retrying before it is
-	// abandoned (counted in repl_indeterminate_total — the honest
-	// at-least-once hazard of a real deployment). Modeled threads retry
-	// until the outcome resolves; the fault budget bounds that. 0 means
-	// the default of 64.
-	IndeterminateRetries int
 	// RetryBackoff is the base pause between retries, doubled per
-	// attempt; 0 disables pacing. Modeled threads never sleep.
+	// attempt up to retryBackoffCap; 0 disables pacing. Modeled threads
+	// never sleep.
 	RetryBackoff time.Duration
-	// RetryBackoffCap caps the exponential pause. 0 means 1s.
-	RetryBackoffCap time.Duration
-	// Ctx, when non-nil, aborts retry loops when cancelled, like
-	// Shutdown.
-	Ctx context.Context
 	// Metrics, when non-nil, records repl_* metrics. Leave nil under
 	// the checker; every method is nil-receiver-safe.
 	Metrics *Metrics
@@ -198,21 +186,14 @@ func (nd *Node) Shutdown() {
 	nd.stopOnce.Do(func() { close(nd.stop) })
 }
 
-// stopped reports whether Shutdown was called or Ctx cancelled.
+// stopped reports whether Shutdown was called.
 func (nd *Node) stopped() bool {
 	select {
 	case <-nd.stop:
 		return true
 	default:
+		return false
 	}
-	if nd.cfg.Ctx != nil {
-		select {
-		case <-nd.cfg.Ctx.Done():
-			return true
-		default:
-		}
-	}
-	return false
 }
 
 // Status is a point-in-time snapshot for /healthz and tests.
@@ -319,31 +300,28 @@ func (nd *Node) maxCallRetries() int {
 	return 6
 }
 
-func (nd *Node) indetRetries() int {
-	if nd.cfg.IndeterminateRetries > 0 {
-		return nd.cfg.IndeterminateRetries
-	}
-	return 64
-}
+const (
+	// indetRetries bounds, on native threads only, how long an operation
+	// whose outcome went Unknown keeps retrying before it is abandoned
+	// (counted in repl_indeterminate_total — the honest at-least-once
+	// hazard of a real deployment). Modeled threads retry until the
+	// outcome resolves; the fault budget bounds that.
+	indetRetries = 64
+	// retryBackoffCap caps the exponential retry pause.
+	retryBackoffCap = time.Second
+)
 
 // backoffDelay computes the pause before retry number attempt
-// (1-based): exponential from RetryBackoff, capped by RetryBackoffCap.
+// (1-based): exponential from RetryBackoff, capped by retryBackoffCap.
 func (nd *Node) backoffDelay(attempt int) time.Duration {
 	d := nd.cfg.RetryBackoff
 	if d <= 0 {
 		return 0
 	}
-	cap := nd.cfg.RetryBackoffCap
-	if cap <= 0 {
-		cap = time.Second
-	}
-	for i := 1; i < attempt && d < cap; i++ {
+	for i := 1; i < attempt && d < retryBackoffCap; i++ {
 		d <<= 1
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, retryBackoffCap)
 }
 
 // retryPause paces a retry loop; false means the node is shutting down
@@ -362,14 +340,8 @@ func (nd *Node) retryPause(t gfs.T, attempt int) bool {
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	var ctxDone <-chan struct{}
-	if nd.cfg.Ctx != nil {
-		ctxDone = nd.cfg.Ctx.Done()
-	}
 	select {
 	case <-nd.stop:
-		return false
-	case <-ctxDone:
 		return false
 	case <-timer.C:
 		return true

@@ -226,11 +226,11 @@ func TestUnknownRetryIdempotent(t *testing.T) {
 }
 
 // TestBackoffDelayCap pins the retry pacing edge (satellite: backoff
-// cap respected): exponential growth from RetryBackoff, clamped at
-// RetryBackoffCap, with a 1s default cap.
+// cap respected): exponential growth from RetryBackoff, clamped at the
+// one-second retryBackoffCap.
 func TestBackoffDelayCap(t *testing.T) {
-	nd := &Node{cfg: Config{RetryBackoff: 10 * time.Millisecond, RetryBackoffCap: 80 * time.Millisecond}}
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
+	nd := &Node{cfg: Config{RetryBackoff: 150 * time.Millisecond}}
+	want := []time.Duration{150, 300, 600, 1000, 1000, 1000}
 	for i, w := range want {
 		if got := nd.backoffDelay(i + 1); got != w*time.Millisecond {
 			t.Fatalf("attempt %d: %v, want %v", i+1, got, w*time.Millisecond)
@@ -239,7 +239,7 @@ func TestBackoffDelayCap(t *testing.T) {
 	nd = &Node{cfg: Config{RetryBackoff: 400 * time.Millisecond}}
 	for attempt := 1; attempt <= 20; attempt++ {
 		if got := nd.backoffDelay(attempt); got > time.Second {
-			t.Fatalf("attempt %d exceeds default cap: %v", attempt, got)
+			t.Fatalf("attempt %d exceeds the cap: %v", attempt, got)
 		}
 	}
 	if (&Node{}).backoffDelay(5) != 0 {

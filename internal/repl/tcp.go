@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/gfs"
 	"repro/internal/netmodel"
+	"repro/internal/netsrv"
 )
 
 // This file is the deployment transport: the same frames wire.go
@@ -54,63 +56,37 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // Server accepts replication connections and feeds each frame through
-// nd.HandleRequest. It tracks live connections so Close severs them
-// along with the listener — a killed node must go silent immediately,
-// not keep answering frames on sockets accepted before the kill (the
-// replica soak's kill switch depends on exactly this). One goroutine
-// per connection; nd's replication lock serializes concurrent frames.
-// t supplies randomness for the applies — mailboatd.Adapter implements
-// gfs.T and is the intended value.
+// nd.HandleRequest, over the connection server the mail front ends
+// share. Close severs live connections along with the listener — a
+// killed node must go silent immediately, not keep answering frames on
+// sockets accepted before the kill (the replica soak's kill switch
+// depends on exactly this). One goroutine per connection; nd's
+// replication lock serializes concurrent frames. t supplies randomness
+// for the applies — mailboatd.Adapter implements gfs.T and is the
+// intended value.
 type Server struct {
-	nd *Node
-	t  gfs.T
-
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
+	nd   *Node
+	t    gfs.T
+	core *netsrv.Server
 }
 
 // NewServer builds a frame server over nd.
 func NewServer(nd *Node, t gfs.T) *Server {
-	return &Server{nd: nd, t: t, conns: make(map[net.Conn]struct{})}
+	s := &Server{nd: nd, t: t}
+	s.core = netsrv.New("", s.serveConn, nil)
+	return s
 }
 
 // Serve accepts on lis until Close (the returned error is Accept's,
 // net.ErrClosed on an orderly shutdown).
 func (s *Server) Serve(lis net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		lis.Close()
-		return net.ErrClosed
+	if err := s.core.Serve(lis); err != nil {
+		return err
 	}
-	s.lis = lis
-	s.mu.Unlock()
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
+	return net.ErrClosed
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	for {
 		req, err := readFrame(conn)
 		if err != nil {
@@ -122,17 +98,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops the listener and severs every live connection.
+// Close stops the listener, severs every live connection and waits for
+// their handlers to return: a Shutdown whose grace has already run out.
 func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.lis != nil {
-		s.lis.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.core.Shutdown(ctx)
 }
 
 // TCPClient implements Transport over one length-prefixed TCP

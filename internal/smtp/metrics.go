@@ -1,102 +1,30 @@
 package smtp
 
 import (
-	"strings"
-	"time"
-
+	"repro/internal/netsrv"
 	"repro/internal/obs"
 )
 
-// smtpVerbs are the commands that get their own counter series; any
-// other input lands on "other" to bound label cardinality against
-// hostile clients.
-var smtpVerbs = []string{"HELO", "EHLO", "MAIL", "RCPT", "DATA", "RSET", "NOOP", "QUIT", "other"}
+// smtpVerbs are the commands that get their own counter series.
+var smtpVerbs = []string{"HELO", "EHLO", "MAIL", "RCPT", "DATA", "RSET", "NOOP", "QUIT"}
 
-// Metrics is the SMTP front end's slice of the observability surface.
-// All methods are nil-receiver-safe; a Server with nil Metrics behaves
-// exactly as before.
+// Metrics is the SMTP front end's slice of the observability surface:
+// the shared connection and command set plus the two reply counters
+// only SMTP has. All methods are nil-receiver-safe; a Server with nil
+// Metrics behaves exactly the same.
 type Metrics struct {
-	Accepted *obs.Counter
-	Refused  *obs.Counter
-	Active   *obs.Gauge
-	Panics   *obs.Counter
-
-	commands map[string]*obs.Counter
+	*netsrv.Metrics
 	TempFail *obs.Counter
 	Full     *obs.Counter
-	CmdTime  *obs.Histogram
 }
 
 // NewMetrics registers the smtp_* metric families in r.
 func NewMetrics(r *obs.Registry) *Metrics {
-	m := &Metrics{
-		Accepted: r.Counter("smtp_connections_accepted_total", "SMTP connections accepted for service."),
-		Refused:  r.Counter("smtp_connections_refused_total", "SMTP connections refused with 421 (full or shutting down)."),
-		Active:   r.Gauge("smtp_connections_active", "SMTP connections currently being served."),
-		Panics:   r.Counter("smtp_handler_panics_total", "Connection handlers killed by a recovered panic."),
+	return &Metrics{
+		Metrics:  netsrv.NewMetrics(r, "smtp", "SMTP connections refused with 421 (full or shutting down).", smtpVerbs),
 		TempFail: r.Counter("smtp_tempfail_responses_total", "451 responses sent (transient store failure surfaced to the sender)."),
 		Full:     r.Counter("smtp_insufficient_storage_responses_total", "452 responses sent (store out of space or shedding load)."),
-		CmdTime:  r.Histogram("smtp_command_seconds", "Latency from command receipt to response flush.", obs.DefLatencyBuckets),
-		commands: map[string]*obs.Counter{},
 	}
-	for _, v := range smtpVerbs {
-		m.commands[v] = r.Counter("smtp_commands_total", "SMTP commands processed, by verb.", "verb", v)
-	}
-	return m
-}
-
-// connOpened counts an accepted connection.
-func (m *Metrics) connOpened() {
-	if m == nil {
-		return
-	}
-	m.Accepted.Inc()
-	m.Active.Inc()
-}
-
-// connClosed retires an accepted connection.
-func (m *Metrics) connClosed() {
-	if m == nil {
-		return
-	}
-	m.Active.Dec()
-}
-
-// connRefused counts a 421-refused connection.
-func (m *Metrics) connRefused() {
-	if m == nil {
-		return
-	}
-	m.Refused.Inc()
-}
-
-// panicked counts a handler killed by a recovered panic.
-func (m *Metrics) panicked() {
-	if m == nil {
-		return
-	}
-	m.Panics.Inc()
-}
-
-// cmdStart returns the command timestamp (zero when disabled).
-func (m *Metrics) cmdStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// command records a processed command and its handling latency.
-func (m *Metrics) command(verb string, start time.Time) {
-	if m == nil {
-		return
-	}
-	c, ok := m.commands[strings.ToUpper(verb)]
-	if !ok {
-		c = m.commands["other"]
-	}
-	c.Inc()
-	m.CmdTime.ObserveSince(start)
 }
 
 // tempFailure counts one 451 response.

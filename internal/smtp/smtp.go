@@ -15,15 +15,12 @@
 package smtp
 
 import (
-	"bufio"
-	"context"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
+	"repro/internal/netsrv"
 	"repro/internal/trace"
 )
 
@@ -73,19 +70,14 @@ func ParseRecipient(addr string, users uint64) (uint64, error) {
 	return n, nil
 }
 
-// Server is one SMTP listener.
+// Server is one SMTP listener: the shared connection server (Serve,
+// Close, Shutdown, Addr, ReadTimeout, WriteTimeout, MaxConns — excess
+// connections are answered 421) plus the protocol below.
 type Server struct {
+	*netsrv.Server
 	users   uint64
 	backend Deliverer
 
-	// ReadTimeout and WriteTimeout bound each command read and each
-	// response write; zero means no deadline. A peer that stalls longer
-	// loses its connection rather than pinning a handler goroutine.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// MaxConns caps concurrently served connections; excess connections
-	// are answered 421 and closed. Zero means unlimited.
-	MaxConns int
 	// Metrics, when non-nil, records connection and command metrics
 	// (see NewMetrics). Set it before Serve.
 	Metrics *Metrics
@@ -93,142 +85,18 @@ type Server struct {
 	// "deliver") and threads it through a TracedDeliverer backend, so a
 	// single delivery renders as a nested timeline. Set it before Serve.
 	Tracer *trace.Tracer
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewServer creates an SMTP server delivering into backend.
 func NewServer(backend Deliverer, users uint64) *Server {
-	return &Server{users: users, backend: backend, conns: map[net.Conn]struct{}{}}
-}
-
-// Serve accepts connections on ln until Close/Shutdown. It blocks, and
-// returns nil after a deliberate Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.wg.Wait()
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
+	s := &Server{users: users, backend: backend}
+	s.Server = netsrv.New("421 mailboat too busy, try again later", s.handle, func() *netsrv.Metrics {
+		if s.Metrics == nil {
+			return nil
 		}
-		if !s.track(conn) {
-			s.Metrics.connRefused()
-			s.refuse(conn)
-			continue
-		}
-		s.Metrics.connOpened()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.untrack(conn)
-			defer conn.Close()
-			defer s.Metrics.connClosed()
-			// An unverified protocol handler must not take the whole
-			// server down: a panic costs only this connection.
-			defer func() {
-				if r := recover(); r != nil {
-					s.Metrics.panicked()
-				}
-			}()
-			s.handle(conn)
-		}()
-	}
-}
-
-// track registers conn, refusing when at capacity or shutting down.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || (s.MaxConns > 0 && len(s.conns) >= s.MaxConns) {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// refuse answers a connection the server cannot serve right now with
-// 421 (service not available, try later) instead of a silent close.
-func (s *Server) refuse(conn net.Conn) {
-	if s.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
-	fmt.Fprintf(conn, "421 mailboat too busy, try again later\r\n")
-	conn.Close()
-}
-
-// ListenAndServe listens on addr (e.g. "127.0.0.1:2525") and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Close stops accepting connections. In-flight sessions keep running;
-// use Shutdown to wait for (or cut off) them.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
-}
-
-// Shutdown closes the listener and waits for in-flight sessions to
-// finish. If ctx expires first the remaining connections are
-// force-closed (their handlers then exit on the next read) and ctx's
-// error is returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.Close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
-}
-
-// Addr returns the listener address, for tests.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
+		return s.Metrics.Metrics
+	})
+	return s
 }
 
 type session struct {
@@ -237,46 +105,22 @@ type session struct {
 }
 
 func (s *Server) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	readLine := func() (string, error) {
-		if s.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
-		}
-		return r.ReadString('\n')
-	}
+	c := s.NewConn(conn)
 	say := func(code int, msg string) bool {
-		fmt.Fprintf(w, "%d %s\r\n", code, msg)
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		return w.Flush() == nil
+		fmt.Fprintf(c, "%d %s\r\n", code, msg)
+		return c.Flush() == nil
 	}
 	if !say(220, "mailboat SMTP service ready") {
 		return
 	}
-
 	var st session
-	for {
-		line, err := readLine()
-		if err != nil {
-			return
-		}
-		line = strings.TrimRight(line, "\r\n")
-		verb, arg, _ := strings.Cut(line, " ")
-		start := s.Metrics.cmdStart()
-		quit := s.command(&st, verb, arg, readLine, say)
-		s.Metrics.command(verb, start)
-		if quit {
-			return
-		}
-	}
+	c.Commands(func(verb, arg string) bool { return s.command(c, &st, verb, arg, say) })
 }
 
 // command executes one SMTP command against the session state,
 // reporting true when the connection must end (QUIT, or a read/write
 // failure mid-command).
-func (s *Server) command(st *session, verb, arg string, readLine func() (string, error), say func(int, string) bool) bool {
+func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func(int, string) bool) bool {
 	switch strings.ToUpper(verb) {
 	case "HELO", "EHLO":
 		say(250, "mailboat at your service")
@@ -305,7 +149,7 @@ func (s *Server) command(st *session, verb, arg string, readLine func() (string,
 		if !say(354, "end with <CRLF>.<CRLF>") {
 			return true
 		}
-		body, err := readData(readLine)
+		body, err := readData(c)
 		if err != nil {
 			return true
 		}
@@ -369,10 +213,10 @@ func (s *Server) command(st *session, verb, arg string, readLine func() (string,
 
 // readData reads a DATA body up to the lone-dot terminator, undoing
 // dot-stuffing per RFC 5321 §4.5.2.
-func readData(readLine func() (string, error)) ([]byte, error) {
+func readData(c *netsrv.Conn) ([]byte, error) {
 	var body []byte
 	for {
-		line, err := readLine()
+		line, err := c.ReadLine()
 		if err != nil {
 			return nil, err
 		}
