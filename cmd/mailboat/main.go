@@ -24,9 +24,7 @@
 // verified by the mb/writeback+prefix-contract checker scenario — is
 // prefix durability: a crash may take back the NEWEST acked
 // deliveries, but the surviving mailbox is always a hole-free prefix
-// of the delivery order, never reordered or fabricated. The legacy
-// -sync flag remains for compatibility (-sync=false behaves like
-// -no-fsync).
+// of the delivery order, never reordered or fabricated.
 //
 // -admin starts an operational HTTP listener serving Prometheus-text
 // /metrics (every layer: gfs_*, mailboat_*, mailboatd_*, smtp_*,
@@ -154,7 +152,6 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-connection read/write deadline (0 = none)")
 	grace := flag.Duration("grace", 10*time.Second, "shutdown grace period before force-closing sessions")
 	mirrorDir := flag.String("mirror", "", "second replica directory: run the store mirrored (writes to both, reads fail over, boot resilvers a replaced replica)")
-	syncDeliver := flag.Bool("sync", true, "deprecated: the full sync discipline (spool fsync + directory fsync) is on by default; use -no-fsync to disable it")
 	noFsync := flag.Bool("no-fsync", false, "fast mode: skip ALL durability barriers; an OS crash may lose the newest acked mail (prefix-durability contract, see README)")
 	retries := flag.Int("retries", 0, "delivery retry attempts on transient store failure (0 = default)")
 	backoff := flag.Duration("backoff", 10*time.Millisecond, "base backoff between delivery retries")
@@ -181,9 +178,9 @@ func main() {
 	backup := *backupOf != ""
 
 	// Durability: the full sync discipline is the default; -no-fsync
-	// (or the legacy -sync=false) opts into the barrier-free fast mode,
-	// whose checked contract is prefix durability only.
-	durable := *syncDeliver && !*noFsync
+	// opts into the barrier-free fast mode, whose checked contract is
+	// prefix durability only.
+	durable := !*noFsync
 
 	// Metrics are always collected (the disabled path costs one nil
 	// check per event); -admin only controls whether they are served.

@@ -329,8 +329,13 @@ func (c *Ctx) InitSim(sp spec.Interface, st spec.State) {
 // checks).
 func (c *Ctx) Source() spec.State { return c.src }
 
-// NewJTok mints the j ⤇ op token when an operation is invoked.
+// NewJTok mints the j ⤇ op token when an operation is invoked. A nil
+// Ctx — a ghost-free run — mints the nil token, which the annotated
+// operations take to mean "no proof attached".
 func (c *Ctx) NewJTok(op spec.Op) *JTok {
+	if c == nil {
+		return nil
+	}
 	return &JTok{c: c, op: op}
 }
 
@@ -402,8 +407,12 @@ func (c *Ctx) StepSimWhere(t *machine.T, j *JTok, ret spec.Ret, match func(spec.
 
 // FinishOp is called by the harness when an operation returns: the
 // token must have been simulated (the operation's proof stepped the
-// source) with the same return value the caller observed.
+// source) with the same return value the caller observed. A no-op on a
+// nil Ctx, which minted no token.
 func (c *Ctx) FinishOp(t *machine.T, j *JTok, ret spec.Ret) {
+	if c == nil {
+		return
+	}
 	if !j.done {
 		c.failf(t, "operation %v returned %v without simulating its spec step (missing linearization point)", j.op, ret)
 		return

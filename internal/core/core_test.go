@@ -242,6 +242,26 @@ func TestFinishWithoutStepIsMissedLinearizationPoint(t *testing.T) {
 	wantViolation(t, res, "without simulating")
 }
 
+// TestNilCtxIsGhostFree: a scenario's harness mints and finishes a
+// token around every operation without asking whether the run is
+// annotated. A nil Ctx mints the nil token — what the annotated
+// operations take for "no proof attached" — and finishing it checks
+// nothing, whatever the operation returned.
+func TestNilCtxIsGhostFree(t *testing.T) {
+	res, _, _ := runGhost(t, func(mt *machine.T, _ *Ctx) {
+		var c *Ctx
+		j := c.NewJTok(kvPut{v: 1})
+		if j != nil {
+			mt.Failf("nil Ctx minted %+v", j)
+		}
+		c.FinishOp(mt, j, nil)
+		c.FinishOp(mt, nil, 7)
+	})
+	if res.Outcome != machine.Done {
+		t.Fatalf("res=%+v", res)
+	}
+}
+
 func TestDoubleSimulationFails(t *testing.T) {
 	res, _, _ := runGhost(t, func(mt *machine.T, c *Ctx) {
 		c.InitSim(kvSpec(), kvState{})

@@ -111,9 +111,6 @@ func (d *Disk) Write(t *machine.T, a uint64, v Block) {
 // harnesses and invariant checks between eras, never for modeled code.
 func (d *Disk) Peek(a uint64) Block { return d.blocks[a] }
 
-// Poke sets block a without taking a machine step (harness setup only).
-func (d *Disk) Poke(a uint64, v Block) { d.blocks[a] = v }
-
 func (d *Disk) checkBounds(t *machine.T, op string, a uint64) {
 	if a >= uint64(len(d.blocks)) {
 		t.Failf("disk %s: %s out of bounds: address %d, size %d", d.name, op, a, len(d.blocks))

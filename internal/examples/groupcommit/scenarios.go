@@ -53,34 +53,28 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	ghost := v == VariantVerified
 	sp := Spec()
 
+	read := func(t *machine.T, w *World) spec.Ret {
+		j := w.G.NewJTok(OpRead{})
+		got := w.GC.Read(t, j)
+		w.G.FinishOp(t, j, got)
+		return got
+	}
 	runStep := func(t *machine.T, w *World, h *explore.Harness, st Step) {
 		switch {
 		case st.Write != nil:
 			op := *st.Write
 			h.Op(op, func() spec.Ret {
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
+				j := w.G.NewJTok(op)
 				w.GC.Write(t, j, op.V1, op.V2)
-				if ghost {
-					w.G.FinishOp(t, j, nil)
-				}
+				w.G.FinishOp(t, j, nil)
 				return nil
 			})
 		case st.Read:
-			op := OpRead{}
-			h.Op(op, func() spec.Ret {
+			h.Op(OpRead{}, func() spec.Ret {
 				if v == VariantRacyRead {
 					return w.GC.ReadNoLock(t)
 				}
-				if ghost {
-					j := w.G.NewJTok(op)
-					got := w.GC.Read(t, j)
-					w.G.FinishOp(t, j, got)
-					return got
-				}
-				return w.GC.Read(t, nil)
+				return read(t, w)
 			})
 		case st.Flush:
 			op := OpFlush{}
@@ -89,14 +83,9 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 					w.GC.FlushNoLog(t)
 					return nil
 				}
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
+				j := w.G.NewJTok(op)
 				w.GC.Flush(t, j)
-				if ghost {
-					w.G.FinishOp(t, j, nil)
-				}
+				w.G.FinishOp(t, j, nil)
 				return nil
 			})
 		}
@@ -134,16 +123,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
 			for i := 0; i < o.PostReads; i++ {
-				op := OpRead{}
-				h.Op(op, func() spec.Ret {
-					if ghost {
-						j := w.G.NewJTok(op)
-						got := w.GC.Read(t, j)
-						w.G.FinishOp(t, j, got)
-						return got
-					}
-					return w.GC.Read(t, nil)
-				})
+				h.Op(OpRead{}, func() spec.Ret { return read(t, w) })
 			}
 		},
 	}

@@ -84,14 +84,9 @@ func build(name string, o ScenarioOptions, v variant) *explore.Scenario {
 			case variantD1Only:
 				w.RD.WriteD1Only(t, op.A, op.V)
 			default:
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
+				j := w.G.NewJTok(op)
 				w.RD.Write(t, j, op.A, op.V)
-				if ghost {
-					w.G.FinishOp(t, j, nil)
-				}
+				w.G.FinishOp(t, j, nil)
 			}
 			return nil
 		})
@@ -100,13 +95,10 @@ func build(name string, o ScenarioOptions, v variant) *explore.Scenario {
 	doRead := func(t *machine.T, w *World, h *explore.Harness, a uint64) {
 		op := OpRead{A: a}
 		h.Op(op, func() spec.Ret {
-			if ghost {
-				j := w.G.NewJTok(op)
-				got := w.RD.Read(t, j, a)
-				w.G.FinishOp(t, j, got)
-				return got
-			}
-			return w.RD.Read(t, nil, a)
+			j := w.G.NewJTok(op)
+			got := w.RD.Read(t, j, a)
+			w.G.FinishOp(t, j, got)
+			return got
 		})
 	}
 

@@ -54,14 +54,9 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			case VariantInstallFirst:
 				w.SC.WriteInstallFirst(t, op.V1, op.V2)
 			default:
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
+				j := w.G.NewJTok(op)
 				w.SC.WritePair(t, j, op.V1, op.V2)
-				if ghost {
-					w.G.FinishOp(t, j, nil)
-				}
+				w.G.FinishOp(t, j, nil)
 			}
 			return nil
 		})
@@ -69,13 +64,10 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	doRead := func(t *machine.T, w *World, h *explore.Harness) {
 		op := OpRead{}
 		h.Op(op, func() spec.Ret {
-			if ghost {
-				j := w.G.NewJTok(op)
-				got := w.SC.ReadPair(t, j)
-				w.G.FinishOp(t, j, got)
-				return got
-			}
-			return w.SC.ReadPair(t, nil)
+			j := w.G.NewJTok(op)
+			got := w.SC.ReadPair(t, j)
+			w.G.FinishOp(t, j, got)
+			return got
 		})
 	}
 

@@ -52,14 +52,9 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			case VariantNoLog:
 				w.W.WriteNoLog(t, op.V1, op.V2)
 			default:
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
+				j := w.G.NewJTok(op)
 				w.W.WritePair(t, j, op.V1, op.V2)
-				if ghost {
-					w.G.FinishOp(t, j, nil)
-				}
+				w.G.FinishOp(t, j, nil)
 			}
 			return nil
 		})
@@ -67,13 +62,10 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	doRead := func(t *machine.T, w *World, h *explore.Harness) {
 		op := OpRead{}
 		h.Op(op, func() spec.Ret {
-			if ghost {
-				j := w.G.NewJTok(op)
-				got := w.W.ReadPair(t, j)
-				w.G.FinishOp(t, j, got)
-				return got
-			}
-			return w.W.ReadPair(t, nil)
+			j := w.G.NewJTok(op)
+			got := w.W.ReadPair(t, j)
+			w.G.FinishOp(t, j, got)
+			return got
 		})
 	}
 

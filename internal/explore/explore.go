@@ -299,10 +299,13 @@ type Options struct {
 	// budget is shared by all workers (each execution claims one slot),
 	// so the number of executions run is independent of Workers.
 	MaxExecutions int
-	// Workers is the systematic-phase worker count. 0 means
-	// GOMAXPROCS. With 1 worker the search is the classic sequential
+	// Workers is the worker count of both phases. 0 means GOMAXPROCS.
+	// With 1 worker the systematic search is the classic sequential
 	// DFS; with more, the choice tree is partitioned by schedule prefix
-	// and drained work-stealing style (see the package comment).
+	// and drained work-stealing style (see the package comment), and
+	// the stress executions (each on its own machine, so independent)
+	// are dealt out by seed offset. The counterexample reported is the
+	// one with the smallest offset, whatever the scheduling.
 	Workers int
 	// NoDedup disables crash-boundary state dedup even for scenarios
 	// that provide a Fingerprint hook — the escape hatch for suspected
@@ -316,12 +319,6 @@ type Options struct {
 	// StressCrashWeight makes the random chooser crash with probability
 	// 1/weight at each step when crashes are allowed. 0 means 20.
 	StressCrashWeight int
-	// StressParallelism runs stress executions on this many OS-parallel
-	// workers (each execution uses its own machine, so they are
-	// independent). 0 or 1 means sequential. The reported counterexample
-	// is the one with the smallest seed offset, keeping results
-	// deterministic regardless of scheduling.
-	StressParallelism int
 	// Progress, when non-nil with a Sink, streams live telemetry of the
 	// systematic phase (execs/s, frontier depth, dedup hit rate,
 	// per-worker donations, budget ETA). The sampler is read-only over
@@ -366,18 +363,8 @@ func Run(s *Scenario, opts Options) *Report {
 // then the randomized stress, stopping at the first counterexample.
 func search(s *Scenario, opts Options, workers int, rep *Report) {
 	runSystematic(s, opts, workers, rep)
-	if rep.Counterexample != nil {
-		return
-	}
-	if opts.StressParallelism > 1 {
-		runStressParallel(s, opts, rep)
-		return
-	}
-	var x runner
-	defer x.carriers.Release()
-	for i := 0; i < opts.StressExecutions && rep.Counterexample == nil; i++ {
-		rep.Executions++
-		rep.Counterexample = x.stressOne(s, opts, i, rep)
+	if rep.Counterexample == nil && opts.StressExecutions > 0 {
+		runStress(s, opts, workers, rep)
 	}
 }
 
@@ -403,22 +390,21 @@ func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Count
 	return x.runOne(s, rc, rep, nil, false)
 }
 
-// runStressParallel fans the stress executions across workers. Each
-// worker accumulates into a private Report; the aggregates are summed
-// and the smallest-offset counterexample wins (deterministic output).
+// runStress fans the stress executions across workers. Each worker
+// accumulates into a private Report; the aggregates are summed and the
+// smallest-offset counterexample wins (deterministic output).
 //
 // Executions counts only the unique contributing executions — offsets
-// up to and including the winning counterexample's — matching what the
-// sequential stress loop would have run. Executions other workers raced
-// through at higher offsets before noticing the winner are discarded
-// retries, reported in Stats.StressDiscarded instead of inflating the
-// (otherwise nondeterministic) throughput numbers.
-func runStressParallel(s *Scenario, opts Options, rep *Report) {
+// up to and including the winning counterexample's — which is what one
+// worker runs. Executions other workers raced through at higher offsets
+// before noticing the winner are discarded retries, reported in
+// Stats.StressDiscarded instead of inflating the (otherwise
+// nondeterministic) throughput numbers.
+func runStress(s *Scenario, opts Options, workers int, rep *Report) {
 	type result struct {
 		offset int
 		cx     *Counterexample
 	}
-	workers := opts.StressParallelism
 	var mu sync.Mutex
 	best := result{offset: -1}
 	reps := make([]*Report, workers)

@@ -366,8 +366,8 @@ func TestParallelStressFindsBugDeterministically(t *testing.T) {
 		s.Recover = func(t *machine.T, wAny any) {}
 		return s
 	}
-	seq := Run(mk(), Options{MaxExecutions: 1, StressExecutions: 500, StressSeed: 11})
-	par := Run(mk(), Options{MaxExecutions: 1, StressExecutions: 500, StressSeed: 11, StressParallelism: 4})
+	seq := Run(mk(), Options{MaxExecutions: 1, Workers: 1, StressExecutions: 500, StressSeed: 11})
+	par := Run(mk(), Options{MaxExecutions: 1, Workers: 4, StressExecutions: 500, StressSeed: 11})
 	if seq.OK() || par.OK() {
 		t.Fatal("stress did not find the seeded bug")
 	}
@@ -380,7 +380,7 @@ func TestParallelStressFindsBugDeterministically(t *testing.T) {
 
 func TestParallelStressCleanScenario(t *testing.T) {
 	rep := Run(scenario(true, false), Options{
-		MaxExecutions: 1, StressExecutions: 200, StressSeed: 2, StressParallelism: 3,
+		MaxExecutions: 1, Workers: 3, StressExecutions: 200, StressSeed: 2,
 	})
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())

@@ -268,15 +268,15 @@ func TestDedupInactiveWithoutHook(t *testing.T) {
 // execs/sec double-count: parallel stress used to count executions that
 // raced past the winning counterexample's offset, inflating Executions
 // and the throughput rate nondeterministically. Both must now reflect
-// unique contributing executions only, matching the sequential count.
+// unique contributing executions only, matching one worker's count.
 func TestStressStatsCountUniqueExecutions(t *testing.T) {
 	mk := func() *Scenario {
 		s := scenario(true, true)
 		s.Recover = func(t *machine.T, wAny any) {} // broken recovery
 		return s
 	}
-	seq := Run(mk(), Options{MaxExecutions: 1, StressExecutions: 500, StressSeed: 11})
-	par := Run(mk(), Options{MaxExecutions: 1, StressExecutions: 500, StressSeed: 11, StressParallelism: 4})
+	seq := Run(mk(), Options{MaxExecutions: 1, Workers: 1, StressExecutions: 500, StressSeed: 11})
+	par := Run(mk(), Options{MaxExecutions: 1, Workers: 4, StressExecutions: 500, StressSeed: 11})
 	if seq.OK() || par.OK() {
 		t.Fatal("stress did not find the seeded bug")
 	}

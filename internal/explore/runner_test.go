@@ -106,11 +106,11 @@ func TestEveryOwnerReleasesItsCarriers(t *testing.T) {
 		check("a search that hit its budget")
 	}
 
-	if rep := Run(clean, Options{MaxExecutions: 1, StressExecutions: 50, StressSeed: 1}); !rep.OK() {
+	if rep := Run(clean, Options{MaxExecutions: 1, Workers: 1, StressExecutions: 50, StressSeed: 1}); !rep.OK() {
 		t.Fatalf("sequential stress: %s", rep)
 	}
 	check("sequential stress")
-	if rep := Run(broken, Options{MaxExecutions: 1, StressExecutions: 200, StressSeed: 1, StressParallelism: 4}); rep.OK() {
+	if rep := Run(broken, Options{MaxExecutions: 1, Workers: 4, StressExecutions: 200, StressSeed: 1}); rep.OK() {
 		t.Fatal("parallel stress missed the torn write")
 	}
 	check("parallel stress (convicting)")

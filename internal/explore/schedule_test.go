@@ -101,9 +101,9 @@ func TestRunPopulatesStats(t *testing.T) {
 
 func TestParallelStressSharesDepthHistogram(t *testing.T) {
 	rep := Run(scenario(true, false), Options{
-		MaxExecutions:     1, // skip past the systematic phase quickly
-		StressExecutions:  40,
-		StressParallelism: 4,
+		MaxExecutions:    1, // skip past the systematic phase quickly
+		Workers:          4,
+		StressExecutions: 40,
 	})
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())

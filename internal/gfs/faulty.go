@@ -277,6 +277,21 @@ type ChooserPolicy struct {
 	perClass [NumFaultOps]int
 }
 
+// Classes returns the set of the listed fault classes, for
+// ChooserPolicy.Eligible; nil (every transient class) when none is
+// listed. Nothing writes to a set once built, so one may be shared by
+// the policies of many executions.
+func Classes(ops ...FaultOp) map[FaultOp]bool {
+	if ops == nil {
+		return nil
+	}
+	set := make(map[FaultOp]bool, len(ops))
+	for _, op := range ops {
+		set[op] = true
+	}
+	return set
+}
+
 // Decide implements Policy. With a non-model thread it never faults.
 func (p *ChooserPolicy) Decide(t T, op FaultOp, index uint64) bool {
 	mt, ok := t.(*machine.T)

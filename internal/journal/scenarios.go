@@ -78,27 +78,19 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			for _, wr := range ws {
 				tx.Write(t, wr.A, wr.V)
 			}
-			var jt *core.JTok
-			if ghost {
-				jt = w.G.NewJTok(op)
-			}
+			jt := w.G.NewJTok(op)
 			tx.Commit(t, jt)
-			if ghost {
-				w.G.FinishOp(t, jt, nil)
-			}
+			w.G.FinishOp(t, jt, nil)
 			return nil
 		})
 	}
 	read := func(t *machine.T, w *World, h *explore.Harness, a uint64) {
 		op := OpRead{A: a}
 		h.Op(op, func() spec.Ret {
-			if ghost {
-				jt := w.G.NewJTok(op)
-				got := w.J.ReadBlock(t, jt, a)
-				w.G.FinishOp(t, jt, got)
-				return got
-			}
-			return w.J.ReadBlock(t, nil, a)
+			jt := w.G.NewJTok(op)
+			got := w.J.ReadBlock(t, jt, a)
+			w.G.FinishOp(t, jt, got)
+			return got
 		})
 	}
 

@@ -158,9 +158,12 @@ func FormatTable(title string, rows []Row) string {
 }
 
 // Inventory counts every Go package directory under root, split into
-// non-test and test lines — the repository's own system inventory.
+// non-test and test lines — the repository's own system inventory —
+// and closes with a TOTAL row: the one number a PR that claims to
+// shrink the repository is held to.
 func Inventory(root string) ([]Row, error) {
 	var rows []Row
+	var total, totalTests int
 	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -187,14 +190,14 @@ func Inventory(root string) ([]Row, error) {
 			Measured: code.Code,
 			Note:     fmt.Sprintf("+%d test lines", all.Code-code.Code),
 		})
-		_ = all
+		total, totalTests = total+code.Code, totalTests+all.Code-code.Code
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return rows, nil
+	return append(rows, Row{Name: "TOTAL", Measured: total, Note: fmt.Sprintf("+%d test lines", totalTests)}), nil
 }
 
 // countShallow counts only the .go files directly in dir, returning the

@@ -218,4 +218,12 @@ func TestInventoryListsPackagesShallow(t *testing.T) {
 	if _, ok := byName["internal/examples/wal"]; !ok {
 		t.Fatal("internal/examples/wal missing")
 	}
+	// The last row sums the others.
+	sum := 0
+	for _, r := range rows[:len(rows)-1] {
+		sum += r.Measured
+	}
+	if last := rows[len(rows)-1]; last.Name != "TOTAL" || last.Measured != sum || !strings.Contains(last.Note, "test lines") {
+		t.Fatalf("last row %+v, want TOTAL with %d lines", last, sum)
+	}
 }

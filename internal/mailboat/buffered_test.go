@@ -24,7 +24,7 @@ func TestBufferedFSWithoutSyncLosesMailFound(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "needs fsync"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		BufferedFS:  true,
+		Crash:       Buffered,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
@@ -44,7 +44,7 @@ func TestBufferedFSWithSyncIsClean(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "fsynced"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		BufferedFS:  true,
+		Crash:       Buffered,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())

@@ -25,7 +25,9 @@ func TestCorruptDetectionExhaustive(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "the quick brown fox."}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
+		Property:    Detection,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 	t.Logf("report: %s", rep.String())
@@ -52,7 +54,8 @@ func TestCorruptMirrorHealsExhaustive(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Mirror:      true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 	t.Logf("report: %s", rep.String())
@@ -80,7 +83,8 @@ func TestCorruptMirrorTwoDeliversClean(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Mirror:      true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
 	})
 	budget := 20000
 	if testing.Short() {
@@ -103,7 +107,9 @@ func TestDedupSelfCheckCorrupt(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "the quick brown fox."}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
+		Property:    Detection,
 	})
 	opts := explore.Options{MaxExecutions: 20000}
 	if testing.Short() {
@@ -129,7 +135,9 @@ func TestBugTrustReadsCaught(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "the quick brown fox."}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
+		Property:    Detection,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 	t.Logf("report: %s", rep.String())
@@ -166,7 +174,8 @@ func TestBugResilverNoVerifyCaught(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Mirror:      true,
-		Corrupt:     true,
+		Checksum:    true,
+		Faults:      oneCorruption,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 	t.Logf("report: %s", rep.String())
@@ -202,7 +211,7 @@ func TestBugReplaySpoolTornCaught(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "ab"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		BufferedFS:  true,
+		Crash:       Buffered,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 	t.Logf("report: %s", rep.String())

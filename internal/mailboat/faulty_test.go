@@ -23,10 +23,9 @@ func TestVerifiedDeliverUnderInjectedFaults(t *testing.T) {
 		Config:      Config{Users: 1, RandBound: 2},
 		Delivers:    []OpDeliver{{User: 0, Msg: "m"}},
 		PostPickups: true,
-		FaultBudget: 2,
-		FaultOps: []gfs.FaultOp{
+		Faults: Faults{Budget: 2, Ops: gfs.Classes(
 			gfs.FaultCreate, gfs.FaultAppend, gfs.FaultLink, gfs.FaultDelete,
-		},
+		)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
 	t.Logf("report: %s", rep.String())
@@ -47,10 +46,9 @@ func TestVerifiedFaultsAndCrashCombined(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		FaultBudget: 1,
-		FaultOps: []gfs.FaultOp{
+		Faults: Faults{Budget: 1, Ops: gfs.Classes(
 			gfs.FaultCreate, gfs.FaultAppend, gfs.FaultLink, gfs.FaultDelete,
-		},
+		)},
 	})
 	budget := 60000
 	if testing.Short() {
@@ -75,8 +73,7 @@ func TestVerifiedShortReadsDoNotCorruptPickup(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "a message long enough to split"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
-		FaultBudget: 2,
-		FaultOps:    []gfs.FaultOp{gfs.FaultReadShort},
+		Faults:      Faults{Budget: 2, Ops: gfs.Classes(gfs.FaultReadShort)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
 	t.Logf("report: %s", rep.String())
@@ -95,9 +92,8 @@ func TestVerifiedSyncFaultOnBufferedFS(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "fsynced"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		BufferedFS:  true,
-		FaultBudget: 1,
-		FaultOps:    []gfs.FaultOp{gfs.FaultSync},
+		Crash:       Buffered,
+		Faults:      Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultSync)},
 	})
 	budget := 400000
 	if testing.Short() {

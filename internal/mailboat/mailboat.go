@@ -153,9 +153,7 @@ type Mailboat struct {
 	bootScrubbed bool
 
 	// quota is the per-user byte accounting behind Config.QuotaBytes;
-	// nil when quotas are disabled. Shared (not copied) by WithSystem,
-	// so the fault-wrapped steady-state store and the bare recovery
-	// store agree on usage.
+	// nil when quotas are disabled.
 	quota *quotaState
 }
 
@@ -287,17 +285,6 @@ func (mb *Mailboat) quotaCredit(user uint64, name string) {
 		delete(q.sizes[user], name)
 	}
 	q.mu.Unlock()
-}
-
-// WithSystem returns a Mailboat sharing this one's state (locks and
-// ghost handles) but issuing file-system calls through sys. It is how
-// mailboatd slips a fault-injection layer under an already-recovered
-// store: recovery runs on the bare backend, steady-state traffic runs
-// through the wrapper.
-func (mb *Mailboat) WithSystem(sys gfs.System) *Mailboat {
-	out := *mb
-	out.sys = sys
-	return &out
 }
 
 // Deliver stores msg in user's mailbox (Figure 10's Deliver). It

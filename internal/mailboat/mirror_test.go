@@ -22,6 +22,7 @@ func TestMirroredVerifiedReplicaDeathExhaustive(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "m"}},
 		PostPickups: true,
 		Mirror:      true,
+		Faults:      oneFailStop,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
 	t.Logf("report: %s", rep.String())
@@ -46,6 +47,7 @@ func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Mirror:      true,
+		Faults:      oneFailStop,
 	})
 	budget := 60000
 	if testing.Short() {
@@ -73,6 +75,7 @@ func TestBugRecoverSkipResilverCaught(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Mirror:      true,
+		Faults:      oneFailStop,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 60000})
 	t.Logf("report: %s", rep.String())

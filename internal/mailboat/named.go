@@ -57,10 +57,6 @@ func (s ApplyStatus) String() string {
 // walks every box during a catch-up resync.
 func (mb *Mailboat) Users() uint64 { return mb.cfg.Users }
 
-// RandBound returns the name-allocation domain, so the replication
-// layer draws candidate names from the same space Deliver would.
-func (mb *Mailboat) RandBound() uint64 { return mb.cfg.RandBound }
-
 // ReadMessage reads user's message name in full; ok is false when the
 // name is absent (or unreadable). The replication layer pre-checks
 // candidate names with it before committing a fresh delivery to one.
@@ -168,24 +164,4 @@ func (mb *Mailboat) ReadBox(t gfs.T, user uint64) []Message {
 		}
 	}
 	return msgs
-}
-
-// WipeBox deletes every message in user's mailbox — the destination
-// half of a catch-up resync, clearing the stale replica before the
-// authoritative copy streams in. Reports whether every entry went; a
-// false return aborts the resync (the replica stays stale and the pair
-// degraded, which is honest — a half-wiped box must not be declared
-// synced).
-func (mb *Mailboat) WipeBox(t gfs.T, user uint64) bool {
-	mb.checkUser(t, user)
-	ok := true
-	for _, name := range mb.sys.List(t, UserDir(user)) {
-		if !mb.sys.Delete(t, UserDir(user), name) {
-			ok = false
-		}
-	}
-	if ok && mb.cfg.SyncDirs {
-		ok = mb.syncDirBarrier(t, UserDir(user))
-	}
-	return ok
 }

@@ -18,12 +18,11 @@ import (
 
 func nospaceGCScenario(v Variant, delivers []OpDeliver, crashes int, randBound uint64) *explore.Scenario {
 	return Scenario("mb-nospace-gc", v, ScenarioOptions{
-		Config:      Config{Users: 1, RandBound: randBound},
-		Delivers:    delivers,
-		MaxCrashes:  crashes,
-		FaultBudget: 1,
-		FaultOps:    []gfs.FaultOp{gfs.FaultNoSpace},
-		NoSpaceGC:   true,
+		Config:     Config{Users: 1, RandBound: randBound},
+		Delivers:   delivers,
+		MaxCrashes: crashes,
+		Faults:     oneDiskFull,
+		Property:   Exhaustion,
 	})
 }
 
@@ -42,8 +41,7 @@ func TestNoSpaceCleanAbortExhaustive(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "a"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
-		FaultBudget: 1,
-		FaultOps:    []gfs.FaultOp{gfs.FaultNoSpace},
+		Faults:      oneDiskFull,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: budget})
 	t.Logf("report: %s", rep.String())
@@ -69,8 +67,7 @@ func TestNoSpaceCleanAbortCrashMatrix(t *testing.T) {
 		PickupUsers: []uint64{0},
 		MaxCrashes:  1,
 		PostPickups: true,
-		FaultBudget: 1,
-		FaultOps:    []gfs.FaultOp{gfs.FaultNoSpace},
+		Faults:      oneDiskFull,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
 	t.Logf("report: %s", rep.String())

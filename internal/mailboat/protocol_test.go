@@ -46,8 +46,7 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 					Delivers:    []OpDeliver{{User: 0, Msg: "mail"}},
 					MaxCrashes:  1,
 					PostPickups: true,
-					FaultBudget: 1,
-					FaultOps:    []gfs.FaultOp{op},
+					Faults:      Faults{Budget: 1, Ops: gfs.Classes(op)},
 				})
 				rep := explore.Run(s, explore.Options{MaxExecutions: 20000, Workers: 1})
 				t.Logf("report: %s", rep.String())

@@ -27,8 +27,10 @@ type World struct {
 	MB    *Mailboat
 	// Acked is the set of message payloads whose delivery the workload
 	// saw acknowledged — the ground truth of the detection and
-	// exhaustion properties (nil in refinement scenarios).
+	// exhaustion properties (nil under the others).
 	Acked map[string]bool
+	// v is the implementation under check (see Client).
+	v Variant
 }
 
 // ackedSorted returns the acked payloads in a deterministic order.
@@ -70,44 +72,44 @@ var (
 	// VariantForgetSpoolDelete leaves spool entries behind (benign).
 	VariantForgetSpoolDelete = Variant{Deliver: (*Mailboat).deliverForgetSpoolDelete}
 	// VariantRecoverNoResilver skips the mirror-repair step during
-	// recovery (only meaningful with ScenarioOptions.Mirror).
+	// recovery (only meaningful with Mirror).
 	VariantRecoverNoResilver = Variant{Recover: recoverSkipResilver}
 	// VariantTrustReads serves reads without verifying the checksum
 	// envelope (gfs.Checksummed.TrustReads) — the silent-corruption bug
 	// the detection scenarios catch as garbage served to a pickup. Needs
-	// ScenarioOptions.Corrupt (there is no envelope to blind without it).
+	// Checksum (there is no envelope to blind without it).
 	VariantTrustReads = Variant{Stack: func(s *gfs.Stack) { s.Checksummed(0).TrustReads = true }}
 	// VariantResilverNoVerify skips the resilver's source integrity
 	// check (gfs.Mirrored.ResilverNoVerify), so a survivor that rotted
 	// on the shelf is copied verbatim over the good replica. Needs
-	// ScenarioOptions.Mirror, and only bites with Corrupt.
+	// Mirror, and only bites with Checksum and a corruption to spend.
 	VariantResilverNoVerify = Variant{Stack: func(s *gfs.Stack) { s.Mirror().ResilverNoVerify = true }}
 	// VariantReplaySpool delivers with one-byte appends and recovers by
 	// replaying non-empty spool files into the mailbox — a design that
 	// wrongly assumes a crashed spool file is either empty or complete.
 	// Only a TORN crash tail (a partial prefix of the unsynced appends)
 	// exposes it; whole-tail loss leaves nothing to replay. Only
-	// meaningful with BufferedFS.
+	// meaningful on the Buffered model.
 	VariantReplaySpool = Variant{Deliver: (*Mailboat).deliverTinyAppends, Recover: recoverReplaySpool}
 	// VariantAckBeforeSync delivers with the full spool-sync-link
 	// protocol but acknowledges as soon as the link lands, skipping the
 	// directory barrier — so on a writeback store an acked message's
 	// directory entry may still be sitting in the cache and be lost at
-	// a crash. Only meaningful with Writeback.
+	// a crash. Only meaningful on the Writeback model.
 	VariantAckBeforeSync = Variant{Deliver: (*Mailboat).deliverAckBeforeSync}
 	// VariantRecoverTrustsCache acknowledges deletes straight from the
 	// directory cache (no barrier after the unlink): a crash may
 	// resurrect the entry, and recovery — trusting whatever directory
 	// entries survived — serves the message the user already deleted.
-	// Only meaningful with Writeback.
+	// Only meaningful on the Writeback model.
 	VariantRecoverTrustsCache = Variant{Delete: (*Mailboat).deleteNoBarrier}
 	// VariantDeliverAckOnNoSpace acknowledges a delivery the full disk
 	// refused (nothing published) — acked-but-absent. Only meaningful
-	// with NoSpaceGC.
+	// under Exhaustion.
 	VariantDeliverAckOnNoSpace = Variant{Deliver: (*Mailboat).deliverAckOnNoSpace}
 	// VariantDeliverGreedySpoolGC sweeps the whole spool directory when
 	// a delivery hits a full disk, eating concurrent deliveries' live
-	// spooled-but-unlinked files. Only meaningful with NoSpaceGC.
+	// spooled-but-unlinked files. Only meaningful under Exhaustion.
 	VariantDeliverGreedySpoolGC = Variant{Deliver: (*Mailboat).deliverGreedySpoolGC}
 )
 
@@ -116,25 +118,107 @@ func (v Variant) verified() bool {
 	return v.Deliver == nil && v.Pickup == nil && v.Delete == nil && v.Recover == nil && v.Stack == nil
 }
 
-// deliverVia runs op's delivery and reports what it reported: the row's
-// override if it has one, else production Deliver — ghost-annotated
-// when the scenario is.
-func deliverVia(override func(*Mailboat, gfs.T, uint64, []byte) bool, t *machine.T, w *World, ghost bool, op OpDeliver) bool {
-	if override != nil {
-		return override(w.MB, t, op.User, []byte(op.Msg))
-	}
-	var j *core.JTok
-	if ghost {
-		j = w.G.NewJTok(op)
-	}
-	delivered := w.MB.Deliver(t, j, op.User, []byte(op.Msg))
-	if ghost {
-		w.G.FinishOp(t, j, delivered)
-	}
-	return delivered
+// A scenario is a workload (Config, Delivers, PickupUsers, MaxCrashes,
+// PostPickups) run over four independent parts: a crash model, a
+// storage stack, a fault budget and the property claimed of the result
+// (DESIGN.md §4m has the table). Which stacks compose over which model
+// and budget is gfs.StackSpec.Validate's business; nothing here
+// overrides a part with another.
+
+// CrashModel is what a crash does to un-synced state: the gfs model the
+// backends are built from.
+type CrashModel int
+
+const (
+	// Strict is the paper's setting (gfs.NewModel): every operation is
+	// durable when it returns.
+	Strict CrashModel = iota
+	// Buffered defers file data (gfs.NewBufferedModel, the §6.2
+	// extension): a crash loses or tears un-synced appends, so crash
+	// safety needs Config.SyncOnDeliver.
+	Buffered
+	// Writeback additionally keeps directory operations in a volatile
+	// cache until SyncDir (gfs.NewWritebackModel): at a crash each
+	// directory keeps an enumerated prefix of its un-synced operations
+	// (chooser tag "writeback"), so crash safety needs SyncOnDeliver
+	// and Config.SyncDirs.
+	Writeback
+)
+
+// newModel is the backend constructor of each crash model.
+var newModel = [...]func(*machine.Machine, []string) *gfs.Model{
+	Strict: gfs.NewModel, Buffered: gfs.NewBufferedModel, Writeback: gfs.NewWritebackModel,
 }
 
-// ScenarioOptions shapes the workload.
+// Faults is an execution's fault budget: the stack's fault layers share
+// one chooser-driven policy that may inject Budget faults of the
+// classes in Ops (gfs.Classes; nil = every transient class) at any
+// eligible operation, on whichever replica the chooser picks. The zero
+// value injects nothing and builds no fault layer. A mirror scenario
+// states one fail-stop — the replica death the mirror exists to mask —
+// and an integrity scenario one corruption (a bit flip or a truncation,
+// enumerated as separate branches, at any open).
+type Faults struct {
+	Budget int
+	Ops    map[gfs.FaultOp]bool
+}
+
+// policy builds the budget's policy; nil when it injects nothing. A
+// ChooserPolicy is per-execution state, so Setup calls this afresh; the
+// class set is configuration, and shared.
+func (f Faults) policy() gfs.Policy {
+	if f.Budget <= 0 {
+		return nil
+	}
+	return &gfs.ChooserPolicy{Budget: f.Budget, Eligible: f.Ops}
+}
+
+// Property is the claim a scenario checks: how its deliveries are
+// recorded and what is asserted after the final recovery. One row per
+// claim; a scenario names exactly one.
+type Property struct {
+	Name string
+	// acked takes deliveries out of the history: they run unrecorded and
+	// the payloads the store acknowledged collect in World.Acked, the
+	// ground truth post audits.
+	acked bool
+	// sequential runs the deliveries one after another on the main
+	// thread, unrecorded, and nothing else: the issue order is the
+	// ground truth.
+	sequential bool
+	// post audits the store after the final recovery, in place of the
+	// recorded post-pickups.
+	post func(*machine.T, *World, *ScenarioOptions)
+}
+
+var (
+	// Refinement (the default): every operation is recorded and the
+	// history must refine Spec — under the ghost annotations when the
+	// verified implementation runs somewhere their one-atomic-step
+	// linearization holds (see ghost), black-box otherwise.
+	Refinement = &Property{Name: "refinement"}
+	// Detection is what a single checksummed backend can promise under
+	// corruption: with no second copy rot may lose data, but never
+	// silently (postDetect).
+	Detection = &Property{Name: "detection", acked: true, post: postDetect}
+	// Exhaustion is the disk-full contract: ENOSPC may refuse work, but
+	// never takes back an ack, and writability tracks the latch
+	// (postNoSpace). The latch lives in the fault layer, so the scenario
+	// needs a fault budget (with gfs.FaultNoSpace to ever latch).
+	Exhaustion = &Property{Name: "exhaustion", acked: true, post: postNoSpace}
+	// Prefix is the honest contract of barrier-free delivery (mailboatd
+	// -no-fsync) on the writeback model, where it cannot refine the spec
+	// — a crash may take back acked mail: what survives must be a
+	// no-holes prefix of the delivery order (postPrefix). The
+	// durable-vs-buffered distinction of "The Path to Durable
+	// Linearizability", checked as a property.
+	Prefix = &Property{Name: "prefix", sequential: true, post: postPrefix}
+
+	// Properties lists the rows.
+	Properties = []*Property{Refinement, Detection, Exhaustion, Prefix}
+)
+
+// ScenarioOptions is a workload and the four parts it runs over.
 type ScenarioOptions struct {
 	// Config sizes the store; RandBound should stay small (≤4).
 	Config Config
@@ -147,146 +231,152 @@ type ScenarioOptions struct {
 	MaxCrashes int
 	// PostPickups reads each user's mailbox at the end (Pickup+Unlock).
 	PostPickups bool
-	// BufferedFS runs the scenario on the deferred-durability file
-	// system (gfs.NewBufferedModel) instead of the strict model — the
-	// §6.2 future-work extension. Crash safety then additionally
-	// requires Config.SyncOnDeliver.
-	BufferedFS bool
-	// Writeback runs the scenario on the full writeback file system
-	// (gfs.NewWritebackModel): file data behaves as under BufferedFS,
-	// and directory operations additionally live in a volatile cache
-	// until SyncDir — at a crash each directory keeps an enumerated
-	// prefix of its un-synced operations (chooser tag "writeback").
-	// Crash safety then requires Config.SyncOnDeliver AND
-	// Config.SyncDirs. Writeback scenarios run ghost-free: the ghost
-	// machinery commits the spec step atomically with the link, which a
-	// writeback crash can roll back, so refinement rests on the
-	// black-box history check. Implies BufferedFS semantics; like
-	// BufferedFS it composes with FaultBudget and NoSpaceGC but not with
-	// Mirror or Corrupt (gfs.StackSpec.Validate has the rules).
-	Writeback bool
-	// PrefixContract (requires Writeback) checks the honest contract
-	// of the barrier-free fast mode (mailboatd -no-fsync) instead of
-	// refinement: deliveries run sequentially with no history, and
-	// after the final recovery the surviving mailbox must be a no-holes
-	// prefix of the delivery order — a crash may take back the
-	// newest un-synced deliveries (even acked ones: that is the mode's
-	// documented weakness) and may leave a torn (empty) message whose
-	// link survived its data, but it must never reorder, fabricate, or
-	// punch holes. This is the durable-linearizability-vs-buffered
-	// distinction of "The Path to Durable Linearizability", checked as
-	// a property.
-	PrefixContract bool
-	// FaultBudget, when positive, wraps the model in gfs.Faulty with a
-	// chooser-driven policy: at every eligible file-system operation
-	// the explorer branches on injecting a transient fault, up to this
-	// many faults per execution. Combined with MaxCrashes this checks
-	// the spec under crash + transient-fault interleavings.
-	FaultBudget int
-	// FaultOps restricts which fault classes the chooser may inject
-	// (nil = all). Narrowing the classes keeps the DFS space small.
-	FaultOps []gfs.FaultOp
-	// Mirror runs the library on a gfs.Mirrored pair of models, each
-	// behind a fail-stop fault layer sharing one chooser budget of 1: at
-	// every file-system operation the explorer branches on permanently
-	// killing that replica, so every execution sees at most one replica
-	// death at any possible step. Crashes model the whole site
-	// rebooting; the recovery era revives and replaces any dead replica
-	// before the library's Recover runs (which resilvers it). Mirror
-	// scenarios run ghost-free — a mirrored Link is two machine steps,
-	// which breaks the one-atomic-step linearization the ghost machinery
-	// assumes — so refinement rests on the black-box history check, plus
-	// a between-era availability invariant (redundancy restored after
-	// recovery, replicas byte-identical, no leaked descriptors). Runs on
-	// the strict model with its own policy: refused with BufferedFS,
-	// Writeback (gfs.StackSpec.Validate) or FaultBudget.
-	Mirror bool
-	// NoSpaceGC runs the resource-exhaustion property scenario: the
-	// store sits behind gfs.Faulty with the disk-full latch armed
-	// (combine with FaultBudget 1 and FaultOps [FaultNoSpace]), so the
-	// chooser may latch the store ENOSPC at any eligible write — every
-	// subsequent write fails until a delete frees space. Deliveries run
-	// history-free, tracking which were acknowledged, and after the
-	// final recovery Post asserts the exhaustion contract: no acked
-	// delivery is missing (ENOSPC may refuse work, never take back an
-	// ack), no served bytes were never delivered, and writability
-	// matches the latch — once recovery's orphan-spool GC (or a clean
-	// abort's own spool delete) has freed space the store must accept
-	// fresh mail, and while still full it must refuse cleanly with the
-	// mailbox unchanged. Ghost-free: the property, not refinement, is
-	// the claim. Requires FaultBudget (the latch lives in the fault
-	// layer), so it inherits FaultBudget's refusal of Mirror and Corrupt;
-	// it composes with BufferedFS and Writeback
-	// (TestWritebackNoSpaceExhaustive) but not with PrefixContract.
-	NoSpaceGC bool
-	// Corrupt arms the silent-corruption fault class: the store runs
-	// behind gfs.Checksummed over a gfs.Faulty whose chooser-driven
-	// policy may durably corrupt one file's bytes (bit flip or
-	// truncation, enumerated as separate branches) at any file open,
-	// budget one per execution. Without Mirror the scenario is ghost-
-	// and history-free and checks the DETECTION property instead of
-	// refinement — with no redundant copy, corruption may lose data,
-	// but never silently: a pickup must never return bytes that were
-	// never delivered, and an acknowledged delivery may only go missing
-	// if the integrity layer detected rot. With Mirror, each replica
-	// gets its own envelope and the full refinement + byte-identical
-	// invariant stands: the mirror must heal rot from the peer, so
-	// corruption is never visible at all. Runs on the strict model with
-	// its own policy: refused with BufferedFS, Writeback
-	// (gfs.StackSpec.Validate) or FaultBudget.
-	Corrupt bool
+
+	// Crash is the crash model.
+	Crash CrashModel
+	// Mirror and Checksum are the stack (gfs.NewStack): a gfs.Mirrored
+	// pair of backends, and a checksum envelope over each backend. A
+	// crash of a mirrored store is the whole site rebooting: the
+	// recovery era revives and replaces a fail-stopped replica before
+	// the library's Recover resilvers it, and between eras both replicas
+	// must be live, repaired and byte-identical.
+	Mirror   bool
+	Checksum bool
+	// Faults is the fault budget.
+	Faults Faults
+	// Property is the claim; nil means Refinement.
+	Property *Property
 }
 
 // replicas is the number of backend models the scenario runs on.
-func (o ScenarioOptions) replicas() int {
+func (o *ScenarioOptions) replicas() int {
 	if o.Mirror {
 		return 2
 	}
 	return 1
 }
 
-// check refuses the combinations Scenario would otherwise accept and
-// silently ignore. Which layers compose over which crash model is
-// gfs.StackSpec.Validate's table; the rules here are about options that
-// need, or would override, one another.
-func (o ScenarioOptions) check() error {
-	switch {
-	case o.PrefixContract && !o.Writeback:
-		return errors.New("PrefixContract requires Writeback: on any other model every delivery is durable when acked, and the prefix property degenerates to refinement")
-	case o.NoSpaceGC && o.FaultBudget <= 0:
-		return errors.New("NoSpaceGC requires FaultBudget (with FaultOps [FaultNoSpace]): the disk-full latch lives in the fault layer")
-	case o.NoSpaceGC && o.PrefixContract:
-		return errors.New("NoSpaceGC and PrefixContract each replace the scenario's Post property; only one can be checked")
-	case o.FaultBudget > 0 && (o.Mirror || o.Corrupt):
-		return errors.New("FaultBudget would be ignored: Mirror and Corrupt fix the execution's fault policy at one fail-stop or one corruption")
+// property is the row the scenario checks.
+func (o *ScenarioOptions) property() *Property {
+	if o.Property == nil {
+		return Refinement
 	}
-	return gfs.StackSpec{Checksum: o.Corrupt}.Validate(o.replicas(), o.BufferedFS || o.Writeback)
+	return o.Property
 }
 
-// policy builds the execution's chooser-driven fault policy; nil when
-// the scenario injects nothing. A ChooserPolicy is per-execution state,
-// so Setup calls this afresh. Mirror and Corrupt spend a budget of one —
-// a replica death, or one silent corruption — on whichever replica and
-// operation the chooser picks.
-func (o ScenarioOptions) policy() gfs.Policy {
-	budget, ops := o.FaultBudget, o.FaultOps
+// ghost reports whether v runs under the ghost annotations. They commit
+// the spec step in the same atomic turn as the one link that publishes
+// a message, so they fit the verified implementation on a single plain
+// backend whose link stays put: a mirrored link is two machine steps, a
+// writeback crash can roll the link back, corruption breaks the
+// files-match-source relation by design, and a property scenario claims
+// something other than refinement.
+func (o *ScenarioOptions) ghost(v Variant) bool {
+	return v.verified() && o.property() == Refinement && !o.Mirror && !o.Checksum && o.Crash != Writeback
+}
+
+// check refuses a property whose ground truth the other parts cannot
+// supply; which layers compose over which crash model and fault budget
+// is gfs.StackSpec.Validate's table.
+func (o *ScenarioOptions) check() error {
 	switch {
-	case o.Corrupt:
-		budget, ops = 1, []gfs.FaultOp{gfs.FaultCorrupt}
-	case o.Mirror:
-		budget, ops = 1, []gfs.FaultOp{gfs.FaultFailStop}
+	case o.Property == Prefix && o.Crash != Writeback:
+		return errors.New("Prefix needs the Writeback crash model: on any other every delivery is durable when acked, and the prefix property degenerates to refinement")
+	case o.Property == Exhaustion && o.Faults.Budget <= 0:
+		return errors.New("Exhaustion needs a fault budget (with gfs.FaultNoSpace): the disk-full latch lives in the fault layer")
 	}
-	if budget <= 0 {
+	return o.stackSpec().Validate(o.replicas(), o.Crash != Strict)
+}
+
+// stackSpec is the stack part as gfs spells it, with a fresh policy.
+func (o *ScenarioOptions) stackSpec() gfs.StackSpec {
+	return gfs.StackSpec{Checksum: o.Checksum, Policy: o.Faults.policy()}
+}
+
+// Client is a mail store as the workload sees it: the library on one
+// stack (World) or a replicated pair of them (repl). answered is false
+// when the client got no response at all — the operation stays pending
+// in the history, free to have taken effect or not.
+type Client interface {
+	Deliver(t *machine.T, op OpDeliver) (delivered, answered bool)
+	Pickup(t *machine.T, op OpPickup) (msgs []Message, answered bool)
+	Delete(t *machine.T, op OpDelete) (removed, answered bool)
+	Unlock(t *machine.T, op OpUnlock)
+}
+
+// RecordDeliver runs one delivery, recorded in the history.
+func RecordDeliver(t *machine.T, h *explore.Harness, c Client, op OpDeliver) {
+	h.OpMaybe(op, func() (spec.Ret, bool) {
+		delivered, answered := c.Deliver(t, op)
+		return delivered, answered
+	})
+}
+
+// RecordSession runs one recorded client session: Pickup(user), Delete
+// of the first message listed (when deleteFirst and there is one), then
+// Unlock(user). An unanswered pickup ends it: there is no session to
+// continue.
+func RecordSession(t *machine.T, h *explore.Harness, c Client, user uint64, deleteFirst bool) {
+	pickup := OpPickup{User: user}
+	ret, served := h.OpMaybe(pickup, func() (spec.Ret, bool) {
+		msgs, answered := c.Pickup(t, pickup)
+		return msgs, answered
+	})
+	if !served {
+		return
+	}
+	if msgs := ret.([]Message); deleteFirst && len(msgs) > 0 {
+		del := OpDelete{User: user, ID: msgs[0].ID}
+		h.OpMaybe(del, func() (spec.Ret, bool) {
+			removed, answered := c.Delete(t, del)
+			return removed, answered
+		})
+	}
+	unlock := OpUnlock{User: user}
+	h.Op(unlock, func() spec.Ret {
+		c.Unlock(t, unlock)
 		return nil
+	})
+}
+
+// Deliver, Pickup, Delete and Unlock make World a Client: each runs the
+// variant's override if the row has one, else the production entry
+// point under a fresh ghost token — the nil token in a ghost-free world.
+// The library always answers.
+func (w *World) Deliver(t *machine.T, op OpDeliver) (bool, bool) {
+	if bug := w.v.Deliver; bug != nil {
+		return bug(w.MB, t, op.User, []byte(op.Msg)), true
 	}
-	pol := &gfs.ChooserPolicy{Budget: budget}
-	if ops != nil {
-		pol.Eligible = make(map[gfs.FaultOp]bool, len(ops))
-		for _, op := range ops {
-			pol.Eligible[op] = true
-		}
+	j := w.G.NewJTok(op)
+	delivered := w.MB.Deliver(t, j, op.User, []byte(op.Msg))
+	w.G.FinishOp(t, j, delivered)
+	return delivered, true
+}
+
+func (w *World) Pickup(t *machine.T, op OpPickup) ([]Message, bool) {
+	if bug := w.v.Pickup; bug != nil {
+		return bug(w.MB, t, op.User), true
 	}
-	return pol
+	j := w.G.NewJTok(op)
+	msgs := w.MB.Pickup(t, j, op.User)
+	w.G.FinishOp(t, j, msgs)
+	return msgs, true
+}
+
+func (w *World) Delete(t *machine.T, op OpDelete) (bool, bool) {
+	if bug := w.v.Delete; bug != nil {
+		return bug(w.MB, t, op.User, op.ID), true
+	}
+	j := w.G.NewJTok(op)
+	removed := w.MB.Delete(t, j, op.User, op.ID)
+	w.G.FinishOp(t, j, removed)
+	return removed, true
+}
+
+func (w *World) Unlock(t *machine.T, op OpUnlock) {
+	j := w.G.NewJTok(op)
+	w.MB.Unlock(t, j, op.User)
+	w.G.FinishOp(t, j, nil)
 }
 
 // Scenario builds the checkable scenario for the chosen variant.
@@ -294,23 +384,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	if err := o.check(); err != nil {
 		panic(fmt.Sprintf("mailboat.Scenario refused %s: %v", name, err))
 	}
-	// The hooks below each capture the one override they consult, not
-	// the row: a closure carries a copy of what it captures, a row is
-	// five words, and construction is what check-suite's setup_s times.
-	deliverBug, pickupBug, deleteBug, recoverBug, stackBug := v.Deliver, v.Pickup, v.Delete, v.Recover, v.Stack
-	ghost := v.verified() && !o.Mirror && !o.Corrupt && !o.Writeback && !o.NoSpaceGC
-	// The single-backend corruption scenario checks detection, not
-	// refinement: it records no history (deliveries and pickups run
-	// outside the harness) and asserts its property directly in Post.
-	detectOnly := o.Corrupt && !o.Mirror
-	// The resource-exhaustion scenario likewise checks a property (no
-	// acked loss, GC reclaims, writability tracks the latch) in Post.
-	nospaceOnly := o.NoSpaceGC
-	// The prefix-contract scenario likewise checks a property, not
-	// refinement: barrier-free delivery cannot refine the spec (acked
-	// mail may be taken back), so the claim under check is the weaker
-	// prefix-durability contract asserted in Post.
-	prefixOnly := o.PrefixContract
+	prop, ghost := o.property(), o.ghost(v)
 	sp := Spec(o.Config)
 	steps := 3000
 	if o.Mirror {
@@ -318,80 +392,10 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		// recovery resilvers the whole store.
 		steps = 9000
 	}
-	if o.Corrupt {
+	if o.Checksum {
 		// Envelope verification re-reads whole files on every open, and
 		// recovery adds a scrub pass over the store.
 		steps *= 2
-	}
-
-	deliver := func(t *machine.T, w *World, h *explore.Harness, op OpDeliver) {
-		if detectOnly || nospaceOnly {
-			// History-free: the acked set is the property's ground truth.
-			// An acked payload is the property's obligation — it may go
-			// missing only if the integrity layer said so (detection),
-			// or never (exhaustion).
-			if deliverVia(deliverBug, t, w, false, op) {
-				w.Acked[op.Msg] = true
-			}
-			return
-		}
-		h.Op(op, func() spec.Ret { return deliverVia(deliverBug, t, w, ghost, op) })
-	}
-
-	pickup := func(t *machine.T, w *World, h *explore.Harness, user uint64) []Message {
-		op := OpPickup{User: user}
-		ret := h.Op(op, func() spec.Ret {
-			if pickupBug != nil {
-				return pickupBug(w.MB, t, user)
-			}
-			var j *core.JTok
-			if ghost {
-				j = w.G.NewJTok(op)
-			}
-			msgs := w.MB.Pickup(t, j, user)
-			if ghost {
-				w.G.FinishOp(t, j, msgs)
-			}
-			return msgs
-		})
-		return ret.([]Message)
-	}
-
-	unlock := func(t *machine.T, w *World, h *explore.Harness, user uint64) {
-		op := OpUnlock{User: user}
-		h.Op(op, func() spec.Ret {
-			var j *core.JTok
-			if ghost {
-				j = w.G.NewJTok(op)
-			}
-			w.MB.Unlock(t, j, user)
-			if ghost {
-				w.G.FinishOp(t, j, nil)
-			}
-			return nil
-		})
-	}
-
-	pickupDeleteUnlock := func(t *machine.T, w *World, h *explore.Harness, user uint64) {
-		msgs := pickup(t, w, h, user)
-		if len(msgs) > 0 {
-			op := OpDelete{User: user, ID: msgs[0].ID}
-			h.Op(op, func() spec.Ret {
-				if deleteBug != nil {
-					return deleteBug(w.MB, t, user, msgs[0].ID)
-				}
-				var j *core.JTok
-				if ghost {
-					j = w.G.NewJTok(op)
-				}
-				removed := w.MB.Delete(t, j, user, msgs[0].ID)
-				if ghost {
-					w.G.FinishOp(t, j, removed)
-				}
-				return removed
-			})
-		}
-		unlock(t, w, h, user)
 	}
 
 	s := &explore.Scenario{
@@ -401,27 +405,19 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		MaxCrashes:  o.MaxCrashes,
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
-			// Pick the crash model, then compose the stack over it.
-			newModel := gfs.NewModel
-			switch {
-			case o.Writeback:
-				newModel = gfs.NewWritebackModel
-			case o.BufferedFS:
-				newModel = gfs.NewBufferedModel
-			}
-			w := &World{}
+			w := &World{v: v}
 			dirs := Dirs(o.Config)
 			var backends [2]gfs.System
 			n := o.replicas()
 			for i, bdirs := 0, gfs.BackendDirs(dirs, n); i < n; i++ {
-				w.FS[i] = newModel(m, bdirs)
+				w.FS[i] = newModel[o.Crash](m, bdirs)
 				backends[i] = w.FS[i]
 			}
-			w.Stack = gfs.NewStack(backends[:n], dirs, gfs.StackSpec{Checksum: o.Corrupt, Policy: o.policy()})
-			if stackBug != nil {
-				stackBug(w.Stack)
+			w.Stack = gfs.NewStack(backends[:n], dirs, o.stackSpec())
+			if v.Stack != nil {
+				v.Stack(w.Stack)
 			}
-			if detectOnly || nospaceOnly {
+			if prop.acked {
 				w.Acked = map[string]bool{}
 			}
 			if ghost {
@@ -436,22 +432,25 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
-			if prefixOnly {
-				// Sequential, history-free delivery: the prefix contract
-				// is stated over the issue order, which only a single
-				// delivering thread defines.
+			if prop.sequential {
 				for _, d := range o.Delivers {
-					w.MB.Deliver(t, nil, d.User, []byte(d.Msg))
+					w.Deliver(t, d)
 				}
 				return
 			}
 			for _, d := range o.Delivers {
 				op := d
-				t.Go(func(c *machine.T) { deliver(c, w, h, op) })
+				t.Go(func(c *machine.T) {
+					if !prop.acked {
+						RecordDeliver(c, h, w, op)
+					} else if delivered, _ := w.Deliver(c, op); delivered {
+						w.Acked[op.Msg] = true
+					}
+				})
 			}
 			for _, u := range o.PickupUsers {
 				user := u
-				t.Go(func(c *machine.T) { pickupDeleteUnlock(c, w, h, user) })
+				t.Go(func(c *machine.T) { RecordSession(c, h, w, user, true) })
 			}
 		},
 		Recover: func(t *machine.T, wAny any) {
@@ -470,147 +469,155 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 					}
 				}
 			}
-			if recoverBug != nil {
-				w.MB = recoverBug(t, w.Stack.Top, o.Config)
+			if v.Recover != nil {
+				w.MB = v.Recover(t, w.Stack.Top, o.Config)
 			} else {
 				w.MB = Recover(t, w.G, w.Stack.Top, o.Config, w.MB)
 			}
 		},
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
-			if nospaceOnly {
-				postNoSpace(t, w, o)
-				return
-			}
-			if detectOnly {
-				postDetect(t, w, o)
-				return
-			}
-			if prefixOnly {
-				postPrefix(t, w, o)
+			if prop.post != nil {
+				prop.post(t, w, &o)
 				return
 			}
 			if !o.PostPickups {
 				return
 			}
 			for u := uint64(0); u < o.Config.Users; u++ {
-				pickup(t, w, h, u)
-				unlock(t, w, h, u)
+				RecordSession(t, h, w, u, false)
 			}
 		},
+		Fingerprint: fingerprint,
 	}
-
-	// Crash-boundary dedup (DESIGN.md §5): the file-system models and
-	// the ghost Ctx are fingerprintable devices, so the hook only has to
-	// cover the crash-surviving state the world holds outside them — the
-	// stack's (policy budget, latches, mirror flags, detection counters)
-	// and the set of acked payloads the property scenarios read after
-	// the crash. The deferred-durability models are covered too: the
-	// synced-prefix map is part of the model's own encoding.
-	s.Fingerprint = func(wAny any, b []byte) []byte {
-		w := wAny.(*World)
-		b = w.Stack.AppendCheckerState(b)
-		for _, msg := range w.ackedSorted() {
-			b = append(b, msg...)
-			b = append(b, 0)
-		}
-		return b
-	}
-
-	if detectOnly || prefixOnly || nospaceOnly {
-		s.Invariant = func(m *machine.Machine, wAny any) error {
-			w := wAny.(*World)
-			if n := w.FS[0].OpenFDs(); n != 0 {
-				return fmt.Errorf("resource leak: %d file descriptors still open", n)
-			}
-			return nil
-		}
-	}
-
-	if ghost {
-		s.Invariant = func(m *machine.Machine, wAny any) error {
-			w := wAny.(*World)
-			if w.G.CrashPending() {
-				return fmt.Errorf("spec crash step still owed")
-			}
-			// Iron-style resource accounting (§9.5 found an fd leak that
-			// Perennial's proofs could not): at era boundaries every
-			// descriptor must be closed.
-			if n := w.FS[0].OpenFDs(); n != 0 {
-				return fmt.Errorf("resource leak: %d file descriptors still open", n)
-			}
-			// MsgsInv: each mailbox directory matches the source state.
-			src := w.G.Source().(State)
-			for u := uint64(0); u < o.Config.Users; u++ {
-				onDisk := w.FS[0].PeekDir(UserDir(u))
-				if len(onDisk) != len(src.Boxes[u]) {
-					return fmt.Errorf("MsgsInv: user %d has %d files but source has %d messages",
-						u, len(onDisk), len(src.Boxes[u]))
-				}
-				ids := make([]string, 0, len(onDisk))
-				for id := range onDisk {
-					ids = append(ids, id)
-				}
-				sort.Strings(ids)
-				for _, id := range ids {
-					want, ok := src.Boxes[u][id]
-					if !ok {
-						return fmt.Errorf("MsgsInv: user %d file %s not in source", u, id)
-					}
-					if !bytes.Equal(onDisk[id], []byte(want)) {
-						return fmt.Errorf("MsgsInv: user %d message %s contents differ", u, id)
-					}
-				}
-			}
-			return nil
-		}
-	}
-
-	if o.Mirror {
-		s.Invariant = func(m *machine.Machine, wAny any) error {
-			w := wAny.(*World)
-			if n0, n1 := w.FS[0].OpenFDs(), w.FS[1].OpenFDs(); n0 != 0 || n1 != 0 {
-				return fmt.Errorf("resource leak: %d/%d descriptors open on replicas", n0, n1)
-			}
-			// While a replica is fail-stopped the mirror legitimately runs
-			// degraded; redundancy is only owed once recovery has replaced
-			// and resilvered it.
-			for i := 0; i < 2; i++ {
-				if w.Stack.Faulty(i).FailStopped() {
-					return nil
-				}
-			}
-			st := w.Stack.Mirror().Status()
-			if st.Degraded || st.Resilvering {
-				return fmt.Errorf("availability: mirror still degraded with both replicas live: %+v", st)
-			}
-			// Both replicas live and repaired: they must be byte-identical
-			// (including the generation markers the resilver copies last).
-			for _, dir := range gfs.BackendDirs(Dirs(o.Config), 2) {
-				d0, d1 := w.FS[0].PeekDir(dir), w.FS[1].PeekDir(dir)
-				if len(d0) != len(d1) {
-					return fmt.Errorf("replica divergence: dir %s has %d vs %d files", dir, len(d0), len(d1))
-				}
-				for name, c0 := range d0 {
-					c1, ok := d1[name]
-					if !ok {
-						return fmt.Errorf("replica divergence: %s/%s missing on replica 1", dir, name)
-					}
-					if !bytes.Equal(c0, c1) {
-						return fmt.Errorf("replica divergence: %s/%s contents differ", dir, name)
-					}
-				}
-			}
-			return nil
-		}
+	// Between eras: the ghost relation where there is ghost state, the
+	// mirror's where there is a mirror, and under a property the
+	// resource audit its post hook leaves to the invariant.
+	switch {
+	case ghost:
+		s.Invariant = func(_ *machine.Machine, wAny any) error { return ghostInvariant(wAny.(*World), o.Config.Users) }
+	case o.Mirror:
+		s.Invariant = func(_ *machine.Machine, wAny any) error { return mirrorInvariant(wAny.(*World), Dirs(o.Config)) }
+	case prop.post != nil:
+		s.Invariant = func(_ *machine.Machine, wAny any) error { return wAny.(*World).leaks() }
 	}
 	return s
+}
+
+// fingerprint is the crash-boundary dedup hook (DESIGN.md §5): the
+// file-system models and the ghost Ctx are fingerprintable devices, so
+// it only has to cover the crash-surviving state the world holds
+// outside them — the stack's (policy budget, latches, mirror flags,
+// detection counters) and the set of acked payloads the property
+// scenarios read after the crash. The deferred-durability models are
+// covered too: the synced-prefix map is part of the model's own
+// encoding.
+func fingerprint(wAny any, b []byte) []byte {
+	w := wAny.(*World)
+	b = w.Stack.AppendCheckerState(b)
+	for _, msg := range w.ackedSorted() {
+		b = append(b, msg...)
+		b = append(b, 0)
+	}
+	return b
+}
+
+// leaks is Iron-style resource accounting (§9.5 found an fd leak that
+// Perennial's proofs could not): at era boundaries every descriptor
+// must be closed.
+func (w *World) leaks() error {
+	if n := w.FS[0].OpenFDs(); n != 0 {
+		return fmt.Errorf("resource leak: %d file descriptors still open", n)
+	}
+	return nil
+}
+
+// ghostInvariant holds between the eras of a ghost-annotated run: no
+// spec crash step is owed, nothing leaks, and each mailbox directory
+// matches the source state (MsgsInv).
+func ghostInvariant(w *World, users uint64) error {
+	if w.G.CrashPending() {
+		return fmt.Errorf("spec crash step still owed")
+	}
+	if err := w.leaks(); err != nil {
+		return err
+	}
+	src := w.G.Source().(State)
+	for u := uint64(0); u < users; u++ {
+		onDisk := w.FS[0].PeekDir(UserDir(u))
+		if len(onDisk) != len(src.Boxes[u]) {
+			return fmt.Errorf("MsgsInv: user %d has %d files but source has %d messages",
+				u, len(onDisk), len(src.Boxes[u]))
+		}
+		ids := make([]string, 0, len(onDisk))
+		for id := range onDisk {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			want, ok := src.Boxes[u][id]
+			if !ok {
+				return fmt.Errorf("MsgsInv: user %d file %s not in source", u, id)
+			}
+			if !bytes.Equal(onDisk[id], []byte(want)) {
+				return fmt.Errorf("MsgsInv: user %d message %s contents differ", u, id)
+			}
+		}
+	}
+	return nil
+}
+
+// mirrorInvariant is the mirrored store's between-era availability
+// claim: nothing leaks, and once recovery has replaced and resilvered a
+// dead replica, redundancy is restored and the replicas are
+// byte-identical (including the generation markers the resilver copies
+// last).
+func mirrorInvariant(w *World, dirs []string) error {
+	if n0, n1 := w.FS[0].OpenFDs(), w.FS[1].OpenFDs(); n0 != 0 || n1 != 0 {
+		return fmt.Errorf("resource leak: %d/%d descriptors open on replicas", n0, n1)
+	}
+	// While a replica is fail-stopped the mirror legitimately runs
+	// degraded; redundancy is only owed once recovery has replaced and
+	// resilvered it.
+	for i := 0; i < 2; i++ {
+		if w.Stack.Faulty(i).FailStopped() {
+			return nil
+		}
+	}
+	st := w.Stack.Mirror().Status()
+	if st.Degraded || st.Resilvering {
+		return fmt.Errorf("availability: mirror still degraded with both replicas live: %+v", st)
+	}
+	return ReplicasIdentical(w.FS[0], w.FS[1], gfs.BackendDirs(dirs, 2))
+}
+
+// ReplicasIdentical is the byte-identity invariant two settled copies
+// of a store owe each other — a mirror's replicas, a replicated pair's
+// nodes: the same files with the same contents in every listed
+// directory.
+func ReplicasIdentical(a, b *gfs.Model, dirs []string) error {
+	for _, dir := range dirs {
+		da, db := a.PeekDir(dir), b.PeekDir(dir)
+		if len(da) != len(db) {
+			return fmt.Errorf("replica divergence: dir %s has %d vs %d files", dir, len(da), len(db))
+		}
+		for name, ca := range da {
+			cb, ok := db[name]
+			if !ok {
+				return fmt.Errorf("replica divergence: %s/%s missing on replica 1", dir, name)
+			}
+			if !bytes.Equal(ca, cb) {
+				return fmt.Errorf("replica divergence: %s/%s contents differ", dir, name)
+			}
+		}
+	}
+	return nil
 }
 
 // sweep picks up every mailbox after the final recovery and returns the
 // payloads present; a pickup serving bytes that were never delivered
 // fails the execution under the property's name.
-func sweep(t *machine.T, w *World, o ScenarioOptions, property string) map[string]bool {
+func sweep(t *machine.T, w *World, o *ScenarioOptions, property string) map[string]bool {
 	allowed := map[string]bool{}
 	for _, d := range o.Delivers {
 		allowed[d.Msg] = true
@@ -629,8 +636,7 @@ func sweep(t *machine.T, w *World, o ScenarioOptions, property string) map[strin
 	return present
 }
 
-// postDetect is the Post hook for detection-mode scenarios (Corrupt
-// without Mirror). With a single backend there is no redundant copy to
+// postDetect is Detection's audit. With a single backend there is no redundant copy to
 // heal from, so the property is weaker than refinement: corruption may
 // destroy an acknowledged message, but it must never do so *silently*.
 // Concretely, after the final recovery every byte sequence a pickup
@@ -638,7 +644,7 @@ func sweep(t *machine.T, w *World, o ScenarioOptions, property string) map[strin
 // layer may fail a rotten read loudly, but must never pass mangled
 // payload through), and any acknowledged message that has gone missing
 // must be accounted for by the integrity layer's detection counter.
-func postDetect(t *machine.T, w *World, o ScenarioOptions) {
+func postDetect(t *machine.T, w *World, o *ScenarioOptions) {
 	present := sweep(t, w, o, "integrity")
 	for _, msg := range w.ackedSorted() {
 		if !present[msg] && w.Stack.Detected() == 0 {
@@ -647,9 +653,8 @@ func postDetect(t *machine.T, w *World, o ScenarioOptions) {
 	}
 }
 
-// postNoSpace is the Post hook for resource-exhaustion scenarios
-// (NoSpaceGC): the disk-full contract, audited after the final
-// recovery. (1) No acked loss: every acknowledged delivery is still
+// postNoSpace is Exhaustion's audit: the disk-full contract after the
+// final recovery. (1) No acked loss: every acknowledged delivery is still
 // readable — ENOSPC may refuse work, but an ack, once given, is owed
 // forever. (2) No fabrication: every byte sequence a pickup serves was
 // actually delivered. (3) Writability tracks the latch: recovery's
@@ -657,7 +662,7 @@ func postDetect(t *machine.T, w *World, o ScenarioOptions) {
 // deletes returns space (clearing the latch on gfs.Faulty) — so once
 // the latch has cleared a probe delivery must succeed, and while it
 // still holds the probe must fail cleanly with nothing published.
-func postNoSpace(t *machine.T, w *World, o ScenarioOptions) {
+func postNoSpace(t *machine.T, w *World, o *ScenarioOptions) {
 	present := sweep(t, w, o, "nospace")
 	for _, msg := range w.ackedSorted() {
 		if !present[msg] {
@@ -687,8 +692,8 @@ func postNoSpace(t *machine.T, w *World, o ScenarioOptions) {
 	}
 }
 
-// postPrefix is the Post hook for prefix-contract scenarios (Writeback
-// with PrefixContract): the honest contract of barrier-free delivery.
+// postPrefix is Prefix's audit: the honest contract of barrier-free
+// delivery.
 // A crash may take back the newest deliveries — even acknowledged ones
 // — because nothing was synced, and a surviving directory entry may
 // hold a torn (empty) body when the link outlived its un-synced data.
@@ -697,7 +702,7 @@ func postNoSpace(t *machine.T, w *World, o ScenarioOptions) {
 // below the newest survivor is only acceptable if a torn-empty
 // survivor can account for it (its body, not its entry, was lost).
 // Messages are sized at one append, so a torn body is exactly empty.
-func postPrefix(t *machine.T, w *World, o ScenarioOptions) {
+func postPrefix(t *machine.T, w *World, o *ScenarioOptions) {
 	index := map[string]int{}
 	for i, d := range o.Delivers {
 		index[d.Msg] = i

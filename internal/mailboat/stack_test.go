@@ -8,27 +8,36 @@ import (
 	"repro/internal/gfs"
 )
 
-// TestScenarioRefusesIgnoredOptions: every combination Scenario used to
-// accept and silently ignore (the Mirror branch returned before
-// FaultBudget, BufferedFS or Writeback were read; Corrupt overrode
-// FaultBudget; PrefixContract meant nothing off the writeback model)
-// now panics at construction, with gfs.StackSpec.Validate's message
-// where the layers are what does not compose.
+// The fault budgets the mirror and integrity tests spend.
+var (
+	oneFailStop   = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultFailStop)}
+	oneCorruption = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultCorrupt)}
+	oneDiskFull   = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultNoSpace)}
+)
+
+// TestScenarioRefusesIgnoredOptions: a scenario whose parts do not
+// compose panics at construction. What is refused because of the layers
+// is refused in gfs.StackSpec.Validate's words, verbatim; the two rules
+// of ScenarioOptions.check are a property asking for ground truth the
+// other parts cannot give it. (A budget a mirror or an envelope would
+// have overridden, and two properties at once, can no longer be
+// written down.)
 func TestScenarioRefusesIgnoredOptions(t *testing.T) {
+	validate := func(spec gfs.StackSpec, replicas int, deferred bool) string {
+		return spec.Validate(replicas, deferred).Error()
+	}
 	cases := []struct {
 		name string
 		o    ScenarioOptions
 		want string
 	}{
-		{"Mirror+FaultBudget", ScenarioOptions{Mirror: true, FaultBudget: 1, FaultOps: []gfs.FaultOp{gfs.FaultNoSpace}}, "FaultBudget would be ignored"},
-		{"Mirror+BufferedFS", ScenarioOptions{Mirror: true, BufferedFS: true}, "Mirrored and a deferred-durability Model"},
-		{"Mirror+Writeback", ScenarioOptions{Mirror: true, Writeback: true}, "Mirrored and a deferred-durability Model"},
-		{"Corrupt+FaultBudget", ScenarioOptions{Corrupt: true, FaultBudget: 1}, "FaultBudget would be ignored"},
-		{"Corrupt+BufferedFS", ScenarioOptions{Corrupt: true, BufferedFS: true}, "Checksummed and a deferred-durability Model"},
-		{"Corrupt+Writeback", ScenarioOptions{Corrupt: true, Writeback: true}, "Checksummed and a deferred-durability Model"},
-		{"PrefixContract alone", ScenarioOptions{PrefixContract: true}, "PrefixContract requires Writeback"},
-		{"NoSpaceGC alone", ScenarioOptions{NoSpaceGC: true}, "NoSpaceGC requires FaultBudget"},
-		{"NoSpaceGC+PrefixContract", ScenarioOptions{NoSpaceGC: true, FaultBudget: 1, Writeback: true, PrefixContract: true}, "each replace"},
+		{"Mirror+FaultBudget", ScenarioOptions{Mirror: true, Faults: oneDiskFull}, validate(gfs.StackSpec{Policy: oneDiskFull.policy()}, 2, false)},
+		{"Mirror+BufferedFS", ScenarioOptions{Mirror: true, Crash: Buffered}, validate(gfs.StackSpec{}, 2, true)},
+		{"Mirror+Writeback", ScenarioOptions{Mirror: true, Crash: Writeback, Faults: oneFailStop}, validate(gfs.StackSpec{}, 2, true)},
+		{"Corrupt+BufferedFS", ScenarioOptions{Checksum: true, Crash: Buffered, Faults: oneCorruption}, validate(gfs.StackSpec{Checksum: true}, 1, true)},
+		{"Corrupt+Writeback", ScenarioOptions{Checksum: true, Crash: Writeback}, validate(gfs.StackSpec{Checksum: true}, 1, true)},
+		{"Prefix alone", ScenarioOptions{Property: Prefix}, "Prefix needs the Writeback crash model"},
+		{"Exhaustion alone", ScenarioOptions{Property: Exhaustion}, "Exhaustion needs a fault budget"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -56,16 +65,16 @@ func TestWritebackNoSpaceExhaustive(t *testing.T) {
 		name string
 		o    ScenarioOptions
 	}{
-		{"writeback+nospace/1-crash", ScenarioOptions{Writeback: true, MaxCrashes: 1, FaultBudget: 1, FaultOps: []gfs.FaultOp{gfs.FaultNoSpace}}},
-		{"writeback+nospace/2-crashes", ScenarioOptions{Writeback: true, MaxCrashes: 2, FaultBudget: 1, FaultOps: []gfs.FaultOp{gfs.FaultNoSpace}}},
-		{"writeback+nospace+sync", ScenarioOptions{Writeback: true, MaxCrashes: 1, FaultBudget: 2, FaultOps: []gfs.FaultOp{gfs.FaultNoSpace, gfs.FaultSync}}},
-		{"buffered+nospace", ScenarioOptions{BufferedFS: true, MaxCrashes: 2, FaultBudget: 1, FaultOps: []gfs.FaultOp{gfs.FaultNoSpace}}},
+		{"writeback+nospace/1-crash", ScenarioOptions{Crash: Writeback, MaxCrashes: 1, Faults: oneDiskFull}},
+		{"writeback+nospace/2-crashes", ScenarioOptions{Crash: Writeback, MaxCrashes: 2, Faults: oneDiskFull}},
+		{"writeback+nospace+sync", ScenarioOptions{Crash: Writeback, MaxCrashes: 1, Faults: Faults{Budget: 2, Ops: gfs.Classes(gfs.FaultNoSpace, gfs.FaultSync)}}},
+		{"buffered+nospace", ScenarioOptions{Crash: Buffered, MaxCrashes: 2, Faults: oneDiskFull}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			c.o.Config = Config{Users: 1, RandBound: 2, SyncOnDeliver: true, SyncDirs: true}
 			c.o.Delivers = []OpDeliver{{User: 0, Msg: "a"}}
-			c.o.NoSpaceGC = true
+			c.o.Property = Exhaustion
 			rep := explore.Run(Scenario("mb-"+c.name, VariantVerified, c.o), explore.Options{MaxExecutions: 20000, Workers: 1})
 			t.Logf("report: %s", rep)
 			if !rep.OK() {

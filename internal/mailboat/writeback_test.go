@@ -22,7 +22,7 @@ func TestWritebackDisciplinedIsClean(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "durable"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
@@ -45,7 +45,7 @@ func TestWritebackSyncDirsAloneIsNotEnough(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "needs fsync too"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
@@ -90,7 +90,7 @@ func TestBugAckBeforeSyncCaught(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "acked"}, {User: 0, Msg: "racer"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	convictAndMinimize(t, s, "ack-before-sync")
 }
@@ -107,7 +107,7 @@ func TestBugRecoverTrustsCacheCaught(t *testing.T) {
 		PickupUsers: []uint64{0},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	convictAndMinimize(t, s, "recover-trusts-cache")
 }
@@ -119,11 +119,11 @@ func TestBugRecoverTrustsCacheCaught(t *testing.T) {
 // this size.
 func TestWritebackPrefixContractClean(t *testing.T) {
 	s := Scenario("mb-writeback-prefix", VariantVerified, ScenarioOptions{
-		Config:         Config{Users: 1, RandBound: 4},
-		Delivers:       []OpDeliver{{User: 0, Msg: "first"}, {User: 0, Msg: "second"}, {User: 0, Msg: "third"}},
-		MaxCrashes:     1,
-		Writeback:      true,
-		PrefixContract: true,
+		Config:     Config{Users: 1, RandBound: 4},
+		Delivers:   []OpDeliver{{User: 0, Msg: "first"}, {User: 0, Msg: "second"}, {User: 0, Msg: "third"}},
+		MaxCrashes: 1,
+		Crash:      Writeback,
+		Property:   Prefix,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
@@ -146,9 +146,8 @@ func TestWritebackFaultSyncFailedBarrierIsRetried(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "barrier"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
-		FaultBudget: 1,
-		FaultOps:    []gfs.FaultOp{gfs.FaultSync},
+		Crash:       Writeback,
+		Faults:      Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultSync)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
@@ -172,7 +171,7 @@ func TestWritebackSelfCheckDedup(t *testing.T) {
 		PickupUsers: []uint64{0},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	opts := explore.Options{MaxExecutions: 20000}
 	if testing.Short() {
@@ -200,7 +199,7 @@ func TestWritebackScenarioIsGhostFree(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "m"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Writeback:   true,
+		Crash:       Writeback,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200})
 	if !rep.OK() && strings.Contains(rep.Counterexample.Reason, "ghost") {

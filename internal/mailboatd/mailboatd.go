@@ -253,14 +253,13 @@ func (o Options) Validate() error {
 // recovery first — on boot we cannot know whether the previous process
 // exited cleanly, so Recover's spool cleanup always runs, exactly as
 // §8.1 prescribes ("run Recover to restore the system following a
-// shutdown or crash"). A plain store recovers below the fault layer:
-// fault drills exercise steady-state traffic, not the repair path that
-// makes the store consistent again. With Checksum or MirrorRoot,
-// recovery runs through the full stack — the files on disk are
-// envelopes, and Recover's resilver hook needs to see the mirror to
-// repair a replaced replica before the first byte of traffic — and its
-// one integrity sweep, each file read once per replica, is also the
-// LastScrub baseline (see bootRecover).
+// shutdown or crash"). Recovery runs through the full stack, whatever
+// it is: a fault drill's seeded schedule starts at boot (a spool
+// orphan whose delete it fails waits for the next boot), the files of
+// a Checksum store are envelopes, and Recover's resilver hook needs to
+// see the mirror to repair a replaced replica before the first byte of
+// traffic. The one integrity sweep, each file read once per replica,
+// is also the LastScrub baseline (see bootRecover).
 func NewWithOptions(root string, o Options) (*Adapter, error) {
 	replicas, spec, err := o.stack()
 	if err != nil {
@@ -299,18 +298,10 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 	}
 	a.cfg = cfg
 	a.rng.Store(uint64(o.Seed))
-	boot := a.stack
 	if f := a.drill(); f != nil {
 		f.Latency, f.LatencyEveryN = o.Fault.Latency, o.Fault.LatencyEveryN
-		if !o.Checksum {
-			spec.Policy = nil
-			boot = gfs.NewStack(backends, dirs, spec)
-		}
 	}
-	a.bootRecover(boot.Top, cfg)
-	if boot != a.stack {
-		a.mb = a.mb.WithSystem(a.stack.Top)
-	}
+	a.bootRecover(a.stack.Top, cfg)
 	if o.Replica != nil {
 		if err := a.startReplica(o); err != nil {
 			a.Close()

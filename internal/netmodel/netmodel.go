@@ -2,8 +2,9 @@
 // a two-endpoint message link on which send/receive is one atomic
 // machine step and drop, duplication, reordering and bounded partitions
 // are chooser-enumerable fault classes (tag "net") with per-class
-// budgets, mirrored by a SeededPolicy for replayable drills — exactly
-// the shape gfs.Faulty gives storage faults, one layer up the stack.
+// budgets — the shape gfs.Faulty gives storage faults, one layer up the
+// stack. (A deployment's replayable partition drill is not here: it is
+// repl.TCPClient.Partition, on the real transport.)
 //
 // The model is synchronous RPC: Call sends a request frame to the
 // destination and, when the frame is delivered, runs the destination's
@@ -130,8 +131,7 @@ func (n *Net) Crash() {
 // boundary both are freshly zeroed — encoding them keeps the device
 // honest if fingerprints are ever taken elsewhere). Like gfs.Faulty,
 // the per-class decision counters are excluded: ChooserPolicy ignores
-// indices, and scenarios driving a Net from a SeededPolicy must not
-// enable dedup.
+// indices.
 func (n *Net) AppendDurable(b []byte) []byte {
 	b = machine.AppendUint64(b, uint64(n.charge))
 	for dst := range n.stash {
@@ -156,15 +156,6 @@ func (n *Net) Log() []Event {
 
 // Partitioned reports whether a partition burst is still eating calls.
 func (n *Net) Partitioned() bool { return n.charge > 0 }
-
-// PartitionNow cuts the link for the next k calls, bypassing the policy
-// — the operational drill switch, recorded like an injected partition.
-func (n *Net) PartitionNow(k int) {
-	n.charge = k
-	n.faults[FaultPartition]++
-	n.log = append(n.log, Event{Fault: FaultPartition, Index: n.calls[FaultPartition], Detail: fmt.Sprintf("operator cut, %d calls", k)})
-	n.Metrics.FaultInjected(FaultPartition)
-}
 
 // burst returns the configured partition burst length.
 func (n *Net) burst() int {

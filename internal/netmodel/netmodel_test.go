@@ -258,81 +258,6 @@ func TestCrashHealsPartitionKeepsInFlight(t *testing.T) {
 	}
 }
 
-// TestSeededReplayParity is the netmodel mirror of the gfs seeded-fault
-// parity tests: the same seed reproduces the same injection log and the
-// same per-call outcomes, bit for bit.
-func TestSeededReplayParity(t *testing.T) {
-	run := func(seed int64) ([]Event, []Outcome) {
-		mm := machine.New(machine.Options{MaxSteps: 100000})
-		pol := &SeededPolicy{Seed: seed, Rates: UniformRates(3)}
-		n := New(mm, pol)
-		echoRig(n)
-		n.Bind(0, func(t gfs.T, req []byte) []byte { return req })
-		var ocs []Outcome
-		res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-			for i := 0; i < 40; i++ {
-				_, oc := n.Call(mt, i%2, []byte(fmt.Sprintf("m%d", i)))
-				ocs = append(ocs, oc)
-			}
-		})
-		if res.Outcome != machine.Done {
-			t.Fatalf("era: %+v", res)
-		}
-		return n.Log(), ocs
-	}
-	log1, ocs1 := run(42)
-	log2, ocs2 := run(42)
-	if len(log1) == 0 {
-		t.Fatalf("drill injected nothing at rate 3 over 40 calls")
-	}
-	if fmt.Sprint(log1) != fmt.Sprint(log2) {
-		t.Fatalf("same seed, different logs:\n%v\n%v", log1, log2)
-	}
-	if fmt.Sprint(ocs1) != fmt.Sprint(ocs2) {
-		t.Fatalf("same seed, different outcomes:\n%v\n%v", ocs1, ocs2)
-	}
-}
-
-// TestChooserSeedCrossCheck drives the same single injection once from
-// the chooser axis (ChooserPolicy, tag "net") and once from the seeded
-// axis, and demands identical logs and identical call-by-call outcomes
-// — the cross-check the storage fault classes maintain between their
-// two policy mirrors.
-func TestChooserSeedCrossCheck(t *testing.T) {
-	drive := func(pol Policy, ch machine.Chooser) ([]Event, []Outcome) {
-		mm := machine.New(machine.Options{MaxSteps: 100000})
-		n := New(mm, pol)
-		echoRig(n)
-		var ocs []Outcome
-		res := mm.RunEra(ch, false, func(mt *machine.T) {
-			for i := 0; i < 5; i++ {
-				_, oc := n.Call(mt, 1, []byte("m"))
-				ocs = append(ocs, oc)
-			}
-		})
-		if res.Outcome != machine.Done {
-			t.Fatalf("era: %+v", res)
-		}
-		return n.Log(), ocs
-	}
-	// Chooser axis: budget 1, partitions only, chooser says yes — the
-	// first partition decision point (call 1) injects.
-	chLog, chOcs := drive(
-		&ChooserPolicy{Budget: 1, Eligible: map[Fault]bool{FaultPartition: true}},
-		netChooser(1))
-	// Seeded axis: rate 1 with a per-class cap of 1 injects at exactly
-	// index 0 of the partition class — the same decision point.
-	sp := &SeededPolicy{Seed: 7, Rates: [NumFaults]uint64{FaultPartition: 1}}
-	sp.MaxPerClass[FaultPartition] = 1
-	sdLog, sdOcs := drive(sp, machine.SeqChooser{})
-	if fmt.Sprint(chLog) != fmt.Sprint(sdLog) {
-		t.Fatalf("axes disagree on the log:\nchooser: %v\nseeded:  %v", chLog, sdLog)
-	}
-	if fmt.Sprint(chOcs) != fmt.Sprint(sdOcs) {
-		t.Fatalf("axes disagree on outcomes:\nchooser: %v\nseeded:  %v", chOcs, sdOcs)
-	}
-}
-
 func TestChooserPolicyBudget(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 100000})
 	pol := &ChooserPolicy{Budget: 2}

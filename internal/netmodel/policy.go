@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/gfs"
 	"repro/internal/machine"
@@ -83,87 +82,10 @@ func (e Event) String() string {
 }
 
 // Policy decides, for the index-th decision point of a fault class,
-// whether to inject. Implementations must be safe for concurrent use
-// when the transport is (SeededPolicy is; the model-only ChooserPolicy
-// need not be).
+// whether to inject. Net.Call runs on a modeled thread only, so a
+// Policy need not be safe for concurrent use.
 type Policy interface {
 	Decide(t gfs.T, f Fault, index uint64) bool
-}
-
-// splitmix64 is the SplitMix64 mixer, the same one gfs.SeededPolicy
-// uses: fault decisions are a pure function of (seed, class, index) and
-// therefore independent of goroutine interleaving.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// SeededPolicy injects network faults deterministically from a seed —
-// the mirror of gfs.SeededPolicy at the message layer: the index-th
-// decision point of class f faults iff a hash of (Seed, f, index) lands
-// in the 1-in-Rates[f] window. The same seed reproduces the same fault
-// schedule bit for bit, which is what makes production network drills
-// replayable.
-type SeededPolicy struct {
-	// Seed selects the schedule.
-	Seed int64
-	// Rates[f] = N means roughly 1 in N decision points of that class
-	// inject; 0 disables the class.
-	Rates [NumFaults]uint64
-
-	// MaxFaults, when nonzero, caps the total number of injections. The
-	// cap is a global counter, so with concurrent callers *which* calls
-	// land under the cap can vary — use 0 (unlimited) when bit-for-bit
-	// log reproducibility matters.
-	MaxFaults uint64
-
-	// MaxPerClass, when nonzero for a class, caps that class's
-	// injections independently of MaxFaults (same concurrency caveat) —
-	// e.g. at most one partition burst per drill.
-	MaxPerClass [NumFaults]uint64
-
-	mu       sync.Mutex
-	injected uint64
-	perClass [NumFaults]uint64
-}
-
-// UniformRates returns a Rates array injecting every class 1 in n
-// decision points. Unlike gfs.UniformRates nothing is held back: every
-// network class is recoverable, so a uniform drill may exercise all of
-// them.
-func UniformRates(n uint64) [NumFaults]uint64 {
-	var r [NumFaults]uint64
-	for f := Fault(0); f < NumFaults; f++ {
-		r[f] = n
-	}
-	return r
-}
-
-// Decide implements Policy.
-func (p *SeededPolicy) Decide(_ gfs.T, f Fault, index uint64) bool {
-	rate := p.Rates[f]
-	if rate == 0 {
-		return false
-	}
-	h := splitmix64(uint64(p.Seed) ^ splitmix64(uint64(f)+1) ^ splitmix64(index))
-	if h%rate != 0 {
-		return false
-	}
-	if p.MaxFaults > 0 || p.MaxPerClass[f] > 0 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.MaxFaults > 0 && p.injected >= p.MaxFaults {
-			return false
-		}
-		if p.MaxPerClass[f] > 0 && p.perClass[f] >= p.MaxPerClass[f] {
-			return false
-		}
-		p.injected++
-		p.perClass[f]++
-	}
-	return true
 }
 
 // ChooserPolicy resolves network fault decisions through the modeled
@@ -185,6 +107,19 @@ type ChooserPolicy struct {
 	PerClass map[Fault]int
 	used     int
 	perClass [NumFaults]int
+}
+
+// Classes returns the set of the listed fault classes, for
+// ChooserPolicy.Eligible; nil (all of them) when none is listed.
+func Classes(faults ...Fault) map[Fault]bool {
+	if faults == nil {
+		return nil
+	}
+	set := make(map[Fault]bool, len(faults))
+	for _, f := range faults {
+		set[f] = true
+	}
+	return set
 }
 
 // Decide implements Policy. With a non-model thread it never injects.

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/explore"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mailboat"
 	"repro/internal/netmodel"
-	"repro/internal/spec"
 )
 
 // This file builds the replicated refinement scenarios: either node's
@@ -26,15 +24,33 @@ import (
 // between-era invariant: when both nodes are live and in the same
 // epoch, their user directories must be byte-identical.
 
-// ScenarioWorld carries the replicated composition across eras.
+// ScenarioWorld carries the replicated composition across eras: each
+// node's store is its own gfs.NewStack over its own model, the two
+// sharing one fault policy, so a fail-stop budget spans both nodes.
 type ScenarioWorld struct {
-	FS       [2]*gfs.Model
-	F        [2]*gfs.Faulty
-	Net      *netmodel.Net
-	StorePol *gfs.ChooserPolicy
-	NetPol   *netmodel.ChooserPolicy
-	Pair     *Pair
+	FS     [2]*gfs.Model
+	Stacks [2]*gfs.Stack
+	Net    *netmodel.Net
+	NetPol *netmodel.ChooserPolicy
+	Pair   *Pair
 }
+
+// Deliver, Pickup, Delete and Unlock make ScenarioWorld the workload's
+// mailboat.Client: every operation goes through the Pair, which may have
+// no answer to give.
+func (w *ScenarioWorld) Deliver(t *machine.T, op mailboat.OpDeliver) (delivered, answered bool) {
+	return w.Pair.Deliver(t, op.User, []byte(op.Msg))
+}
+
+func (w *ScenarioWorld) Pickup(t *machine.T, op mailboat.OpPickup) ([]mailboat.Message, bool) {
+	return w.Pair.Pickup(t, op.User)
+}
+
+func (w *ScenarioWorld) Delete(t *machine.T, op mailboat.OpDelete) (removed, answered bool) {
+	return w.Pair.Delete(t, op.User, op.ID)
+}
+
+func (w *ScenarioWorld) Unlock(t *machine.T, op mailboat.OpUnlock) { w.Pair.Unlock(t, op.User) }
 
 // ScenarioOptions shapes the replicated workload.
 type ScenarioOptions struct {
@@ -48,7 +64,7 @@ type ScenarioOptions struct {
 	// MaxCrashes bounds injected whole-site crashes (both nodes reboot;
 	// in-flight network frames survive).
 	MaxCrashes int
-	// PostPickups reads each user's mailbox at the end.
+	// PostPickups runs one more such session per user at the end.
 	PostPickups bool
 	// StoreFaultBudget, when positive, lets the chooser permanently
 	// fail-stop EITHER node's store at any of its operations, with this
@@ -66,35 +82,9 @@ type ScenarioOptions struct {
 
 // Scenario builds the replicated checkable scenario.
 func Scenario(name string, o ScenarioOptions) *explore.Scenario {
-	sp := mailboat.Spec(o.Config)
-
-	pairOp := func(t *machine.T, w *ScenarioWorld, h *explore.Harness, user uint64) {
-		ret, served := h.OpMaybe(mailboat.OpPickup{User: user}, func() (spec.Ret, bool) {
-			m, ok := w.Pair.Pickup(t, user)
-			return m, ok
-		})
-		if !served {
-			// The pair could not answer (primary dead, backup
-			// unpromotable): the op stays pending, the client got nothing,
-			// and there is no session to continue.
-			return
-		}
-		listed := ret.([]mailboat.Message)
-		if len(listed) > 0 {
-			h.OpMaybe(mailboat.OpDelete{User: user, ID: listed[0].ID}, func() (spec.Ret, bool) {
-				removed, answered := w.Pair.Delete(t, user, listed[0].ID)
-				return removed, answered
-			})
-		}
-		h.Op(mailboat.OpUnlock{User: user}, func() spec.Ret {
-			w.Pair.Unlock(t, user)
-			return nil
-		})
-	}
-
 	return &explore.Scenario{
 		Name: name,
-		Spec: sp,
+		Spec: mailboat.Spec(o.Config),
 		// A replicated op is a network round trip plus two store applies,
 		// and every recovery resync walks both stores message by message.
 		MachineOpts: machine.Options{MaxSteps: 60000},
@@ -102,27 +92,20 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
 			w := &ScenarioWorld{}
+			// Without a budget the fault layers still stand: their
+			// latches are how the Pair learns a node is dead.
 			storePol := gfs.Policy(gfs.NeverPolicy{})
 			if o.StoreFaultBudget > 0 {
-				w.StorePol = &gfs.ChooserPolicy{
-					Budget:   o.StoreFaultBudget,
-					Eligible: map[gfs.FaultOp]bool{gfs.FaultFailStop: true},
-				}
-				storePol = w.StorePol
+				storePol = &gfs.ChooserPolicy{Budget: o.StoreFaultBudget, Eligible: gfs.Classes(gfs.FaultFailStop)}
 			}
-			for i := 0; i < 2; i++ {
-				w.FS[i] = gfs.NewModel(m, ReplDirs(o.Config))
-				w.F[i] = gfs.NewFaulty(w.FS[i], storePol)
+			dirs := ReplDirs(o.Config)
+			for i := range w.Stacks {
+				w.FS[i] = gfs.NewModel(m, dirs)
+				w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, dirs, gfs.StackSpec{Policy: storePol})
 			}
 			netPol := netmodel.Policy(netmodel.NeverPolicy{})
 			if o.NetFaultBudget > 0 {
-				w.NetPol = &netmodel.ChooserPolicy{Budget: o.NetFaultBudget}
-				if o.NetFaults != nil {
-					w.NetPol.Eligible = map[netmodel.Fault]bool{}
-					for _, f := range o.NetFaults {
-						w.NetPol.Eligible[f] = true
-					}
-				}
+				w.NetPol = &netmodel.ChooserPolicy{Budget: o.NetFaultBudget, Eligible: netmodel.Classes(o.NetFaults...)}
 				netPol = w.NetPol
 			}
 			w.Net = netmodel.New(m, netPol)
@@ -130,26 +113,19 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		},
 		Init: func(t *machine.T, wAny any) {
 			w := wAny.(*ScenarioWorld)
-			w.Pair = NewPair(t, [2]gfs.System{w.F[0], w.F[1]}, w.F, w.Net,
+			w.Pair = NewPair(t, [2]gfs.System{w.Stacks[0].Top, w.Stacks[1].Top},
+				[2]*gfs.Faulty{w.Stacks[0].Faulty(0), w.Stacks[1].Faulty(0)}, w.Net,
 				o.Config, Config{Mut: o.Mut})
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*ScenarioWorld)
 			for _, d := range o.Delivers {
 				op := d
-				t.Go(func(c *machine.T) {
-					// An indeterminate outcome (durably applied on a node the
-					// pair cannot promote) has no truthful answer: the op
-					// stays pending, free to linearize either way.
-					h.OpMaybe(op, func() (spec.Ret, bool) {
-						delivered, answered := w.Pair.Deliver(c, op.User, []byte(op.Msg))
-						return delivered, answered
-					})
-				})
+				t.Go(func(c *machine.T) { mailboat.RecordDeliver(c, h, w, op) })
 			}
 			for _, u := range o.PickupUsers {
 				user := u
-				t.Go(func(c *machine.T) { pairOp(c, w, h, user) })
+				t.Go(func(c *machine.T) { mailboat.RecordSession(c, h, w, user, true) })
 			}
 		},
 		Recover: func(t *machine.T, wAny any) {
@@ -167,9 +143,8 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			if !o.PostPickups {
 				return
 			}
-			w := wAny.(*ScenarioWorld)
 			for u := uint64(0); u < o.Config.Users; u++ {
-				pairOp(t, w, h, u)
+				mailboat.RecordSession(t, h, wAny.(*ScenarioWorld), u, true)
 			}
 		},
 		Invariant: func(m *machine.Machine, wAny any) error {
@@ -177,51 +152,36 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			if n0, n1 := w.FS[0].OpenFDs(), w.FS[1].OpenFDs(); n0 != 0 || n1 != 0 {
 				return fmt.Errorf("resource leak: %d/%d descriptors open on nodes", n0, n1)
 			}
-			if w.Pair == nil {
-				return nil
-			}
 			// While a node is dead the pair legitimately runs on one store;
 			// while epochs differ or a catch-up is incomplete the backup is
 			// legitimately behind. Equality is only owed when both nodes
-			// are live, settled, and in the same epoch.
-			if w.F[0].FailStopped() || w.F[1].FailStopped() || w.Pair.Degraded() {
+			// are live, settled, and in the same epoch (Degraded covers all
+			// three), and it is owed on the mailboxes: spool and epoch
+			// files are each node's own.
+			if w.Pair == nil || w.Pair.Degraded() {
 				return nil
 			}
-			for u := uint64(0); u < o.Config.Users; u++ {
-				d0 := w.FS[0].PeekDir(mailboat.UserDir(u))
-				d1 := w.FS[1].PeekDir(mailboat.UserDir(u))
-				if len(d0) != len(d1) {
-					return fmt.Errorf("replica divergence: user %d has %d vs %d messages", u, len(d0), len(d1))
-				}
-				for name, c0 := range d0 {
-					c1, ok := d1[name]
-					if !ok {
-						return fmt.Errorf("replica divergence: user %d message %s missing on backup", u, name)
-					}
-					if !bytes.Equal(c0, c1) {
-						return fmt.Errorf("replica divergence: user %d message %s contents differ", u, name)
-					}
-				}
+			boxes := make([]string, o.Config.Users)
+			for u := range boxes {
+				boxes[u] = mailboat.UserDir(uint64(u))
 			}
-			return nil
+			return mailboat.ReplicasIdentical(w.FS[0], w.FS[1], boxes)
 		},
 		// Crash-boundary dedup: the models and the Net are fingerprintable
 		// devices (the Net's encoding covers partition charge and the
 		// crash-surviving in-flight stash), so the hook covers the
-		// crash-surviving world state outside them — the two policies'
-		// spent budgets and the per-node fail-stop latches. The Pair's own
-		// fields (role, session locks, staleness) are all recomputed by
-		// Recover from device state, so they are not boundary state.
+		// crash-surviving world state outside them — each node's stack
+		// (the store policy's spent budget, the fail-stop latch) and the
+		// network policy's spent budget. The Pair's own fields (role,
+		// session locks, staleness) are all recomputed by Recover from
+		// device state, so they are not boundary state.
 		Fingerprint: func(wAny any, b []byte) []byte {
 			w := wAny.(*ScenarioWorld)
-			if w.StorePol != nil {
-				b = w.StorePol.AppendState(b)
+			for _, st := range w.Stacks {
+				b = st.AppendCheckerState(b)
 			}
 			if w.NetPol != nil {
 				b = w.NetPol.AppendState(b)
-			}
-			for i := range w.F {
-				b = w.F[i].AppendCheckerState(b)
 			}
 			return b
 		},

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/gfs"
+	"repro/internal/machine"
 	"repro/internal/mailboat"
 	"repro/internal/netmodel"
 )
@@ -253,5 +255,50 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := settled(); n > before {
 		t.Fatalf("conviction after %d executions left %d goroutines, started with %d", rep.Executions, n, before)
+	}
+}
+
+// killer says yes to every fail-stop decision and 0 to the rest.
+type killer struct{}
+
+func (killer) Choose(n int, tag string) int {
+	if tag == "failstop" {
+		return 1
+	}
+	return 0
+}
+
+// TestScenarioNodesRunOnStacks: each node's store is a gfs.NewStack —
+// a fault layer over the node's own model, what the single-node
+// scenarios and the daemon build — the two sharing one policy, and the
+// Pair runs on those tops with those layers as its kill switches.
+func TestScenarioNodesRunOnStacks(t *testing.T) {
+	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), StoreFaultBudget: 1})
+	m := machine.New(machine.Options{})
+	w := s.Setup(m).(*ScenarioWorld)
+	for i, st := range w.Stacks {
+		f := st.Faulty(0)
+		if f == nil || st.Top != gfs.System(f) || f.Inner() != gfs.System(w.FS[i]) {
+			t.Fatalf("node %d: stack is not Faulty → its model: top %T, fault layer %v", i, st.Top, f)
+		}
+		if st.Mirror() != nil || st.Checksummed(0) != nil {
+			t.Errorf("node %d: stack has layers the spec did not ask for", i)
+		}
+	}
+	quiet := w.Stacks[1].AppendCheckerState(nil)
+	res := m.RunEra(killer{}, false, func(mt *machine.T) {
+		w.Stacks[0].Top.List(mt, mailboat.SpoolDir)
+	})
+	if res.Outcome != machine.Done || !w.Stacks[0].Faulty(0).FailStopped() {
+		t.Fatalf("the chooser did not kill node 0: %+v", res)
+	}
+	if spent := w.Stacks[1].AppendCheckerState(nil); string(spent) == string(quiet) {
+		t.Error("node 0's fail-stop did not spend node 1's budget: the nodes do not share one policy")
+	}
+	m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) })
+	for i, st := range w.Stacks {
+		if w.Pair.F[i] != st.Faulty(0) {
+			t.Errorf("node %d: the Pair's kill switch is not its stack's fault layer", i)
+		}
 	}
 }

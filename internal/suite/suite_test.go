@@ -1,7 +1,12 @@
 package suite
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/explore"
@@ -167,6 +172,134 @@ func TestDedupSelfCheckMailboatMirror(t *testing.T) {
 		return
 	}
 	t.Fatal("mailboat-mirror entry missing from the verified suite")
+}
+
+// TestEveryPropertyIsChecked: each claim a mail-store scenario can make
+// (a mailboat.Property row) is held by at least one verified entry, and
+// a row some seeded bug is aimed at has a bug convicted under it by the
+// property's own audit — not by a machine violation that would have
+// shown under any claim. Prefix is the one row no seeded bug aims at.
+// (The verdicts themselves are TestVerifiedSuiteAllClean's and
+// TestBugSuiteAllFound's.)
+func TestEveryPropertyIsChecked(t *testing.T) {
+	property := func(r mailboatEntry) *mailboat.Property {
+		if r.opts.Property == nil {
+			return mailboat.Refinement
+		}
+		return r.opts.Property
+	}
+	audit := map[*mailboat.Property]string{
+		mailboat.Refinement: "refinement failure",
+		mailboat.Detection:  "integrity: ",
+		mailboat.Exhaustion: "acked loss: ",
+	}
+	for _, p := range mailboat.Properties {
+		verified := 0
+		for _, r := range mailboatVerified {
+			if property(r) == p {
+				verified++
+			}
+		}
+		if verified == 0 {
+			t.Errorf("property %s: no verified entry claims it", p.Name)
+		}
+		aimed, convicted := 0, 0
+		for _, r := range mailboatBugs {
+			if property(r) != p {
+				continue
+			}
+			aimed++
+			rep := explore.Run(mailboat.Scenario(r.name, r.variant, r.opts), explore.Options{MaxExecutions: r.max, Workers: 1})
+			if !rep.OK() && strings.Contains(rep.Counterexample.Reason, audit[p]) {
+				convicted++
+			}
+		}
+		if want, ok := audit[p]; ok != (aimed > 0) || (ok && convicted == 0) {
+			t.Errorf("property %s: %d seeded bugs aimed at it, %d convicted by its audit %q", p.Name, aimed, convicted, want)
+		}
+	}
+}
+
+// scenarioParts renders DESIGN.md §4m's table from the suite: for each
+// of the four parts of a mail-store scenario, its zero value, and each
+// other value some entry gives it with the entries that do.
+func scenarioParts() []string {
+	parts := []struct {
+		name  string
+		value func(o mailboat.ScenarioOptions) string
+	}{
+		{"crash model", func(o mailboat.ScenarioOptions) string {
+			return [...]string{"`Strict`", "`Buffered`", "`Writeback`"}[o.Crash]
+		}},
+		{"stack", func(o mailboat.ScenarioOptions) string {
+			return [...]string{"one backend", "`Checksum`", "`Mirror`", "`Mirror` + `Checksum`"}[btoi(o.Mirror)*2+btoi(o.Checksum)]
+		}},
+		{"fault budget", func(o mailboat.ScenarioOptions) string {
+			if o.Faults.Budget == 0 {
+				return "none"
+			}
+			var classes []string
+			for op := range o.Faults.Ops {
+				classes = append(classes, op.String())
+			}
+			sort.Strings(classes)
+			return fmt.Sprintf("%d × %s", o.Faults.Budget, strings.Join(classes, ", "))
+		}},
+		{"property", func(o mailboat.ScenarioOptions) string {
+			if o.Property == nil {
+				return "`Refinement`"
+			}
+			return "`" + strings.ToUpper(o.Property.Name[:1]) + o.Property.Name[1:] + "`"
+		}},
+	}
+	entries := append(append([]mailboatEntry{}, mailboatVerified...), mailboatBugs...)
+	var rows []string
+	for _, part := range parts {
+		zero := part.value(mailboat.ScenarioOptions{})
+		var values []string
+		users := map[string][]string{}
+		for _, e := range entries {
+			v := part.value(e.opts)
+			if users[v] == nil && v != zero {
+				values = append(values, v)
+			}
+			users[v] = append(users[v], strings.TrimPrefix(e.name, "mb/"))
+		}
+		for i, v := range values {
+			name := ""
+			if i == 0 {
+				name = fmt.Sprintf("%s (else %s)", part.name, zero)
+			}
+			rows = append(rows, fmt.Sprintf("| %s | %s | %s |", name, v, strings.Join(users[v], ", ")))
+		}
+	}
+	return rows
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestScenarioPartsMatchDesignDoc pins DESIGN.md §4m's four-part table
+// to the suite's entries: the rows scenarioParts renders, verbatim and
+// in order, and no row besides.
+func TestScenarioPartsMatchDesignDoc(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "<!-- scenario-parts:begin -->\n")
+	table, _, ok2 := strings.Cut(rest, "<!-- scenario-parts:end -->")
+	if !ok || !ok2 {
+		t.Fatal("DESIGN.md has no scenario-parts table")
+	}
+	want := "| part | value | suite entries (`mb/…`) |\n|---|---|---|\n" + strings.Join(scenarioParts(), "\n") + "\n"
+	if table != want {
+		t.Errorf("DESIGN.md §4m's table is\n%s\nthe suite's entries say\n%s", table, want)
+	}
 }
 
 // TestHeaviestAreVerifiedEntries pins Heaviest() to real suite entries.

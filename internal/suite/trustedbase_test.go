@@ -78,9 +78,6 @@ var exceptions = map[string]map[string]string{
 	"gfs/scrub.go": {
 		"time": "a Duration parameter of a nil-safe metrics method",
 	},
-	"netmodel/policy.go": {
-		"sync": "mu guards the fault-budget counters",
-	},
 }
 
 func allowedImport(path string) bool {
@@ -189,14 +186,14 @@ func TestTrustedBase(t *testing.T) {
 	}
 	// Negative controls: the real map, with a file added and two gone.
 	files["mailboat/synthetic.go"] = importsOf(t, "synthetic.go", "package mailboat\nimport (\n\"os\"\n\"repro/internal/gfs\"\n\"repro/internal/netsrv\"\n)\n")
-	delete(files, "netmodel/policy.go")
+	delete(files, "gfs/scrub.go")
 	delete(files, "gfs/statfs_linux.go")
 	got := auditImports(files)
 	want := []string{
+		`gfs/scrub.go: stale row: no longer imports "time"`,
 		"gfs/statfs_linux.go: stale row: trusted file does not exist",
 		`mailboat/synthetic.go imports "os":`,
 		`mailboat/synthetic.go imports "repro/internal/netsrv":`,
-		`netmodel/policy.go: stale row: no longer imports "sync"`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("negative control: audit reported\n%s\nwant %d findings", strings.Join(got, "\n"), len(want))
