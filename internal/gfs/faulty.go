@@ -3,7 +3,6 @@ package gfs
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -360,13 +359,6 @@ type Faulty struct {
 	inner  System
 	policy Policy
 
-	// Latency, when nonzero together with LatencyEveryN, makes every
-	// N-th call of each class sleep before executing — cheap tail-latency
-	// injection for the OS backend. Never applied under the model (real
-	// sleeps would only slow the checker, not change its schedules).
-	Latency       time.Duration
-	LatencyEveryN uint64
-
 	// Metrics, when non-nil, counts injected faults per class into the
 	// shared file-system metrics (gfs_faults_injected_total). The
 	// replayable log above stays authoritative for drills; the counters
@@ -597,19 +589,15 @@ func (f *Faulty) failStop(t T, what describe) bool {
 	return true
 }
 
-// begin counts the call, applies optional latency, and decides the
-// fault. On injection it records the event and, under the model, makes
-// the failed operation one atomic step (like a real faulted syscall).
+// begin counts the call and decides the fault. On injection it records
+// the event and, under the model, makes the failed operation one atomic
+// step (like a real faulted syscall).
 func (f *Faulty) begin(t T, op FaultOp, what describe) bool {
 	f.mu.Lock()
 	idx := f.calls[op]
 	f.calls[op]++
 	f.mu.Unlock()
 
-	_, isModel := t.(*machine.T)
-	if !isModel && f.Latency > 0 && f.LatencyEveryN > 0 && (idx+1)%f.LatencyEveryN == 0 {
-		time.Sleep(f.Latency)
-	}
 	if !f.policy.Decide(t, op, idx) {
 		return false
 	}

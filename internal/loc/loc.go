@@ -276,7 +276,9 @@ func Table3(root string) ([]Row, error) {
 }
 
 // Table4 maps the mail-server effort comparison onto the paper's
-// Table 4 (Mailboat vs CMAIL lines of code).
+// Table 4 (Mailboat vs CMAIL lines of code). The implementation row is
+// the Figure-10 file alone — the paper's six entry points, as 159 lines
+// of Go are — not the extensions beside it.
 func Table4(root string) ([]Row, error) {
 	rows, err := Measure(root, []Component{
 		{Name: "Implementation (Mailboat)", Files: []string{"internal/mailboat/mailboat.go"}},
@@ -289,14 +291,18 @@ func Table4(root string) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Subtract the implementation (and the seeded-bug variants, which
-	// are neither implementation nor proof) from the everything count so
-	// the second row is the specification/checking effort alone.
-	bugs, err := CountFile(filepath.Join(root, "internal/mailboat/bugs.go"))
-	if err != nil {
-		return nil, err
+	// Subtract the implementation, and what is neither implementation
+	// nor proof — the seeded-bug variants and the extensions beyond
+	// Figure 10 (named applies, quotas, metrics) — from the everything
+	// count so the second row is the specification/checking effort alone.
+	rows[1].Measured -= rows[0].Measured
+	for _, name := range []string{"bugs.go", "named.go", "quota.go", "metrics.go"} {
+		c, err := CountFile(filepath.Join(root, "internal/mailboat", name))
+		if err != nil {
+			return nil, err
+		}
+		rows[1].Measured -= c.Code
 	}
-	rows[1].Measured -= rows[0].Measured + bugs.Code
 	rows[0].Paper = 159
 	rows[0].Note = "paper: 159 Go / CMAIL 215 Coq"
 	rows[1].Paper = 3360

@@ -127,6 +127,27 @@ func TestTable4AgainstThisRepo(t *testing.T) {
 	if rows[1].Measured <= 0 {
 		t.Errorf("proof-analog row: %d", rows[1].Measured)
 	}
+	// The implementation row is the Figure-10 file and nothing else: it
+	// declares the paper's six entry points, and the extensions (quotas,
+	// named applies) live beside it, uncounted.
+	core := filepath.Join(repoRoot(t), "internal/mailboat/mailboat.go")
+	if c, err := CountFile(core); err != nil || c.Code != rows[0].Measured {
+		t.Errorf("implementation row %d is not mailboat.go's %d lines (%v)", rows[0].Measured, c.Code, err)
+	}
+	src, err := os.ReadFile(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []string{"func Init(", "func Recover(", ") Deliver(", ") Pickup(", ") Delete(", ") Unlock("} {
+		if !strings.Contains(string(src), entry) {
+			t.Errorf("mailboat.go does not declare %q", entry)
+		}
+	}
+	for _, ext := range []string{") quotaReserve(", ") DeliverAs("} {
+		if strings.Contains(string(src), ext) {
+			t.Errorf("mailboat.go declares the extension %q: Table 4 would count it against the paper's 159 lines", ext)
+		}
+	}
 }
 
 // TestTablesMatchExperimentsDoc holds EXPERIMENTS.md's Tables 2–4 to

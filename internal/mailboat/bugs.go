@@ -13,7 +13,7 @@ import "repro/internal/gfs"
 // one difference — a stage skipped, a token forged, a chunk size — so
 // it keeps every retry exit, no-space exit and clean-up the real
 // Deliver has, and is convicted for its bug alone. This is the only
-// file allowed to forge a stage token.
+// file allowed to forge a stage token, of delivery or of recovery.
 
 // deliverDirect skips the spool-and-link protocol and writes the
 // message directly into the mailbox directory. A concurrent (or
@@ -83,34 +83,35 @@ func (mb *Mailboat) pickupLeaky(t gfs.T, user uint64) []Message {
 	return msgs
 }
 
+// A recovery bug is Recover's three stages (repair → sweep → reinit)
+// composed with one difference each, so it keeps the resilver, the boot
+// scrub, the BootScrub baseline and the reclaim accounting wherever its
+// bug is not their absence.
+
 // recoverWipesMailboxes is an overzealous recovery that cleans not just
 // the spool but the user mailboxes too, destroying delivered (durable)
 // mail — a durability violation the checker catches.
 func recoverWipesMailboxes(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
-	for _, name := range sys.List(t, SpoolDir) {
-		sys.Delete(t, SpoolDir, name)
-	}
+	sw := sweep(t, sys, cfg.Metrics, repair(t, sys))
+	// BUG: the sweep goes on into the mailboxes.
 	for u := uint64(0); u < cfg.Users; u++ {
 		for _, name := range sys.List(t, UserDir(u)) {
 			sys.Delete(t, UserDir(u), name)
 		}
 	}
-	return Init(t, nil, sys, cfg)
+	return reinit(t, nil, sys, cfg, nil, sw)
 }
 
-// recoverSkipResilver is a recovery that forgets the mirror-repair step:
-// it sweeps the spool and reinitializes like Recover, but never calls
-// Resilver on the mirrored stack. On a mirror whose replaced replica has
-// not been repaired, the replica serves stale (empty) reads; because the
+// recoverSkipResilver is a recovery that forgets the repair stage: it
+// sweeps the spool and reinitializes like Recover, but on a store nobody
+// resilvered (or scrubbed). On a mirror whose replaced replica has not
+// been repaired, the replica serves stale (empty) reads; because the
 // mirror fails reads over to replica 0 by position, skipping resilver
 // makes delivered mail invisible after the next failover — an
 // availability/durability violation the checker catches.
 func recoverSkipResilver(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
-	// BUG: no gfs.AsResilverer(sys).Resilver(t) call.
-	for _, name := range sys.List(t, SpoolDir) {
-		sys.Delete(t, SpoolDir, name)
-	}
-	return Init(t, nil, sys, cfg)
+	// BUG: the repaired token is forged, not earned from repair.
+	return reinit(t, nil, sys, cfg, nil, sweep(t, sys, cfg.Metrics, repaired{}))
 }
 
 // spoolAndPublish is deliverAttempt as far as the link, ghost-free —
@@ -249,6 +250,7 @@ func (mb *Mailboat) deleteNoBarrier(t gfs.T, user uint64, id string) bool {
 // it replays exactly what a completed delivery would have published, so
 // the bug is invisible without torn-append enumeration.
 func recoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
+	rep := repair(t, sys)
 	inMailbox := map[string]bool{}
 	for u := uint64(0); u < cfg.Users; u++ {
 		for _, name := range sys.List(t, UserDir(u)) {
@@ -267,7 +269,7 @@ func recoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 			continue
 		}
 		// BUG: data may be a torn prefix of a message, not a message.
-		for i := 0; i < nameAttempts; i++ {
+		for i := 0; i < NameAttempts; i++ {
 			id := t.RandUint64(cfg.RandBound)
 			if sys.Link(t, SpoolDir, name, UserDir(0), MsgName(id)) {
 				inMailbox[data] = true
@@ -276,5 +278,6 @@ func recoverReplaySpool(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 			}
 		}
 	}
-	return Init(t, nil, sys, cfg)
+	// The swept token is forged: the spool was replayed, not swept.
+	return reinit(t, nil, sys, cfg, nil, swept{rep})
 }

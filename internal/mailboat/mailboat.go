@@ -24,9 +24,9 @@ package mailboat
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -100,12 +100,13 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// nameAttempts bounds fresh-name allocation loops (spool create, link
-// publish) within one delivery attempt. Collisions resolve in a few
-// iterations even at model-checking RandBounds, so hitting the cap
-// means the store is persistently failing — a transient fault to
-// surface, not an excuse to spin forever.
-const nameAttempts = 128
+// NameAttempts bounds fresh-name allocation loops (spool create, link
+// publish, and the replication layers' caller-chosen names) within one
+// delivery attempt. Collisions resolve in a few iterations even at
+// model-checking RandBounds, so hitting the cap means the store is
+// persistently failing — a transient fault to surface, not an excuse to
+// spin forever.
+const NameAttempts = 128
 
 // openAttempts bounds Pickup's per-message open retries. Opens can fail
 // transiently (descriptor exhaustion — gfs.Faulty's FaultNoFiles — or a
@@ -148,143 +149,21 @@ type Mailboat struct {
 	boxMasters []*core.SetMaster
 	boxLeases  []*core.SetLease
 
-	// boot is what Recover's integrity sweep reported (see BootScrub).
-	boot         gfs.ScrubReport
-	bootScrubbed bool
+	// boot is what Recover's repair stage reported (see BootScrub).
+	boot repaired
 
 	// quota is the per-user byte accounting behind Config.QuotaBytes;
 	// nil when quotas are disabled.
 	quota *quotaState
 }
 
-// quotaState tracks per-user mailbox bytes under Config.QuotaBytes.
-// Deliver reserves optimistically before spooling (lock-free delivery
-// must not fill a mailbox it already knows is full), commits the
-// published name's size on link, and refunds on failure; Delete credits
-// the deleted message's bytes back. The mutex is a plain Go lock: the
-// sections it guards contain no machine steps, so the checker's
-// schedules are unaffected.
-type quotaState struct {
-	mu    sync.Mutex
-	used  []uint64
-	sizes []map[string]uint64 // per user: mailbox name -> message bytes
-}
-
-// Init initializes the library (Figure 10's Init): it allocates the
+// Init initializes the library on a fresh store (Figure 10's Init): the
 // per-user locks and, under the ghost context, the mailbox directory
-// capabilities (masters deposited in the crash invariant — MsgsInv).
-// It must be run before any operations on a fresh store; after a crash,
-// run Recover instead.
+// capabilities. It is reinit with no previous era — a fresh store has
+// nothing to repair or sweep, so Init may mint that token itself. After
+// a crash, run Recover instead.
 func Init(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config) *Mailboat {
-	mb := &Mailboat{sys: sys, cfg: cfg, g: g}
-	mb.locks = make([]gfs.Lock, cfg.Users)
-	for u := uint64(0); u < cfg.Users; u++ {
-		mb.locks[u] = sys.NewLock(t, fmt.Sprintf("mailbox%d", u))
-	}
-	if g != nil {
-		mb.boxMasters = make([]*core.SetMaster, cfg.Users)
-		mb.boxLeases = make([]*core.SetLease, cfg.Users)
-		for u := uint64(0); u < cfg.Users; u++ {
-			names := sys.List(t, UserDir(u))
-			mb.boxMasters[u], mb.boxLeases[u] = g.NewDurableSet(modelT(t), UserDir(u), names)
-			g.DepositSetMaster(modelT(t), mb.boxMasters[u])
-		}
-	}
-	mb.initQuota(t)
-	return mb
-}
-
-// initQuota derives per-user usage from the store: the size of every
-// mailbox entry. Runs single-threaded at Init/Recover before the store
-// takes traffic; a no-op (and no extra I/O) when quotas are disabled.
-func (mb *Mailboat) initQuota(t gfs.T) {
-	if mb.cfg.QuotaBytes == 0 {
-		return
-	}
-	q := &quotaState{
-		used:  make([]uint64, mb.cfg.Users),
-		sizes: make([]map[string]uint64, mb.cfg.Users),
-	}
-	for u := uint64(0); u < mb.cfg.Users; u++ {
-		q.sizes[u] = map[string]uint64{}
-		for _, name := range mb.sys.List(t, UserDir(u)) {
-			fd, ok := mb.sys.Open(t, UserDir(u), name)
-			if !ok {
-				continue
-			}
-			n := mb.sys.Size(t, fd)
-			mb.sys.Close(t, fd)
-			q.sizes[u][name] = n
-			q.used[u] += n
-		}
-	}
-	mb.quota = q
-}
-
-// QuotaUsed reports user's tracked mailbox bytes (0 when quotas are
-// disabled), for tests and operator surfaces.
-func (mb *Mailboat) QuotaUsed(user uint64) uint64 {
-	if mb.quota == nil {
-		return 0
-	}
-	mb.quota.mu.Lock()
-	defer mb.quota.mu.Unlock()
-	return mb.quota.used[user]
-}
-
-// quotaReserve charges n bytes against user's quota, refusing (with no
-// charge) when it would overflow. Reservation happens before spooling:
-// lock-free concurrent deliveries must not all squeeze past the same
-// almost-full reading.
-func (mb *Mailboat) quotaReserve(user uint64, n uint64) bool {
-	if mb.quota == nil {
-		return true
-	}
-	q := mb.quota
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.used[user]+n > mb.cfg.QuotaBytes {
-		return false
-	}
-	q.used[user] += n
-	return true
-}
-
-// quotaRelease refunds a reservation whose delivery failed.
-func (mb *Mailboat) quotaRelease(user uint64, n uint64) {
-	if mb.quota == nil {
-		return
-	}
-	q := mb.quota
-	q.mu.Lock()
-	q.used[user] -= n
-	q.mu.Unlock()
-}
-
-// quotaCommit records the published name of a reserved delivery so a
-// later Delete can credit the right number of bytes back.
-func (mb *Mailboat) quotaCommit(user uint64, name string, n uint64) {
-	if mb.quota == nil {
-		return
-	}
-	q := mb.quota
-	q.mu.Lock()
-	q.sizes[user][name] = n
-	q.mu.Unlock()
-}
-
-// quotaCredit returns a deleted message's bytes to user's quota.
-func (mb *Mailboat) quotaCredit(user uint64, name string) {
-	if mb.quota == nil {
-		return
-	}
-	q := mb.quota
-	q.mu.Lock()
-	if n, ok := q.sizes[user][name]; ok {
-		q.used[user] -= n
-		delete(q.sizes[user], name)
-	}
-	q.mu.Unlock()
+	return reinit(t, g, sys, cfg, nil, swept{})
 }
 
 // Deliver stores msg in user's mailbox (Figure 10's Deliver). It
@@ -430,7 +309,7 @@ func (mb *Mailboat) spoolWrite(t gfs.T, msg []byte, chunk int) (spooled, bool) {
 	var spool spooled
 	var fd gfs.FD
 	created := false
-	for i := 0; i < nameAttempts && !created; i++ {
+	for i := 0; i < NameAttempts && !created; i++ {
 		spool = spooled{tmpName(t.RandUint64(mb.cfg.RandBound))}
 		fd, created = mb.sys.Create(t, SpoolDir, spool.name)
 		if !created && mb.storeNoSpace() {
@@ -469,7 +348,7 @@ func (mb *Mailboat) spoolWrite(t gfs.T, msg []byte, chunk int) (spooled, bool) {
 func (mb *Mailboat) publishLink(t gfs.T, j *core.JTok, user uint64, spool spooled, msg []byte) (published, bool) {
 	sp := trace.Enter(t, "publish.link")
 	defer trace.Exit(t, sp)
-	for i := 0; i < nameAttempts; i++ {
+	for i := 0; i < NameAttempts; i++ {
 		mname := MsgName(t.RandUint64(mb.cfg.RandBound))
 		if !mb.sys.Link(t, SpoolDir, spool.name, UserDir(user), mname) {
 			if mb.storeNoSpace() {
@@ -544,11 +423,7 @@ func (mb *Mailboat) syncDirBarrier(t gfs.T, dir string) bool {
 			return false
 		}
 		trace.Event(t, "syncdir retry: attempt %d", attempt)
-		capped := attempt
-		if capped > 8 {
-			capped = 8
-		}
-		mb.backoff(t, capped)
+		mb.backoff(t, min(attempt, 8))
 	}
 	return true
 }
@@ -596,7 +471,7 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 		// mailbox at this instant; the reads below must reproduce it
 		// (checked by FinishOp).
 		mb.boxLeases[user].Refresh(modelT(t), mb.boxMasters[user])
-		if want := mb.boxMasters[user].Elems(modelT(t)); !equalStrings(want, names) {
+		if want := mb.boxMasters[user].Elems(modelT(t)); !slices.Equal(want, names) {
 			modelT(t).Failf("capability mismatch: %s lists %v but master asserts %v", UserDir(user), names, want)
 		}
 		if j != nil {
@@ -728,35 +603,52 @@ func (mb *Mailboat) Unlock(t gfs.T, j *core.JTok, user uint64) {
 	mb.locks[user].Release(t)
 }
 
-// Recover restores the library after a crash (Figure 10's Recover): it
-// repairs the store's redundancy and integrity in one sweep, deletes
-// every leftover spool file (they belong to deliveries that never
-// linked, so they are invisible at the spec level — the TmpInv of
-// §8.3), discharges the spec-level crash step, resynthesizes the
-// mailbox capabilities from their masters, and re-allocates the locks.
-// old carries the pre-crash ghost handles; it may be nil when the ghost
-// context is nil (production boot). What the sweep found is kept on the
-// returned Mailboat (BootScrub), so a daemon can publish it as its
-// integrity baseline without reading the store again.
+// Recovery is three stages that hand each other value tokens, like
+// delivery (DESIGN.md "Recovery protocol" has the table): the spool is
+// swept on a repaired store only, and the library is rebuilt on a swept
+// one only. Each stage is idempotent, so a crash inside recovery is
+// repaired by running it again. A seeded bug composes these same
+// functions and forges the token it has not earned, in bugs.go and
+// nowhere else (TestTokensForgedOnlyInBugs).
+
+// repaired is a store whose redundancy and integrity recovery has
+// restored as far as the stack can: a replaced mirror replica resilvered,
+// every envelope read once and judged. It carries what that found.
+type repaired struct {
+	boot     gfs.ScrubReport
+	scrubbed bool
+}
+
+// swept is a repaired store whose spool holds no orphan recovery could
+// delete (TmpInv restored, their bytes returned to the disk).
+type swept struct{ rep repaired }
+
+// Recover restores the library after a crash (Figure 10's Recover):
+// repair, sweep, reinit. old carries the pre-crash ghost handles; it may
+// be nil when the ghost context is nil (production boot). What repair
+// found is kept on the returned Mailboat (BootScrub), so a daemon can
+// publish it as its integrity baseline without reading the store again.
 func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *Mailboat {
 	sp := trace.Enter(t, "mailboat.recover")
 	defer trace.Exit(t, sp)
-	// If the stack includes a mirror, restore redundancy before touching
-	// any data: resilvering copies the surviving replica onto its
-	// replacement while the system is still single-threaded, so every
-	// read issued after this line (including the spool sweep below) sees
-	// a fully repaired pair. Skipping this step is the no-resilver
-	// mutation the checker catches — the replacement replica would serve
-	// stale reads. Resilver is idempotent, so a crash mid-copy is
-	// repaired by the next boot's call.
-	//
-	// With a checksum envelope in the stack, that same sweep is the boot
-	// scrub — fsck's role for silent corruption: rot that accrued while
-	// the machine was down is found (and, on a mirror, mended from the
-	// verified peer) at boot, not at some unlucky future read. A
-	// resilver that completes has read every file once per replica and
-	// judged the exact bytes it read, so its report IS the scrub of the
-	// repaired store and nothing is read twice.
+	rep := repair(t, sys)
+	sw := sweep(t, sys, cfg.Metrics, rep)
+	return reinit(t, g, sys, cfg, old, sw)
+}
+
+// repair restores redundancy and integrity before anything reads data.
+// With a mirror in the stack, resilvering copies the surviving replica
+// onto its replacement while the system is still single-threaded, so
+// every read after it (the spool sweep included) sees a fully repaired
+// pair; skipped, the replacement serves stale reads. With a checksum
+// envelope that same pass is the boot scrub — fsck's role for rot that
+// accrued while the machine was down: a resilver that completes has read
+// every file once per replica and judged the exact bytes it read, so its
+// report IS the scrub of the repaired store and nothing is read twice.
+// The standalone scrub runs only where no verified resilver completed: a
+// single backend (which detects without healing), or a mirror left
+// degraded, whose surviving replica is still verified.
+func repair(t gfs.T, sys gfs.System) repaired {
 	var boot gfs.ScrubReport
 	scrubbed := false
 	if r := gfs.AsResilverer(sys); r != nil {
@@ -764,54 +656,69 @@ func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *M
 		boot, _, scrubbed = r.Resilver(t)
 		trace.Exit(t, rsp)
 	}
-	// The standalone scrub runs only where no verified resilver
-	// completed: a single backend (which detects without healing), or a
-	// mirror left degraded, whose surviving replica is still verified.
 	if sc := gfs.AsScrubber(sys); sc != nil && !scrubbed {
 		ssp := trace.Enter(t, "recover.scrub")
 		boot, scrubbed = sc.Scrub(t, true), true
 		trace.Exit(t, ssp)
 	}
-	// The spool sweep is also the store's garbage collector for disk
-	// space: every orphan belongs to a delivery that never linked, so
-	// deleting it both restores TmpInv and returns its bytes to the
-	// store (on gfs.Faulty, a successful delete clears a latched
-	// disk-full condition). Orphan sizes are only measured when metrics
-	// are on, so the checker path issues exactly the seed's I/O.
-	wsp := trace.Enter(t, "recover.sweep")
-	swept, sweepFailed := 0, 0
+	return repaired{boot, scrubbed}
+}
+
+// sweep deletes every leftover spool file: each belongs to a delivery
+// that never linked, so it is invisible at the spec level (the TmpInv of
+// §8.3), and deleting it returns its bytes to the store — the sweep is
+// the disk's garbage collector (on gfs.Faulty a successful delete clears
+// a latched disk-full condition). An orphan whose delete fails waits for
+// the next boot. Orphan sizes are only measured when metrics are on, so
+// the checker path issues exactly the paper's I/O.
+func sweep(t gfs.T, sys gfs.System, m *Metrics, rep repaired) swept {
+	sp := trace.Enter(t, "recover.sweep")
+	deleted, failed := 0, 0
 	var reclaimed uint64
 	for _, name := range sys.List(t, SpoolDir) {
-		if cfg.Metrics != nil {
+		if m != nil {
 			if fd, ok := sys.Open(t, SpoolDir, name); ok {
 				reclaimed += sys.Size(t, fd)
 				sys.Close(t, fd)
 			}
 		}
 		if sys.Delete(t, SpoolDir, name) {
-			swept++
+			deleted++
 		} else {
-			sweepFailed++
+			failed++
 		}
 	}
-	trace.Exit(t, wsp)
-	cfg.Metrics.observeRecover(swept, sweepFailed, reclaimed)
-	if g == nil {
-		mb := Init(t, nil, sys, cfg)
-		mb.boot, mb.bootScrubbed = boot, scrubbed
-		return mb
-	}
-	if g.CrashPending() {
+	trace.Exit(t, sp)
+	m.observeRecover(deleted, failed, reclaimed)
+	return swept{rep}
+}
+
+// reinit builds an era's library state on a swept store: it discharges
+// the spec-level crash step if one is owed, allocates the per-user locks
+// and, under the ghost context, the mailbox capabilities (masters
+// deposited in the crash invariant — MsgsInv) — resynthesized from old's
+// masters after a crash, derived from the directory listings on a fresh
+// store (old == nil, Init) — then re-derives quota usage.
+func reinit(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat, sw swept) *Mailboat {
+	if g != nil && g.CrashPending() {
 		g.CrashSim(modelT(t))
 	}
-	mb := &Mailboat{sys: sys, cfg: cfg, g: g, boot: boot, bootScrubbed: scrubbed}
+	mb := &Mailboat{sys: sys, cfg: cfg, g: g, boot: sw.rep}
 	mb.locks = make([]gfs.Lock, cfg.Users)
-	mb.boxMasters = make([]*core.SetMaster, cfg.Users)
-	mb.boxLeases = make([]*core.SetLease, cfg.Users)
 	for u := uint64(0); u < cfg.Users; u++ {
 		mb.locks[u] = sys.NewLock(t, fmt.Sprintf("mailbox%d", u))
-		mb.boxMasters[u], mb.boxLeases[u] = old.boxMasters[u].Resynthesize(modelT(t))
-		g.DepositSetMaster(modelT(t), mb.boxMasters[u])
+	}
+	if g != nil {
+		mb.boxMasters = make([]*core.SetMaster, cfg.Users)
+		mb.boxLeases = make([]*core.SetLease, cfg.Users)
+		for u := uint64(0); u < cfg.Users; u++ {
+			if old != nil {
+				mb.boxMasters[u], mb.boxLeases[u] = old.boxMasters[u].Resynthesize(modelT(t))
+			} else {
+				mb.boxMasters[u], mb.boxLeases[u] = g.NewDurableSet(modelT(t), UserDir(u), sys.List(t, UserDir(u)))
+			}
+			g.DepositSetMaster(modelT(t), mb.boxMasters[u])
+		}
 	}
 	mb.initQuota(t)
 	return mb
@@ -822,20 +729,7 @@ func Recover(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat) *M
 // the stack has nothing to scrub with (no envelope, no mirror) or mb
 // came from Init.
 func (mb *Mailboat) BootScrub() (rep gfs.ScrubReport, ok bool) {
-	return mb.boot, mb.bootScrubbed
-}
-
-// equalStrings compares two sorted string slices.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return mb.boot.boot, mb.boot.scrubbed
 }
 
 func (mb *Mailboat) checkUser(t gfs.T, user uint64) {

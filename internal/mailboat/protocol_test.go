@@ -14,10 +14,11 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/gfs"
+	"repro/internal/machine"
 )
 
-// These tests pin the delivery protocol (DESIGN.md "Delivery protocol")
-// to the code: mutations are compositions of the production stages and
+// These tests pin the delivery and recovery protocols (DESIGN.md
+// "Delivery protocol", "Recovery protocol") to the code: mutations are compositions of the production stages and
 // so survive what production survives, a stage token is minted only by
 // its stage, and the document's two tables name what the code has.
 
@@ -61,12 +62,73 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 	}
 }
 
+// TestRecoveryMutationsTrackProduction boots each recovery on a mirror
+// whose replica 1 died, missed a delivery, and was replaced: stale until
+// a resilver. A recovery mutation that is a hand copy of Recover drifts:
+// at cbf26ef all three were the paper's three-line sweep and none called
+// Resilver or kept the boot report, though only no-resilver is meant to
+// skip it. Built from the production stages, wipes and replay-spool
+// leave the pair redundant and carry the BootScrub baseline; the forged
+// repaired token alone leaves replica 1 stale.
+func TestRecoveryMutationsTrackProduction(t *testing.T) {
+	rows := []struct {
+		name    string
+		v       Variant
+		repairs bool
+	}{
+		{"verified", VariantVerified, true},
+		{"wipes", VariantRecoverWipes, true},
+		{"replay-spool", VariantReplaySpool, true},
+		{"no-resilver", VariantRecoverNoResilver, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			m := machine.New(machine.Options{})
+			cfg := Config{Users: 1, RandBound: 4}
+			dirs := Dirs(cfg)
+			var backends [2]gfs.System
+			for i := range backends {
+				backends[i] = gfs.NewModel(m, gfs.BackendDirs(dirs, 2))
+			}
+			stack := gfs.NewStack(backends[:], dirs, gfs.StackSpec{Policy: gfs.NeverPolicy{}})
+			var mb *Mailboat
+			res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+				mb = Init(mt, nil, stack.Top, cfg)
+				stack.Faulty(1).FailStopNow("drill")
+				if !mb.Deliver(mt, nil, 0, []byte("mail")) {
+					mt.Failf("degraded mirror refused a delivery")
+				}
+				stack.Faulty(1).Revive()
+				stack.Mirror().ReplaceReplica(1)
+				if row.v.Recover != nil {
+					mb = row.v.Recover(mt, stack.Top, cfg)
+				} else {
+					mb = Recover(mt, nil, stack.Top, cfg, nil)
+				}
+			})
+			if res.Outcome != machine.Done {
+				t.Fatalf("res=%+v", res)
+			}
+			st := stack.Mirror().Status()
+			rep, ok := mb.BootScrub()
+			if row.repairs && (st.Degraded || !ok || !rep.Clean()) {
+				t.Errorf("recovery left the mirror %+v, boot scrub ok=%v %v: a mutation whose bug is not the repair must repair", st, ok, rep)
+			}
+			if !row.repairs && (!st.Replicas[1].Stale || ok) {
+				t.Errorf("mirror %+v, boot scrub ok=%v: the forged repaired token should leave replica 1 stale and no baseline", st, ok)
+			}
+		})
+	}
+}
+
 // tokenMinters names, per stage token, the functions allowed to write
 // a composite literal of it: the stage that earns it.
 var tokenMinters = map[string][]string{
 	"spooled":   {"spoolWrite"},
 	"published": {"publishLink", "publishAs"},
 	"durable":   {"barrier"},
+	"repaired":  {"repair"},
+	"swept":     {"sweep", "Init"}, // a fresh store has no orphan to sweep
 }
 
 // TestTokensForgedOnlyInBugs parses the package's non-test files: a
@@ -140,6 +202,43 @@ func designTable(t *testing.T, doc, name string) string {
 	return table
 }
 
+// stage is one row of a DESIGN.md stage table: the function that is the
+// stage, as mailboat.go declares it, and the spans its row gives.
+type stage struct {
+	fn, decl string
+	spans    []string
+}
+
+// checkStageTable holds a DESIGN.md stage table to mailboat.go: one row
+// per stage and no others, each stage declared there and opening the
+// spans its row names.
+func checkStageTable(t *testing.T, doc []byte, table string, stages []stage) {
+	t.Helper()
+	src, err := os.ReadFile("mailboat.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := designTable(t, string(doc), table)
+	for _, st := range stages {
+		row := regexp.MustCompile("(?m)^\\| `" + st.fn + "` .*$").FindString(rows)
+		if row == "" {
+			t.Errorf("%s has no row for %s", table, st.fn)
+			continue
+		}
+		if !strings.Contains(string(src), st.decl+st.fn+"(") {
+			t.Errorf("%s names %s, which mailboat.go does not define", table, st.fn)
+		}
+		for _, span := range st.spans {
+			if !(strings.Contains(row, "`"+span+"`") && strings.Contains(string(src), `"`+span+`"`)) {
+				t.Errorf("stage %s: span %q missing from its row or from mailboat.go", st.fn, span)
+			}
+		}
+	}
+	if n := strings.Count(rows, "\n| `"); n != len(stages) {
+		t.Errorf("%s has %d rows, the code has %d stages", table, n, len(stages))
+	}
+}
+
 // TestDeliveryProtocolMatchesDesignDoc holds DESIGN.md §4n's two tables
 // to the code, the way gfs.TestStackRulesMatchDesignDoc holds §4m's:
 // every stage the stage table names is a method in mailboat.go opening
@@ -150,32 +249,13 @@ func TestDeliveryProtocolMatchesDesignDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := os.ReadFile("mailboat.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := designTable(t, string(doc), "delivery-stages")
-	for _, stage := range []struct{ fn, span string }{
-		{"spoolWrite", "spool.write"},
-		{"publishLink", "publish.link"},
-		{"barrier", "syncdir.barrier"},
-		{"ack", ""},
-	} {
-		row := regexp.MustCompile("(?m)^\\| `" + stage.fn + "` .*$").FindString(stages)
-		if row == "" {
-			t.Errorf("stage table has no row for %s", stage.fn)
-			continue
-		}
-		if !strings.Contains(string(src), "func (mb *Mailboat) "+stage.fn+"(") {
-			t.Errorf("stage table names %s, which mailboat.go does not define", stage.fn)
-		}
-		if stage.span != "" && !(strings.Contains(row, "`"+stage.span+"`") && strings.Contains(string(src), `"`+stage.span+`"`)) {
-			t.Errorf("stage %s: span %q missing from its row or from mailboat.go", stage.fn, stage.span)
-		}
-	}
-	if n := strings.Count(stages, "\n| `"); n != 4 {
-		t.Errorf("stage table has %d rows, deliverAttempt has 4 stages", n)
-	}
+	const method = "func (mb *Mailboat) "
+	checkStageTable(t, doc, "delivery-stages", []stage{
+		{"spoolWrite", method, []string{"spool.write"}},
+		{"publishLink", method, []string{"publish.link"}},
+		{"barrier", method, []string{"syncdir.barrier"}},
+		{"ack", method, nil},
+	})
 
 	scen, err := os.ReadFile("scenarios.go")
 	if err != nil {
@@ -196,5 +276,37 @@ func TestDeliveryProtocolMatchesDesignDoc(t *testing.T) {
 	}
 	for v := range declared {
 		t.Errorf("mutation table has no row for %s", v)
+	}
+}
+
+// TestRecoveryProtocolMatchesDesignDoc holds DESIGN.md §4p's table to
+// the code: its rows are Recover's three stages, and the mutation
+// column names exactly the Variant rows that override Recover.
+func TestRecoveryProtocolMatchesDesignDoc(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStageTable(t, doc, "recovery-stages", []stage{
+		{"repair", "func ", []string{"recover.resilver", "recover.scrub"}},
+		{"sweep", "func ", []string{"recover.sweep"}},
+		{"reinit", "func ", nil},
+	})
+	scen, err := os.ReadFile("scenarios.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := designTable(t, string(doc), "recovery-stages")
+	overriding := regexp.MustCompile(`(?m)^\t(Variant\w+) += Variant\{[^}]*Recover:`).FindAllStringSubmatch(string(scen), -1)
+	if len(overriding) != 3 {
+		t.Errorf("found %d Variant rows overriding Recover in scenarios.go, want 3", len(overriding))
+	}
+	for _, m := range overriding {
+		if !strings.Contains(table, "`"+m[1]+"`") {
+			t.Errorf("recovery table names no stage that %s forges or replaces", m[1])
+		}
+	}
+	if n := len(regexp.MustCompile("`Variant\\w+`").FindAllString(table, -1)); n != len(overriding) {
+		t.Errorf("recovery table names %d mutations, scenarios.go has %d that override Recover", n, len(overriding))
 	}
 }

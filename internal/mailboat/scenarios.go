@@ -614,10 +614,10 @@ func ReplicasIdentical(a, b *gfs.Model, dirs []string) error {
 	return nil
 }
 
-// sweep picks up every mailbox after the final recovery and returns the
-// payloads present; a pickup serving bytes that were never delivered
+// pickupAll picks up every mailbox after the final recovery and returns
+// the payloads present; a pickup serving bytes that were never delivered
 // fails the execution under the property's name.
-func sweep(t *machine.T, w *World, o *ScenarioOptions, property string) map[string]bool {
+func pickupAll(t *machine.T, w *World, o *ScenarioOptions, property string) map[string]bool {
 	allowed := map[string]bool{}
 	for _, d := range o.Delivers {
 		allowed[d.Msg] = true
@@ -645,7 +645,7 @@ func sweep(t *machine.T, w *World, o *ScenarioOptions, property string) map[stri
 // payload through), and any acknowledged message that has gone missing
 // must be accounted for by the integrity layer's detection counter.
 func postDetect(t *machine.T, w *World, o *ScenarioOptions) {
-	present := sweep(t, w, o, "integrity")
+	present := pickupAll(t, w, o, "integrity")
 	for _, msg := range w.ackedSorted() {
 		if !present[msg] && w.Stack.Detected() == 0 {
 			t.Failf("silent loss: acked delivery %q missing with no integrity detection", msg)
@@ -663,7 +663,7 @@ func postDetect(t *machine.T, w *World, o *ScenarioOptions) {
 // the latch has cleared a probe delivery must succeed, and while it
 // still holds the probe must fail cleanly with nothing published.
 func postNoSpace(t *machine.T, w *World, o *ScenarioOptions) {
-	present := sweep(t, w, o, "nospace")
+	present := pickupAll(t, w, o, "nospace")
 	for _, msg := range w.ackedSorted() {
 		if !present[msg] {
 			t.Failf("acked loss: delivery %q acknowledged but missing after disk-full", msg)

@@ -41,10 +41,6 @@ type FaultOptions struct {
 	Rates [gfs.NumFaultOps]uint64
 	// MaxFaults, when nonzero, caps the total number of injected faults.
 	MaxFaults uint64
-	// Latency and LatencyEveryN, when both nonzero, add tail latency to
-	// every N-th file-system call of each class.
-	Latency       time.Duration
-	LatencyEveryN uint64
 }
 
 // Options configures an Adapter beyond the basic New parameters.
@@ -298,9 +294,6 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 	}
 	a.cfg = cfg
 	a.rng.Store(uint64(o.Seed))
-	if f := a.drill(); f != nil {
-		f.Latency, f.LatencyEveryN = o.Fault.Latency, o.Fault.LatencyEveryN
-	}
 	a.bootRecover(a.stack.Top, cfg)
 	if o.Replica != nil {
 		if err := a.startReplica(o); err != nil {

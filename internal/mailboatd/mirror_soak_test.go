@@ -1,227 +1,13 @@
 package mailboatd
 
 import (
-	"bufio"
-	"context"
-	"fmt"
-	"net"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/gfs"
 	"repro/internal/mailboat"
-	"repro/internal/smtp"
 )
-
-// replicaSnapshot reads every file of one replica root (data
-// directories plus the generation markers) for byte-level comparison.
-func replicaSnapshot(t *testing.T, root string, users uint64) map[string]string {
-	t.Helper()
-	snap := map[string]string{}
-	dirs := append([]string{gfs.MirrorMetaDir}, mailboat.Dirs(mailboat.Config{Users: users})...)
-	for _, dir := range dirs {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			b, err := os.ReadFile(filepath.Join(root, dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap[dir+"/"+e.Name()] = string(b)
-		}
-	}
-	return snap
-}
-
-// TestMirrorSoakReplicaDeathMidTraffic is the availability drill: a
-// mirrored server takes concurrent SMTP traffic, the published replica
-// is permanently killed mid-stream (the fail-stop kill switch — a died
-// disk), and traffic keeps flowing against the survivor. The stack is
-// then killed mid-traffic and rebooted; boot-time recovery must pick
-// the survivor by its persisted generation, resilver the stale replica
-// back, and the test asserts the §8 durability contract extended with
-// redundancy: every ACKNOWLEDGED (250) message is in a mailbox, at
-// least one of them was acknowledged after the replica died, and the
-// two replica roots are byte-identical afterwards.
-func TestMirrorSoakReplicaDeathMidTraffic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-
-	root0, root1 := t.TempDir(), t.TempDir()
-	const users = 3
-	const clients = 6
-	const msgsPerClient = 40
-
-	a, err := NewWithOptions(root0, Options{
-		Users:      users,
-		Seed:       1,
-		MirrorRoot: root1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := smtp.NewServer(a, users)
-	srv.ReadTimeout = 5 * time.Second
-	srv.WriteTimeout = 5 * time.Second
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
-
-	var mu sync.Mutex
-	acked := map[string]bool{}
-	ackedAfterKill := 0
-	var killed bool
-
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(15 * time.Second))
-			r := bufio.NewReader(conn)
-			step := func(send, want string) bool {
-				if send != "" {
-					if _, err := fmt.Fprintf(conn, "%s\r\n", send); err != nil {
-						return false
-					}
-				}
-				resp, err := r.ReadString('\n')
-				return err == nil && strings.HasPrefix(resp, want)
-			}
-			if !step("", "220") {
-				return
-			}
-			for m := 0; m < msgsPerClient; m++ {
-				body := fmt.Sprintf("mirror-client-%d-msg-%d", c, m)
-				user := (c + m) % users
-				if !step("MAIL FROM:<x@y>", "250") ||
-					!step(fmt.Sprintf("RCPT TO:<user%d@z>", user), "250") ||
-					!step("DATA", "354") {
-					return
-				}
-				if _, err := fmt.Fprintf(conn, "%s\r\n.\r\n", body); err != nil {
-					return
-				}
-				resp, err := r.ReadString('\n')
-				if err != nil {
-					return
-				}
-				if strings.HasPrefix(resp, "250") {
-					mu.Lock()
-					acked[body+"\n"] = true
-					if killed {
-						ackedAfterKill++
-					}
-					mu.Unlock()
-				}
-			}
-		}(c)
-	}
-
-	// Mid-traffic, kill the replica reads are served from: deliveries
-	// must keep committing on the survivor and reads must fail over.
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	killed = true
-	mu.Unlock()
-	a.FailStopReplica(0)
-
-	// Let the degraded mirror take more traffic, then kill the process.
-	time.Sleep(30 * time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	srv.Shutdown(ctx)
-	a.Close()
-	wg.Wait()
-
-	if st := a.MirrorStatus(); !st.Degraded {
-		t.Fatalf("mirror not degraded after replica kill: %+v", st)
-	}
-
-	// Reboot over the same roots. The dead replica's stale state is
-	// still on disk; recovery must pick the survivor by its higher
-	// persisted generation and resilver the stale replica from it.
-	b, err := NewWithOptions(root0, Options{Users: users, Seed: 2, MirrorRoot: root1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if st := b.MirrorStatus(); st.Degraded || st.Resilvering {
-		t.Fatalf("mirror still degraded after reboot resilver: %+v", st)
-	}
-
-	// Durability: every acknowledged message is in a mailbox.
-	present := map[string]bool{}
-	total := 0
-	for u := uint64(0); u < users; u++ {
-		msgs, err := b.Pickup(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range msgs {
-			present[m.Contents] = true
-		}
-		total += len(msgs)
-		b.Unlock(u)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	t.Logf("mirror soak: %d acked (%d after replica death), %d on disk after reboot",
-		len(acked), ackedAfterKill, total)
-	if len(acked) == 0 {
-		t.Fatal("no message was ever acknowledged; the soak exercised nothing")
-	}
-	if ackedAfterKill == 0 {
-		t.Fatal("no message acknowledged after the replica death; failover was not exercised")
-	}
-	for body := range acked {
-		if !present[body] {
-			t.Errorf("acknowledged message lost: %q", strings.TrimSpace(body))
-		}
-	}
-
-	// Redundancy: the replica roots are byte-identical again, spool
-	// garbage included (recovery swept it on both).
-	s0, s1 := replicaSnapshot(t, root0, users), replicaSnapshot(t, root1, users)
-	if len(s0) != len(s1) {
-		t.Fatalf("replica file counts differ after resilver: %d vs %d", len(s0), len(s1))
-	}
-	for name, c0 := range s0 {
-		c1, ok := s1[name]
-		if !ok {
-			t.Errorf("file %s missing on replica 1", name)
-			continue
-		}
-		if c0 != c1 {
-			t.Errorf("file %s differs between replicas", name)
-		}
-	}
-	for _, root := range []string{root0, root1} {
-		entries, err := os.ReadDir(filepath.Join(root, mailboat.SpoolDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 0 {
-			t.Fatalf("%d spool files survived recovery under %s", len(entries), root)
-		}
-	}
-}
 
 // TestMirroredAdapterBasics covers the non-drill surface: mirrored
 // boots deliver and pick up like the plain adapter, MirrorStatus

@@ -48,9 +48,6 @@ type ReplicaOptions struct {
 	RetryBackoff   time.Duration
 }
 
-// deliverAttempts bounds name-collision redraws, as in the library.
-const deliverAttempts = 128
-
 // startReplica builds the node, transport, and background loops. The
 // caller validated the options (replica mode runs on a single bare
 // backend) and built the store with repl.ReplDirs so the epoch
@@ -188,7 +185,7 @@ func (a *Adapter) ReplHealth() *repl.Health {
 // the pair.
 func (a *Adapter) deliverReplicated(sp *trace.Span, user uint64, msg []byte) error {
 	t := a.thread(sp)
-	for try := 0; try < deliverAttempts; try++ {
+	for try := 0; try < mailboat.NameAttempts; try++ {
 		name := mailboat.MsgName(a.RandUint64(a.cfg.RandBound))
 		switch a.node.DeliverNamed(t, user, name, msg) {
 		case repl.OpOK:

@@ -1,236 +1,12 @@
 package mailboatd
 
 import (
-	"bufio"
-	"context"
-	"fmt"
-	"net"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mailboat"
-	"repro/internal/obs"
-	"repro/internal/smtp"
 )
-
-// TestScrubSoakCorruptionMidTraffic is the integrity drill: a
-// checksummed mirrored server takes concurrent SMTP traffic with the
-// background scrubber running, a live replica's bytes are silently
-// flipped mid-stream (the silent-corruption fault — a decaying disk,
-// not a died one), and a heal-scrub runs while deliveries keep
-// committing. The stack is then killed mid-traffic and rebooted; boot
-// recovery resilvers and scrubs. The test asserts the §8 durability
-// contract extended with integrity: every ACKNOWLEDGED (250) message is
-// in a mailbox afterwards, nothing on disk is bytes nobody sent, the
-// corruption was detected (not served), and the replica roots are
-// byte-identical again — the envelope encoding is deterministic, so
-// healed replicas converge to the same raw bytes.
-func TestScrubSoakCorruptionMidTraffic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-
-	root0, root1 := t.TempDir(), t.TempDir()
-	const users = 3
-	const clients = 6
-	const msgsPerClient = 40
-
-	a, err := NewWithOptions(root0, Options{
-		Users:      users,
-		Seed:       1,
-		MirrorRoot: root1,
-		Checksum:   true,
-		ScrubEvery: 10 * time.Millisecond,
-		Metrics:    obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := smtp.NewServer(a, users)
-	srv.ReadTimeout = 5 * time.Second
-	srv.WriteTimeout = 5 * time.Second
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
-
-	// allowed is every body any client will ever send: after the soak,
-	// any message on disk outside this set is fabricated bytes.
-	allowed := map[string]bool{}
-	for c := 0; c < clients; c++ {
-		for m := 0; m < msgsPerClient; m++ {
-			allowed[fmt.Sprintf("scrub-client-%d-msg-%d", c, m)+"\n"] = true
-		}
-	}
-
-	var mu sync.Mutex
-	acked := map[string]bool{}
-	ackedAfterRot := 0
-	var rotted bool
-
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(15 * time.Second))
-			r := bufio.NewReader(conn)
-			step := func(send, want string) bool {
-				if send != "" {
-					if _, err := fmt.Fprintf(conn, "%s\r\n", send); err != nil {
-						return false
-					}
-				}
-				resp, err := r.ReadString('\n')
-				return err == nil && strings.HasPrefix(resp, want)
-			}
-			if !step("", "220") {
-				return
-			}
-			for m := 0; m < msgsPerClient; m++ {
-				body := fmt.Sprintf("scrub-client-%d-msg-%d", c, m)
-				user := (c + m) % users
-				if !step("MAIL FROM:<x@y>", "250") ||
-					!step(fmt.Sprintf("RCPT TO:<user%d@z>", user), "250") ||
-					!step("DATA", "354") {
-					return
-				}
-				if _, err := fmt.Fprintf(conn, "%s\r\n.\r\n", body); err != nil {
-					return
-				}
-				resp, err := r.ReadString('\n')
-				if err != nil {
-					return
-				}
-				if strings.HasPrefix(resp, "250") {
-					mu.Lock()
-					acked[body+"\n"] = true
-					if rotted {
-						ackedAfterRot++
-					}
-					mu.Unlock()
-				}
-			}
-		}(c)
-	}
-
-	// Mid-traffic, flip a byte of a published message on replica 0: the
-	// rot is durable and silent until something reads the file. Retry
-	// briefly — the first published message may not have landed yet.
-	var corrupted string
-	for i := 0; i < 200 && corrupted == ""; i++ {
-		time.Sleep(time.Millisecond)
-		corrupted = a.CorruptReplica(0)
-	}
-	if corrupted == "" {
-		t.Fatal("no published file to corrupt; the soak exercised nothing")
-	}
-	mu.Lock()
-	rotted = true
-	mu.Unlock()
-	t.Logf("scrub soak: corrupted %s on replica 0", corrupted)
-
-	// An explicit heal pass races the live traffic and the background
-	// scrubber; between them the rot must be found. Traffic keeps
-	// flowing while it runs.
-	if _, ok := a.Scrub(true); !ok {
-		t.Fatal("checksummed mirror refused to scrub")
-	}
-
-	// Let the healed mirror take more traffic, then kill the process.
-	time.Sleep(30 * time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	srv.Shutdown(ctx)
-	a.Close()
-	wg.Wait()
-
-	if a.IntegrityDetected() == 0 {
-		t.Error("corruption was never detected by any read or scrub")
-	}
-
-	// Reboot over the same roots: recovery resilvers, then heal-scrubs.
-	b, err := NewWithOptions(root0, Options{
-		Users:      users,
-		Seed:       2,
-		MirrorRoot: root1,
-		Checksum:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if st := b.MirrorStatus(); st.Degraded || st.Resilvering {
-		t.Fatalf("mirror unhealthy after reboot: %+v", st)
-	}
-	if rep, _, ok := b.LastScrub(); !ok || !rep.Clean() {
-		t.Fatalf("boot scrub not clean: ran=%v report %+v", ok, rep)
-	}
-
-	// Durability + integrity: every acknowledged message is in a
-	// mailbox, and nothing in any mailbox is bytes nobody sent.
-	present := map[string]bool{}
-	total := 0
-	for u := uint64(0); u < users; u++ {
-		msgs, err := b.Pickup(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range msgs {
-			present[m.Contents] = true
-			if !allowed[m.Contents] {
-				t.Errorf("mailbox serves bytes nobody sent: %q", m.Contents)
-			}
-		}
-		total += len(msgs)
-		b.Unlock(u)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	t.Logf("scrub soak: %d acked (%d after corruption), %d on disk after reboot",
-		len(acked), ackedAfterRot, total)
-	if len(acked) == 0 {
-		t.Fatal("no message was ever acknowledged; the soak exercised nothing")
-	}
-	if ackedAfterRot == 0 {
-		t.Fatal("no message acknowledged after the corruption; the drill raced nothing")
-	}
-	for body := range acked {
-		if !present[body] {
-			t.Errorf("acknowledged message lost: %q", strings.TrimSpace(body))
-		}
-	}
-
-	// Redundancy: the replica roots are byte-identical again — healed
-	// envelopes are rebuilt deterministically, so even the repaired file
-	// matches its peer byte for byte.
-	s0, s1 := replicaSnapshot(t, root0, users), replicaSnapshot(t, root1, users)
-	if len(s0) != len(s1) {
-		t.Fatalf("replica file counts differ after heal: %d vs %d", len(s0), len(s1))
-	}
-	for name, c0 := range s0 {
-		c1, ok := s1[name]
-		if !ok {
-			t.Errorf("file %s missing on replica 1", name)
-			continue
-		}
-		if c0 != c1 {
-			t.Errorf("file %s differs between replicas", name)
-		}
-	}
-}
 
 // TestChecksummedAdapterBasics covers the single-backend integrity
 // surface: a checksummed adapter round-trips mail through envelopes on

@@ -87,11 +87,6 @@ type held struct {
 type Net struct {
 	policy Policy
 
-	// PartitionBurst is how many calls (across both directions) one
-	// injected partition loses before the link heals; 0 means the
-	// default of 2. Set it before traffic starts.
-	PartitionBurst int
-
 	// Metrics, when non-nil, counts calls, outcomes and injected faults
 	// (net_*). Leave nil under the checker; every method is
 	// nil-receiver-safe.
@@ -157,13 +152,9 @@ func (n *Net) Log() []Event {
 // Partitioned reports whether a partition burst is still eating calls.
 func (n *Net) Partitioned() bool { return n.charge > 0 }
 
-// burst returns the configured partition burst length.
-func (n *Net) burst() int {
-	if n.PartitionBurst > 0 {
-		return n.PartitionBurst
-	}
-	return 2
-}
+// partitionBurst is how many calls (across both directions) one
+// injected partition loses before the link heals.
+const partitionBurst = 2
 
 // decide counts one decision point of class f and asks the policy; on
 // injection it records the replayable event. No extra machine step is
@@ -231,7 +222,7 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	}
 	detail := fmt.Sprintf("call to node %d (%d bytes)", dst, len(req))
 	if n.decide(mt, FaultPartition, detail) {
-		n.charge = n.burst() - 1 // this call is the burst's first casualty
+		n.charge = partitionBurst - 1 // this call is the burst's first casualty
 		n.Metrics.OutcomeObserved(Lost)
 		return nil, Lost
 	}

@@ -38,7 +38,7 @@ const (
 	// distributed client leg has to survive.
 	FaultDropReply
 	// FaultPartition cuts the link for a bounded burst: this call and
-	// the next PartitionBurst-1 calls in either direction are Lost, then
+	// the next partitionBurst-1 calls in either direction are Lost, then
 	// the link heals by itself (a cable pulled and re-seated; an
 	// unbounded cut would let retry loops diverge, so the enumerable
 	// form is the bounded one — deployments model long partitions

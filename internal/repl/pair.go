@@ -167,7 +167,7 @@ func (p *Pair) ensureLivePrimary(t gfs.T) (int, bool) {
 // Instead, the delivery counts as acknowledged exactly when the acking
 // backup is (or becomes) the primary.
 func (p *Pair) Deliver(t gfs.T, user uint64, msg []byte) (delivered, answered bool) {
-	for try := 0; try < nameAttemptsPair; try++ {
+	for try := 0; try < mailboat.NameAttempts; try++ {
 		cur, ok := p.ensureLivePrimary(t)
 		if !ok {
 			return false, true // nothing was attempted anywhere
@@ -195,9 +195,6 @@ func (p *Pair) Deliver(t gfs.T, user uint64, msg []byte) (delivered, answered bo
 	}
 	return false, true
 }
-
-// nameAttemptsPair bounds name-collision retries, as in Deliver.
-const nameAttemptsPair = 128
 
 // Pickup lists user's mailbox on the primary and leaves the session
 // lock held there for the Delete/Unlock that follows. ok is false when
