@@ -139,49 +139,40 @@ func BenchmarkTable4LoC(b *testing.B) {
 	b.Logf("\n%s", loc.FormatTable("Table 4", rows))
 }
 
-// BenchmarkFig11Throughput regenerates Figure 11: for each mail server
-// and core count, the closed-loop mixed workload's throughput on a
-// RAM-backed store. The req/s metric is the figure's y-axis.
+// BenchmarkFig11Throughput regenerates Figure 11 with the figure's one
+// driver, postal.Sweep (what `go run ./cmd/mailbench` prints): for each
+// core count and mail server, the closed-loop mixed workload's
+// throughput on a RAM-backed store. Each point's req/s — the figure's
+// y-axis — is reported as <server>/cores=<n>-req/s.
 func BenchmarkFig11Throughput(b *testing.B) {
-	cores := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n >= 8 {
-		cores = append(cores, 8)
-	}
-	if n := runtime.NumCPU(); n >= 12 {
-		cores = append(cores, 12)
-	}
-	for _, server := range []string{"mailboat", "gomail", "cmail"} {
-		for _, c := range cores {
-			if c > runtime.NumCPU() {
-				continue
-			}
-			name := fmt.Sprintf("%s/cores=%d", server, c)
-			b.Run(name, func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(c)
-				defer runtime.GOMAXPROCS(prev)
-				var last postal.Result
-				for i := 0; i < b.N; i++ {
-					// Fast mode: the paper's method ran Mailboat without
-					// durability barriers, and the longitudinal series
-					// must keep measuring the same thing.
-					back, cleanup, err := postal.NewFastBackend(server, postal.RAMDir(), 100, c, 7)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = postal.Run(back, postal.Options{
-						Workers:       c,
-						Users:         100,
-						TotalRequests: 6000,
-						Seed:          7,
-					})
-					cleanup()
-					if last.BadHashes > 0 || last.Errors > 0 {
-						b.Fatalf("workload errors: %s", last)
-					}
-				}
-				b.ReportMetric(last.Throughput, "req/s")
-			})
+	var cores []int
+	for _, c := range []int{1, 2, 4, 8, 12} {
+		if c <= runtime.NumCPU() {
+			cores = append(cores, c)
 		}
+	}
+	var points []postal.SweepPoint
+	for i := 0; i < b.N; i++ {
+		var err error
+		// Fast mode: the paper's method ran Mailboat without durability
+		// barriers, and the longitudinal series must keep measuring the
+		// same thing.
+		points, err = postal.Sweep(postal.SweepOptions{
+			Cores:            cores,
+			Users:            100,
+			RequestsPerPoint: 6000,
+			Seed:             7,
+			NoFsync:          true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range points {
+		if p.Result.Errors > 0 {
+			b.Fatalf("%s at %d cores: workload errors: %s", p.Server, p.Cores, p.Result)
+		}
+		b.ReportMetric(p.Result.Throughput, fmt.Sprintf("%s/cores=%d-req/s", p.Server, p.Cores))
 	}
 }
 

@@ -53,7 +53,8 @@ const (
 	drillDiskFull  = "diskfull"  // force the no-space latch: fill, shed, free, recover
 )
 
-// loadConfig is the flag surface of a load run.
+// loadConfig is the flag surface of a load run (defineFlags fills it,
+// replayCommand renders it back); workers is derived, not a flag.
 type loadConfig struct {
 	base     string
 	users    uint64
@@ -68,37 +69,36 @@ type loadConfig struct {
 	workers  int
 }
 
-// drillRecord is the machine-readable outcome of one executed drill
-// (schema-v3 "drills" array).
+// drillRecord is the outcome of one executed drill.
 type drillRecord struct {
-	Name   string  `json:"name"`
-	AtSec  float64 `json:"at_seconds"`       // scheduled offset into the run
-	DurSec float64 `json:"duration_seconds"` // how long the drill action took
-	Detail string  `json:"detail,omitempty"`
-	OK     bool    `json:"ok"`
+	Name   string
+	AtSec  float64 // scheduled offset into the run
+	DurSec float64 // how long the drill action took
+	Detail string
+	OK     bool
 }
 
-// loadAudit is the post-run durability audit (schema-v3 "audit").
+// loadAudit is the post-run durability audit.
 type loadAudit struct {
-	Acked       int `json:"acked"`
-	Deleted     int `json:"deleted"`
-	Present     int `json:"present"`
-	Lost        int `json:"lost"`
-	Resurrected int `json:"resurrected"`
-	BadHashes   int `json:"bad_hashes"`
+	Acked       int
+	Deleted     int
+	Present     int
+	Lost        int
+	Resurrected int
+	BadHashes   int
 	// LossChecked is false under -no-fsync: the zero-loss numbers are
 	// reported but the weaker prefix-durability contract (checked by
 	// mb/writeback+prefix-contract) is not enforced here.
-	LossChecked     bool     `json:"loss_checked"`
-	ZeroAckedLoss   bool     `json:"zero_acked_loss"`
-	ResyncSec       *float64 `json:"resync_seconds,omitempty"`
-	StoresIdentical *bool    `json:"stores_identical,omitempty"`
+	LossChecked     bool
+	ZeroAckedLoss   bool
+	ResyncSec       *float64
+	StoresIdentical *bool
 	// FinalScrub is the last heal-scrub's report on the mirror+checksum
 	// deployment; the sweep above then ran after a reboot.
-	FinalScrub string `json:"final_scrub,omitempty"`
+	FinalScrub string
 }
 
-// loadOutcome bundles everything a load run reports and records.
+// loadOutcome bundles everything a load run reports.
 type loadOutcome struct {
 	Deployment string
 	Res        postal.OpenLoopResult
@@ -231,8 +231,12 @@ func newLoadHarness(cfg loadConfig, deployment string) (*loadHarness, error) {
 		sessEpoch:  make([]uint64, cfg.workers),
 		spans:      make([]*trace.Span, cfg.workers),
 	}
+	base := cfg.base
+	if base == "" {
+		base = postal.RAMDir()
+	}
 	mk := func(label string) (string, error) {
-		root, err := os.MkdirTemp(cfg.base, "mailbench-load-"+label+"-*")
+		root, err := os.MkdirTemp(base, "mailbench-load-"+label+"-*")
 		if err != nil {
 			return "", err
 		}
@@ -492,7 +496,7 @@ func (h *loadHarness) execDrill(name string, at time.Duration, dwell time.Durati
 		time.Sleep(hold)
 
 		// Free: release the latch and measure time back to the first
-		// committed delivery — the recovery the bench gate watches.
+		// committed delivery.
 		h.mu.RLock()
 		h.primary.ReleaseNoSpace()
 		h.mu.RUnlock()
@@ -679,7 +683,8 @@ func (h *loadHarness) storesIdentical() (bool, error) {
 
 // runLoad is the whole drill run: boot the deployment, start the
 // seeded drill scheduler, drive the open-loop workload through it,
-// then audit.
+// then audit. cfg.duration is already resolved (main applies
+// autoDuration), so the outcome and the replay line name the same run.
 func runLoad(cfg loadConfig) (*loadOutcome, error) {
 	if !(postal.Workload{Users: cfg.users, Skew: cfg.skew, ZipfS: cfg.zipfS, Mix: cfg.mix}).Valid() {
 		return nil, fmt.Errorf("invalid workload: skew %q (want %s or %s), zipf-s %g (want > 1), mix %g (want 0..1)",
@@ -688,12 +693,6 @@ func runLoad(cfg loadConfig) (*loadOutcome, error) {
 	deployment, err := deploymentFor(cfg.drills)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.duration == 0 {
-		cfg.duration = autoDuration(cfg.users)
-	}
-	if cfg.base == "" {
-		cfg.base = postal.RAMDir()
 	}
 	if cfg.workers == 0 {
 		cfg.workers = runtime.NumCPU()
@@ -870,6 +869,10 @@ func printLoad(w io.Writer, cfg loadConfig, out *loadOutcome) {
 	}
 }
 
+func fmtSeconds(s float64) string {
+	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
+}
+
 // autoDuration picks the run length for -duration 0: crash recovery
 // and resync sweep the whole population, so the drill windows (half
 // the inter-drill gap) must be long enough to contain an O(users)
@@ -911,6 +914,9 @@ func replayCommand(cfg loadConfig) string {
 	}
 	if cfg.noFsync {
 		b.WriteString(" -no-fsync")
+	}
+	if cfg.base != "" {
+		fmt.Fprintf(&b, " -dir %s", cfg.base)
 	}
 	return b.String()
 }

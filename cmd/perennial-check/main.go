@@ -7,9 +7,8 @@
 //
 // Usage:
 //
-//	perennial-check [-pattern substr] [-heaviest] [-max N] [-workers N]
-//	                [-nodedup] [-selfcheck] [-v] [-min]
-//	                [-progress d] [-benchjson FILE]
+//	perennial-check [-pattern substr] [-max N] [-workers N]
+//	                [-nodedup] [-selfcheck] [-v] [-min] [-progress d]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // The systematic search runs on -workers workers (default GOMAXPROCS)
@@ -20,15 +19,15 @@
 // stderr at the given period (execs/s, frontier depth, dedup hit rate,
 // per-worker donations, budget ETA); it reads only lock-free counters,
 // so verdicts and counterexamples are identical with and without it.
-// -benchjson runs each selected scenario at 1 and -workers workers,
-// dedup off and on, and writes the measurements as JSON (the source of
-// BENCH_explore.json). -cpuprofile and -memprofile write pprof profiles
-// of the run (`-workers 1 -cpuprofile cpu.prof` is the profile
-// docs/CHECKING.md reads). See docs/CHECKING.md for the checker handbook.
+// -cpuprofile and -memprofile write pprof profiles of the run
+// (`-workers 1 -cpuprofile cpu.prof` is the profile docs/CHECKING.md
+// reads). It checks; it does not measure: the checker's throughput,
+// parallel speedup and per-entry times are `go run ./bench --workload
+// check-suite --traced` (`explore.*`). See docs/CHECKING.md for the
+// checker handbook.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,22 +40,25 @@ import (
 	"repro/internal/suite"
 )
 
+// The whole flag surface, pinned by TestFlagSurface: it checks, it does
+// not measure.
+var (
+	pattern    = flag.String("pattern", "", "only run scenarios whose pattern or name contains this substring")
+	maxExec    = flag.Int("max", 0, "override per-scenario execution budget")
+	workers    = flag.Int("workers", 0, "systematic-search workers (0 = GOMAXPROCS)")
+	noDedup    = flag.Bool("nodedup", false, "disable crash-boundary state dedup (escape hatch)")
+	selfCheck  = flag.Bool("selfcheck", false, "run each scenario with dedup off and on and fail if verdicts differ")
+	verbose    = flag.Bool("v", false, "print counterexamples for expected bugs too, and per-worker stats")
+	minimize   = flag.Bool("min", false, "minimize counterexample choice sequences before printing")
+	progress   = flag.Duration("progress", 0, "stream live search progress to stderr at this period (0 = off)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile = flag.String("memprofile", "", "write an allocation profile of the run to this file")
+)
+
 func main() {
-	pattern := flag.String("pattern", "", "only run scenarios whose pattern or name contains this substring")
-	heaviest := flag.Bool("heaviest", false, "only run the heaviest verified scenarios (the benchmark targets)")
-	maxExec := flag.Int("max", 0, "override per-scenario execution budget")
-	workers := flag.Int("workers", 0, "systematic-search workers (0 = GOMAXPROCS)")
-	noDedup := flag.Bool("nodedup", false, "disable crash-boundary state dedup (escape hatch)")
-	selfCheck := flag.Bool("selfcheck", false, "run each scenario with dedup off and on and fail if verdicts differ")
-	verbose := flag.Bool("v", false, "print counterexamples for expected bugs too, and per-worker stats")
-	minimize := flag.Bool("min", false, "minimize counterexample choice sequences before printing")
-	benchJSON := flag.String("benchjson", "", "write 1-vs-N-worker throughput measurements for the selected scenarios to this JSON file")
-	progress := flag.Duration("progress", 0, "stream live search progress to stderr at this period (0 = off)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
-	entries := selectEntries(*pattern, *heaviest)
+	entries := selectEntries(*pattern)
 	if len(entries) == 0 {
 		fmt.Fprintf(os.Stderr, "no scenarios match -pattern %q\n", *pattern)
 		os.Exit(1)
@@ -74,14 +76,6 @@ func main() {
 			code = 1
 		}
 		os.Exit(code)
-	}
-
-	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, entries, *maxExec, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		exit(0)
 	}
 
 	failed := 0
@@ -204,13 +198,9 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-func selectEntries(pattern string, heaviest bool) []suite.Entry {
-	pool := suite.All()
-	if heaviest {
-		pool = suite.Heaviest()
-	}
+func selectEntries(pattern string) []suite.Entry {
 	var out []suite.Entry
-	for _, e := range pool {
+	for _, e := range suite.All() {
 		if pattern != "" &&
 			!strings.Contains(e.Pattern, pattern) &&
 			!strings.Contains(e.Scenario.Name, pattern) {
@@ -219,108 +209,6 @@ func selectEntries(pattern string, heaviest bool) []suite.Entry {
 		out = append(out, e)
 	}
 	return out
-}
-
-// benchRun is one (workers, dedup) measurement of a scenario.
-type benchRun struct {
-	Workers     int     `json:"workers"`
-	Dedup       bool    `json:"dedup"`
-	Executions  int     `json:"executions"`
-	Pruned      int     `json:"pruned"`
-	Boundaries  int     `json:"distinct_boundaries"`
-	DurationSec float64 `json:"duration_s"`
-	ExecsPerSec float64 `json:"execs_per_sec"`
-	Complete    bool    `json:"complete"`
-	Verdict     string  `json:"verdict"`
-	// Reseats is explore.Stats.Reseats: present only when something is
-	// wrong (an execution was not a function of its choices).
-	Reseats int `json:"reseats,omitempty"`
-}
-
-type benchScenario struct {
-	Name   string     `json:"name"`
-	Budget int        `json:"budget"`
-	Runs   []benchRun `json:"runs"`
-}
-
-type benchFile struct {
-	CPUs       int             `json:"cpus"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	GoVersion  string          `json:"go_version"`
-	Date       string          `json:"date"`
-	Scenarios  []benchScenario `json:"scenarios"`
-}
-
-// writeBench measures each scenario at 1 and N workers, dedup off and
-// on, at equal budgets, and writes the JSON consumed by EXPERIMENTS.md.
-func writeBench(path string, entries []suite.Entry, maxExec, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := benchFile{
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Date:       time.Now().UTC().Format(time.RFC3339),
-	}
-	configs := []struct {
-		workers int
-		dedup   bool
-	}{
-		{1, false},
-		{workers, false},
-		{1, true},
-		{workers, true},
-	}
-	for _, e := range entries {
-		opts := e.Opts
-		if maxExec > 0 {
-			opts.MaxExecutions = maxExec
-		}
-		opts.StressExecutions = 0 // measure the systematic phase only
-		bs := benchScenario{Name: e.Scenario.Name, Budget: opts.MaxExecutions}
-		seen := map[[2]bool]bool{}
-		for _, c := range configs {
-			key := [2]bool{c.workers == 1, c.dedup}
-			if c.workers == 1 || workers == 1 {
-				if seen[key] {
-					continue // 1-worker and N-worker configs coincide
-				}
-				seen[key] = true
-			}
-			o := opts
-			o.Workers = c.workers
-			o.NoDedup = !c.dedup
-			rep := explore.Run(e.Scenario, o)
-			verdict := "OK"
-			if !rep.OK() {
-				verdict = "VIOLATION"
-			}
-			bs.Runs = append(bs.Runs, benchRun{
-				Workers:     c.workers,
-				Dedup:       c.dedup && rep.Stats.DedupActive,
-				Executions:  rep.Executions,
-				Pruned:      rep.Stats.PrunedStates,
-				Boundaries:  rep.Stats.DistinctBoundaries,
-				DurationSec: rep.Stats.Duration.Seconds(),
-				ExecsPerSec: rep.Stats.ExecsPerSec,
-				Complete:    rep.Complete,
-				Verdict:     verdict,
-				Reseats:     rep.Stats.Reseats,
-			})
-			if rep.Stats.Reseats > 0 {
-				verdict += fmt.Sprintf(" (%d choice points reseated)", rep.Stats.Reseats)
-			}
-			fmt.Printf("%-34s workers=%d dedup=%-5v %8d execs %8.0f execs/s %s\n",
-				e.Scenario.Name, c.workers, c.dedup, rep.Executions, rep.Stats.ExecsPerSec, verdict)
-		}
-		out.Scenarios = append(out.Scenarios, bs)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func indent(s, prefix string) string {

@@ -8,9 +8,9 @@ import (
 
 // SweepPoint is one (server, cores) measurement of the Figure 11 sweep.
 type SweepPoint struct {
-	Server string `json:"server"`
-	Cores  int    `json:"cores"`
-	Result Result `json:"result"`
+	Server string
+	Cores  int
+	Result Result
 }
 
 // SweepOptions configures a Figure 11 reproduction.

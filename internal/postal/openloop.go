@@ -9,10 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// SpanCarrier is implemented by backends whose per-worker thread
-// handles can carry a trace span (MailboatBackend); the open-loop
-// runner uses it to hang the library's stage spans off a per-request
-// root, so one benchmark request renders as a full nested timeline.
+// SpanCarrier is implemented by backends whose workers can carry a
+// trace span (mailbench's load harness, MailboatBackend); the
+// open-loop runner uses it to hang the store's stage spans off a
+// per-request root, so one request renders as a full nested timeline.
 type SpanCarrier interface {
 	SetWorkerSpan(worker int, sp *trace.Span)
 }
@@ -25,24 +25,24 @@ type SpanCarrier interface {
 // the store behaved. Windows must be sorted and non-overlapping; an
 // End of 0 means "to the end of the run".
 type PhaseWindow struct {
-	Name  string        `json:"name"`
-	Start time.Duration `json:"start_ns"`
-	End   time.Duration `json:"end_ns"`
+	Name  string
+	Start time.Duration
+	End   time.Duration
 	// Gated windows are held to the latency SLO gates
 	// (EvaluatePhaseGates); drill windows are measured but not gated —
 	// a crash-restart is *supposed* to stall its window, and the
 	// interesting number is by how much.
-	Gated bool `json:"gated"`
+	Gated bool
 }
 
 // PhaseLatency is one window's slice of an open-loop run.
 type PhaseLatency struct {
-	Name     string         `json:"name"`
-	Gated    bool           `json:"gated"`
-	Requests int            `json:"requests"`
-	Errors   int            `json:"errors"`
-	Deliver  LatencySummary `json:"deliver_latency"`
-	Pickup   LatencySummary `json:"pickup_latency"`
+	Name     string
+	Gated    bool
+	Requests int
+	Errors   int
+	Deliver  LatencySummary
+	Pickup   LatencySummary
 }
 
 // OpenLoopOptions shapes an open-loop (fixed offered rate) run.
@@ -111,18 +111,18 @@ func (o OpenLoopOptions) Workload() Workload {
 // histograms when tracing was on, Phases the per-window slices when
 // the run declared phase windows.
 type OpenLoopResult struct {
-	OfferedRate float64        `json:"offered_rate_per_second"`
-	Requests    int            `json:"requests"`
-	Delivers    int            `json:"delivers"`
-	Pickups     int            `json:"pickups"`
-	Errors      int            `json:"errors"`
-	Elapsed     time.Duration  `json:"elapsed_ns"`
-	Throughput  float64        `json:"requests_per_second"`
-	Deliver     LatencySummary `json:"deliver_latency"`
-	Pickup      LatencySummary `json:"pickup_latency"`
+	OfferedRate float64
+	Requests    int
+	Delivers    int
+	Pickups     int
+	Errors      int
+	Elapsed     time.Duration
+	Throughput  float64
+	Deliver     LatencySummary
+	Pickup      LatencySummary
 
-	Stages []trace.StageSummary `json:"stages,omitempty"`
-	Phases []PhaseLatency       `json:"phases,omitempty"`
+	Stages []trace.StageSummary
+	Phases []PhaseLatency
 }
 
 // windowIndex attributes a scheduled offset to a window: the last

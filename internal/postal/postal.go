@@ -63,19 +63,18 @@ func (o *Options) fill() {
 	}
 }
 
-// Result summarizes one run. The JSON field names are a stable
-// machine-readable interface (mailbench -json).
+// Result summarizes one run.
 type Result struct {
-	Requests   int            `json:"requests"`
-	Delivers   int            `json:"delivers"`
-	Pickups    int            `json:"pickups"`
-	Messages   int            `json:"messages_verified"` // messages verified during pickups
-	BadHashes  int            `json:"bad_hashes"`        // rabid-style verification failures
-	Errors     int            `json:"errors"`
-	Elapsed    time.Duration  `json:"elapsed_ns"`
-	Throughput float64        `json:"requests_per_second"`
-	Deliver    LatencySummary `json:"deliver_latency"`
-	Pickup     LatencySummary `json:"pickup_latency"`
+	Requests   int
+	Delivers   int
+	Pickups    int
+	Messages   int // messages verified during pickups
+	BadHashes  int // rabid-style verification failures
+	Errors     int
+	Elapsed    time.Duration
+	Throughput float64
+	Deliver    LatencySummary
+	Pickup     LatencySummary
 }
 
 func (r Result) String() string {
@@ -93,11 +92,11 @@ func fmtSec(s float64) string {
 // LatencySummary condenses an obs latency histogram: quantiles are
 // bucket-interpolated (histogram_quantile style), in seconds.
 type LatencySummary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean_seconds"`
-	P50   float64 `json:"p50_seconds"`
-	P90   float64 `json:"p90_seconds"`
-	P99   float64 `json:"p99_seconds"`
+	Count uint64
+	Mean  float64
+	P50   float64
+	P90   float64
+	P99   float64
 }
 
 func summarize(h *obs.Histogram) LatencySummary {

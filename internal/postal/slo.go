@@ -6,9 +6,9 @@ import "fmt"
 // not exceed MaxSeconds. Gates make a benchmark run answer pass/fail
 // instead of leaving a wall of numbers to squint at.
 type Gate struct {
-	Op         string  `json:"op"`       // "deliver" or "pickup"
-	Quantile   float64 `json:"quantile"` // e.g. 0.99
-	MaxSeconds float64 `json:"max_seconds"`
+	Op         string  // "deliver" or "pickup"
+	Quantile   float64 // e.g. 0.99
+	MaxSeconds float64
 }
 
 func (g Gate) String() string {
@@ -18,8 +18,8 @@ func (g Gate) String() string {
 // GateResult is one gate evaluated against a run.
 type GateResult struct {
 	Gate
-	ObservedSeconds float64 `json:"observed_seconds"`
-	Pass            bool    `json:"pass"`
+	ObservedSeconds float64
+	Pass            bool
 }
 
 func (r GateResult) String() string {
@@ -44,7 +44,7 @@ func DefaultGates() []Gate {
 // PhaseGateResult is one gate evaluated against one phase of a
 // windowed run.
 type PhaseGateResult struct {
-	Phase string `json:"phase"`
+	Phase string
 	GateResult
 }
 

@@ -595,22 +595,3 @@ var mailboatBugs = []mailboatEntry{
 func All() []Entry {
 	return append(Verified(), Bugs()...)
 }
-
-// Heaviest returns the verified scenarios that dominate suite wall
-// clock, in decreasing order of cost. These are the benchmark targets
-// for the parallel search and dedup measurements (BENCH_explore.json,
-// EXPERIMENTS.md) and the scenarios worth tuning -workers for.
-func Heaviest() []Entry {
-	names := map[string]int{
-		"mb/deliver+pickup+crash": 0,
-		"gc/write+flush+crash":    1,
-		"sc/writer+reader+crash":  2,
-	}
-	out := make([]Entry, len(names))
-	for _, e := range Verified() {
-		if i, ok := names[e.Scenario.Name]; ok {
-			out[i] = e
-		}
-	}
-	return out
-}

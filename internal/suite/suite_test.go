@@ -302,22 +302,6 @@ func TestScenarioPartsMatchDesignDoc(t *testing.T) {
 	}
 }
 
-// TestHeaviestAreVerifiedEntries pins Heaviest() to real suite entries.
-func TestHeaviestAreVerifiedEntries(t *testing.T) {
-	hs := Heaviest()
-	if len(hs) != 3 {
-		t.Fatalf("want 3 heaviest scenarios, got %d", len(hs))
-	}
-	for _, e := range hs {
-		if e.Scenario == nil {
-			t.Fatal("Heaviest() returned an entry missing from Verified()")
-		}
-		if e.Scenario.Fingerprint == nil {
-			t.Fatalf("%s: heaviest scenario has no Fingerprint hook (benchmarks need the dedup leg)", e.Scenario.Name)
-		}
-	}
-}
-
 func TestSuiteShape(t *testing.T) {
 	v, b := Verified(), Bugs()
 	if len(v) < 5 {

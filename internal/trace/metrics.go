@@ -11,7 +11,7 @@ import (
 // StageMetrics bridges span durations into obs: every completed span
 // feeds a trace_stage_seconds{op,stage} histogram, so the per-stage
 // latency distribution (spool write vs. link vs. the SyncDir barrier)
-// is scrapeable from /metrics and summarizable for BENCH_mailboat.json.
+// is scrapeable from /metrics and summarizable by a load generator.
 //
 // Cardinality stays bounded because both labels come from code — op
 // kinds are the four request verbs and stage names are span-name
