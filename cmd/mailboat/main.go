@@ -106,6 +106,7 @@ import (
 	"time"
 
 	"repro/internal/admin"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/mailboatd"
 	"repro/internal/obs"
@@ -122,15 +123,15 @@ const faultLogDumpCap = 20
 
 // dumpFaultLog prints a per-class summary of the drill's injected
 // faults, then the first faultLogDumpCap events verbatim.
-func dumpFaultLog(fl []gfs.FaultEvent) {
-	var perClass [gfs.NumFaultOps]int
+func dumpFaultLog(fl []fault.Event) {
+	var perClass [fault.NumClasses]int
 	for _, e := range fl {
-		perClass[e.Op]++
+		perClass[e.Class]++
 	}
 	log.Printf("mailboat: drill injected %d faults:", len(fl))
-	for op := gfs.FaultOp(0); op < gfs.NumFaultOps; op++ {
-		if n := perClass[op]; n > 0 {
-			log.Printf("mailboat:   %-10s %d", op.String(), n)
+	for c, n := range perClass {
+		if n > 0 {
+			log.Printf("mailboat:   %-10s %d", fault.Class(c), n)
 		}
 	}
 	for i, e := range fl {

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/mailboat"
 	"repro/internal/obs"
@@ -110,12 +111,12 @@ func BenchmarkEnvelopeWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultyNever is Faulty(NeverPolicy) over the no-op inner: what
+// BenchmarkFaultyNever is Faulty(fault.Never) over the no-op inner: what
 // the fault layer costs a call it does not fault. CI fails the build if
 // either rung reports an allocation.
 func BenchmarkFaultyNever(b *testing.B) {
 	inner := &oneFileFS{data: body(256)}
-	f := gfs.NewFaulty(inner, gfs.NeverPolicy{})
+	f := gfs.NewFaulty(inner, fault.Never{})
 	th, data := gfs.NewNative(1), body(256)
 	b.Run("Append", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
@@ -155,7 +156,7 @@ func vault(tb testing.TB, cfg mailboat.Config) gfs.System {
 	var reps [2]gfs.System
 	for i := range reps {
 		o := ramOS(tb, append([]string{gfs.MirrorMetaDir}, mailboat.Dirs(cfg)...))
-		reps[i] = gfs.NewChecksummed(gfs.NewFaulty(o, gfs.NeverPolicy{}), mailboat.Dirs(cfg))
+		reps[i] = gfs.NewChecksummed(gfs.NewFaulty(o, fault.Never{}), mailboat.Dirs(cfg))
 	}
 	mir := gfs.NewMirrored(reps[0], reps[1], mailboat.Dirs(cfg))
 	return gfs.NewObserved(mir, gfs.NewFSMetrics(obs.NewRegistry()))
@@ -190,7 +191,7 @@ func BenchmarkVaultPickup(b *testing.B) {
 // on the heap — on every operation of the data path.
 func TestFaultyNeverAddsNoAllocations(t *testing.T) {
 	inner := &oneFileFS{data: body(256)}
-	f := gfs.NewFaulty(inner, gfs.NeverPolicy{})
+	f := gfs.NewFaulty(inner, fault.Never{})
 	th, data := gfs.NewNative(1), body(256)
 	for _, op := range []struct {
 		name string
@@ -204,7 +205,7 @@ func TestFaultyNeverAddsNoAllocations(t *testing.T) {
 		bare := testing.AllocsPerRun(100, func() { op.call(inner) })
 		faulty := testing.AllocsPerRun(100, func() { op.call(f) })
 		if faulty != bare {
-			t.Errorf("%s: %v allocations through Faulty(NeverPolicy), %v without it", op.name, faulty, bare)
+			t.Errorf("%s: %v allocations through Faulty(fault.Never), %v without it", op.name, faulty, bare)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package gfs
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -76,7 +77,7 @@ func TestErrorPathsAllBackends(t *testing.T) {
 	wrap := func(w func(System) System, mk func(t *testing.T) System) func(t *testing.T) System {
 		return func(t *testing.T) System { return w(mk(t)) }
 	}
-	never := func(inner System) System { return NewFaulty(inner, NeverPolicy{}) }
+	never := func(inner System) System { return NewFaulty(inner, fault.Never{}) }
 	osBackend := func(t *testing.T) System { return newOSFS(t, errorPathDirs) }
 	mirrorBackend := func(t *testing.T) System {
 		metaDirs := append([]string{MirrorMetaDir}, errorPathDirs...)
@@ -146,7 +147,7 @@ func TestErrorPathsAllBackends(t *testing.T) {
 // the fault layer.
 func TestErrorPathsUnderAlwaysFaults(t *testing.T) {
 	o := newOSFS(t, errorPathDirs)
-	f := NewFaulty(o, AlwaysPolicy{})
+	f := NewFaulty(o, fault.Always{})
 	th := NewNative(1)
 
 	if _, ok := f.Create(th, "d", "x"); ok {

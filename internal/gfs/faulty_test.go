@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -41,7 +42,7 @@ var faultScriptDirs = []string{"spool", "box"}
 // backends must produce identical logs and counters; nearby seeds must
 // produce a different schedule (otherwise the seed would be dead).
 func TestSeededFaultsReproducible(t *testing.T) {
-	run := func(seed int64) ([]FaultEvent, [NumFaultOps]uint64, [NumFaultOps]uint64) {
+	run := func(seed int64) ([]fault.Event, [fault.NumClasses]uint64, [fault.NumClasses]uint64) {
 		o := newOSFS(t, faultScriptDirs)
 		f := NewFaulty(o, &SeededPolicy{Seed: seed, Rates: UniformRates(2)})
 		faultScript(f, NewNative(1))
@@ -104,7 +105,7 @@ func TestSeededFaultsSameLogOnBothBackends(t *testing.T) {
 func TestFaultsHaveNoEffect(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 10000})
 	fs := NewModel(mm, []string{"d", "e"})
-	f := NewFaulty(fs, AlwaysPolicy{})
+	f := NewFaulty(fs, fault.Always{})
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		// Faulted create: reports failure, creates nothing.
 		if _, ok := f.Create(mt, "d", "x"); ok {
@@ -165,7 +166,7 @@ func TestFaultsHaveNoEffect(t *testing.T) {
 	}
 
 	calls, faults := f.Counters()
-	for _, op := range []FaultOp{FaultCreate, FaultAppend, FaultSync, FaultLink, FaultDelete, FaultReadShort} {
+	for _, op := range []fault.Class{fault.Create, fault.Append, fault.Sync, fault.Link, fault.Delete, fault.ReadShort} {
 		if calls[op] == 0 || faults[op] != calls[op] {
 			t.Errorf("%v: calls=%d faults=%d, want all faulted", op, calls[op], faults[op])
 		}
@@ -174,19 +175,19 @@ func TestFaultsHaveNoEffect(t *testing.T) {
 		t.Error("empty fault log")
 	}
 	f.ResetLog()
-	if calls, faults := f.Counters(); calls != [NumFaultOps]uint64{} || faults != [NumFaultOps]uint64{} || len(f.Log()) != 0 {
+	if calls, faults := f.Counters(); calls != [fault.NumClasses]uint64{} || faults != [fault.NumClasses]uint64{} || len(f.Log()) != 0 {
 		t.Error("ResetLog did not clear state")
 	}
 }
 
 // TestNeverPolicyIsTransparent checks the differential property:
-// Faulty(NeverPolicy) is observably identical to the bare backend.
+// Faulty(fault.Never) is observably identical to the bare backend.
 func TestNeverPolicyIsTransparent(t *testing.T) {
 	bare := newOSFS(t, faultScriptDirs)
 	faultScript(bare, NewNative(1))
 
 	wrappedInner := newOSFS(t, faultScriptDirs)
-	wrapped := NewFaulty(wrappedInner, NeverPolicy{})
+	wrapped := NewFaulty(wrappedInner, fault.Never{})
 	faultScript(wrapped, NewNative(1))
 
 	th := NewNative(2)
@@ -212,14 +213,14 @@ func TestNeverPolicyIsTransparent(t *testing.T) {
 		}
 	}
 
-	if _, faults := wrapped.Counters(); faults != [NumFaultOps]uint64{} {
-		t.Fatalf("NeverPolicy injected faults: %v", faults)
+	if _, faults := wrapped.Counters(); faults != [fault.NumClasses]uint64{} {
+		t.Fatalf("fault.Never injected faults: %v", faults)
 	}
-	if calls, _ := wrapped.Counters(); calls[FaultCreate] == 0 {
+	if calls, _ := wrapped.Counters(); calls[fault.Create] == 0 {
 		t.Fatal("counters not recording calls")
 	}
 	if len(wrapped.Log()) != 0 {
-		t.Fatal("NeverPolicy produced a fault log")
+		t.Fatal("fault.Never produced a fault log")
 	}
 	if wrapped.Inner() != System(wrappedInner) {
 		t.Fatal("Inner() does not return the wrapped backend")
@@ -231,10 +232,10 @@ func TestNeverPolicyIsTransparent(t *testing.T) {
 // fault (there is no chooser to consult).
 func TestChooserPolicyInertOnNativeThreads(t *testing.T) {
 	o := newOSFS(t, faultScriptDirs)
-	f := NewFaulty(o, &ChooserPolicy{Budget: 100})
+	f := NewFaulty(o, &fault.Chooser{Budget: 100})
 	faultScript(f, NewNative(1))
-	if _, faults := f.Counters(); faults != [NumFaultOps]uint64{} {
-		t.Fatalf("ChooserPolicy faulted on a native thread: %v", faults)
+	if _, faults := f.Counters(); faults != [fault.NumClasses]uint64{} {
+		t.Fatalf("fault.Chooser faulted on a native thread: %v", faults)
 	}
 	if got := f.List(NewNative(2), "box"); len(got) != 6 {
 		t.Fatalf("expected 6 delivered files, got %v", got)
@@ -242,7 +243,7 @@ func TestChooserPolicyInertOnNativeThreads(t *testing.T) {
 }
 
 // TestFailStopLatchAndRevive pins the permanent-death semantics: once
-// the policy injects FaultFailStop, every operation class fails without
+// the policy injects fault.FailStop, every operation class fails without
 // reaching the inner backend (reads, listings and stats included), the
 // log records exactly one fail-stop event no matter how many dead
 // operations follow, and Revive restores the (possibly stale) inner
@@ -250,13 +251,11 @@ func TestChooserPolicyInertOnNativeThreads(t *testing.T) {
 func TestFailStopLatchAndRevive(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 10000})
 	fs := NewModel(mm, []string{"d"})
-	// Rate 1 kills at the first decision point; MaxPerClass bounds it to
+	// Rate 1 kills at the first decision point; MaxFaults bounds it to
 	// one death so post-Revive operations stay alive.
-	var rates [NumFaultOps]uint64
-	rates[FaultFailStop] = 1
-	var caps [NumFaultOps]uint64
-	caps[FaultFailStop] = 1
-	f := NewFaulty(fs, &SeededPolicy{Seed: 1, Rates: rates, MaxPerClass: caps})
+	var rates [fault.NumClasses]uint64
+	rates[fault.FailStop] = 1
+	f := NewFaulty(fs, &SeededPolicy{Seed: 1, Rates: rates, MaxFaults: 1})
 
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		// Pre-seed real state through the inner backend.
@@ -311,12 +310,12 @@ func TestFailStopLatchAndRevive(t *testing.T) {
 	}
 
 	_, faults := f.Counters()
-	if faults[FaultFailStop] != 1 {
-		t.Fatalf("fail-stop injected %d times, want exactly 1", faults[FaultFailStop])
+	if faults[fault.FailStop] != 1 {
+		t.Fatalf("fail-stop injected %d times, want exactly 1", faults[fault.FailStop])
 	}
 	var events int
 	for _, e := range f.Log() {
-		if e.Op == FaultFailStop {
+		if e.Class == fault.FailStop {
 			events++
 		}
 	}
@@ -330,10 +329,10 @@ func TestFailStopLatchAndRevive(t *testing.T) {
 // the same seed must reproduce the same point of death — and everything
 // before it — bit-for-bit across runs.
 func TestSeededFailStopReproducible(t *testing.T) {
-	run := func(seed int64) ([]FaultEvent, [NumFaultOps]uint64, [NumFaultOps]uint64) {
+	run := func(seed int64) ([]fault.Event, [fault.NumClasses]uint64, [fault.NumClasses]uint64) {
 		o := newOSFS(t, faultScriptDirs)
 		rates := UniformRates(3)
-		rates[FaultFailStop] = 20
+		rates[fault.FailStop] = 20
 		f := NewFaulty(o, &SeededPolicy{Seed: seed, Rates: rates})
 		faultScript(f, NewNative(1))
 		calls, faults := f.Counters()
@@ -347,7 +346,7 @@ func TestSeededFailStopReproducible(t *testing.T) {
 		if !reflect.DeepEqual(log1, log2) || calls1 != calls2 || faults1 != faults2 {
 			t.Fatalf("seed %d: schedules diverge:\n%v\nvs\n%v", seed, log1, log2)
 		}
-		killed = faults1[FaultFailStop] == 1
+		killed = faults1[fault.FailStop] == 1
 	}
 	if !killed {
 		t.Fatal("no seed in 1..32 injected a fail-stop at rate 1-in-20; rate table is dead")
@@ -358,7 +357,7 @@ func TestSeededFailStopReproducible(t *testing.T) {
 // immediately regardless of policy, logs one event, and is idempotent.
 func TestFailStopNowKillSwitch(t *testing.T) {
 	o := newOSFS(t, faultScriptDirs)
-	f := NewFaulty(o, NeverPolicy{})
+	f := NewFaulty(o, fault.Never{})
 	th := NewNative(1)
 
 	if fd, ok := f.Create(th, "spool", "a"); !ok {
@@ -375,8 +374,8 @@ func TestFailStopNowKillSwitch(t *testing.T) {
 		t.Fatal("open succeeded after the kill switch")
 	}
 	_, faults := f.Counters()
-	if faults[FaultFailStop] != 1 {
-		t.Fatalf("idempotent kill switch recorded %d faults, want 1", faults[FaultFailStop])
+	if faults[fault.FailStop] != 1 {
+		t.Fatalf("idempotent kill switch recorded %d faults, want 1", faults[fault.FailStop])
 	}
 	f.Revive()
 	if names := f.List(th, "spool"); len(names) != 1 {
@@ -387,8 +386,8 @@ func TestFailStopNowKillSwitch(t *testing.T) {
 // TestChooserPolicyFailStopOptIn: with a nil Eligible set the chooser
 // policy must never branch on (let alone inject) permanent death, even
 // when the chooser would take every fault branch offered; with
-// FaultFailStop explicitly eligible, the "failstop" tag branches and
-// the PerClass cap bounds it to one death.
+// fault.FailStop explicitly eligible, the "failstop" tag branches and
+// a budget of one bounds it to one death.
 func TestChooserPolicyFailStopOptIn(t *testing.T) {
 	greedy := machine.ChooserFunc(func(n int, tag string) int { return n - 1 })
 
@@ -396,20 +395,20 @@ func TestChooserPolicyFailStopOptIn(t *testing.T) {
 	// transiently everywhere (greedy chooser), so finish a full script.
 	mm := machine.New(machine.Options{MaxSteps: 100000})
 	fs := NewModel(mm, faultScriptDirs)
-	f := NewFaulty(fs, &ChooserPolicy{Budget: 1 << 30})
+	f := NewFaulty(fs, &fault.Chooser{Budget: 1 << 30})
 	res := mm.RunEra(greedy, false, func(mt *machine.T) { faultScript(f, mt) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
 	}
 	_, faults := f.Counters()
-	if faults[FaultFailStop] != 0 {
+	if faults[fault.FailStop] != 0 {
 		t.Fatal("nil Eligible enumerated permanent death")
 	}
-	if faults[FaultCreate] == 0 {
+	if faults[fault.Create] == 0 {
 		t.Fatal("greedy chooser injected no transient faults; test is vacuous")
 	}
 
-	// Explicit opt-in with PerClass cap: exactly one death, tagged
+	// Explicit opt-in with a budget of one: exactly one death, tagged
 	// "failstop" at the chooser.
 	var sawTag bool
 	tagSpy := machine.ChooserFunc(func(n int, tag string) int {
@@ -421,11 +420,7 @@ func TestChooserPolicyFailStopOptIn(t *testing.T) {
 	})
 	mm2 := machine.New(machine.Options{MaxSteps: 100000})
 	fs2 := NewModel(mm2, faultScriptDirs)
-	f2 := NewFaulty(fs2, &ChooserPolicy{
-		Budget:   1 << 30,
-		Eligible: map[FaultOp]bool{FaultFailStop: true},
-		PerClass: map[FaultOp]int{FaultFailStop: 1},
-	})
+	f2 := NewFaulty(fs2, &fault.Chooser{Budget: 1, Eligible: fault.Classes(fault.FailStop)})
 	res = mm2.RunEra(tagSpy, false, func(mt *machine.T) { faultScript(f2, mt) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
@@ -434,8 +429,8 @@ func TestChooserPolicyFailStopOptIn(t *testing.T) {
 		t.Fatal("no failstop-tagged choice reached the chooser")
 	}
 	_, faults2 := f2.Counters()
-	if faults2[FaultFailStop] != 1 {
-		t.Fatalf("PerClass cap 1 but %d deaths injected", faults2[FaultFailStop])
+	if faults2[fault.FailStop] != 1 {
+		t.Fatalf("budget 1 but %d deaths injected", faults2[fault.FailStop])
 	}
 	if !f2.FailStopped() {
 		t.Fatal("injection did not latch")
@@ -462,7 +457,7 @@ var detailOps = []struct {
 }
 
 // faultDetailsGolden is what every gate of every operation records when
-// it injects — "class/operation: the FaultEvent as the shutdown dump
+// it injects — "class/operation: the fault.Event as the shutdown dump
 // prints it | the machine trace line" — as rendered by the code that
 // built each detail string eagerly, on every call. Details are now
 // rendered only on injection; what is rendered must not have moved.
@@ -493,11 +488,11 @@ no-files/open: no-files#0 open box/r | t0: fs.fault no-files#0 open box/r
 // TestFaultDetailsGolden drives every operation through every gate that
 // can fire on it, once under a SeededPolicy that always fires and once
 // under a ChooserPolicy whose chooser always injects, and pins every
-// FaultEvent, its dump line and its trace line. (FaultCorrupt is left
+// fault.Event, its dump line and its trace line. (fault.Corrupt is left
 // out: its detail was always built on injection only, and its mode is
 // chosen differently by the two policies.)
 func TestFaultDetailsGolden(t *testing.T) {
-	run := func(class FaultOp, policy Policy, chooser machine.Chooser) string {
+	run := func(class fault.Class, policy fault.Policy, chooser machine.Chooser) string {
 		var out strings.Builder
 		for _, op := range detailOps {
 			mm := machine.New(machine.Options{MaxSteps: 10000, TraceDepth: machine.TraceAll})
@@ -532,15 +527,15 @@ func TestFaultDetailsGolden(t *testing.T) {
 	}
 
 	var seeded, chosen strings.Builder
-	for class := FaultOp(0); class < NumFaultOps; class++ {
-		if class == FaultCorrupt {
+	for class := fault.Class(0); class < fault.NumClasses; class++ {
+		if class == fault.Corrupt {
 			continue
 		}
-		var rates [NumFaultOps]uint64
+		var rates [fault.NumClasses]uint64
 		rates[class] = 1
 		seeded.WriteString(run(class, &SeededPolicy{Seed: 14, Rates: rates}, machine.SeqChooser{}))
 		always := machine.ChooserFunc(func(n int, tag string) int { return n - 1 })
-		chosen.WriteString(run(class, &ChooserPolicy{Budget: 1 << 30, Eligible: map[FaultOp]bool{class: true}}, always))
+		chosen.WriteString(run(class, &fault.Chooser{Budget: 1 << 30, Eligible: map[fault.Class]bool{class: true}}, always))
 	}
 	if seeded.String() != faultDetailsGolden {
 		t.Errorf("SeededPolicy details moved:\n got:\n%s\nwant:\n%s", seeded.String(), faultDetailsGolden)

@@ -9,7 +9,7 @@ import (
 // This file provides the canonical durable-state encodings the model
 // checker's crash-boundary dedup table hashes (see DESIGN.md §5).
 // Model implements machine.Fingerprinter directly (it is a registered
-// device); Faulty, ChooserPolicy and Mirrored are middleware held by
+// device); Faulty, fault.Chooser and Mirrored are middleware held by
 // the scenario's world, not devices, so they expose Append* helpers the
 // scenario's explore.Scenario.Fingerprint hook composes.
 
@@ -101,31 +101,17 @@ func (fs *Model) appendInode(b []byte, canon map[inodeID]uint64, ino inodeID) []
 }
 
 // AppendCheckerState appends the Faulty state that a *checker-driven*
-// (ChooserPolicy) fault stack's future behavior depends on: the
+// (fault.Chooser) fault stack's future behavior depends on: the
 // durable latches (permanent fail-stop, disk-full). The per-class
-// invocation counters are deliberately excluded — ChooserPolicy
-// ignores call indices (it decides through the Chooser under a
-// budget), so two executions whose counters differ but whose latches
-// agree behave identically from here. Seeded policies DO depend on
-// indices; scenarios using SeededPolicy under the checker must not
-// enable dedup (leave Fingerprint nil).
+// decision counters are deliberately excluded — a Chooser ignores
+// indices (it decides through the machine's chooser under a budget), so
+// two executions whose counters differ but whose latches agree behave
+// identically from here. Seeded policies DO depend on indices;
+// scenarios using SeededPolicy under the checker must not enable dedup
+// (leave Fingerprint nil).
 func (f *Faulty) AppendCheckerState(b []byte) []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	b = machine.AppendBool(b, f.failStopped)
-	return machine.AppendBool(b, f.noSpace)
-}
-
-// AppendState appends the policy's spent budgets — the only mutable
-// state a ChooserPolicy carries across a crash (it lives in the
-// scenario world, not on the machine). Configuration fields are
-// per-scenario constants and excluded.
-func (p *ChooserPolicy) AppendState(b []byte) []byte {
-	b = machine.AppendUint64(b, uint64(p.used))
-	for _, c := range p.perClass {
-		b = machine.AppendUint64(b, uint64(c))
-	}
-	return b
+	b = machine.AppendBool(b, f.failStopped.Load())
+	return machine.AppendBool(b, f.noSpace.Load())
 }
 
 // AppendMirrorState appends the mirror's crash-surviving control state:

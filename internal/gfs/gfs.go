@@ -107,7 +107,7 @@ type System interface {
 	// un-synced suffix of them is lost at a crash. On the OS backend it
 	// fsyncs the directory, which is what ext4-style file systems
 	// require before a rename/link/unlink may be assumed durable. A
-	// false return (a failed fsync, or an injected FaultSync under
+	// false return (a failed fsync, or an injected fault.Sync under
 	// Faulty) means the directory's pending operations must NOT be
 	// treated as durable: a failed SyncDir is never a barrier. Unlike a
 	// failed file Sync (whose dirty data pages may be silently dropped —

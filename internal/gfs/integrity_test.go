@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -198,14 +199,14 @@ func TestChecksummedUnsealedIsNotRot(t *testing.T) {
 }
 
 // TestSeededCorruptReproducible extends seeded-replay parity to the
-// silent-corruption class: with FaultCorrupt in the rate table the same
+// silent-corruption class: with fault.Corrupt in the rate table the same
 // seed must reproduce the same corruption schedule — which files rot,
 // in which mode, at which call — bit-for-bit across runs.
 func TestSeededCorruptReproducible(t *testing.T) {
-	run := func(seed int64) ([]FaultEvent, [NumFaultOps]uint64, [NumFaultOps]uint64) {
+	run := func(seed int64) ([]fault.Event, [fault.NumClasses]uint64, [fault.NumClasses]uint64) {
 		o := newOSFS(t, faultScriptDirs)
-		var rates [NumFaultOps]uint64
-		rates[FaultCorrupt] = 3
+		var rates [fault.NumClasses]uint64
+		rates[fault.Corrupt] = 3
 		f := NewFaulty(o, &SeededPolicy{Seed: seed, Rates: rates})
 		faultScript(f, NewNative(1))
 		calls, faults := f.Counters()
@@ -219,7 +220,7 @@ func TestSeededCorruptReproducible(t *testing.T) {
 		if !reflect.DeepEqual(log1, log2) || calls1 != calls2 || faults1 != faults2 {
 			t.Fatalf("seed %d: corruption schedules diverge:\n%v\nvs\n%v", seed, log1, log2)
 		}
-		rotted = faults1[FaultCorrupt] > 0
+		rotted = faults1[fault.Corrupt] > 0
 	}
 	if !rotted {
 		t.Fatal("no seed in 1..32 injected corruption at rate 1-in-3; class is dead")
@@ -233,7 +234,7 @@ func TestSeededCorruptReproducible(t *testing.T) {
 func TestCorruptionIsSilent(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 10000})
 	fs := NewModel(mm, []string{"d"})
-	pol := AlwaysPolicy{Ops: map[FaultOp]bool{FaultCorrupt: true}}
+	pol := fault.Always{Ops: map[fault.Class]bool{fault.Corrupt: true}}
 	f := NewFaulty(fs, pol)
 	flipMode := machine.ChooserFunc(func(n int, tag string) int { return 0 })
 	res := mm.RunEra(flipMode, false, func(mt *machine.T) {
@@ -258,12 +259,12 @@ func TestCorruptionIsSilent(t *testing.T) {
 		t.Fatalf("res=%+v", res)
 	}
 	_, faults := f.Counters()
-	if faults[FaultCorrupt] == 0 {
+	if faults[fault.Corrupt] == 0 {
 		t.Fatal("no corruption recorded")
 	}
 	var logged bool
 	for _, e := range f.Log() {
-		if e.Op == FaultCorrupt && strings.Contains(e.Detail, "bit-flip") {
+		if e.Class == fault.Corrupt && strings.Contains(e.Detail, "bit-flip") {
 			logged = true
 		}
 	}
@@ -274,21 +275,21 @@ func TestCorruptionIsSilent(t *testing.T) {
 
 // TestChooserPolicyCorruptOptIn mirrors the fail-stop opt-in test for
 // the silent class: nil Eligible must never branch on corruption even
-// under a chooser that takes every branch offered; with FaultCorrupt
+// under a chooser that takes every branch offered; with fault.Corrupt
 // explicitly eligible the "corrupt" tag branches, the "corrupt-mode"
-// tag picks the mangling, and the PerClass cap bounds the rot.
+// tag picks the mangling, and a budget of one bounds the rot.
 func TestChooserPolicyCorruptOptIn(t *testing.T) {
 	greedy := machine.ChooserFunc(func(n int, tag string) int { return n - 1 })
 
 	mm := machine.New(machine.Options{MaxSteps: 100000})
 	fs := NewModel(mm, faultScriptDirs)
-	f := NewFaulty(fs, &ChooserPolicy{Budget: 1 << 30})
+	f := NewFaulty(fs, &fault.Chooser{Budget: 1 << 30})
 	res := mm.RunEra(greedy, false, func(mt *machine.T) { faultScript(f, mt) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
 	}
 	_, faults := f.Counters()
-	if faults[FaultCorrupt] != 0 {
+	if faults[fault.Corrupt] != 0 {
 		t.Fatal("nil Eligible enumerated silent corruption")
 	}
 
@@ -309,11 +310,7 @@ func TestChooserPolicyCorruptOptIn(t *testing.T) {
 	})
 	mm2 := machine.New(machine.Options{MaxSteps: 100000})
 	fs2 := NewModel(mm2, faultScriptDirs)
-	f2 := NewFaulty(fs2, &ChooserPolicy{
-		Budget:   1 << 30,
-		Eligible: map[FaultOp]bool{FaultCorrupt: true},
-		PerClass: map[FaultOp]int{FaultCorrupt: 1},
-	})
+	f2 := NewFaulty(fs2, &fault.Chooser{Budget: 1, Eligible: fault.Classes(fault.Corrupt)})
 	res = mm2.RunEra(tagSpy, false, func(mt *machine.T) { faultScript(f2, mt) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
@@ -322,12 +319,12 @@ func TestChooserPolicyCorruptOptIn(t *testing.T) {
 		t.Fatalf("chooser tags missed: corrupt=%v mode=%v", sawCorrupt, sawMode)
 	}
 	_, faults2 := f2.Counters()
-	if faults2[FaultCorrupt] != 1 {
-		t.Fatalf("PerClass cap 1 but %d corruptions injected", faults2[FaultCorrupt])
+	if faults2[fault.Corrupt] != 1 {
+		t.Fatalf("budget 1 but %d corruptions injected", faults2[fault.Corrupt])
 	}
 	var truncated bool
 	for _, e := range f2.Log() {
-		if e.Op == FaultCorrupt && strings.Contains(e.Detail, "truncate") {
+		if e.Class == fault.Corrupt && strings.Contains(e.Detail, "truncate") {
 			truncated = true
 		}
 	}

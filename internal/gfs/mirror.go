@@ -81,7 +81,7 @@ type Resilverer interface {
 }
 
 // NoSpacer is implemented by layers that can latch disk-full
-// (gfs.Faulty's FaultNoSpace). Unlike a fail-stop the latch clears once
+// (gfs.Faulty's fault.NoSpace). Unlike a fail-stop the latch clears once
 // space is freed, but while it holds every write fails the same way.
 type NoSpacer interface {
 	NoSpace() bool

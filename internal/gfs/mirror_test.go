@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -18,8 +19,8 @@ func mirrorBackendDirs() []string { return append([]string{MirrorMetaDir}, mirro
 // layers (the kill switches).
 func newOSMirror(t *testing.T) (*Mirrored, [2]*Faulty) {
 	t.Helper()
-	f0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
-	f1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
+	f0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
+	f1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
 	return NewMirrored(f0, f1, mirrorDirs), [2]*Faulty{f0, f1}
 }
 
@@ -282,8 +283,8 @@ func TestMirroredModelFDHygiene(t *testing.T) {
 	r0 := NewModel(mm, mirrorBackendDirs())
 	r1 := NewModel(mm, mirrorBackendDirs())
 	m := NewMirrored(
-		NewFaulty(r0, NeverPolicy{}),
-		NewFaulty(r1, NeverPolicy{}),
+		NewFaulty(r0, fault.Never{}),
+		NewFaulty(r1, fault.Never{}),
 		mirrorDirs,
 	)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
@@ -328,7 +329,7 @@ func TestMirroredBlankReplacementNeverSource(t *testing.T) {
 
 	// Power off; replica 0's disk dies cold; a blank replacement is
 	// installed; reboot = a fresh mirror over (blank, survivor).
-	blank0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
+	blank0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
 	m2 := NewMirrored(blank0, m.Replica(1), mirrorDirs)
 	_, n, ok := m2.Resilver(th)
 	if !ok || n == 0 {
@@ -355,7 +356,7 @@ func TestMirroredBlankReplacementNeverSource(t *testing.T) {
 	// Symmetric case — blank replacement at position 1 — is covered by
 	// the bare tie rule (replica 0 is the survivor); confirm no
 	// regression from the exception.
-	blank1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), NeverPolicy{})
+	blank1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
 	m3 := NewMirrored(m2.Replica(0), blank1, mirrorDirs)
 	if _, n, ok := m3.Resilver(th); !ok || n == 0 {
 		t.Fatalf("resilver onto blank replica 1: bytes=%d ok=%v", n, ok)
@@ -378,7 +379,7 @@ func TestMirroredUnwrapHelpers(t *testing.T) {
 	if AsFailStopper(NewObserved(f[0], nil)) != FailStopper(f[0]) {
 		t.Fatal("AsFailStopper did not unwrap Observed(Faulty)")
 	}
-	single := NewObserved(NewFaulty(newOSFS(t, errorPathDirs), NeverPolicy{}), nil)
+	single := NewObserved(NewFaulty(newOSFS(t, errorPathDirs), fault.Never{}), nil)
 	if AsResilverer(single) != nil {
 		t.Fatal("single-backend stack reports a resilverer")
 	}

@@ -53,7 +53,7 @@ type Model struct {
 	// space they would consume exceeds it. Space is charged per
 	// directory entry (SpaceEntryCost) plus the contents of every
 	// reachable inode, so Delete credits space back the moment the last
-	// entry goes — the accounting side of the FaultNoSpace latch.
+	// entry goes — the accounting side of the fault.NoSpace latch.
 	capacity uint64
 }
 

@@ -3,6 +3,7 @@ package gfs
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -27,7 +28,7 @@ func TestNilMetricsFullStack(t *testing.T) {
 		mods[i].SetMetrics(nil) // crash-time SyncDropped on a nil receiver
 		chks[i] = NewChecksummed(mods[i], dirs)
 		chks[i].Metrics = nil
-		flts[i] = NewFaulty(chks[i], NeverPolicy{})
+		flts[i] = NewFaulty(chks[i], fault.Never{})
 		flts[i].Metrics = nil
 	}
 	mir := NewMirrored(flts[0], flts[1], dirs)
@@ -94,7 +95,7 @@ func TestNilMetricsFaultAndCrash(t *testing.T) {
 	mm := machine.New(machine.Options{})
 	fs := NewWritebackModel(mm, []string{"d"})
 	fs.SetMetrics(nil)
-	flt := NewFaulty(fs, AlwaysPolicy{Ops: map[FaultOp]bool{FaultSync: true}})
+	flt := NewFaulty(fs, fault.Always{Ops: map[fault.Class]bool{fault.Sync: true}})
 	flt.Metrics = nil
 	top := NewObserved(flt, nil)
 
@@ -106,10 +107,10 @@ func TestNilMetricsFaultAndCrash(t *testing.T) {
 		if !top.Append(mt, fd, []byte("unsynced tail")) {
 			mt.Failf("append failed")
 		}
-		// FaultSync always fires, so this exercises both
-		// SyncIssued("file", false) and FaultInjected(FaultSync).
+		// fault.Sync always fires, so this exercises both
+		// SyncIssued("file", false) and FaultInjected(fault.Sync).
 		if top.Sync(mt, fd) {
-			mt.Failf("sync unexpectedly succeeded under AlwaysPolicy")
+			mt.Failf("sync unexpectedly succeeded under fault.Always")
 		}
 	})
 	if res.Outcome != machine.Done {

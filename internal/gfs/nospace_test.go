@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -14,7 +15,7 @@ import (
 // successful Delete — freeing space — clears the latch.
 func TestNoSpaceNowAndFreeSpace(t *testing.T) {
 	o := newOSFS(t, faultScriptDirs)
-	f := NewFaulty(o, NeverPolicy{})
+	f := NewFaulty(o, fault.Never{})
 	th := NewNative(1)
 
 	fd, ok := f.Create(th, "spool", "a")
@@ -55,12 +56,12 @@ func TestNoSpaceNowAndFreeSpace(t *testing.T) {
 
 	// Idempotent switch: one log event no matter how many failed writes.
 	_, faults := f.Counters()
-	if faults[FaultNoSpace] != 1 {
-		t.Fatalf("idempotent fill switch recorded %d faults, want 1", faults[FaultNoSpace])
+	if faults[fault.NoSpace] != 1 {
+		t.Fatalf("idempotent fill switch recorded %d faults, want 1", faults[fault.NoSpace])
 	}
 	var events int
 	for _, e := range f.Log() {
-		if e.Op == FaultNoSpace {
+		if e.Class == fault.NoSpace {
 			events++
 		}
 	}
@@ -91,22 +92,22 @@ func TestNoSpaceNowAndFreeSpace(t *testing.T) {
 
 // TestChooserPolicyNoSpaceOptIn: with a nil Eligible set the chooser
 // policy must never branch on disk-full (or fd exhaustion), even when
-// the chooser takes every branch offered; with FaultNoSpace explicitly
+// the chooser takes every branch offered; with fault.NoSpace explicitly
 // eligible, the "nospace" tag branches and injection latches the layer.
 func TestChooserPolicyNoSpaceOptIn(t *testing.T) {
 	greedy := machine.ChooserFunc(func(n int, tag string) int { return n - 1 })
 
 	mm := machine.New(machine.Options{MaxSteps: 100000})
 	fs := NewModel(mm, faultScriptDirs)
-	f := NewFaulty(fs, &ChooserPolicy{Budget: 1 << 30})
+	f := NewFaulty(fs, &fault.Chooser{Budget: 1 << 30})
 	res := mm.RunEra(greedy, false, func(mt *machine.T) { faultScript(f, mt) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
 	}
 	_, faults := f.Counters()
-	if faults[FaultNoSpace] != 0 || faults[FaultNoFiles] != 0 {
+	if faults[fault.NoSpace] != 0 || faults[fault.NoFiles] != 0 {
 		t.Fatalf("nil Eligible enumerated opt-in classes: nospace=%d nofiles=%d",
-			faults[FaultNoSpace], faults[FaultNoFiles])
+			faults[fault.NoSpace], faults[fault.NoFiles])
 	}
 
 	var sawTag bool
@@ -119,9 +120,9 @@ func TestChooserPolicyNoSpaceOptIn(t *testing.T) {
 	})
 	mm2 := machine.New(machine.Options{MaxSteps: 100000})
 	fs2 := NewModel(mm2, faultScriptDirs)
-	f2 := NewFaulty(fs2, &ChooserPolicy{
+	f2 := NewFaulty(fs2, &fault.Chooser{
 		Budget:   1 << 30,
-		Eligible: map[FaultOp]bool{FaultNoSpace: true},
+		Eligible: map[fault.Class]bool{fault.NoSpace: true},
 	})
 	res = mm2.RunEra(tagSpy, false, func(mt *machine.T) {
 		if _, ok := f2.Create(mt, "spool", "a"); ok {
@@ -144,7 +145,7 @@ func TestChooserPolicyNoSpaceOptIn(t *testing.T) {
 // operations it fails must neither allocate new decision points nor
 // consult the policy — so a latch that survives a crash cannot be
 // double-counted against the chooser budget on replay, and the
-// ChooserPolicy fingerprint (AppendState) stays stable across any
+// fault.Chooser fingerprint (AppendState) stays stable across any
 // number of latched operations and eras.
 func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	var nospaceAsks int
@@ -157,7 +158,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	})
 	mm := machine.New(machine.Options{MaxSteps: 100000})
 	fs := NewModel(mm, faultScriptDirs)
-	pol := &ChooserPolicy{Budget: 1, Eligible: map[FaultOp]bool{FaultNoSpace: true}}
+	pol := &fault.Chooser{Budget: 1, Eligible: map[fault.Class]bool{fault.NoSpace: true}}
 	f := NewFaulty(fs, pol)
 
 	latchedWrites := func(mt *machine.T) {
@@ -187,8 +188,8 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 		t.Fatalf("policy consulted %d times, want exactly 1 (latched writes must not re-ask)", nospaceAsks)
 	}
 	calls, faults := f.Counters()
-	if calls[FaultNoSpace] != 1 || faults[FaultNoSpace] != 1 {
-		t.Fatalf("decision points=%d faults=%d, want 1/1", calls[FaultNoSpace], faults[FaultNoSpace])
+	if calls[fault.NoSpace] != 1 || faults[fault.NoSpace] != 1 {
+		t.Fatalf("decision points=%d faults=%d, want 1/1", calls[fault.NoSpace], faults[fault.NoSpace])
 	}
 	fp := pol.AppendState(nil)
 
@@ -205,8 +206,8 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 		t.Fatalf("post-crash writes re-consulted the policy (%d asks total)", nospaceAsks)
 	}
 	calls, faults = f.Counters()
-	if calls[FaultNoSpace] != 1 || faults[FaultNoSpace] != 1 {
-		t.Fatalf("post-crash: decision points=%d faults=%d, want 1/1", calls[FaultNoSpace], faults[FaultNoSpace])
+	if calls[fault.NoSpace] != 1 || faults[fault.NoSpace] != 1 {
+		t.Fatalf("post-crash: decision points=%d faults=%d, want 1/1", calls[fault.NoSpace], faults[fault.NoSpace])
 	}
 	if got := pol.AppendState(nil); !reflect.DeepEqual(got, fp) {
 		t.Fatalf("policy fingerprint drifted across latched eras: %v vs %v", got, fp)
@@ -214,15 +215,15 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 
 	// Same audit for the other durable latch: fail-stopped operations
 	// allocate no fail-stop decision points either.
-	f2 := NewFaulty(newOSFS(t, faultScriptDirs), NeverPolicy{})
+	f2 := NewFaulty(newOSFS(t, faultScriptDirs), fault.Never{})
 	f2.FailStopNow("audit")
 	th := NewNative(1)
 	f2.Create(th, "spool", "x")
 	f2.List(th, "spool")
 	f2.Delete(th, "spool", "x")
 	calls2, _ := f2.Counters()
-	if calls2[FaultFailStop] != 0 {
-		t.Fatalf("dead operations allocated %d fail-stop decision points, want 0", calls2[FaultFailStop])
+	if calls2[fault.FailStop] != 0 {
+		t.Fatalf("dead operations allocated %d fail-stop decision points, want 0", calls2[fault.FailStop])
 	}
 }
 
@@ -232,7 +233,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 func TestNoFilesTransient(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 10000})
 	fs := NewModel(mm, []string{"d"})
-	f := NewFaulty(fs, AlwaysPolicy{Ops: map[FaultOp]bool{FaultNoFiles: true}})
+	f := NewFaulty(fs, fault.Always{Ops: map[fault.Class]bool{fault.NoFiles: true}})
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		if _, ok := f.Create(mt, "d", "x"); ok {
 			mt.Failf("create succeeded with the fd table full")
@@ -264,20 +265,20 @@ func TestNoFilesTransient(t *testing.T) {
 		t.Fatalf("res=%+v", res)
 	}
 	calls, faults := f.Counters()
-	if calls[FaultNoFiles] == 0 || faults[FaultNoFiles] != calls[FaultNoFiles] {
-		t.Fatalf("no-files: calls=%d faults=%d, want all faulted", calls[FaultNoFiles], faults[FaultNoFiles])
+	if calls[fault.NoFiles] == 0 || faults[fault.NoFiles] != calls[fault.NoFiles] {
+		t.Fatalf("no-files: calls=%d faults=%d, want all faulted", calls[fault.NoFiles], faults[fault.NoFiles])
 	}
 }
 
 // TestSeededNoSpaceReproducible extends seeded-replay parity to the
-// disk-full class: with FaultNoSpace in the rate table the same seed
+// disk-full class: with fault.NoSpace in the rate table the same seed
 // reproduces the same fill point — and the same post-fill schedule,
 // including the delete that clears the latch — bit-for-bit.
 func TestSeededNoSpaceReproducible(t *testing.T) {
-	run := func(seed int64) ([]FaultEvent, [NumFaultOps]uint64, [NumFaultOps]uint64) {
+	run := func(seed int64) ([]fault.Event, [fault.NumClasses]uint64, [fault.NumClasses]uint64) {
 		o := newOSFS(t, faultScriptDirs)
 		rates := UniformRates(3)
-		rates[FaultNoSpace] = 10
+		rates[fault.NoSpace] = 10
 		f := NewFaulty(o, &SeededPolicy{Seed: seed, Rates: rates})
 		faultScript(f, NewNative(1))
 		calls, faults := f.Counters()
@@ -291,7 +292,7 @@ func TestSeededNoSpaceReproducible(t *testing.T) {
 		if !reflect.DeepEqual(log1, log2) || calls1 != calls2 || faults1 != faults2 {
 			t.Fatalf("seed %d: schedules diverge:\n%v\nvs\n%v", seed, log1, log2)
 		}
-		filled = faults1[FaultNoSpace] > 0
+		filled = faults1[fault.NoSpace] > 0
 	}
 	if !filled {
 		t.Fatal("no seed in 1..32 filled the disk at rate 1-in-10; rate table is dead")

@@ -3,6 +3,7 @@ package gfs
 import (
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -21,11 +22,11 @@ var fsOps = []string{
 type FSMetrics struct {
 	calls   map[string]*obs.Counter
 	latency map[string]*obs.Histogram
-	faults  [NumFaultOps]*obs.Counter
+	faults  [fault.NumClasses]*obs.Counter
 
 	// gfs_sync_* family: durability-barrier accounting. Issued/failed
 	// counters are fed by Observed (so drills count what the library
-	// actually asked for, including barriers that an injected FaultSync
+	// actually asked for, including barriers that an injected fault.Sync
 	// refused); the dropped counters are fed by Model.Crash via
 	// SetMetrics, measuring what a crash actually cost in un-synced
 	// state during modeled drills.
@@ -48,9 +49,11 @@ func NewFSMetrics(r *obs.Registry) *FSMetrics {
 		m.latency[op] = r.Histogram("gfs_op_seconds",
 			"File-system operation latency by class.", obs.DefLatencyBuckets, "op", op)
 	}
-	for op := FaultOp(0); op < NumFaultOps; op++ {
-		m.faults[op] = r.Counter("gfs_faults_injected_total",
-			"Transient faults injected by gfs.Faulty, by class.", "class", op.String())
+	for c := range fault.NumClasses {
+		if c.Axis() == fault.Storage {
+			m.faults[c] = r.Counter("gfs_faults_injected_total",
+				"Transient faults injected by gfs.Faulty, by class.", "class", c.String())
+		}
 	}
 	m.syncIssued = map[string]*obs.Counter{}
 	m.syncFailed = map[string]*obs.Counter{}
@@ -90,11 +93,11 @@ func (m *FSMetrics) SyncDropped(bytes, entries uint64) {
 }
 
 // FaultInjected counts one injected fault (called by Faulty).
-func (m *FSMetrics) FaultInjected(op FaultOp) {
+func (m *FSMetrics) FaultInjected(c fault.Class) {
 	if m == nil {
 		return
 	}
-	m.faults[op].Inc()
+	m.faults[c].Inc()
 }
 
 // observe records one completed call. All methods tolerate a nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -79,7 +80,7 @@ func TestFaultyFeedsFaultCounters(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	m := NewFSMetrics(reg)
-	f := NewFaulty(osfs, AlwaysPolicy{Ops: map[FaultOp]bool{FaultCreate: true}})
+	f := NewFaulty(osfs, fault.Always{Ops: map[fault.Class]bool{fault.Create: true}})
 	f.Metrics = m
 	sys := NewObserved(f, m)
 	th := NewNative(1)
@@ -89,7 +90,7 @@ func TestFaultyFeedsFaultCounters(t *testing.T) {
 			t.Fatal("create should have faulted")
 		}
 	}
-	if got := m.faults[FaultCreate].Value(); got != 3 {
+	if got := m.faults[fault.Create].Value(); got != 3 {
 		t.Errorf("fault counter = %d, want 3", got)
 	}
 	// Observed (stacked above Faulty) still counts the faulted calls.

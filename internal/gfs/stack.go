@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -27,9 +28,9 @@ type StackSpec struct {
 	Checksum bool
 	// Policy, when non-nil, puts a Faulty over each backend, all
 	// sharing this one instance — a chooser budget therefore spans both
-	// replicas. NeverPolicy{} leaves only the latches (FailStopNow, the
+	// replicas. fault.Never{} leaves only the latches (FailStopNow, the
 	// operator kill switch).
-	Policy Policy
+	Policy fault.Policy
 	// Metrics, when non-nil, wraps the stack in Observed (outermost, so
 	// the histograms time what the library experiences, injected faults
 	// and failovers included) and registers the gfs_* families the
@@ -37,14 +38,15 @@ type StackSpec struct {
 	Metrics *obs.Registry
 }
 
-// mirrorMasks reports whether a mirror masks everything p can inject.
-func mirrorMasks(p Policy) bool {
-	c, chooser := p.(*ChooserPolicy)
+// mirrorMasks reports whether a mirror masks every storage fault p can
+// inject; network classes never reach a Faulty.
+func mirrorMasks(p fault.Policy) bool {
+	c, chooser := p.(*fault.Chooser)
 	if !chooser {
-		return p == nil || p == Policy(NeverPolicy{})
+		return p == nil || p == fault.Policy(fault.Never{})
 	}
 	for op, on := range c.Eligible {
-		if on && op != FaultFailStop && op != FaultCorrupt {
+		if on && op.Axis() == fault.Storage && op != fault.FailStop && op != fault.Corrupt {
 			return false
 		}
 	}
@@ -95,7 +97,7 @@ type Stack struct {
 	faulty [2]*Faulty
 	chk    [2]*Checksummed
 	mirror *Mirrored
-	policy Policy
+	policy fault.Policy
 }
 
 // NewStack composes spec over one backend, or over two as a mirror
@@ -167,7 +169,7 @@ func (s *Stack) Detected() uint64 { return s.chk[0].Detected() + s.chk[1].Detect
 // and the envelope layers' detection counters (scenario assertions read
 // Detected). The backends fingerprint themselves as machine devices.
 func (s *Stack) AppendCheckerState(b []byte) []byte {
-	if p, ok := s.policy.(*ChooserPolicy); ok {
+	if p, ok := s.policy.(*fault.Chooser); ok {
 		b = p.AppendState(b)
 	}
 	for _, f := range s.faulty {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -29,14 +30,20 @@ type stackAxes struct {
 	policy                              string
 }
 
-var stackPolicies = map[string]func() Policy{
-	"none":      func() Policy { return nil },
-	"never":     func() Policy { return NeverPolicy{} },
-	"failstop":  func() Policy { return &ChooserPolicy{Budget: 1, Eligible: map[FaultOp]bool{FaultFailStop: true}} },
-	"corrupt":   func() Policy { return &ChooserPolicy{Budget: 1, Eligible: map[FaultOp]bool{FaultCorrupt: true}} },
-	"nospace":   func() Policy { return &ChooserPolicy{Budget: 1, Eligible: map[FaultOp]bool{FaultNoSpace: true}} },
-	"transient": func() Policy { return &ChooserPolicy{Budget: 1} },
-	"seeded":    func() Policy { return &SeededPolicy{Seed: 1, Rates: UniformRates(4)} },
+var stackPolicies = map[string]func() fault.Policy{
+	"none":  func() fault.Policy { return nil },
+	"never": func() fault.Policy { return fault.Never{} },
+	"failstop": func() fault.Policy {
+		return &fault.Chooser{Budget: 1, Eligible: map[fault.Class]bool{fault.FailStop: true}}
+	},
+	"corrupt": func() fault.Policy {
+		return &fault.Chooser{Budget: 1, Eligible: map[fault.Class]bool{fault.Corrupt: true}}
+	},
+	"nospace": func() fault.Policy {
+		return &fault.Chooser{Budget: 1, Eligible: map[fault.Class]bool{fault.NoSpace: true}}
+	},
+	"transient": func() fault.Policy { return &fault.Chooser{Budget: 1} },
+	"seeded":    func() fault.Policy { return &SeededPolicy{Seed: 1, Rates: UniformRates(4)} },
 }
 
 // refusedPair is the table as the test knows it, stated over pairs of

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -295,8 +296,8 @@ func TestWritebackCrashMetrics(t *testing.T) {
 func TestWritebackFailedSyncDirIsNotABarrier(t *testing.T) {
 	mm := machine.New(machine.Options{})
 	fs := NewWritebackModel(mm, []string{"d"})
-	failSync := policyFunc(func(op FaultOp, index uint64) bool {
-		return op == FaultSync
+	failSync := policyFunc(func(op fault.Class, index uint64) bool {
+		return op == fault.Sync
 	})
 	sys := NewFaulty(fs, failSync)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
@@ -322,6 +323,6 @@ func TestWritebackFailedSyncDirIsNotABarrier(t *testing.T) {
 }
 
 // policyFunc adapts a function to the Policy interface for tests.
-type policyFunc func(op FaultOp, index uint64) bool
+type policyFunc func(op fault.Class, index uint64) bool
 
-func (f policyFunc) Decide(_ T, op FaultOp, index uint64) bool { return f(op, index) }
+func (f policyFunc) Decide(_ fault.T, op fault.Class, index uint64) bool { return f(op, index) }

@@ -7,7 +7,7 @@ import (
 )
 
 // These tests check the mail server against the silent-corruption fault
-// class (gfs.FaultCorrupt): the explorer may durably mutate one file's
+// class (fault.Corrupt): the explorer may durably mutate one file's
 // bytes — a bit flip or a truncation, enumerated as separate branches —
 // at any file open. On a single backend the property is detection
 // (corruption may lose data, never silently); on the mirrored store the

@@ -1,9 +1,12 @@
 package mailboat
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -23,8 +26,8 @@ func TestVerifiedDeliverUnderInjectedFaults(t *testing.T) {
 		Config:      Config{Users: 1, RandBound: 2},
 		Delivers:    []OpDeliver{{User: 0, Msg: "m"}},
 		PostPickups: true,
-		Faults: Faults{Budget: 2, Ops: gfs.Classes(
-			gfs.FaultCreate, gfs.FaultAppend, gfs.FaultLink, gfs.FaultDelete,
+		Faults: Faults{Budget: 2, Ops: fault.Classes(
+			fault.Create, fault.Append, fault.Link, fault.Delete,
 		)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
@@ -46,8 +49,8 @@ func TestVerifiedFaultsAndCrashCombined(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
 		MaxCrashes:  1,
 		PostPickups: true,
-		Faults: Faults{Budget: 1, Ops: gfs.Classes(
-			gfs.FaultCreate, gfs.FaultAppend, gfs.FaultLink, gfs.FaultDelete,
+		Faults: Faults{Budget: 1, Ops: fault.Classes(
+			fault.Create, fault.Append, fault.Link, fault.Delete,
 		)},
 	})
 	budget := 60000
@@ -73,7 +76,7 @@ func TestVerifiedShortReadsDoNotCorruptPickup(t *testing.T) {
 		Delivers:    []OpDeliver{{User: 0, Msg: "a message long enough to split"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
-		Faults:      Faults{Budget: 2, Ops: gfs.Classes(gfs.FaultReadShort)},
+		Faults:      Faults{Budget: 2, Ops: fault.Classes(fault.ReadShort)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 200000})
 	t.Logf("report: %s", rep.String())
@@ -93,7 +96,7 @@ func TestVerifiedSyncFaultOnBufferedFS(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Crash:       Buffered,
-		Faults:      Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultSync)},
+		Faults:      Faults{Budget: 1, Ops: fault.Classes(fault.Sync)},
 	})
 	budget := 400000
 	if testing.Short() {
@@ -114,7 +117,7 @@ func TestDeliverRetriesExhaustedReportsFailure(t *testing.T) {
 	m := machine.New(machine.Options{})
 	c := Config{Users: 1, RandBound: 4, DeliverRetries: 2}
 	fs := gfs.NewModel(m, Dirs(c))
-	faulty := gfs.NewFaulty(fs, gfs.AlwaysPolicy{Ops: map[gfs.FaultOp]bool{gfs.FaultAppend: true}})
+	faulty := gfs.NewFaulty(fs, fault.Always{Ops: map[fault.Class]bool{fault.Append: true}})
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		mb := Init(mt, nil, faulty, c)
 		if mb.Deliver(mt, nil, 0, []byte("mail")) {
@@ -134,8 +137,8 @@ func TestDeliverRetriesExhaustedReportsFailure(t *testing.T) {
 		t.Fatalf("failed delivery leaked %d fds", n)
 	}
 	_, faults := faulty.Counters()
-	if faults[gfs.FaultAppend] != 2 {
-		t.Fatalf("expected 2 injected append faults (one per attempt), got %d", faults[gfs.FaultAppend])
+	if faults[fault.Append] != 2 {
+		t.Fatalf("expected 2 injected append faults (one per attempt), got %d", faults[fault.Append])
 	}
 }
 
@@ -146,7 +149,7 @@ func TestDeliverRecoversFromSingleFault(t *testing.T) {
 	c := Config{Users: 1, RandBound: 8}
 	fs := gfs.NewModel(m, Dirs(c))
 	pol := &gfs.SeededPolicy{Seed: 1, MaxFaults: 1}
-	pol.Rates[gfs.FaultAppend] = 1 // every append faults, but MaxFaults caps at one
+	pol.Rates[fault.Append] = 1 // every append faults, but MaxFaults caps at one
 	faulty := gfs.NewFaulty(fs, pol)
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		mb := Init(mt, nil, faulty, c)
@@ -196,7 +199,7 @@ func TestStoreLatchesSeenThroughWrappers(t *testing.T) {
 	}
 	defer fs.CloseAll()
 	hook := &dieOnSyncDir{System: fs}
-	f := gfs.NewFaulty(hook, gfs.NeverPolicy{})
+	f := gfs.NewFaulty(hook, fault.Never{})
 	hook.f = f
 	th := gfs.NewNative(1)
 	mb := Init(th, nil, gfs.NewObserved(gfs.NewChecksummed(f, Dirs(cfg)), nil), cfg)
@@ -223,5 +226,30 @@ func TestStoreLatchesSeenThroughWrappers(t *testing.T) {
 	}
 	if !mb.storeDead() {
 		t.Fatal("fail-stop latch invisible through Observed(Checksummed(Faulty))")
+	}
+}
+
+// TestBackoffCapped holds the one retry-pacing rule (Deliver's and the
+// replication client leg's) over attempts 1–100 for bases from a
+// nanosecond to past the cap: never negative, never above BackoffCap,
+// never shrinking. An uncapped `base << (attempt-1)` slept 31 days at
+// attempt 29 of the daemon's default 10 ms and went negative past a
+// shift of 40.
+func TestBackoffCapped(t *testing.T) {
+	for _, base := range []time.Duration{-time.Second, 0, 1, 10 * time.Millisecond, 400 * time.Millisecond, BackoffCap, 3 * BackoffCap, math.MaxInt64} {
+		prev := time.Duration(0)
+		for attempt := 1; attempt <= 100; attempt++ {
+			d := Backoff(base, attempt)
+			if d < 0 || d > BackoffCap || d < prev {
+				t.Fatalf("base %v, attempt %d: %v after %v (cap %v)", base, attempt, d, prev, BackoffCap)
+			}
+			if attempt == 1 && base > 0 && d != min(base, BackoffCap) {
+				t.Fatalf("base %v: first pause %v, want the base", base, d)
+			}
+			prev = d
+		}
+		if base > 0 && prev != BackoffCap {
+			t.Fatalf("base %v: pause settles at %v, want the cap", base, prev)
+		}
 	}
 }

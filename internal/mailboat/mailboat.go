@@ -80,9 +80,9 @@ type Config struct {
 	// up and reports a transient failure — never a silent drop.
 	DeliverRetries int
 	// DeliverBackoff is the base delay between Deliver's retry
-	// attempts, doubled per attempt. It only applies on real (native)
-	// threads; modeled threads never sleep — the model checker owns
-	// time there. 0 disables backoff.
+	// attempts, doubled per attempt up to BackoffCap. It only applies on
+	// real (native) threads; modeled threads never sleep — the model
+	// checker owns time there. 0 disables backoff.
 	DeliverBackoff time.Duration
 	// QuotaBytes, when nonzero, bounds each user's mailbox to that many
 	// message bytes. A delivery that would exceed the quota is refused
@@ -109,7 +109,7 @@ type Config struct {
 const NameAttempts = 128
 
 // openAttempts bounds Pickup's per-message open retries. Opens can fail
-// transiently (descriptor exhaustion — gfs.Faulty's FaultNoFiles — or a
+// transiently (descriptor exhaustion — gfs.Faulty's fault.NoFiles — or a
 // passing EMFILE on the real OS) and a listed name cannot vanish under
 // the pickup lock, so a couple of retries turn a spurious skip into the
 // read the listing promised; a persistent failure still skips rather
@@ -237,17 +237,32 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 	return false
 }
 
-// backoff sleeps between delivery attempts (exponential, base
+// BackoffCap caps every retry pause: Deliver's, and the replication
+// client leg's (repl).
+const BackoffCap = time.Second
+
+// Backoff is the one retry-pacing rule: the pause before retry number
+// attempt (1-based) is base doubled per attempt, capped at BackoffCap,
+// and 0 when base is not positive. Doubling stops at the cap, so no
+// attempt count overflows it.
+func Backoff(base time.Duration, attempt int) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < attempt && d < BackoffCap; i++ {
+		d <<= 1
+	}
+	return min(d, BackoffCap)
+}
+
+// backoff sleeps between delivery attempts (Backoff from
 // Config.DeliverBackoff). Modeled threads never sleep: under the
 // checker, time belongs to the scheduler.
 func (mb *Mailboat) backoff(t gfs.T, attempt int) {
-	if mb.cfg.DeliverBackoff <= 0 {
-		return
+	if _, modeled := t.(*machine.T); !modeled {
+		time.Sleep(Backoff(mb.cfg.DeliverBackoff, attempt))
 	}
-	if _, modeled := t.(*machine.T); modeled {
-		return
-	}
-	time.Sleep(mb.cfg.DeliverBackoff << (attempt - 1))
 }
 
 // Delivery is four stages that hand each other value tokens (DESIGN.md
@@ -439,7 +454,7 @@ func (mb *Mailboat) storeDead() bool {
 }
 
 // storeNoSpace reports whether the store has latched disk-full
-// (gfs.Faulty's FaultNoSpace). Unlike a fail-stop the latch is
+// (gfs.Faulty's fault.NoSpace). Unlike a fail-stop the latch is
 // recoverable — freeing space (deleting files) clears it — but while it
 // holds, every write fails the same way, so retry loops should abort
 // rather than spin. Stacks without the latch never report full.

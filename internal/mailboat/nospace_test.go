@@ -8,7 +8,7 @@ import (
 )
 
 // These tests exercise resource exhaustion as a fault axis: gfs.Faulty's
-// FaultNoSpace latches the store ENOSPC at a chooser-picked write, after
+// fault.NoSpace latches the store ENOSPC at a chooser-picked write, after
 // which every write fails until a delete frees space. The disciplined
 // implementation aborts cleanly (never ack-then-lose), recovery's
 // orphan-spool sweep doubles as the garbage collector that returns

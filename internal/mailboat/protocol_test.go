@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 )
@@ -25,8 +26,8 @@ import (
 // TestMutationsTrackProductionUnderFaults composes one fault axis with
 // every row the checker must ACCEPT. A mutation that is a hand copy of
 // Deliver drifts: at 184cb23 the benign spool-leak fork ignored
-// Append's result (acking an empty message: convicted under FaultAppend
-// in 6 executions) and spun its name loop on a full disk (FaultNoSpace,
+// Append's result (acking an empty message: convicted under fault.Append
+// in 6 executions) and spun its name loop on a full disk (fault.NoSpace,
 // 3 executions), while the real Deliver was clean under both. Built
 // from the production stages, a row inherits their exits.
 func TestMutationsTrackProductionUnderFaults(t *testing.T) {
@@ -39,7 +40,7 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 		{"pickup-leaky", VariantPickupLeaky},
 	}
 	for _, row := range rows {
-		for _, op := range []gfs.FaultOp{gfs.FaultAppend, gfs.FaultNoSpace, gfs.FaultCreate, gfs.FaultLink} {
+		for _, op := range []fault.Class{fault.Append, fault.NoSpace, fault.Create, fault.Link} {
 			name := fmt.Sprintf("%s+%v", row.name, op)
 			t.Run(name, func(t *testing.T) {
 				s := Scenario("mb-"+name, row.v, ScenarioOptions{
@@ -47,7 +48,7 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 					Delivers:    []OpDeliver{{User: 0, Msg: "mail"}},
 					MaxCrashes:  1,
 					PostPickups: true,
-					Faults:      Faults{Budget: 1, Ops: gfs.Classes(op)},
+					Faults:      Faults{Budget: 1, Ops: fault.Classes(op)},
 				})
 				rep := explore.Run(s, explore.Options{MaxExecutions: 20000, Workers: 1})
 				t.Logf("report: %s", rep.String())
@@ -90,7 +91,7 @@ func TestRecoveryMutationsTrackProduction(t *testing.T) {
 			for i := range backends {
 				backends[i] = gfs.NewModel(m, gfs.BackendDirs(dirs, 2))
 			}
-			stack := gfs.NewStack(backends[:], dirs, gfs.StackSpec{Policy: gfs.NeverPolicy{}})
+			stack := gfs.NewStack(backends[:], dirs, gfs.StackSpec{Policy: fault.Never{}})
 			var mb *Mailboat
 			res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 				mb = Init(mt, nil, stack.Top, cfg)

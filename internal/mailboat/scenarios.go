@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 	"repro/internal/spec"
@@ -150,27 +151,28 @@ var newModel = [...]func(*machine.Machine, []string) *gfs.Model{
 	Strict: gfs.NewModel, Buffered: gfs.NewBufferedModel, Writeback: gfs.NewWritebackModel,
 }
 
-// Faults is an execution's fault budget: the stack's fault layers share
-// one chooser-driven policy that may inject Budget faults of the
-// classes in Ops (gfs.Classes; nil = every transient class) at any
-// eligible operation, on whichever replica the chooser picks. The zero
-// value injects nothing and builds no fault layer. A mirror scenario
-// states one fail-stop — the replica death the mirror exists to mask —
-// and an integrity scenario one corruption (a bit flip or a truncation,
-// enumerated as separate branches, at any open).
+// Faults is an execution's fault budget: every fault layer of the
+// execution — the stack's, and in a replicated scenario both nodes' and
+// the network's — shares one fault.Chooser that may inject Budget faults
+// of the classes in Ops (fault.Classes; nil = every transient storage
+// class) at any eligible decision point, wherever the chooser picks. The
+// zero value injects nothing and builds no fault layer. A mirror
+// scenario states one fail-stop — the replica death the mirror exists to
+// mask — and an integrity scenario one corruption (a bit flip or a
+// truncation, enumerated as separate branches, at any open).
 type Faults struct {
 	Budget int
-	Ops    map[gfs.FaultOp]bool
+	Ops    map[fault.Class]bool
 }
 
-// policy builds the budget's policy; nil when it injects nothing. A
-// ChooserPolicy is per-execution state, so Setup calls this afresh; the
-// class set is configuration, and shared.
-func (f Faults) policy() gfs.Policy {
+// Policy builds the budget's policy; nil when it injects nothing. A
+// Chooser is per-execution state, so Setup calls this afresh; the class
+// set is configuration, and shared.
+func (f Faults) Policy() fault.Policy {
 	if f.Budget <= 0 {
 		return nil
 	}
-	return &gfs.ChooserPolicy{Budget: f.Budget, Eligible: f.Ops}
+	return &fault.Chooser{Budget: f.Budget, Eligible: f.Ops}
 }
 
 // Property is the claim a scenario checks: how its deliveries are
@@ -204,7 +206,7 @@ var (
 	// Exhaustion is the disk-full contract: ENOSPC may refuse work, but
 	// never takes back an ack, and writability tracks the latch
 	// (postNoSpace). The latch lives in the fault layer, so the scenario
-	// needs a fault budget (with gfs.FaultNoSpace to ever latch).
+	// needs a fault budget (with fault.NoSpace to ever latch).
 	Exhaustion = &Property{Name: "exhaustion", acked: true, post: postNoSpace}
 	// Prefix is the honest contract of barrier-free delivery (mailboatd
 	// -no-fsync) on the writeback model, where it cannot refine the spec
@@ -283,14 +285,14 @@ func (o *ScenarioOptions) check() error {
 	case o.Property == Prefix && o.Crash != Writeback:
 		return errors.New("Prefix needs the Writeback crash model: on any other every delivery is durable when acked, and the prefix property degenerates to refinement")
 	case o.Property == Exhaustion && o.Faults.Budget <= 0:
-		return errors.New("Exhaustion needs a fault budget (with gfs.FaultNoSpace): the disk-full latch lives in the fault layer")
+		return errors.New("Exhaustion needs a fault budget (with fault.NoSpace): the disk-full latch lives in the fault layer")
 	}
 	return o.stackSpec().Validate(o.replicas(), o.Crash != Strict)
 }
 
 // stackSpec is the stack part as gfs spells it, with a fresh policy.
 func (o *ScenarioOptions) stackSpec() gfs.StackSpec {
-	return gfs.StackSpec{Checksum: o.Checksum, Policy: o.Faults.policy()}
+	return gfs.StackSpec{Checksum: o.Checksum, Policy: o.Faults.Policy()}
 }
 
 // Client is a mail store as the workload sees it: the library on one

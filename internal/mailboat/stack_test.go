@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 )
 
 // The fault budgets the mirror and integrity tests spend.
 var (
-	oneFailStop   = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultFailStop)}
-	oneCorruption = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultCorrupt)}
-	oneDiskFull   = Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultNoSpace)}
+	oneFailStop   = Faults{Budget: 1, Ops: fault.Classes(fault.FailStop)}
+	oneCorruption = Faults{Budget: 1, Ops: fault.Classes(fault.Corrupt)}
+	oneDiskFull   = Faults{Budget: 1, Ops: fault.Classes(fault.NoSpace)}
 )
 
 // TestScenarioRefusesIgnoredOptions: a scenario whose parts do not
@@ -31,7 +32,7 @@ func TestScenarioRefusesIgnoredOptions(t *testing.T) {
 		o    ScenarioOptions
 		want string
 	}{
-		{"Mirror+FaultBudget", ScenarioOptions{Mirror: true, Faults: oneDiskFull}, validate(gfs.StackSpec{Policy: oneDiskFull.policy()}, 2, false)},
+		{"Mirror+FaultBudget", ScenarioOptions{Mirror: true, Faults: oneDiskFull}, validate(gfs.StackSpec{Policy: oneDiskFull.Policy()}, 2, false)},
 		{"Mirror+BufferedFS", ScenarioOptions{Mirror: true, Crash: Buffered}, validate(gfs.StackSpec{}, 2, true)},
 		{"Mirror+Writeback", ScenarioOptions{Mirror: true, Crash: Writeback, Faults: oneFailStop}, validate(gfs.StackSpec{}, 2, true)},
 		{"Corrupt+BufferedFS", ScenarioOptions{Checksum: true, Crash: Buffered, Faults: oneCorruption}, validate(gfs.StackSpec{Checksum: true}, 1, true)},
@@ -67,7 +68,7 @@ func TestWritebackNoSpaceExhaustive(t *testing.T) {
 	}{
 		{"writeback+nospace/1-crash", ScenarioOptions{Crash: Writeback, MaxCrashes: 1, Faults: oneDiskFull}},
 		{"writeback+nospace/2-crashes", ScenarioOptions{Crash: Writeback, MaxCrashes: 2, Faults: oneDiskFull}},
-		{"writeback+nospace+sync", ScenarioOptions{Crash: Writeback, MaxCrashes: 1, Faults: Faults{Budget: 2, Ops: gfs.Classes(gfs.FaultNoSpace, gfs.FaultSync)}}},
+		{"writeback+nospace+sync", ScenarioOptions{Crash: Writeback, MaxCrashes: 1, Faults: Faults{Budget: 2, Ops: fault.Classes(fault.NoSpace, fault.Sync)}}},
 		{"buffered+nospace", ScenarioOptions{Crash: Buffered, MaxCrashes: 2, Faults: oneDiskFull}},
 	}
 	for _, c := range cases {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
-	"repro/internal/gfs"
+	"repro/internal/fault"
 )
 
 // These tests exercise the writeback crash model: directory operations
@@ -136,7 +136,7 @@ func TestWritebackPrefixContractClean(t *testing.T) {
 }
 
 // TestWritebackFaultSyncFailedBarrierIsRetried interleaves transient
-// FaultSync injection with the writeback crash axis: a failed Sync or
+// fault.Sync injection with the writeback crash axis: a failed Sync or
 // SyncDir must not count as a durability barrier. The disciplined
 // implementation abandons the spool file on a failed Sync (fsyncgate)
 // and retries a failed SyncDir, so the refinement must still hold.
@@ -147,12 +147,12 @@ func TestWritebackFaultSyncFailedBarrierIsRetried(t *testing.T) {
 		MaxCrashes:  1,
 		PostPickups: true,
 		Crash:       Writeback,
-		Faults:      Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultSync)},
+		Faults:      Faults{Budget: 1, Ops: fault.Classes(fault.Sync)},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 50000})
 	t.Logf("report: %s", rep.String())
 	if !rep.OK() {
-		t.Fatalf("violation under FaultSync × writeback:\n%s", rep.Counterexample.Format())
+		t.Fatalf("violation under fault.Sync × writeback:\n%s", rep.Counterexample.Format())
 	}
 	if !rep.Complete {
 		t.Error("search did not complete")

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/gfs"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -88,10 +88,10 @@ func TestBootRecordsOneIntegrityBaseline(t *testing.T) {
 // take one, and is reported as the storage refusal it is.
 func TestMetricsDaemonSeesFaultLatches(t *testing.T) {
 	reg := obs.NewRegistry()
-	fault := &FaultOptions{Seed: 1}
-	fault.Rates[gfs.FaultNoSpace] = 1 // the first space-consuming write fills the disk
+	drill := &FaultOptions{Seed: 1}
+	drill.Rates[fault.NoSpace] = 1 // the first space-consuming write fills the disk
 	a, err := NewWithOptions(t.TempDir(), Options{
-		Users: 1, Seed: 1, Metrics: reg, Fault: fault, DeliverRetries: 8,
+		Users: 1, Seed: 1, Metrics: reg, Fault: drill, DeliverRetries: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/mailboat"
 	"repro/internal/obs"
@@ -36,9 +37,9 @@ type FaultOptions struct {
 	// Seed selects the fault schedule; the same seed replays the same
 	// schedule bit-for-bit (inspect it with Adapter.FaultLog).
 	Seed int64
-	// Rates[op] = N injects a fault into roughly 1 in N calls of that
+	// Rates[c] = N injects a fault into roughly 1 in N calls of that
 	// class; 0 disables the class. gfs.UniformRates(N) fails them all.
-	Rates [gfs.NumFaultOps]uint64
+	Rates [fault.NumClasses]uint64
 	// MaxFaults, when nonzero, caps the total number of injected faults.
 	MaxFaults uint64
 }
@@ -218,7 +219,7 @@ func (o Options) stack() (replicas int, spec gfs.StackSpec, err error) {
 	if o.MirrorRoot != "" {
 		// A quiet fault layer per replica: its only job is the
 		// FailStopReplica kill switch.
-		replicas, spec.Policy = 2, gfs.NeverPolicy{}
+		replicas, spec.Policy = 2, fault.Never{}
 	}
 	if o.Fault != nil {
 		spec.Policy = &gfs.SeededPolicy{Seed: o.Fault.Seed, Rates: o.Fault.Rates, MaxFaults: o.Fault.MaxFaults}
@@ -396,7 +397,7 @@ func (a *Adapter) startScrubber(every time.Duration) {
 
 // CorruptReplica flips one byte of a stored mailbox file on replica i
 // (use 0 on a single-backend store) — the silent-corruption drill, the
-// live analog of the checker's gfs.FaultCorrupt class. It mangles the
+// live analog of the checker's fault.Corrupt class. It mangles the
 // raw bytes on disk UNDERNEATH every integrity layer, exactly as shelf
 // rot would. Returns the "dir/name" it mangled, or "" when the replica
 // holds no mailbox files (or the store cannot corrupt in place).
@@ -425,7 +426,7 @@ func (a *Adapter) Users() uint64 { return a.cfg.Users }
 
 // FaultLog returns the injected-fault log when a fault layer is
 // configured (nil otherwise) — the replayable record of a drill.
-func (a *Adapter) FaultLog() []gfs.FaultEvent {
+func (a *Adapter) FaultLog() []fault.Event {
 	f := a.drill()
 	if f == nil {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 )
 
@@ -14,8 +15,8 @@ import (
 // byte-exactly, because the library's chunk loop retries short reads
 // from the advanced offset instead of mistaking them for end-of-file.
 func TestPickupUnderReadFaults(t *testing.T) {
-	var rates [gfs.NumFaultOps]uint64
-	rates[gfs.FaultReadShort] = 1
+	var rates [fault.NumClasses]uint64
+	rates[fault.ReadShort] = 1
 	a, err := NewWithOptions(t.TempDir(), Options{
 		Users: 2,
 		Seed:  7,
@@ -53,7 +54,7 @@ func TestPickupUnderReadFaults(t *testing.T) {
 	// The drill really did fault reads; otherwise this test proves nothing.
 	faulted := 0
 	for _, e := range a.FaultLog() {
-		if e.Op == gfs.FaultReadShort {
+		if e.Class == fault.ReadShort {
 			faulted++
 		}
 	}

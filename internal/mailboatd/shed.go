@@ -15,7 +15,7 @@ package mailboatd
 //     with low/high watermark hysteresis so the decision does not
 //     flap around the threshold;
 //   - the fault drill's durable disk-full latch (gfs.Faulty with
-//     FaultNoSpace), when a drill layer is configured;
+//     fault.NoSpace), when a drill layer is configured;
 //   - the operator/drill override ForceNoSpace, which is what the
 //     mailbench disk-full drill flips.
 //

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/mailboat"
 	"repro/internal/obs"
@@ -521,7 +522,7 @@ func TestDiskFullSoakSMTP(t *testing.T) {
 // end: two adapters over identical stores, identical traffic, and the
 // same fault seed must produce identical fault logs.
 func TestFaultDrillIsReplayable(t *testing.T) {
-	run := func() []gfs.FaultEvent {
+	run := func() []fault.Event {
 		a, err := NewWithOptions(t.TempDir(), Options{
 			Users: 2,
 			Seed:  7,
@@ -550,8 +551,8 @@ func TestFaultDrillIsReplayable(t *testing.T) {
 // 451) and leave no trace of the failed delivery.
 func TestDeliverReportsTransientFailure(t *testing.T) {
 	root := t.TempDir()
-	var rates [gfs.NumFaultOps]uint64
-	rates[gfs.FaultAppend] = 1
+	var rates [fault.NumClasses]uint64
+	rates[fault.Append] = 1
 	a, err := NewWithOptions(root, Options{
 		Users:          1,
 		Fault:          &FaultOptions{Rates: rates},

@@ -2,35 +2,25 @@ package netmodel
 
 import "repro/internal/obs"
 
-// NetMetrics is the network layer's observability surface (net_*):
-// calls, their outcomes as the caller saw them, injected faults per
-// class, and late deliveries of reordered frames. Every method is
-// nil-receiver-safe so the modeled Net — and any deployment transport
-// sharing the surface — instruments itself unconditionally while
-// checker runs (Metrics == nil) stay metric-free by construction.
+// NetMetrics is the replication transport's observability surface
+// (net_*): calls, and their outcomes as the caller saw them. repl's
+// TCPClient writes it; every method is nil-receiver-safe, so a client
+// without Metrics stays metric-free by construction.
 type NetMetrics struct {
-	Calls          *obs.Counter
-	Delivered      *obs.Counter
-	Lost           *obs.Counter
-	Unknown        *obs.Counter
-	StaleDelivered *obs.Counter
-	Faults         [NumFaults]*obs.Counter
+	Calls     *obs.Counter
+	Delivered *obs.Counter
+	Lost      *obs.Counter
+	Unknown   *obs.Counter
 }
 
 // NewNetMetrics registers the net_* metric families in r.
 func NewNetMetrics(r *obs.Registry) *NetMetrics {
-	m := &NetMetrics{
+	return &NetMetrics{
 		Calls:     r.Counter("net_calls_total", "Calls attempted over the replication link."),
 		Delivered: r.Counter("net_outcomes_total", "Call outcomes as observed by the caller.", "outcome", Delivered.String()),
 		Lost:      r.Counter("net_outcomes_total", "Call outcomes as observed by the caller.", "outcome", Lost.String()),
 		Unknown:   r.Counter("net_outcomes_total", "Call outcomes as observed by the caller.", "outcome", Unknown.String()),
-		StaleDelivered: r.Counter("net_stale_delivered_total",
-			"Reordered frames delivered late (their responses were discarded)."),
 	}
-	for f := Fault(0); f < NumFaults; f++ {
-		m.Faults[f] = r.Counter("net_faults_injected_total", "Injected network faults per class.", "class", f.String())
-	}
-	return m
 }
 
 // CallsInc counts one call attempt.
@@ -54,22 +44,4 @@ func (m *NetMetrics) OutcomeObserved(o Outcome) {
 	case Unknown:
 		m.Unknown.Inc()
 	}
-}
-
-// FaultInjected counts one injected fault of class f.
-func (m *NetMetrics) FaultInjected(f Fault) {
-	if m == nil {
-		return
-	}
-	if f >= 0 && f < NumFaults {
-		m.Faults[f].Inc()
-	}
-}
-
-// StaleDeliveredInc counts one late delivery of a reordered frame.
-func (m *NetMetrics) StaleDeliveredInc() {
-	if m == nil {
-		return
-	}
-	m.StaleDelivered.Inc()
 }

@@ -1,9 +1,10 @@
 // Package netmodel is the modeled lossy network of the Grove setting:
 // a two-endpoint message link on which send/receive is one atomic
 // machine step and drop, duplication, reordering and bounded partitions
-// are chooser-enumerable fault classes (tag "net") with per-class
-// budgets — the shape gfs.Faulty gives storage faults, one layer up the
-// stack. (A deployment's replayable partition drill is not here: it is
+// are the network classes of the fault vocabulary (package fault, tag
+// "net"), decided and recorded exactly as gfs.Faulty decides and records
+// the storage ones — one layer up the stack, and possibly under the same
+// budget. (A deployment's replayable partition drill is not here: it is
 // repl.TCPClient.Partition, on the real transport.)
 //
 // The model is synchronous RPC: Call sends a request frame to the
@@ -34,6 +35,7 @@ package netmodel
 import (
 	"fmt"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 )
@@ -85,24 +87,16 @@ type held struct {
 // model-only — Call requires a *machine.T — and relies on the machine
 // scheduler's serialization instead of locks.
 type Net struct {
-	policy Policy
-
-	// Metrics, when non-nil, counts calls, outcomes and injected faults
-	// (net_*). Leave nil under the checker; every method is
-	// nil-receiver-safe.
-	Metrics *NetMetrics
-
+	policy   fault.Policy
+	log      fault.Log
 	handlers [2]Handler
 	charge   int       // remaining calls a partition burst will eat
 	stash    [2][]held // reordered frames per destination
-	calls    [NumFaults]uint64
-	faults   [NumFaults]uint64
-	log      []Event
 }
 
 // New returns a Net driven by policy and registers it as a device on m,
 // so crashes clear the in-flight state and dedup fingerprints cover it.
-func New(m *machine.Machine, policy Policy) *Net {
+func New(m *machine.Machine, policy fault.Policy) *Net {
 	n := &Net{policy: policy}
 	m.RegisterDevice(n)
 	return n
@@ -125,8 +119,8 @@ func (n *Net) Crash() {
 // reachable, so they are part of the canonical state (at a crash
 // boundary both are freshly zeroed — encoding them keeps the device
 // honest if fingerprints are ever taken elsewhere). Like gfs.Faulty,
-// the per-class decision counters are excluded: ChooserPolicy ignores
-// indices.
+// the per-class decision counters are excluded: a fault.Chooser
+// ignores indices.
 func (n *Net) AppendDurable(b []byte) []byte {
 	b = machine.AppendUint64(b, uint64(n.charge))
 	for dst := range n.stash {
@@ -140,14 +134,10 @@ func (n *Net) AppendDurable(b []byte) []byte {
 }
 
 // Counters returns per-class (decision points, injected faults).
-func (n *Net) Counters() (calls, faults [NumFaults]uint64) {
-	return n.calls, n.faults
-}
+func (n *Net) Counters() (calls, faults [fault.NumClasses]uint64) { return n.log.Counters() }
 
 // Log returns a copy of the injection log in injection order.
-func (n *Net) Log() []Event {
-	return append([]Event{}, n.log...)
-}
+func (n *Net) Log() []fault.Event { return n.log.Events() }
 
 // Partitioned reports whether a partition burst is still eating calls.
 func (n *Net) Partitioned() bool { return n.charge > 0 }
@@ -156,19 +146,17 @@ func (n *Net) Partitioned() bool { return n.charge > 0 }
 // injected partition loses before the link heals.
 const partitionBurst = 2
 
-// decide counts one decision point of class f and asks the policy; on
-// injection it records the replayable event. No extra machine step is
-// taken — the decision rides the call's single send step.
-func (n *Net) decide(mt *machine.T, f Fault, detail string) bool {
-	idx := n.calls[f]
-	n.calls[f]++
-	if !n.policy.Decide(mt, f, idx) {
+// decide runs one decision point of class c through the log; on
+// injection it traces and records the replayable event. No extra
+// machine step is taken — the decision rides the call's single send
+// step.
+func (n *Net) decide(mt *machine.T, c fault.Class, detail string) bool {
+	idx, inject := n.log.Decide(mt, n.policy, c)
+	if !inject {
 		return false
 	}
-	mt.Tracef("net.fault %s#%d %s", f, idx, detail)
-	n.faults[f]++
-	n.log = append(n.log, Event{Fault: f, Index: idx, Detail: detail})
-	n.Metrics.FaultInjected(f)
+	mt.Tracef("net.fault %s#%d %s", c, idx, detail)
+	n.log.Record(c, idx, detail)
 	return true
 }
 
@@ -185,7 +173,6 @@ func (n *Net) flushStale(mt *machine.T, dst int) {
 		if mt.Choose(2, "net") == 1 {
 			mt.Tracef("net.stale-delivery to node %d (%d bytes)", dst, len(h.req))
 			n.handlers[dst](mt, h.req)
-			n.Metrics.StaleDeliveredInc()
 			continue
 		}
 		h.holds++
@@ -209,7 +196,6 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	if dst < 0 || dst >= len(n.handlers) || n.handlers[dst] == nil {
 		mt.Failf("netmodel: call to unbound node %d", dst)
 	}
-	n.Metrics.CallsInc()
 	mt.Step("net.send")
 
 	// A partition burst in progress eats the frame, whichever direction
@@ -217,17 +203,14 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	if n.charge > 0 {
 		n.charge--
 		mt.Tracef("net.partitioned call to node %d (%d calls left in burst)", dst, n.charge)
-		n.Metrics.OutcomeObserved(Lost)
 		return nil, Lost
 	}
 	detail := fmt.Sprintf("call to node %d (%d bytes)", dst, len(req))
-	if n.decide(mt, FaultPartition, detail) {
+	if n.decide(mt, fault.Partition, detail) {
 		n.charge = partitionBurst - 1 // this call is the burst's first casualty
-		n.Metrics.OutcomeObserved(Lost)
 		return nil, Lost
 	}
-	if n.decide(mt, FaultDrop, detail) {
-		n.Metrics.OutcomeObserved(Lost)
+	if n.decide(mt, fault.Drop, detail) {
 		return nil, Lost
 	}
 
@@ -235,26 +218,21 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	// redelivery opportunities before the current one lands.
 	n.flushStale(mt, dst)
 
-	if n.decide(mt, FaultReorder, detail) {
+	if n.decide(mt, fault.Reorder, detail) {
 		n.stash[dst] = append(n.stash[dst], held{req: append([]byte(nil), req...)})
-		n.Metrics.OutcomeObserved(Unknown)
 		return nil, Unknown // still in flight: maybe delivered later
 	}
-	if n.decide(mt, FaultDup, detail) {
+	if n.decide(mt, fault.Dup, detail) {
 		resp := n.handlers[dst](mt, req)
 		n.handlers[dst](mt, req) // duplicate arrival; its response is discarded
-		if n.decide(mt, FaultDropReply, detail) {
-			n.Metrics.OutcomeObserved(Unknown)
+		if n.decide(mt, fault.DropReply, detail) {
 			return nil, Unknown
 		}
-		n.Metrics.OutcomeObserved(Delivered)
 		return resp, Delivered
 	}
 	resp := n.handlers[dst](mt, req)
-	if n.decide(mt, FaultDropReply, detail) {
-		n.Metrics.OutcomeObserved(Unknown)
+	if n.decide(mt, fault.DropReply, detail) {
 		return nil, Unknown
 	}
-	n.Metrics.OutcomeObserved(Delivered)
 	return resp, Delivered
 }

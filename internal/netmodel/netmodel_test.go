@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 )
 
 // funcPolicy injects exactly where the test function says.
-type funcPolicy func(f Fault, index uint64) bool
+type funcPolicy func(c fault.Class, index uint64) bool
 
-func (p funcPolicy) Decide(_ gfs.T, f Fault, i uint64) bool { return p(f, i) }
+func (p funcPolicy) Decide(_ fault.T, c fault.Class, i uint64) bool { return p(c, i) }
 
 // netChooser picks c for "net" choices and 0 (deterministic scheduling)
 // for everything else.
@@ -38,7 +39,7 @@ func echoRig(n *Net) *[][]byte {
 
 func TestPerfectLinkDelivers(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, NeverPolicy{})
+	n := New(mm, fault.Never{})
 	got := echoRig(n)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		resp, oc := n.Call(mt, 1, []byte("hello"))
@@ -53,20 +54,24 @@ func TestPerfectLinkDelivers(t *testing.T) {
 		t.Fatalf("handler saw %q", *got)
 	}
 	calls, faults := n.Counters()
-	if faults != [NumFaults]uint64{} {
-		t.Fatalf("faults injected under NeverPolicy: %v", faults)
+	if faults != [fault.NumClasses]uint64{} {
+		t.Fatalf("faults injected under fault.Never: %v", faults)
 	}
-	// One call consults every class once.
-	for f := Fault(0); f < NumFaults; f++ {
-		if calls[f] != 1 {
-			t.Fatalf("class %s counted %d decision points, want 1", f, calls[f])
+	// One call consults every network class once, and no other class.
+	for c := range fault.NumClasses {
+		want := uint64(0)
+		if c.Axis() == fault.Network {
+			want = 1
+		}
+		if calls[c] != want {
+			t.Fatalf("class %s counted %d decision points, want %d", c, calls[c], want)
 		}
 	}
 }
 
 func TestDropIsLostAndHandlerNeverRuns(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, AlwaysPolicy{Ops: map[Fault]bool{FaultDrop: true}})
+	n := New(mm, fault.Always{Ops: fault.Classes(fault.Drop)})
 	got := echoRig(n)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		if _, oc := n.Call(mt, 1, []byte("x")); oc != Lost {
@@ -83,7 +88,7 @@ func TestDropIsLostAndHandlerNeverRuns(t *testing.T) {
 
 func TestDropReplyIsUnknownAfterHandlerRan(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, AlwaysPolicy{Ops: map[Fault]bool{FaultDropReply: true}})
+	n := New(mm, fault.Always{Ops: fault.Classes(fault.DropReply)})
 	got := echoRig(n)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		if resp, oc := n.Call(mt, 1, []byte("x")); oc != Unknown || resp != nil {
@@ -100,7 +105,7 @@ func TestDropReplyIsUnknownAfterHandlerRan(t *testing.T) {
 
 func TestDupRunsHandlerTwice(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, AlwaysPolicy{Ops: map[Fault]bool{FaultDup: true}})
+	n := New(mm, fault.Always{Ops: fault.Classes(fault.Dup)})
 	got := echoRig(n)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		if resp, oc := n.Call(mt, 1, []byte("x")); oc != Delivered || string(resp) != "ack:x" {
@@ -117,8 +122,8 @@ func TestDupRunsHandlerTwice(t *testing.T) {
 
 func TestReorderStashAndLateDelivery(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, funcPolicy(func(f Fault, i uint64) bool {
-		return f == FaultReorder && i == 0
+	n := New(mm, funcPolicy(func(c fault.Class, i uint64) bool {
+		return c == fault.Reorder && i == 0
 	}))
 	got := echoRig(n)
 	// Chooser picks deliver-now at every flush opportunity.
@@ -144,8 +149,8 @@ func TestReorderStashAndLateDelivery(t *testing.T) {
 
 func TestReorderDroppedAfterMaxHolds(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, funcPolicy(func(f Fault, i uint64) bool {
-		return f == FaultReorder && i == 0
+	n := New(mm, funcPolicy(func(c fault.Class, i uint64) bool {
+		return c == fault.Reorder && i == 0
 	}))
 	got := echoRig(n)
 	// Chooser declines every flush opportunity: after maxHolds the
@@ -173,8 +178,8 @@ func TestReorderDroppedAfterMaxHolds(t *testing.T) {
 
 func TestPartitionBurstCutsBothDirections(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, funcPolicy(func(f Fault, i uint64) bool {
-		return f == FaultPartition && i == 0
+	n := New(mm, funcPolicy(func(c fault.Class, i uint64) bool {
+		return c == fault.Partition && i == 0
 	}))
 	echoRig(n)
 	n.Bind(0, func(t gfs.T, req []byte) []byte { return []byte("pong") })
@@ -199,8 +204,8 @@ func TestPartitionBurstCutsBothDirections(t *testing.T) {
 	if res.Outcome != machine.Done {
 		t.Fatalf("era: %+v", res)
 	}
-	if _, faults := n.Counters(); faults[FaultPartition] != 1 {
-		t.Fatalf("partition injected %d times, want 1", faults[FaultPartition])
+	if _, faults := n.Counters(); faults[fault.Partition] != 1 {
+		t.Fatalf("partition injected %d times, want 1", faults[fault.Partition])
 	}
 }
 
@@ -211,11 +216,11 @@ func TestPartitionBurstCutsBothDirections(t *testing.T) {
 // ends rebooted, the hazard epoch fencing exists for.
 func TestCrashHealsPartitionKeepsInFlight(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, funcPolicy(func(f Fault, i uint64) bool {
-		switch f {
-		case FaultReorder:
+	n := New(mm, funcPolicy(func(c fault.Class, i uint64) bool {
+		switch c {
+		case fault.Reorder:
 			return i == 0
-		case FaultPartition:
+		case fault.Partition:
 			return i == 1 // second call starts a burst
 		}
 		return false
@@ -260,7 +265,7 @@ func TestCrashHealsPartitionKeepsInFlight(t *testing.T) {
 
 func TestChooserPolicyBudget(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 100000})
-	pol := &ChooserPolicy{Budget: 2}
+	pol := &fault.Chooser{Budget: 2, Eligible: fault.Classes(fault.Drop, fault.Dup, fault.Reorder, fault.DropReply, fault.Partition)}
 	n := New(mm, pol)
 	echoRig(n)
 	res := mm.RunEra(netChooser(1), false, func(mt *machine.T) {
@@ -283,8 +288,8 @@ func TestChooserPolicyBudget(t *testing.T) {
 
 func TestFingerprintCoversInFlightState(t *testing.T) {
 	mm := machine.New(machine.Options{})
-	n := New(mm, funcPolicy(func(f Fault, i uint64) bool {
-		return f == FaultReorder && i == 0
+	n := New(mm, funcPolicy(func(c fault.Class, i uint64) bool {
+		return c == fault.Reorder && i == 0
 	}))
 	echoRig(n)
 	quiet := n.AppendDurable(nil)

@@ -35,8 +35,6 @@ func TestNilMetricsReplFullStack(t *testing.T) {
 	nm.OutcomeObserved(netmodel.Delivered)
 	nm.OutcomeObserved(netmodel.Lost)
 	nm.OutcomeObserved(netmodel.Unknown)
-	nm.FaultInjected(netmodel.FaultDrop)
-	nm.StaleDeliveredInc()
 
 	// The full stack: nodes with Config.Metrics nil, a TCPClient with
 	// Metrics nil, driven through the protocol's instrumented paths.

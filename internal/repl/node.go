@@ -74,7 +74,7 @@ type Config struct {
 	// or the backup transiently refusing). 0 means the default of 6.
 	MaxCallRetries int
 	// RetryBackoff is the base pause between retries, doubled per
-	// attempt up to retryBackoffCap; 0 disables pacing. Modeled threads
+	// attempt up to mailboat.BackoffCap; 0 disables pacing. Modeled threads
 	// never sleep.
 	RetryBackoff time.Duration
 	// Metrics, when non-nil, records repl_* metrics. Leave nil under
@@ -307,21 +307,12 @@ const (
 	// hazard of a real deployment). Modeled threads retry until the
 	// outcome resolves; the fault budget bounds that.
 	indetRetries = 64
-	// retryBackoffCap caps the exponential retry pause.
-	retryBackoffCap = time.Second
 )
 
-// backoffDelay computes the pause before retry number attempt
-// (1-based): exponential from RetryBackoff, capped by retryBackoffCap.
+// backoffDelay is the pause before retry number attempt (1-based): the
+// one pacing rule, mailboat.Backoff, from RetryBackoff.
 func (nd *Node) backoffDelay(attempt int) time.Duration {
-	d := nd.cfg.RetryBackoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < attempt && d < retryBackoffCap; i++ {
-		d <<= 1
-	}
-	return min(d, retryBackoffCap)
+	return mailboat.Backoff(nd.cfg.RetryBackoff, attempt)
 }
 
 // retryPause paces a retry loop; false means the node is shutting down

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 	"repro/internal/mailboat"
@@ -22,7 +23,7 @@ type pairRig struct {
 	pair *Pair
 }
 
-func newPairRig(storePol gfs.Policy, netPol netmodel.Policy) *pairRig {
+func newPairRig(storePol, netPol fault.Policy) *pairRig {
 	r := &pairRig{cfg: mailboat.Config{Users: 2, RandBound: 8, SyncOnDeliver: true, SyncDirs: true}}
 	r.m = machine.New(machine.Options{MaxSteps: 300000})
 	for i := 0; i < 2; i++ {
@@ -60,7 +61,7 @@ func (r *pairRig) userEqual(mt *machine.T) {
 // session surface (pickup, delete under the session lock, unlock)
 // behaves like the plain library's.
 func TestPairRoundTrip(t *testing.T) {
-	r := newPairRig(gfs.NeverPolicy{}, netmodel.NeverPolicy{})
+	r := newPairRig(fault.Never{}, fault.Never{})
 	res := r.m.RunEra(machine.NewRandChooser(1), false, func(mt *machine.T) {
 		p := r.build(mt)
 		if ok, ans := p.Deliver(mt, 0, []byte("one")); !ok || !ans {
@@ -107,7 +108,7 @@ func TestPairRoundTrip(t *testing.T) {
 // collapse into one via the idempotence path (which is reserved for
 // retries of the SAME operation).
 func TestPairIdenticalContentsTwice(t *testing.T) {
-	r := newPairRig(gfs.NeverPolicy{}, netmodel.NeverPolicy{})
+	r := newPairRig(fault.Never{}, fault.Never{})
 	res := r.m.RunEra(machine.NewRandChooser(1), false, func(mt *machine.T) {
 		p := r.build(mt)
 		if ok, _ := p.Deliver(mt, 0, []byte("same")); !ok {
@@ -132,7 +133,7 @@ func TestPairIdenticalContentsTwice(t *testing.T) {
 // delivery to promote the backup (bumping and persisting the epoch) and
 // succeed there, with the pair reporting degraded.
 func TestPairFailover(t *testing.T) {
-	r := newPairRig(gfs.NeverPolicy{}, netmodel.NeverPolicy{})
+	r := newPairRig(fault.Never{}, fault.Never{})
 	res := r.m.RunEra(machine.NewRandChooser(1), false, func(mt *machine.T) {
 		p := r.build(mt)
 		if ok, _ := p.Deliver(mt, 0, []byte("before")); !ok {
@@ -166,7 +167,7 @@ func TestPairFailover(t *testing.T) {
 // reports ok=false (no answer, no spec transition) instead of serving
 // an untrustworthy listing.
 func TestPairBothDeadPickupRefuses(t *testing.T) {
-	r := newPairRig(gfs.NeverPolicy{}, netmodel.NeverPolicy{})
+	r := newPairRig(fault.Never{}, fault.Never{})
 	res := r.m.RunEra(machine.NewRandChooser(1), false, func(mt *machine.T) {
 		p := r.build(mt)
 		if ok, _ := p.Deliver(mt, 0, []byte("x")); !ok {
@@ -199,11 +200,8 @@ func netChooser(c int) machine.ChooserFunc {
 // sequence number to resolve as a duplicate: exactly one copy lands on
 // each store.
 func TestUnknownRetryIdempotent(t *testing.T) {
-	netPol := &netmodel.ChooserPolicy{
-		Budget:   1,
-		Eligible: map[netmodel.Fault]bool{netmodel.FaultDropReply: true},
-	}
-	r := newPairRig(gfs.NeverPolicy{}, netPol)
+	netPol := &fault.Chooser{Budget: 1, Eligible: fault.Classes(fault.DropReply)}
+	r := newPairRig(fault.Never{}, netPol)
 	res := r.m.RunEra(netChooser(1), false, func(mt *machine.T) {
 		p := r.build(mt)
 		if ok, _ := p.Deliver(mt, 0, []byte("once")); !ok {
@@ -220,14 +218,14 @@ func TestUnknownRetryIdempotent(t *testing.T) {
 		t.Fatalf("era: %+v", res)
 	}
 	_, faults := r.net.Counters()
-	if faults[netmodel.FaultDropReply] != 1 {
+	if faults[fault.DropReply] != 1 {
 		t.Fatalf("drop-reply not injected: %v", faults)
 	}
 }
 
 // TestBackoffDelayCap pins the retry pacing edge (satellite: backoff
 // cap respected): exponential growth from RetryBackoff, clamped at the
-// one-second retryBackoffCap.
+// one-second mailboat.BackoffCap.
 func TestBackoffDelayCap(t *testing.T) {
 	nd := &Node{cfg: Config{RetryBackoff: 150 * time.Millisecond}}
 	want := []time.Duration{150, 300, 600, 1000, 1000, 1000}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 	"repro/internal/mailboat"
@@ -25,13 +26,13 @@ import (
 // epoch, their user directories must be byte-identical.
 
 // ScenarioWorld carries the replicated composition across eras: each
-// node's store is its own gfs.NewStack over its own model, the two
-// sharing one fault policy, so a fail-stop budget spans both nodes.
+// node's store is its own gfs.NewStack over its own model, and the two
+// stacks and the Net share one fault policy, so one budget spans both
+// nodes' stores and the network between them.
 type ScenarioWorld struct {
 	FS     [2]*gfs.Model
 	Stacks [2]*gfs.Stack
 	Net    *netmodel.Net
-	NetPol *netmodel.ChooserPolicy
 	Pair   *Pair
 }
 
@@ -66,16 +67,12 @@ type ScenarioOptions struct {
 	MaxCrashes int
 	// PostPickups runs one more such session per user at the end.
 	PostPickups bool
-	// StoreFaultBudget, when positive, lets the chooser permanently
-	// fail-stop EITHER node's store at any of its operations, with this
-	// many fail-stops per execution shared between the two nodes.
-	StoreFaultBudget int
-	// NetFaultBudget, when positive, lets the chooser inject network
-	// faults (tag "net") with this shared budget per execution.
-	NetFaultBudget int
-	// NetFaults restricts which fault classes the chooser may inject
-	// (nil = all of drop, duplicate, reorder, drop-reply, partition).
-	NetFaults []netmodel.Fault
+	// Faults is the fault budget, the part the mail-store scenarios
+	// take: one policy over both nodes' stores and the network, so
+	// fault.FailStop kills EITHER node's store at any of its operations
+	// and the network classes (tag "net") strike any call, all under one
+	// budget per execution.
+	Faults mailboat.Faults
 	// Mut enables the seeded replication-protocol mutations.
 	Mut Mutations
 }
@@ -94,21 +91,16 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			w := &ScenarioWorld{}
 			// Without a budget the fault layers still stand: their
 			// latches are how the Pair learns a node is dead.
-			storePol := gfs.Policy(gfs.NeverPolicy{})
-			if o.StoreFaultBudget > 0 {
-				storePol = &gfs.ChooserPolicy{Budget: o.StoreFaultBudget, Eligible: gfs.Classes(gfs.FaultFailStop)}
+			pol := o.Faults.Policy()
+			if pol == nil {
+				pol = fault.Never{}
 			}
 			dirs := ReplDirs(o.Config)
 			for i := range w.Stacks {
 				w.FS[i] = gfs.NewModel(m, dirs)
-				w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, dirs, gfs.StackSpec{Policy: storePol})
+				w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, dirs, gfs.StackSpec{Policy: pol})
 			}
-			netPol := netmodel.Policy(netmodel.NeverPolicy{})
-			if o.NetFaultBudget > 0 {
-				w.NetPol = &netmodel.ChooserPolicy{Budget: o.NetFaultBudget, Eligible: netmodel.Classes(o.NetFaults...)}
-				netPol = w.NetPol
-			}
-			w.Net = netmodel.New(m, netPol)
+			w.Net = netmodel.New(m, pol)
 			return w
 		},
 		Init: func(t *machine.T, wAny any) {
@@ -170,18 +162,15 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		// Crash-boundary dedup: the models and the Net are fingerprintable
 		// devices (the Net's encoding covers partition charge and the
 		// crash-surviving in-flight stash), so the hook covers the
-		// crash-surviving world state outside them — each node's stack
-		// (the store policy's spent budget, the fail-stop latch) and the
-		// network policy's spent budget. The Pair's own fields (role,
-		// session locks, staleness) are all recomputed by Recover from
-		// device state, so they are not boundary state.
+		// crash-surviving world state outside them — each node's stack:
+		// its fail-stop latch and the shared policy's budget, spent per
+		// class, on the stores and the network alike. The Pair's own
+		// fields (role, session locks, staleness) are all recomputed by
+		// Recover from device state, so they are not boundary state.
 		Fingerprint: func(wAny any, b []byte) []byte {
 			w := wAny.(*ScenarioWorld)
 			for _, st := range w.Stacks {
 				b = st.AppendCheckerState(b)
-			}
-			if w.NetPol != nil {
-				b = w.NetPol.AppendState(b)
 			}
 			return b
 		},

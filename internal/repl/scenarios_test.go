@@ -6,10 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/gfs"
 	"repro/internal/machine"
 	"repro/internal/mailboat"
-	"repro/internal/netmodel"
+)
+
+// The fault budgets the scenario tests spend per execution: one
+// fail-stop of either node's store, one network fault of any class, one
+// reordered frame.
+var (
+	oneFailStop = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.FailStop)}
+	oneNetFault = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Drop, fault.Dup, fault.Reorder, fault.DropReply, fault.Partition)}
+	oneReorder  = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Reorder)}
 )
 
 // smallConfig is the workload-sized store for scenario tests.
@@ -42,11 +51,11 @@ func TestReplicatedNetFaults(t *testing.T) {
 		max = 20000
 	}
 	s := Scenario("mb-repl-netfaults", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:    []uint64{0},
-		PostPickups:    true,
-		NetFaultBudget: 1,
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		Faults:      oneNetFault,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: max})
 	t.Logf("report: %s", rep.String())
@@ -65,12 +74,12 @@ func TestReplicatedCrashAndNet(t *testing.T) {
 		max = 20000
 	}
 	s := Scenario("mb-repl-crash-net", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:    []uint64{0},
-		PostPickups:    true,
-		MaxCrashes:     1,
-		NetFaultBudget: 1,
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		MaxCrashes:  1,
+		Faults:      oneNetFault,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: max})
 	t.Logf("report: %s", rep.String())
@@ -88,11 +97,11 @@ func TestReplicatedFailStop(t *testing.T) {
 		max = 20000
 	}
 	s := Scenario("mb-repl-failstop", ScenarioOptions{
-		Config:           smallConfig(),
-		Delivers:         []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:      []uint64{0},
-		PostPickups:      true,
-		StoreFaultBudget: 1,
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		Faults:      oneFailStop,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: max})
 	t.Logf("report: %s", rep.String())
@@ -107,12 +116,12 @@ func TestReplicatedFailStop(t *testing.T) {
 // which the history check sees as a refinement failure.
 func TestConvictAckBeforeBackup(t *testing.T) {
 	s := Scenario("mb-repl-bug-ack-before-backup", ScenarioOptions{
-		Config:           smallConfig(),
-		Delivers:         []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:      []uint64{0},
-		PostPickups:      true,
-		StoreFaultBudget: 1,
-		Mut:              Mutations{AckBeforeBackup: true},
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		Faults:      oneFailStop,
+		Mut:         Mutations{AckBeforeBackup: true},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 400000})
 	t.Logf("report: %s", rep.String())
@@ -141,13 +150,12 @@ func TestConvictAckBeforeBackup(t *testing.T) {
 // post-era session is enough to expose it and keeps the search small.
 func TestConvictResyncSkipsEpoch(t *testing.T) {
 	s := Scenario("mb-repl-bug-resync-skips-epoch", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PostPickups:    true,
-		MaxCrashes:     1,
-		NetFaultBudget: 1,
-		NetFaults:      []netmodel.Fault{netmodel.FaultReorder},
-		Mut:            Mutations{ResyncSkipsEpoch: true},
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PostPickups: true,
+		MaxCrashes:  1,
+		Faults:      oneReorder,
+		Mut:         Mutations{ResyncSkipsEpoch: true},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 400000})
 	t.Logf("report: %s", rep.String())
@@ -175,13 +183,12 @@ func TestConvictResyncSkipsEpoch(t *testing.T) {
 // requires dedup to activate and agree with the dedup-less search.
 func TestReplicatedSelfCheckDedup(t *testing.T) {
 	s := Scenario("mb-repl-selfcheck", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:    []uint64{0},
-		PostPickups:    true,
-		MaxCrashes:     1,
-		NetFaultBudget: 1,
-		NetFaults:      []netmodel.Fault{netmodel.FaultReorder, netmodel.FaultDropReply},
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		MaxCrashes:  1,
+		Faults:      mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Reorder, fault.DropReply)},
 	})
 	opts := explore.Options{MaxExecutions: 20000}
 	if testing.Short() {
@@ -221,12 +228,12 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 
 	// The suite's mb/replicated+crash+net, at a small budget.
 	rep := explore.Run(Scenario("mb-repl-crash-net-leak", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers:    []uint64{0},
-		PostPickups:    true,
-		MaxCrashes:     1,
-		NetFaultBudget: 1,
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		MaxCrashes:  1,
+		Faults:      oneNetFault,
 	}), explore.Options{MaxExecutions: 1500})
 	if !rep.OK() || rep.CrashedExecutions == 0 {
 		t.Fatalf("report: %s", rep)
@@ -238,13 +245,12 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 
 	// The suite's mb/repl-bug:resync-skips-epoch.
 	bug := Scenario("mb-repl-bug-resync-skips-epoch-leak", ScenarioOptions{
-		Config:         smallConfig(),
-		Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PostPickups:    true,
-		MaxCrashes:     1,
-		NetFaultBudget: 1,
-		NetFaults:      []netmodel.Fault{netmodel.FaultReorder},
-		Mut:            Mutations{ResyncSkipsEpoch: true},
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PostPickups: true,
+		MaxCrashes:  1,
+		Faults:      oneReorder,
+		Mut:         Mutations{ResyncSkipsEpoch: true},
 	})
 	rep = explore.Run(bug, explore.Options{MaxExecutions: 400000})
 	if rep.OK() {
@@ -273,7 +279,7 @@ func (killer) Choose(n int, tag string) int {
 // scenarios and the daemon build — the two sharing one policy, and the
 // Pair runs on those tops with those layers as its kill switches.
 func TestScenarioNodesRunOnStacks(t *testing.T) {
-	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), StoreFaultBudget: 1})
+	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), Faults: oneFailStop})
 	m := machine.New(machine.Options{})
 	w := s.Setup(m).(*ScenarioWorld)
 	for i, st := range w.Stacks {
@@ -300,5 +306,43 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 		if w.Pair.F[i] != st.Faulty(0) {
 			t.Errorf("node %d: the Pair's kill switch is not its stack's fault layer", i)
 		}
+	}
+}
+
+// TestReplicatedComposedFaultAxes: one budget of two faults, spendable
+// on a fail-stop of either node's store and on a reordered frame — a
+// store fault and a network fault in one execution, which separate
+// store and network policies could not state. The pair must still
+// refine the unchanged spec, and the search must really reach
+// executions that spend the budget on both axes.
+func TestReplicatedComposedFaultAxes(t *testing.T) {
+	s := Scenario("mb-repl-composed", ScenarioOptions{
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		Faults:      mailboat.Faults{Budget: 2, Ops: fault.Classes(fault.FailStop, fault.Reorder)},
+	})
+	composed := 0
+	post := s.Post
+	s.Post = func(t *machine.T, wAny any, h *explore.Harness) {
+		post(t, wAny, h)
+		w := wAny.(*ScenarioWorld)
+		_, net := w.Net.Counters()
+		if net[fault.Reorder] > 0 && (w.Stacks[0].Faulty(0).FailStopped() || w.Stacks[1].Faulty(0).FailStopped()) {
+			composed++
+		}
+	}
+	max := 20000
+	if testing.Short() {
+		max = 3000
+	}
+	rep := explore.Run(s, explore.Options{MaxExecutions: max, Workers: 1})
+	t.Logf("report: %s; %d executions spent the budget on both axes", rep, composed)
+	if !rep.OK() {
+		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
+	}
+	if composed == 0 {
+		t.Fatal("no execution injected both a store fault and a network fault")
 	}
 }

@@ -105,7 +105,9 @@ func decodeReq(b []byte) (r request, ok bool) {
 	r.user, b = getU64(b), b[8:]
 	nameLen := getU64(b)
 	b = b[8:]
-	if uint64(len(b)) < nameLen+8 {
+	// Subtract from the length read, never add to the one claimed: a
+	// nameLen near 2^64 would wrap the sum past the check.
+	if nameLen > uint64(len(b)) || uint64(len(b))-nameLen < 8 {
 		return r, false
 	}
 	r.name, b = string(b[:nameLen]), b[nameLen:]

@@ -13,10 +13,9 @@ import (
 	"repro/internal/examples/shadowcopy"
 	"repro/internal/examples/wal"
 	"repro/internal/explore"
-	"repro/internal/gfs"
+	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/mailboat"
-	"repro/internal/netmodel"
 	"repro/internal/repl"
 )
 
@@ -114,12 +113,12 @@ func replVerified() []Entry {
 			// and settled stores must be byte-identical.
 			Pattern: "mailboat-repl",
 			Scenario: repl.Scenario("mb/replicated+crash+net", repl.ScenarioOptions{
-				Config:         mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
-				Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-				PickupUsers:    []uint64{0},
-				PostPickups:    true,
-				MaxCrashes:     1,
-				NetFaultBudget: 1,
+				Config:      mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
+				Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+				PickupUsers: []uint64{0},
+				PostPickups: true,
+				MaxCrashes:  1,
+				Faults:      oneNetFault,
 			}),
 			Opts: explore.Options{MaxExecutions: 20000},
 		},
@@ -129,11 +128,11 @@ func replVerified() []Entry {
 			// operation visible.
 			Pattern: "mailboat-repl",
 			Scenario: repl.Scenario("mb/replicated+failstop", repl.ScenarioOptions{
-				Config:           mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
-				Delivers:         []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-				PickupUsers:      []uint64{0},
-				PostPickups:      true,
-				StoreFaultBudget: 1,
+				Config:      mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
+				Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+				PickupUsers: []uint64{0},
+				PostPickups: true,
+				Faults:      oneFailStop,
 			}),
 			Opts: explore.Options{MaxExecutions: 20000},
 		},
@@ -223,12 +222,12 @@ func replBugs() []Entry {
 			Pattern:       "mailboat-repl",
 			WantViolation: true,
 			Scenario: repl.Scenario("mb/repl-bug:ack-before-backup", repl.ScenarioOptions{
-				Config:           mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
-				Delivers:         []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-				PickupUsers:      []uint64{0},
-				PostPickups:      true,
-				StoreFaultBudget: 1,
-				Mut:              repl.Mutations{AckBeforeBackup: true},
+				Config:      mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
+				Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+				PickupUsers: []uint64{0},
+				PostPickups: true,
+				Faults:      oneFailStop,
+				Mut:         repl.Mutations{AckBeforeBackup: true},
 			}),
 			Opts: explore.Options{MaxExecutions: 400000},
 		},
@@ -242,13 +241,12 @@ func replBugs() []Entry {
 			Pattern:       "mailboat-repl",
 			WantViolation: true,
 			Scenario: repl.Scenario("mb/repl-bug:resync-skips-epoch", repl.ScenarioOptions{
-				Config:         mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
-				Delivers:       []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-				PostPickups:    true,
-				MaxCrashes:     1,
-				NetFaultBudget: 1,
-				NetFaults:      []netmodel.Fault{netmodel.FaultReorder},
-				Mut:            repl.Mutations{ResyncSkipsEpoch: true},
+				Config:      mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true},
+				Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+				PostPickups: true,
+				MaxCrashes:  1,
+				Faults:      oneReorder,
+				Mut:         repl.Mutations{ResyncSkipsEpoch: true},
 			}),
 			Opts: explore.Options{MaxExecutions: 400000},
 		},
@@ -279,13 +277,15 @@ func mailboatEntries(rows []mailboatEntry, wantViolation bool) []Entry {
 	return es
 }
 
-// The fault budgets the mail-store entries spend, each one fault of one
-// class per execution.
+// The fault budgets the entries spend, each one fault of one class, or
+// of the network's five, per execution.
 var (
-	oneFailedSync = mailboat.Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultSync)}
-	oneDiskFull   = mailboat.Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultNoSpace)}
-	oneFailStop   = mailboat.Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultFailStop)}
-	oneCorruption = mailboat.Faults{Budget: 1, Ops: gfs.Classes(gfs.FaultCorrupt)}
+	oneFailedSync = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Sync)}
+	oneDiskFull   = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.NoSpace)}
+	oneFailStop   = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.FailStop)}
+	oneCorruption = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Corrupt)}
+	oneNetFault   = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Drop, fault.Dup, fault.Reorder, fault.DropReply, fault.Partition)}
+	oneReorder    = mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Reorder)}
 )
 
 var mailboatVerified = []mailboatEntry{
@@ -326,7 +326,7 @@ var mailboatVerified = []mailboatEntry{
 		},
 	},
 	{
-		// FaultSync × writeback: the chooser may fail any Sync or
+		// fault.Sync × writeback: the chooser may fail any Sync or
 		// SyncDir while the crash enumeration drops un-synced state. A
 		// failed barrier is not a barrier — the implementation must
 		// abandon the spool file (fsyncgate) or retry the directory
