@@ -458,13 +458,16 @@ func runStress(s *Scenario, opts Options, workers int, rep *Report) {
 // runner is what an owner of executions — a search worker, a stress
 // worker, one ReplayCx or Minimize call — keeps from one execution to
 // the next: the carriers its machines' threads run on, with the stacks
-// they have grown, and the schedule recorder's buffers. Nothing an
-// execution can observe lives here. A runner belongs to one goroutine,
-// which releases the carriers before returning (none of their goroutines
-// is left); the zero value is ready to use.
+// they have grown, and the buffers of the schedule recorder, the
+// history harness and the refinement checker. Nothing an execution can
+// observe lives here. A runner belongs to one goroutine, which releases
+// the carriers before returning (none of their goroutines is left); the
+// zero value is ready to use.
 type runner struct {
 	carriers machine.Carriers
 	rec      scheduleRecorder
+	h        Harness
+	chk      history.Checker
 }
 
 // runOne executes the scenario once under the given chooser and checks
@@ -501,17 +504,18 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	m := machine.NewOn(&x.carriers, mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
 	w := s.Setup(m)
-	h := &Harness{}
+	h := &x.h
+	h.rec.Reset()
 
 	// A counterexample owns its slices (nil when empty, as they always
-	// were): the recorder's buffers go on to the runner's next
+	// were): the recorders' buffers go on to the runner's next
 	// execution, and Trace may hand out the machine's ring itself.
 	fail := func(reason string) *Counterexample {
 		return &Counterexample{
 			Choices:  append([]int(nil), rec.choices...),
 			Schedule: append(Schedule(nil), rec.steps...),
 			Trace:    append([]string(nil), m.Trace()...),
-			History:  h.rec.History(),
+			History:  append(history.History(nil), h.rec.History()...),
 			Reason:   reason,
 		}
 	}
@@ -583,7 +587,7 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 		return cx
 	}
 
-	chk := history.Check(s.Spec, h.rec.History())
+	chk := x.chk.Check(s.Spec, h.rec.History(), history.Options{})
 	rep.CheckedStates += chk.StatesExplored
 	if !chk.OK {
 		return fail("refinement failure: " + chk.Reason)

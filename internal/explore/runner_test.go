@@ -6,15 +6,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 )
 
-// TestCounterexampleOwnsItsSlices: a runner hands its recorder buffers
-// and carriers to its next execution, so a counterexample must not
-// alias them. After a conviction, further executions on the same runner
-// — longer, shorter, traced and not — leave the counterexample, and what
-// ReplayCx makes of its choices, exactly as they were.
+// TestCounterexampleOwnsItsSlices: a runner hands its recorder buffers,
+// its history and its carriers to its next execution, so a
+// counterexample must not alias them. After a conviction, further
+// executions on the same runner — longer, shorter, traced and not —
+// leave the counterexample, and what ReplayCx makes of its choices,
+// exactly as they were.
 func TestCounterexampleOwnsItsSlices(t *testing.T) {
 	s := brokenScenario()
 	var x runner
@@ -28,11 +30,11 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 			t.Fatal("torn write not caught")
 		}
 	}
-	if len(cx.Choices) == 0 || len(cx.Schedule) == 0 || len(cx.Trace) == 0 {
+	if len(cx.Choices) == 0 || len(cx.Schedule) == 0 || len(cx.Trace) == 0 || len(cx.History) == 0 {
 		t.Fatalf("traced counterexample is missing a part:\n%s", cx.Format())
 	}
 	want := cx.Format()
-	choices, schedule, trace := slices.Clone(cx.Choices), slices.Clone(cx.Schedule), slices.Clone(cx.Trace)
+	choices, schedule, trace, hist := slices.Clone(cx.Choices), slices.Clone(cx.Schedule), slices.Clone(cx.Trace), slices.Clone(cx.History)
 
 	// The same runner goes on: the rest of the broken scenario's tree,
 	// then the whole of a clean one, traced and untraced alternately.
@@ -52,7 +54,7 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 	if got := cx.Format(); got != want {
 		t.Fatalf("the counterexample changed under %d further executions\nbefore:\n%s\nafter:\n%s", further, want, got)
 	}
-	if !slices.Equal(cx.Choices, choices) || !slices.Equal(cx.Schedule, schedule) || !slices.Equal(cx.Trace, trace) {
+	if !slices.Equal(cx.Choices, choices) || !slices.Equal(cx.Schedule, schedule) || !slices.Equal(cx.Trace, trace) || !slices.Equal(cx.History, hist) {
 		t.Fatal("a slice of the counterexample changed under further executions")
 	}
 	replay := x.runOne(s, &machine.ScriptChooser{Script: cx.Choices}, &Report{}, nil, true)
@@ -71,11 +73,13 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 func TestEveryOwnerReleasesItsCarriers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	settled := func() int {
-		// A worker that has signalled completion may still be on its
-		// way out; give it the moment it needs.
+		// A worker or carrier that has signalled completion may still be
+		// on its way out, and under -race that can take longer than any
+		// fixed number of yields: poll until the count is back or five
+		// seconds have passed. A leak stays, so it still fails.
 		n := runtime.NumGoroutine()
-		for i := 0; i < 1000 && n > before; i++ {
-			runtime.Gosched()
+		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 			n = runtime.NumGoroutine()
 		}
 		return n

@@ -124,20 +124,22 @@ func (r *Recorder) Crash() {
 	r.events = append(r.events, Event{Kind: Crash})
 }
 
-// History returns the recorded history (shared slice; callers must not
-// mutate).
+// History returns the recorded history: the recorder's own slice, which
+// callers must not mutate, and which the next Reset reuses — copy it to
+// keep it.
 func (r *Recorder) History() History {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.events
 }
 
-// Reset clears the recorder for the next explored execution.
+// Reset clears the recorder for the next explored execution, keeping
+// its buffers.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.events = nil
-	r.ops = nil
+	r.events = r.events[:0]
+	r.ops = r.ops[:0]
 }
 
 // Result reports the outcome of checking one history.
@@ -171,8 +173,13 @@ type Options struct {
 
 // CheckWith is Check with explicit checker options.
 func CheckWith(sp spec.Interface, h History, opts Options) Result {
-	c, err := newChecker(sp, h)
-	if err != nil {
+	var c Checker
+	return c.Check(sp, h, opts)
+}
+
+// Check verifies that h refines sp, reusing c's buffers.
+func (c *Checker) Check(sp spec.Interface, h History, opts Options) Result {
+	if err := c.reset(sp, h); err != nil {
 		return Result{Reason: "malformed history: " + err.Error()}
 	}
 	c.noMemo = opts.DisableMemo
@@ -202,12 +209,16 @@ type opInfo struct {
 	dies   int // index of crash that kills it, or len(h) if none
 }
 
-// checker is the search state of one refinement check. The operations
-// sit in an OpID-ordered slice and the set of operations that have taken
-// their atomic effect but not yet returned is a bitset over that slice,
-// mutated in place and undone on backtrack, so a search node allocates
-// nothing but its memo entry.
-type checker struct {
+// Checker is the search state of a refinement check, kept from one
+// check to the next by whoever checks many histories (a search worker
+// checks every execution it runs): the memo map is cleared rather than
+// reallocated, and the op index, bitsets and key scratch keep their
+// capacity. The operations sit in an OpID-ordered slice and the set of
+// operations that have taken their atomic effect but not yet returned
+// is a bitset over that slice, mutated in place and undone on
+// backtrack, so a search node allocates nothing but its memo entry. The
+// zero value is ready to use; a Checker is not safe for concurrent use.
+type Checker struct {
 	sp  spec.Interface
 	h   History
 	ops []opInfo // ordered by OpID
@@ -227,11 +238,19 @@ type checker struct {
 	best   int // deepest event index reached, for diagnostics
 }
 
-// newChecker indexes h, rejecting structurally broken histories so the
-// search can assume well-formedness: every Return matches exactly one
-// earlier Invoke with no Crash in between, and IDs are not reused.
-func newChecker(sp spec.Interface, h History) (*checker, error) {
-	c := &checker{sp: sp, h: h, opAt: make([]int, len(h)), memo: map[string]bool{}}
+// reset indexes h for a check against sp, rejecting structurally broken
+// histories so the search can assume well-formedness: every Return
+// matches exactly one earlier Invoke with no Crash in between, and IDs
+// are not reused.
+func (c *Checker) reset(sp spec.Interface, h History) error {
+	if c.memo == nil {
+		c.memo = map[string]bool{}
+	}
+	clear(c.memo)
+	c.sp, c.h = sp, h
+	c.ops, c.saved = c.ops[:0], c.saved[:0]
+	c.opAt = slices.Grow(c.opAt[:0], len(h))[:len(h)]
+	c.noMemo, c.visits, c.ub, c.best = false, 0, false, 0
 	for i, e := range h {
 		if e.Kind == Invoke {
 			c.ops = append(c.ops, opInfo{id: e.ID, invoke: i, ret: -1, op: e.Op, dies: len(h)})
@@ -245,7 +264,7 @@ func newChecker(sp spec.Interface, h History) (*checker, error) {
 	}
 	for k := 1; k < len(c.ops); k++ {
 		if c.ops[k].id == c.ops[k-1].id {
-			return nil, fmt.Errorf("op %d invoked twice", c.ops[k].id)
+			return fmt.Errorf("op %d invoked twice", c.ops[k].id)
 		}
 	}
 	lastCrash := -1
@@ -256,14 +275,14 @@ func newChecker(sp spec.Interface, h History) (*checker, error) {
 		case Return:
 			k, found := slices.BinarySearchFunc(c.ops, e.ID, func(o opInfo, id OpID) int { return cmp.Compare(o.id, id) })
 			if !found || c.ops[k].invoke > i {
-				return nil, fmt.Errorf("op %d returns without invocation", e.ID)
+				return fmt.Errorf("op %d returns without invocation", e.ID)
 			}
 			info := &c.ops[k]
 			if info.ret != -1 {
-				return nil, fmt.Errorf("op %d returns twice", e.ID)
+				return fmt.Errorf("op %d returns twice", e.ID)
 			}
 			if lastCrash > info.invoke {
-				return nil, fmt.Errorf("op %d returns after a crash killed it (invoked at %d, crash at %d)", e.ID, info.invoke, lastCrash)
+				return fmt.Errorf("op %d returns after a crash killed it (invoked at %d, crash at %d)", e.ID, info.invoke, lastCrash)
 			}
 			info.ret, info.retVal = i, e.Ret
 			c.opAt[i] = k
@@ -282,18 +301,19 @@ func newChecker(sp spec.Interface, h History) (*checker, error) {
 			}
 		}
 	}
-	c.lin = make([]uint64, (len(c.ops)+63)/64)
-	return c, nil
+	c.lin = slices.Grow(c.lin[:0], (len(c.ops)+63)/64)[:(len(c.ops)+63)/64]
+	clear(c.lin)
+	return nil
 }
 
-func (c *checker) linearized(k int) bool { return c.lin[k/64]&(1<<(k%64)) != 0 }
-func (c *checker) setLin(k int)          { c.lin[k/64] |= 1 << (k % 64) }
-func (c *checker) clearLin(k int)        { c.lin[k/64] &^= 1 << (k % 64) }
+func (c *Checker) linearized(k int) bool { return c.lin[k/64]&(1<<(k%64)) != 0 }
+func (c *Checker) setLin(k int)          { c.lin[k/64] |= 1 << (k % 64) }
+func (c *Checker) clearLin(k int)        { c.lin[k/64] &^= 1 << (k % 64) }
 
 // linearizable reports whether ops[k] may take its atomic effect at
 // position i: invoked before i, not yet returned, not yet linearized,
 // and not killed by a crash before i.
-func (c *checker) linearizable(k, i int) bool {
+func (c *Checker) linearizable(k, i int) bool {
 	info := &c.ops[k]
 	return !c.linearized(k) && info.invoke < i && (info.ret == -1 || info.ret >= i) && info.dies >= i
 }
@@ -301,7 +321,7 @@ func (c *checker) linearizable(k, i int) bool {
 // stepRet is the return value ops[k]'s spec step must allow: the
 // observed one, or spec.Pending when no caller saw a response. helped
 // says which.
-func (c *checker) stepRet(k int) (ret spec.Ret, helped bool) {
+func (c *Checker) stepRet(k int) (ret spec.Ret, helped bool) {
 	if info := &c.ops[k]; info.ret != -1 {
 		return info.retVal, false
 	}
@@ -310,20 +330,20 @@ func (c *checker) stepRet(k int) (ret spec.Ret, helped bool) {
 
 // crash clears lin for the events after a Crash (the ops in it took
 // effect and are dead) and returns the mark to hand to uncrash.
-func (c *checker) crash() int {
+func (c *Checker) crash() int {
 	mark := len(c.saved)
 	c.saved = append(c.saved, c.lin...)
 	clear(c.lin)
 	return mark
 }
 
-func (c *checker) uncrash(mark int) {
+func (c *Checker) uncrash(mark int) {
 	copy(c.lin, c.saved[mark:])
 	c.saved = c.saved[:mark]
 }
 
 // memoKey encodes the search state (i, lin, st) into the scratch buffer.
-func (c *checker) memoKey(i int, st spec.State) []byte {
+func (c *Checker) memoKey(i int, st spec.State) []byte {
 	b := binary.LittleEndian.AppendUint32(c.key[:0], uint32(i))
 	for _, w := range c.lin {
 		b = binary.LittleEndian.AppendUint64(b, w)
@@ -333,7 +353,7 @@ func (c *checker) memoKey(i int, st spec.State) []byte {
 	return b
 }
 
-func (c *checker) dfs(i int, st spec.State) bool {
+func (c *Checker) dfs(i int, st spec.State) bool {
 	if c.ub {
 		return true
 	}

@@ -33,8 +33,8 @@ type WitnessStep struct {
 // fall. It reports ok=false when the history does not refine the spec
 // (or is vacuous via UB, which has no meaningful witness).
 func Witness(sp spec.Interface, h History) ([]WitnessStep, bool) {
-	c, err := newChecker(sp, h)
-	if err != nil {
+	var c Checker
+	if err := c.reset(sp, h); err != nil {
 		return nil, false
 	}
 

@@ -385,7 +385,7 @@ func (mb *Mailboat) publishLink(t gfs.T, j *core.JTok, user uint64, spool spoole
 			mb.boxMasters[user].Insert(modelT(t), mname, nil)
 			if j != nil {
 				mb.g.StepSimWhere(modelT(t), j, true, func(s spec.State) bool {
-					got, ok := s.(State).Boxes[user][mname]
+					got, ok := s.(State).Lookup(user, mname)
 					return ok && got == string(msg)
 				})
 			}

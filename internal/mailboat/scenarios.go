@@ -547,9 +547,9 @@ func ghostInvariant(w *World, users uint64) error {
 	src := w.G.Source().(State)
 	for u := uint64(0); u < users; u++ {
 		onDisk := w.FS[0].PeekDir(UserDir(u))
-		if len(onDisk) != len(src.Boxes[u]) {
+		if len(onDisk) != src.Count(u) {
 			return fmt.Errorf("MsgsInv: user %d has %d files but source has %d messages",
-				u, len(onDisk), len(src.Boxes[u]))
+				u, len(onDisk), src.Count(u))
 		}
 		ids := make([]string, 0, len(onDisk))
 		for id := range onDisk {
@@ -557,7 +557,7 @@ func ghostInvariant(w *World, users uint64) error {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			want, ok := src.Boxes[u][id]
+			want, ok := src.Lookup(u, id)
 			if !ok {
 				return fmt.Errorf("MsgsInv: user %d file %s not in source", u, id)
 			}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/fault"
@@ -216,11 +217,13 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 func TestSearchLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	settled := func() int {
-		// A search worker that has signalled completion may still be on
-		// its way out; give it the moment it needs.
+		// A search worker or carrier that has signalled completion may
+		// still be on its way out, and under -race that can take longer
+		// than any fixed number of yields: poll until the count is back or
+		// five seconds have passed. A leak stays, so it still fails.
 		n := runtime.NumGoroutine()
-		for i := 0; i < 1000 && n > before; i++ {
-			runtime.Gosched()
+		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 			n = runtime.NumGoroutine()
 		}
 		return n

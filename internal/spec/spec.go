@@ -89,7 +89,7 @@ func (t *TSL[S]) Step(s State, op Op, ret Ret) ([]State, bool) {
 	if r.UB {
 		return nil, true
 	}
-	var next []State
+	next := make([]State, 0, len(r.Outcomes))
 	for _, o := range r.Outcomes {
 		if _, isPending := ret.(pending); !isPending && !reflect.DeepEqual(o.Val, ret) {
 			continue

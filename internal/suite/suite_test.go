@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/explore"
@@ -146,6 +147,41 @@ func TestNoChoicePointIsReseated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelSearchSharesSpecStates: the workers of a parallel search
+// share the scenario's spec, and with it Spec(cfg).Init and every state
+// part later states share with it. Under -race (CI runs it at
+// -cpu=1,4), mb/deliver+pickup+crash at Workers: 4 catches a write into
+// any of them. A search hands work out through a mutex after its first
+// execution, which would order a write made once, on first use, before
+// every other worker's read; so two searches of one freshly built
+// scenario run at once, and their first executions race each other.
+func TestParallelSearchSharesSpecStates(t *testing.T) {
+	for _, e := range Verified() {
+		if e.Scenario.Name != "mb/deliver+pickup+crash" {
+			continue
+		}
+		opts := e.Opts
+		opts.Workers, opts.MaxExecutions = 4, 500
+		reps := make([]*explore.Report, 2)
+		var wg sync.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i] = explore.Run(e.Scenario, opts)
+			}()
+		}
+		wg.Wait()
+		for _, rep := range reps {
+			if !rep.OK() || rep.CrashedExecutions == 0 {
+				t.Fatalf("%s", rep)
+			}
+		}
+		return
+	}
+	t.Fatal("mb/deliver+pickup+crash missing from the verified suite")
 }
 
 // TestDedupSelfCheckMailboatMirror runs the dedup soundness self-check
