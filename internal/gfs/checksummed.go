@@ -155,12 +155,6 @@ type Checksummed struct {
 	inner System
 	dirs  []string
 
-	// TrustReads is a deliberate seeded-bug hook for the checker suite
-	// (mb/integrity-bug:trust-read): when set, Open strips the envelope
-	// without verifying any checksum, best-effort, serving whatever
-	// bytes it can decode. Never set it outside bug scenarios.
-	TrustReads bool
-
 	// Metrics, when non-nil, counts detections into
 	// gfs_integrity_detected_total. Nil-safe: checker runs stay
 	// metric-free.
@@ -218,8 +212,19 @@ type checksumFD struct {
 	sealSum   uint64 // pathSum advanced over every appended byte
 	plainLen  uint64
 
-	// Read mode: the verified, decoded contents.
-	data []byte
+	// Read mode: the decoded contents, as verify vouched for them.
+	plain verified
+}
+
+// verified is an envelope's plaintext, minted by verify once every
+// frame sum and the seal matched. A read-mode checksumFD holds one
+// (serve), so serving bytes before verifying them needs a forgery — the
+// trust-read bug in bugs.go is that forgery.
+type verified struct{ data []byte }
+
+// serve is a read-mode descriptor over plaintext verify vouched for.
+func serve(dir, name string, v verified) *checksumFD {
+	return &checksumFD{dir: dir, name: name, plain: v}
 }
 
 // NewLock implements System (passthrough; locks are volatile memory).
@@ -331,33 +336,34 @@ func (c *Checksummed) Close(t T, fd FD) {
 	}
 }
 
-// Open implements System: the whole envelope is read and verified up
-// front; on any mismatch the open fails loudly (and the detection
-// counter ticks) instead of exposing rotten bytes. Reads are then
-// served from the verified plaintext. Only sealed files open — an
-// unsealed file is either still being written or was torn by a crash,
-// and in both cases its contents were never published.
+// Open implements System: readAll → verify → serve. The whole envelope
+// is read and verified up front; on any mismatch the open fails loudly
+// (and the detection counter ticks) instead of exposing rotten bytes.
+// Reads are then served from the verified plaintext. Only sealed files
+// open — an unsealed file is either still being written or was torn by
+// a crash, and in both cases its contents were never published.
 func (c *Checksummed) Open(t T, dir, name string) (FD, bool) {
-	// A backend that stops answering mid-file leaves a prefix, which
-	// verification below classifies like any other torn envelope.
-	raw, opened, _ := readAll(t, c.inner, dir, name)
-	if !opened {
-		return nil, false
+	// A backend that stops answering mid-file leaves a prefix, and a file
+	// that does not open leaves nothing: verify classifies both like any
+	// other torn envelope.
+	raw, _, _ := readAll(t, c.inner, dir, name)
+	if v, ok := c.verify(t, dir, name, raw); ok {
+		return serve(dir, name, v), true
 	}
-	if c.TrustReads {
-		// Seeded bug: strip the envelope without verifying anything.
-		return &checksumFD{dir: dir, name: name, data: decodeTrusting(raw)}, true
-	}
+	return nil, false
+}
+
+// verify is the stage between reading an envelope and serving it: it
+// mints verified from decodeVerify's plaintext, which counts only for a
+// sealed, sound envelope.
+func (c *Checksummed) verify(t T, dir, name string, raw []byte) (verified, bool) {
 	data, v := decodeVerify(raw, true)
-	if v != VerdictOK {
-		// Only rot counts as a detection; an unsealed file is an
-		// in-progress or crash-abandoned write and simply never opens.
-		if v == VerdictCorrupt {
-			c.noteDetected(t, dir, name, v)
-		}
-		return nil, false
+	// Only rot counts as a detection; an unsealed file is an in-progress
+	// or crash-abandoned write and simply never opens.
+	if v == VerdictCorrupt {
+		c.noteDetected(t, dir, name, v)
 	}
-	return &checksumFD{dir: dir, name: name, data: data}, true
+	return verified{data}, v == VerdictOK
 }
 
 // decodeVerify parses and verifies a full envelope, returning the
@@ -470,36 +476,18 @@ func VerifyEnvelope(raw []byte) Verdict {
 	return v
 }
 
-// decodeTrusting is the TrustReads decoder: best-effort frame parsing
-// with every checksum ignored — exactly the bug the trust-read scenario
-// exists to catch.
-func decodeTrusting(raw []byte) []byte {
-	var plaintext []byte
-	for len(raw) >= frameOverhead {
-		kind := raw[0]
-		plen := int(binary.BigEndian.Uint32(raw[1:5]))
-		if len(raw)-frameOverhead < plen {
-			plen = len(raw) - frameOverhead
-		}
-		if kind == frameData {
-			plaintext = append(plaintext, raw[frameOverhead:frameOverhead+plen]...)
-		}
-		raw = raw[frameOverhead+plen:]
-	}
-	return plaintext
-}
-
 // ReadAt implements System, serving from the verified plaintext.
 func (c *Checksummed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	f := fd.(*checksumFD)
-	if f.writing || f.closed || off >= uint64(len(f.data)) {
+	data := f.plain.data
+	if f.writing || f.closed || off >= uint64(len(data)) {
 		return nil
 	}
-	if rest := uint64(len(f.data)) - off; n > rest {
+	if rest := uint64(len(data)) - off; n > rest {
 		n = rest // also keeps off+n from wrapping
 	}
 	out := make([]byte, n)
-	copy(out, f.data[off:])
+	copy(out, data[off:])
 	return out
 }
 
@@ -510,7 +498,7 @@ func (c *Checksummed) Size(t T, fd FD) uint64 {
 	if f.writing {
 		return f.plainLen
 	}
-	return uint64(len(f.data))
+	return uint64(len(f.plain.data))
 }
 
 // Delete implements System (passthrough).

@@ -113,7 +113,7 @@ func TestChecksummedRoundTrip(t *testing.T) {
 
 // TestChecksummedDetectsRot: both corruption modes fail the open
 // loudly, tick the detection counter, verdict as corrupt, and surface
-// through VerifyAll/Scrub; TrustReads (the seeded bug) serves the
+// through VerifyAll/Scrub; trustingReads (the seeded bug) serves the
 // rotten bytes without complaint.
 func TestChecksummedDetectsRot(t *testing.T) {
 	o := newOSFS(t, []string{"box"})
@@ -155,9 +155,8 @@ func TestChecksummedDetectsRot(t *testing.T) {
 	}
 
 	// The seeded bug: trusting reads serve whatever is on disk.
-	c.TrustReads = true
-	if _, ok := c.Open(th, "box", "flip"); !ok {
-		t.Fatal("TrustReads still refused the rotten file")
+	if _, ok := (trustingReads{c}).Open(th, "box", "flip"); !ok {
+		t.Fatal("trusting reads still refused the rotten file")
 	}
 }
 
@@ -460,12 +459,15 @@ func TestMirrorScrubDetectsAndHeals(t *testing.T) {
 // TestResilverVerifiesSource: a resilver whose source copy is rotten
 // must not clobber the good destination copy — it heals the source in
 // reverse from the destination first, then completes. With the
-// ResilverNoVerify bug flag the rot is replicated instead.
+// no-verify-resilver bug (a forged judged) the rot is replicated instead.
 func TestResilverVerifiesSource(t *testing.T) {
 	setup := func(noVerify bool) (*Mirrored, [2]*Checksummed, uint64, bool, *machine.Machine) {
 		mm := machine.New(machine.Options{MaxSteps: 200000})
 		mir, mods, chks := newCheckedMirror(mm)
-		mir.ResilverNoVerify = noVerify
+		var r Resilverer = mir
+		if noVerify {
+			r = unjudgedResilver{mir}
+		}
 		var n uint64
 		var ok bool
 		res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
@@ -476,7 +478,7 @@ func TestResilverVerifiesSource(t *testing.T) {
 			// resilver source — and replica 0's copy is rotten.
 			mir.ReplaceReplica(1)
 			mods[0].CorruptFile(mt, "box", "m", CorruptFlip)
-			_, n, ok = mir.Resilver(mt)
+			_, n, ok = r.Resilver(mt)
 		})
 		if res.Outcome != machine.Done {
 			t.Fatalf("res=%+v", res)
@@ -511,7 +513,7 @@ func TestResilverVerifiesSource(t *testing.T) {
 	}
 	res = mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		if chks[1].VerifyFile(mt, "box", "m") != VerdictCorrupt {
-			mt.Failf("bug flag set but good copy survived")
+			mt.Failf("bug seeded but good copy survived")
 		}
 	})
 	if res.Outcome != machine.Done {

@@ -232,12 +232,6 @@ type Mirrored struct {
 	// replica after checksum failures (gfs_integrity_*).
 	Integrity *IntegrityMetrics
 
-	// ResilverNoVerify skips the resilver's source integrity check, so a
-	// rotten survivor is copied verbatim over a good replacement. It
-	// exists only as a seeded bug for the checker
-	// (mb/integrity-bug:no-verify-resilver); never set it in production.
-	ResilverNoVerify bool
-
 	// mu guards only the flag words below; it is never held across a
 	// replica operation, so the cooperative model scheduler can always
 	// make progress.
@@ -545,10 +539,10 @@ func (m *Mirrored) healFile(t T, dir, name string, bad int) bool {
 	// abandoned write (a torn spool file, say), and the peer's unsealed
 	// bytes are the best surviving version. Only a peer whose own copy
 	// fails verification outright is useless as a heal source.
-	if v := VerifyEnvelope(data); v != VerdictOK && v != VerdictUnsealed {
-		return false
+	if v := VerifyEnvelope(data); v == VerdictOK || v == VerdictUnsealed {
+		return m.healFrom(t, dir, name, bad, judged{data: data, have: true, v: v})
 	}
-	return m.healFrom(t, dir, name, bad, data)
+	return false
 }
 
 // healFrom rewrites replica bad's copy of dir/name as data — the peer's
@@ -562,10 +556,10 @@ func (m *Mirrored) healFile(t T, dir, name string, bad int) bool {
 // would delete the only good copy. After a successful copy the healed
 // replica's generation is bumped too, restoring equal marker counts
 // (equal generations assert "replicas identical").
-func (m *Mirrored) healFrom(t T, dir, name string, bad int, data []byte) bool {
+func (m *Mirrored) healFrom(t T, dir, name string, bad int, src judged) bool {
 	good := 1 - bad
 	m.bumpGeneration(t, good)
-	if _, ok := copyFile(t, m.raw(bad), dir, name, data); !ok {
+	if _, ok := copyFile(t, m.raw(bad), dir, name, src); !ok {
 		m.noteDead(t, bad)
 		return false
 	}
@@ -880,9 +874,11 @@ func readAll(t T, sys System, dir, name string) (data []byte, opened, whole bool
 	return data, true, true
 }
 
-// copyFile rewrites dir/name on dst as an exact copy of data (the API
-// is write-once, so "rewrite" is delete + create + chunked appends).
-func copyFile(t T, dst System, dir, name string, data []byte) (uint64, bool) {
+// copyFile rewrites dir/name on dst as an exact copy of src's bytes (the
+// API is write-once, so "rewrite" is delete + create + chunked appends):
+// the mirror's one copy stage, which copies only a copy judged sound.
+func copyFile(t T, dst System, dir, name string, src judged) (uint64, bool) {
+	data := src.data
 	dst.Delete(t, dir, name) // absent is fine
 	fd, ok := dst.Create(t, dir, name)
 	if !ok {
@@ -920,6 +916,12 @@ func copyFile(t T, dst System, dir, name string, data []byte) (uint64, bool) {
 // and its redundancy repair are the same sweep. rep is a return value,
 // not mirror state — nothing of it outlives the call.
 func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool) {
+	return m.resilver(t, (*Mirrored).judge)
+}
+
+// resilver is Resilver with the stage that judges each source copy
+// passed in: judge, or the seeded bug's forgery (bugs.go).
+func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilverBytes uint64, ok bool) {
 	src, ok := m.resilverSource(t)
 	if !ok || !m.alive(1-src) {
 		// No trusted source, or a peer dead and not replaced: still
@@ -966,7 +968,7 @@ func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool
 		rep.Checked, rep.Unsealed, rep.Bad = 0, 0, nil
 		verified := true
 		for _, dir := range m.dirs {
-			n, rewritten, dok := m.resilverDir(t, src, dir, &rep)
+			n, rewritten, dok := m.resilverDir(t, src, dir, &rep, judgeSrc)
 			resilverBytes += n
 			if !dok {
 				return rep, resilverBytes, false
@@ -982,7 +984,7 @@ func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool
 			return rep, resilverBytes, false
 		}
 	}
-	n, _, ok := m.resilverDir(t, src, MirrorMetaDir, &rep)
+	n, _, ok := m.resilverDir(t, src, MirrorMetaDir, &rep, judgeSrc)
 	return rep, resilverBytes + n, ok
 }
 
@@ -991,7 +993,7 @@ func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool
 // reconciled with the destination's copy. It returns the bytes written
 // to the destination and the names of the files either replica had
 // rewritten — the ones verifyDir must re-read.
-func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport) (written uint64, rewritten []string, ok bool) {
+func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport, judgeSrc judgeStage) (written uint64, rewritten []string, ok bool) {
 	dst := 1 - src
 	srcNames := m.rep[src].List(t, dir)
 	// A fail-stopped source lies plausibly: its List reads as an
@@ -1013,7 +1015,7 @@ func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport) (writ
 		}
 	}
 	for _, name := range srcNames {
-		n, rewrote, rok := m.reconcile(t, rep, dir, name, src, true)
+		n, rewrote, rok := m.reconcile(t, rep, dir, name, src, true, judgeSrc)
 		written += n
 		if !rok {
 			return written, rewritten, false
@@ -1057,59 +1059,48 @@ func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport) (writ
 // rewrote reports whether either replica's copy was rewritten, i.e.
 // whether the resilver owes the file a verify-after-write: an untouched
 // file was proven byte-identical by this very read. ok is false when
-// the source could not be read or a resilver write failed.
-func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, heal bool) (written uint64, rewrote, ok bool) {
-	var data [2][]byte
-	var have [2]bool
-	var v [2]Verdict
+// the source could not be read or a resilver write failed. judgeSrc is
+// the stage that judges the source's copy (judge in production).
+func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, heal bool, judgeSrc judgeStage) (written uint64, rewrote, ok bool) {
 	order := [2]int{max(src, 0), 1 - max(src, 0)}
-	// read loads replica i's copy and judges it; false means the
+	// read loads replica i's copy and has it judged; false means the
 	// authoritative source could not be read. A fail-stopped source
 	// lies plausibly (see resilverDir), so its health is re-checked
-	// after every read of it, before anything is written.
-	read := func(i int) bool {
-		have[i], v[i] = false, VerdictAbsent
+	// after every read of it, before it is judged or anything written.
+	read := func(i int, twin *judged) (judged, bool) {
+		var data []byte
+		have := false
 		if m.alive(i) {
-			data[i], _, have[i] = readAll(t, m.raw(i), dir, name)
+			data, _, have = readAll(t, m.raw(i), dir, name)
 		}
-		if i == src && (!have[i] || m.noteDead(t, src)) {
-			return false
+		if i != src {
+			return m.judge(t, rep, dir, name, i, data, have, twin), true
 		}
-		c := AsChecksummed(m.rep[i])
-		if !have[i] || c == nil || (i == src && m.ResilverNoVerify) {
-			return true
-		}
-		// Identical bytes earn the identical verdict: on a healthy pair
-		// the second copy costs a comparison, not a second checksum.
-		if first := order[0]; i != first && v[first] != VerdictAbsent && bytes.Equal(data[i], data[first]) {
-			v[i] = v[first]
-		} else {
-			v[i] = VerifyEnvelope(data[i])
-		}
-		if v[i] == VerdictCorrupt {
-			c.noteDetected(t, dir, name, v[i])
-			rep.Corrupt++
-		}
-		return true
+		lost := !have || m.noteDead(t, src)
+		return judgeSrc(m, t, rep, dir, name, i, data, !lost, twin), !lost
 	}
-	good := func(i int) bool { return v[i] == VerdictOK || v[i] == VerdictUnsealed }
-	for _, i := range order {
-		if !read(i) {
-			return 0, false, false
-		}
+	first, ok := read(order[0], nil)
+	if !ok {
+		return 0, false, false
 	}
+	second, _ := read(order[1], &first) // only the source, order[0], can fail
+	c := [2]*judged{&first, &second}
+	if order[0] == 1 {
+		c = [2]*judged{&second, &first}
+	}
+	good := func(i int) bool { return c[i].v == VerdictOK || c[i].v == VerdictUnsealed }
 	for _, i := range order {
-		if !heal || v[i] != VerdictCorrupt || (src >= 0 && i != src) {
+		if !heal || c[i].v != VerdictCorrupt || (src >= 0 && i != src) {
 			continue
 		}
 		switch {
-		case good(1-i) && m.healFrom(t, dir, name, i, data[1-i]):
-			data[i], v[i] = data[1-i], v[1-i]
+		case good(1-i) && m.healFrom(t, dir, name, i, *c[1-i]):
+			*c[i] = *c[1-i]
 			rep.Healed++
 			rewrote = true
 		case i == src && dir == MirrorMetaDir && m.rewriteMarker(t, i, name):
 			rep.Healed++
-			if !read(i) {
+			if *c[i], ok = read(i, nil); !ok {
 				return 0, false, false
 			}
 		case i == src:
@@ -1118,21 +1109,21 @@ func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, h
 	}
 	if src >= 0 {
 		dst := 1 - src
-		if !have[dst] || !bytes.Equal(data[dst], data[src]) {
-			n, wok := copyFile(t, m.raw(dst), dir, name, data[src])
+		if !c[dst].have || !bytes.Equal(c[dst].data, c[src].data) {
+			n, wok := copyFile(t, m.raw(dst), dir, name, *c[src])
 			if !wok {
 				return n, rewrote, false
 			}
 			written, rewrote = n, true
-			if v[dst] == VerdictCorrupt && good(src) {
+			if c[dst].v == VerdictCorrupt && good(src) {
 				rep.Healed++
 				m.Integrity.healed()
 			}
 		}
-		v[dst] = v[src]
+		*c[dst] = *c[src]
 	}
-	for _, verdict := range v {
-		switch verdict {
+	for _, j := range c {
+		switch j.v {
 		case VerdictAbsent:
 			continue
 		case VerdictUnsealed:
@@ -1143,6 +1134,46 @@ func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, h
 		rep.Checked++
 	}
 	return written, rewrote, true
+}
+
+// judged is one replica's copy of a file as reconcile read it: the bytes
+// (have: the whole file) and the envelope verdict judge (or a heal's
+// healFile) earned on exactly those bytes. The copy stage, copyFile,
+// takes the source's judged, so copying a source nobody judged needs a
+// forgery — the no-verify-resilver bug in bugs.go is that forgery.
+type judged struct {
+	data []byte
+	have bool
+	v    Verdict
+}
+
+// judgeStage is judge's shape. Resilver takes the stage that judges each
+// source copy as a value, so the seeded bug can hand in its own.
+type judgeStage func(m *Mirrored, t T, rep *ScrubReport, dir, name string, i int, data []byte, have bool, twin *judged) judged
+
+// judge mints replica i's judged copy of dir/name from the bytes
+// reconcile read. A copy not read whole, or with no envelope layer to
+// judge it, is VerdictAbsent: compared and copied but never counted. A
+// corrupt verdict ticks the replica's detection counter and the
+// report's Corrupt. twin is the peer's copy when it was judged first.
+func (m *Mirrored) judge(t T, rep *ScrubReport, dir, name string, i int, data []byte, have bool, twin *judged) judged {
+	j := judged{data: data, have: have, v: VerdictAbsent}
+	c := AsChecksummed(m.rep[i])
+	if !have || c == nil {
+		return j
+	}
+	// Identical bytes earn the identical verdict: on a healthy pair the
+	// second copy costs a comparison, not a second checksum.
+	if twin != nil && twin.v != VerdictAbsent && bytes.Equal(data, twin.data) {
+		j.v = twin.v
+	} else {
+		j.v = VerifyEnvelope(data)
+	}
+	if j.v == VerdictCorrupt {
+		c.noteDetected(t, dir, name, j.v)
+		rep.Corrupt++
+	}
+	return j
 }
 
 // verifyDir is the resilver's verify-after-write for one directory: the
@@ -1192,7 +1223,7 @@ func (m *Mirrored) Scrub(t T, heal bool) ScrubReport {
 		}
 		sort.Strings(names)
 		for _, name := range slices.Compact(names) {
-			m.reconcile(t, &rep, dir, name, -1, heal)
+			m.reconcile(t, &rep, dir, name, -1, heal, (*Mirrored).judge)
 		}
 	}
 	return rep

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -122,74 +123,262 @@ func TestRecoveryMutationsTrackProduction(t *testing.T) {
 	}
 }
 
-// tokenMinters names, per stage token, the functions allowed to write
-// a composite literal of it: the stage that earns it.
-var tokenMinters = map[string][]string{
-	"spooled":   {"spoolWrite"},
-	"published": {"publishLink", "publishAs"},
-	"durable":   {"barrier"},
-	"repaired":  {"repair"},
-	"swept":     {"sweep", "Init"}, // a fresh store has no orphan to sweep
+// tokenRules is one package's stage-token discipline. A token is an
+// unexported value type that only the stage which earns it may create;
+// the next stage takes it as its last parameter, so running the stages
+// out of order needs a forgery, and the package's bugs.go — where
+// forging one is the seeded bug — is the only file allowed one.
+type tokenRules struct {
+	name, dir string
+	// minters names, per token, the functions allowed to create one.
+	minters map[string][]string
+	// consumers maps a stage to the token its last parameter must be.
+	consumers map[string]string
 }
 
-// TestTokensForgedOnlyInBugs parses the package's non-test files: a
-// composite literal of a stage token appears only inside the stage that
-// mints it, or in bugs.go, where forging one is the seeded bug; and ack
-// takes a durable, so "ack before the barrier" needs such a forgery.
-func TestTokensForgedOnlyInBugs(t *testing.T) {
-	names, err := filepath.Glob("*.go")
+// tokenPackages are the packages whose ordering obligations are tokens:
+// delivery and recovery here, and below and above this package the four
+// obligations DESIGN.md §4n's obligations table lists.
+var tokenPackages = []tokenRules{
+	{"mailboat", ".", map[string][]string{
+		"spooled":   {"spoolWrite"},
+		"published": {"publishLink", "publishAs"},
+		"durable":   {"barrier"},
+		"repaired":  {"repair"},
+		"swept":     {"sweep", "Init"}, // a fresh store has no orphan to sweep
+	}, map[string]string{"barrier": "published", "ack": "durable", "sweep": "repaired", "reinit": "swept"}},
+	{"gfs", "../gfs", map[string][]string{
+		"verified": {"verify"},
+		"judged":   {"judge", "healFile"},
+	}, map[string]string{"serve": "verified", "copyFile": "judged"}},
+	{"repl", "../repl", map[string][]string{
+		"replicated": {"replicate"},
+		"fenced":     {"fence"},
+	}, map[string]string{"localDeliverMust": "replicated", "localDeleteMust": "replicated", "stream": "fenced", "lead": "fenced"}},
+}
+
+// sources reads the package's non-test Go files: file name → source.
+func (r tokenRules) sources(t *testing.T) map[string]string {
+	names, err := filepath.Glob(filepath.Join(r.dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	minted := map[string]bool{}
-	ackTakesDurable := false
+	srcs := map[string]string{}
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		file, err := parser.ParseFile(fset, name, nil, 0)
+		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srcs[filepath.Base(name)] = string(b)
+	}
+	return srcs
+}
+
+// breaches parses srcs as one package and returns every breach of r: a
+// token created outside its minters and bugs.go — by a composite
+// literal, a zero-value declaration, new(T) or a conversion — a minter
+// row no function backs, and a consumer whose last parameter is not its
+// token.
+func (r tokenRules) breaches(srcs map[string]string) []string {
+	fset := token.NewFileSet()
+	var out []string
+	minted, consumes := map[string]bool{}, map[string]bool{}
+	for _, name := range slices.Sorted(maps.Keys(srcs)) {
+		file, err := parser.ParseFile(fset, name, srcs[name], 0)
+		if err != nil {
+			out = append(out, err.Error())
+			continue
+		}
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fn.Name.Name == "ack" {
-				params := fn.Type.Params.List
-				last, _ := params[len(params)-1].Type.(*ast.Ident)
-				ackTakesDurable = last != nil && last.Name == "durable"
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok {
-					return true
+			fn := ""
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn = d.Name.Name
+				if params := d.Type.Params.List; len(params) > 0 && r.consumers[fn] != "" {
+					consumes[fn] = r.token(params[len(params)-1].Type) == r.consumers[fn]
 				}
-				id, ok := lit.Type.(*ast.Ident)
-				if !ok || tokenMinters[id.Name] == nil {
-					return true
-				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				tok := r.created(n)
 				switch {
-				case name == "bugs.go":
-				case slices.Contains(tokenMinters[id.Name], fn.Name.Name):
-					minted[id.Name] = true
+				case tok == "" || name == "bugs.go":
+				case slices.Contains(r.minters[tok], fn):
+					minted[tok] = true
 				default:
-					t.Errorf("%s: %s writes a %s{…} literal; only %v (or a seeded bug in bugs.go) may",
-						fset.Position(lit.Pos()), fn.Name.Name, id.Name, tokenMinters[id.Name])
+					out = append(out, fmt.Sprintf("%s: %q creates a %s; only %v (or a seeded bug in bugs.go) may",
+						fset.Position(n.Pos()), fn, tok, r.minters[tok]))
 				}
 				return true
 			})
 		}
 	}
-	for tok := range tokenMinters {
+	for tok := range r.minters {
 		if !minted[tok] {
-			t.Errorf("no stage mints a %s: the table above is stale", tok)
+			out = append(out, fmt.Sprintf("no stage mints a %s: the minters table is stale", tok))
 		}
 	}
-	if !ackTakesDurable {
-		t.Error("ack's last parameter is not a durable")
+	for stage, tok := range r.consumers {
+		if !consumes[stage] {
+			out = append(out, fmt.Sprintf("%s's last parameter is not a %s", stage, tok))
+		}
+	}
+	return out
+}
+
+// created names the token n conjures, or "": T{…} (an array of T
+// included), a declaration with no value — a var, or a named result —
+// new(T), or the conversion T(x).
+func (r tokenRules) created(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		return r.token(n.Type)
+	case *ast.ValueSpec:
+		if len(n.Values) == 0 {
+			return r.token(n.Type)
+		}
+	case *ast.FuncType:
+		if n.Results == nil {
+			return ""
+		}
+		for _, res := range n.Results.List {
+			if len(res.Names) > 0 && r.token(res.Type) != "" {
+				return r.token(res.Type)
+			}
+		}
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "new" && len(n.Args) == 1 {
+			return r.token(n.Args[0])
+		}
+		return r.token(n.Fun)
+	}
+	return ""
+}
+
+// token names the token type e denotes, or "".
+func (r tokenRules) token(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if r.minters[e.Name] != nil {
+			return e.Name
+		}
+	case *ast.ArrayType:
+		if e.Len != nil {
+			return r.token(e.Elt)
+		}
+	}
+	return ""
+}
+
+// TestTokensForgedOnlyInBugs holds every package of tokenPackages to its
+// rules: each token is created only inside the stage that mints it, or
+// in the package's bugs.go, where forging one is the seeded bug; and
+// each consuming stage takes its token, so running it early needs such a
+// forgery.
+func TestTokensForgedOnlyInBugs(t *testing.T) {
+	for _, r := range tokenPackages {
+		t.Run(r.name, func(t *testing.T) {
+			for _, b := range r.breaches(r.sources(t)) {
+				t.Error(b)
+			}
+		})
+	}
+}
+
+// TestTokenCheckerRefusesForgeries is the checker's negative control:
+// each way of conjuring a durable, written into a synthetic forge.go
+// beside this package's real sources, is a breach; and so is a stale
+// minter row, and a consumer that takes no token.
+func TestTokenCheckerRefusesForgeries(t *testing.T) {
+	r := tokenPackages[0]
+	srcs := r.sources(t)
+	for _, forge := range []string{
+		"d := durable{}",
+		"var d durable",
+		"d := new(durable)",
+		"d := *new(durable)",
+		"d := durable(struct{ pub published }{})",
+		"var d [1]durable",
+		"d := [1]durable{}",
+	} {
+		srcs["forge.go"] = "package mailboat\n\nfunc forge() {\n\t" + forge + "\n\t_ = d\n}\n"
+		if got := r.breaches(srcs); len(got) != 1 || !strings.Contains(got[0], "forge.go") {
+			t.Errorf("%s: breaches %q, want one in forge.go", forge, got)
+		}
+	}
+	srcs["forge.go"] = "package mailboat\n\nfunc forge() (d durable) { return }\n"
+	if got := r.breaches(srcs); len(got) != 1 {
+		t.Errorf("a named durable result: breaches %q, want one", got)
+	}
+	delete(srcs, "forge.go")
+	stale := tokenRules{dir: r.dir, minters: maps.Clone(r.minters), consumers: map[string]string{"spoolWrite": "durable"}}
+	stale.minters["ghost"] = []string{"haunt"}
+	if got := r.breaches(srcs); len(got) != 0 {
+		t.Fatalf("the real sources breach the rules: %q", got)
+	}
+	if got := stale.breaches(srcs); len(got) != 2 {
+		t.Errorf("a stale minter row and a tokenless consumer: breaches %q, want two", got)
+	}
+}
+
+// TestObligationsMatchDesignDoc holds DESIGN.md §4n's obligations table
+// to tokenPackages: one row per gfs and repl token, naming the stage that
+// mints it and the stages that take it as the rules do, and a forging
+// row that this package's or repl's scenarios.go declares.
+func TestObligationsMatchDesignDoc(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scen []byte
+	for _, f := range []string{"scenarios.go", filepath.Join("..", "repl", "scenarios.go")} {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scen = append(scen, b...)
+	}
+	rows := designTable(t, string(doc), "obligations")
+	names := func(cell string) []string {
+		var out []string
+		for _, m := range regexp.MustCompile("`(\\w+)`").FindAllStringSubmatch(cell, -1) {
+			out = append(out, m[1])
+		}
+		slices.Sort(out)
+		return out
+	}
+	want := 0
+	for _, r := range tokenPackages[1:] {
+		for tok, minters := range r.minters {
+			want++
+			row := regexp.MustCompile("(?m)^\\| [^|`]+ \\| `" + tok + "` \\|.*$").FindString(rows)
+			if row == "" {
+				t.Errorf("obligations table has no row for %s's %s", r.name, tok)
+				continue
+			}
+			cells := strings.Split(row, "|") // "", obligation, token, minter, consumers, forging row, ""
+			var consumers []string
+			for stage, ctok := range r.consumers {
+				if ctok == tok {
+					consumers = append(consumers, stage)
+				}
+			}
+			slices.Sort(consumers)
+			if got := names(cells[3]); !slices.Equal(got, slices.Sorted(slices.Values(minters))) {
+				t.Errorf("%s: minter %v, the rules say %v", tok, got, minters)
+			}
+			if got := names(cells[4]); !slices.Equal(got, consumers) {
+				t.Errorf("%s: consumers %v, the rules say %v", tok, got, consumers)
+			}
+			v := names(cells[5])
+			if len(v) != 1 || !regexp.MustCompile(`(?m)^\t`+v[0]+` += Variant\{`).Match(scen) {
+				t.Errorf("%s: forging row %v is not a Variant row of mailboat or repl", tok, v)
+			}
+		}
+	}
+	if n := strings.Count(rows, "\n| ") - 1; n != want { // less the header row
+		t.Errorf("obligations table has %d rows, gfs and repl have %d tokens", n, want)
 	}
 }
 

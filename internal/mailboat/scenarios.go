@@ -46,7 +46,7 @@ func (w *World) ackedSorted() []string {
 
 // Variant selects the implementation under check: a row of optional
 // overrides, each replacing one production entry point (or one stack
-// flag) with a seeded bug from bugs.go. A nil field is the production
+// layer) with a seeded bug from bugs.go. A nil field is the production
 // code; the zero Variant is the verified implementation, and the only
 // one that runs ghost-annotated. Seeding a mutation is adding a row
 // (DESIGN.md §4n lists them with their scenarios).
@@ -55,7 +55,8 @@ type Variant struct {
 	Pickup  func(mb *Mailboat, t gfs.T, user uint64) []Message
 	Delete  func(mb *Mailboat, t gfs.T, user uint64, id string) bool
 	Recover func(t gfs.T, sys gfs.System, cfg Config) *Mailboat
-	// Stack sets a mutation flag on the composed storage stack.
+	// Stack seeds a bug layer (gfs's bugs.go) into the composed storage
+	// stack.
 	Stack func(*gfs.Stack)
 }
 
@@ -76,15 +77,17 @@ var (
 	// recovery (only meaningful with Mirror).
 	VariantRecoverNoResilver = Variant{Recover: recoverSkipResilver}
 	// VariantTrustReads serves reads without verifying the checksum
-	// envelope (gfs.Checksummed.TrustReads) — the silent-corruption bug
-	// the detection scenarios catch as garbage served to a pickup. Needs
-	// Checksum (there is no envelope to blind without it).
-	VariantTrustReads = Variant{Stack: func(s *gfs.Stack) { s.Checksummed(0).TrustReads = true }}
+	// envelope (gfs.TrustReads forges the envelope layer's verified
+	// token) — the silent-corruption bug the detection scenarios catch as
+	// garbage served to a pickup. Needs Checksum (there is no envelope to
+	// blind without it).
+	VariantTrustReads = Variant{Stack: gfs.TrustReads}
 	// VariantResilverNoVerify skips the resilver's source integrity
-	// check (gfs.Mirrored.ResilverNoVerify), so a survivor that rotted
-	// on the shelf is copied verbatim over the good replica. Needs
-	// Mirror, and only bites with Checksum and a corruption to spend.
-	VariantResilverNoVerify = Variant{Stack: func(s *gfs.Stack) { s.Mirror().ResilverNoVerify = true }}
+	// check (gfs.ResilverNoVerify forges the source's judged token), so a
+	// survivor that rotted on the shelf is copied verbatim over the good
+	// replica. Needs Mirror, and only bites with Checksum and a
+	// corruption to spend.
+	VariantResilverNoVerify = Variant{Stack: gfs.ResilverNoVerify}
 	// VariantReplaySpool delivers with one-byte appends and recovers by
 	// replaying non-empty spool files into the mailbox — a design that
 	// wrongly assumes a crashed spool file is either empty or complete.

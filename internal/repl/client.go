@@ -14,6 +14,28 @@ import (
 // one is retried under the same sequence number until the backup's
 // duplicate detection resolves it.
 
+// Replication is stages that hand each other value tokens, like
+// mailboat's delivery: the local apply takes the replicated token that
+// only replicate mints, and a catch-up's legs and Promote's role switch
+// take the fenced token that only fence mints. A seeded bug forges the
+// token it has not earned, in bugs.go and nowhere else (mailboat's
+// TestTokensForgedOnlyInBugs checks this package too).
+
+// replicated is an operation the backup has durably applied, or one the
+// primary may apply alone because the peer is fenced dead: all the
+// local apply accepts, so applying before replicating needs a forgery.
+type replicated struct{}
+
+// fenced is an epoch this node has durably recorded and adopted, its
+// sequence space reset. A catch-up streams under it and Promote's role
+// switch takes it, so neither can run in an epoch that frames from
+// before it still carry.
+type fenced struct{ epoch uint64 }
+
+// fenceStage is fence's shape. The entry points that may run a catch-up
+// take it as a value so the pair's Variant can hand in a forgery.
+type fenceStage func(nd *Node, t gfs.T) (fenced, bool)
+
 // DeliverNamed runs the replicated delivery of msg to user under the
 // caller-chosen mailbox name. OpNameTaken means the name is in use —
 // pick a fresh name and call again. The name is pre-checked free
@@ -23,6 +45,12 @@ import (
 // replays of the SAME (epoch, seq)-tagged frame, never for a fresh
 // delivery that happens to repeat another's contents.
 func (nd *Node) DeliverNamed(t gfs.T, user uint64, name string, msg []byte) OpResult {
+	return nd.deliverNamed(t, user, name, msg, (*Node).fence)
+}
+
+// deliverNamed is DeliverNamed running fence for any catch-up the
+// replication needs.
+func (nd *Node) deliverNamed(t gfs.T, user uint64, name string, msg []byte, fence fenceStage) OpResult {
 	sp := trace.Enter(t, "repl.deliver")
 	defer trace.Exit(t, sp)
 	nd.lock.Acquire(t)
@@ -30,19 +58,11 @@ func (nd *Node) DeliverNamed(t gfs.T, user uint64, name string, msg []byte) OpRe
 	if _, present := nd.mb.ReadMessage(t, user, name); present {
 		return OpNameTaken
 	}
-	if nd.cfg.Mut.AckBeforeBackup {
-		// BUG (mb/repl-bug:ack-before-backup): publish locally and ack
-		// without waiting for the backup — the replication layer's
-		// ack-before-fsync. The backup catches up... unless the primary
-		// dies first, and then a failover serves a mailbox missing an
-		// acknowledged message.
-		return applyResult(nd.mb.DeliverAs(t, user, name, msg))
-	}
-	res := nd.replicate(t, request{kind: kDeliver, user: user, name: name, body: msg})
+	rep, res := nd.replicate(t, request{kind: kDeliver, user: user, name: name, body: msg}, fence)
 	if res != OpOK {
 		return res
 	}
-	if !nd.localDeliverMust(t, user, name, msg) {
+	if !nd.localDeliverMust(t, user, name, msg, rep) {
 		// The backup holds the message durably but our own store is
 		// dying. The operation must not be re-executed — the backup's
 		// copy may legitimately be consumed (picked up and deleted)
@@ -54,32 +74,37 @@ func (nd *Node) DeliverNamed(t gfs.T, user uint64, name string, msg []byte) OpRe
 
 // DeleteNamed runs the replicated removal of user's message name.
 func (nd *Node) DeleteNamed(t gfs.T, user uint64, name string) OpResult {
+	return nd.deleteNamed(t, user, name, (*Node).fence)
+}
+
+// deleteNamed is DeleteNamed running fence for any catch-up the
+// replication needs.
+func (nd *Node) deleteNamed(t gfs.T, user uint64, name string, fence fenceStage) OpResult {
 	sp := trace.Enter(t, "repl.delete")
 	defer trace.Exit(t, sp)
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
-	res := nd.replicate(t, request{kind: kDelete, user: user, name: name})
+	rep, res := nd.replicate(t, request{kind: kDelete, user: user, name: name}, fence)
 	if res != OpOK {
 		return res
 	}
-	if !nd.localDeleteMust(t, user, name) {
+	if !nd.localDeleteMust(t, user, name, rep) {
 		return OpIndeterminate
 	}
 	return OpOK
 }
 
-// applyResult maps a local mailboat apply status to an OpResult.
-func applyResult(st mailboat.ApplyStatus) OpResult {
-	switch st {
-	case mailboat.Applied, mailboat.AlreadyApplied:
-		return OpOK
-	case mailboat.NameTaken:
-		return OpNameTaken
+// replicate is the stage before the local apply: it resolves r against
+// the backup and mints replicated, which counts only with OpOK.
+func (nd *Node) replicate(t gfs.T, r request, fence fenceStage) (replicated, OpResult) {
+	res := nd.resolve(t, r, fence)
+	if res == OpFailed {
+		nd.cfg.Metrics.ReplicateObserved("failed")
 	}
-	return OpFailed
+	return replicated{}, res
 }
 
-// replicate resolves one (epoch, seq)-tagged operation against the
+// resolve resolves one (epoch, seq)-tagged operation against the
 // backup. It returns OpOK only once the backup has durably applied the
 // operation (or the failure detector has fenced the backup dead, in
 // which case the primary proceeds alone — the fail-stop latch
@@ -101,7 +126,7 @@ func applyResult(st mailboat.ApplyStatus) OpResult {
 //	StNeedResync  the backup is behind or rebooted: run the catch-up,
 //	              then retry in the new epoch's sequence space.
 //	StStoreFailed transient backup store refusal: retry same seq.
-func (nd *Node) replicate(t gfs.T, r request) OpResult {
+func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 	_, modeled := t.(*machine.T)
 	r.seq = nd.seq + 1
 	everUnknown := false
@@ -134,14 +159,12 @@ func (nd *Node) replicate(t gfs.T, r request) OpResult {
 					// The backup fenced us out: it promoted (or committed
 					// a catch-up we know nothing of). Stop acking.
 					trace.Event(t, "repl: fenced by epoch %d > %d", repoch, nd.epoch)
-					nd.cfg.Metrics.ReplicateObserved("failed")
 					return OpFailed
 				}
 				// Our own epoch advanced mid-operation; retag and retry.
 			case StNeedResync:
 				resyncs++
-				if resyncs > 3 || !nd.resyncLocked(t) {
-					nd.cfg.Metrics.ReplicateObserved("failed")
+				if resyncs > 3 || !nd.resyncLocked(t, fence) {
 					return OpFailed
 				}
 				r.seq = nd.seq + 1 // fresh epoch, fresh sequence space
@@ -155,22 +178,15 @@ func (nd *Node) replicate(t gfs.T, r request) OpResult {
 			}
 			nd.cfg.Metrics.ReplicateObserved("retry")
 		}
-		if !everUnknown && attempt >= nd.maxCallRetries() {
-			// Every attempt definitely failed: neither store was
-			// touched. This is the no-ack-barrier property.
-			nd.cfg.Metrics.ReplicateObserved("failed")
-			return OpFailed
-		}
-		if everUnknown && !modeled && attempt >= indetRetries {
-			nd.cfg.Metrics.IndeterminateInc()
-			nd.cfg.Metrics.ReplicateObserved("failed")
-			return OpFailed
-		}
-		if !nd.retryPause(t, attempt) {
+		// Out of definite failures — neither store was touched: the
+		// no-ack-barrier property — or, on a native thread, out of
+		// indeterminate ones, or shutting down.
+		definite := !everUnknown && attempt >= nd.maxCallRetries()
+		capped := everUnknown && !modeled && attempt >= indetRetries
+		if definite || capped || !nd.retryPause(t, attempt) {
 			if everUnknown {
 				nd.cfg.Metrics.IndeterminateInc()
 			}
-			nd.cfg.Metrics.ReplicateObserved("failed")
 			return OpFailed
 		}
 	}
@@ -179,7 +195,7 @@ func (nd *Node) replicate(t gfs.T, r request) OpResult {
 // localDeliverMust applies the delivery locally after the backup
 // confirmed it — past the point of no return, so transient local
 // faults are retried until the store either applies or is dead.
-func (nd *Node) localDeliverMust(t gfs.T, user uint64, name string, msg []byte) bool {
+func (nd *Node) localDeliverMust(t gfs.T, user uint64, name string, msg []byte, _ replicated) bool {
 	for attempt := 1; ; attempt++ {
 		switch nd.mb.DeliverAs(t, user, name, msg) {
 		case mailboat.Applied, mailboat.AlreadyApplied:
@@ -193,32 +209,28 @@ func (nd *Node) localDeliverMust(t gfs.T, user uint64, name string, msg []byte) 
 			}
 			return false
 		}
-		if nd.selfDeadNow() {
-			return false
-		}
-		if !nd.retryPause(t, attempt) {
-			return false
-		}
-		if _, modeled := t.(*machine.T); !modeled && attempt >= 8 {
+		if nd.applyGivesUp(t, attempt) {
 			return false
 		}
 	}
 }
 
+// applyGivesUp reports whether a must-succeed local apply stops after
+// failed attempt: the store fail-stopped, the node is shutting down, or
+// a native thread has spent its eight attempts.
+func (nd *Node) applyGivesUp(t gfs.T, attempt int) bool {
+	_, modeled := t.(*machine.T)
+	return nd.selfDeadNow() || !nd.retryPause(t, attempt) || (!modeled && attempt >= 8)
+}
+
 // localDeleteMust is localDeliverMust for deletes.
-func (nd *Node) localDeleteMust(t gfs.T, user uint64, name string) bool {
+func (nd *Node) localDeleteMust(t gfs.T, user uint64, name string, _ replicated) bool {
 	for attempt := 1; ; attempt++ {
 		switch nd.mb.DeleteAs(t, user, name) {
 		case mailboat.Applied, mailboat.AlreadyApplied:
 			return true
 		}
-		if nd.selfDeadNow() {
-			return false
-		}
-		if !nd.retryPause(t, attempt) {
-			return false
-		}
-		if _, modeled := t.(*machine.T); !modeled && attempt >= 8 {
+		if nd.applyGivesUp(t, attempt) {
 			return false
 		}
 	}
@@ -229,50 +241,59 @@ func (nd *Node) localDeleteMust(t gfs.T, user uint64, name string) bool {
 // then stream the full authoritative state to the backup and commit.
 // Returns false when the catch-up could not complete; the backup is
 // then stale and the pair degraded until the next attempt.
-func (nd *Node) Resync(t gfs.T) bool {
+func (nd *Node) Resync(t gfs.T) bool { return nd.resync(t, (*Node).fence) }
+
+// resync is Resync starting with fence.
+func (nd *Node) resync(t gfs.T, fence fenceStage) bool {
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
-	return nd.resyncLocked(t)
+	return nd.resyncLocked(t, fence)
 }
 
-func (nd *Node) resyncLocked(t gfs.T) bool {
+func (nd *Node) resyncLocked(t gfs.T, fence fenceStage) bool {
 	sp := trace.Enter(t, "repl.resync")
 	defer trace.Exit(t, sp)
-	newEpoch := nd.epoch + 1
-	if nd.cfg.Mut.ResyncSkipsEpoch {
-		// BUG (mb/repl-bug:resync-skips-epoch): catch up without
-		// bumping the epoch. The snapshot installs fine — and every
-		// pre-resync frame still in flight carries a VALID epoch, so a
-		// reordered replicate frame landing after the catch-up walks
-		// straight through the gate and resurrects deleted state.
-		newEpoch = nd.epoch
-	} else if !nd.persistEpochRetry(t, newEpoch) {
-		nd.cfg.Metrics.ResyncObserved(false)
-		return false
+	f, ok := fence(nd, t)
+	ok = ok && nd.stream(t, f)
+	nd.cfg.Metrics.ResyncObserved(ok)
+	if ok {
+		nd.markResynced(t)
+		trace.Event(t, "repl: resync complete at epoch %d", f.epoch)
 	}
-	nd.setEpoch(newEpoch)
+	return ok
+}
+
+// fence is the stage every catch-up and promotion starts with: persist
+// epoch e+1 — retried against transient store faults, given up when the
+// store is fail-stopped or eight attempts are spent — adopt it, reset
+// the sequence space, and mint fenced.
+func (nd *Node) fence(t gfs.T) (fenced, bool) {
+	e := nd.epoch + 1
+	for attempt := 1; !persistEpoch(t, nd.sys, e); attempt++ {
+		if nd.selfDeadNow() || !nd.retryPause(t, attempt) || attempt == 8 {
+			return fenced{}, false
+		}
+	}
+	nd.setEpoch(e)
 	nd.setSeq(0)
-	if !nd.rcallOK(t, request{kind: kResyncBegin, epoch: newEpoch}) {
-		nd.cfg.Metrics.ResyncObserved(false)
+	return fenced{e}, true
+}
+
+// stream is a catch-up's three legs — begin, one put per message,
+// commit — every frame tagged with the fenced epoch.
+func (nd *Node) stream(t gfs.T, f fenced) bool {
+	if !nd.rcallOK(t, request{kind: kResyncBegin, epoch: f.epoch}) {
 		return false
 	}
 	for u := uint64(0); u < nd.mb.Users(); u++ {
 		for _, m := range nd.mb.ReadBox(t, u) {
-			put := request{kind: kResyncPut, epoch: newEpoch, user: u, name: m.ID, body: []byte(m.Contents)}
+			put := request{kind: kResyncPut, epoch: f.epoch, user: u, name: m.ID, body: []byte(m.Contents)}
 			if !nd.rcallOK(t, put) {
-				nd.cfg.Metrics.ResyncObserved(false)
 				return false
 			}
 		}
 	}
-	if !nd.rcallOK(t, request{kind: kResyncCommit, epoch: newEpoch}) {
-		nd.cfg.Metrics.ResyncObserved(false)
-		return false
-	}
-	nd.cfg.Metrics.ResyncObserved(true)
-	nd.markResynced(t)
-	trace.Event(t, "repl: resync complete at epoch %d", newEpoch)
-	return true
+	return nd.rcallOK(t, request{kind: kResyncCommit, epoch: f.epoch})
 }
 
 // rcallOK pushes one idempotent resync leg until it answers StOK,
@@ -303,25 +324,27 @@ func (nd *Node) rcallOK(t gfs.T, r request) bool {
 	}
 }
 
-// Promote makes this node the primary of a new epoch: persist the
-// bumped epoch (fencing the old primary's in-flight frames), reset the
-// sequence space, assume the role. Used at failover; the caller must
-// have established that this node is safe to promote (in sync: same
-// epoch as the failed primary and not mid-resync).
+// Promote makes this node the primary of a new epoch: fence (persist
+// the bumped epoch, fencing the old primary's in-flight frames, and
+// reset the sequence space), then assume the role. Used at failover; the
+// caller must have established that this node is safe to promote (in
+// sync: same epoch as the failed primary and not mid-resync).
 func (nd *Node) Promote(t gfs.T) bool {
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
-	newEpoch := nd.epoch + 1
-	if !nd.persistEpochRetry(t, newEpoch) {
-		return false
+	f, ok := nd.fence(t)
+	if ok {
+		nd.lead(t, f)
 	}
-	nd.setEpoch(newEpoch)
-	nd.setSeq(0)
+	return ok
+}
+
+// lead is Promote's role switch, in the epoch fence just adopted.
+func (nd *Node) lead(t gfs.T, f fenced) {
 	nd.setLastApplied(0)
 	nd.SetPrimary(true)
 	nd.cfg.Metrics.FailoverInc()
-	trace.Event(t, "repl: promoted to primary at epoch %d", newEpoch)
-	return true
+	trace.Event(t, "repl: promoted to primary at epoch %d", f.epoch)
 }
 
 // Ping probes the peer once (no retries): liveness, epoch — and in the

@@ -53,21 +53,6 @@ type Transport interface {
 	Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome)
 }
 
-// Mutations are the seeded protocol bugs the checker must convict
-// (bugs.go-style, compiled in but off by default).
-type Mutations struct {
-	// AckBeforeBackup acks a delivery after the LOCAL publish, without
-	// waiting for the backup — the replication layer's analogue of
-	// acking before fsync. A failover then serves a mailbox missing an
-	// acknowledged message.
-	AckBeforeBackup bool
-	// ResyncSkipsEpoch runs catch-up resync without bumping the epoch,
-	// so in-flight frames from before the resync are not fenced out: a
-	// reordered replicate frame can land after the catch-up and
-	// resurrect a deleted message on the backup.
-	ResyncSkipsEpoch bool
-}
-
 // Config tunes a Node's client leg and observability.
 type Config struct {
 	// MaxCallRetries bounds retries of a definitely-failed call (Lost,
@@ -80,8 +65,6 @@ type Config struct {
 	// Metrics, when non-nil, records repl_* metrics. Leave nil under
 	// the checker; every method is nil-receiver-safe.
 	Metrics *Metrics
-	// Mut enables seeded protocol mutations (checker conviction only).
-	Mut Mutations
 }
 
 // OpResult is the outcome of a primary-side replicated operation.
@@ -380,19 +363,4 @@ func persistEpoch(t gfs.T, sys gfs.System, e uint64) bool {
 		sys.Close(t, fd)
 	}
 	return sys.SyncDir(t, MetaDir)
-}
-
-// persistEpochRetry retries persistEpoch against transient store
-// faults; gives up when the store is fail-stopped or the budget of
-// attempts runs out.
-func (nd *Node) persistEpochRetry(t gfs.T, e uint64) bool {
-	for attempt := 1; attempt <= 8; attempt++ {
-		if persistEpoch(t, nd.sys, e) {
-			return true
-		}
-		if nd.selfDeadNow() || !nd.retryPause(t, attempt) {
-			return false
-		}
-	}
-	return false
 }

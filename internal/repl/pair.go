@@ -27,7 +27,9 @@ type Pair struct {
 
 	sys   [2]gfs.System
 	mbcfg mailboat.Config
-	rcfg  Config
+	// v is the protocol under check, every field set: production's
+	// wherever the row does not override it.
+	v Variant
 
 	primary int
 	// lockAt[user] is the node index holding user's pickup session lock
@@ -56,15 +58,21 @@ func (l *linkTransport) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
 }
 
 // NewPair initializes both stores (mailboat.Init) and wires the nodes
-// over net. Node 0 starts as primary. sys[i] must be the fault-wrapped
-// system whose fail-stop latch is f[i]; the same index is bound as
-// net endpoint i.
+// over net, running the protocol v. Node 0 starts as primary. sys[i]
+// must be the fault-wrapped system whose fail-stop latch is f[i]; the
+// same index is bound as net endpoint i.
 func NewPair(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty, net *netmodel.Net,
-	mbcfg mailboat.Config, rcfg Config) *Pair {
-	p := &Pair{F: f, Net: net, sys: sys, mbcfg: mbcfg, rcfg: rcfg}
+	mbcfg mailboat.Config, v Variant) *Pair {
+	if v.DeliverNamed == nil {
+		v.DeliverNamed = (*Node).deliverNamed
+	}
+	if v.Fence == nil {
+		v.Fence = (*Node).fence
+	}
+	p := &Pair{F: f, Net: net, sys: sys, mbcfg: mbcfg, v: v}
 	for i := 0; i < 2; i++ {
 		mb := mailboat.Init(t, nil, sys[i], mbcfg)
-		p.Nodes[i] = NewNode(t, i, mb, sys[i], rcfg)
+		p.Nodes[i] = NewNode(t, i, mb, sys[i], Config{})
 	}
 	p.wire(net)
 	p.lockAt = make([]int, mbcfg.Users)
@@ -173,27 +181,31 @@ func (p *Pair) Deliver(t gfs.T, user uint64, msg []byte) (delivered, answered bo
 			return false, true // nothing was attempted anywhere
 		}
 		name := mailboat.MsgName(t.RandUint64(p.mbcfg.RandBound))
-		switch p.Nodes[cur].DeliverNamed(t, user, name, msg) {
-		case OpOK:
-			return true, true
-		case OpNameTaken:
-			// collision: next try draws a fresh name
-		case OpIndeterminate:
-			// Complete on the acking backup iff that backup leads (or can
-			// be promoted now). The fail-stop latch makes this exact: an
-			// ack-alone operation's dead peer can never pass failover.
-			if p.primary != cur || p.failover(t) {
-				return true, true
-			}
-			return false, false
-		case OpFailed:
-			if p.F[cur].FailStopped() {
-				continue // definite no-op; next try fails over first
-			}
-			return false, true
+		res := p.v.DeliverNamed(p.Nodes[cur], t, user, name, msg, p.v.Fence)
+		if ok, answered, again := p.settle(t, cur, res); !again {
+			return ok, answered
 		}
 	}
 	return false, true
+}
+
+// settle is the client's answer to a replicated operation's outcome res
+// on node cur; again means try once more: a name collision draws a fresh
+// name, and a definite no-op on a dead primary fails over first.
+func (p *Pair) settle(t gfs.T, cur int, res OpResult) (ok, answered, again bool) {
+	switch res {
+	case OpOK:
+		return true, true, false
+	case OpIndeterminate:
+		// Complete on the acking backup iff that backup leads (or can be
+		// promoted now). The fail-stop latch makes this exact: an
+		// ack-alone operation's dead peer can never pass failover.
+		done := p.primary != cur || p.failover(t)
+		return done, done, false
+	case OpFailed:
+		return false, true, p.F[cur].FailStopped()
+	}
+	return false, true, true
 }
 
 // Pickup lists user's mailbox on the primary and leaves the session
@@ -257,19 +269,8 @@ func (p *Pair) Delete(t gfs.T, user uint64, id string) (removed, answered bool) 
 				return true, true
 			}
 		}
-		switch nd.DeleteNamed(t, user, id) {
-		case OpOK:
-			return true, true
-		case OpIndeterminate:
-			if p.primary != cur || p.failover(t) {
-				return true, true
-			}
-			return false, false
-		case OpFailed:
-			if p.F[cur].FailStopped() {
-				continue // definite no-op; next hop fails over first
-			}
-			return false, true
+		if ok, answered, again := p.settle(t, cur, nd.deleteNamed(t, user, id, p.v.Fence)); !again {
+			return ok, answered
 		}
 	}
 	return false, true
@@ -301,7 +302,7 @@ func (p *Pair) Recover(t gfs.T) {
 	}
 	for i := 0; i < 2; i++ {
 		mb := mailboat.Recover(t, nil, p.sys[i], p.mbcfg, nil)
-		p.Nodes[i] = NewNode(t, i, mb, p.sys[i], p.rcfg)
+		p.Nodes[i] = NewNode(t, i, mb, p.sys[i], Config{})
 	}
 	p.wire(p.Net)
 	p.primary = 0
@@ -312,7 +313,7 @@ func (p *Pair) Recover(t gfs.T) {
 	for u := range p.lockAt {
 		p.lockAt[u] = -1
 	}
-	p.stale = !p.Nodes[p.primary].Resync(t)
+	p.stale = !p.Nodes[p.primary].resync(t, p.v.Fence)
 	p.Nodes[p.primary].Ping(t)
 	p.Nodes[1-p.primary].Ping(t)
 }

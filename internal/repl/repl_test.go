@@ -35,7 +35,7 @@ func newPairRig(storePol, netPol fault.Policy) *pairRig {
 }
 
 func (r *pairRig) build(mt *machine.T) *Pair {
-	r.pair = NewPair(mt, [2]gfs.System{r.f[0], r.f[1]}, r.f, r.net, r.cfg, Config{})
+	r.pair = NewPair(mt, [2]gfs.System{r.f[0], r.f[1]}, r.f, r.net, r.cfg, Variant{})
 	return r.pair
 }
 

@@ -73,9 +73,36 @@ type ScenarioOptions struct {
 	// and the network classes (tag "net") strike any call, all under one
 	// budget per execution.
 	Faults mailboat.Faults
-	// Mut enables the seeded replication-protocol mutations.
-	Mut Mutations
+	// Variant is the protocol under check; the zero row is production's.
+	Variant Variant
 }
+
+// Variant selects the replication protocol under check, as
+// mailboat.Variant does the library: a row of overrides, each replacing
+// one production piece with a seeded bug from bugs.go. A nil field is
+// the production code. The Pair holds the row — it is the checker's
+// harness; the daemon drives Node directly and never sees one.
+type Variant struct {
+	// DeliverNamed replaces Node.DeliverNamed; fence is the row's fence
+	// stage, for the catch-ups the delivery may run.
+	DeliverNamed func(nd *Node, t gfs.T, user uint64, name string, msg []byte, fence fenceStage) OpResult
+	// Fence replaces the fence stage of every catch-up resync the pair's
+	// nodes run (Promote keeps production's).
+	Fence fenceStage
+}
+
+var (
+	// VariantAckBeforeBackup acks a delivery after the LOCAL publish,
+	// without waiting for the backup — the replication layer's analogue
+	// of acking before fsync. A failover then serves a mailbox missing an
+	// acknowledged message.
+	VariantAckBeforeBackup = Variant{DeliverNamed: (*Node).deliverAckBeforeBackup}
+	// VariantResyncSkipsEpoch runs catch-up resync without bumping the
+	// epoch, so in-flight frames from before the resync are not fenced
+	// out: a reordered replicate frame can land after the catch-up and
+	// resurrect a deleted message on the backup.
+	VariantResyncSkipsEpoch = Variant{Fence: skipFence}
+)
 
 // Scenario builds the replicated checkable scenario.
 func Scenario(name string, o ScenarioOptions) *explore.Scenario {
@@ -107,7 +134,7 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			w := wAny.(*ScenarioWorld)
 			w.Pair = NewPair(t, [2]gfs.System{w.Stacks[0].Top, w.Stacks[1].Top},
 				[2]*gfs.Faulty{w.Stacks[0].Faulty(0), w.Stacks[1].Faulty(0)}, w.Net,
-				o.Config, Config{Mut: o.Mut})
+				o.Config, o.Variant)
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*ScenarioWorld)

@@ -122,7 +122,7 @@ func TestConvictAckBeforeBackup(t *testing.T) {
 		PickupUsers: []uint64{0},
 		PostPickups: true,
 		Faults:      oneFailStop,
-		Mut:         Mutations{AckBeforeBackup: true},
+		Variant:     VariantAckBeforeBackup,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 400000})
 	t.Logf("report: %s", rep.String())
@@ -156,7 +156,7 @@ func TestConvictResyncSkipsEpoch(t *testing.T) {
 		PostPickups: true,
 		MaxCrashes:  1,
 		Faults:      oneReorder,
-		Mut:         Mutations{ResyncSkipsEpoch: true},
+		Variant:     VariantResyncSkipsEpoch,
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 400000})
 	t.Logf("report: %s", rep.String())
@@ -253,7 +253,7 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 		PostPickups: true,
 		MaxCrashes:  1,
 		Faults:      oneReorder,
-		Mut:         Mutations{ResyncSkipsEpoch: true},
+		Variant:     VariantResyncSkipsEpoch,
 	})
 	rep = explore.Run(bug, explore.Options{MaxExecutions: 400000})
 	if rep.OK() {

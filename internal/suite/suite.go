@@ -227,7 +227,7 @@ func replBugs() []Entry {
 				PickupUsers: []uint64{0},
 				PostPickups: true,
 				Faults:      oneFailStop,
-				Mut:         repl.Mutations{AckBeforeBackup: true},
+				Variant:     repl.VariantAckBeforeBackup,
 			}),
 			Opts: explore.Options{MaxExecutions: 400000},
 		},
@@ -246,7 +246,7 @@ func replBugs() []Entry {
 				PostPickups: true,
 				MaxCrashes:  1,
 				Faults:      oneReorder,
-				Mut:         repl.Mutations{ResyncSkipsEpoch: true},
+				Variant:     repl.VariantResyncSkipsEpoch,
 			}),
 			Opts: explore.Options{MaxExecutions: 400000},
 		},
