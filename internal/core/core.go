@@ -476,7 +476,9 @@ func (c *Ctx) Help(t *machine.T, j *JTok) {
 
 // CrashSim performs the spec-level crash transition, discharging the
 // owed ⤇Crashing into ⤇Done (Table 1's crash-refinement rule). Recovery
-// must call it exactly once per machine crash, after any helping.
+// must call it exactly once per machine crash, after any helping. The
+// ghost source is one state, so the spec's crash must have exactly one
+// outcome: a spec whose crash chooses is checked black-box.
 func (c *Ctx) CrashSim(t *machine.T) {
 	if !c.simInit {
 		c.failf(t, "CrashSim before InitSim")
@@ -489,7 +491,12 @@ func (c *Ctx) CrashSim(t *machine.T) {
 	// Tokens still deposited belong to threads that died without being
 	// helped: their operations never take effect. Drop them.
 	c.helping = map[*JTok]bool{}
-	c.src = c.sp.Crash(c.src)
+	next := c.sp.Crash(c.src)
+	if len(next) != 1 {
+		c.failf(t, "CrashSim: spec %s allows %d crash outcomes, the ghost source follows exactly one", c.sp.Name(), len(next))
+		return
+	}
+	c.src = next[0]
 	c.crashing = false
 }
 

@@ -300,6 +300,23 @@ func TestCrashSimDischargesOwedCrashStep(t *testing.T) {
 	}
 }
 
+// TestCrashSimRefusesAChoosingCrash: the ghost source is one state, so a
+// spec whose crash has several outcomes cannot be followed by CrashSim.
+func TestCrashSimRefusesAChoosingCrash(t *testing.T) {
+	sp := kvSpec().(*spec.TSL[kvState])
+	sp.CrashTransition = func(s kvState) []spec.State { return []spec.State{kvState{}, s} }
+	m := machine.New(machine.Options{})
+	c := NewCtx(m)
+	m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		c.InitSim(sp, kvState{v: 1})
+	})
+	m.CrashReset()
+	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		c.CrashSim(mt)
+	})
+	wantViolation(t, res, "allows 2 crash outcomes")
+}
+
 func TestCrashSimWithoutCrashFails(t *testing.T) {
 	res, _, _ := runGhost(t, func(mt *machine.T, c *Ctx) {
 		c.InitSim(kvSpec(), kvState{})

@@ -89,9 +89,9 @@ func Spec() spec.Interface {
 				panic(fmt.Sprintf("groupcommit: unknown op %T", op))
 			}
 		},
-		CrashTransition: func(s State) State {
+		CrashTransition: func(s State) []spec.State {
 			s.VolV1, s.VolV2 = s.DurV1, s.DurV2
-			return s
+			return []spec.State{s}
 		},
 	}
 }

@@ -25,8 +25,11 @@ func TestSpecCrashLosesOnlyUnflushedWrites(t *testing.T) {
 	mustStep(OpWrite{V1: 1, V2: 2}, nil)
 	mustStep(OpFlush{}, nil)
 	mustStep(OpWrite{V1: 9, V2: 9}, nil)
-	st = sp.Crash(st)
-	s := st.(State)
+	crashed := sp.Crash(st)
+	if len(crashed) != 1 {
+		t.Fatalf("crash has %d outcomes, want 1", len(crashed))
+	}
+	s := crashed[0].(State)
 	if s.VolV1 != 1 || s.VolV2 != 2 {
 		t.Fatalf("crash did not reset volatile to durable: %+v", s)
 	}

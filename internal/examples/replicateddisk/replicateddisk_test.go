@@ -34,7 +34,7 @@ func TestSpecMatchesFigure3(t *testing.T) {
 		t.Fatal("out-of-bounds write not UB")
 	}
 	// crash loses nothing
-	if sp.Key(sp.Crash(st)) != sp.Key(st) {
+	if crashed := sp.Crash(st); len(crashed) != 1 || sp.Key(crashed[0]) != sp.Key(st) {
 		t.Fatal("crash transition must be the identity")
 	}
 }

@@ -42,7 +42,7 @@ func regSpec(durable bool) spec.Interface {
 		},
 	}
 	if !durable {
-		s.CrashTransition = func(regState) regState { return regState{} }
+		s.CrashTransition = func(regState) []spec.State { return []spec.State{regState{}} }
 	}
 	return s
 }

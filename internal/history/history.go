@@ -386,9 +386,12 @@ func (c *Checker) dfs(i int, st spec.State) bool {
 		}
 	case Crash:
 		// All unreturned, unlinearized ops die here; linearized ones have
-		// taken effect (helping). The spec takes its crash step.
+		// taken effect (helping). The spec takes its crash step, to any
+		// state it allows.
 		mark := c.crash()
-		ok = c.dfs(i+1, c.sp.Crash(st))
+		for _, next := range c.sp.Crash(st) {
+			ok = ok || c.dfs(i+1, next)
+		}
 		c.uncrash(mark)
 	}
 

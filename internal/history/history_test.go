@@ -42,7 +42,16 @@ func regSpec() spec.Interface {
 func volatileRegSpec() spec.Interface {
 	s := regSpec().(*spec.TSL[regState])
 	s.SpecName = "volatile-register"
-	s.CrashTransition = func(regState) regState { return regState{} }
+	s.CrashTransition = func(regState) []spec.State { return []spec.State{regState{}} }
+	return s
+}
+
+// bufferedRegSpec is a register whose crash may keep its value or reset
+// it to zero: a crash transition with two outcomes.
+func bufferedRegSpec() spec.Interface {
+	s := regSpec().(*spec.TSL[regState])
+	s.SpecName = "buffered-register"
+	s.CrashTransition = func(r regState) []spec.State { return []spec.State{regState{}, r} }
 	return s
 }
 
@@ -159,6 +168,33 @@ func TestVolatileSpecAllowsLossOfCompletedWrite(t *testing.T) {
 	res := Check(volatileRegSpec(), h)
 	if !res.OK {
 		t.Fatalf("volatile spec rejected allowed loss: %+v", res)
+	}
+}
+
+// TestCrashTriesEveryOutcome: a completed write followed by a crash
+// may read back as either outcome the crash transition allows — the
+// second outcome too, not just the first — and as nothing else.
+func TestCrashTriesEveryOutcome(t *testing.T) {
+	for seen, want := range map[int]bool{0: true, 9: true, 5: false} {
+		h := History{
+			{Kind: Invoke, ID: 0, Op: opWrite{v: 9}},
+			{Kind: Return, ID: 0, Op: opWrite{v: 9}, Ret: nil},
+			{Kind: Crash},
+			{Kind: Invoke, ID: 1, Op: opRead{}},
+			{Kind: Return, ID: 1, Op: opRead{}, Ret: seen},
+		}
+		if got := Check(bufferedRegSpec(), h).OK; got != want {
+			t.Errorf("read %d after the crash: OK=%v, want %v", seen, got, want)
+		}
+		w, ok := Witness(bufferedRegSpec(), h)
+		if ok != want {
+			t.Fatalf("read %d after the crash: witness ok=%v, want %v", seen, ok, want)
+		}
+		for _, step := range w {
+			if step.Kind == "crash-step" && step.StateKey != fmt.Sprintf("{%d}", seen) {
+				t.Errorf("read %d after the crash: witness crash step %+v", seen, step)
+			}
+		}
 	}
 }
 
@@ -390,8 +426,10 @@ func referenceCheck(sp spec.Interface, h History) bool {
 				return true
 			}
 		case Crash:
-			if rec(i+1, sp.Crash(st), map[OpID]bool{}) {
-				return true
+			for _, next := range sp.Crash(st) {
+				if rec(i+1, next, map[OpID]bool{}) {
+					return true
+				}
 			}
 		}
 		for _, id := range linearizable(ops, i, lin) {
@@ -614,10 +652,10 @@ var (
 	flatNext = [4][]spec.State{{0}, {1}, {2}, {3}}
 )
 
-func (flatReg) Name() string                  { return "flat-register" }
-func (flatReg) Init() spec.State              { return 0 }
-func (flatReg) Crash(s spec.State) spec.State { return s }
-func (flatReg) Key(s spec.State) string       { return flatKeys[s.(int)] }
+func (flatReg) Name() string                    { return "flat-register" }
+func (flatReg) Init() spec.State                { return 0 }
+func (flatReg) Crash(s spec.State) []spec.State { return flatNext[s.(int)] }
+func (flatReg) Key(s spec.State) string         { return flatKeys[s.(int)] }
 func (flatReg) Step(s spec.State, op spec.Op, ret spec.Ret) ([]spec.State, bool) {
 	switch o := op.(type) {
 	case opWrite:

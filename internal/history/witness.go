@@ -69,14 +69,15 @@ func Witness(sp spec.Interface, h History) ([]WitnessStep, bool) {
 				pop()
 			}
 		case Crash:
-			next := sp.Crash(st)
-			push(WitnessStep{Kind: "crash-step", EventIndex: i, StateKey: sp.Key(next)})
 			mark := c.crash()
-			if rec(i+1, next) {
-				return true
+			for _, next := range sp.Crash(st) {
+				push(WitnessStep{Kind: "crash-step", EventIndex: i, StateKey: sp.Key(next)})
+				if rec(i+1, next) {
+					return true
+				}
+				pop()
 			}
 			c.uncrash(mark)
-			pop()
 		}
 
 		for op := range c.ops {

@@ -62,9 +62,9 @@ func (mb *Mailboat) pickupNoAdvance(t gfs.T, user uint64) []Message {
 
 // pickupLeaky is the §9.5 resource-leak bug: it never closes the
 // message file descriptors. This violates no refinement property — the
-// checker accepts it, exactly as the paper reports that Perennial's
-// proofs do not cover resource leaks — but gfs.Model.OpenFDs exposes it
-// to ordinary tests.
+// history check accepts it, exactly as the paper reports that
+// Perennial's proofs do not cover resource leaks — but gfs.Model.OpenFDs
+// exposes it, and the between-era resource audit convicts it.
 func (mb *Mailboat) pickupLeaky(t gfs.T, user uint64) []Message {
 	mb.locks[user].Acquire(t)
 	names := mb.sys.List(t, UserDir(user))
@@ -97,6 +97,24 @@ func recoverWipesMailboxes(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
 	for u := uint64(0); u < cfg.Users; u++ {
 		for _, name := range sys.List(t, UserDir(u)) {
 			sys.Delete(t, UserDir(u), name)
+		}
+	}
+	return reinit(t, nil, sys, cfg, nil, sw)
+}
+
+// recoverDropsTorn is a recovery that tidies up after a barrier-free
+// crash: a message whose body came back empty lost its data when its
+// link survived, so it deletes the message. But a crash keeps a prefix
+// of the mailbox's directory operations, so a torn message may sit
+// below a later survivor, and deleting it punches the hole the buffered
+// contract (PrefixSpec) promises never to leave.
+func recoverDropsTorn(t gfs.T, sys gfs.System, cfg Config) *Mailboat {
+	sw := sweep(t, sys, cfg.Metrics, repair(t, sys))
+	for u := uint64(0); u < cfg.Users; u++ {
+		for _, name := range sys.List(t, UserDir(u)) {
+			if data, ok := readFile(t, sys, UserDir(u), name); ok && data == "" {
+				sys.Delete(t, UserDir(u), name) // BUG: a torn survivor becomes a hole
+			}
 		}
 	}
 	return reinit(t, nil, sys, cfg, nil, sw)
@@ -143,7 +161,7 @@ func (mb *Mailboat) deliverForgetSpoolDelete(t gfs.T, user uint64, msg []byte) b
 // published — the spool write never even landed — yet the client hears
 // yes: acked-but-absent, the exact loss the clean-abort contract (fail
 // the delivery, surface a temp-failure code) exists to prevent. The
-// exhaustion property convicts it at the post-recovery audit.
+// post pickup finds nothing there: a refinement failure.
 func (mb *Mailboat) deliverAckOnNoSpace(t gfs.T, user uint64, msg []byte) bool {
 	for attempt := 0; attempt < 3; attempt++ {
 		if _, ok := mb.deliverAttempt(t, nil, user, msg); ok {

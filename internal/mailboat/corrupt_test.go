@@ -99,8 +99,8 @@ func TestCorruptMirrorTwoDeliversClean(t *testing.T) {
 
 // TestDedupSelfCheckCorrupt runs the dedup soundness self-check on the
 // detection scenario: the fingerprint must cover the envelope layer's
-// detection counter and the acked-payload set, or pruning would merge
-// states the Post property distinguishes.
+// detection counter and the count the last observation saw, or pruning
+// would merge states the next OpObserve distinguishes.
 func TestDedupSelfCheckCorrupt(t *testing.T) {
 	s := Scenario("mb-corrupt-selfcheck", VariantVerified, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 2},
@@ -126,9 +126,10 @@ func TestDedupSelfCheckCorrupt(t *testing.T) {
 
 // TestBugTrustReadsCaught seeds the trusting-reader mutation: the
 // envelope layer decodes without verifying checksums. A bit flip in the
-// data payload then sails through to a pickup as bytes nobody ever sent
-// — the detection property's garbage check — and a flip that breaks
-// framing loses the message with the detection counter still at zero.
+// data payload then sails through to a pickup as bytes nobody ever sent,
+// and a flip that breaks framing loses the message at an observation
+// that saw no detection — both refinement failures against
+// DetectionSpec.
 func TestBugTrustReadsCaught(t *testing.T) {
 	s := Scenario("mb-trust-reads", VariantTrustReads, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 2},

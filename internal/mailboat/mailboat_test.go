@@ -221,14 +221,22 @@ func TestBugRecoverWipesMailboxesCaught(t *testing.T) {
 }
 
 func TestBugFdLeakNotARefinementViolation(t *testing.T) {
-	// The checker accepts the leaky pickup — Perennial's proofs do not
-	// cover resource leaks (§9.5) — but the model's FD counter sees it.
+	// The history check accepts the leaky pickup — Perennial's proofs do
+	// not cover resource leaks (§9.5) — but the model's FD counter sees
+	// it, and so does the between-era resource audit.
 	s := Scenario("mb-bug-leak", VariantPickupLeaky, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 2},
 		Delivers:    []OpDeliver{{User: 0, Msg: "mail"}},
 		PickupUsers: []uint64{0},
 	})
 	rep := explore.Run(s, explore.Options{MaxExecutions: 2000})
+	t.Logf("with the resource audit: %s", rep)
+	if rep.OK() || !strings.Contains(rep.Counterexample.Reason, "resource leak") {
+		t.Fatalf("leak not convicted by the resource audit: %s", rep)
+	}
+	s.Invariant = nil
+	rep = explore.Run(s, explore.Options{MaxExecutions: 2000})
+	t.Logf("history check alone: %s", rep)
 	if !rep.OK() {
 		t.Fatalf("leak flagged as refinement violation (should not be):\n%s", rep.Counterexample.Format())
 	}

@@ -18,11 +18,12 @@ import (
 
 func nospaceGCScenario(v Variant, delivers []OpDeliver, crashes int, randBound uint64) *explore.Scenario {
 	return Scenario("mb-nospace-gc", v, ScenarioOptions{
-		Config:     Config{Users: 1, RandBound: randBound},
-		Delivers:   delivers,
-		MaxCrashes: crashes,
-		Faults:     oneDiskFull,
-		Property:   Exhaustion,
+		Config:      Config{Users: 1, RandBound: randBound},
+		Delivers:    delivers,
+		MaxCrashes:  crashes,
+		PostPickups: true,
+		Faults:      oneDiskFull,
+		Property:    Exhaustion,
 	})
 }
 
@@ -82,11 +83,11 @@ func TestNoSpaceCleanAbortCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestNoSpaceGCReclaimsExhaustive: the exhaustion contract as a
-// property, with the latch crossing TWO crash/recovery boundaries. The
-// crash strands whatever was spooled, recovery's sweep reclaims it
-// (clearing the latch), and Post's probe pins writability to the latch
-// state. Double-crash also pins the durable-latch budget accounting:
+// TestNoSpaceGCReclaimsExhaustive: the exhaustion contract, with the
+// latch crossing TWO crash/recovery boundaries. The crash strands
+// whatever was spooled, recovery's sweep reclaims it (clearing the
+// latch), the recorded post-pickups must refine Spec, and the probe
+// pins writability to the latch state. Double-crash also pins the durable-latch budget accounting:
 // the replayed latch must not re-spend the chooser budget in era two.
 func TestNoSpaceGCReclaimsExhaustive(t *testing.T) {
 	s := nospaceGCScenario(VariantVerified, []OpDeliver{{User: 0, Msg: "a"}}, 2, 3)
@@ -104,10 +105,10 @@ func TestNoSpaceGCReclaimsExhaustive(t *testing.T) {
 }
 
 // TestNoSpaceSelfCheckDedup runs the dedup soundness self-check on the
-// nospace property scenario: its fingerprint covers the disk-full latch
-// (Faulty.AppendCheckerState), the chooser policy's spent budget, and
-// the acked set — a pruned boundary differing in any of them would be a
-// soundness hole.
+// exhaustion scenario: its fingerprint covers the disk-full latch
+// (Faulty.AppendCheckerState) and the chooser policy's spent budget, and
+// the boundary covers the history — a pruned boundary differing in any
+// of them would be a soundness hole.
 func TestNoSpaceSelfCheckDedup(t *testing.T) {
 	s := nospaceGCScenario(VariantVerified, []OpDeliver{{User: 0, Msg: "a"}}, 2, 3)
 	with, without, err := explore.SelfCheckDedup(s, explore.Options{MaxExecutions: 20000})
@@ -121,7 +122,8 @@ func TestNoSpaceSelfCheckDedup(t *testing.T) {
 
 // TestBugAckOnNoSpaceCaught seeds the ack-after-ENOSPC mutation: the
 // full disk refused the delivery, nothing was published, and the client
-// heard yes — acked-but-absent, convicted by the post-recovery audit.
+// heard yes — acked-but-absent, a refinement failure at the post
+// pickup.
 func TestBugAckOnNoSpaceCaught(t *testing.T) {
 	s := nospaceGCScenario(VariantDeliverAckOnNoSpace, []OpDeliver{{User: 0, Msg: "a"}}, 1, 3)
 	convictAndMinimize(t, s, "ack-after-enospc")

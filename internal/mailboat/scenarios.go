@@ -26,22 +26,10 @@ type World struct {
 	FS    [2]*gfs.Model
 	Stack *gfs.Stack
 	MB    *Mailboat
-	// Acked is the set of message payloads whose delivery the workload
-	// saw acknowledged — the ground truth of the detection and
-	// exhaustion properties (nil under the others).
-	Acked map[string]bool
+	// seen is the stack's detection count at the last OpObserve.
+	seen uint64
 	// v is the implementation under check (see Client).
 	v Variant
-}
-
-// ackedSorted returns the acked payloads in a deterministic order.
-func (w *World) ackedSorted() []string {
-	acked := make([]string, 0, len(w.Acked))
-	for msg := range w.Acked {
-		acked = append(acked, msg)
-	}
-	sort.Strings(acked)
-	return acked
 }
 
 // Variant selects the implementation under check: a row of optional
@@ -115,6 +103,10 @@ var (
 	// a delivery hits a full disk, eating concurrent deliveries' live
 	// spooled-but-unlinked files. Only meaningful under Exhaustion.
 	VariantDeliverGreedySpoolGC = Variant{Deliver: (*Mailboat).deliverGreedySpoolGC}
+	// VariantRecoverDropsTorn deletes the messages a barrier-free crash
+	// left empty, turning a torn survivor into a hole below a later
+	// one. Only meaningful under Prefix.
+	VariantRecoverDropsTorn = Variant{Recover: recoverDropsTorn}
 )
 
 // verified reports whether v overrides nothing.
@@ -178,46 +170,40 @@ func (f Faults) Policy() fault.Policy {
 	return &fault.Chooser{Budget: f.Budget, Eligible: f.Ops}
 }
 
-// Property is the claim a scenario checks: how its deliveries are
-// recorded and what is asserted after the final recovery. One row per
-// claim; a scenario names exactly one.
+// Property is the claim a scenario checks: the spec every recorded
+// history must refine. One row per claim; a scenario names exactly one,
+// and every row records every operation.
 type Property struct {
 	Name string
-	// acked takes deliveries out of the history: they run unrecorded and
-	// the payloads the store acknowledged collect in World.Acked, the
-	// ground truth post audits.
-	acked bool
-	// sequential runs the deliveries one after another on the main
-	// thread, unrecorded, and nothing else: the issue order is the
-	// ground truth.
-	sequential bool
-	// post audits the store after the final recovery, in place of the
-	// recorded post-pickups.
-	post func(*machine.T, *World, *ScenarioOptions)
+	// spec is the row's specification.
+	spec func(Config) spec.Interface
+	// observe spans each recorded pickup session with an OpObserve.
+	observe bool
+	// after runs once the recorded post-pickups have.
+	after func(*machine.T, *explore.Harness, *World)
 }
 
 var (
-	// Refinement (the default): every operation is recorded and the
-	// history must refine Spec — under the ghost annotations when the
-	// verified implementation runs somewhere their one-atomic-step
-	// linearization holds (see ghost), black-box otherwise.
-	Refinement = &Property{Name: "refinement"}
+	// Refinement (the default): the history must refine Spec — under
+	// the ghost annotations when the verified implementation runs
+	// somewhere their one-atomic-step linearization holds (see ghost),
+	// black-box otherwise.
+	Refinement = &Property{Name: "refinement", spec: Spec}
 	// Detection is what a single checksummed backend can promise under
 	// corruption: with no second copy rot may lose data, but never
-	// silently (postDetect).
-	Detection = &Property{Name: "detection", acked: true, post: postDetect}
+	// silently. Each pickup session is spanned by an OpObserve, and the
+	// history must refine DetectionSpec.
+	Detection = &Property{Name: "detection", spec: DetectionSpec, observe: true}
 	// Exhaustion is the disk-full contract: ENOSPC may refuse work, but
-	// never takes back an ack, and writability tracks the latch
-	// (postNoSpace). The latch lives in the fault layer, so the scenario
-	// needs a fault budget (with fault.NoSpace to ever latch).
-	Exhaustion = &Property{Name: "exhaustion", acked: true, post: postNoSpace}
-	// Prefix is the honest contract of barrier-free delivery (mailboatd
-	// -no-fsync) on the writeback model, where it cannot refine the spec
-	// — a crash may take back acked mail: what survives must be a
-	// no-holes prefix of the delivery order (postPrefix). The
-	// durable-vs-buffered distinction of "The Path to Durable
-	// Linearizability", checked as a property.
-	Prefix = &Property{Name: "prefix", sequential: true, post: postPrefix}
+	// never takes back an ack — Spec's transient failure already says
+	// so — and writability tracks the latch (probeLatch). The latch
+	// lives in the fault layer, so the scenario needs a fault budget
+	// (with fault.NoSpace to ever latch).
+	Exhaustion = &Property{Name: "exhaustion", spec: Spec, after: probeLatch}
+	// Prefix is the buffered contract of barrier-free delivery
+	// (mailboatd -no-fsync) on the writeback model, where a crash may
+	// take back acked mail: the history must refine PrefixSpec.
+	Prefix = &Property{Name: "prefix", spec: PrefixSpec}
 
 	// Properties lists the rows.
 	Properties = []*Property{Refinement, Detection, Exhaustion, Prefix}
@@ -261,34 +247,29 @@ func (o *ScenarioOptions) replicas() int {
 	return 1
 }
 
-// property is the row the scenario checks.
-func (o *ScenarioOptions) property() *Property {
-	if o.Property == nil {
-		return Refinement
-	}
-	return o.Property
-}
-
 // ghost reports whether v runs under the ghost annotations. They commit
 // the spec step in the same atomic turn as the one link that publishes
 // a message, so they fit the verified implementation on a single plain
 // backend whose link stays put: a mirrored link is two machine steps, a
 // writeback crash can roll the link back, corruption breaks the
-// files-match-source relation by design, and a property scenario claims
-// something other than refinement.
+// files-match-source relation by design, and the ghost source follows
+// Spec alone (core.Ctx.CrashSim takes one crash outcome).
 func (o *ScenarioOptions) ghost(v Variant) bool {
-	return v.verified() && o.property() == Refinement && !o.Mirror && !o.Checksum && o.Crash != Writeback
+	return v.verified() && o.Property == Refinement && !o.Mirror && !o.Checksum && o.Crash != Writeback
 }
 
-// check refuses a property whose ground truth the other parts cannot
-// supply; which layers compose over which crash model and fault budget
-// is gfs.StackSpec.Validate's table.
+// check refuses a property the other parts leave nothing to check
+// (Scenario has already made a nil Property Refinement); which layers
+// compose over which crash model and fault budget is
+// gfs.StackSpec.Validate's table.
 func (o *ScenarioOptions) check() error {
 	switch {
 	case o.Property == Prefix && o.Crash != Writeback:
 		return errors.New("Prefix needs the Writeback crash model: on any other every delivery is durable when acked, and the prefix property degenerates to refinement")
 	case o.Property == Exhaustion && o.Faults.Budget <= 0:
 		return errors.New("Exhaustion needs a fault budget (with fault.NoSpace): the disk-full latch lives in the fault layer")
+	case o.Property != Refinement && !o.PostPickups:
+		return errors.New("a durability contract needs PostPickups: without a recorded read after the last recovery, nothing observes what the crashes kept")
 	}
 	return o.stackSpec().Validate(o.replicas(), o.Crash != Strict)
 }
@@ -386,11 +367,14 @@ func (w *World) Unlock(t *machine.T, op OpUnlock) {
 
 // Scenario builds the checkable scenario for the chosen variant.
 func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
+	if o.Property == nil {
+		o.Property = Refinement
+	}
 	if err := o.check(); err != nil {
 		panic(fmt.Sprintf("mailboat.Scenario refused %s: %v", name, err))
 	}
-	prop, ghost := o.property(), o.ghost(v)
-	sp := Spec(o.Config)
+	prop, ghost := o.Property, o.ghost(v)
+	sp := prop.spec(o.Config)
 	steps := 3000
 	if o.Mirror {
 		// Every operation runs twice (once per replica) and each
@@ -422,9 +406,6 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			if v.Stack != nil {
 				v.Stack(w.Stack)
 			}
-			if prop.acked {
-				w.Acked = map[string]bool{}
-			}
 			if ghost {
 				w.G = core.NewCtx(m)
 				w.G.InitSim(sp, sp.Init())
@@ -437,25 +418,11 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
-			if prop.sequential {
-				for _, d := range o.Delivers {
-					w.Deliver(t, d)
-				}
-				return
+			for _, op := range o.Delivers {
+				t.Go(func(c *machine.T) { RecordDeliver(c, h, w, op) })
 			}
-			for _, d := range o.Delivers {
-				op := d
-				t.Go(func(c *machine.T) {
-					if !prop.acked {
-						RecordDeliver(c, h, w, op)
-					} else if delivered, _ := w.Deliver(c, op); delivered {
-						w.Acked[op.Msg] = true
-					}
-				})
-			}
-			for _, u := range o.PickupUsers {
-				user := u
-				t.Go(func(c *machine.T) { RecordSession(c, h, w, user, true) })
+			for _, user := range o.PickupUsers {
+				t.Go(func(c *machine.T) { w.session(c, h, prop, user, true) })
 			}
 		},
 		Recover: func(t *machine.T, wAny any) {
@@ -482,49 +449,76 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		},
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*World)
-			if prop.post != nil {
-				prop.post(t, w, &o)
-				return
+			if o.PostPickups {
+				for u := uint64(0); u < o.Config.Users; u++ {
+					w.session(t, h, prop, u, false)
+				}
 			}
-			if !o.PostPickups {
-				return
-			}
-			for u := uint64(0); u < o.Config.Users; u++ {
-				RecordSession(t, h, w, u, false)
+			if prop.after != nil {
+				prop.after(t, h, w)
 			}
 		},
 		Fingerprint: fingerprint,
 	}
 	// Between eras: the ghost relation where there is ghost state, the
-	// mirror's where there is a mirror, and under a property the
-	// resource audit its post hook leaves to the invariant.
+	// mirror's where there is a mirror, and the resource audit
+	// everywhere else.
 	switch {
 	case ghost:
 		s.Invariant = func(_ *machine.Machine, wAny any) error { return ghostInvariant(wAny.(*World), o.Config.Users) }
 	case o.Mirror:
 		s.Invariant = func(_ *machine.Machine, wAny any) error { return mirrorInvariant(wAny.(*World), Dirs(o.Config)) }
-	case prop.post != nil:
+	default:
 		s.Invariant = func(_ *machine.Machine, wAny any) error { return wAny.(*World).leaks() }
 	}
 	return s
+}
+
+// session runs one recorded pickup session, spanned by an OpObserve
+// when the property observes detection.
+func (w *World) session(t *machine.T, h *explore.Harness, prop *Property, user uint64, deleteFirst bool) {
+	if !prop.observe {
+		RecordSession(t, h, w, user, deleteFirst)
+		return
+	}
+	h.Op(OpObserve{}, func() spec.Ret {
+		RecordSession(t, h, w, user, deleteFirst)
+		seen := w.seen
+		w.seen = w.Stack.Detected()
+		return w.seen != seen
+	})
+}
+
+// probeLatch is Exhaustion's one hook: writability tracks the disk-full
+// latch. Recovery's orphan-spool sweep is the store's garbage collector
+// — each orphan it deletes returns space, clearing the latch on
+// gfs.Faulty — so a recorded probe delivery by the production code must
+// fail while the latch holds, and succeed once it has cleared (before
+// and after, since the chooser may spend a leftover budget on the probe
+// itself). One more recorded pickup follows, so that refinement judges
+// what the probe left: its message if accepted, nothing if refused.
+func probeLatch(t *machine.T, h *explore.Harness, w *World) {
+	latched := w.Stack.Faulty(0).NoSpace()
+	ok := h.Op(OpDeliver{User: 0, Msg: "probe"}, func() spec.Ret { return w.MB.Deliver(t, nil, 0, []byte("probe")) }).(bool)
+	if latched && ok {
+		t.Failf("nospace: store accepted a delivery while the disk-full latch holds")
+	}
+	if !ok && !latched && !w.Stack.Faulty(0).NoSpace() {
+		t.Failf("nospace: store refused a delivery with space free")
+	}
+	RecordSession(t, h, w, 0, false)
 }
 
 // fingerprint is the crash-boundary dedup hook (DESIGN.md §5): the
 // file-system models and the ghost Ctx are fingerprintable devices, so
 // it only has to cover the crash-surviving state the world holds
 // outside them — the stack's (policy budget, latches, mirror flags,
-// detection counters) and the set of acked payloads the property
-// scenarios read after the crash. The deferred-durability models are
-// covered too: the synced-prefix map is part of the model's own
-// encoding.
+// detection counters) and the detection count the next OpObserve
+// compares against. The deferred-durability models are covered too:
+// the synced-prefix map is part of the model's own encoding.
 func fingerprint(wAny any, b []byte) []byte {
 	w := wAny.(*World)
-	b = w.Stack.AppendCheckerState(b)
-	for _, msg := range w.ackedSorted() {
-		b = append(b, msg...)
-		b = append(b, 0)
-	}
-	return b
+	return machine.AppendUint64(w.Stack.AppendCheckerState(b), w.seen)
 }
 
 // leaks is Iron-style resource accounting (§9.5 found an fd leak that
@@ -617,133 +611,4 @@ func ReplicasIdentical(a, b *gfs.Model, dirs []string) error {
 		}
 	}
 	return nil
-}
-
-// pickupAll picks up every mailbox after the final recovery and returns
-// the payloads present; a pickup serving bytes that were never delivered
-// fails the execution under the property's name.
-func pickupAll(t *machine.T, w *World, o *ScenarioOptions, property string) map[string]bool {
-	allowed := map[string]bool{}
-	for _, d := range o.Delivers {
-		allowed[d.Msg] = true
-	}
-	present := map[string]bool{}
-	for u := uint64(0); u < o.Config.Users; u++ {
-		msgs := w.MB.Pickup(t, nil, u)
-		w.MB.Unlock(t, nil, u)
-		for _, msg := range msgs {
-			if !allowed[msg.Contents] {
-				t.Failf("%s: pickup served bytes never delivered: %q", property, msg.Contents)
-			}
-			present[msg.Contents] = true
-		}
-	}
-	return present
-}
-
-// postDetect is Detection's audit. With a single backend there is no redundant copy to
-// heal from, so the property is weaker than refinement: corruption may
-// destroy an acknowledged message, but it must never do so *silently*.
-// Concretely, after the final recovery every byte sequence a pickup
-// serves must be one the workload actually delivered (the envelope
-// layer may fail a rotten read loudly, but must never pass mangled
-// payload through), and any acknowledged message that has gone missing
-// must be accounted for by the integrity layer's detection counter.
-func postDetect(t *machine.T, w *World, o *ScenarioOptions) {
-	present := pickupAll(t, w, o, "integrity")
-	for _, msg := range w.ackedSorted() {
-		if !present[msg] && w.Stack.Detected() == 0 {
-			t.Failf("silent loss: acked delivery %q missing with no integrity detection", msg)
-		}
-	}
-}
-
-// postNoSpace is Exhaustion's audit: the disk-full contract after the
-// final recovery. (1) No acked loss: every acknowledged delivery is still
-// readable — ENOSPC may refuse work, but an ack, once given, is owed
-// forever. (2) No fabrication: every byte sequence a pickup serves was
-// actually delivered. (3) Writability tracks the latch: recovery's
-// orphan-spool sweep is the store's garbage collector — each orphan it
-// deletes returns space (clearing the latch on gfs.Faulty) — so once
-// the latch has cleared a probe delivery must succeed, and while it
-// still holds the probe must fail cleanly with nothing published.
-func postNoSpace(t *machine.T, w *World, o *ScenarioOptions) {
-	present := pickupAll(t, w, o, "nospace")
-	for _, msg := range w.ackedSorted() {
-		if !present[msg] {
-			t.Failf("acked loss: delivery %q acknowledged but missing after disk-full", msg)
-		}
-	}
-	// The probe: latched before the probe means it must fail (nothing
-	// published); a failed probe with the latch clear — both before and
-	// after, since the chooser may spend a leftover budget on the probe
-	// itself — means the store wrongly refused writable space.
-	latched := w.Stack.Faulty(0).NoSpace()
-	ok := w.MB.Deliver(t, nil, 0, []byte("probe"))
-	if latched && ok {
-		t.Failf("nospace: store accepted a delivery while the disk-full latch holds")
-	}
-	if !ok && !latched && !w.Stack.Faulty(0).NoSpace() {
-		t.Failf("nospace: store refused a delivery with space free")
-	}
-	if !ok {
-		msgs := w.MB.Pickup(t, nil, 0)
-		w.MB.Unlock(t, nil, 0)
-		for _, m := range msgs {
-			if m.Contents == "probe" {
-				t.Failf("nospace: refused probe delivery appeared in the mailbox anyway")
-			}
-		}
-	}
-}
-
-// postPrefix is Prefix's audit: the honest contract of barrier-free
-// delivery.
-// A crash may take back the newest deliveries — even acknowledged ones
-// — because nothing was synced, and a surviving directory entry may
-// hold a torn (empty) body when the link outlived its un-synced data.
-// What the store must never do is reorder or fabricate: the surviving
-// messages must be a no-holes prefix of the issue order, where a hole
-// below the newest survivor is only acceptable if a torn-empty
-// survivor can account for it (its body, not its entry, was lost).
-// Messages are sized at one append, so a torn body is exactly empty.
-func postPrefix(t *machine.T, w *World, o *ScenarioOptions) {
-	index := map[string]int{}
-	for i, d := range o.Delivers {
-		index[d.Msg] = i
-	}
-	empties := 0
-	seen := map[int]bool{}
-	maxIdx := -1
-	for u := uint64(0); u < o.Config.Users; u++ {
-		msgs := w.MB.Pickup(t, nil, u)
-		w.MB.Unlock(t, nil, u)
-		for _, m := range msgs {
-			if m.Contents == "" {
-				empties++
-				continue
-			}
-			i, ok := index[m.Contents]
-			if !ok {
-				t.Failf("prefix contract: pickup served bytes never delivered: %q", m.Contents)
-			}
-			if seen[i] {
-				t.Failf("prefix contract: message %q delivered once but present twice", m.Contents)
-			}
-			seen[i] = true
-			if i > maxIdx {
-				maxIdx = i
-			}
-		}
-	}
-	holes := 0
-	for i := 0; i < maxIdx; i++ {
-		if !seen[i] {
-			holes++
-		}
-	}
-	if holes > empties {
-		t.Failf("prefix contract: %d holes below surviving index %d with only %d torn survivors to account for them",
-			holes, maxIdx, empties)
-	}
 }

@@ -143,6 +143,9 @@ func (s State) Key() string {
 	return s.r.key
 }
 
+// String is Key, so that a list of states prints as their keys.
+func (s State) String() string { return s.Key() }
+
 func (r *stateRep) render() string {
 	n := 0
 	for _, b := range r.boxes {
@@ -277,4 +280,116 @@ func deleteT(o OpDelete) tsl.Transition[State, spec.Ret] {
 			{State: s, Val: false},
 		}}
 	}
+}
+
+// OpObserve asks whether the store has detected corruption since the
+// last observation: it returns true when the integrity layer's
+// detection count moved.
+type OpObserve struct{}
+
+func (OpObserve) String() string { return "Observe()" }
+
+// DetectionSpec is Spec plus OpObserve, the contract of a single
+// checksummed backend: with no second copy rot may lose messages, but
+// never silently. An observation that returns true may drop any
+// messages; one that returns false changes nothing.
+func DetectionSpec(cfg Config) spec.Interface {
+	sp := Spec(cfg).(*spec.TSL[State])
+	strict := sp.OpTransition
+	sp.SpecName, sp.OpTransition = "mailboat-detection", func(op spec.Op) tsl.Transition[State, spec.Ret] {
+		if _, ok := op.(OpObserve); ok {
+			return observeT
+		}
+		return strict(op)
+	}
+	return sp
+}
+
+func observeT(s State) tsl.Result[State, spec.Ret] {
+	out := tsl.Result[State, spec.Ret]{Outcomes: []tsl.Outcome[State, spec.Ret]{{State: s, Val: false}, {State: s, Val: true}}}
+	for u := range s.r.boxes {
+		for _, m := range s.MessagesOf(uint64(u)) {
+			for _, o := range out.Outcomes[1:] {
+				box := o.State.r.boxes[u]
+				at, _ := box.find(m.ID)
+				out.Outcomes = append(out.Outcomes, tsl.Outcome[State, spec.Ret]{State: o.State.with(uint64(u), box.remove(at)), Val: true})
+			}
+		}
+	}
+	return out
+}
+
+// bufState is the state of PrefixSpec: the state at the last crash, then
+// after each step since that changed it, in linearization order. The
+// last entry is the state now.
+type bufState []State
+
+// PrefixSpec is the buffered contract of barrier-free delivery
+// (mailboatd -no-fsync) on a writeback store, the durable-vs-buffered
+// distinction of "The Path to Durable Linearizability": operations
+// behave as in Spec, but a crash keeps, per mailbox, its state after
+// some prefix of the steps since the last crash — what the writeback
+// model does per directory — and any delivery from those steps that
+// survives may have lost its body (a torn, empty survivor). A crash
+// never reorders or fabricates.
+func PrefixSpec(cfg Config) spec.Interface {
+	strict := Spec(cfg).(*spec.TSL[State])
+	return &spec.TSL[bufState]{
+		SpecName: "mailboat-prefix",
+		Initial:  bufState{strict.Initial},
+		OpTransition: func(op spec.Op) tsl.Transition[bufState, spec.Ret] {
+			step := strict.OpTransition(op)
+			return func(b bufState) tsl.Result[bufState, spec.Ret] {
+				r := step(b[len(b)-1])
+				out := tsl.Result[bufState, spec.Ret]{UB: r.UB}
+				for _, o := range r.Outcomes {
+					next := b
+					if o.State.r != b[len(b)-1].r {
+						next = append(slices.Clip(b), o.State)
+					}
+					out.Outcomes = append(out.Outcomes, tsl.Outcome[bufState, spec.Ret]{State: next, Val: o.Val})
+				}
+				return out
+			}
+		},
+		CrashTransition: bufState.crash,
+		KeyOf:           func(b bufState) string { return fmt.Sprint([]State(b)) }, // each entry's key, in order
+	}
+}
+
+// crash returns every state a crash may leave: each mailbox as some
+// entry of the log left it, with any subset of the deliveries since the
+// last crash in it torn empty.
+func (b bufState) crash() []spec.State {
+	outs := []spec.State{bufState{b[0]}}
+	for u := range b[0].r.boxes {
+		var next []spec.State
+		for k, s := range b {
+			if box := s.r.boxes[u]; k == 0 || box.frag != b[k-1].r.boxes[u].frag {
+				for _, kept := range b[:k].tears(u, box) {
+					for _, o := range outs {
+						next = append(next, bufState{o.(bufState)[0].with(uint64(u), kept)})
+					}
+				}
+			}
+		}
+		outs = next
+	}
+	return outs
+}
+
+// tears returns box and, for each non-empty subset of its messages that
+// some entry of b lacks (delivered since), box with them emptied.
+func (b bufState) tears(u int, box mailbox) []mailbox {
+	outs := []mailbox{box}
+	for i, m := range box.msgs {
+		if slices.ContainsFunc(b, func(e State) bool { _, ok := e.r.boxes[u].find(m.ID); return !ok }) {
+			for _, o := range outs {
+				msgs := slices.Clone(o.msgs)
+				msgs[i].Contents = ""
+				outs = append(outs, newMailbox(msgs))
+			}
+		}
+	}
+	return outs
 }

@@ -39,6 +39,7 @@ func TestScenarioRefusesIgnoredOptions(t *testing.T) {
 		{"Corrupt+Writeback", ScenarioOptions{Checksum: true, Crash: Writeback}, validate(gfs.StackSpec{Checksum: true}, 1, true)},
 		{"Prefix alone", ScenarioOptions{Property: Prefix}, "Prefix needs the Writeback crash model"},
 		{"Exhaustion alone", ScenarioOptions{Property: Exhaustion}, "Exhaustion needs a fault budget"},
+		{"Detection unread", ScenarioOptions{Checksum: true, Faults: oneCorruption, Property: Detection}, "a durability contract needs PostPickups"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -59,8 +60,8 @@ func TestScenarioRefusesIgnoredOptions(t *testing.T) {
 // constructor makes plain configuration: the disk-full latch (and a
 // failed fsync beside it) on the writeback and buffered crash models,
 // under the full sync discipline. Each search is clean and exhaustive
-// well inside the default budget on one worker (186 and 660 executions
-// for the first two, as on a scratch wiring of the parent commit).
+// well inside the default budget on one worker (186 and 666 executions
+// for the first two, the recorded post-pickup and the probe included).
 func TestWritebackNoSpaceExhaustive(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,6 +76,7 @@ func TestWritebackNoSpaceExhaustive(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			c.o.Config = Config{Users: 1, RandBound: 2, SyncOnDeliver: true, SyncDirs: true}
 			c.o.Delivers = []OpDeliver{{User: 0, Msg: "a"}}
+			c.o.PostPickups = true
 			c.o.Property = Exhaustion
 			rep := explore.Run(Scenario("mb-"+c.name, VariantVerified, c.o), explore.Options{MaxExecutions: 20000, Workers: 1})
 			t.Logf("report: %s", rep)

@@ -49,8 +49,11 @@ type Interface interface {
 	// leaves this call undefined in s, in which case every implementation
 	// behaviour is vacuously allowed.
 	Step(s State, op Op, ret Ret) (next []State, ub bool)
-	// Crash is the spec-level atomic crash transition (§3.1's crash).
-	Crash(s State) State
+	// Crash returns the states the spec-level atomic crash transition
+	// (§3.1's crash) allows from s: one for a spec that says exactly what
+	// a crash keeps, several for one that lets a crash choose (a buffered
+	// store keeping some prefix of its recent operations).
+	Crash(s State) []State
 	// Key returns a canonical hashable key for s, for memoization.
 	Key(s State) string
 }
@@ -66,9 +69,9 @@ type TSL[S any] struct {
 	// OpTransition maps an operation to its transition. It must be total
 	// over the ops the harness emits.
 	OpTransition func(op Op) tsl.Transition[S, Ret]
-	// CrashTransition is the spec crash step; nil means identity (no data
-	// lost on crash, like Figure 3).
-	CrashTransition func(S) S
+	// CrashTransition is the spec crash step, returning every allowed
+	// outcome; nil means identity (no data lost on crash, like Figure 3).
+	CrashTransition func(S) []State
 	// KeyOf produces the memoization key; nil means fmt.Sprintf("%v").
 	KeyOf func(S) string
 }
@@ -100,12 +103,11 @@ func (t *TSL[S]) Step(s State, op Op, ret Ret) ([]State, bool) {
 }
 
 // Crash implements Interface.
-func (t *TSL[S]) Crash(s State) State {
-	cs := s.(S)
+func (t *TSL[S]) Crash(s State) []State {
 	if t.CrashTransition == nil {
-		return s
+		return []State{s}
 	}
-	return State(t.CrashTransition(cs))
+	return t.CrashTransition(s.(S))
 }
 
 // Key implements Interface.

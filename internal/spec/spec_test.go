@@ -36,7 +36,7 @@ func testSpec() *TSL[st] {
 				panic("bad op")
 			}
 		},
-		CrashTransition: func(s st) st { return st{a: s.a, b: s.a} },
+		CrashTransition: func(s st) []State { return []State{st{a: s.a, b: s.a}} },
 		KeyOf:           nil,
 	}
 }
@@ -84,8 +84,17 @@ func TestStepUB(t *testing.T) {
 
 func TestCrashUsesTransition(t *testing.T) {
 	sp := testSpec()
-	got := sp.Crash(st{a: 3, b: 8}).(st)
-	if got != (st{a: 3, b: 3}) {
+	got := sp.Crash(st{a: 3, b: 8})
+	if len(got) != 1 || got[0].(st) != (st{a: 3, b: 3}) {
+		t.Fatalf("crash=%v", got)
+	}
+}
+
+func TestCrashKeepsEveryOutcome(t *testing.T) {
+	sp := testSpec()
+	sp.CrashTransition = func(s st) []State { return []State{st{a: s.a, b: s.a}, st{a: s.b, b: s.b}} }
+	got := sp.Crash(st{a: 3, b: 8})
+	if len(got) != 2 || got[0].(st) != (st{a: 3, b: 3}) || got[1].(st) != (st{a: 8, b: 8}) {
 		t.Fatalf("crash=%v", got)
 	}
 }
@@ -93,8 +102,8 @@ func TestCrashUsesTransition(t *testing.T) {
 func TestCrashDefaultsToIdentity(t *testing.T) {
 	sp := testSpec()
 	sp.CrashTransition = nil
-	got := sp.Crash(st{a: 3, b: 8}).(st)
-	if got != (st{a: 3, b: 8}) {
+	got := sp.Crash(st{a: 3, b: 8})
+	if len(got) != 1 || got[0].(st) != (st{a: 3, b: 8}) {
 		t.Fatalf("crash=%v", got)
 	}
 }

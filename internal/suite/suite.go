@@ -342,18 +342,24 @@ var mailboatVerified = []mailboatEntry{
 		},
 	},
 	{
-		// The honest contract of the barrier-free fast mode (mailboatd
-		// -no-fsync): no refinement — acked mail may be taken back —
-		// but the surviving mailbox must be a no-holes prefix of the
-		// delivery order, with torn bodies only where a link outlived
-		// its data. This is the checked spec behind the README caveat.
-		"mailboat-writeback", "mb/writeback+prefix-contract", mailboat.VariantVerified, 20000,
+		// The buffered contract of the barrier-free fast mode
+		// (mailboatd -no-fsync): a crash may take back acked mail, but
+		// what survives is, per mailbox, the state after a prefix of
+		// its operations since the last crash, with torn bodies only
+		// where a link outlived its data (mailboat.PrefixSpec). This is
+		// the checked spec behind the README caveat. Budget-bounded: the
+		// complete search is 1.7M executions (~25 s on one worker), and
+		// 8,000 keep the verified pass within a tenth of its time
+		// without it; mailboat's TestWritebackPrefixContractClean runs
+		// it to completion.
+		"mailboat-writeback", "mb/writeback+prefix-contract", mailboat.VariantVerified, 8000,
 		mailboat.ScenarioOptions{
-			Config:     mailboat.Config{Users: 1, RandBound: 4},
-			Delivers:   []mailboat.OpDeliver{{User: 0, Msg: "first"}, {User: 0, Msg: "second"}, {User: 0, Msg: "third"}},
-			MaxCrashes: 1,
-			Crash:      mailboat.Writeback,
-			Property:   mailboat.Prefix,
+			Config:      mailboat.Config{Users: 1, RandBound: 4},
+			Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "first"}, {User: 0, Msg: "second"}},
+			MaxCrashes:  1,
+			PostPickups: true,
+			Crash:       mailboat.Writeback,
+			Property:    mailboat.Prefix,
 		},
 	},
 	{
@@ -375,22 +381,23 @@ var mailboatVerified = []mailboatEntry{
 		},
 	},
 	{
-		// The exhaustion contract as a property, with the latch crossing
-		// TWO crash/recovery boundaries (also the regression gate for
+		// The exhaustion contract, with the latch crossing TWO
+		// crash/recovery boundaries (also the regression gate for
 		// durable-latch budget accounting: a latched class replayed
 		// across eras must not re-spend the chooser budget). Acked mail
-		// survives ENOSPC, recovery's orphan-spool sweep doubles as the
-		// garbage collector that returns space, and post-recovery
-		// writability tracks the latch — freed space must accept a
-		// probe delivery, a still-full store must refuse it cleanly.
-		// Exhaustive at this budget.
+		// survives ENOSPC (refinement), recovery's orphan-spool sweep
+		// doubles as the garbage collector that returns space, and
+		// post-recovery writability tracks the latch — freed space must
+		// accept a probe delivery, a still-full store must refuse it
+		// cleanly. Exhaustive at this budget.
 		"mailboat-nospace", "mb/nospace+gc-reclaims", mailboat.VariantVerified, 20000,
 		mailboat.ScenarioOptions{
-			Config:     mailboat.Config{Users: 1, RandBound: 3},
-			Delivers:   []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-			MaxCrashes: 2,
-			Faults:     oneDiskFull,
-			Property:   mailboat.Exhaustion,
+			Config:      mailboat.Config{Users: 1, RandBound: 3},
+			Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+			MaxCrashes:  2,
+			PostPickups: true,
+			Faults:      oneDiskFull,
+			Property:    mailboat.Exhaustion,
 		},
 	},
 	{
@@ -411,10 +418,10 @@ var mailboatVerified = []mailboatEntry{
 	{
 		// Silent corruption on a single backend: the chooser may
 		// durably flip or truncate one file's bytes at any open. With
-		// no redundant copy the property is detection, not refinement:
-		// a pickup must never serve bytes nobody delivered, and an
-		// acked message may only go missing if the envelope layer
-		// detected rot.
+		// no redundant copy the contract is detection: a pickup must
+		// never serve bytes nobody delivered, and an acked message may
+		// only go missing at an observation that saw the envelope layer
+		// detect rot (mailboat.DetectionSpec).
 		"mailboat-corrupt", "mb/corrupt+scrub", mailboat.VariantVerified, 20000,
 		mailboat.ScenarioOptions{
 			Config:      mailboat.Config{Users: 1, RandBound: 2},
@@ -482,7 +489,7 @@ var mailboatBugs = []mailboatEntry{
 		// bit flip in a data payload is served to a pickup as bytes
 		// nobody sent, and a flip that breaks framing loses the
 		// message with the detection counter still at zero — both
-		// convicted by the detection property.
+		// refinement failures against mailboat.DetectionSpec.
 		"mailboat-corrupt", "mb/integrity-bug:trust-read", mailboat.VariantTrustReads, 20000,
 		mailboat.ScenarioOptions{
 			Config:      mailboat.Config{Users: 1, RandBound: 2},
@@ -563,15 +570,16 @@ var mailboatBugs = []mailboatEntry{
 	{
 		// Acking a delivery the full disk refused: nothing was
 		// published — the spool write never landed — but the client
-		// hears yes. Convicted by the exhaustion property's acked-loss
-		// audit after the final recovery.
+		// hears yes, and the post pickup finds nothing: a refinement
+		// failure.
 		"mailboat-nospace", "mb/nospace-bug:ack-after-enospc", mailboat.VariantDeliverAckOnNoSpace, 20000,
 		mailboat.ScenarioOptions{
-			Config:     mailboat.Config{Users: 1, RandBound: 3},
-			Delivers:   []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-			MaxCrashes: 1,
-			Faults:     oneDiskFull,
-			Property:   mailboat.Exhaustion,
+			Config:      mailboat.Config{Users: 1, RandBound: 3},
+			Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+			MaxCrashes:  1,
+			PostPickups: true,
+			Faults:      oneDiskFull,
+			Property:    mailboat.Exhaustion,
 		},
 	},
 	{
@@ -583,10 +591,28 @@ var mailboatBugs = []mailboatEntry{
 		// which the model's link assertion catches red-handed.
 		"mailboat-nospace", "mb/nospace-bug:gc-eats-live-spool", mailboat.VariantDeliverGreedySpoolGC, 40000,
 		mailboat.ScenarioOptions{
-			Config:   mailboat.Config{Users: 1, RandBound: 4},
-			Delivers: []mailboat.OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
-			Faults:   oneDiskFull,
-			Property: mailboat.Exhaustion,
+			Config:      mailboat.Config{Users: 1, RandBound: 3},
+			Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
+			PostPickups: true,
+			Faults:      oneDiskFull,
+			Property:    mailboat.Exhaustion,
+		},
+	},
+	{
+		// A recovery that deletes the messages a barrier-free crash
+		// left empty: when the first of two deliveries returned before
+		// the second began, a crash may keep both links but tear the
+		// first body, and deleting it leaves the second above a hole —
+		// no prefix of the log, a refinement failure against
+		// mailboat.PrefixSpec.
+		"mailboat-writeback", "mb/prefix-bug:recover-drops-torn", mailboat.VariantRecoverDropsTorn, 20000,
+		mailboat.ScenarioOptions{
+			Config:      mailboat.Config{Users: 1, RandBound: 2},
+			Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "first"}, {User: 0, Msg: "second"}},
+			MaxCrashes:  1,
+			PostPickups: true,
+			Crash:       mailboat.Writeback,
+			Property:    mailboat.Prefix,
 		},
 	},
 }
