@@ -55,8 +55,10 @@ type Ctx struct {
 	crashInv map[string]bool
 
 	// helping holds j ⤇ op tokens deposited in the crash invariant,
-	// keyed by token.
-	helping map[*JTok]bool
+	// keyed by token; deposits counts DepositHelping calls, each token's
+	// place in HelpingTokens' order.
+	helping  map[*JTok]bool
+	deposits uint64
 
 	// simulation ghost state
 	sp      spec.Interface
@@ -306,6 +308,7 @@ type JTok struct {
 	op   spec.Op
 	done bool
 	ret  spec.Ret
+	seq  uint64 // deposit order, stamped by DepositHelping
 }
 
 // Op returns the pending operation.
@@ -430,6 +433,8 @@ func (c *Ctx) DepositHelping(t *machine.T, j *JTok) {
 		c.failf(t, "helping deposit of already-simulated op %v", j.op)
 		return
 	}
+	c.deposits++
+	j.seq = c.deposits
 	c.helping[j] = true
 }
 
@@ -443,16 +448,16 @@ func (c *Ctx) WithdrawHelping(t *machine.T, j *JTok) {
 	delete(c.helping, j)
 }
 
-// HelpingTokens returns the deposited tokens (recovery iterates these
-// to decide which crashed operations it is completing).
+// HelpingTokens returns the deposited tokens in deposit order (recovery
+// iterates these to decide which crashed operations it is completing),
+// so two tokens with equal operations come back in the same order on
+// every run.
 func (c *Ctx) HelpingTokens() []*JTok {
 	var out []*JTok
 	for j := range c.helping {
 		out = append(out, j)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return fmt.Sprintf("%v", out[a].op) < fmt.Sprintf("%v", out[b].op)
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -363,6 +364,36 @@ func TestRecoveryHelpingCompletesCrashedOp(t *testing.T) {
 	}
 	if c.Source().(kvState).v != 9 {
 		t.Fatalf("helping did not apply the write: %+v", c.Source())
+	}
+}
+
+// TestHelpingTokensInDepositOrder: recovery walks HelpingTokens, so two
+// deposits of the same operation must come back in the order they were
+// made on every run, not in the helping map's iteration order — and an
+// operation deposited later comes later even when it would print first.
+func TestHelpingTokensInDepositOrder(t *testing.T) {
+	for run := 0; run < 100; run++ {
+		var want []*JTok
+		res, c, _ := runGhost(t, func(mt *machine.T, c *Ctx) {
+			c.InitSim(kvSpec(), kvState{})
+			for _, v := range []int{7, 7, 7, 1} {
+				j := c.NewJTok(kvPut{v: v})
+				c.DepositHelping(mt, j)
+				want = append(want, j)
+			}
+		})
+		if res.Outcome != machine.Done {
+			t.Fatalf("res=%+v", res)
+		}
+		got := c.HelpingTokens()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d tokens, want %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: token %d is deposit %d's", run, i, slices.Index(want, got[i]))
+			}
+		}
 	}
 }
 

@@ -80,15 +80,21 @@ func (d *Disk) Read(t *machine.T, a uint64) (Block, bool) {
 		// Offer the chooser the option to fail the disk now.
 		if t.Choose(2, "diskfail") == 1 {
 			d.failed = true
-			t.Tracef("disk %s FAILED", d.name)
+			if t.Tracing() {
+				t.Tracef("disk %s FAILED", d.name)
+			}
 		}
 	}
 	if d.failed {
-		t.Tracef("disk_read %s[%d] -> failed", d.name, a)
+		if t.Tracing() {
+			t.Tracef("disk_read %s[%d] -> failed", d.name, a)
+		}
 		return 0, false
 	}
 	v := d.blocks[a]
-	t.Tracef("disk_read %s[%d] -> %d", d.name, a, v)
+	if t.Tracing() {
+		t.Tracef("disk_read %s[%d] -> %d", d.name, a, v)
+	}
 	return v, true
 }
 
@@ -100,11 +106,15 @@ func (d *Disk) Write(t *machine.T, a uint64, v Block) {
 	t.Step("disk_write")
 	d.checkBounds(t, "write", a)
 	if d.failed {
-		t.Tracef("disk_write %s[%d] dropped (failed)", d.name, a)
+		if t.Tracing() {
+			t.Tracef("disk_write %s[%d] dropped (failed)", d.name, a)
+		}
 		return
 	}
 	d.blocks[a] = v
-	t.Tracef("disk_write %s[%d] = %d", d.name, a, v)
+	if t.Tracing() {
+		t.Tracef("disk_write %s[%d] = %d", d.name, a, v)
+	}
 }
 
 // Peek returns block a without taking a machine step. It is for

@@ -193,3 +193,39 @@ func TestQuickDurabilityAcrossCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUntracedReadWriteAllocs: untraced, a block read or write boxes
+// none of its trace arguments, so it allocates nothing. The traced
+// control still prints both lines.
+func TestUntracedReadWriteAllocs(t *testing.T) {
+	rw := func(depth int) (allocs float64, trace []string) {
+		m := machine.New(machine.Options{TraceDepth: depth})
+		d := New(m, "d1", 8, false)
+		res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+			cycle := func() {
+				d.Write(mt, 3, 1000)
+				if v, ok := d.Read(mt, 3); !ok || v != 1000 {
+					mt.Failf("read %d ok=%v", v, ok)
+				}
+			}
+			cycle()
+			trace = append(trace, m.Trace()...)
+			allocs = testing.AllocsPerRun(100, cycle)
+		})
+		if res.Outcome != machine.Done {
+			t.Fatalf("res=%+v", res)
+		}
+		return allocs, trace
+	}
+	if a, lines := rw(0); a != 0 || len(lines) != 0 {
+		t.Errorf("untraced write+read: %v allocations and %d trace lines, want none", a, len(lines))
+	}
+	a, lines := rw(machine.TraceAll)
+	want := []string{"t0: disk_write d1[3] = 1000", "t0: disk_read d1[3] -> 1000"}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("traced write+read printed %q, want %q", lines, want)
+	}
+	if a == 0 {
+		t.Error("traced write+read allocated nothing: is the trace attached?")
+	}
+}

@@ -191,8 +191,10 @@ func (c *Checksummed) noteDetected(t T, dir, name string, v Verdict) {
 	c.detected++
 	c.mu.Unlock()
 	c.Metrics.detected()
-	trace.Event(t, "integrity detected: %s/%s %s", dir, name, v)
-	if mt, ok := t.(*machine.T); ok {
+	if trace.Active(t) {
+		trace.Event(t, "integrity detected: %s/%s %s", dir, name, v)
+	}
+	if mt, ok := t.(*machine.T); ok && mt.Tracing() {
 		mt.Tracef("fs.integrity %s/%s: %s", dir, name, v)
 	}
 }

@@ -248,11 +248,15 @@ func (f *Faulty) noSpaceGate(t T, what describe) bool {
 	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.nospace")
-		mt.Tracef("fs.nospace #%d %s", idx, detail)
+		if mt.Tracing() {
+			mt.Tracef("fs.nospace #%d %s", idx, detail)
+		}
 	}
 	f.noSpace.Store(true)
 	f.record(fault.NoSpace, idx, detail)
-	trace.Event(t, "fault injected: %s %s", fault.NoSpace, detail)
+	if trace.Active(t) {
+		trace.Event(t, "fault injected: %s %s", fault.NoSpace, detail)
+	}
 	return true
 }
 
@@ -278,7 +282,9 @@ func (f *Faulty) failStop(t T, what describe) bool {
 	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.failstop")
-		mt.Tracef("fs.failstop #%d %s", idx, detail)
+		if mt.Tracing() {
+			mt.Tracef("fs.failstop #%d %s", idx, detail)
+		}
 	}
 	f.failStopped.Store(true)
 	f.record(fault.FailStop, idx, detail)
@@ -296,10 +302,14 @@ func (f *Faulty) begin(t T, c fault.Class, what describe) bool {
 	detail := what()
 	if mt, ok := t.(*machine.T); ok {
 		mt.Step("fs.fault")
-		mt.Tracef("fs.fault %s#%d %s", c, idx, detail)
+		if mt.Tracing() {
+			mt.Tracef("fs.fault %s#%d %s", c, idx, detail)
+		}
 	}
 	f.record(c, idx, detail)
-	trace.Event(t, "fault injected: %s %s", c, detail)
+	if trace.Active(t) {
+		trace.Event(t, "fault injected: %s %s", c, detail)
+	}
 	return true
 }
 

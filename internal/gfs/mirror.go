@@ -334,7 +334,9 @@ func (m *Mirrored) markFailed(t T, i int, why string) {
 	}
 	m.mu.Unlock()
 
-	tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	if tracing(t) {
+		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	}
 	m.Metrics.replicaFailed(i)
 	m.bumpGeneration(t, 1-i)
 }
@@ -377,7 +379,9 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 	ok = m.rep[j].Sync(t, fd)
 	m.rep[j].Close(t, fd)
 	if ok {
-		tracef(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
+		if tracing(t) {
+			tracef(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
+		}
 		m.Integrity.healed()
 	}
 	return ok
@@ -389,6 +393,16 @@ func (m *Mirrored) countFailover(t T) {
 	m.mu.Unlock()
 	m.Metrics.failover()
 	tracef(t, "mirror: read failed over to survivor")
+}
+
+// tracing reports whether a mirror event on t would be seen anywhere.
+// Each tracef call site is guarded by it, so an untraced operation boxes
+// none of the event's arguments.
+func tracing(t T) bool {
+	if mt, ok := t.(*machine.T); ok {
+		return mt.Tracing()
+	}
+	return trace.Active(t)
 }
 
 // tracef records a mirror event where someone can see it: in the
@@ -565,7 +579,9 @@ func (m *Mirrored) healFrom(t T, dir, name string, bad int, src judged) bool {
 	}
 	m.bumpGeneration(t, bad)
 	m.Integrity.healed()
-	tracef(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
+	if tracing(t) {
+		tracef(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
+	}
 	return true
 }
 
@@ -949,7 +965,9 @@ func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilver
 		}
 	}()
 
-	tracef(t, "mirror: resilver replica %d <- replica %d", 1-src, src)
+	if tracing(t) {
+		tracef(t, "mirror: resilver replica %d <- replica %d", 1-src, src)
+	}
 
 	// Data directories first, the generation directory LAST: equal
 	// generations assert "replicas identical", so they must become
@@ -1104,7 +1122,9 @@ func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, h
 				return 0, false, false
 			}
 		case i == src:
-			tracef(t, "mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
+			if tracing(t) {
+				tracef(t, "mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
+			}
 		}
 	}
 	if src >= 0 {
@@ -1196,7 +1216,9 @@ func (m *Mirrored) verifyDir(t T, src int, dir string, rewritten []string) bool 
 			return false
 		}
 		if got, _, gok := readAll(t, m.raw(dst), dir, name); !gok || !bytes.Equal(got, want) {
-			tracef(t, "mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
+			if tracing(t) {
+				tracef(t, "mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
+			}
 			return false
 		}
 	}

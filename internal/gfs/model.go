@@ -68,24 +68,26 @@ type dirOp struct {
 type inodeID int
 
 type modelFD struct {
-	version uint64
-	ino     inodeID
-	append_ bool
-	closed  bool
-	name    string
+	version   uint64
+	ino       inodeID
+	append_   bool
+	closed    bool
+	dir, name string
 }
+
+// path renders the descriptor's dir/name. Only failure messages and
+// trace lines read it, so an untraced execution never builds it.
+func (f *modelFD) path() string { return f.dir + "/" + f.name }
 
 // NewModel creates a modeled file system with the given (fixed) set of
 // directories and registers it on m. Durability is strict: every append
 // is durable immediately (the paper's process-crash model).
 func NewModel(m *machine.Machine, dirs []string) *Model {
 	fs := &Model{
-		m:       m,
-		dirs:    map[string]map[string]inodeID{},
-		inodes:  map[inodeID][]byte{},
-		synced:  map[inodeID]int{},
-		pending: map[inodeID][]int{},
-		next:    1,
+		m:      m,
+		dirs:   make(map[string]map[string]inodeID, len(dirs)),
+		inodes: map[inodeID][]byte{},
+		next:   1,
 	}
 	for _, d := range dirs {
 		fs.dirs[d] = map[string]inodeID{}
@@ -102,6 +104,8 @@ func NewModel(m *machine.Machine, dirs []string) *Model {
 func NewBufferedModel(m *machine.Machine, dirs []string) *Model {
 	fs := NewModel(m, dirs)
 	fs.buffered = true
+	fs.synced = map[inodeID]int{}
+	fs.pending = map[inodeID][]int{}
 	return fs
 }
 
@@ -300,16 +304,16 @@ func (fs *Model) fd(mt *machine.T, op string, fd FD, wantAppend bool) *modelFD {
 	}
 	if f.version != fs.m.Version() {
 		mt.Failf("fs.%s on file descriptor %q from version %d (lost at crash, now %d)",
-			op, f.name, f.version, fs.m.Version())
+			op, f.path(), f.version, fs.m.Version())
 	}
 	if f.closed {
-		mt.Failf("fs.%s on closed descriptor %q", op, f.name)
+		mt.Failf("fs.%s on closed descriptor %q", op, f.path())
 	}
 	if f.append_ != wantAppend {
 		if wantAppend {
-			mt.Failf("fs.%s needs an append-mode descriptor, %q is read-mode", op, f.name)
+			mt.Failf("fs.%s needs an append-mode descriptor, %q is read-mode", op, f.path())
 		} else {
-			mt.Failf("fs.%s needs a read-mode descriptor, %q is append-mode", op, f.name)
+			mt.Failf("fs.%s needs a read-mode descriptor, %q is append-mode", op, f.path())
 		}
 	}
 	return f
@@ -332,11 +336,15 @@ func (fs *Model) Create(t T, dir, name string) (FD, bool) {
 	mt.Step("fs.create")
 	d := fs.dir(mt, "create", dir)
 	if _, exists := d[name]; exists {
-		mt.Tracef("fs.create %s/%s -> exists", dir, name)
+		if mt.Tracing() {
+			mt.Tracef("fs.create %s/%s -> exists", dir, name)
+		}
 		return nil, false
 	}
 	if !fs.spaceFor(SpaceEntryCost) {
-		mt.Tracef("fs.create %s/%s -> ENOSPC (%d used of %d)", dir, name, fs.SpaceUsed(), fs.capacity)
+		if mt.Tracing() {
+			mt.Tracef("fs.create %s/%s -> ENOSPC (%d used of %d)", dir, name, fs.SpaceUsed(), fs.capacity)
+		}
 		return nil, false
 	}
 	ino := fs.next
@@ -347,8 +355,10 @@ func (fs *Model) Create(t T, dir, name string) (FD, bool) {
 		fs.dirPending[dir] = append(fs.dirPending[dir], dirOp{add: true, name: name, ino: ino})
 	}
 	fs.open++
-	mt.Tracef("fs.create %s/%s -> ino %d", dir, name, ino)
-	return &modelFD{version: fs.m.Version(), ino: ino, append_: true, name: dir + "/" + name}, true
+	if mt.Tracing() {
+		mt.Tracef("fs.create %s/%s -> ino %d", dir, name, ino)
+	}
+	return &modelFD{version: fs.m.Version(), ino: ino, append_: true, dir: dir, name: name}, true
 }
 
 // Open implements System.
@@ -358,12 +368,16 @@ func (fs *Model) Open(t T, dir, name string) (FD, bool) {
 	d := fs.dir(mt, "open", dir)
 	ino, ok := d[name]
 	if !ok {
-		mt.Tracef("fs.open %s/%s -> absent", dir, name)
+		if mt.Tracing() {
+			mt.Tracef("fs.open %s/%s -> absent", dir, name)
+		}
 		return nil, false
 	}
 	fs.open++
-	mt.Tracef("fs.open %s/%s -> ino %d", dir, name, ino)
-	return &modelFD{version: fs.m.Version(), ino: ino, name: dir + "/" + name}, true
+	if mt.Tracing() {
+		mt.Tracef("fs.open %s/%s -> ino %d", dir, name, ino)
+	}
+	return &modelFD{version: fs.m.Version(), ino: ino, dir: dir, name: name}, true
 }
 
 // Append implements System.
@@ -375,14 +389,18 @@ func (fs *Model) Append(t T, fd FD, data []byte) bool {
 		mt.Failf("fs.append of %d bytes exceeds the %d-byte atomic limit", len(data), MaxAppend)
 	}
 	if !fs.spaceFor(uint64(len(data))) {
-		mt.Tracef("fs.append %s -> ENOSPC (%d used of %d)", f.name, fs.SpaceUsed(), fs.capacity)
+		if mt.Tracing() {
+			mt.Tracef("fs.append %s -> ENOSPC (%d used of %d)", f.path(), fs.SpaceUsed(), fs.capacity)
+		}
 		return false
 	}
 	fs.inodes[f.ino] = append(fs.inodes[f.ino], data...)
 	if fs.buffered {
 		fs.pending[f.ino] = append(fs.pending[f.ino], len(fs.inodes[f.ino]))
 	}
-	mt.Tracef("fs.append %s += %d bytes", f.name, len(data))
+	if mt.Tracing() {
+		mt.Tracef("fs.append %s += %d bytes", f.path(), len(data))
+	}
 	return true
 }
 
@@ -396,7 +414,7 @@ func (fs *Model) Close(t T, fd FD) {
 		return
 	}
 	if f.closed {
-		mt.Failf("fs.close on already-closed descriptor %q", f.name)
+		mt.Failf("fs.close on already-closed descriptor %q", f.path())
 	}
 	f.closed = true
 	if f.version == fs.m.Version() {
@@ -431,7 +449,7 @@ func (fs *Model) Size(t T, fd FD) uint64 {
 		return 0
 	}
 	if f.version != fs.m.Version() || f.closed {
-		mt.Failf("fs.size on dead descriptor %q", f.name)
+		mt.Failf("fs.size on dead descriptor %q", f.path())
 	}
 	return uint64(len(fs.inodes[f.ino]))
 }
@@ -442,9 +460,15 @@ func (fs *Model) Sync(t T, fd FD) bool {
 	mt := fs.thread(t)
 	mt.Step("fs.sync")
 	f := fs.fd(mt, "sync", fd, true)
-	fs.synced[f.ino] = len(fs.inodes[f.ino])
-	delete(fs.pending, f.ino)
-	mt.Tracef("fs.sync %s @ %d bytes", f.name, fs.synced[f.ino])
+	// A strict model's contents are durable as written: only a buffered
+	// one keeps a synced prefix and pending append boundaries.
+	if fs.buffered {
+		fs.synced[f.ino] = len(fs.inodes[f.ino])
+		delete(fs.pending, f.ino)
+	}
+	if mt.Tracing() {
+		mt.Tracef("fs.sync %s @ %d bytes", f.path(), len(fs.inodes[f.ino]))
+	}
 	return true
 }
 
@@ -465,7 +489,9 @@ func (fs *Model) SyncDir(t T, dir string) bool {
 		fs.durableDirs[dir] = durable
 		delete(fs.dirPending, dir)
 	}
-	mt.Tracef("fs.syncdir %s", dir)
+	if mt.Tracing() {
+		mt.Tracef("fs.syncdir %s", dir)
+	}
 	return true
 }
 
@@ -475,14 +501,18 @@ func (fs *Model) Delete(t T, dir, name string) bool {
 	mt.Step("fs.delete")
 	d := fs.dir(mt, "delete", dir)
 	if _, ok := d[name]; !ok {
-		mt.Tracef("fs.delete %s/%s -> absent", dir, name)
+		if mt.Tracing() {
+			mt.Tracef("fs.delete %s/%s -> absent", dir, name)
+		}
 		return false
 	}
 	delete(d, name)
 	if fs.writeback {
 		fs.dirPending[dir] = append(fs.dirPending[dir], dirOp{name: name})
 	}
-	mt.Tracef("fs.delete %s/%s", dir, name)
+	if mt.Tracing() {
+		mt.Tracef("fs.delete %s/%s", dir, name)
+	}
 	return true
 }
 
@@ -498,18 +528,24 @@ func (fs *Model) Link(t T, oldDir, oldName, newDir, newName string) bool {
 		return false
 	}
 	if _, exists := nd[newName]; exists {
-		mt.Tracef("fs.link %s/%s -> %s/%s: target exists", oldDir, oldName, newDir, newName)
+		if mt.Tracing() {
+			mt.Tracef("fs.link %s/%s -> %s/%s: target exists", oldDir, oldName, newDir, newName)
+		}
 		return false
 	}
 	if !fs.spaceFor(SpaceEntryCost) {
-		mt.Tracef("fs.link %s/%s -> %s/%s: ENOSPC (%d used of %d)", oldDir, oldName, newDir, newName, fs.SpaceUsed(), fs.capacity)
+		if mt.Tracing() {
+			mt.Tracef("fs.link %s/%s -> %s/%s: ENOSPC (%d used of %d)", oldDir, oldName, newDir, newName, fs.SpaceUsed(), fs.capacity)
+		}
 		return false
 	}
 	nd[newName] = ino
 	if fs.writeback {
 		fs.dirPending[newDir] = append(fs.dirPending[newDir], dirOp{add: true, name: newName, ino: ino})
 	}
-	mt.Tracef("fs.link %s/%s -> %s/%s (ino %d)", oldDir, oldName, newDir, newName, ino)
+	if mt.Tracing() {
+		mt.Tracef("fs.link %s/%s -> %s/%s (ino %d)", oldDir, oldName, newDir, newName, ino)
+	}
 	return true
 }
 
@@ -524,7 +560,9 @@ func (fs *Model) List(t T, dir string) []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	mt.Tracef("fs.list %s -> %d entries", dir, len(out))
+	if mt.Tracing() {
+		mt.Tracef("fs.list %s -> %d entries", dir, len(out))
+	}
 	return out
 }
 
@@ -539,7 +577,9 @@ func (fs *Model) CorruptFile(t T, dir, name string, mode CorruptMode) bool {
 	d := fs.dir(mt, "corrupt", dir)
 	ino, ok := d[name]
 	if !ok || len(fs.inodes[ino]) == 0 {
-		mt.Tracef("fs.corrupt %s/%s -> nothing to corrupt", dir, name)
+		if mt.Tracing() {
+			mt.Tracef("fs.corrupt %s/%s -> nothing to corrupt", dir, name)
+		}
 		return false
 	}
 	data := append([]byte{}, fs.inodes[ino]...)
@@ -553,7 +593,9 @@ func (fs *Model) CorruptFile(t T, dir, name string, mode CorruptMode) bool {
 	if fs.synced[ino] > len(data) {
 		fs.synced[ino] = len(data)
 	}
-	mt.Tracef("fs.corrupt %s %s/%s (ino %d)", mode, dir, name, ino)
+	if mt.Tracing() {
+		mt.Tracef("fs.corrupt %s %s/%s (ino %d)", mode, dir, name, ino)
+	}
 	return true
 }
 

@@ -3,6 +3,7 @@ package gfs
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,4 +210,69 @@ func TestModelDeleteMissingReturnsFalse(t *testing.T) {
 	if res.Outcome != machine.Done {
 		t.Fatalf("res=%+v", res)
 	}
+}
+
+// fileLife is one message's whole life on a model: spooled, synced,
+// published by a link, read back, listed and deleted.
+func fileLife(mt *machine.T, fs *Model, body []byte) {
+	fd, ok := fs.Create(mt, "spool", "tmp0")
+	if !ok || !fs.Append(mt, fd, body) || !fs.Sync(mt, fd) || !fs.Link(mt, "spool", "tmp0", "box", "msg0") {
+		mt.Failf("spooling failed")
+	}
+	fs.Close(mt, fd)
+	fs.Delete(mt, "spool", "tmp0")
+	rfd, ok := fs.Open(mt, "box", "msg0")
+	if !ok || len(fs.ReadAt(mt, rfd, 0, uint64(len(body)))) != len(body) {
+		mt.Failf("read back failed")
+	}
+	fs.Close(mt, rfd)
+	if len(fs.List(mt, "box")) != 1 || !fs.Delete(mt, "box", "msg0") {
+		mt.Failf("list/delete failed")
+	}
+}
+
+// fileLifeTrace is what fileLife traces on a fresh model.
+var fileLifeTrace = []string{
+	"t0: fs.create spool/tmp0 -> ino 1",
+	"t0: fs.append spool/tmp0 += 5 bytes",
+	"t0: fs.sync spool/tmp0 @ 5 bytes",
+	"t0: fs.link spool/tmp0 -> box/msg0 (ino 1)",
+	"t0: fs.delete spool/tmp0",
+	"t0: fs.open box/msg0 -> ino 1",
+	"t0: fs.list box -> 1 entries",
+	"t0: fs.delete box/msg0",
+}
+
+// TestUntracedModelAllocs: with no trace attached the model formats
+// nothing — no boxed trace argument, no rendered descriptor name — so a
+// file's whole life allocates only what the model keeps or hands back:
+// the two descriptors, the contents, the read buffer and the listing.
+// The traced control runs the same life and still prints every line.
+func TestUntracedModelAllocs(t *testing.T) {
+	body := []byte("hello")
+	life := func(depth int) (allocs float64, trace []string) {
+		m := machine.New(machine.Options{TraceDepth: depth})
+		fs := NewModel(m, []string{"spool", "box"})
+		res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+			fileLife(mt, fs, body)
+			trace = append(trace, m.Trace()...)
+			allocs = testing.AllocsPerRun(100, func() { fileLife(mt, fs, body) })
+		})
+		if res.Outcome != machine.Done {
+			t.Fatalf("res=%+v", res)
+		}
+		return allocs, trace
+	}
+	untraced, none := life(0)
+	if untraced != 5 || len(none) != 0 {
+		t.Errorf("untraced file life: %v allocations and %d trace lines, want 5 and none", untraced, len(none))
+	}
+	traced, lines := life(machine.TraceAll)
+	if !slices.Equal(lines, fileLifeTrace) {
+		t.Errorf("traced file life printed\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(fileLifeTrace, "\n"))
+	}
+	if traced <= untraced {
+		t.Errorf("traced file life: %v allocations, no more than untraced %v: is the trace attached?", traced, untraced)
+	}
+	t.Logf("file life: %v allocations untraced, %v traced", untraced, traced)
 }

@@ -448,6 +448,11 @@ func (t *T) Failf(format string, args ...any) {
 	panic(killedSentinel{})
 }
 
+// Tracing reports whether the thread's machine has a trace attached. A
+// call site whose arguments cost something to box guards its Tracef with
+// it, so an untraced execution evaluates none of them.
+func (t *T) Tracing() bool { return t.m.Tracing() }
+
 // Tracef appends a line to the machine trace, prefixed with the thread.
 func (t *T) Tracef(format string, args ...any) {
 	if t.m.Tracing() {
@@ -488,7 +493,9 @@ func (t *T) RandUint64(bound uint64) uint64 {
 		n = maxEnum
 	}
 	v := uint64(t.m.chooser.Choose(int(n), "rand"))
-	t.Tracef("rand(%d) = %d", bound, v)
+	if t.Tracing() {
+		t.Tracef("rand(%d) = %d", bound, v)
+	}
 	return v
 }
 

@@ -25,7 +25,6 @@ package mailboat
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -117,7 +116,7 @@ const NameAttempts = 128
 const openAttempts = 4
 
 // UserDir returns user u's mailbox directory name.
-func UserDir(u uint64) string { return "user" + strconv.FormatUint(u, 10) }
+func UserDir(u uint64) string { return userDirs.Name(u) }
 
 // Dirs returns the fixed directory layout for cfg, for gfs setup.
 func Dirs(cfg Config) []string {
@@ -129,9 +128,9 @@ func Dirs(cfg Config) []string {
 }
 
 // MsgName returns the mailbox file name for allocation index i.
-func MsgName(i uint64) string { return "msg" + strconv.FormatUint(i, 10) }
+func MsgName(i uint64) string { return msgNames.Name(i) }
 
-func tmpName(i uint64) string { return "tmp" + strconv.FormatUint(i, 10) }
+func tmpName(i uint64) string { return tmpNames.Name(i) }
 
 // Mailboat is the per-era library state: the per-user locks plus the
 // optional ghost context for the proof-annotated variant. The ghost
@@ -721,7 +720,7 @@ func reinit(t gfs.T, g *core.Ctx, sys gfs.System, cfg Config, old *Mailboat, sw 
 	mb := &Mailboat{sys: sys, cfg: cfg, g: g, boot: sw.rep}
 	mb.locks = make([]gfs.Lock, cfg.Users)
 	for u := uint64(0); u < cfg.Users; u++ {
-		mb.locks[u] = sys.NewLock(t, fmt.Sprintf("mailbox%d", u))
+		mb.locks[u] = sys.NewLock(t, lockNames.Name(u))
 	}
 	if g != nil {
 		mb.boxMasters = make([]*core.SetMaster, cfg.Users)

@@ -1,6 +1,7 @@
 package mailboat
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -401,5 +402,31 @@ func TestVerifiedImplementationLeaksNoFDs(t *testing.T) {
 	}
 	if n := fs.OpenFDs(); n != 0 {
 		t.Fatalf("verified implementation leaked %d fds", n)
+	}
+}
+
+// TestStoreNamesAllocs: a checked scenario names its mailboxes, messages,
+// spool files and locks with small indices, and naming one there
+// allocates nothing. Above the pre-built range a name is rendered per
+// call, and on both sides of the boundary it is the same string.
+func TestStoreNamesAllocs(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { UserDir(3); MsgName(3) }); a != 0 {
+		t.Errorf("UserDir(3)+MsgName(3): %v allocations, want 0", a)
+	}
+	for _, i := range []uint64{0, 3, 63, 64, 1000} {
+		n := strconv.FormatUint(i, 10)
+		for _, c := range []struct{ got, want string }{
+			{UserDir(i), "user" + n},
+			{MsgName(i), "msg" + n},
+			{tmpName(i), "tmp" + n},
+			{lockNames.Name(i), "mailbox" + n},
+		} {
+			if c.got != c.want {
+				t.Errorf("index %d: named %q, want %q", i, c.got, c.want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { UserDir(1000) }); a == 0 {
+		t.Error("UserDir(1000) allocated nothing: is it past the pre-built range?")
 	}
 }

@@ -147,15 +147,19 @@ func (n *Net) Partitioned() bool { return n.charge > 0 }
 const partitionBurst = 2
 
 // decide runs one decision point of class c through the log; on
-// injection it traces and records the replayable event. No extra
-// machine step is taken — the decision rides the call's single send
-// step.
-func (n *Net) decide(mt *machine.T, c fault.Class, detail string) bool {
+// injection it builds the call's detail, traces it and records the
+// replayable event. A decision that does not inject builds no string.
+// No extra machine step is taken — the decision rides the call's
+// single send step.
+func (n *Net) decide(mt *machine.T, c fault.Class, dst, size int) bool {
 	idx, inject := n.log.Decide(mt, n.policy, c)
 	if !inject {
 		return false
 	}
-	mt.Tracef("net.fault %s#%d %s", c, idx, detail)
+	detail := fmt.Sprintf("call to node %d (%d bytes)", dst, size)
+	if mt.Tracing() {
+		mt.Tracef("net.fault %s#%d %s", c, idx, detail)
+	}
 	n.log.Record(c, idx, detail)
 	return true
 }
@@ -171,7 +175,9 @@ func (n *Net) flushStale(mt *machine.T, dst int) {
 	kept := n.stash[dst][:0]
 	for _, h := range n.stash[dst] {
 		if mt.Choose(2, "net") == 1 {
-			mt.Tracef("net.stale-delivery to node %d (%d bytes)", dst, len(h.req))
+			if mt.Tracing() {
+				mt.Tracef("net.stale-delivery to node %d (%d bytes)", dst, len(h.req))
+			}
 			n.handlers[dst](mt, h.req)
 			continue
 		}
@@ -202,15 +208,17 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	// it travels; no further decisions are consulted while it lasts.
 	if n.charge > 0 {
 		n.charge--
-		mt.Tracef("net.partitioned call to node %d (%d calls left in burst)", dst, n.charge)
+		if mt.Tracing() {
+			mt.Tracef("net.partitioned call to node %d (%d calls left in burst)", dst, n.charge)
+		}
 		return nil, Lost
 	}
-	detail := fmt.Sprintf("call to node %d (%d bytes)", dst, len(req))
-	if n.decide(mt, fault.Partition, detail) {
+	size := len(req)
+	if n.decide(mt, fault.Partition, dst, size) {
 		n.charge = partitionBurst - 1 // this call is the burst's first casualty
 		return nil, Lost
 	}
-	if n.decide(mt, fault.Drop, detail) {
+	if n.decide(mt, fault.Drop, dst, size) {
 		return nil, Lost
 	}
 
@@ -218,20 +226,20 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	// redelivery opportunities before the current one lands.
 	n.flushStale(mt, dst)
 
-	if n.decide(mt, fault.Reorder, detail) {
+	if n.decide(mt, fault.Reorder, dst, size) {
 		n.stash[dst] = append(n.stash[dst], held{req: append([]byte(nil), req...)})
 		return nil, Unknown // still in flight: maybe delivered later
 	}
-	if n.decide(mt, fault.Dup, detail) {
+	if n.decide(mt, fault.Dup, dst, size) {
 		resp := n.handlers[dst](mt, req)
 		n.handlers[dst](mt, req) // duplicate arrival; its response is discarded
-		if n.decide(mt, fault.DropReply, detail) {
+		if n.decide(mt, fault.DropReply, dst, size) {
 			return nil, Unknown
 		}
 		return resp, Delivered
 	}
 	resp := n.handlers[dst](mt, req)
-	if n.decide(mt, fault.DropReply, detail) {
+	if n.decide(mt, fault.DropReply, dst, size) {
 		return nil, Unknown
 	}
 	return resp, Delivered

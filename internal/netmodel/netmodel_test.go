@@ -311,3 +311,40 @@ func TestFingerprintCoversInFlightState(t *testing.T) {
 		t.Fatalf("crash changed the fingerprint of surviving in-flight state")
 	}
 }
+
+// TestUntracedCallAllocs: a call no fault touches allocates nothing,
+// traced or not — its detail string is built only on injection. The
+// traced control injects a drop and still prints the line, and the
+// untraced injection still records the same detail in the log.
+func TestUntracedCallAllocs(t *testing.T) {
+	resp := []byte("ok")
+	req := []byte("hello")
+	call := func(depth int, policy fault.Policy) (allocs float64, trace []string, log []fault.Event) {
+		mm := machine.New(machine.Options{TraceDepth: depth})
+		n := New(mm, policy)
+		n.Bind(1, func(gfs.T, []byte) []byte { return resp })
+		res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+			n.Call(mt, 1, req)
+			trace = append(trace, mm.Trace()...)
+			allocs = testing.AllocsPerRun(100, func() { n.Call(mt, 1, req) })
+		})
+		if res.Outcome != machine.Done {
+			t.Fatalf("era: %+v", res)
+		}
+		return allocs, trace, n.Log()
+	}
+	if a, _, _ := call(0, fault.Never{}); a != 0 {
+		t.Errorf("untraced delivered call: %v allocations, want 0", a)
+	}
+	if a, _, _ := call(machine.TraceAll, fault.Never{}); a != 0 {
+		t.Errorf("traced delivered call: %v allocations, want 0 (nothing to trace)", a)
+	}
+	drops := funcPolicy(func(c fault.Class, _ uint64) bool { return c == fault.Drop })
+	_, lines, _ := call(machine.TraceAll, drops)
+	if want := "t0: net.fault drop#0 call to node 1 (5 bytes)"; len(lines) != 1 || lines[0] != want {
+		t.Errorf("traced drop printed %q, want [%q]", lines, want)
+	}
+	if _, lines, log := call(0, drops); len(lines) != 0 || log[0].String() != "drop#0 call to node 1 (5 bytes)" {
+		t.Errorf("untraced drop: trace %q, first logged event %q", lines, log[0])
+	}
+}

@@ -143,7 +143,7 @@ type Node struct {
 // must include MetaDir in its directory layout.
 func NewNode(t gfs.T, id int, mb *mailboat.Mailboat, sys gfs.System, cfg Config) *Node {
 	nd := &Node{id: id, mb: mb, sys: sys, cfg: cfg, stop: make(chan struct{})}
-	nd.lock = sys.NewLock(t, "repl"+strconv.Itoa(id))
+	nd.lock = sys.NewLock(t, nodeLocks.Name(uint64(id)))
 	nd.epoch = readEpoch(t, sys)
 	nd.cfg.Metrics.EpochSet(nd.epoch)
 	nd.cfg.Metrics.RoleSet(false)
@@ -322,8 +322,11 @@ func (nd *Node) retryPause(t gfs.T, attempt int) bool {
 	}
 }
 
+// The epoch marker file names and the node lock names.
+var epochMarkers, nodeLocks = mailboat.NewNames("e"), mailboat.NewNames("repl")
+
 // epochMarker is the marker file name for epoch e.
-func epochMarker(e uint64) string { return "e" + strconv.FormatUint(e, 10) }
+func epochMarker(e uint64) string { return epochMarkers.Name(e) }
 
 // readEpoch returns the largest persisted epoch marker (0 = fresh).
 func readEpoch(t gfs.T, sys gfs.System) uint64 {

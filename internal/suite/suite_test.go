@@ -1,10 +1,12 @@
 package suite
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -395,5 +397,51 @@ func BenchmarkConstruct(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Verified()
 		Bugs()
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
+
+// TestTraceGolden pins what perennial-check -v -min prints for one
+// seeded bug per modeled backend — the file system, the network and the
+// block disk: the minimized counterexample's traced replay, trace lines
+// included. The search runs untraced and formats nothing, so this is
+// where a formatting site made lazy would show a changed line.
+// Regenerate with go test -run TraceGolden -update ./internal/suite.
+func TestTraceGolden(t *testing.T) {
+	bugs := Bugs()
+	for _, name := range []string{
+		"mb/sync-bug:ack-before-sync",
+		"mb/repl-bug:resync-skips-epoch",
+		"rd/bug:no-recovery",
+	} {
+		i := slices.IndexFunc(bugs, func(e Entry) bool { return e.Scenario.Name == name })
+		if i < 0 {
+			t.Fatalf("no seeded bug %s", name)
+		}
+		e := bugs[i]
+		rep := explore.Run(e.Scenario, e.Opts)
+		if rep.OK() {
+			t.Fatalf("%s: seeded bug not found", name)
+		}
+		cx := explore.ReplayCx(e.Scenario, explore.Minimize(e.Scenario, rep.Counterexample.Choices))
+		if cx == nil {
+			t.Fatalf("%s: minimized counterexample does not replay", name)
+		}
+		path := filepath.Join("testdata", strings.NewReplacer("/", "_", ":", "_").Replace(name)+".golden")
+		got := cx.Format()
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: counterexample moved\n got:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }

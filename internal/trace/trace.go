@@ -180,9 +180,17 @@ func Exit(t any, s *Span) {
 	}
 }
 
+// Active reports whether t carries an active span, i.e. whether an
+// Event on t would be recorded. A caller whose Event arguments cost
+// something to box guards the call with it.
+func Active(t any) bool {
+	c, ok := t.(Carrier)
+	return ok && c.TraceSpan() != nil
+}
+
 // Event annotates t's active span with a point event, if any. Callers
-// should keep the arguments cheap: they are evaluated even when the
-// span is nil (the format call is not).
+// should keep the arguments cheap, or guard the call with Active: they
+// are evaluated even when the span is nil (the format call is not).
 func Event(t any, format string, args ...any) {
 	if c, ok := t.(Carrier); ok {
 		if sp := c.TraceSpan(); sp != nil {
