@@ -445,10 +445,13 @@ func BenchmarkOSPickupPath(b *testing.B) {
 // TestOSAllocationBudget pins what the raw-descriptor backend puts on the
 // heap per call: nothing for the calls that take no name, the names'
 // C strings for the ones that do, and beyond that only what the call
-// returns.
+// returns — for ReadAt, only the read window a pread fills.
 func TestOSAllocationBudget(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("the budget is the raw-descriptor backend's; elsewhere os.Root and os.File allocate as they please")
+	}
+	if raceBuild {
+		t.Skip("the race detector's allocations are not the program's: it moves the end-of-file probe's stack buffer to the heap")
 	}
 	o, th, data := ramOS(t, []string{"spool", "box"}), gfs.NewNative(1), body(256)
 	writeFile(t, o, th, body(2048))
@@ -456,6 +459,13 @@ func TestOSAllocationBudget(t *testing.T) {
 	defer o.Close(th, w)
 	r, _ := o.Open(th, "box", "m")
 	defer o.Close(th, r)
+	o.ReadAt(th, r, 0, gfs.ReadChunk) // r's window: the first chunk
+	atEOF, _ := o.Open(th, "box", "m")
+	defer o.Close(th, atEOF)
+	o.ReadAt(th, atEOF, 1024, 2048) // a short read: end of file at 2048
+	refill, _ := o.Open(th, "box", "m")
+	defer o.Close(th, refill)
+	fills := 0
 	closed, _ := o.Open(th, "box", "m")
 	for _, op := range []struct {
 		name string
@@ -470,7 +480,13 @@ func TestOSAllocationBudget(t *testing.T) {
 		{"Size", 0, "no name, no result", func() bool { return o.Size(th, r) == 2048 }},
 		{"Delete", 1, "the name's C string", func() bool { return !o.Delete(th, "box", "absent") }},
 		{"Link", 2, "the two names' C strings", func() bool { return !o.Link(th, "box", "m", "box", "m") }},
-		{"ReadAt", 1, "the bytes returned", func() bool { return len(o.ReadAt(th, r, 0, gfs.ReadChunk)) == gfs.ReadChunk }},
+		{"ReadAt in the window", 0, "a subslice of the window", func() bool { return len(o.ReadAt(th, r, 0, gfs.ReadChunk)) == gfs.ReadChunk }},
+		{"ReadAt at end of file", 0, "a one-byte probe on the stack", func() bool { return o.ReadAt(th, atEOF, 2048, gfs.ReadChunk) == nil }},
+		{"ReadAt filling the window", 1, "the window", func() bool {
+			fills++ // 0 and 1024 in turn: neither continues the other
+			return len(o.ReadAt(th, refill, uint64(fills%2)*1024, gfs.ReadChunk)) == gfs.ReadChunk
+		}},
+		{"List", 1, "the names' slice, on the held descriptor (a one-byte name is static)", func() bool { return len(o.List(th, "box")) == 1 }},
 		{"Open+Close", 2, "the name's C string and the descriptor", func() bool {
 			fd, ok := o.Open(th, "box", "m")
 			o.Close(th, fd)

@@ -81,19 +81,30 @@ type OS struct {
 
 // osRoot is one cached directory descriptor.
 type osRoot struct {
-	o    *OS
-	dir  string
-	d    dirH
-	refs int
-	el   *list.Element
-	gone bool // evicted/closed: the last unpin closes d
+	o      *OS
+	dir    string
+	d      dirH
+	listMu sync.Mutex // List's getdents offset on d; no other call uses it
+	refs   int
+	el     *list.Element
+	gone   bool // evicted/closed: the last unpin closes d
 }
 
-// osFD is an open file. Close resets f to noFile, on which every
-// primitive fails: an op on a stale FD reports failure and can never
-// act on a descriptor number the kernel has since handed to another
-// file.
-type osFD struct{ f fileH }
+// osFD is an open file and its read window: win is what its last pread
+// returned, read at off, and asked what that pread asked for (0: none
+// yet). Close resets f to noFile and drops the window, so an op on a
+// stale FD reports failure: it can neither act on a descriptor number
+// the kernel has since handed to another file nor serve bytes it read
+// before. Like the model's, a descriptor is used by one thread at a time.
+type osFD struct {
+	f     fileH
+	win   []byte
+	off   uint64
+	asked uint64
+}
+
+// readWindowMax caps how far a descriptor's read window grows.
+const readWindowMax = 64 << 10
 
 // DefaultMaxDirHandles is the stock directory-handle budget: large
 // enough that every pre-harness layout (hundreds of user dirs) stays
@@ -272,13 +283,47 @@ func (o *OS) Append(_ T, fd FD, data []byte) bool {
 func (o *OS) Close(_ T, fd FD) {
 	f := fd.(*osFD)
 	closeH(f.f)
-	f.f = noFile
+	*f = osFD{f: noFile}
 }
 
-// ReadAt implements System; a failed read returns no bytes.
+// ReadAt implements System; a failed read returns no bytes. A range
+// inside the descriptor's read window costs no system call: the API
+// never changes a byte once it is in a file (DESIGN.md §4l). The window
+// grows only after a read comes back full, so a one-chunk message costs
+// one pread as before, and end of file is never cached: a read at or
+// past it probes the file again, one byte into a stack buffer.
 func (o *OS) ReadAt(_ T, fd FD, off, n uint64) []byte {
-	buf := make([]byte, n)
-	return buf[:preadFile(fd.(*osFD).f, buf, int64(off))]
+	f := fd.(*osFD)
+	if n == 0 {
+		return nil
+	}
+	end := f.off + uint64(len(f.win))
+	if off >= f.off && off < end && n <= end-off {
+		i := off - f.off
+		return f.win[i : i+n : i+n]
+	}
+	ask := n
+	switch full := uint64(len(f.win)) == f.asked; {
+	case f.asked > 0 && full && off >= f.off && off <= end:
+		ask = max(n, min(8*f.asked, readWindowMax)) // a full read, continued
+	case f.asked > 0 && !full && off >= end:
+		var probe [1]byte
+		if preadFile(f.f, probe[:], int64(off)) == 0 {
+			return nil
+		}
+	}
+	if ask > readWindowMax { // a huge n: read the rest of the file, no more
+		size := uint64(sizeFile(f.f))
+		if off >= size {
+			return nil
+		}
+		ask = min(ask, size-off)
+	}
+	buf := make([]byte, ask)
+	got := uint64(preadFile(f.f, buf, int64(off)))
+	f.win, f.off, f.asked = buf[:got], off, ask
+	got = min(got, n)
+	return buf[:got:got]
 }
 
 // Size implements System; 0 if the descriptor cannot be examined.
@@ -356,19 +401,22 @@ func (o *OS) CorruptFile(_ T, dir, name string, mode CorruptMode) bool {
 	return err == nil
 }
 
-// List implements System, sorted like the model. On a handle-cache
-// miss it reads the directory by path instead of caching a descriptor:
-// the big List consumers are one-shot full-population sweeps (recovery,
-// resync, scrub, audits), and letting a 100k-mailbox sweep stream
-// through the LRU would churn the hot mailboxes' handles out of the
-// cache.
+// List implements System, sorted like the model. A cached directory is
+// read through the descriptor the cache holds, one List at a time. On a
+// handle-cache miss it reads the directory by path instead of caching a
+// descriptor: the big List consumers are one-shot full-population sweeps
+// (recovery, resync, scrub, audits), and letting a 100k-mailbox sweep
+// stream through the LRU would churn the hot mailboxes' handles out of
+// the cache.
 func (o *OS) List(_ T, dir string) []string {
 	var names []string
 	if e := o.pin(dir, false); e != nil {
-		names = listDir(e.d, ".")
+		e.listMu.Lock()
+		names = listHeld(e.d)
+		e.listMu.Unlock()
 		e.unpin()
 	} else {
-		names = listDir(cwdDir, filepath.Join(o.path, dir))
+		names = listDir(filepath.Join(o.path, dir))
 	}
 	slices.Sort(names)
 	return names

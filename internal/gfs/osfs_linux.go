@@ -5,6 +5,7 @@ package gfs
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"syscall"
 	"unsafe"
@@ -20,7 +21,7 @@ type dirH = int
 type fileH = int
 
 const noFile fileH = -1  // every system call on it fails with EBADF
-const cwdDir dirH = -100 // AT_FDCWD: listDir's path is then an ordinary path
+const cwdDir dirH = -100 // AT_FDCWD: openDir's path is then an ordinary path
 
 // retry runs fn until it reports something other than EINTR.
 func retry(fn func() error) error {
@@ -93,27 +94,39 @@ func syncDir(d dirH) error {
 	return err
 }
 
-// listDir returns the names in the directory path names relative to d,
-// directories left out, unsorted; nil if it cannot be read to its end.
-// It reads through a descriptor of its own: d's file offset is shared by
-// every concurrent user of the cache entry.
-func listDir(d dirH, path string) []string {
-	fd, err := sysOpenat(d, path, syscall.O_RDONLY|syscall.O_DIRECTORY, 0)
+// listDir returns the names in the directory at path, directories left
+// out, unsorted; nil if it cannot be read to its end.
+func listDir(path string) []string {
+	d, err := openDir(path)
 	if err != nil {
 		return nil
 	}
-	defer closeH(fd)
+	defer closeH(d)
+	return readNames(d)
+}
+
+// listHeld is listDir on a held descriptor. It rewinds d first, and d's
+// file offset is shared by every user of d: the caller serializes it.
+func listHeld(d dirH) []string {
+	if _, err := syscall.Seek(d, 0, io.SeekStart); err != nil {
+		return nil
+	}
+	return readNames(d)
+}
+
+// readNames reads d's entries from its file offset to the end.
+func readNames(d dirH) []string {
 	names := make([]string, 0, 16) // a mailbox between two pickups holds a few names
 	var buf [8192]byte
 	for {
-		n, err := retryN(func() (int, error) { return syscall.ReadDirent(fd, buf[:]) })
+		n, err := retryN(func() (int, error) { return syscall.ReadDirent(d, buf[:]) })
 		if err != nil {
 			return nil
 		}
 		if n == 0 {
 			return names
 		}
-		names = parseDirents(buf[:n], names, func(name string) bool { return isDirAt(fd, name) })
+		names = parseDirents(buf[:n], names, func(name string) bool { return isDirAt(d, name) })
 	}
 }
 

@@ -45,6 +45,11 @@ func TestOSStaleFDNeverHitsARecycledDescriptor(t *testing.T) {
 			}
 			stale := open(mode + "-stale")
 			number := stale.(*osFD).f
+			if mode == "read" { // fills the window a stale read must not be served from
+				if got := string(o.ReadAt(th, stale, 0, 4)); got != "seed" {
+					t.Fatalf("the open FD reads %q", got)
+				}
+			}
 			o.Close(th, stale)
 
 			var other FD
@@ -66,7 +71,7 @@ func TestOSStaleFDNeverHitsARecycledDescriptor(t *testing.T) {
 			if o.Sync(th, stale) {
 				t.Error("Sync on a closed FD reported success")
 			}
-			if got := o.ReadAt(th, stale, 0, 64); len(got) != 0 {
+			if got := o.ReadAt(th, stale, 0, 4); len(got) != 0 {
 				t.Errorf("ReadAt on a closed FD returned %q", got)
 			}
 			if got := o.Size(th, stale); got != 0 {

@@ -17,7 +17,6 @@ type dirH = *os.Root
 type fileH = *os.File
 
 var noFile fileH // nil: every method on it fails with os.ErrInvalid
-var cwdDir dirH  // nil: listDir's path is then an ordinary path
 
 func openDir(path string) (dirH, error) { return os.OpenRoot(path) }
 
@@ -41,12 +40,9 @@ func syncDir(d dirH) error {
 	return f.Sync()
 }
 
-// listDir returns the names in the directory path names relative to d,
-// directories left out; nil if it cannot be read.
-func listDir(d dirH, path string) []string {
-	if d != cwdDir {
-		path = filepath.Join(d.Name(), path)
-	}
+// listDir returns the names in the directory at path, directories left
+// out; nil if it cannot be read.
+func listDir(path string) []string {
 	entries, err := os.ReadDir(path)
 	if err != nil {
 		return nil
@@ -59,6 +55,9 @@ func listDir(d dirH, path string) []string {
 	}
 	return names
 }
+
+// listHeld lists d by its path: os.Root does not expose its descriptor.
+func listHeld(d dirH) []string { return listDir(d.Name()) }
 
 func writeFile(f fileH, p []byte) (int, error) { return f.Write(p) }
 

@@ -3,8 +3,10 @@ package gfs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -183,6 +185,215 @@ func TestNativeRandBounded(t *testing.T) {
 	}
 }
 
+var equivDirs = []string{"spool", "u0", "u1"}
+
+// equivRec is one call of an equivalence script and what it returned.
+type equivRec struct {
+	op   string
+	outs []string
+}
+
+// equivStats counts what the scripts exercised, over all seeds.
+type equivStats struct {
+	full, short int // reads inside a file; reads cut short by its end
+	straddles   int // reads that start inside the previous read and end past it
+	grown       int // readers that reached end of file, then saw an append
+}
+
+// equivScript runs seed's random but always-valid script against sys and
+// logs every call. Its reads are at offsets and lengths on both sides of
+// end of file, at n = 0 and at a huge n; each random read is followed by
+// one that starts inside what it returned and ends past it; a reader
+// that has read to end of file reads on after its file was appended to;
+// and every read's result is appended to, as a caller may.
+func equivScript(sys System, th T, seed int64, st *equivStats) []equivRec {
+	dirs, names := equivDirs, []string{"a", "b", "c"}
+	var log []equivRec
+	rng := NewNative(seed) // same decisions on every backend
+	type open struct {
+		fd      FD
+		append_ bool
+		path    [2]string // a writer's dir and name
+		pos     uint64    // how far a reader has read on
+	}
+	var fds []open
+	exists := map[string]bool{} // "dir/name"
+	read := func(op string, fd FD, off, n uint64) []byte {
+		data := sys.ReadAt(th, fd, off, n)
+		log = append(log, equivRec{op: fmt.Sprintf("%s %d+%d", op, off, n), outs: []string{string(data)}})
+		// A caller may append to what it was handed; that must not write
+		// into bytes a later read returns.
+		return append(data, '!')[:len(data)]
+	}
+	// readOn is mailboat's loop: ReadChunk pieces up to the empty read.
+	readOn := func(f *open) (total uint64) {
+		for {
+			chunk := read("read on", f.fd, f.pos, ReadChunk)
+			if len(chunk) == 0 {
+				return total
+			}
+			f.pos += uint64(len(chunk))
+			total += uint64(len(chunk))
+		}
+	}
+	for step := 0; step < 150; step++ {
+		dir := dirs[rng.RandUint64(uint64(len(dirs)))]
+		name := names[rng.RandUint64(uint64(len(names)))]
+		switch rng.RandUint64(16) { // appends and reads three times as likely
+		case 0:
+			fd, ok := sys.Create(th, dir, name)
+			log = append(log, equivRec{op: "create " + dir + "/" + name, outs: []string{boolStr(ok)}})
+			if ok {
+				exists[dir+"/"+name] = true
+				fds = append(fds, open{fd: fd, append_: true, path: [2]string{dir, name}})
+			}
+		case 1, 10, 11:
+			if len(fds) == 0 {
+				continue
+			}
+			f := fds[rng.RandUint64(uint64(len(fds)))]
+			if !f.append_ {
+				continue
+			}
+			// Up to MaxAppend bytes a call: a few appends make a
+			// multi-KiB file.
+			data := bytes.Repeat([]byte(name+"-data"), 1+int(rng.RandUint64(MaxAppend/6)))
+			ok := sys.Append(th, f.fd, data)
+			log = append(log, equivRec{op: "append", outs: []string{boolStr(ok)}})
+		case 2:
+			fd, ok := sys.Open(th, dir, name)
+			log = append(log, equivRec{op: "open " + dir + "/" + name, outs: []string{boolStr(ok)}})
+			if ok {
+				fds = append(fds, open{fd: fd})
+			}
+		case 3, 12, 13:
+			if len(fds) == 0 {
+				continue
+			}
+			f := fds[rng.RandUint64(uint64(len(fds)))]
+			if f.append_ {
+				continue
+			}
+			// Offsets and lengths on both sides of end of file.
+			off, n := rng.RandUint64(3*MaxAppend), rng.RandUint64(2*MaxAppend)
+			data := read("read", f.fd, off, n)
+			if len(data) > 0 && uint64(len(data)) == n {
+				st.full++
+			} else if len(data) > 0 {
+				st.short++
+			}
+			if len(data) > 1 {
+				read("straddle", f.fd, off+uint64(len(data))/2, n)
+				st.straddles++
+			}
+		case 4:
+			ok := sys.Delete(th, dir, name)
+			log = append(log, equivRec{op: "delete " + dir + "/" + name, outs: []string{boolStr(ok)}})
+			delete(exists, dir+"/"+name)
+		case 5:
+			dir2 := dirs[rng.RandUint64(uint64(len(dirs)))]
+			name2 := names[rng.RandUint64(uint64(len(names)))]
+			if !exists[dir+"/"+name] {
+				continue
+			}
+			ok := sys.Link(th, dir, name, dir2, name2)
+			log = append(log, equivRec{op: "link", outs: []string{boolStr(ok)}})
+			if ok {
+				exists[dir2+"/"+name2] = true
+			}
+		case 6:
+			log = append(log, equivRec{op: "list " + dir, outs: sys.List(th, dir)})
+		case 7:
+			if len(fds) == 0 {
+				continue
+			}
+			f := fds[rng.RandUint64(uint64(len(fds)))]
+			log = append(log, equivRec{op: "size", outs: []string{fmt.Sprint(sys.Size(th, f.fd))}})
+		case 8:
+			if len(fds) == 0 {
+				continue
+			}
+			f := fds[rng.RandUint64(uint64(len(fds)))]
+			if !f.append_ {
+				continue
+			}
+			log = append(log, equivRec{op: "sync", outs: []string{boolStr(sys.Sync(th, f.fd))}})
+		case 9:
+			log = append(log, equivRec{op: "syncdir " + dir, outs: []string{boolStr(sys.SyncDir(th, dir))}})
+		case 14:
+			if len(fds) == 0 {
+				continue
+			}
+			f := &fds[rng.RandUint64(uint64(len(fds)))]
+			if f.append_ {
+				continue
+			}
+			readOn(f)
+			read("empty read", f.fd, f.pos, 0)
+			read("huge read", f.fd, rng.RandUint64(3*MaxAppend), []uint64{math.MaxUint64, 1 << 40}[rng.RandUint64(2)])
+		case 15:
+			if len(fds) == 0 {
+				continue
+			}
+			w := fds[rng.RandUint64(uint64(len(fds)))]
+			if !w.append_ {
+				continue
+			}
+			// A reader of w's file reads to its end, w appends, and the
+			// same reader reads on.
+			fd, ok := sys.Open(th, w.path[0], w.path[1])
+			log = append(log, equivRec{op: "open " + w.path[0] + "/" + w.path[1], outs: []string{boolStr(ok)}})
+			if !ok {
+				continue
+			}
+			r := open{fd: fd}
+			readOn(&r)
+			ok = sys.Append(th, w.fd, []byte(name+"-more"))
+			log = append(log, equivRec{op: "append", outs: []string{boolStr(ok)}})
+			if readOn(&r) > 0 {
+				st.grown++
+			}
+			sys.Close(th, fd)
+		}
+	}
+	for _, f := range fds {
+		sys.Close(th, f.fd)
+	}
+	return log
+}
+
+// modelScript runs seed's script on gfs.Model, inside one era.
+func modelScript(t *testing.T, dirs []string, seed int64) []equivRec {
+	t.Helper()
+	var log []equivRec
+	mm := machine.New(machine.Options{})
+	mfs := NewModel(mm, dirs)
+	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		log = equivScript(mfs, mt, seed, &equivStats{})
+	})
+	if res.Err != nil {
+		t.Fatalf("seed %d: model violation: %v", seed, res.Err)
+	}
+	return log
+}
+
+// divergence describes the first call at which got's log leaves want's,
+// or is empty if the logs are identical.
+func divergence(got, want []equivRec) string {
+	for i := range min(len(got), len(want)) {
+		if got[i].op != want[i].op {
+			return fmt.Sprintf("step %d: ops diverge: %q vs %q", i, got[i].op, want[i].op)
+		}
+		if !slices.Equal(got[i].outs, want[i].outs) {
+			return fmt.Sprintf("step %d (%s): outputs differ: %.80q vs %.80q", i, got[i].op, got[i].outs, want[i].outs)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("log lengths differ: %d vs %d", len(got), len(want))
+	}
+	return ""
+}
+
 // TestBackendEquivalence drives identical valid operation sequences
 // against the model and the OS backend and requires identical observable
 // results — the reproduction's version of trusting that the Goose model
@@ -191,166 +402,61 @@ func TestNativeRandBounded(t *testing.T) {
 // with a handle budget of one, where nearly every op reopens its
 // directory and evicts another.
 func TestBackendEquivalence(t *testing.T) {
-	dirs := []string{"spool", "u0", "u1"}
-	names := []string{"a", "b", "c"}
-
-	fullReads, shortReads := 0, 0 // what the scripts exercised, over all seeds
+	var st equivStats
 	for seed := int64(1); seed <= 40; seed++ {
-		osfs := newOSFS(t, dirs)
-		lazy, err := NewOSLimited(t.TempDir(), dirs, 1)
+		lazy, err := NewOSLimited(t.TempDir(), equivDirs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(lazy.CloseAll)
-		n := NewNative(seed)
-
-		// Generate a random but always-valid op script.
-		type rec struct {
-			op   string
-			outs []string
-		}
-		var osLog, lazyLog, mLog []rec
-
-		drive := func(sys System, th T, log *[]rec) {
-			rng := NewNative(seed) // same decisions on both backends
-			type open struct {
-				fd      FD
-				append_ bool
-			}
-			var fds []open
-			exists := map[string]bool{} // "dir/name"
-			for step := 0; step < 150; step++ {
-				dir := dirs[rng.RandUint64(uint64(len(dirs)))]
-				name := names[rng.RandUint64(uint64(len(names)))]
-				switch rng.RandUint64(14) { // appends and reads three times as likely
-				case 0:
-					fd, ok := sys.Create(th, dir, name)
-					*log = append(*log, rec{op: "create " + dir + "/" + name, outs: []string{boolStr(ok)}})
-					if ok {
-						exists[dir+"/"+name] = true
-						fds = append(fds, open{fd: fd, append_: true})
-					}
-				case 1, 10, 11:
-					if len(fds) == 0 {
-						continue
-					}
-					f := fds[rng.RandUint64(uint64(len(fds)))]
-					if !f.append_ {
-						continue
-					}
-					// Up to MaxAppend bytes a call: a few appends make a
-					// multi-KiB file.
-					data := bytes.Repeat([]byte(name+"-data"), 1+int(rng.RandUint64(MaxAppend/6)))
-					ok := sys.Append(th, f.fd, data)
-					*log = append(*log, rec{op: "append", outs: []string{boolStr(ok)}})
-				case 2:
-					fd, ok := sys.Open(th, dir, name)
-					*log = append(*log, rec{op: "open " + dir + "/" + name, outs: []string{boolStr(ok)}})
-					if ok {
-						fds = append(fds, open{fd: fd})
-					}
-				case 3, 12, 13:
-					if len(fds) == 0 {
-						continue
-					}
-					i := rng.RandUint64(uint64(len(fds)))
-					f := fds[i]
-					if f.append_ {
-						continue
-					}
-					// Offsets and lengths on both sides of end of file.
-					off, n := rng.RandUint64(3*MaxAppend), rng.RandUint64(2*MaxAppend)
-					data := sys.ReadAt(th, f.fd, off, n)
-					*log = append(*log, rec{op: fmt.Sprintf("read %d+%d", off, n), outs: []string{string(data)}})
-					if len(data) > 0 && uint64(len(data)) == n {
-						fullReads++
-					} else if len(data) > 0 {
-						shortReads++
-					}
-				case 4:
-					ok := sys.Delete(th, dir, name)
-					*log = append(*log, rec{op: "delete " + dir + "/" + name, outs: []string{boolStr(ok)}})
-					delete(exists, dir+"/"+name)
-				case 5:
-					dir2 := dirs[rng.RandUint64(uint64(len(dirs)))]
-					name2 := names[rng.RandUint64(uint64(len(names)))]
-					if !exists[dir+"/"+name] {
-						continue
-					}
-					ok := sys.Link(th, dir, name, dir2, name2)
-					*log = append(*log, rec{op: "link", outs: []string{boolStr(ok)}})
-					if ok {
-						exists[dir2+"/"+name2] = true
-					}
-				case 6:
-					ls := sys.List(th, dir)
-					*log = append(*log, rec{op: "list " + dir, outs: ls})
-				case 7:
-					if len(fds) == 0 {
-						continue
-					}
-					f := fds[rng.RandUint64(uint64(len(fds)))]
-					*log = append(*log, rec{op: "size", outs: []string{fmt.Sprint(sys.Size(th, f.fd))}})
-				case 8:
-					if len(fds) == 0 {
-						continue
-					}
-					f := fds[rng.RandUint64(uint64(len(fds)))]
-					if !f.append_ {
-						continue
-					}
-					*log = append(*log, rec{op: "sync", outs: []string{boolStr(sys.Sync(th, f.fd))}})
-				case 9:
-					*log = append(*log, rec{op: "syncdir " + dir, outs: []string{boolStr(sys.SyncDir(th, dir))}})
-				}
-			}
-			for _, f := range fds {
-				sys.Close(th, f.fd)
-			}
-		}
-
-		drive(osfs, n, &osLog)
-		drive(lazy, n, &lazyLog)
-
-		// Model run inside one era.
-		mm := machine.New(machine.Options{})
-		mfs := NewModel(mm, dirs)
-		res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-			drive(mfs, mt, &mLog)
-		})
-		if res.Err != nil {
-			t.Fatalf("seed %d: model violation: %v", seed, res.Err)
-		}
-
+		model := modelScript(t, equivDirs, seed)
 		for _, run := range []struct {
 			backend string
-			log     []rec
-		}{{"os", osLog}, {"os(budget 1)", lazyLog}} {
-			osLog := run.log
-			if len(osLog) != len(mLog) {
-				t.Fatalf("seed %d: log lengths differ: %s=%d model=%d", seed, run.backend, len(osLog), len(mLog))
-			}
-			for i := range osLog {
-				if osLog[i].op != mLog[i].op {
-					t.Fatalf("seed %d step %d: ops diverge: %q vs %q", seed, i, osLog[i].op, mLog[i].op)
-				}
-				if len(osLog[i].outs) != len(mLog[i].outs) {
-					t.Fatalf("seed %d step %d (%s on %s): outputs differ: %v vs %v",
-						seed, i, osLog[i].op, run.backend, osLog[i].outs, mLog[i].outs)
-				}
-				for k := range osLog[i].outs {
-					if osLog[i].outs[k] != mLog[i].outs[k] {
-						t.Fatalf("seed %d step %d (%s on %s): output %d differs: %q vs %q",
-							seed, i, osLog[i].op, run.backend, k, osLog[i].outs[k], mLog[i].outs[k])
-					}
-				}
+			sys     System
+		}{{"os", newOSFS(t, equivDirs)}, {"os(budget 1)", lazy}} {
+			if d := divergence(equivScript(run.sys, NewNative(seed), seed, &st), model); d != "" {
+				t.Fatalf("seed %d, %s against the model: %s", seed, run.backend, d)
 			}
 		}
 	}
-	t.Logf("over three backends: %d reads inside a file, %d cut short by end of file", fullReads, shortReads)
-	if fullReads < 30 || shortReads < 30 {
-		t.Errorf("scripts too weak: %d reads inside a file and %d cut short by end of file, want 30 of each",
-			fullReads, shortReads)
+	t.Logf("over both OS backends: %d reads inside a file, %d cut short by end of file, %d straddling the one before, %d readers that saw an append after end of file",
+		st.full, st.short, st.straddles, st.grown)
+	if st.full < 30 || st.short < 30 || st.straddles < 30 || st.grown < 10 {
+		t.Errorf("scripts too weak: want 30 reads of each kind and 10 readers that saw an append")
+	}
+}
+
+// eofCaching is the OS backend with the bug its read window must not
+// have: it takes a short read as end of file for good.
+type eofCaching struct {
+	*OS
+	eof map[FD]uint64
+}
+
+func (e *eofCaching) ReadAt(t T, fd FD, off, n uint64) []byte {
+	if end, ok := e.eof[fd]; ok && off >= end {
+		return nil
+	}
+	data := e.OS.ReadAt(t, fd, off, n)
+	if uint64(len(data)) < n {
+		e.eof[fd] = off + uint64(len(data))
+	}
+	return data
+}
+
+// TestBackendEquivalenceCatchesEOFCaching is the scripts' negative
+// control: a backend that caches end of file must diverge from the model.
+func TestBackendEquivalenceCatchesEOFCaching(t *testing.T) {
+	caught := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		bad := &eofCaching{OS: newOSFS(t, equivDirs), eof: map[FD]uint64{}}
+		if divergence(equivScript(bad, NewNative(seed), seed, &equivStats{}), modelScript(t, equivDirs, seed)) != "" {
+			caught++
+		}
+	}
+	t.Logf("%d of 40 scripts told an end-of-file cache from the model", caught)
+	if caught < 10 {
+		t.Errorf("only %d of 40 scripts caught an end-of-file cache, want 10", caught)
 	}
 }
 
@@ -359,6 +465,70 @@ func boolStr(b bool) string {
 		return "true"
 	}
 	return "false"
+}
+
+// TestOSListSharesHeldDescriptor: List reads a cached directory through
+// the one descriptor the cache holds, whose getdents offset every List
+// of it shares. Eight goroutines list one directory — big enough that a
+// listing takes several getdents calls — while two create and delete
+// other names in it: every listing must be sorted, free of duplicates,
+// and hold every name that existed throughout.
+func TestOSListSharesHeldDescriptor(t *testing.T) {
+	o := newOSFS(t, []string{"d"})
+	th := NewNative(1)
+	stable := make([]string, 600)
+	for i := range stable {
+		stable[i] = fmt.Sprintf("stable-%03d", i)
+		fd, ok := o.Create(th, "d", stable[i])
+		if !ok {
+			t.Fatalf("create %s failed", stable[i])
+		}
+		o.Close(th, fd)
+	}
+	var listers, churners sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		churners.Add(1)
+		go func(w int) {
+			defer churners.Done()
+			th := NewNative(int64(w))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				name := fmt.Sprintf("churn-%d-%d", w, i) // never reused: a name is listed at most once
+				if fd, ok := o.Create(th, "d", name); ok {
+					o.Close(th, fd)
+				}
+				o.Delete(th, "d", name)
+			}
+		}(w)
+	}
+	for w := 0; w < 8; w++ {
+		listers.Add(1)
+		go func() {
+			defer listers.Done()
+			th := NewNative(1)
+			for range 20 {
+				names := o.List(th, "d")
+				if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+					t.Errorf("a listing is unsorted or lists a name twice (%d names)", len(names))
+					return
+				}
+				for _, name := range stable {
+					if _, found := slices.BinarySearch(names, name); !found {
+						t.Errorf("a listing of %d names misses %s", len(names), name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	listers.Wait()
+	close(stop)
+	churners.Wait()
 }
 
 // TestOSLimitedHandleCache: the bounded directory-handle cache serves
