@@ -15,7 +15,7 @@
 // with crash-boundary state dedup on (disable with -nodedup).
 // -selfcheck runs every selected scenario twice — dedup off and on —
 // and fails if pruning changes any verdict (the mechanical witness of
-// DESIGN.md §5). -progress streams live search telemetry to
+// DESIGN.md "The checker"). -progress streams live search telemetry to
 // stderr at the given period (execs/s, frontier depth, dedup hit rate,
 // per-worker donations, budget ETA); it reads only lock-free counters,
 // so verdicts and counterexamples are identical with and without it.

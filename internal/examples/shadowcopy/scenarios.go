@@ -132,7 +132,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 	}
 	// All crash-surviving state lives in fingerprintable devices (the
 	// disks and the ghost Ctx), so the scenario opts into crash-boundary
-	// dedup with an identity hook (DESIGN.md §5).
+	// dedup with an identity hook (DESIGN.md "Crash-boundary dedup").
 	s.Fingerprint = func(_ any, b []byte) []byte { return b }
 	return s
 }

@@ -9,17 +9,17 @@ import (
 	"repro/internal/machine"
 )
 
-// Crash-boundary state dedup (DESIGN.md §5). The checker is stateless —
-// volatile state (heap cells, thread continuations) is ordinary Go
-// state it cannot enumerate — so the one point where a state's future
-// is a function of observable data alone is the crash boundary: right
-// after Machine.CrashReset, every thread is dead and all volatile state
-// is gone by construction. Two executions whose crash boundaries agree
-// on (durable device state, scenario-held crash-surviving state,
-// recorded history, remaining crash budget, consumed step budget,
-// rand-policy call index) have identical suffix behavior, so once one
-// prefix's recovery subtree is enumerated, other prefixes reaching the
-// same boundary can be pruned.
+// Crash-boundary state dedup (DESIGN.md "Crash-boundary dedup"). The
+// checker is stateless — volatile state (heap cells, thread
+// continuations) is ordinary Go state it cannot enumerate — so the one
+// point where a state's future is a function of observable data alone
+// is the crash boundary: right after Machine.CrashReset, every thread
+// is dead and all volatile state is gone by construction. Two
+// executions whose crash boundaries agree on (durable device state,
+// scenario-held crash-surviving state, recorded history, remaining
+// crash budget, consumed step budget, rand-policy call index) have
+// identical suffix behavior, so once one prefix's recovery subtree is
+// enumerated, other prefixes reaching the same boundary can be pruned.
 //
 // The table maps fingerprint -> hash of the owning choice prefix. The
 // owner hash is what lets the claiming prefix revisit its own boundary

@@ -43,8 +43,8 @@
 // already-enumerated recovery subtree need not be re-explored.
 // Options.NoDedup is the escape hatch, and SelfCheckDedup mechanically
 // witnesses that pruning does not change a scenario's verdict. See
-// DESIGN.md §5 for the soundness argument and docs/CHECKING.md for the
-// user-facing handbook.
+// DESIGN.md "The checker" for the soundness argument and
+// docs/CHECKING.md for the user-facing handbook.
 package explore
 
 import (

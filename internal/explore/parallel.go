@@ -7,7 +7,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Parallel systematic search (DESIGN.md §5). The choice tree is
+// Parallel systematic search (DESIGN.md "Parallel search"). The choice tree is
 // partitioned by schedule prefix: a job is a pinned prefix of choices,
 // and the worker that takes it enumerates exactly the executions
 // extending that prefix with its private dfsChooser and machines.

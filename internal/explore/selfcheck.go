@@ -3,14 +3,14 @@ package explore
 import "fmt"
 
 // SelfCheckDedup is the mechanical witness for the dedup soundness
-// argument (DESIGN.md §5): it runs the scenario's systematic search
-// twice at the same budget — once with crash-boundary dedup off, once
-// with it on — and fails when the two runs disagree on the verdict
-// (violation found or not) or on completeness. For searches that run to
-// completion this is exactly the property dedup must preserve; for
-// budget-bounded searches both runs carry only the weaker bounded
-// claim, and the check still catches a dedup table that hides a
-// violation the undeduped search finds within budget.
+// argument (DESIGN.md "Crash-boundary dedup"): it runs the scenario's
+// systematic search twice at the same budget — once with crash-boundary
+// dedup off, once with it on — and fails when the two runs disagree on the
+// verdict (violation found or not) or on completeness. For searches that
+// run to completion this is exactly the property dedup must preserve; for
+// budget-bounded searches both runs carry only the weaker bounded claim,
+// and the check still catches a dedup table that hides a violation the
+// undeduped search finds within budget.
 //
 // When both runs find a counterexample, each is additionally replayed
 // to confirm it reproduces. Stress is disabled for both runs (dedup

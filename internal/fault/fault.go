@@ -5,7 +5,8 @@
 // nondeterministic choice of the semantics; every other fault is the
 // same kind of choice, and both axes make it through one Policy — so one
 // Chooser budget can span disk and network in a single execution.
-// DESIGN.md §4c tables the classes (TestFaultClassesMatchDesignDoc).
+// DESIGN.md "Fault vocabulary" tables the classes
+// (TestFaultClassesMatchDesignDoc).
 package fault
 
 import (

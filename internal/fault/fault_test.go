@@ -2,44 +2,29 @@ package fault
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/loc"
 	"repro/internal/machine"
 )
 
-// TestFaultClassesMatchDesignDoc pins DESIGN.md §4c's class table to
-// the vocabulary: one row per class, in Class order, carrying its name,
+// TestFaultClassesMatchDesignDoc pins DESIGN.md's class table to the
+// vocabulary: one row per class, in Class order, carrying its name,
 // axis, chooser tag and opt-in verbatim, and no row besides. The
 // decision-point column is prose about the layers; the row must have
 // one.
 func TestFaultClassesMatchDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(doc), "<!-- fault-classes:begin -->")
-	table, _, ok2 := strings.Cut(rest, "<!-- fault-classes:end -->")
-	if !ok || !ok2 {
-		t.Fatal("DESIGN.md has no fault-classes table")
-	}
-	var rows []string
-	for _, line := range strings.Split(table, "\n") {
-		if strings.HasPrefix(line, "| `") {
-			rows = append(rows, line)
-		}
-	}
+	_, rows := loc.DocTable(t, "DESIGN.md", "fault-classes")
 	if len(rows) != int(NumClasses) {
 		t.Fatalf("DESIGN.md lists %d classes, the vocabulary has %d", len(rows), NumClasses)
 	}
 	for c := range NumClasses {
 		optIn := map[bool]string{false: "no", true: "yes"}[c.OptIn()]
-		want := fmt.Sprintf("| `%s` | %s | `%s`", c, c.Axis(), c.Tag())
-		cells := strings.Split(rows[c], " | ")
-		if !strings.HasPrefix(rows[c], want) || len(cells) != 5 || cells[3] != optIn || cells[4] == "|" {
-			t.Errorf("row %d is\n%s\nwant %s… | %s | <decision point> |", c, rows[c], want, optIn)
+		name, tag := "`"+c.String()+"`", "`"+c.Tag()+"`"
+		if r := rows[c]; len(r) != 5 || r[0] != name || r[1] != c.Axis().String() ||
+			!strings.HasPrefix(r[2], tag) || r[3] != optIn || r[4] == "" {
+			t.Errorf("row %d is %q, want %s | %s | %s… | %s | <decision point>", c, r, name, c.Axis(), tag, optIn)
 		}
 	}
 }

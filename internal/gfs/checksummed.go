@@ -2,18 +2,12 @@ package gfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
-
-// ErrIntegrity is the loud-failure sentinel for checksum mismatches:
-// VerifyFile wraps it in every corrupt verdict, and Checksummed.Open
-// refuses (returns false) rather than expose rotten bytes.
-var ErrIntegrity = errors.New("gfs: integrity check failed")
 
 // The on-disk envelope. Every file written through Checksummed is a
 // sequence of frames, each small enough to be one atomic inner Append:
@@ -31,7 +25,7 @@ var ErrIntegrity = errors.New("gfs: integrity check failed")
 // detected too. What the envelope cannot detect is a wholesale swap
 // with an older self-consistent file of the same birth path (a
 // stale-generation swap): that needs an authority outside the file,
-// which the mirror's generation markers provide (see DESIGN.md §4f).
+// which the mirror's generation markers provide (see DESIGN.md "Mirrored").
 //
 // Frames align with inner Append boundaries, so a torn crash of the
 // buffered model (any prefix of the unsynced tail at an append
@@ -129,20 +123,6 @@ func (v Verdict) String() string {
 	}
 }
 
-// IntegrityError is one non-OK file found by VerifyAll/Scrub.
-type IntegrityError struct {
-	Dir, Name string
-	Verdict   Verdict
-}
-
-// Error implements error, wrapping ErrIntegrity for corrupt verdicts.
-func (e IntegrityError) Error() string {
-	return fmt.Sprintf("%s/%s: %v (%s)", e.Dir, e.Name, ErrIntegrity, e.Verdict)
-}
-
-// Unwrap lets errors.Is(err, ErrIntegrity) work.
-func (IntegrityError) Unwrap() error { return ErrIntegrity }
-
 // Checksummed is the integrity middleware: every file written through
 // it is wrapped in the self-describing checksum envelope above, and
 // every Open verifies the whole envelope before exposing a single byte
@@ -165,7 +145,7 @@ type Checksummed struct {
 }
 
 // NewChecksummed wraps inner, with dirs the fixed directory layout
-// (needed by VerifyAll and Scrub).
+// (needed by Scrub).
 func NewChecksummed(inner System, dirs []string) *Checksummed {
 	return &Checksummed{inner: inner, dirs: append([]string{}, dirs...)}
 }
@@ -530,21 +510,6 @@ func (c *Checksummed) VerifyFile(t T, dir, name string) Verdict {
 		c.noteDetected(t, dir, name, v)
 	}
 	return v
-}
-
-// VerifyAll verifies every file in every directory, returning the
-// non-OK files (unsealed ones included; callers decide whether an
-// unsealed file is expected where it was found).
-func (c *Checksummed) VerifyAll(t T) []IntegrityError {
-	var out []IntegrityError
-	for _, dir := range c.dirs {
-		for _, name := range c.inner.List(t, dir) {
-			if v := c.VerifyFile(t, dir, name); v != VerdictOK {
-				out = append(out, IntegrityError{Dir: dir, Name: name, Verdict: v})
-			}
-		}
-	}
-	return out
 }
 
 // Scrub implements Scrubber: a single-store scrub can detect but not

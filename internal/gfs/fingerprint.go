@@ -7,7 +7,8 @@ import (
 )
 
 // This file provides the canonical durable-state encodings the model
-// checker's crash-boundary dedup table hashes (see DESIGN.md §5).
+// checker's crash-boundary dedup table hashes (see DESIGN.md
+// "Crash-boundary dedup").
 // Model implements machine.Fingerprinter directly (it is a registered
 // device); Faulty, fault.Chooser and Mirrored are middleware held by
 // the scenario's world, not devices, so they expose Append* helpers the

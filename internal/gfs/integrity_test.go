@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io/fs"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,8 +96,8 @@ func TestChecksummedRoundTrip(t *testing.T) {
 	}
 	c.Close(th, rfd)
 
-	if errs := c.VerifyAll(th); len(errs) != 0 {
-		t.Fatalf("VerifyAll on clean store: %v", errs)
+	if rep := c.Scrub(th, false); rep.Checked != 3 || rep.Corrupt != 0 || rep.Unsealed != 0 || len(rep.Bad) != 0 {
+		t.Fatalf("scrub of a clean store of three files: %v", rep)
 	}
 	if n := c.Detected(); n != 0 {
 		t.Fatalf("clean store detected %d failures", n)
@@ -113,7 +113,7 @@ func TestChecksummedRoundTrip(t *testing.T) {
 
 // TestChecksummedDetectsRot: both corruption modes fail the open
 // loudly, tick the detection counter, verdict as corrupt, and surface
-// through VerifyAll/Scrub; trustingReads (the seeded bug) serves the
+// through Scrub; trustingReads (the seeded bug) serves the
 // rotten bytes without complaint.
 func TestChecksummedDetectsRot(t *testing.T) {
 	o := newOSFS(t, []string{"box"})
@@ -139,16 +139,10 @@ func TestChecksummedDetectsRot(t *testing.T) {
 		t.Fatal("no detections recorded")
 	}
 
-	errs := c.VerifyAll(th)
-	if len(errs) != 2 {
-		t.Fatalf("VerifyAll found %d bad files, want 2: %v", len(errs), errs)
-	}
-	if !errors.Is(errs[0], ErrIntegrity) {
-		t.Fatalf("IntegrityError does not wrap ErrIntegrity: %v", errs[0])
-	}
 	rep := c.Scrub(th, true) // single store: heal is a no-op, detect only
-	if rep.Corrupt != 2 || len(rep.Bad) != 2 || rep.Clean() {
-		t.Fatalf("scrub report: %v", rep)
+	if rep.Checked != 2 || rep.Corrupt != 2 || rep.Unsealed != 0 || rep.Clean() ||
+		!slices.Equal(slices.Sorted(slices.Values(rep.Bad)), []string{"box/flip", "box/trunc"}) {
+		t.Fatalf("scrub report: %v %q", rep, rep.Bad)
 	}
 	if !strings.Contains(rep.String(), "corrupt=2") {
 		t.Fatalf("report string: %q", rep.String())

@@ -286,12 +286,12 @@ func (o *OS) Close(_ T, fd FD) {
 	*f = osFD{f: noFile}
 }
 
-// ReadAt implements System; a failed read returns no bytes. A range
-// inside the descriptor's read window costs no system call: the API
-// never changes a byte once it is in a file (DESIGN.md §4l). The window
-// grows only after a read comes back full, so a one-chunk message costs
-// one pread as before, and end of file is never cached: a read at or
-// past it probes the file again, one byte into a stack buffer.
+// ReadAt implements System; a failed read returns no bytes. A range inside
+// the descriptor's read window costs no system call: the API never changes
+// a byte once it is in a file (DESIGN.md "OS backend"). The window grows
+// only after a read comes back full, so a one-chunk message costs one
+// pread as before, and end of file is never cached: a read at or past it
+// probes the file again, one byte into a stack buffer.
 func (o *OS) ReadAt(_ T, fd FD, off, n uint64) []byte {
 	f := fd.(*osFD)
 	if n == 0 {

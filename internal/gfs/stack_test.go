@@ -2,12 +2,13 @@ package gfs
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/loc"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -195,21 +196,7 @@ func stackPoint(t *testing.T, a stackAxes, dirs []string) (built bool) {
 // carrying both layers and the reason verbatim, and the table has no
 // row Validate does not produce.
 func TestStackRulesMatchDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(doc), "<!-- stack-rules:begin -->")
-	table, _, ok2 := strings.Cut(rest, "<!-- stack-rules:end -->")
-	if !ok || !ok2 {
-		t.Fatal("DESIGN.md has no stack-rules table")
-	}
-	rows := 0
-	for _, line := range strings.Split(table, "\n") {
-		if strings.HasPrefix(line, "| ") && !strings.HasPrefix(line, "| Layer") && !strings.HasPrefix(line, "| ---") {
-			rows++
-		}
-	}
+	_, rows := loc.DocTable(t, "DESIGN.md", "stack-rules")
 	refusals := map[string]bool{}
 	bools := []bool{false, true}
 	for _, mk := range stackPolicies {
@@ -227,14 +214,14 @@ func TestStackRulesMatchDesignDoc(t *testing.T) {
 			}
 		}
 	}
-	if rows != len(refusals) {
-		t.Errorf("DESIGN.md lists %d rules, Validate refuses for %d distinct reasons", rows, len(refusals))
+	if len(rows) != len(refusals) {
+		t.Errorf("DESIGN.md lists %d rules, Validate refuses for %d distinct reasons", len(rows), len(refusals))
 	}
 	for msg := range refusals {
 		layers, why, _ := strings.Cut(strings.TrimPrefix(msg, "gfs: "), " are mutually exclusive: ")
 		a, b, _ := strings.Cut(layers, " and ")
-		if row := fmt.Sprintf("| %s | %s | %s |", a, b, why); !strings.Contains(table, row) {
-			t.Errorf("DESIGN.md is missing the row:\n%s", row)
+		if !slices.ContainsFunc(rows, func(r []string) bool { return slices.Equal(r, []string{a, b, why}) }) {
+			t.Errorf("DESIGN.md is missing the row: %s | %s | %s", a, b, why)
 		}
 	}
 }

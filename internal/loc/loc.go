@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"testing"
 )
 
 // Count is one component's line counts.
@@ -310,4 +311,34 @@ func Table4(root string) ([]Row, error) {
 	rows[2].Paper = 8900
 	rows[2].Note = "paper: Perennial 8900 / CSPEC 9600"
 	return rows, nil
+}
+
+// DocTable returns the cells, trimmed, of the table a document marks
+// for the tests that pin it between "<!-- name:begin -->" and
+// "<!-- name:end -->": its header row, and every body row after the
+// separator. doc is relative to the repository root, the directory
+// above the working one that holds go.mod, unless it is absolute. A
+// missing marker, a second row that is no separator, or a table with no
+// body row fails the test, naming the doc and the table.
+func DocTable(tb testing.TB, doc, name string) (header []string, rows [][]string) {
+	tb.Helper()
+	for dir, _ := os.Getwd(); !filepath.IsAbs(doc) && dir != filepath.Dir(dir); dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			doc = filepath.Join(dir, doc)
+		}
+	}
+	text, err := os.ReadFile(doc)
+	_, table, _ := strings.Cut(string(text), "<!-- "+name+":begin -->")
+	table, _, ended := strings.Cut(table, "<!-- "+name+":end -->")
+	lines := strings.Split(strings.TrimSpace(table), "\n")
+	if err != nil || !ended || len(lines) < 3 || strings.Trim(lines[1], "|-: ") != "" {
+		tb.Fatalf("%s has no %s table with a separator and a body row between its markers (%v)", filepath.Base(doc), name, err)
+	}
+	rows = make([][]string, len(lines))
+	for i, line := range lines {
+		for _, cell := range strings.Split(strings.Trim(strings.TrimSpace(line), "|"), "|") {
+			rows[i] = append(rows[i], strings.TrimSpace(cell))
+		}
+	}
+	return rows[0], rows[2:]
 }

@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// repo is the repository root, seen from this package.
+var repo = filepath.Join("..", "..")
+
 func writeFile(t *testing.T, dir, name, contents string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
@@ -72,17 +75,8 @@ func TestCountDirSkipsTestsWhenAsked(t *testing.T) {
 	}
 }
 
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Dir(filepath.Dir(wd)) // internal/loc -> repo root
-}
-
 func TestTable2AgainstThisRepo(t *testing.T) {
-	rows, err := Table2(repoRoot(t))
+	rows, err := Table2(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +94,7 @@ func TestTable2AgainstThisRepo(t *testing.T) {
 }
 
 func TestTable3AgainstThisRepo(t *testing.T) {
-	rows, err := Table3(repoRoot(t))
+	rows, err := Table3(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +109,7 @@ func TestTable3AgainstThisRepo(t *testing.T) {
 }
 
 func TestTable4AgainstThisRepo(t *testing.T) {
-	rows, err := Table4(repoRoot(t))
+	rows, err := Table4(repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +124,7 @@ func TestTable4AgainstThisRepo(t *testing.T) {
 	// The implementation row is the Figure-10 file and nothing else: it
 	// declares the paper's six entry points, and the extensions (quotas,
 	// named applies) live beside it, uncounted.
-	core := filepath.Join(repoRoot(t), "internal/mailboat/mailboat.go")
+	core := filepath.Join(repo, "internal/mailboat/mailboat.go")
 	if c, err := CountFile(core); err != nil || c.Code != rows[0].Measured {
 		t.Errorf("implementation row %d is not mailboat.go's %d lines (%v)", rows[0].Measured, c.Code, err)
 	}
@@ -151,39 +145,21 @@ func TestTable4AgainstThisRepo(t *testing.T) {
 }
 
 // TestTablesMatchExperimentsDoc holds EXPERIMENTS.md's Tables 2–4 to
-// what `locstats -table N` prints today: in each "## Table N" section,
-// the table with a "This repo" column must list exactly TableN's rows
-// with TableN's counts. A row the paper has and this repository does
-// not (the Goose translator) carries "—" in place of a count.
+// what `locstats -table N` prints today: the table marked table-N must
+// list exactly TableN's rows with TableN's counts in its "This repo"
+// column, which its header names second. A row the paper has and this repository does not
+// (the Goose translator) carries "—" in place of a count.
 func TestTablesMatchExperimentsDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "EXPERIMENTS.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for n, gen := range map[int]func(string) ([]Row, error){2: Table2, 3: Table3, 4: Table4} {
-		_, section, ok := strings.Cut(string(doc), fmt.Sprintf("\n## Table %d ", n))
-		if !ok {
-			t.Errorf("EXPERIMENTS.md has no Table %d section", n)
-			continue
+		header, body := DocTable(t, "EXPERIMENTS.md", fmt.Sprintf("table-%d", n))
+		if slices.Index(header, "This repo") != 1 {
+			t.Errorf("Table %d's header is %q: its second column is not \"This repo\"", n, header)
 		}
-		section, _, _ = strings.Cut(section, "\n## ")
-		// The documented count per component; col < 0 outside the table.
-		documented, col := map[string]string{}, -1
-		for _, line := range strings.Split(section, "\n") {
-			cells := strings.Split(strings.Trim(line, "|"), "|")
-			for i := range cells {
-				cells[i] = strings.TrimSpace(cells[i])
-			}
-			switch {
-			case !strings.HasPrefix(line, "|"):
-				col = -1
-			case col < 0:
-				col = slices.Index(cells, "This repo")
-			case col < len(cells) && !strings.HasPrefix(cells[0], "---"):
-				documented[cells[0]] = cells[col]
-			}
+		documented := map[string]string{}
+		for _, r := range body {
+			documented[r[0]] = r[1]
 		}
-		rows, err := gen(repoRoot(t))
+		rows, err := gen(repo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +191,7 @@ func TestFormatTable(t *testing.T) {
 }
 
 func TestInventoryListsPackagesShallow(t *testing.T) {
-	rows, err := Inventory(repoRoot(t))
+	rows, err := Inventory(repo)
 	if err != nil {
 		t.Fatal(err)
 	}

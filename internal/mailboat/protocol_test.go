@@ -16,13 +16,15 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/gfs"
+	"repro/internal/loc"
 	"repro/internal/machine"
 )
 
-// These tests pin the delivery and recovery protocols (DESIGN.md
-// "Delivery protocol", "Recovery protocol") to the code: mutations are compositions of the production stages and
-// so survive what production survives, a stage token is minted only by
-// its stage, and the document's two tables name what the code has.
+// These tests pin the delivery and recovery protocols (DESIGN.md "Delivery
+// protocol", "Recovery protocol") to the code: mutations are compositions
+// of the production stages and so survive what production survives, a
+// stage token is minted only by its stage, and the document's two tables
+// name what the code has.
 
 // TestMutationsTrackProductionUnderFaults composes one fault axis with
 // every row the checker must ACCEPT. A mutation that is a hand copy of
@@ -145,7 +147,7 @@ type tokenRules struct {
 
 // tokenPackages are the packages whose ordering obligations are tokens:
 // delivery and recovery here, and below and above this package the four
-// obligations DESIGN.md §4n's obligations table lists.
+// obligations the obligations table of DESIGN.md "Seeded bugs" lists.
 var tokenPackages = []tokenRules{
 	{"mailboat", ".", map[string][]string{
 		"spooled":   {"spoolWrite"},
@@ -329,15 +331,11 @@ func TestTokenCheckerRefusesForgeries(t *testing.T) {
 	}
 }
 
-// TestObligationsMatchDesignDoc holds DESIGN.md §4n's obligations table
-// to tokenPackages: one row per gfs and repl token, naming the stage that
+// TestObligationsMatchDesignDoc holds DESIGN.md's obligations table to
+// tokenPackages: one row per gfs and repl token, naming the stage that
 // mints it and the stages that take it as the rules do, and a forging
 // row that this package's or repl's scenarios.go declares.
 func TestObligationsMatchDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var scen []byte
 	for _, f := range []string{"scenarios.go", filepath.Join("..", "repl", "scenarios.go")} {
 		b, err := os.ReadFile(f)
@@ -346,7 +344,7 @@ func TestObligationsMatchDesignDoc(t *testing.T) {
 		}
 		scen = append(scen, b...)
 	}
-	rows := designTable(t, string(doc), "obligations")
+	_, rows := loc.DocTable(t, "DESIGN.md", "obligations")
 	names := func(cell string) []string {
 		var out []string
 		for _, m := range regexp.MustCompile("`(\\w+)`").FindAllStringSubmatch(cell, -1) {
@@ -359,12 +357,13 @@ func TestObligationsMatchDesignDoc(t *testing.T) {
 	for _, r := range tokenPackages[1:] {
 		for tok, minters := range r.minters {
 			want++
-			row := regexp.MustCompile("(?m)^\\| [^|`]+ \\| `" + tok + "` \\|.*$").FindString(rows)
-			if row == "" {
+			i := slices.IndexFunc(rows, func(c []string) bool { // obligation, token, minter, consumers, forging row
+				return len(c) == 5 && !strings.ContainsAny(c[0], "`") && c[1] == "`"+tok+"`"
+			})
+			if i < 0 {
 				t.Errorf("obligations table has no row for %s's %s", r.name, tok)
 				continue
 			}
-			cells := strings.Split(row, "|") // "", obligation, token, minter, consumers, forging row, ""
 			var consumers []string
 			for stage, ctok := range r.consumers {
 				if ctok == tok {
@@ -372,31 +371,21 @@ func TestObligationsMatchDesignDoc(t *testing.T) {
 				}
 			}
 			slices.Sort(consumers)
-			if got := names(cells[3]); !slices.Equal(got, slices.Sorted(slices.Values(minters))) {
+			if got := names(rows[i][2]); !slices.Equal(got, slices.Sorted(slices.Values(minters))) {
 				t.Errorf("%s: minter %v, the rules say %v", tok, got, minters)
 			}
-			if got := names(cells[4]); !slices.Equal(got, consumers) {
+			if got := names(rows[i][3]); !slices.Equal(got, consumers) {
 				t.Errorf("%s: consumers %v, the rules say %v", tok, got, consumers)
 			}
-			v := names(cells[5])
+			v := names(rows[i][4])
 			if len(v) != 1 || !regexp.MustCompile(`(?m)^\t`+v[0]+` += Variant\{`).Match(scen) {
 				t.Errorf("%s: forging row %v is not a Variant row of mailboat or repl", tok, v)
 			}
 		}
 	}
-	if n := strings.Count(rows, "\n| ") - 1; n != want { // less the header row
-		t.Errorf("obligations table has %d rows, gfs and repl have %d tokens", n, want)
+	if len(rows) != want {
+		t.Errorf("obligations table has %d rows, gfs and repl have %d tokens", len(rows), want)
 	}
-}
-
-// designTable returns the DESIGN.md table between the named markers.
-func designTable(t *testing.T, doc, name string) string {
-	_, rest, ok := strings.Cut(doc, "<!-- "+name+":begin -->")
-	table, _, ok2 := strings.Cut(rest, "<!-- "+name+":end -->")
-	if !ok || !ok2 {
-		t.Fatalf("DESIGN.md has no %s table", name)
-	}
-	return table
 }
 
 // stage is one row of a DESIGN.md stage table: the function that is the
@@ -408,17 +397,18 @@ type stage struct {
 
 // checkStageTable holds a DESIGN.md stage table to mailboat.go: one row
 // per stage and no others, each stage declared there and opening the
-// spans its row names.
-func checkStageTable(t *testing.T, doc []byte, table string, stages []stage) {
+// spans its row names in the span column, the fourth. It returns the
+// table's rows.
+func checkStageTable(t *testing.T, table string, stages []stage) [][]string {
 	t.Helper()
 	src, err := os.ReadFile("mailboat.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := designTable(t, string(doc), table)
+	_, rows := loc.DocTable(t, "DESIGN.md", table)
 	for _, st := range stages {
-		row := regexp.MustCompile("(?m)^\\| `" + st.fn + "` .*$").FindString(rows)
-		if row == "" {
+		i := slices.IndexFunc(rows, func(c []string) bool { return len(c) > 3 && c[0] == "`"+st.fn+"`" })
+		if i < 0 {
 			t.Errorf("%s has no row for %s", table, st.fn)
 			continue
 		}
@@ -426,28 +416,27 @@ func checkStageTable(t *testing.T, doc []byte, table string, stages []stage) {
 			t.Errorf("%s names %s, which mailboat.go does not define", table, st.fn)
 		}
 		for _, span := range st.spans {
-			if !(strings.Contains(row, "`"+span+"`") && strings.Contains(string(src), `"`+span+`"`)) {
-				t.Errorf("stage %s: span %q missing from its row or from mailboat.go", st.fn, span)
+			if !(strings.Contains(rows[i][3], "`"+span+"`") && strings.Contains(string(src), `"`+span+`"`)) {
+				t.Errorf("stage %s: span %q missing from its row's span column or from mailboat.go", st.fn, span)
 			}
 		}
 	}
-	if n := strings.Count(rows, "\n| `"); n != len(stages) {
-		t.Errorf("%s has %d rows, the code has %d stages", table, n, len(stages))
+	if len(rows) != len(stages) {
+		t.Errorf("%s has %d rows, the code has %d stages", table, len(rows), len(stages))
 	}
+	return rows
 }
 
-// TestDeliveryProtocolMatchesDesignDoc holds DESIGN.md §4n's two tables
-// to the code, the way gfs.TestStackRulesMatchDesignDoc holds §4m's:
+// TestDeliveryProtocolMatchesDesignDoc holds the stage table of DESIGN.md
+// "Delivery protocol" and the mutation table of DESIGN.md "Seeded bugs"
+// to the code, the way gfs.TestStackRulesMatchDesignDoc holds the
+// legality table:
 // every stage the stage table names is a method in mailboat.go opening
 // the span its row gives, and the mutation table has exactly one row
 // per mutation declared in scenarios.go.
 func TestDeliveryProtocolMatchesDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const method = "func (mb *Mailboat) "
-	checkStageTable(t, doc, "delivery-stages", []stage{
+	checkStageTable(t, "delivery-stages", []stage{
 		{"spoolWrite", method, []string{"spool.write"}},
 		{"publishLink", method, []string{"publish.link"}},
 		{"barrier", method, []string{"syncdir.barrier"}},
@@ -465,26 +454,25 @@ func TestDeliveryProtocolMatchesDesignDoc(t *testing.T) {
 	if len(declared) < 13 {
 		t.Fatalf("found only %d mutation rows in scenarios.go", len(declared))
 	}
-	for _, m := range regexp.MustCompile("(?m)^\\| `(Variant\\w+)` ").FindAllStringSubmatch(designTable(t, string(doc), "delivery-mutations"), -1) {
-		if !declared[m[1]] {
-			t.Errorf("mutation table lists %s, which scenarios.go does not declare (or lists it twice)", m[1])
+	_, mutations := loc.DocTable(t, "DESIGN.md", "delivery-mutations")
+	for _, r := range mutations {
+		v := strings.Trim(r[0], "`")
+		if !declared[v] {
+			t.Errorf("mutation table lists %s, which scenarios.go does not declare (or lists it twice)", v)
 		}
-		delete(declared, m[1])
+		delete(declared, v)
 	}
 	for v := range declared {
 		t.Errorf("mutation table has no row for %s", v)
 	}
 }
 
-// TestRecoveryProtocolMatchesDesignDoc holds DESIGN.md §4p's table to
-// the code: its rows are Recover's three stages, and the mutation
-// column names exactly the four Variant rows that override Recover.
+// TestRecoveryProtocolMatchesDesignDoc holds the table of DESIGN.md
+// "Recovery protocol" to the code: its rows are Recover's three stages,
+// and its cells name, once each, exactly the four Variant rows that
+// override Recover.
 func TestRecoveryProtocolMatchesDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStageTable(t, doc, "recovery-stages", []stage{
+	rows := checkStageTable(t, "recovery-stages", []stage{
 		{"repair", "func ", []string{"recover.resilver", "recover.scrub"}},
 		{"sweep", "func ", []string{"recover.sweep"}},
 		{"reinit", "func ", nil},
@@ -493,17 +481,16 @@ func TestRecoveryProtocolMatchesDesignDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := designTable(t, string(doc), "recovery-stages")
-	overriding := regexp.MustCompile(`(?m)^\t(Variant\w+) += Variant\{[^}]*Recover:`).FindAllStringSubmatch(string(scen), -1)
-	if len(overriding) != 4 {
-		t.Errorf("found %d Variant rows overriding Recover in scenarios.go, want 4", len(overriding))
+	var named, overriding []string
+	for _, cell := range slices.Concat(rows...) {
+		named = append(named, regexp.MustCompile("`Variant\\w+`").FindAllString(cell, -1)...)
 	}
-	for _, m := range overriding {
-		if !strings.Contains(table, "`"+m[1]+"`") {
-			t.Errorf("recovery table names no stage that %s forges or replaces", m[1])
-		}
+	for _, m := range regexp.MustCompile(`(?m)^\t(Variant\w+) += Variant\{[^}]*Recover:`).FindAllStringSubmatch(string(scen), -1) {
+		overriding = append(overriding, "`"+m[1]+"`")
 	}
-	if n := len(regexp.MustCompile("`Variant\\w+`").FindAllString(table, -1)); n != len(overriding) {
-		t.Errorf("recovery table names %d mutations, scenarios.go has %d that override Recover", n, len(overriding))
+	slices.Sort(named)
+	slices.Sort(overriding)
+	if len(overriding) != 4 || !slices.Equal(named, overriding) {
+		t.Errorf("recovery table names the mutations %v; the Variant rows of scenarios.go overriding Recover, four of them, are %v", named, overriding)
 	}
 }

@@ -37,7 +37,7 @@ type World struct {
 // layer) with a seeded bug from bugs.go. A nil field is the production
 // code; the zero Variant is the verified implementation, and the only
 // one that runs ghost-annotated. Seeding a mutation is adding a row
-// (DESIGN.md §4n lists them with their scenarios).
+// (DESIGN.md "Seeded bugs" lists them with their scenarios).
 type Variant struct {
 	Deliver func(mb *Mailboat, t gfs.T, user uint64, msg []byte) bool
 	Pickup  func(mb *Mailboat, t gfs.T, user uint64) []Message
@@ -117,8 +117,8 @@ func (v Variant) verified() bool {
 // A scenario is a workload (Config, Delivers, PickupUsers, MaxCrashes,
 // PostPickups) run over four independent parts: a crash model, a
 // storage stack, a fault budget and the property claimed of the result
-// (DESIGN.md §4m has the table). Which stacks compose over which model
-// and budget is gfs.StackSpec.Validate's business; nothing here
+// (DESIGN.md "Scenario parts" has the table). Which stacks compose over
+// which model and budget is gfs.StackSpec.Validate's business; nothing here
 // overrides a part with another.
 
 // CrashModel is what a crash does to un-synced state: the gfs model the
@@ -509,13 +509,13 @@ func probeLatch(t *machine.T, h *explore.Harness, w *World) {
 	RecordSession(t, h, w, 0, false)
 }
 
-// fingerprint is the crash-boundary dedup hook (DESIGN.md §5): the
-// file-system models and the ghost Ctx are fingerprintable devices, so
-// it only has to cover the crash-surviving state the world holds
-// outside them — the stack's (policy budget, latches, mirror flags,
-// detection counters) and the detection count the next OpObserve
-// compares against. The deferred-durability models are covered too:
-// the synced-prefix map is part of the model's own encoding.
+// fingerprint is the crash-boundary dedup hook (DESIGN.md "Crash-boundary
+// dedup"): the file-system models and the ghost Ctx are fingerprintable
+// devices, so it only has to cover the crash-surviving state the world
+// holds outside them — the stack's (policy budget, latches, mirror flags,
+// detection counters) and the detection count the next OpObserve compares
+// against. The deferred-durability models are covered too: the
+// synced-prefix map is part of the model's own encoding.
 func fingerprint(wAny any, b []byte) []byte {
 	w := wAny.(*World)
 	return machine.AppendUint64(w.Stack.AppendCheckerState(b), w.seen)

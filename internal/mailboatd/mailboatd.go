@@ -32,7 +32,7 @@ var ErrTransient = errors.New("mailboatd: transient store failure, try again lat
 
 // FaultOptions configures a deterministic fault-injection layer between
 // the library and the OS file system — the seeded drill mode of the
-// fault model (see DESIGN.md "Fault model").
+// fault model (see DESIGN.md "Fault vocabulary").
 type FaultOptions struct {
 	// Seed selects the fault schedule; the same seed replays the same
 	// schedule bit-for-bit (inspect it with Adapter.FaultLog).

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/loc"
 	"repro/internal/mailboat"
 )
 
@@ -255,11 +256,11 @@ func TestEveryPropertyIsChecked(t *testing.T) {
 	}
 }
 
-// scenarioParts renders DESIGN.md §4m's table from the suite: for each
-// of the four parts of a mail-store scenario, its zero value, and each
-// other value some entry gives it with the entries that do (a property
-// with the name of its spec).
-func scenarioParts() []string {
+// scenarioParts renders the table of DESIGN.md "Scenario parts" from the
+// suite: for each of the four parts of a mail-store scenario, its zero
+// value, and each other value some entry gives it with the entries that do
+// (a property with the name of its spec).
+func scenarioParts() [][]string {
 	parts := []struct {
 		name  string
 		value func(o mailboat.ScenarioOptions) string
@@ -290,7 +291,7 @@ func scenarioParts() []string {
 		}},
 	}
 	entries := append(append([]mailboatEntry{}, mailboatVerified...), mailboatBugs...)
-	var rows []string
+	var rows [][]string
 	for _, part := range parts {
 		zero := part.value(mailboat.ScenarioOptions{})
 		var values []string
@@ -307,7 +308,7 @@ func scenarioParts() []string {
 			if i == 0 {
 				name = fmt.Sprintf("%s (else %s)", part.name, zero)
 			}
-			rows = append(rows, fmt.Sprintf("| %s | %s | %s |", name, v, strings.Join(users[v], ", ")))
+			rows = append(rows, []string{name, v, strings.Join(users[v], ", ")})
 		}
 	}
 	return rows
@@ -320,22 +321,14 @@ func btoi(b bool) int {
 	return 0
 }
 
-// TestScenarioPartsMatchDesignDoc pins DESIGN.md §4m's four-part table
-// to the suite's entries: the rows scenarioParts renders, verbatim and
-// in order, and no row besides.
+// TestScenarioPartsMatchDesignDoc pins DESIGN.md's four-part table to
+// the suite's entries: its header, then the rows scenarioParts renders,
+// cell for cell and in order, and no row besides.
 func TestScenarioPartsMatchDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(doc), "<!-- scenario-parts:begin -->\n")
-	table, _, ok2 := strings.Cut(rest, "<!-- scenario-parts:end -->")
-	if !ok || !ok2 {
-		t.Fatal("DESIGN.md has no scenario-parts table")
-	}
-	want := "| part | value | suite entries (`mb/…`) |\n|---|---|---|\n" + strings.Join(scenarioParts(), "\n") + "\n"
-	if table != want {
-		t.Errorf("DESIGN.md §4m's table is\n%s\nthe suite's entries say\n%s", table, want)
+	header, rows := loc.DocTable(t, "DESIGN.md", "scenario-parts")
+	want := scenarioParts()
+	if !slices.Equal(header, []string{"part", "value", "suite entries (`mb/…`)"}) || !slices.EqualFunc(rows, want, slices.Equal[[]string]) {
+		t.Errorf("DESIGN.md's table is\n%q\n%q\nthe suite's entries say\n%q", header, rows, want)
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/loc"
 )
 
 // The paper's trusted base (§9.2) includes the Goose translator: it is
@@ -214,37 +215,19 @@ func TestTrustedBase(t *testing.T) {
 // to the tables here: one row per trusted file and per exception, with
 // the role or reason verbatim, and no row besides.
 func TestTrustedBaseMatchesDesignDoc(t *testing.T) {
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(doc), "<!-- trusted-base:begin -->")
-	table, _, ok2 := strings.Cut(rest, "<!-- trusted-base:end -->")
-	if !ok || !ok2 {
-		t.Fatal("DESIGN.md has no trusted-base table")
-	}
-	var want []string
+	var want [][]string
 	for file, role := range trustedFiles {
-		want = append(want, fmt.Sprintf("| `%s` | trusted | %s |", file, role))
+		want = append(want, []string{"`" + file + "`", "trusted", role})
 	}
 	for file, row := range exceptions {
 		for path, why := range row {
-			want = append(want, fmt.Sprintf("| `%s` | `%s` | %s |", file, path, why))
+			want = append(want, []string{"`" + file + "`", "`" + path + "`", why})
 		}
 	}
-	rows := 0
-	for _, line := range strings.Split(table, "\n") {
-		if strings.HasPrefix(line, "| `") {
-			rows++
-		}
-	}
-	if rows != len(want) {
-		t.Errorf("DESIGN.md lists %d rows, the tables have %d", rows, len(want))
-	}
-	sort.Strings(want)
-	for _, row := range want {
-		if !strings.Contains(table, row) {
-			t.Errorf("DESIGN.md is missing the row:\n%s", row)
-		}
+	_, rows := loc.DocTable(t, "DESIGN.md", "trusted-base")
+	slices.SortFunc(rows, slices.Compare)
+	slices.SortFunc(want, slices.Compare)
+	if !slices.EqualFunc(rows, want, slices.Equal[[]string]) {
+		t.Errorf("DESIGN.md's rows, sorted, are\n%q\nthe tables here say\n%q", rows, want)
 	}
 }
