@@ -82,14 +82,23 @@ func (m *Metrics) cmdStart() time.Time {
 	return time.Now()
 }
 
-// command records a processed command and its handling latency.
-func (m *Metrics) command(verb string, start time.Time) {
+// counter returns the command counter of an upper-cased verb; nil when
+// disabled.
+func (m *Metrics) counter(verb string) *obs.Counter {
+	if m == nil {
+		return nil
+	}
+	if c, ok := m.commands[verb]; ok {
+		return c
+	}
+	return m.commands["other"]
+}
+
+// command records a processed command, counted on c, and its handling
+// latency.
+func (m *Metrics) command(c *obs.Counter, start time.Time) {
 	if m == nil {
 		return
-	}
-	c, ok := m.commands[strings.ToUpper(verb)]
-	if !ok {
-		c = m.commands["other"]
 	}
 	c.Inc()
 	m.cmdTime.ObserveSince(start)

@@ -77,14 +77,34 @@ func (s *Server) handle(conn net.Conn) {
 	c := s.NewConn(conn)
 	// follows starts a multi-line reply: the status line stays in the
 	// buffer and leaves with the body and the terminator, in one flush.
-	follows := func(msg string) { fmt.Fprintf(c, "+OK %s\r\n", msg) }
+	follows := func(msg string) {
+		c.WriteString("+OK ")
+		c.WriteString(msg)
+		c.WriteString("\r\n")
+	}
 	ok := func(msg string) bool {
 		follows(msg)
 		return c.Flush() == nil
 	}
 	bad := func(msg string) bool {
-		fmt.Fprintf(c, "-ERR %s\r\n", msg)
+		c.WriteString("-ERR ")
+		c.WriteString(msg)
+		c.WriteString("\r\n")
 		return c.Flush() == nil
+	}
+	// line writes head, n in decimal, tail and the CRLF.
+	line := func(head string, n int, tail string) {
+		c.WriteString(head)
+		c.WriteInt(n)
+		c.WriteString(tail)
+		c.WriteString("\r\n")
+	}
+	// uid writes message i's number, its unique id and the CRLF.
+	uid := func(i int, id string) {
+		c.WriteInt(i + 1)
+		c.WriteByte(' ')
+		c.WriteString(id)
+		c.WriteString("\r\n")
 	}
 	if !ok("mailboat POP3 ready") {
 		return
@@ -107,10 +127,11 @@ func (s *Server) handle(conn net.Conn) {
 	// Each POP3 command runs against the session state, reporting true
 	// when the connection must end (QUIT, or a write failure
 	// mid-response).
-	c.Commands(func(verb, arg string) (quit bool) {
-		switch strings.ToUpper(verb) {
+	err := c.Commands(func(verb, arg string) (quit bool) {
+		switch verb {
 		case "USER":
-			pendUser = strings.TrimSpace(arg)
+			// arg lives in the reader's buffer; the name outlives it.
+			pendUser = strings.Clone(strings.TrimSpace(arg))
 			ok("send PASS")
 		case "PASS":
 			if authed {
@@ -144,7 +165,8 @@ func (s *Server) handle(conn net.Conn) {
 			authedUser, authed = u, true
 			msgs = m
 			deleted = make([]bool, len(m))
-			ok(fmt.Sprintf("maildrop has %d messages", len(m)))
+			line("+OK maildrop has ", len(m), " messages")
+			c.Flush()
 		case "STAT":
 			if !authed {
 				bad("authenticate first")
@@ -157,7 +179,10 @@ func (s *Server) handle(conn net.Conn) {
 					bytes += len(m.Contents)
 				}
 			}
-			ok(fmt.Sprintf("%d %d", n, bytes))
+			c.WriteString("+OK ")
+			c.WriteInt(n)
+			line(" ", bytes, "")
+			c.Flush()
 		case "LIST":
 			if !authed {
 				bad("authenticate first")
@@ -166,10 +191,11 @@ func (s *Server) handle(conn net.Conn) {
 			follows("scan listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
-					fmt.Fprintf(c, "%d %d\r\n", i+1, len(m.Contents))
+					c.WriteInt(i + 1)
+					line(" ", len(m.Contents), "")
 				}
 			}
-			fmt.Fprintf(c, ".\r\n")
+			c.WriteString(".\r\n")
 			if c.Flush() != nil {
 				return true
 			}
@@ -179,7 +205,7 @@ func (s *Server) handle(conn net.Conn) {
 				bad("no such message")
 				return false
 			}
-			follows(fmt.Sprintf("%d octets", len(msgs[i].Contents)))
+			line("+OK ", len(msgs[i].Contents), " octets")
 			writeMultiline(&c.Writer, msgs[i].Contents)
 			if c.Flush() != nil {
 				return true
@@ -208,16 +234,18 @@ func (s *Server) handle(conn net.Conn) {
 					bad("no such message")
 					return false
 				}
-				ok(fmt.Sprintf("%d %s", i+1, msgs[i].ID))
+				c.WriteString("+OK ")
+				uid(i, msgs[i].ID)
+				c.Flush()
 				return false
 			}
 			follows("unique-id listing follows")
 			for i, m := range msgs {
 				if !deleted[i] {
-					fmt.Fprintf(c, "%d %s\r\n", i+1, m.ID)
+					uid(i, m.ID)
 				}
 			}
-			fmt.Fprintf(c, ".\r\n")
+			c.WriteString(".\r\n")
 			if c.Flush() != nil {
 				return true
 			}
@@ -273,7 +301,8 @@ func (s *Server) handle(conn net.Conn) {
 					// applied are reported, not silently dropped; the
 					// messages remain in the maildrop.
 					s.Metrics.tempFailure()
-					bad(fmt.Sprintf("[SYS/TEMP] %d message(s) not removed, still in maildrop", failed))
+					line("-ERR [SYS/TEMP] ", failed, " message(s) not removed, still in maildrop")
+					c.Flush()
 					return true
 				}
 			}
@@ -284,6 +313,9 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return false
 	})
+	if err == netsrv.ErrLineTooLong {
+		bad("line too long")
+	}
 }
 
 func (s *Server) msgIndex(arg string, msgs []mailboat.Message, deleted []bool) (int, bool) {
@@ -306,30 +338,37 @@ func parseUser(name string, users uint64) (uint64, error) {
 }
 
 // topOf returns the message headers plus the first n body lines, per
-// RFC 1939's TOP.
+// RFC 1939's TOP: body up to the end of the n-th line after the first
+// blank one, or all of it.
 func topOf(body string, n int) string {
-	lines := strings.Split(body, "\n")
-	// Find the blank separator between headers and body.
-	sep := len(lines)
-	for i, l := range lines {
-		if l == "" {
-			sep = i
-			break
+	left := -1 // body lines still to keep; -1 until the blank separator
+	for off := 0; ; {
+		j := strings.IndexByte(body[off:], '\n')
+		if j < 0 {
+			return body
 		}
+		if left < 0 {
+			if j == 0 {
+				left = n
+			}
+		} else {
+			left--
+		}
+		if left == 0 {
+			return body[:off+j]
+		}
+		off += j + 1
 	}
-	end := sep + 1 + n
-	if end > len(lines) {
-		end = len(lines)
-	}
-	return strings.Join(lines[:end], "\n")
 }
 
 // writeMultiline sends a POP3 multi-line response body with
 // dot-stuffing and the terminating lone dot (RFC 1939 §3).
 func writeMultiline(w *bufio.Writer, body string) {
-	for _, line := range strings.Split(body, "\n") {
+	for more := true; more; {
+		var line string
+		line, body, more = strings.Cut(body, "\n")
 		if strings.HasPrefix(line, ".") {
-			w.WriteString(".")
+			w.WriteByte('.')
 		}
 		w.WriteString(line)
 		w.WriteString("\r\n")

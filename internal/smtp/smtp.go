@@ -15,6 +15,7 @@
 package smtp
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strconv"
@@ -99,41 +100,59 @@ func NewServer(backend Deliverer, users uint64) *Server {
 	return s
 }
 
+// session is one connection's transaction state. Its two slices keep
+// their backing arrays from one transaction to the next.
 type session struct {
 	rcpts   []uint64
-	inOrder bool // MAIL FROM seen
+	inOrder bool   // MAIL FROM seen
+	body    []byte // the DATA body being read, un-dot-stuffed
+}
+
+// reset ends the transaction and keeps the arrays.
+func (st *session) reset() {
+	st.rcpts, st.inOrder = st.rcpts[:0], false
 }
 
 func (s *Server) handle(conn net.Conn) {
 	c := s.NewConn(conn)
 	say := func(code int, msg string) bool {
-		fmt.Fprintf(c, "%d %s\r\n", code, msg)
+		c.WriteInt(code)
+		c.WriteByte(' ')
+		c.WriteString(msg)
+		c.WriteString("\r\n")
 		return c.Flush() == nil
 	}
 	if !say(220, "mailboat SMTP service ready") {
 		return
 	}
 	var st session
-	c.Commands(func(verb, arg string) bool { return s.command(c, &st, verb, arg, say) })
+	err := c.Commands(func(verb, arg string) bool { return s.command(c, &st, verb, arg, say) })
+	if err == netsrv.ErrLineTooLong {
+		say(500, "line too long")
+	}
 }
 
 // command executes one SMTP command against the session state,
 // reporting true when the connection must end (QUIT, or a read/write
 // failure mid-command).
 func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func(int, string) bool) bool {
-	switch strings.ToUpper(verb) {
+	switch verb {
 	case "HELO", "EHLO":
 		say(250, "mailboat at your service")
 	case "MAIL":
-		*st = session{inOrder: true}
+		st.reset()
+		st.inOrder = true
 		say(250, "ok")
 	case "RCPT":
 		if !st.inOrder {
 			say(503, "need MAIL first")
 			return false
 		}
-		arg = strings.TrimPrefix(strings.TrimSpace(arg), "TO:")
-		arg = strings.TrimPrefix(arg, "to:")
+		// RFC 5321 §2.4: the keyword is case-insensitive.
+		arg = strings.TrimSpace(arg)
+		if len(arg) >= 3 && strings.EqualFold(arg[:3], "TO:") {
+			arg = arg[3:]
+		}
 		user, err := ParseRecipient(arg, s.users)
 		if err != nil {
 			say(550, "no such mailbox")
@@ -149,10 +168,14 @@ func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func
 		if !say(354, "end with <CRLF>.<CRLF>") {
 			return true
 		}
-		body, err := readData(c)
-		if err != nil {
+		var err error
+		if st.body, err = readData(c, st.body[:0]); err != nil {
 			return true
 		}
+		// The backend may keep what it is handed; the session buffer is
+		// reused, so every recipient shares one exact-size copy.
+		body := make([]byte, len(st.body))
+		copy(body, st.body)
 		// The root span opens after the body is read: it times the
 		// store's work, not the client's typing speed.
 		root := s.Tracer.Start("deliver", "smtp.DATA")
@@ -179,7 +202,7 @@ func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func
 			root.Note("delivery failed transiently (451)")
 		}
 		root.End()
-		*st = session{}
+		st.reset()
 		switch {
 		case full:
 			// The store is out of space or shedding load: RFC 5321's
@@ -198,7 +221,7 @@ func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func
 			say(250, "delivered")
 		}
 	case "RSET":
-		*st = session{}
+		st.reset()
 		say(250, "ok")
 	case "NOOP":
 		say(250, "ok")
@@ -211,19 +234,34 @@ func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func
 	return false
 }
 
-// readData reads a DATA body up to the lone-dot terminator, undoing
-// dot-stuffing per RFC 5321 §4.5.2.
-func readData(c *netsrv.Conn) ([]byte, error) {
-	var body []byte
+// readData appends a DATA body up to the lone-dot terminator to body,
+// undoing dot-stuffing per RFC 5321 §4.5.2: each line is copied once,
+// from the reader's buffer, with "\n" for its terminator. A line longer
+// than the reader's buffer arrives, and is appended, in pieces.
+func readData(c *netsrv.Conn, body []byte) ([]byte, error) {
+	start, stuffed := len(body), false // the current line's start; its leading dot was dropped
 	for {
-		line, err := c.ReadLine()
-		if err != nil {
-			return nil, err
+		piece, err := c.ReadLine()
+		if err != nil && err != bufio.ErrBufferFull {
+			return body, err
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "." {
-			return body, nil
+		if len(body) == start && !stuffed && len(piece) > 0 && piece[0] == '.' {
+			piece, stuffed = piece[1:], true
 		}
-		body = append(append(body, strings.TrimPrefix(line, ".")...), '\n')
+		body = append(body, piece...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		// A whole line: its CR/LF tail becomes one "\n", and a lone dot
+		// ends the body.
+		end := len(body)
+		for end > start && (body[end-1] == '\r' || body[end-1] == '\n') {
+			end--
+		}
+		if stuffed && end == start {
+			return body[:start], nil
+		}
+		body = append(body[:end], '\n')
+		start, stuffed = len(body), false
 	}
 }
