@@ -211,33 +211,49 @@ func TestFaultyNeverAddsNoAllocations(t *testing.T) {
 }
 
 // TestChecksummedAllocationBudget pins the envelope layer's allocations
-// over the no-op inner: an Open holds the raw file and the plaintext,
-// each allocated once at its final size, and its descriptor; an Append
-// of up to one frame's payload allocates that frame and nothing else.
+// over the no-op inner, which serves its bytes in place: an Open holds
+// its descriptor and, for a file of more than one data frame, the
+// plaintext, allocated once at its final size — a one-frame file's
+// plaintext is served where it lies in the raw bytes; a ReadAt and a
+// VerifyFile allocate nothing; an Append of up to one frame's payload
+// allocates that frame and nothing else.
 func TestChecksummedAllocationBudget(t *testing.T) {
 	th := gfs.NewNative(1)
-	inner := &oneFileFS{data: envelopeOf(t, body(16384))}
-	c := gfs.NewChecksummed(inner, []string{"box"})
-	if got := testing.AllocsPerRun(100, func() {
+	open := func(c *gfs.Checksummed) {
 		fd, ok := c.Open(th, "box", "m")
 		if !ok {
 			t.Fatal("open failed")
 		}
 		c.Close(th, fd)
-	}); got != 3 {
-		t.Errorf("Open of a sealed 16 KiB file: %v allocations, want 3 (raw bytes, plaintext, descriptor)", got)
 	}
+	big := gfs.NewChecksummed(&oneFileFS{data: envelopeOf(t, body(16384))}, []string{"box"})
+	if got := testing.AllocsPerRun(100, func() { open(big) }); got != 2 {
+		t.Errorf("Open of a sealed 16 KiB file: %v allocations, want 2 (plaintext, descriptor)", got)
+	}
+	small := gfs.NewChecksummed(&oneFileFS{data: envelopeOf(t, body(2048))}, []string{"box"})
+	if got := testing.AllocsPerRun(100, func() { open(small) }); got != 1 {
+		t.Errorf("Open of a sealed 2 KiB file: %v allocations, want 1 (descriptor)", got)
+	}
+	fd, _ := big.Open(th, "box", "m")
 	if got := testing.AllocsPerRun(100, func() {
-		if c.VerifyFile(th, "box", "m") != gfs.VerdictOK {
+		if len(big.ReadAt(th, fd, 1024, gfs.ReadChunk)) != gfs.ReadChunk {
+			t.Fatal("short read")
+		}
+	}); got != 0 {
+		t.Errorf("ReadAt of %d bytes: %v allocations, want 0", gfs.ReadChunk, got)
+	}
+	big.Close(th, fd)
+	if got := testing.AllocsPerRun(100, func() {
+		if big.VerifyFile(th, "box", "m") != gfs.VerdictOK {
 			t.Fatal("verify failed")
 		}
-	}); got != 1 {
-		t.Errorf("VerifyFile of a sealed 16 KiB file: %v allocations, want 1 (raw bytes; no plaintext)", got)
+	}); got != 0 {
+		t.Errorf("VerifyFile of a sealed 16 KiB file: %v allocations, want 0 (the inner's bytes, judged in place)", got)
 	}
 
-	fd, _ := c.Create(th, "box", "w")
+	w, _ := big.Create(th, "box", "w")
 	data := body(256)
-	if got := testing.AllocsPerRun(100, func() { c.Append(th, fd, data) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() { big.Append(th, w, data) }); got != 1 {
 		t.Errorf("Append of one frame: %v allocations, want 1 (the frame)", got)
 	}
 }

@@ -316,6 +316,9 @@ func (c *Checksummed) Close(t T, fd FD) {
 		c.seal(t, f)
 		c.inner.Close(t, f.w)
 	}
+	// The plaintext may be the whole raw envelope's buffer: a descriptor
+	// leaked past its Close must not keep it alive.
+	f.plain.data = nil
 }
 
 // Open implements System: readAll → verify → serve. The whole envelope
@@ -359,7 +362,10 @@ func (c *Checksummed) verify(t T, dir, name string, raw []byte) (verified, bool)
 //
 // Each payload byte is traversed once: the loop that verifies a frame's
 // sum advances the seal chain beside it. With keep unset the plaintext
-// is not materialised — the verdict is all the caller wants.
+// is not materialised — the verdict is all the caller wants. With keep
+// set, a one-frame file's plaintext is its payload where it lies in raw,
+// cap-limited so a reader's append reallocates; a second data frame
+// copies the plaintext out, once, into a buffer of the sealed length.
 func decodeVerify(raw []byte, keep bool) ([]byte, Verdict) {
 	if len(raw) == 0 {
 		// Zero frames. A crash can tear a just-created file back to zero
@@ -368,10 +374,8 @@ func decodeVerify(raw []byte, keep bool) ([]byte, Verdict) {
 		// serve wrongly.
 		return nil, VerdictUnsealed
 	}
+	whole := raw
 	var plaintext []byte
-	if keep {
-		plaintext = make([]byte, 0, sealedLen(raw))
-	}
 	var index, pathSum, sealSum, plainLen uint64
 	sealed := false
 	for len(raw) > 0 {
@@ -407,7 +411,12 @@ func decodeVerify(raw []byte, keep bool) ([]byte, Verdict) {
 		case frameData:
 			sealSum = seal
 			plainLen += uint64(plen)
-			if keep {
+			if keep && index == 1 { // the first data frame: served in place
+				plaintext = payload[:plen:plen]
+			} else if keep {
+				if index == 2 {
+					plaintext = append(make([]byte, 0, sealedLen(whole)), plaintext...)
+				}
 				plaintext = append(plaintext, payload...)
 			}
 		case frameSeal:
@@ -458,7 +467,10 @@ func VerifyEnvelope(raw []byte) Verdict {
 	return v
 }
 
-// ReadAt implements System, serving from the verified plaintext.
+// ReadAt implements System, serving the verified plaintext in place:
+// the bytes verify vouched for never change, and the result is
+// cap-limited, so a caller's append reallocates instead of writing
+// into them.
 func (c *Checksummed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	f := fd.(*checksumFD)
 	data := f.plain.data
@@ -468,9 +480,7 @@ func (c *Checksummed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	if rest := uint64(len(data)) - off; n > rest {
 		n = rest // also keeps off+n from wrapping
 	}
-	out := make([]byte, n)
-	copy(out, data[off:])
-	return out
+	return data[off : off+n : off+n]
 }
 
 // Size implements System: the plaintext length (what the caller wrote,

@@ -865,10 +865,14 @@ func (m *Mirrored) blank(t T, i int) bool {
 	return true
 }
 
-// readAll reads dir/name whole from sys, asking each ReadAt for what
-// remains of the file (at most MaxAppend a call). opened is
-// false when the file cannot be opened (absent, or the backend dead);
-// whole is false when the backend stopped answering before Size bytes
+// readAll reads dir/name whole from sys, asking each ReadAt for all
+// that remains of the file. A first read that returns the whole file is
+// returned as it came, uncopied — every caller only reads the result,
+// and a file's bytes never change once served (the API is append-only,
+// and a corruption rewrites the file, not a slice already read). A
+// short read falls back to appending into one buffer. opened is false
+// when the file cannot be opened (absent, or the backend dead); whole
+// is false when the backend stopped answering before Size bytes
 // arrived, and data is then the prefix it did serve. The envelope layer
 // lets verification classify such a prefix; the mirror treats anything
 // short of whole as a failed read.
@@ -879,11 +883,15 @@ func readAll(t T, sys System, dir, name string) (data []byte, opened, whole bool
 	}
 	defer sys.Close(t, fd)
 	size := sys.Size(t, fd)
-	data = make([]byte, 0, size)
 	for uint64(len(data)) < size {
-		chunk := sys.ReadAt(t, fd, uint64(len(data)), min(size-uint64(len(data)), MaxAppend))
-		if len(chunk) == 0 {
+		chunk := sys.ReadAt(t, fd, uint64(len(data)), size-uint64(len(data)))
+		switch {
+		case len(chunk) == 0:
 			return data, true, false
+		case data == nil && uint64(len(chunk)) == size:
+			return chunk, true, true
+		case data == nil:
+			data = make([]byte, 0, size)
 		}
 		data = append(data, chunk...)
 	}

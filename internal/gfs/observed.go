@@ -8,8 +8,27 @@ import (
 	"repro/internal/trace"
 )
 
-// fsOps enumerates the System operations for metric labels.
-var fsOps = []string{
+// fsOp is a System operation class Observed measures: the index of its
+// metric handles, so a call site names a constant, not a label.
+type fsOp uint8
+
+const (
+	opCreate fsOp = iota
+	opOpen
+	opAppend
+	opClose
+	opReadAt
+	opSize
+	opSync
+	opSyncDir
+	opDelete
+	opLink
+	opList
+	numOps
+)
+
+// fsOps is each operation class's metric label.
+var fsOps = [numOps]string{
 	"create", "open", "append", "close", "readat",
 	"size", "sync", "syncdir", "delete", "link", "list",
 }
@@ -20,8 +39,8 @@ var fsOps = []string{
 // shared by the whole backend chain (Observed counts every call,
 // whether or not a Faulty layer below it injects).
 type FSMetrics struct {
-	calls   map[string]*obs.Counter
-	latency map[string]*obs.Histogram
+	calls   [numOps]*obs.Counter
+	latency [numOps]*obs.Histogram
 	faults  [fault.NumClasses]*obs.Counter
 
 	// gfs_sync_* family: durability-barrier accounting. Issued/failed
@@ -39,14 +58,11 @@ type FSMetrics struct {
 // NewFSMetrics registers the file-system metric families
 // (gfs_ops_total, gfs_op_seconds, gfs_faults_injected_total) in r.
 func NewFSMetrics(r *obs.Registry) *FSMetrics {
-	m := &FSMetrics{
-		calls:   map[string]*obs.Counter{},
-		latency: map[string]*obs.Histogram{},
-	}
-	for _, op := range fsOps {
-		m.calls[op] = r.Counter("gfs_ops_total",
+	m := &FSMetrics{}
+	for i, op := range fsOps {
+		m.calls[i] = r.Counter("gfs_ops_total",
 			"File-system operations by class.", "op", op)
-		m.latency[op] = r.Histogram("gfs_op_seconds",
+		m.latency[i] = r.Histogram("gfs_op_seconds",
 			"File-system operation latency by class.", obs.DefLatencyBuckets, "op", op)
 	}
 	for c := range fault.NumClasses {
@@ -102,7 +118,7 @@ func (m *FSMetrics) FaultInjected(c fault.Class) {
 
 // observe records one completed call. All methods tolerate a nil
 // receiver so Observed can be built unconditionally.
-func (m *FSMetrics) observe(op string, start time.Time) {
+func (m *FSMetrics) observe(op fsOp, start time.Time) {
 	if m == nil {
 		return
 	}
@@ -148,7 +164,7 @@ func (o *Observed) Create(t T, dir, name string) (FD, bool) {
 	sp := trace.Enter(t, "gfs.create")
 	start := time.Now()
 	fd, ok := o.inner.Create(t, dir, name)
-	o.m.observe("create", start)
+	o.m.observe(opCreate, start)
 	trace.Exit(t, sp)
 	return fd, ok
 }
@@ -158,7 +174,7 @@ func (o *Observed) Open(t T, dir, name string) (FD, bool) {
 	sp := trace.Enter(t, "gfs.open")
 	start := time.Now()
 	fd, ok := o.inner.Open(t, dir, name)
-	o.m.observe("open", start)
+	o.m.observe(opOpen, start)
 	trace.Exit(t, sp)
 	return fd, ok
 }
@@ -168,7 +184,7 @@ func (o *Observed) Append(t T, fd FD, data []byte) bool {
 	sp := trace.Enter(t, "gfs.append")
 	start := time.Now()
 	ok := o.inner.Append(t, fd, data)
-	o.m.observe("append", start)
+	o.m.observe(opAppend, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -177,14 +193,14 @@ func (o *Observed) Append(t T, fd FD, data []byte) bool {
 func (o *Observed) Close(t T, fd FD) {
 	start := time.Now()
 	o.inner.Close(t, fd)
-	o.m.observe("close", start)
+	o.m.observe(opClose, start)
 }
 
 // ReadAt implements System.
 func (o *Observed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	start := time.Now()
 	data := o.inner.ReadAt(t, fd, off, n)
-	o.m.observe("readat", start)
+	o.m.observe(opReadAt, start)
 	return data
 }
 
@@ -192,7 +208,7 @@ func (o *Observed) ReadAt(t T, fd FD, off, n uint64) []byte {
 func (o *Observed) Size(t T, fd FD) uint64 {
 	start := time.Now()
 	n := o.inner.Size(t, fd)
-	o.m.observe("size", start)
+	o.m.observe(opSize, start)
 	return n
 }
 
@@ -201,7 +217,7 @@ func (o *Observed) Sync(t T, fd FD) bool {
 	sp := trace.Enter(t, "gfs.sync")
 	start := time.Now()
 	ok := o.inner.Sync(t, fd)
-	o.m.observe("sync", start)
+	o.m.observe(opSync, start)
 	o.m.SyncIssued("file", ok)
 	trace.Exit(t, sp)
 	return ok
@@ -212,7 +228,7 @@ func (o *Observed) SyncDir(t T, dir string) bool {
 	sp := trace.Enter(t, "gfs.syncdir")
 	start := time.Now()
 	ok := o.inner.SyncDir(t, dir)
-	o.m.observe("syncdir", start)
+	o.m.observe(opSyncDir, start)
 	o.m.SyncIssued("dir", ok)
 	trace.Exit(t, sp)
 	return ok
@@ -223,7 +239,7 @@ func (o *Observed) Delete(t T, dir, name string) bool {
 	sp := trace.Enter(t, "gfs.delete")
 	start := time.Now()
 	ok := o.inner.Delete(t, dir, name)
-	o.m.observe("delete", start)
+	o.m.observe(opDelete, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -233,7 +249,7 @@ func (o *Observed) Link(t T, oldDir, oldName, newDir, newName string) bool {
 	sp := trace.Enter(t, "gfs.link")
 	start := time.Now()
 	ok := o.inner.Link(t, oldDir, oldName, newDir, newName)
-	o.m.observe("link", start)
+	o.m.observe(opLink, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -243,7 +259,7 @@ func (o *Observed) List(t T, dir string) []string {
 	sp := trace.Enter(t, "gfs.list")
 	start := time.Now()
 	names := o.inner.List(t, dir)
-	o.m.observe("list", start)
+	o.m.observe(opList, start)
 	trace.Exit(t, sp)
 	return names
 }

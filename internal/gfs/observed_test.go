@@ -1,6 +1,7 @@
 package gfs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,9 +9,27 @@ import (
 	"repro/internal/obs"
 )
 
+// exported renders reg in the exposition format and returns each
+// series' value by its exposed name, labels included.
+func exported(t *testing.T, reg *obs.Registry) map[string]string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			series[name] = v
+		}
+	}
+	return series
+}
+
 // TestObservedCountsAndForwards drives the OS backend through the
 // Observed middleware and checks that every call is forwarded
-// behaviorally unchanged and counted into the per-op-class metrics.
+// behaviorally unchanged and counted into the per-op-class series the
+// registry exports.
 func TestObservedCountsAndForwards(t *testing.T) {
 	osfs, err := NewOS(t.TempDir(), []string{"a", "b"})
 	if err != nil {
@@ -58,13 +77,15 @@ func TestObservedCountsAndForwards(t *testing.T) {
 	want := map[string]uint64{
 		"create": 1, "append": 1, "sync": 1, "close": 2, "link": 1,
 		"open": 1, "readat": 1, "size": 1, "list": 1, "delete": 1,
+		"syncdir": 0,
 	}
+	series := exported(t, reg)
 	for op, n := range want {
-		if got := m.calls[op].Value(); got != n {
-			t.Errorf("calls[%s] = %d, want %d", op, got, n)
-		}
-		if got := m.latency[op].Count(); got != n {
-			t.Errorf("latency[%s] count = %d, want %d", op, got, n)
+		for _, name := range []string{"gfs_ops_total", "gfs_op_seconds_count"} {
+			s := fmt.Sprintf("%s{op=%q}", name, op)
+			if got := series[s]; got != fmt.Sprint(n) {
+				t.Errorf("%s = %q, want %d", s, got, n)
+			}
 		}
 	}
 }
@@ -90,20 +111,16 @@ func TestFaultyFeedsFaultCounters(t *testing.T) {
 			t.Fatal("create should have faulted")
 		}
 	}
-	if got := m.faults[fault.Create].Value(); got != 3 {
-		t.Errorf("fault counter = %d, want 3", got)
-	}
 	// Observed (stacked above Faulty) still counts the faulted calls.
-	if got := m.calls["create"].Value(); got != 3 {
-		t.Errorf("call counter = %d, want 3", got)
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `gfs_faults_injected_total{class="create"} 3`) {
-		t.Errorf("exposition missing fault counter:\n%s", b.String())
+	series := exported(t, reg)
+	for _, s := range []string{
+		`gfs_faults_injected_total{class="create"}`,
+		`gfs_ops_total{op="create"}`,
+		`gfs_op_seconds_count{op="create"}`,
+	} {
+		if got := series[s]; got != "3" {
+			t.Errorf("%s = %q, want 3", s, got)
+		}
 	}
 }
 
