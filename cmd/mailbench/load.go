@@ -39,9 +39,7 @@ import (
 	"repro/internal/gfs"
 	"repro/internal/mailboat"
 	"repro/internal/mailboatd"
-	"repro/internal/obs"
 	"repro/internal/postal"
-	"repro/internal/trace"
 )
 
 // Drill names accepted by -drill.
@@ -101,8 +99,7 @@ type loadAudit struct {
 // loadOutcome bundles everything a load run reports.
 type loadOutcome struct {
 	Deployment string
-	Res        postal.OpenLoopResult
-	Gates      []postal.GateResult
+	Res        postal.Result
 	PhaseGates []postal.PhaseGateResult
 	SLOPass    bool
 	Drills     []drillRecord
@@ -152,25 +149,23 @@ func deploymentFor(drills []string) (string, error) {
 
 // drillSchedule spaces n drills evenly through the run — drill i
 // fires at (i+1)·D/(n+1) — and cuts the run into alternating gated
-// steady windows and ungated drill windows. The drill window spans
-// half the inter-drill gap, generous enough to also absorb the
-// backlog drain after a restart, so the following steady window
-// measures steady state again. Everything is a pure function of
-// (drills, duration): the schedule is as replayable as the seed.
+// steady windows and ungated drill windows; with no drills the run is
+// one gated steady window. The drill window spans half the
+// inter-drill gap, generous enough to also absorb the backlog drain
+// after a restart, so the following steady window measures steady
+// state again. Everything is a pure function of (drills, duration):
+// the schedule is as replayable as the seed.
 func drillSchedule(drills []string, d time.Duration) ([]postal.PhaseWindow, []time.Duration) {
 	n := len(drills)
-	if n == 0 {
-		return nil, nil
-	}
 	gap := d / time.Duration(n+1)
 	dwell := gap / 2
 	var windows []postal.PhaseWindow
-	times := make([]time.Duration, n)
+	var times []time.Duration
 	seen := map[string]int{}
 	prevEnd := time.Duration(0)
 	for i, name := range drills {
 		at := gap * time.Duration(i+1)
-		times[i] = at
+		times = append(times, at)
 		windows = append(windows, postal.PhaseWindow{
 			Name: fmt.Sprintf("steady-%d", i), Start: prevEnd, End: at, Gated: true,
 		})
@@ -213,8 +208,6 @@ type loadHarness struct {
 	epoch     atomic.Uint64
 	sessEpoch []uint64 // indexed by worker; single-writer per worker
 
-	spans []*trace.Span // indexed by worker; single-writer per worker
-
 	acked   sync.Map // message body -> true, on acked Deliver
 	deleted sync.Map // message body -> true, on acked Delete
 	ids     sync.Map // "user/id" -> body, recorded at Pickup
@@ -229,7 +222,6 @@ func newLoadHarness(cfg loadConfig, deployment string) (*loadHarness, error) {
 		cfg:        cfg,
 		deployment: deployment,
 		sessEpoch:  make([]uint64, cfg.workers),
-		spans:      make([]*trace.Span, cfg.workers),
 	}
 	base := cfg.base
 	if base == "" {
@@ -329,15 +321,12 @@ func (h *loadHarness) close() {
 	h.cleanups = nil
 }
 
-// SetWorkerSpan implements postal.SpanCarrier.
-func (h *loadHarness) SetWorkerSpan(w int, sp *trace.Span) { h.spans[w] = sp }
-
 // Deliver implements postal.Backend, tracking acked bodies for the
 // zero-loss audit.
 func (h *loadHarness) Deliver(w int, user uint64, msg []byte) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	err := h.primary.DeliverTraced(h.spans[w], user, msg)
+	err := h.primary.Deliver(user, msg)
 	if err == nil {
 		h.acked.Store(string(msg), true)
 	}
@@ -350,7 +339,7 @@ func (h *loadHarness) Pickup(w int, user uint64) ([]mailboat.Message, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	h.sessEpoch[w] = h.epoch.Load()
-	msgs, err := h.primary.PickupTraced(h.spans[w], user)
+	msgs, err := h.primary.Pickup(user)
 	if err == nil {
 		for _, m := range msgs {
 			h.ids.Store(idKey(user, m.ID), m.Contents)
@@ -367,7 +356,7 @@ func (h *loadHarness) Delete(w int, user uint64, id string) error {
 	if h.sessEpoch[w] != h.epoch.Load() {
 		return nil
 	}
-	err := h.primary.DeleteTraced(h.spans[w], user, id)
+	err := h.primary.Delete(user, id)
 	if err == nil {
 		if v, ok := h.ids.Load(idKey(user, id)); ok {
 			h.deleted.Store(v.(string), true)
@@ -479,7 +468,7 @@ func (h *loadHarness) execDrill(name string, at time.Duration, dwell time.Durati
 		h.mu.RLock()
 		h.primary.ForceNoSpace()
 		probe := postal.Compose(sampler.Rng(), 64)
-		perr := h.primary.DeliverTraced(nil, 0, probe)
+		perr := h.primary.Deliver(0, probe)
 		if perr == nil {
 			h.acked.Store(string(probe), true)
 		}
@@ -505,7 +494,7 @@ func (h *loadHarness) execDrill(name string, at time.Duration, dwell time.Durati
 		for time.Since(freed) < 10*time.Second {
 			msg := postal.Compose(sampler.Rng(), 64)
 			h.mu.RLock()
-			err := h.primary.DeliverTraced(nil, 0, msg)
+			err := h.primary.Deliver(0, msg)
 			h.mu.RUnlock()
 			if err == nil {
 				h.acked.Store(string(msg), true)
@@ -543,7 +532,7 @@ func (h *loadHarness) awaitResync() (time.Duration, error) {
 	for {
 		msg := postal.Compose(sampler.Rng(), 64)
 		h.mu.RLock()
-		if err := h.primary.DeliverTraced(nil, 0, msg); err == nil {
+		if err := h.primary.Deliver(0, msg); err == nil {
 			h.acked.Store(string(msg), true)
 		}
 		pst, bst := h.primary.ReplNode().Status(), h.backup.ReplNode().Status()
@@ -707,14 +696,7 @@ func runLoad(cfg loadConfig) (*loadOutcome, error) {
 	defer h.close()
 
 	windows, times := drillSchedule(cfg.drills, cfg.duration)
-	dwell := time.Duration(0)
-	if len(times) > 0 {
-		dwell = cfg.duration / time.Duration(len(times)+1) / 2
-	}
-
-	reg := obs.NewRegistry()
-	tracer := trace.New(0, 0)
-	tracer.Stages = trace.NewStageMetrics(reg)
+	dwell := cfg.duration / time.Duration(len(times)+1) / 2
 
 	stop := make(chan struct{})
 	var schedWG sync.WaitGroup
@@ -741,7 +723,6 @@ func runLoad(cfg loadConfig) (*loadOutcome, error) {
 		Rate:     cfg.rate,
 		Duration: cfg.duration,
 		Seed:     cfg.seed,
-		Tracer:   tracer,
 		Windows:  windows,
 	})
 	close(stop)
@@ -755,12 +736,9 @@ func runLoad(cfg loadConfig) (*loadOutcome, error) {
 		return fmt.Errorf("%w\n  seed %d; replay: %s", err, cfg.seed, replayCommand(cfg))
 	}
 
-	// SLO verdict: with drills, the gated steady phases decide; a bare
-	// -load run gates the whole run like the trace profile does.
-	out.Gates, out.SLOPass = postal.EvaluateGates(postal.DefaultGates(), res)
-	if len(windows) > 0 {
-		out.PhaseGates, out.SLOPass = postal.EvaluatePhaseGates(postal.DefaultGates(), res.Phases)
-	}
+	// SLO verdict: the gated steady phases decide (a bare -load run is
+	// one steady phase).
+	out.PhaseGates, out.SLOPass = postal.EvaluatePhaseGates(postal.DefaultGates(), res.Phases)
 
 	if deployment == "replicated" {
 		resync, err := h.awaitResync()
@@ -823,25 +801,17 @@ func printLoad(w io.Writer, cfg loadConfig, out *loadOutcome) {
 		}
 		fmt.Fprintf(w, "  drill %-9s at %5.1fs (%6.3fs): %s — %s\n", d.Name, d.AtSec, d.DurSec, d.Detail, verdict)
 	}
-	if len(out.Res.Phases) > 0 {
-		fmt.Fprintf(w, "  per-phase latency (attributed by scheduled start; drill phases not gated):\n")
-		fmt.Fprintf(w, "    %-12s %6s %8s %6s  %10s %10s  %10s %10s\n",
-			"phase", "gated", "reqs", "errs", "dlv p50", "dlv p99", "pkp p50", "pkp p99")
-		for _, p := range out.Res.Phases {
-			fmt.Fprintf(w, "    %-12s %6v %8d %6d  %10s %10s  %10s %10s\n",
-				p.Name, p.Gated, p.Requests, p.Errors,
-				fmtSeconds(p.Deliver.P50), fmtSeconds(p.Deliver.P99),
-				fmtSeconds(p.Pickup.P50), fmtSeconds(p.Pickup.P99))
-		}
+	fmt.Fprintf(w, "  per-phase latency (attributed by scheduled start; drill phases not gated):\n")
+	fmt.Fprintf(w, "    %-12s %6s %8s %6s  %10s %10s  %10s %10s\n",
+		"phase", "gated", "reqs", "errs", "dlv p50", "dlv p99", "pkp p50", "pkp p99")
+	for _, p := range out.Res.Phases {
+		fmt.Fprintf(w, "    %-12s %6v %8d %6d  %10s %10s  %10s %10s\n",
+			p.Name, p.Gated, p.Requests, p.Errors,
+			fmtSeconds(p.Deliver.P50), fmtSeconds(p.Deliver.P99),
+			fmtSeconds(p.Pickup.P50), fmtSeconds(p.Pickup.P99))
 	}
-	if len(out.PhaseGates) > 0 {
-		for _, g := range out.PhaseGates {
-			fmt.Fprintf(w, "  SLO %s\n", g)
-		}
-	} else {
-		for _, g := range out.Gates {
-			fmt.Fprintf(w, "  SLO %s\n", g)
-		}
+	for _, g := range out.PhaseGates {
+		fmt.Fprintf(w, "  SLO %s\n", g)
 	}
 	if out.SLOPass {
 		fmt.Fprintln(w, "  SLO verdict: PASS")

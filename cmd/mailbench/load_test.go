@@ -55,7 +55,8 @@ func TestReplayCommandRoundTrips(t *testing.T) {
 
 // TestDrillSchedule pins the deterministic drill placement: n drills
 // at (i+1)·D/(n+1), alternating gated steady windows and ungated drill
-// windows, duplicate names disambiguated.
+// windows, duplicate names disambiguated; no drills is one gated
+// window.
 func TestDrillSchedule(t *testing.T) {
 	windows, times := drillSchedule([]string{"crash", "crash", "partition"}, 8*time.Second)
 	if len(times) != 3 || times[0] != 2*time.Second || times[1] != 4*time.Second || times[2] != 6*time.Second {
@@ -79,8 +80,9 @@ func TestDrillSchedule(t *testing.T) {
 		t.Errorf("last window must run to the end of the run: %+v", windows[6])
 	}
 
-	if w, ts := drillSchedule(nil, time.Second); w != nil || ts != nil {
-		t.Errorf("no drills must mean no windows: %v %v", w, ts)
+	w, ts := drillSchedule(nil, time.Second)
+	if len(w) != 1 || w[0] != (postal.PhaseWindow{Name: "steady-0", Gated: true}) || ts != nil {
+		t.Errorf("no drills must mean one gated steady-0 window to the end of the run: %v %v", w, ts)
 	}
 }
 

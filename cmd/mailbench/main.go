@@ -56,9 +56,10 @@
 // drill substantiates.
 //
 // Servers: mailboat (verified library, direct calls — the paper's
-// measurement method), gomail, cmail (simulated), and mailboat-net (the
-// same library behind real SMTP/POP3 over loopback TCP, quantifying the
-// protocol overhead §9.3 excluded).
+// measurement method), gomail and cmail (simulated); an unknown name is
+// refused before anything is measured. The protocol overhead §9.3
+// excluded is the benchmark's to measure: `go run ./bench --workload
+// mail-net` against `--workload mail-direct`.
 package main
 
 import (

@@ -9,16 +9,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"repro/internal/trace"
 )
 
 // Native is the thread handle for real goroutines using the OS backend.
-// Each goroutine should use its own Native (the PRNG is not locked, and
-// the carried trace span is per-request state).
+// Each goroutine should use its own Native: the PRNG is not locked. It
+// carries no trace span; a traced request runs on the daemon's
+// per-request handle (mailboatd), the one trace.Carrier.
 type Native struct {
-	rng  *rand.Rand
-	span *trace.Span
+	rng *rand.Rand
 }
 
 // NewNative returns a native thread handle seeded from seed.
@@ -33,14 +31,6 @@ func (n *Native) RandUint64(bound uint64) uint64 {
 	}
 	return uint64(n.rng.Int63n(int64(bound)))
 }
-
-// TraceSpan implements trace.Carrier: native handles carry the active
-// request span through the stack. The checker's *machine.T deliberately
-// does not implement Carrier, so checked executions stay trace-free.
-func (n *Native) TraceSpan() *trace.Span { return n.span }
-
-// SetTraceSpan implements trace.Carrier.
-func (n *Native) SetTraceSpan(s *trace.Span) { n.span = s }
 
 // nativeLock adapts sync.Mutex to Lock.
 type nativeLock struct{ mu sync.Mutex }

@@ -1,15 +1,17 @@
 package postal
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"repro/internal/cmail"
 	"repro/internal/gfs"
 	"repro/internal/gomail"
 	"repro/internal/mailboat"
-	"repro/internal/trace"
 )
 
 // RAMDir returns a RAM-backed scratch directory when one is available
@@ -60,12 +62,6 @@ func NewMailboatBackend(root string, users uint64, workers int, seed int64, noFs
 // Close releases cached directory handles.
 func (b *MailboatBackend) Close() { b.fs.CloseAll() }
 
-// SetWorkerSpan implements SpanCarrier: the worker's thread handle
-// carries sp, so the library's stage spans nest under it.
-func (b *MailboatBackend) SetWorkerSpan(w int, sp *trace.Span) {
-	b.ths[w].SetTraceSpan(sp)
-}
-
 // Deliver implements Backend.
 func (b *MailboatBackend) Deliver(w int, user uint64, msg []byte) error {
 	b.mb.Deliver(b.ths[w], nil, user, msg)
@@ -88,137 +84,91 @@ func (b *MailboatBackend) Unlock(w int, user uint64) {
 	b.mb.Unlock(b.ths[w], nil, user)
 }
 
-// GoMailBackend adapts the GoMail baseline.
-type GoMailBackend struct {
-	s    *gomail.Server
+// baseline is the surface the GoMail and simulated-CMAIL servers share.
+type baseline interface {
+	Deliver(rng *rand.Rand, user uint64, msg []byte) error
+	Pickup(user uint64) ([]mailboat.Message, error)
+	Delete(user uint64, id string) error
+	Unlock(user uint64)
+}
+
+// baselineBackend adapts a baseline server, giving each worker its own
+// PRNG for the server's file names.
+type baselineBackend struct {
+	s    baseline
 	rngs []*rand.Rand
 }
 
-// NewGoMailBackend builds a fresh GoMail store under root.
-func NewGoMailBackend(root string, users uint64, workers int, seed int64) (*GoMailBackend, error) {
-	s, err := gomail.New(root, users)
-	if err != nil {
-		return nil, err
-	}
-	b := &GoMailBackend{s: s}
-	b.rngs = make([]*rand.Rand, workers)
+func newBaselineBackend(s baseline, workers int, seed int64) *baselineBackend {
+	b := &baselineBackend{s: s, rngs: make([]*rand.Rand, workers)}
 	for i := range b.rngs {
 		b.rngs[i] = rand.New(rand.NewSource(seed + int64(i)*104729))
 	}
-	return b, nil
+	return b
 }
 
-// Deliver implements Backend.
-func (b *GoMailBackend) Deliver(w int, user uint64, msg []byte) error {
+func (b *baselineBackend) Deliver(w int, user uint64, msg []byte) error {
 	return b.s.Deliver(b.rngs[w], user, msg)
 }
 
-// Pickup implements Backend.
-func (b *GoMailBackend) Pickup(_ int, user uint64) ([]mailboat.Message, error) {
+func (b *baselineBackend) Pickup(_ int, user uint64) ([]mailboat.Message, error) {
 	return b.s.Pickup(user)
 }
 
-// Delete implements Backend.
-func (b *GoMailBackend) Delete(_ int, user uint64, id string) error {
-	return b.s.Delete(user, id)
-}
+func (b *baselineBackend) Delete(_ int, user uint64, id string) error { return b.s.Delete(user, id) }
 
-// Unlock implements Backend.
-func (b *GoMailBackend) Unlock(_ int, user uint64) { b.s.Unlock(user) }
+func (b *baselineBackend) Unlock(_ int, user uint64) { b.s.Unlock(user) }
 
-// CMailBackend adapts the simulated-CMAIL baseline.
-type CMailBackend struct {
-	s    *cmail.Server
-	rngs []*rand.Rand
-}
+// servers names every backend newBackend builds, in the Figure 11
+// sweep's default order.
+var servers = []string{"mailboat", "gomail", "cmail"}
 
-// NewCMailBackend builds a fresh simulated-CMAIL store under root.
-func NewCMailBackend(root string, users uint64, workers int, seed int64) (*CMailBackend, error) {
-	s, err := cmail.New(root, users, 0)
-	if err != nil {
-		return nil, err
-	}
-	b := &CMailBackend{s: s}
-	b.rngs = make([]*rand.Rand, workers)
-	for i := range b.rngs {
-		b.rngs[i] = rand.New(rand.NewSource(seed + int64(i)*104729))
-	}
-	return b, nil
-}
-
-// Deliver implements Backend.
-func (b *CMailBackend) Deliver(w int, user uint64, msg []byte) error {
-	return b.s.Deliver(b.rngs[w], user, msg)
-}
-
-// Pickup implements Backend.
-func (b *CMailBackend) Pickup(_ int, user uint64) ([]mailboat.Message, error) {
-	return b.s.Pickup(user)
-}
-
-// Delete implements Backend.
-func (b *CMailBackend) Delete(_ int, user uint64, id string) error {
-	return b.s.Delete(user, id)
-}
-
-// Unlock implements Backend.
-func (b *CMailBackend) Unlock(_ int, user uint64) { b.s.Unlock(user) }
-
-// NewBackend builds the named backend ("mailboat", "gomail", "cmail")
-// under a fresh subdirectory of base. The mailboat backends run with
-// durability barriers on (the checked sync discipline); use
-// NewFastBackend for the -no-fsync mode.
-func NewBackend(name, base string, users uint64, workers int, seed int64) (Backend, func(), error) {
-	return newBackend(name, base, users, workers, seed, false)
-}
-
-// NewFastBackend is NewBackend with durability barriers disabled on
-// the mailboat backends (mailbench -no-fsync): no spool fsync, no
+// newBackend builds the named backend under a fresh subdirectory of
+// base. The mailboat backend runs with the checked sync discipline
+// unless noFsync is set (mailbench -no-fsync): no spool fsync, no
 // directory fsync, so an acked delivery may be rolled back by an OS
-// crash — the checked contract weakens to prefix durability. The
+// crash and the checked contract weakens to prefix durability. The
 // gomail and cmail baselines have their own durability story and
 // ignore the knob.
-func NewFastBackend(name, base string, users uint64, workers int, seed int64) (Backend, func(), error) {
-	return newBackend(name, base, users, workers, seed, true)
-}
-
 func newBackend(name, base string, users uint64, workers int, seed int64, noFsync bool) (Backend, func(), error) {
+	if err := knownServer(name); err != nil {
+		return nil, nil, err
+	}
 	root, err := os.MkdirTemp(base, "mailbench-"+name+"-")
 	if err != nil {
 		return nil, nil, err
 	}
+	store := filepath.Join(root, "store")
 	cleanup := func() { os.RemoveAll(root) }
+	var b Backend
 	switch name {
-	case "mailboat-net":
-		b, err := NewNetBackend(filepath.Join(root, "store"), users, workers, seed, noFsync)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		return b, func() { b.Close(); cleanup() }, nil
 	case "mailboat":
-		b, err := NewMailboatBackend(filepath.Join(root, "store"), users, workers, seed, noFsync)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
+		var mb *MailboatBackend
+		if mb, err = NewMailboatBackend(store, users, workers, seed, noFsync); err == nil {
+			b, cleanup = mb, func() { mb.Close(); os.RemoveAll(root) }
 		}
-		return b, func() { b.Close(); cleanup() }, nil
 	case "gomail":
-		b, err := NewGoMailBackend(filepath.Join(root, "store"), users, workers, seed)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
+		var s *gomail.Server
+		if s, err = gomail.New(store, users); err == nil {
+			b = newBaselineBackend(s, workers, seed)
 		}
-		return b, cleanup, nil
 	case "cmail":
-		b, err := NewCMailBackend(filepath.Join(root, "store"), users, workers, seed)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
+		var s *cmail.Server
+		if s, err = cmail.New(store, users, 0); err == nil {
+			b = newBaselineBackend(s, workers, seed)
 		}
-		return b, cleanup, nil
-	default:
-		cleanup()
-		return nil, nil, os.ErrNotExist
 	}
+	if err != nil {
+		os.RemoveAll(root)
+		return nil, nil, err
+	}
+	return b, cleanup, nil
+}
+
+// knownServer refuses a name newBackend cannot build.
+func knownServer(name string) error {
+	if slices.Contains(servers, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown server %q (known: %s)", name, strings.Join(servers, ", "))
 }

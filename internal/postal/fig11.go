@@ -36,7 +36,7 @@ type SweepOptions struct {
 
 func (o *SweepOptions) fill() {
 	if len(o.Servers) == 0 {
-		o.Servers = []string{"mailboat", "gomail", "cmail"}
+		o.Servers = servers
 	}
 	if len(o.Cores) == 0 {
 		o.Cores = []int{1, 2, 4, 8}
@@ -54,8 +54,14 @@ func (o *SweepOptions) fill() {
 
 // Sweep reproduces Figure 11: for each server and core count, it runs
 // the closed-loop mixed workload on a fresh RAM-backed store with
-// GOMAXPROCS pinned to the core count, and reports throughput.
+// GOMAXPROCS pinned to the core count, and reports throughput. An
+// unknown server name is refused before any store is built.
 func Sweep(opts SweepOptions) ([]SweepPoint, error) {
+	for _, s := range opts.Servers {
+		if err := knownServer(s); err != nil {
+			return nil, err
+		}
+	}
 	opts.fill()
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

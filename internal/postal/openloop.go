@@ -1,21 +1,6 @@
 package postal
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/trace"
-)
-
-// SpanCarrier is implemented by backends whose workers can carry a
-// trace span (mailbench's load harness, MailboatBackend); the
-// open-loop runner uses it to hang the store's stage spans off a
-// per-request root, so one request renders as a full nested timeline.
-type SpanCarrier interface {
-	SetWorkerSpan(worker int, sp *trace.Span)
-}
+import "time"
 
 // PhaseWindow labels a slice of an open-loop run's schedule. The load
 // harness cuts a drill run into alternating steady and drill windows;
@@ -33,16 +18,6 @@ type PhaseWindow struct {
 	// a crash-restart is *supposed* to stall its window, and the
 	// interesting number is by how much.
 	Gated bool
-}
-
-// PhaseLatency is one window's slice of an open-loop run.
-type PhaseLatency struct {
-	Name     string
-	Gated    bool
-	Requests int
-	Errors   int
-	Deliver  LatencySummary
-	Pickup   LatencySummary
 }
 
 // OpenLoopOptions shapes an open-loop (fixed offered rate) run.
@@ -74,11 +49,8 @@ type OpenLoopOptions struct {
 	MessageBytes int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Tracer, when non-nil and the backend is a SpanCarrier, opens a
-	// root span per request so the per-stage histograms fill.
-	Tracer *trace.Tracer
 	// Windows, when non-empty, cuts the run into labeled phases with
-	// per-phase latency accounting (OpenLoopResult.Phases).
+	// per-phase accounting (Result.Phases).
 	Windows []PhaseWindow
 }
 
@@ -105,26 +77,6 @@ func (o OpenLoopOptions) Workload() Workload {
 	return Workload{Users: o.Users, Skew: o.Skew, ZipfS: o.ZipfS, Mix: o.Mix}.fill()
 }
 
-// OpenLoopResult summarizes an open-loop run. Latency quantiles are
-// measured from each request's scheduled start (coordinated-omission
-// free); Stages carries the per-stage breakdown from the tracer's
-// histograms when tracing was on, Phases the per-window slices when
-// the run declared phase windows.
-type OpenLoopResult struct {
-	OfferedRate float64
-	Requests    int
-	Delivers    int
-	Pickups     int
-	Errors      int
-	Elapsed     time.Duration
-	Throughput  float64
-	Deliver     LatencySummary
-	Pickup      LatencySummary
-
-	Stages []trace.StageSummary
-	Phases []PhaseLatency
-}
-
 // windowIndex attributes a scheduled offset to a window: the last
 // window whose slice contains it. Falls back to the last window whose
 // Start has passed (contiguous windows never need it, but a gap must
@@ -144,146 +96,39 @@ func windowIndex(ws []PhaseWindow, off time.Duration) int {
 }
 
 // OpenLoop drives the mixed workload at a fixed offered rate and
-// returns coordinated-omission-free latencies. Worker w owns schedule
-// slots w, w+Workers, w+2·Workers, …; a worker that falls behind keeps
-// its grid, so the wait shows up as latency instead of silently
-// thinning the load.
-func OpenLoop(b Backend, opts OpenLoopOptions) OpenLoopResult {
+// returns coordinated-omission-free latencies, measured from each
+// request's scheduled start. Worker w owns schedule slots w,
+// w+Workers, w+2·Workers, …; a worker that falls behind keeps its
+// grid, so the wait shows up as latency instead of silently thinning
+// the load.
+func OpenLoop(b Backend, opts OpenLoopOptions) Result {
 	opts.fill()
-	carrier, _ := b.(SpanCarrier)
-	traced := opts.Tracer != nil && carrier != nil
 	workload := opts.Workload()
-
-	var delivers, pickups, errs atomic.Int64
-	deliverLat := obs.NewHistogram(obs.DefLatencyBuckets)
-	pickupLat := obs.NewHistogram(obs.DefLatencyBuckets)
-
-	// Per-phase accounting, allocated up front so workers never
-	// contend on anything but the lock-free histograms themselves.
-	nw := len(opts.Windows)
-	phDeliver := make([]*obs.Histogram, nw)
-	phPickup := make([]*obs.Histogram, nw)
-	phReqs := make([]atomic.Int64, nw)
-	phErrs := make([]atomic.Int64, nw)
-	for i := 0; i < nw; i++ {
-		phDeliver[i] = obs.NewHistogram(obs.DefLatencyBuckets)
-		phPickup[i] = obs.NewHistogram(obs.DefLatencyBuckets)
+	run := newTally()
+	phases := make([]*tally, len(opts.Windows))
+	for i := range phases {
+		phases[i] = newTally()
 	}
-
 	interval := time.Duration(float64(time.Second) * float64(opts.Workers) / opts.Rate)
 	start := time.Now()
 	deadline := start.Add(opts.Duration)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sampler := NewSampler(workload, opts.Seed, w)
-			rng := sampler.Rng()
-			offset := time.Duration(float64(time.Second) * float64(w) / opts.Rate)
-			for sched := start.Add(offset); sched.Before(deadline); sched = sched.Add(interval) {
-				if d := time.Until(sched); d > 0 {
-					time.Sleep(d)
-				}
-				ph := -1
-				if nw > 0 {
-					ph = windowIndex(opts.Windows, sched.Sub(start))
-					phReqs[ph].Add(1)
-				}
-				isDeliver := sampler.NextIsDeliver()
-				user := sampler.NextUser()
-				if isDeliver {
-					msg := Compose(rng, opts.MessageBytes)
-					var root *trace.Span
-					if traced {
-						root = opts.Tracer.Start("deliver", "bench.deliver")
-						carrier.SetWorkerSpan(w, root)
-					}
-					err := b.Deliver(w, user, msg)
-					if traced {
-						carrier.SetWorkerSpan(w, nil)
-						root.End()
-					}
-					// Latency from the scheduled start: queueing behind
-					// a backlog is the store's problem, not the clock's.
-					lat := time.Since(sched).Seconds()
-					deliverLat.Observe(lat)
-					if ph >= 0 {
-						phDeliver[ph].Observe(lat)
-					}
-					if err != nil {
-						errs.Add(1)
-						if ph >= 0 {
-							phErrs[ph].Add(1)
-						}
-					} else {
-						delivers.Add(1)
-					}
-				} else {
-					var root *trace.Span
-					if traced {
-						root = opts.Tracer.Start("pickup", "bench.pickup")
-						carrier.SetWorkerSpan(w, root)
-					}
-					msgs, err := b.Pickup(w, user)
-					if err == nil {
-						for _, m := range msgs {
-							if !Verify(m.Contents) {
-								errs.Add(1)
-							}
-							if err := b.Delete(w, user, m.ID); err != nil {
-								errs.Add(1)
-							}
-						}
-						b.Unlock(w, user)
-					}
-					if traced {
-						carrier.SetWorkerSpan(w, nil)
-						root.End()
-					}
-					lat := time.Since(sched).Seconds()
-					pickupLat.Observe(lat)
-					if ph >= 0 {
-						phPickup[ph].Observe(lat)
-					}
-					if err != nil {
-						errs.Add(1)
-						if ph >= 0 {
-							phErrs[ph].Add(1)
-						}
-					} else {
-						pickups.Add(1)
-					}
-				}
+	elapsed := drive(opts.Workers, func(w int) {
+		s := NewSampler(workload, opts.Seed, w)
+		offset := time.Duration(float64(time.Second) * float64(w) / opts.Rate)
+		for sched := start.Add(offset); sched.Before(deadline); sched = sched.Add(interval) {
+			if d := time.Until(sched); d > 0 {
+				time.Sleep(d)
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := OpenLoopResult{
-		OfferedRate: opts.Rate,
-		Requests:    int(delivers.Load() + pickups.Load() + errs.Load()),
-		Delivers:    int(delivers.Load()),
-		Pickups:     int(pickups.Load()),
-		Errors:      int(errs.Load()),
-		Elapsed:     elapsed,
-		Throughput:  float64(delivers.Load()+pickups.Load()) / elapsed.Seconds(),
-		Deliver:     summarize(deliverLat),
-		Pickup:      summarize(pickupLat),
-	}
-	if traced && opts.Tracer.Stages != nil {
-		res.Stages = opts.Tracer.Stages.Summaries()
-	}
-	for i := 0; i < nw; i++ {
-		res.Phases = append(res.Phases, PhaseLatency{
-			Name:     opts.Windows[i].Name,
-			Gated:    opts.Windows[i].Gated,
-			Requests: int(phReqs[i].Load()),
-			Errors:   int(phErrs[i].Load()),
-			Deliver:  summarize(phDeliver[i]),
-			Pickup:   summarize(phPickup[i]),
-		})
+			var phase *tally
+			if len(phases) > 0 {
+				phase = phases[windowIndex(opts.Windows, sched.Sub(start))]
+			}
+			request(b, w, s, opts.MessageBytes, sched, run, phase)
+		}
+	})
+	res := run.result(elapsed)
+	for i, win := range opts.Windows {
+		res.Phases = append(res.Phases, Phase{Name: win.Name, Gated: win.Gated, Result: phases[i].result(0)})
 	}
 	return res
 }

@@ -1,45 +1,29 @@
 package postal
 
 import (
+	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
-	"repro/internal/trace"
+	"repro/internal/mailboat"
 )
 
-// TestOpenLoopTraced drives the open-loop runner against the verified
-// library with tracing on and checks the coordinated-omission-free
-// accounting: every scheduled request is issued, both ops record
-// latencies, and the per-stage breakdown from span durations is
-// populated with the library's stage names.
-func TestOpenLoopTraced(t *testing.T) {
+// TestOpenLoopUntraced drives the open-loop runner against the
+// verified library and checks the coordinated-omission-free
+// accounting: the schedule is held no matter how slow the store is,
+// and both ops record latencies.
+func TestOpenLoopUntraced(t *testing.T) {
 	b, err := NewMailboatBackend(t.TempDir(), 10, 2, 1, true /* noFsync: speed */)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-
-	reg := obs.NewRegistry()
-	tracer := trace.New(0, 0)
-	tracer.Stages = trace.NewStageMetrics(reg)
-	res := OpenLoop(b, OpenLoopOptions{
-		Workers:  2,
-		Users:    10,
-		Rate:     400,
-		Duration: 500 * time.Millisecond,
-		Seed:     1,
-		Tracer:   tracer,
-	})
-
-	if res.Requests == 0 || res.Delivers == 0 || res.Pickups == 0 {
-		t.Fatalf("open loop issued nothing: %+v", res)
+	res := OpenLoop(b, OpenLoopOptions{Workers: 2, Users: 10, Rate: 400, Duration: 500 * time.Millisecond, Seed: 1})
+	if res.Delivers == 0 || res.Pickups == 0 || res.Errors != 0 {
+		t.Fatalf("want both ops and no errors: %+v", res)
 	}
-	if res.Errors != 0 {
-		t.Errorf("unexpected errors: %+v", res)
-	}
-	// The schedule is fixed: with rate R over duration D the runner
-	// must issue close to R·D requests no matter how slow the store is.
+	// With rate R over duration D the runner issues close to R·D
+	// requests.
 	want := int(400 * 0.5)
 	if res.Requests < want*8/10 || res.Requests > want*12/10 {
 		t.Errorf("issued %d requests, want about %d (open loop must hold its schedule)", res.Requests, want)
@@ -47,31 +31,49 @@ func TestOpenLoopTraced(t *testing.T) {
 	if res.Deliver.Count == 0 || res.Deliver.P99 <= 0 {
 		t.Errorf("deliver latency summary empty: %+v", res.Deliver)
 	}
-	stages := map[string]bool{}
-	for _, s := range res.Stages {
-		stages[s.Stage] = true
-	}
-	for _, want := range []string{"mailboat.deliver", "spool.write", "publish.link", "mailboat.pickup", "mailbox.list"} {
-		if !stages[want] {
-			t.Errorf("per-stage breakdown missing %q (have %v)", want, stages)
-		}
-	}
 }
 
-// TestOpenLoopUntraced: without a tracer the runner still measures,
-// and no stage breakdown appears.
-func TestOpenLoopUntraced(t *testing.T) {
-	b, err := NewMailboatBackend(t.TempDir(), 4, 1, 2, true)
-	if err != nil {
-		t.Fatal(err)
+// rottenBackend serves one message whose hash fails and refuses every
+// delete: each pickup session it serves is an error twice over.
+type rottenBackend struct{}
+
+func (rottenBackend) Deliver(int, uint64, []byte) error { return nil }
+func (rottenBackend) Pickup(int, uint64) ([]mailboat.Message, error) {
+	return []mailboat.Message{{ID: "m", Contents: "X-Hash: 0000000000000000\nrotten\n"}}, nil
+}
+func (rottenBackend) Delete(int, uint64, string) error { return errors.New("delete refused") }
+func (rottenBackend) Unlock(int, uint64)               {}
+
+// TestOpenLoopCountsEachRequestOnce: a pickup session that serves a
+// bad hash and fails its delete is one request and one error, in the
+// run's tally and in its phase's.
+func TestOpenLoopCountsEachRequestOnce(t *testing.T) {
+	res := OpenLoop(rottenBackend{}, OpenLoopOptions{
+		Workers:  2,
+		Rate:     400,
+		Duration: 300 * time.Millisecond,
+		Seed:     5,
+		Windows: []PhaseWindow{
+			{Name: "steady-0", End: 150 * time.Millisecond, Gated: true},
+			{Name: "steady-1", Start: 150 * time.Millisecond, Gated: true},
+		},
+	})
+	if res.Errors == 0 || res.Delivers == 0 {
+		t.Fatalf("want rotten sessions and clean deliveries: %+v", res)
 	}
-	defer b.Close()
-	res := OpenLoop(b, OpenLoopOptions{Workers: 1, Users: 4, Rate: 200, Duration: 200 * time.Millisecond, Seed: 2})
-	if res.Requests == 0 {
-		t.Fatalf("open loop issued nothing: %+v", res)
+	if res.Requests != res.Delivers+res.Pickups+res.Errors {
+		t.Errorf("%d requests != %d delivers + %d pickups + %d errors", res.Requests, res.Delivers, res.Pickups, res.Errors)
 	}
-	if len(res.Stages) != 0 {
-		t.Errorf("untraced run has stage data: %+v", res.Stages)
+	reqs, errs := 0, 0
+	for _, p := range res.Phases {
+		reqs += p.Requests
+		errs += p.Errors
+	}
+	if reqs != res.Requests || errs != res.Errors {
+		t.Errorf("phases count %d requests, %d errors; the run %d, %d", reqs, errs, res.Requests, res.Errors)
+	}
+	if res.BadHashes != res.Messages || res.Messages != res.Errors {
+		t.Errorf("every session serves one rotten message: %d messages, %d bad, %d errors", res.Messages, res.BadHashes, res.Errors)
 	}
 }
 
@@ -121,14 +123,15 @@ func TestOpenLoopPhaseWindows(t *testing.T) {
 }
 
 func TestEvaluatePhaseGates(t *testing.T) {
-	phases := []PhaseLatency{
-		{Name: "steady-0", Gated: true,
-			Deliver: LatencySummary{Count: 10, P99: 0.01}, Pickup: LatencySummary{Count: 10, P99: 0.01}},
+	phase := func(name string, gated bool, p99 float64) Phase {
+		return Phase{Name: name, Gated: gated, Result: Result{
+			Deliver: LatencySummary{Count: 10, P99: p99}, Pickup: LatencySummary{Count: 10, P99: p99}}}
+	}
+	phases := []Phase{
+		phase("steady-0", true, 0.01),
 		// The drill phase blows the deliver gate but is not gated.
-		{Name: "crash",
-			Deliver: LatencySummary{Count: 10, P99: 3.0}, Pickup: LatencySummary{Count: 10, P99: 3.0}},
-		{Name: "steady-1", Gated: true,
-			Deliver: LatencySummary{Count: 10, P99: 0.02}, Pickup: LatencySummary{Count: 10, P99: 0.02}},
+		phase("crash", false, 3.0),
+		phase("steady-1", true, 0.02),
 	}
 	rs, pass := EvaluatePhaseGates(DefaultGates(), phases)
 	if !pass {
@@ -146,7 +149,7 @@ func TestEvaluatePhaseGates(t *testing.T) {
 }
 
 func TestEvaluateGates(t *testing.T) {
-	res := OpenLoopResult{
+	res := Result{
 		Deliver: LatencySummary{Count: 10, P50: 0.001, P90: 0.002, P99: 0.004},
 		Pickup:  LatencySummary{Count: 10, P50: 0.002, P90: 0.004, P99: 0.300},
 	}

@@ -11,6 +11,7 @@
 package postal
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -63,7 +64,11 @@ func (o *Options) fill() {
 	}
 }
 
-// Result summarizes one run.
+// Result summarizes a run, or one phase window of an open-loop run.
+// Each request lands in exactly one of Delivers, Pickups or Errors: a
+// pickup session that serves a message with a bad hash or fails a
+// delete is one error. Messages and BadHashes count messages served,
+// not requests.
 type Result struct {
 	Requests   int
 	Delivers   int
@@ -72,9 +77,19 @@ type Result struct {
 	BadHashes  int // rabid-style verification failures
 	Errors     int
 	Elapsed    time.Duration
-	Throughput float64
+	Throughput float64 // Delivers+Pickups per second of Elapsed
 	Deliver    LatencySummary
 	Pickup     LatencySummary
+	// Phases slices an open-loop run by its PhaseWindows.
+	Phases []Phase
+}
+
+// Phase is one window's slice of an open-loop run; its Elapsed and
+// Throughput are zero, the run's own being the only wall clock.
+type Phase struct {
+	Name  string
+	Gated bool
+	Result
 }
 
 func (r Result) String() string {
@@ -147,77 +162,130 @@ func Verify(msg string) bool {
 	return h.Sum64() == want
 }
 
-// Run drives the closed-loop mixed workload and returns aggregate
-// results. Each worker alternates requests pseudo-randomly between a
-// delivery and a pickup+delete-all+unlock session (the paper's "equal
-// ratio" mix), against a uniformly random user.
-func Run(b Backend, opts Options) Result {
-	opts.fill()
-	perWorker := opts.TotalRequests / opts.Workers
-	var delivers, pickups, messages, bad, errs atomic.Int64
-	// Lock-free histograms, shared by all workers without aggregation.
-	deliverLat := obs.NewHistogram(obs.DefLatencyBuckets)
-	pickupLat := obs.NewHistogram(obs.DefLatencyBuckets)
+// errBadHash fails a pickup session that served a torn or corrupt
+// message.
+var errBadHash = errors.New("postal: message fails its hash")
 
+// tally accumulates one run's or one phase's requests. Its counters
+// and histograms are lock-free, shared by every worker.
+type tally struct {
+	delivers, pickups, errs, messages, bad atomic.Int64
+	deliver, pickup                        *obs.Histogram
+}
+
+func newTally() *tally {
+	return &tally{
+		deliver: obs.NewHistogram(obs.DefLatencyBuckets),
+		pickup:  obs.NewHistogram(obs.DefLatencyBuckets),
+	}
+}
+
+// record counts one request; a nil tally (a run without phase windows)
+// records nothing.
+func (t *tally) record(deliver bool, lat float64, msgs, bad int, err error) {
+	if t == nil {
+		return
+	}
+	if deliver {
+		t.deliver.Observe(lat)
+	} else {
+		t.pickup.Observe(lat)
+		t.messages.Add(int64(msgs))
+		t.bad.Add(int64(bad))
+	}
+	switch {
+	case err != nil:
+		t.errs.Add(1)
+	case deliver:
+		t.delivers.Add(1)
+	default:
+		t.pickups.Add(1)
+	}
+}
+
+func (t *tally) result(elapsed time.Duration) Result {
+	r := Result{
+		Delivers:  int(t.delivers.Load()),
+		Pickups:   int(t.pickups.Load()),
+		Errors:    int(t.errs.Load()),
+		Messages:  int(t.messages.Load()),
+		BadHashes: int(t.bad.Load()),
+		Elapsed:   elapsed,
+		Deliver:   summarize(t.deliver),
+		Pickup:    summarize(t.pickup),
+	}
+	r.Requests = r.Delivers + r.Pickups + r.Errors
+	if elapsed > 0 {
+		r.Throughput = float64(r.Delivers+r.Pickups) / elapsed.Seconds()
+	}
+	return r
+}
+
+// request issues the next request s draws, as worker w, and records it
+// once in the run's tally and once in its phase's (nil for none). A
+// delivery sends a freshly composed message; a pickup is the whole
+// POP3-style session: list, verify and delete every message, unlock.
+// Latency runs from the scheduled start, or from issue if from is zero.
+func request(b Backend, w int, s *Sampler, size int, from time.Time, run, phase *tally) {
+	deliver := s.NextIsDeliver()
+	user := s.NextUser()
+	var msg []byte
+	if deliver {
+		msg = Compose(s.Rng(), size)
+	}
+	if from.IsZero() {
+		from = time.Now()
+	}
+	var err error
+	var msgs []mailboat.Message
+	bad := 0
+	if deliver {
+		err = b.Deliver(w, user, msg)
+	} else if msgs, err = b.Pickup(w, user); err == nil {
+		for _, m := range msgs {
+			if !Verify(m.Contents) {
+				bad++
+				err = errBadHash
+			}
+			if derr := b.Delete(w, user, m.ID); derr != nil && err == nil {
+				err = derr
+			}
+		}
+		b.Unlock(w, user)
+	}
+	lat := time.Since(from).Seconds()
+	run.record(deliver, lat, len(msgs), bad, err)
+	phase.record(deliver, lat, len(msgs), bad, err)
+}
+
+// drive runs body for each of n workers concurrently and returns the
+// wall time until the last one returned.
+func drive(n int, body func(w int)) time.Duration {
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
-			for i := 0; i < perWorker; i++ {
-				user := uint64(rng.Int63n(int64(opts.Users)))
-				if rng.Intn(2) == 0 {
-					msg := Compose(rng, opts.MessageBytes)
-					t0 := time.Now()
-					err := b.Deliver(w, user, msg)
-					deliverLat.ObserveSince(t0)
-					if err != nil {
-						errs.Add(1)
-					} else {
-						delivers.Add(1)
-					}
-				} else {
-					// The pickup latency covers the whole POP3-style
-					// session: listing, verification, deletes, unlock.
-					t0 := time.Now()
-					msgs, err := b.Pickup(w, user)
-					if err != nil {
-						pickupLat.ObserveSince(t0)
-						errs.Add(1)
-						continue
-					}
-					for _, m := range msgs {
-						messages.Add(1)
-						if !Verify(m.Contents) {
-							bad.Add(1)
-						}
-						if err := b.Delete(w, user, m.ID); err != nil {
-							errs.Add(1)
-						}
-					}
-					b.Unlock(w, user)
-					pickupLat.ObserveSince(t0)
-					pickups.Add(1)
-				}
-			}
+			body(w)
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	return time.Since(start)
+}
 
-	total := int(delivers.Load() + pickups.Load())
-	return Result{
-		Requests:   total,
-		Delivers:   int(delivers.Load()),
-		Pickups:    int(pickups.Load()),
-		Messages:   int(messages.Load()),
-		BadHashes:  int(bad.Load()),
-		Errors:     int(errs.Load()),
-		Elapsed:    elapsed,
-		Throughput: float64(total) / elapsed.Seconds(),
-		Deliver:    summarize(deliverLat),
-		Pickup:     summarize(pickupLat),
-	}
+// Run drives the closed-loop mixed workload: each worker issues its
+// share of the requests back to back, each drawn by the worker's
+// Sampler over a uniform population with the paper's equal mix.
+func Run(b Backend, opts Options) Result {
+	opts.fill()
+	perWorker := opts.TotalRequests / opts.Workers
+	run := newTally()
+	elapsed := drive(opts.Workers, func(w int) {
+		s := NewSampler(Workload{Users: opts.Users}, opts.Seed, w)
+		for i := 0; i < perWorker; i++ {
+			request(b, w, s, opts.MessageBytes, time.Time{}, run, nil)
+		}
+	})
+	return run.result(elapsed)
 }

@@ -1,8 +1,14 @@
 package postal
 
 import (
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,7 +44,7 @@ func TestVerifyCatchesTruncation(t *testing.T) {
 }
 
 func TestRunMailboatBackendCleanWorkload(t *testing.T) {
-	b, cleanup, err := NewBackend("mailboat", t.TempDir(), 10, 4, 42)
+	b, cleanup, err := newBackend("mailboat", t.TempDir(), 10, 4, 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func TestRunMailboatBackendCleanWorkload(t *testing.T) {
 }
 
 func TestRunGoMailBackendCleanWorkload(t *testing.T) {
-	b, cleanup, err := NewBackend("gomail", t.TempDir(), 10, 4, 42)
+	b, cleanup, err := newBackend("gomail", t.TempDir(), 10, 4, 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestRunGoMailBackendCleanWorkload(t *testing.T) {
 }
 
 func TestRunCMailBackendCleanWorkload(t *testing.T) {
-	b, cleanup, err := NewBackend("cmail", t.TempDir(), 10, 2, 42)
+	b, cleanup, err := newBackend("cmail", t.TempDir(), 10, 2, 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +86,53 @@ func TestRunCMailBackendCleanWorkload(t *testing.T) {
 }
 
 func TestUnknownBackendRejected(t *testing.T) {
-	if _, _, err := NewBackend("exchange", t.TempDir(), 1, 1, 1); err == nil {
+	if _, _, err := newBackend("exchange", t.TempDir(), 1, 1, 1, false); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+}
+
+// TestSweepRefusesUnknownServer: a sweep naming a server it cannot
+// build fails before measuring anything, and says which servers exist.
+func TestSweepRefusesUnknownServer(t *testing.T) {
+	base := t.TempDir()
+	_, err := Sweep(SweepOptions{Servers: []string{"mailboat", "mailboat-net"}, Cores: []int{1}, BaseDir: base})
+	if err == nil {
+		t.Fatal("sweep accepted an unknown server")
+	}
+	for _, want := range []string{`"mailboat-net"`, "mailboat, gomail, cmail"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if entries, _ := os.ReadDir(base); len(entries) != 0 {
+		t.Errorf("refused sweep built %d stores under BaseDir", len(entries))
+	}
+}
+
+// TestPostalImportsNoServingPackage: postal is a workload generator
+// beneath the daemon. The protocol path is measured by the benchmark's
+// own client and the per-stage breakdown by its traced runs, so postal
+// imports no front end, no daemon and no tracer.
+func TestPostalImportsNoServingPackage(t *testing.T) {
+	banned := []string{"mailboatd", "smtp", "pop3", "netsrv", "trace"}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range af.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if slices.Contains(banned, strings.TrimPrefix(path, "repro/internal/")) {
+				t.Errorf("%s imports %s", f, path)
+			}
+		}
 	}
 }
 
@@ -132,7 +183,7 @@ func TestFig11ShapeSingleCore(t *testing.T) {
 			// The paper's measurement method ran Mailboat without durability
 			// barriers, so the parity comparison uses the fast mode (the
 			// baselines ignore the knob either way).
-			b, cleanup, err := NewFastBackend(server, RAMDir(), 25, 1, 7)
+			b, cleanup, err := newBackend(server, RAMDir(), 25, 1, 7, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,47 +211,4 @@ func TestFig11ShapeSingleCore(t *testing.T) {
 		t.Errorf("expected GoMail > CMAIL: median ratio %.3f over %d rounds %.3f", r, rounds, overCMail)
 	}
 	t.Logf("Mailboat/GoMail %.3f, GoMail/CMAIL %.3f (medians of %d interleaved rounds)", overGoMail[rounds/2], overCMail[rounds/2], rounds)
-}
-
-func TestRunNetBackendCleanWorkload(t *testing.T) {
-	// The full network path: SMTP deliveries and POP3 pickups over
-	// loopback TCP, hash-verified end to end.
-	b, cleanup, err := NewBackend("mailboat-net", t.TempDir(), 6, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	res := Run(b, Options{Workers: 3, Users: 6, TotalRequests: 300, Seed: 42})
-	if res.BadHashes != 0 || res.Errors != 0 {
-		t.Fatalf("result: %s", res)
-	}
-	if res.Requests != 300 {
-		t.Fatalf("requests=%d", res.Requests)
-	}
-}
-
-func TestNetworkOverheadIsMeasurable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput comparison is slow")
-	}
-	// §9.3 excluded the network path; measuring it here shows why: the
-	// direct (library-call) backend is faster than the TCP path.
-	tps := map[string]float64{}
-	for _, server := range []string{"mailboat", "mailboat-net"} {
-		b, cleanup, err := NewBackend(server, RAMDir(), 10, 1, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Run(b, Options{Workers: 1, Users: 10, TotalRequests: 2000, Seed: 5})
-		cleanup()
-		if res.BadHashes != 0 || res.Errors != 0 {
-			t.Fatalf("%s: %s", server, res)
-		}
-		tps[server] = res.Throughput
-		t.Logf("%s: %s", server, res)
-	}
-	if tps["mailboat"] <= tps["mailboat-net"] {
-		t.Errorf("expected the direct path to beat the network path: %.0f vs %.0f",
-			tps["mailboat"], tps["mailboat-net"])
-	}
 }

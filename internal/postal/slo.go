@@ -57,14 +57,14 @@ func (r PhaseGateResult) String() string {
 // PhaseWindow.Gated). The verdict is the AND over all gated phases:
 // the steady-state service around a drill must hold its SLO even
 // while the drill window itself is allowed to stall.
-func EvaluatePhaseGates(gates []Gate, phases []PhaseLatency) ([]PhaseGateResult, bool) {
+func EvaluatePhaseGates(gates []Gate, phases []Phase) ([]PhaseGateResult, bool) {
 	all := true
 	var out []PhaseGateResult
 	for _, p := range phases {
 		if !p.Gated {
 			continue
 		}
-		rs, ok := EvaluateGates(gates, OpenLoopResult{Deliver: p.Deliver, Pickup: p.Pickup})
+		rs, ok := EvaluateGates(gates, p.Result)
 		for _, r := range rs {
 			out = append(out, PhaseGateResult{Phase: p.Name, GateResult: r})
 		}
@@ -89,11 +89,11 @@ func quantileOf(s LatencySummary, q float64) (float64, bool) {
 	return 0, false
 }
 
-// EvaluateGates checks each gate against an open-loop run. Unknown ops
+// EvaluateGates checks each gate against a run or a phase. Unknown ops
 // or quantiles fail loudly (Pass=false, Observed=-1) rather than
 // silently passing — a misdeclared gate guarding nothing is worse than
 // no gate. The second return is the AND of all gates.
-func EvaluateGates(gates []Gate, r OpenLoopResult) ([]GateResult, bool) {
+func EvaluateGates(gates []Gate, r Result) ([]GateResult, bool) {
 	results := make([]GateResult, 0, len(gates))
 	all := true
 	for _, g := range gates {

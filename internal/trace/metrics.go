@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 // StageMetrics bridges span durations into obs: every completed span
 // feeds a trace_stage_seconds{op,stage} histogram, so the per-stage
 // latency distribution (spool write vs. link vs. the SyncDir barrier)
-// is scrapeable from /metrics and summarizable by a load generator.
+// is scrapeable from /metrics.
 //
 // Cardinality stays bounded because both labels come from code — op
 // kinds are the four request verbs and stage names are span-name
@@ -65,55 +64,4 @@ func (m *StageMetrics) observeTree(op string, s *Span) {
 	for _, c := range s.children {
 		m.observeTree(op, c)
 	}
-}
-
-// StageSummary is one (op, stage) distribution snapshot, in seconds.
-type StageSummary struct {
-	Op    string  `json:"op"`
-	Stage string  `json:"stage"`
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50_seconds"`
-	P90   float64 `json:"p90_seconds"`
-	P99   float64 `json:"p99_seconds"`
-	Sum   float64 `json:"sum_seconds"`
-}
-
-// Summaries snapshots every (op, stage) histogram, sorted by op then
-// stage, for bench output and tests.
-func (m *StageMetrics) Summaries() []StageSummary {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.hists))
-	for k := range m.hists {
-		keys = append(keys, k)
-	}
-	hists := make(map[string]*obs.Histogram, len(m.hists))
-	for k, h := range m.hists {
-		hists[k] = h
-	}
-	m.mu.Unlock()
-	sort.Strings(keys)
-	out := make([]StageSummary, 0, len(keys))
-	for _, k := range keys {
-		h := hists[k]
-		sep := 0
-		for i := range k {
-			if k[i] == 0 {
-				sep = i
-				break
-			}
-		}
-		out = append(out, StageSummary{
-			Op:    k[:sep],
-			Stage: k[sep+1:],
-			Count: h.Count(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			Sum:   h.Sum(),
-		})
-	}
-	return out
 }

@@ -142,9 +142,9 @@ func (t *Trace) Duration() time.Duration {
 // Carrier is implemented by thread handles that can carry the active
 // span across layer boundaries. The gfs stack passes a thread handle
 // (gfs.T) — not a context.Context — through every call, so the span
-// rides on it: native handles (gfs.Native, the daemon's per-request
-// wrapper) implement Carrier; the checker's *machine.T deliberately
-// does not, which is what keeps checked executions trace-free.
+// rides on it: the daemon's per-request handle (mailboatd) implements
+// Carrier; gfs.Native and the checker's *machine.T deliberately do
+// not, which is what keeps bare and checked executions trace-free.
 type Carrier interface {
 	TraceSpan() *Span
 	SetTraceSpan(*Span)
