@@ -34,7 +34,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 
 	"repro/internal/machine"
@@ -420,7 +419,7 @@ func (c *Ctx) FinishOp(t *machine.T, j *JTok, ret spec.Ret) {
 		c.failf(t, "operation %v returned %v without simulating its spec step (missing linearization point)", j.op, ret)
 		return
 	}
-	if !reflect.DeepEqual(j.ret, ret) {
+	if !spec.Equal(j.ret, ret) {
 		c.failf(t, "operation %v simulated return %v but actually returned %v", j.op, j.ret, ret)
 	}
 }

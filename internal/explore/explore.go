@@ -246,6 +246,11 @@ type Stats struct {
 	// nondeterminism (map iteration, say), or something one execution
 	// left behind for the next.
 	Reseats int
+	// VerdictsDistinct counts the refinement checks judged afresh, and
+	// VerdictsReused those a worker's checker answered from its verdict
+	// memo because it had accepted the same history before; both are
+	// summed over workers.
+	VerdictsDistinct, VerdictsReused int
 	// PerWorker is each systematic worker's share of the search.
 	PerWorker []WorkerStats
 }
@@ -266,6 +271,9 @@ func (st Stats) String() string {
 		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99, st.Workers)
 	if st.DedupActive {
 		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned", st.DistinctBoundaries, st.PrunedStates)
+	}
+	if st.VerdictsReused > 0 {
+		s += fmt.Sprintf(", verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
 	}
 	if st.StressDiscarded > 0 {
 		s += fmt.Sprintf(", %d stress retries discarded", st.StressDiscarded)
@@ -442,6 +450,8 @@ func runStress(s *Scenario, opts Options, workers int, rep *Report) {
 		ran += r.Executions
 		rep.CrashedExecutions += r.CrashedExecutions
 		rep.CheckedStates += r.CheckedStates
+		rep.Stats.VerdictsDistinct += r.Stats.VerdictsDistinct
+		rep.Stats.VerdictsReused += r.Stats.VerdictsReused
 	}
 	unique := ran
 	if best.offset != -1 {
@@ -587,8 +597,14 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 		return cx
 	}
 
+	reused := x.chk.Reused()
 	chk := x.chk.Check(s.Spec, h.rec.History(), history.Options{})
 	rep.CheckedStates += chk.StatesExplored
+	if x.chk.Reused() > reused {
+		rep.Stats.VerdictsReused++
+	} else {
+		rep.Stats.VerdictsDistinct++
+	}
 	if !chk.OK {
 		return fail("refinement failure: " + chk.Reason)
 	}

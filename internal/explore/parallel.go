@@ -112,6 +112,8 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 			rep.CrashedExecutions += j.rep.CrashedExecutions
 			rep.CheckedStates += j.rep.CheckedStates
 			rep.Stats.PrunedStates += j.rep.Stats.PrunedStates
+			rep.Stats.VerdictsDistinct += j.rep.Stats.VerdictsDistinct
+			rep.Stats.VerdictsReused += j.rep.Stats.VerdictsReused
 			per[w].Executions += j.rep.Executions
 			per[w].Pruned += j.rep.Stats.PrunedStates
 		}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -158,5 +159,29 @@ func TestReseatsAreCounted(t *testing.T) {
 		if rep.Stats.Reseats != 0 || strings.Contains(rep.Stats.String(), "RESEATED") {
 			t.Errorf("Workers: %d: a deterministic scenario reports reseats: %s", workers, rep.Stats)
 		}
+	}
+}
+
+// TestVerdictsAreCounted: every execution that reaches the refinement
+// check is counted once, as a verdict judged afresh or one a worker's
+// checker reused, summed over the workers of both phases; the stats
+// line says so once anything was reused, and only then.
+func TestVerdictsAreCounted(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		rep := Run(scenario(true, true), Options{MaxExecutions: 200, Workers: workers, StressExecutions: 50})
+		st := rep.Stats
+		if !rep.OK() || st.VerdictsDistinct+st.VerdictsReused != rep.Executions {
+			t.Fatalf("Workers: %d: %d distinct + %d reused verdicts for %d executions: %s",
+				workers, st.VerdictsDistinct, st.VerdictsReused, rep.Executions, rep)
+		}
+		t.Logf("Workers: %d: %s", workers, st)
+		want := fmt.Sprintf("verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
+		if st.VerdictsReused == 0 || !strings.Contains(st.String(), want) {
+			t.Errorf("Workers: %d: a search of a few distinct histories reports %q", workers, st)
+		}
+	}
+	rep := Run(scenario(true, true), Options{MaxExecutions: 1, Workers: 1})
+	if rep.Stats.VerdictsDistinct != 1 || rep.Stats.VerdictsReused != 0 || strings.Contains(rep.Stats.String(), "verdicts") {
+		t.Errorf("one execution reports %+v verdicts: %s", rep.Stats, rep.Stats)
 	}
 }

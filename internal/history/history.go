@@ -90,6 +90,11 @@ func (h History) Format() string {
 // Recorder accumulates a history. It is safe for concurrent use; under
 // the modeled machine threads are serialized anyway, but benchmarks may
 // record from real goroutines.
+//
+// The operations and return values handed to a Recorder are recorded,
+// not copied, and must never be mutated afterwards: a counterexample
+// keeps a shallow copy of its history, and a Checker's verdict memo
+// keeps the shallow copies of the histories it has accepted.
 type Recorder struct {
 	mu     sync.Mutex
 	events History
@@ -166,19 +171,43 @@ func Check(sp spec.Interface, h History) Result {
 // Options tunes the checker (for ablation studies; the defaults are
 // what everything else uses).
 type Options struct {
-	// DisableMemo turns off search-state memoization, degrading the
-	// checker to plain backtracking.
+	// DisableMemo turns off memoization, within a check and across
+	// checks: the search degrades to plain backtracking, and a reused
+	// Checker judges every history afresh.
 	DisableMemo bool
 }
 
 // CheckWith is Check with explicit checker options.
 func CheckWith(sp spec.Interface, h History, opts Options) Result {
 	var c Checker
-	return c.Check(sp, h, opts)
+	return c.search(sp, h, opts)
 }
 
-// Check verifies that h refines sp, reusing c's buffers.
+// Check verifies that h refines sp, reusing c's buffers. A history the
+// Checker has accepted before against the same spec gets the stored
+// Result back without a search (see verdictMemo).
 func (c *Checker) Check(sp spec.Interface, h History, opts Options) Result {
+	if opts.DisableMemo {
+		return c.search(sp, h, opts)
+	}
+	c.verdicts.holdFor(sp)
+	sum := historyHash(h)
+	if res, ok := c.verdicts.lookup(sum, h); ok {
+		c.reused++
+		return res
+	}
+	res := c.search(sp, h, opts)
+	if res.OK {
+		c.verdicts.store(sum, h, res)
+	}
+	return res
+}
+
+// Reused is how many of c's checks the verdict memo answered.
+func (c *Checker) Reused() int { return c.reused }
+
+// search judges h against sp afresh.
+func (c *Checker) search(sp spec.Interface, h History, opts Options) Result {
 	if err := c.reset(sp, h); err != nil {
 		return Result{Reason: "malformed history: " + err.Error()}
 	}
@@ -216,7 +245,9 @@ type opInfo struct {
 // capacity. The operations sit in an OpID-ordered slice and the set of
 // operations that have taken their atomic effect but not yet returned
 // is a bitset over that slice, mutated in place and undone on
-// backtrack, so a search node allocates nothing but its memo entry. The
+// backtrack, so a search node allocates nothing but its memo entry. It
+// also keeps the verdicts of the histories it accepted (verdictMemo),
+// so a spec must not change while a Checker checks against it. The
 // zero value is ready to use; a Checker is not safe for concurrent use.
 type Checker struct {
 	sp  spec.Interface
@@ -236,6 +267,113 @@ type Checker struct {
 	visits int
 	ub     bool
 	best   int // deepest event index reached, for diagnostics
+
+	verdicts verdictMemo
+	reused   int // checks the verdict memo answered
+}
+
+// maxVerdicts caps a verdict memo: once it holds this many histories,
+// new verdicts are no longer stored. A suite entry meets at most a few
+// dozen distinct histories, the complete prefix-contract search 189.
+const maxVerdicts = 4096
+
+// verdictMemo holds the Results of the histories a Checker accepted,
+// for the one spec they were judged against: a search meets a handful
+// of distinct histories in thousands of executions. The judgment is a
+// function of the spec and the history's events, compared as Kind, ID,
+// and Op and Ret by spec.Equal — what the spec steps compare return
+// values by — so a history equal to a stored one, event by event, gets
+// the stored Result, StatesExplored included. The hash only picks a
+// bucket; a hit is exact equality. A stored history is a shallow copy,
+// sound because recorded operations and returns are never mutated (see
+// Recorder). Rejections are not stored: they end a search, and their
+// Reason prints the history they were found in.
+type verdictMemo struct {
+	sp spec.Interface
+	// newest maps a hash to 1 + the index of the newest verdict with it;
+	// a verdict's next chains to the one before.
+	newest  map[uint64]int
+	stored  []verdict
+	history History // the stored histories, back to back
+}
+
+type verdict struct {
+	h    History
+	res  Result
+	next int
+}
+
+// holdFor makes m the memo of sp, emptying it when it held another
+// spec's verdicts: one unequal by spec.Equal, which for a TSL spec is
+// another pointer.
+func (m *verdictMemo) holdFor(sp spec.Interface) {
+	if !spec.Equal(m.sp, sp) {
+		if m.newest == nil {
+			m.newest = map[uint64]int{}
+		}
+		clear(m.newest)
+		clear(m.stored)
+		clear(m.history)
+		m.sp, m.stored, m.history = sp, m.stored[:0], m.history[:0]
+	}
+}
+
+func (m *verdictMemo) lookup(sum uint64, h History) (Result, bool) {
+	for i := m.newest[sum]; i > 0; i = m.stored[i-1].next {
+		if v := &m.stored[i-1]; sameHistory(v.h, h) {
+			return v.res, true
+		}
+	}
+	return Result{}, false
+}
+
+// store keeps res for h, unless m is full. The histories are appended
+// to one buffer, so a verdict costs no allocation of its own: a stored
+// history is a window that a later append never writes into.
+func (m *verdictMemo) store(sum uint64, h History, res Result) {
+	if len(m.stored) == maxVerdicts {
+		return
+	}
+	at := len(m.history)
+	m.history = append(m.history, h...)
+	m.stored = append(m.stored, verdict{h: m.history[at:len(m.history):len(m.history)], res: res, next: m.newest[sum]})
+	m.newest[sum] = len(m.stored)
+}
+
+// historyHash hashes each event's kind, op ID and scalar return value.
+func historyHash(h History) uint64 {
+	const prime = 1099511628211
+	x := uint64(len(h))
+	mix := func(v uint64) { x = (x ^ v) * prime }
+	for _, e := range h {
+		mix(uint64(e.Kind)<<32 ^ uint64(e.ID))
+		switch r := e.Ret.(type) {
+		case bool:
+			if r {
+				mix(1)
+			}
+		case int:
+			mix(uint64(r))
+		case uint64:
+			mix(r)
+		case string:
+			mix(uint64(len(r)))
+		}
+	}
+	return x
+}
+
+func sameHistory(a, b History) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].ID != b[i].ID ||
+			!spec.Equal(a[i].Op, b[i].Op) || !spec.Equal(a[i].Ret, b[i].Ret) {
+			return false
+		}
+	}
+	return true
 }
 
 // reset indexes h for a check against sp, rejecting structurally broken

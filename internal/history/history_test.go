@@ -669,22 +669,50 @@ func (flatReg) Step(s spec.State, op spec.Op, ret spec.Ret) ([]spec.State, bool)
 }
 
 // TestCheckerReuseAllocs: a Checker keeps its buffers from one check to
-// the next, so checking the typical history again on a reused Checker
-// allocates nothing but the memo entries of its 31 search nodes: 28
-// objects (measured; under -race too), against 44 for a one-shot Check.
+// the next, so judging a history like the typical one on a reused
+// Checker allocates nothing but the memo entries of its 31 search nodes:
+// 28 objects (measured; under -race too), against 44 for a one-shot
+// Check. Each measured check is of a history the Checker has not seen —
+// the typical history with its op IDs moved — so the budget prices the
+// search, and the verdict stored for it, not a memo hit. A hit, a
+// history seen before, allocates nothing.
 func TestCheckerReuseAllocs(t *testing.T) {
-	h := typicalHistory()
+	const runs = 100
+	hs := make([]History, runs+1) // AllocsPerRun's warm-up call is one more
+	for k := range hs {
+		hs[k] = typicalHistory()
+		for i := range hs[k] {
+			hs[k][i].ID += OpID(10 * k)
+		}
+	}
 	var c Checker
-	res := c.Check(flatReg{}, h, Options{})
-	if !res.OK || Check(regSpec(), h).OK != res.OK {
+	res := c.Check(flatReg{}, hs[0], Options{})
+	if !res.OK || Check(regSpec(), hs[0]).OK != res.OK {
 		t.Fatalf("typical history: %+v", res)
 	}
-	reused := testing.AllocsPerRun(100, func() { c.Check(flatReg{}, h, Options{}) })
-	oneShot := testing.AllocsPerRun(100, func() { Check(flatReg{}, h) })
-	t.Logf("checking the typical history (%d search nodes): %.0f objects on a reused Checker, %.0f one-shot",
-		res.StatesExplored, reused, oneShot)
-	if reused > 28 || reused > float64(res.StatesExplored) {
-		t.Fatalf("a reused Checker allocates %.0f objects for %d search nodes (budget 28)", reused, res.StatesExplored)
+	c = Checker{}
+	n := 0
+	miss := testing.AllocsPerRun(runs, func() {
+		if r := c.Check(flatReg{}, hs[n], Options{}); r != res {
+			t.Fatalf("history %d: %+v, want %+v", n, r, res)
+		}
+		n++
+	})
+	if c.Reused() != 0 {
+		t.Fatalf("%d of %d distinct histories were answered from the memo", c.Reused(), n)
+	}
+	hit := testing.AllocsPerRun(runs, func() { c.Check(flatReg{}, hs[runs/2], Options{}) })
+	if c.Reused() != runs+1 {
+		t.Fatalf("%d of %d checks of a stored history were answered from the memo", c.Reused(), runs+1)
+	}
+	oneShot := testing.AllocsPerRun(runs, func() { Check(flatReg{}, hs[0]) })
+	t.Logf("checking a typical history (%d search nodes): %.0f objects on a reused Checker, %.0f on a hit, %.0f one-shot",
+		res.StatesExplored, miss, hit, oneShot)
+	if miss > 28 || miss > float64(res.StatesExplored) {
+		t.Fatalf("a reused Checker allocates %.0f objects for %d search nodes (budget 28)", miss, res.StatesExplored)
+	}
+	if hit != 0 {
+		t.Fatalf("a verdict reused from the memo allocates %.0f objects", hit)
 	}
 }
 
@@ -714,5 +742,46 @@ func TestQuickMemoDoesNotChangeVerdicts(t *testing.T) {
 		if a.OK != b.OK {
 			t.Fatalf("seed %d: memo=%v nomemo=%v\n%s", seed, a.OK, b.OK, h.Format())
 		}
+	}
+}
+
+// TestFullVerdictMemoJudgesAfresh: a memo holding its cap of verdicts
+// stores no more, and goes on giving fresh verdicts — a wrong history
+// is rejected, a new right one accepted (and judged afresh every time) —
+// while the verdicts it holds are still reused.
+func TestFullVerdictMemoJudgesAfresh(t *testing.T) {
+	writeRead := func(v, got int) History {
+		return History{
+			{Kind: Invoke, ID: 0, Op: opWrite{v: v}},
+			{Kind: Return, ID: 0, Op: opWrite{v: v}},
+			{Kind: Invoke, ID: 1, Op: opRead{}},
+			{Kind: Return, ID: 1, Op: opRead{}, Ret: got},
+		}
+	}
+	sp := regSpec()
+	var c Checker
+	for v := 0; v < maxVerdicts; v++ {
+		if res := c.Check(sp, writeRead(v, v), Options{}); !res.OK {
+			t.Fatalf("history %d: %s", v, res.Reason)
+		}
+	}
+	if c.Reused() != 0 {
+		t.Fatalf("%d of %d distinct histories were reused", c.Reused(), maxVerdicts)
+	}
+	past := maxVerdicts
+	if res := c.Check(sp, writeRead(past, past+1), Options{}); res.OK {
+		t.Fatal("a full memo accepted a read of a value nobody wrote")
+	}
+	for i := 0; i < 2; i++ {
+		if res := c.Check(sp, writeRead(past, past), Options{}); !res.OK {
+			t.Fatalf("a full memo refused a new right history: %s", res.Reason)
+		}
+	}
+	if c.Reused() != 0 {
+		t.Fatal("a full memo stored a new verdict")
+	}
+	c.Check(sp, writeRead(7, 7), Options{})
+	if c.Reused() != 1 {
+		t.Fatal("a full memo no longer reuses the verdicts it holds")
 	}
 }

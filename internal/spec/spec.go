@@ -12,6 +12,7 @@ package spec
 import (
 	"fmt"
 	"reflect"
+	"sync"
 
 	"repro/internal/tsl"
 )
@@ -38,6 +39,58 @@ func (pending) String() string { return "<pending>" }
 // be allowed for *some* return.
 var Pending Ret = pending{}
 
+// Equal reports whether a and b are the same return value: of one
+// dynamic type, and equal as reflect.DeepEqual says. It is DeepEqual,
+// only cheaper where it can be: a type built from booleans, numbers and
+// strings, and arrays and structs of them, compares with ==, which
+// cannot panic on it and means what DeepEqual means there. Any other
+// type takes DeepEqual: an interface field makes == panic when it holds
+// a slice, and a pointer makes == compare addresses where DeepEqual
+// compares what they point to.
+func Equal(a, b Ret) bool {
+	t := reflect.TypeOf(a)
+	if t != reflect.TypeOf(b) {
+		return false
+	}
+	if t == nil || plain(t) {
+		return a == b
+	}
+	if t.Kind() == reflect.Pointer && a == b {
+		return true // what DeepEqual says first
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// plainTypes caches plain's verdict on array and struct types, whose
+// fields reflect can only list by allocating.
+var plainTypes sync.Map // reflect.Type → bool
+
+// plain reports whether t is built from booleans, numbers and strings
+// alone, so that == on two values of it is DeepEqual.
+func plain(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128, reflect.String:
+		return true
+	case reflect.Array, reflect.Struct:
+		if p, ok := plainTypes.Load(t); ok {
+			return p.(bool)
+		}
+		p := true
+		if t.Kind() == reflect.Array {
+			p = plain(t.Elem())
+		} else {
+			for i := 0; i < t.NumField() && p; i++ {
+				p = plain(t.Field(i).Type)
+			}
+		}
+		plainTypes.Store(t, p)
+		return p
+	}
+	return false
+}
+
 // Interface is what checkers need from a specification.
 type Interface interface {
 	// Name identifies the spec in reports.
@@ -60,7 +113,7 @@ type Interface interface {
 
 // TSL adapts a family of tsl transitions over a concrete state type S
 // into a checker-facing Interface. Return values are compared with
-// reflect.DeepEqual.
+// Equal.
 type TSL[S any] struct {
 	// SpecName identifies the spec.
 	SpecName string
@@ -94,7 +147,7 @@ func (t *TSL[S]) Step(s State, op Op, ret Ret) ([]State, bool) {
 	}
 	next := make([]State, 0, len(r.Outcomes))
 	for _, o := range r.Outcomes {
-		if _, isPending := ret.(pending); !isPending && !reflect.DeepEqual(o.Val, ret) {
+		if _, isPending := ret.(pending); !isPending && !Equal(o.Val, ret) {
 			continue
 		}
 		next = append(next, State(o.State))

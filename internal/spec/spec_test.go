@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/tsl"
@@ -122,5 +124,65 @@ func TestKeyDefaultsToFormat(t *testing.T) {
 func TestPendingIsPrintable(t *testing.T) {
 	if got := Pending.(interface{ String() string }).String(); got != "<pending>" {
 		t.Fatalf("pending prints as %q", got)
+	}
+}
+
+// boxed is comparable, but == on two of them panics when V holds a
+// slice.
+type boxed struct{ V any }
+
+type pair struct {
+	N int
+	S string
+}
+
+// TestEqualIsDeepEqual: Equal says what reflect.DeepEqual says, on
+// every kind of return value a spec or a harness hands it — plain
+// values it compares with ==, the rest it hands to DeepEqual — and never
+// panics, not even on a comparable struct whose interface field holds a
+// slice.
+func TestEqualIsDeepEqual(t *testing.T) {
+	one, otherOne, two := 1, 1, 2
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		a, b Ret
+		want bool
+	}{
+		{"nil", nil, nil, true},
+		{"nil and a value", nil, false, false},
+		{"bools", true, true, true},
+		{"different bools", true, false, false},
+		{"ints", 3, 3, true},
+		{"int and int64", 3, int64(3), false},
+		{"strings", "m0", "m0", true},
+		{"different strings", "m0", "m1", false},
+		{"NaN", nan, nan, false},
+		{"plain structs", pair{1, "a"}, pair{1, "a"}, true},
+		{"different plain structs", pair{1, "a"}, pair{1, "b"}, false},
+		{"arrays", [2]pair{{1, "a"}}, [2]pair{{1, "a"}}, true},
+		{"pending", Pending, Pending, true},
+		{"pending and nil", Pending, nil, false},
+		{"slices", []pair{{1, "a"}}, []pair{{1, "a"}}, true},
+		{"different slices", []pair{{1, "a"}}, []pair{{2, "a"}}, false},
+		{"nil and empty slice", []pair(nil), []pair{}, false},
+		{"boxed slices", boxed{[]int{1}}, boxed{[]int{1}}, true},
+		{"different boxed slices", boxed{[]int{1}}, boxed{[]int{2}}, false},
+		{"boxed slice and boxed int", boxed{[]int{1}}, boxed{1}, false},
+		{"boxed ints", boxed{1}, boxed{1}, true},
+		{"one pointer", &one, &one, true},
+		{"pointers to equal values", &one, &otherOne, true},
+		{"pointers to different values", &one, &two, false},
+		{"maps", map[string]int{"a": 1}, map[string]int{"a": 1}, true},
+	} {
+		if got := Equal(c.a, c.b); got != c.want {
+			t.Errorf("%s: Equal(%#v, %#v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
+		if deep := reflect.DeepEqual(c.a, c.b); deep != c.want {
+			t.Errorf("%s: the table disagrees with reflect.DeepEqual (%v)", c.name, deep)
+		}
+		if got := Equal(c.b, c.a); got != c.want {
+			t.Errorf("%s: Equal is not symmetric", c.name)
+		}
 	}
 }
