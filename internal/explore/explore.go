@@ -748,8 +748,10 @@ func Replay(s *Scenario, choices []int) (trace []string, h history.History, reas
 // Minimize shrinks a failing choice sequence (delta-debugging lite): it
 // repeatedly tries truncating the suffix and lowering individual
 // choices to smaller options, keeping any variant that still fails.
-// Because ScriptChooser treats exhausted and out-of-range entries as
-// option 0, every candidate is a valid schedule. The result reproduces
+// ScriptChooser answers 0 once a script is exhausted and clamps an
+// out-of-range entry into range — c ≥ n to n−1, which at a "sched" point
+// that allows crashes is the crash option, and c < 0 to 0 — so every
+// candidate is a valid schedule. The result reproduces
 // a failure (not necessarily the same one) and is usually much easier
 // to read.
 func Minimize(s *Scenario, choices []int) []int {

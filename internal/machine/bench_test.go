@@ -18,6 +18,26 @@ func BenchmarkStepThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkStepHandoff is BenchmarkStepThroughput with two threads and
+// a chooser that always picks the other one: every step hands over, the
+// price of the coroutine switches a step that keeps its thread skips.
+func BenchmarkStepHandoff(b *testing.B) {
+	alt := &alternate{}
+	m := New(Options{MaxSteps: b.N + 10, Observer: alt})
+	res := m.RunEra(alt, false, func(t *T) {
+		loop := func(c *T) {
+			for i := 0; i < b.N/2; i++ {
+				c.Step("bench")
+			}
+		}
+		t.Go(loop)
+		loop(t)
+	})
+	if res.Outcome != Done {
+		b.Fatal(res.Err)
+	}
+}
+
 func BenchmarkRefLoadStore(b *testing.B) {
 	m := New(Options{MaxSteps: 3*b.N + 10})
 	res := m.RunEra(SeqChooser{}, false, func(t *T) {

@@ -51,9 +51,9 @@ func (f ChooserFunc) Choose(n int, tag string) int { return f(n, tag) }
 // injected. The Chooser alone cannot see this — it is offered an
 // anonymous option count, while the machine knows which runnable
 // thread an option denotes. internal/explore uses an Observer to
-// record replayable counterexample schedules. Callbacks run on the
-// scheduler, between atomic steps; they must not call back into the
-// machine.
+// record replayable counterexample schedules. Callbacks run between
+// atomic steps, on the scheduler or on the thread that stepped (see
+// T.Step); they must not call back into the machine.
 type Observer interface {
 	// Scheduled reports that the next atomic step belongs to tid.
 	Scheduled(tid TID)
@@ -152,6 +152,13 @@ type Machine struct {
 
 	steps   int
 	failure error
+
+	// allowCrash is the running era's: a "sched" draw offers a crash.
+	// handed is a draw over handedN options that a stepping thread made
+	// and parked on (see T.Step), for RunEra to act on instead of drawing
+	// again; handedN is 0 when no draw is waiting.
+	allowCrash      bool
+	handed, handedN int
 
 	// trace is a ring of the last opts.TraceDepth lines: it grows by
 	// append until full, then traceHead is the oldest line's slot.
@@ -259,8 +266,10 @@ func (m *Machine) CrashReset() {
 // the era that just crashed (RunEra leaves it installed). Outside any
 // era (unit tests driving CrashReset directly) there is no chooser and
 // the first option is taken, preserving the deterministic default.
-// Out-of-range answers are clamped to 0, matching ScriptChooser's
-// treatment of exhausted scripts so replay and minimization stay valid.
+// An out-of-range answer is taken as 0, the option ScriptChooser gives
+// once its script is exhausted, so replay and minimization stay valid.
+// (ScriptChooser itself maps an out-of-range entry c ≥ n to n−1 and
+// c < 0 to 0, so it never gives this method one.)
 func (m *Machine) CrashChoose(n int, tag string) int {
 	if n <= 1 || m.chooser == nil {
 		return 0
@@ -292,32 +301,29 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 		m.running = false
 	}()
 
-	m.chooser = chooser
+	m.chooser, m.allowCrash = chooser, allowCrash
 	m.failure = nil
 	m.alive = 0
 
 	m.spawn(main)
 
 	for {
-		if m.failure != nil {
-			m.killAll()
-			return EraResult{Outcome: Violation, Err: m.failure}
-		}
-		runnable := m.runnable()
-		if len(runnable) == 0 {
-			if m.alive == 0 {
-				return EraResult{Outcome: Done}
+		choice, n := m.handed, m.handedN
+		m.handedN = 0
+		if n == 0 {
+			if m.failure != nil {
+				m.killAll()
+				return EraResult{Outcome: Violation, Err: m.failure}
 			}
-			m.Failf("deadlock: %d thread(s) blocked with no runnable thread", m.alive)
-			m.killAll()
-			return EraResult{Outcome: Violation, Err: m.failure}
+			if choice, n = m.draw(); n == 0 {
+				if m.alive == 0 {
+					return EraResult{Outcome: Done}
+				}
+				m.Failf("deadlock: %d thread(s) blocked with no runnable thread", m.alive)
+				m.killAll()
+				return EraResult{Outcome: Violation, Err: m.failure}
+			}
 		}
-
-		n := len(runnable)
-		if allowCrash {
-			n++
-		}
-		choice := m.chooser.Choose(n, "sched")
 		if choice < 0 || choice >= n {
 			m.Failf("chooser returned %d out of range [0,%d)", choice, n)
 			m.killAll()
@@ -332,7 +338,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 			return EraResult{Outcome: Crashed}
 		}
 
-		th := runnable[choice]
+		th := m.ready[choice]
 		if m.opts.Observer != nil {
 			m.opts.Observer.Scheduled(th.id)
 		}
@@ -342,6 +348,20 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 			m.Failf("step budget exceeded (%d steps): possible infinite loop or livelock", m.opts.MaxSteps)
 		}
 	}
+}
+
+// draw is the scheduler's one draw: a "sched" choice over the runnable
+// threads, which it leaves in m.ready, plus a last option to crash when
+// the era allows it. n is the number of options, 0 when no thread is
+// runnable, and then nothing is drawn.
+func (m *Machine) draw() (choice, n int) {
+	if n = len(m.runnable()); n == 0 {
+		return 0, 0
+	}
+	if m.allowCrash {
+		n++
+	}
+	return m.chooser.Choose(n, "sched"), n
 }
 
 func (m *Machine) runnable() []*thread {
@@ -425,13 +445,31 @@ func (t *T) park(st status) {
 	}
 }
 
-// Step marks an atomic step boundary: the thread parks and the scheduler
-// picks who runs next. Device packages call this exactly once per
-// primitive, before applying the primitive's effect. tag names the
-// primitive for readers of the call site.
+// Step marks an atomic step boundary: the scheduler picks who runs next.
+// Device packages call this exactly once per primitive, before applying
+// the primitive's effect. tag names the primitive for readers of the
+// call site.
+//
+// The thread makes the scheduler's draw itself, on its own carrier: when
+// the draw picks it again it goes on without parking, which is most
+// steps and saves two coroutine switches each. Any other answer — another
+// thread, a crash, out of range — it parks on and hands to RunEra, which
+// acts on it without drawing again. A step past the budget, or after a
+// recorded failure, draws nothing and parks, for RunEra to end the era.
 func (t *T) Step(tag string) {
+	m := t.m
 	if !t.th.dead {
-		t.m.steps++
+		m.steps++
+		if m.steps <= m.opts.MaxSteps && m.failure == nil {
+			c, n := m.draw()
+			if c >= 0 && c < len(m.ready) && m.ready[c] == t.th {
+				if m.opts.Observer != nil {
+					m.opts.Observer.Scheduled(t.th.id)
+				}
+				return
+			}
+			m.handed, m.handedN = c, n
+		}
 	}
 	t.park(statusReady)
 }

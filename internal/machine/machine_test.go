@@ -232,15 +232,30 @@ func TestReleaseWithoutHoldIsViolation(t *testing.T) {
 	}
 }
 
+// TestStepBudgetCatchesInfiniteLoop: the step past the budget ends the
+// era, whether every step kept its thread (one thread spinning) or
+// handed it to the other (two spinning threads, alternated).
 func TestStepBudgetCatchesInfiniteLoop(t *testing.T) {
-	m := New(Options{MaxSteps: 500})
-	res := m.RunEra(SeqChooser{}, false, func(mt *T) {
+	spin := func(mt *T) {
 		for {
 			mt.Step("spin") // the §9.5 Pickup infinite-loop bug class
 		}
-	})
-	if res.Outcome != Violation || !strings.Contains(res.Err.Error(), "infinite loop") {
-		t.Fatalf("res=%+v", res)
+	}
+	for _, threads := range []int{1, 2} {
+		alt := &alternate{}
+		m := New(Options{MaxSteps: 500, Observer: alt})
+		res := m.RunEra(alt, false, func(mt *T) {
+			if threads == 2 {
+				mt.Go(spin)
+			}
+			spin(mt)
+		})
+		if res.Outcome != Violation || !strings.Contains(res.Err.Error(), "infinite loop") {
+			t.Fatalf("%d thread(s): res=%+v", threads, res)
+		}
+		if m.Steps() != 501 || alt.n != 501 {
+			t.Fatalf("%d thread(s): %d steps, %d scheduled, at the violation; want 501 of each", threads, m.Steps(), alt.n)
+		}
 	}
 }
 

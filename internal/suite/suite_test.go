@@ -29,10 +29,12 @@ func TestVerifiedSuiteAllClean(t *testing.T) {
 			t.Errorf("the verified pass left %d goroutines, started with %d", after, before)
 		}
 	}()
+	var shapes []string
 	for _, e := range Verified() {
 		e := e
 		t.Run(e.Scenario.Name, func(t *testing.T) {
 			opts := e.Opts
+			opts.Workers = 1
 			if testing.Short() {
 				opts.MaxExecutions = 1000
 			}
@@ -41,17 +43,24 @@ func TestVerifiedSuiteAllClean(t *testing.T) {
 			if !rep.OK() {
 				t.Fatalf("violation:\n%s", rep.Counterexample.Format())
 			}
+			shapes = append(shapes, searchShape(rep, nil))
 		})
+	}
+	if !testing.Short() {
+		matchSearchGolden(t, shapes)
 	}
 }
 
 // TestBugSuiteAllFound requires each seeded bug to produce a
 // counterexample.
 func TestBugSuiteAllFound(t *testing.T) {
+	var shapes []string
 	for _, e := range Bugs() {
 		e := e
 		t.Run(e.Scenario.Name, func(t *testing.T) {
-			rep := explore.Run(e.Scenario, e.Opts)
+			opts := e.Opts
+			opts.Workers = 1
+			rep := explore.Run(e.Scenario, opts)
 			t.Logf("%s", rep)
 			if rep.OK() {
 				t.Fatal("seeded bug not found")
@@ -59,7 +68,60 @@ func TestBugSuiteAllFound(t *testing.T) {
 			if len(rep.Counterexample.Choices) == 0 {
 				t.Fatal("counterexample has no reproduction choices")
 			}
+			shapes = append(shapes, searchShape(rep, explore.Minimize(e.Scenario, rep.Counterexample.Choices)))
 		})
+	}
+	matchSearchGolden(t, shapes)
+}
+
+const searchGolden = "testdata/search.golden"
+
+// searchShape is an entry's line of testdata/search.golden: what its
+// Workers: 1 search explored, counted every way the report counts it,
+// and for a seeded bug the minimized counterexample's choices. A change
+// to how an execution runs, not to what it runs, leaves every line as it
+// is.
+func searchShape(rep *explore.Report, min []int) string {
+	st := rep.Stats
+	line := fmt.Sprintf("%s execs=%d crashed=%d states=%d boundaries=%d pruned=%d verdicts=%d/%d",
+		rep.Scenario, rep.Executions, rep.CrashedExecutions, rep.CheckedStates,
+		st.DistinctBoundaries, st.PrunedStates, st.VerdictsDistinct, st.VerdictsReused)
+	if min != nil {
+		line += fmt.Sprintf(" min=%v", min)
+	}
+	return line
+}
+
+// matchSearchGolden compares each searchShape line with the golden's
+// line for the same entry. -update rewrites those lines and keeps the
+// others; regenerate with
+// go test -run 'TestVerifiedSuiteAllClean|TestBugSuiteAllFound' -update ./internal/suite.
+func matchSearchGolden(t *testing.T, got []string) {
+	t.Helper()
+	data, err := os.ReadFile(searchGolden)
+	if err != nil && !(*update && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	entry := func(line string) string { name, _, _ := strings.Cut(line, " "); return name }
+	for _, line := range got {
+		i := slices.IndexFunc(want, func(w string) bool { return entry(w) == entry(line) })
+		switch {
+		case *update && i < 0:
+			want = append(want, line)
+		case *update:
+			want[i] = line
+		case i < 0:
+			t.Errorf("%s is not in %s", entry(line), searchGolden)
+		case want[i] != line:
+			t.Errorf("search shape moved\n got: %s\nwant: %s", line, want[i])
+		}
+	}
+	if *update {
+		want = slices.DeleteFunc(want, func(w string) bool { return w == "" })
+		if err := os.WriteFile(searchGolden, []byte(strings.Join(want, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
