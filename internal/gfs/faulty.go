@@ -214,7 +214,7 @@ func (f *Faulty) NoSpaceNow(detail string) {
 func (f *Faulty) FreeSpace() { f.noSpace.Store(false) }
 
 // describe renders the detail a fault.Event and the trace lines carry.
-// The gates call it only once the policy has decided to inject, so a
+// The gate calls it only once the policy has decided to inject, so a
 // call that does not fault costs its counter and one Decide — no string
 // is built for it.
 type describe func() string
@@ -225,89 +225,54 @@ func (f *Faulty) record(c fault.Class, idx uint64, detail string) {
 	f.Metrics.FaultInjected(c)
 }
 
-// noSpaceGate is the per-write disk-full gate, consulted by the
-// space-consuming operations (Create, Append, Link) after the
-// fail-stop gate. It reports true when the write must fail
-// ENOSPC-style: either the latch is already set (no policy consult, no
-// index allocated — see the noSpace field's double-count note), or
-// this write is the policy-chosen moment the disk fills. Each unlatched
-// write is one decision point with its own index, so seeded schedules
-// replay and the checker enumerates "the disk fills at write i" for
-// every i under the "nospace" tag.
-func (f *Faulty) noSpaceGate(t T, what describe) bool {
-	if f.noSpace.Load() {
+// gate is the decision point of class c. It reports true when the
+// operation must fail without reaching the inner backend. Every
+// operation passes the fail-stop gate before anything else (a dead disk
+// fails reads, listings and stats too), and the space-consuming ones
+// (Create, Append, Link) pass the no-space gate next.
+//
+// Fail-stop and no-space have a latch. Once it is set, every call fails
+// as one step ("fs.dead", "fs.enospc") with no policy consult and no
+// index: a durable class charges the budget once, at injection, so a
+// latch surviving a crash is not double-counted on replay. Any other
+// call is one decision point with its own index, so seeded schedules
+// replay and the checker enumerates "the fault strikes at call i" for
+// every i. An injection is one atomic step, like a real faulted syscall
+// ("fs.failstop", "fs.nospace", "fs.fault"); it is then traced, logged
+// and counted, and it sets the class's latch.
+func (f *Faulty) gate(t T, c fault.Class, what describe) bool {
+	var latch *atomic.Bool
+	dead, step, class := "", "fs.fault", c.String()
+	switch c {
+	case fault.FailStop:
+		latch, dead, step, class = &f.failStopped, "fs.dead", "fs.failstop", ""
+	case fault.NoSpace:
+		latch, dead, step, class = &f.noSpace, "fs.enospc", "fs.nospace", ""
+	}
+	if latch != nil && latch.Load() {
 		if mt, ok := t.(*machine.T); ok {
-			mt.Step("fs.enospc")
+			mt.Step(dead)
 		}
 		return true
 	}
-	idx, inject := f.log.Decide(t, f.policy, fault.NoSpace)
-	if !inject {
-		return false
-	}
-	detail := what()
-	if mt, ok := t.(*machine.T); ok {
-		mt.Step("fs.nospace")
-		if mt.Tracing() {
-			mt.Tracef("fs.nospace #%d %s", idx, detail)
-		}
-	}
-	f.noSpace.Store(true)
-	f.record(fault.NoSpace, idx, detail)
-	if trace.Active(t) {
-		trace.Event(t, "fault injected: %s %s", fault.NoSpace, detail)
-	}
-	return true
-}
-
-// failStop is the per-operation fail-stop gate, consulted by every
-// operation before anything else (including the classes that are never
-// transiently faulted — a dead disk fails reads, listings and stats
-// too). It reports true when the operation must fail: either the latch
-// is already set, or this operation is the policy-chosen point of
-// death. Each alive call is one decision point with its own index, so
-// seeded schedules replay and the model checker enumerates "the replica
-// dies at step i" for every i.
-func (f *Faulty) failStop(t T, what describe) bool {
-	if f.failStopped.Load() {
-		if mt, ok := t.(*machine.T); ok {
-			mt.Step("fs.dead")
-		}
-		return true
-	}
-	idx, inject := f.log.Decide(t, f.policy, fault.FailStop)
-	if !inject {
-		return false
-	}
-	detail := what()
-	if mt, ok := t.(*machine.T); ok {
-		mt.Step("fs.failstop")
-		if mt.Tracing() {
-			mt.Tracef("fs.failstop #%d %s", idx, detail)
-		}
-	}
-	f.failStopped.Store(true)
-	f.record(fault.FailStop, idx, detail)
-	return true
-}
-
-// begin is the transient gate of class c. On injection it makes the
-// failed operation, under the model, one atomic step (like a real
-// faulted syscall) and records the event.
-func (f *Faulty) begin(t T, c fault.Class, what describe) bool {
 	idx, inject := f.log.Decide(t, f.policy, c)
 	if !inject {
 		return false
 	}
 	detail := what()
 	if mt, ok := t.(*machine.T); ok {
-		mt.Step("fs.fault")
+		mt.Step(step)
 		if mt.Tracing() {
-			mt.Tracef("fs.fault %s#%d %s", c, idx, detail)
+			mt.Tracef("%s %s#%d %s", step, class, idx, detail)
 		}
 	}
+	if latch != nil {
+		latch.Store(true)
+	}
 	f.record(c, idx, detail)
-	if trace.Active(t) {
+	// A fail-stop puts no event on the request's span; a mirror above
+	// reports the replica's death there.
+	if c != fault.FailStop && trace.Active(t) {
 		trace.Event(t, "fault injected: %s %s", c, detail)
 	}
 	return true
@@ -321,10 +286,8 @@ func (f *Faulty) NewLock(t T, name string) Lock { return f.inner.NewLock(t, name
 // transient fd-exhaustion class, before the ordinary fault.Create class.
 func (f *Faulty) Create(t T, dir, name string) (FD, bool) {
 	what := func() string { return "create " + dir + "/" + name }
-	if f.failStop(t, what) || f.noSpaceGate(t, what) || f.begin(t, fault.NoFiles, what) {
-		return nil, false
-	}
-	if f.begin(t, fault.Create, func() string { return dir + "/" + name }) {
+	if f.gate(t, fault.FailStop, what) || f.gate(t, fault.NoSpace, what) || f.gate(t, fault.NoFiles, what) ||
+		f.gate(t, fault.Create, func() string { return dir + "/" + name }) {
 		return nil, false
 	}
 	return f.inner.Create(t, dir, name)
@@ -338,7 +301,7 @@ func (f *Faulty) Create(t T, dir, name string) (FD, bool) {
 // before the (still successful) open observes them.
 func (f *Faulty) Open(t T, dir, name string) (FD, bool) {
 	what := func() string { return "open " + dir + "/" + name }
-	if f.failStop(t, what) || f.begin(t, fault.NoFiles, what) {
+	if f.gate(t, fault.FailStop, what) || f.gate(t, fault.NoFiles, what) {
 		return nil, false
 	}
 	f.corrupt(t, dir, name)
@@ -373,13 +336,9 @@ func (f *Faulty) corrupt(t T, dir, name string) {
 // Append implements System. Appending consumes space, so it passes the
 // no-space gate before the transient fault.Append class.
 func (f *Faulty) Append(t T, fd FD, data []byte) bool {
-	if f.failStop(t, func() string { return "append" }) {
-		return false
-	}
-	if f.noSpaceGate(t, func() string { return fmt.Sprintf("append %d bytes", len(data)) }) {
-		return false
-	}
-	if f.begin(t, fault.Append, func() string { return fmt.Sprintf("%d bytes", len(data)) }) {
+	if f.gate(t, fault.FailStop, func() string { return "append" }) ||
+		f.gate(t, fault.NoSpace, func() string { return fmt.Sprintf("append %d bytes", len(data)) }) ||
+		f.gate(t, fault.Append, func() string { return fmt.Sprintf("%d bytes", len(data)) }) {
 		return false
 	}
 	return f.inner.Append(t, fd, data)
@@ -397,7 +356,7 @@ func (f *Faulty) Close(t T, fd FD) { f.inner.Close(t, fd) }
 // empty read as end-of-file are exactly why Mirrored checks the latch
 // (FailStopped) rather than inferring death from results.
 func (f *Faulty) ReadAt(t T, fd FD, off, n uint64) []byte {
-	if f.failStop(t, func() string { return fmt.Sprintf("read off %d", off) }) {
+	if f.gate(t, fault.FailStop, func() string { return fmt.Sprintf("read off %d", off) }) {
 		return nil
 	}
 	data := f.inner.ReadAt(t, fd, off, n)
@@ -405,7 +364,7 @@ func (f *Faulty) ReadAt(t T, fd FD, off, n uint64) []byte {
 		return data
 	}
 	short := (len(data) + 1) / 2
-	if f.begin(t, fault.ReadShort, func() string { return fmt.Sprintf("off %d: %d -> %d bytes", off, len(data), short) }) {
+	if f.gate(t, fault.ReadShort, func() string { return fmt.Sprintf("off %d: %d -> %d bytes", off, len(data), short) }) {
 		return data[:short]
 	}
 	return data
@@ -414,7 +373,7 @@ func (f *Faulty) ReadAt(t T, fd FD, off, n uint64) []byte {
 // Size implements System (no transient class). A fail-stopped backend
 // reports zero; callers distinguish "dead" from "empty" via FailStopped.
 func (f *Faulty) Size(t T, fd FD) uint64 {
-	if f.failStop(t, func() string { return "size" }) {
+	if f.gate(t, fault.FailStop, func() string { return "size" }) {
 		return 0
 	}
 	return f.inner.Size(t, fd)
@@ -422,10 +381,7 @@ func (f *Faulty) Size(t T, fd FD) uint64 {
 
 // Sync implements System.
 func (f *Faulty) Sync(t T, fd FD) bool {
-	if f.failStop(t, func() string { return "sync" }) {
-		return false
-	}
-	if f.begin(t, fault.Sync, func() string { return "" }) {
+	if f.gate(t, fault.FailStop, func() string { return "sync" }) || f.gate(t, fault.Sync, func() string { return "" }) {
 		return false
 	}
 	return f.inner.Sync(t, fd)
@@ -436,10 +392,7 @@ func (f *Faulty) Sync(t T, fd FD) bool {
 // the barrier did not happen — the caller must not ack anything that
 // depended on it (though, unlike a file Sync, it may retry).
 func (f *Faulty) SyncDir(t T, dir string) bool {
-	if f.failStop(t, func() string { return "syncdir " + dir }) {
-		return false
-	}
-	if f.begin(t, fault.Sync, func() string { return dir }) {
+	if f.gate(t, fault.FailStop, func() string { return "syncdir " + dir }) || f.gate(t, fault.Sync, func() string { return dir }) {
 		return false
 	}
 	return f.inner.SyncDir(t, dir)
@@ -449,10 +402,8 @@ func (f *Faulty) SyncDir(t T, dir string) bool {
 // latch — removing data is how a full disk recovers — and a successful
 // delete releases space, clearing the latch.
 func (f *Faulty) Delete(t T, dir, name string) bool {
-	if f.failStop(t, func() string { return "delete " + dir + "/" + name }) {
-		return false
-	}
-	if f.begin(t, fault.Delete, func() string { return dir + "/" + name }) {
+	if f.gate(t, fault.FailStop, func() string { return "delete " + dir + "/" + name }) ||
+		f.gate(t, fault.Delete, func() string { return dir + "/" + name }) {
 		return false
 	}
 	ok := f.inner.Delete(t, dir, name)
@@ -467,7 +418,7 @@ func (f *Faulty) Delete(t T, dir, name string) bool {
 func (f *Faulty) Link(t T, oldDir, oldName, newDir, newName string) bool {
 	arrow := func() string { return oldDir + "/" + oldName + " -> " + newDir + "/" + newName }
 	what := func() string { return "link " + arrow() }
-	if f.failStop(t, what) || f.noSpaceGate(t, what) || f.begin(t, fault.Link, arrow) {
+	if f.gate(t, fault.FailStop, what) || f.gate(t, fault.NoSpace, what) || f.gate(t, fault.Link, arrow) {
 		return false
 	}
 	return f.inner.Link(t, oldDir, oldName, newDir, newName)
@@ -476,7 +427,7 @@ func (f *Faulty) Link(t T, oldDir, oldName, newDir, newName string) bool {
 // List implements System (no transient class; the model keeps it
 // atomic). A fail-stopped backend lists nothing.
 func (f *Faulty) List(t T, dir string) []string {
-	if f.failStop(t, func() string { return "list " + dir }) {
+	if f.gate(t, fault.FailStop, func() string { return "list " + dir }) {
 		return nil
 	}
 	return f.inner.List(t, dir)

@@ -432,41 +432,52 @@ type mirrorFD struct {
 // gates NewLock, so a dead replica 0 still allocates).
 func (m *Mirrored) NewLock(t T, name string) Lock { return m.rep[0].NewLock(t, name) }
 
-// Create implements System: insert-ordered, replica 1 first. A mixed
-// result with both replicas alive means the second leg transiently
-// failed (the ordering invariant excludes honest disagreement), so the
-// first leg is undone and the create reports failure.
+// Create implements System through insert, each leg a Create: a
+// failed create leaves no orphan (and no burnt name).
 func (m *Mirrored) Create(t T, dir, name string) (FD, bool) {
-	if !m.alive(1) {
-		fd, ok := m.rep[0].Create(t, dir, name)
-		if !ok {
-			m.noteDead(t, 0)
-			return nil, false
+	var w [2]FD
+	ok := m.insert(t, func(i int) bool {
+		fd, ok := m.rep[i].Create(t, dir, name)
+		if ok {
+			w[i] = fd
 		}
-		return &mirrorFD{w: [2]FD{fd, nil}}, true
-	}
-	fd1, ok1 := m.rep[1].Create(t, dir, name)
-	if !ok1 {
-		if m.noteDead(t, 1) {
-			return m.Create(t, dir, name) // reroute to the survivor
-		}
-		return nil, false // exists (or replica 1 transient): nothing touched
-	}
-	if !m.alive(0) {
-		return &mirrorFD{w: [2]FD{nil, fd1}}, true
-	}
-	fd0, ok0 := m.rep[0].Create(t, dir, name)
-	if !ok0 {
-		if m.noteDead(t, 0) {
-			return &mirrorFD{w: [2]FD{nil, fd1}}, true
-		}
-		// Replica 0 alive but refused: undo the replica 1 leg so the
-		// failed create leaves no orphan (and no burnt name).
-		m.rep[1].Close(t, fd1)
+		return ok
+	}, func() {
+		m.rep[1].Close(t, w[1])
 		m.rep[1].Delete(t, dir, name)
+	})
+	if !ok {
 		return nil, false
 	}
-	return &mirrorFD{w: [2]FD{fd0, fd1}}, true
+	return &mirrorFD{w: w}, true
+}
+
+// insert is the mirror's one insertion order, shared by Create and
+// Link: leg(i) inserts on replica i, replica 1 first. A dead first leg
+// reroutes to the survivor; a refusal by a live replica 1 touches
+// nothing. A dead second leg leaves the first leg standing. A second
+// leg refused while replica 0 lives is a transient failure (the
+// ordering invariant excludes honest disagreement), so undo removes
+// replica 1's leg and the insertion reports failure.
+func (m *Mirrored) insert(t T, leg func(i int) bool, undo func()) bool {
+	if !m.alive(1) {
+		if leg(0) {
+			return true
+		}
+		m.noteDead(t, 0)
+		return false
+	}
+	if !leg(1) {
+		if m.noteDead(t, 1) {
+			return m.insert(t, leg, undo) // reroute to the survivor
+		}
+		return false // exists (or replica 1 transient): nothing touched
+	}
+	if !m.alive(0) || leg(0) || m.noteDead(t, 0) {
+		return true
+	}
+	undo()
+	return false
 }
 
 // Open implements System: serves from the published replica, failing
@@ -646,81 +657,74 @@ func (m *Mirrored) failoverFD(t T, mf *mirrorFD) bool {
 	return true
 }
 
-// ReadAt implements System. ReadAt is stateless in the offset, so a
-// mid-read failover just re-issues the same (off, n) on the survivor.
-func (m *Mirrored) ReadAt(t T, fd FD, off, n uint64) []byte {
-	mf := fd.(*mirrorFD)
-	if !mf.reading {
-		// Append-mode reads are unusual but legal; serve a live leg.
-		for _, i := range []int{0, 1} {
-			if mf.w[i] != nil && m.alive(i) {
-				return m.rep[i].ReadAt(t, mf.w[i], off, n)
-			}
-		}
-		return nil
-	}
-	if mf.rfd == nil {
-		return nil
-	}
-	data := m.rep[mf.rep].ReadAt(t, mf.rfd, off, n)
-	if len(data) == 0 && m.noteDead(t, mf.rep) && m.failoverFD(t, mf) {
-		data = m.rep[mf.rep].ReadAt(t, mf.rfd, off, n)
-	}
+// ReadAt implements System through read. ReadAt is stateless in the
+// offset, so a mid-read failover just re-issues the same (off, n).
+func (m *Mirrored) ReadAt(t T, fd FD, off, n uint64) (data []byte) {
+	m.read(t, fd.(*mirrorFD), func(sys System, fd FD) bool {
+		data = sys.ReadAt(t, fd, off, n)
+		return len(data) > 0
+	})
 	return data
 }
 
-// Size implements System.
-func (m *Mirrored) Size(t T, fd FD) uint64 {
-	mf := fd.(*mirrorFD)
-	if !mf.reading {
-		for _, i := range []int{0, 1} {
-			if mf.w[i] != nil && m.alive(i) {
-				return m.rep[i].Size(t, mf.w[i])
-			}
-		}
-		return 0
-	}
-	if mf.rfd == nil {
-		return 0
-	}
-	size := m.rep[mf.rep].Size(t, mf.rfd)
-	if size == 0 && m.noteDead(t, mf.rep) && m.failoverFD(t, mf) {
-		size = m.rep[mf.rep].Size(t, mf.rfd)
-	}
+// Size implements System through read.
+func (m *Mirrored) Size(t T, fd FD) (size uint64) {
+	m.read(t, fd.(*mirrorFD), func(sys System, fd FD) bool {
+		size = sys.Size(t, fd)
+		return size > 0
+	})
 	return size
 }
 
-// Sync implements System: true only when every live leg made the data
-// durable (a dead replica's durability is the resilver's problem).
+// read is the mirror's one failover read, shared by ReadAt and Size:
+// op issues the call on one replica's descriptor and reports whether
+// the result is non-empty. A read descriptor whose call comes back
+// empty on a replica that died fails over to the survivor, which
+// re-issues op. An append-mode descriptor (reads there are unusual but
+// legal) is served by its first live leg.
+func (m *Mirrored) read(t T, mf *mirrorFD, op func(sys System, fd FD) bool) {
+	if !mf.reading {
+		for _, i := range []int{0, 1} {
+			if mf.w[i] != nil && m.alive(i) {
+				op(m.rep[i], mf.w[i])
+				return
+			}
+		}
+		return
+	}
+	if mf.rfd != nil && !op(m.rep[mf.rep], mf.rfd) && m.noteDead(t, mf.rep) && m.failoverFD(t, mf) {
+		op(m.rep[mf.rep], mf.rfd)
+	}
+}
+
+// Sync implements System through barrier, on the descriptor's legs.
 func (m *Mirrored) Sync(t T, fd FD) bool {
 	mf := fd.(*mirrorFD)
 	if mf.reading {
 		return m.rep[mf.rep].Sync(t, mf.rfd)
 	}
-	synced := false
-	for _, i := range []int{1, 0} {
-		if mf.w[i] == nil || !m.alive(i) {
-			continue
-		}
-		if m.rep[i].Sync(t, mf.w[i]) {
-			synced = true
-		} else if !m.noteDead(t, i) {
-			return false
-		}
-	}
-	return synced
+	return m.barrier(t, [2]bool{mf.w[0] != nil, mf.w[1] != nil}, func(i int) bool {
+		return m.rep[i].Sync(t, mf.w[i])
+	})
 }
 
-// SyncDir implements System: like Sync, true only when every live leg
-// made the directory's entries durable (a dead replica's durability is
-// the resilver's problem).
+// SyncDir implements System through barrier, on both replicas.
 func (m *Mirrored) SyncDir(t T, dir string) bool {
+	return m.barrier(t, [2]bool{true, true}, func(i int) bool { return m.rep[i].SyncDir(t, dir) })
+}
+
+// barrier is the mirror's one durability barrier, shared by Sync and
+// SyncDir: leg(i) runs on every live replica i that has a leg, replica
+// 1 first. It is true only when every leg it ran succeeded and at least
+// one ran; a leg failed by a replica that died does not count against
+// it (a dead replica's durability is the resilver's problem).
+func (m *Mirrored) barrier(t T, has [2]bool, leg func(i int) bool) bool {
 	synced := false
 	for _, i := range []int{1, 0} {
-		if !m.alive(i) {
+		if !has[i] || !m.alive(i) {
 			continue
 		}
-		if m.rep[i].SyncDir(t, dir) {
+		if leg(i) {
 			synced = true
 		} else if !m.noteDead(t, i) {
 			return false
@@ -763,33 +767,11 @@ func (m *Mirrored) Delete(t T, dir, name string) bool {
 	return true
 }
 
-// Link implements System: insert-ordered like Create, with the same
-// undo of the replica 1 leg when replica 0 transiently refuses.
+// Link implements System through insert, each leg a Link.
 func (m *Mirrored) Link(t T, oldDir, oldName, newDir, newName string) bool {
-	if !m.alive(1) {
-		ok := m.rep[0].Link(t, oldDir, oldName, newDir, newName)
-		if !ok {
-			m.noteDead(t, 0)
-		}
-		return ok
-	}
-	if !m.rep[1].Link(t, oldDir, oldName, newDir, newName) {
-		if m.noteDead(t, 1) {
-			return m.Link(t, oldDir, oldName, newDir, newName)
-		}
-		return false
-	}
-	if !m.alive(0) {
-		return true
-	}
-	if m.rep[0].Link(t, oldDir, oldName, newDir, newName) {
-		return true
-	}
-	if m.noteDead(t, 0) {
-		return true
-	}
-	m.rep[1].Delete(t, newDir, newName) // undo: leave no orphan
-	return false
+	return m.insert(t, func(i int) bool {
+		return m.rep[i].Link(t, oldDir, oldName, newDir, newName)
+	}, func() { m.rep[1].Delete(t, newDir, newName) })
 }
 
 // List implements System, from the published replica with failover.
