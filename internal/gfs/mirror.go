@@ -348,9 +348,10 @@ func (m *Mirrored) generation(t T, i int) int {
 }
 
 // bumpGeneration adds one marker file to replica j's MirrorMetaDir —
-// the write-once API's increment. Best-effort: if the survivor cannot
-// record the bump (itself dying), resilver source selection falls back
-// to the in-memory flags.
+// the write-once API's increment — and makes the new entry durable with
+// a directory barrier: a created entry is not durable until SyncDir.
+// Best-effort: if the survivor cannot record the bump (itself dying),
+// resilver source selection falls back to the in-memory flags.
 func (m *Mirrored) bumpGeneration(t T, j int) {
 	n := m.generation(t, j)
 	for k := 0; k < 8; k++ {
@@ -360,6 +361,7 @@ func (m *Mirrored) bumpGeneration(t T, j int) {
 		}
 		m.rep[j].Sync(t, fd)
 		m.rep[j].Close(t, fd)
+		m.rep[j].SyncDir(t, MirrorMetaDir)
 		return
 	}
 }
@@ -378,7 +380,7 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 	}
 	ok = m.rep[j].Sync(t, fd)
 	m.rep[j].Close(t, fd)
-	if ok {
+	if ok = ok && m.rep[j].SyncDir(t, MirrorMetaDir); ok {
 		if tracing(t) {
 			tracef(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
 		}
@@ -580,11 +582,12 @@ func (m *Mirrored) healFile(t T, dir, name string, bad int) bool {
 // would read as "unpublished orphan on the peer" and the next resilver
 // would delete the only good copy. After a successful copy the healed
 // replica's generation is bumped too, restoring equal marker counts
-// (equal generations assert "replicas identical").
+// (equal generations assert "replicas identical") — but only once a
+// directory barrier has made the rewritten entry durable.
 func (m *Mirrored) healFrom(t T, dir, name string, bad int, src judged) bool {
 	good := 1 - bad
 	m.bumpGeneration(t, good)
-	if _, ok := copyFile(t, m.raw(bad), dir, name, src); !ok {
+	if _, ok := copyFile(t, m.raw(bad), dir, name, src); !ok || !m.rep[bad].SyncDir(t, dir) {
 		m.noteDead(t, bad)
 		return false
 	}
@@ -998,9 +1001,12 @@ func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilver
 
 // resilverDir copies one directory from replica src onto its peer:
 // extraneous destination names are deleted, then every source file is
-// reconciled with the destination's copy. It returns the bytes written
-// to the destination and the names of the files either replica had
-// rewritten — the ones verifyDir must re-read.
+// reconciled with the destination's copy, and a directory the pass
+// changed ends with a barrier on the destination — data directories
+// before the generation markers declare the replicas equal, the
+// markers' own directory after they are copied. It returns the bytes
+// written to the destination and the names of the files either replica
+// had rewritten — the ones verifyDir must re-read.
 func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport, judgeSrc judgeStage) (written uint64, rewritten []string, ok bool) {
 	dst := 1 - src
 	srcNames := m.rep[src].List(t, dir)
@@ -1017,10 +1023,15 @@ func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport, judge
 	for _, name := range srcNames {
 		have[name] = true
 	}
+	deleted := false
 	for _, name := range m.rep[dst].List(t, dir) {
-		if !have[name] && !m.rep[dst].Delete(t, dir, name) {
+		if have[name] {
+			continue
+		}
+		if !m.rep[dst].Delete(t, dir, name) {
 			return 0, nil, false
 		}
+		deleted = true
 	}
 	for _, name := range srcNames {
 		n, rewrote, rok := m.reconcile(t, rep, dir, name, src, true, judgeSrc)
@@ -1031,6 +1042,9 @@ func (m *Mirrored) resilverDir(t T, src int, dir string, rep *ScrubReport, judge
 		if rewrote {
 			rewritten = append(rewritten, name)
 		}
+	}
+	if (deleted || len(rewritten) > 0) && !m.rep[dst].SyncDir(t, dir) {
+		return written, rewritten, false
 	}
 	return written, rewritten, true
 }

@@ -326,3 +326,65 @@ func TestWritebackFailedSyncDirIsNotABarrier(t *testing.T) {
 type policyFunc func(op fault.Class, index uint64) bool
 
 func (f policyFunc) Decide(_ fault.T, op fault.Class, index uint64) bool { return f(op, index) }
+
+// TestMirrorMarkersSurviveWritebackCrash: the mirror's bookkeeping
+// writes reach a directory barrier. Over writeback backends, where a
+// crash loses every directory operation since the last SyncDir, the
+// survivor's generation bump outlives the crash, and a resilver that has
+// equalized the generations leaves no copied entry pending anywhere.
+func TestMirrorMarkersSurviveWritebackCrash(t *testing.T) {
+	mm := machine.New(machine.Options{})
+	var models [2]*Model
+	var faulty [2]*Faulty
+	for i := range models {
+		models[i] = NewWritebackModel(mm, mirrorBackendDirs())
+		faulty[i] = NewFaulty(models[i], fault.Never{})
+	}
+	era := func(body func(mt *machine.T)) {
+		t.Helper()
+		if res := mm.RunEra(machine.SeqChooser{}, false, body); res.Outcome != machine.Done {
+			t.Fatalf("era: %+v", res)
+		}
+	}
+	m := NewMirrored(faulty[0], faulty[1], mirrorDirs)
+	faulty[0].FailStopNow("test")
+	era(func(mt *machine.T) {
+		fd, ok := m.Create(mt, "box", "m")
+		if !ok || !m.Append(mt, fd, []byte("acked")) || !m.Sync(mt, fd) {
+			t.Error("write failed")
+		}
+		m.Close(mt, fd)
+		if !m.SyncDir(mt, "box") {
+			t.Error("syncdir failed")
+		}
+	})
+	mm.CrashReset() // SeqChooser: every unsynced directory operation is lost
+	if got := len(models[1].PeekDir(MirrorMetaDir)); got != 1 {
+		t.Fatalf("survivor lists %d generation markers after the crash, want 1", got)
+	}
+
+	// Reboot with replica 0's disk replaced; the resilver copies the
+	// survivor over it and equalizes the generations.
+	faulty[0].Revive()
+	m = NewMirrored(faulty[0], faulty[1], mirrorDirs)
+	m.ReplaceReplica(0)
+	era(func(mt *machine.T) {
+		if _, _, ok := m.Resilver(mt); !ok {
+			t.Error("resilver failed")
+		}
+	})
+	for i, fs := range models {
+		for dir, ops := range fs.dirPending {
+			t.Errorf("replica %d: %d operations on %s pending after the resilver", i, len(ops), dir)
+		}
+	}
+	mm.CrashReset()
+	for i, fs := range models {
+		if got := dirNames(fs, "box"); !sameNames(got, []string{"m"}) {
+			t.Errorf("replica %d: box holds %v after the second crash, want [m]", i, got)
+		}
+		if got := len(fs.PeekDir(MirrorMetaDir)); got != 1 {
+			t.Errorf("replica %d: %d generation markers after the second crash, want 1", i, got)
+		}
+	}
+}
