@@ -196,11 +196,11 @@ func TestCounterexampleIsReplayable(t *testing.T) {
 	if rep.OK() {
 		t.Fatal("expected a counterexample")
 	}
-	trace, _, reason := explore.Replay(s, rep.Counterexample.Choices)
-	if reason == "" {
+	cx := explore.ReplayCx(s, rep.Counterexample.Choices)
+	if cx == nil {
 		t.Fatal("replaying the counterexample choices did not reproduce the failure")
 	}
-	if len(trace) == 0 {
+	if len(cx.Trace) == 0 {
 		t.Fatal("replay produced no trace")
 	}
 }

@@ -156,8 +156,8 @@ type Scenario struct {
 
 // Counterexample captures one failing execution.
 type Counterexample struct {
-	// Choices is the decision sequence that reproduces the execution
-	// (feed it to Replay/ReplayCx or perennial-check -replay).
+	// Choices is the decision sequence that reproduces the execution:
+	// ReplayCx(s, Choices) runs it again.
 	Choices []int
 	// Schedule is the structured form of the same execution: the exact
 	// sequence of thread steps, crash points, and injected-fault /
@@ -733,16 +733,6 @@ func ReplayCx(s *Scenario, choices []int) *Counterexample {
 	var x runner
 	defer x.carriers.Release()
 	return x.runOne(s, &machine.ScriptChooser{Script: choices}, &Report{}, nil, true)
-}
-
-// Replay runs the scenario once with an explicit choice script and
-// returns the machine trace and history. Useful for debugging a
-// failure interactively; ReplayCx keeps the structured schedule too.
-func Replay(s *Scenario, choices []int) (trace []string, h history.History, reason string) {
-	if cx := ReplayCx(s, choices); cx != nil {
-		return cx.Trace, cx.History, cx.Reason
-	}
-	return nil, nil, ""
 }
 
 // Minimize shrinks a failing choice sequence (delta-debugging lite): it

@@ -198,8 +198,7 @@ func TestReplayReproducesCounterexample(t *testing.T) {
 	if rep.OK() {
 		t.Fatal("expected counterexample")
 	}
-	_, _, reason := Replay(s, rep.Counterexample.Choices)
-	if reason == "" {
+	if ReplayCx(s, rep.Counterexample.Choices) == nil {
 		t.Fatal("replay did not reproduce the failure")
 	}
 }
@@ -320,8 +319,7 @@ func TestMinimizeShrinksCounterexample(t *testing.T) {
 			len(rep.Counterexample.Choices), len(min))
 	}
 	// The minimized sequence still fails.
-	_, _, reason := Replay(s, min)
-	if reason == "" {
+	if ReplayCx(s, min) == nil {
 		t.Fatal("minimized choices no longer reproduce a failure")
 	}
 }
@@ -387,51 +385,5 @@ func TestParallelStressCleanScenario(t *testing.T) {
 	}
 	if rep.Executions < 100 {
 		t.Fatalf("executions=%d", rep.Executions)
-	}
-}
-
-func TestFormatInterleavingColumns(t *testing.T) {
-	trace := []string{
-		"t0: newlock l",
-		"t0: go -> t1",
-		"t1: acquire l",
-		"scheduler: inject crash",
-		"-- crash: memory version now 2 --",
-		"t0: recovered",
-	}
-	out := FormatInterleaving(trace)
-	lines := strings.Split(out, "\n")
-	if !strings.Contains(lines[0], "thread 0") || !strings.Contains(lines[0], "thread 1") {
-		t.Fatalf("header: %q", lines[0])
-	}
-	// t1's step must be indented into the second column.
-	var t1Line string
-	for _, l := range lines {
-		if strings.Contains(l, "acquire l") {
-			t1Line = l
-		}
-	}
-	if t1Line == "" || strings.Index(t1Line, "acquire l") < 20 {
-		t.Fatalf("t1 step not in second column: %q", t1Line)
-	}
-	if !strings.Contains(out, "== scheduler: inject crash ==") {
-		t.Fatalf("global line not centered:\n%s", out)
-	}
-}
-
-func TestFormatInterleavingNoThreads(t *testing.T) {
-	out := FormatInterleaving([]string{"just a line"})
-	if !strings.Contains(out, "just a line") {
-		t.Fatalf("out=%q", out)
-	}
-}
-
-func TestFormatInterleavingTruncatesLongSteps(t *testing.T) {
-	long := "t0: " + strings.Repeat("x", 100)
-	out := FormatInterleaving([]string{long})
-	for _, l := range strings.Split(out, "\n") {
-		if len(l) > 40 && strings.Contains(l, "x") {
-			t.Fatalf("line not truncated: %d chars", len(l))
-		}
 	}
 }
