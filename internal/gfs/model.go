@@ -44,10 +44,6 @@ type Model struct {
 	durableDirs map[string]map[string]inodeID
 	dirPending  map[string][]dirOp
 
-	// metrics, when set, receives crash-time drop accounting
-	// (un-synced bytes and directory operations lost). Nil-safe.
-	metrics *FSMetrics
-
 	// capacity, when nonzero, bounds the modeled disk: Create, Append
 	// and Link fail (ENOSPC-style false, never a model fault) once the
 	// space they would consume exceeds it. Space is charged per
@@ -128,12 +124,6 @@ func NewWritebackModel(m *machine.Machine, dirs []string) *Model {
 	return fs
 }
 
-// SetMetrics wires crash-time drop accounting (un-synced bytes and
-// directory entries lost at a crash) into m's gfs_sync_* counters.
-// Sync calls themselves are counted by the Observed middleware, not
-// here, so sharing one FSMetrics across the stack never double-counts.
-func (fs *Model) SetMetrics(m *FSMetrics) { fs.metrics = m }
-
 // SpaceEntryCost is the modeled metadata cost, in bytes, of one
 // directory entry — what Create and Link charge against the capacity
 // budget before any data is appended.
@@ -206,7 +196,6 @@ func (fs *Model) Crash() {
 		if k := fs.m.CrashChoose(len(cuts)+1, "torn"); k > 0 {
 			keep = cuts[k-1]
 		}
-		fs.metrics.SyncDropped(uint64(len(data)-keep), 0)
 		fs.inodes[ino] = data[:keep]
 		// Whatever survived the crash is on disk for good: it is the
 		// durable prefix from here on.
@@ -243,7 +232,6 @@ func (fs *Model) crashDirs() {
 				delete(durable, op.name)
 			}
 		}
-		fs.metrics.SyncDropped(0, uint64(len(ops)-k))
 	}
 	fs.dirPending = map[string][]dirOp{}
 	reachable := map[inodeID]bool{}
@@ -264,7 +252,6 @@ func (fs *Model) crashDirs() {
 	sort.Ints(orphans)
 	for _, i := range orphans {
 		ino := inodeID(i)
-		fs.metrics.SyncDropped(uint64(len(fs.inodes[ino])-fs.synced[ino]), 0)
 		delete(fs.inodes, ino)
 		delete(fs.synced, ino)
 		delete(fs.pending, ino)

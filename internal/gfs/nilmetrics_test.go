@@ -25,7 +25,6 @@ func TestNilMetricsFullStack(t *testing.T) {
 	var flts [2]*Faulty
 	for i := range mods {
 		mods[i] = NewModel(mm, all)
-		mods[i].SetMetrics(nil) // crash-time SyncDropped on a nil receiver
 		chks[i] = NewChecksummed(mods[i], dirs)
 		chks[i].Metrics = nil
 		flts[i] = NewFaulty(chks[i], fault.Never{})
@@ -87,14 +86,12 @@ func TestNilMetricsFullStack(t *testing.T) {
 }
 
 // TestNilMetricsFaultAndCrash covers the remaining nil-receiver call
-// sites: an injected fault (FaultInjected), a failed durability
-// barrier (SyncIssued with ok=false), and a crash dropping un-synced
-// bytes and directory entries (Model.Crash's SyncDropped calls under
-// writeback durability) — all through a nil *FSMetrics.
+// sites: an injected fault (FaultInjected) and a failed durability
+// barrier (SyncIssued with ok=false), through a nil *FSMetrics, and a
+// writeback crash afterwards.
 func TestNilMetricsFaultAndCrash(t *testing.T) {
 	mm := machine.New(machine.Options{})
 	fs := NewWritebackModel(mm, []string{"d"})
-	fs.SetMetrics(nil)
 	flt := NewFaulty(fs, fault.Always{Ops: map[fault.Class]bool{fault.Sync: true}})
 	flt.Metrics = nil
 	top := NewObserved(flt, nil)
@@ -117,8 +114,7 @@ func TestNilMetricsFaultAndCrash(t *testing.T) {
 		t.Fatalf("drill: %+v", res)
 	}
 	// The chooserless crash takes maximal loss: the un-synced entry
-	// rolls back and the orphaned bytes are reclaimed, both counted
-	// through fs.metrics.SyncDropped — with metrics nil.
+	// rolls back and the orphaned bytes are reclaimed.
 	mm.CrashReset()
 	if got := fs.PeekDir("d")["f"]; len(got) != 0 {
 		t.Fatalf("un-synced state survived the crash: %q", got)

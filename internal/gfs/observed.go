@@ -43,16 +43,11 @@ type FSMetrics struct {
 	latency [numOps]*obs.Histogram
 	faults  [fault.NumClasses]*obs.Counter
 
-	// gfs_sync_* family: durability-barrier accounting. Issued/failed
-	// counters are fed by Observed (so drills count what the library
-	// actually asked for, including barriers that an injected fault.Sync
-	// refused); the dropped counters are fed by Model.Crash via
-	// SetMetrics, measuring what a crash actually cost in un-synced
-	// state during modeled drills.
-	syncIssued     map[string]*obs.Counter
-	syncFailed     map[string]*obs.Counter
-	droppedBytes   *obs.Counter
-	droppedEntries *obs.Counter
+	// gfs_sync_* family: durability-barrier accounting, fed by Observed
+	// (so drills count what the library actually asked for, including
+	// barriers that an injected fault.Sync refused).
+	syncIssued map[string]*obs.Counter
+	syncFailed map[string]*obs.Counter
 }
 
 // NewFSMetrics registers the file-system metric families
@@ -79,10 +74,6 @@ func NewFSMetrics(r *obs.Registry) *FSMetrics {
 		m.syncFailed[target] = r.Counter("gfs_sync_failures_total",
 			"Durability barriers that failed (and therefore are not barriers).", "target", target)
 	}
-	m.droppedBytes = r.Counter("gfs_sync_dropped_bytes_total",
-		"Un-synced bytes dropped at crashes in modeled drills.")
-	m.droppedEntries = r.Counter("gfs_sync_dropped_entries_total",
-		"Un-synced directory operations dropped at crashes in modeled drills.")
 	return m
 }
 
@@ -96,16 +87,6 @@ func (m *FSMetrics) SyncIssued(target string, ok bool) {
 	if !ok {
 		m.syncFailed[target].Inc()
 	}
-}
-
-// SyncDropped counts un-synced state lost at a crash (called by
-// Model.Crash when wired with SetMetrics).
-func (m *FSMetrics) SyncDropped(bytes, entries uint64) {
-	if m == nil {
-		return
-	}
-	m.droppedBytes.Add(bytes)
-	m.droppedEntries.Add(entries)
 }
 
 // FaultInjected counts one injected fault (called by Faulty).

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // writebackSetup builds a writeback model with one durable entry and
@@ -241,53 +240,6 @@ func TestStrictAndBufferedModelsIgnoreWritebackChoice(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWritebackCrashMetrics: crash-time drop accounting lands on the
-// gfs_sync_* counters — directory entries dropped on the writeback
-// axis, un-synced bytes dropped both by torn truncation and by orphan
-// reclamation — and a metrics-less model stays nil-safe.
-func TestWritebackCrashMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	mm := machine.New(machine.Options{})
-	fs := NewWritebackModel(mm, []string{"d"})
-	fs.SetMetrics(NewFSMetrics(reg))
-	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-		// Durable baseline with an un-synced 4-byte tail (torn drop).
-		fd, _ := fs.Create(mt, "d", "base")
-		fs.Append(mt, fd, []byte("AAAA"))
-		fs.Sync(mt, fd)
-		fs.SyncDir(mt, "d")
-		fs.Append(mt, fd, []byte("tail"))
-		fs.Close(mt, fd)
-		// Un-synced create whose 2 bytes orphan at the crash.
-		mkFile(t, fs, mt, "d", "x", "XX")
-	})
-	if res.Outcome != machine.Done {
-		t.Fatalf("setup: %+v", res)
-	}
-	mm.CrashReset()
-	if got := fs.metrics.droppedEntries.Value(); got != 1 {
-		t.Fatalf("dropped entries = %d, want 1 (the un-synced create)", got)
-	}
-	// 4 bytes of torn tail on base; x's 2 bytes were fsynced, but the
-	// whole inode orphaned — orphan accounting only counts its un-synced
-	// bytes (0), since the synced bytes were lost to the metadata drop
-	// already counted in entries.
-	if got := fs.metrics.droppedBytes.Value(); got != 4 {
-		t.Fatalf("dropped bytes = %d, want 4 (the torn tail)", got)
-	}
-
-	// Nil-safety: the same crash path without SetMetrics must not panic.
-	mm2 := machine.New(machine.Options{})
-	fs2 := NewWritebackModel(mm2, []string{"d"})
-	res = mm2.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-		mkFile(t, fs2, mt, "d", "x", "XX")
-	})
-	if res.Outcome != machine.Done {
-		t.Fatalf("nil-metrics setup: %+v", res)
-	}
-	mm2.CrashReset()
 }
 
 // TestWritebackFailedSyncDirIsNotABarrier: a SyncDir that faults (via
