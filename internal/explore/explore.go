@@ -324,9 +324,6 @@ type Options struct {
 	StressExecutions int
 	// StressSeed seeds the randomized mode.
 	StressSeed int64
-	// StressCrashWeight makes the random chooser crash with probability
-	// 1/weight at each step when crashes are allowed. 0 means 20.
-	StressCrashWeight int
 	// Progress, when non-nil with a Sink, streams live telemetry of the
 	// systematic phase (execs/s, frontier depth, dedup hit rate,
 	// per-worker donations, budget ETA). The sampler is read-only over
@@ -342,9 +339,6 @@ type Options struct {
 func Run(s *Scenario, opts Options) *Report {
 	if opts.MaxExecutions == 0 {
 		opts.MaxExecutions = 20000
-	}
-	if opts.StressCrashWeight == 0 {
-		opts.StressCrashWeight = 20
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -390,10 +384,14 @@ func retrace(s *Scenario, cx *Counterexample) *Counterexample {
 	return cx
 }
 
+// stressCrashWeight makes a stress execution crash with probability
+// 1/stressCrashWeight at each step when crashes are allowed.
+const stressCrashWeight = 20
+
 // stressOne runs one randomized execution at seed offset i.
 func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Counterexample {
 	rc := machine.NewRandChooser(opts.StressSeed + int64(i))
-	rc.CrashWeight = opts.StressCrashWeight
+	rc.CrashWeight = stressCrashWeight
 	rc.CrashOption = s.MaxCrashes > 0
 	return x.runOne(s, rc, rep, nil, false)
 }

@@ -41,11 +41,10 @@ type ReplicaOptions struct {
 	// the catch-up resync directly — an idle primary re-syncs a rejoined
 	// backup within one ping period, it does not wait for traffic.
 	PingEvery time.Duration
-	// MaxCallRetries and RetryBackoff tune the client leg (zero values
-	// use the repl defaults, except RetryBackoff which defaults to 25ms
-	// here — a deployment must pace its retries).
-	MaxCallRetries int
-	RetryBackoff   time.Duration
+	// RetryBackoff paces the client leg's retries (default 25ms here,
+	// not repl's zero: a deployment must pace its retries); the retry
+	// count is repl's default.
+	RetryBackoff time.Duration
 }
 
 // startReplica builds the node, transport, and background loops. The
@@ -58,10 +57,7 @@ func (a *Adapter) startReplica(o Options) error {
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
 	}
-	rcfg := repl.Config{
-		MaxCallRetries: ro.MaxCallRetries,
-		RetryBackoff:   backoff,
-	}
+	rcfg := repl.Config{RetryBackoff: backoff}
 	if o.Metrics != nil {
 		rcfg.Metrics = repl.NewMetrics(o.Metrics)
 	}
