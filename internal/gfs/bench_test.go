@@ -43,6 +43,10 @@ func (o *oneFileFS) Open(gfs.T, string, string) (gfs.FD, bool)   { return theFD,
 func (o *oneFileFS) Close(gfs.T, gfs.FD)                         {}
 func (o *oneFileFS) Sync(gfs.T, gfs.FD) bool                     { return true }
 func (o *oneFileFS) Size(gfs.T, gfs.FD) uint64                   { return uint64(len(o.data)) }
+func (o *oneFileFS) SyncDir(gfs.T, string) bool                  { return true }
+func (o *oneFileFS) Link(gfs.T, string, string, string, string) bool {
+	return true
+}
 
 func (o *oneFileFS) Append(_ gfs.T, _ gfs.FD, data []byte) bool {
 	if o.capture {
@@ -206,6 +210,32 @@ func TestFaultyNeverAddsNoAllocations(t *testing.T) {
 		faulty := testing.AllocsPerRun(100, func() { op.call(f) })
 		if faulty != bare {
 			t.Errorf("%s: %v allocations through Faulty(fault.Never), %v without it", op.name, faulty, bare)
+		}
+	}
+}
+
+// TestMirroredAddsNoAllocations: over two healthy replicas the mirror's
+// one insert, barrier and failover read put nothing on the heap; a
+// Create allocates its descriptor and nothing else.
+func TestMirroredAddsNoAllocations(t *testing.T) {
+	m := gfs.NewMirrored(&oneFileFS{data: body(256)}, &oneFileFS{data: body(256)}, []string{"box"})
+	th := gfs.NewNative(1)
+	w, _ := m.Create(th, "box", "m")
+	r, _ := m.Open(th, "box", "m")
+	for _, op := range []struct {
+		name string
+		want float64
+		call func()
+	}{
+		{"Sync", 0, func() { m.Sync(th, w) }},
+		{"SyncDir", 0, func() { m.SyncDir(th, "box") }},
+		{"ReadAt", 0, func() { m.ReadAt(th, r, 0, gfs.MaxAppend) }},
+		{"Size", 0, func() { m.Size(th, r) }},
+		{"Link", 0, func() { m.Link(th, "box", "m", "box", "n") }},
+		{"Create", 1, func() { m.Create(th, "box", "m") }},
+	} {
+		if got := testing.AllocsPerRun(100, op.call); got != op.want {
+			t.Errorf("Mirrored %s: %v allocations, want %v", op.name, got, op.want)
 		}
 	}
 }
