@@ -8,14 +8,15 @@
 // Usage:
 //
 //	perennial-check [-pattern substr] [-max N] [-workers N]
-//	                [-nodedup] [-selfcheck] [-v] [-min] [-progress d]
+//	                [-noreduce] [-selfcheck] [-v] [-min] [-progress d]
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // The systematic search runs on -workers workers (default GOMAXPROCS)
-// with crash-boundary state dedup on (disable with -nodedup).
-// -selfcheck runs every selected scenario twice — dedup off and on —
-// and fails if pruning changes any verdict (the mechanical witness of
-// DESIGN.md "The checker"). -progress streams live search telemetry to
+// with its two reductions on, crash-boundary state dedup and sleep sets
+// (disable both with -noreduce). -selfcheck runs every selected
+// scenario twice — reductions off and on — and fails if they change a
+// verdict, completeness, or a complete search's set of outcomes (the
+// mechanical witness of DESIGN.md "The checker"). -progress streams live search telemetry to
 // stderr at the given period (execs/s, frontier depth, dedup hit rate,
 // per-worker donations, budget ETA); it reads only lock-free counters,
 // so verdicts and counterexamples are identical with and without it.
@@ -46,8 +47,8 @@ var (
 	pattern    = flag.String("pattern", "", "only run scenarios whose pattern or name contains this substring")
 	maxExec    = flag.Int("max", 0, "override per-scenario execution budget")
 	workers    = flag.Int("workers", 0, "systematic-search workers (0 = GOMAXPROCS)")
-	noDedup    = flag.Bool("nodedup", false, "disable crash-boundary state dedup (escape hatch)")
-	selfCheck  = flag.Bool("selfcheck", false, "run each scenario with dedup off and on and fail if verdicts differ")
+	noReduce   = flag.Bool("noreduce", false, "disable crash-boundary state dedup and sleep sets (escape hatch)")
+	selfCheck  = flag.Bool("selfcheck", false, "run each scenario with the reductions off and on and fail if they change what it finds")
 	verbose    = flag.Bool("v", false, "print counterexamples for expected bugs too, and per-worker stats")
 	minimize   = flag.Bool("min", false, "minimize counterexample choice sequences before printing")
 	progress   = flag.Duration("progress", 0, "stream live search progress to stderr at this period (0 = off)")
@@ -85,7 +86,7 @@ func main() {
 			opts.MaxExecutions = *maxExec
 		}
 		opts.Workers = *workers
-		opts.NoDedup = *noDedup
+		opts.NoReduce = *noReduce
 		if *progress > 0 {
 			// Telemetry goes to stderr so stdout stays the stable
 			// machine-readable report surface.
@@ -96,12 +97,8 @@ func main() {
 		}
 
 		if *selfCheck {
-			if e.Scenario.Fingerprint == nil {
-				fmt.Printf("%-34s %-38s\n", e.Scenario.Name, "SKIP (no Fingerprint hook)")
-				continue
-			}
 			start := time.Now()
-			with, without, err := explore.SelfCheckDedup(e.Scenario, opts)
+			with, without, err := explore.SelfCheck(e.Scenario, opts)
 			elapsed := time.Since(start).Round(time.Millisecond)
 			if err != nil {
 				failed++
@@ -110,9 +107,9 @@ func main() {
 				continue
 			}
 			fmt.Printf("%-34s %-38s %v\n", e.Scenario.Name, "SELF-CHECK PASS", elapsed)
-			fmt.Printf("    without dedup: %s\n", without.String())
-			fmt.Printf("    with dedup:    %s (%d boundaries, %d pruned)\n",
-				with.String(), with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
+			fmt.Printf("    without reductions: %s\n", without.String())
+			fmt.Printf("    with reductions:    %s (%d boundaries, %d pruned; %d slept, %d blocked)\n",
+				with.String(), with.Stats.DistinctBoundaries, with.Stats.PrunedStates, with.Stats.Slept, with.Stats.SleepBlocked)
 			continue
 		}
 

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 			got = append(got, f.Name)
 		}
 	})
-	want := "cpuprofile max memprofile min nodedup pattern progress selfcheck v workers"
+	want := "cpuprofile max memprofile min noreduce pattern progress selfcheck v workers"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("perennial-check flags are\n  %s\nwant\n  %s", g, want)
 	}

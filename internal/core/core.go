@@ -45,6 +45,10 @@ import (
 // lockstep with the memory version.
 type Ctx struct {
 	m *machine.Machine
+	// obj names all of the ghost state in footprints (DESIGN.md "Sleep
+	// sets"): every method that changes it writes obj, every other
+	// method that looks at it reads obj.
+	obj machine.Obj
 
 	resources    map[string]*resource
 	setResources map[string]*setResource
@@ -97,6 +101,7 @@ func NewCtx(m *machine.Machine) *Ctx {
 		setResources: map[string]*setResource{},
 		crashInv:     map[string]bool{},
 		helping:      map[*JTok]bool{},
+		obj:          m.Objects(1),
 	}
 	m.RegisterDevice(c)
 	return c
@@ -123,6 +128,9 @@ func (c *Ctx) Crash() {
 		c.crashing = true
 	}
 }
+
+// touch declares an access to the ghost state.
+func (c *Ctx) touch(md machine.Mode) { c.m.Touch(c.obj, md) }
 
 // failf records a logic violation and aborts the thread (when called
 // with a thread) so the explorer reports it as a counterexample.
@@ -168,6 +176,7 @@ type Lease struct {
 // currently holding val. The master is NOT yet in the crash invariant;
 // deposit it with DepositMaster or it will be lost at a crash.
 func (c *Ctx) NewDurable(t *machine.T, name string, val any) (*Master, *Lease) {
+	c.touch(machine.Write)
 	if _, dup := c.resources[name]; dup {
 		c.failf(t, "durable resource %q allocated twice", name)
 		return nil, nil
@@ -187,6 +196,7 @@ func (m *Master) Name() string { return m.res.name }
 // Value returns the logical value the master asserts. Valid use requires
 // the master to be live at the current version (checked).
 func (m *Master) Value(t *machine.T) any {
+	m.c.touch(machine.Read)
 	m.check(t, "read")
 	return m.res.val
 }
@@ -206,6 +216,7 @@ func (l *Lease) Name() string { return l.res.name }
 // Value returns the value the lease asserts; using a lease from before
 // the last crash is a violation (leases are version-restricted, §5.3).
 func (l *Lease) Value(t *machine.T) any {
+	l.c.touch(machine.Read)
 	l.check(t, "read")
 	return l.res.val
 }
@@ -227,6 +238,7 @@ func (l *Lease) check(t *machine.T, use string) {
 // agree on the old value; apply performs the real device write while the
 // rule holds.
 func (c *Ctx) Update(t *machine.T, m *Master, l *Lease, newVal any, apply func()) {
+	c.touch(machine.Write)
 	if m.res != l.res {
 		c.failf(t, "update presented master %s with lease %s", m.res.name, l.res.name)
 		return
@@ -238,6 +250,7 @@ func (c *Ctx) Update(t *machine.T, m *Master, l *Lease, newVal any, apply func()
 	}
 	if apply != nil {
 		apply()
+		c.touch(machine.Write) // apply may have stepped
 	}
 	m.res.val = newVal
 }
@@ -253,6 +266,7 @@ func (c *Ctx) Update(t *machine.T, m *Master, l *Lease, newVal any, apply func()
 // the rerun resynthesizes from handles minted before the first crash.
 func (m *Master) Resynthesize(t *machine.T) (*Master, *Lease) {
 	c := m.c
+	c.touch(machine.Write)
 	if !m.res.masterLive {
 		c.failf(t, "cannot resynthesize %s: master was lost at a crash", m.res.name)
 		return nil, nil
@@ -280,6 +294,7 @@ func (m *Master) Resynthesize(t *machine.T) (*Master, *Lease) {
 // crashes. The master stays usable for updates; the deposit is about
 // crash transfer, like storing d[a] ↦ v in C (Figure 9).
 func (c *Ctx) DepositMaster(t *machine.T, m *Master) {
+	c.touch(machine.Write)
 	m.check(t, "deposit")
 	c.crashInv[m.res.name] = true
 }
@@ -287,6 +302,7 @@ func (c *Ctx) DepositMaster(t *machine.T, m *Master) {
 // WithdrawMaster removes a master from the crash invariant (e.g. when a
 // temporary file's entry should no longer be preserved).
 func (c *Ctx) WithdrawMaster(t *machine.T, m *Master) {
+	c.touch(machine.Write)
 	if !c.crashInv[m.res.name] {
 		c.failf(t, "withdraw of %s which is not in the crash invariant", m.res.name)
 	}
@@ -294,7 +310,10 @@ func (c *Ctx) WithdrawMaster(t *machine.T, m *Master) {
 }
 
 // InCrashInv reports whether the named resource's master is deposited.
-func (c *Ctx) InCrashInv(name string) bool { return c.crashInv[name] }
+func (c *Ctx) InCrashInv(name string) bool {
+	c.touch(machine.Read)
+	return c.crashInv[name]
+}
 
 // ---------------------------------------------------------------------
 // Refinement ghost state: source(σ), j ⤇ op, helping (§4, §5.4, §5.5)
@@ -329,7 +348,10 @@ func (c *Ctx) InitSim(sp spec.Interface, st spec.State) {
 
 // Source returns the current source state σ (for abstraction-relation
 // checks).
-func (c *Ctx) Source() spec.State { return c.src }
+func (c *Ctx) Source() spec.State {
+	c.touch(machine.Read)
+	return c.src
+}
 
 // NewJTok mints the j ⤇ op token when an operation is invoked. A nil
 // Ctx — a ghost-free run — mints the nil token, which the annotated
@@ -358,6 +380,7 @@ func (c *Ctx) StepSim(t *machine.T, j *JTok, ret spec.Ret) {
 // ID Deliver chose). A nil match picks the sole outcome and fails if
 // the step is ambiguous.
 func (c *Ctx) StepSimWhere(t *machine.T, j *JTok, ret spec.Ret, match func(spec.State) bool) {
+	c.touch(machine.Write)
 	if !c.simInit {
 		c.failf(t, "StepSim before InitSim")
 		return
@@ -415,6 +438,7 @@ func (c *Ctx) FinishOp(t *machine.T, j *JTok, ret spec.Ret) {
 	if c == nil {
 		return
 	}
+	c.touch(machine.Read)
 	if !j.done {
 		c.failf(t, "operation %v returned %v without simulating its spec step (missing linearization point)", j.op, ret)
 		return
@@ -428,6 +452,7 @@ func (c *Ctx) FinishOp(t *machine.T, j *JTok, ret spec.Ret) {
 // system crashes while the token is deposited, recovery may withdraw it
 // and complete the operation on the dead thread's behalf.
 func (c *Ctx) DepositHelping(t *machine.T, j *JTok) {
+	c.touch(machine.Write)
 	if j.done {
 		c.failf(t, "helping deposit of already-simulated op %v", j.op)
 		return
@@ -440,6 +465,7 @@ func (c *Ctx) DepositHelping(t *machine.T, j *JTok) {
 // WithdrawHelping removes a deposited token, e.g. when the operation
 // completes normally and simulates its own step.
 func (c *Ctx) WithdrawHelping(t *machine.T, j *JTok) {
+	c.touch(machine.Write)
 	if !c.helping[j] {
 		c.failf(t, "withdraw of helping token %v which is not deposited", j.op)
 		return
@@ -452,6 +478,7 @@ func (c *Ctx) WithdrawHelping(t *machine.T, j *JTok) {
 // so two tokens with equal operations come back in the same order on
 // every run.
 func (c *Ctx) HelpingTokens() []*JTok {
+	c.touch(machine.Read)
 	var out []*JTok
 	for j := range c.helping {
 		out = append(out, j)
@@ -465,6 +492,7 @@ func (c *Ctx) HelpingTokens() []*JTok {
 // recovery-helping rule: recovery completes the crashed thread's
 // operation (§5.4).
 func (c *Ctx) Help(t *machine.T, j *JTok) {
+	c.touch(machine.Write)
 	if !c.helping[j] {
 		c.failf(t, "recovery helping op %v without a deposited token", j.op)
 		return
@@ -484,6 +512,7 @@ func (c *Ctx) Help(t *machine.T, j *JTok) {
 // ghost source is one state, so the spec's crash must have exactly one
 // outcome: a spec whose crash chooses is checked black-box.
 func (c *Ctx) CrashSim(t *machine.T) {
+	c.touch(machine.Write)
 	if !c.simInit {
 		c.failf(t, "CrashSim before InitSim")
 		return
@@ -505,4 +534,7 @@ func (c *Ctx) CrashSim(t *machine.T) {
 }
 
 // CrashPending reports whether a spec crash step is still owed.
-func (c *Ctx) CrashPending() bool { return c.crashing }
+func (c *Ctx) CrashPending() bool {
+	c.touch(machine.Read)
+	return c.crashing
+}

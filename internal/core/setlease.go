@@ -45,6 +45,7 @@ type setResource struct {
 // the master must be deposited in the crash invariant to survive
 // crashes.
 func (c *Ctx) NewDurableSet(t *machine.T, name string, elems []string) (*SetMaster, *SetLease) {
+	c.touch(machine.Write)
 	if _, dup := c.resources[name]; dup {
 		c.failf(t, "durable resource %q allocated twice", name)
 		return nil, nil
@@ -75,6 +76,7 @@ func (m *SetMaster) Name() string { return m.res.name }
 
 // Elems returns the exact element set the master asserts (sorted).
 func (m *SetMaster) Elems(t *machine.T) []string {
+	m.c.touch(machine.Read)
 	m.check(t, "read")
 	out := make([]string, 0, len(m.res.elems))
 	for e := range m.res.elems {
@@ -97,6 +99,7 @@ func (m *SetMaster) check(t *machine.T, use string) {
 // turn. Inserting a present element is a violation (the caller must
 // have won an exclusive create).
 func (m *SetMaster) Insert(t *machine.T, elem string, apply func()) {
+	m.c.touch(machine.Write)
 	m.check(t, "insert")
 	if m.res.masterVer != m.c.m.Version() {
 		m.c.failf(t, "set master %s is at version %d but memory is at %d: resynthesize first", m.res.name, m.res.masterVer, m.c.m.Version())
@@ -107,12 +110,14 @@ func (m *SetMaster) Insert(t *machine.T, elem string, apply func()) {
 	}
 	if apply != nil {
 		apply()
+		m.c.touch(machine.Write) // apply may have stepped
 	}
 	m.res.elems[elem] = true
 }
 
 // Lower returns the lease's current lower bound (sorted).
 func (l *SetLease) Lower(t *machine.T) []string {
+	l.c.touch(machine.Read)
 	l.check(t, "read")
 	out := make([]string, 0, len(l.lower))
 	for e := range l.lower {
@@ -124,6 +129,7 @@ func (l *SetLease) Lower(t *machine.T) []string {
 
 // Contains reports whether elem is in the lease's lower bound.
 func (l *SetLease) Contains(t *machine.T, elem string) bool {
+	l.c.touch(machine.Read)
 	l.check(t, "read")
 	return l.lower[elem]
 }
@@ -142,6 +148,7 @@ func (l *SetLease) check(t *machine.T, use string) {
 // right after listing the directory — the list result is exactly the
 // set the lease then guarantees.
 func (l *SetLease) Refresh(t *machine.T, m *SetMaster) {
+	l.c.touch(machine.Write)
 	l.check(t, "refresh")
 	m.check(t, "refresh")
 	if l.res != m.res {
@@ -159,6 +166,7 @@ func (l *SetLease) Refresh(t *machine.T, m *SetMaster) {
 // the lock) — deleting something merely hoped to exist is a violation.
 // apply performs the real unlink in the same atomic turn.
 func (m *SetMaster) Remove(t *machine.T, l *SetLease, elem string, apply func()) {
+	m.c.touch(machine.Write)
 	m.check(t, "remove")
 	l.check(t, "remove")
 	if l.res != m.res {
@@ -171,6 +179,7 @@ func (m *SetMaster) Remove(t *machine.T, l *SetLease, elem string, apply func())
 	}
 	if apply != nil {
 		apply()
+		m.c.touch(machine.Write) // apply may have stepped
 	}
 	delete(m.res.elems, elem)
 	delete(l.lower, elem)
@@ -179,6 +188,7 @@ func (m *SetMaster) Remove(t *machine.T, l *SetLease, elem string, apply func())
 // DepositSetMaster stores a set master in the crash invariant, like
 // DepositMaster.
 func (c *Ctx) DepositSetMaster(t *machine.T, m *SetMaster) {
+	c.touch(machine.Write)
 	m.check(t, "deposit")
 	c.crashInv["set:"+m.res.name] = true
 }
@@ -189,6 +199,7 @@ func (c *Ctx) DepositSetMaster(t *machine.T, m *SetMaster) {
 // deposited in the crash invariant) can be resynthesized.
 func (m *SetMaster) Resynthesize(t *machine.T) (*SetMaster, *SetLease) {
 	c := m.c
+	c.touch(machine.Write)
 	if !m.res.masterLive {
 		c.failf(t, "cannot resynthesize set %s: master was lost at a crash", m.res.name)
 		return nil, nil

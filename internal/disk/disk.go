@@ -25,6 +25,8 @@ type Disk struct {
 	failed  bool
 	mayFail bool
 	m       *machine.Machine
+	// obj names the failure latch in footprints, and obj+1+a block a.
+	obj machine.Obj
 }
 
 // New creates a disk of the given size (in blocks), zero-filled, and
@@ -33,7 +35,7 @@ type Disk struct {
 // read (tag "diskfail"), modeling the two-disk semantics' fail-stop
 // disks.
 func New(m *machine.Machine, name string, size int, mayFail bool) *Disk {
-	d := &Disk{name: name, blocks: make([]Block, size), mayFail: mayFail, m: m}
+	d := &Disk{name: name, blocks: make([]Block, size), mayFail: mayFail, m: m, obj: m.Objects(uint64(size) + 1)}
 	m.RegisterDevice(d)
 	return d
 }
@@ -71,14 +73,17 @@ func (d *Disk) Fail() { d.failed = true }
 // has failed (the paper's read-failure model). Reading out of bounds is
 // undefined behaviour.
 func (d *Disk) Read(t *machine.T, a uint64) (Block, bool) {
-	t.Step("disk_read")
+	t.StepDeclared("disk_read")
 	d.checkBounds(t, "read", a)
+	t.Touch(d.obj+1+machine.Obj(a), machine.Read)
+	t.Touch(d.obj, machine.Read)
 	if d.mayFail && !d.failed {
 		if t.Machine() != d.m {
 			t.Failf("disk %s used from a different machine", d.name)
 		}
 		// Offer the chooser the option to fail the disk now.
 		if t.Choose(2, "diskfail") == 1 {
+			t.Touch(d.obj, machine.Write)
 			d.failed = true
 			if t.Tracing() {
 				t.Tracef("disk %s FAILED", d.name)
@@ -103,8 +108,10 @@ func (d *Disk) Read(t *machine.T, a uint64) (Block, bool) {
 // block). Writes to a failed disk are silently dropped, and writes out
 // of bounds are undefined behaviour.
 func (d *Disk) Write(t *machine.T, a uint64, v Block) {
-	t.Step("disk_write")
+	t.StepDeclared("disk_write")
 	d.checkBounds(t, "write", a)
+	t.Touch(d.obj+1+machine.Obj(a), machine.Write)
+	t.Touch(d.obj, machine.Read)
 	if d.failed {
 		if t.Tracing() {
 			t.Tracef("disk_write %s[%d] dropped (failed)", d.name, a)

@@ -27,7 +27,7 @@ import (
 // prefix, same owner, no prune. Fingerprints are 64-bit FNV-1a hashes,
 // not full states — a hash collision could prune a distinct state
 // (standard hash-compaction risk, vanishingly small at our table
-// sizes); `-nodedup` and the self-check mode exist for exactly that
+// sizes); `-noreduce` and the self-check mode exist for exactly that
 // doubt.
 
 const (
@@ -104,7 +104,7 @@ func (t *fpTable) size() int {
 }
 
 // dedupRun carries the dedup context through one execution of runOne.
-// nil disables dedup (replay, minimize, stress, or -nodedup).
+// nil disables dedup (replay, minimize, stress, or -noreduce).
 type dedupRun struct {
 	table *fpTable
 	s     *Scenario

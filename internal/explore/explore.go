@@ -22,8 +22,8 @@
 // phase enumerates that tree depth-first, re-executing the scenario
 // from scratch for each sequence (stateless search, in the style of
 // VeriSoft/CHESS/dBug): a dfsChooser replays a recorded prefix and
-// extends it with option 0, then backtracks the deepest choice point
-// with untried options.
+// extends it with the first option it has not covered, then backtracks
+// the deepest choice point with untried options.
 //
 // The enumeration runs on Options.Workers workers (default
 // GOMAXPROCS). The tree is partitioned by schedule prefix: each job
@@ -32,8 +32,9 @@
 // an exact partition, so no execution is lost or explored twice. Every
 // execution builds a fresh machine, so checked code never shares state
 // across workers. Counterexamples are canonicalized to the DFS-preorder
-// least candidate, which makes verdicts and counterexamples independent
-// of worker count for searches that run to completion.
+// least candidate, which makes verdicts independent of worker count for
+// searches that run to completion, and counterexamples too wherever the
+// sleep sets below skip nothing.
 //
 // When a Scenario provides a Fingerprint hook (and every registered
 // device implements machine.Fingerprinter), revisited crash-boundary
@@ -41,10 +42,19 @@
 // CrashReset all volatile state is dead by construction, so the suffix
 // behavior is a function of the fingerprinted boundary state and an
 // already-enumerated recovery subtree need not be re-explored.
-// Options.NoDedup is the escape hatch, and SelfCheckDedup mechanically
-// witnesses that pruning does not change a scenario's verdict. See
-// DESIGN.md "The checker" for the soundness argument and
-// docs/CHECKING.md for the user-facing handbook.
+//
+// Within an era, sleep sets (sleep.go) skip the interleavings that only
+// reorder independent transitions: the machine reports each
+// transition's declared footprint, and a thread whose next transition
+// was already explored from an equivalent state is not scheduled again.
+// A parallel search's donated jobs carry the sleep entries their donor
+// had, so they may run executions one worker would skip, never fewer;
+// its counterexample is the preorder-least of the executions it ran.
+// Options.NoReduce turns both reductions off, and SelfCheck
+// mechanically witnesses that they change neither a scenario's verdict
+// nor, for a complete search, its outcomes. See DESIGN.md "The checker"
+// for the soundness arguments and docs/CHECKING.md for the user-facing
+// handbook.
 package explore
 
 import (
@@ -66,6 +76,26 @@ import (
 // thread) are recorded faithfully.
 type Harness struct {
 	rec history.Recorder
+	m   *machine.Machine // the execution's, for the history's footprint
+}
+
+// historyObj is the recorded history in footprints: invocations
+// commute, responses commute, and an invocation and a response keep
+// their real-time order.
+var historyObj = machine.StaticObj()
+
+func (h *Harness) invoke(op spec.Op) history.OpID {
+	if h.m != nil {
+		h.m.Touch(historyObj, machine.Invoke)
+	}
+	return h.rec.Invoke(op)
+}
+
+func (h *Harness) ret(id history.OpID, ret spec.Ret) {
+	if h.m != nil {
+		h.m.Touch(historyObj, machine.Return)
+	}
+	h.rec.Return(id, ret)
 }
 
 // Op records op's invocation, runs impl, and records its response. If a
@@ -73,9 +103,9 @@ type Harness struct {
 // the operation stays pending at the crash, exactly as the checker
 // expects.
 func (h *Harness) Op(op spec.Op, impl func() spec.Ret) spec.Ret {
-	id := h.rec.Invoke(op)
+	id := h.invoke(op)
 	ret := impl()
-	h.rec.Return(id, ret)
+	h.ret(id, ret)
 	return ret
 }
 
@@ -86,10 +116,10 @@ func (h *Harness) Op(op spec.Op, impl func() spec.Ret) spec.Ret {
 // an op cut off by a crash: it may have taken effect or not, and no
 // response value constrains the spec.
 func (h *Harness) OpMaybe(op spec.Op, impl func() (spec.Ret, bool)) (spec.Ret, bool) {
-	id := h.rec.Invoke(op)
+	id := h.invoke(op)
 	ret, ok := impl()
 	if ok {
-		h.rec.Return(id, ret)
+		h.ret(id, ret)
 	}
 	return ret, ok
 }
@@ -225,7 +255,7 @@ type Stats struct {
 	// Workers is the systematic-phase worker count actually used.
 	Workers int
 	// DedupActive reports whether crash-boundary dedup ran: the
-	// scenario provided a Fingerprint hook, Options.NoDedup was off,
+	// scenario provided a Fingerprint hook, Options.NoReduce was off,
 	// and every registered device was fingerprintable.
 	DedupActive bool
 	// PrunedStates counts executions cut at a crash boundary whose
@@ -246,6 +276,11 @@ type Stats struct {
 	// nondeterminism (map iteration, say), or something one execution
 	// left behind for the next.
 	Reseats int
+	// Slept counts the "sched" options the sleep sets skipped: threads
+	// whose next transition was already explored from an equivalent
+	// state. SleepBlocked counts the executions stopped, unchecked, at a
+	// draw whose every option slept. Both are summed over workers.
+	Slept, SleepBlocked int
 	// VerdictsDistinct counts the refinement checks judged afresh, and
 	// VerdictsReused those a worker's checker answered from its verdict
 	// memo because it had accepted the same history before; both are
@@ -271,6 +306,9 @@ func (st Stats) String() string {
 		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99, st.Workers)
 	if st.DedupActive {
 		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned", st.DistinctBoundaries, st.PrunedStates)
+	}
+	if st.Slept > 0 || st.SleepBlocked > 0 {
+		s += fmt.Sprintf(", sleep: %d slept, %d blocked", st.Slept, st.SleepBlocked)
 	}
 	if st.VerdictsReused > 0 {
 		s += fmt.Sprintf(", verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
@@ -315,15 +353,19 @@ type Options struct {
 	// are dealt out by seed offset. The counterexample reported is the
 	// one with the smallest offset, whatever the scheduling.
 	Workers int
-	// NoDedup disables crash-boundary state dedup even for scenarios
-	// that provide a Fingerprint hook — the escape hatch for suspected
-	// fingerprint bugs or hash collisions (perennial-check -nodedup).
-	NoDedup bool
+	// NoReduce turns both reductions off: crash-boundary state dedup,
+	// even for scenarios that provide a Fingerprint hook, and sleep sets
+	// — the escape hatch for a suspected fingerprint bug, hash collision
+	// or undeclared access (perennial-check -noreduce).
+	NoReduce bool
 	// StressExecutions adds randomized executions after (or instead of)
 	// the systematic search.
 	StressExecutions int
 	// StressSeed seeds the randomized mode.
 	StressSeed int64
+	// outcomes, when non-nil, collects every checked execution's
+	// outcome (SelfCheck).
+	outcomes *outcomeSet
 	// Progress, when non-nil with a Sink, streams live telemetry of the
 	// systematic phase (execs/s, frontier depth, dedup hit rate,
 	// per-worker donations, budget ETA). The sampler is read-only over
@@ -476,6 +518,7 @@ type runner struct {
 	rec      scheduleRecorder
 	h        Harness
 	chk      history.Checker
+	outcomes *outcomeSet // SelfCheck's, when it runs
 }
 
 // runOne executes the scenario once under the given chooser and checks
@@ -509,11 +552,15 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	default:
 		mo.Observer = rec // the scenario bounds its own trace
 	}
+	if d, ok := ch.(*dfsChooser); ok && d.reduce {
+		mo.Reducer = d
+	}
 	m := machine.NewOn(&x.carriers, mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
 	w := s.Setup(m)
 	h := &x.h
 	h.rec.Reset()
+	h.m = m
 
 	// A counterexample owns its slices (nil when empty, as they always
 	// were): the recorders' buffers go on to the runner's next
@@ -542,6 +589,9 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 		res := m.RunEra(chooser, false, func(t *machine.T) { s.Init(t, w) })
 		if res.Outcome == machine.Violation {
 			return fail("machine violation in init phase: " + res.Err.Error())
+		}
+		if res.Outcome == machine.Stopped {
+			return nil // asleep: an explored execution covers this one
 		}
 	}
 	if cx := checkInv("after setup"); cx != nil {
@@ -582,12 +632,18 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	if res.Outcome == machine.Violation {
 		return fail("machine violation: " + res.Err.Error())
 	}
+	if res.Outcome == machine.Stopped {
+		return nil
+	}
 
 	if s.Post != nil {
 		rec.era("post")
 		res = m.RunEra(chooser, false, func(t *machine.T) { s.Post(t, w, h) })
 		if res.Outcome == machine.Violation {
 			return fail("machine violation in post phase: " + res.Err.Error())
+		}
+		if res.Outcome == machine.Stopped {
+			return nil
 		}
 	}
 
@@ -606,18 +662,26 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	if !chk.OK {
 		return fail("refinement failure: " + chk.Reason)
 	}
+	if x.outcomes != nil {
+		x.outcomes.add(m, h.rec.History())
+	}
 	return nil
 }
 
 // dfsChooser drives a depth-first enumeration of choice sequences. Each
-// execution replays a prefix of recorded choices and extends with option
-// 0; next() advances the last choice point with untried options,
-// backtracking exhausted suffixes.
+// execution replays a prefix of recorded choices and extends with the
+// first option it has not covered; next() advances the last choice
+// point with untried options, backtracking exhausted suffixes.
 //
 // For the parallel search, the first `pinned` points are a donated job
 // prefix that next() never backtracks into, and a point's `limit` caps
 // which options this chooser still owns (higher siblings were donated
 // to other workers via splitShallowest).
+//
+// With reduce set it is also the machine's Reducer and keeps sleep sets
+// (sleep.go): a "sched" option whose thread's next transition was
+// already explored from an equivalent state is skipped, not removed, so
+// choice indices keep their meaning.
 type dfsChooser struct {
 	points []choicePoint
 	pos    int
@@ -625,6 +689,9 @@ type dfsChooser struct {
 	// reseats counts replayed points that had to be re-seated (see
 	// Choose and Stats.Reseats).
 	reseats int
+
+	reduce bool
+	sleepSets
 }
 
 type choicePoint struct {
@@ -635,20 +702,22 @@ type choicePoint struct {
 	// chooser still owns at the point (the rest were donated). It never
 	// affects replay, only next()/splitShallowest.
 	limit int
+	// sched is the point's part of the sleep sets (sched.on for a
+	// "sched" point under reduction).
+	sched schedPoint
 }
 
-func (d *dfsChooser) reset() { d.pos = 0 }
+func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open = 0, -1, -1 }
 
 // Choose implements machine.Chooser.
 func (d *dfsChooser) Choose(n int, tag string) int {
 	if d.pos < len(d.points) {
-		p := d.points[d.pos]
+		p := &d.points[d.pos]
 		if p.n == 0 && d.pos < d.pinned {
 			// First replay of a donated prefix point: learn its branching
 			// factor (the donor recorded only the chosen option).
-			d.points[d.pos].n = n
-			d.points[d.pos].tag = tag
-			p = d.points[d.pos]
+			p.n, p.tag = n, tag
+			d.learnPinned(d.pos, tag)
 		}
 		if p.n != n {
 			// The machine must be deterministic given prior choices; a
@@ -657,15 +726,23 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 			// and say so.
 			d.reseats++
 			d.points = d.points[:d.pos]
+			d.trim(d.pos - 1)
 			d.points = append(d.points, choicePoint{n: n, tag: tag})
 		}
 		c := d.points[d.pos].chosen
+		d.chose(d.pos)
 		d.pos++
 		return c
 	}
 	d.points = append(d.points, choicePoint{n: n, tag: tag})
+	p := &d.points[d.pos]
+	if tag == "sched" && d.pend.on {
+		p.sched, p.chosen = d.pend, d.pend.first
+		d.pend.on = false
+	}
+	d.chose(d.pos)
 	d.pos++
-	return 0
+	return p.chosen
 }
 
 // next advances to the next unexplored choice sequence, returning false
@@ -673,17 +750,21 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 func (d *dfsChooser) next() bool {
 	// Discard choice points beyond those actually consumed this run.
 	d.points = d.points[:d.pos]
+	d.cut()
 	for len(d.points) > d.pinned {
-		last := &d.points[len(d.points)-1]
+		i := len(d.points) - 1
+		last := &d.points[i]
+		d.trim(i)
 		lim := last.n
 		if last.limit > 0 && last.limit < lim {
 			lim = last.limit
 		}
-		if last.chosen+1 < lim {
-			last.chosen++
+		if c := d.nextOption(last, lim); c < lim {
+			last.chosen = c
+			d.frontier = i
 			return true
 		}
-		d.points = d.points[:len(d.points)-1]
+		d.points = d.points[:i]
 	}
 	return false
 }

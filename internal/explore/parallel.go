@@ -33,9 +33,11 @@ import (
 // out of the report, so its counts do not depend on that race.
 
 type searchPool struct {
-	s       *Scenario
-	workers int
-	table   *fpTable
+	s        *Scenario
+	workers  int
+	table    *fpTable
+	reduce   bool // sleep sets
+	outcomes *outcomeSet
 
 	// execsLeft counts down the shared MaxExecutions budget; workers
 	// claim one slot per execution before running it.
@@ -52,10 +54,10 @@ type searchPool struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	queue       [][]int // LIFO of pinned prefixes
-	outstanding int     // queued + in-flight jobs
-	idle        int     // workers blocked waiting for a job
-	stopped     bool    // budget exhausted: abandon everything
+	queue       []job // LIFO of pinned prefixes
+	outstanding int   // queued + in-flight jobs
+	idle        int   // workers blocked waiting for a job
+	stopped     bool  // budget exhausted: abandon everything
 	budgetHit   bool
 	dedupOff    bool // a device proved unfingerprintable
 	best        *Counterexample
@@ -68,12 +70,14 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 		s:         s,
 		workers:   workers,
 		execsLeft: int64(opts.MaxExecutions),
-		queue:     [][]int{nil}, // the root job: the empty prefix
+		queue:     []job{{at: -1}}, // the root job: the empty prefix
 		donated:   make([]atomic.Int64, workers),
+		reduce:    !opts.NoReduce,
+		outcomes:  opts.outcomes,
 	}
 	p.outstanding = 1
 	p.cond = sync.NewCond(&p.mu)
-	if !opts.NoDedup && s.Fingerprint != nil {
+	if !opts.NoReduce && s.Fingerprint != nil {
 		p.table = newFPTable()
 	}
 
@@ -112,6 +116,8 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 			rep.CrashedExecutions += j.rep.CrashedExecutions
 			rep.CheckedStates += j.rep.CheckedStates
 			rep.Stats.PrunedStates += j.rep.Stats.PrunedStates
+			rep.Stats.Slept += j.rep.Stats.Slept
+			rep.Stats.SleepBlocked += j.rep.Stats.SleepBlocked
 			rep.Stats.VerdictsDistinct += j.rep.Stats.VerdictsDistinct
 			rep.Stats.VerdictsReused += j.rep.Stats.VerdictsReused
 			per[w].Executions += j.rep.Executions
@@ -134,15 +140,15 @@ type jobRun struct {
 }
 
 func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
-	var x runner
+	x := runner{outcomes: p.outcomes}
 	defer x.carriers.Release()
 	for {
-		prefix, ok := p.take()
+		jb, ok := p.take()
 		if !ok {
 			return jobs
 		}
-		j := jobRun{prefix: prefix, rep: Report{Stats: Stats{Depth: depth}}}
-		p.explore(&x, prefix, &j.rep, w)
+		j := jobRun{prefix: jb.prefix, rep: Report{Stats: Stats{Depth: depth}}}
+		p.explore(&x, jb, &j.rep, w)
 		jobs = append(jobs, j)
 		p.finish()
 	}
@@ -150,12 +156,12 @@ func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
 
 // take blocks until a job is available, all work is done, or the search
 // stops.
-func (p *searchPool) take() ([]int, bool) {
+func (p *searchPool) take() (job, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.stopped {
-			return nil, false
+			return job{}, false
 		}
 		if n := len(p.queue); n > 0 {
 			j := p.queue[n-1]
@@ -163,7 +169,7 @@ func (p *searchPool) take() ([]int, bool) {
 			return j, true
 		}
 		if p.outstanding == 0 {
-			return nil, false
+			return job{}, false
 		}
 		p.idle++
 		p.cond.Wait()
@@ -194,12 +200,16 @@ func (p *searchPool) claim() bool {
 	return false
 }
 
-// explore enumerates the subtree pinned at prefix on behalf of worker w,
-// on the worker's runner.
-func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
-	d := &dfsChooser{}
-	d.seed(prefix)
-	defer func() { wrep.Stats.Reseats += d.reseats }()
+// explore enumerates the subtree pinned at j's prefix on behalf of
+// worker w, on the worker's runner.
+func (p *searchPool) explore(x *runner, j job, wrep *Report, w int) {
+	d := &dfsChooser{reduce: p.reduce}
+	d.seed(j)
+	defer func() {
+		wrep.Stats.Reseats += d.reseats
+		wrep.Stats.Slept += d.slept
+		wrep.Stats.SleepBlocked += d.blocked
+	}()
 	for {
 		if p.pastBest(d) {
 			return
@@ -303,15 +313,33 @@ func cmpChoices(a, b []int) int {
 	return 0
 }
 
-// seed pins the chooser to a donated prefix: the first len(prefix)
-// choice points replay the prefix (their branching factors are learned
-// on first replay) and next() never backtracks into them.
-func (d *dfsChooser) seed(prefix []int) {
-	d.points = make([]choicePoint, len(prefix))
-	for i, c := range prefix {
+// job is a pinned prefix of choices, and the sleep-set entries its last
+// "sched" point at (-1: none) inherits: that point's own and the
+// options its donor had finished there. A donor had not finished the
+// options between its own and the donated one, so a job may explore
+// executions a one-worker search would have skipped; never fewer.
+type job struct {
+	prefix []int
+	at     int
+	carry  []carried
+}
+
+// seed pins the chooser to a donated job: the first len(prefix) choice
+// points replay the prefix (their branching factors are learned on
+// first replay) and next() never backtracks into them.
+func (d *dfsChooser) seed(j job) {
+	d.points = make([]choicePoint, len(j.prefix))
+	for i, c := range j.prefix {
 		d.points[i] = choicePoint{chosen: c} // n learned at first Choose
 	}
-	d.pinned = len(prefix)
+	d.pinned = len(j.prefix)
+	d.carryAt, d.hasCarry = j.at, j.at >= 0
+	for _, c := range j.carry {
+		lo := int32(len(d.acc))
+		d.acc = append(d.acc, c.acc...)
+		d.sl = append(d.sl, sleeper{tid: c.tid, global: c.global, lo: lo, hi: int32(len(d.acc))})
+	}
+	d.baseSl, d.baseAcc = int32(len(d.sl)), int32(len(d.acc))
 }
 
 // spine returns the chosen values of all recorded choice points — the
@@ -327,12 +355,13 @@ func (d *dfsChooser) spine() []int {
 // splitShallowest donates the untried siblings of the shallowest open
 // choice point below the pin as new jobs and excludes them from this
 // chooser's own enumeration (via the point's limit), partitioning the
-// remaining subtree exactly. Jobs are returned largest-option first so
-// a LIFO queue pops the preorder-least prefix first. Returns nil when
-// nothing is splittable.
-func (d *dfsChooser) splitShallowest() [][]int {
+// remaining subtree exactly. Asleep options are not donated: this
+// chooser would have skipped them too. Jobs are returned largest-option
+// first so a LIFO queue pops the preorder-least prefix first. Returns
+// nil when nothing is splittable.
+func (d *dfsChooser) splitShallowest() []job {
 	for i := d.pinned; i < len(d.points); i++ {
-		pt := d.points[i]
+		pt := &d.points[i]
 		lim := pt.n
 		if pt.limit > 0 && pt.limit < lim {
 			lim = pt.limit
@@ -340,18 +369,28 @@ func (d *dfsChooser) splitShallowest() [][]int {
 		if pt.n == 0 || pt.chosen+1 >= lim {
 			continue
 		}
+		var opts []int
+		for c := lim - 1; c > pt.chosen; c-- {
+			if s := &pt.sched; !s.on || c >= s.nth || !d.asleep(s, c) {
+				opts = append(opts, c)
+			}
+		}
+		if len(opts) == 0 {
+			continue
+		}
 		base := make([]int, i)
 		for j := 0; j < i; j++ {
 			base[j] = d.points[j].chosen
 		}
-		out := make([][]int, 0, lim-pt.chosen-1)
-		for c := lim - 1; c > pt.chosen; c-- {
+		at, carry := d.carryFor(i)
+		out := make([]job, 0, len(opts))
+		for _, c := range opts {
 			pre := make([]int, i+1)
 			copy(pre, base)
 			pre[i] = c
-			out = append(out, pre)
+			out = append(out, job{prefix: pre, at: at, carry: carry})
 		}
-		d.points[i].limit = pt.chosen + 1
+		pt.limit = pt.chosen + 1
 		return out
 	}
 	return nil

@@ -104,9 +104,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		var minimized []string
 		var schedules []string
 		for _, workers := range []int{1, 4} {
-			for _, nodedup := range []bool{false, true} {
-				rep := Run(tc.mk(), Options{MaxExecutions: 5000, Workers: workers, NoDedup: nodedup})
-				label := fmt.Sprintf("%s workers=%d nodedup=%v", tc.name, workers, nodedup)
+			for _, noreduce := range []bool{false, true} {
+				rep := Run(tc.mk(), Options{MaxExecutions: 5000, Workers: workers, NoReduce: noreduce})
+				label := fmt.Sprintf("%s workers=%d noreduce=%v", tc.name, workers, noreduce)
 				if rep.OK() == tc.want {
 					t.Fatalf("%s: verdict flipped (violation=%v)", label, !rep.OK())
 				}
@@ -216,7 +216,7 @@ func TestSplitShallowestPartitionsExactly(t *testing.T) {
 // the clean convergent scenario's interleavings collapse at crash
 // boundaries, and the verdict and completeness survive.
 func TestDedupPrunesConvergentBoundaries(t *testing.T) {
-	off := Run(convergent(false, true), Options{MaxExecutions: 50000, Workers: 1, NoDedup: true})
+	off := Run(convergent(false, true), Options{MaxExecutions: 50000, Workers: 1, NoReduce: true})
 	on := Run(convergent(false, true), Options{MaxExecutions: 50000, Workers: 1})
 	if !off.OK() || !on.OK() {
 		t.Fatal("clean scenario reported a violation")
@@ -242,12 +242,12 @@ func TestDedupPrunesConvergentBoundaries(t *testing.T) {
 // the self-check mode: a fingerprint hook that omits crash-surviving
 // state lets dedup prune the only failing subtrees (the crash boundary
 // inside both transient windows, which never lies on the DFS spine),
-// and SelfCheckDedup must report the verdict change.
+// and SelfCheck must report the verdict change.
 func TestSelfCheckCatchesUnsoundFingerprint(t *testing.T) {
-	if _, _, err := SelfCheckDedup(convergent(true, true), Options{MaxExecutions: 50000, Workers: 1}); err != nil {
+	if _, _, err := SelfCheck(convergent(true, true), Options{MaxExecutions: 50000, Workers: 1}); err != nil {
 		t.Fatalf("honest fingerprint flagged: %v", err)
 	}
-	if _, _, err := SelfCheckDedup(convergent(true, false), Options{MaxExecutions: 50000, Workers: 1}); err == nil {
+	if _, _, err := SelfCheck(convergent(true, false), Options{MaxExecutions: 50000, Workers: 1}); err == nil {
 		t.Fatal("unsound fingerprint not caught by the self-check")
 	}
 }
@@ -299,13 +299,13 @@ func TestStressStatsCountUniqueExecutions(t *testing.T) {
 // TestBudgetSharedAcrossWorkers: the execution budget is claimed per
 // execution, so the count is exact regardless of worker count.
 func TestBudgetSharedAcrossWorkers(t *testing.T) {
-	full := Run(convergent(false, true), Options{MaxExecutions: 50000, Workers: 1, NoDedup: true})
+	full := Run(convergent(false, true), Options{MaxExecutions: 50000, Workers: 1, NoReduce: true})
 	if !full.Complete || full.Executions < 3 {
 		t.Fatalf("want a completed search of ≥3 executions, got complete=%v n=%d", full.Complete, full.Executions)
 	}
 	budget := full.Executions - 1
 	for _, workers := range []int{1, 4} {
-		rep := Run(convergent(false, true), Options{MaxExecutions: budget, Workers: workers, NoDedup: true})
+		rep := Run(convergent(false, true), Options{MaxExecutions: budget, Workers: workers, NoReduce: true})
 		if rep.Complete {
 			t.Fatalf("workers=%d: %d executions cannot exhaust a %d-execution space",
 				workers, budget, full.Executions)

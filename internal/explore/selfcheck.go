@@ -1,46 +1,59 @@
 package explore
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
 
-// SelfCheckDedup is the mechanical witness for the dedup soundness
-// argument (DESIGN.md "Crash-boundary dedup"): it runs the scenario's
-// systematic search twice at the same budget — once with crash-boundary
-// dedup off, once with it on — and fails when the two runs disagree on the
-// verdict (violation found or not) or on completeness. For searches that
-// run to completion this is exactly the property dedup must preserve; for
-// budget-bounded searches both runs carry only the weaker bounded claim,
-// and the check still catches a dedup table that hides a violation the
-// undeduped search finds within budget.
+	"repro/internal/history"
+	"repro/internal/machine"
+)
+
+// SelfCheck is the mechanical witness for both reductions' soundness
+// arguments (DESIGN.md "Crash-boundary dedup" and "Sleep sets"): it runs
+// the scenario's systematic search twice at the same budget — once with
+// Options.NoReduce, once with crash-boundary dedup and sleep sets on —
+// and fails when the two runs disagree on the verdict (violation found
+// or not) or on completeness. When both complete it also compares what
+// they saw: the set of outcomes of their checked executions, an outcome
+// being the history, with every run of adjacent invocations and every
+// run of adjacent responses in canonical order, plus the final durable
+// state. Executions the reductions cut are covered by executions they
+// ran, so the sets must be equal. For budget-bounded searches both runs
+// carry only the weaker bounded claim, and the check still catches a
+// reduction that hides a violation the plain search finds within budget.
 //
 // When both runs find a counterexample, each is additionally replayed
-// to confirm it reproduces. Stress is disabled for both runs (dedup
-// only affects the systematic phase). The returned reports let callers
-// print the coverage the table bought (pruned executions, distinct
-// boundaries).
-func SelfCheckDedup(s *Scenario, opts Options) (with, without *Report, err error) {
-	if s.Fingerprint == nil {
-		return nil, nil, fmt.Errorf("scenario %s has no Fingerprint hook; dedup never activates", s.Name)
-	}
+// to confirm it reproduces. Stress is disabled for both runs (the
+// reductions only affect the systematic phase). The returned reports let
+// callers print the coverage the reductions bought.
+func SelfCheck(s *Scenario, opts Options) (with, without *Report, err error) {
 	opts.StressExecutions = 0
 
 	off := opts
-	off.NoDedup = true
+	off.NoReduce, off.outcomes = true, &outcomeSet{}
 	without = Run(s, off)
 
 	on := opts
-	on.NoDedup = false
+	on.NoReduce, on.outcomes = false, &outcomeSet{}
 	with = Run(s, on)
 
-	if !with.Stats.DedupActive {
+	if s.Fingerprint != nil && !with.Stats.DedupActive {
 		return with, without, fmt.Errorf("scenario %s: dedup did not activate (a device is not fingerprintable?)", s.Name)
 	}
 	if with.OK() != without.OK() {
-		return with, without, fmt.Errorf("scenario %s: verdict changed by dedup: without=%s with=%s",
+		return with, without, fmt.Errorf("scenario %s: verdict changed by the reductions: without=%s with=%s",
 			s.Name, verdict(without), verdict(with))
 	}
 	if with.Complete != without.Complete {
-		return with, without, fmt.Errorf("scenario %s: completeness changed by dedup: without complete=%v, with complete=%v",
+		return with, without, fmt.Errorf("scenario %s: completeness changed by the reductions: without complete=%v, with complete=%v",
 			s.Name, without.Complete, with.Complete)
+	}
+	if with.Complete {
+		if lost, added := off.outcomes.diff(on.outcomes); lost > 0 || added > 0 {
+			return with, without, fmt.Errorf("scenario %s: outcomes changed by the reductions: %d of %d never reached, %d new",
+				s.Name, lost, off.outcomes.len(), added)
+		}
 	}
 	for _, r := range []*Report{without, with} {
 		if r.Counterexample != nil && ReplayCx(s, r.Counterexample.Choices) == nil {
@@ -55,4 +68,80 @@ func verdict(r *Report) string {
 		return "OK"
 	}
 	return "VIOLATION"
+}
+
+// outcomeSet is the set of a search's outcomes, as 64-bit hashes,
+// shared by its workers.
+type outcomeSet struct {
+	mu  sync.Mutex
+	set map[uint64]struct{}
+	buf []byte
+}
+
+// add records the outcome of an execution that ended on m with history
+// h.
+func (o *outcomeSet) add(m *machine.Machine, h history.History) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b := appendOutcome(o.buf[:0], h)
+	b, _ = m.AppendDurable(b)
+	o.buf = b
+	if o.set == nil {
+		o.set = map[uint64]struct{}{}
+	}
+	o.set[fnvBytes(fnvOffset, b)] = struct{}{}
+}
+
+func (o *outcomeSet) len() int { return len(o.set) }
+
+// diff counts the outcomes of o missing from p, and those of p missing
+// from o.
+func (o *outcomeSet) diff(p *outcomeSet) (missing, extra int) {
+	for k := range o.set {
+		if _, ok := p.set[k]; !ok {
+			missing++
+		}
+	}
+	for k := range p.set {
+		if _, ok := o.set[k]; !ok {
+			extra++
+		}
+	}
+	return missing, extra
+}
+
+// appendOutcome appends h's canonical form: each event as its kind and
+// the operation it concerns (plus the response at a Return), so that
+// operation IDs, which follow invocation order, do not matter; and each
+// run of adjacent Invokes, and of adjacent Returns, sorted.
+func appendOutcome(b []byte, h history.History) []byte {
+	ops := map[history.OpID]string{}
+	var run [][]byte
+	kind := history.Crash
+	flush := func() {
+		slices.SortFunc(run, func(x, y []byte) int { return slices.Compare(x, y) })
+		for _, e := range run {
+			b = machine.AppendBytes(b, e)
+		}
+		run = run[:0]
+	}
+	for _, e := range h {
+		if e.Kind != kind || e.Kind == history.Crash {
+			flush()
+			kind = e.Kind
+		}
+		var ev []byte
+		switch e.Kind {
+		case history.Invoke:
+			ops[e.ID] = fmt.Sprint(e.Op)
+			ev = fmt.Appendf([]byte{'I'}, "%s", ops[e.ID])
+		case history.Return:
+			ev = fmt.Appendf([]byte{'R'}, "%s %v", ops[e.ID], e.Ret)
+		default:
+			ev = []byte{'C'}
+		}
+		run = append(run, ev)
+	}
+	flush()
+	return b
 }

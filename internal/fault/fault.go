@@ -197,13 +197,20 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	} else if !p.Eligible[c] {
 		return false
 	}
+	// A spent budget is never written again, so only an offered decision
+	// reads it (DESIGN.md "Sleep sets").
+	mt.Touch(budgetObj, machine.Read)
 	if mt.Choose(2, c.Tag()) == 1 {
+		mt.Touch(budgetObj, machine.Write)
 		p.used++
 		p.spent[c]++
 		return true
 	}
 	return false
 }
+
+// budgetObj names every Chooser's budget in footprints.
+var budgetObj = machine.StaticObj()
 
 // AppendState appends the spent budget per class — the only mutable
 // state a Chooser carries across a crash (it lives in the scenario's

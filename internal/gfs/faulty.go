@@ -147,11 +147,34 @@ type Faulty struct {
 	// injection and never again, so a latch surviving a crash is not
 	// double-counted on replay.
 	noSpace atomic.Bool
+
+	// m is the machine of the Model the layer wraps, nil over any other
+	// backend: the latches declare their accesses there (DESIGN.md
+	// "Sleep sets"), as objects obj+failStopLatch and obj+noSpaceLatch.
+	m   *machine.Machine
+	obj machine.Obj
 }
+
+// The latches' footprint names, offsets from Faulty.obj.
+const (
+	failStopLatch machine.Obj = iota
+	noSpaceLatch
+)
 
 // NewFaulty wraps inner with the given fault policy.
 func NewFaulty(inner System, policy fault.Policy) *Faulty {
-	return &Faulty{inner: inner, policy: policy}
+	f := &Faulty{inner: inner, policy: policy}
+	if fs, ok := inner.(*Model); ok {
+		f.m, f.obj = fs.m, fs.m.Objects(2)
+	}
+	return f
+}
+
+// touch declares an access to a latch on the wrapped Model's machine.
+func (f *Faulty) touch(latch machine.Obj, md machine.Mode) {
+	if f.m != nil {
+		f.m.Touch(f.obj+latch, md)
+	}
 }
 
 // Inner returns the wrapped backend (e.g. to reach Model.PeekDir or
@@ -170,12 +193,16 @@ func (f *Faulty) ResetLog() { f.log.Reset() }
 // FailStopped reports whether the backend is latched dead. Mirrored
 // uses it (via the FailStopper interface) to tell "replica died" apart
 // from ordinary operation failures.
-func (f *Faulty) FailStopped() bool { return f.failStopped.Load() }
+func (f *Faulty) FailStopped() bool {
+	f.touch(failStopLatch, machine.Read)
+	return f.failStopped.Load()
+}
 
 // FailStopNow latches the backend dead immediately, bypassing the
 // policy — the operational kill switch (drills, soak tests, demos).
 // It records a fail-stop event like a policy-injected death.
 func (f *Faulty) FailStopNow(detail string) {
+	f.touch(failStopLatch, machine.Write)
 	if !f.failStopped.Swap(true) {
 		f.log.Force(fault.FailStop, detail)
 		f.Metrics.FaultInjected(fault.FailStop)
@@ -188,18 +215,25 @@ func (f *Faulty) FailStopNow(detail string) {
 // layer and resilvering makes the state trustworthy. Revive does not
 // refund any policy budget: a fault.Chooser that killed once stays
 // spent, which is what bounds checker scenarios to one death.
-func (f *Faulty) Revive() { f.failStopped.Store(false) }
+func (f *Faulty) Revive() {
+	f.touch(failStopLatch, machine.Write)
+	f.failStopped.Store(false)
+}
 
 // NoSpace reports whether the backend is latched full. mailboat uses it
 // (via an interface assertion, like FailStopped) to fail fast instead
 // of burning its retry budget against a full disk, and the shed policy
 // uses it as its modeled-space signal.
-func (f *Faulty) NoSpace() bool { return f.noSpace.Load() }
+func (f *Faulty) NoSpace() bool {
+	f.touch(noSpaceLatch, machine.Read)
+	return f.noSpace.Load()
+}
 
 // NoSpaceNow latches the backend full immediately, bypassing the
 // policy — the operational fill switch for drills and soak tests. It
 // records a no-space event like a policy-injected fill.
 func (f *Faulty) NoSpaceNow(detail string) {
+	f.touch(noSpaceLatch, machine.Write)
 	if !f.noSpace.Swap(true) {
 		f.log.Force(fault.NoSpace, detail)
 		f.Metrics.FaultInjected(fault.NoSpace)
@@ -211,7 +245,12 @@ func (f *Faulty) NoSpaceNow(detail string) {
 // choice point — and, like Revive, it refunds no policy budget: a
 // fault.Chooser that filled the disk once stays spent, which is what
 // bounds checker scenarios to one fill.
-func (f *Faulty) FreeSpace() { f.noSpace.Store(false) }
+func (f *Faulty) FreeSpace() {
+	if f.NoSpace() {
+		f.touch(noSpaceLatch, machine.Write)
+		f.noSpace.Store(false)
+	}
+}
 
 // describe renders the detail a fault.Event and the trace lines carry.
 // The gate calls it only once the policy has decided to inject, so a
@@ -242,18 +281,23 @@ func (f *Faulty) record(c fault.Class, idx uint64, detail string) {
 // and counted, and it sets the class's latch.
 func (f *Faulty) gate(t T, c fault.Class, what describe) bool {
 	var latch *atomic.Bool
+	var obj machine.Obj
 	dead, step, class := "", "fs.fault", c.String()
 	switch c {
 	case fault.FailStop:
-		latch, dead, step, class = &f.failStopped, "fs.dead", "fs.failstop", ""
+		latch, obj, dead, step, class = &f.failStopped, failStopLatch, "fs.dead", "fs.failstop", ""
 	case fault.NoSpace:
-		latch, dead, step, class = &f.noSpace, "fs.enospc", "fs.nospace", ""
+		latch, obj, dead, step, class = &f.noSpace, noSpaceLatch, "fs.enospc", "fs.nospace", ""
 	}
-	if latch != nil && latch.Load() {
-		if mt, ok := t.(*machine.T); ok {
-			mt.Step(dead)
+	if latch != nil {
+		f.touch(obj, machine.Read)
+		if latch.Load() {
+			if mt, ok := t.(*machine.T); ok {
+				mt.StepDeclared(dead)
+				f.touch(obj, machine.Read)
+			}
+			return true
 		}
-		return true
 	}
 	idx, inject := f.log.Decide(t, f.policy, c)
 	if !inject {
@@ -261,7 +305,10 @@ func (f *Faulty) gate(t T, c fault.Class, what describe) bool {
 	}
 	detail := what()
 	if mt, ok := t.(*machine.T); ok {
-		mt.Step(step)
+		mt.StepDeclared(step)
+		if latch != nil {
+			f.touch(obj, machine.Write)
+		}
 		if mt.Tracing() {
 			mt.Tracef("%s %s#%d %s", step, class, idx, detail)
 		}

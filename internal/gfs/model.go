@@ -44,6 +44,9 @@ type Model struct {
 	durableDirs map[string]map[string]inodeID
 	dirPending  map[string][]dirOp
 
+	// obj is the first of the model's footprint names (see touchDir).
+	obj machine.Obj
+
 	// capacity, when nonzero, bounds the modeled disk: Create, Append
 	// and Link fail (ENOSPC-style false, never a model fault) once the
 	// space they would consume exceeds it. Space is charged per
@@ -84,6 +87,7 @@ func NewModel(m *machine.Machine, dirs []string) *Model {
 		dirs:   make(map[string]map[string]inodeID, len(dirs)),
 		inodes: map[inodeID][]byte{},
 		next:   1,
+		obj:    m.Objects(1 << 32),
 	}
 	for _, d := range dirs {
 		fs.dirs[d] = map[string]inodeID{}
@@ -128,6 +132,32 @@ func NewWritebackModel(m *machine.Machine, dirs []string) *Model {
 // directory entry — what Create and Link charge against the capacity
 // budget before any data is appended.
 const SpaceEntryCost = 16
+
+// Footprints (DESIGN.md "Sleep sets"): a directory's entries are one
+// object, an inode's contents another, and the space SetCapacity bounds
+// a third, which every call that spends or frees space writes. Inode
+// numbers are not declared: two Creates commute up to the numbers they
+// hand out, which AppendDurable's canonical renumbering ignores, as the
+// open-descriptor count ignores the order of its increments.
+func (fs *Model) touchDir(dir string, md machine.Mode) {
+	h := uint32(2166136261)
+	for i := 0; i < len(dir); i++ {
+		h = (h ^ uint32(dir[i])) * 16777619
+	}
+	fs.m.Touch(fs.obj+1<<31+machine.Obj(h>>1), md)
+}
+
+func (fs *Model) touchInode(ino inodeID, md machine.Mode) {
+	fs.m.Touch(fs.obj+machine.Obj(ino), md)
+}
+
+// touchSpace declares a call that spends or frees space, when there is
+// a capacity to spend it against.
+func (fs *Model) touchSpace() {
+	if fs.capacity != 0 {
+		fs.m.Touch(fs.obj, machine.Write) // inode numbers start at 1
+	}
+}
 
 // SetCapacity bounds the modeled disk at the given byte budget
 // (0 = unlimited, the default). A scenario-setup constant, not durable
@@ -320,7 +350,9 @@ func (ml *modelLock) Release(t T) { ml.l.Release(t.(*machine.T)) }
 // Create implements System.
 func (fs *Model) Create(t T, dir, name string) (FD, bool) {
 	mt := fs.thread(t)
-	mt.Step("fs.create")
+	mt.StepDeclared("fs.create")
+	fs.touchDir(dir, machine.Write)
+	fs.touchSpace()
 	d := fs.dir(mt, "create", dir)
 	if _, exists := d[name]; exists {
 		if mt.Tracing() {
@@ -351,7 +383,8 @@ func (fs *Model) Create(t T, dir, name string) (FD, bool) {
 // Open implements System.
 func (fs *Model) Open(t T, dir, name string) (FD, bool) {
 	mt := fs.thread(t)
-	mt.Step("fs.open")
+	mt.StepDeclared("fs.open")
+	fs.touchDir(dir, machine.Read)
 	d := fs.dir(mt, "open", dir)
 	ino, ok := d[name]
 	if !ok {
@@ -370,8 +403,10 @@ func (fs *Model) Open(t T, dir, name string) (FD, bool) {
 // Append implements System.
 func (fs *Model) Append(t T, fd FD, data []byte) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.append")
+	mt.StepDeclared("fs.append")
 	f := fs.fd(mt, "append", fd, true)
+	fs.touchInode(f.ino, machine.Write)
+	fs.touchSpace()
 	if len(data) > MaxAppend {
 		mt.Failf("fs.append of %d bytes exceeds the %d-byte atomic limit", len(data), MaxAppend)
 	}
@@ -394,12 +429,13 @@ func (fs *Model) Append(t T, fd FD, data []byte) bool {
 // Close implements System.
 func (fs *Model) Close(t T, fd FD) {
 	mt := fs.thread(t)
-	mt.Step("fs.close")
+	mt.StepDeclared("fs.close")
 	f, ok := fd.(*modelFD)
 	if !ok || f == nil {
 		mt.Failf("fs.close on a non-file descriptor")
 		return
 	}
+	fs.touchInode(f.ino, machine.Write) // and with it the descriptor
 	if f.closed {
 		mt.Failf("fs.close on already-closed descriptor %q", f.path())
 	}
@@ -412,8 +448,9 @@ func (fs *Model) Close(t T, fd FD) {
 // ReadAt implements System.
 func (fs *Model) ReadAt(t T, fd FD, off, n uint64) []byte {
 	mt := fs.thread(t)
-	mt.Step("fs.readat")
+	mt.StepDeclared("fs.readat")
 	f := fs.fd(mt, "readat", fd, false)
+	fs.touchInode(f.ino, machine.Read)
 	data := fs.inodes[f.ino]
 	if off >= uint64(len(data)) {
 		return nil
@@ -429,12 +466,13 @@ func (fs *Model) ReadAt(t T, fd FD, off, n uint64) []byte {
 // Size implements System.
 func (fs *Model) Size(t T, fd FD) uint64 {
 	mt := fs.thread(t)
-	mt.Step("fs.size")
+	mt.StepDeclared("fs.size")
 	f, ok := fd.(*modelFD)
 	if !ok || f == nil {
 		mt.Failf("fs.size on a non-file descriptor")
 		return 0
 	}
+	fs.touchInode(f.ino, machine.Read)
 	if f.version != fs.m.Version() || f.closed {
 		mt.Failf("fs.size on dead descriptor %q", f.path())
 	}
@@ -445,8 +483,9 @@ func (fs *Model) Size(t T, fd FD) uint64 {
 // The model's sync never fails (inject failures with Faulty).
 func (fs *Model) Sync(t T, fd FD) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.sync")
+	mt.StepDeclared("fs.sync")
 	f := fs.fd(mt, "sync", fd, true)
+	fs.touchInode(f.ino, machine.Write)
 	// A strict model's contents are durable as written: only a buffered
 	// one keeps a synced prefix and pending append boundaries.
 	if fs.buffered {
@@ -466,7 +505,8 @@ func (fs *Model) Sync(t T, fd FD) bool {
 // directory sync never fails (inject failures with Faulty).
 func (fs *Model) SyncDir(t T, dir string) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.syncdir")
+	mt.StepDeclared("fs.syncdir")
+	fs.touchDir(dir, machine.Write)
 	fs.dir(mt, "syncdir", dir)
 	if fs.writeback {
 		durable := map[string]inodeID{}
@@ -485,7 +525,9 @@ func (fs *Model) SyncDir(t T, dir string) bool {
 // Delete implements System.
 func (fs *Model) Delete(t T, dir, name string) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.delete")
+	mt.StepDeclared("fs.delete")
+	fs.touchDir(dir, machine.Write)
+	fs.touchSpace()
 	d := fs.dir(mt, "delete", dir)
 	if _, ok := d[name]; !ok {
 		if mt.Tracing() {
@@ -506,7 +548,10 @@ func (fs *Model) Delete(t T, dir, name string) bool {
 // Link implements System.
 func (fs *Model) Link(t T, oldDir, oldName, newDir, newName string) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.link")
+	mt.StepDeclared("fs.link")
+	fs.touchDir(oldDir, machine.Read)
+	fs.touchDir(newDir, machine.Write)
+	fs.touchSpace()
 	od := fs.dir(mt, "link", oldDir)
 	nd := fs.dir(mt, "link", newDir)
 	ino, ok := od[oldName]
@@ -540,7 +585,8 @@ func (fs *Model) Link(t T, oldDir, oldName, newDir, newName string) bool {
 // model deterministic for the explorer.
 func (fs *Model) List(t T, dir string) []string {
 	mt := fs.thread(t)
-	mt.Step("fs.list")
+	mt.StepDeclared("fs.list")
+	fs.touchDir(dir, machine.Read)
 	d := fs.dir(mt, "list", dir)
 	out := make([]string, 0, len(d))
 	for name := range d {
@@ -560,9 +606,14 @@ func (fs *Model) List(t T, dir string) []string {
 // integrity layer checks the bytes. Absent and empty files report false.
 func (fs *Model) CorruptFile(t T, dir, name string, mode CorruptMode) bool {
 	mt := fs.thread(t)
-	mt.Step("fs.corrupt")
+	mt.StepDeclared("fs.corrupt")
+	fs.touchDir(dir, machine.Read)
+	fs.touchSpace()
 	d := fs.dir(mt, "corrupt", dir)
 	ino, ok := d[name]
+	if ok {
+		fs.touchInode(ino, machine.Write)
+	}
 	if !ok || len(fs.inodes[ino]) == 0 {
 		if mt.Tracing() {
 			mt.Tracef("fs.corrupt %s/%s -> nothing to corrupt", dir, name)

@@ -113,6 +113,15 @@ func NewStack(backends []System, dirs []string, spec StackSpec) *Stack {
 		panic(err)
 	}
 	s := &Stack{policy: spec.Policy}
+	if spec.Checksum || len(backends) > 1 {
+		// Checksummed and Mirrored keep shared Go state they do not
+		// declare, so nothing on their machine may be reordered.
+		for _, b := range backends {
+			if fs, ok := b.(*Model); ok {
+				fs.m.Undeclared()
+			}
+		}
+	}
 	var fsm *FSMetrics
 	var integ *IntegrityMetrics
 	if spec.Metrics != nil {

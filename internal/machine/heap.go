@@ -14,6 +14,7 @@ type cell struct {
 	// or -1 if no store is in progress.
 	writer TID
 	name   string
+	obj    Obj // its name in footprints
 }
 
 // Ref is a typed reference to a volatile heap cell, the model of a Go
@@ -24,9 +25,11 @@ type Ref[V any] struct {
 
 // NewRef allocates a heap cell holding v. Allocation is one atomic step.
 // The name appears in traces and violation messages.
+// A fresh cell is touched by no other thread yet, so the step declares
+// nothing.
 func NewRef[V any](t *T, name string, v V) *Ref[V] {
-	t.Step("alloc")
-	c := &cell{version: t.m.version, value: v, writer: -1, name: name}
+	t.StepDeclared("alloc")
+	c := &cell{version: t.m.version, value: v, writer: -1, name: name, obj: t.m.Objects(1)}
 	t.trace("alloc", name)
 	return &Ref[V]{c: c}
 }
@@ -34,7 +37,8 @@ func NewRef[V any](t *T, name string, v V) *Ref[V] {
 // Load reads the cell. One atomic step. Reading concurrently with a
 // store to the same cell is a race and therefore undefined behaviour.
 func (r *Ref[V]) Load(t *T) V {
-	t.Step("load")
+	t.StepDeclared("load")
+	t.Touch(r.c.obj, Read)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 && r.c.writer != t.th.id {
 		t.Failf("data race: t%d loads %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
@@ -49,14 +53,16 @@ func (r *Ref[V]) Load(t *T) V {
 // Store writes the cell in two atomic steps (start, end). Any concurrent
 // access between the steps is a race.
 func (r *Ref[V]) Store(t *T, v V) {
-	t.Step("store-start")
+	t.StepDeclared("store-start")
+	t.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d starts storing %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
 	}
 	r.c.writer = t.th.id
 
-	t.Step("store-end")
+	t.StepDeclared("store-end")
+	t.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != t.th.id {
 		t.Failf("data race: %s store by t%d interleaved with another store", r.c.name, t.th.id)
@@ -70,7 +76,8 @@ func (r *Ref[V]) Store(t *T, v V) {
 // model sync/atomic (§6.1), but the machine provides this for harness
 // bookkeeping that should not introduce extra interleavings.
 func (r *Ref[V]) StoreAtomic(t *T, v V) {
-	t.Step("store-atomic")
+	t.StepDeclared("store-atomic")
+	t.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d atomically stores %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)

@@ -11,12 +11,14 @@ type Lock struct {
 	holder  TID // -1 when free
 	waiters []*thread
 	m       *Machine
+	obj     Obj // its name in footprints
 }
 
-// NewLock allocates a lock. One atomic step.
+// NewLock allocates a lock. One atomic step, which declares nothing: no
+// other thread can touch the fresh lock yet.
 func NewLock(t *T, name string) *Lock {
-	t.Step("newlock")
-	l := &Lock{version: t.m.version, name: name, holder: -1, m: t.m}
+	t.StepDeclared("newlock")
+	l := &Lock{version: t.m.version, name: name, holder: -1, m: t.m, obj: t.m.Objects(1)}
 	t.trace("newlock", name)
 	return l
 }
@@ -24,8 +26,9 @@ func NewLock(t *T, name string) *Lock {
 // Acquire takes the lock, blocking while another thread holds it. The
 // acquire itself is one atomic step.
 func (l *Lock) Acquire(t *T) {
-	t.Step("acquire")
+	t.StepDeclared("acquire")
 	for {
+		t.Touch(l.obj, Write) // each attempt, the retry after a wake too
 		t.checkVersion("lock", l.name, l.version)
 		if l.holder == -1 {
 			l.holder = t.th.id
@@ -45,7 +48,8 @@ func (l *Lock) Acquire(t *T) {
 // atomic step. Releasing a lock the thread does not hold is undefined
 // behaviour, matching sync.Mutex's fatal unlock-of-unlocked-mutex.
 func (l *Lock) Release(t *T) {
-	t.Step("release")
+	t.StepDeclared("release")
+	t.Touch(l.obj, Write)
 	t.checkVersion("lock", l.name, l.version)
 	if l.holder != t.th.id {
 		t.Failf("lock %s released by t%d but held by t%d", l.name, t.th.id, l.holder)

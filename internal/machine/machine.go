@@ -79,6 +79,9 @@ const (
 	// Violation: undefined behaviour or a model-level failure was
 	// detected (race, stale pointer, deadlock, panic, step budget).
 	Violation
+	// Stopped: the Reducer ended the era at a draw whose every option
+	// it had already covered; all threads were killed.
+	Stopped
 )
 
 func (o Outcome) String() string {
@@ -89,6 +92,8 @@ func (o Outcome) String() string {
 		return "crashed"
 	case Violation:
 		return "violation"
+	case Stopped:
+		return "stopped"
 	default:
 		return fmt.Sprintf("Outcome(%d)", int(o))
 	}
@@ -133,6 +138,9 @@ type Options struct {
 	TraceDepth int
 	// Observer, when non-nil, receives structured schedule events.
 	Observer Observer
+	// Reducer, when non-nil, is told each transition's footprint and
+	// each draw's threads, and may stop an era (see Reducer).
+	Reducer Reducer
 }
 
 // Machine is one simulated machine instance. Durable devices survive
@@ -160,6 +168,17 @@ type Machine struct {
 	allowCrash      bool
 	handed, handedN int
 
+	// reducing says there is a Reducer to tell, and the machine is not
+	// Undeclared. fp is the running transition's footprint, recorded only
+	// then; first says no transition has run in the era yet. readyIDs is
+	// the draw's thread list handed to the Reducer. nextObj is the next
+	// name Objects hands out.
+	reducing bool
+	fp       Footprint
+	first    bool
+	readyIDs []TID
+	nextObj  Obj
+
 	// trace is a ring of the last opts.TraceDepth lines: it grows by
 	// append until full, then traceHead is the oldest line's slot.
 	trace     []string
@@ -181,7 +200,7 @@ func NewOn(cs *Carriers, opts Options) *Machine {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 100000
 	}
-	m := &Machine{opts: opts, version: 1, carriers: cs}
+	m := &Machine{opts: opts, version: 1, carriers: cs, reducing: opts.Reducer != nil}
 	if cs == nil {
 		m.private.eraScoped = true
 		m.carriers = &m.private
@@ -304,6 +323,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	m.chooser, m.allowCrash = chooser, allowCrash
 	m.failure = nil
 	m.alive = 0
+	m.first = true
 
 	m.spawn(main)
 
@@ -323,6 +343,10 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 				m.killAll()
 				return EraResult{Outcome: Violation, Err: m.failure}
 			}
+		}
+		if n < 0 {
+			m.killAll()
+			return EraResult{Outcome: Stopped}
 		}
 		if choice < 0 || choice >= n {
 			m.Failf("chooser returned %d out of range [0,%d)", choice, n)
@@ -353,15 +377,48 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 // draw is the scheduler's one draw: a "sched" choice over the runnable
 // threads, which it leaves in m.ready, plus a last option to crash when
 // the era allows it. n is the number of options, 0 when no thread is
-// runnable, and then nothing is drawn.
+// runnable, and then nothing is drawn; -1 when the Reducer stopped the
+// era instead. A picked thread starts its transition's footprint.
 func (m *Machine) draw() (choice, n int) {
-	if n = len(m.runnable()); n == 0 {
+	ready := m.runnable()
+	if m.reducing {
+		return m.reducedDraw(ready)
+	}
+	if n = len(ready); n == 0 {
 		return 0, 0
 	}
 	if m.allowCrash {
 		n++
 	}
 	return m.chooser.Choose(n, "sched"), n
+}
+
+// reducedDraw is draw under a Reducer: it hands the Reducer the
+// transition that just ran and the threads the draw chooses among.
+func (m *Machine) reducedDraw(ready []*thread) (choice, n int) {
+	ids := m.readyIDs[:0]
+	for _, th := range ready {
+		ids = append(ids, th.id)
+	}
+	m.readyIDs = ids
+	ran := &m.fp
+	if m.first {
+		ran, m.first = nil, false
+	}
+	if !m.opts.Reducer.Sched(ran, ids, m.allowCrash) && len(ready) > 0 {
+		return -1, -1
+	}
+	if n = len(ready); n == 0 {
+		return 0, 0
+	}
+	if m.allowCrash {
+		n++
+	}
+	choice = m.chooser.Choose(n, "sched")
+	if choice >= 0 && choice < len(ready) {
+		m.fp.start(!ready[choice].declared)
+	}
+	return choice, n
 }
 
 func (m *Machine) runnable() []*thread {
@@ -397,7 +454,7 @@ func (m *Machine) killAll() {
 // spawn creates a thread. It takes a carrier, and first runs, when first
 // scheduled (see resume).
 func (m *Machine) spawn(fn func(t *T)) TID {
-	th := &thread{id: TID(len(m.threads)), status: statusReady, fn: fn}
+	th := &thread{id: TID(len(m.threads)), status: statusReady, fn: fn, declared: true}
 	th.t = T{m: m, th: th}
 	m.threads = append(m.threads, th)
 	m.alive++
@@ -410,6 +467,10 @@ type thread struct {
 	// dead is set once the thread is killed or has aborted itself: it
 	// is unwinding and takes no further machine step.
 	dead bool
+	// declared says the step the thread waits to take declares its
+	// footprint (StepDeclared), as does a thread's start: its first
+	// transition is Go code, which declares what it shares.
+	declared bool
 
 	fn func(t *T) // the body
 	t  T          // the handle fn is given
@@ -448,7 +509,8 @@ func (t *T) park(st status) {
 // Step marks an atomic step boundary: the scheduler picks who runs next.
 // Device packages call this exactly once per primitive, before applying
 // the primitive's effect. tag names the primitive for readers of the
-// call site.
+// call site. A step taken with Step declares nothing: the transition it
+// starts is global (see Footprint).
 //
 // The thread makes the scheduler's draw itself, on its own carrier: when
 // the draw picks it again it goes on without parking, which is most
@@ -457,6 +519,18 @@ func (t *T) park(st status) {
 // acts on it without drawing again. A step past the budget, or after a
 // recorded failure, draws nothing and parks, for RunEra to end the era.
 func (t *T) Step(tag string) {
+	t.th.declared = false
+	t.step()
+}
+
+// StepDeclared is Step for a primitive that declares, with Touch right
+// after StepDeclared returns, everything its effect touches.
+func (t *T) StepDeclared(tag string) {
+	t.th.declared = true
+	t.step()
+}
+
+func (t *T) step() {
 	m := t.m
 	if !t.th.dead {
 		m.steps++
@@ -509,9 +583,12 @@ func (t *T) trace(verb, name string) {
 }
 
 // Go spawns a new thread running fn, like a Go `go` statement (§6.1).
-// Spawning is one atomic step.
+// Spawning is one atomic step. It touches only the thread table: a
+// spawn commutes with every step but another spawn, whose thread would
+// take its ID.
 func (t *T) Go(fn func(t *T)) TID {
-	t.Step("go")
+	t.StepDeclared("go")
+	t.Touch(threadsObj, Write)
 	tid := t.m.spawn(fn)
 	t.Tracef("go -> t%d", tid)
 	return tid
@@ -524,7 +601,8 @@ func (t *T) RandUint64(bound uint64) uint64 {
 	if bound == 0 {
 		t.Failf("RandUint64 with zero bound")
 	}
-	t.Step("rand")
+	t.StepDeclared("rand")
+	t.Touch(randObj, Write) // a RandPolicy answers by call index
 	n := bound
 	const maxEnum = 1 << 20
 	if n > maxEnum {
@@ -536,6 +614,13 @@ func (t *T) RandUint64(bound uint64) uint64 {
 	}
 	return v
 }
+
+// threadsObj is the thread table, which spawns write.
+var threadsObj = StaticObj()
+
+// randObj orders RandUint64 calls: under a per-call-index policy the
+// value one returns depends on how many came before it.
+var randObj = StaticObj()
 
 // Choose resolves a device-level nondeterministic choice within the
 // current atomic step (no extra scheduling point). Device packages use

@@ -224,3 +224,57 @@ func (a *alternate) Choose(n int, tag string) int {
 
 func (a *alternate) Scheduled(tid TID) { a.last, a.n = tid, a.n+1 }
 func (a *alternate) CrashInjected()    {}
+
+// countingReducer is a Reducer that lets every draw through and counts
+// the accesses it is told of.
+type countingReducer struct{ draws, accesses int }
+
+func (r *countingReducer) Sched(ran *Footprint, ready []TID, crash bool) bool {
+	r.draws++
+	if ran != nil {
+		r.accesses += len(ran.Accesses())
+	}
+	return true
+}
+
+// TestFootprintAllocs: recording a transition's footprint and handing it
+// to the Reducer at every draw allocates nothing, a handoff included;
+// past MaxAccesses a transition is global.
+func TestFootprintAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	red, alt := &countingReducer{}, &alternate{}
+	m := New(Options{MaxSteps: 1 << 30, Reducer: red, Observer: alt})
+	var avg float64
+	res := m.RunEra(alt, false, func(mt *T) {
+		r := NewRef(mt, "x", false) // a bool boxes without allocating
+		mt.Go(func(c *T) {
+			for {
+				r.Load(c)
+			}
+		})
+		avg = testing.AllocsPerRun(100, func() {
+			r.StoreAtomic(mt, !r.Load(mt))
+			for o := Obj(0); o < 4; o++ {
+				mt.Touch(o, Read)
+			}
+		})
+		for o := Obj(0); o <= MaxAccesses; o++ {
+			mt.Touch(o, Write)
+		}
+		if !m.fp.Global() {
+			t.Errorf("a transition of %d accesses is not global", MaxAccesses+1)
+		}
+		mt.Failf("done")
+	})
+	if res.Outcome != Violation {
+		t.Fatal(res)
+	}
+	if avg != 0 {
+		t.Fatalf("a declared step and its draw: %.1f allocations, want 0", avg)
+	}
+	if red.draws == 0 || red.accesses == 0 {
+		t.Fatalf("the reducer saw %d draws and %d accesses", red.draws, red.accesses)
+	}
+}

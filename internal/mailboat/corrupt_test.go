@@ -115,7 +115,7 @@ func TestDedupSelfCheckCorrupt(t *testing.T) {
 	if testing.Short() {
 		opts.MaxExecutions = 2000
 	}
-	with, without, err := explore.SelfCheckDedup(s, opts)
+	with, without, err := explore.SelfCheck(s, opts)
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
 	}

@@ -111,7 +111,7 @@ func TestNoSpaceGCReclaimsExhaustive(t *testing.T) {
 // of them would be a soundness hole.
 func TestNoSpaceSelfCheckDedup(t *testing.T) {
 	s := nospaceGCScenario(VariantVerified, []OpDeliver{{User: 0, Msg: "a"}}, 2, 3)
-	with, without, err := explore.SelfCheckDedup(s, explore.Options{MaxExecutions: 20000})
+	with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 20000})
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
 	}

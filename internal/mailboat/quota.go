@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/gfs"
+	"repro/internal/machine"
 )
 
 // This file is the quota extension (Config.QuotaBytes): per-user byte
@@ -22,6 +23,18 @@ type quotaState struct {
 	mu    sync.Mutex
 	used  []uint64
 	sizes []map[string]uint64 // per user: mailbox name -> message bytes
+	// m is the machine of a modeled store, nil on a native one: user u's
+	// accounting is object obj+u in its footprints (DESIGN.md "Sleep
+	// sets").
+	m   *machine.Machine
+	obj machine.Obj
+}
+
+// touch declares a write of user's accounting.
+func (q *quotaState) touch(user uint64) {
+	if q.m != nil {
+		q.m.Touch(q.obj+machine.Obj(user), machine.Write)
+	}
 }
 
 // initQuota derives per-user usage from the store: the size of every
@@ -34,6 +47,10 @@ func (mb *Mailboat) initQuota(t gfs.T) {
 	q := &quotaState{
 		used:  make([]uint64, mb.cfg.Users),
 		sizes: make([]map[string]uint64, mb.cfg.Users),
+	}
+	if mt, ok := t.(*machine.T); ok {
+		q.m = mt.Machine()
+		q.obj = q.m.Objects(mb.cfg.Users)
 	}
 	for u := uint64(0); u < mb.cfg.Users; u++ {
 		q.sizes[u] = map[string]uint64{}
@@ -71,6 +88,7 @@ func (mb *Mailboat) quotaReserve(user uint64, n uint64) bool {
 		return true
 	}
 	q := mb.quota
+	q.touch(user)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.used[user]+n > mb.cfg.QuotaBytes {
@@ -86,6 +104,7 @@ func (mb *Mailboat) quotaRelease(user uint64, n uint64) {
 		return
 	}
 	q := mb.quota
+	q.touch(user)
 	q.mu.Lock()
 	q.used[user] -= n
 	q.mu.Unlock()
@@ -98,6 +117,7 @@ func (mb *Mailboat) quotaCommit(user uint64, name string, n uint64) {
 		return
 	}
 	q := mb.quota
+	q.touch(user)
 	q.mu.Lock()
 	q.sizes[user][name] = n
 	q.mu.Unlock()
@@ -109,6 +129,7 @@ func (mb *Mailboat) quotaCredit(user uint64, name string) {
 		return
 	}
 	q := mb.quota
+	q.touch(user)
 	q.mu.Lock()
 	if n, ok := q.sizes[user][name]; ok {
 		q.used[user] -= n

@@ -195,7 +195,7 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 	if testing.Short() {
 		opts.MaxExecutions = 2000
 	}
-	with, without, err := explore.SelfCheckDedup(s, opts)
+	with, without, err := explore.SelfCheck(s, opts)
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
 	}

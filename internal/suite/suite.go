@@ -347,11 +347,11 @@ var mailboatVerified = []mailboatEntry{
 		// what survives is, per mailbox, the state after a prefix of
 		// its operations since the last crash, with torn bodies only
 		// where a link outlived its data (mailboat.PrefixSpec). This is
-		// the checked spec behind the README caveat. Budget-bounded: the
-		// complete search is 1.7M executions (~25 s on one worker), and
-		// 8,000 keep the verified pass within a tenth of its time
-		// without it; mailboat's TestWritebackPrefixContractClean runs
-		// it to completion.
+		// the checked spec behind the README caveat. With sleep sets the
+		// complete search is 7,797 executions on one worker, inside the
+		// 8,000 budget (1.73M without them); mailboat's
+		// TestWritebackPrefixContractClean runs it to completion at any
+		// worker count.
 		"mailboat-writeback", "mb/writeback+prefix-contract", mailboat.VariantVerified, 8000,
 		mailboat.ScenarioOptions{
 			Config:      mailboat.Config{Users: 1, RandBound: 4},

@@ -134,22 +134,24 @@ func matchSearchGolden(t *testing.T, got []string) {
 // one, and a mutation rebuilt from the production stages must be the
 // same mutation).
 func TestCounterexamplesAreTheirReplay(t *testing.T) {
-	// 564 in all (bench's explore.bug_execs_total): the 1,047 of the
+	// 492 in all (bench's explore.bug_execs_total): the 1,047 of the
 	// trace-free search, less 8 on mb/integrity-bug:no-verify-resilver —
 	// 13, not 21, since boot recovery reads each file once per replica,
 	// so the recovery era has fewer steps and the DFS reaches the
 	// corrupting branch sooner — less 481 on
 	// mb/nospace-bug:gc-eats-live-spool, whose recorded deliveries draw
 	// from three names, not four (76, not 557), plus the 6 of
-	// mb/prefix-bug:recover-drops-torn.
+	// mb/prefix-bug:recover-drops-torn; then less 72 that sleep sets skip
+	// as reorderings of executions already run (gc/bug:racy-read 10 → 4,
+	// mb/bug:unspooled-delivery 41 → 8, gc-eats-live-spool 76 → 43).
 	pinned := map[string]int{
 		"rd/bug:no-recovery":                  8,
 		"rd/bug:zeroing-recovery":             2,
 		"sc/bug:in-place-write":               3,
 		"wal/bug:recover-clear-only":          4,
-		"gc/bug:racy-read":                    10,
+		"gc/bug:racy-read":                    4,
 		"journal/bug:recover-skips-redo":      4,
-		"mb/bug:unspooled-delivery":           41,
+		"mb/bug:unspooled-delivery":           8,
 		"mb/bug:buffered-fs-no-fsync":         2,
 		"mb/mirror-bug:no-resilver":           6,
 		"mb/integrity-bug:trust-read":         2,
@@ -158,7 +160,7 @@ func TestCounterexamplesAreTheirReplay(t *testing.T) {
 		"mb/sync-bug:ack-before-sync":         2,
 		"mb/sync-bug:recover-trusts-cache":    2,
 		"mb/nospace-bug:ack-after-enospc":     50,
-		"mb/nospace-bug:gc-eats-live-spool":   76,
+		"mb/nospace-bug:gc-eats-live-spool":   43,
 		"mb/prefix-bug:recover-drops-torn":    6,
 		"mb/repl-bug:ack-before-backup":       9,
 		"mb/repl-bug:resync-skips-epoch":      317,
@@ -255,8 +257,39 @@ func TestParallelSearchSharesSpecStates(t *testing.T) {
 	t.Fatal("mb/deliver+pickup+crash missing from the verified suite")
 }
 
-// TestDedupSelfCheckMailboatMirror runs the dedup soundness self-check
-// (explore.SelfCheckDedup) on the mirrored-store scenario — the suite's
+// TestSelfCheckCompleteEntries is the witness of both reductions over
+// the suite (DESIGN.md "Sleep sets"): every verified entry whose reduced
+// search completes at its own budget at Workers: 1 is searched again
+// without them, to completion, and the two searches must agree on the
+// verdict and on the set of outcomes (explore.SelfCheck). A
+// budget-bounded entry has no set to compare, nor has
+// mb/writeback+prefix-contract, whose plain search is 1.73M executions.
+// CI's checker-par job runs it; -short skips it.
+func TestSelfCheckCompleteEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the unreduced searches run to completion")
+	}
+	for _, e := range Verified() {
+		opts := e.Opts
+		opts.Workers = 1
+		if rep := explore.Run(e.Scenario, opts); !rep.Complete || e.Scenario.Name == "mb/writeback+prefix-contract" {
+			t.Logf("%s: %d executions, complete=%v; no outcome set to compare", e.Scenario.Name, rep.Executions, rep.Complete)
+			continue
+		}
+		opts = e.Opts
+		opts.MaxExecutions = 250000 // mb/writeback+sync-discipline's plain search is 132,073
+		with, without, err := explore.SelfCheck(e.Scenario, opts)
+		if err != nil {
+			t.Errorf("%v", err)
+			continue
+		}
+		t.Logf("%s: %d executions without the reductions, %d with (%d slept, %d blocked, %d pruned)",
+			e.Scenario.Name, without.Executions, with.Executions, with.Stats.Slept, with.Stats.SleepBlocked, with.Stats.PrunedStates)
+	}
+}
+
+// TestDedupSelfCheckMailboatMirror runs the reductions' self-check
+// (explore.SelfCheck) on the mirrored-store scenario — the suite's
 // richest fingerprint, covering the filesystem model, fault latches,
 // chooser-policy budgets, and mirror control state. CI runs this at the
 // -short budget; the full budget matches cmd/perennial-check -selfcheck.
@@ -269,7 +302,7 @@ func TestDedupSelfCheckMailboatMirror(t *testing.T) {
 		if testing.Short() {
 			opts.MaxExecutions = 1000
 		}
-		with, without, err := explore.SelfCheckDedup(e.Scenario, opts)
+		with, without, err := explore.SelfCheck(e.Scenario, opts)
 		if err != nil {
 			t.Fatalf("self-check failed: %v", err)
 		}
