@@ -75,15 +75,15 @@ func (d *Disk) Fail() { d.failed = true }
 func (d *Disk) Read(t *machine.T, a uint64) (Block, bool) {
 	t.StepDeclared("disk_read")
 	d.checkBounds(t, "read", a)
-	t.Touch(d.obj+1+machine.Obj(a), machine.Read)
-	t.Touch(d.obj, machine.Read)
+	d.m.Touch(d.obj+1+machine.Obj(a), machine.Read)
+	d.m.Touch(d.obj, machine.Read)
 	if d.mayFail && !d.failed {
 		if t.Machine() != d.m {
 			t.Failf("disk %s used from a different machine", d.name)
 		}
 		// Offer the chooser the option to fail the disk now.
 		if t.Choose(2, "diskfail") == 1 {
-			t.Touch(d.obj, machine.Write)
+			d.m.Touch(d.obj, machine.Write)
 			d.failed = true
 			if t.Tracing() {
 				t.Tracef("disk %s FAILED", d.name)
@@ -110,8 +110,8 @@ func (d *Disk) Read(t *machine.T, a uint64) (Block, bool) {
 func (d *Disk) Write(t *machine.T, a uint64, v Block) {
 	t.StepDeclared("disk_write")
 	d.checkBounds(t, "write", a)
-	t.Touch(d.obj+1+machine.Obj(a), machine.Write)
-	t.Touch(d.obj, machine.Read)
+	d.m.Touch(d.obj+1+machine.Obj(a), machine.Write)
+	d.m.Touch(d.obj, machine.Read)
 	if d.failed {
 		if t.Tracing() {
 			t.Tracef("disk_write %s[%d] dropped (failed)", d.name, a)

@@ -703,8 +703,10 @@ type choicePoint struct {
 	// affects replay, only next()/splitShallowest.
 	limit int
 	// sched is the point's part of the sleep sets (sched.on for a
-	// "sched" point under reduction).
-	sched schedPoint
+	// "sched" point under reduction), and lastOn the index of the last
+	// such point at or before this one (-1: none).
+	sched  schedPoint
+	lastOn int32
 }
 
 func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open = 0, -1, -1 }
@@ -718,6 +720,7 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 			// factor (the donor recorded only the chosen option).
 			p.n, p.tag = n, tag
 			d.learnPinned(d.pos, tag)
+			d.placed(d.pos)
 		}
 		if p.n != n {
 			// The machine must be deterministic given prior choices; a
@@ -728,6 +731,7 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 			d.points = d.points[:d.pos]
 			d.trim(d.pos - 1)
 			d.points = append(d.points, choicePoint{n: n, tag: tag})
+			d.placed(d.pos)
 		}
 		c := d.points[d.pos].chosen
 		d.chose(d.pos)
@@ -740,6 +744,7 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 		p.sched, p.chosen = d.pend, d.pend.first
 		d.pend.on = false
 	}
+	d.placed(d.pos)
 	d.chose(d.pos)
 	d.pos++
 	return p.chosen

@@ -228,13 +228,31 @@ func (d *dfsChooser) cut() {
 	d.open = -1
 }
 
+// placed notes where point i, just added or learned, lies among the
+// "sched" points.
+func (d *dfsChooser) placed(i int) {
+	if !d.reduce {
+		return
+	}
+	p := &d.points[i]
+	switch {
+	case p.sched.on:
+		p.lastOn = int32(i)
+	case i > 0:
+		p.lastOn = d.points[i-1].lastOn
+	default:
+		p.lastOn = -1
+	}
+}
+
 // trim drops from the stacks everything above the points up to i.
 func (d *dfsChooser) trim(i int) {
 	if !d.reduce {
 		return
 	}
-	for ; i >= 0; i-- {
-		if s := &d.points[i].sched; s.on {
+	if i >= 0 {
+		if j := d.points[i].lastOn; j >= 0 {
+			s := &d.points[j].sched
 			d.tids, d.sl, d.acc = d.tids[:s.tidHi], d.sl[:s.doneHi], d.acc[:s.curHi]
 			return
 		}
@@ -280,10 +298,7 @@ func (d *dfsChooser) carryFor(i int) (int, []carried) {
 	if !d.reduce {
 		return -1, nil
 	}
-	j := i
-	for j >= 0 && !d.points[j].sched.on {
-		j--
-	}
+	j := int(d.points[i].lastOn)
 	if j < 0 {
 		return -1, nil
 	}

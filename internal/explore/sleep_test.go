@@ -96,7 +96,7 @@ func undeclared(declare, violate bool) *Scenario {
 			mark := func(c *machine.T, r *machine.Ref[int], v uint64) {
 				r.StoreAtomic(c, 1)
 				if declare {
-					c.Touch(flag, machine.Write)
+					c.Machine().Touch(flag, machine.Write)
 				}
 				if violate && v == 1 && d.v != 0 {
 					c.Failf("A ran after B")

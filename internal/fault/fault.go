@@ -199,9 +199,9 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	}
 	// A spent budget is never written again, so only an offered decision
 	// reads it (DESIGN.md "Sleep sets").
-	mt.Touch(budgetObj, machine.Read)
+	mt.Machine().Touch(budgetObj, machine.Read)
 	if mt.Choose(2, c.Tag()) == 1 {
-		mt.Touch(budgetObj, machine.Write)
+		mt.Machine().Touch(budgetObj, machine.Write)
 		p.used++
 		p.spent[c]++
 		return true

@@ -121,18 +121,14 @@ func (m *Machine) Objects(n uint64) Obj {
 // longer told of any draw, and the search reorders nothing.
 func (m *Machine) Undeclared() { m.reducing = false }
 
-// Touch declares that the running transition accesses o in mode md. It
-// is a no-op when no Reducer is told of it, and outside an era, whose
-// first draw reports no transition.
+// Touch declares that the running transition accesses o in mode md:
+// the one way primitives, and Go-level state shared between simulated
+// threads, declare their accesses. Code on a native thread has no
+// machine and nothing to declare. Touch is a no-op when no Reducer is
+// told of it, and outside an era, whose first draw reports no
+// transition.
 func (m *Machine) Touch(o Obj, md Mode) {
 	if m.reducing {
 		m.fp.add(Access(o)<<2 | Access(md))
 	}
 }
-
-// Touch declares that the running transition accesses o in mode md:
-// the one way Go-level state shared between simulated threads declares
-// its accesses. Code holding an interface thread handle calls it only
-// when the handle is a *T; on a native thread there is nothing to
-// declare.
-func (t *T) Touch(o Obj, md Mode) { t.m.Touch(o, md) }

@@ -38,7 +38,7 @@ func NewRef[V any](t *T, name string, v V) *Ref[V] {
 // store to the same cell is a race and therefore undefined behaviour.
 func (r *Ref[V]) Load(t *T) V {
 	t.StepDeclared("load")
-	t.Touch(r.c.obj, Read)
+	t.m.Touch(r.c.obj, Read)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 && r.c.writer != t.th.id {
 		t.Failf("data race: t%d loads %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
@@ -54,7 +54,7 @@ func (r *Ref[V]) Load(t *T) V {
 // access between the steps is a race.
 func (r *Ref[V]) Store(t *T, v V) {
 	t.StepDeclared("store-start")
-	t.Touch(r.c.obj, Write)
+	t.m.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d starts storing %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)
@@ -62,7 +62,7 @@ func (r *Ref[V]) Store(t *T, v V) {
 	r.c.writer = t.th.id
 
 	t.StepDeclared("store-end")
-	t.Touch(r.c.obj, Write)
+	t.m.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != t.th.id {
 		t.Failf("data race: %s store by t%d interleaved with another store", r.c.name, t.th.id)
@@ -77,7 +77,7 @@ func (r *Ref[V]) Store(t *T, v V) {
 // bookkeeping that should not introduce extra interleavings.
 func (r *Ref[V]) StoreAtomic(t *T, v V) {
 	t.StepDeclared("store-atomic")
-	t.Touch(r.c.obj, Write)
+	t.m.Touch(r.c.obj, Write)
 	t.checkVersion("pointer", r.c.name, r.c.version)
 	if r.c.writer != -1 {
 		t.Failf("data race: t%d atomically stores %s while t%d's store is in progress", t.th.id, r.c.name, r.c.writer)

@@ -28,7 +28,7 @@ func NewLock(t *T, name string) *Lock {
 func (l *Lock) Acquire(t *T) {
 	t.StepDeclared("acquire")
 	for {
-		t.Touch(l.obj, Write) // each attempt, the retry after a wake too
+		t.m.Touch(l.obj, Write) // each attempt, the retry after a wake too
 		t.checkVersion("lock", l.name, l.version)
 		if l.holder == -1 {
 			l.holder = t.th.id
@@ -49,7 +49,7 @@ func (l *Lock) Acquire(t *T) {
 // behaviour, matching sync.Mutex's fatal unlock-of-unlocked-mutex.
 func (l *Lock) Release(t *T) {
 	t.StepDeclared("release")
-	t.Touch(l.obj, Write)
+	t.m.Touch(l.obj, Write)
 	t.checkVersion("lock", l.name, l.version)
 	if l.holder != t.th.id {
 		t.Failf("lock %s released by t%d but held by t%d", l.name, t.th.id, l.holder)

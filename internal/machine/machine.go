@@ -588,7 +588,7 @@ func (t *T) trace(verb, name string) {
 // take its ID.
 func (t *T) Go(fn func(t *T)) TID {
 	t.StepDeclared("go")
-	t.Touch(threadsObj, Write)
+	t.m.Touch(threadsObj, Write)
 	tid := t.m.spawn(fn)
 	t.Tracef("go -> t%d", tid)
 	return tid
@@ -602,7 +602,7 @@ func (t *T) RandUint64(bound uint64) uint64 {
 		t.Failf("RandUint64 with zero bound")
 	}
 	t.StepDeclared("rand")
-	t.Touch(randObj, Write) // a RandPolicy answers by call index
+	t.m.Touch(randObj, Write) // a RandPolicy answers by call index
 	n := bound
 	const maxEnum = 1 << 20
 	if n > maxEnum {

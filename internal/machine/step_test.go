@@ -257,11 +257,11 @@ func TestFootprintAllocs(t *testing.T) {
 		avg = testing.AllocsPerRun(100, func() {
 			r.StoreAtomic(mt, !r.Load(mt))
 			for o := Obj(0); o < 4; o++ {
-				mt.Touch(o, Read)
+				m.Touch(o, Read)
 			}
 		})
 		for o := Obj(0); o <= MaxAccesses; o++ {
-			mt.Touch(o, Write)
+			m.Touch(o, Write)
 		}
 		if !m.fp.Global() {
 			t.Errorf("a transition of %d accesses is not global", MaxAccesses+1)
