@@ -702,11 +702,11 @@ type choicePoint struct {
 	// chooser still owns at the point (the rest were donated). It never
 	// affects replay, only next()/splitShallowest.
 	limit int
-	// sched is the point's part of the sleep sets (sched.on for a
-	// "sched" point under reduction), and lastOn the index of the last
-	// such point at or before this one (-1: none).
-	sched  schedPoint
-	lastOn int32
+	// si is 1 + the index in sleepSets.scheds of the point's part of
+	// the sleep sets, for a "sched" point under reduction (0: none);
+	// lastOn is the index of the last such point at or before this one
+	// (-1: none).
+	si, lastOn int32
 }
 
 func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open = 0, -1, -1 }
@@ -741,7 +741,8 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 	d.points = append(d.points, choicePoint{n: n, tag: tag})
 	p := &d.points[d.pos]
 	if tag == "sched" && d.pend.on {
-		p.sched, p.chosen = d.pend, d.pend.first
+		d.scheds = append(d.scheds, d.pend)
+		p.si, p.chosen = int32(len(d.scheds)), d.pend.first
 		d.pend.on = false
 	}
 	d.placed(d.pos)

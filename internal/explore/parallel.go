@@ -371,7 +371,7 @@ func (d *dfsChooser) splitShallowest() []job {
 		}
 		var opts []int
 		for c := lim - 1; c > pt.chosen; c-- {
-			if s := &pt.sched; !s.on || c >= s.nth || !d.asleep(s, c) {
+			if s := d.sched(pt); s == nil || c >= s.nth || !d.asleep(s, c) {
 				opts = append(opts, c)
 			}
 		}

@@ -34,8 +34,11 @@ type sleeper struct {
 	lo, hi int32 // its accesses: acc[lo:hi]
 }
 
-// schedPoint is a "sched" point's part of the sleep sets.
+// schedPoint is a "sched" point's part of the sleep sets, kept beside
+// the choice points so that replaying them walks no more memory than
+// before.
 type schedPoint struct {
+	// on marks sleepSets.pend as prepared for Choose.
 	on bool
 	// first is the option a fresh point takes: its first awake thread,
 	// or the crash option.
@@ -61,9 +64,10 @@ const maxCur = 64
 
 // sleepSets is a dfsChooser's reduction state.
 type sleepSets struct {
-	tids []machine.TID
-	sl   []sleeper
-	acc  []machine.Access
+	scheds []schedPoint
+	tids   []machine.TID
+	sl     []sleeper
+	acc    []machine.Access
 	// A donated job's carried entries lie below baseSl/baseAcc, and the
 	// pinned point carryAt (when hasCarry) inherits them.
 	baseSl, baseAcc int32
@@ -91,7 +95,7 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 		// A transition is the same every time its choices are replayed,
 		// so only a new one can add to the footprint.
 		if d.pos > d.frontier {
-			d.fold(&d.points[d.open].sched, ran)
+			d.fold(d.sched(&d.points[d.open]), ran)
 		}
 		d.open = -1
 	}
@@ -104,7 +108,7 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 	d.tids = append(d.tids, ready...)
 	p.tidHi, p.sleepLo = int32(len(d.tids)), int32(len(d.sl))
 	if ran != nil && d.lastSched >= 0 && !ran.Global() {
-		par := &d.points[d.lastSched].sched
+		par := d.sched(&d.points[d.lastSched])
 		for _, e := range d.sl[par.sleepLo:par.doneHi] {
 			if d.independent(e, ran) {
 				d.sl = append(d.sl, e)
@@ -185,20 +189,29 @@ func (d *dfsChooser) fold(s *schedPoint, ran *machine.Footprint) {
 	}
 }
 
+// sched returns p's part of the sleep sets, nil when it has none.
+func (d *dfsChooser) sched(p *choicePoint) *schedPoint {
+	if p.si == 0 {
+		return nil
+	}
+	return &d.scheds[p.si-1]
+}
+
 // chose notes that point i's choice was made.
 func (d *dfsChooser) chose(i int) {
 	p := &d.points[i]
 	if !d.reduce || p.tag != "sched" {
 		return
 	}
-	if !p.sched.on {
+	s := d.sched(p)
+	if s == nil {
 		// A re-seated point has no sleep set, and the next one must not
 		// inherit across it.
 		d.lastSched, d.open = -1, -1
 		return
 	}
 	d.lastSched, d.open = i, -1
-	if p.chosen < p.sched.nth {
+	if p.chosen < s.nth {
 		d.open = i
 	}
 }
@@ -210,20 +223,21 @@ func (d *dfsChooser) learnPinned(i int, tag string) {
 	if !d.reduce || tag != "sched" {
 		return
 	}
-	s := schedPoint{on: true, nth: d.nready, tidLo: int32(len(d.tids)), tidHi: int32(len(d.tids))}
+	s := schedPoint{nth: d.nready, tidLo: int32(len(d.tids)), tidHi: int32(len(d.tids))}
 	s.sleepLo, s.sleepHi, s.doneHi = int32(len(d.sl)), int32(len(d.sl)), int32(len(d.sl))
 	if d.hasCarry && i == d.carryAt {
 		s.sleepLo = 0
 	}
 	s.curLo, s.curHi = int32(len(d.acc)), int32(len(d.acc))
-	d.points[i].sched = s
+	d.scheds = append(d.scheds, s)
+	d.points[i].si = int32(len(d.scheds))
 }
 
 // cut ends an execution: a first transition still unreported was cut
 // short (a violation), so its footprint is not fully known.
 func (d *dfsChooser) cut() {
 	if d.open >= 0 && d.open < len(d.points) {
-		d.points[d.open].sched.curGlobal = true
+		d.sched(&d.points[d.open]).curGlobal = true
 	}
 	d.open = -1
 }
@@ -236,7 +250,7 @@ func (d *dfsChooser) placed(i int) {
 	}
 	p := &d.points[i]
 	switch {
-	case p.sched.on:
+	case p.si != 0:
 		p.lastOn = int32(i)
 	case i > 0:
 		p.lastOn = d.points[i-1].lastOn
@@ -252,12 +266,13 @@ func (d *dfsChooser) trim(i int) {
 	}
 	if i >= 0 {
 		if j := d.points[i].lastOn; j >= 0 {
-			s := &d.points[j].sched
-			d.tids, d.sl, d.acc = d.tids[:s.tidHi], d.sl[:s.doneHi], d.acc[:s.curHi]
+			si := d.points[j].si
+			s := &d.scheds[si-1]
+			d.scheds, d.tids, d.sl, d.acc = d.scheds[:si], d.tids[:s.tidHi], d.sl[:s.doneHi], d.acc[:s.curHi]
 			return
 		}
 	}
-	d.tids, d.sl, d.acc = d.tids[:0], d.sl[:d.baseSl], d.acc[:d.baseAcc]
+	d.scheds, d.tids, d.sl, d.acc = d.scheds[:0], d.tids[:0], d.sl[:d.baseSl], d.acc[:d.baseAcc]
 }
 
 // nextOption finishes p's chosen option and returns the next one to
@@ -265,8 +280,8 @@ func (d *dfsChooser) trim(i int) {
 // finished thread joins the point's done entries, and threads asleep
 // there are skipped.
 func (d *dfsChooser) nextOption(p *choicePoint, lim int) int {
-	s := &p.sched
-	if !s.on {
+	s := d.sched(p)
+	if s == nil {
 		return p.chosen + 1
 	}
 	if p.chosen < s.nth {
@@ -302,7 +317,7 @@ func (d *dfsChooser) carryFor(i int) (int, []carried) {
 	if j < 0 {
 		return -1, nil
 	}
-	s := &d.points[j].sched
+	s := d.sched(&d.points[j])
 	if j < i && d.points[j].chosen < s.nth {
 		s.curGlobal = true
 	}

@@ -32,6 +32,10 @@ type Carriers struct {
 	// so that an execution's eras do not each grow their own.
 	threads, ready []*thread
 
+	// red is the footprint recording of a machine with a Reducer, lent
+	// to each such machine built on the set, executions one at a time.
+	red *reduction
+
 	// eraScoped marks a bare machine's private set (New): a carrier of
 	// it runs one thread and returns instead of idling, so every
 	// thread's goroutine is gone when RunEra returns and nobody has

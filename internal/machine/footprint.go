@@ -119,7 +119,7 @@ func (m *Machine) Objects(n uint64) Obj {
 // Undeclared says the machine runs code that keeps shared Go state it
 // does not declare: every transition is global, so the Reducer is no
 // longer told of any draw, and the search reorders nothing.
-func (m *Machine) Undeclared() { m.reducing = false }
+func (m *Machine) Undeclared() { m.red = nil }
 
 // Touch declares that the running transition accesses o in mode md:
 // the one way primitives, and Go-level state shared between simulated
@@ -128,7 +128,16 @@ func (m *Machine) Undeclared() { m.reducing = false }
 // told of it, and outside an era, whose first draw reports no
 // transition.
 func (m *Machine) Touch(o Obj, md Mode) {
-	if m.reducing {
-		m.fp.add(Access(o)<<2 | Access(md))
+	if r := m.red; r != nil {
+		r.fp.add(Access(o)<<2 | Access(md))
 	}
+}
+
+// reduction is what a machine records for its Reducer: the running
+// transition's footprint, whether the era has run none yet, and the
+// draw's thread list.
+type reduction struct {
+	fp    Footprint
+	first bool
+	ids   []TID
 }

@@ -168,16 +168,11 @@ type Machine struct {
 	allowCrash      bool
 	handed, handedN int
 
-	// reducing says there is a Reducer to tell, and the machine is not
-	// Undeclared. fp is the running transition's footprint, recorded only
-	// then; first says no transition has run in the era yet. readyIDs is
-	// the draw's thread list handed to the Reducer. nextObj is the next
-	// name Objects hands out.
-	reducing bool
-	fp       Footprint
-	first    bool
-	readyIDs []TID
-	nextObj  Obj
+	// red records footprints for the Reducer, nil when there is none or
+	// the machine is Undeclared. nextObj is the next name Objects hands
+	// out.
+	red     *reduction
+	nextObj Obj
 
 	// trace is a ring of the last opts.TraceDepth lines: it grows by
 	// append until full, then traceHead is the oldest line's slot.
@@ -200,10 +195,16 @@ func NewOn(cs *Carriers, opts Options) *Machine {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 100000
 	}
-	m := &Machine{opts: opts, version: 1, carriers: cs, reducing: opts.Reducer != nil}
+	m := &Machine{opts: opts, version: 1, carriers: cs}
 	if cs == nil {
 		m.private.eraScoped = true
 		m.carriers = &m.private
+	}
+	if opts.Reducer != nil {
+		if m.carriers.red == nil {
+			m.carriers.red = new(reduction)
+		}
+		m.red = m.carriers.red
 	}
 	return m
 }
@@ -323,7 +324,9 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	m.chooser, m.allowCrash = chooser, allowCrash
 	m.failure = nil
 	m.alive = 0
-	m.first = true
+	if m.red != nil {
+		m.red.first = true
+	}
 
 	m.spawn(main)
 
@@ -381,7 +384,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 // era instead. A picked thread starts its transition's footprint.
 func (m *Machine) draw() (choice, n int) {
 	ready := m.runnable()
-	if m.reducing {
+	if m.red != nil {
 		return m.reducedDraw(ready)
 	}
 	if n = len(ready); n == 0 {
@@ -396,14 +399,15 @@ func (m *Machine) draw() (choice, n int) {
 // reducedDraw is draw under a Reducer: it hands the Reducer the
 // transition that just ran and the threads the draw chooses among.
 func (m *Machine) reducedDraw(ready []*thread) (choice, n int) {
-	ids := m.readyIDs[:0]
+	r := m.red
+	ids := r.ids[:0]
 	for _, th := range ready {
 		ids = append(ids, th.id)
 	}
-	m.readyIDs = ids
-	ran := &m.fp
-	if m.first {
-		ran, m.first = nil, false
+	r.ids = ids
+	ran := &r.fp
+	if r.first {
+		ran, r.first = nil, false
 	}
 	if !m.opts.Reducer.Sched(ran, ids, m.allowCrash) && len(ready) > 0 {
 		return -1, -1
@@ -416,7 +420,7 @@ func (m *Machine) reducedDraw(ready []*thread) (choice, n int) {
 	}
 	choice = m.chooser.Choose(n, "sched")
 	if choice >= 0 && choice < len(ready) {
-		m.fp.start(!ready[choice].declared)
+		r.fp.start(!ready[choice].declared)
 	}
 	return choice, n
 }

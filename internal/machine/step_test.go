@@ -263,7 +263,7 @@ func TestFootprintAllocs(t *testing.T) {
 		for o := Obj(0); o <= MaxAccesses; o++ {
 			m.Touch(o, Write)
 		}
-		if !m.fp.Global() {
+		if !m.red.fp.Global() {
 			t.Errorf("a transition of %d accesses is not global", MaxAccesses+1)
 		}
 		mt.Failf("done")
