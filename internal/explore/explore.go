@@ -363,9 +363,6 @@ type Options struct {
 	StressExecutions int
 	// StressSeed seeds the randomized mode.
 	StressSeed int64
-	// outcomes, when non-nil, collects every checked execution's
-	// outcome (SelfCheck).
-	outcomes *outcomeSet
 	// Progress, when non-nil with a Sink, streams live telemetry of the
 	// systematic phase (execs/s, frontier depth, dedup hit rate,
 	// per-worker donations, budget ETA). The sampler is read-only over
@@ -376,9 +373,13 @@ type Options struct {
 
 // Run performs a systematic DFS over the scenario's choice space —
 // parallelized across Options.Workers workers with optional
-// crash-boundary dedup — then optional randomized stress, and returns a
-// report.
-func Run(s *Scenario, opts Options) *Report {
+// crash-boundary dedup and sleep sets — then optional randomized
+// stress, and returns a report.
+func Run(s *Scenario, opts Options) *Report { return run(s, opts, nil) }
+
+// run is Run, collecting every checked execution of the systematic
+// phase into outcomes when it is not nil (SelfCheck).
+func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 	if opts.MaxExecutions == 0 {
 		opts.MaxExecutions = 20000
 	}
@@ -396,20 +397,14 @@ func Run(s *Scenario, opts Options) *Report {
 		}
 	}()
 
-	search(s, opts, workers, rep)
+	runSystematic(s, opts, workers, rep, outcomes)
+	if rep.Counterexample == nil && opts.StressExecutions > 0 {
+		runStress(s, opts, workers, rep)
+	}
 	if rep.Counterexample != nil {
 		rep.Counterexample = retrace(s, rep.Counterexample)
 	}
 	return rep
-}
-
-// search runs the systematic phase (prefix-partitioned parallel DFS),
-// then the randomized stress, stopping at the first counterexample.
-func search(s *Scenario, opts Options, workers int, rep *Report) {
-	runSystematic(s, opts, workers, rep)
-	if rep.Counterexample == nil && opts.StressExecutions > 0 {
-		runStress(s, opts, workers, rep)
-	}
 }
 
 // retrace fills in what the search left out. A searched execution

@@ -65,7 +65,7 @@ type searchPool struct {
 
 // runSystematic drains the scenario's whole choice tree with a worker
 // pool and fills rep. The caller has already applied option defaults.
-func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
+func runSystematic(s *Scenario, opts Options, workers int, rep *Report, outcomes *outcomeSet) {
 	p := &searchPool{
 		s:         s,
 		workers:   workers,
@@ -73,7 +73,7 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report) {
 		queue:     []job{{at: -1}}, // the root job: the empty prefix
 		donated:   make([]atomic.Int64, workers),
 		reduce:    !opts.NoReduce,
-		outcomes:  opts.outcomes,
+		outcomes:  outcomes,
 	}
 	p.outstanding = 1
 	p.cond = sync.NewCond(&p.mu)

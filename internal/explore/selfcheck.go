@@ -30,13 +30,13 @@ import (
 func SelfCheck(s *Scenario, opts Options) (with, without *Report, err error) {
 	opts.StressExecutions = 0
 
-	off := opts
-	off.NoReduce, off.outcomes = true, &outcomeSet{}
-	without = Run(s, off)
+	off, offOut := opts, &outcomeSet{}
+	off.NoReduce = true
+	without = run(s, off, offOut)
 
-	on := opts
-	on.NoReduce, on.outcomes = false, &outcomeSet{}
-	with = Run(s, on)
+	on, onOut := opts, &outcomeSet{}
+	on.NoReduce = false
+	with = run(s, on, onOut)
 
 	if s.Fingerprint != nil && !with.Stats.DedupActive {
 		return with, without, fmt.Errorf("scenario %s: dedup did not activate (a device is not fingerprintable?)", s.Name)
@@ -50,9 +50,9 @@ func SelfCheck(s *Scenario, opts Options) (with, without *Report, err error) {
 			s.Name, without.Complete, with.Complete)
 	}
 	if with.Complete {
-		if lost, added := off.outcomes.diff(on.outcomes); lost > 0 || added > 0 {
+		if lost, added := offOut.diff(onOut); lost > 0 || added > 0 {
 			return with, without, fmt.Errorf("scenario %s: outcomes changed by the reductions: %d of %d never reached, %d new",
-				s.Name, lost, off.outcomes.len(), added)
+				s.Name, lost, offOut.len(), added)
 		}
 	}
 	for _, r := range []*Report{without, with} {
@@ -116,14 +116,14 @@ func (o *outcomeSet) diff(p *outcomeSet) (missing, extra int) {
 // run of adjacent Invokes, and of adjacent Returns, sorted.
 func appendOutcome(b []byte, h history.History) []byte {
 	ops := map[history.OpID]string{}
-	var run [][]byte
+	var group [][]byte
 	kind := history.Crash
 	flush := func() {
-		slices.SortFunc(run, func(x, y []byte) int { return slices.Compare(x, y) })
-		for _, e := range run {
+		slices.SortFunc(group, func(x, y []byte) int { return slices.Compare(x, y) })
+		for _, e := range group {
 			b = machine.AppendBytes(b, e)
 		}
-		run = run[:0]
+		group = group[:0]
 	}
 	for _, e := range h {
 		if e.Kind != kind || e.Kind == history.Crash {
@@ -140,7 +140,7 @@ func appendOutcome(b []byte, h history.History) []byte {
 		default:
 			ev = []byte{'C'}
 		}
-		run = append(run, ev)
+		group = append(group, ev)
 	}
 	flush()
 	return b

@@ -206,8 +206,9 @@ func TestWritebackFaultSyncFailedBarrierIsRetried(t *testing.T) {
 // durable directory views and pending operation logs, and the check
 // requires dedup to activate, agree with the plain search, and keep
 // counterexamples replayable. The full budget lets the plain search
-// complete (132,073 executions; the reduced one takes about 3,300), so
-// the two must also reach the same outcomes.
+// complete (132,073 executions; the reduced one takes 461 at one worker,
+// more at several), so the two must also reach the same outcomes; the
+// -short budget stops both at every worker count.
 func TestWritebackSelfCheckDedup(t *testing.T) {
 	s := Scenario("mb-writeback-selfcheck", VariantVerified, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 2, SyncOnDeliver: true, SyncDirs: true},
@@ -219,7 +220,7 @@ func TestWritebackSelfCheckDedup(t *testing.T) {
 	})
 	opts := explore.Options{MaxExecutions: 150000}
 	if testing.Short() {
-		opts.MaxExecutions = 2000
+		opts.MaxExecutions = 400
 	}
 	with, without, err := explore.SelfCheck(s, opts)
 	if err != nil {
