@@ -47,8 +47,8 @@
 // reorder independent transitions: the machine reports each
 // transition's declared footprint, and a thread whose next transition
 // was already explored from an equivalent state is not scheduled again.
-// A parallel search's donated jobs carry the sleep entries their donor
-// had, so they may run executions one worker would skip, never fewer;
+// A parallel search's donated jobs start with empty sleep sets, so
+// they may run executions one worker would skip, never fewer;
 // its counterexample is the preorder-least of the executions it ran.
 // Options.NoReduce turns both reductions off, and SelfCheck
 // mechanically witnesses that they change neither a scenario's verdict

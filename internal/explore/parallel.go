@@ -54,10 +54,10 @@ type searchPool struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	queue       []job // LIFO of pinned prefixes
-	outstanding int   // queued + in-flight jobs
-	idle        int   // workers blocked waiting for a job
-	stopped     bool  // budget exhausted: abandon everything
+	queue       [][]int // LIFO of pinned prefixes
+	outstanding int     // queued + in-flight jobs
+	idle        int     // workers blocked waiting for a job
+	stopped     bool    // budget exhausted: abandon everything
 	budgetHit   bool
 	dedupOff    bool // a device proved unfingerprintable
 	best        *Counterexample
@@ -70,7 +70,7 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report, outcomes
 		s:         s,
 		workers:   workers,
 		execsLeft: int64(opts.MaxExecutions),
-		queue:     []job{{at: -1}}, // the root job: the empty prefix
+		queue:     [][]int{nil}, // the root job: the empty prefix
 		donated:   make([]atomic.Int64, workers),
 		reduce:    !opts.NoReduce,
 		outcomes:  outcomes,
@@ -143,12 +143,12 @@ func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
 	x := runner{outcomes: p.outcomes}
 	defer x.carriers.Release()
 	for {
-		jb, ok := p.take()
+		prefix, ok := p.take()
 		if !ok {
 			return jobs
 		}
-		j := jobRun{prefix: jb.prefix, rep: Report{Stats: Stats{Depth: depth}}}
-		p.explore(&x, jb, &j.rep, w)
+		j := jobRun{prefix: prefix, rep: Report{Stats: Stats{Depth: depth}}}
+		p.explore(&x, prefix, &j.rep, w)
 		jobs = append(jobs, j)
 		p.finish()
 	}
@@ -156,12 +156,12 @@ func (p *searchPool) worker(w int, depth *obs.Histogram) (jobs []jobRun) {
 
 // take blocks until a job is available, all work is done, or the search
 // stops.
-func (p *searchPool) take() (job, bool) {
+func (p *searchPool) take() ([]int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.stopped {
-			return job{}, false
+			return nil, false
 		}
 		if n := len(p.queue); n > 0 {
 			j := p.queue[n-1]
@@ -169,7 +169,7 @@ func (p *searchPool) take() (job, bool) {
 			return j, true
 		}
 		if p.outstanding == 0 {
-			return job{}, false
+			return nil, false
 		}
 		p.idle++
 		p.cond.Wait()
@@ -200,11 +200,13 @@ func (p *searchPool) claim() bool {
 	return false
 }
 
-// explore enumerates the subtree pinned at j's prefix on behalf of
-// worker w, on the worker's runner.
-func (p *searchPool) explore(x *runner, j job, wrep *Report, w int) {
+// explore enumerates the subtree pinned at prefix on behalf of worker w,
+// on the worker's runner. Sleep sets start empty there, so a donated
+// job may explore executions a one-worker search would have skipped;
+// never fewer.
+func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
 	d := &dfsChooser{reduce: p.reduce}
-	d.seed(j)
+	d.seed(prefix)
 	defer func() {
 		wrep.Stats.Reseats += d.reseats
 		wrep.Stats.Slept += d.slept
@@ -313,33 +315,15 @@ func cmpChoices(a, b []int) int {
 	return 0
 }
 
-// job is a pinned prefix of choices, and the sleep-set entries its last
-// "sched" point at (-1: none) inherits: that point's own and the
-// options its donor had finished there. A donor had not finished the
-// options between its own and the donated one, so a job may explore
-// executions a one-worker search would have skipped; never fewer.
-type job struct {
-	prefix []int
-	at     int
-	carry  []carried
-}
-
-// seed pins the chooser to a donated job: the first len(prefix) choice
-// points replay the prefix (their branching factors are learned on
-// first replay) and next() never backtracks into them.
-func (d *dfsChooser) seed(j job) {
-	d.points = make([]choicePoint, len(j.prefix))
-	for i, c := range j.prefix {
+// seed pins the chooser to a donated prefix: the first len(prefix)
+// choice points replay the prefix (their branching factors are learned
+// on first replay) and next() never backtracks into them.
+func (d *dfsChooser) seed(prefix []int) {
+	d.points = make([]choicePoint, len(prefix))
+	for i, c := range prefix {
 		d.points[i] = choicePoint{chosen: c} // n learned at first Choose
 	}
-	d.pinned = len(j.prefix)
-	d.carryAt, d.hasCarry = j.at, j.at >= 0
-	for _, c := range j.carry {
-		lo := int32(len(d.acc))
-		d.acc = append(d.acc, c.acc...)
-		d.sl = append(d.sl, sleeper{tid: c.tid, global: c.global, lo: lo, hi: int32(len(d.acc))})
-	}
-	d.baseSl, d.baseAcc = int32(len(d.sl)), int32(len(d.acc))
+	d.pinned = len(prefix)
 }
 
 // spine returns the chosen values of all recorded choice points — the
@@ -359,7 +343,7 @@ func (d *dfsChooser) spine() []int {
 // chooser would have skipped them too. Jobs are returned largest-option
 // first so a LIFO queue pops the preorder-least prefix first. Returns
 // nil when nothing is splittable.
-func (d *dfsChooser) splitShallowest() []job {
+func (d *dfsChooser) splitShallowest() [][]int {
 	for i := d.pinned; i < len(d.points); i++ {
 		pt := &d.points[i]
 		lim := pt.n
@@ -382,13 +366,13 @@ func (d *dfsChooser) splitShallowest() []job {
 		for j := 0; j < i; j++ {
 			base[j] = d.points[j].chosen
 		}
-		at, carry := d.carryFor(i)
-		out := make([]job, 0, len(opts))
+		d.markDonated(i)
+		out := make([][]int, 0, len(opts))
 		for _, c := range opts {
 			pre := make([]int, i+1)
 			copy(pre, base)
 			pre[i] = c
-			out = append(out, job{prefix: pre, at: at, carry: carry})
+			out = append(out, pre)
 		}
 		pt.limit = pt.chosen + 1
 		return out

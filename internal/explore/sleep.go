@@ -68,11 +68,6 @@ type sleepSets struct {
 	tids   []machine.TID
 	sl     []sleeper
 	acc    []machine.Access
-	// A donated job's carried entries lie below baseSl/baseAcc, and the
-	// pinned point carryAt (when hasCarry) inherits them.
-	baseSl, baseAcc int32
-	carryAt         int
-	hasCarry        bool
 
 	// Per execution: lastSched is the era's latest "sched" point, and
 	// open that point while the first transition of the thread it chose
@@ -217,17 +212,13 @@ func (d *dfsChooser) chose(i int) {
 }
 
 // learnPinned gives a donated prefix's "sched" point its part on first
-// replay: no threads, since it never advances, and an empty sleep set,
-// but for carryAt, which takes the job's carried entries.
+// replay: no threads, since it never advances, and an empty sleep set.
 func (d *dfsChooser) learnPinned(i int, tag string) {
 	if !d.reduce || tag != "sched" {
 		return
 	}
 	s := schedPoint{nth: d.nready, tidLo: int32(len(d.tids)), tidHi: int32(len(d.tids))}
 	s.sleepLo, s.sleepHi, s.doneHi = int32(len(d.sl)), int32(len(d.sl)), int32(len(d.sl))
-	if d.hasCarry && i == d.carryAt {
-		s.sleepLo = 0
-	}
 	s.curLo, s.curHi = int32(len(d.acc)), int32(len(d.acc))
 	d.scheds = append(d.scheds, s)
 	d.points[i].si = int32(len(d.scheds))
@@ -272,7 +263,7 @@ func (d *dfsChooser) trim(i int) {
 			return
 		}
 	}
-	d.scheds, d.tids, d.sl, d.acc = d.scheds[:0], d.tids[:0], d.sl[:d.baseSl], d.acc[:d.baseAcc]
+	d.scheds, d.tids, d.sl, d.acc = d.scheds[:0], d.tids[:0], d.sl[:0], d.acc[:0]
 }
 
 // nextOption finishes p's chosen option and returns the next one to
@@ -297,33 +288,20 @@ func (d *dfsChooser) nextOption(p *choicePoint, lim int) int {
 	return c
 }
 
-// carried is a sleep-set entry a donated job takes along.
-type carried struct {
-	tid    machine.TID
-	global bool
-	acc    []machine.Access
-}
-
-// carryFor returns what a job donated at point i takes along: the
-// entries of the last "sched" point at or before i, which the job
-// inherits there, and that point's index (-1 when none). Donating the
-// variants of a transition (i after that point) hides their footprints
-// from this chooser, so the point's running option becomes global here.
-func (d *dfsChooser) carryFor(i int) (int, []carried) {
+// markDonated notes that the options after point i's own were donated.
+// When i lies inside the first transition of a "sched" point's running
+// option, the variants of that transition run elsewhere and their
+// footprints stay unknown here, so the option sleeps with a global
+// footprint. A donated job starts with an empty sleep set.
+func (d *dfsChooser) markDonated(i int) {
 	if !d.reduce {
-		return -1, nil
+		return
 	}
 	j := int(d.points[i].lastOn)
-	if j < 0 {
-		return -1, nil
+	if j < 0 || j == i {
+		return
 	}
-	s := d.sched(&d.points[j])
-	if j < i && d.points[j].chosen < s.nth {
+	if s := d.sched(&d.points[j]); d.points[j].chosen < s.nth {
 		s.curGlobal = true
 	}
-	var out []carried
-	for _, e := range d.sl[s.sleepLo:s.doneHi] {
-		out = append(out, carried{tid: e.tid, global: e.global, acc: slices.Clone(d.acc[e.lo:e.hi])})
-	}
-	return j, out
 }

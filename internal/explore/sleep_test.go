@@ -137,9 +137,9 @@ func TestSleepSetsNegativeControl(t *testing.T) {
 	}
 }
 
-// TestSleepSetsDonatedJobsCoverTheSpace: a parallel search hands jobs
-// their donor's sleep entries, so it may run more executions than one
-// worker, never a different verdict or fewer outcomes.
+// TestSleepSetsDonatedJobsCoverTheSpace: a parallel search's donated
+// jobs start with empty sleep sets, so it may run more executions than
+// one worker, never a different verdict or fewer outcomes.
 func TestSleepSetsDonatedJobsCoverTheSpace(t *testing.T) {
 	for _, violate := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
@@ -160,5 +160,22 @@ func TestSleepSetsDonatedJobsCoverTheSpace(t *testing.T) {
 	}
 	if four.Executions == four.Stats.SleepBlocked {
 		t.Errorf("4 workers checked no execution: %s", four.Stats)
+	}
+}
+
+// TestSelfCheckBoundedPlainSearch: at a budget the reduced search
+// completes within and the plain one does not, SelfCheck passes when
+// every outcome the plain search reached is among the reduced search's,
+// and still reports one that is not.
+func TestSelfCheckBoundedPlainSearch(t *testing.T) {
+	for _, s := range []*Scenario{cells(4, false), undeclared(false, false)} {
+		budget := Run(s, Options{Workers: 1}).Executions
+		with, without, err := SelfCheck(s, Options{Workers: 1, MaxExecutions: budget})
+		if !with.Complete || without.Complete {
+			t.Fatalf("%s at %d: reduced %s, plain %s; want only the reduced search complete", s.Name, budget, with, without)
+		}
+		if lost := s.Name == "undeclared"; lost != (err != nil && strings.Contains(err.Error(), "outcomes")) {
+			t.Errorf("%s at %d: %v", s.Name, budget, err)
+		}
 	}
 }

@@ -381,11 +381,12 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 // threads, which it leaves in m.ready, plus a last option to crash when
 // the era allows it. n is the number of options, 0 when no thread is
 // runnable, and then nothing is drawn; -1 when the Reducer stopped the
-// era instead. A picked thread starts its transition's footprint.
+// era instead. Under a Reducer, a picked thread starts its transition's
+// footprint.
 func (m *Machine) draw() (choice, n int) {
 	ready := m.runnable()
-	if m.red != nil {
-		return m.reducedDraw(ready)
+	if m.red != nil && !m.tellReducer(ready) {
+		return -1, -1
 	}
 	if n = len(ready); n == 0 {
 		return 0, 0
@@ -393,12 +394,17 @@ func (m *Machine) draw() (choice, n int) {
 	if m.allowCrash {
 		n++
 	}
-	return m.chooser.Choose(n, "sched"), n
+	choice = m.chooser.Choose(n, "sched")
+	if m.red != nil && choice >= 0 && choice < len(ready) {
+		m.red.fp.start(!ready[choice].declared)
+	}
+	return choice, n
 }
 
-// reducedDraw is draw under a Reducer: it hands the Reducer the
-// transition that just ran and the threads the draw chooses among.
-func (m *Machine) reducedDraw(ready []*thread) (choice, n int) {
+// tellReducer hands the Reducer the transition that just ran and the
+// threads the draw chooses among. It reports false when the Reducer
+// stops the era, which it can only do while a thread is runnable.
+func (m *Machine) tellReducer(ready []*thread) bool {
 	r := m.red
 	ids := r.ids[:0]
 	for _, th := range ready {
@@ -409,20 +415,7 @@ func (m *Machine) reducedDraw(ready []*thread) (choice, n int) {
 	if r.first {
 		ran, r.first = nil, false
 	}
-	if !m.opts.Reducer.Sched(ran, ids, m.allowCrash) && len(ready) > 0 {
-		return -1, -1
-	}
-	if n = len(ready); n == 0 {
-		return 0, 0
-	}
-	if m.allowCrash {
-		n++
-	}
-	choice = m.chooser.Choose(n, "sched")
-	if choice >= 0 && choice < len(ready) {
-		r.fp.start(!ready[choice].declared)
-	}
-	return choice, n
+	return m.opts.Reducer.Sched(ran, ids, m.allowCrash) || len(ready) == 0
 }
 
 func (m *Machine) runnable() []*thread {
