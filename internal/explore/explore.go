@@ -175,7 +175,7 @@ type Scenario struct {
 	// Fingerprint opts the scenario into crash-boundary state dedup. It
 	// must append a canonical encoding of every piece of crash-surviving
 	// state the world holds OUTSIDE registered machine devices (fault
-	// latches, policy budgets, mirror control state, ...) to b and
+	// policy budgets, counters the properties read, ...) to b and
 	// return it; device state is appended automatically via
 	// machine.Fingerprinter. A scenario whose crash-surviving state
 	// lives entirely in fingerprintable devices returns b unchanged.

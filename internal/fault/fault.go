@@ -39,8 +39,9 @@ const (
 	// opened, and the open proceeds: silent rot, visible only to an
 	// integrity layer (gfs.Checksummed).
 	Corrupt
-	// FailStop kills the backend: every later call fails without
-	// reaching it, until Revive.
+	// FailStop kills the backend: every later call through the fault
+	// layer fails without reaching it; a reboot's fresh layer reaches
+	// the replaced disk again.
 	FailStop
 	// NoSpace latches the backend full: every write that consumes space
 	// (Create, Append, Link) fails until a Delete or FreeSpace frees some.

@@ -543,12 +543,5 @@ func (c *Checksummed) Scrub(t T, heal bool) ScrubReport {
 	return rep
 }
 
-// AppendIntegrityState appends the detection counter for crash-boundary
-// dedup: scenario assertions read Detected(), so two boundary states
-// with different detection histories must not be merged.
-func (c *Checksummed) AppendIntegrityState(b []byte) []byte {
-	return binary.BigEndian.AppendUint64(b, c.Detected())
-}
-
 // AsChecksummed finds the stack's Checksummed; nil if it has none.
 func AsChecksummed(sys System) *Checksummed { return asLayer[*Checksummed](sys) }

@@ -132,7 +132,8 @@ type Faulty struct {
 
 	// failStopped is the permanent-death latch: once set (by the policy
 	// injecting fault.FailStop, or by FailStopNow), every operation fails
-	// without reaching the inner backend until Revive. The log counts
+	// without reaching the inner backend for the layer's lifetime — a
+	// reboot builds a fresh layer over the replaced disk. The log counts
 	// fail-stop *decision points* — operations that consulted the policy
 	// while alive — so seeded fail-stop schedules are a pure function of
 	// (seed, index) exactly like the transient classes.
@@ -144,8 +145,7 @@ type Faulty struct {
 	// until space is freed — a successful Delete through this layer, or
 	// FreeSpace. While latched, writes do NOT consult the policy: like
 	// the fail-stop latch, a durable class charges the budget once at
-	// injection and never again, so a latch surviving a crash is not
-	// double-counted on replay.
+	// injection and never again.
 	noSpace atomic.Bool
 
 	// m is the machine of the Model the layer wraps, nil over any other
@@ -209,17 +209,6 @@ func (f *Faulty) FailStopNow(detail string) {
 	}
 }
 
-// Revive clears the fail-stop latch: the inner backend is reachable
-// again, with whatever (possibly stale) state it holds. This models
-// plugging in a replacement disk — Mirrored.ReplaceReplica revives the
-// layer and resilvering makes the state trustworthy. Revive does not
-// refund any policy budget: a fault.Chooser that killed once stays
-// spent, which is what bounds checker scenarios to one death.
-func (f *Faulty) Revive() {
-	f.touch(failStopLatch, machine.Write)
-	f.failStopped.Store(false)
-}
-
 // NoSpace reports whether the backend is latched full. mailboat uses it
 // (via an interface assertion, like FailStopped) to fail fast instead
 // of burning its retry budget against a full disk, and the shed policy
@@ -242,9 +231,9 @@ func (f *Faulty) NoSpaceNow(detail string) {
 
 // FreeSpace clears the no-space latch: the operator freed space
 // elsewhere, or a Delete through this layer did. Deterministic — no
-// choice point — and, like Revive, it refunds no policy budget: a
-// fault.Chooser that filled the disk once stays spent, which is what
-// bounds checker scenarios to one fill.
+// choice point — and it refunds no policy budget: a fault.Chooser that
+// filled the disk once stays spent, which is what bounds checker
+// scenarios to one fill.
 func (f *Faulty) FreeSpace() {
 	if f.NoSpace() {
 		f.touch(noSpaceLatch, machine.Write)
@@ -272,8 +261,8 @@ func (f *Faulty) record(c fault.Class, idx uint64, detail string) {
 //
 // Fail-stop and no-space have a latch. Once it is set, every call fails
 // as one step ("fs.dead", "fs.enospc") with no policy consult and no
-// index: a durable class charges the budget once, at injection, so a
-// latch surviving a crash is not double-counted on replay. Any other
+// index: a durable class charges the budget once, at injection, and a
+// reboot's fresh layer clears the latch without refunding it. Any other
 // call is one decision point with its own index, so seeded schedules
 // replay and the checker enumerates "the fault strikes at call i" for
 // every i. An injection is one atomic step, like a real faulted syscall

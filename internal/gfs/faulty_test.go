@@ -246,13 +246,13 @@ func TestChooserPolicyInertOnNativeThreads(t *testing.T) {
 // the policy injects fault.FailStop, every operation class fails without
 // reaching the inner backend (reads, listings and stats included), the
 // log records exactly one fail-stop event no matter how many dead
-// operations follow, and Revive restores the (possibly stale) inner
-// state untouched.
+// operations follow, and the backend revives only under a reboot's
+// fresh layer, with its (possibly stale) inner state untouched.
 func TestFailStopLatchAndRevive(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 10000})
 	fs := NewModel(mm, []string{"d"})
 	// Rate 1 kills at the first decision point; MaxFaults bounds it to
-	// one death so post-Revive operations stay alive.
+	// one death so operations after the reboot stay alive.
 	var rates [fault.NumClasses]uint64
 	rates[fault.FailStop] = 1
 	f := NewFaulty(fs, &SeededPolicy{Seed: 1, Rates: rates, MaxFaults: 1})
@@ -296,13 +296,14 @@ func TestFailStopLatchAndRevive(t *testing.T) {
 			mt.Failf("dead operations touched inner state: %v", d)
 		}
 
-		// Revive: the stale inner state is reachable again.
-		f.Revive()
-		if f.FailStopped() {
-			mt.Failf("latch survived Revive")
+		// Reboot: a fresh layer over the same backend, sharing the
+		// spent policy, reaches the stale inner state again.
+		g := NewFaulty(fs, f.policy)
+		if !f.FailStopped() || g.FailStopped() {
+			mt.Failf("latch: old layer %v, fresh layer %v", f.FailStopped(), g.FailStopped())
 		}
-		if names := f.List(mt, "d"); len(names) != 1 || names[0] != "x" {
-			mt.Failf("post-revive list: %v", names)
+		if names := g.List(mt, "d"); len(names) != 1 || names[0] != "x" {
+			mt.Failf("post-reboot list: %v", names)
 		}
 	})
 	if res.Outcome != machine.Done {
@@ -377,9 +378,8 @@ func TestFailStopNowKillSwitch(t *testing.T) {
 	if faults[fault.FailStop] != 1 {
 		t.Fatalf("idempotent kill switch recorded %d faults, want 1", faults[fault.FailStop])
 	}
-	f.Revive()
-	if names := f.List(th, "spool"); len(names) != 1 {
-		t.Fatalf("post-revive list: %v", names)
+	if names := NewFaulty(o, fault.Never{}).List(th, "spool"); len(names) != 1 {
+		t.Fatalf("post-reboot list: %v", names)
 	}
 }
 

@@ -6,13 +6,13 @@ import (
 	"repro/internal/machine"
 )
 
-// This file provides the canonical durable-state encodings the model
+// This file provides the canonical durable-state encoding the model
 // checker's crash-boundary dedup table hashes (see DESIGN.md
-// "Crash-boundary dedup").
-// Model implements machine.Fingerprinter directly (it is a registered
-// device); Faulty, fault.Chooser and Mirrored are middleware held by
-// the scenario's world, not devices, so they expose Append* helpers the
-// scenario's explore.Scenario.Fingerprint hook composes.
+// "Crash-boundary dedup"). Model implements machine.Fingerprinter
+// directly (it is a registered device). The layers above it hold no
+// crash-surviving state: a checked recovery boots a fresh stack, as the
+// daemon does, so the scenario's explore.Scenario.Fingerprint hook only
+// covers what its world keeps across the reboot.
 
 // AppendDurable implements machine.Fingerprinter. The encoding is
 // canonical in the sense dedup needs: inode numbers are renamed to
@@ -99,32 +99,4 @@ func (fs *Model) appendInode(b []byte, canon map[inodeID]uint64, ino inodeID) []
 		}
 	}
 	return b
-}
-
-// AppendCheckerState appends the Faulty state that a *checker-driven*
-// (fault.Chooser) fault stack's future behavior depends on: the
-// durable latches (permanent fail-stop, disk-full). The per-class
-// decision counters are deliberately excluded — a Chooser ignores
-// indices (it decides through the machine's chooser under a budget), so
-// two executions whose counters differ but whose latches agree behave
-// identically from here. Seeded policies DO depend on indices;
-// scenarios using SeededPolicy under the checker must not enable dedup
-// (leave Fingerprint nil).
-func (f *Faulty) AppendCheckerState(b []byte) []byte {
-	b = machine.AppendBool(b, f.failStopped.Load())
-	return machine.AppendBool(b, f.noSpace.Load())
-}
-
-// AppendMirrorState appends the mirror's crash-surviving control state:
-// per-replica failed/stale latches and the resilvering flag (a crash
-// can land mid-resilver). Failovers and metrics are observability only
-// and excluded.
-func (m *Mirrored) AppendMirrorState(b []byte) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b = machine.AppendBool(b, m.failed[0])
-	b = machine.AppendBool(b, m.failed[1])
-	b = machine.AppendBool(b, m.stale[0])
-	b = machine.AppendBool(b, m.stale[1])
-	return machine.AppendBool(b, m.resilvering)
 }

@@ -468,9 +468,8 @@ func TestResilverVerifiesSource(t *testing.T) {
 			if !writeSealed(mir, mt, "box", "m", []byte("survivor data")) {
 				mt.Failf("write failed")
 			}
-			// Replica 1 is declared replaced (stale), making replica 0 the
-			// resilver source — and replica 0's copy is rotten.
-			mir.ReplaceReplica(1)
+			// The generations tie, so replica 0 is the resilver source —
+			// and replica 0's copy is rotten.
 			mods[0].CorruptFile(mt, "box", "m", CorruptFlip)
 			_, n, ok = r.Resilver(mt)
 		})
@@ -540,12 +539,11 @@ func TestResilverVerifyCatchesShortCopy(t *testing.T) {
 	liar := &lyingAppend{System: m1}
 	mir := NewMirrored(m0, liar, dirs)
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-		// Seed replica 0 directly; replica 1 starts empty and replaced.
+		// Seed replica 0 directly; replica 1 starts empty.
 		fd, _ := m0.Create(mt, "box", "m")
 		m0.Append(mt, fd, []byte("must arrive whole"))
 		m0.Sync(mt, fd)
 		m0.Close(mt, fd)
-		mir.ReplaceReplica(1)
 
 		if _, _, ok := mir.Resilver(mt); ok {
 			mt.Failf("resilver reported success over a lying destination")

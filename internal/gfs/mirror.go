@@ -125,9 +125,6 @@ type ReplicaStatus struct {
 	// Live is false while the replica is latched out of the mirror
 	// (fail-stopped or kicked).
 	Live bool `json:"live"`
-	// Stale is true from ReplaceReplica until a successful Resilver:
-	// the replica serves again but its contents are not yet trusted.
-	Stale bool `json:"stale"`
 }
 
 // MirrorStatus is the mirror's health snapshot, JSON-shaped for the
@@ -147,7 +144,7 @@ type MirrorMetrics struct {
 	// primary read replica died mid-operation.
 	Failovers *obs.Counter
 	// Degraded is 1 while the mirror is not fully redundant (a replica
-	// failed, or a replacement has not been resilvered yet).
+	// failed, or the last resilver did not finish).
 	Degraded *obs.Gauge
 	// DegradedSeconds observes the length of each degraded interval,
 	// from first failure to the resilver that restores redundancy; its
@@ -202,10 +199,14 @@ func (mm *MirrorMetrics) failover() {
 	mm.Failovers.Inc()
 }
 
-// resilverDone records a successful resilver and closes the degraded
-// interval.
-func (mm *MirrorMetrics) resilverDone(bytes uint64, degradedFor time.Duration) {
+// resilverDone records a resilver run: a failed one leaves the mirror
+// degraded, a successful one closes the degraded interval.
+func (mm *MirrorMetrics) resilverDone(ok bool, bytes uint64, degradedFor time.Duration) {
 	if mm == nil {
+		return
+	}
+	if !ok {
+		mm.Degraded.Set(1)
 		return
 	}
 	mm.Degraded.Set(0)
@@ -234,10 +235,12 @@ type Mirrored struct {
 
 	// mu guards only the flag words below; it is never held across a
 	// replica operation, so the cooperative model scheduler can always
-	// make progress.
+	// make progress. unrepaired is set by a Resilver that failed and
+	// cleared by one that succeeded: the replicas may differ although
+	// both are live.
 	mu          sync.Mutex
 	failed      [2]bool
-	stale       [2]bool
+	unrepaired  bool
 	resilvering bool
 	failovers   uint64
 	degradedAt  time.Time // set only when Metrics != nil
@@ -258,35 +261,16 @@ func (m *Mirrored) Status() MirrorStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MirrorStatus{
-		Degraded:    m.failed[0] || m.failed[1] || m.stale[0] || m.stale[1],
+		Degraded:    m.failed[0] || m.failed[1] || m.unrepaired,
 		Resilvering: m.resilvering,
 		Failovers:   m.failovers,
-		Replicas: [2]ReplicaStatus{
-			{Live: !m.failed[0], Stale: m.stale[0]},
-			{Live: !m.failed[1], Stale: m.stale[1]},
-		},
+		Replicas:    [2]ReplicaStatus{{Live: !m.failed[0]}, {Live: !m.failed[1]}},
 	}
 }
 
 // Degraded reports whether the mirror is not fully redundant.
 func (m *Mirrored) Degraded() bool {
 	return m.Status().Degraded
-}
-
-// ReplaceReplica declares replica i replaced: live again immediately,
-// with whatever (stale) state its backend now holds, and flagged stale
-// until a Resilver copies the survivor over it. Callers revive the
-// backend first (Faulty.Revive, or a fresh directory tree) and must be
-// quiescent — replacement is a recovery-time action. Marking the
-// replica live BEFORE resilvering is deliberate: recovery runs Resilver
-// before any reads, and a recovery procedure that forgets to is exactly
-// the mutation the explore scenarios must catch (stale reads surface as
-// refinement violations instead of hiding behind a dead-replica latch).
-func (m *Mirrored) ReplaceReplica(i int) {
-	m.mu.Lock()
-	m.failed[i] = false
-	m.stale[i] = true
-	m.mu.Unlock()
 }
 
 func (m *Mirrored) alive(i int) bool {
@@ -350,8 +334,8 @@ func (m *Mirrored) generation(t T, i int) int {
 // bumpGeneration adds one marker file to replica j's MirrorMetaDir —
 // the write-once API's increment — and makes the new entry durable with
 // a directory barrier: a created entry is not durable until SyncDir.
-// Best-effort: if the survivor cannot record the bump (itself dying),
-// resilver source selection falls back to the in-memory flags.
+// Best-effort: if the survivor cannot record the bump (itself dying, or
+// a crash first), the generations still tie at the next boot.
 func (m *Mirrored) bumpGeneration(t T, j int) {
 	n := m.generation(t, j)
 	for k := 0; k < 8; k++ {
@@ -788,13 +772,13 @@ func (m *Mirrored) List(t T, dir string) []string {
 	return names
 }
 
-// resilverSource picks the authoritative replica: a failed or stale
-// replica can never be the source; with both trusted, the higher
-// persisted generation wins (the survivor of a pre-reboot death), and
-// a tie normally means no death happened, so the published replica 0 is
-// the truth (replica 1 may hold unpublished crash orphans, which
-// copying replica 0 over it un-does — the "operation did not happen"
-// outcome the spec allows for an operation in flight at the crash).
+// resilverSource picks the authoritative replica: a failed replica can
+// never be the source; with both live, the higher persisted generation
+// wins (the survivor of a pre-reboot death), and a tie normally means no
+// death happened, so the published replica 0 is the truth (replica 1 may
+// hold unpublished crash orphans, which copying replica 0 over it
+// un-does — the "operation did not happen" outcome the spec allows for
+// an operation in flight at the crash).
 //
 // The one exception to the tie rule: a replica that is completely
 // blank — no data files and no generation markers — while its peer is
@@ -805,30 +789,26 @@ func (m *Mirrored) List(t T, dir string) []string {
 // survivor), so the survivor's authority is persisted with a
 // generation bump first — a crash mid-resilver then re-picks it by
 // generation even once the replacement is partially populated and no
-// longer blank. The replacement is flagged stale so the mirror reports
-// degraded until the copy completes.
+// longer blank.
 func (m *Mirrored) resilverSource(t T) (src int, ok bool) {
 	m.mu.Lock()
-	failed, stale := m.failed, m.stale
+	failed := m.failed
 	m.mu.Unlock()
 	switch {
-	case failed[0] || stale[0]:
+	case failed[0]:
 		src = 1
-	case failed[1] || stale[1]:
+	case failed[1]:
 		src = 0
 	case m.generation(t, 1) > m.generation(t, 0):
 		src = 1
 	case m.blank(t, 0) && !m.blank(t, 1):
 		m.bumpGeneration(t, 1)
-		m.mu.Lock()
-		m.stale[0] = true
-		m.mu.Unlock()
 		src = 1
 	default:
 		src = 0
 	}
-	if failed[src] || stale[src] {
-		return 0, false // no trusted replica to copy from
+	if failed[src] {
+		return 0, false // no live replica to copy from
 	}
 	return src, true
 }
@@ -916,8 +896,9 @@ func copyFile(t T, dst System, dir, name string, src judged) (uint64, bool) {
 // equalizing the generation markers, so a crash anywhere mid-resilver
 // leaves the generations unequal and the next recovery simply re-runs
 // the copy (every step is idempotent). On success both replicas are
-// byte-identical, the stale flags clear, and the mirror is redundant
-// again. It must run quiescent (the single-threaded recovery era).
+// byte-identical and the mirror is redundant again; a failed run leaves
+// it reporting degraded until one succeeds. It must run quiescent (the
+// single-threaded recovery era).
 //
 // The pass reads every file once per replica (reconcile), and those two
 // reads also settle both copies' envelope verdicts, so rep is what a
@@ -931,32 +912,31 @@ func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool
 // resilver is Resilver with the stage that judges each source copy
 // passed in: judge, or the seeded bug's forgery (bugs.go).
 func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilverBytes uint64, ok bool) {
+	defer func() {
+		m.mu.Lock()
+		m.resilvering = false
+		m.unrepaired = !ok
+		degradedFor := time.Duration(0)
+		switch {
+		case !ok && m.Metrics != nil && m.degradedAt.IsZero():
+			// A failed resilver may be the only cause of degradation.
+			m.degradedAt = time.Now()
+		case ok && !m.degradedAt.IsZero():
+			degradedFor = time.Since(m.degradedAt)
+			m.degradedAt = time.Time{}
+		}
+		m.mu.Unlock()
+		m.Metrics.resilverDone(ok, resilverBytes, degradedFor)
+	}()
 	src, ok := m.resilverSource(t)
 	if !ok || !m.alive(1-src) {
-		// No trusted source, or a peer dead and not replaced: still
-		// degraded.
+		// No live source, or a dead peer: still degraded.
 		return rep, 0, false
 	}
 
 	m.mu.Lock()
 	m.resilvering = true
 	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		m.resilvering = false
-		if ok {
-			m.stale = [2]bool{}
-		}
-		degradedFor := time.Duration(0)
-		if ok && !m.degradedAt.IsZero() {
-			degradedFor = time.Since(m.degradedAt)
-			m.degradedAt = time.Time{}
-		}
-		m.mu.Unlock()
-		if ok {
-			m.Metrics.resilverDone(resilverBytes, degradedFor)
-		}
-	}()
 
 	if tracing(t) {
 		tracef(t, "mirror: resilver replica %d <- replica %d", 1-src, src)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // mirrorDirs is the data-directory set mirror tests run over; the
@@ -22,6 +23,15 @@ func newOSMirror(t *testing.T) (*Mirrored, [2]*Faulty) {
 	f0 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
 	f1 := NewFaulty(newOSFS(t, mirrorBackendDirs()), fault.Never{})
 	return NewMirrored(f0, f1, mirrorDirs), [2]*Faulty{f0, f1}
+}
+
+// reboot is a restart over the same disks, as the daemon's boot builds
+// it: a fresh fault layer over each backend (a dead disk comes back,
+// replaced, with whatever stale state it holds) and a fresh mirror, every
+// in-memory flag lost.
+func reboot(f [2]*Faulty) (*Mirrored, [2]*Faulty) {
+	g := [2]*Faulty{NewFaulty(f[0].Inner(), f[0].policy), NewFaulty(f[1].Inner(), f[1].policy)}
+	return NewMirrored(g[0], g[1], mirrorDirs), g
 }
 
 // snapshot reads every (dir, name, contents) triple reachable through
@@ -158,9 +168,9 @@ func TestMirroredWritesSurviveReplicaDeath(t *testing.T) {
 }
 
 // TestMirroredResilverRestoresRedundancy: replica dies, the survivor
-// keeps accepting writes, the replica is replaced (revived stale) and
-// resilvered — after which both replicas are byte-identical, the mirror
-// reports healthy, and the copied volume is accounted.
+// keeps accepting writes, the site reboots with the replica back (stale)
+// and resilvers it — after which both replicas are byte-identical, the
+// mirror reports healthy, and the copied volume is accounted.
 func TestMirroredResilverRestoresRedundancy(t *testing.T) {
 	for _, victim := range []int{0, 1} {
 		m, f := newOSMirror(t)
@@ -177,11 +187,7 @@ func TestMirroredResilverRestoresRedundancy(t *testing.T) {
 		f[victim].FailStopNow("test")
 		write("after", "written while degraded")
 
-		f[victim].Revive()
-		m.ReplaceReplica(victim)
-		if !m.Degraded() {
-			t.Fatalf("victim %d: replacement cleared degraded before resilver", victim)
-		}
+		m, _ = reboot(f)
 		_, bytes, ok := m.Resilver(th)
 		if !ok {
 			t.Fatalf("victim %d: resilver failed", victim)
@@ -227,10 +233,8 @@ func TestMirroredGenerationSurvivesReboot(t *testing.T) {
 	}
 	m.Close(th, fd)
 
-	// "Reboot": fresh mirror over the same stores, replica 0's fault
-	// layer revived (the stale disk is back, contents intact but old).
-	f[0].Revive()
-	m2 := NewMirrored(f[0], f[1], mirrorDirs)
+	// Reboot: the stale disk is back, contents intact but old.
+	m2, _ := reboot(f)
 	_, bytes, ok := m2.Resilver(th)
 	if !ok {
 		t.Fatalf("post-reboot resilver failed (copied %d bytes)", bytes)
@@ -250,9 +254,9 @@ func TestMirroredGenerationSurvivesReboot(t *testing.T) {
 }
 
 // TestMirroredSkippedResilverLeavesStaleReads documents the mutation
-// the explore scenarios must catch: replacing a replica WITHOUT
-// resilvering serves stale data — the acknowledged degraded-era write
-// is invisible.
+// the explore scenarios must catch: rebooting WITHOUT resilvering serves
+// stale data — the acknowledged degraded-era write is invisible, and
+// only the persisted generations, which a resilver reads, know it.
 func TestMirroredSkippedResilverLeavesStaleReads(t *testing.T) {
 	m, f := newOSMirror(t)
 	th := NewNative(1)
@@ -264,13 +268,52 @@ func TestMirroredSkippedResilverLeavesStaleReads(t *testing.T) {
 	}
 	m.Close(th, fd)
 
-	f[0].Revive()
-	m.ReplaceReplica(0) // recovery forgot to resilver
+	m, _ = reboot(f) // recovery forgot to resilver
 	if _, ok := m.Open(th, "box", "acked"); ok {
 		t.Fatal("stale replica 0 somehow serves the degraded-era write")
 	}
-	if !m.Degraded() {
-		t.Fatal("stale replica must keep the mirror degraded until resilver")
+	if g0, g1 := m.generation(th, 0), m.generation(th, 1); g1 <= g0 {
+		t.Fatalf("generations %d/%d do not name the survivor", g0, g1)
+	}
+}
+
+// TestMirroredFailedResilverReportsDegraded: a boot resilver that a
+// transient write failure stops, with no replica fail-stopped, leaves
+// the replicas different — so the mirror must report degraded (what
+// /healthz serves) until a later resilver succeeds, and that interval
+// must reach gfs_mirror_degraded_seconds.
+func TestMirroredFailedResilverReportsDegraded(t *testing.T) {
+	m, f := newOSMirror(t)
+	th := NewNative(1)
+	f[0].FailStopNow("test")
+	fd, ok := m.Create(th, "box", "acked")
+	if !ok || !m.Append(th, fd, []byte("only the survivor has this")) {
+		t.Fatal("degraded write failed")
+	}
+	m.Close(th, fd)
+
+	// Reboot onto a replica 0 whose creates fail transiently.
+	failing := true
+	f[0] = NewFaulty(f[0].Inner(), policyFunc(func(op fault.Class, _ uint64) bool { return failing && op == fault.Create }))
+	m = NewMirrored(f[0], NewFaulty(f[1].Inner(), fault.Never{}), mirrorDirs)
+	m.Metrics = NewMirrorMetrics(obs.NewRegistry())
+	if _, _, ok := m.Resilver(th); ok {
+		t.Fatal("resilver succeeded although every create on its destination failed")
+	}
+	if st := m.Status(); !st.Degraded || !st.Replicas[0].Live || !st.Replicas[1].Live || m.Metrics.Degraded.Value() != 1 {
+		t.Fatalf("status after a failed resilver with both replicas live: %+v, gauge %d", st, m.Metrics.Degraded.Value())
+	}
+	failing = false
+	if _, _, ok := m.Resilver(th); !ok {
+		t.Fatal("resilver failed with the fault gone")
+	}
+	if m.Degraded() || m.Metrics.Degraded.Value() != 0 {
+		t.Fatalf("still degraded after a successful resilver: %+v, gauge %d", m.Status(), m.Metrics.Degraded.Value())
+	}
+	// The interval the failed resilver opened is recorded when the next
+	// one closes it.
+	if n := m.Metrics.DegradedSeconds.Count(); n != 1 {
+		t.Fatalf("%d degraded intervals recorded, want the failed resilver's one", n)
 	}
 }
 

@@ -70,9 +70,9 @@ func TestNilMetricsFullStack(t *testing.T) {
 			mt.Failf("mirror not degraded after kill: %+v", st)
 		}
 
-		// resilverDone on the nil MirrorMetrics.
-		flts[0].Revive()
-		mir.ReplaceReplica(0)
+		// resilverDone on the nil MirrorMetrics, after a reboot: a fresh
+		// fault layer over replica 0's disk, a fresh mirror.
+		mir = NewMirrored(NewFaulty(chks[0], fault.Never{}), flts[1], dirs)
 		if _, _, ok := mir.Resilver(mt); !ok {
 			mt.Failf("resilver failed")
 		}

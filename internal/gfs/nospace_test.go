@@ -143,10 +143,11 @@ func TestChooserPolicyNoSpaceOptIn(t *testing.T) {
 // TestDurableLatchNoBudgetDoubleCount is the budget-accounting audit
 // for durable classes: once a latch (no-space or fail-stop) is set, the
 // operations it fails must neither allocate new decision points nor
-// consult the policy — so a latch that survives a crash cannot be
-// double-counted against the chooser budget on replay, and the
-// fault.Chooser fingerprint (AppendState) stays stable across any
-// number of latched operations and eras.
+// consult the policy — so a full disk that stays full across a reboot
+// (the fresh layer latched again, as a checked recovery boots it) is
+// not double-counted against the chooser budget, and the fault.Chooser
+// fingerprint (AppendState) stays stable across any number of latched
+// operations and eras.
 func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	var nospaceAsks int
 	chooser := machine.ChooserFunc(func(n int, tag string) int {
@@ -161,7 +162,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	pol := &fault.Chooser{Budget: 1, Eligible: map[fault.Class]bool{fault.NoSpace: true}}
 	f := NewFaulty(fs, pol)
 
-	latchedWrites := func(mt *machine.T) {
+	latchedWrites := func(mt *machine.T, f *Faulty) {
 		for _, name := range []string{"p", "q", "r"} {
 			if _, ok := f.Create(mt, "spool", name); ok {
 				mt.Failf("create %s succeeded while latched", name)
@@ -179,7 +180,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 		if _, ok := f.Create(mt, "spool", "a"); ok {
 			mt.Failf("create succeeded at the point the disk fills")
 		}
-		latchedWrites(mt)
+		latchedWrites(mt, f)
 	})
 	if res.Outcome != machine.Done {
 		t.Fatalf("era 1: %+v", res)
@@ -193,21 +194,22 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	}
 	fp := pol.AppendState(nil)
 
-	// Crash. The Faulty middleware lives in the scenario world, so the
-	// latch survives into the next era — the disk is still full after
-	// reboot. Replayed writes against the latch must not charge the
-	// (already spent) budget again.
+	// Crash and reboot: a fresh layer over the same disk and policy, as a
+	// checked recovery era boots one. The disk is still full, so the
+	// fresh layer is latched again; replayed writes against the latch
+	// must not charge the (already spent) budget again.
 	mm.CrashReset()
-	res = mm.RunEra(chooser, false, func(mt *machine.T) { latchedWrites(mt) })
+	g := NewFaulty(fs, pol)
+	g.NoSpaceNow("still full at boot")
+	res = mm.RunEra(chooser, false, func(mt *machine.T) { latchedWrites(mt, g) })
 	if res.Outcome != machine.Done {
 		t.Fatalf("era 2: %+v", res)
 	}
 	if nospaceAsks != 1 {
 		t.Fatalf("post-crash writes re-consulted the policy (%d asks total)", nospaceAsks)
 	}
-	calls, faults = f.Counters()
-	if calls[fault.NoSpace] != 1 || faults[fault.NoSpace] != 1 {
-		t.Fatalf("post-crash: decision points=%d faults=%d, want 1/1", calls[fault.NoSpace], faults[fault.NoSpace])
+	if calls, _ = g.Counters(); calls[fault.NoSpace] != 0 {
+		t.Fatalf("post-crash: %d no-space decision points on a latched disk, want 0", calls[fault.NoSpace])
 	}
 	if got := pol.AppendState(nil); !reflect.DeepEqual(got, fp) {
 		t.Fatalf("policy fingerprint drifted across latched eras: %v vs %v", got, fp)

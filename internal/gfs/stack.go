@@ -10,9 +10,9 @@ import (
 
 // This file is the one place the storage stack is composed. The daemon
 // (mailboatd.NewWithOptions, over OS backends) and the checker
-// (mailboat.Scenario's Setup, over Model backends) both call NewStack,
-// so the layer order a scenario checks is the layer order that serves
-// mail, outermost first:
+// (mailboat.Scenario's Setup and every recovery era, over Model
+// backends) both call NewStack, so the layer order a scenario checks is
+// the layer order that serves mail, outermost first:
 //
 //	Observed → Mirrored → per replica: Checksummed → Faulty → backend
 //
@@ -97,7 +97,6 @@ type Stack struct {
 	faulty [2]*Faulty
 	chk    [2]*Checksummed
 	mirror *Mirrored
-	policy fault.Policy
 }
 
 // NewStack composes spec over one backend, or over two as a mirror
@@ -112,7 +111,7 @@ func NewStack(backends []System, dirs []string, spec StackSpec) *Stack {
 	if err := spec.Validate(len(backends), deferred); err != nil {
 		panic(err)
 	}
-	s := &Stack{policy: spec.Policy}
+	s := &Stack{}
 	if spec.Checksum || len(backends) > 1 {
 		// Checksummed and Mirrored keep shared Go state they do not
 		// declare, so nothing on their machine may be reordered.
@@ -171,28 +170,3 @@ func (s *Stack) Mirror() *Mirrored { return s.mirror }
 // Detected sums the envelope layers' detection counters: how many
 // rotten reads the stack has refused to serve.
 func (s *Stack) Detected() uint64 { return s.chk[0].Detected() + s.chk[1].Detected() }
-
-// AppendCheckerState appends the crash-surviving state the stack holds
-// outside its backends, for crash-boundary dedup: the chooser policy's
-// spent budget, each fault layer's latches, the mirror's control flags,
-// and the envelope layers' detection counters (scenario assertions read
-// Detected). The backends fingerprint themselves as machine devices.
-func (s *Stack) AppendCheckerState(b []byte) []byte {
-	if p, ok := s.policy.(*fault.Chooser); ok {
-		b = p.AppendState(b)
-	}
-	for _, f := range s.faulty {
-		if f != nil {
-			b = f.AppendCheckerState(b)
-		}
-	}
-	if s.mirror != nil {
-		b = s.mirror.AppendMirrorState(b)
-	}
-	for _, c := range s.chk {
-		if c != nil {
-			b = c.AppendIntegrityState(b)
-		}
-	}
-	return b
-}

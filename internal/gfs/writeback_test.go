@@ -317,9 +317,7 @@ func TestMirrorMarkersSurviveWritebackCrash(t *testing.T) {
 
 	// Reboot with replica 0's disk replaced; the resilver copies the
 	// survivor over it and equalizes the generations.
-	faulty[0].Revive()
-	m = NewMirrored(faulty[0], faulty[1], mirrorDirs)
-	m.ReplaceReplica(0)
+	m = NewMirrored(NewFaulty(models[0], fault.Never{}), faulty[1], mirrorDirs)
 	era(func(mt *machine.T) {
 		if _, _, ok := m.Resilver(mt); !ok {
 			t.Error("resilver failed")

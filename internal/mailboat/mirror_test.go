@@ -1,9 +1,12 @@
 package mailboat
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/gfs"
+	"repro/internal/machine"
 )
 
 // These tests check the Mailboat spec on the mirrored store under
@@ -34,14 +37,10 @@ func TestMirroredVerifiedReplicaDeathExhaustive(t *testing.T) {
 	}
 }
 
-// TestMirroredVerifiedDeathAndCrashCombined is the headline
-// availability check: crash points AND a permanent replica death
-// enumerated together. Every crash runs recovery, which replaces the
-// dead replica and resilvers it from the survivor; the between-era
-// invariant then demands full redundancy (not degraded, replicas
-// byte-identical) on top of the usual refinement of the spec.
-func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
-	s := Scenario("mb-mirror-death+crash", VariantVerified, ScenarioOptions{
+// mirrorDeathAndCrash is the two-delivery mirrored workload with one
+// replica death and one crash.
+func mirrorDeathAndCrash() *explore.Scenario {
+	return Scenario("mb-mirror-death+crash", VariantVerified, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 3},
 		Delivers:    []OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
 		MaxCrashes:  1,
@@ -49,6 +48,19 @@ func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
 		Mirror:      true,
 		Faults:      oneFailStop,
 	})
+}
+
+// TestMirroredVerifiedDeathAndCrashCombined is the headline
+// availability check: crash points AND a permanent replica death
+// enumerated together. Every crash reboots onto a fresh stack, whose
+// recovery resilvers the replaced replica from the survivor; the
+// between-era invariant then demands full redundancy (not degraded,
+// replicas byte-identical) on top of the usual refinement of the spec.
+// The budget is a bound, not a proof: the search is not complete, and
+// at one worker it first convicts at execution 94,804 — the daemon bug
+// TestMirroredAcksBeforeGenerationBump pins.
+func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
+	s := mirrorDeathAndCrash()
 	budget := 60000
 	if testing.Short() {
 		budget = 10000
@@ -60,6 +72,74 @@ func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
 	}
 	if rep.CrashedExecutions == 0 {
 		t.Fatal("no crash explored")
+	}
+}
+
+// TestMirroredAcksBeforeGenerationBump pins a known daemon bug: it
+// replays the minimized counterexample and expects the violation, so the
+// bug stays visible until it is fixed (ROADMAP item 1). markFailed
+// marks the dead replica out of the mirror before the survivor's
+// generation bump is durable. A second delivery then acks on the
+// survivor alone; a crash before the bump leaves the generations tied,
+// and the boot resilver copies the stale replica 0 over the survivor,
+// losing the acked message. When the fix lands this replay stops
+// convicting, and the test becomes the fix's regression row.
+func TestMirroredAcksBeforeGenerationBump(t *testing.T) {
+	s := mirrorDeathAndCrash()
+	// Replica 0 fail-stops at delivery "a"'s spool delete, delivery "b"
+	// runs to its ack while markFailed lists the survivor's markers, and
+	// the site crashes before the bump's create.
+	script := append(make([]int, 22), 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+	cx := explore.ReplayCx(s, script)
+	if cx == nil {
+		t.Fatal("the replay no longer loses acked mail: markFailed is fixed, so make this scenario a verified row")
+	}
+	got := cx.Format()
+	for _, want := range []string{`Deliver(0, "b") -> true`, "crash", `Pickup(0) -> [{msg1 a}]`} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("the replay failed differently (want %q):\n%s", want, got)
+		}
+	}
+}
+
+// TestRecoveryBootsAFreshStack pins the reboot. Replaying an execution
+// in which replica 0 dies and the site then crashes, the recovery era
+// runs on a stack gfs.NewStack built afresh, as the daemon's boot does,
+// not on the pre-crash stack with its dead replica brought back. That
+// stack's mirror reports no failed replica and no failovers.
+func TestRecoveryBootsAFreshStack(t *testing.T) {
+	s := Scenario("mb-mirror-reboot", VariantVerified, ScenarioOptions{
+		Config:      Config{Users: 1, RandBound: 3},
+		Delivers:    []OpDeliver{{User: 0, Msg: "a"}},
+		MaxCrashes:  1,
+		PostPickups: true,
+		Mirror:      true,
+		Faults:      oneFailStop,
+	})
+	var crashed, booted *gfs.Stack
+	var st gfs.MirrorStatus
+	orig := s.Recover
+	s.Recover = func(mt *machine.T, wAny any) {
+		w := wAny.(*World)
+		crashed = w.Stack
+		orig(mt, w)
+		booted = w.Stack
+		st = booted.Mirror().Status()
+	}
+	// Replica 0 fail-stops at the delivery's link; the site crashes two
+	// steps later.
+	script := append(make([]int, 19), 1, 0, 0, 1)
+	if cx := explore.ReplayCx(s, script); cx != nil {
+		t.Fatalf("the replay failed:\n%s", cx.Format())
+	}
+	if crashed == nil || !crashed.Faulty(0).FailStopped() {
+		t.Fatal("the script did not crash after replica 0's death")
+	}
+	if booted == crashed {
+		t.Fatal("the recovery era ran on the pre-crash stack")
+	}
+	if !st.Replicas[0].Live || !st.Replicas[1].Live || st.Failovers != 0 {
+		t.Errorf("the rebooted mirror: %+v", st)
 	}
 }
 

@@ -57,7 +57,8 @@ func TestNoSpaceCleanAbortExhaustive(t *testing.T) {
 // TestNoSpaceCleanAbortCrashMatrix is the full matrix — concurrent
 // deliver and pickup, a crash anywhere, the latch anywhere — and is
 // correspondingly heavy, so -short skips it. The latch surviving the
-// crash must not change any answer recovery gives.
+// crash (a full disk is still full after the reboot) must not change
+// any answer recovery gives.
 func TestNoSpaceCleanAbortCrashMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crash × latch × schedule matrix; run without -short")
@@ -85,10 +86,11 @@ func TestNoSpaceCleanAbortCrashMatrix(t *testing.T) {
 
 // TestNoSpaceGCReclaimsExhaustive: the exhaustion contract, with the
 // latch crossing TWO crash/recovery boundaries. The crash strands
-// whatever was spooled, recovery's sweep reclaims it (clearing the
-// latch), the recorded post-pickups must refine Spec, and the probe
-// pins writability to the latch state. Double-crash also pins the durable-latch budget accounting:
-// the replayed latch must not re-spend the chooser budget in era two.
+// whatever was spooled, the rebooted stack is still full, recovery's
+// sweep reclaims the spool (clearing the latch), the recorded
+// post-pickups must refine Spec, and the probe pins writability to the
+// latch state. Double-crash also pins the durable-latch budget
+// accounting: the carried latch must not re-spend the chooser budget.
 func TestNoSpaceGCReclaimsExhaustive(t *testing.T) {
 	s := nospaceGCScenario(VariantVerified, []OpDeliver{{User: 0, Msg: "a"}}, 2, 3)
 	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
@@ -105,10 +107,11 @@ func TestNoSpaceGCReclaimsExhaustive(t *testing.T) {
 }
 
 // TestNoSpaceSelfCheckDedup runs the dedup soundness self-check on the
-// exhaustion scenario: its fingerprint covers the disk-full latch
-// (Faulty.AppendCheckerState) and the chooser policy's spent budget, and
-// the boundary covers the history — a pruned boundary differing in any
-// of them would be a soundness hole.
+// exhaustion scenario: the recovery era boots a fresh stack, so its
+// fingerprint covers what crosses the reboot — the disk-full latch
+// (carried onto the fresh layer) and the chooser policy's spent budget —
+// and the boundary covers the history: a pruned boundary differing in
+// any of them would be a soundness hole.
 func TestNoSpaceSelfCheckDedup(t *testing.T) {
 	s := nospaceGCScenario(VariantVerified, []OpDeliver{{User: 0, Msg: "a"}}, 2, 3)
 	with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 20000})

@@ -74,13 +74,14 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 }
 
 // TestRecoveryMutationsTrackProduction boots each recovery on a mirror
-// whose replica 1 died, missed a delivery, and was replaced: stale until
-// a resilver. A recovery mutation that is a hand copy of Recover drifts:
-// at cbf26ef all three were the paper's three-line sweep and none called
-// Resilver or kept the boot report, though only no-resilver is meant to
-// skip it. Built from the production stages, wipes and replay-spool
-// leave the pair redundant and carry the BootScrub baseline; the forged
-// repaired token alone leaves replica 1 stale.
+// whose replica 1 died, missed a delivery, and came back at the reboot:
+// stale until a resilver. A recovery mutation that is a hand copy of
+// Recover drifts: at cbf26ef all three were the paper's three-line sweep
+// and none called Resilver or kept the boot report, though only
+// no-resilver is meant to skip it. Built from the production stages,
+// wipes and replay-spool leave the pair redundant and carry the
+// BootScrub baseline; the forged repaired token alone leaves replica 1
+// stale.
 func TestRecoveryMutationsTrackProduction(t *testing.T) {
 	rows := []struct {
 		name    string
@@ -97,11 +98,14 @@ func TestRecoveryMutationsTrackProduction(t *testing.T) {
 			m := machine.New(machine.Options{})
 			cfg := Config{Users: 1, RandBound: 4}
 			dirs := Dirs(cfg)
+			var models [2]*gfs.Model
 			var backends [2]gfs.System
 			for i := range backends {
-				backends[i] = gfs.NewModel(m, gfs.BackendDirs(dirs, 2))
+				models[i] = gfs.NewModel(m, gfs.BackendDirs(dirs, 2))
+				backends[i] = models[i]
 			}
-			stack := gfs.NewStack(backends[:], dirs, gfs.StackSpec{Policy: fault.Never{}})
+			spec := gfs.StackSpec{Policy: fault.Never{}}
+			stack := gfs.NewStack(backends[:], dirs, spec)
 			var mb *Mailboat
 			res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 				mb = Init(mt, nil, stack.Top, cfg)
@@ -109,8 +113,7 @@ func TestRecoveryMutationsTrackProduction(t *testing.T) {
 				if !mb.Deliver(mt, nil, 0, []byte("mail")) {
 					mt.Failf("degraded mirror refused a delivery")
 				}
-				stack.Faulty(1).Revive()
-				stack.Mirror().ReplaceReplica(1)
+				stack = gfs.NewStack(backends[:], dirs, spec)
 				if row.v.Recover != nil {
 					mb = row.v.Recover(mt, stack.Top, cfg)
 				} else {
@@ -125,8 +128,8 @@ func TestRecoveryMutationsTrackProduction(t *testing.T) {
 			if row.repairs && (st.Degraded || !ok || !rep.Clean()) {
 				t.Errorf("recovery left the mirror %+v, boot scrub ok=%v %v: a mutation whose bug is not the repair must repair", st, ok, rep)
 			}
-			if !row.repairs && (!st.Replicas[1].Stale || ok) {
-				t.Errorf("mirror %+v, boot scrub ok=%v: the forged repaired token should leave replica 1 stale and no baseline", st, ok)
+			if stale := ReplicasIdentical(models[0], models[1], gfs.BackendDirs(dirs, 2)) != nil; !row.repairs && (!stale || ok) {
+				t.Errorf("replica 1 stale=%v, boot scrub ok=%v: the forged repaired token should leave replica 1 stale and no baseline", stale, ok)
 			}
 		})
 	}

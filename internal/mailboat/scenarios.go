@@ -20,17 +20,51 @@ type World struct {
 	G *core.Ctx
 	// FS are the backend models (both set under a mirror, else only
 	// FS[0]) and Stack the layers gfs.NewStack composed over them — the
-	// constructor the daemon boots on (DESIGN.md "Storage stack"). The
-	// library runs on Stack.Top; the dedup fingerprint covers Stack's
-	// checker state.
+	// constructor the daemon boots on (DESIGN.md "Storage stack"). Every
+	// recovery era boots a fresh Stack over the same models, as the
+	// daemon does. The library runs on Stack.Top.
 	FS    [2]*gfs.Model
 	Stack *gfs.Stack
 	MB    *Mailboat
-	// seen is the stack's detection count at the last OpObserve.
-	seen uint64
+	// spec is the stack part, its policy the execution's fault budget:
+	// the one piece of the stack that outlives a reboot.
+	spec gfs.StackSpec
+	// detected counts the detections of the stacks earlier eras ran on;
+	// seen is the detection count at the last OpObserve.
+	detected, seen uint64
 	// v is the implementation under check (see Client).
 	v Variant
 }
+
+// boot composes a fresh stack over the world's models, the way the
+// daemon boots: gfs.NewStack from the spec, the variant's bug layer
+// seeded in. Of the stack it replaces, the policy's spent budget, the
+// detection count and a full disk carry over: the models have no
+// capacity, so the old fault layer's no-space latch is the disk's
+// fullness, and a full disk is still full after the reboot (the fresh
+// layer is latched without charging the budget again).
+func (w *World) boot(dirs []string) {
+	backends := []gfs.System{w.FS[0]}
+	if w.FS[1] != nil {
+		backends = append(backends, w.FS[1])
+	}
+	old := w.Stack
+	w.Stack = gfs.NewStack(backends, dirs, w.spec)
+	if old != nil {
+		w.detected += old.Detected()
+		for i := range backends {
+			if f := old.Faulty(i); f != nil && f.NoSpace() {
+				w.Stack.Faulty(i).NoSpaceNow("still full at boot")
+			}
+		}
+	}
+	if w.v.Stack != nil {
+		w.v.Stack(w.Stack)
+	}
+}
+
+// detections is the store's detection count across every era so far.
+func (w *World) detections() uint64 { return w.detected + w.Stack.Detected() }
 
 // Variant selects the implementation under check: a row of optional
 // overrides, each replacing one production entry point (or one stack
@@ -228,8 +262,9 @@ type ScenarioOptions struct {
 	// Mirror and Checksum are the stack (gfs.NewStack): a gfs.Mirrored
 	// pair of backends, and a checksum envelope over each backend. A
 	// crash of a mirrored store is the whole site rebooting: the
-	// recovery era revives and replaces a fail-stopped replica before
-	// the library's Recover resilvers it, and between eras both replicas
+	// recovery era boots a fresh stack, a fail-stopped replica's disk
+	// back in it with whatever stale contents it holds, before the
+	// library's Recover resilvers it, and between eras both replicas
 	// must be live, repaired and byte-identical.
 	Mirror   bool
 	Checksum bool
@@ -394,18 +429,13 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		MaxCrashes:  o.MaxCrashes,
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
-			w := &World{v: v}
+			w := &World{v: v, spec: o.stackSpec()}
 			dirs := Dirs(o.Config)
-			var backends [2]gfs.System
 			n := o.replicas()
 			for i, bdirs := 0, gfs.BackendDirs(dirs, n); i < n; i++ {
 				w.FS[i] = newModel[o.Crash](m, bdirs)
-				backends[i] = w.FS[i]
 			}
-			w.Stack = gfs.NewStack(backends[:n], dirs, o.stackSpec())
-			if v.Stack != nil {
-				v.Stack(w.Stack)
-			}
+			w.boot(dirs)
 			if ghost {
 				w.G = core.NewCtx(m)
 				w.G.InitSim(sp, sp.Init())
@@ -426,21 +456,14 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 			}
 		},
 		Recover: func(t *machine.T, wAny any) {
+			// The crash models the whole site rebooting: the server boots
+			// a fresh stack over the same disks, as the daemon does, with
+			// a fail-stopped replica replaced by one still holding its
+			// pre-death (stale) contents. Recover's resilver is what makes
+			// it trustworthy again, and the no-resilver variant is how its
+			// absence shows up.
 			w := wAny.(*World)
-			if mir := w.Stack.Mirror(); mir != nil {
-				// The crash models the whole site rebooting: the operator
-				// swaps any fail-stopped replica for a replacement before
-				// the server restarts. The replacement still holds the
-				// replica's pre-death (stale) contents — Recover's
-				// resilver is what makes it trustworthy again, and the
-				// no-resilver variant is how its absence shows up.
-				for i := 0; i < 2; i++ {
-					if f := w.Stack.Faulty(i); f.FailStopped() {
-						f.Revive()
-						mir.ReplaceReplica(i)
-					}
-				}
-			}
+			w.boot(Dirs(o.Config))
 			if v.Recover != nil {
 				w.MB = v.Recover(t, w.Stack.Top, o.Config)
 			} else {
@@ -484,18 +507,18 @@ func (w *World) session(t *machine.T, h *explore.Harness, prop *Property, user u
 	h.Op(OpObserve{}, func() spec.Ret {
 		RecordSession(t, h, w, user, deleteFirst)
 		seen := w.seen
-		w.seen = w.Stack.Detected()
+		w.seen = w.detections()
 		return w.seen != seen
 	})
 }
 
 // probeLatch is Exhaustion's one hook: writability tracks the disk-full
-// latch. Recovery's orphan-spool sweep is the store's garbage collector
-// — each orphan it deletes returns space, clearing the latch on
-// gfs.Faulty — so a recorded probe delivery by the production code must
-// fail while the latch holds, and succeed once it has cleared (before
-// and after, since the chooser may spend a leftover budget on the probe
-// itself). One more recorded pickup follows, so that refinement judges
+// latch. The latch outlives a reboot (World.boot), and recovery's
+// orphan-spool sweep is the store's garbage collector — each orphan it
+// deletes returns space, clearing the latch on gfs.Faulty — so a
+// recorded probe delivery by the production code must fail while the
+// latch holds, and succeed once it has cleared (before and after,
+// since the chooser may spend a leftover budget on the probe itself). One more recorded pickup follows, so that refinement judges
 // what the probe left: its message if accepted, nothing if refused.
 func probeLatch(t *machine.T, h *explore.Harness, w *World) {
 	latched := w.Stack.Faulty(0).NoSpace()
@@ -511,14 +534,23 @@ func probeLatch(t *machine.T, h *explore.Harness, w *World) {
 
 // fingerprint is the crash-boundary dedup hook (DESIGN.md "Crash-boundary
 // dedup"): the file-system models and the ghost Ctx are fingerprintable
-// devices, so it only has to cover the crash-surviving state the world
-// holds outside them — the stack's (policy budget, latches, mirror flags,
-// detection counters) and the detection count the next OpObserve compares
-// against. The deferred-durability models are covered too: the
-// synced-prefix map is part of the model's own encoding.
+// devices, and the recovery era boots a fresh stack, so it only has to
+// cover the crash-surviving state the world holds outside them — the
+// policy's spent budget, each disk's fullness (the no-space latch boot
+// carries over), the detection count, and the count the next OpObserve
+// compares it against. The deferred-durability models are covered too:
+// the synced-prefix map is part of the model's own encoding.
 func fingerprint(wAny any, b []byte) []byte {
 	w := wAny.(*World)
-	return machine.AppendUint64(w.Stack.AppendCheckerState(b), w.seen)
+	if c, ok := w.spec.Policy.(*fault.Chooser); ok {
+		b = c.AppendState(b)
+	}
+	for i := 0; i < 2; i++ {
+		if f := w.Stack.Faulty(i); f != nil {
+			b = machine.AppendBool(b, f.NoSpace())
+		}
+	}
+	return machine.AppendUint64(machine.AppendUint64(b, w.detections()), w.seen)
 }
 
 // leaks is Iron-style resource accounting (§9.5 found an fd leak that
@@ -567,8 +599,8 @@ func ghostInvariant(w *World, users uint64) error {
 }
 
 // mirrorInvariant is the mirrored store's between-era availability
-// claim: nothing leaks, and once recovery has replaced and resilvered a
-// dead replica, redundancy is restored and the replicas are
+// claim: nothing leaks, and once recovery has resilvered a dead
+// replica's replacement, redundancy is restored and the replicas are
 // byte-identical (including the generation markers the resilver copies
 // last).
 func mirrorInvariant(w *World, dirs []string) error {
@@ -576,8 +608,8 @@ func mirrorInvariant(w *World, dirs []string) error {
 		return fmt.Errorf("resource leak: %d/%d descriptors open on replicas", n0, n1)
 	}
 	// While a replica is fail-stopped the mirror legitimately runs
-	// degraded; redundancy is only owed once recovery has replaced and
-	// resilvered it.
+	// degraded; redundancy is only owed once a recovery has resilvered
+	// its replacement.
 	for i := 0; i < 2; i++ {
 		if w.Stack.Faulty(i).FailStopped() {
 			return nil

@@ -287,19 +287,16 @@ func (p *Pair) Unlock(t gfs.T, user uint64) {
 }
 
 // Recover rebuilds the pair after a site crash (the model's whole-site
-// power cut): revive fail-stopped stores, run mailboat recovery on each
-// node, re-read persisted epochs, elect the higher-epoch node primary
-// (it fenced the other), and ALWAYS run a catch-up resync — lastApplied
-// is volatile, so the backup cannot prove it is current. The closing
-// pings give any frame still in the network (in-flight frames survive a
-// site reboot) its delivery opportunity under the checker, AFTER the
-// new epoch is in place to fence it.
-func (p *Pair) Recover(t gfs.T) {
-	for i := range p.F {
-		if p.F[i].FailStopped() {
-			p.F[i].Revive()
-		}
-	}
+// power cut) on the stores each node rebooted, sys[i] with its fault
+// layer f[i] as in NewPair: run mailboat recovery on each node, re-read
+// persisted epochs, elect the higher-epoch node primary (it fenced the
+// other), and ALWAYS run a catch-up resync — lastApplied is volatile, so
+// the backup cannot prove it is current. The closing pings give any
+// frame still in the network (in-flight frames survive a site reboot)
+// its delivery opportunity under the checker, AFTER the new epoch is in
+// place to fence it.
+func (p *Pair) Recover(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty) {
+	p.sys, p.F = sys, f
 	for i := 0; i < 2; i++ {
 		mb := mailboat.Recover(t, nil, p.sys[i], p.mbcfg, nil)
 		p.Nodes[i] = NewNode(t, i, mb, p.sys[i], Config{})

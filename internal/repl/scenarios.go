@@ -28,12 +28,33 @@ import (
 // ScenarioWorld carries the replicated composition across eras: each
 // node's store is its own gfs.NewStack over its own model, and the two
 // stacks and the Net share one fault policy, so one budget spans both
-// nodes' stores and the network between them.
+// nodes' stores and the network between them. Every recovery era boots
+// fresh stacks over the same models and policy, as a rebooted node does.
 type ScenarioWorld struct {
 	FS     [2]*gfs.Model
 	Stacks [2]*gfs.Stack
 	Net    *netmodel.Net
 	Pair   *Pair
+
+	policy fault.Policy
+	dirs   []string
+}
+
+// boot composes each node's stack over its model and returns the tops
+// and fault layers the Pair runs on. A node's full disk stays full
+// across the reboot: the models have no capacity, so the old fault
+// layer's no-space latch is carried onto the fresh one (without charging
+// the budget again).
+func (w *ScenarioWorld) boot() (sys [2]gfs.System, f [2]*gfs.Faulty) {
+	for i := range w.Stacks {
+		old := w.Stacks[i]
+		w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, w.dirs, gfs.StackSpec{Policy: w.policy})
+		sys[i], f[i] = w.Stacks[i].Top, w.Stacks[i].Faulty(0)
+		if old != nil && old.Faulty(0).NoSpace() {
+			f[i].NoSpaceNow("still full at boot")
+		}
+	}
+	return sys, f
 }
 
 // Deliver, Pickup, Delete and Unlock make ScenarioWorld the workload's
@@ -118,26 +139,22 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			// The Pair and its Nodes keep shared Go state they do not
 			// declare, so nothing on this machine may be reordered.
 			m.Undeclared()
-			w := &ScenarioWorld{}
 			// Without a budget the fault layers still stand: their
 			// latches are how the Pair learns a node is dead.
-			pol := o.Faults.Policy()
-			if pol == nil {
-				pol = fault.Never{}
+			w := &ScenarioWorld{policy: o.Faults.Policy(), dirs: ReplDirs(o.Config)}
+			if w.policy == nil {
+				w.policy = fault.Never{}
 			}
-			dirs := ReplDirs(o.Config)
-			for i := range w.Stacks {
-				w.FS[i] = gfs.NewModel(m, dirs)
-				w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, dirs, gfs.StackSpec{Policy: pol})
+			for i := range w.FS {
+				w.FS[i] = gfs.NewModel(m, w.dirs)
 			}
-			w.Net = netmodel.New(m, pol)
+			w.Net = netmodel.New(m, w.policy)
 			return w
 		},
 		Init: func(t *machine.T, wAny any) {
 			w := wAny.(*ScenarioWorld)
-			w.Pair = NewPair(t, [2]gfs.System{w.Stacks[0].Top, w.Stacks[1].Top},
-				[2]*gfs.Faulty{w.Stacks[0].Faulty(0), w.Stacks[1].Faulty(0)}, w.Net,
-				o.Config, o.Variant)
+			sys, f := w.boot()
+			w.Pair = NewPair(t, sys, f, w.Net, o.Config, o.Variant)
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*ScenarioWorld)
@@ -152,14 +169,17 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		},
 		Recover: func(t *machine.T, wAny any) {
 			// The crash models the whole site losing power: both nodes
-			// reboot (fail-stopped stores come back under operator care),
-			// epochs are re-read from disk, the higher-epoch node — the one
-			// that fenced the other — leads, and a catch-up resync runs
-			// unconditionally because lastApplied is volatile. Frames still
-			// in the network from before the crash survive it; the closing
-			// pings give the chooser the chance to land them AFTER the
-			// post-resync fence is up.
-			wAny.(*ScenarioWorld).Pair.Recover(t)
+			// reboot onto fresh stacks (a fail-stopped store comes back
+			// replaced, its stale contents intact), epochs are re-read
+			// from disk, the higher-epoch node — the one that fenced the
+			// other — leads, and a catch-up resync runs unconditionally
+			// because lastApplied is volatile. Frames still in the network
+			// from before the crash survive it; the closing pings give the
+			// chooser the chance to land them AFTER the post-resync fence
+			// is up.
+			w := wAny.(*ScenarioWorld)
+			sys, f := w.boot()
+			w.Pair.Recover(t, sys, f)
 		},
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
 			if !o.PostPickups {
@@ -191,16 +211,20 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		},
 		// Crash-boundary dedup: the models and the Net are fingerprintable
 		// devices (the Net's encoding covers partition charge and the
-		// crash-surviving in-flight stash), so the hook covers the
-		// crash-surviving world state outside them — each node's stack:
-		// its fail-stop latch and the shared policy's budget, spent per
-		// class, on the stores and the network alike. The Pair's own
+		// crash-surviving in-flight stash), and the recovery era boots
+		// fresh stacks, so the hook covers the crash-surviving world state
+		// outside them: the shared policy's budget, spent per class, on
+		// the stores and the network alike, and each node's disk-full
+		// latch, which boot carries over. The Pair's own
 		// fields (role, session locks, staleness) are all recomputed by
 		// Recover from device state, so they are not boundary state.
 		Fingerprint: func(wAny any, b []byte) []byte {
 			w := wAny.(*ScenarioWorld)
-			for _, st := range w.Stacks {
-				b = st.AppendCheckerState(b)
+			if c, ok := w.policy.(*fault.Chooser); ok {
+				b = c.AppendState(b)
+			}
+			for _, s := range w.Stacks {
+				b = machine.AppendBool(b, s.Faulty(0).NoSpace())
 			}
 			return b
 		},

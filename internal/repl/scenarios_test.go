@@ -179,9 +179,9 @@ func TestConvictResyncSkipsEpoch(t *testing.T) {
 
 // TestReplicatedSelfCheckDedup runs the dedup soundness self-check on
 // the replicated crash scenario: the fingerprint covers both stores
-// (devices), the network's surviving in-flight frames (device), the
-// fault policies' budgets and the fail-stop latches, and the check
-// requires dedup to activate and agree with the dedup-less search.
+// (devices), the network's surviving in-flight frames (device) and the
+// shared fault policy's budget, and the check requires dedup to
+// activate and agree with the dedup-less search.
 func TestReplicatedSelfCheckDedup(t *testing.T) {
 	s := Scenario("mb-repl-selfcheck", ScenarioOptions{
 		Config:      smallConfig(),
@@ -280,11 +280,14 @@ func (killer) Choose(n int, tag string) int {
 // TestScenarioNodesRunOnStacks: each node's store is a gfs.NewStack —
 // a fault layer over the node's own model, what the single-node
 // scenarios and the daemon build — the two sharing one policy, and the
-// Pair runs on those tops with those layers as its kill switches.
+// Pair runs on those tops with those layers as its kill switches. The
+// policy's spent budget is the fingerprint's whole share of the world: a
+// reboot's fresh stacks drop the latch and keep the budget spent.
 func TestScenarioNodesRunOnStacks(t *testing.T) {
 	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), Faults: oneFailStop})
 	m := machine.New(machine.Options{})
 	w := s.Setup(m).(*ScenarioWorld)
+	m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) })
 	for i, st := range w.Stacks {
 		f := st.Faulty(0)
 		if f == nil || st.Top != gfs.System(f) || f.Inner() != gfs.System(w.FS[i]) {
@@ -293,22 +296,31 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 		if st.Mirror() != nil || st.Checksummed(0) != nil {
 			t.Errorf("node %d: stack has layers the spec did not ask for", i)
 		}
+		if w.Pair.F[i] != f {
+			t.Errorf("node %d: the Pair's kill switch is not its stack's fault layer", i)
+		}
 	}
-	quiet := w.Stacks[1].AppendCheckerState(nil)
+	quiet := s.Fingerprint(w, nil)
 	res := m.RunEra(killer{}, false, func(mt *machine.T) {
 		w.Stacks[0].Top.List(mt, mailboat.SpoolDir)
+		w.Stacks[1].Top.List(mt, mailboat.SpoolDir)
 	})
 	if res.Outcome != machine.Done || !w.Stacks[0].Faulty(0).FailStopped() {
 		t.Fatalf("the chooser did not kill node 0: %+v", res)
 	}
-	if spent := w.Stacks[1].AppendCheckerState(nil); string(spent) == string(quiet) {
-		t.Error("node 0's fail-stop did not spend node 1's budget: the nodes do not share one policy")
+	if w.Stacks[1].Faulty(0).FailStopped() {
+		t.Error("node 1 died after node 0's fail-stop: the nodes do not share one budget")
 	}
-	m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) })
-	for i, st := range w.Stacks {
-		if w.Pair.F[i] != st.Faulty(0) {
-			t.Errorf("node %d: the Pair's kill switch is not its stack's fault layer", i)
-		}
+	spent := s.Fingerprint(w, nil)
+	if string(spent) == string(quiet) {
+		t.Error("the fingerprint does not see the spent budget")
+	}
+	w.boot()
+	if w.Stacks[0].Faulty(0).FailStopped() {
+		t.Error("the rebooted stack kept the fail-stop latch")
+	}
+	if string(s.Fingerprint(w, nil)) != string(spent) {
+		t.Error("the reboot changed the fingerprint: the budget must stay spent")
 	}
 }
 

@@ -381,10 +381,9 @@ var mailboatVerified = []mailboatEntry{
 		},
 	},
 	{
-		// The exhaustion contract, with the latch crossing TWO
-		// crash/recovery boundaries (also the regression gate for
-		// durable-latch budget accounting: a latched class replayed
-		// across eras must not re-spend the chooser budget). Acked mail
+		// The exhaustion contract across TWO crash/recovery boundaries
+		// (also the regression gate for budget accounting: a fill spent
+		// before a crash stays spent after each reboot). Acked mail
 		// survives ENOSPC (refinement), recovery's orphan-spool sweep
 		// doubles as the garbage collector that returns space, and
 		// post-recovery writability tracks the latch — freed space must
