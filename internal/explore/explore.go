@@ -377,8 +377,8 @@ type Options struct {
 // stress, and returns a report.
 func Run(s *Scenario, opts Options) *Report { return run(s, opts, nil) }
 
-// run is Run, collecting every checked execution of the systematic
-// phase into outcomes when it is not nil (SelfCheck).
+// run is Run, collecting the outcome of every checked execution into
+// outcomes when it is not nil (SelfCheck).
 func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 	if opts.MaxExecutions == 0 {
 		opts.MaxExecutions = 20000
@@ -399,7 +399,7 @@ func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 
 	runSystematic(s, opts, workers, rep, outcomes)
 	if rep.Counterexample == nil && opts.StressExecutions > 0 {
-		runStress(s, opts, workers, rep)
+		runStress(s, opts, workers, rep, outcomes)
 	}
 	if rep.Counterexample != nil {
 		rep.Counterexample = retrace(s, rep.Counterexample)
@@ -443,7 +443,7 @@ func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Count
 // before noticing the winner are discarded retries, reported in
 // Stats.StressDiscarded instead of inflating the (otherwise
 // nondeterministic) throughput numbers.
-func runStress(s *Scenario, opts Options, workers int, rep *Report) {
+func runStress(s *Scenario, opts Options, workers int, rep *Report, outcomes *outcomeSet) {
 	type result struct {
 		offset int
 		cx     *Counterexample
@@ -458,7 +458,7 @@ func runStress(s *Scenario, opts Options, workers int, rep *Report) {
 		reps[w] = &Report{Stats: Stats{Depth: rep.Stats.Depth}}
 		go func(w int) {
 			defer wg.Done()
-			var x runner
+			x := runner{outcomes: outcomes}
 			defer x.carriers.Release()
 			for i := w; i < opts.StressExecutions; i += workers {
 				mu.Lock()

@@ -27,19 +27,22 @@ import (
 // only the weaker bounded claim, and the check still catches a
 // reduction that hides a violation the plain search finds within budget.
 //
+// Options.StressExecutions, when set, adds random executions to the
+// plain run only, after its systematic search: their outcomes join its
+// set (and a violation among them its verdict), a sample of the orders a
+// plain search stopped at the budget never reached. The reduced run has
+// no stress phase, since the reductions only act on the systematic one.
+//
 // When both runs find a counterexample, each is additionally replayed
-// to confirm it reproduces. Stress is disabled for both runs (the
-// reductions only affect the systematic phase). The returned reports let
-// callers print the coverage the reductions bought.
+// to confirm it reproduces. The returned reports let callers print the
+// coverage the reductions bought.
 func SelfCheck(s *Scenario, opts Options) (with, without *Report, err error) {
-	opts.StressExecutions = 0
-
 	off, offOut := opts, &outcomeSet{}
 	off.NoReduce = true
 	without = run(s, off, offOut)
 
 	on, onOut := opts, &outcomeSet{}
-	on.NoReduce = false
+	on.NoReduce, on.StressExecutions = false, 0
 	with = run(s, on, onOut)
 
 	if s.Fingerprint != nil && !with.Stats.DedupActive {

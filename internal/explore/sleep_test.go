@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/machine"
 )
 
@@ -134,6 +135,63 @@ func TestSleepSetsNegativeControl(t *testing.T) {
 		if _, _, err := SelfCheck(undeclared(true, violate), Options{Workers: 1}); err != nil {
 			t.Errorf("SelfCheck with the declaration, violate=%v: %v", violate, err)
 		}
+	}
+}
+
+// slots is a device whose durable state is one integer per thread.
+type slots struct{ v [2]uint64 }
+
+func (*slots) Crash() {}
+
+func (d *slots) AppendDurable(b []byte) []byte {
+	return machine.AppendUint64(machine.AppendUint64(b, d.v[0]), d.v[1])
+}
+
+// budgeted is two threads that each take one step, offer one injection
+// from a fault budget of one they share, and record in their own durable
+// slot whether they got it.
+func budgeted() *Scenario {
+	return &Scenario{
+		Name:        "budget",
+		Spec:        regSpec(true),
+		MachineOpts: machine.Options{MaxSteps: 500},
+		Setup: func(m *machine.Machine) any {
+			d := &slots{}
+			m.RegisterDevice(d)
+			return d
+		},
+		Main: func(t *machine.T, wAny any, h *Harness) {
+			d := wAny.(*slots)
+			p := &fault.Chooser{Budget: 1, Eligible: fault.Classes(fault.Create)}
+			for i := range d.v {
+				t.Go(func(c *machine.T) {
+					c.StepDeclared("op")
+					d.v[i] = 1
+					if p.Decide(c, fault.Create, 0) {
+						d.v[i] = 2
+					}
+				})
+			}
+		},
+	}
+}
+
+// TestSleepSetsFaultBudgetCommutes: a fault.Chooser's budget declares
+// nothing, so two threads whose only shared state is the budget commute.
+// Running either one first reaches every outcome — the first injects or
+// declines, and the second gets the offer only when the first declined —
+// so the reduced search checks one order and finds the same three
+// outcomes the plain search finds in both.
+func TestSleepSetsFaultBudgetCommutes(t *testing.T) {
+	red, plain, err := SelfCheck(budgeted(), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !red.Complete || !plain.Complete || red.Stats.SleepBlocked == 0 {
+		t.Fatalf("reduced %s, plain %s: want both complete and the reduced one blocked", red, plain)
+	}
+	if checked := red.Executions - red.Stats.SleepBlocked; checked != 3 || plain.Executions <= checked {
+		t.Errorf("reduced search checked %d executions, plain %d; want 3 and more", checked, plain.Executions)
 	}
 }
 

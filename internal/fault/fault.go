@@ -198,20 +198,17 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	} else if !p.Eligible[c] {
 		return false
 	}
-	// A spent budget is never written again, so only an offered decision
-	// reads it (DESIGN.md "Sleep sets").
-	mt.Machine().Touch(budgetObj, machine.Read)
+	// The budget declares nothing (DESIGN.md "Sleep sets"): a decision
+	// only offers an injection while the budget lasts, and an offer that
+	// is not taken leaves the state as no offer does, so two threads'
+	// decisions reach the same states in either order.
 	if mt.Choose(2, c.Tag()) == 1 {
-		mt.Machine().Touch(budgetObj, machine.Write)
 		p.used++
 		p.spent[c]++
 		return true
 	}
 	return false
 }
-
-// budgetObj names every Chooser's budget in footprints.
-var budgetObj = machine.StaticObj()
 
 // AppendState appends the spent budget per class — the only mutable
 // state a Chooser carries across a crash (it lives in the scenario's

@@ -3,12 +3,13 @@ package gfs
 import "encoding/binary"
 
 // This file holds the storage stack's seeded bugs, the checker's
-// mb/integrity-bug rows. Each is a layer that embeds the real one and
-// replaces one stage with a forgery of that stage's token; TrustReads
-// and ResilverNoVerify substitute it in a composed Stack, which is how a
-// mailboat.Variant row reaches it, so the production layers have
-// nothing to set. This is the only file of the package allowed to forge
-// a token (mailboat's TestTokensForgedOnlyInBugs checks gfs too).
+// mb/integrity-bug rows and the mirror's flag-before-bump. Each replaces
+// one stage with a forgery of that stage's token: TrustReads and
+// ResilverNoVerify substitute a layer that embeds the real one in a
+// composed Stack, and FlagBeforeBump the mirror's fail stage, which is
+// how a mailboat.Variant row reaches them. This is the only file of the
+// package allowed to forge a token (mailboat's TestTokensForgedOnlyInBugs
+// checks gfs too).
 
 // TrustReads seeds the trust-read bug in s: the envelope layer serves
 // reads without verifying them. s must be one backend with Checksum.
@@ -19,6 +20,30 @@ func TrustReads(s *Stack) { s.seed(s.chk[0], trustingReads{s.chk[0]}) }
 // that rotted on the shelf is copied verbatim over the good replica. s
 // must be a mirror.
 func ResilverNoVerify(s *Stack) { s.seed(s.mirror, unjudgedResilver{s.mirror}) }
+
+// FlagBeforeBump seeds the flag-before-bump bug in s: the mirror takes a
+// dead replica out before the survivor's generation bump is durable, so
+// a concurrent operation acknowledges on the survivor alone and a crash
+// before the bump leaves the generations tied. s must be a mirror.
+func FlagBeforeBump(s *Stack) { s.mirror.fail = flagBeforeBump }
+
+// flagBeforeBump is markFailed with its last two steps swapped: it
+// latches replica i failed first and bumps the survivor's generation
+// after, the order markFailed had before it took the bumped token.
+func flagBeforeBump(m *Mirrored, t T, i int, why string) {
+	m.failing.Acquire(t)
+	defer m.failing.Release(t)
+	if !m.alive(i) {
+		return
+	}
+	if tracing(t) {
+		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	}
+	m.Metrics.replicaFailed(i)
+	// BUG: the bumped token is forged; the survivor's bump is not durable yet.
+	m.degrade(i, bumped{})
+	m.bumpGeneration(t, 1-i)
+}
 
 // seed puts seeded in place of old, which must be s's top layer: the
 // checker's stacks carry no Observed, and each bug replaces the layer

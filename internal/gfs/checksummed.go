@@ -142,12 +142,30 @@ type Checksummed struct {
 
 	mu       sync.Mutex
 	detected uint64
+
+	// m is the machine of the Model the layer wraps (through a Faulty),
+	// nil over any other backend: the detection count declares its
+	// accesses there (DESIGN.md "Sleep sets"), as object obj.
+	m   *machine.Machine
+	obj machine.Obj
 }
 
 // NewChecksummed wraps inner, with dirs the fixed directory layout
 // (needed by Scrub).
 func NewChecksummed(inner System, dirs []string) *Checksummed {
-	return &Checksummed{inner: inner, dirs: append([]string{}, dirs...)}
+	c := &Checksummed{inner: inner, dirs: append([]string{}, dirs...)}
+	if fs := asLayer[*Model](inner); fs != nil {
+		c.m, c.obj = fs.m, fs.m.Objects(1)
+	}
+	return c
+}
+
+// touch declares an access to the detection count on the Model's
+// machine.
+func (c *Checksummed) touch(md machine.Mode) {
+	if c.m != nil {
+		c.m.Touch(c.obj, md)
+	}
 }
 
 // Inner returns the wrapped backend — also the raw, envelope-level view
@@ -161,12 +179,14 @@ func (c *Checksummed) Detected() uint64 {
 	if c == nil {
 		return 0
 	}
+	c.touch(machine.Read)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.detected
 }
 
 func (c *Checksummed) noteDetected(t T, dir, name string, v Verdict) {
+	c.touch(machine.Write)
 	c.mu.Lock()
 	c.detected++
 	c.mu.Unlock()

@@ -233,6 +233,16 @@ type Mirrored struct {
 	// replica after checksum failures (gfs_integrity_*).
 	Integrity *IntegrityMetrics
 
+	// failing serializes the detectors of a replica's death: the first
+	// holds it until the survivor's generation bump is durable, and the
+	// rest wait on it, so none reroutes to the survivor alone before
+	// then. It is a lock of the backends' kind — a machine lock over a
+	// Model, which the scheduler blocks on — and the only one the mirror
+	// holds across replica operations. fail is the stage that takes a
+	// replica out (markFailed; a seeded bug substitutes its own).
+	failing Lock
+	fail    func(m *Mirrored, t T, i int, why string)
+
 	// mu guards only the flag words below; it is never held across a
 	// replica operation, so the cooperative model scheduler can always
 	// make progress. unrepaired is set by a Resilver that failed and
@@ -244,13 +254,43 @@ type Mirrored struct {
 	resilvering bool
 	failovers   uint64
 	degradedAt  time.Time // set only when Metrics != nil
+
+	// m is the machine of the Model under replica 0, nil over any other
+	// backend: the flags declare their accesses there (DESIGN.md "Sleep
+	// sets"), as objects obj+failedFlag+i, obj+repairFlags and
+	// obj+failoverCount.
+	m   *machine.Machine
+	obj machine.Obj
 }
+
+// The flags' footprint names, offsets from Mirrored.obj.
+const (
+	failedFlag    machine.Obj = iota // replica i's is failedFlag+i
+	_                                // replica 1's failed flag
+	repairFlags                      // unrepaired and resilvering
+	failoverCount                    // failovers
+	mirrorObjs
+)
 
 // NewMirrored mirrors the two replicas over the given data directories
 // (the set Resilver walks — pass the same list the backends were built
 // with, MirrorMetaDir excluded; the mirror adds it itself).
 func NewMirrored(r0, r1 System, dirs []string) *Mirrored {
-	return &Mirrored{rep: [2]System{r0, r1}, dirs: dirs}
+	m := &Mirrored{rep: [2]System{r0, r1}, dirs: dirs, fail: (*Mirrored).markFailed}
+	if fs := asLayer[*Model](r0); fs != nil {
+		m.m, m.obj = fs.m, fs.m.Objects(uint64(mirrorObjs))
+		m.failing = &modelLock{l: fs.m.NewLock("mirror.failing")}
+	} else {
+		m.failing = &nativeLock{}
+	}
+	return m
+}
+
+// touch declares an access to a flag on the Model's machine.
+func (m *Mirrored) touch(flag machine.Obj, md machine.Mode) {
+	if m.m != nil {
+		m.m.Touch(m.obj+flag, md)
+	}
 }
 
 // Replica returns replica i's backend stack (for tests and drills).
@@ -258,6 +298,9 @@ func (m *Mirrored) Replica(i int) System { return m.rep[i] }
 
 // Status returns the mirror's health snapshot.
 func (m *Mirrored) Status() MirrorStatus {
+	for flag := failedFlag; flag < mirrorObjs; flag++ {
+		m.touch(flag, machine.Read)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MirrorStatus{
@@ -274,6 +317,7 @@ func (m *Mirrored) Degraded() bool {
 }
 
 func (m *Mirrored) alive(i int) bool {
+	m.touch(failedFlag+machine.Obj(i), machine.Read)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return !m.failed[i]
@@ -282,9 +326,7 @@ func (m *Mirrored) alive(i int) bool {
 // readReplica picks the replica serving reads: the published replica 0
 // while it lives, the survivor otherwise.
 func (m *Mirrored) readReplica() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.failed[0] {
+	if m.alive(0) {
 		return 0
 	}
 	return 1
@@ -299,30 +341,47 @@ func (m *Mirrored) noteDead(t T, i int) bool {
 	if fs := AsFailStopper(m.rep[i]); fs == nil || !fs.FailStopped() {
 		return !m.alive(i)
 	}
-	m.markFailed(t, i, "fail-stop")
-	return true
+	m.fail(m, t, i, "fail-stop")
+	return !m.alive(i)
 }
 
-// markFailed latches replica i out of the mirror and, on first
-// detection, bumps the survivor's generation so the authoritative
-// replica is known across crashes and reboots.
+// markFailed takes replica i out of the mirror: on first detection it
+// bumps the survivor's generation, so the authoritative replica is
+// known across crashes and reboots, and only once that bump is durable
+// latches the replica failed. Until then every operation still tries
+// replica i, fails there and waits here, in noteDead, for the bump: no
+// operation is acknowledged on the survivor alone while a crash could
+// still leave the generations tied and the boot resilver copy the dead
+// replica's stale contents over it. A bump the survivor could not make
+// durable leaves replica i in: its operations keep failing, and the
+// next detection tries the bump again.
 func (m *Mirrored) markFailed(t T, i int, why string) {
-	m.mu.Lock()
-	if m.failed[i] {
-		m.mu.Unlock()
+	m.failing.Acquire(t)
+	defer m.failing.Release(t)
+	if !m.alive(i) {
 		return
 	}
+	b, ok := m.bumpGeneration(t, 1-i)
+	if !ok {
+		return
+	}
+	if tracing(t) {
+		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	}
+	m.Metrics.replicaFailed(i)
+	m.degrade(i, b)
+}
+
+// degrade latches replica i out of the mirror, given the survivor's
+// durable bump.
+func (m *Mirrored) degrade(i int, _ bumped) {
+	m.touch(failedFlag+machine.Obj(i), machine.Write)
+	m.mu.Lock()
 	m.failed[i] = true
 	if m.Metrics != nil && m.degradedAt.IsZero() {
 		m.degradedAt = time.Now()
 	}
 	m.mu.Unlock()
-
-	if tracing(t) {
-		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
-	}
-	m.Metrics.replicaFailed(i)
-	m.bumpGeneration(t, 1-i)
 }
 
 // generation returns replica i's generation: the file count of its
@@ -331,23 +390,35 @@ func (m *Mirrored) generation(t T, i int) int {
 	return len(m.rep[i].List(t, MirrorMetaDir))
 }
 
+// bumped is a survivor whose generation bump is durable, or need not
+// be: all degrade accepts, so taking the other replica out before the
+// bump needs a forgery.
+type bumped struct{}
+
 // bumpGeneration adds one marker file to replica j's MirrorMetaDir —
 // the write-once API's increment — and makes the new entry durable with
-// a directory barrier: a created entry is not durable until SyncDir.
-// Best-effort: if the survivor cannot record the bump (itself dying, or
-// a crash first), the generations still tie at the next boot.
-func (m *Mirrored) bumpGeneration(t T, j int) {
+// a directory barrier: a created entry is not durable until SyncDir,
+// and the generation counts entries. It mints the token when that
+// barrier succeeded, or when a lost bump loses nothing: replica j has
+// fail-stopped itself (no survivor is left), or it is replica 0, which
+// a tie names the resilver source anyway. Otherwise ok is false and the
+// generations may still tie at the next boot.
+func (m *Mirrored) bumpGeneration(t T, j int) (b bumped, ok bool) {
 	n := m.generation(t, j)
 	for k := 0; k < 8; k++ {
-		fd, ok := m.rep[j].Create(t, MirrorMetaDir, fmt.Sprintf("g%d", n+k))
-		if !ok {
+		fd, created := m.rep[j].Create(t, MirrorMetaDir, fmt.Sprintf("g%d", n+k))
+		if !created {
 			continue
 		}
 		m.rep[j].Sync(t, fd)
 		m.rep[j].Close(t, fd)
-		m.rep[j].SyncDir(t, MirrorMetaDir)
-		return
+		ok = m.rep[j].SyncDir(t, MirrorMetaDir)
+		break
 	}
+	if fs := AsFailStopper(m.rep[j]); fs != nil && fs.FailStopped() {
+		ok = true
+	}
+	return b, ok || j == 0
 }
 
 // rewriteMarker regenerates one generation marker in place on replica
@@ -374,6 +445,7 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 }
 
 func (m *Mirrored) countFailover(t T) {
+	m.touch(failoverCount, machine.Write)
 	m.mu.Lock()
 	m.failovers++
 	m.mu.Unlock()
@@ -750,7 +822,7 @@ func (m *Mirrored) Delete(t T, dir, name string) bool {
 			return true
 		}
 	}
-	m.markFailed(t, 1, "kicked: cannot complete delete "+dir+"/"+name)
+	m.fail(m, t, 1, "kicked: cannot complete delete "+dir+"/"+name)
 	return true
 }
 
@@ -791,9 +863,7 @@ func (m *Mirrored) List(t T, dir string) []string {
 // generation even once the replacement is partially populated and no
 // longer blank.
 func (m *Mirrored) resilverSource(t T) (src int, ok bool) {
-	m.mu.Lock()
-	failed := m.failed
-	m.mu.Unlock()
+	failed := [2]bool{!m.alive(0), !m.alive(1)}
 	switch {
 	case failed[0]:
 		src = 1
@@ -913,6 +983,7 @@ func (m *Mirrored) Resilver(t T) (rep ScrubReport, resilverBytes uint64, ok bool
 // passed in: judge, or the seeded bug's forgery (bugs.go).
 func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilverBytes uint64, ok bool) {
 	defer func() {
+		m.touch(repairFlags, machine.Write)
 		m.mu.Lock()
 		m.resilvering = false
 		m.unrepaired = !ok
@@ -934,6 +1005,7 @@ func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilver
 		return rep, 0, false
 	}
 
+	m.touch(repairFlags, machine.Write)
 	m.mu.Lock()
 	m.resilvering = true
 	m.mu.Unlock()

@@ -167,6 +167,45 @@ func TestMirroredWritesSurviveReplicaDeath(t *testing.T) {
 	}
 }
 
+// syncFails fails every Sync and SyncDir while on.
+type syncFails struct{ on bool }
+
+func (p *syncFails) Decide(_ fault.T, c fault.Class, _ uint64) bool { return p.on && c == fault.Sync }
+
+// TestMirroredUndurableBumpKeepsReplicaIn: a survivor that cannot make
+// its generation bump durable, and is not dead itself, gets no bumped
+// token: replica 0's death leaves it in, so the write fails rather than
+// ack on replica 1 alone, until a bump succeeds. Replica 0 as the
+// survivor wins a generation tie anyway, so replica 1's death degrades
+// over a failed bump.
+func TestMirroredUndurableBumpKeepsReplicaIn(t *testing.T) {
+	for _, victim := range []int{0, 1} {
+		var p [2]syncFails
+		f := [2]*Faulty{
+			NewFaulty(newOSFS(t, mirrorBackendDirs()), &p[0]),
+			NewFaulty(newOSFS(t, mirrorBackendDirs()), &p[1]),
+		}
+		m := NewMirrored(f[0], f[1], mirrorDirs)
+		th := NewNative(1)
+		f[victim].FailStopNow("test")
+		p[1-victim].on = true
+		create := func(name string) bool {
+			fd, ok := m.Create(th, "spool", name)
+			if ok {
+				m.Close(th, fd)
+			}
+			return ok
+		}
+		if ok := create("a"); ok != (victim == 1) || m.Degraded() != (victim == 1) {
+			t.Fatalf("victim %d, survivor's bump not durable: create ok=%v, degraded=%v", victim, ok, m.Degraded())
+		}
+		p[1-victim].on = false
+		if !create("b") || !m.Degraded() {
+			t.Fatalf("victim %d: create after a durable bump failed or left the mirror whole", victim)
+		}
+	}
+}
+
 // TestMirroredResilverRestoresRedundancy: replica dies, the survivor
 // keeps accepting writes, the site reboots with the replica back (stale)
 // and resilvers it — after which both replicas are byte-identical, the
@@ -425,5 +464,91 @@ func TestMirroredUnwrapHelpers(t *testing.T) {
 	single := NewObserved(NewFaulty(newOSFS(t, errorPathDirs), fault.Never{}), nil)
 	if AsResilverer(single) != nil {
 		t.Fatal("single-backend stack reports a resilverer")
+	}
+}
+
+// footprints is a machine.Reducer that keeps every transition's
+// declared accesses, in order.
+type footprints struct{ ran [][]machine.Access }
+
+func (f *footprints) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
+	if ran != nil {
+		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
+	}
+	return true
+}
+
+// conflicts reports whether a transition of as conflicts with one of bs.
+func conflicts(as, bs [][]machine.Access) bool {
+	for _, a := range as {
+		for _, b := range bs {
+			for _, x := range a {
+				for _, y := range b {
+					if x.Conflicts(y) {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestMirrorStateDeclarations: over Models, each access to the mirror's
+// flags and to an envelope's detection count conflicts with the accesses
+// that read what it writes, and one replica's failed flag commutes with
+// the other's. Each call runs as a span of its own transitions, so a
+// dropped Touch makes its case commute; a resilver's start and end each
+// write the repair flags Status reads.
+func TestMirrorStateDeclarations(t *testing.T) {
+	rec := &footprints{}
+	m := machine.New(machine.Options{MaxSteps: 100000, Reducer: rec})
+	r0 := NewChecksummed(NewModel(m, mirrorBackendDirs()), mirrorBackendDirs())
+	mir := NewMirrored(r0, NewModel(m, mirrorBackendDirs()), mirrorDirs)
+	spans := map[string][][]machine.Access{}
+	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		span := func(name string, fn func()) {
+			mt.StepDeclared("mark")
+			lo := len(rec.ran) // the transition the mark starts ends at the next draw
+			fn()
+			mt.StepDeclared("mark")
+			spans[name] = rec.ran[lo:len(rec.ran):len(rec.ran)]
+		}
+		span("resilver", func() { mir.Resilver(mt) })
+		span("alive(0)", func() { mir.alive(0) })
+		span("alive(1)", func() { mir.alive(1) })
+		span("Status", func() { mir.Status() })
+		span("countFailover", func() { mir.countFailover(mt) })
+		span("degrade(0)", func() { mir.degrade(0, bumped{}) })
+		span("resilver, replica 0 failed", func() { mir.Resilver(mt) })
+		span("Detected", func() { r0.Detected() })
+		span("noteDetected", func() { r0.noteDetected(mt, "box", "m", VerdictCorrupt) })
+	})
+	if res.Outcome != machine.Done {
+		t.Fatalf("era: %+v", res)
+	}
+	for _, c := range []struct {
+		a, b     string
+		conflict bool
+	}{
+		{"degrade(0)", "alive(0)", true},
+		{"degrade(0)", "alive(1)", false},
+		{"degrade(0)", "Status", true},
+		{"countFailover", "Status", true},
+		{"resilver, replica 0 failed", "Status", true},
+		{"noteDetected", "Detected", true},
+	} {
+		if got := conflicts(spans[c.a], spans[c.b]); got != c.conflict {
+			t.Errorf("%s / %s: conflict %v, want %v (%v vs %v)", c.a, c.b, got, c.conflict, spans[c.a], spans[c.b])
+		}
+	}
+	writes := 0
+	for _, fp := range spans["resilver"] {
+		if conflicts([][]machine.Access{fp}, spans["Status"]) {
+			writes++
+		}
+	}
+	if writes != 2 {
+		t.Errorf("%d transitions of a resilver conflict with Status, want 2: its start and end write the repair flags", writes)
 	}
 }

@@ -112,15 +112,6 @@ func NewStack(backends []System, dirs []string, spec StackSpec) *Stack {
 		panic(err)
 	}
 	s := &Stack{}
-	if spec.Checksum || len(backends) > 1 {
-		// Checksummed and Mirrored keep shared Go state they do not
-		// declare, so nothing on their machine may be reordered.
-		for _, b := range backends {
-			if fs, ok := b.(*Model); ok {
-				fs.m.Undeclared()
-			}
-		}
-	}
 	var fsm *FSMetrics
 	var integ *IntegrityMetrics
 	if spec.Metrics != nil {

@@ -116,11 +116,6 @@ func (m *Machine) Objects(n uint64) Obj {
 	return o
 }
 
-// Undeclared says the machine runs code that keeps shared Go state it
-// does not declare: every transition is global, so the Reducer is no
-// longer told of any draw, and the search reorders nothing.
-func (m *Machine) Undeclared() { m.red = nil }
-
 // Touch declares that the running transition accesses o in mode md:
 // the one way primitives, and Go-level state shared between simulated
 // threads, declare their accesses. Code on a native thread has no

@@ -23,6 +23,13 @@ func NewLock(t *T, name string) *Lock {
 	return l
 }
 
+// NewLock allocates a lock outside any thread, for state built before
+// the threads that share it (a storage layer composed at boot). It takes
+// no step: no thread can reach the lock yet.
+func (m *Machine) NewLock(name string) *Lock {
+	return &Lock{version: m.version, name: name, holder: -1, m: m, obj: m.Objects(1)}
+}
+
 // Acquire takes the lock, blocking while another thread holds it. The
 // acquire itself is one atomic step.
 func (l *Lock) Acquire(t *T) {

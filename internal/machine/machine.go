@@ -168,9 +168,8 @@ type Machine struct {
 	allowCrash      bool
 	handed, handedN int
 
-	// red records footprints for the Reducer, nil when there is none or
-	// the machine is Undeclared. nextObj is the next name Objects hands
-	// out.
+	// red records footprints for the Reducer, nil when there is none.
+	// nextObj is the next name Objects hands out.
 	red     *reduction
 	nextObj Obj
 

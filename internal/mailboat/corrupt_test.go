@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/machine"
 )
 
 // These tests check the mail server against the silent-corruption fault
@@ -122,6 +123,56 @@ func TestDedupSelfCheckCorrupt(t *testing.T) {
 	t.Logf("without dedup: %s", without)
 	t.Logf("with dedup:    %s (%d boundaries, %d pruned)",
 		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
+}
+
+// lastFootprint is a machine.Reducer that keeps every transition's
+// declared accesses, in order.
+type lastFootprint struct{ ran [][]machine.Access }
+
+func (f *lastFootprint) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
+	if ran != nil {
+		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
+	}
+	return true
+}
+
+// TestObserveUpdatesConflict: two observed sessions on different users
+// share only the count the last observation saw, which each session's
+// closing transition reads and writes, so those two transitions must
+// conflict; the history's footprint (responses commute) does not order
+// them.
+func TestObserveUpdatesConflict(t *testing.T) {
+	s := Scenario("mb-observe-footprint", VariantVerified, ScenarioOptions{
+		Config:      Config{Users: 2, RandBound: 2},
+		PostPickups: true,
+		Checksum:    true,
+		Property:    Detection,
+	})
+	rec := &lastFootprint{}
+	m := machine.New(machine.Options{MaxSteps: 3000, Reducer: rec})
+	w := s.Setup(m).(*World)
+	if res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) }); res.Outcome != machine.Done {
+		t.Fatalf("init: %+v", res)
+	}
+	var last [2][]machine.Access
+	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		for u := range last {
+			w.session(mt, &explore.Harness{}, Detection, uint64(u), false)
+			mt.StepDeclared("mark")
+			last[u] = rec.ran[len(rec.ran)-1] // the transition the mark ended
+		}
+	})
+	if res.Outcome != machine.Done {
+		t.Fatalf("main: %+v", res)
+	}
+	for _, a := range last[0] {
+		for _, b := range last[1] {
+			if a.Conflicts(b) {
+				return
+			}
+		}
+	}
+	t.Errorf("the closing transitions of two observed sessions commute: %v, %v", last[0], last[1])
 }
 
 // TestBugTrustReadsCaught seeds the trusting-reader mutation: the

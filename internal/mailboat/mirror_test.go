@@ -38,9 +38,9 @@ func TestMirroredVerifiedReplicaDeathExhaustive(t *testing.T) {
 }
 
 // mirrorDeathAndCrash is the two-delivery mirrored workload with one
-// replica death and one crash.
-func mirrorDeathAndCrash() *explore.Scenario {
-	return Scenario("mb-mirror-death+crash", VariantVerified, ScenarioOptions{
+// replica death and one crash, running v.
+func mirrorDeathAndCrash(v Variant) *explore.Scenario {
+	return Scenario("mb-mirror-death+crash", v, ScenarioOptions{
 		Config:      Config{Users: 1, RandBound: 3},
 		Delivers:    []OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
 		MaxCrashes:  1,
@@ -56,16 +56,15 @@ func mirrorDeathAndCrash() *explore.Scenario {
 // recovery resilvers the replaced replica from the survivor; the
 // between-era invariant then demands full redundancy (not degraded,
 // replicas byte-identical) on top of the usual refinement of the spec.
-// The budget is a bound, not a proof: the search is not complete, and
-// at one worker it first convicts at execution 94,804 — the daemon bug
-// TestMirroredAcksBeforeGenerationBump pins.
+// At one worker the search completes clean in 192,586 executions; -short
+// stops it at 10,000.
 func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
-	s := mirrorDeathAndCrash()
-	budget := 60000
+	s := mirrorDeathAndCrash(VariantVerified)
+	opts := explore.Options{MaxExecutions: 400000, Workers: 1}
 	if testing.Short() {
-		budget = 10000
+		opts.MaxExecutions = 10000
 	}
-	rep := explore.Run(s, explore.Options{MaxExecutions: budget})
+	rep := explore.Run(s, opts)
 	t.Logf("report: %s", rep.String())
 	if !rep.OK() {
 		t.Fatalf("violation under replica death + crash:\n%s", rep.Counterexample.Format())
@@ -73,26 +72,29 @@ func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
 	if rep.CrashedExecutions == 0 {
 		t.Fatal("no crash explored")
 	}
+	if !rep.Complete && !testing.Short() {
+		t.Fatalf("search stopped at its budget after %d executions", rep.Executions)
+	}
 }
 
-// TestMirroredAcksBeforeGenerationBump pins a known daemon bug: it
-// replays the minimized counterexample and expects the violation, so the
-// bug stays visible until it is fixed (ROADMAP item 1). markFailed
-// marks the dead replica out of the mirror before the survivor's
-// generation bump is durable. A second delivery then acks on the
-// survivor alone; a crash before the bump leaves the generations tied,
-// and the boot resilver copies the stale replica 0 over the survivor,
-// losing the acked message. When the fix lands this replay stops
-// convicting, and the test becomes the fix's regression row.
+// TestMirroredAcksBeforeGenerationBump is the regression check of
+// markFailed's order. The schedule below lost acknowledged mail while
+// markFailed latched the dead replica before the survivor's generation
+// bump was durable: replica 0 fail-stops at delivery "a"'s spool delete,
+// delivery "b" runs to its ack while markFailed lists the survivor's
+// markers, and the site crashes before the bump's create. The generations
+// tie, and the boot resilver copies the stale replica 0 over the
+// survivor. Production now makes "b" wait for the bump; the old order,
+// kept as VariantFlagBeforeBump, still loses the message on the same
+// schedule.
 func TestMirroredAcksBeforeGenerationBump(t *testing.T) {
-	s := mirrorDeathAndCrash()
-	// Replica 0 fail-stops at delivery "a"'s spool delete, delivery "b"
-	// runs to its ack while markFailed lists the survivor's markers, and
-	// the site crashes before the bump's create.
 	script := append(make([]int, 22), 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-	cx := explore.ReplayCx(s, script)
+	if cx := explore.ReplayCx(mirrorDeathAndCrash(VariantVerified), script); cx != nil {
+		t.Fatalf("production loses acked mail on the replay:\n%s", cx.Format())
+	}
+	cx := explore.ReplayCx(mirrorDeathAndCrash(VariantFlagBeforeBump), script)
 	if cx == nil {
-		t.Fatal("the replay no longer loses acked mail: markFailed is fixed, so make this scenario a verified row")
+		t.Fatal("the flag-before-bump variant no longer loses mail on the replay: the schedule does not reach the race")
 	}
 	got := cx.Format()
 	for _, want := range []string{`Deliver(0, "b") -> true`, "crash", `Pickup(0) -> [{msg1 a}]`} {
@@ -100,6 +102,23 @@ func TestMirroredAcksBeforeGenerationBump(t *testing.T) {
 			t.Fatalf("the replay failed differently (want %q):\n%s", want, got)
 		}
 	}
+}
+
+// TestBugFlagBeforeBumpCaught: the search convicts the old markFailed
+// order on the combined workload, and the counterexample minimizes to a
+// replayable core.
+func TestBugFlagBeforeBumpCaught(t *testing.T) {
+	s := mirrorDeathAndCrash(VariantFlagBeforeBump)
+	rep := explore.Run(s, explore.Options{MaxExecutions: 400000, Workers: 1})
+	t.Logf("report: %s", rep.String())
+	if rep.OK() {
+		t.Fatal("flag-before-bump not convicted")
+	}
+	min := explore.Minimize(s, rep.Counterexample.Choices)
+	if explore.ReplayCx(s, min) == nil {
+		t.Fatal("minimized counterexample does not replay")
+	}
+	t.Logf("counterexample: %d choices, minimized to %d", len(rep.Counterexample.Choices), len(min))
 }
 
 // TestRecoveryBootsAFreshStack pins the reboot. Replaying an execution

@@ -162,7 +162,8 @@ var tokenPackages = []tokenRules{
 	{"gfs", "../gfs", map[string][]string{
 		"verified": {"verify"},
 		"judged":   {"judge", "healFile"},
-	}, map[string]string{"serve": "verified", "copyFile": "judged"}},
+		"bumped":   {"bumpGeneration"},
+	}, map[string]string{"serve": "verified", "copyFile": "judged", "degrade": "bumped"}},
 	{"repl", "../repl", map[string][]string{
 		"replicated": {"replicate"},
 		"fenced":     {"fence"},

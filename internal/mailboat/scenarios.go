@@ -30,8 +30,12 @@ type World struct {
 	// the one piece of the stack that outlives a reboot.
 	spec gfs.StackSpec
 	// detected counts the detections of the stacks earlier eras ran on;
-	// seen is the detection count at the last OpObserve.
+	// seen is the detection count at the last OpObserve, which sessions
+	// on several threads update: each update declares itself on m as
+	// object seenObj (DESIGN.md "Sleep sets").
 	detected, seen uint64
+	m              *machine.Machine
+	seenObj        machine.Obj
 	// v is the implementation under check (see Client).
 	v Variant
 }
@@ -110,6 +114,12 @@ var (
 	// replica. Needs Mirror, and only bites with Checksum and a
 	// corruption to spend.
 	VariantResilverNoVerify = Variant{Stack: gfs.ResilverNoVerify}
+	// VariantFlagBeforeBump takes a dead replica out of the mirror before
+	// the survivor's generation bump is durable (gfs.FlagBeforeBump
+	// forges the bumped token), so a second delivery acks on the
+	// survivor alone and a crash before the bump leaves the generations
+	// tied: the boot resilver copies the stale replica over the survivor.
+	VariantFlagBeforeBump = Variant{Stack: gfs.FlagBeforeBump}
 	// VariantReplaySpool delivers with one-byte appends and recovers by
 	// replaying non-empty spool files into the mailbox — a design that
 	// wrongly assumes a crashed spool file is either empty or complete.
@@ -429,7 +439,7 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 		MaxCrashes:  o.MaxCrashes,
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
-			w := &World{v: v, spec: o.stackSpec()}
+			w := &World{v: v, spec: o.stackSpec(), m: m, seenObj: m.Objects(1)}
 			dirs := Dirs(o.Config)
 			n := o.replicas()
 			for i, bdirs := 0, gfs.BackendDirs(dirs, n); i < n; i++ {
@@ -506,6 +516,7 @@ func (w *World) session(t *machine.T, h *explore.Harness, prop *Property, user u
 	}
 	h.Op(OpObserve{}, func() spec.Ret {
 		RecordSession(t, h, w, user, deleteFirst)
+		w.m.Touch(w.seenObj, machine.Write)
 		seen := w.seen
 		w.seen = w.detections()
 		return w.seen != seen

@@ -178,7 +178,9 @@ func (a *Adapter) ReplHealth() *repl.Health {
 // OpFailed the mailbox pair is untouched; on OpIndeterminate the
 // operation is durable on the backup but this store is dying — it is
 // counted, never re-executed here, and the catch-up resync reconciles
-// the pair.
+// the pair; on OpUnknown (abandoned after an unknown outcome, counted
+// in repl_indeterminate_total) the backup may hold the delivery, so the
+// client's retry can store the message twice.
 func (a *Adapter) deliverReplicated(sp *trace.Span, user uint64, msg []byte) error {
 	t := a.thread(sp)
 	for try := 0; try < mailboat.NameAttempts; try++ {

@@ -89,18 +89,35 @@ type held struct {
 type Net struct {
 	policy   fault.Policy
 	log      fault.Log
-	handlers [2]Handler
-	charge   int       // remaining calls a partition burst will eat
-	stash    [2][]held // reordered frames per destination
+	handlers [2]Handler // written only at wiring, before any call
+	charge   int        // remaining calls a partition burst will eat
+	stash    [2][]held  // reordered frames per destination
+
+	// The charge and each destination's queue declare their accesses
+	// on m (DESIGN.md "Sleep sets"), as objects obj+chargeObj and
+	// obj+stashObj+dst.
+	m   *machine.Machine
+	obj machine.Obj
 }
+
+// The footprint names of a Net's state, offsets from Net.obj.
+const (
+	chargeObj machine.Obj = iota
+	stashObj              // destination dst's queue is stashObj+dst
+	_
+	netObjs
+)
 
 // New returns a Net driven by policy and registers it as a device on m,
 // so crashes clear the in-flight state and dedup fingerprints cover it.
 func New(m *machine.Machine, policy fault.Policy) *Net {
-	n := &Net{policy: policy}
+	n := &Net{policy: policy, m: m, obj: m.Objects(uint64(netObjs))}
 	m.RegisterDevice(n)
 	return n
 }
+
+// touch declares an access to one piece of the link's state.
+func (n *Net) touch(o machine.Obj, md machine.Mode) { n.m.Touch(n.obj+o, md) }
 
 // Bind installs node's request handler.
 func (n *Net) Bind(node int, h Handler) { n.handlers[node] = h }
@@ -140,7 +157,10 @@ func (n *Net) Counters() (calls, faults [fault.NumClasses]uint64) { return n.log
 func (n *Net) Log() []fault.Event { return n.log.Events() }
 
 // Partitioned reports whether a partition burst is still eating calls.
-func (n *Net) Partitioned() bool { return n.charge > 0 }
+func (n *Net) Partitioned() bool {
+	n.touch(chargeObj, machine.Read)
+	return n.charge > 0
+}
 
 // partitionBurst is how many calls (across both directions) one
 // injected partition loses before the link heals.
@@ -170,7 +190,9 @@ func (n *Net) decide(mt *machine.T, c fault.Class, dst, size int) bool {
 // hold-longer; after maxHolds declined opportunities the frame is
 // dropped for good. The late handler's response has no waiting caller
 // and is discarded. These choices consume no fault budget — they
-// complete a reorder that was already paid for.
+// complete a reorder that was already paid for. A late handler takes
+// steps, so the code after it runs in a later transition, which touches
+// the queue again.
 func (n *Net) flushStale(mt *machine.T, dst int) {
 	kept := n.stash[dst][:0]
 	for _, h := range n.stash[dst] {
@@ -179,6 +201,7 @@ func (n *Net) flushStale(mt *machine.T, dst int) {
 				mt.Tracef("net.stale-delivery to node %d (%d bytes)", dst, len(h.req))
 			}
 			n.handlers[dst](mt, h.req)
+			n.touch(stashObj+machine.Obj(dst), machine.Write)
 			continue
 		}
 		h.holds++
@@ -193,7 +216,10 @@ func (n *Net) flushStale(mt *machine.T, dst int) {
 // caller may conclude. The send is one atomic machine step; every fault
 // class then gets its decision point in a fixed order (partition, drop,
 // reorder, duplicate, drop-reply), and the handler — when the frame is
-// delivered — runs inline on this thread.
+// delivered — runs inline on this thread. The send writes dst's queue
+// and reads the partition charge, writing it when a burst starts or
+// eats the frame: two calls to different nodes commute, two calls to
+// one node do not.
 func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	mt, ok := t.(*machine.T)
 	if !ok {
@@ -202,11 +228,14 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	if dst < 0 || dst >= len(n.handlers) || n.handlers[dst] == nil {
 		mt.Failf("netmodel: call to unbound node %d", dst)
 	}
-	mt.Step("net.send")
+	mt.StepDeclared("net.send")
+	n.touch(stashObj+machine.Obj(dst), machine.Write)
+	n.touch(chargeObj, machine.Read)
 
 	// A partition burst in progress eats the frame, whichever direction
 	// it travels; no further decisions are consulted while it lasts.
 	if n.charge > 0 {
+		n.touch(chargeObj, machine.Write)
 		n.charge--
 		if mt.Tracing() {
 			mt.Tracef("net.partitioned call to node %d (%d calls left in burst)", dst, n.charge)
@@ -215,6 +244,7 @@ func (n *Net) Call(t gfs.T, dst int, req []byte) ([]byte, Outcome) {
 	}
 	size := len(req)
 	if n.decide(mt, fault.Partition, dst, size) {
+		n.touch(chargeObj, machine.Write)
 		n.charge = partitionBurst - 1 // this call is the burst's first casualty
 		return nil, Lost
 	}

@@ -159,13 +159,13 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 					// The backup fenced us out: it promoted (or committed
 					// a catch-up we know nothing of). Stop acking.
 					trace.Event(t, "repl: fenced by epoch %d > %d", repoch, nd.epoch)
-					return OpFailed
+					return nd.abandoned(everUnknown)
 				}
 				// Our own epoch advanced mid-operation; retag and retry.
 			case StNeedResync:
 				resyncs++
 				if resyncs > 3 || !nd.resyncLocked(t, fence) {
-					return OpFailed
+					return nd.abandoned(everUnknown)
 				}
 				r.seq = nd.seq + 1 // fresh epoch, fresh sequence space
 				continue
@@ -190,6 +190,18 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 			return OpFailed
 		}
 	}
+}
+
+// abandoned is the outcome of a replication given up before the backup
+// confirmed it: a definite no, unless an earlier attempt's outcome went
+// unknown and the backup may hold the operation — the at-least-once
+// hazard repl_indeterminate_total counts.
+func (nd *Node) abandoned(everUnknown bool) OpResult {
+	if everUnknown {
+		nd.cfg.Metrics.IndeterminateInc()
+		return OpUnknown
+	}
+	return OpFailed
 }
 
 // localDeliverMust applies the delivery locally after the backup
@@ -371,6 +383,8 @@ func (nd *Node) PingCheck(t gfs.T) (ok, behind bool) {
 	if nd.peer == nil {
 		return false, false
 	}
+	nd.touch(epochObj, machine.Read)
+	nd.touch(seqObj, machine.Read)
 	nd.mu.Lock()
 	r := request{kind: kPing, epoch: nd.epoch, seq: nd.seq}
 	nd.mu.Unlock()

@@ -93,6 +93,12 @@ const (
 	// latch guarantees the ack-alone flavor can never pass that
 	// check); otherwise there is no truthful answer at all.
 	OpIndeterminate
+	// OpUnknown: an attempt's outcome went unknown, and the replication
+	// then gave up — the backup fenced this node out, or a catch-up
+	// failed — so the backup may hold the operation or may not. There
+	// is no truthful answer, and the caller must not re-execute it: a
+	// fresh attempt would apply it a second time.
+	OpUnknown
 )
 
 // Node is one replica: the mailboat library on its own store, the
@@ -121,7 +127,14 @@ type Node struct {
 
 	// mu guards the snapshot fields below for Status() readers on other
 	// goroutines; protocol-path writes hold both the replication lock
-	// and (briefly) mu. Never held across store operations.
+	// and (briefly) mu. Never held across store operations. Under the
+	// checker, every mu section declares the fields it reads or writes
+	// on m (DESIGN.md "Sleep sets"), as objects obj+epochObj, obj+seqObj,
+	// obj+roleObj and obj+resyncObj: Pair reads them outside the
+	// replication lock. lastApplied, resyncEpoch and window are touched
+	// only under that lock, which orders them.
+	m           *machine.Machine
+	obj         machine.Obj
 	mu          sync.Mutex
 	epoch       uint64
 	seq         uint64 // last sequence number confirmed by the backup
@@ -138,11 +151,25 @@ type Node struct {
 	stopOnce sync.Once
 }
 
+// The footprint names of a Node's snapshot fields, offsets from
+// Node.obj.
+const (
+	epochObj machine.Obj = iota
+	seqObj
+	roleObj   // primary
+	resyncObj // resyncing, resyncEpoch, lastResync
+	nodeObjs
+)
+
 // NewNode builds a replica over an initialized mailboat and its store,
 // reading the persisted epoch from the .repl meta-directory. The store
 // must include MetaDir in its directory layout.
 func NewNode(t gfs.T, id int, mb *mailboat.Mailboat, sys gfs.System, cfg Config) *Node {
 	nd := &Node{id: id, mb: mb, sys: sys, cfg: cfg, stop: make(chan struct{})}
+	if mt, ok := t.(*machine.T); ok {
+		nd.m = mt.Machine()
+		nd.obj = nd.m.Objects(uint64(nodeObjs))
+	}
 	nd.lock = sys.NewLock(t, nodeLocks.Name(uint64(id)))
 	nd.epoch = readEpoch(t, sys)
 	nd.cfg.Metrics.EpochSet(nd.epoch)
@@ -190,8 +217,19 @@ type Status struct {
 	LastResyncUnix int64  `json:"last_resync_unix"`
 }
 
+// touch declares an access to a snapshot field on the checker's
+// machine; a node on native threads has none.
+func (nd *Node) touch(o machine.Obj, md machine.Mode) {
+	if nd.m != nil {
+		nd.m.Touch(nd.obj+o, md)
+	}
+}
+
 // Status returns the node's current snapshot.
 func (nd *Node) Status() Status {
+	for o := epochObj; o < nodeObjs; o++ {
+		nd.touch(o, machine.Read)
+	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	role := "backup"
@@ -211,6 +249,7 @@ func (nd *Node) Status() Status {
 
 // Epoch returns the node's current epoch.
 func (nd *Node) Epoch() uint64 {
+	nd.touch(epochObj, machine.Read)
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	return nd.epoch
@@ -219,6 +258,7 @@ func (nd *Node) Epoch() uint64 {
 // setEpoch updates the epoch snapshot (caller holds the replication
 // lock; mu covers Status readers).
 func (nd *Node) setEpoch(e uint64) {
+	nd.touch(epochObj, machine.Write)
 	nd.mu.Lock()
 	nd.epoch = e
 	nd.mu.Unlock()
@@ -226,6 +266,7 @@ func (nd *Node) setEpoch(e uint64) {
 }
 
 func (nd *Node) setSeq(s uint64) {
+	nd.touch(seqObj, machine.Write)
 	nd.mu.Lock()
 	nd.seq = s
 	nd.mu.Unlock()
@@ -238,6 +279,7 @@ func (nd *Node) setLastApplied(s uint64) {
 }
 
 func (nd *Node) setResyncing(on bool, epoch uint64) {
+	nd.touch(resyncObj, machine.Write)
 	nd.mu.Lock()
 	nd.resyncing, nd.resyncEpoch = on, epoch
 	nd.mu.Unlock()
@@ -246,6 +288,7 @@ func (nd *Node) setResyncing(on bool, epoch uint64) {
 // SetPrimary flips the node's believed role (Pair and the deployment
 // wiring call it; promotion via Promote also does).
 func (nd *Node) SetPrimary(p bool) {
+	nd.touch(roleObj, machine.Write)
 	nd.mu.Lock()
 	nd.primary = p
 	nd.mu.Unlock()
@@ -257,6 +300,7 @@ func (nd *Node) markResynced(t gfs.T) {
 	if _, modeled := t.(*machine.T); !modeled {
 		unix = time.Now().Unix()
 	}
+	nd.touch(resyncObj, machine.Write)
 	nd.mu.Lock()
 	nd.lastResync = unix
 	nd.mu.Unlock()

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"repro/internal/gfs"
+	"repro/internal/machine"
 	"repro/internal/mailboat"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
@@ -39,6 +40,48 @@ type Pair struct {
 	// stale latches a failed recovery resync: the backup is behind and
 	// the pair degraded until the next recovery.
 	stale bool
+
+	// primary and lockAt are shared by the client threads: each access
+	// declares itself on m (DESIGN.md "Sleep sets"), as objects
+	// obj+primaryObj and obj+lockAtObj+user. stale, Nodes, F and sys are
+	// written only by NewPair and Recover, each alone in its era, and
+	// stale is read only by Degraded, which the scenario's invariant
+	// calls between eras.
+	m   *machine.Machine
+	obj machine.Obj
+}
+
+// The footprint names of a Pair's shared fields, offsets from Pair.obj.
+const (
+	primaryObj machine.Obj = iota
+	lockAtObj              // user u's session is lockAtObj+u
+)
+
+// touch declares an access to a shared field.
+func (p *Pair) touch(o machine.Obj, md machine.Mode) { p.m.Touch(p.obj+o, md) }
+
+// leader reads the primary's index.
+func (p *Pair) leader() int {
+	p.touch(primaryObj, machine.Read)
+	return p.primary
+}
+
+// setLeader makes node i the primary.
+func (p *Pair) setLeader(i int) {
+	p.touch(primaryObj, machine.Write)
+	p.primary = i
+}
+
+// sessionAt is the node holding user's session lock, -1 for none.
+func (p *Pair) sessionAt(user uint64) int {
+	p.touch(lockAtObj+machine.Obj(user), machine.Read)
+	return p.lockAt[user]
+}
+
+// setSessionAt records where user's session lock is held.
+func (p *Pair) setSessionAt(user uint64, at int) {
+	p.touch(lockAtObj+machine.Obj(user), machine.Write)
+	p.lockAt[user] = at
 }
 
 // ReplDirs is the store layout for a replica: the mailboat layout plus
@@ -70,6 +113,8 @@ func NewPair(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty, net *netmodel.Net,
 		v.Fence = (*Node).fence
 	}
 	p := &Pair{F: f, Net: net, sys: sys, mbcfg: mbcfg, v: v}
+	p.m = t.(*machine.T).Machine() // the Net is model-only, and so is the Pair
+	p.obj = p.m.Objects(uint64(lockAtObj) + mbcfg.Users)
 	for i := 0; i < 2; i++ {
 		mb := mailboat.Init(t, nil, sys[i], mbcfg)
 		p.Nodes[i] = NewNode(t, i, mb, sys[i], Config{})
@@ -102,7 +147,7 @@ func (p *Pair) wire(net *netmodel.Net) {
 }
 
 // Primary returns the current primary's index.
-func (p *Pair) Primary() int { return p.primary }
+func (p *Pair) Primary() int { return p.leader() }
 
 // Degraded reports whether the pair cannot currently tolerate losing
 // the primary: a node is fail-stopped, the backup never caught up after
@@ -112,15 +157,16 @@ func (p *Pair) Degraded() bool {
 	if p.stale || p.F[0].FailStopped() || p.F[1].FailStopped() {
 		return true
 	}
-	b := p.Nodes[1-p.primary].Status()
-	return b.Resyncing || b.Epoch != p.Nodes[p.primary].Epoch()
+	cur := p.leader()
+	b := p.Nodes[1-cur].Status()
+	return b.Resyncing || b.Epoch != p.Nodes[cur].Epoch()
 }
 
 // failover promotes the backup after the primary fail-stopped. False
 // when the backup is dead too, or unpromotable (epoch-behind or
 // mid-resync — it may hold partial state and must not serve).
 func (p *Pair) failover(t gfs.T) bool {
-	old := p.primary
+	old := p.leader()
 	nw := 1 - old
 	if p.F[nw].FailStopped() {
 		return false
@@ -135,7 +181,7 @@ func (p *Pair) failover(t gfs.T) bool {
 		return false
 	}
 	p.Nodes[old].SetPrimary(false)
-	p.primary = nw
+	p.setLeader(nw)
 	trace.Event(t, "repl: failover to node %d", nw)
 	return true
 }
@@ -147,7 +193,7 @@ func (p *Pair) failover(t gfs.T) bool {
 // than assuming its first read stayed true.
 func (p *Pair) ensureLivePrimary(t gfs.T) (int, bool) {
 	for i := 0; i < 2; i++ {
-		cur := p.primary
+		cur := p.leader()
 		if !p.F[cur].FailStopped() {
 			return cur, true
 		}
@@ -155,7 +201,7 @@ func (p *Pair) ensureLivePrimary(t gfs.T) (int, bool) {
 			return cur, false
 		}
 	}
-	return p.primary, false
+	return p.leader(), false
 }
 
 // Deliver stores msg in user's mailbox through the replicated
@@ -200,10 +246,12 @@ func (p *Pair) settle(t gfs.T, cur int, res OpResult) (ok, answered, again bool)
 		// Complete on the acking backup iff that backup leads (or can be
 		// promoted now). The fail-stop latch makes this exact: an
 		// ack-alone operation's dead peer can never pass failover.
-		done := p.primary != cur || p.failover(t)
+		done := p.leader() != cur || p.failover(t)
 		return done, done, false
 	case OpFailed:
 		return false, true, p.F[cur].FailStopped()
+	case OpUnknown:
+		return false, false, false
 	}
 	return false, true, true
 }
@@ -227,12 +275,12 @@ func (p *Pair) Pickup(t gfs.T, user uint64) (msgs []mailboat.Message, ok bool) {
 			// The listing cannot be trusted (reads were failing); drop
 			// the lock and try the survivor.
 			nd.Mailboat().Unlock(t, nil, user)
-			if p.primary != cur || p.failover(t) {
+			if p.leader() != cur || p.failover(t) {
 				continue
 			}
 			return nil, false
 		}
-		p.lockAt[user] = cur
+		p.setSessionAt(user, cur)
 		return msgs, true
 	}
 	return nil, false
@@ -252,12 +300,12 @@ func (p *Pair) Delete(t gfs.T, user uint64, id string) (removed, answered bool) 
 			return false, true // nothing was attempted anywhere
 		}
 		nd := p.Nodes[cur]
-		if p.lockAt[user] != cur {
-			if old := p.lockAt[user]; old >= 0 {
+		if old := p.sessionAt(user); old != cur {
+			if old >= 0 {
 				p.Nodes[old].Mailboat().Unlock(t, nil, user)
 			}
 			msgs := nd.Mailboat().Pickup(t, nil, user)
-			p.lockAt[user] = cur
+			p.setSessionAt(user, cur)
 			found := false
 			for _, m := range msgs {
 				if m.ID == id {
@@ -278,12 +326,12 @@ func (p *Pair) Delete(t gfs.T, user uint64, id string) (removed, answered bool) 
 
 // Unlock releases user's pickup session lock wherever it is held.
 func (p *Pair) Unlock(t gfs.T, user uint64) {
-	at := p.lockAt[user]
+	at := p.sessionAt(user)
 	if at < 0 {
-		at = p.primary
+		at = p.leader()
 	}
 	p.Nodes[at].Mailboat().Unlock(t, nil, user)
-	p.lockAt[user] = -1
+	p.setSessionAt(user, -1)
 }
 
 // Recover rebuilds the pair after a site crash (the model's whole-site
@@ -302,15 +350,16 @@ func (p *Pair) Recover(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty) {
 		p.Nodes[i] = NewNode(t, i, mb, p.sys[i], Config{})
 	}
 	p.wire(p.Net)
-	p.primary = 0
+	cur := 0
 	if p.Nodes[1].Epoch() > p.Nodes[0].Epoch() {
-		p.primary = 1
+		cur = 1
 	}
-	p.Nodes[p.primary].SetPrimary(true)
+	p.setLeader(cur)
+	p.Nodes[cur].SetPrimary(true)
 	for u := range p.lockAt {
-		p.lockAt[u] = -1
+		p.setSessionAt(uint64(u), -1)
 	}
-	p.stale = !p.Nodes[p.primary].resync(t, p.v.Fence)
-	p.Nodes[p.primary].Ping(t)
-	p.Nodes[1-p.primary].Ping(t)
+	p.stale = !p.Nodes[cur].resync(t, p.v.Fence)
+	p.Nodes[cur].Ping(t)
+	p.Nodes[1-cur].Ping(t)
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -24,8 +25,13 @@ type pairRig struct {
 }
 
 func newPairRig(storePol, netPol fault.Policy) *pairRig {
+	return newPairRigOn(machine.Options{MaxSteps: 300000}, storePol, netPol)
+}
+
+// newPairRigOn is newPairRig on a machine built with opts.
+func newPairRigOn(opts machine.Options, storePol, netPol fault.Policy) *pairRig {
 	r := &pairRig{cfg: mailboat.Config{Users: 2, RandBound: 8, SyncOnDeliver: true, SyncDirs: true}}
-	r.m = machine.New(machine.Options{MaxSteps: 300000})
+	r.m = machine.New(opts)
 	for i := 0; i < 2; i++ {
 		r.fs[i] = gfs.NewModel(r.m, ReplDirs(r.cfg))
 		r.f[i] = gfs.NewFaulty(r.fs[i], storePol)
@@ -160,6 +166,123 @@ func TestPairFailover(t *testing.T) {
 	})
 	if res.Outcome != machine.Done {
 		t.Fatalf("era: %+v", res)
+	}
+}
+
+// footprints is a machine.Reducer that records each transition's
+// declared accesses in order and lets every draw through.
+type footprints struct{ ran [][]machine.Access }
+
+func (f *footprints) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
+	if ran != nil {
+		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
+	}
+	return true
+}
+
+// conflicts reports whether footprint a conflicts with any of bs.
+func conflicts(a []machine.Access, bs [][]machine.Access) bool {
+	for _, b := range bs {
+		for _, x := range a {
+			for _, y := range b {
+				if x.Conflicts(y) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestPrimaryWriteConflictsWithLeaderRead: ensureLivePrimary reads the
+// pair's primary, and a failover writes it, so the search never reorders
+// the read across the failover's transitions as if they commuted. The
+// read's transition touches nothing else a failover writes: without the
+// primary's declaration the two would commute.
+func TestPrimaryWriteConflictsWithLeaderRead(t *testing.T) {
+	rec := &footprints{}
+	r := newPairRigOn(machine.Options{MaxSteps: 300000, Reducer: rec}, fault.Never{}, fault.Never{})
+	var read, fo [2]int
+	res := r.m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+		p := r.build(mt)
+		mt.StepDeclared("mark")
+		read[0] = len(rec.ran) // the transition the mark starts ends at the next draw
+		if cur, ok := p.ensureLivePrimary(mt); cur != 0 || !ok {
+			mt.Failf("primary %d, ok %v", cur, ok)
+		}
+		mt.StepDeclared("mark")
+		read[1] = len(rec.ran)
+		r.f[0].FailStopNow("test: primary store dies")
+		mt.StepDeclared("mark")
+		fo[0] = len(rec.ran)
+		if !p.failover(mt) {
+			mt.Failf("failover refused")
+		}
+		mt.StepDeclared("mark")
+		fo[1] = len(rec.ran)
+	})
+	if res.Outcome != machine.Done {
+		t.Fatalf("era: %+v", res)
+	}
+	if read[1]-read[0] != 1 {
+		t.Fatalf("ensureLivePrimary on a live primary took %d transitions, want 1", read[1]-read[0])
+	}
+	if !conflicts(rec.ran[read[0]], rec.ran[fo[0]:fo[1]]) {
+		t.Errorf("ensureLivePrimary's read %v commutes with every transition of the failover", rec.ran[read[0]])
+	}
+}
+
+// TestSharedStateDeclarations: each declared access to a Node's
+// snapshot fields and to a user's session conflicts with the access
+// that reads what it writes, and one user's session commutes with
+// another's. Each case runs its write and its read as spans of their
+// own transitions on one machine, so a dropped Touch makes its case
+// commute.
+func TestSharedStateDeclarations(t *testing.T) {
+	type op func(p *Pair, mt *machine.T)
+	setEpoch := func(p *Pair, _ *machine.T) { nd := p.Nodes[0]; nd.setEpoch(nd.epoch) }
+	setSeq := func(p *Pair, _ *machine.T) { nd := p.Nodes[0]; nd.setSeq(nd.seq) }
+	pingCheck := func(p *Pair, mt *machine.T) { p.Nodes[0].PingCheck(mt) }
+	status := func(i int) op { return func(p *Pair, _ *machine.T) { p.Nodes[i].Status() } }
+	setSession := func(u uint64) op { return func(p *Pair, _ *machine.T) { p.setSessionAt(u, p.lockAt[u]) } }
+	cases := []struct {
+		name        string
+		write, read op
+		commute     bool
+	}{
+		{"setEpoch/Epoch", setEpoch, func(p *Pair, _ *machine.T) { p.Nodes[0].Epoch() }, false},
+		{"setEpoch/PingCheck", setEpoch, pingCheck, false},
+		{"setSeq/PingCheck", setSeq, pingCheck, false},
+		{"setSeq/Status", setSeq, status(0), false},
+		{"SetPrimary/Status", func(p *Pair, _ *machine.T) { p.Nodes[0].SetPrimary(true) }, status(0), false},
+		{"setResyncing/Status", func(p *Pair, _ *machine.T) { p.Nodes[1].setResyncing(false, 0) }, status(1), false},
+		{"markResynced/Status", func(p *Pair, mt *machine.T) { p.Nodes[1].markResynced(mt) }, status(1), false},
+		{"setSessionAt/sessionAt", setSession(0), func(p *Pair, _ *machine.T) { p.sessionAt(0) }, false},
+		{"another user's session", setSession(1), func(p *Pair, _ *machine.T) { p.sessionAt(0) }, true},
+	}
+	for _, c := range cases {
+		rec := &footprints{}
+		r := newPairRigOn(machine.Options{MaxSteps: 300000, Reducer: rec}, fault.Never{}, fault.Never{})
+		var write, read [2]int
+		res := r.m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
+			p := r.build(mt)
+			span := func(fn op, at *[2]int) {
+				mt.StepDeclared("mark")
+				at[0] = len(rec.ran) // the transition the mark starts ends at the next draw
+				fn(p, mt)
+				mt.StepDeclared("mark")
+				at[1] = len(rec.ran)
+			}
+			span(c.write, &write)
+			span(c.read, &read)
+		})
+		if res.Outcome != machine.Done {
+			t.Fatalf("%s: era %+v", c.name, res)
+		}
+		w, rd := rec.ran[write[0]:write[1]], rec.ran[read[0]:read[1]]
+		if got := slices.ContainsFunc(rd, func(a []machine.Access) bool { return conflicts(a, w) }); got == c.commute {
+			t.Errorf("%s: conflict %v, want %v (write %v, read %v)", c.name, got, !c.commute, w, rd)
+		}
 	}
 }
 

@@ -136,9 +136,6 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		MaxCrashes:  o.MaxCrashes,
 		RandPolicy:  func(call, n int) int { return call % n },
 		Setup: func(m *machine.Machine) any {
-			// The Pair and its Nodes keep shared Go state they do not
-			// declare, so nothing on this machine may be reordered.
-			m.Undeclared()
 			// Without a budget the fault layers still stand: their
 			// latches are how the Pair learns a node is dead.
 			w := &ScenarioWorld{policy: o.Faults.Policy(), dirs: ReplDirs(o.Config)}

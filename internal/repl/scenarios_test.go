@@ -9,8 +9,10 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fault"
 	"repro/internal/gfs"
+	"repro/internal/history"
 	"repro/internal/machine"
 	"repro/internal/mailboat"
+	"repro/internal/obs"
 )
 
 // The fault budgets the scenario tests spend per execution: one
@@ -27,88 +29,80 @@ func smallConfig() mailboat.Config {
 	return mailboat.Config{Users: 1, RandBound: 4, SyncOnDeliver: true, SyncDirs: true}
 }
 
-// TestReplicatedFaultFree: the replicated pair refines the unchanged
-// atomic spec with no faults at all — the plumbing baseline.
-func TestReplicatedFaultFree(t *testing.T) {
-	s := Scenario("mb-repl-faultfree", ScenarioOptions{
-		Config:      smallConfig(),
-		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
-		PickupUsers: []uint64{0},
-		PostPickups: true,
-	})
-	rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
+// runComplete searches s at one worker within max executions and fails
+// the test on a violation, or when the search stops at its budget
+// unless -short lowered it.
+func runComplete(t *testing.T, s *explore.Scenario, max, short int) *explore.Report {
+	t.Helper()
+	budget := max
+	if testing.Short() {
+		budget = short
+	}
+	rep := explore.Run(s, explore.Options{MaxExecutions: budget, Workers: 1})
 	t.Logf("report: %s", rep.String())
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
 	}
+	if !rep.Complete && budget == max {
+		t.Fatalf("search stopped at its budget after %d executions", rep.Executions)
+	}
+	return rep
+}
+
+// TestReplicatedFaultFree: the replicated pair refines the unchanged
+// atomic spec with no faults at all — the plumbing baseline. Two
+// deliveries and a session complete in 23,427 executions.
+func TestReplicatedFaultFree(t *testing.T) {
+	runComplete(t, Scenario("mb-repl-faultfree", ScenarioOptions{
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}, {User: 0, Msg: "b"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+	}), 40000, 5000)
 }
 
 // TestReplicatedNetFaults: every network fault class enumerable, one
 // fault per execution, no crashes — the acked history must still refine
-// the spec and settled stores must be byte-identical.
+// the spec and settled stores must be byte-identical. Complete in 519
+// executions.
 func TestReplicatedNetFaults(t *testing.T) {
-	max := 100000
-	if testing.Short() {
-		max = 20000
-	}
-	s := Scenario("mb-repl-netfaults", ScenarioOptions{
+	runComplete(t, Scenario("mb-repl-netfaults", ScenarioOptions{
 		Config:      smallConfig(),
 		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
 		Faults:      oneNetFault,
-	})
-	rep := explore.Run(s, explore.Options{MaxExecutions: max})
-	t.Logf("report: %s", rep.String())
-	if !rep.OK() {
-		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
-	}
+	}), 20000, 20000)
 }
 
 // TestReplicatedCrashAndNet: a whole-site crash may interleave with a
 // reordered/duplicated/dropped frame or partition burst; recovery
 // re-elects by epoch and resyncs. Refinement and the byte-identical
-// invariant must hold throughout.
+// invariant must hold throughout. The suite's mb/replicated+crash+net,
+// complete in 13,661 executions.
 func TestReplicatedCrashAndNet(t *testing.T) {
-	max := 100000
-	if testing.Short() {
-		max = 20000
-	}
-	s := Scenario("mb-repl-crash-net", ScenarioOptions{
+	runComplete(t, Scenario("mb-repl-crash-net", ScenarioOptions{
 		Config:      smallConfig(),
 		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
 		MaxCrashes:  1,
 		Faults:      oneNetFault,
-	})
-	rep := explore.Run(s, explore.Options{MaxExecutions: max})
-	t.Logf("report: %s", rep.String())
-	if !rep.OK() {
-		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
-	}
+	}), 20000, 5000)
 }
 
 // TestReplicatedFailStop: either node's store may fail-stop at any
 // operation (one death per execution); failover must keep every acked
-// operation visible.
+// operation visible. The suite's mb/replicated+failstop, complete in
+// 7,726 executions.
 func TestReplicatedFailStop(t *testing.T) {
-	max := 100000
-	if testing.Short() {
-		max = 20000
-	}
-	s := Scenario("mb-repl-failstop", ScenarioOptions{
+	runComplete(t, Scenario("mb-repl-failstop", ScenarioOptions{
 		Config:      smallConfig(),
 		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
 		Faults:      oneFailStop,
-	})
-	rep := explore.Run(s, explore.Options{MaxExecutions: max})
-	t.Logf("report: %s", rep.String())
-	if !rep.OK() {
-		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
-	}
+	}), 20000, 5000)
 }
 
 // TestConvictAckBeforeBackup: the mutation that acks after the local
@@ -177,33 +171,63 @@ func TestConvictResyncSkipsEpoch(t *testing.T) {
 	t.Logf("counterexample: %d choices, minimized to %d", len(rep.Counterexample.Choices), len(min))
 }
 
-// TestReplicatedSelfCheckDedup runs the dedup soundness self-check on
-// the replicated crash scenario: the fingerprint covers both stores
+// TestReplicatedSelfCheckDedup runs the reductions' self-check on a
+// replicated crash scenario: the fingerprint covers both stores
 // (devices), the network's surviving in-flight frames (device) and the
-// shared fault policy's budget, and the check requires dedup to
-// activate and agree with the dedup-less search.
+// shared fault policy's budget. Both searches complete, so they must
+// reach equal sets of outcomes, and dedup must activate. The delivery is
+// the only main-era thread: with a second one, the plain search runs
+// past 300,000 executions even with no fault at all (the reduced one
+// checks 68). TestReplicatedSelfCheckSleepSets covers two threads.
 func TestReplicatedSelfCheckDedup(t *testing.T) {
 	s := Scenario("mb-repl-selfcheck", ScenarioOptions{
 		Config:      smallConfig(),
 		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
-		PickupUsers: []uint64{0},
 		PostPickups: true,
 		MaxCrashes:  1,
 		Faults:      mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Reorder, fault.DropReply)},
 	})
-	opts := explore.Options{MaxExecutions: 20000}
-	if testing.Short() {
-		opts.MaxExecutions = 2000
+	with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 20000, Workers: 1})
+	if err != nil {
+		t.Fatalf("self-check failed: %v", err)
 	}
+	t.Logf("without the reductions: %s", without)
+	t.Logf("with them:              %s (%d boundaries, %d pruned)",
+		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
+	if !with.Complete || !without.Complete {
+		t.Fatal("a search stopped at its budget: no outcome sets to compare")
+	}
+	if !with.Stats.DedupActive {
+		t.Fatal("dedup did not activate on the replicated scenario")
+	}
+}
+
+// TestReplicatedSelfCheckSleepSets runs the self-check where sleep sets
+// act on the replicated stack: a delivery races a pickup session while
+// either store may fail-stop, so a failover writes the pair's primary
+// under the other client's reads. The reduced search completes; the
+// plain one cannot (past 300,000 executions), so its first 10,000
+// executions and 10,000 random ones must reach no outcome the reduced
+// search misses.
+func TestReplicatedSelfCheckSleepSets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the reduced search needs 7,674 executions, the plain side 20,000")
+	}
+	s := Scenario("mb-repl-selfcheck-sleep", ScenarioOptions{
+		Config:      mailboat.Config{Users: 1, RandBound: 1, SyncOnDeliver: true, SyncDirs: true},
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		Faults:      mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.FailStop)},
+	})
+	opts := explore.Options{MaxExecutions: 10000, StressExecutions: 10000, StressSeed: 1, Workers: 1}
 	with, without, err := explore.SelfCheck(s, opts)
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
 	}
-	t.Logf("without dedup: %s", without)
-	t.Logf("with dedup:    %s (%d boundaries, %d pruned)",
-		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
-	if !with.Stats.DedupActive {
-		t.Fatal("dedup did not activate on the replicated scenario")
+	t.Logf("without the reductions: %s", without)
+	t.Logf("with them:              %s (%d slept, %d blocked)", with, with.Stats.Slept, with.Stats.SleepBlocked)
+	if !with.Complete || with.Stats.SleepBlocked == 0 {
+		t.Fatal("the reduced search stopped at its budget or put no thread to sleep")
 	}
 }
 
@@ -324,19 +348,25 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 	}
 }
 
+// composedFaults is one budget of two faults, spendable on a fail-stop
+// of either node's store and on a reordered frame.
+var composedFaults = mailboat.Faults{Budget: 2, Ops: fault.Classes(fault.FailStop, fault.Reorder)}
+
 // TestReplicatedComposedFaultAxes: one budget of two faults, spendable
 // on a fail-stop of either node's store and on a reordered frame — a
 // store fault and a network fault in one execution, which separate
 // store and network policies could not state. The pair must still
 // refine the unchanged spec, and the search must really reach
-// executions that spend the budget on both axes.
+// executions that spend the budget on both axes. The complete search
+// is 255,586 executions at one worker, about 12 s: this test stops at
+// 20,000.
 func TestReplicatedComposedFaultAxes(t *testing.T) {
 	s := Scenario("mb-repl-composed", ScenarioOptions{
 		Config:      smallConfig(),
 		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
 		PickupUsers: []uint64{0},
 		PostPickups: true,
-		Faults:      mailboat.Faults{Budget: 2, Ops: fault.Classes(fault.FailStop, fault.Reorder)},
+		Faults:      composedFaults,
 	})
 	composed := 0
 	post := s.Post
@@ -359,5 +389,60 @@ func TestReplicatedComposedFaultAxes(t *testing.T) {
 	}
 	if composed == 0 {
 		t.Fatal("no execution injected both a store fault and a network fault")
+	}
+}
+
+// TestFencedAfterUnknownGetsNoAnswer replays the violation the complete
+// composed search found at execution 175,825. Delivery "a"'s first
+// replicate frame is reordered, so its outcome is unknown, and lands on
+// the backup at the retry; the primary's store then fail-stops, the
+// backup promotes, and the retry is fenced by its epoch. The delivery
+// used to report a definite failure, and the pair retried it under a
+// fresh name on the new primary, which then held "a" twice. Now the
+// fenced retry reports OpUnknown and the delivery gets no answer.
+func TestFencedAfterUnknownGetsNoAnswer(t *testing.T) {
+	s := Scenario("mb-repl-fenced-after-unknown", ScenarioOptions{
+		Config:      smallConfig(),
+		Delivers:    []mailboat.OpDeliver{{User: 0, Msg: "a"}},
+		PickupUsers: []uint64{0},
+		PostPickups: true,
+		Faults:      composedFaults,
+	})
+	script := append(make([]int, 18), 1, 0, 1)
+	script = append(append(script, make([]int, 19)...), 1, 1, 1, 1, 1, 1)
+	invoked, answered := 0, 0
+	post := s.Post
+	s.Post = func(mt *machine.T, wAny any, h *explore.Harness) {
+		post(mt, wAny, h)
+		for _, e := range h.History() {
+			if _, ok := e.Op.(mailboat.OpDeliver); ok {
+				if e.Kind == history.Invoke {
+					invoked++
+				} else {
+					answered++
+				}
+			}
+		}
+	}
+	if cx := explore.ReplayCx(s, script); cx != nil {
+		t.Fatalf("the replay fails:\n%s", cx.Format())
+	}
+	if invoked != 1 || answered != 0 {
+		t.Fatalf("the delivery was invoked %d times and answered %d; want once, and no answer", invoked, answered)
+	}
+}
+
+// TestAbandonedAfterUnknownCounts: a replication given up after an
+// unknown outcome is the at-least-once hazard repl_indeterminate_total
+// counts, and reports OpUnknown; one given up with every outcome
+// definite is a plain failure, not counted there.
+func TestAbandonedAfterUnknownCounts(t *testing.T) {
+	met := NewMetrics(obs.NewRegistry())
+	nd := &Node{cfg: Config{Metrics: met}}
+	if res := nd.abandoned(false); res != OpFailed || met.Indeterminate.Value() != 0 {
+		t.Fatalf("definite: %v, %d indeterminate", res, met.Indeterminate.Value())
+	}
+	if res := nd.abandoned(true); res != OpUnknown || met.Indeterminate.Value() != 1 {
+		t.Fatalf("after an unknown outcome: %v, %d indeterminate", res, met.Indeterminate.Value())
 	}
 }

@@ -262,10 +262,11 @@ func TestParallelSearchSharesSpecStates(t *testing.T) {
 // search completes at its own budget at Workers: 1 is searched again
 // without them, and the two searches must agree on the verdict and on
 // the set of outcomes (explore.SelfCheck). The plain searches complete
-// within 250,000 executions but for mb/writeback+prefix-contract's,
-// which is 1.73M: there every outcome its first 50,000 reach must be
-// among the reduced search's. A budget-bounded entry has no set to
-// compare. CI's checker-par job runs it; -short skips it.
+// within 250,000 executions but for three: mb/writeback+prefix-contract's
+// is 1.73M, and the two mb/replicated entries' run past 2M. There every
+// outcome the first 50,000 plain executions reach must be among the
+// reduced search's. A budget-bounded entry has no set to compare. CI's
+// checker-par job runs it; -short skips it.
 func TestSelfCheckCompleteEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the unreduced searches run to completion")
@@ -279,8 +280,10 @@ func TestSelfCheckCompleteEntries(t *testing.T) {
 		}
 		opts = e.Opts
 		opts.MaxExecutions = 250000 // mb/writeback+sync-discipline's plain search is 132,073
-		if e.Scenario.Name == "mb/writeback+prefix-contract" {
-			// At one worker the reduced search completes in 7,797.
+		switch e.Scenario.Name {
+		case "mb/writeback+prefix-contract", "mb/replicated+crash+net", "mb/replicated+failstop":
+			// At one worker the reduced searches complete in 7,797,
+			// 13,661 and 7,726.
 			opts.MaxExecutions, opts.Workers = 50000, 1
 		}
 		with, without, err := explore.SelfCheck(e.Scenario, opts)
