@@ -17,9 +17,9 @@ import (
 // is dead and all volatile state is gone by construction. Two
 // executions whose crash boundaries agree on (durable device state,
 // scenario-held crash-surviving state, recorded history, remaining
-// crash budget, consumed step budget, rand-policy call index) have
-// identical suffix behavior, so once one prefix's recovery subtree is
-// enumerated, other prefixes reaching the same boundary can be pruned.
+// crash budget, rand-policy call index) have identical suffix behavior,
+// so once one prefix's recovery subtree is enumerated, other prefixes
+// reaching the same boundary can be pruned.
 //
 // The table maps fingerprint -> hash of the owning choice prefix. The
 // owner hash is what lets the claiming prefix revisit its own boundary
@@ -154,11 +154,11 @@ func (dd *dedupRun) boundaryPrune(m *machine.Machine, w any, h *Harness, rec *sc
 		return false
 	}
 	b = dd.s.Fingerprint(w, b)
-	// Budgets and counters the suffix depends on: the machine's step
-	// budget is cumulative across eras, the rand policy is indexed by
-	// call number, and the refinement judgment depends on the whole
-	// history so far (pending operations included).
-	b = machine.AppendUint64(b, uint64(m.Steps()))
+	// Budgets and counters the suffix depends on: the crashes left, the
+	// rand policy's call number, and the whole history so far (pending
+	// operations included), over which refinement is judged. The step
+	// count is not among them: MaxSteps bounds each era alone, so
+	// nothing after a crash reads how many steps led to it.
 	b = machine.AppendUint64(b, uint64(crashesLeft))
 	calls := 0
 	if rpc != nil {

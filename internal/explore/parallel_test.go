@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/spec"
 )
 
 // fingerprinted returns the register scenario opted into crash-boundary
@@ -235,6 +236,52 @@ func TestDedupPrunesConvergentBoundaries(t *testing.T) {
 	}
 	if on.Executions > off.Executions {
 		t.Fatalf("dedup increased executions: %d > %d", on.Executions, off.Executions)
+	}
+}
+
+// volatileTail is a durable register written once, atomically, and then
+// left alone while its thread spins through volatile steps: every crash
+// among the spins leaves the same register, the same history and the
+// same budgets, after a different number of steps.
+func volatileTail(spins int) *Scenario {
+	s := fingerprinted(true, false)
+	s.Name = "volatile-tail"
+	s.Main = func(t *machine.T, wAny any, h *Harness) {
+		w := wAny.(*world)
+		h.Op(opSet{v: 7}, func() spec.Ret {
+			t.Step("write")
+			w.hi, w.lo = 7, 7
+			return nil
+		})
+		for range spins {
+			t.Step("spin") // changes nothing a crash keeps
+		}
+	}
+	return s
+}
+
+// TestDedupIgnoresVolatileStepCount: the step budget is per era, so how
+// many steps led to a crash is nothing recovery can observe, and the
+// crash points among the spins are one boundary. The search meets three:
+// before the write, inside it, after it — and prunes the later spins'
+// crashes, with the outcomes the plain search reaches.
+func TestDedupIgnoresVolatileStepCount(t *testing.T) {
+	const spins = 3
+	s := volatileTail(spins)
+	rep := Run(s, Options{Workers: 1})
+	if !rep.OK() || !rep.Complete {
+		t.Fatalf("clean scenario: %s", rep)
+	}
+	if rep.Stats.DistinctBoundaries != 3 || rep.Stats.PrunedStates != spins-1 {
+		t.Fatalf("%d boundaries, %d pruned; want 3 and %d: the step count splits one boundary",
+			rep.Stats.DistinctBoundaries, rep.Stats.PrunedStates, spins-1)
+	}
+	with, without, err := SelfCheck(s, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !with.Complete || !without.Complete {
+		t.Fatalf("self-check: reduced %s, plain %s", with, without)
 	}
 }
 

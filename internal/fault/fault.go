@@ -182,7 +182,6 @@ type Chooser struct {
 	Budget   int
 	Eligible map[Class]bool
 	used     int
-	spent    [NumClasses]int
 }
 
 // Decide implements Policy.
@@ -204,23 +203,18 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	// decisions reach the same states in either order.
 	if mt.Choose(2, c.Tag()) == 1 {
 		p.used++
-		p.spent[c]++
 		return true
 	}
 	return false
 }
 
-// AppendState appends the spent budget per class — the only mutable
-// state a Chooser carries across a crash (it lives in the scenario's
-// world, not on the machine) — for the crash-boundary dedup fingerprint.
-// Per class, so a budget spent on the store and one spent on the network
-// stay distinct states.
+// AppendState appends the budget used so far — the only mutable state a
+// Chooser carries across a crash (it lives in the scenario's world, not
+// on the machine) — for the crash-boundary dedup fingerprint. Decisions
+// read the total alone; which classes spent it shows in the state the
+// injections left, not in the Chooser.
 func (p *Chooser) AppendState(b []byte) []byte {
-	b = machine.AppendUint64(b, uint64(p.used))
-	for _, n := range p.spent {
-		b = machine.AppendUint64(b, uint64(n))
-	}
-	return b
+	return machine.AppendUint64(b, uint64(p.used))
 }
 
 // Never injects nothing: a layer under it behaves as its inner one, and

@@ -32,7 +32,7 @@ func TestFaultClassesMatchDesignDoc(t *testing.T) {
 // TestChooserOptInAndBudget: a nil Eligible set branches on the
 // transient storage classes only — every opt-in class, the network's
 // included, must be listed — and one Chooser's budget is spent across
-// classes and axes alike, recorded per class.
+// classes and axes alike, and recorded as one count.
 func TestChooserOptInAndBudget(t *testing.T) {
 	var tags []string
 	always := machine.ChooserFunc(func(n int, tag string) int {
@@ -67,6 +67,15 @@ func TestChooserOptInAndBudget(t *testing.T) {
 	spent := (&Chooser{Budget: 2, Eligible: Classes(FailStop, Reorder, Corrupt)}).AppendState(nil)
 	if string(p.AppendState(nil)) == string(spent) {
 		t.Error("AppendState does not see the spent budget")
+	}
+	// Decisions read the total alone, so a budget spent on other classes
+	// is the same Chooser state.
+	q := &Chooser{Budget: 2, Eligible: Classes(Create, Append)}
+	if got := run(q); fmt.Sprint(got) != fmt.Sprint([]Class{Create, Append}) {
+		t.Errorf("budget 2 over create, append injected %v", got)
+	}
+	if string(q.AppendState(nil)) != string(p.AppendState(nil)) {
+		t.Error("AppendState tells apart two budgets spent on different classes")
 	}
 	if (&Chooser{Budget: 1}).Decide(nativeT{}, Create, 0) {
 		t.Error("a Chooser injected on a native thread")

@@ -4,14 +4,22 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // goroutinesSettle waits for the goroutine count to come down to want:
-// an ended coroutine's goroutine may take a moment to be gone.
+// an ended coroutine's goroutine may take a moment to be gone. Under the
+// race detector each thread is a goroutine of pull_race.go's that exits
+// on its own schedule, which a loaded host can delay past any number of
+// yields, so there it waits up to a time bound instead.
 func goroutinesSettle(want int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 1000 && n > want; i++ {
 		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	for deadline := time.Now().Add(5 * time.Second); raceBuild && n > want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
 	}
 	return n

@@ -129,7 +129,9 @@ const TraceAll = math.MaxInt
 type Options struct {
 	// MaxSteps bounds the number of primitive steps per era; exceeding it
 	// is reported as a violation (possible infinite loop — the class of
-	// bug in §9.5's Pickup loop). 0 means the default of 100000.
+	// bug in §9.5's Pickup loop). 0 means the default of 100000. Each era
+	// gets the whole budget, so nothing after a crash depends on how many
+	// steps the eras before it took.
 	MaxSteps int
 	// TraceDepth attaches the trace: the machine keeps the last
 	// TraceDepth lines (TraceAll keeps every line). 0 attaches none, and
@@ -158,8 +160,11 @@ type Machine struct {
 	alive    int
 	ready    []*thread // runnable()'s buffer, reused between steps
 
-	steps   int
-	failure error
+	// steps counts every era's steps; eraStart is its value when the
+	// running era began, so steps-eraStart is what MaxSteps bounds.
+	steps    int
+	eraStart int
+	failure  error
 
 	// allowCrash is the running era's: a "sched" draw offers a crash.
 	// handed is a draw over handedN options that a stepping thread made
@@ -321,6 +326,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 	}()
 
 	m.chooser, m.allowCrash = chooser, allowCrash
+	m.eraStart = m.steps
 	m.failure = nil
 	m.alive = 0
 	if m.red != nil {
@@ -370,7 +376,7 @@ func (m *Machine) RunEra(chooser Chooser, allowCrash bool, main func(t *T)) EraR
 		}
 		m.resume(th)
 
-		if m.steps > m.opts.MaxSteps && m.failure == nil {
+		if m.steps-m.eraStart > m.opts.MaxSteps && m.failure == nil {
 			m.Failf("step budget exceeded (%d steps): possible infinite loop or livelock", m.opts.MaxSteps)
 		}
 	}
@@ -530,7 +536,7 @@ func (t *T) step() {
 	m := t.m
 	if !t.th.dead {
 		m.steps++
-		if m.steps <= m.opts.MaxSteps && m.failure == nil {
+		if m.steps-m.eraStart <= m.opts.MaxSteps && m.failure == nil {
 			c, n := m.draw()
 			if c >= 0 && c < len(m.ready) && m.ready[c] == t.th {
 				if m.opts.Observer != nil {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -259,6 +260,46 @@ func TestStepBudgetCatchesInfiniteLoop(t *testing.T) {
 	}
 }
 
+// TestStepBudgetIsPerEra: MaxSteps bounds each era alone — two eras of
+// 0.6·MaxSteps each end Done, one era of MaxSteps+1 steps is convicted
+// whatever came before it — while Steps keeps counting across eras. A
+// budget of math.MaxInt holds for a second era too: the check must not
+// wrap.
+func TestStepBudgetIsPerEra(t *testing.T) {
+	const budget = 500
+	steps := func(n int) func(*T) {
+		return func(mt *T) {
+			for range n {
+				mt.Step("x")
+			}
+		}
+	}
+	m := New(Options{MaxSteps: budget})
+	short := budget * 6 / 10
+	for era := range 2 {
+		if res := m.RunEra(SeqChooser{}, false, steps(short)); res.Outcome != Done {
+			t.Fatalf("era %d of %d steps, budget %d: %+v", era, short, budget, res)
+		}
+	}
+	if m.Steps() != 2*short {
+		t.Fatalf("Steps() = %d after two eras of %d, want the sum", m.Steps(), short)
+	}
+	res := m.RunEra(SeqChooser{}, false, steps(budget+1))
+	if res.Outcome != Violation || !strings.Contains(res.Err.Error(), "step budget") {
+		t.Fatalf("an era of %d steps, budget %d: %+v", budget+1, budget, res)
+	}
+	if want := 2*short + budget + 1; m.Steps() != want {
+		t.Fatalf("Steps() = %d at the violation, want %d", m.Steps(), want)
+	}
+
+	wide := New(Options{MaxSteps: math.MaxInt})
+	for era := range 2 {
+		if res := wide.RunEra(SeqChooser{}, false, steps(3)); res.Outcome != Done {
+			t.Fatalf("MaxSteps math.MaxInt, era %d: %+v", era, res)
+		}
+	}
+}
+
 func TestThreadPanicIsReportedAsViolation(t *testing.T) {
 	res := run(t, func(mt *T) {
 		mt.Step("pre")
@@ -421,7 +462,11 @@ func TestKilledThreadTakesNoFurtherStep(t *testing.T) {
 	if l.Holder() != 1 {
 		t.Fatalf("lock holder is %d after the kill, want the killed thread 1", l.Holder())
 	}
-	if after := runtime.NumGoroutine(); after > before {
+	after := runtime.NumGoroutine()
+	if raceBuild {
+		after = goroutinesSettle(before)
+	}
+	if after > before {
 		t.Fatalf("goroutines: %d before the era, %d after", before, after)
 	}
 }

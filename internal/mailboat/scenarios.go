@@ -236,7 +236,9 @@ var (
 	// Detection is what a single checksummed backend can promise under
 	// corruption: with no second copy rot may lose data, but never
 	// silently. Each pickup session is spanned by an OpObserve, and the
-	// history must refine DetectionSpec.
+	// history must refine DetectionSpec. The observation reads one
+	// world-wide detection count, so a scenario runs at most one
+	// concurrent pickup session (PickupUsers) under it.
 	Detection = &Property{Name: "detection", spec: DetectionSpec, observe: true}
 	// Exhaustion is the disk-full contract: ENOSPC may refuse work, but
 	// never takes back an ack — Spec's transient failure already says
@@ -315,6 +317,8 @@ func (o *ScenarioOptions) check() error {
 		return errors.New("Exhaustion needs a fault budget (with fault.NoSpace): the disk-full latch lives in the fault layer")
 	case o.Property != Refinement && !o.PostPickups:
 		return errors.New("a durability contract needs PostPickups: without a recorded read after the last recovery, nothing observes what the crashes kept")
+	case o.Property == Detection && len(o.PickupUsers) > 1:
+		return errors.New("Detection observes one pickup session at a time: one world-wide detection count cannot tell which session made the detection")
 	}
 	return o.stackSpec().Validate(o.replicas(), o.Crash != Strict)
 }

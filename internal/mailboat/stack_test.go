@@ -40,10 +40,15 @@ func TestScenarioRefusesIgnoredOptions(t *testing.T) {
 		{"Prefix alone", ScenarioOptions{Property: Prefix}, "Prefix needs the Writeback crash model"},
 		{"Exhaustion alone", ScenarioOptions{Property: Exhaustion}, "Exhaustion needs a fault budget"},
 		{"Detection unread", ScenarioOptions{Checksum: true, Faults: oneCorruption, Property: Detection}, "a durability contract needs PostPickups"},
+		{"Detection, two observers", ScenarioOptions{Config: Config{Users: 2, RandBound: 2}, Delivers: []OpDeliver{{User: 0, Msg: "a"}},
+			PickupUsers: []uint64{0, 1}, PostPickups: true, Checksum: true, Faults: oneCorruption, Property: Detection},
+			"Detection observes one pickup session at a time"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			c.o.Config = Config{Users: 1, RandBound: 2}
+			if c.o.Config.Users == 0 {
+				c.o.Config = Config{Users: 1, RandBound: 2}
+			}
 			defer func() {
 				r, _ := recover().(string)
 				if !strings.Contains(r, c.want) || !strings.Contains(r, "mailboat.Scenario refused") {

@@ -210,7 +210,7 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		// devices (the Net's encoding covers partition charge and the
 		// crash-surviving in-flight stash), and the recovery era boots
 		// fresh stacks, so the hook covers the crash-surviving world state
-		// outside them: the shared policy's budget, spent per class, on
+		// outside them: the shared policy's used budget, one count for
 		// the stores and the network alike, and each node's disk-full
 		// latch, which boot carries over. The Pair's own
 		// fields (role, session locks, staleness) are all recomputed by

@@ -305,8 +305,9 @@ func (killer) Choose(n int, tag string) int {
 // a fault layer over the node's own model, what the single-node
 // scenarios and the daemon build — the two sharing one policy, and the
 // Pair runs on those tops with those layers as its kill switches. The
-// policy's spent budget is the fingerprint's whole share of the world: a
-// reboot's fresh stacks drop the latch and keep the budget spent.
+// policy's used budget, one count whatever class spent it, is the
+// fingerprint's whole share of the world: a reboot's fresh stacks drop
+// the latch and keep the budget spent.
 func TestScenarioNodesRunOnStacks(t *testing.T) {
 	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), Faults: oneFailStop})
 	m := machine.New(machine.Options{})
