@@ -117,19 +117,15 @@ func main() {
 		rep := explore.Run(e.Scenario, opts)
 		elapsed := time.Since(start).Round(time.Millisecond)
 
-		status := "PASS"
-		switch {
-		case e.WantViolation && rep.OK():
-			status = "FAIL (expected a counterexample, found none)"
+		status, ok := e.Verdict(rep)
+		if !ok {
 			failed++
-		case !e.WantViolation && !rep.OK():
-			status = "FAIL"
-			failed++
-		case e.WantViolation:
-			status = "PASS (bug found as expected)"
 		}
 		fmt.Printf("%-34s %-38s %v\n", e.Scenario.Name, status, elapsed)
 		fmt.Printf("    %s\n", rep.String())
+		if rep.Err != nil {
+			fmt.Printf("    %v\n", rep.Err)
+		}
 		fmt.Printf("    stats: %s\n", rep.Stats)
 		if *verbose && len(rep.Stats.PerWorker) > 1 {
 			fmt.Printf("    per-worker:")

@@ -129,6 +129,29 @@ func (c *Ctx) Crash() {
 	}
 }
 
+// Save implements machine.Saver: Crash changes each resource's two
+// liveness flags and the owed crash step.
+func (c *Ctx) Save() (restore func()) {
+	flags := make([]*bool, 0, 2*(len(c.resources)+len(c.setResources)))
+	for _, r := range c.resources {
+		flags = append(flags, &r.masterLive, &r.leaseOut)
+	}
+	for _, r := range c.setResources {
+		flags = append(flags, &r.masterLive, &r.leaseOut)
+	}
+	vals := make([]bool, len(flags))
+	for i, f := range flags {
+		vals[i] = *f
+	}
+	crashing := c.crashing
+	return func() {
+		for i, f := range flags {
+			*f = vals[i]
+		}
+		c.crashing = crashing
+	}
+}
+
 // touch declares an access to the ghost state.
 func (c *Ctx) touch(md machine.Mode) { c.m.Touch(c.obj, md) }
 

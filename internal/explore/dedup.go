@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -92,6 +93,16 @@ func (t *fpTable) claim(fp, owner uint64) bool {
 	return prev == owner
 }
 
+// ownedElsewhere reports whether a prefix other than owner has claimed
+// fp: what claim would refuse, without claiming.
+func (t *fpTable) ownedElsewhere(fp, owner uint64) bool {
+	s := &t.shards[fp&(fpShards-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev, ok := s.m[fp]
+	return ok && prev != owner
+}
+
 // size returns the number of distinct fingerprints claimed.
 func (t *fpTable) size() int {
 	n := 0
@@ -103,78 +114,373 @@ func (t *fpTable) size() int {
 	return n
 }
 
-// dedupRun carries the dedup context through one execution of runOne.
-// nil disables dedup (replay, minimize, stress, or -noreduce).
+// dedupRun carries the dedup context of one job's executions: the
+// table, and the running execution's state that a boundary's
+// fingerprint reads, which runOne fills in. A search without one runs
+// no dedup (-noreduce, or no Fingerprint hook); replay, minimize and
+// stress run none either.
 type dedupRun struct {
 	table *fpTable
 	s     *Scenario
 
+	m           *machine.Machine
+	w           any
+	h           *Harness
+	rpc         *randPolicyChooser
+	crashesLeft int // in the running era, before its crash
+
+	buf, tail []byte
+	// hist encodes the execution's first histN events.
+	hist  []byte
+	histN int
+
 	// pruned is set when the execution was cut at a crash boundary
-	// another prefix owns.
+	// another prefix owns, and err when it was cut at a checker error.
 	pruned bool
+	err    error
 	// unfingerprintable is set when a registered device does not
 	// implement machine.Fingerprinter; the run proceeds without dedup
 	// and the report flags DedupActive=false.
 	unfingerprintable bool
 }
 
-// appendHistory appends a canonical encoding of h: per event its kind
-// and op ID, then the length-prefixed %v form of what the event adds —
-// the operation at an Invoke, the response at a Return (whose operation
-// the matching Invoke already fixed).
-func appendHistory(b []byte, h history.History) []byte {
-	b = machine.AppendUint64(b, uint64(len(h)))
-	for _, e := range h {
-		b = append(b, byte(e.Kind))
-		if e.Kind == history.Crash {
-			continue
-		}
-		b = machine.AppendUint64(b, uint64(e.ID))
-		at := len(b)
-		b = machine.AppendUint64(b, 0) // length, patched below
-		if e.Kind == history.Invoke {
-			b = fmt.Append(b, e.Op)
-		} else {
-			b = fmt.Append(b, e.Ret)
-		}
-		binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+// appendEvent appends a canonical encoding of e: its kind and op ID,
+// then the length-prefixed %v form of what the event adds — the
+// operation at an Invoke, the response at a Return (whose operation the
+// matching Invoke already fixed).
+func appendEvent(b []byte, e history.Event) []byte {
+	b = append(b, byte(e.Kind))
+	if e.Kind == history.Crash {
+		return b
+	}
+	b = machine.AppendUint64(b, uint64(e.ID))
+	at := len(b)
+	b = machine.AppendUint64(b, 0) // length, patched below
+	if e.Kind == history.Invoke {
+		b = fmt.Append(b, e.Op)
+	} else {
+		b = fmt.Append(b, e.Ret)
+	}
+	binary.LittleEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	return b
+}
+
+// appendTail appends the part of a crash boundary's state that no
+// device holds: the budgets and counters the suffix depends on — the
+// crashes left after this one and the rand policy's call number — and
+// the whole history so far (pending operations included), over which
+// refinement is judged, ending in the crash: its length, then its
+// events. The step count is not among them: MaxSteps bounds each era
+// alone, so nothing after a crash reads how many steps led to it. crash
+// says the history still lacks the crash marker (the crash is being
+// evaluated, not taken). An execution's history only grows, so its
+// events are encoded once, into hist.
+func (dd *dedupRun) appendTail(b []byte, crash bool) []byte {
+	b = machine.AppendUint64(b, uint64(dd.crashesLeft-1))
+	calls := 0
+	if dd.rpc != nil {
+		calls = dd.rpc.calls
+	}
+	b = machine.AppendUint64(b, uint64(calls))
+	h := dd.h.rec.History()
+	for _, e := range h[dd.histN:] {
+		dd.hist = appendEvent(dd.hist, e)
+	}
+	dd.histN = len(h)
+	n := len(h)
+	if crash {
+		n++
+	}
+	b = machine.AppendUint64(b, uint64(n))
+	b = append(b, dd.hist...)
+	if crash {
+		b = append(b, byte(history.Crash))
 	}
 	return b
 }
 
+// fingerprint hashes the crash boundary's state as it is in place:
+// first the tail, which seed is the hash of, then the devices' durable
+// encodings and the scenario's crash-surviving state. The tail is the
+// same for every crash state of a point, so a point hashes it once. ok
+// is false when a device is not fingerprintable.
+func (dd *dedupRun) fingerprint(seed uint64) (fp uint64, ok bool) {
+	b, ok := dd.m.AppendDurable(dd.buf[:0])
+	if !ok {
+		return 0, false
+	}
+	b = dd.s.Fingerprint(dd.w, b)
+	dd.buf = b
+	return fnvBytes(seed, b), true
+}
+
+// evaluate computes, in place, the boundary fingerprint of every crash
+// state the crash option of the running "sched" draw reaches, one per
+// vector of crash-time answers, and hands each to add. The history and
+// counters are the same for all of them, so they are encoded once. It
+// reports false when a device cannot be saved or fingerprinted; add may
+// then have been called for some of the states.
+func (dd *dedupRun) evaluate(add func(fp uint64, answers []machine.CrashAnswer)) bool {
+	dd.tail = dd.appendTail(dd.tail[:0], true)
+	seed := fnvBytes(fnvOffset, dd.tail)
+	ok := true
+	probed := dd.m.ProbeCrash(func(answers []machine.CrashAnswer) {
+		fp, can := dd.fingerprint(seed)
+		if !can {
+			ok = false
+			return
+		}
+		add(fp, answers)
+	})
+	return probed && ok
+}
+
+// errEvaluation marks the checker error boundaryPrune reports when a
+// crash reaches a boundary other than the one evaluated for it in place.
+var errEvaluation = errors.New("crash state evaluated in place differs from the crash taken")
+
 // boundaryPrune is called immediately after Machine.CrashReset. It
 // computes the crash-boundary fingerprint and reports whether this
 // execution should stop here because the boundary's recovery subtree is
-// owned by a different choice prefix.
-func (dd *dedupRun) boundaryPrune(m *machine.Machine, w any, h *Harness, rec *scheduleRecorder, rpc *randPolicyChooser, crashesLeft int) bool {
-	b := make([]byte, 0, 512)
-	b, ok := m.AppendDurable(b)
+// owned by a different choice prefix. When d evaluated the crash's
+// state in place, the fingerprint must be the one evaluated: a
+// difference is an error of the checker's, and is returned, never taken
+// for a prune.
+func (dd *dedupRun) boundaryPrune(d *dfsChooser) (bool, error) {
+	dd.tail = dd.appendTail(dd.tail[:0], false)
+	fp, ok := dd.fingerprint(fnvBytes(fnvOffset, dd.tail))
 	if !ok {
 		dd.unfingerprintable = true
-		return false
+		return false, nil
 	}
-	b = dd.s.Fingerprint(w, b)
-	// Budgets and counters the suffix depends on: the crashes left, the
-	// rand policy's call number, and the whole history so far (pending
-	// operations included), over which refinement is judged. The step
-	// count is not among them: MaxSteps bounds each era alone, so
-	// nothing after a crash reads how many steps led to it.
-	b = machine.AppendUint64(b, uint64(crashesLeft))
-	calls := 0
-	if rpc != nil {
-		calls = rpc.calls
+	if want, ok := d.evaluated(); ok && want != fp {
+		return false, fmt.Errorf("%w: the crash at choice %d reached boundary %016x, evaluated as %016x (does a device's Save put back everything its Crash changes?)",
+			errEvaluation, d.crashAt, fp, want)
 	}
-	b = machine.AppendUint64(b, uint64(calls))
-	b = appendHistory(b, h.rec.History())
-
-	fp := fnvBytes(fnvOffset, b)
-	owner := fnvOffset
-	for _, c := range rec.choices {
-		owner = fnvInt(owner, uint64(c))
-	}
-	if dd.table.claim(fp, owner) {
-		return false
+	if dd.table.claim(fp, d.owner(d.pos)) {
+		return false, nil
 	}
 	dd.pruned = true
+	return true, nil
+}
+
+// Crash states evaluated in place (DESIGN.md "Crash-boundary dedup").
+// At a "sched" draw that offers a crash, in the execution that runs the
+// last thread option the DFS takes there before the crash (the fresh
+// draw itself when it has one awake option or none), the chooser has
+// the execution's dedupRun evaluate every crash state the crash option
+// reaches, and keeps their fingerprints beside the point, in the order
+// the DFS runs them. Nothing is claimed then. When the DFS takes the
+// crash option, and each time it backtracks to one of its crash-time
+// answers, it moves on to the next state whose boundary no other prefix
+// owns — the lookup the replayed crash would have made with claim at
+// that very moment — and pushes that state's answers as the points the
+// next execution replays. Each state passed over is skipped without an
+// execution, and counted pruned as its execution would have been; it is
+// skipped, never removed, so choice indices keep their meaning.
+
+// crashLeaf is one crash state of a point: the boundary fingerprint it
+// reaches, and its crash-time answers, answers[lo:hi].
+type crashLeaf struct {
+	fp     uint64
+	lo, hi int32
+}
+
+// crashStates is a dfsChooser's part of dedup. The leaves of a "sched"
+// point lie in leaves[leafLo:leafHi] of its schedPoint, on a stack that
+// grows and shrinks with the points, as the sleep sets' do.
+type crashStates struct {
+	dd      *dedupRun // evaluates; nil without dedup
+	leaves  []crashLeaf
+	answers []machine.CrashAnswer
+	// crashAt is the "sched" point whose crash option ended the running
+	// era, -1 when the latest draw ran a thread.
+	crashAt int
+
+	statesEvaluated, statesSkipped int
+}
+
+// evaluate evaluates the crash states of p, the point of a draw that
+// offers a crash. When taken, this execution takes the crash at the
+// fresh point, and evaluate picks the first live state for it; it
+// reports false when there is none, so the draw has nothing left to
+// run.
+func (d *dfsChooser) evaluate(p *schedPoint, taken bool) bool {
+	if d.dd == nil {
+		return true
+	}
+	if !d.dd.evaluate(d.addLeaf) {
+		d.trimLeaves(p.leafLo)
+		return true // the crash, when taken, is replayed and claimed
+	}
+	p.leafHi = int32(len(d.leaves))
+	d.statesEvaluated += int(p.leafHi - p.leafLo)
+	if !taken {
+		return true
+	}
+	if p.cur = d.firstLive(p, fnvInt(d.owner(d.pos), uint64(p.nth))); p.cur < 0 {
+		d.trimLeaves(p.leafLo)
+		return false
+	}
 	return true
+}
+
+func (d *dfsChooser) addLeaf(fp uint64, answers []machine.CrashAnswer) {
+	lo := int32(len(d.answers))
+	d.answers = append(d.answers, answers...)
+	d.leaves = append(d.leaves, crashLeaf{fp: fp, lo: lo, hi: int32(len(d.answers))})
+}
+
+// trimLeaves drops the leaves from index lo on, with their answers.
+func (d *dfsChooser) trimLeaves(lo int32) {
+	d.leaves = d.leaves[:lo]
+	if lo == 0 {
+		d.answers = d.answers[:0]
+	} else {
+		d.answers = d.answers[:d.leaves[lo-1].hi]
+	}
+}
+
+// owner hashes the choices of the first n points: the owner of the
+// boundary a crash reaches after them.
+func (d *dfsChooser) owner(n int) uint64 {
+	h := fnvOffset
+	for _, p := range d.points[:n] {
+		h = fnvInt(h, uint64(p.chosen))
+	}
+	return h
+}
+
+// live reports whether no prefix but l's own — owner, the hash of the
+// choices up to its crash option, then its answers — owns l's boundary.
+// A leaf that is not live is counted skipped.
+func (d *dfsChooser) live(l crashLeaf, owner uint64) bool {
+	for _, a := range d.answers[l.lo:l.hi] {
+		owner = fnvInt(owner, uint64(a.Chosen))
+	}
+	if d.dd.table.ownedElsewhere(l.fp, owner) {
+		d.statesSkipped++
+		return false
+	}
+	return true
+}
+
+// pushAnswers appends l's answers from the from-th on as the points the
+// next execution replays.
+func (d *dfsChooser) pushAnswers(l crashLeaf, from int32) {
+	for _, a := range d.answers[l.lo+from : l.hi] {
+		d.points = append(d.points, choicePoint{n: a.N, chosen: a.Chosen, tag: a.Tag})
+		d.placed(len(d.points) - 1)
+	}
+}
+
+// enterCrash is next() taking the crash option of point i: when its
+// crash states were evaluated, the first live one is run, and it
+// reports false when there is none.
+func (d *dfsChooser) enterCrash(i int) bool {
+	s := d.sched(&d.points[i])
+	if s == nil || d.points[i].chosen != s.nth || s.leafHi == s.leafLo {
+		return true
+	}
+	if s.cur = d.firstLive(s, d.owner(i+1)); s.cur < 0 {
+		return false
+	}
+	d.pushAnswers(d.leaves[s.cur], 0)
+	return true
+}
+
+// firstLive returns the first of s's crash states that is live, -1 when
+// none is; owner hashes the choices up to its crash option.
+func (d *dfsChooser) firstLive(s *schedPoint, owner uint64) int32 {
+	for k := s.leafLo; k < s.leafHi; k++ {
+		if d.live(d.leaves[k], owner) {
+			return k
+		}
+	}
+	return -1
+}
+
+// dueAfter marks point i, whose option the DFS just advanced, for
+// evaluation in the next execution when the crash is the next option it
+// will take there: every thread option after this one sleeps, and the
+// crash option was not donated.
+func (d *dfsChooser) dueAfter(i int) {
+	p := &d.points[i]
+	s := d.sched(p)
+	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth || p.limit > 0 && p.limit <= s.nth {
+		return
+	}
+	for c := p.chosen + 1; c < s.nth; c++ {
+		if !d.asleep(s, c) {
+			return
+		}
+	}
+	s.due = true
+}
+
+// answerOf returns the point whose running crash state point i is a
+// crash-time answer of, -1 when it is none.
+func (d *dfsChooser) answerOf(i int) int {
+	j := int(d.points[i].lastOn)
+	if j < 0 || j == i {
+		return -1
+	}
+	s := d.sched(&d.points[j])
+	if s == nil || s.cur < 0 || d.points[j].chosen != s.nth {
+		return -1
+	}
+	if l := d.leaves[s.cur]; i-j > int(l.hi-l.lo) {
+		return -1
+	}
+	return j
+}
+
+// nextLeaf is next() at point i, the last crash-time answer of point
+// j's running crash state: it runs the next of j's states, in DFS order,
+// that this chooser owns and that is live, keeping the answers it shares
+// with the state just run (and their donation limits). It reports
+// false, with the points cut back to j, when there is none.
+func (d *dfsChooser) nextLeaf(j, i int) bool {
+	s := d.sched(&d.points[j])
+	cur := d.leaves[s.cur]
+	owner := d.owner(j + 1)
+	for k := s.cur + 1; k < s.leafHi; k++ {
+		l := d.leaves[k]
+		// f is the first answer where l departs from cur.
+		f := int32(0)
+		for f < cur.hi-cur.lo && f < l.hi-l.lo && d.answers[cur.lo+f].Chosen == d.answers[l.lo+f].Chosen {
+			f++
+		}
+		at := j + 1 + int(f)
+		if at > i || f == l.hi-l.lo {
+			break // the points do not hold cur's answers: its crash said so
+		}
+		c := d.answers[l.lo+f].Chosen
+		if lim := d.points[at].limit; lim > 0 && c >= lim {
+			continue // donated
+		}
+		if !d.live(l, owner) {
+			continue
+		}
+		d.points = d.points[:at+1]
+		d.points[at].chosen = c
+		d.pushAnswers(l, f+1)
+		s.cur, d.frontier = k, at
+		return true
+	}
+	d.points = d.points[:j+1]
+	return false
+}
+
+// evaluated returns the fingerprint evaluated in place for the crash
+// that ended the running era; ok is false when it was not evaluated.
+func (d *dfsChooser) evaluated() (fp uint64, ok bool) {
+	if d.crashAt < 0 {
+		return 0, false
+	}
+	s := d.sched(&d.points[d.crashAt])
+	if s == nil || s.cur < 0 {
+		return 0, false
+	}
+	return d.leaves[s.cur].fp, true
 }

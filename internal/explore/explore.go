@@ -233,6 +233,11 @@ type Report struct {
 	Complete bool
 	// Counterexample is the first failure found, nil if none.
 	Counterexample *Counterexample
+	// Err is a failure of the checker's own, not the scenario's: a
+	// crash reached another boundary than the one evaluated in place for
+	// it. It stops the search, and the report then has no verdict: no
+	// Counterexample, Complete false, and OK false.
+	Err error
 	// CheckedStates sums the refinement checker's explored states.
 	CheckedStates int
 	// Stats carries exploration statistics.
@@ -258,9 +263,15 @@ type Stats struct {
 	// scenario provided a Fingerprint hook, Options.NoReduce was off,
 	// and every registered device was fingerprintable.
 	DedupActive bool
-	// PrunedStates counts executions cut at a crash boundary whose
-	// recovery subtree another prefix had already claimed.
+	// PrunedStates counts the crash states whose boundary's recovery
+	// subtree another prefix had already claimed: executions cut at the
+	// boundary, and crash states skipped without one.
 	PrunedStates int
+	// CrashStatesEvaluated counts the crash states whose boundary was
+	// evaluated in place, at the draw that offered the crash, and
+	// CrashStatesSkipped those of them skipped without an execution
+	// because another prefix owned their boundary.
+	CrashStatesEvaluated, CrashStatesSkipped int
 	// DistinctBoundaries is the number of distinct crash-boundary
 	// fingerprints claimed (the dedup table's size).
 	DistinctBoundaries int
@@ -294,7 +305,7 @@ type Stats struct {
 type WorkerStats struct {
 	// Executions is the number of executions this worker ran.
 	Executions int
-	// Pruned is how many of them were cut by the dedup table.
+	// Pruned is its share of Stats.PrunedStates.
 	Pruned int
 }
 
@@ -305,7 +316,8 @@ func (st Stats) String() string {
 	s := fmt.Sprintf("%.3fs, %.0f execs/s, %.0f states/s, depth p50=%.0f p99=%.0f, workers=%d",
 		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99, st.Workers)
 	if st.DedupActive {
-		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned", st.DistinctBoundaries, st.PrunedStates)
+		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place, %d skipped",
+			st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated, st.CrashStatesSkipped)
 	}
 	if st.Slept > 0 || st.SleepBlocked > 0 {
 		s += fmt.Sprintf(", sleep: %d slept, %d blocked", st.Slept, st.SleepBlocked)
@@ -322,13 +334,17 @@ func (st Stats) String() string {
 	return s
 }
 
-// OK reports whether no violation was found.
-func (r *Report) OK() bool { return r.Counterexample == nil }
+// OK reports whether the search found no violation and raised no
+// checker error.
+func (r *Report) OK() bool { return r.Counterexample == nil && r.Err == nil }
 
 // String renders a one-line summary.
 func (r *Report) String() string {
 	status := "OK"
-	if !r.OK() {
+	switch {
+	case r.Err != nil:
+		status = "CHECKER ERROR"
+	case r.Counterexample != nil:
 		status = "VIOLATION"
 	}
 	complete := "complete"
@@ -398,7 +414,7 @@ func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 	}()
 
 	runSystematic(s, opts, workers, rep, outcomes)
-	if rep.Counterexample == nil && opts.StressExecutions > 0 {
+	if rep.OK() && opts.StressExecutions > 0 {
 		runStress(s, opts, workers, rep, outcomes)
 	}
 	if rep.Counterexample != nil {
@@ -430,7 +446,7 @@ func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Count
 	rc := machine.NewRandChooser(opts.StressSeed + int64(i))
 	rc.CrashWeight = stressCrashWeight
 	rc.CrashOption = s.MaxCrashes > 0
-	return x.runOne(s, rc, rep, nil, false)
+	return x.runOne(s, rc, rep, false)
 }
 
 // runStress fans the stress executions across workers. Each worker
@@ -518,15 +534,17 @@ type runner struct {
 
 // runOne executes the scenario once under the given chooser and checks
 // the resulting history. It returns a counterexample on violation.
-// A non-nil dd enables crash-boundary dedup: the execution may be cut
-// short (dd.pruned) when it reaches a boundary state whose recovery
-// subtree another choice prefix already enumerated.
+// A searching chooser with a dedupRun enables crash-boundary dedup: the
+// execution may be cut short (dd.pruned) when it reaches a boundary
+// state whose recovery subtree another choice prefix already
+// enumerated, and the chooser evaluates crash states in place through
+// it.
 //
 // Only a traced run (ReplayCx) attaches the machine trace and records
 // the structured schedule; a searched execution keeps just its choice
 // sequence, and its counterexample carries no Trace or Schedule until
 // retrace replays it.
-func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupRun, traced bool) *Counterexample {
+func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced bool) *Counterexample {
 	// The recorder sits at the inner-chooser position (below any
 	// RandPolicy), so its choice sequence is exactly what ScriptChooser
 	// replays, and doubles as the machine Observer for thread identity.
@@ -547,8 +565,13 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	default:
 		mo.Observer = rec // the scenario bounds its own trace
 	}
-	if d, ok := ch.(*dfsChooser); ok && d.reduce {
-		mo.Reducer = d
+	d, _ := ch.(*dfsChooser)
+	var dd *dedupRun
+	if d != nil {
+		dd = d.dd
+		if d.reduce {
+			mo.Reducer = d
+		}
 	}
 	m := machine.NewOn(&x.carriers, mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
@@ -556,6 +579,10 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	h := &x.h
 	h.rec.Reset()
 	h.m = m
+	if dd != nil {
+		dd.m, dd.w, dd.h, dd.rpc = m, w, h, rpc
+		dd.hist, dd.histN = dd.hist[:0], 0
+	}
 
 	// A counterexample owns its slices (nil when empty, as they always
 	// were): the recorders' buffers go on to the runner's next
@@ -594,6 +621,9 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 	}
 
 	crashesLeft := s.MaxCrashes
+	if dd != nil {
+		dd.crashesLeft = crashesLeft
+	}
 	rec.era("main")
 	res := m.RunEra(chooser, crashesLeft > 0, func(t *machine.T) { s.Main(t, w, h) })
 	crashed := false
@@ -605,12 +635,20 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, dd *dedupR
 		crashesLeft--
 		h.rec.Crash()
 		m.CrashReset()
-		if dd != nil && dd.boundaryPrune(m, w, h, rec, rpc, crashesLeft) {
-			// Another prefix owns this boundary's recovery subtree; its
-			// suffix behavior is already covered, so stop the execution
-			// here. The DFS backtracks from the boundary, skipping the
-			// whole subtree.
-			return nil
+		if dd != nil {
+			prune, err := dd.boundaryPrune(d)
+			if err != nil {
+				dd.err = err
+				return nil
+			}
+			if prune {
+				// Another prefix owns this boundary's recovery subtree; its
+				// suffix behavior is already covered, so stop the execution
+				// here. The DFS backtracks from the boundary, skipping the
+				// whole subtree.
+				return nil
+			}
+			dd.crashesLeft = crashesLeft
 		}
 		if s.Recover == nil {
 			res = machine.EraResult{Outcome: machine.Done}
@@ -687,6 +725,7 @@ type dfsChooser struct {
 
 	reduce bool
 	sleepSets
+	crashStates
 }
 
 type choicePoint struct {
@@ -704,7 +743,7 @@ type choicePoint struct {
 	si, lastOn int32
 }
 
-func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open = 0, -1, -1 }
+func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open, d.crashAt = 0, -1, -1, -1 }
 
 // Choose implements machine.Chooser.
 func (d *dfsChooser) Choose(n int, tag string) int {
@@ -743,7 +782,13 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 	d.placed(d.pos)
 	d.chose(d.pos)
 	d.pos++
-	return p.chosen
+	c := p.chosen
+	if s := d.sched(p); s != nil && s.cur >= 0 {
+		// The fresh point's first option is its crash: run the live state
+		// evaluate picked.
+		d.pushAnswers(d.leaves[s.cur], 0)
+	}
+	return c
 }
 
 // next advances to the next unexplored choice sequence, returning false
@@ -756,6 +801,12 @@ func (d *dfsChooser) next() bool {
 		i := len(d.points) - 1
 		last := &d.points[i]
 		d.trim(i)
+		if j := d.answerOf(i); j >= 0 {
+			if d.nextLeaf(j, i) {
+				return true
+			}
+			continue // back at j, whose crash option was its last
+		}
 		lim := last.n
 		if last.limit > 0 && last.limit < lim {
 			lim = last.limit
@@ -763,7 +814,10 @@ func (d *dfsChooser) next() bool {
 		if c := d.nextOption(last, lim); c < lim {
 			last.chosen = c
 			d.frontier = i
-			return true
+			if d.enterCrash(i) {
+				d.dueAfter(i)
+				return true
+			}
 		}
 		d.points = d.points[:i]
 	}
@@ -812,7 +866,7 @@ func (r *randPolicyChooser) Choose(n int, tag string) int {
 func ReplayCx(s *Scenario, choices []int) *Counterexample {
 	var x runner
 	defer x.carriers.Release()
-	return x.runOne(s, &machine.ScriptChooser{Script: choices}, &Report{}, nil, true)
+	return x.runOne(s, &machine.ScriptChooser{Script: choices}, &Report{}, true)
 }
 
 // Minimize shrinks a failing choice sequence (delta-debugging lite): it
@@ -828,7 +882,7 @@ func Minimize(s *Scenario, choices []int) []int {
 	var x runner
 	defer x.carriers.Release()
 	fails := func(c []int) bool {
-		return x.runOne(s, &machine.ScriptChooser{Script: c}, &Report{}, nil, false) != nil
+		return x.runOne(s, &machine.ScriptChooser{Script: c}, &Report{}, false) != nil
 	}
 	if !fails(choices) {
 		return choices

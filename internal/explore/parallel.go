@@ -44,22 +44,25 @@ type searchPool struct {
 	execsLeft int64
 
 	// Progress telemetry, maintained whether or not a sampler is
-	// attached (three relaxed atomic bumps per execution): executions
-	// started, dedup-pruned executions, and per-worker donated jobs.
-	// The sampler in progressLoop only ever reads these, so enabling
-	// it cannot perturb the search.
-	execs   atomic.Int64
-	pruned  atomic.Int64
-	donated []atomic.Int64
+	// attached (a few relaxed atomic bumps per execution): executions
+	// started, pruned crash states, crash states evaluated in place and
+	// skipped, and per-worker donated jobs. The sampler in progressLoop
+	// only ever reads these, so enabling it cannot perturb the search.
+	execs     atomic.Int64
+	pruned    atomic.Int64
+	evaluated atomic.Int64
+	skipped   atomic.Int64
+	donated   []atomic.Int64
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       [][]int // LIFO of pinned prefixes
 	outstanding int     // queued + in-flight jobs
 	idle        int     // workers blocked waiting for a job
-	stopped     bool    // budget exhausted: abandon everything
+	stopped     bool    // budget exhausted or a checker error: abandon everything
 	budgetHit   bool
-	dedupOff    bool // a device proved unfingerprintable
+	dedupOff    bool  // a device proved unfingerprintable
+	err         error // the first checker error: abandon everything
 	best        *Counterexample
 }
 
@@ -116,6 +119,8 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report, outcomes
 			rep.CrashedExecutions += j.rep.CrashedExecutions
 			rep.CheckedStates += j.rep.CheckedStates
 			rep.Stats.PrunedStates += j.rep.Stats.PrunedStates
+			rep.Stats.CrashStatesEvaluated += j.rep.Stats.CrashStatesEvaluated
+			rep.Stats.CrashStatesSkipped += j.rep.Stats.CrashStatesSkipped
 			rep.Stats.Slept += j.rep.Stats.Slept
 			rep.Stats.SleepBlocked += j.rep.Stats.SleepBlocked
 			rep.Stats.VerdictsDistinct += j.rep.Stats.VerdictsDistinct
@@ -128,6 +133,9 @@ func runSystematic(s *Scenario, opts Options, workers int, rep *Report, outcomes
 	rep.Stats.DedupActive = p.table != nil && !p.dedupOff
 	if p.table != nil {
 		rep.Stats.DistinctBoundaries = p.table.size()
+	}
+	if rep.Err = p.err; rep.Err != nil {
+		return // no verdict
 	}
 	rep.Counterexample = p.best
 	rep.Complete = p.best == nil && !p.budgetHit
@@ -207,7 +215,22 @@ func (p *searchPool) claim() bool {
 func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
 	d := &dfsChooser{reduce: p.reduce}
 	d.seed(prefix)
+	if p.table != nil {
+		d.dd = &dedupRun{table: p.table, s: p.s}
+	}
+	// tally moves the crash states the chooser evaluated and skipped
+	// since the last call into the job's report and the telemetry.
+	tally := func() {
+		ev, sk := d.statesEvaluated-wrep.Stats.CrashStatesEvaluated, d.statesSkipped-wrep.Stats.CrashStatesSkipped
+		wrep.Stats.CrashStatesEvaluated += ev
+		wrep.Stats.CrashStatesSkipped += sk
+		wrep.Stats.PrunedStates += sk
+		p.evaluated.Add(int64(ev))
+		p.skipped.Add(int64(sk))
+		p.pruned.Add(int64(sk))
+	}
 	defer func() {
+		tally()
 		wrep.Stats.Reseats += d.reseats
 		wrep.Stats.Slept += d.slept
 		wrep.Stats.SleepBlocked += d.blocked
@@ -222,12 +245,15 @@ func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
 		wrep.Executions++
 		p.execs.Add(1)
 		d.reset()
-		var dd *dedupRun
-		if p.table != nil {
-			dd = &dedupRun{table: p.table, s: p.s}
+		if dd := d.dd; dd != nil {
+			dd.pruned, dd.unfingerprintable, dd.err = false, false, nil
 		}
-		cx := x.runOne(p.s, d, wrep, dd, false)
-		if dd != nil {
+		cx := x.runOne(p.s, d, wrep, false)
+		if dd := d.dd; dd != nil {
+			if dd.err != nil {
+				p.fail(dd.err)
+				return
+			}
 			if dd.pruned {
 				wrep.Stats.PrunedStates++
 				p.pruned.Add(1)
@@ -243,10 +269,24 @@ func (p *searchPool) explore(x *runner, prefix []int, wrep *Report, w int) {
 			return
 		}
 		p.donate(d, w)
-		if !d.next() {
+		more := d.next()
+		tally()
+		if !more {
 			return
 		}
 	}
+}
+
+// fail stops the whole search at a checker error; the first one is
+// reported.
+func (p *searchPool) fail(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.stopped = true
+	p.cond.Broadcast()
+	p.mu.Unlock()
 }
 
 // offerBest installs cx if it is preorder-least among candidates.
@@ -261,11 +301,14 @@ func (p *searchPool) offerBest(cx *Counterexample) {
 // pastBest reports whether every execution remaining in d's subtree is
 // preorder-greater than the best counterexample found so far (DFS
 // enumerates in strictly increasing preorder, so the current spine is a
-// lower bound).
+// lower bound), or a checker error has ended the search.
 func (p *searchPool) pastBest(d *dfsChooser) bool {
 	p.mu.Lock()
-	best := p.best
+	best, err := p.best, p.err
 	p.mu.Unlock()
+	if err != nil {
+		return true // a checker error ends the search
+	}
 	if best == nil {
 		return false
 	}

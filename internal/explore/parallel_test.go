@@ -264,7 +264,8 @@ func volatileTail(spins int) *Scenario {
 // many steps led to a crash is nothing recovery can observe, and the
 // crash points among the spins are one boundary. The search meets three:
 // before the write, inside it, after it — and prunes the later spins'
-// crashes, with the outcomes the plain search reaches.
+// crashes, with the outcomes the plain search reaches. Each pruned crash
+// state was evaluated in place and skipped: no execution ran to it.
 func TestDedupIgnoresVolatileStepCount(t *testing.T) {
 	const spins = 3
 	s := volatileTail(spins)
@@ -275,6 +276,10 @@ func TestDedupIgnoresVolatileStepCount(t *testing.T) {
 	if rep.Stats.DistinctBoundaries != 3 || rep.Stats.PrunedStates != spins-1 {
 		t.Fatalf("%d boundaries, %d pruned; want 3 and %d: the step count splits one boundary",
 			rep.Stats.DistinctBoundaries, rep.Stats.PrunedStates, spins-1)
+	}
+	if rep.Stats.CrashStatesSkipped != rep.Stats.PrunedStates || rep.CrashedExecutions != rep.Stats.DistinctBoundaries {
+		t.Fatalf("%d crash states skipped of %d pruned, %d crashed executions for %d boundaries: a pruned crash state took an execution",
+			rep.Stats.CrashStatesSkipped, rep.Stats.PrunedStates, rep.CrashedExecutions, rep.Stats.DistinctBoundaries)
 	}
 	with, without, err := SelfCheck(s, Options{Workers: 1})
 	if err != nil {

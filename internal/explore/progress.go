@@ -17,8 +17,8 @@ import (
 // Reporting is read-only by construction — the sampler only loads
 // atomics and quantile-reads the shared depth histogram, and the
 // search never blocks on or branches over it — so verdicts,
-// counterexamples, and execution counts are identical with and
-// without progress enabled.
+// counterexamples, and a one-worker search's execution counts are
+// identical with and without progress enabled.
 type ProgressOptions struct {
 	// Every is the sampling period; 0 means 1s.
 	Every time.Duration
@@ -42,10 +42,14 @@ type Snapshot struct {
 	// DepthP50 and DepthP99 are quantiles of the choice-sequence depth
 	// of executions so far — the frontier's depth profile.
 	DepthP50, DepthP99 float64
-	// Pruned counts executions cut at an already-claimed crash
-	// boundary; DedupHitRate is Pruned over Executions.
+	// Pruned counts crash states at an already-claimed boundary, cut
+	// in an execution or skipped without one; DedupHitRate is Pruned
+	// over Executions plus Skipped.
 	Pruned       int64
 	DedupHitRate float64
+	// Evaluated counts the crash states evaluated in place, and Skipped
+	// those of them skipped without an execution.
+	Evaluated, Skipped int64
 	// Donations is each worker's count of jobs donated to starving
 	// peers — a flat profile means the partition is balanced.
 	Donations []int64
@@ -65,6 +69,9 @@ func (s Snapshot) String() string {
 		s.Scenario, s.Phase, s.Elapsed.Seconds(), s.Executions, s.ExecsPerSec, s.DepthP50, s.DepthP99)
 	if s.Pruned > 0 {
 		fmt.Fprintf(&b, ", dedup %.0f%% hit (%d pruned)", s.DedupHitRate*100, s.Pruned)
+	}
+	if s.Evaluated > 0 {
+		fmt.Fprintf(&b, ", crash states %d evaluated in place, %d skipped", s.Evaluated, s.Skipped)
 	}
 	if len(s.Donations) > 1 {
 		fmt.Fprintf(&b, ", donations %v", s.Donations)
@@ -101,6 +108,8 @@ func (p *searchPool) progressLoop(po *ProgressOptions, scenario string, depth *o
 			Elapsed:    now.Sub(start),
 			Executions: execs,
 			Pruned:     pruned,
+			Evaluated:  p.evaluated.Load(),
+			Skipped:    p.skipped.Load(),
 			DepthP50:   depth.Quantile(0.50),
 			DepthP99:   depth.Quantile(0.99),
 			Donations:  make([]int64, len(p.donated)),
@@ -110,8 +119,8 @@ func (p *searchPool) progressLoop(po *ProgressOptions, scenario string, depth *o
 			snap.ExecsPerSec = float64(execs-lastExecs) / dt
 		}
 		lastT, lastExecs = now, execs
-		if execs > 0 {
-			snap.DedupHitRate = float64(pruned) / float64(execs)
+		if n := execs + snap.Skipped; n > 0 {
+			snap.DedupHitRate = float64(pruned) / float64(n)
 		}
 		for w := range p.donated {
 			snap.Donations[w] = p.donated[w].Load()

@@ -27,7 +27,7 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 	d := &dfsChooser{}
 	for cx == nil {
 		d.reset()
-		if cx = x.runOne(s, d, &Report{}, nil, true); cx == nil && !d.next() {
+		if cx = x.runOne(s, d, &Report{}, true); cx == nil && !d.next() {
 			t.Fatal("torn write not caught")
 		}
 	}
@@ -44,7 +44,7 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 		d := &dfsChooser{}
 		for more := true; more; more = d.next() {
 			d.reset()
-			x.runOne(next, d, &Report{}, nil, further%2 == 0)
+			x.runOne(next, d, &Report{}, further%2 == 0)
 			further++
 		}
 	}
@@ -58,7 +58,7 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 	if !slices.Equal(cx.Choices, choices) || !slices.Equal(cx.Schedule, schedule) || !slices.Equal(cx.Trace, trace) || !slices.Equal(cx.History, hist) {
 		t.Fatal("a slice of the counterexample changed under further executions")
 	}
-	replay := x.runOne(s, &machine.ScriptChooser{Script: cx.Choices}, &Report{}, nil, true)
+	replay := x.runOne(s, &machine.ScriptChooser{Script: cx.Choices}, &Report{}, true)
 	if replay == nil || replay.Format() != want {
 		t.Fatal("the counterexample is no longer its replay on the same runner")
 	}

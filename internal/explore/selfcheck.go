@@ -45,6 +45,11 @@ func SelfCheck(s *Scenario, opts Options) (with, without *Report, err error) {
 	on.NoReduce, on.StressExecutions = false, 0
 	with = run(s, on, onOut)
 
+	for _, r := range []*Report{without, with} {
+		if r.Err != nil {
+			return with, without, fmt.Errorf("scenario %s: %w", s.Name, r.Err)
+		}
+	}
 	if s.Fingerprint != nil && !with.Stats.DedupActive {
 		return with, without, fmt.Errorf("scenario %s: dedup did not activate (a device is not fingerprintable?)", s.Name)
 	}

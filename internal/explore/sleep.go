@@ -34,9 +34,9 @@ type sleeper struct {
 	lo, hi int32 // its accesses: acc[lo:hi]
 }
 
-// schedPoint is a "sched" point's part of the sleep sets, kept beside
-// the choice points so that replaying them walks no more memory than
-// before.
+// schedPoint is a "sched" point's part of the sleep sets, and of
+// dedup, kept beside the choice points so that replaying them walks no
+// more memory than before.
 type schedPoint struct {
 	// on marks sleepSets.pend as prepared for Choose.
 	on bool
@@ -56,6 +56,11 @@ type schedPoint struct {
 	// once it is global or not fully known.
 	curLo, curHi int32
 	curGlobal    bool
+	// leaves[leafLo:leafHi] are the crash states evaluated here (dedup.go)
+	// and cur the one the crash option runs, -1 before it does; due
+	// says the next execution evaluates them when it replays the point.
+	leafLo, leafHi, cur int32
+	due                 bool
 }
 
 // maxCur bounds an option's accumulated footprint; a larger one is
@@ -95,11 +100,19 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 		d.open = -1
 	}
 	d.nready = len(ready)
-	if len(ready) == 0 || d.pos < len(d.points) {
+	if len(ready) == 0 {
+		return true
+	}
+	if d.pos < len(d.points) {
+		if s := d.sched(&d.points[d.pos]); s != nil && s.due {
+			s.due = false
+			d.evaluate(s, false)
+		}
 		return true
 	}
 	p := &d.pend
-	*p = schedPoint{on: true, nth: len(ready), tidLo: int32(len(d.tids))}
+	*p = schedPoint{on: true, nth: len(ready), tidLo: int32(len(d.tids)), cur: -1}
+	p.leafLo, p.leafHi = int32(len(d.leaves)), int32(len(d.leaves))
 	d.tids = append(d.tids, ready...)
 	p.tidHi, p.sleepLo = int32(len(d.tids)), int32(len(d.sl))
 	if ran != nil && d.lastSched >= 0 && !ran.Global() {
@@ -131,6 +144,13 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 		p.first = len(ready)
 	}
 	d.slept += asleep
+	if crash && len(ready)-asleep <= 1 && !d.evaluate(p, p.first == p.nth) {
+		// The crash, the only option left, reaches only boundaries other
+		// prefixes own: every state of it is skipped, and so is the draw.
+		d.tids, d.sl = d.tids[:p.tidLo], d.sl[:p.sleepLo]
+		p.on = false
+		return false
+	}
 	return true
 }
 
@@ -202,12 +222,14 @@ func (d *dfsChooser) chose(i int) {
 	if s == nil {
 		// A re-seated point has no sleep set, and the next one must not
 		// inherit across it.
-		d.lastSched, d.open = -1, -1
+		d.lastSched, d.open, d.crashAt = -1, -1, -1
 		return
 	}
-	d.lastSched, d.open = i, -1
+	d.lastSched, d.open, d.crashAt = i, -1, -1
 	if p.chosen < s.nth {
 		d.open = i
+	} else {
+		d.crashAt = i
 	}
 }
 
@@ -220,6 +242,7 @@ func (d *dfsChooser) learnPinned(i int, tag string) {
 	s := schedPoint{nth: d.nready, tidLo: int32(len(d.tids)), tidHi: int32(len(d.tids))}
 	s.sleepLo, s.sleepHi, s.doneHi = int32(len(d.sl)), int32(len(d.sl)), int32(len(d.sl))
 	s.curLo, s.curHi = int32(len(d.acc)), int32(len(d.acc))
+	s.leafLo, s.leafHi, s.cur = int32(len(d.leaves)), int32(len(d.leaves)), -1
 	d.scheds = append(d.scheds, s)
 	d.points[i].si = int32(len(d.scheds))
 }
@@ -260,10 +283,12 @@ func (d *dfsChooser) trim(i int) {
 			si := d.points[j].si
 			s := &d.scheds[si-1]
 			d.scheds, d.tids, d.sl, d.acc = d.scheds[:si], d.tids[:s.tidHi], d.sl[:s.doneHi], d.acc[:s.curHi]
+			d.trimLeaves(s.leafHi)
 			return
 		}
 	}
 	d.scheds, d.tids, d.sl, d.acc = d.scheds[:0], d.tids[:0], d.sl[:0], d.acc[:0]
+	d.trimLeaves(0)
 }
 
 // nextOption finishes p's chosen option and returns the next one to

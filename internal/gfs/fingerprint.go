@@ -24,21 +24,17 @@ import (
 // and `next` only picks unobservable fresh ids, so both are excluded.
 func (fs *Model) AppendDurable(b []byte) []byte {
 	b = machine.AppendBool(b, fs.buffered)
-	dirNames := make([]string, 0, len(fs.dirs))
-	for d := range fs.dirs {
-		dirNames = append(dirNames, d)
+	dirNames := fs.layout()
+	if fs.canon == nil {
+		fs.canon = map[inodeID]uint64{}
 	}
-	sort.Strings(dirNames)
-	canon := map[inodeID]uint64{}
+	canon := fs.canon
+	clear(canon)
 	b = machine.AppendUint64(b, uint64(len(dirNames)))
 	for _, dir := range dirNames {
 		d := fs.dirs[dir]
 		b = machine.AppendString(b, dir)
-		names := make([]string, 0, len(d))
-		for n := range d {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := fs.sortedNames(d)
 		b = machine.AppendUint64(b, uint64(len(names)))
 		for _, n := range names {
 			b = machine.AppendString(b, n)
@@ -55,11 +51,7 @@ func (fs *Model) AppendDurable(b []byte) []byte {
 		for _, dir := range dirNames {
 			b = machine.AppendString(b, dir)
 			durable := fs.durableDirs[dir]
-			names := make([]string, 0, len(durable))
-			for n := range durable {
-				names = append(names, n)
-			}
-			sort.Strings(names)
+			names := fs.sortedNames(durable)
 			b = machine.AppendUint64(b, uint64(len(names)))
 			for _, n := range names {
 				b = machine.AppendString(b, n)
@@ -77,6 +69,18 @@ func (fs *Model) AppendDurable(b []byte) []byte {
 		}
 	}
 	return b
+}
+
+// sortedNames returns d's entry names in order, in a buffer the next
+// call reuses.
+func (fs *Model) sortedNames(d map[string]inodeID) []string {
+	names := fs.names[:0]
+	for n := range d {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	fs.names = names
+	return names
 }
 
 // appendInode encodes one inode reference: its canonical id plus, on

@@ -47,6 +47,15 @@ type Model struct {
 	// obj is the first of the model's footprint names (see touchDir).
 	obj machine.Obj
 
+	// Scratch space, not state: the sorted layout (see layout), Crash's
+	// reach (see reachable) and undo log (see Save), and AppendDurable's
+	// inode renaming and entry names.
+	reach    []bool
+	undo     []change
+	dirNames []string
+	canon    map[inodeID]uint64
+	names    []string
+
 	// capacity, when nonzero, bounds the modeled disk: Create, Append
 	// and Link fail (ENOSPC-style false, never a model fault) once the
 	// space they would consume exceeds it. Space is charged per
@@ -191,70 +200,172 @@ func (fs *Model) spaceFor(extra uint64) bool {
 
 // Crash implements machine.Device: file data is durable, descriptors
 // are volatile (they are version-stamped, so the version bump kills
-// them). Under buffered durability the crash keeps, for every inode
-// with an unsynced tail, some prefix of that tail ending at an append
-// boundary — which prefix is a crash-time nondeterministic choice
-// (tag "torn"), enumerated by the model checker via
-// machine.CrashChoose. Option 0 is the pre-torn behavior (only the
+// them). An inode no directory entry reaches dies with its last
+// descriptor, so the crash drops it — under writeback after the
+// directories have settled. Under buffered durability the crash then
+// keeps, for every surviving inode with an unsynced tail, some prefix of
+// that tail ending at an append boundary — which prefix is a crash-time
+// nondeterministic choice (tag "torn"), enumerated by the model checker
+// via machine.CrashChoose. Option 0 is the pre-torn behavior (only the
 // synced prefix survives), so chooserless unit runs are unchanged.
+//
+// The walk of the directories that finds the unreachable inodes is
+// skipped when no inode is dirty and there are no fewer entries than
+// inodes: a strict model's crash in a settled store, as in the mail
+// canary's recovery, then costs a count per directory rather than a
+// visit per entry, and so does each crash state the checker evaluates
+// in place while a delivery holds a second link. The count misses
+// unreachable inodes only when second entries of linked inodes hide
+// them. Those are clean and no descriptor reaches them again, so keeping
+// them changes no crash choice, fingerprint or answer; they go at the
+// first crash whose count shows them.
+//
+// Crash notes in fs.undo, as it was, everything it changes in place,
+// which is what lets Save put the pre-crash state back.
 func (fs *Model) Crash() {
+	fs.undo = fs.undo[:0]
 	fs.open = 0
-	if !fs.buffered {
-		return
-	}
 	if fs.writeback {
 		fs.crashDirs()
 	}
-	var dirty []int
+	if fs.mayHoldGarbage() {
+		fs.crashInodes(fs.reachable())
+	}
+	if fs.buffered {
+		fs.pending = map[inodeID][]int{}
+	}
+}
+
+// crashInodes drops the inodes reach does not mark, and tears each
+// marked one to the prefix the crash keeps of its unsynced tail, in
+// inode order.
+func (fs *Model) crashInodes(reach []bool) {
 	for ino, data := range fs.inodes {
-		if fs.synced[ino] < len(data) {
-			dirty = append(dirty, int(ino))
+		if !reach[ino] {
+			fs.noteInode(ino, data)
+			delete(fs.inodes, ino)
+			delete(fs.synced, ino)
 		}
 	}
-	sort.Ints(dirty)
-	for _, i := range dirty {
+	if !fs.buffered {
+		return
+	}
+	for i, live := range reach {
 		ino := inodeID(i)
-		data := fs.inodes[ino]
-		n := fs.synced[ino]
+		if !live {
+			continue
+		}
+		data, n := fs.inodes[ino], fs.synced[ino]
+		if n >= len(data) {
+			continue
+		}
 		var cuts []int
 		for _, b := range fs.pending[ino] {
 			if b > n && b <= len(data) {
 				cuts = append(cuts, b)
 			}
 		}
-		keep := n
-		if k := fs.m.CrashChoose(len(cuts)+1, "torn"); k > 0 {
-			keep = cuts[k-1]
-		}
-		fs.inodes[ino] = data[:keep]
-		// Whatever survived the crash is on disk for good: it is the
+		// Whatever survives the crash is on disk for good: it is the
 		// durable prefix from here on.
-		fs.synced[ino] = keep
+		if k := fs.m.CrashChoose(len(cuts)+1, "torn"); k > 0 {
+			n = cuts[k-1]
+		}
+		fs.noteInode(ino, data)
+		fs.inodes[ino], fs.synced[ino] = data[:n], n
 	}
-	fs.pending = map[inodeID][]int{}
+}
+
+// change is one thing a crash changed in place, as it was: a
+// directory's two views, or an inode's contents and synced length.
+type change struct {
+	dir          string
+	vol, durable map[string]inodeID
+	ino          inodeID
+	data         []byte
+	n            int
+	synced       bool
+}
+
+func (fs *Model) noteInode(ino inodeID, data []byte) {
+	n, synced := fs.synced[ino]
+	fs.undo = append(fs.undo, change{ino: ino, data: data, n: n, synced: synced})
+}
+
+// mayHoldGarbage reports whether Crash walks the directories: an inode
+// is dirty, or fewer entries than inodes show an unreachable one.
+func (fs *Model) mayHoldGarbage() bool {
+	if fs.buffered {
+		for ino, data := range fs.inodes {
+			if fs.synced[ino] < len(data) {
+				return true
+			}
+		}
+	}
+	entries := 0
+	for _, d := range fs.dirs {
+		entries += len(d)
+	}
+	return entries < len(fs.inodes)
+}
+
+// reachable marks the inodes some directory entry reaches, in a slice
+// indexed by inode number that each crash reuses.
+func (fs *Model) reachable() []bool {
+	if cap(fs.reach) < int(fs.next) {
+		fs.reach = make([]bool, fs.next)
+	}
+	reach := fs.reach[:fs.next]
+	clear(reach)
+	for _, d := range fs.dirs {
+		for _, ino := range d {
+			reach[ino] = true
+		}
+	}
+	return reach
+}
+
+// Save implements machine.Saver: the restore undoes what the crash
+// noted, newest first, and puts back the fields Crash replaces.
+func (fs *Model) Save() (restore func()) {
+	open, pending, dirPending := fs.open, fs.pending, fs.dirPending
+	return func() {
+		for i := len(fs.undo) - 1; i >= 0; i-- {
+			c := &fs.undo[i]
+			if c.dir != "" {
+				fs.dirs[c.dir], fs.durableDirs[c.dir] = c.vol, c.durable
+				continue
+			}
+			fs.inodes[c.ino] = c.data
+			if c.synced {
+				fs.synced[c.ino] = c.n
+			} else {
+				delete(fs.synced, c.ino)
+			}
+		}
+		fs.undo = fs.undo[:0]
+		fs.open, fs.pending, fs.dirPending = open, pending, dirPending
+	}
 }
 
 // crashDirs resolves directory-metadata nondeterminism at a crash
-// under writeback: for every directory with un-synced operations, some
-// prefix of its pending log survives (tag "writeback"; option 0 rolls
-// the directory back to its last SyncDir, the last option keeps every
-// pending operation — mirroring the "torn" convention so chooserless
-// unit runs take maximal loss deterministically). The surviving view
-// becomes the durable view, and inodes no longer reachable from any
-// directory are reclaimed so they cannot inflate later crash
-// enumeration or fingerprints.
+// under writeback: for every directory with un-synced operations, in
+// name order, some prefix of its pending log survives (tag "writeback";
+// option 0 rolls the directory back to its last SyncDir, the last option
+// keeps every pending operation — mirroring the "torn" convention so
+// chooserless unit runs take maximal loss deterministically). The
+// surviving view becomes the durable view and the volatile one; Crash
+// then drops the inodes it no longer reaches. A directory with no
+// pending operation already shows its durable view and is left as it
+// is.
 func (fs *Model) crashDirs() {
-	var dirty []string
-	for d, ops := range fs.dirPending {
-		if len(ops) > 0 {
-			dirty = append(dirty, d)
-		}
-	}
-	sort.Strings(dirty)
-	for _, d := range dirty {
+	dirty := false
+	for _, d := range fs.layout() {
 		ops := fs.dirPending[d]
+		if len(ops) == 0 {
+			continue
+		}
 		k := fs.m.CrashChoose(len(ops)+1, "writeback")
-		durable := fs.durableDirs[d]
+		durable := cloneDir(fs.durableDirs[d])
 		for _, op := range ops[:k] {
 			if op.add {
 				durable[op.name] = op.ino
@@ -262,30 +373,33 @@ func (fs *Model) crashDirs() {
 				delete(durable, op.name)
 			}
 		}
+		fs.undo = append(fs.undo, change{dir: d, vol: fs.dirs[d], durable: fs.durableDirs[d]})
+		fs.durableDirs[d], fs.dirs[d] = durable, cloneDir(durable)
+		dirty = true
 	}
-	fs.dirPending = map[string][]dirOp{}
-	reachable := map[inodeID]bool{}
-	for d := range fs.dirs {
-		cur := map[string]inodeID{}
-		for name, ino := range fs.durableDirs[d] {
-			cur[name] = ino
-			reachable[ino] = true
+	if dirty {
+		fs.dirPending = map[string][]dirOp{}
+	}
+}
+
+// layout returns the directory names in order. The layout is fixed at
+// creation, so it is sorted once.
+func (fs *Model) layout() []string {
+	if fs.dirNames == nil {
+		for d := range fs.dirs {
+			fs.dirNames = append(fs.dirNames, d)
 		}
-		fs.dirs[d] = cur
+		sort.Strings(fs.dirNames)
 	}
-	var orphans []int
-	for ino := range fs.inodes {
-		if !reachable[ino] {
-			orphans = append(orphans, int(ino))
-		}
+	return fs.dirNames
+}
+
+func cloneDir(entries map[string]inodeID) map[string]inodeID {
+	out := make(map[string]inodeID, len(entries))
+	for name, ino := range entries {
+		out[name] = ino
 	}
-	sort.Ints(orphans)
-	for _, i := range orphans {
-		ino := inodeID(i)
-		delete(fs.inodes, ino)
-		delete(fs.synced, ino)
-		delete(fs.pending, ino)
-	}
+	return out
 }
 
 // OpenFDs returns the number of descriptors opened and not yet closed

@@ -184,6 +184,10 @@ type Machine struct {
 	traceHead int
 
 	running bool
+
+	// probe and restores are ProbeCrash's, kept for its next call.
+	probe    crashProbe
+	restores []func()
 }
 
 // New creates a machine with no devices at version 1. Its threads run
@@ -276,11 +280,107 @@ func (m *Machine) CrashReset() {
 	if m.running {
 		panic("machine: CrashReset during a running era")
 	}
+	m.crash()
+	m.Tracef("-- crash: memory version now %d --", m.version)
+}
+
+// crash is what a crash does to the machine, taken (CrashReset) or
+// probed (ProbeCrash).
+func (m *Machine) crash() {
 	m.version++
 	for _, d := range m.devices {
 		d.Crash()
 	}
-	m.Tracef("-- crash: memory version now %d --", m.version)
+}
+
+// Saver is an optional extension of Device that lets ProbeCrash run the
+// device's Crash without keeping its effect: Save records everything
+// Crash changes and returns a function that puts it back. The restore
+// is called once after each probed crash, so it must work any number of
+// times.
+type Saver interface {
+	Save() (restore func())
+}
+
+// CrashAnswer is one crash-time choice a device's Crash made through
+// CrashChoose: N options, under Tag, and the one Chosen.
+type CrashAnswer struct {
+	N, Chosen int
+	Tag       string
+}
+
+// ProbeCrash evaluates a crash without taking it. For every vector of
+// answers to the CrashChoose calls with more than one option that the
+// devices' Crash handlers make, in the depth-first order of those
+// answers, it crashes the machine as CrashReset does, calls visit with
+// the answers while the post-crash state is in place, and puts the
+// machine and every device back as it found them. The answers slice is
+// the probe's and valid only during the call. Nothing the probe runs
+// declares a footprint, and the era's chooser is not asked.
+//
+// ProbeCrash may be called between the steps of a running era, as the
+// explorer does at a "sched" draw: no thread runs while it does. It
+// reports false, and crashes nothing, when a device does not implement
+// Saver.
+func (m *Machine) ProbeCrash(visit func(answers []CrashAnswer)) bool {
+	restores := m.restores[:0]
+	for _, d := range m.devices {
+		s, ok := d.(Saver)
+		if !ok {
+			return false
+		}
+		restores = append(restores, s.Save())
+	}
+	m.restores = restores
+	chooser, red := m.chooser, m.red
+	p := &m.probe
+	p.answers = p.answers[:0]
+	m.chooser, m.red = p, nil
+	defer func() { m.chooser, m.red = chooser, red }()
+	for {
+		p.pos = 0
+		m.crash()
+		p.answers = p.answers[:p.pos]
+		visit(p.answers)
+		m.version--
+		for _, r := range restores {
+			r()
+		}
+		if !p.next() {
+			return true
+		}
+	}
+}
+
+// crashProbe is ProbeCrash's chooser: a depth-first enumeration of the
+// crash-time answer vectors, replaying a prefix and extending it with
+// option 0.
+type crashProbe struct {
+	answers []CrashAnswer
+	pos     int
+}
+
+// Choose implements Chooser.
+func (p *crashProbe) Choose(n int, tag string) int {
+	if p.pos < len(p.answers) && p.answers[p.pos].N == n {
+		p.pos++
+		return p.answers[p.pos-1].Chosen
+	}
+	p.answers = append(p.answers[:p.pos], CrashAnswer{N: n, Tag: tag})
+	p.pos++
+	return 0
+}
+
+// next advances to the next answer vector, false when there is none.
+func (p *crashProbe) next() bool {
+	for n := len(p.answers); n > 0; n-- {
+		if a := &p.answers[n-1]; a.Chosen+1 < a.N {
+			a.Chosen++
+			p.answers = p.answers[:n]
+			return true
+		}
+	}
+	return false
 }
 
 // CrashChoose resolves crash-time nondeterminism from inside a

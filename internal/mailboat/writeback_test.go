@@ -130,11 +130,12 @@ func prefixScenario(name string, v Variant) *explore.Scenario {
 // barrier-free fast mode (mailboatd -no-fsync) exhaustively: acked mail
 // may roll back, but what survives must be, per mailbox, a prefix of its
 // operations since the crash, torn only where a link outlived its data.
-// The complete search is about 28,000 executions with sleep sets (1.7M
-// without; the suite runs a bounded prefix of it), so -short skips it.
+// The complete search is about 2,200 executions on two workers with
+// sleep sets and crash states evaluated in place (28,000 while every
+// crash state ran, 1.7M without sleep sets), so -short skips it.
 func TestWritebackPrefixContractClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive search of about 28,000 executions")
+		t.Skip("exhaustive search of about 2,200 executions")
 	}
 	rep := explore.Run(prefixScenario("mb-writeback-prefix", VariantVerified), explore.Options{MaxExecutions: 3000000})
 	t.Logf("report: %s", rep.String())

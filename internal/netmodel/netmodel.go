@@ -131,6 +131,12 @@ func (n *Net) Crash() {
 	n.charge = 0
 }
 
+// Save implements machine.Saver: the charge is all Crash changes.
+func (n *Net) Save() (restore func()) {
+	charge := n.charge
+	return func() { n.charge = charge }
+}
+
 // AppendDurable implements machine.Fingerprinter. The in-flight frames
 // and the partition charge determine which future behaviors are
 // reachable, so they are part of the canonical state (at a crash

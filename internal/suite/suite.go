@@ -32,6 +32,24 @@ type Entry struct {
 	WantViolation bool
 }
 
+// Verdict judges rep, the report of a search of e, against what e
+// wants: a counterexample for a seeded bug, none for a verified entry.
+// A checker error (rep.Err) is no verdict, and never passes: it
+// convicts no seeded bug. status is perennial-check's status column.
+func (e Entry) Verdict(rep *explore.Report) (status string, ok bool) {
+	switch {
+	case rep.Err != nil:
+		return "FAIL (checker error)", false
+	case e.WantViolation && rep.Counterexample == nil:
+		return "FAIL (expected a counterexample, found none)", false
+	case !e.WantViolation && rep.Counterexample != nil:
+		return "FAIL", false
+	case e.WantViolation:
+		return "PASS (bug found as expected)", true
+	}
+	return "PASS", true
+}
+
 // Verified returns the scenarios that must check clean, covering all
 // four crash-safety patterns of §9.1 plus Mailboat.
 func Verified() []Entry {
@@ -347,9 +365,10 @@ var mailboatVerified = []mailboatEntry{
 		// what survives is, per mailbox, the state after a prefix of
 		// its operations since the last crash, with torn bodies only
 		// where a link outlived its data (mailboat.PrefixSpec). This is
-		// the checked spec behind the README caveat. With sleep sets the
-		// complete search is 7,797 executions on one worker, inside the
-		// 8,000 budget (1.73M without them); mailboat's
+		// the checked spec behind the README caveat. With sleep sets and
+		// crash states evaluated in place the complete search is 1,030
+		// executions on one worker, inside the 8,000 budget (1.73M
+		// without the reductions); mailboat's
 		// TestWritebackPrefixContractClean runs it to completion at any
 		// worker count.
 		"mailboat-writeback", "mb/writeback+prefix-contract", mailboat.VariantVerified, 8000,
