@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/history"
 	"repro/internal/machine"
@@ -53,41 +52,18 @@ func fnvInt(h uint64, x uint64) uint64 {
 	return h
 }
 
-// fpShards stripes the fingerprint table's locks so parallel workers
-// rarely contend (fingerprints are hashes, so sharding by low bits is
-// uniform).
-const fpShards = 64
-
-type fpShard struct {
-	mu sync.Mutex
-	m  map[uint64]uint64
-}
-
-// fpTable is the lock-striped fingerprint table shared by all workers
-// of one systematic search.
-type fpTable struct {
-	shards [fpShards]fpShard
-}
-
-func newFPTable() *fpTable {
-	t := &fpTable{}
-	for i := range t.shards {
-		t.shards[i].m = map[uint64]uint64{}
-	}
-	return t
-}
+// fpTable is a search's fingerprint table: each claimed boundary's
+// fingerprint, mapped to the hash of the prefix that owns it.
+type fpTable map[uint64]uint64
 
 // claim records fp as owned by owner when unclaimed. It reports whether
 // the caller may continue past the boundary: true for the first claim
 // and for revisits by the same owner, false when another prefix already
 // owns the subtree (prune).
-func (t *fpTable) claim(fp, owner uint64) bool {
-	s := &t.shards[fp&(fpShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, ok := s.m[fp]
+func (t fpTable) claim(fp, owner uint64) bool {
+	prev, ok := t[fp]
 	if !ok {
-		s.m[fp] = owner
+		t[fp] = owner
 		return true
 	}
 	return prev == owner
@@ -95,32 +71,18 @@ func (t *fpTable) claim(fp, owner uint64) bool {
 
 // ownedElsewhere reports whether a prefix other than owner has claimed
 // fp: what claim would refuse, without claiming.
-func (t *fpTable) ownedElsewhere(fp, owner uint64) bool {
-	s := &t.shards[fp&(fpShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev, ok := s.m[fp]
+func (t fpTable) ownedElsewhere(fp, owner uint64) bool {
+	prev, ok := t[fp]
 	return ok && prev != owner
 }
 
-// size returns the number of distinct fingerprints claimed.
-func (t *fpTable) size() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// dedupRun carries the dedup context of one job's executions: the
+// dedupRun carries the dedup context of one search's executions: the
 // table, and the running execution's state that a boundary's
 // fingerprint reads, which runOne fills in. A search without one runs
 // no dedup (-noreduce, or no Fingerprint hook); replay, minimize and
 // stress run none either.
 type dedupRun struct {
-	table *fpTable
+	table fpTable
 	s     *Scenario
 
 	m           *machine.Machine
@@ -138,9 +100,9 @@ type dedupRun struct {
 	// another prefix owns, and err when it was cut at a checker error.
 	pruned bool
 	err    error
-	// unfingerprintable is set when a registered device does not
-	// implement machine.Fingerprinter; the run proceeds without dedup
-	// and the report flags DedupActive=false.
+	// unfingerprintable is set, for the rest of the search, when a
+	// registered device does not implement machine.Fingerprinter; the
+	// run proceeds without dedup and the report flags DedupActive=false.
 	unfingerprintable bool
 }
 
@@ -402,12 +364,11 @@ func (d *dfsChooser) firstLive(s *schedPoint, owner uint64) int32 {
 
 // dueAfter marks point i, whose option the DFS just advanced, for
 // evaluation in the next execution when the crash is the next option it
-// will take there: every thread option after this one sleeps, and the
-// crash option was not donated.
+// will take there: every thread option after this one sleeps.
 func (d *dfsChooser) dueAfter(i int) {
 	p := &d.points[i]
 	s := d.sched(p)
-	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth || p.limit > 0 && p.limit <= s.nth {
+	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth {
 		return
 	}
 	for c := p.chosen + 1; c < s.nth; c++ {
@@ -437,9 +398,8 @@ func (d *dfsChooser) answerOf(i int) int {
 
 // nextLeaf is next() at point i, the last crash-time answer of point
 // j's running crash state: it runs the next of j's states, in DFS order,
-// that this chooser owns and that is live, keeping the answers it shares
-// with the state just run (and their donation limits). It reports
-// false, with the points cut back to j, when there is none.
+// that is live, keeping the answers it shares with the state just run.
+// It reports false, with the points cut back to j, when there is none.
 func (d *dfsChooser) nextLeaf(j, i int) bool {
 	s := d.sched(&d.points[j])
 	cur := d.leaves[s.cur]
@@ -455,15 +415,11 @@ func (d *dfsChooser) nextLeaf(j, i int) bool {
 		if at > i || f == l.hi-l.lo {
 			break // the points do not hold cur's answers: its crash said so
 		}
-		c := d.answers[l.lo+f].Chosen
-		if lim := d.points[at].limit; lim > 0 && c >= lim {
-			continue // donated
-		}
 		if !d.live(l, owner) {
 			continue
 		}
 		d.points = d.points[:at+1]
-		d.points[at].chosen = c
+		d.points[at].chosen = d.answers[l.lo+f].Chosen
 		d.pushAnswers(l, f+1)
 		s.cur, d.frontier = k, at
 		return true

@@ -58,18 +58,16 @@ func counted(forget bool) *Scenario {
 // a checker error — no verdict, neither a pass nor a conviction — and
 // so does the self-check.
 func TestEvaluatedCrashIsTheCrashTaken(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		rep := Run(counted(false), Options{Workers: workers})
-		if !rep.OK() || !rep.Complete || rep.Stats.CrashStatesEvaluated == 0 {
-			t.Fatalf("workers=%d, honest restore: %s, %s", workers, rep, rep.Stats)
-		}
-		rep = Run(counted(true), Options{Workers: workers})
-		if rep.OK() || rep.Complete || rep.Counterexample != nil || !errors.Is(rep.Err, errEvaluation) {
-			t.Fatalf("workers=%d, forgetful restore: %s (%v), want a checker error and no verdict", workers, rep, rep.Err)
-		}
-		if _, _, err := SelfCheck(counted(true), Options{Workers: workers}); !errors.Is(err, errEvaluation) {
-			t.Errorf("workers=%d: the self-check passed over a checker error: %v", workers, err)
-		}
+	rep := Run(counted(false), Options{})
+	if !rep.OK() || !rep.Complete || rep.Stats.CrashStatesEvaluated == 0 {
+		t.Fatalf("honest restore: %s, %s", rep, rep.Stats)
+	}
+	rep = Run(counted(true), Options{})
+	if rep.OK() || rep.Complete || rep.Counterexample != nil || !errors.Is(rep.Err, errEvaluation) {
+		t.Fatalf("forgetful restore: %s (%v), want a checker error and no verdict", rep, rep.Err)
+	}
+	if _, _, err := SelfCheck(counted(true), Options{}); !errors.Is(err, errEvaluation) {
+		t.Errorf("the self-check passed over a checker error: %v", err)
 	}
 }
 
@@ -128,22 +126,19 @@ func settling() *Scenario {
 }
 
 // TestEvaluatedCrashStatesCoverTheSpace: crash states skipped in place,
-// at crash points of the main era and of recovery, and crash-time
-// answers donated to other workers change neither the verdict nor the
-// outcome set, at any worker count; on one worker no pruned crash state
-// costs an execution.
+// at crash points of the main era and of recovery, change neither the
+// verdict nor the outcome set, and no pruned crash state costs an
+// execution.
 func TestEvaluatedCrashStatesCoverTheSpace(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		with, without, err := SelfCheck(settling(), Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !with.Complete || !without.Complete || with.Stats.CrashStatesSkipped == 0 {
-			t.Fatalf("workers=%d: reduced %s (%s), plain %s", workers, with, with.Stats, without)
-		}
-		if workers == 1 && with.Stats.PrunedStates != with.Stats.CrashStatesSkipped {
-			t.Errorf("%d pruned, %d of them skipped: a pruned crash state took an execution", with.Stats.PrunedStates, with.Stats.CrashStatesSkipped)
-		}
-		t.Logf("workers=%d: %d executions without the reductions, %d with (%s)", workers, without.Executions, with.Executions, with.Stats)
+	with, without, err := SelfCheck(settling(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !with.Complete || !without.Complete || with.Stats.CrashStatesSkipped == 0 {
+		t.Fatalf("reduced %s (%s), plain %s", with, with.Stats, without)
+	}
+	if with.Stats.PrunedStates != with.Stats.CrashStatesSkipped {
+		t.Errorf("%d pruned, %d of them skipped: a pruned crash state took an execution", with.Stats.PrunedStates, with.Stats.CrashStatesSkipped)
+	}
+	t.Logf("%d executions without the reductions, %d with (%s)", without.Executions, with.Executions, with.Stats)
 }

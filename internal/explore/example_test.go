@@ -78,11 +78,9 @@ func exampleScenario(withRecovery bool) *Scenario {
 
 // ExampleRun explores a crash-safe torn-write cell: every interleaving
 // and crash point is enumerated, and recovery rolls torn writes back,
-// so the search completes with no counterexample. Workers is pinned to
-// 1 so the report is byte-stable; production callers leave it 0
-// (GOMAXPROCS).
+// so the search completes with no counterexample.
 func ExampleRun() {
-	rep := Run(exampleScenario(true), Options{Workers: 1})
+	rep := Run(exampleScenario(true), Options{})
 	fmt.Println(rep.String())
 	// Output:
 	// cell: OK (6 executions, 5 crashed, complete, 28 checker states)
@@ -93,7 +91,7 @@ func ExampleRun() {
 // and replays it deterministically to recover the full trace.
 func ExampleReplayCx() {
 	s := exampleScenario(false)
-	rep := Run(s, Options{Workers: 1})
+	rep := Run(s, Options{})
 	fmt.Println(rep.OK())
 
 	min := Minimize(s, rep.Counterexample.Choices)

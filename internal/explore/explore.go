@@ -25,31 +25,23 @@
 // extends it with the first option it has not covered, then backtracks
 // the deepest choice point with untried options.
 //
-// The enumeration runs on Options.Workers workers (default
-// GOMAXPROCS). The tree is partitioned by schedule prefix: each job
-// pins a prefix, and a worker that notices starving peers donates the
-// untried siblings of its shallowest open choice point as new jobs —
-// an exact partition, so no execution is lost or explored twice. Every
-// execution builds a fresh machine, so checked code never shares state
-// across workers. Counterexamples are canonicalized to the DFS-preorder
-// least candidate, which makes verdicts independent of worker count for
-// searches that run to completion, and counterexamples too wherever the
-// sleep sets below skip nothing.
+// One search is one sequential DFS, so its counterexample is the
+// DFS-preorder least failing execution and every figure of its report
+// is a function of the scenario and the options. Every execution builds
+// a fresh machine, so searches of different scenarios can run at once
+// (a suite's entries do) without sharing checked state.
 //
 // When a Scenario provides a Fingerprint hook (and every registered
 // device implements machine.Fingerprinter), revisited crash-boundary
-// states are pruned via a lock-striped fingerprint table: after
-// CrashReset all volatile state is dead by construction, so the suffix
-// behavior is a function of the fingerprinted boundary state and an
+// states are pruned via a fingerprint table: after CrashReset all
+// volatile state is dead by construction, so the suffix behavior is a
+// function of the fingerprinted boundary state and an
 // already-enumerated recovery subtree need not be re-explored.
 //
 // Within an era, sleep sets (sleep.go) skip the interleavings that only
 // reorder independent transitions: the machine reports each
 // transition's declared footprint, and a thread whose next transition
 // was already explored from an equivalent state is not scheduled again.
-// A parallel search's donated jobs start with empty sleep sets, so
-// they may run executions one worker would skip, never fewer;
-// its counterexample is the preorder-least of the executions it ran.
 // Options.NoReduce turns both reductions off, and SelfCheck
 // mechanically witnesses that they change neither a scenario's verdict
 // nor, for a complete search, its outcomes. See DESIGN.md "The checker"
@@ -59,9 +51,7 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/history"
@@ -251,14 +241,11 @@ type Stats struct {
 	// Duration is the wall-clock time of the whole exploration.
 	Duration time.Duration
 	// ExecsPerSec and StatesPerSec are derived throughput rates over
-	// unique explored executions — stress retries that raced past an
-	// already-found counterexample are excluded (see StressDiscarded).
+	// the executions run.
 	ExecsPerSec  float64
 	StatesPerSec float64
 	// Depth records the choice-sequence depth of each execution.
 	Depth *obs.Histogram
-	// Workers is the systematic-phase worker count actually used.
-	Workers int
 	// DedupActive reports whether crash-boundary dedup ran: the
 	// scenario provided a Fingerprint hook, Options.NoReduce was off,
 	// and every registered device was fingerprintable.
@@ -275,46 +262,30 @@ type Stats struct {
 	// DistinctBoundaries is the number of distinct crash-boundary
 	// fingerprints claimed (the dedup table's size).
 	DistinctBoundaries int
-	// StressDiscarded counts stress executions that ran concurrently at
-	// seed offsets above the winning counterexample's; they are real
-	// work but not part of the deterministic result, so Executions and
-	// the throughput rates exclude them.
-	StressDiscarded int
 	// Reseats counts choice points at which a replayed prefix offered a
-	// different number of options than when it was recorded, summed
-	// over workers. An execution is a function of its choices, so this
-	// is 0 unless state leaks into the model from outside them: harness
-	// nondeterminism (map iteration, say), or something one execution
-	// left behind for the next.
+	// different number of options than when it was recorded. An
+	// execution is a function of its choices, so this is 0 unless state
+	// leaks into the model from outside them: harness nondeterminism
+	// (map iteration, say), or something one execution left behind for
+	// the next.
 	Reseats int
 	// Slept counts the "sched" options the sleep sets skipped: threads
 	// whose next transition was already explored from an equivalent
 	// state. SleepBlocked counts the executions stopped, unchecked, at a
-	// draw whose every option slept. Both are summed over workers.
+	// draw whose every option slept.
 	Slept, SleepBlocked int
 	// VerdictsDistinct counts the refinement checks judged afresh, and
-	// VerdictsReused those a worker's checker answered from its verdict
-	// memo because it had accepted the same history before; both are
-	// summed over workers.
+	// VerdictsReused those the search's checker answered from its
+	// verdict memo because it had accepted the same history before.
 	VerdictsDistinct, VerdictsReused int
-	// PerWorker is each systematic worker's share of the search.
-	PerWorker []WorkerStats
-}
-
-// WorkerStats is one worker's share of the systematic search.
-type WorkerStats struct {
-	// Executions is the number of executions this worker ran.
-	Executions int
-	// Pruned is its share of Stats.PrunedStates.
-	Pruned int
 }
 
 // String renders the statistics on one line.
 func (st Stats) String() string {
 	p50 := st.Depth.Quantile(0.50)
 	p99 := st.Depth.Quantile(0.99)
-	s := fmt.Sprintf("%.3fs, %.0f execs/s, %.0f states/s, depth p50=%.0f p99=%.0f, workers=%d",
-		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99, st.Workers)
+	s := fmt.Sprintf("%.3fs, %.0f execs/s, %.0f states/s, depth p50=%.0f p99=%.0f",
+		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99)
 	if st.DedupActive {
 		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place, %d skipped",
 			st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated, st.CrashStatesSkipped)
@@ -324,9 +295,6 @@ func (st Stats) String() string {
 	}
 	if st.VerdictsReused > 0 {
 		s += fmt.Sprintf(", verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
-	}
-	if st.StressDiscarded > 0 {
-		s += fmt.Sprintf(", %d stress retries discarded", st.StressDiscarded)
 	}
 	if st.Reseats > 0 {
 		s += fmt.Sprintf(", %d choice points RESEATED (an execution is not a function of its choices)", st.Reseats)
@@ -357,17 +325,10 @@ func (r *Report) String() string {
 
 // Options configures an exploration.
 type Options struct {
-	// MaxExecutions bounds the systematic search. 0 means 20000. The
-	// budget is shared by all workers (each execution claims one slot),
-	// so the number of executions run is independent of Workers.
+	// MaxExecutions bounds the systematic search. 0 means 20000.
 	MaxExecutions int
-	// Workers is the worker count of both phases. 0 means GOMAXPROCS.
-	// With 1 worker the systematic search is the classic sequential
-	// DFS; with more, the choice tree is partitioned by schedule prefix
-	// and drained work-stealing style (see the package comment), and
-	// the stress executions (each on its own machine, so independent)
-	// are dealt out by seed offset. The counterexample reported is the
-	// one with the smallest offset, whatever the scheduling.
+	// Workers is ignored: Run is one sequential search. It remains
+	// only because bench/check.go still sets it.
 	Workers int
 	// NoReduce turns both reductions off: crash-boundary state dedup,
 	// even for scenarios that provide a Fingerprint hook, and sleep sets
@@ -380,17 +341,15 @@ type Options struct {
 	// StressSeed seeds the randomized mode.
 	StressSeed int64
 	// Progress, when non-nil with a Sink, streams live telemetry of the
-	// systematic phase (execs/s, frontier depth, dedup hit rate,
-	// per-worker donations, budget ETA). The sampler is read-only over
-	// lock-free counters, so verdicts and counterexamples are identical
-	// with and without it (perennial-check -progress).
+	// systematic phase (execs/s, frontier depth, dedup hit rate, budget
+	// ETA). The sampler only reads atomic counters, so reports are
+	// identical with and without it (perennial-check -progress).
 	Progress *ProgressOptions
 }
 
-// Run performs a systematic DFS over the scenario's choice space —
-// parallelized across Options.Workers workers with optional
-// crash-boundary dedup and sleep sets — then optional randomized
-// stress, and returns a report.
+// Run performs a systematic DFS over the scenario's choice space, with
+// crash-boundary dedup and sleep sets unless Options.NoReduce, then
+// optional randomized stress, and returns a report.
 func Run(s *Scenario, opts Options) *Report { return run(s, opts, nil) }
 
 // run is Run, collecting the outcome of every checked execution into
@@ -399,11 +358,7 @@ func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 	if opts.MaxExecutions == 0 {
 		opts.MaxExecutions = 20000
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := &Report{Scenario: s.Name, Stats: Stats{Depth: obs.NewHistogram(obs.DepthBuckets), Workers: workers}}
+	rep := &Report{Scenario: s.Name, Stats: Stats{Depth: obs.NewHistogram(obs.DepthBuckets)}}
 	start := time.Now()
 	defer func() {
 		rep.Stats.Duration = time.Since(start)
@@ -413,9 +368,11 @@ func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 		}
 	}()
 
-	runSystematic(s, opts, workers, rep, outcomes)
+	x := runner{outcomes: outcomes}
+	defer x.carriers.Release()
+	runSystematic(&x, s, opts, rep)
 	if rep.OK() && opts.StressExecutions > 0 {
-		runStress(s, opts, workers, rep, outcomes)
+		x.stress(s, opts, rep)
 	}
 	if rep.Counterexample != nil {
 		rep.Counterexample = retrace(s, rep.Counterexample)
@@ -441,86 +398,26 @@ func retrace(s *Scenario, cx *Counterexample) *Counterexample {
 // 1/stressCrashWeight at each step when crashes are allowed.
 const stressCrashWeight = 20
 
-// stressOne runs one randomized execution at seed offset i.
-func (x *runner) stressOne(s *Scenario, opts Options, i int, rep *Report) *Counterexample {
-	rc := machine.NewRandChooser(opts.StressSeed + int64(i))
-	rc.CrashWeight = stressCrashWeight
-	rc.CrashOption = s.MaxCrashes > 0
-	return x.runOne(s, rc, rep, false)
+// stress runs opts.StressExecutions randomized executions, the i-th
+// seeded with StressSeed+i, and stops at the first that fails.
+func (x *runner) stress(s *Scenario, opts Options, rep *Report) {
+	for i := range opts.StressExecutions {
+		rc := machine.NewRandChooser(opts.StressSeed + int64(i))
+		rc.CrashWeight = stressCrashWeight
+		rc.CrashOption = s.MaxCrashes > 0
+		rep.Executions++
+		if cx := x.runOne(s, rc, rep, false); cx != nil {
+			rep.Counterexample = cx
+			return
+		}
+	}
 }
 
-// runStress fans the stress executions across workers. Each worker
-// accumulates into a private Report; the aggregates are summed and the
-// smallest-offset counterexample wins (deterministic output).
-//
-// Executions counts only the unique contributing executions — offsets
-// up to and including the winning counterexample's — which is what one
-// worker runs. Executions other workers raced through at higher offsets
-// before noticing the winner are discarded retries, reported in
-// Stats.StressDiscarded instead of inflating the (otherwise
-// nondeterministic) throughput numbers.
-func runStress(s *Scenario, opts Options, workers int, rep *Report, outcomes *outcomeSet) {
-	type result struct {
-		offset int
-		cx     *Counterexample
-	}
-	var mu sync.Mutex
-	best := result{offset: -1}
-	reps := make([]*Report, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// The depth histogram is lock-free, so workers share it.
-		reps[w] = &Report{Stats: Stats{Depth: rep.Stats.Depth}}
-		go func(w int) {
-			defer wg.Done()
-			x := runner{outcomes: outcomes}
-			defer x.carriers.Release()
-			for i := w; i < opts.StressExecutions; i += workers {
-				mu.Lock()
-				stop := best.offset != -1 && best.offset < i
-				mu.Unlock()
-				if stop {
-					return
-				}
-				reps[w].Executions++
-				if cx := x.stressOne(s, opts, i, reps[w]); cx != nil {
-					mu.Lock()
-					if best.offset == -1 || i < best.offset {
-						best = result{offset: i, cx: cx}
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ran := 0
-	for _, r := range reps {
-		ran += r.Executions
-		rep.CrashedExecutions += r.CrashedExecutions
-		rep.CheckedStates += r.CheckedStates
-		rep.Stats.VerdictsDistinct += r.Stats.VerdictsDistinct
-		rep.Stats.VerdictsReused += r.Stats.VerdictsReused
-	}
-	unique := ran
-	if best.offset != -1 {
-		// Workers cover disjoint offset strides and only stop once their
-		// next offset exceeds the winner, so offsets 0..best.offset each
-		// ran exactly once; everything beyond is a discarded retry.
-		unique = best.offset + 1
-	}
-	rep.Executions += unique
-	rep.Stats.StressDiscarded = ran - unique
-	rep.Counterexample = best.cx
-}
-
-// runner is what an owner of executions — a search worker, a stress
-// worker, one ReplayCx or Minimize call — keeps from one execution to
-// the next: the carriers its machines' threads run on, with the stacks
-// they have grown, and the buffers of the schedule recorder, the
-// history harness and the refinement checker. Nothing an execution can
+// runner is what an owner of executions — one Run, ReplayCx or
+// Minimize call — keeps from one execution to the next: the carriers
+// its machines' threads run on, with the stacks they have grown, and
+// the buffers of the schedule recorder, the history harness and the
+// refinement checker. Nothing an execution can
 // observe lives here. A runner belongs to one goroutine, which releases
 // the carriers before returning (none of their goroutines is left); the
 // zero value is ready to use.
@@ -706,11 +603,6 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 // first option it has not covered; next() advances the last choice
 // point with untried options, backtracking exhausted suffixes.
 //
-// For the parallel search, the first `pinned` points are a donated job
-// prefix that next() never backtracks into, and a point's `limit` caps
-// which options this chooser still owns (higher siblings were donated
-// to other workers via splitShallowest).
-//
 // With reduce set it is also the machine's Reducer and keeps sleep sets
 // (sleep.go): a "sched" option whose thread's next transition was
 // already explored from an equivalent state is skipped, not removed, so
@@ -718,7 +610,6 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 type dfsChooser struct {
 	points []choicePoint
 	pos    int
-	pinned int
 	// reseats counts replayed points that had to be re-seated (see
 	// Choose and Stats.Reseats).
 	reseats int
@@ -732,10 +623,6 @@ type choicePoint struct {
 	n      int
 	chosen int
 	tag    string
-	// limit, when nonzero, is the exclusive upper bound of options this
-	// chooser still owns at the point (the rest were donated). It never
-	// affects replay, only next()/splitShallowest.
-	limit int
 	// si is 1 + the index in sleepSets.scheds of the point's part of
 	// the sleep sets, for a "sched" point under reduction (0: none);
 	// lastOn is the index of the last such point at or before this one
@@ -748,15 +635,7 @@ func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open, d.crashAt = 0, -1, -1
 // Choose implements machine.Chooser.
 func (d *dfsChooser) Choose(n int, tag string) int {
 	if d.pos < len(d.points) {
-		p := &d.points[d.pos]
-		if p.n == 0 && d.pos < d.pinned {
-			// First replay of a donated prefix point: learn its branching
-			// factor (the donor recorded only the chosen option).
-			p.n, p.tag = n, tag
-			d.learnPinned(d.pos, tag)
-			d.placed(d.pos)
-		}
-		if p.n != n {
+		if d.points[d.pos].n != n {
 			// The machine must be deterministic given prior choices; a
 			// mismatch indicates harness nondeterminism (e.g. map
 			// iteration leaking into the model). Re-seat the point,
@@ -792,12 +671,12 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 }
 
 // next advances to the next unexplored choice sequence, returning false
-// when the (possibly prefix-pinned) space is exhausted.
+// when the space is exhausted.
 func (d *dfsChooser) next() bool {
 	// Discard choice points beyond those actually consumed this run.
 	d.points = d.points[:d.pos]
 	d.cut()
-	for len(d.points) > d.pinned {
+	for len(d.points) > 0 {
 		i := len(d.points) - 1
 		last := &d.points[i]
 		d.trim(i)
@@ -807,11 +686,7 @@ func (d *dfsChooser) next() bool {
 			}
 			continue // back at j, whose crash option was its last
 		}
-		lim := last.n
-		if last.limit > 0 && last.limit < lim {
-			lim = last.limit
-		}
-		if c := d.nextOption(last, lim); c < lim {
+		if c := d.nextOption(last); c < last.n {
 			last.chosen = c
 			d.frontier = i
 			if d.enterCrash(i) {
@@ -822,14 +697,6 @@ func (d *dfsChooser) next() bool {
 		d.points = d.points[:i]
 	}
 	return false
-}
-
-func (d *dfsChooser) taken() []int {
-	out := make([]int, d.pos)
-	for i := 0; i < d.pos; i++ {
-		out[i] = d.points[i].chosen
-	}
-	return out
 }
 
 // randPolicyChooser resolves "rand"-tagged choices with a deterministic

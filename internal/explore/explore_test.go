@@ -357,33 +357,3 @@ func TestReportAndCounterexampleFormatting(t *testing.T) {
 		t.Errorf("ok line: %s", okLine)
 	}
 }
-
-func TestParallelStressFindsBugDeterministically(t *testing.T) {
-	mk := func() *Scenario {
-		s := scenario(true, true)
-		s.Recover = func(t *machine.T, wAny any) {}
-		return s
-	}
-	seq := Run(mk(), Options{MaxExecutions: 1, Workers: 1, StressExecutions: 500, StressSeed: 11})
-	par := Run(mk(), Options{MaxExecutions: 1, Workers: 4, StressExecutions: 500, StressSeed: 11})
-	if seq.OK() || par.OK() {
-		t.Fatal("stress did not find the seeded bug")
-	}
-	// Same smallest failing seed → same counterexample choices.
-	if fmt.Sprint(seq.Counterexample.Choices) != fmt.Sprint(par.Counterexample.Choices) {
-		t.Fatalf("parallel stress nondeterministic:\n%v\n%v",
-			seq.Counterexample.Choices, par.Counterexample.Choices)
-	}
-}
-
-func TestParallelStressCleanScenario(t *testing.T) {
-	rep := Run(scenario(true, false), Options{
-		MaxExecutions: 1, Workers: 3, StressExecutions: 200, StressSeed: 2,
-	})
-	if !rep.OK() {
-		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
-	}
-	if rep.Executions < 100 {
-		t.Fatalf("executions=%d", rep.Executions)
-	}
-}

@@ -3,21 +3,17 @@ package explore
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // ProgressOptions enables live progress telemetry for a long-running
-// search: every Every, a Snapshot assembled from the pool's lock-free
+// search: every Every, a Snapshot assembled from the search's atomic
 // counters is handed to Sink, and a final snapshot is always emitted
 // when the systematic phase ends (so short runs still report once).
 //
 // Reporting is read-only by construction — the sampler only loads
 // atomics and quantile-reads the shared depth histogram, and the
-// search never blocks on or branches over it — so verdicts,
-// counterexamples, and a one-worker search's execution counts are
+// search never blocks on or branches over it — so reports are
 // identical with and without progress enabled.
 type ProgressOptions struct {
 	// Every is the sampling period; 0 means 1s.
@@ -50,9 +46,6 @@ type Snapshot struct {
 	// Evaluated counts the crash states evaluated in place, and Skipped
 	// those of them skipped without an execution.
 	Evaluated, Skipped int64
-	// Donations is each worker's count of jobs donated to starving
-	// peers — a flat profile means the partition is balanced.
-	Donations []int64
 	// BudgetLeft is the remaining execution budget; BudgetETA
 	// extrapolates its exhaustion at the current rate (0 when the rate
 	// is 0 or the budget already ran out).
@@ -73,9 +66,6 @@ func (s Snapshot) String() string {
 	if s.Evaluated > 0 {
 		fmt.Fprintf(&b, ", crash states %d evaluated in place, %d skipped", s.Evaluated, s.Skipped)
 	}
-	if len(s.Donations) > 1 {
-		fmt.Fprintf(&b, ", donations %v", s.Donations)
-	}
 	fmt.Fprintf(&b, ", budget %d left", s.BudgetLeft)
 	if s.BudgetETA > 0 {
 		fmt.Fprintf(&b, " (~%s)", s.BudgetETA.Round(time.Second))
@@ -86,10 +76,10 @@ func (s Snapshot) String() string {
 	return b.String()
 }
 
-// progressLoop samples the pool until stop closes, then emits one
+// progressLoop samples the search until stop closes, then emits one
 // final snapshot and closes done. It runs off to the side of the
-// search: nothing in the pool ever waits for it.
-func (p *searchPool) progressLoop(po *ProgressOptions, scenario string, depth *obs.Histogram, stop, done chan struct{}) {
+// search: nothing in the search ever waits for it.
+func (se *search) progressLoop(po *ProgressOptions, stop, done chan struct{}) {
 	defer close(done)
 	every := po.Every
 	if every <= 0 {
@@ -100,19 +90,19 @@ func (p *searchPool) progressLoop(po *ProgressOptions, scenario string, depth *o
 	var lastExecs int64
 	emit := func(final bool) {
 		now := time.Now()
-		execs := p.execs.Load()
-		pruned := p.pruned.Load()
+		execs := se.execs.Load()
+		pruned := se.pruned.Load()
+		depth := se.rep.Stats.Depth
 		snap := Snapshot{
-			Scenario:   scenario,
+			Scenario:   se.s.Name,
 			Phase:      "systematic",
 			Elapsed:    now.Sub(start),
 			Executions: execs,
 			Pruned:     pruned,
-			Evaluated:  p.evaluated.Load(),
-			Skipped:    p.skipped.Load(),
+			Evaluated:  se.evaluated.Load(),
+			Skipped:    se.skipped.Load(),
 			DepthP50:   depth.Quantile(0.50),
 			DepthP99:   depth.Quantile(0.99),
-			Donations:  make([]int64, len(p.donated)),
 			Final:      final,
 		}
 		if dt := now.Sub(lastT).Seconds(); dt > 0 {
@@ -122,10 +112,7 @@ func (p *searchPool) progressLoop(po *ProgressOptions, scenario string, depth *o
 		if n := execs + snap.Skipped; n > 0 {
 			snap.DedupHitRate = float64(pruned) / float64(n)
 		}
-		for w := range p.donated {
-			snap.Donations[w] = p.donated[w].Load()
-		}
-		if left := atomic.LoadInt64(&p.execsLeft); left > 0 {
+		if left := int64(se.budget) - execs; left > 0 {
 			snap.BudgetLeft = left
 			if snap.ExecsPerSec > 0 {
 				snap.BudgetETA = time.Duration(float64(left) / snap.ExecsPerSec * float64(time.Second))

@@ -13,14 +13,8 @@ import (
 // TestProgressDeterminism is the acceptance check for -progress:
 // reports and counterexamples must be identical with and without
 // telemetry, because the sampler only reads counters the search
-// maintains unconditionally. A one-worker search's whole report is
-// compared. With more workers, which worker claims a crash boundary
-// first decides whether another skips a crash state there or runs it
-// and is pruned, so the execution and crash counts are left out; every
-// column that race cannot move is compared: the verdict, completeness,
-// the refinement checker's states, the pruned crash states (each counted
-// once, skipped or run), the boundaries of a complete search, and the
-// minimized counterexample.
+// maintains unconditionally: the whole report line and the minimized
+// counterexample are compared.
 func TestProgressDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -33,8 +27,8 @@ func TestProgressDeterminism(t *testing.T) {
 			return s
 		}},
 	} {
-		run := func(progress bool, workers int) (string, int) {
-			opts := Options{MaxExecutions: 5000, Workers: workers}
+		run := func(progress bool) (string, int) {
+			opts := Options{MaxExecutions: 5000}
 			var snaps int
 			var mu sync.Mutex
 			if progress {
@@ -49,30 +43,19 @@ func TestProgressDeterminism(t *testing.T) {
 			}
 			rep := Run(tc.mk(), opts)
 			out := rep.String()
-			if workers > 1 {
-				out = fmt.Sprintf("ok=%v complete=%v checked=%d pruned=%d", rep.OK(), rep.Complete, rep.CheckedStates, rep.Stats.PrunedStates)
-				if rep.Complete {
-					out += fmt.Sprintf(" boundaries=%d", rep.Stats.DistinctBoundaries)
-				}
-			}
 			if rep.Counterexample != nil {
-				// Canonicalize via Minimize like the determinism
-				// satellite does: the preorder-least candidate is
-				// already deterministic, Minimize just keeps the
-				// comparison readable on failure.
+				// Minimize keeps the comparison readable on failure.
 				out += "\n" + fmt.Sprint(Minimize(tc.mk(), rep.Counterexample.Choices))
 			}
 			return out, snaps
 		}
-		for _, workers := range []int{1, 4} {
-			plain, _ := run(false, workers)
-			traced, snaps := run(true, workers)
-			if plain != traced {
-				t.Errorf("%s, %d workers: report changed under -progress:\nwithout: %s\nwith:    %s", tc.name, workers, plain, traced)
-			}
-			if snaps == 0 {
-				t.Errorf("%s, %d workers: no snapshots emitted (final snapshot missing)", tc.name, workers)
-			}
+		plain, _ := run(false)
+		traced, snaps := run(true)
+		if plain != traced {
+			t.Errorf("%s: report changed under -progress:\nwithout: %s\nwith:    %s", tc.name, plain, traced)
+		}
+		if snaps == 0 {
+			t.Errorf("%s: no snapshots emitted (final snapshot missing)", tc.name)
 		}
 	}
 }
@@ -84,7 +67,6 @@ func TestProgressSnapshotContents(t *testing.T) {
 	var snaps []Snapshot
 	rep := Run(fingerprinted(true, true), Options{
 		MaxExecutions: 5000,
-		Workers:       2,
 		Progress: &ProgressOptions{
 			Every: time.Millisecond,
 			Sink: func(s Snapshot) {
@@ -120,9 +102,6 @@ func TestProgressSnapshotContents(t *testing.T) {
 	}
 	if int64(rep.Stats.PrunedStates) != last.Pruned {
 		t.Errorf("final snapshot pruned %d, report says %d", last.Pruned, rep.Stats.PrunedStates)
-	}
-	if len(last.Donations) != 2 {
-		t.Errorf("donations per worker: %v", last.Donations)
 	}
 	if last.DepthP99 <= 0 {
 		t.Errorf("depth quantiles empty: %+v", last)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,9 +73,9 @@ func TestCounterexampleOwnsItsSlices(t *testing.T) {
 func TestEveryOwnerReleasesItsCarriers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	settled := func() int {
-		// A worker or carrier that has signalled completion may still be
-		// on its way out, and under -race that can take longer than any
-		// fixed number of yields: poll until the count is back or five
+		// A carrier that has signalled completion may still be on its
+		// way out, and under -race that can take longer than any fixed
+		// number of yields: poll until the count is back or five
 		// seconds have passed. A leak stays, so it still fails.
 		n := runtime.NumGoroutine()
 		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
@@ -93,32 +92,29 @@ func TestEveryOwnerReleasesItsCarriers(t *testing.T) {
 	}
 	clean, broken := scenario(true, true), brokenScenario()
 
-	for _, workers := range []int{1, 4} {
-		if rep := Run(clean, Options{MaxExecutions: 1000, Workers: workers}); !rep.OK() || !rep.Complete {
-			t.Fatalf("clean scenario: %s", rep)
-		}
-		check("a verified search")
-
-		rep := Run(broken, Options{MaxExecutions: 1000, Workers: workers})
-		if rep.OK() {
-			t.Fatal("torn write not caught")
-		}
-		check("a convicting search (early return, then the retrace)")
-
-		if rep := Run(clean, Options{MaxExecutions: 3, Workers: workers}); !rep.OK() || rep.Complete {
-			t.Fatalf("budget of 3: %s", rep)
-		}
-		check("a search that hit its budget")
+	if rep := Run(clean, Options{MaxExecutions: 1000}); !rep.OK() || !rep.Complete {
+		t.Fatalf("clean scenario: %s", rep)
 	}
+	check("a verified search")
 
-	if rep := Run(clean, Options{MaxExecutions: 1, Workers: 1, StressExecutions: 50, StressSeed: 1}); !rep.OK() {
-		t.Fatalf("sequential stress: %s", rep)
+	if rep := Run(broken, Options{MaxExecutions: 1000}); rep.OK() {
+		t.Fatal("torn write not caught")
 	}
-	check("sequential stress")
-	if rep := Run(broken, Options{MaxExecutions: 1, Workers: 4, StressExecutions: 200, StressSeed: 1}); rep.OK() {
-		t.Fatal("parallel stress missed the torn write")
+	check("a convicting search (early return, then the retrace)")
+
+	if rep := Run(clean, Options{MaxExecutions: 3}); !rep.OK() || rep.Complete {
+		t.Fatalf("budget of 3: %s", rep)
 	}
-	check("parallel stress (convicting)")
+	check("a search that hit its budget")
+
+	if rep := Run(clean, Options{MaxExecutions: 1, StressExecutions: 50, StressSeed: 1}); !rep.OK() {
+		t.Fatalf("stress: %s", rep)
+	}
+	check("stress")
+	if rep := Run(broken, Options{MaxExecutions: 1, StressExecutions: 200, StressSeed: 1}); rep.OK() {
+		t.Fatal("stress missed the torn write")
+	}
+	check("stress (convicting)")
 
 	cx := Run(broken, Options{MaxExecutions: 1000}).Counterexample
 	if ReplayCx(broken, cx.Choices) == nil {
@@ -139,48 +135,44 @@ func TestEveryOwnerReleasesItsCarriers(t *testing.T) {
 // search re-seats those choice points, as it always did, and now counts
 // them and says so; a scenario that behaves reports none.
 func TestReseatsAreCounted(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := scenario(true, true)
-		var runs atomic.Int64
-		main := s.Main
-		s.Main = func(t *machine.T, w any, h *Harness) {
-			if runs.Add(1)%2 == 0 {
-				t.Go(func(c *machine.T) { c.Step("stray") })
-			}
-			main(t, w, h)
+	s := scenario(true, true)
+	runs := 0
+	main := s.Main
+	s.Main = func(t *machine.T, w any, h *Harness) {
+		if runs++; runs%2 == 0 {
+			t.Go(func(c *machine.T) { c.Step("stray") })
 		}
-		rep := Run(s, Options{MaxExecutions: 200, Workers: workers})
-		if rep.Stats.Reseats == 0 || !strings.Contains(rep.Stats.String(), "RESEATED") {
-			t.Errorf("Workers: %d: %d reseats counted over %d executions of a nondeterministic scenario: %s",
-				workers, rep.Stats.Reseats, rep.Executions, rep.Stats)
-		}
+		main(t, w, h)
+	}
+	rep := Run(s, Options{MaxExecutions: 200})
+	if rep.Stats.Reseats == 0 || !strings.Contains(rep.Stats.String(), "RESEATED") {
+		t.Errorf("%d reseats counted over %d executions of a nondeterministic scenario: %s",
+			rep.Stats.Reseats, rep.Executions, rep.Stats)
+	}
 
-		rep = Run(scenario(true, true), Options{MaxExecutions: 200, Workers: workers})
-		if rep.Stats.Reseats != 0 || strings.Contains(rep.Stats.String(), "RESEATED") {
-			t.Errorf("Workers: %d: a deterministic scenario reports reseats: %s", workers, rep.Stats)
-		}
+	rep = Run(scenario(true, true), Options{MaxExecutions: 200})
+	if rep.Stats.Reseats != 0 || strings.Contains(rep.Stats.String(), "RESEATED") {
+		t.Errorf("a deterministic scenario reports reseats: %s", rep.Stats)
 	}
 }
 
 // TestVerdictsAreCounted: every execution that reaches the refinement
-// check is counted once, as a verdict judged afresh or one a worker's
-// checker reused, summed over the workers of both phases; the stats
-// line says so once anything was reused, and only then.
+// check is counted once, as a verdict judged afresh or one the run's
+// checker reused, over both phases; the stats line says so once
+// anything was reused, and only then.
 func TestVerdictsAreCounted(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rep := Run(scenario(true, true), Options{MaxExecutions: 200, Workers: workers, StressExecutions: 50})
-		st := rep.Stats
-		if !rep.OK() || st.VerdictsDistinct+st.VerdictsReused != rep.Executions {
-			t.Fatalf("Workers: %d: %d distinct + %d reused verdicts for %d executions: %s",
-				workers, st.VerdictsDistinct, st.VerdictsReused, rep.Executions, rep)
-		}
-		t.Logf("Workers: %d: %s", workers, st)
-		want := fmt.Sprintf("verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
-		if st.VerdictsReused == 0 || !strings.Contains(st.String(), want) {
-			t.Errorf("Workers: %d: a search of a few distinct histories reports %q", workers, st)
-		}
+	rep := Run(scenario(true, true), Options{MaxExecutions: 200, StressExecutions: 50})
+	st := rep.Stats
+	if !rep.OK() || st.VerdictsDistinct+st.VerdictsReused != rep.Executions {
+		t.Fatalf("%d distinct + %d reused verdicts for %d executions: %s",
+			st.VerdictsDistinct, st.VerdictsReused, rep.Executions, rep)
 	}
-	rep := Run(scenario(true, true), Options{MaxExecutions: 1, Workers: 1})
+	t.Logf("%s", st)
+	want := fmt.Sprintf("verdicts: %d distinct, %d reused", st.VerdictsDistinct, st.VerdictsReused)
+	if st.VerdictsReused == 0 || !strings.Contains(st.String(), want) {
+		t.Errorf("a search of a few distinct histories reports %q", st)
+	}
+	rep = Run(scenario(true, true), Options{MaxExecutions: 1})
 	if rep.Stats.VerdictsDistinct != 1 || rep.Stats.VerdictsReused != 0 || strings.Contains(rep.Stats.String(), "verdicts") {
 		t.Errorf("one execution reports %+v verdicts: %s", rep.Stats, rep.Stats)
 	}

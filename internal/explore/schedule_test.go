@@ -75,7 +75,7 @@ func TestReplayCxReproducesSchedule(t *testing.T) {
 }
 
 func TestRunPopulatesStats(t *testing.T) {
-	rep := Run(scenario(true, false), Options{MaxExecutions: 1000})
+	rep := Run(scenario(true, false), Options{MaxExecutions: 1000, StressExecutions: 40})
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
 	}
@@ -96,25 +96,6 @@ func TestRunPopulatesStats(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "execs/s") {
 		t.Errorf("Stats.String() = %q", st.String())
-	}
-}
-
-func TestParallelStressSharesDepthHistogram(t *testing.T) {
-	rep := Run(scenario(true, false), Options{
-		MaxExecutions:    1, // skip past the systematic phase quickly
-		Workers:          4,
-		StressExecutions: 40,
-	})
-	if !rep.OK() {
-		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
-	}
-	_, counts := rep.Stats.Depth.Snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total != uint64(rep.Executions) {
-		t.Errorf("depth histogram holds %d observations, want %d", total, rep.Executions)
 	}
 }
 
@@ -163,7 +144,7 @@ func TestSearchAttachesNoTrace(t *testing.T) {
 		return s
 	}
 
-	rep := Run(count(scenario(true, true)), Options{MaxExecutions: 1000, Workers: 1, StressExecutions: 20})
+	rep := Run(count(scenario(true, true)), Options{MaxExecutions: 1000, StressExecutions: 20})
 	if !rep.OK() || !rep.Complete {
 		t.Fatalf("clean scenario: %s", rep)
 	}
@@ -173,7 +154,7 @@ func TestSearchAttachesNoTrace(t *testing.T) {
 
 	traced, untraced = 0, 0
 	s := count(brokenScenario())
-	rep = Run(s, Options{MaxExecutions: 1000, Workers: 1})
+	rep = Run(s, Options{MaxExecutions: 1000})
 	if rep.OK() {
 		t.Fatal("torn write not caught")
 	}
@@ -208,7 +189,7 @@ func TestRetraceKeepsFindingThatDoesNotReplay(t *testing.T) {
 		}
 		return nil
 	}
-	rep := Run(s, Options{MaxExecutions: 10, Workers: 1})
+	rep := Run(s, Options{MaxExecutions: 10})
 	if rep.OK() {
 		t.Fatal("violation lost")
 	}

@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/history"
 	"repro/internal/machine"
@@ -86,10 +85,8 @@ func verdict(r *Report) string {
 	return "VIOLATION"
 }
 
-// outcomeSet is the set of a search's outcomes, as 64-bit hashes,
-// shared by its workers.
+// outcomeSet is the set of a search's outcomes, as 64-bit hashes.
 type outcomeSet struct {
-	mu  sync.Mutex
 	set map[uint64]struct{}
 	buf []byte
 }
@@ -97,8 +94,6 @@ type outcomeSet struct {
 // add records the outcome of an execution that ended on m with history
 // h.
 func (o *outcomeSet) add(m *machine.Machine, h history.History) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	b := appendOutcome(o.buf[:0], h)
 	b, _ = m.AppendDurable(b)
 	o.buf = b

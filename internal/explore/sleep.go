@@ -44,8 +44,7 @@ type schedPoint struct {
 	// or the crash option.
 	first int
 	// nth is the number of thread options; option nth, when offered,
-	// crashes. Option i runs thread tids[tidLo+i] (a pinned point keeps
-	// none: it never advances).
+	// crashes. Option i runs thread tids[tidLo+i].
 	nth          int
 	tidLo, tidHi int32
 	// sl[sleepLo:sleepHi] is the inherited sleep set and
@@ -233,20 +232,6 @@ func (d *dfsChooser) chose(i int) {
 	}
 }
 
-// learnPinned gives a donated prefix's "sched" point its part on first
-// replay: no threads, since it never advances, and an empty sleep set.
-func (d *dfsChooser) learnPinned(i int, tag string) {
-	if !d.reduce || tag != "sched" {
-		return
-	}
-	s := schedPoint{nth: d.nready, tidLo: int32(len(d.tids)), tidHi: int32(len(d.tids))}
-	s.sleepLo, s.sleepHi, s.doneHi = int32(len(d.sl)), int32(len(d.sl)), int32(len(d.sl))
-	s.curLo, s.curHi = int32(len(d.acc)), int32(len(d.acc))
-	s.leafLo, s.leafHi, s.cur = int32(len(d.leaves)), int32(len(d.leaves)), -1
-	d.scheds = append(d.scheds, s)
-	d.points[i].si = int32(len(d.scheds))
-}
-
 // cut ends an execution: a first transition still unreported was cut
 // short (a violation), so its footprint is not fully known.
 func (d *dfsChooser) cut() {
@@ -292,10 +277,10 @@ func (d *dfsChooser) trim(i int) {
 }
 
 // nextOption finishes p's chosen option and returns the next one to
-// explore, lim or more when there is none: at a "sched" point the
+// explore, p.n or more when there is none: at a "sched" point the
 // finished thread joins the point's done entries, and threads asleep
 // there are skipped.
-func (d *dfsChooser) nextOption(p *choicePoint, lim int) int {
+func (d *dfsChooser) nextOption(p *choicePoint) int {
 	s := d.sched(p)
 	if s == nil {
 		return p.chosen + 1
@@ -307,26 +292,8 @@ func (d *dfsChooser) nextOption(p *choicePoint, lim int) int {
 		s.curLo, s.curHi, s.curGlobal = int32(len(d.acc)), int32(len(d.acc)), false
 	}
 	c := p.chosen + 1
-	for c < lim && c < s.nth && d.asleep(s, c) {
+	for c < s.nth && d.asleep(s, c) {
 		c++
 	}
 	return c
-}
-
-// markDonated notes that the options after point i's own were donated.
-// When i lies inside the first transition of a "sched" point's running
-// option, the variants of that transition run elsewhere and their
-// footprints stay unknown here, so the option sleeps with a global
-// footprint. A donated job starts with an empty sleep set.
-func (d *dfsChooser) markDonated(i int) {
-	if !d.reduce {
-		return
-	}
-	j := int(d.points[i].lastOn)
-	if j < 0 || j == i {
-		return
-	}
-	if s := d.sched(&d.points[j]); d.points[j].chosen < s.nth {
-		s.curGlobal = true
-	}
 }

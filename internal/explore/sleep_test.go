@@ -43,8 +43,8 @@ func cells(k int, shared bool) *Scenario {
 func TestSleepSetsCollapseDisjointThreads(t *testing.T) {
 	const k, orders = 4, 70 // 8 choose 4
 	for _, shared := range []bool{false, true} {
-		plain := Run(cells(k, shared), Options{Workers: 1, NoReduce: true})
-		red := Run(cells(k, shared), Options{Workers: 1})
+		plain := Run(cells(k, shared), Options{NoReduce: true})
+		red := Run(cells(k, shared), Options{})
 		for _, r := range []*Report{plain, red} {
 			if !r.OK() || !r.Complete {
 				t.Fatalf("shared=%v: %s", shared, r)
@@ -116,23 +116,23 @@ func undeclared(declare, violate bool) *Scenario {
 // changed verdict and, on the violation-free variant, the outcome the
 // reduced search never reaches; declaring the variable restores both.
 func TestSleepSetsNegativeControl(t *testing.T) {
-	if rep := Run(undeclared(false, true), Options{Workers: 1, NoReduce: true}); rep.OK() {
+	if rep := Run(undeclared(false, true), Options{NoReduce: true}); rep.OK() {
 		t.Fatalf("plain search missed the violation: %s", rep)
 	}
-	if rep := Run(undeclared(false, true), Options{Workers: 1}); !rep.OK() {
+	if rep := Run(undeclared(false, true), Options{}); !rep.OK() {
 		t.Fatalf("reduced search convicted without the declaration: the control controls nothing")
 	}
-	if _, _, err := SelfCheck(undeclared(false, true), Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "verdict") {
+	if _, _, err := SelfCheck(undeclared(false, true), Options{}); err == nil || !strings.Contains(err.Error(), "verdict") {
 		t.Errorf("SelfCheck on the undeclared violation: %v, want a verdict change", err)
 	}
-	if _, _, err := SelfCheck(undeclared(false, false), Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), "outcomes") {
+	if _, _, err := SelfCheck(undeclared(false, false), Options{}); err == nil || !strings.Contains(err.Error(), "outcomes") {
 		t.Errorf("SelfCheck on the undeclared reordering: %v, want an outcome change", err)
 	}
-	if rep := Run(undeclared(true, true), Options{Workers: 1}); rep.OK() {
+	if rep := Run(undeclared(true, true), Options{}); rep.OK() {
 		t.Errorf("reduced search missed the declared violation: %s", rep)
 	}
 	for _, violate := range []bool{false, true} {
-		if _, _, err := SelfCheck(undeclared(true, violate), Options{Workers: 1}); err != nil {
+		if _, _, err := SelfCheck(undeclared(true, violate), Options{}); err != nil {
 			t.Errorf("SelfCheck with the declaration, violate=%v: %v", violate, err)
 		}
 	}
@@ -183,7 +183,7 @@ func budgeted() *Scenario {
 // so the reduced search checks one order and finds the same three
 // outcomes the plain search finds in both.
 func TestSleepSetsFaultBudgetCommutes(t *testing.T) {
-	red, plain, err := SelfCheck(budgeted(), Options{Workers: 1})
+	red, plain, err := SelfCheck(budgeted(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,40 +195,14 @@ func TestSleepSetsFaultBudgetCommutes(t *testing.T) {
 	}
 }
 
-// TestSleepSetsDonatedJobsCoverTheSpace: a parallel search's donated
-// jobs start with empty sleep sets, so it may run more executions than
-// one worker, never a different verdict or fewer outcomes.
-func TestSleepSetsDonatedJobsCoverTheSpace(t *testing.T) {
-	for _, violate := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			s := undeclared(true, violate)
-			with, _, err := SelfCheck(s, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("violate=%v workers=%d: %v", violate, workers, err)
-			}
-			if with.OK() == violate {
-				t.Fatalf("violate=%v workers=%d: %s", violate, workers, with)
-			}
-		}
-	}
-	one := Run(cells(5, false), Options{Workers: 1})
-	four := Run(cells(5, false), Options{Workers: 4})
-	if four.Executions < one.Executions || !four.Complete {
-		t.Errorf("4 workers: %s; 1 worker: %s", four, one)
-	}
-	if four.Executions == four.Stats.SleepBlocked {
-		t.Errorf("4 workers checked no execution: %s", four.Stats)
-	}
-}
-
 // TestSelfCheckBoundedPlainSearch: at a budget the reduced search
 // completes within and the plain one does not, SelfCheck passes when
 // every outcome the plain search reached is among the reduced search's,
 // and still reports one that is not.
 func TestSelfCheckBoundedPlainSearch(t *testing.T) {
 	for _, s := range []*Scenario{cells(4, false), undeclared(false, false)} {
-		budget := Run(s, Options{Workers: 1}).Executions
-		with, without, err := SelfCheck(s, Options{Workers: 1, MaxExecutions: budget})
+		budget := Run(s, Options{}).Executions
+		with, without, err := SelfCheck(s, Options{MaxExecutions: budget})
 		if !with.Complete || without.Complete {
 			t.Fatalf("%s at %d: reduced %s, plain %s; want only the reduced search complete", s.Name, budget, with, without)
 		}

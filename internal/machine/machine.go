@@ -281,7 +281,9 @@ func (m *Machine) CrashReset() {
 		panic("machine: CrashReset during a running era")
 	}
 	m.crash()
-	m.Tracef("-- crash: memory version now %d --", m.version)
+	if m.Tracing() {
+		m.Tracef("-- crash: memory version now %d --", m.version)
+	}
 }
 
 // crash is what a crash does to the machine, taken (CrashReset) or

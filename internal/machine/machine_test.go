@@ -413,6 +413,19 @@ func TestNoTraceAttachedFormatsNothing(t *testing.T) {
 	}
 }
 
+// TestUntracedCrashAllocatesNothing: without a trace a crash formats no
+// line, so it boxes no memory version either, not even one past 255,
+// where a boxed integer is a heap allocation.
+func TestUntracedCrashAllocatesNothing(t *testing.T) {
+	m := New(Options{})
+	for m.version <= 255 {
+		m.CrashReset()
+	}
+	if n := testing.AllocsPerRun(100, m.CrashReset); n != 0 {
+		t.Fatalf("an untraced CrashReset at memory version %d allocates %v objects, want 0", m.version, n)
+	}
+}
+
 // TestKilledThreadTakesNoFurtherStep: a thread killed by a crash while
 // it holds a lock unwinds through its deferred Release, which must not
 // run as a machine step: the step counter stays put, the lock keeps its

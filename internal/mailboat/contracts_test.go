@@ -201,7 +201,7 @@ func differential(s *explore.Scenario, max int, before, after oracle) (verdicts,
 			t.Failf("weaker than the audit: the oracle refused (%v) and the spec accepted:\n%s", err, h.History().Format())
 		}
 	}
-	rep := explore.Run(&d, explore.Options{MaxExecutions: max, Workers: 1})
+	rep := explore.Run(&d, explore.Options{MaxExecutions: max})
 	return v, rep
 }
 

@@ -60,7 +60,7 @@ func mirrorDeathAndCrash(v Variant) *explore.Scenario {
 // (189,042 while every crash state ran); -short stops it at 10,000.
 func TestMirroredVerifiedDeathAndCrashCombined(t *testing.T) {
 	s := mirrorDeathAndCrash(VariantVerified)
-	opts := explore.Options{MaxExecutions: 400000, Workers: 1}
+	opts := explore.Options{MaxExecutions: 400000}
 	if testing.Short() {
 		opts.MaxExecutions = 10000
 	}
@@ -109,7 +109,7 @@ func TestMirroredAcksBeforeGenerationBump(t *testing.T) {
 // replayable core.
 func TestBugFlagBeforeBumpCaught(t *testing.T) {
 	s := mirrorDeathAndCrash(VariantFlagBeforeBump)
-	rep := explore.Run(s, explore.Options{MaxExecutions: 400000, Workers: 1})
+	rep := explore.Run(s, explore.Options{MaxExecutions: 400000})
 	t.Logf("report: %s", rep.String())
 	if rep.OK() {
 		t.Fatal("flag-before-bump not convicted")

@@ -60,7 +60,7 @@ func TestMutationsTrackProductionUnderFaults(t *testing.T) {
 				if row.leaks {
 					s.Invariant = nil
 				}
-				rep := explore.Run(s, explore.Options{MaxExecutions: 20000, Workers: 1})
+				rep := explore.Run(s, explore.Options{MaxExecutions: 20000})
 				t.Logf("report: %s", rep.String())
 				if !rep.OK() {
 					t.Fatalf("accepted row convicted once a fault is composed with it:\n%s", rep.Counterexample.Format())

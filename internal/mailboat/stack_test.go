@@ -83,7 +83,7 @@ func TestWritebackNoSpaceExhaustive(t *testing.T) {
 			c.o.Delivers = []OpDeliver{{User: 0, Msg: "a"}}
 			c.o.PostPickups = true
 			c.o.Property = Exhaustion
-			rep := explore.Run(Scenario("mb-"+c.name, VariantVerified, c.o), explore.Options{MaxExecutions: 20000, Workers: 1})
+			rep := explore.Run(Scenario("mb-"+c.name, VariantVerified, c.o), explore.Options{MaxExecutions: 20000})
 			t.Logf("report: %s", rep)
 			if !rep.OK() {
 				t.Fatalf("exhaustion contract violated:\n%s", rep.Counterexample.Format())

@@ -38,7 +38,7 @@ func runComplete(t *testing.T, s *explore.Scenario, max, short int) *explore.Rep
 	if testing.Short() {
 		budget = short
 	}
-	rep := explore.Run(s, explore.Options{MaxExecutions: budget, Workers: 1})
+	rep := explore.Run(s, explore.Options{MaxExecutions: budget})
 	t.Logf("report: %s", rep.String())
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
@@ -187,7 +187,7 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 		MaxCrashes:  1,
 		Faults:      mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.Reorder, fault.DropReply)},
 	})
-	with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 20000, Workers: 1})
+	with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 20000})
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestReplicatedSelfCheckSleepSets(t *testing.T) {
 		PickupUsers: []uint64{0},
 		Faults:      mailboat.Faults{Budget: 1, Ops: fault.Classes(fault.FailStop)},
 	})
-	opts := explore.Options{MaxExecutions: 10000, StressExecutions: 10000, StressSeed: 1, Workers: 1}
+	opts := explore.Options{MaxExecutions: 10000, StressExecutions: 10000, StressSeed: 1}
 	with, without, err := explore.SelfCheck(s, opts)
 	if err != nil {
 		t.Fatalf("self-check failed: %v", err)
@@ -383,7 +383,7 @@ func TestReplicatedComposedFaultAxes(t *testing.T) {
 	if testing.Short() {
 		max = 3000
 	}
-	rep := explore.Run(s, explore.Options{MaxExecutions: max, Workers: 1})
+	rep := explore.Run(s, explore.Options{MaxExecutions: max})
 	t.Logf("report: %s; %d executions spent the budget on both axes", rep, composed)
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())

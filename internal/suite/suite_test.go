@@ -35,7 +35,6 @@ func TestVerifiedSuiteAllClean(t *testing.T) {
 		e := e
 		t.Run(e.Scenario.Name, func(t *testing.T) {
 			opts := e.Opts
-			opts.Workers = 1
 			if testing.Short() {
 				opts.MaxExecutions = 1000
 			}
@@ -57,9 +56,7 @@ func TestBugSuiteAllFound(t *testing.T) {
 	for _, e := range Bugs() {
 		e := e
 		t.Run(e.Scenario.Name, func(t *testing.T) {
-			opts := e.Opts
-			opts.Workers = 1
-			rep := explore.Run(e.Scenario, opts)
+			rep := explore.Run(e.Scenario, e.Opts)
 			t.Logf("%s", rep)
 			mustVerdict(t, e, rep)
 			if len(rep.Counterexample.Choices) == 0 {
@@ -102,7 +99,7 @@ func (f *forgetful) Save() (restore func()) { return func() {} }
 // another boundary than the one evaluated in place for it — is no
 // verdict. It fails a verified entry, and it convicts no seeded bug:
 // Verdict, which perennial-check and this package's verdict checks go
-// through, fails both, at one worker and four.
+// through, fails both.
 func TestCheckerErrorIsNoVerdict(t *testing.T) {
 	for _, name := range []string{"mb/deliver+pickup+crash", "mb/sync-bug:ack-before-sync"} {
 		i := slices.IndexFunc(All(), func(e Entry) bool { return e.Scenario.Name == name })
@@ -118,23 +115,19 @@ func TestCheckerErrorIsNoVerdict(t *testing.T) {
 			return w
 		}
 		e.Scenario = &sc
-		for _, workers := range []int{1, 4} {
-			opts := e.Opts
-			opts.Workers = workers
-			rep := explore.Run(e.Scenario, opts)
-			status, ok := e.Verdict(rep)
-			if ok || status != "FAIL (checker error)" || rep.Err == nil || rep.Counterexample != nil {
-				t.Errorf("%s, Workers: %d: %s, %v: %s", name, workers, status, rep.Err, rep)
-			}
-			t.Logf("%s, Workers: %d: %v", name, workers, rep.Err)
+		rep := explore.Run(e.Scenario, e.Opts)
+		status, ok := e.Verdict(rep)
+		if ok || status != "FAIL (checker error)" || rep.Err == nil || rep.Counterexample != nil {
+			t.Errorf("%s: %s, %v: %s", name, status, rep.Err, rep)
 		}
+		t.Logf("%s: %v", name, rep.Err)
 	}
 }
 
 const searchGolden = "testdata/search.golden"
 
 // searchShape is an entry's line of testdata/search.golden: what its
-// Workers: 1 search explored, counted every way the report counts it,
+// search explored, counted every way the report counts it,
 // and for a seeded bug the minimized counterexample's choices. A change
 // to how an execution runs, not to what it runs, leaves every line as it
 // is.
@@ -185,9 +178,8 @@ func matchSearchGolden(t *testing.T, got []string) {
 // TestCounterexamplesAreTheirReplay: the search keeps no trace and
 // rebuilds a failing execution's trace, schedule and history by
 // replaying its choices, so for every seeded bug the counterexample the
-// search reports is byte for byte what ReplayCx prints, sequential or
-// parallel, and the sequential search convicts each entry in exactly its
-// pinned number of executions (a faster checker must not be a different
+// search reports is byte for byte what ReplayCx prints, and the search
+// convicts each entry in exactly its pinned number of executions (a faster checker must not be a different
 // one, and a mutation rebuilt from the production stages must be the
 // same mutation).
 func TestCounterexamplesAreTheirReplay(t *testing.T) {
@@ -233,96 +225,89 @@ func TestCounterexamplesAreTheirReplay(t *testing.T) {
 		t.Errorf("%d seeded bugs, %d pinned counts", len(bugs), len(pinned))
 	}
 	for _, e := range bugs {
-		for _, workers := range []int{1, 4} {
-			opts := e.Opts
-			opts.Workers = workers
-			rep := explore.Run(e.Scenario, opts)
-			if status, ok := e.Verdict(rep); !ok {
-				t.Fatalf("%s, Workers: %d: %s: %s", e.Scenario.Name, workers, status, rep)
-			}
-			cx := rep.Counterexample
-			if len(cx.Trace) == 0 || len(cx.Schedule) == 0 {
-				t.Fatalf("%s: counterexample has %d trace lines and %d schedule steps", e.Scenario.Name, len(cx.Trace), len(cx.Schedule))
-			}
-			replay := explore.ReplayCx(e.Scenario, cx.Choices)
-			if replay == nil {
-				t.Fatalf("%s: counterexample does not replay", e.Scenario.Name)
-			}
-			if got, want := cx.Format(), replay.Format(); got != want {
-				t.Fatalf("%s, Workers: %d: search and replay differ\nsearch:\n%s\nreplay:\n%s", e.Scenario.Name, workers, got, want)
-			}
-			if want := pinned[e.Scenario.Name]; workers == 1 && rep.Executions != want {
-				t.Errorf("%s: sequential conviction took %d executions, want %d", e.Scenario.Name, rep.Executions, want)
-			}
+		rep := explore.Run(e.Scenario, e.Opts)
+		if status, ok := e.Verdict(rep); !ok {
+			t.Fatalf("%s: %s: %s", e.Scenario.Name, status, rep)
+		}
+		cx := rep.Counterexample
+		if len(cx.Trace) == 0 || len(cx.Schedule) == 0 {
+			t.Fatalf("%s: counterexample has %d trace lines and %d schedule steps", e.Scenario.Name, len(cx.Trace), len(cx.Schedule))
+		}
+		replay := explore.ReplayCx(e.Scenario, cx.Choices)
+		if replay == nil {
+			t.Fatalf("%s: counterexample does not replay", e.Scenario.Name)
+		}
+		if got, want := cx.Format(), replay.Format(); got != want {
+			t.Fatalf("%s: search and replay differ\nsearch:\n%s\nreplay:\n%s", e.Scenario.Name, got, want)
+		}
+		if want := pinned[e.Scenario.Name]; rep.Executions != want {
+			t.Errorf("%s: conviction took %d executions, want %d", e.Scenario.Name, rep.Executions, want)
 		}
 	}
 }
 
 // TestNoChoicePointIsReseated: an execution is a function of its choice
 // sequence, so a replayed prefix must offer, point for point, the
-// branching factors it was recorded with. A search worker carries its
-// carrier coroutines and recorder buffers from one execution to the
-// next; anything an execution could observe leaking through them would
+// branching factors it was recorded with. A search carries its carrier
+// coroutines and recorder buffers from one execution to the next; anything an execution could observe leaking through them would
 // show here first, as a re-seated choice point (explore.Stats.Reseats).
 func TestNoChoicePointIsReseated(t *testing.T) {
 	for _, e := range All() {
-		for _, workers := range []int{1, 4} {
-			opts := e.Opts
-			opts.Workers = workers
-			// A bug search stops at its conviction, so -short caps only
-			// the searches that want none.
-			if testing.Short() && !e.WantViolation {
-				opts.MaxExecutions = 1000
-			}
-			rep := explore.Run(e.Scenario, opts)
-			if status, ok := e.Verdict(rep); !ok {
-				t.Errorf("%s, Workers: %d: %s: %s", e.Scenario.Name, workers, status, rep)
-			}
-			if rep.Stats.Reseats != 0 {
-				t.Errorf("%s, Workers: %d: %d choice points re-seated: %s", e.Scenario.Name, workers, rep.Stats.Reseats, rep.Stats)
-			}
+		opts := e.Opts
+		// A bug search stops at its conviction, so -short caps only the
+		// searches that want none.
+		if testing.Short() && !e.WantViolation {
+			opts.MaxExecutions = 1000
+		}
+		rep := explore.Run(e.Scenario, opts)
+		if status, ok := e.Verdict(rep); !ok {
+			t.Errorf("%s: %s: %s", e.Scenario.Name, status, rep)
+		}
+		if rep.Stats.Reseats != 0 {
+			t.Errorf("%s: %d choice points re-seated: %s", e.Scenario.Name, rep.Stats.Reseats, rep.Stats)
 		}
 	}
 }
 
-// TestParallelSearchSharesSpecStates: the workers of a parallel search
-// share the scenario's spec, and with it Spec(cfg).Init and every state
-// part later states share with it. Under -race (CI runs it at
-// -cpu=1,4), mb/deliver+pickup+crash at Workers: 4 catches a write into
-// any of them. A search hands work out through a mutex after its first
-// execution, which would order a write made once, on first use, before
-// every other worker's read; so two searches of one freshly built
-// scenario run at once, and their first executions race each other.
+// TestParallelSearchSharesSpecStates: perennial-check searches several
+// entries at once, so whatever two mail entries' searches share — the
+// spec, history and machine packages' state, and any cache a spec step
+// keeps — must be safe to share. Under -race (CI runs it at -cpu=1,4),
+// two different mail entries searched at once catch a write into any of
+// it, from their first executions on.
 func TestParallelSearchSharesSpecStates(t *testing.T) {
+	names := []string{"mb/deliver+pickup+crash", "mb/writeback+sync-discipline"}
+	var entries []Entry
 	for _, e := range Verified() {
-		if e.Scenario.Name != "mb/deliver+pickup+crash" {
-			continue
+		if slices.Contains(names, e.Scenario.Name) {
+			entries = append(entries, e)
 		}
-		opts := e.Opts
-		opts.Workers, opts.MaxExecutions = 4, 500
-		reps := make([]*explore.Report, 2)
-		var wg sync.WaitGroup
-		for i := range reps {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				reps[i] = explore.Run(e.Scenario, opts)
-			}()
-		}
-		wg.Wait()
-		for _, rep := range reps {
-			if !rep.OK() || rep.CrashedExecutions == 0 {
-				t.Fatalf("%s", rep)
-			}
-		}
-		return
 	}
-	t.Fatal("mb/deliver+pickup+crash missing from the verified suite")
+	if len(entries) != len(names) {
+		t.Fatalf("the verified suite has %d of %v", len(entries), names)
+	}
+	reps := make([]*explore.Report, len(entries))
+	var wg sync.WaitGroup
+	for i, e := range entries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opts := e.Opts
+			opts.MaxExecutions = 500
+			reps[i] = explore.Run(e.Scenario, opts)
+		}()
+	}
+	wg.Wait()
+	for _, rep := range reps {
+		if !rep.OK() || rep.CrashedExecutions == 0 {
+			t.Errorf("%s", rep)
+		}
+	}
 }
 
 // TestSelfCheckCompleteEntries is the witness of both reductions over
 // the suite (DESIGN.md "Sleep sets"): every verified entry whose reduced
-// search completes at its own budget at Workers: 1 is searched again
+// search completes at its own budget is searched again
 // without them, and the two searches must agree on the verdict and on
 // the set of outcomes (explore.SelfCheck). The plain searches complete
 // within 250,000 executions but for three: mb/writeback+prefix-contract's
@@ -335,19 +320,16 @@ func TestSelfCheckCompleteEntries(t *testing.T) {
 		t.Skip("the unreduced searches run to completion")
 	}
 	for _, e := range Verified() {
-		opts := e.Opts
-		opts.Workers = 1
-		if rep := explore.Run(e.Scenario, opts); !rep.Complete {
+		if rep := explore.Run(e.Scenario, e.Opts); !rep.Complete {
 			t.Logf("%s: %d executions, complete=%v; no outcome set to compare", e.Scenario.Name, rep.Executions, rep.Complete)
 			continue
 		}
-		opts = e.Opts
+		opts := e.Opts
 		opts.MaxExecutions = 250000 // mb/writeback+sync-discipline's plain search is 132,073
 		switch e.Scenario.Name {
 		case "mb/writeback+prefix-contract", "mb/replicated+crash+net", "mb/replicated+failstop":
-			// At one worker the reduced searches complete in 1,030,
-			// 4,259 and 7,726.
-			opts.MaxExecutions, opts.Workers = 50000, 1
+			// The reduced searches complete in 1,030, 4,259 and 7,726.
+			opts.MaxExecutions = 50000
 		}
 		with, without, err := explore.SelfCheck(e.Scenario, opts)
 		if err != nil {
@@ -364,8 +346,8 @@ func TestSelfCheckCompleteEntries(t *testing.T) {
 // takes a crash is searched again with a second one — a crash inside
 // the first recovery — and must come out clean and complete. The rows
 // stay out of Verified(): the benchmark times that list. The largest,
-// mb/writeback+prefix-contract, completes in 2,000 executions at one
-// worker; -short skips the test.
+// mb/writeback+prefix-contract, completes in 2,000 executions; -short
+// skips the test.
 func TestVerifiedAtCrashDepthTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine complete searches at crash depth 2")
@@ -378,7 +360,7 @@ func TestVerifiedAtCrashDepthTwo(t *testing.T) {
 			o := r.opts
 			o.MaxCrashes = 2
 			e := Entry{Scenario: mailboat.Scenario(r.name, r.variant, o)}
-			rep := explore.Run(e.Scenario, explore.Options{MaxExecutions: 40000, Workers: 1})
+			rep := explore.Run(e.Scenario, explore.Options{MaxExecutions: 40000})
 			t.Logf("%s", rep)
 			mustVerdict(t, e, rep)
 			if !rep.Complete {
@@ -411,7 +393,7 @@ func TestSelfCheckAtCrashDepthTwo(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			o := r.opts
 			o.MaxCrashes = 2
-			with, without, err := explore.SelfCheck(mailboat.Scenario(r.name, r.variant, o), explore.Options{MaxExecutions: 40000, Workers: 1})
+			with, without, err := explore.SelfCheck(mailboat.Scenario(r.name, r.variant, o), explore.Options{MaxExecutions: 40000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,7 +457,7 @@ func TestEveryPropertyIsChecked(t *testing.T) {
 			if property(r) != p || convicted != "" {
 				continue
 			}
-			rep := explore.Run(mailboat.Scenario(r.name, r.variant, r.opts), explore.Options{MaxExecutions: r.max, Workers: 1})
+			rep := explore.Run(mailboat.Scenario(r.name, r.variant, r.opts), explore.Options{MaxExecutions: r.max})
 			if rep.Counterexample != nil && strings.HasPrefix(rep.Counterexample.Reason, "refinement failure") {
 				convicted = r.name
 			}
