@@ -129,7 +129,7 @@ func (c *Ctx) Crash() {
 	}
 }
 
-// Save implements machine.Saver: Crash changes each resource's two
+// Save implements machine.Device: Crash changes each resource's two
 // liveness flags and the owed crash step.
 func (c *Ctx) Save() (restore func()) {
 	flags := make([]*bool, 0, 2*(len(c.resources)+len(c.setResources)))

@@ -7,7 +7,7 @@ import (
 	"repro/internal/machine"
 )
 
-// AppendDurable implements machine.Fingerprinter for the ghost context.
+// AppendDurable implements machine.Device for the ghost context.
 // Ghost state steers which executions the capability rules admit, so it
 // is part of the crash-boundary state the explorer's dedup table hashes:
 // two boundary states that differ only in ghost bookkeeping can still

@@ -44,10 +44,10 @@ func New(m *machine.Machine, name string, size int, mayFail bool) *Disk {
 // durable, so a machine crash changes nothing here.
 func (d *Disk) Crash() {}
 
-// Save implements machine.Saver: Crash changes nothing to put back.
+// Save implements machine.Device: Crash changes nothing to put back.
 func (d *Disk) Save() (restore func()) { return func() {} }
 
-// AppendDurable implements machine.Fingerprinter: a disk's durable
+// AppendDurable implements machine.Device: a disk's durable
 // state is its name, its failure latch, and its block contents.
 func (d *Disk) AppendDurable(b []byte) []byte {
 	b = machine.AppendString(b, d.name)

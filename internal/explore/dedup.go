@@ -57,16 +57,14 @@ func fnvInt(h uint64, x uint64) uint64 {
 type fpTable map[uint64]uint64
 
 // claim records fp as owned by owner when unclaimed. It reports whether
-// the caller may continue past the boundary: true for the first claim
-// and for revisits by the same owner, false when another prefix already
-// owns the subtree (prune).
+// owner owns it now: true for the first claim and for revisits by the
+// same owner, false when another prefix already owns the subtree.
 func (t fpTable) claim(fp, owner uint64) bool {
-	prev, ok := t[fp]
-	if !ok {
-		t[fp] = owner
-		return true
+	if t.ownedElsewhere(fp, owner) {
+		return false
 	}
-	return prev == owner
+	t[fp] = owner
+	return true
 }
 
 // ownedElsewhere reports whether a prefix other than owner has claimed
@@ -96,14 +94,8 @@ type dedupRun struct {
 	hist  []byte
 	histN int
 
-	// pruned is set when the execution was cut at a crash boundary
-	// another prefix owns, and err when it was cut at a checker error.
-	pruned bool
-	err    error
-	// unfingerprintable is set, for the rest of the search, when a
-	// registered device does not implement machine.Fingerprinter; the
-	// run proceeds without dedup and the report flags DedupActive=false.
-	unfingerprintable bool
+	// err is set when the execution was cut at a checker error.
+	err error
 }
 
 // appendEvent appends a canonical encoding of e: its kind and op ID,
@@ -164,66 +156,50 @@ func (dd *dedupRun) appendTail(b []byte, crash bool) []byte {
 // fingerprint hashes the crash boundary's state as it is in place:
 // first the tail, which seed is the hash of, then the devices' durable
 // encodings and the scenario's crash-surviving state. The tail is the
-// same for every crash state of a point, so a point hashes it once. ok
-// is false when a device is not fingerprintable.
-func (dd *dedupRun) fingerprint(seed uint64) (fp uint64, ok bool) {
-	b, ok := dd.m.AppendDurable(dd.buf[:0])
-	if !ok {
-		return 0, false
-	}
-	b = dd.s.Fingerprint(dd.w, b)
-	dd.buf = b
-	return fnvBytes(seed, b), true
+// same for every crash state of a point, so a point hashes it once.
+func (dd *dedupRun) fingerprint(seed uint64) uint64 {
+	dd.buf = dd.s.Fingerprint(dd.w, dd.m.AppendDurable(dd.buf[:0]))
+	return fnvBytes(seed, dd.buf)
 }
 
 // evaluate computes, in place, the boundary fingerprint of every crash
 // state the crash option of the running "sched" draw reaches, one per
 // vector of crash-time answers, and hands each to add. The history and
-// counters are the same for all of them, so they are encoded once. It
-// reports false when a device cannot be saved or fingerprinted; add may
-// then have been called for some of the states.
-func (dd *dedupRun) evaluate(add func(fp uint64, answers []machine.CrashAnswer)) bool {
+// counters are the same for all of them, so they are encoded once.
+func (dd *dedupRun) evaluate(add func(fp uint64, answers []machine.CrashAnswer)) {
 	dd.tail = dd.appendTail(dd.tail[:0], true)
 	seed := fnvBytes(fnvOffset, dd.tail)
-	ok := true
-	probed := dd.m.ProbeCrash(func(answers []machine.CrashAnswer) {
-		fp, can := dd.fingerprint(seed)
-		if !can {
-			ok = false
-			return
-		}
-		add(fp, answers)
-	})
-	return probed && ok
+	dd.m.ProbeCrash(func(answers []machine.CrashAnswer) { add(dd.fingerprint(seed), answers) })
 }
 
-// errEvaluation marks the checker error boundaryPrune reports when a
-// crash reaches a boundary other than the one evaluated for it in place.
+// errEvaluation marks the checker error confirmBoundary reports when a
+// crash the search runs is not the crash state it evaluated in place
+// and found live.
 var errEvaluation = errors.New("crash state evaluated in place differs from the crash taken")
 
-// boundaryPrune is called immediately after Machine.CrashReset. It
-// computes the crash-boundary fingerprint and reports whether this
-// execution should stop here because the boundary's recovery subtree is
-// owned by a different choice prefix. When d evaluated the crash's
-// state in place, the fingerprint must be the one evaluated: a
-// difference is an error of the checker's, and is returned, never taken
-// for a prune.
-func (dd *dedupRun) boundaryPrune(d *dfsChooser) (bool, error) {
+// confirmBoundary is called immediately after Machine.CrashReset. The
+// DFS runs only crash states it evaluated in place and whose boundary no
+// other prefix owned, so the boundary the crash reached must be the one
+// evaluated for it, and claiming it for the running prefix must succeed
+// (a first claim, or a revisit by the owner). Anything else is an error
+// of the checker's, never a prune. The claim is made here, when the
+// crash is run, so the table fills as the DFS reaches each boundary.
+func (dd *dedupRun) confirmBoundary(d *dfsChooser) error {
 	dd.tail = dd.appendTail(dd.tail[:0], false)
-	fp, ok := dd.fingerprint(fnvBytes(fnvOffset, dd.tail))
-	if !ok {
-		dd.unfingerprintable = true
-		return false, nil
-	}
-	if want, ok := d.evaluated(); ok && want != fp {
-		return false, fmt.Errorf("%w: the crash at choice %d reached boundary %016x, evaluated as %016x (does a device's Save put back everything its Crash changes?)",
+	fp := dd.fingerprint(fnvBytes(fnvOffset, dd.tail))
+	want, ok := d.evaluated()
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: a crash reached boundary %016x with no state evaluated in place for it (was its point re-seated?)",
+			errEvaluation, fp)
+	case want != fp:
+		return fmt.Errorf("%w: the crash at choice %d reached boundary %016x, evaluated as %016x (does a device's Save put back everything its Crash changes?)",
 			errEvaluation, d.crashAt, fp, want)
+	case !dd.table.claim(fp, d.owner(d.pos)):
+		return fmt.Errorf("%w: the crash at choice %d reached boundary %016x, which another prefix owns",
+			errEvaluation, d.crashAt, fp)
 	}
-	if dd.table.claim(fp, d.owner(d.pos)) {
-		return false, nil
-	}
-	dd.pruned = true
-	return true, nil
+	return nil
 }
 
 // Crash states evaluated in place (DESIGN.md "Crash-boundary dedup").
@@ -235,11 +211,11 @@ func (dd *dedupRun) boundaryPrune(d *dfsChooser) (bool, error) {
 // the DFS runs them. Nothing is claimed then. When the DFS takes the
 // crash option, and each time it backtracks to one of its crash-time
 // answers, it moves on to the next state whose boundary no other prefix
-// owns — the lookup the replayed crash would have made with claim at
-// that very moment — and pushes that state's answers as the points the
-// next execution replays. Each state passed over is skipped without an
-// execution, and counted pruned as its execution would have been; it is
-// skipped, never removed, so choice indices keep their meaning.
+// owns — the lookup the replayed crash makes with claim at that very
+// moment — and pushes that state's answers as the points the next
+// execution replays, where confirmBoundary claims the boundary. Each
+// state passed over is skipped without an execution and counted pruned;
+// it is skipped, never removed, so choice indices keep their meaning.
 
 // crashLeaf is one crash state of a point: the boundary fingerprint it
 // reaches, and its crash-time answers, answers[lo:hi].
@@ -271,10 +247,7 @@ func (d *dfsChooser) evaluate(p *schedPoint, taken bool) bool {
 	if d.dd == nil {
 		return true
 	}
-	if !d.dd.evaluate(d.addLeaf) {
-		d.trimLeaves(p.leafLo)
-		return true // the crash, when taken, is replayed and claimed
-	}
+	d.dd.evaluate(d.addLeaf)
 	p.leafHi = int32(len(d.leaves))
 	d.statesEvaluated += int(p.leafHi - p.leafLo)
 	if !taken {
@@ -336,12 +309,12 @@ func (d *dfsChooser) pushAnswers(l crashLeaf, from int32) {
 	}
 }
 
-// enterCrash is next() taking the crash option of point i: when its
-// crash states were evaluated, the first live one is run, and it
-// reports false when there is none.
+// enterCrash is next() taking the crash option of point i: under dedup
+// the first live one of its crash states, which dueAfter saw evaluated,
+// is run, and it reports false when there is none.
 func (d *dfsChooser) enterCrash(i int) bool {
 	s := d.sched(&d.points[i])
-	if s == nil || d.points[i].chosen != s.nth || s.leafHi == s.leafLo {
+	if s == nil || d.points[i].chosen != s.nth || d.dd == nil {
 		return true
 	}
 	if s.cur = d.firstLive(s, d.owner(i+1)); s.cur < 0 {

@@ -2,9 +2,11 @@ package explore
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // crashCounter is a device whose durable state is the number of
@@ -71,6 +73,53 @@ func TestEvaluatedCrashIsTheCrashTaken(t *testing.T) {
 	}
 }
 
+// TestCrashOffItsEvaluationIsAnError: the search runs only a crash
+// state it evaluated in place and found live, so a crash whose boundary
+// another prefix owns when it is replayed, or which has no evaluated
+// state, is a checker error, never a prune. A recovery that hands every
+// claimed boundary to another prefix makes the first; a scenario whose
+// second thread appears from its second execution on, re-seating a
+// replayed point, makes the second.
+func TestCrashOffItsEvaluationIsAnError(t *testing.T) {
+	stolen := counted(false)
+	tab := fpTable{}
+	stolen.Recover = func(t *machine.T, _ any) {
+		t.RandUint64(2) // two executions replay each crash
+		for fp, owner := range tab {
+			tab[fp] = owner + 1
+		}
+	}
+	var x runner
+	defer x.carriers.Release()
+	rep := &Report{Scenario: stolen.Name, Stats: Stats{Depth: obs.NewHistogram(obs.DepthBuckets)}}
+	se := &search{x: &x, s: stolen, rep: rep, budget: 100, d: dfsChooser{reduce: true}}
+	se.d.dd = &dedupRun{table: tab, s: stolen}
+	se.dfs()
+	if rep.OK() || rep.Counterexample != nil || !errors.Is(rep.Err, errEvaluation) || !strings.Contains(rep.Err.Error(), "another prefix owns") {
+		t.Errorf("stolen boundary: %s (%v), want a checker error and no verdict", rep, rep.Err)
+	}
+
+	reseated := counted(false)
+	runs := 0
+	reseated.Setup = func(m *machine.Machine) any {
+		runs++
+		m.RegisterDevice(&crashCounter{})
+		return nil
+	}
+	reseated.Main = func(t *machine.T, _ any, h *Harness) {
+		if runs > 1 {
+			t.Go(func(c *machine.T) { c.Step("late") })
+		}
+		for range 3 {
+			t.Step("tick")
+		}
+	}
+	rep = Run(reseated, Options{})
+	if rep.OK() || rep.Counterexample != nil || !errors.Is(rep.Err, errEvaluation) || !strings.Contains(rep.Err.Error(), "no state evaluated") || rep.Stats.Reseats == 0 {
+		t.Errorf("re-seated point: %s (%v, %d reseats), want a checker error and no verdict", rep, rep.Err, rep.Stats.Reseats)
+	}
+}
+
 // settle is a device with a tree of crash-time choices: the crash keeps
 // the durable value (a=0) or settles one of three pending writes (a=1,
 // then b), and the first and third settle alike, so two states of every
@@ -127,18 +176,14 @@ func settling() *Scenario {
 
 // TestEvaluatedCrashStatesCoverTheSpace: crash states skipped in place,
 // at crash points of the main era and of recovery, change neither the
-// verdict nor the outcome set, and no pruned crash state costs an
-// execution.
+// verdict nor the outcome set.
 func TestEvaluatedCrashStatesCoverTheSpace(t *testing.T) {
 	with, without, err := SelfCheck(settling(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !with.Complete || !without.Complete || with.Stats.CrashStatesSkipped == 0 {
+	if !with.Complete || !without.Complete || with.Stats.PrunedStates == 0 {
 		t.Fatalf("reduced %s (%s), plain %s", with, with.Stats, without)
-	}
-	if with.Stats.PrunedStates != with.Stats.CrashStatesSkipped {
-		t.Errorf("%d pruned, %d of them skipped: a pruned crash state took an execution", with.Stats.PrunedStates, with.Stats.CrashStatesSkipped)
 	}
 	t.Logf("%d executions without the reductions, %d with (%s)", without.Executions, with.Executions, with.Stats)
 }

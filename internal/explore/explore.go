@@ -31,8 +31,7 @@
 // a fresh machine, so searches of different scenarios can run at once
 // (a suite's entries do) without sharing checked state.
 //
-// When a Scenario provides a Fingerprint hook (and every registered
-// device implements machine.Fingerprinter), revisited crash-boundary
+// When a Scenario provides a Fingerprint hook, revisited crash-boundary
 // states are pruned via a fingerprint table: after CrashReset all
 // volatile state is dead by construction, so the suffix behavior is a
 // function of the fingerprinted boundary state and an
@@ -166,9 +165,9 @@ type Scenario struct {
 	// must append a canonical encoding of every piece of crash-surviving
 	// state the world holds OUTSIDE registered machine devices (fault
 	// policy budgets, counters the properties read, ...) to b and
-	// return it; device state is appended automatically via
-	// machine.Fingerprinter. A scenario whose crash-surviving state
-	// lives entirely in fingerprintable devices returns b unchanged.
+	// return it; device state is appended automatically, by each
+	// device's AppendDurable. A scenario whose crash-surviving state
+	// lives entirely in registered devices returns b unchanged.
 	// nil disables dedup for the scenario (the safe default: dedup with
 	// an incomplete fingerprint can unsoundly prune distinct states).
 	Fingerprint func(w any, b []byte) []byte
@@ -247,18 +246,15 @@ type Stats struct {
 	// Depth records the choice-sequence depth of each execution.
 	Depth *obs.Histogram
 	// DedupActive reports whether crash-boundary dedup ran: the
-	// scenario provided a Fingerprint hook, Options.NoReduce was off,
-	// and every registered device was fingerprintable.
+	// scenario provided a Fingerprint hook and Options.NoReduce was off.
 	DedupActive bool
-	// PrunedStates counts the crash states whose boundary's recovery
-	// subtree another prefix had already claimed: executions cut at the
-	// boundary, and crash states skipped without one.
+	// PrunedStates counts the crash states skipped without an execution
+	// because another prefix had already claimed their boundary's
+	// recovery subtree.
 	PrunedStates int
 	// CrashStatesEvaluated counts the crash states whose boundary was
-	// evaluated in place, at the draw that offered the crash, and
-	// CrashStatesSkipped those of them skipped without an execution
-	// because another prefix owned their boundary.
-	CrashStatesEvaluated, CrashStatesSkipped int
+	// evaluated in place, at the draw that offered the crash.
+	CrashStatesEvaluated int
 	// DistinctBoundaries is the number of distinct crash-boundary
 	// fingerprints claimed (the dedup table's size).
 	DistinctBoundaries int
@@ -287,8 +283,8 @@ func (st Stats) String() string {
 	s := fmt.Sprintf("%.3fs, %.0f execs/s, %.0f states/s, depth p50=%.0f p99=%.0f",
 		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99)
 	if st.DedupActive {
-		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place, %d skipped",
-			st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated, st.CrashStatesSkipped)
+		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place",
+			st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated)
 	}
 	if st.Slept > 0 || st.SleepBlocked > 0 {
 		s += fmt.Sprintf(", sleep: %d slept, %d blocked", st.Slept, st.SleepBlocked)
@@ -432,10 +428,10 @@ type runner struct {
 // runOne executes the scenario once under the given chooser and checks
 // the resulting history. It returns a counterexample on violation.
 // A searching chooser with a dedupRun enables crash-boundary dedup: the
-// execution may be cut short (dd.pruned) when it reaches a boundary
-// state whose recovery subtree another choice prefix already
-// enumerated, and the chooser evaluates crash states in place through
-// it.
+// chooser evaluates crash states in place through it and runs only
+// those whose boundary no other choice prefix owns, and each crash the
+// execution takes is confirmed at its boundary (an error stops the
+// execution, in dd.err).
 //
 // Only a traced run (ReplayCx) attaches the machine trace and records
 // the structured schedule; a searched execution keeps just its choice
@@ -533,16 +529,7 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 		h.rec.Crash()
 		m.CrashReset()
 		if dd != nil {
-			prune, err := dd.boundaryPrune(d)
-			if err != nil {
-				dd.err = err
-				return nil
-			}
-			if prune {
-				// Another prefix owns this boundary's recovery subtree; its
-				// suffix behavior is already covered, so stop the execution
-				// here. The DFS backtracks from the boundary, skipping the
-				// whole subtree.
+			if dd.err = dd.confirmBoundary(d); dd.err != nil {
 				return nil
 			}
 			dd.crashesLeft = crashesLeft

@@ -38,14 +38,13 @@ type Snapshot struct {
 	// DepthP50 and DepthP99 are quantiles of the choice-sequence depth
 	// of executions so far — the frontier's depth profile.
 	DepthP50, DepthP99 float64
-	// Pruned counts crash states at an already-claimed boundary, cut
-	// in an execution or skipped without one; DedupHitRate is Pruned
-	// over Executions plus Skipped.
+	// Pruned counts crash states at an already-claimed boundary, skipped
+	// without an execution; DedupHitRate is Pruned over Executions plus
+	// Pruned.
 	Pruned       int64
 	DedupHitRate float64
-	// Evaluated counts the crash states evaluated in place, and Skipped
-	// those of them skipped without an execution.
-	Evaluated, Skipped int64
+	// Evaluated counts the crash states evaluated in place.
+	Evaluated int64
 	// BudgetLeft is the remaining execution budget; BudgetETA
 	// extrapolates its exhaustion at the current rate (0 when the rate
 	// is 0 or the budget already ran out).
@@ -64,7 +63,7 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, ", dedup %.0f%% hit (%d pruned)", s.DedupHitRate*100, s.Pruned)
 	}
 	if s.Evaluated > 0 {
-		fmt.Fprintf(&b, ", crash states %d evaluated in place, %d skipped", s.Evaluated, s.Skipped)
+		fmt.Fprintf(&b, ", crash states %d evaluated in place", s.Evaluated)
 	}
 	fmt.Fprintf(&b, ", budget %d left", s.BudgetLeft)
 	if s.BudgetETA > 0 {
@@ -100,7 +99,6 @@ func (se *search) progressLoop(po *ProgressOptions, stop, done chan struct{}) {
 			Executions: execs,
 			Pruned:     pruned,
 			Evaluated:  se.evaluated.Load(),
-			Skipped:    se.skipped.Load(),
 			DepthP50:   depth.Quantile(0.50),
 			DepthP99:   depth.Quantile(0.99),
 			Final:      final,
@@ -109,7 +107,7 @@ func (se *search) progressLoop(po *ProgressOptions, stop, done chan struct{}) {
 			snap.ExecsPerSec = float64(execs-lastExecs) / dt
 		}
 		lastT, lastExecs = now, execs
-		if n := execs + snap.Skipped; n > 0 {
+		if n := execs + pruned; n > 0 {
 			snap.DedupHitRate = float64(pruned) / float64(n)
 		}
 		if left := int64(se.budget) - execs; left > 0 {

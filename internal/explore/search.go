@@ -5,19 +5,17 @@ import "sync/atomic"
 // search is one systematic search in progress. The atomic counters are
 // its progress telemetry, kept whether or not a sampler is attached (a
 // few relaxed stores per execution): executions started, pruned crash
-// states, and crash states evaluated in place and skipped. The sampler
-// in progressLoop only reads them, so enabling it cannot perturb the
+// states, and crash states evaluated in place. The sampler in
+// progressLoop only reads them, so enabling it cannot perturb the
 // search.
 type search struct {
-	x   *runner
-	s   *Scenario
-	d   dfsChooser
-	rep *Report
+	x      *runner
+	s      *Scenario
+	d      dfsChooser
+	rep    *Report
+	budget int
 
-	budget     int
-	prunedRuns int // executions cut at a boundary another prefix owns
-
-	execs, pruned, evaluated, skipped atomic.Int64
+	execs, pruned, evaluated atomic.Int64
 }
 
 // runSystematic enumerates the scenario's choice tree depth first on x
@@ -37,7 +35,7 @@ func runSystematic(x *runner, s *Scenario, opts Options, rep *Report) {
 	d := &se.d
 	rep.Stats.Reseats, rep.Stats.Slept, rep.Stats.SleepBlocked = d.reseats, d.slept, d.blocked
 	if dd := d.dd; dd != nil {
-		rep.Stats.DedupActive = !dd.unfingerprintable
+		rep.Stats.DedupActive = true
 		rep.Stats.DistinctBoundaries = len(dd.table)
 	}
 	if stop != nil {
@@ -60,18 +58,10 @@ func (se *search) dfs() bool {
 		rep.Executions++
 		se.execs.Store(int64(rep.Executions))
 		d.reset()
-		if dd := d.dd; dd != nil {
-			dd.pruned, dd.err = false, nil
-		}
 		cx := se.x.runOne(se.s, d, rep, false)
-		if dd := d.dd; dd != nil {
-			if dd.err != nil {
-				rep.Err = dd.err // no verdict
-				return false
-			}
-			if dd.pruned {
-				se.prunedRuns++
-			}
+		if dd := d.dd; dd != nil && dd.err != nil {
+			rep.Err = dd.err // no verdict
+			return false
 		}
 		if cx != nil {
 			rep.Counterexample = cx
@@ -89,9 +79,7 @@ func (se *search) dfs() bool {
 // chooser's, and the telemetry with the report.
 func (se *search) tally() {
 	st := &se.rep.Stats
-	st.CrashStatesEvaluated, st.CrashStatesSkipped = se.d.statesEvaluated, se.d.statesSkipped
-	st.PrunedStates = se.prunedRuns + se.d.statesSkipped
+	st.CrashStatesEvaluated, st.PrunedStates = se.d.statesEvaluated, se.d.statesSkipped
 	se.pruned.Store(int64(st.PrunedStates))
 	se.evaluated.Store(int64(st.CrashStatesEvaluated))
-	se.skipped.Store(int64(st.CrashStatesSkipped))
 }

@@ -71,6 +71,8 @@ type durableReg struct{ v uint64 }
 
 func (*durableReg) Crash() {}
 
+func (*durableReg) Save() (restore func()) { return func() {} }
+
 func (d *durableReg) AppendDurable(b []byte) []byte { return machine.AppendUint64(b, d.v) }
 
 // undeclared is the sleep sets' negative control: thread A stores into
@@ -142,6 +144,8 @@ func TestSleepSetsNegativeControl(t *testing.T) {
 type slots struct{ v [2]uint64 }
 
 func (*slots) Crash() {}
+
+func (*slots) Save() (restore func()) { return func() {} }
 
 func (d *slots) AppendDurable(b []byte) []byte {
 	return machine.AppendUint64(machine.AppendUint64(b, d.v[0]), d.v[1])

@@ -1,6 +1,10 @@
 package gfs
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/trace"
+)
 
 // This file holds the storage stack's seeded bugs, the checker's
 // mb/integrity-bug rows and the mirror's flag-before-bump. Each replaces
@@ -36,8 +40,8 @@ func flagBeforeBump(m *Mirrored, t T, i int, why string) {
 	if !m.alive(i) {
 		return
 	}
-	if tracing(t) {
-		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	if trace.Active(t) {
+		trace.Event(t, "mirror: replica %d failed (%s); degraded", i, why)
 	}
 	m.Metrics.replicaFailed(i)
 	// BUG: the bumped token is forged; the survivor's bump is not durable yet.

@@ -192,10 +192,7 @@ func (c *Checksummed) noteDetected(t T, dir, name string, v Verdict) {
 	c.mu.Unlock()
 	c.Metrics.detected()
 	if trace.Active(t) {
-		trace.Event(t, "integrity detected: %s/%s %s", dir, name, v)
-	}
-	if mt, ok := t.(*machine.T); ok && mt.Tracing() {
-		mt.Tracef("fs.integrity %s/%s: %s", dir, name, v)
+		trace.Event(t, "fs.integrity %s/%s: %s", dir, name, v)
 	}
 }
 

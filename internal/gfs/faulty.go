@@ -298,18 +298,13 @@ func (f *Faulty) gate(t T, c fault.Class, what describe) bool {
 		if latch != nil {
 			f.touch(obj, machine.Write)
 		}
-		if mt.Tracing() {
-			mt.Tracef("%s %s#%d %s", step, class, idx, detail)
-		}
 	}
 	if latch != nil {
 		latch.Store(true)
 	}
 	f.record(c, idx, detail)
-	// A fail-stop puts no event on the request's span; a mirror above
-	// reports the replica's death there.
-	if c != fault.FailStop && trace.Active(t) {
-		trace.Event(t, "fault injected: %s %s", c, detail)
+	if trace.Active(t) {
+		trace.Event(t, "%s %s#%d %s", step, class, idx, detail)
 	}
 	return true
 }

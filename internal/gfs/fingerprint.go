@@ -8,14 +8,14 @@ import (
 
 // This file provides the canonical durable-state encoding the model
 // checker's crash-boundary dedup table hashes (see DESIGN.md
-// "Crash-boundary dedup"). Model implements machine.Fingerprinter
-// directly (it is a registered device). The layers above it hold no
-// crash-surviving state: a checked recovery boots a fresh stack, as the
-// daemon does, so the scenario's explore.Scenario.Fingerprint hook only
-// covers what its world keeps across the reboot.
+// "Crash-boundary dedup"): Model's AppendDurable, as a registered
+// machine.Device. The layers above it hold no crash-surviving state: a
+// checked recovery boots a fresh stack, as the daemon does, so the
+// scenario's explore.Scenario.Fingerprint hook only covers what its
+// world keeps across the reboot.
 
-// AppendDurable implements machine.Fingerprinter. The encoding is
-// canonical in the sense dedup needs: inode numbers are renamed to
+// AppendDurable implements machine.Device. The encoding is canonical
+// in the sense dedup needs: inode numbers are renamed to
 // their first appearance in sorted (dir, name) order, so two file
 // systems that differ only in inode allocation history — but have the
 // same hard-link structure and contents — encode identically, while

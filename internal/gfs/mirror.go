@@ -365,8 +365,8 @@ func (m *Mirrored) markFailed(t T, i int, why string) {
 	if !ok {
 		return
 	}
-	if tracing(t) {
-		tracef(t, "mirror: replica %d failed (%s); degraded", i, why)
+	if trace.Active(t) {
+		trace.Event(t, "mirror: replica %d failed (%s); degraded", i, why)
 	}
 	m.Metrics.replicaFailed(i)
 	m.degrade(i, b)
@@ -436,8 +436,8 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 	ok = m.rep[j].Sync(t, fd)
 	m.rep[j].Close(t, fd)
 	if ok = ok && m.rep[j].SyncDir(t, MirrorMetaDir); ok {
-		if tracing(t) {
-			tracef(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
+		if trace.Active(t) {
+			trace.Event(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
 		}
 		m.Integrity.healed()
 	}
@@ -450,27 +450,7 @@ func (m *Mirrored) countFailover(t T) {
 	m.failovers++
 	m.mu.Unlock()
 	m.Metrics.failover()
-	tracef(t, "mirror: read failed over to survivor")
-}
-
-// tracing reports whether a mirror event on t would be seen anywhere.
-// Each tracef call site is guarded by it, so an untraced operation boxes
-// none of the event's arguments.
-func tracing(t T) bool {
-	if mt, ok := t.(*machine.T); ok {
-		return mt.Tracing()
-	}
-	return trace.Active(t)
-}
-
-// tracef records a mirror event where someone can see it: in the
-// checker's execution trace on a modeled thread, and on the request's
-// span when the caller carries one.
-func tracef(t T, format string, args ...any) {
-	if mt, ok := t.(*machine.T); ok {
-		mt.Tracef(format, args...)
-	}
-	trace.Event(t, format, args...)
+	trace.Event(t, "mirror: read failed over to survivor")
 }
 
 // mirrorFD is the mirror's descriptor. Append-mode descriptors carry
@@ -649,8 +629,8 @@ func (m *Mirrored) healFrom(t T, dir, name string, bad int, src judged) bool {
 	}
 	m.bumpGeneration(t, bad)
 	m.Integrity.healed()
-	if tracing(t) {
-		tracef(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
+	if trace.Active(t) {
+		trace.Event(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
 	}
 	return true
 }
@@ -1010,8 +990,8 @@ func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilver
 	m.resilvering = true
 	m.mu.Unlock()
 
-	if tracing(t) {
-		tracef(t, "mirror: resilver replica %d <- replica %d", 1-src, src)
+	if trace.Active(t) {
+		trace.Event(t, "mirror: resilver replica %d <- replica %d", 1-src, src)
 	}
 
 	// Data directories first, the generation directory LAST: equal
@@ -1178,8 +1158,8 @@ func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, h
 				return 0, false, false
 			}
 		case i == src:
-			if tracing(t) {
-				tracef(t, "mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
+			if trace.Active(t) {
+				trace.Event(t, "mirror: resilver: %s/%s corrupt on source replica %d, no good copy", dir, name, src)
 			}
 		}
 	}
@@ -1272,8 +1252,8 @@ func (m *Mirrored) verifyDir(t T, src int, dir string, rewritten []string) bool 
 			return false
 		}
 		if got, _, gok := readAll(t, m.raw(dst), dir, name); !gok || !bytes.Equal(got, want) {
-			if tracing(t) {
-				tracef(t, "mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
+			if trace.Active(t) {
+				trace.Event(t, "mirror: resilver verify: %s/%s differs on replica %d", dir, name, dst)
 			}
 			return false
 		}

@@ -324,7 +324,7 @@ func (fs *Model) reachable() []bool {
 	return reach
 }
 
-// Save implements machine.Saver: the restore undoes what the crash
+// Save implements machine.Device: the restore undoes what the crash
 // noted, newest first, and puts back the fields Crash replaces.
 func (fs *Model) Save() (restore func()) {
 	open, pending, dirPending := fs.open, fs.pending, fs.dirPending

@@ -2,49 +2,25 @@ package machine
 
 import "encoding/binary"
 
-// Fingerprinter is an optional extension of Device for durable-state
-// fingerprinting. A device that implements it appends a *canonical*
-// encoding of its durable state — the state that survives Crash — to
-// the given buffer: equal durable states must produce equal bytes, and
-// the encoding must be self-delimiting (length-prefix variable-size
-// parts) so devices cannot alias each other's bytes.
-//
-// The model checker in internal/explore uses these encodings to build
-// crash-boundary state fingerprints for its dedup table; a machine with
-// a non-fingerprintable device reports !ok from AppendDurable and the
-// explorer disables dedup for the scenario rather than risk an unsound
-// prune.
-type Fingerprinter interface {
-	AppendDurable(b []byte) []byte
-}
-
 // AppendDurable appends every registered device's canonical durable
 // encoding to b, in registration order (which is deterministic for a
-// deterministic Setup). ok is false when at least one device does not
-// implement Fingerprinter; the partial encoding is still returned but
-// must not be used for dedup.
-func (m *Machine) AppendDurable(b []byte) ([]byte, bool) {
-	ok := true
+// deterministic Setup).
+func (m *Machine) AppendDurable(b []byte) []byte {
 	for i, d := range m.devices {
 		b = AppendUint64(b, uint64(i))
-		f, can := d.(Fingerprinter)
-		if !can {
-			ok = false
-			continue
-		}
-		b = f.AppendDurable(b)
+		b = d.AppendDurable(b)
 	}
-	return b, ok
+	return b
 }
 
 // AppendUint64 appends v in fixed-width little-endian form. Helper for
-// Fingerprinter implementations.
+// Device.AppendDurable implementations.
 func AppendUint64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// AppendBool appends a bool as one byte. Helper for Fingerprinter
-// implementations.
+// AppendBool appends a bool as one byte. Helper for
+// Device.AppendDurable implementations.
 func AppendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
@@ -53,14 +29,15 @@ func AppendBool(b []byte, v bool) []byte {
 }
 
 // AppendString appends s length-prefixed, keeping concatenated
-// encodings unambiguous. Helper for Fingerprinter implementations.
+// encodings unambiguous. Helper for Device.AppendDurable
+// implementations.
 func AppendString(b []byte, s string) []byte {
 	b = AppendUint64(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-// AppendBytes appends p length-prefixed. Helper for Fingerprinter
-// implementations.
+// AppendBytes appends p length-prefixed. Helper for
+// Device.AppendDurable implementations.
 func AppendBytes(b []byte, p []byte) []byte {
 	b = AppendUint64(b, uint64(len(p)))
 	return append(b, p...)

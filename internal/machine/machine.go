@@ -64,8 +64,22 @@ type Observer interface {
 // Device is durable hardware attached to the machine. Crash is invoked
 // on every machine crash; the device must discard volatile state (e.g.
 // open file descriptors) and keep durable state (e.g. disk blocks).
+//
+// Save lets ProbeCrash run Crash without keeping its effect: it records
+// everything Crash changes and returns a function that puts it back.
+// The restore is called once after each probed crash, so it must work
+// any number of times.
+//
+// AppendDurable appends a canonical encoding of the device's durable
+// state — the state that survives Crash — to b: equal durable states
+// must produce equal bytes, and the encoding must be self-delimiting
+// (length-prefix variable-size parts) so devices cannot alias each
+// other's bytes. The model checker in internal/explore builds its
+// crash-boundary fingerprints from these encodings.
 type Device interface {
 	Crash()
+	Save() (restore func())
+	AppendDurable(b []byte) []byte
 }
 
 // Outcome says how an era of execution ended.
@@ -295,15 +309,6 @@ func (m *Machine) crash() {
 	}
 }
 
-// Saver is an optional extension of Device that lets ProbeCrash run the
-// device's Crash without keeping its effect: Save records everything
-// Crash changes and returns a function that puts it back. The restore
-// is called once after each probed crash, so it must work any number of
-// times.
-type Saver interface {
-	Save() (restore func())
-}
-
 // CrashAnswer is one crash-time choice a device's Crash made through
 // CrashChoose: N options, under Tag, and the one Chosen.
 type CrashAnswer struct {
@@ -321,17 +326,11 @@ type CrashAnswer struct {
 // declares a footprint, and the era's chooser is not asked.
 //
 // ProbeCrash may be called between the steps of a running era, as the
-// explorer does at a "sched" draw: no thread runs while it does. It
-// reports false, and crashes nothing, when a device does not implement
-// Saver.
-func (m *Machine) ProbeCrash(visit func(answers []CrashAnswer)) bool {
+// explorer does at a "sched" draw: no thread runs while it does.
+func (m *Machine) ProbeCrash(visit func(answers []CrashAnswer)) {
 	restores := m.restores[:0]
 	for _, d := range m.devices {
-		s, ok := d.(Saver)
-		if !ok {
-			return false
-		}
-		restores = append(restores, s.Save())
+		restores = append(restores, d.Save())
 	}
 	m.restores = restores
 	chooser, red := m.chooser, m.red
@@ -349,7 +348,7 @@ func (m *Machine) ProbeCrash(visit func(answers []CrashAnswer)) bool {
 			r()
 		}
 		if !p.next() {
-			return true
+			return
 		}
 	}
 }

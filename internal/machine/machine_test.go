@@ -340,6 +340,13 @@ type countingDevice struct{ crashes int }
 
 func (d *countingDevice) Crash() { d.crashes++ }
 
+func (d *countingDevice) Save() (restore func()) {
+	n := d.crashes
+	return func() { d.crashes = n }
+}
+
+func (d *countingDevice) AppendDurable(b []byte) []byte { return AppendUint64(b, uint64(d.crashes)) }
+
 func TestTraceRecordsEvents(t *testing.T) {
 	m := New(Options{TraceDepth: TraceAll})
 	m.RunEra(SeqChooser{}, false, func(mt *T) {

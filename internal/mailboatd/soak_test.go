@@ -308,10 +308,9 @@ var soaks = map[string]soakRow{
 			time.Sleep(20 * time.Millisecond)
 			r.mark()
 			r.a.FailStopReplica(0)
-			time.Sleep(30 * time.Millisecond)
-			if st := r.a.MirrorStatus(); !st.Degraded {
-				r.t.Fatalf("mirror not degraded after replica kill: %+v", st)
-			}
+			// The mirror learns of the death from the next operation that
+			// reaches the dead replica, whenever the traffic gets there.
+			r.await("the mirror degrading after the replica kill", 5*time.Second, func() bool { return r.a.MirrorStatus().Degraded })
 		},
 		reboot:      func(r *soakRig) Options { return Options{Seed: 2, MirrorRoot: r.roots[1]} },
 		afterReboot: redundant,

@@ -28,7 +28,7 @@
 // live in the network, not on either node. A frame a retransmitting
 // fabric still holds can land after both ends rebooted, which is
 // exactly the hazard epoch fencing exists to stop; the device's
-// Fingerprinter encoding lets crash-boundary dedup distinguish states
+// durable encoding lets crash-boundary dedup distinguish states
 // by their in-flight frames and partition charge.
 package netmodel
 
@@ -131,13 +131,13 @@ func (n *Net) Crash() {
 	n.charge = 0
 }
 
-// Save implements machine.Saver: the charge is all Crash changes.
+// Save implements machine.Device: the charge is all Crash changes.
 func (n *Net) Save() (restore func()) {
 	charge := n.charge
 	return func() { n.charge = charge }
 }
 
-// AppendDurable implements machine.Fingerprinter. The in-flight frames
+// AppendDurable implements machine.Device. The in-flight frames
 // and the partition charge determine which future behaviors are
 // reachable, so they are part of the canonical state (at a crash
 // boundary both are freshly zeroed — encoding them keeps the device

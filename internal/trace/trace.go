@@ -20,6 +20,9 @@
 // (real-goroutine) handles implement — *machine.T does not, so Enter on
 // a checker thread is one failed type assertion and no allocation,
 // and checked histories cannot observe wall-clock time through spans.
+// Event is the exception that keeps one call site for both worlds: on
+// a *machine.T it writes the event into the execution's own trace, so
+// a counterexample shows it.
 package trace
 
 import (
@@ -180,21 +183,40 @@ func Exit(t any, s *Span) {
 	}
 }
 
-// Active reports whether t carries an active span, i.e. whether an
-// Event on t would be recorded. A caller whose Event arguments cost
-// something to box guards the call with it.
-func Active(t any) bool {
-	c, ok := t.(Carrier)
-	return ok && c.TraceSpan() != nil
+// tracer is a thread handle that keeps a trace of its own: the model
+// checker's *machine.T, whose lines go into the execution's trace (a
+// counterexample's "trace:").
+type tracer interface {
+	Tracing() bool
+	Tracef(format string, args ...any)
 }
 
-// Event annotates t's active span with a point event, if any. Callers
-// should keep the arguments cheap, or guard the call with Active: they
-// are evaluated even when the span is nil (the format call is not).
+// Active reports whether an Event on t would be recorded: t carries an
+// active span, or keeps a trace that is on. A caller whose Event
+// arguments cost something to box guards the call with it.
+func Active(t any) bool {
+	switch c := t.(type) {
+	case Carrier:
+		return c.TraceSpan() != nil
+	case tracer:
+		return c.Tracing()
+	}
+	return false
+}
+
+// Event annotates t's active span with a point event, if any, or adds
+// it to the trace t keeps. Callers should keep the arguments cheap, or
+// guard the call with Active: they are evaluated even when nothing
+// records them (the format call is not).
 func Event(t any, format string, args ...any) {
-	if c, ok := t.(Carrier); ok {
+	switch c := t.(type) {
+	case Carrier:
 		if sp := c.TraceSpan(); sp != nil {
 			sp.Note(format, args...)
+		}
+	case tracer:
+		if c.Tracing() {
+			c.Tracef(format, args...)
 		}
 	}
 }
