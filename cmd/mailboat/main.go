@@ -74,13 +74,15 @@
 // delivery and delete to the backup before acknowledging it; the
 // backup (-backup-of, plus a required -repl-listen) serves only the
 // replication protocol and the admin surface — no SMTP or POP3. A
-// restarted backup is re-admitted automatically: the primary's
-// seq-aware liveness probe notices the listener, sees the backup's
-// rebooted apply cursor trailing its sequence space, and runs the
-// catch-up resync within one ping period — even on an idle primary. /healthz on either node reports role, epoch, and
-// last-resync time, answering 503 while the pair is degraded.
+// restarted backup is re-admitted automatically: the primary runs the
+// checked replication supervisor, whose tick pings the backup, sees its
+// rebooted apply cursor trailing the primary's sequence space, and runs
+// the catch-up within one ping period — even on an idle primary.
+// /healthz on either node serves that node's replication verdict (role,
+// epoch, stale, last-resync time), answering 503 while it is degraded.
 // Promotion of a backup is an operator action (restart it with
-// -replica); only promote a backup whose /healthz shows it in sync.
+// -replica); only promote a backup whose /healthz shows it in sync and
+// whose primary's last /healthz did too.
 // Replication runs on a single bare store: no -mirror, -checksum or
 // -fault-rate.
 //

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,14 +13,15 @@ import (
 	"repro/internal/admin"
 	"repro/internal/mailboatd"
 	"repro/internal/obs"
+	"repro/internal/repl"
 )
 
-// TestAdminReplicaHealth boots a real replicated pair over loopback
-// TCP and drives the admin surface end to end: a healthy /healthz
-// answers 200 with the replication snapshot (role, epoch, last-resync
-// time), /metrics serves the repl_* families, and opening the
-// partition gate degrades /healthz to a 503 carrying the snapshot.
-func TestAdminReplicaHealth(t *testing.T) {
+// replicaRig boots a replicated pair over loopback TCP, each node on a
+// fresh store, and serves the primary's admin surface. A non-empty fence
+// is an epoch marker persisted in the backup's repl.MetaDir before it
+// boots, as if it had been promoted in that epoch.
+func replicaRig(t *testing.T, fence string) (*mailboatd.Adapter, *httptest.Server) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +29,16 @@ func TestAdminReplicaHealth(t *testing.T) {
 	baddr := lis.Addr().String()
 	lis.Close()
 
-	backup, err := mailboatd.NewWithOptions(t.TempDir(), mailboatd.Options{
+	broot := t.TempDir()
+	if fence != "" {
+		if err := os.MkdirAll(filepath.Join(broot, repl.MetaDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(broot, repl.MetaDir, fence), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backup, err := mailboatd.NewWithOptions(broot, mailboatd.Options{
 		Users:   2,
 		Seed:    2,
 		Replica: &mailboatd.ReplicaOptions{ListenAddr: baddr},
@@ -53,12 +65,21 @@ func TestAdminReplicaHealth(t *testing.T) {
 	}
 	t.Cleanup(primary.Close)
 
+	srv := httptest.NewServer(admin.Handler(reg, nil, primary.MirrorStatus, primary, nil, primary.ReplHealth, primary.ShedStatus))
+	t.Cleanup(srv.Close)
+	return primary, srv
+}
+
+// TestAdminReplicaHealth boots a real replicated pair over loopback TCP
+// and drives the admin surface end to end: a healthy /healthz answers
+// 200 with the replication snapshot (role, epoch, last-resync time),
+// /metrics serves the repl_* families, and opening the partition gate
+// degrades /healthz to a 503 carrying the snapshot.
+func TestAdminReplicaHealth(t *testing.T) {
+	primary, srv := replicaRig(t, "")
 	if err := primary.Deliver(0, []byte("replicated mail")); err != nil {
 		t.Fatalf("replicated Deliver: %v", err)
 	}
-
-	srv := httptest.NewServer(admin.Handler(reg, nil, primary.MirrorStatus, primary, nil, primary.ReplHealth, primary.ShedStatus))
-	t.Cleanup(srv.Close)
 
 	// Healthy: 200 with the replication snapshot riding along.
 	var health struct {
@@ -109,4 +130,24 @@ func TestAdminReplicaHealth(t *testing.T) {
 	// Heal: back to 200.
 	primary.ReplTransport().Partition(false)
 	get(t, srv.URL+"/healthz", 200)
+}
+
+// TestAdminFencedPrimaryHealthz: a primary whose backup persisted a
+// higher epoch fails its boot catch-up and refuses every delivery, so its
+// /healthz must answer 503 with the stale, degraded verdict — never the
+// 200 an operator would read as "in sync".
+func TestAdminFencedPrimaryHealthz(t *testing.T) {
+	_, srv := replicaRig(t, "e5")
+	body := get(t, srv.URL+"/healthz", 503)
+	var h struct {
+		Role     string `json:"role"`
+		Stale    bool   `json:"stale"`
+		Degraded bool   `json:"degraded"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("fenced /healthz JSON: %v\n%s", err, body)
+	}
+	if h.Role != "primary" || !h.Stale || !h.Degraded {
+		t.Fatalf("fenced /healthz snapshot: %s", body)
+	}
 }

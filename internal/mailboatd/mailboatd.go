@@ -178,11 +178,11 @@ type Adapter struct {
 	// Replication state (nil unless Options.Replica was set): node is
 	// the protocol engine over this store, replClient the TCP client
 	// leg (primary role), replSrv the frame server (backup role, or a
-	// listening primary), replStop the pinger's stop signal.
+	// listening primary); replWG waits for the frame server and the
+	// primary's supervisor.
 	node       *repl.Node
 	replClient *repl.TCPClient
 	replSrv    *repl.Server
-	replStop   chan struct{}
 	replWG     sync.WaitGroup
 
 	tracer *trace.Tracer

@@ -34,12 +34,12 @@ type ReplicaOptions struct {
 	ListenAddr string
 	// CallTimeout bounds one replication RPC (default 2s).
 	CallTimeout time.Duration
-	// PingEvery is the primary's peer-liveness probe period (default
-	// 1s). The probe is what re-admits a restarted backup: a successful
-	// dial clears the refused-streak verdict, and a behind answer (the
-	// backup's volatile apply cursor trails our sequence space) triggers
-	// the catch-up resync directly — an idle primary re-syncs a rejoined
-	// backup within one ping period, it does not wait for traffic.
+	// PingEvery is the period of the primary's supervisor tick (default
+	// 1s; repl.Node.Supervise): a ping whose behind answer (the backup's
+	// volatile apply cursor trails our sequence space) runs the catch-up
+	// — an idle primary re-syncs a rejoined backup within one ping
+	// period, it does not wait for traffic. A successful dial also clears
+	// the refused-streak verdict.
 	PingEvery time.Duration
 	// RetryBackoff paces the client leg's retries (default 25ms here,
 	// not repl's zero: a deployment must pace its retries); the retry
@@ -87,39 +87,19 @@ func (a *Adapter) startReplica(o Options) error {
 		}()
 	}
 	if ro.Primary && a.replClient != nil {
-		// Boot-time catch-up: the backup's apply cursor is volatile, so
-		// a fresh primary cannot assume the backup is current. Best
-		// effort — a failed attempt leaves the pair degraded (visible on
-		// /healthz) and the first replicated operation retries through
-		// the need-resync path.
-		a.node.Resync(a)
+		// The supervisor (repl/supervise.go): the boot catch-up, then one
+		// tick per ping period until stopReplica's Shutdown. A failed
+		// catch-up leaves the node stale: /healthz answers 503 until one
+		// completes.
+		a.node.CatchUp(a)
 		every := ro.PingEvery
 		if every <= 0 {
 			every = time.Second
 		}
-		stop := make(chan struct{})
-		a.replStop = stop
 		a.replWG.Add(1)
 		go func() {
 			defer a.replWG.Done()
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					// A behind verdict (StNeedResync) means the backup
-					// answered but its apply cursor trails ours — a
-					// rejoined node with a stale store. Resync it now;
-					// waiting for the next replicated operation would
-					// leave the pair reporting healthy over a stale
-					// backup for as long as the primary stays idle.
-					if _, behind := a.node.PingCheck(a); behind {
-						a.node.Resync(a)
-					}
-				}
-			}
+			a.node.Supervise(a, every)
 		}()
 	}
 	return nil
@@ -127,10 +107,6 @@ func (a *Adapter) startReplica(o Options) error {
 
 // stopReplica tears the replication machinery down (Close calls it).
 func (a *Adapter) stopReplica() {
-	if a.replStop != nil {
-		close(a.replStop)
-		a.replStop = nil
-	}
 	if a.node != nil {
 		a.node.Shutdown()
 	}
@@ -143,32 +119,18 @@ func (a *Adapter) stopReplica() {
 	a.replWG.Wait()
 }
 
-// ReplNode exposes the protocol engine (nil when not replicated) —
-// drills and tests reach the resync and status surface through it.
-func (a *Adapter) ReplNode() *repl.Node { return a.node }
-
 // ReplTransport exposes the TCP client leg (nil when not replicated or
 // no peer configured) — the partition drill's gate lives on it.
 func (a *Adapter) ReplTransport() *repl.TCPClient { return a.replClient }
 
-// ReplHealth reports the replication health snapshot (nil when the
-// adapter does not run replicated) — what /healthz serves. Degraded
-// means the pair cannot currently tolerate losing this node: the
-// primary cannot reach its backup (partitioned, refused, or fenced
-// dead — it is acknowledging alone or about to refuse), or a catch-up
-// resync is still rebuilding state.
+// ReplHealth reports the node's replication verdict (nil when the
+// adapter does not run replicated) — what /healthz serves.
 func (a *Adapter) ReplHealth() *repl.Health {
 	if a.node == nil {
 		return nil
 	}
-	st := a.node.Status()
-	h := &repl.Health{Status: st, PeerReachable: true}
-	if a.replClient != nil {
-		h.PeerReachable = a.replClient.Reachable()
-	}
-	h.Degraded = st.Resyncing ||
-		(st.Role == "primary" && a.replClient != nil && !h.PeerReachable)
-	return h
+	h := a.node.Health()
+	return &h
 }
 
 // deliverReplicated routes one delivery through the protocol:

@@ -392,11 +392,14 @@ var soaks = map[string]soakRow{
 			if r.replied("250") == r.atMark {
 				r.t.Fatal("primary refused all traffic with the backup dead; ack-alone failover did not engage")
 			}
-			// The pinger re-admits the restarted backup (a successful dial
-			// heals the dead verdict) and the next replicated operation
-			// trips the sequence gap into a catch-up resync. Probe until
-			// the pair reports in-sync: same epoch, not resyncing, peer
-			// reachable. An adapter-level delivery stores the exact bytes.
+			if h := r.a.ReplHealth(); !h.Degraded || !h.Stale {
+				r.t.Fatalf("the verdict with the backup dead after acking alone: %+v, want stale and degraded", *h)
+			}
+			// The supervisor's tick re-admits the restarted backup (a
+			// successful dial heals the dead verdict, and the ping's behind
+			// answer runs the catch-up), as may the next replicated
+			// operation's sequence gap. Probe until the primary's verdict
+			// is in sync. An adapter-level delivery stores the exact bytes.
 			r.bootPeer()
 			r.await("the pair resyncing", 15*time.Second, func() bool {
 				body := fmt.Sprintf("probe-%d", time.Now().UnixNano())
@@ -404,8 +407,7 @@ var soaks = map[string]soakRow{
 				if r.a.Deliver(0, []byte(body)) == nil {
 					r.note(body, "250")
 				}
-				pst, bst, h := r.a.ReplNode().Status(), r.peer.ReplNode().Status(), r.a.ReplHealth()
-				return pst.Epoch == bst.Epoch && !pst.Resyncing && !bst.Resyncing && h.PeerReachable && !h.Degraded
+				return !r.a.ReplHealth().Degraded
 			})
 			r.traffic("resynced", 4, 4, 0)
 			r.load.Wait()

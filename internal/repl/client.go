@@ -137,10 +137,12 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 			// (or the deployment's refused-connection streak after which
 			// an operator replaces the node) means that store rejoins
 			// only through a catch-up resync, which discards whatever
-			// partial state it holds.
+			// partial state it holds. Until that catch-up the peer lacks
+			// this operation: the node is stale.
 			trace.Event(t, "repl: peer dead, proceeding alone")
 			nd.cfg.Metrics.AckAloneInc()
 			nd.setSeq(r.seq)
+			nd.setStale(true)
 			return OpOK
 		}
 		r.epoch = nd.epoch
@@ -248,14 +250,10 @@ func (nd *Node) localDeleteMust(t gfs.T, user uint64, name string, _ replicated)
 	}
 }
 
-// Resync runs a catch-up: bump and persist OUR epoch first (the fence
-// — in-flight frames from before this moment now carry a stale epoch),
-// then stream the full authoritative state to the backup and commit.
-// Returns false when the catch-up could not complete; the backup is
-// then stale and the pair degraded until the next attempt.
-func (nd *Node) Resync(t gfs.T) bool { return nd.resync(t, (*Node).fence) }
-
-// resync is Resync starting with fence.
+// resync is a catch-up: bump and persist OUR epoch first (the fence —
+// in-flight frames from before this moment now carry a stale epoch), then
+// stream the full authoritative state to the backup and commit. False
+// means the catch-up could not complete: the backup is stale.
 func (nd *Node) resync(t gfs.T, fence fenceStage) bool {
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
@@ -292,13 +290,20 @@ func (nd *Node) fence(t gfs.T) (fenced, bool) {
 }
 
 // stream is a catch-up's three legs — begin, one put per message,
-// commit — every frame tagged with the fenced epoch.
+// commit — every frame tagged with the fenced epoch. A box read on a
+// store that fail-stopped meanwhile is not streamed: a failed read looks
+// like the end of the file, a failed listing like an empty box, and a put
+// replaces the backup's copy, as a commit deletes what no put named.
 func (nd *Node) stream(t gfs.T, f fenced) bool {
 	if !nd.rcallOK(t, request{kind: kResyncBegin, epoch: f.epoch}) {
 		return false
 	}
 	for u := uint64(0); u < nd.mb.Users(); u++ {
-		for _, m := range nd.mb.ReadBox(t, u) {
+		box := nd.mb.ReadBox(t, u)
+		if nd.selfDeadNow() {
+			return false
+		}
+		for _, m := range box {
 			put := request{kind: kResyncPut, epoch: f.epoch, user: u, name: m.ID, body: []byte(m.Contents)}
 			if !nd.rcallOK(t, put) {
 				return false
@@ -353,35 +358,21 @@ func (nd *Node) Promote(t gfs.T) bool {
 
 // lead is Promote's role switch, in the epoch fence just adopted.
 func (nd *Node) lead(t gfs.T, f fenced) {
-	nd.setLastApplied(0)
+	nd.lastApplied = 0
 	nd.SetPrimary(true)
 	nd.cfg.Metrics.FailoverInc()
 	trace.Event(t, "repl: promoted to primary at epoch %d", f.epoch)
 }
 
-// Ping probes the peer once (no retries): liveness, epoch — and in the
-// model a delivery opportunity for reordered frames still in flight.
-// True means the peer answered StOK at our (epoch, seq): alive AND in
-// sync.
-func (nd *Node) Ping(t gfs.T) bool {
-	ok, _ := nd.PingCheck(t)
-	return ok
-}
-
-// PingCheck is the seq-aware probe behind Ping. ok means the peer
-// answered StOK — alive and caught up to our sequence space. behind
-// means it answered StNeedResync: its volatile apply cursor trails our
-// seq (the rejoined-backup signature — a reboot zeroes the cursor).
-// The deployment's pinger runs a catch-up resync on a behind verdict
-// so the staleness window is bounded by the ping period instead of by
-// the arrival of the next replicated operation. behind is deliberately
-// NOT set on StStaleEpoch: that answer means the peer fenced us (it
-// promoted), and a resync from the fenced side must stay a failing,
-// visible condition — never an automatic epoch climb that could
-// eventually overwrite the new primary.
-func (nd *Node) PingCheck(t gfs.T) (ok, behind bool) {
+// ping probes the peer once (no retries) at this node's (epoch, seq),
+// through the handler's seq-aware gate: StOK means alive and caught up to
+// our sequence space, StNeedResync behind (a rebooted backup's volatile
+// apply cursor trails our seq), StStaleEpoch that the peer fenced us.
+// answered is false when the call was not delivered. In the model a ping
+// is also a delivery opportunity for reordered frames still in flight.
+func (nd *Node) ping(t gfs.T) (st byte, answered bool) {
 	if nd.peer == nil {
-		return false, false
+		return 0, false
 	}
 	nd.touch(epochObj, machine.Read)
 	nd.touch(seqObj, machine.Read)
@@ -390,8 +381,8 @@ func (nd *Node) PingCheck(t gfs.T) (ok, behind bool) {
 	nd.mu.Unlock()
 	resp, oc := nd.peer.Call(t, encodeReq(r))
 	if oc != netmodel.Delivered {
-		return false, false
+		return 0, false
 	}
-	st, _ := decodeResp(resp)
-	return st == StOK, st == StNeedResync
+	st, _ = decodeResp(resp)
+	return st, true
 }

@@ -53,8 +53,9 @@ func TestNilMetricsReplFullStack(t *testing.T) {
 		t.Fatalf("DeleteNamed: %v", res)
 	}
 	// Resync path (ResyncObserved, EpochSet, LastResyncSet).
-	if !primary.Resync(rt) {
-		t.Fatal("Resync failed")
+	primary.CatchUp(rt)
+	if primary.Health().Stale {
+		t.Fatal("CatchUp failed")
 	}
 	// Partition path (net outcome observation on the Lost leg, then
 	// the replicate-failed counter).

@@ -143,6 +143,10 @@ type Node struct {
 	resyncing   bool
 	resyncEpoch uint64
 	lastResync  int64 // unix seconds; 0 = never
+	// stale: the peer is known to lack this node's state — it acked
+	// alone, its last catch-up failed, or the peer's last ping answer was
+	// fenced or behind. Only a completed catch-up (supervise.go) clears it.
+	stale bool
 	// window is the catch-up window's authoritative name set per user
 	// (backup role, volatile): Commit deletes everything outside it.
 	window map[uint64]map[string]bool
@@ -157,7 +161,7 @@ const (
 	epochObj machine.Obj = iota
 	seqObj
 	roleObj   // primary
-	resyncObj // resyncing, resyncEpoch, lastResync
+	resyncObj // resyncing, resyncEpoch, lastResync, stale
 	nodeObjs
 )
 
@@ -196,6 +200,22 @@ func (nd *Node) Shutdown() {
 	nd.stopOnce.Do(func() { close(nd.stop) })
 }
 
+// Supervise runs one supervisor tick (supervise.go) per period until
+// Shutdown: the daemon's primary runs it on a goroutine of its own after
+// CatchUp. The ticker only paces the checked tick.
+func (nd *Node) Supervise(t gfs.T, every time.Duration) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-nd.stop:
+			return
+		case <-tick.C:
+			nd.tick(t, (*Node).fence)
+		}
+	}
+}
+
 // stopped reports whether Shutdown was called.
 func (nd *Node) stopped() bool {
 	select {
@@ -213,6 +233,7 @@ type Status struct {
 	Epoch          uint64 `json:"epoch"`
 	Seq            uint64 `json:"seq"`
 	Resyncing      bool   `json:"resyncing"`
+	Stale          bool   `json:"stale"`
 	PeerDead       bool   `json:"peer_dead"`
 	LastResyncUnix int64  `json:"last_resync_unix"`
 }
@@ -242,6 +263,7 @@ func (nd *Node) Status() Status {
 		Epoch:          nd.epoch,
 		Seq:            nd.seq,
 		Resyncing:      nd.resyncing,
+		Stale:          nd.stale,
 		PeerDead:       nd.peerGone(),
 		LastResyncUnix: nd.lastResync,
 	}
@@ -255,43 +277,33 @@ func (nd *Node) Epoch() uint64 {
 	return nd.epoch
 }
 
-// setEpoch updates the epoch snapshot (caller holds the replication
-// lock; mu covers Status readers).
-func (nd *Node) setEpoch(e uint64) {
-	nd.touch(epochObj, machine.Write)
+// write declares a write of o's snapshot fields and runs set under mu:
+// the one way a snapshot field changes. Protocol-path writers also hold
+// the replication lock; mu covers Status readers.
+func (nd *Node) write(o machine.Obj, set func()) {
+	nd.touch(o, machine.Write)
 	nd.mu.Lock()
-	nd.epoch = e
+	set()
 	nd.mu.Unlock()
+}
+
+func (nd *Node) setEpoch(e uint64) {
+	nd.write(epochObj, func() { nd.epoch = e })
 	nd.cfg.Metrics.EpochSet(e)
 }
 
-func (nd *Node) setSeq(s uint64) {
-	nd.touch(seqObj, machine.Write)
-	nd.mu.Lock()
-	nd.seq = s
-	nd.mu.Unlock()
-}
-
-func (nd *Node) setLastApplied(s uint64) {
-	nd.mu.Lock()
-	nd.lastApplied = s
-	nd.mu.Unlock()
-}
+func (nd *Node) setSeq(s uint64) { nd.write(seqObj, func() { nd.seq = s }) }
 
 func (nd *Node) setResyncing(on bool, epoch uint64) {
-	nd.touch(resyncObj, machine.Write)
-	nd.mu.Lock()
-	nd.resyncing, nd.resyncEpoch = on, epoch
-	nd.mu.Unlock()
+	nd.write(resyncObj, func() { nd.resyncing, nd.resyncEpoch = on, epoch })
 }
+
+func (nd *Node) setStale(on bool) { nd.write(resyncObj, func() { nd.stale = on }) }
 
 // SetPrimary flips the node's believed role (Pair and the deployment
 // wiring call it; promotion via Promote also does).
 func (nd *Node) SetPrimary(p bool) {
-	nd.touch(roleObj, machine.Write)
-	nd.mu.Lock()
-	nd.primary = p
-	nd.mu.Unlock()
+	nd.write(roleObj, func() { nd.primary = p })
 	nd.cfg.Metrics.RoleSet(p)
 }
 
@@ -300,10 +312,7 @@ func (nd *Node) markResynced(t gfs.T) {
 	if _, modeled := t.(*machine.T); !modeled {
 		unix = time.Now().Unix()
 	}
-	nd.touch(resyncObj, machine.Write)
-	nd.mu.Lock()
-	nd.lastResync = unix
-	nd.mu.Unlock()
+	nd.write(resyncObj, func() { nd.lastResync = unix })
 	nd.cfg.Metrics.LastResyncSet(unix)
 }
 

@@ -37,16 +37,11 @@ type Pair struct {
 	// (-1 = none). A failover between Pickup and Delete moves the
 	// session: the new primary re-acquires and re-lists before deleting.
 	lockAt []int
-	// stale latches a failed recovery resync: the backup is behind and
-	// the pair degraded until the next recovery.
-	stale bool
 
 	// primary and lockAt are shared by the client threads: each access
 	// declares itself on m (DESIGN.md "Sleep sets"), as objects
-	// obj+primaryObj and obj+lockAtObj+user. stale, Nodes, F and sys are
-	// written only by NewPair and Recover, each alone in its era, and
-	// stale is read only by Degraded, which the scenario's invariant
-	// calls between eras.
+	// obj+primaryObj and obj+lockAtObj+user. Nodes, F and sys are written
+	// only by NewPair and Recover, each alone in its era.
 	m   *machine.Machine
 	obj machine.Obj
 }
@@ -150,31 +145,28 @@ func (p *Pair) wire(net *netmodel.Net) {
 func (p *Pair) Primary() int { return p.leader() }
 
 // Degraded reports whether the pair cannot currently tolerate losing
-// the primary: a node is fail-stopped, the backup never caught up after
-// recovery, or the epochs disagree (a catch-up is incomplete). The
-// deployment's /healthz maps this to 503.
+// the primary: it is dead, or the verdict (degraded) says so from its
+// side, reading the backup itself — in another epoch or mid-catch-up.
+// The deployment's /healthz maps the primary's own verdict to 503.
 func (p *Pair) Degraded() bool {
-	if p.stale || p.F[0].FailStopped() || p.F[1].FailStopped() {
-		return true
-	}
 	cur := p.leader()
-	b := p.Nodes[1-cur].Status()
-	return b.Resyncing || b.Epoch != p.Nodes[cur].Epoch()
+	st, b := p.Nodes[cur].Status(), p.Nodes[1-cur].Status()
+	return p.F[cur].FailStopped() || degraded(st, b.Resyncing || b.Epoch != st.Epoch, true)
 }
 
 // failover promotes the backup after the primary fail-stopped. False
-// when the backup is dead too, or unpromotable (epoch-behind or
-// mid-resync — it may hold partial state and must not serve).
+// when the backup is dead too, or unpromotable: the verdict, from the
+// backup's side against the old primary's epoch, says degraded (it is
+// epoch-behind or mid-resync, and may hold partial state).
 func (p *Pair) failover(t gfs.T) bool {
 	old := p.leader()
 	nw := 1 - old
 	if p.F[nw].FailStopped() {
 		return false
 	}
-	st := p.Nodes[nw].Status()
-	if st.Resyncing || st.Epoch != p.Nodes[old].Epoch() {
-		trace.Event(t, "repl: backup unpromotable (epoch %d vs %d, resyncing=%v)",
-			st.Epoch, p.Nodes[old].Epoch(), st.Resyncing)
+	st, e := p.Nodes[nw].Status(), p.Nodes[old].Epoch()
+	if degraded(st, st.Epoch != e, true) {
+		trace.Event(t, "repl: backup unpromotable (epoch %d vs %d, resyncing=%v)", st.Epoch, e, st.Resyncing)
 		return false
 	}
 	if !p.Nodes[nw].Promote(t) {
@@ -338,11 +330,10 @@ func (p *Pair) Unlock(t gfs.T, user uint64) {
 // power cut) on the stores each node rebooted, sys[i] with its fault
 // layer f[i] as in NewPair: run mailboat recovery on each node, re-read
 // persisted epochs, elect the higher-epoch node primary (it fenced the
-// other), and ALWAYS run a catch-up resync — lastApplied is volatile, so
-// the backup cannot prove it is current. The closing pings give any
-// frame still in the network (in-flight frames survive a site reboot)
-// its delivery opportunity under the checker, AFTER the new epoch is in
-// place to fence it.
+// other), and ALWAYS run the supervisor's catch-up (supervise.go), the
+// daemon's boot catch-up. The backup's closing ping gives frames still
+// in the network (in-flight frames survive a site reboot) one more
+// delivery opportunity, AFTER the new epoch is in place to fence them.
 func (p *Pair) Recover(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty) {
 	p.sys, p.F = sys, f
 	for i := 0; i < 2; i++ {
@@ -359,7 +350,6 @@ func (p *Pair) Recover(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty) {
 	for u := range p.lockAt {
 		p.setSessionAt(uint64(u), -1)
 	}
-	p.stale = !p.Nodes[cur].resync(t, p.v.Fence)
-	p.Nodes[cur].Ping(t)
-	p.Nodes[1-cur].Ping(t)
+	p.Nodes[cur].catchUp(t, p.v.Fence)
+	p.Nodes[1-cur].ping(t)
 }

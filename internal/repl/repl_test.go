@@ -242,7 +242,7 @@ func TestSharedStateDeclarations(t *testing.T) {
 	type op func(p *Pair, mt *machine.T)
 	setEpoch := func(p *Pair, _ *machine.T) { nd := p.Nodes[0]; nd.setEpoch(nd.epoch) }
 	setSeq := func(p *Pair, _ *machine.T) { nd := p.Nodes[0]; nd.setSeq(nd.seq) }
-	pingCheck := func(p *Pair, mt *machine.T) { p.Nodes[0].PingCheck(mt) }
+	ping := func(p *Pair, mt *machine.T) { p.Nodes[0].ping(mt) }
 	status := func(i int) op { return func(p *Pair, _ *machine.T) { p.Nodes[i].Status() } }
 	setSession := func(u uint64) op { return func(p *Pair, _ *machine.T) { p.setSessionAt(u, p.lockAt[u]) } }
 	cases := []struct {
@@ -251,12 +251,13 @@ func TestSharedStateDeclarations(t *testing.T) {
 		commute     bool
 	}{
 		{"setEpoch/Epoch", setEpoch, func(p *Pair, _ *machine.T) { p.Nodes[0].Epoch() }, false},
-		{"setEpoch/PingCheck", setEpoch, pingCheck, false},
-		{"setSeq/PingCheck", setSeq, pingCheck, false},
+		{"setEpoch/ping", setEpoch, ping, false},
+		{"setSeq/ping", setSeq, ping, false},
 		{"setSeq/Status", setSeq, status(0), false},
 		{"SetPrimary/Status", func(p *Pair, _ *machine.T) { p.Nodes[0].SetPrimary(true) }, status(0), false},
 		{"setResyncing/Status", func(p *Pair, _ *machine.T) { p.Nodes[1].setResyncing(false, 0) }, status(1), false},
 		{"markResynced/Status", func(p *Pair, mt *machine.T) { p.Nodes[1].markResynced(mt) }, status(1), false},
+		{"setStale/Status", func(p *Pair, _ *machine.T) { p.Nodes[0].setStale(false) }, status(0), false},
 		{"setSessionAt/sessionAt", setSession(0), func(p *Pair, _ *machine.T) { p.sessionAt(0) }, false},
 		{"another user's session", setSession(1), func(p *Pair, _ *machine.T) { p.sessionAt(0) }, true},
 	}

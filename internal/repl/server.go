@@ -86,7 +86,7 @@ func (nd *Node) handleApply(t gfs.T, r request) []byte {
 	}
 	switch st {
 	case mailboat.Applied, mailboat.AlreadyApplied:
-		nd.setLastApplied(r.seq)
+		nd.lastApplied = r.seq
 		return encodeResp(StOK, nd.epoch)
 	case mailboat.NameTaken:
 		return encodeResp(StNameTaken, nd.epoch) // seq not consumed
@@ -124,7 +124,7 @@ func (nd *Node) handleResyncBegin(t gfs.T, r request) []byte {
 		return encodeResp(StStaleEpoch, nd.epoch)
 	}
 	nd.setResyncing(true, r.epoch)
-	nd.setLastApplied(0)
+	nd.lastApplied = 0
 	nd.window = make(map[uint64]map[string]bool)
 	trace.Event(t, "repl: resync begin at epoch %d", r.epoch)
 	return encodeResp(StOK, nd.epoch)
@@ -193,7 +193,7 @@ func (nd *Node) handleResyncCommit(t gfs.T, r request) []byte {
 	}
 	nd.setEpoch(r.epoch)
 	nd.setResyncing(false, 0)
-	nd.setLastApplied(0)
+	nd.lastApplied = 0
 	nd.window = nil
 	nd.markResynced(t)
 	trace.Event(t, "repl: resync committed at epoch %d", r.epoch)

@@ -163,9 +163,6 @@ func (c *TCPClient) deadAfter() int64 {
 // replica soak and mailbench -drill partition.
 func (c *TCPClient) Partition(on bool) { c.partitioned.Store(on) }
 
-// Partitioned reports the gate's state.
-func (c *TCPClient) Partitioned() bool { return c.partitioned.Load() }
-
 // PeerDead reports the failure detector's verdict: DeadAfter
 // consecutive dials answered connection-refused. Unlike the model's
 // fail-stop latch this verdict heals — a successful dial (the peer
@@ -242,15 +239,4 @@ func (c *TCPClient) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
 	c.failed.Store(0)
 	c.Metrics.OutcomeObserved(netmodel.Delivered)
 	return resp, netmodel.Delivered
-}
-
-// Health is the deployment-facing replication snapshot /healthz
-// serves: the node's Status plus the transport's verdicts. Degraded
-// means the pair cannot currently tolerate losing this node — the
-// admin surface answers 503 with this JSON so orchestrators pull the
-// instance and operators see the stuck half at a glance.
-type Health struct {
-	Status
-	PeerReachable bool `json:"peer_reachable"`
-	Degraded      bool `json:"degraded"`
 }

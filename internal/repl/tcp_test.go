@@ -93,8 +93,8 @@ func TestTCPReplicatedDeliver(t *testing.T) {
 	primary.SetPeer(client, client.PeerDead, nil)
 	primary.SetPrimary(true)
 
-	if !primary.Ping(rt) {
-		t.Fatal("ping over TCP failed")
+	if st, answered := primary.ping(rt); !answered || st != StOK {
+		t.Fatalf("ping over TCP: answered=%v status %s", answered, statusName(st))
 	}
 	if res := primary.DeliverNamed(rt, 0, "msg1", []byte("over tcp")); res != OpOK {
 		t.Fatalf("DeliverNamed: %v", res)
@@ -118,12 +118,13 @@ func TestTCPReplicatedDeliver(t *testing.T) {
 	}
 }
 
-// TestTCPPingDetectsStaleBackup: the seq-aware ping. A replacement
-// backup (fresh store, volatile apply cursor at zero) must answer a
-// ping from a primary with acknowledged operations as behind
-// (StNeedResync) — not OK — so an idle primary's pinger resyncs it
-// instead of reporting a healthy pair over a stale store; after the
-// catch-up the same ping answers OK and the store holds the data.
+// TestTCPPingDetectsStaleBackup: the seq-aware ping behind the
+// supervisor tick. A replacement backup (fresh store, volatile apply
+// cursor at zero) must answer a ping from a primary with acknowledged
+// operations as behind (StNeedResync) — not OK — so one tick records the
+// node stale and resyncs it instead of reporting a healthy pair over a
+// stale store; after the tick the same ping answers OK, the verdict is in
+// sync, and the store holds the data.
 func TestTCPPingDetectsStaleBackup(t *testing.T) {
 	rt := &tcpRand{}
 	_, baddr, _ := newTCPNode(t, rt, 1)
@@ -143,14 +144,15 @@ func TestTCPPingDetectsStaleBackup(t *testing.T) {
 	defer client2.Close()
 	primary.SetPeer(client2, client2.PeerDead, nil)
 
-	if ok, behind := primary.PingCheck(rt); ok || !behind {
-		t.Fatalf("ping against stale backup: ok=%v behind=%v, want behind", ok, behind)
+	if st, _ := primary.ping(rt); st != StNeedResync {
+		t.Fatalf("ping against stale backup: %s, want need-resync", statusName(st))
 	}
-	if !primary.Resync(rt) {
-		t.Fatal("Resync of the replacement backup failed")
+	primary.tick(rt, (*Node).fence)
+	if st, _ := primary.ping(rt); st != StOK {
+		t.Fatalf("ping after the tick: %s, want ok", statusName(st))
 	}
-	if ok, behind := primary.PingCheck(rt); !ok || behind {
-		t.Fatalf("ping after resync: ok=%v behind=%v, want ok", ok, behind)
+	if h := primary.Health(); h.Degraded || h.Stale {
+		t.Fatalf("verdict after the tick's catch-up: %+v", h)
 	}
 	msgs := fresh.Mailboat().Pickup(rt, nil, 0)
 	if len(msgs) != 1 || string(msgs[0].Contents) != "pre-replace" {

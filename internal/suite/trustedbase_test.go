@@ -62,7 +62,7 @@ var exceptions = map[string]map[string]string{
 	},
 	"repl/node.go": {
 		"sync": "mu guards the Status snapshot, held across no store or network step",
-		"time": "pauses and the resync stamp are skipped on modelled threads",
+		"time": "pauses and the resync stamp are skipped on modelled threads; Supervise's ticker only paces the checked tick",
 	},
 	"gfs/checksummed.go": {
 		"sync": "mu guards the detection counter",
