@@ -151,3 +151,28 @@ func TestAdminFencedPrimaryHealthz(t *testing.T) {
 		t.Fatalf("fenced /healthz snapshot: %s", body)
 	}
 }
+
+// TestAdminDeadStorePrimaryHealthz: a replicated primary whose own store
+// is latched dead (the FailStopReplica kill switch) cannot be lost
+// without losing the pair's only live copy, so /healthz answers 503 with
+// the verdict naming the dead store.
+func TestAdminDeadStorePrimaryHealthz(t *testing.T) {
+	primary, srv := replicaRig(t, "")
+	if err := primary.Deliver(0, []byte("replicated mail")); err != nil {
+		t.Fatalf("replicated Deliver: %v", err)
+	}
+	get(t, srv.URL+"/healthz", 200)
+	primary.FailStopReplica(0)
+	body := get(t, srv.URL+"/healthz", 503)
+	var h struct {
+		Role      string `json:"role"`
+		StoreDead bool   `json:"store_dead"`
+		Degraded  bool   `json:"degraded"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("dead-store /healthz JSON: %v\n%s", err, body)
+	}
+	if h.Role != "primary" || !h.StoreDead || !h.Degraded {
+		t.Fatalf("dead-store /healthz snapshot: %s", body)
+	}
+}

@@ -99,10 +99,11 @@ type Options struct {
 	// Replica, when non-nil, runs this node as half of a primary/backup
 	// replicated pair over the TCP replication transport: the primary
 	// acknowledges a Deliver or Delete only after the backup has
-	// durably applied it (see ReplicaOptions). Requires the zero
-	// gfs.StackSpec — no MirrorRoot, Fault or Checksum: replication is
-	// cross-machine redundancy, and composing it with the same-machine
-	// layers is future work.
+	// durably applied it (see ReplicaOptions). The node runs on the
+	// stack the checker's repl nodes run on, a quiet fault layer over
+	// the backend (under Observed with Metrics), whose latch is
+	// FailStopReplica(0). Refuses MirrorRoot, Fault and Checksum: no repl
+	// scenario checks a mirror, transient storage faults or an envelope.
 	Replica *ReplicaOptions
 	// QuotaBytes caps each mailbox's stored bytes (0 = unlimited). A
 	// delivery that would push the recipient over quota is refused up
@@ -217,17 +218,20 @@ func (o Options) stack() (replicas int, spec gfs.StackSpec, err error) {
 	replicas = 1
 	spec = gfs.StackSpec{Checksum: o.Checksum, Metrics: o.Metrics}
 	if o.MirrorRoot != "" {
-		// A quiet fault layer per replica: its only job is the
-		// FailStopReplica kill switch.
-		replicas, spec.Policy = 2, fault.Never{}
+		replicas = 2
+	}
+	if replicas == 2 || o.Replica != nil {
+		// A quiet fault layer per store: its latch is the FailStopReplica
+		// kill switch, which a replicated node reads as its store's death.
+		spec.Policy = fault.Never{}
 	}
 	if o.Fault != nil {
 		spec.Policy = &gfs.SeededPolicy{Seed: o.Fault.Seed, Rates: o.Fault.Rates, MaxFaults: o.Fault.MaxFaults}
 	}
 	if r := o.Replica; r != nil {
 		switch {
-		case replicas != 1 || spec.Policy != nil || spec.Checksum:
-			return 0, spec, errors.New("mailboatd: Replica requires the zero gfs.StackSpec (no MirrorRoot, Fault or Checksum): replication is cross-machine redundancy, and composing it with the same-machine layers is future work")
+		case replicas != 1 || o.Fault != nil || spec.Checksum:
+			return 0, spec, errors.New("mailboatd: Replica refuses MirrorRoot, Fault and Checksum: a replicated node runs the checked repl node's stack, a quiet fault layer over the backend, and no repl scenario checks a mirror, transient storage faults or an envelope")
 		case o.QuotaBytes != 0:
 			return 0, spec, errors.New("mailboatd: Replica and QuotaBytes are mutually exclusive: a replicated node delivers through mailboat.DeliverAs, which reserves and commits no quota, so the bound would be accepted and never enforced")
 		case !r.Primary && r.ListenAddr == "":
@@ -310,9 +314,10 @@ func NewWithOptions(root string, o Options) (*Adapter, error) {
 }
 
 // drill returns the seeded fault layer of an Options.Fault drill; nil
-// otherwise — a mirror's per-replica kill switches are not a drill.
+// otherwise — the quiet kill-switch layers of a mirror or a replica are
+// not a drill.
 func (a *Adapter) drill() *gfs.Faulty {
-	if a.stack.Mirror() != nil {
+	if a.stack.Mirror() != nil || a.node != nil {
 		return nil
 	}
 	return a.stack.Faulty(0)
@@ -427,11 +432,10 @@ func (a *Adapter) Users() uint64 { return a.cfg.Users }
 // FaultLog returns the injected-fault log when a fault layer is
 // configured (nil otherwise) — the replayable record of a drill.
 func (a *Adapter) FaultLog() []fault.Event {
-	f := a.drill()
-	if f == nil {
-		return nil
+	if f := a.drill(); f != nil {
+		return f.Log()
 	}
-	return f.Log()
+	return nil
 }
 
 // Mirror returns the mirrored middleware when Options.MirrorRoot was
@@ -449,13 +453,14 @@ func (a *Adapter) MirrorStatus() *gfs.MirrorStatus {
 	return &st
 }
 
-// FailStopReplica permanently kills replica i (0 or 1) — the operator
-// kill switch for fail-stop drills. All of that replica's subsequent
-// operations fail; the mirror notices on the next touch, fails reads
-// over, and runs degraded until the next boot resilvers a replacement.
-// No-op when the store is not mirrored or i is out of range.
+// FailStopReplica permanently kills replica i (0 or 1; a replicated
+// node's store is 0) — the operator kill switch for fail-stop drills.
+// All its subsequent operations fail; the mirror notices on the next
+// touch, fails reads over, and runs degraded until the next boot
+// resilvers a replacement; a replicated node reports itself degraded.
+// No-op on a plain store, a drill, or with i out of range.
 func (a *Adapter) FailStopReplica(i int) {
-	if a.stack.Mirror() == nil || i < 0 || i > 1 {
+	if a.drill() != nil || i < 0 || i > 1 || a.stack.Faulty(i) == nil {
 		return
 	}
 	a.stack.Faulty(i).FailStopNow("operator kill switch")

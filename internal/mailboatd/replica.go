@@ -11,8 +11,8 @@ import (
 )
 
 // This file wires the replication protocol into the deployment: the
-// same internal/repl code the model checker verifies, driven over the
-// length-prefixed TCP transport. A replicated adapter routes Deliver
+// same internal/repl node the model checker verifies, on the same stack,
+// driven over the length-prefixed TCP transport. A replicated adapter routes Deliver
 // and Delete through the protocol's remote-first client leg — an
 // acknowledged operation is on the backup's disk before the SMTP 250
 // goes out — while Pickup stays a local read of the primary's store.
@@ -48,9 +48,10 @@ type ReplicaOptions struct {
 }
 
 // startReplica builds the node, transport, and background loops. The
-// caller validated the options (replica mode runs on a single bare
-// backend) and built the store with repl.ReplDirs so the epoch
-// meta-directory exists.
+// caller validated the options and built the store with repl.ReplDirs so
+// the epoch meta-directory exists, on the checked node's stack: the node
+// reads its own store's death from that stack's quiet fault layer, and
+// its peer's from the transport's refused-dial streak (TCPClient.PeerDead).
 func (a *Adapter) startReplica(o Options) error {
 	ro := o.Replica
 	backoff := ro.RetryBackoff
@@ -71,7 +72,7 @@ func (a *Adapter) startReplica(o Options) error {
 		if o.Metrics != nil {
 			a.replClient.Metrics = netmodel.NewNetMetrics(o.Metrics)
 		}
-		a.node.SetPeer(a.replClient, a.replClient.PeerDead, nil)
+		a.node.SetPeer(a.replClient)
 	}
 	a.node.SetPrimary(ro.Primary)
 	if ro.ListenAddr != "" {

@@ -2,6 +2,8 @@ package mailboatd
 
 import (
 	"errors"
+	"io/fs"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,6 +13,17 @@ import (
 	"repro/internal/repl"
 )
 
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	return lis.Addr().String()
+}
+
 // TestFencedPrimaryIsDegraded: a primary whose backup has persisted a
 // higher epoch (marker e5) fails its boot catch-up — the backup fences
 // every frame of the primary's lower epoch — and answers 451 to every
@@ -19,13 +32,7 @@ import (
 // reported {Epoch:1 PeerReachable:true Degraded:false} here, and
 // /healthz answered 200 over a pair that could not replicate.
 func TestFencedPrimaryIsDegraded(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := lis.Addr().String()
-	lis.Close()
-
+	addr := freeAddr(t)
 	broot := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(broot, repl.MetaDir), 0o755); err != nil {
 		t.Fatal(err)
@@ -54,5 +61,75 @@ func TestFencedPrimaryIsDegraded(t *testing.T) {
 	}
 	if h := backup.ReplHealth(); h.Epoch != 5 {
 		t.Fatalf("backup's epoch %d, want the persisted 5", h.Epoch)
+	}
+}
+
+// storeFiles reads every file under root, keyed by its relative path.
+func storeFiles(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path[len(root):]] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestFailStoppedPrimaryIsDegraded: FailStopReplica(0) latches a
+// replicated node's own store, the quiet fault layer the checked node
+// runs on too, and the node reads the latch itself. Its verdict is
+// degraded with the store dead, and its supervisor's catch-up gives up at
+// the fence: a rebooted backup (its apply cursor is volatile, so the next
+// ping answers behind and the tick runs a catch-up) stays byte-identical
+// across the ticks that follow. Before the replica ran on that layer the
+// kill switch was a no-op on it and the verdict read in sync.
+func TestFailStoppedPrimaryIsDegraded(t *testing.T) {
+	addr, broot := freeAddr(t), t.TempDir()
+	bopts := Options{Users: 1, Seed: 2, Replica: &ReplicaOptions{ListenAddr: addr}}
+	backup, err := NewWithOptions(broot, bopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { backup.Close() })
+	primary, err := NewWithOptions(t.TempDir(), Options{Users: 1, Seed: 1, Replica: &ReplicaOptions{
+		Primary: true, PeerAddr: addr, CallTimeout: time.Second, PingEvery: 2 * time.Millisecond, RetryBackoff: time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(primary.Close)
+	for _, msg := range []string{"one", "two"} {
+		if err := primary.Deliver(0, []byte(msg)); err != nil {
+			t.Fatalf("replicated Deliver: %v", err)
+		}
+	}
+	if h := primary.ReplHealth(); h.Degraded || h.StoreDead {
+		t.Fatalf("in-sync primary's verdict: %+v", *h)
+	}
+
+	primary.FailStopReplica(0)
+	if h := primary.ReplHealth(); !h.Degraded || !h.StoreDead || h.Role != "primary" {
+		t.Fatalf("dead primary's verdict: %+v, want degraded with its store dead", *h)
+	}
+	backup.Close()
+	if backup, err = NewWithOptions(broot, bopts); err != nil {
+		t.Fatal(err)
+	}
+	before := storeFiles(t, broot)
+	for deadline := time.Now().Add(5 * time.Second); !primary.ReplHealth().Stale; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no tick found the rebooted backup behind")
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // about ten more ticks
+	if after := storeFiles(t, broot); !maps.Equal(before, after) {
+		t.Fatalf("the backup's store changed under a dead primary's ticks:\nbefore %v\nafter  %v", before, after)
 	}
 }

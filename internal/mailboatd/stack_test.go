@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mailboat"
 	"repro/internal/obs"
+	"repro/internal/repl"
 )
 
 // layerChain renders a stack's layers outermost first, every backend
@@ -27,24 +28,30 @@ func layerChain(sys gfs.System) string {
 // TestDaemonRunsTheCheckedStack: for each deployment the daemon boots,
 // the layer chain it serves on is the chain gfs.NewStack builds over
 // model backends from the same spec — the one constructor a checked
-// scenario's Setup calls — so what is checked is what runs.
+// scenario's Setup calls — so what is checked is what runs. A replicated
+// node's chain is also the one repl's own scenario boots each node on,
+// under the daemon's metrics layer.
 func TestDaemonRunsTheCheckedStack(t *testing.T) {
 	cases := []struct {
-		name             string
-		mirror, checksum bool
-		want             string
+		name                      string
+		mirror, checksum, replica bool
+		want                      string
 	}{
-		{"plain", false, false, "Observed → backend"},
-		{"checksum", false, true, "Observed → Checksummed → backend"},
-		{"mirror", true, false, "Observed → Mirrored(Faulty → backend | Faulty → backend)"},
-		{"mirror+checksum", true, true,
+		{"plain", false, false, false, "Observed → backend"},
+		{"checksum", false, true, false, "Observed → Checksummed → backend"},
+		{"mirror", true, false, false, "Observed → Mirrored(Faulty → backend | Faulty → backend)"},
+		{"mirror+checksum", true, true, false,
 			"Observed → Mirrored(Checksummed → Faulty → backend | Checksummed → Faulty → backend)"},
+		{"replica", false, false, true, "Observed → Faulty → backend"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			o := Options{Users: 2, Checksum: c.checksum, Metrics: obs.NewRegistry()}
 			if c.mirror {
 				o.MirrorRoot = t.TempDir()
+			}
+			if c.replica {
+				o.Replica = &ReplicaOptions{ListenAddr: "127.0.0.1:0"}
 			}
 			a, err := NewWithOptions(t.TempDir(), o)
 			if err != nil {
@@ -66,6 +73,16 @@ func TestDaemonRunsTheCheckedStack(t *testing.T) {
 			checked := layerChain(gfs.NewStack(models, dirs, spec).Top)
 			if got := layerChain(a.stack.Top); got != checked || got != c.want {
 				t.Errorf("daemon serves on  %s\nchecker builds    %s\nwant              %s", got, checked, c.want)
+			}
+			if c.replica {
+				s := repl.Scenario("stack", repl.ScenarioOptions{Config: mailboat.Config{Users: 1, RandBound: 4}})
+				w := s.Setup(m).(*repl.ScenarioWorld)
+				m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) })
+				for i, st := range w.Stacks {
+					if node := "Observed → " + layerChain(st.Top); node != c.want {
+						t.Errorf("repl boots node %d on %s, under metrics; want %s", i, node, c.want)
+					}
+				}
 			}
 		})
 	}

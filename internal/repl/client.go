@@ -234,7 +234,7 @@ func (nd *Node) localDeliverMust(t gfs.T, user uint64, name string, msg []byte, 
 // a native thread has spent its eight attempts.
 func (nd *Node) applyGivesUp(t gfs.T, attempt int) bool {
 	_, modeled := t.(*machine.T)
-	return nd.selfDeadNow() || !nd.retryPause(t, attempt) || (!modeled && attempt >= 8)
+	return nd.dead() || !nd.retryPause(t, attempt) || (!modeled && attempt >= 8)
 }
 
 // localDeleteMust is localDeliverMust for deletes.
@@ -280,7 +280,7 @@ func (nd *Node) resyncLocked(t gfs.T, fence fenceStage) bool {
 func (nd *Node) fence(t gfs.T) (fenced, bool) {
 	e := nd.epoch + 1
 	for attempt := 1; !persistEpoch(t, nd.sys, e); attempt++ {
-		if nd.selfDeadNow() || !nd.retryPause(t, attempt) || attempt == 8 {
+		if nd.dead() || !nd.retryPause(t, attempt) || attempt == 8 {
 			return fenced{}, false
 		}
 	}
@@ -300,7 +300,7 @@ func (nd *Node) stream(t gfs.T, f fenced) bool {
 	}
 	for u := uint64(0); u < nd.mb.Users(); u++ {
 		box := nd.mb.ReadBox(t, u)
-		if nd.selfDeadNow() {
+		if nd.dead() {
 			return false
 		}
 		for _, m := range box {

@@ -43,7 +43,7 @@ func TestNilMetricsReplFullStack(t *testing.T) {
 	primary, _, _ := newTCPNode(t, rt, 0)
 	client := &TCPClient{Addr: baddr, Timeout: time.Second}
 	defer client.Close()
-	primary.SetPeer(client, client.PeerDead, nil)
+	primary.SetPeer(client)
 	primary.SetPrimary(true)
 
 	if res := primary.DeliverNamed(rt, 0, "m1", []byte("x")); res != OpOK {

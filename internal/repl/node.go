@@ -49,6 +49,10 @@ const MetaDir = ".repl"
 // Transport carries one replication request to the peer and reports
 // the response plus what the caller may conclude — netmodel.Net's
 // Call contract, which the TCP client reproduces over a real socket.
+// A PeerDead() bool method, if it has one, is the failure detector: a
+// fenced, one-way verdict that the peer is PERMANENTLY gone (its store's
+// latch in the model, a refused-dial streak over TCP); the primary then
+// acks alone.
 type Transport interface {
 	Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome)
 }
@@ -116,14 +120,10 @@ type Node struct {
 	// peer is the transport to the other node (nil = solo: operate
 	// without replication, as after the peer is fenced dead).
 	peer Transport
-	// peerDead, when non-nil, reports the failure detector's verdict
-	// that the peer is PERMANENTLY gone (fail-stop latch in the model,
-	// a refused-connection streak in deployment). A true verdict lets
-	// the primary ack alone; it must be a fenced, one-way judgment.
-	peerDead func() bool
-	// selfDead, when non-nil, reports this node's own store has
-	// fail-stopped, releasing must-succeed local apply loops.
-	selfDead func() bool
+	// store is the fail-stop latch of the node's own store (nil on a
+	// stack without one): once latched, must-succeed local apply loops
+	// give up and the node is degraded.
+	store gfs.FailStopper
 
 	// mu guards the snapshot fields below for Status() readers on other
 	// goroutines; protocol-path writes hold both the replication lock
@@ -169,7 +169,7 @@ const (
 // reading the persisted epoch from the .repl meta-directory. The store
 // must include MetaDir in its directory layout.
 func NewNode(t gfs.T, id int, mb *mailboat.Mailboat, sys gfs.System, cfg Config) *Node {
-	nd := &Node{id: id, mb: mb, sys: sys, cfg: cfg, stop: make(chan struct{})}
+	nd := &Node{id: id, mb: mb, sys: sys, store: gfs.AsFailStopper(sys), cfg: cfg, stop: make(chan struct{})}
 	if mt, ok := t.(*machine.T); ok {
 		nd.m = mt.Machine()
 		nd.obj = nd.m.Objects(uint64(nodeObjs))
@@ -181,13 +181,8 @@ func NewNode(t gfs.T, id int, mb *mailboat.Mailboat, sys gfs.System, cfg Config)
 	return nd
 }
 
-// SetPeer wires the transport to the peer and the two failure
-// detectors (either may be nil).
-func (nd *Node) SetPeer(peer Transport, peerDead, selfDead func() bool) {
-	nd.peer = peer
-	nd.peerDead = peerDead
-	nd.selfDead = selfDead
-}
+// SetPeer wires the transport to the peer.
+func (nd *Node) SetPeer(peer Transport) { nd.peer = peer }
 
 // Mailboat returns the node's library handle (local pickups run on the
 // primary's).
@@ -316,18 +311,15 @@ func (nd *Node) markResynced(t gfs.T) {
 	nd.cfg.Metrics.LastResyncSet(unix)
 }
 
-// peerGone reports the failure detector's fenced-dead verdict (a nil
-// peer counts as gone: the node is running solo).
+// peerGone reports the transport's fenced-dead verdict (a nil peer
+// counts as gone: the node is running solo).
 func (nd *Node) peerGone() bool {
-	if nd.peer == nil {
-		return true
-	}
-	return nd.peerDead != nil && nd.peerDead()
+	d, ok := nd.peer.(interface{ PeerDead() bool })
+	return nd.peer == nil || ok && d.PeerDead()
 }
 
-func (nd *Node) selfDeadNow() bool {
-	return nd.selfDead != nil && nd.selfDead()
-}
+// dead reports whether the node's own store has fail-stopped.
+func (nd *Node) dead() bool { return nd.store != nil && nd.store.FailStopped() }
 
 func (nd *Node) maxCallRetries() int {
 	if nd.cfg.MaxCallRetries > 0 {

@@ -23,7 +23,6 @@ import (
 // doubles as the promotion-safety predicate.
 type Pair struct {
 	Nodes [2]*Node
-	F     [2]*gfs.Faulty
 	Net   *netmodel.Net
 
 	sys   [2]gfs.System
@@ -40,7 +39,7 @@ type Pair struct {
 
 	// primary and lockAt are shared by the client threads: each access
 	// declares itself on m (DESIGN.md "Sleep sets"), as objects
-	// obj+primaryObj and obj+lockAtObj+user. Nodes, F and sys are written
+	// obj+primaryObj and obj+lockAtObj+user. Nodes and sys are written
 	// only by NewPair and Recover, each alone in its era.
 	m   *machine.Machine
 	obj machine.Obj
@@ -85,29 +84,33 @@ func ReplDirs(cfg mailboat.Config) []string {
 	return append(mailboat.Dirs(cfg), MetaDir)
 }
 
-// linkTransport sends to a fixed destination endpoint of a Net.
+// linkTransport sends to a fixed destination endpoint of a Net, the
+// node peer. Its failure detector is exact: the peer's own store latch.
 type linkTransport struct {
-	net *netmodel.Net
-	dst int
+	net  *netmodel.Net
+	dst  int
+	peer *Node
 }
 
 func (l *linkTransport) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
 	return l.net.Call(t, l.dst, req)
 }
 
+// PeerDead reports whether the peer's store has fail-stopped.
+func (l *linkTransport) PeerDead() bool { return l.peer.dead() }
+
 // NewPair initializes both stores (mailboat.Init) and wires the nodes
-// over net, running the protocol v. Node 0 starts as primary. sys[i]
-// must be the fault-wrapped system whose fail-stop latch is f[i]; the
-// same index is bound as net endpoint i.
-func NewPair(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty, net *netmodel.Net,
-	mbcfg mailboat.Config, v Variant) *Pair {
+// over net, running the protocol v. Node 0 starts as primary. Each node
+// reads its fail-stop latch from sys[i]'s stack itself; the same index is
+// bound as net endpoint i.
+func NewPair(t gfs.T, sys [2]gfs.System, net *netmodel.Net, mbcfg mailboat.Config, v Variant) *Pair {
 	if v.DeliverNamed == nil {
 		v.DeliverNamed = (*Node).deliverNamed
 	}
 	if v.Fence == nil {
 		v.Fence = (*Node).fence
 	}
-	p := &Pair{F: f, Net: net, sys: sys, mbcfg: mbcfg, v: v}
+	p := &Pair{Net: net, sys: sys, mbcfg: mbcfg, v: v}
 	p.m = t.(*machine.T).Machine() // the Net is model-only, and so is the Pair
 	p.obj = p.m.Objects(uint64(lockAtObj) + mbcfg.Users)
 	for i := 0; i < 2; i++ {
@@ -125,7 +128,7 @@ func NewPair(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty, net *netmodel.Net,
 
 // wire binds the net handlers and peers. The handler closures route
 // through p.Nodes[i] at call time, so nodes rebuilt by Recover keep
-// receiving frames without rebinding.
+// receiving frames without rebinding; Recover rewires the peers.
 func (p *Pair) wire(net *netmodel.Net) {
 	for i := 0; i < 2; i++ {
 		i := i
@@ -133,11 +136,7 @@ func (p *Pair) wire(net *netmodel.Net) {
 			return p.Nodes[i].HandleRequest(t, req)
 		})
 		other := 1 - i
-		p.Nodes[i].SetPeer(
-			&linkTransport{net: net, dst: other},
-			func() bool { return p.F[other].FailStopped() },
-			func() bool { return p.F[i].FailStopped() },
-		)
+		p.Nodes[i].SetPeer(&linkTransport{net: net, dst: other, peer: p.Nodes[other]})
 	}
 }
 
@@ -145,28 +144,33 @@ func (p *Pair) wire(net *netmodel.Net) {
 func (p *Pair) Primary() int { return p.leader() }
 
 // Degraded reports whether the pair cannot currently tolerate losing
-// the primary: it is dead, or the verdict (degraded) says so from its
-// side, reading the backup itself — in another epoch or mid-catch-up.
+// the primary: the verdict (degraded) says so from its side — its store
+// dead, or reading the backup itself: in another epoch or mid-catch-up.
 // The deployment's /healthz maps the primary's own verdict to 503.
 func (p *Pair) Degraded() bool {
 	cur := p.leader()
-	st, b := p.Nodes[cur].Status(), p.Nodes[1-cur].Status()
-	return p.F[cur].FailStopped() || degraded(st, b.Resyncing || b.Epoch != st.Epoch, true)
+	return p.Nodes[cur].degraded(func(st Status) bool {
+		b := p.Nodes[1-cur].Status()
+		return b.Resyncing || b.Epoch != st.Epoch
+	}, true).Degraded
 }
 
 // failover promotes the backup after the primary fail-stopped. False
-// when the backup is dead too, or unpromotable: the verdict, from the
-// backup's side against the old primary's epoch, says degraded (it is
-// epoch-behind or mid-resync, and may hold partial state).
+// when the verdict, from the backup's side against the old primary's
+// epoch, says degraded: its store is dead too, or it is epoch-behind or
+// mid-resync, and may hold partial state.
 func (p *Pair) failover(t gfs.T) bool {
 	old := p.leader()
 	nw := 1 - old
-	if p.F[nw].FailStopped() {
-		return false
-	}
-	st, e := p.Nodes[nw].Status(), p.Nodes[old].Epoch()
-	if degraded(st, st.Epoch != e, true) {
-		trace.Event(t, "repl: backup unpromotable (epoch %d vs %d, resyncing=%v)", st.Epoch, e, st.Resyncing)
+	var e uint64
+	h := p.Nodes[nw].degraded(func(st Status) bool {
+		e = p.Nodes[old].Epoch()
+		return st.Epoch != e
+	}, true)
+	if h.Degraded {
+		if !h.StoreDead {
+			trace.Event(t, "repl: backup unpromotable (epoch %d vs %d, resyncing=%v)", h.Epoch, e, h.Resyncing)
+		}
 		return false
 	}
 	if !p.Nodes[nw].Promote(t) {
@@ -186,7 +190,7 @@ func (p *Pair) failover(t gfs.T) bool {
 func (p *Pair) ensureLivePrimary(t gfs.T) (int, bool) {
 	for i := 0; i < 2; i++ {
 		cur := p.leader()
-		if !p.F[cur].FailStopped() {
+		if !p.Nodes[cur].dead() {
 			return cur, true
 		}
 		if !p.failover(t) {
@@ -241,7 +245,7 @@ func (p *Pair) settle(t gfs.T, cur int, res OpResult) (ok, answered, again bool)
 		done := p.leader() != cur || p.failover(t)
 		return done, done, false
 	case OpFailed:
-		return false, true, p.F[cur].FailStopped()
+		return false, true, p.Nodes[cur].dead()
 	case OpUnknown:
 		return false, false, false
 	}
@@ -263,7 +267,7 @@ func (p *Pair) Pickup(t gfs.T, user uint64) (msgs []mailboat.Message, ok bool) {
 		// The latch check must be against the node that SERVED the
 		// listing (cur, not a re-read of p.primary — a concurrent
 		// operation may have failed over while we listed).
-		if p.F[cur].FailStopped() {
+		if nd.dead() {
 			// The listing cannot be trusted (reads were failing); drop
 			// the lock and try the survivor.
 			nd.Mailboat().Unlock(t, nil, user)
@@ -327,15 +331,14 @@ func (p *Pair) Unlock(t gfs.T, user uint64) {
 }
 
 // Recover rebuilds the pair after a site crash (the model's whole-site
-// power cut) on the stores each node rebooted, sys[i] with its fault
-// layer f[i] as in NewPair: run mailboat recovery on each node, re-read
+// power cut) on the stores each node rebooted, sys[i] as in NewPair: run mailboat recovery on each node, re-read
 // persisted epochs, elect the higher-epoch node primary (it fenced the
 // other), and ALWAYS run the supervisor's catch-up (supervise.go), the
 // daemon's boot catch-up. The backup's closing ping gives frames still
 // in the network (in-flight frames survive a site reboot) one more
 // delivery opportunity, AFTER the new epoch is in place to fence them.
-func (p *Pair) Recover(t gfs.T, sys [2]gfs.System, f [2]*gfs.Faulty) {
-	p.sys, p.F = sys, f
+func (p *Pair) Recover(t gfs.T, sys [2]gfs.System) {
+	p.sys = sys
 	for i := 0; i < 2; i++ {
 		mb := mailboat.Recover(t, nil, p.sys[i], p.mbcfg, nil)
 		p.Nodes[i] = NewNode(t, i, mb, p.sys[i], Config{})

@@ -41,7 +41,7 @@ func newPairRigOn(opts machine.Options, storePol, netPol fault.Policy) *pairRig 
 }
 
 func (r *pairRig) build(mt *machine.T) *Pair {
-	r.pair = NewPair(mt, [2]gfs.System{r.f[0], r.f[1]}, r.f, r.net, r.cfg, Variant{})
+	r.pair = NewPair(mt, [2]gfs.System{r.f[0], r.f[1]}, r.net, r.cfg, Variant{})
 	return r.pair
 }
 
@@ -397,7 +397,7 @@ func nativeNode(t *testing.T, cfg Config) (*gfs.Native, *Node) {
 func TestShutdownStopsRetries(t *testing.T) {
 	nt, nd := nativeNode(t, Config{MaxCallRetries: 1 << 20, RetryBackoff: 5 * time.Millisecond})
 	tr := &lostTransport{}
-	nd.SetPeer(tr, func() bool { return false }, nil)
+	nd.SetPeer(tr)
 	done := make(chan OpResult, 1)
 	go func() {
 		done <- nd.DeliverNamed(nt, 0, "msg1", []byte("x"))
@@ -421,7 +421,7 @@ func TestShutdownStopsRetries(t *testing.T) {
 func TestAllLostNeverAckBarrier(t *testing.T) {
 	nt, nd := nativeNode(t, Config{MaxCallRetries: 3})
 	tr := &lostTransport{}
-	nd.SetPeer(tr, func() bool { return false }, nil)
+	nd.SetPeer(tr)
 	if res := nd.DeliverNamed(nt, 0, "msg1", []byte("x")); res != OpFailed {
 		t.Fatalf("result %v, want OpFailed", res)
 	}

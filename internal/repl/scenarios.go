@@ -41,20 +41,21 @@ type ScenarioWorld struct {
 }
 
 // boot composes each node's stack over its model and returns the tops
-// and fault layers the Pair runs on. A node's full disk stays full
+// the Pair runs on; each node finds its fault layer's latches beneath its
+// top itself. A node's full disk stays full
 // across the reboot: the models have no capacity, so the old fault
 // layer's no-space latch is carried onto the fresh one (without charging
 // the budget again).
-func (w *ScenarioWorld) boot() (sys [2]gfs.System, f [2]*gfs.Faulty) {
+func (w *ScenarioWorld) boot() (sys [2]gfs.System) {
 	for i := range w.Stacks {
 		old := w.Stacks[i]
 		w.Stacks[i] = gfs.NewStack([]gfs.System{w.FS[i]}, w.dirs, gfs.StackSpec{Policy: w.policy})
-		sys[i], f[i] = w.Stacks[i].Top, w.Stacks[i].Faulty(0)
+		sys[i] = w.Stacks[i].Top
 		if old != nil && old.Faulty(0).NoSpace() {
-			f[i].NoSpaceNow("still full at boot")
+			w.Stacks[i].Faulty(0).NoSpaceNow("still full at boot")
 		}
 	}
-	return sys, f
+	return sys
 }
 
 // Deliver, Pickup, Delete and Unlock make ScenarioWorld the workload's
@@ -150,8 +151,7 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 		},
 		Init: func(t *machine.T, wAny any) {
 			w := wAny.(*ScenarioWorld)
-			sys, f := w.boot()
-			w.Pair = NewPair(t, sys, f, w.Net, o.Config, o.Variant)
+			w.Pair = NewPair(t, w.boot(), w.Net, o.Config, o.Variant)
 		},
 		Main: func(t *machine.T, wAny any, h *explore.Harness) {
 			w := wAny.(*ScenarioWorld)
@@ -175,8 +175,7 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 			// chooser the chance to land them AFTER the post-resync fence
 			// is up.
 			w := wAny.(*ScenarioWorld)
-			sys, f := w.boot()
-			w.Pair.Recover(t, sys, f)
+			w.Pair.Recover(t, w.boot())
 		},
 		Post: func(t *machine.T, wAny any, h *explore.Harness) {
 			if !o.PostPickups {

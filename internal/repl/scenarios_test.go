@@ -303,8 +303,9 @@ func (killer) Choose(n int, tag string) int {
 
 // TestScenarioNodesRunOnStacks: each node's store is a gfs.NewStack —
 // a fault layer over the node's own model, what the single-node
-// scenarios and the daemon build — the two sharing one policy, and the
-// Pair runs on those tops with those layers as its kill switches. The
+// scenarios build and, under Observed, the daemon's replica — the two
+// sharing one policy, and each node runs on its top and reads that
+// layer's latch as its own store's death. The
 // policy's used budget, one count whatever class spent it, is the
 // fingerprint's whole share of the world: a reboot's fresh stacks drop
 // the latch and keep the budget spent.
@@ -321,8 +322,8 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 		if st.Mirror() != nil || st.Checksummed(0) != nil {
 			t.Errorf("node %d: stack has layers the spec did not ask for", i)
 		}
-		if w.Pair.F[i] != f {
-			t.Errorf("node %d: the Pair's kill switch is not its stack's fault layer", i)
+		if w.Pair.Nodes[i].store != gfs.FailStopper(f) {
+			t.Errorf("node %d: the node's own latch is not its stack's fault layer", i)
 		}
 	}
 	quiet := s.Fingerprint(w, nil)

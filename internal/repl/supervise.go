@@ -5,40 +5,53 @@ import "repro/internal/gfs"
 // This file is replication supervision, one piece of checked code with
 // two callers: Pair.Recover runs the catch-up after every site crash, and
 // the daemon runs it at boot and then a tick once per ping period
-// (Node.Supervise). Whether the pair is in sync is one verdict, degraded:
-// Pair.Degraded, Pair.failover's promotability test and the daemon's
-// /healthz (Node.Health) all read it.
+// (Node.Supervise). Whether the pair is in sync is one verdict, degraded,
+// which reads the node's own store latch itself: Pair.Degraded,
+// Pair.failover's promotability test and the daemon's /healthz
+// (Node.Health) all read it.
 
 // Health is a node's replication verdict, what /healthz serves: its
-// Status, its transport's reachability, and degraded over both. The admin
-// surface answers 503 with this JSON while Degraded, so orchestrators pull
-// the instance and operators see the stuck half at a glance.
+// Status, whether its own store fail-stopped, its transport's
+// reachability, and degraded over all three. The admin surface answers
+// 503 with this JSON while Degraded, so orchestrators pull the instance
+// and operators see the stuck half at a glance.
 type Health struct {
 	Status
+	StoreDead     bool `json:"store_dead"`
 	PeerReachable bool `json:"peer_reachable"`
 	Degraded      bool `json:"degraded"`
 }
 
-// degraded is the one in-sync verdict, from the side of the node whose
-// snapshot is st: the pair cannot tolerate losing that node while a
-// catch-up is in flight on it, while it is stale (it acked alone, its last
-// catch-up failed, or its peer last answered fenced or behind), while
-// behind — the model's reading of the peer itself: in another epoch or
-// mid-catch-up — and, on the primary, while the peer is fenced dead or
-// unreachable.
-func degraded(st Status, behind, reachable bool) bool {
-	return st.Resyncing || st.Stale || behind || (st.Role == "primary" && (st.PeerDead || !reachable))
+// degraded is the one in-sync verdict, from nd's side: the pair cannot
+// tolerate losing nd while its own store is fail-stopped, while a
+// catch-up is in flight on it, while it is stale (it acked alone, its
+// last catch-up failed, or its peer last answered fenced or behind),
+// while behind(st) — the model's reading of the peer against nd's
+// snapshot st: in another epoch or mid-catch-up — and, on the primary,
+// while the peer is fenced dead or unreachable. The latch is read first,
+// and a dead node's snapshot not at all (Status stays zero).
+func (nd *Node) degraded(behind func(st Status) bool, reachable bool) Health {
+	if nd.dead() {
+		return Health{StoreDead: true, PeerReachable: reachable, Degraded: true}
+	}
+	st := nd.Status()
+	b := behind(st)
+	return Health{Status: st, PeerReachable: reachable, Degraded: st.Resyncing || st.Stale || b || (st.Role == "primary" && (st.PeerDead || !reachable))}
 }
 
-// Health is the node's own verdict: what its supervisor recorded, and its
-// transport's reachability (a transport that cannot tell counts as
-// reachable; a node with no peer counts it fenced dead).
+// Health is the node's own verdict: what its supervisor recorded, its
+// store's latch, and its transport's reachability (a transport that
+// cannot tell counts as reachable; a node with no peer counts it fenced
+// dead). A dead node's snapshot is served too: role and epoch still say
+// which half died.
 func (nd *Node) Health() Health {
-	st, reachable := nd.Status(), true
-	if r, ok := nd.peer.(interface{ Reachable() bool }); ok {
-		reachable = r.Reachable()
+	r, ok := nd.peer.(interface{ Reachable() bool })
+	reachable := !ok || r.Reachable()
+	h := nd.degraded(func(Status) bool { return false }, reachable)
+	if h.StoreDead {
+		h.Status = nd.Status()
 	}
-	return Health{Status: st, PeerReachable: reachable, Degraded: degraded(st, false, reachable)}
+	return h
 }
 
 // CatchUp is the boot catch-up: a resync in a freshly fenced epoch —

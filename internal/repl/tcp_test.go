@@ -90,7 +90,7 @@ func TestTCPReplicatedDeliver(t *testing.T) {
 	primary, _, _ := newTCPNode(t, rt, 0)
 	client := &TCPClient{Addr: baddr, Timeout: time.Second, Metrics: netmodel.NewNetMetrics(obs.NewRegistry())}
 	defer client.Close()
-	primary.SetPeer(client, client.PeerDead, nil)
+	primary.SetPeer(client)
 	primary.SetPrimary(true)
 
 	if st, answered := primary.ping(rt); !answered || st != StOK {
@@ -131,7 +131,7 @@ func TestTCPPingDetectsStaleBackup(t *testing.T) {
 	primary, _, _ := newTCPNode(t, rt, 0)
 	client := &TCPClient{Addr: baddr, Timeout: time.Second}
 	defer client.Close()
-	primary.SetPeer(client, client.PeerDead, nil)
+	primary.SetPeer(client)
 	primary.SetPrimary(true)
 	if res := primary.DeliverNamed(rt, 0, "msg1", []byte("pre-replace")); res != OpOK {
 		t.Fatalf("DeliverNamed: %v", res)
@@ -142,7 +142,7 @@ func TestTCPPingDetectsStaleBackup(t *testing.T) {
 	fresh, faddr, _ := newTCPNode(t, rt, 1)
 	client2 := &TCPClient{Addr: faddr, Timeout: time.Second}
 	defer client2.Close()
-	primary.SetPeer(client2, client2.PeerDead, nil)
+	primary.SetPeer(client2)
 
 	if st, _ := primary.ping(rt); st != StNeedResync {
 		t.Fatalf("ping against stale backup: %s, want need-resync", statusName(st))
