@@ -123,8 +123,9 @@ func (nd *Node) replicate(t gfs.T, r request, fence fenceStage) (replicated, OpR
 //	StStaleEpoch  with the backup ahead: we are fenced (it promoted);
 //	              abort. With our own epoch merely newer than the
 //	              frame's (an in-op resync): retag and retry.
-//	StNeedResync  the backup is behind or rebooted: run the catch-up,
-//	              then retry in the new epoch's sequence space.
+//	StNeedResync  the backup is behind or rebooted: the node is stale,
+//	              as after a behind ping; run the supervisor's catch-up
+//	              body, then retry in the new epoch's sequence space.
 //	StStoreFailed transient backup store refusal: retry same seq.
 func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 	_, modeled := t.(*machine.T)
@@ -165,8 +166,9 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 				}
 				// Our own epoch advanced mid-operation; retag and retry.
 			case StNeedResync:
+				nd.setStale(true)
 				resyncs++
-				if resyncs > 3 || !nd.resyncLocked(t, fence) {
+				if resyncs > 3 || !nd.catchUpLocked(t, fence) {
 					return nd.abandoned(everUnknown)
 				}
 				r.seq = nd.seq + 1 // fresh epoch, fresh sequence space
@@ -250,22 +252,20 @@ func (nd *Node) localDeleteMust(t gfs.T, user uint64, name string, _ replicated)
 	}
 }
 
-// resync is a catch-up: bump and persist OUR epoch first (the fence —
+// catchUpLocked is the catch-up's body, under the replication lock, for
+// the supervisor (catchUp) and for an operation the backup answered
+// behind (resolve) alike: bump and persist OUR epoch first (the fence —
 // in-flight frames from before this moment now carry a stale epoch), then
-// stream the full authoritative state to the backup and commit. False
-// means the catch-up could not complete: the backup is stale.
-func (nd *Node) resync(t gfs.T, fence fenceStage) bool {
-	nd.lock.Acquire(t)
-	defer nd.lock.Release(t)
-	return nd.resyncLocked(t, fence)
-}
-
-func (nd *Node) resyncLocked(t gfs.T, fence fenceStage) bool {
+// stream the full authoritative state to the backup and commit, and
+// record the outcome: only a completed catch-up clears stale. False means
+// it could not complete: the backup is stale.
+func (nd *Node) catchUpLocked(t gfs.T, fence fenceStage) bool {
 	sp := trace.Enter(t, "repl.resync")
 	defer trace.Exit(t, sp)
 	f, ok := fence(nd, t)
 	ok = ok && nd.stream(t, f)
 	nd.cfg.Metrics.ResyncObserved(ok)
+	nd.setStale(!ok)
 	if ok {
 		nd.markResynced(t)
 		trace.Event(t, "repl: resync complete at epoch %d", f.epoch)

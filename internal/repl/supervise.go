@@ -61,9 +61,12 @@ func (nd *Node) Health() Health {
 // frames still in flight, after the new fence is up to turn them away.
 func (nd *Node) CatchUp(t gfs.T) { nd.catchUp(t, (*Node).fence) }
 
-// catchUp is CatchUp starting with fence.
+// catchUp is CatchUp starting with fence: the locked catch-up body, then
+// the ping.
 func (nd *Node) catchUp(t gfs.T, fence fenceStage) {
-	nd.setStale(!nd.resync(t, fence))
+	nd.lock.Acquire(t)
+	nd.catchUpLocked(t, fence)
+	nd.lock.Release(t)
 	nd.ping(t)
 }
 

@@ -263,3 +263,50 @@ func TestServerCloseSeversConns(t *testing.T) {
 		}
 	}
 }
+
+// deadSwitch is a TCP transport whose failure detector the test sets.
+type deadSwitch struct {
+	*TCPClient
+	dead bool
+}
+
+func (d *deadSwitch) PeerDead() bool { return d.dead }
+
+// TestOpCatchUpClearsStale: a catch-up that a client operation runs is
+// the supervisor's catch-up body. An ack-alone leaves the primary stale;
+// once the peer is back, the next delivery's behind answer runs the
+// catch-up, whose completion clears stale, so the next tick finds the
+// pair in sync and runs no second catch-up. While the operation ran a bare
+// resync, stale stayed set after it and that tick resynced again.
+func TestOpCatchUpClearsStale(t *testing.T) {
+	rt := &tcpRand{}
+	backup, baddr, _ := newTCPNode(t, rt, 1)
+	primary, _, _ := newTCPNode(t, rt, 0)
+	met := NewMetrics(obs.NewRegistry())
+	primary.cfg.Metrics = met
+	client := &TCPClient{Addr: baddr, Timeout: time.Second}
+	defer client.Close()
+	peer := &deadSwitch{TCPClient: client, dead: true}
+	primary.SetPeer(peer)
+	primary.SetPrimary(true)
+
+	if res := primary.DeliverNamed(rt, 0, "alone", []byte("acked alone")); res != OpOK || !primary.Status().Stale {
+		t.Fatalf("ack-alone: %v, stale %v", res, primary.Status().Stale)
+	}
+	peer.dead = false
+	if res := primary.DeliverNamed(rt, 0, "back", []byte("peer back")); res != OpOK {
+		t.Fatalf("delivery after the peer came back: %v", res)
+	}
+	if n := met.Resyncs.Value(); n != 1 || primary.Status().Stale {
+		t.Fatalf("after the operation's catch-up: %d completed, stale %v; want 1, false", n, primary.Status().Stale)
+	}
+	primary.tick(rt, (*Node).fence)
+	if n := met.Resyncs.Value(); n != 1 {
+		t.Fatalf("the tick after the operation's catch-up resynced again: %d catch-ups", n)
+	}
+	msgs := backup.Mailboat().Pickup(rt, nil, 0)
+	if len(msgs) != 2 {
+		t.Fatalf("backup holds %d messages, want both deliveries", len(msgs))
+	}
+	backup.Mailboat().Unlock(rt, nil, 0)
+}
