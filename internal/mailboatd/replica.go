@@ -12,10 +12,11 @@ import (
 
 // This file wires the replication protocol into the deployment: the
 // same internal/repl node the model checker verifies, on the same stack,
-// driven over the length-prefixed TCP transport. A replicated adapter routes Deliver
-// and Delete through the protocol's remote-first client leg — an
-// acknowledged operation is on the backup's disk before the SMTP 250
-// goes out — while Pickup stays a local read of the primary's store.
+// driven over the length-prefixed TCP transport. A replicated adapter
+// routes Deliver and Delete through the protocol's remote-first client
+// leg — an acknowledged operation is on the backup's disk before the
+// SMTP 250 goes out — while Pickup stays a local read of the primary's
+// store.
 
 // ReplicaOptions configures primary/backup replication. A deployment
 // runs two mailboat processes: the primary (Primary true, PeerAddr

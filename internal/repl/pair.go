@@ -84,8 +84,8 @@ func ReplDirs(cfg mailboat.Config) []string {
 	return append(mailboat.Dirs(cfg), MetaDir)
 }
 
-// linkTransport sends to a fixed destination endpoint of a Net, the
-// node peer. Its failure detector is exact: the peer's own store latch.
+// linkTransport sends to peer's endpoint dst of a Net. Its failure
+// detector is exact: the peer node's own store latch.
 type linkTransport struct {
 	net  *netmodel.Net
 	dst  int
