@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mailboat"
 	"repro/internal/repl"
 )
 
@@ -131,5 +132,59 @@ func TestFailStoppedPrimaryIsDegraded(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // about ten more ticks
 	if after := storeFiles(t, broot); !maps.Equal(before, after) {
 		t.Fatalf("the backup's store changed under a dead primary's ticks:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestDeadPrimaryReplicatesNothing: a primary whose own store is latched
+// dead refuses a delivery or a delete before it replicates it. Each
+// Deliver answers ErrTransient and the backup's user0 stays empty, so a
+// sender's retries cannot pile copies onto the backup that the primary
+// never acknowledged; a Delete answers ErrTransient and the backup keeps
+// the message.
+func TestDeadPrimaryReplicatesNothing(t *testing.T) {
+	addr := freeAddr(t)
+	backup, err := NewWithOptions(t.TempDir(), Options{Users: 2, Seed: 2, Replica: &ReplicaOptions{ListenAddr: addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(backup.Close)
+	primary, err := NewWithOptions(t.TempDir(), Options{Users: 2, Seed: 1, Replica: &ReplicaOptions{
+		Primary: true, PeerAddr: addr, CallTimeout: time.Second, RetryBackoff: time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(primary.Close)
+	backupBox := func(user uint64) []mailboat.Message {
+		t.Helper()
+		msgs, err := backup.Pickup(user)
+		backup.Unlock(user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msgs
+	}
+	if err := primary.Deliver(1, []byte("kept")); err != nil {
+		t.Fatalf("replicated Deliver: %v", err)
+	}
+	kept := backupBox(1)
+	if len(kept) != 1 {
+		t.Fatalf("backup's user1 holds %d messages, want 1", len(kept))
+	}
+
+	primary.FailStopReplica(0)
+	for try := 1; try <= 2; try++ {
+		if err := primary.Deliver(0, []byte("never acknowledged")); err != ErrTransient {
+			t.Fatalf("Deliver %d on a dead primary: %v, want ErrTransient", try, err)
+		}
+		if n := len(backupBox(0)); n != 0 {
+			t.Fatalf("after Deliver %d the backup's user0 holds %d message(s), want none", try, n)
+		}
+	}
+	if err := primary.Delete(1, kept[0].ID); err != ErrTransient {
+		t.Fatalf("Delete on a dead primary: %v, want ErrTransient", err)
+	}
+	if n := len(backupBox(1)); n != 1 {
+		t.Fatalf("after the refused Delete the backup's user1 holds %d message(s), want 1", n)
 	}
 }

@@ -55,6 +55,12 @@ func (nd *Node) deliverNamed(t gfs.T, user uint64, name string, msg []byte, fenc
 	defer trace.Exit(t, sp)
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
+	if nd.dead() {
+		// Our own apply would fail after the backup's: the backup would
+		// keep a message we never acknowledged, and each retry of the
+		// client's would add another copy there.
+		return OpFailed
+	}
 	if _, present := nd.mb.ReadMessage(t, user, name); present {
 		return OpNameTaken
 	}
@@ -84,6 +90,9 @@ func (nd *Node) deleteNamed(t gfs.T, user uint64, name string, fence fenceStage)
 	defer trace.Exit(t, sp)
 	nd.lock.Acquire(t)
 	defer nd.lock.Release(t)
+	if nd.dead() {
+		return OpFailed // as in deliverNamed: nothing replicates from a dead store
+	}
 	rep, res := nd.replicate(t, request{kind: kDelete, user: user, name: name}, fence)
 	if res != OpOK {
 		return res

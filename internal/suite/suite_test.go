@@ -328,7 +328,7 @@ func TestSelfCheckCompleteEntries(t *testing.T) {
 		opts.MaxExecutions = 250000 // mb/writeback+sync-discipline's plain search is 132,073
 		switch e.Scenario.Name {
 		case "mb/writeback+prefix-contract", "mb/replicated+crash+net", "mb/replicated+failstop":
-			// The reduced searches complete in 1,030, 4,259 and 7,726.
+			// The reduced searches complete in 1,030, 4,259 and 7,798.
 			opts.MaxExecutions = 50000
 		}
 		with, without, err := explore.SelfCheck(e.Scenario, opts)
