@@ -43,7 +43,8 @@ func flagBeforeBump(m *Mirrored, t T, i int, why string) {
 	if trace.Active(t) {
 		trace.Event(t, "mirror: replica %d failed (%s); degraded", i, why)
 	}
-	m.Metrics.replicaFailed(i)
+	m.Metrics.ReplicaFailed[i].Inc()
+	m.Metrics.Degraded.Set(1)
 	// BUG: the bumped token is forged; the survivor's bump is not durable yet.
 	m.degrade(i, bumped{})
 	m.bumpGeneration(t, 1-i)

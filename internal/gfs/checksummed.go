@@ -135,10 +135,9 @@ type Checksummed struct {
 	inner System
 	dirs  []string
 
-	// Metrics, when non-nil, counts detections into
-	// gfs_integrity_detected_total. Nil-safe: checker runs stay
-	// metric-free.
-	Metrics *IntegrityMetrics
+	// Metrics counts detections into gfs_integrity_detected_total.
+	// Checker runs leave it zero, which records nothing.
+	Metrics IntegrityMetrics
 
 	mu       sync.Mutex
 	detected uint64
@@ -190,7 +189,7 @@ func (c *Checksummed) noteDetected(t T, dir, name string, v Verdict) {
 	c.mu.Lock()
 	c.detected++
 	c.mu.Unlock()
-	c.Metrics.detected()
+	c.Metrics.Detected.Inc()
 	if trace.Active(t) {
 		trace.Event(t, "fs.integrity %s/%s: %s", dir, name, v)
 	}

@@ -122,11 +122,11 @@ type Faulty struct {
 	inner  System
 	policy fault.Policy
 
-	// Metrics, when non-nil, counts injected faults per class into the
-	// shared file-system metrics (gfs_faults_injected_total). The
-	// replayable log stays authoritative for drills; the counters exist
-	// for scraping.
-	Metrics *FSMetrics
+	// Metrics counts injected faults per class into the shared
+	// file-system metrics (gfs_faults_injected_total); zero, it counts
+	// nothing. The replayable log stays authoritative for drills; the
+	// counters exist for scraping.
+	Metrics FSMetrics
 
 	log fault.Log
 
@@ -205,7 +205,7 @@ func (f *Faulty) FailStopNow(detail string) {
 	f.touch(failStopLatch, machine.Write)
 	if !f.failStopped.Swap(true) {
 		f.log.Force(fault.FailStop, detail)
-		f.Metrics.FaultInjected(fault.FailStop)
+		f.Metrics.faults[fault.FailStop].Inc()
 	}
 }
 
@@ -225,7 +225,7 @@ func (f *Faulty) NoSpaceNow(detail string) {
 	f.touch(noSpaceLatch, machine.Write)
 	if !f.noSpace.Swap(true) {
 		f.log.Force(fault.NoSpace, detail)
-		f.Metrics.FaultInjected(fault.NoSpace)
+		f.Metrics.faults[fault.NoSpace].Inc()
 	}
 }
 
@@ -250,7 +250,7 @@ type describe func() string
 // record logs an injection the gate has stepped and traced.
 func (f *Faulty) record(c fault.Class, idx uint64, detail string) {
 	f.log.Record(c, idx, detail)
-	f.Metrics.FaultInjected(c)
+	f.Metrics.faults[c].Inc()
 }
 
 // gate is the decision point of class c. It reports true when the

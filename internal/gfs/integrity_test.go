@@ -566,14 +566,19 @@ func TestResilverVerifyCatchesShortCopy(t *testing.T) {
 	}
 }
 
-// TestIntegrityMetricsNilSafe: every IntegrityMetrics method must
-// tolerate a nil receiver, so checker runs and metric-less servers
-// never trip over instrumentation.
+// TestIntegrityMetricsNilSafe: the zero IntegrityMetrics, which checker
+// runs and metric-less servers carry, takes every write its call sites
+// make, records nothing and reads no clock.
 func TestIntegrityMetricsNilSafe(t *testing.T) {
-	var m *IntegrityMetrics
-	m.detected()
-	m.healed()
-	m.ScrubDone(time.Second)
+	var m IntegrityMetrics
+	m.Detected.Inc()
+	m.Healed.Inc()
+	start := m.ScrubSeconds.Start()
+	m.ScrubSeconds.ObserveSince(start)
+	if !start.IsZero() || m.Detected.Value() != 0 || m.Healed.Value() != 0 || m.ScrubSeconds.Count() != 0 {
+		t.Fatalf("zero metrics recorded: start %v, detected %d, healed %d, scrubs %d",
+			start, m.Detected.Value(), m.Healed.Value(), m.ScrubSeconds.Count())
+	}
 }
 
 // TestIntegrityMetricsRegister: the three gfs_integrity_* families
@@ -581,9 +586,9 @@ func TestIntegrityMetricsNilSafe(t *testing.T) {
 func TestIntegrityMetricsRegister(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewIntegrityMetrics(reg)
-	m.detected()
-	m.healed()
-	m.ScrubDone(10 * time.Millisecond)
+	m.Detected.Inc()
+	m.Healed.Inc()
+	m.ScrubSeconds.ObserveDuration(10 * time.Millisecond)
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	out := buf.String()

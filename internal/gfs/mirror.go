@@ -136,9 +136,10 @@ type MirrorStatus struct {
 	Replicas    [2]ReplicaStatus `json:"replicas"`
 }
 
-// MirrorMetrics is the mirror's slice of the observability surface.
-// All fields may be nil (metrics disabled); no method reads the clock
-// unless metrics are enabled, keeping checker executions syscall-free.
+// MirrorMetrics is the mirror's slice of the observability surface. It
+// is held by value; its zero value, a checker run's, records nothing,
+// and the mirror reads the clock for it only through
+// DegradedSeconds.Start, which keeps checker executions syscall-free.
 type MirrorMetrics struct {
 	// Failovers counts reads re-served from the survivor after the
 	// primary read replica died mid-operation.
@@ -159,8 +160,8 @@ type MirrorMetrics struct {
 }
 
 // NewMirrorMetrics registers the mirror metric families in r.
-func NewMirrorMetrics(r *obs.Registry) *MirrorMetrics {
-	m := &MirrorMetrics{
+func NewMirrorMetrics(r *obs.Registry) MirrorMetrics {
+	m := MirrorMetrics{
 		Failovers: r.Counter("gfs_mirror_failovers_total",
 			"Reads failed over to the surviving replica."),
 		Degraded: r.Gauge("gfs_mirror_degraded",
@@ -181,42 +182,6 @@ func NewMirrorMetrics(r *obs.Registry) *MirrorMetrics {
 	return m
 }
 
-// replicaFailed records one replica loss (nil-receiver-safe, like the
-// rest of the obs surface).
-func (mm *MirrorMetrics) replicaFailed(i int) {
-	if mm == nil {
-		return
-	}
-	mm.ReplicaFailed[i].Inc()
-	mm.Degraded.Set(1)
-}
-
-// failover records one read served from the survivor.
-func (mm *MirrorMetrics) failover() {
-	if mm == nil {
-		return
-	}
-	mm.Failovers.Inc()
-}
-
-// resilverDone records a resilver run: a failed one leaves the mirror
-// degraded, a successful one closes the degraded interval.
-func (mm *MirrorMetrics) resilverDone(ok bool, bytes uint64, degradedFor time.Duration) {
-	if mm == nil {
-		return
-	}
-	if !ok {
-		mm.Degraded.Set(1)
-		return
-	}
-	mm.Degraded.Set(0)
-	mm.ResilverRuns.Inc()
-	mm.ResilverBytes.Add(bytes)
-	if degradedFor > 0 {
-		mm.DegradedSeconds.ObserveDuration(degradedFor)
-	}
-}
-
 // Mirrored is a System middleware mirroring every operation over two
 // replica backends (any mix of Model, OS, and Faulty stacks). It is
 // safe for concurrent use when its replicas are; per-FD state follows
@@ -225,13 +190,13 @@ type Mirrored struct {
 	rep  [2]System
 	dirs []string
 
-	// Metrics, when non-nil, records failovers, degraded intervals and
-	// resilver volume (gfs_mirror_*).
-	Metrics *MirrorMetrics
+	// Metrics records failovers, degraded intervals and resilver volume
+	// (gfs_mirror_*); zero, it records nothing.
+	Metrics MirrorMetrics
 
-	// Integrity, when non-nil, records files healed from the peer
-	// replica after checksum failures (gfs_integrity_*).
-	Integrity *IntegrityMetrics
+	// Integrity records files healed from the peer replica after
+	// checksum failures (gfs_integrity_*); zero, it records nothing.
+	Integrity IntegrityMetrics
 
 	// failing serializes the detectors of a replica's death: the first
 	// holds it until the survivor's generation bump is durable, and the
@@ -253,7 +218,7 @@ type Mirrored struct {
 	unrepaired  bool
 	resilvering bool
 	failovers   uint64
-	degradedAt  time.Time // set only when Metrics != nil
+	degradedAt  time.Time // set only with Metrics on (DegradedSeconds.Start)
 
 	// m is the machine of the Model under replica 0, nil over any other
 	// backend: the flags declare their accesses there (DESIGN.md "Sleep
@@ -368,7 +333,8 @@ func (m *Mirrored) markFailed(t T, i int, why string) {
 	if trace.Active(t) {
 		trace.Event(t, "mirror: replica %d failed (%s); degraded", i, why)
 	}
-	m.Metrics.replicaFailed(i)
+	m.Metrics.ReplicaFailed[i].Inc()
+	m.Metrics.Degraded.Set(1)
 	m.degrade(i, b)
 }
 
@@ -378,8 +344,8 @@ func (m *Mirrored) degrade(i int, _ bumped) {
 	m.touch(failedFlag+machine.Obj(i), machine.Write)
 	m.mu.Lock()
 	m.failed[i] = true
-	if m.Metrics != nil && m.degradedAt.IsZero() {
-		m.degradedAt = time.Now()
+	if m.degradedAt.IsZero() {
+		m.degradedAt = m.Metrics.DegradedSeconds.Start()
 	}
 	m.mu.Unlock()
 }
@@ -439,7 +405,7 @@ func (m *Mirrored) rewriteMarker(t T, j int, name string) bool {
 		if trace.Active(t) {
 			trace.Event(t, "mirror: regenerated rotten marker %s/%s on replica %d", MirrorMetaDir, name, j)
 		}
-		m.Integrity.healed()
+		m.Integrity.Healed.Inc()
 	}
 	return ok
 }
@@ -449,7 +415,7 @@ func (m *Mirrored) countFailover(t T) {
 	m.mu.Lock()
 	m.failovers++
 	m.mu.Unlock()
-	m.Metrics.failover()
+	m.Metrics.Failovers.Inc()
 	trace.Event(t, "mirror: read failed over to survivor")
 }
 
@@ -628,7 +594,7 @@ func (m *Mirrored) healFrom(t T, dir, name string, bad int, src judged) bool {
 		return false
 	}
 	m.bumpGeneration(t, bad)
-	m.Integrity.healed()
+	m.Integrity.Healed.Inc()
 	if trace.Active(t) {
 		trace.Event(t, "mirror: healed %s/%s on replica %d from replica %d", dir, name, bad, good)
 	}
@@ -967,17 +933,24 @@ func (m *Mirrored) resilver(t T, judgeSrc judgeStage) (rep ScrubReport, resilver
 		m.mu.Lock()
 		m.resilvering = false
 		m.unrepaired = !ok
-		degradedFor := time.Duration(0)
+		var degradedAt time.Time
 		switch {
-		case !ok && m.Metrics != nil && m.degradedAt.IsZero():
+		case !ok && m.degradedAt.IsZero():
 			// A failed resilver may be the only cause of degradation.
-			m.degradedAt = time.Now()
-		case ok && !m.degradedAt.IsZero():
-			degradedFor = time.Since(m.degradedAt)
-			m.degradedAt = time.Time{}
+			m.degradedAt = m.Metrics.DegradedSeconds.Start()
+		case ok:
+			degradedAt, m.degradedAt = m.degradedAt, time.Time{}
 		}
 		m.mu.Unlock()
-		m.Metrics.resilverDone(ok, resilverBytes, degradedFor)
+		if !ok {
+			m.Metrics.Degraded.Set(1)
+			return
+		}
+		// A successful run closes the degraded interval.
+		m.Metrics.Degraded.Set(0)
+		m.Metrics.ResilverRuns.Inc()
+		m.Metrics.ResilverBytes.Add(resilverBytes)
+		m.Metrics.DegradedSeconds.ObserveSince(degradedAt)
 	}()
 	src, ok := m.resilverSource(t)
 	if !ok || !m.alive(1-src) {
@@ -1173,7 +1146,7 @@ func (m *Mirrored) reconcile(t T, rep *ScrubReport, dir, name string, src int, h
 			written, rewrote = n, true
 			if c[dst].v == VerdictCorrupt && good(src) {
 				rep.Healed++
-				m.Integrity.healed()
+				m.Integrity.Healed.Inc()
 			}
 		}
 		*c[dst] = *c[src]

@@ -454,14 +454,14 @@ func TestMirroredBlankReplacementNeverSource(t *testing.T) {
 // resolve to nil (that is how non-mirrored recovery skips resilver).
 func TestMirroredUnwrapHelpers(t *testing.T) {
 	m, f := newOSMirror(t)
-	wrapped := NewObserved(m, nil)
+	wrapped := NewObserved(m, FSMetrics{})
 	if AsResilverer(wrapped) != Resilverer(m) {
 		t.Fatal("AsResilverer did not unwrap Observed(Mirrored)")
 	}
-	if AsFailStopper(NewObserved(f[0], nil)) != FailStopper(f[0]) {
+	if AsFailStopper(NewObserved(f[0], FSMetrics{})) != FailStopper(f[0]) {
 		t.Fatal("AsFailStopper did not unwrap Observed(Faulty)")
 	}
-	single := NewObserved(NewFaulty(newOSFS(t, errorPathDirs), fault.Never{}), nil)
+	single := NewObserved(NewFaulty(newOSFS(t, errorPathDirs), fault.Never{}), FSMetrics{})
 	if AsResilverer(single) != nil {
 		t.Fatal("single-backend stack reports a resilverer")
 	}

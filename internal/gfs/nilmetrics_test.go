@@ -7,15 +7,15 @@ import (
 	"repro/internal/machine"
 )
 
-// TestNilMetricsFullStack is the shared nil-receiver audit for every
-// obs metric surface the gfs middleware carries (gfs_ops_total and
+// TestNilMetricsFullStack is the shared metrics-off audit for every obs
+// metric surface the gfs middleware carries (gfs_ops_total and
 // gfs_sync_* via FSMetrics, gfs_mirror_* via MirrorMetrics,
 // gfs_integrity_* via IntegrityMetrics): the full production stack —
 // Observed over Mirrored over Faulty over Checksummed over Model — is
-// built with every metrics pointer nil and driven through the code
-// paths that bump each counter. A call site that forgets the
-// nil-receiver discipline panics here instead of in a metric-less
-// server or checker run.
+// built with every metric set at its zero value and driven through the
+// code paths that bump each counter. A call site that reaches past a
+// nil handle panics here instead of in a metric-less server or checker
+// run.
 func TestNilMetricsFullStack(t *testing.T) {
 	mm := machine.New(machine.Options{MaxSteps: 500000})
 	dirs := []string{"box"}
@@ -26,17 +26,17 @@ func TestNilMetricsFullStack(t *testing.T) {
 	for i := range mods {
 		mods[i] = NewModel(mm, all)
 		chks[i] = NewChecksummed(mods[i], dirs)
-		chks[i].Metrics = nil
+		chks[i].Metrics = IntegrityMetrics{}
 		flts[i] = NewFaulty(chks[i], fault.Never{})
-		flts[i].Metrics = nil
+		flts[i].Metrics = FSMetrics{}
 	}
 	mir := NewMirrored(flts[0], flts[1], dirs)
-	mir.Metrics = nil
-	mir.Integrity = nil
-	top := NewObserved(mir, nil)
+	mir.Metrics = MirrorMetrics{}
+	mir.Integrity = IntegrityMetrics{}
+	top := NewObserved(mir, FSMetrics{})
 
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
-		// observe + SyncIssued("file"/"dir") on the nil FSMetrics.
+		// Every op class and both barrier targets on the zero FSMetrics.
 		if !writeSealed(top, mt, "box", "a", []byte("alpha")) ||
 			!writeSealed(top, mt, "box", "b", []byte("beta")) {
 			mt.Failf("seed writes failed")
@@ -45,8 +45,8 @@ func TestNilMetricsFullStack(t *testing.T) {
 			mt.Failf("syncdir failed")
 		}
 
-		// detected + healed with Checksummed.Metrics and
-		// Mirrored.Integrity both nil: rot the read replica's copy and
+		// Detected and Healed with Checksummed.Metrics and
+		// Mirrored.Integrity both zero: rot the read replica's copy and
 		// read through the whole stack, forcing a heal-on-read.
 		if !mods[0].CorruptFile(mt, "box", "a", CorruptFlip) {
 			mt.Failf("corrupt failed")
@@ -61,7 +61,7 @@ func TestNilMetricsFullStack(t *testing.T) {
 			mt.Failf("scrub: %v", rep)
 		}
 
-		// replicaFailed + failover on the nil MirrorMetrics.
+		// ReplicaFailed, Degraded and Failovers on the zero MirrorMetrics.
 		flts[0].FailStopNow("nil-metrics drill")
 		if _, ok := readSealed(top, mt, "box", "b"); !ok {
 			mt.Failf("failover read failed")
@@ -70,7 +70,8 @@ func TestNilMetricsFullStack(t *testing.T) {
 			mt.Failf("mirror not degraded after kill: %+v", st)
 		}
 
-		// resilverDone on the nil MirrorMetrics, after a reboot: a fresh
+		// The resilver counters and DegradedSeconds on the zero
+		// MirrorMetrics, after a reboot: a fresh
 		// fault layer over replica 0's disk, a fresh mirror.
 		mir = NewMirrored(NewFaulty(chks[0], fault.Never{}), flts[1], dirs)
 		if _, _, ok := mir.Resilver(mt); !ok {
@@ -85,16 +86,16 @@ func TestNilMetricsFullStack(t *testing.T) {
 	}
 }
 
-// TestNilMetricsFaultAndCrash covers the remaining nil-receiver call
-// sites: an injected fault (FaultInjected) and a failed durability
-// barrier (SyncIssued with ok=false), through a nil *FSMetrics, and a
-// writeback crash afterwards.
+// TestNilMetricsFaultAndCrash covers the remaining metrics-off call
+// sites: an injected fault (gfs_faults_injected_total) and a failed
+// durability barrier (gfs_sync_failures_total), through a zero
+// FSMetrics, and a writeback crash afterwards.
 func TestNilMetricsFaultAndCrash(t *testing.T) {
 	mm := machine.New(machine.Options{})
 	fs := NewWritebackModel(mm, []string{"d"})
 	flt := NewFaulty(fs, fault.Always{Ops: map[fault.Class]bool{fault.Sync: true}})
-	flt.Metrics = nil
-	top := NewObserved(flt, nil)
+	flt.Metrics = FSMetrics{}
+	top := NewObserved(flt, FSMetrics{})
 
 	res := mm.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		fd, ok := top.Create(mt, "d", "f")
@@ -105,7 +106,7 @@ func TestNilMetricsFaultAndCrash(t *testing.T) {
 			mt.Failf("append failed")
 		}
 		// fault.Sync always fires, so this exercises both
-		// SyncIssued("file", false) and FaultInjected(fault.Sync).
+		// a failed file barrier and an injected fault.Sync.
 		if top.Sync(mt, fd) {
 			mt.Failf("sync unexpectedly succeeded under fault.Always")
 		}

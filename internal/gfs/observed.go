@@ -37,23 +37,31 @@ var fsOps = [numOps]string{
 // surface: per-op-class call counters and latency histograms, plus
 // per-class injected-fault counters fed by Faulty. One FSMetrics is
 // shared by the whole backend chain (Observed counts every call,
-// whether or not a Faulty layer below it injects).
+// whether or not a Faulty layer below it injects). It is held by value,
+// and its zero value, a checker run's, records nothing.
 type FSMetrics struct {
 	calls   [numOps]*obs.Counter
 	latency [numOps]*obs.Histogram
 	faults  [fault.NumClasses]*obs.Counter
 
-	// gfs_sync_* family: durability-barrier accounting, fed by Observed
-	// (so drills count what the library actually asked for, including
-	// barriers that an injected fault.Sync refused).
-	syncIssued map[string]*obs.Counter
-	syncFailed map[string]*obs.Counter
+	// gfs_sync_* family: durability-barrier accounting by target
+	// (barrierFile, barrierDir), fed by Observed (so drills count what the
+	// library actually asked for, including barriers that an injected
+	// fault.Sync refused).
+	syncs, syncFailures [2]*obs.Counter
 }
 
+// The gfs_sync_* targets: a file's Sync and a directory's SyncDir.
+const (
+	barrierFile = iota
+	barrierDir
+)
+
 // NewFSMetrics registers the file-system metric families
-// (gfs_ops_total, gfs_op_seconds, gfs_faults_injected_total) in r.
-func NewFSMetrics(r *obs.Registry) *FSMetrics {
-	m := &FSMetrics{}
+// (gfs_ops_total, gfs_op_seconds, gfs_faults_injected_total, gfs_sync_*)
+// in r.
+func NewFSMetrics(r *obs.Registry) FSMetrics {
+	var m FSMetrics
 	for i, op := range fsOps {
 		m.calls[i] = r.Counter("gfs_ops_total",
 			"File-system operations by class.", "op", op)
@@ -66,45 +74,13 @@ func NewFSMetrics(r *obs.Registry) *FSMetrics {
 				"Transient faults injected by gfs.Faulty, by class.", "class", c.String())
 		}
 	}
-	m.syncIssued = map[string]*obs.Counter{}
-	m.syncFailed = map[string]*obs.Counter{}
-	for _, target := range []string{"file", "dir"} {
-		m.syncIssued[target] = r.Counter("gfs_sync_total",
-			"Durability barriers issued (file Sync and directory SyncDir calls).", "target", target)
-		m.syncFailed[target] = r.Counter("gfs_sync_failures_total",
-			"Durability barriers that failed (and therefore are not barriers).", "target", target)
+	for target, label := range [2]string{barrierFile: "file", barrierDir: "dir"} {
+		m.syncs[target] = r.Counter("gfs_sync_total",
+			"Durability barriers issued (file Sync and directory SyncDir calls).", "target", label)
+		m.syncFailures[target] = r.Counter("gfs_sync_failures_total",
+			"Durability barriers that failed (and therefore are not barriers).", "target", label)
 	}
 	return m
-}
-
-// SyncIssued counts one durability barrier (target "file" or "dir")
-// and its outcome.
-func (m *FSMetrics) SyncIssued(target string, ok bool) {
-	if m == nil {
-		return
-	}
-	m.syncIssued[target].Inc()
-	if !ok {
-		m.syncFailed[target].Inc()
-	}
-}
-
-// FaultInjected counts one injected fault (called by Faulty).
-func (m *FSMetrics) FaultInjected(c fault.Class) {
-	if m == nil {
-		return
-	}
-	m.faults[c].Inc()
-}
-
-// observe records one completed call. All methods tolerate a nil
-// receiver so Observed can be built unconditionally.
-func (m *FSMetrics) observe(op fsOp, start time.Time) {
-	if m == nil {
-		return
-	}
-	m.calls[op].Inc()
-	m.latency[op].ObserveSince(start)
 }
 
 // Observed is a metrics middleware over any System: it counts every
@@ -125,12 +101,26 @@ func (m *FSMetrics) observe(op fsOp, start time.Time) {
 // normally run without an Observed layer.
 type Observed struct {
 	inner System
-	m     *FSMetrics
+	m     FSMetrics
 }
 
 // NewObserved wraps inner so every call is counted and timed into m.
-func NewObserved(inner System, m *FSMetrics) *Observed {
+func NewObserved(inner System, m FSMetrics) *Observed {
 	return &Observed{inner: inner, m: m}
+}
+
+// done counts one completed call of class op and times it from start.
+func (o *Observed) done(op fsOp, start time.Time) {
+	o.m.calls[op].Inc()
+	o.m.latency[op].ObserveSince(start)
+}
+
+// barrier counts one durability barrier on target and its outcome.
+func (o *Observed) barrier(target int, ok bool) {
+	o.m.syncs[target].Inc()
+	if !ok {
+		o.m.syncFailures[target].Inc()
+	}
 }
 
 // Inner returns the wrapped backend.
@@ -145,7 +135,7 @@ func (o *Observed) Create(t T, dir, name string) (FD, bool) {
 	sp := trace.Enter(t, "gfs.create")
 	start := time.Now()
 	fd, ok := o.inner.Create(t, dir, name)
-	o.m.observe(opCreate, start)
+	o.done(opCreate, start)
 	trace.Exit(t, sp)
 	return fd, ok
 }
@@ -155,7 +145,7 @@ func (o *Observed) Open(t T, dir, name string) (FD, bool) {
 	sp := trace.Enter(t, "gfs.open")
 	start := time.Now()
 	fd, ok := o.inner.Open(t, dir, name)
-	o.m.observe(opOpen, start)
+	o.done(opOpen, start)
 	trace.Exit(t, sp)
 	return fd, ok
 }
@@ -165,7 +155,7 @@ func (o *Observed) Append(t T, fd FD, data []byte) bool {
 	sp := trace.Enter(t, "gfs.append")
 	start := time.Now()
 	ok := o.inner.Append(t, fd, data)
-	o.m.observe(opAppend, start)
+	o.done(opAppend, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -174,14 +164,14 @@ func (o *Observed) Append(t T, fd FD, data []byte) bool {
 func (o *Observed) Close(t T, fd FD) {
 	start := time.Now()
 	o.inner.Close(t, fd)
-	o.m.observe(opClose, start)
+	o.done(opClose, start)
 }
 
 // ReadAt implements System.
 func (o *Observed) ReadAt(t T, fd FD, off, n uint64) []byte {
 	start := time.Now()
 	data := o.inner.ReadAt(t, fd, off, n)
-	o.m.observe(opReadAt, start)
+	o.done(opReadAt, start)
 	return data
 }
 
@@ -189,7 +179,7 @@ func (o *Observed) ReadAt(t T, fd FD, off, n uint64) []byte {
 func (o *Observed) Size(t T, fd FD) uint64 {
 	start := time.Now()
 	n := o.inner.Size(t, fd)
-	o.m.observe(opSize, start)
+	o.done(opSize, start)
 	return n
 }
 
@@ -198,8 +188,8 @@ func (o *Observed) Sync(t T, fd FD) bool {
 	sp := trace.Enter(t, "gfs.sync")
 	start := time.Now()
 	ok := o.inner.Sync(t, fd)
-	o.m.observe(opSync, start)
-	o.m.SyncIssued("file", ok)
+	o.done(opSync, start)
+	o.barrier(barrierFile, ok)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -209,8 +199,8 @@ func (o *Observed) SyncDir(t T, dir string) bool {
 	sp := trace.Enter(t, "gfs.syncdir")
 	start := time.Now()
 	ok := o.inner.SyncDir(t, dir)
-	o.m.observe(opSyncDir, start)
-	o.m.SyncIssued("dir", ok)
+	o.done(opSyncDir, start)
+	o.barrier(barrierDir, ok)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -220,7 +210,7 @@ func (o *Observed) Delete(t T, dir, name string) bool {
 	sp := trace.Enter(t, "gfs.delete")
 	start := time.Now()
 	ok := o.inner.Delete(t, dir, name)
-	o.m.observe(opDelete, start)
+	o.done(opDelete, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -230,7 +220,7 @@ func (o *Observed) Link(t T, oldDir, oldName, newDir, newName string) bool {
 	sp := trace.Enter(t, "gfs.link")
 	start := time.Now()
 	ok := o.inner.Link(t, oldDir, oldName, newDir, newName)
-	o.m.observe(opLink, start)
+	o.done(opLink, start)
 	trace.Exit(t, sp)
 	return ok
 }
@@ -240,7 +230,7 @@ func (o *Observed) List(t T, dir string) []string {
 	sp := trace.Enter(t, "gfs.list")
 	start := time.Now()
 	names := o.inner.List(t, dir)
-	o.m.observe(opList, start)
+	o.done(opList, start)
 	trace.Exit(t, sp)
 	return names
 }

@@ -125,14 +125,14 @@ func TestFaultyFeedsFaultCounters(t *testing.T) {
 }
 
 // TestObservedNilMetrics ensures the middleware works (as a no-op) with
-// nil metrics, so callers can build the chain unconditionally.
+// the zero FSMetrics, so callers can build the chain unconditionally.
 func TestObservedNilMetrics(t *testing.T) {
 	osfs, err := NewOS(t.TempDir(), []string{"d"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer osfs.CloseAll()
-	sys := NewObserved(osfs, nil)
+	sys := NewObserved(osfs, FSMetrics{})
 	th := NewNative(1)
 	fd, ok := sys.Create(th, "d", "f")
 	if !ok {

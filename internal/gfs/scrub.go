@@ -2,7 +2,6 @@ package gfs
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -48,45 +47,23 @@ type Scrubber interface {
 func AsScrubber(sys System) Scrubber { return asLayer[Scrubber](sys) }
 
 // IntegrityMetrics is the integrity layer's slice of the observability
-// surface. All methods tolerate a nil receiver, so checker runs stay
-// metric-free.
+// surface. It is held by value; its zero value, a checker run's,
+// records nothing.
 type IntegrityMetrics struct {
-	detectedC *obs.Counter
-	healedC   *obs.Counter
-	scrubSec  *obs.Histogram
+	Detected     *obs.Counter
+	Healed       *obs.Counter
+	ScrubSeconds *obs.Histogram
 }
 
 // NewIntegrityMetrics registers gfs_integrity_detected_total,
 // gfs_integrity_healed_total and gfs_integrity_scrub_seconds in r.
-func NewIntegrityMetrics(r *obs.Registry) *IntegrityMetrics {
-	return &IntegrityMetrics{
-		detectedC: r.Counter("gfs_integrity_detected_total",
+func NewIntegrityMetrics(r *obs.Registry) IntegrityMetrics {
+	return IntegrityMetrics{
+		Detected: r.Counter("gfs_integrity_detected_total",
 			"Checksum-envelope integrity failures detected."),
-		healedC: r.Counter("gfs_integrity_healed_total",
+		Healed: r.Counter("gfs_integrity_healed_total",
 			"Files healed from a redundant replica after an integrity failure."),
-		scrubSec: r.Histogram("gfs_integrity_scrub_seconds",
+		ScrubSeconds: r.Histogram("gfs_integrity_scrub_seconds",
 			"Scrub pass duration.", obs.DefLatencyBuckets),
 	}
-}
-
-func (m *IntegrityMetrics) detected() {
-	if m == nil {
-		return
-	}
-	m.detectedC.Inc()
-}
-
-func (m *IntegrityMetrics) healed() {
-	if m == nil {
-		return
-	}
-	m.healedC.Inc()
-}
-
-// ScrubDone records one scrub pass's wall-clock duration.
-func (m *IntegrityMetrics) ScrubDone(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.scrubSec.Observe(d.Seconds())
 }

@@ -112,8 +112,8 @@ func NewStack(backends []System, dirs []string, spec StackSpec) *Stack {
 		panic(err)
 	}
 	s := &Stack{}
-	var fsm *FSMetrics
-	var integ *IntegrityMetrics
+	var fsm FSMetrics
+	var integ IntegrityMetrics
 	if spec.Metrics != nil {
 		fsm = NewFSMetrics(spec.Metrics)
 		if spec.Checksum {
@@ -142,7 +142,7 @@ func NewStack(backends []System, dirs []string, spec StackSpec) *Stack {
 			s.Top = s.mirror
 		}
 	}
-	if fsm != nil {
+	if spec.Metrics != nil {
 		s.Top = NewObserved(s.Top, fsm)
 	}
 	return s

@@ -202,7 +202,7 @@ func TestStoreLatchesSeenThroughWrappers(t *testing.T) {
 	f := gfs.NewFaulty(hook, fault.Never{})
 	hook.f = f
 	th := gfs.NewNative(1)
-	mb := Init(th, nil, gfs.NewObserved(gfs.NewChecksummed(f, Dirs(cfg)), nil), cfg)
+	mb := Init(th, nil, gfs.NewObserved(gfs.NewChecksummed(f, Dirs(cfg)), gfs.FSMetrics{}), cfg)
 
 	if mb.storeNoSpace() || mb.storeDead() {
 		t.Fatal("healthy store reads as latched")

@@ -91,12 +91,12 @@ type Config struct {
 	// from the store at Init/Recover and tracked per delivery/delete;
 	// 0 disables quotas entirely (no tracking, no extra I/O).
 	QuotaBytes uint64
-	// Metrics, when non-nil, records spec-level operation outcomes
-	// (deliver attempts/retries/failures, pickup volume, recovery spool
-	// sweeps). Leave nil under the model checker: disabled metrics cost
-	// nothing, and enabled ones read the wall clock, which a checked
-	// execution has no business doing.
-	Metrics *Metrics
+	// Metrics records spec-level operation outcomes (deliver
+	// attempts/retries/failures, pickup volume, recovery spool sweeps).
+	// Leave it zero under the model checker: the zero value records
+	// nothing and reads no clock, and a set from NewMetrics reads the
+	// wall clock, which a checked execution has no business doing.
+	Metrics Metrics
 }
 
 // NameAttempts bounds fresh-name allocation loops (spool create, link
@@ -186,7 +186,25 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 	mb.checkUser(t, user)
 	sp := trace.Enter(t, "mailboat.deliver")
 	defer trace.Exit(t, sp)
-	start := mb.cfg.Metrics.start()
+	m := &mb.cfg.Metrics
+	start := m.DeliverSeconds.Start()
+	attempts, ok := mb.deliver(t, j, user, msg)
+	m.DeliverAttempts.Add(uint64(attempts))
+	if attempts > 1 {
+		m.DeliverRetries.Add(uint64(attempts - 1))
+	}
+	if ok {
+		m.DeliverCommitted.Inc()
+	} else {
+		m.DeliverFailed.Inc()
+	}
+	m.DeliverSeconds.ObserveSince(start)
+	return ok
+}
+
+// deliver is Deliver's quota check and retry loop; it reports the
+// attempts it made and whether one committed.
+func (mb *Mailboat) deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) (attempts int, ok bool) {
 	if !mb.quotaReserve(user, uint64(len(msg))) {
 		// Over quota: a clean up-front refusal with the mailbox
 		// untouched — the same spec-level transient-failure outcome as
@@ -196,15 +214,13 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 		if mb.g != nil && j != nil {
 			mb.g.StepSim(modelT(t), j, false)
 		}
-		mb.cfg.Metrics.observeQuotaRejected()
-		mb.cfg.Metrics.observeDeliver(start, 0, false)
-		return false
+		mb.cfg.Metrics.QuotaRejected.Inc()
+		return 0, false
 	}
 	retries := mb.cfg.DeliverRetries
 	if retries <= 0 {
 		retries = 3
 	}
-	attempts := 0
 	for attempt := 0; attempt < retries; attempt++ {
 		if attempt > 0 {
 			if mb.storeNoSpace() {
@@ -222,8 +238,7 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 			// The committed delivery's bytes are pinned to the name the
 			// link claimed, so a later Delete credits the quota correctly.
 			mb.quotaCommit(user, name, uint64(len(msg)))
-			mb.cfg.Metrics.observeDeliver(start, attempts, true)
-			return true
+			return attempts, true
 		}
 	}
 	// Giving up on a transient failure is itself a spec-level outcome:
@@ -232,8 +247,7 @@ func (mb *Mailboat) Deliver(t gfs.T, j *core.JTok, user uint64, msg []byte) bool
 	if mb.g != nil && j != nil {
 		mb.g.StepSim(modelT(t), j, false)
 	}
-	mb.cfg.Metrics.observeDeliver(start, attempts, false)
-	return false
+	return attempts, false
 }
 
 // BackoffCap caps every retry pause: Deliver's, and the replication
@@ -471,7 +485,7 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 	mb.checkUser(t, user)
 	sp := trace.Enter(t, "mailboat.pickup")
 	defer trace.Exit(t, sp)
-	start := mb.cfg.Metrics.start()
+	start := mb.cfg.Metrics.PickupSeconds.Start()
 	lsp := trace.Enter(t, "mailbox.list")
 	mb.locks[user].Acquire(t)
 
@@ -498,6 +512,7 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 	rsp := trace.Enter(t, "mailbox.read")
 	msgs := make([]Message, 0, len(names))
 	var chunks [][]byte
+	var read uint64
 	for _, name := range names {
 		var fd gfs.FD
 		opened := false
@@ -521,9 +536,14 @@ func (mb *Mailboat) Pickup(t gfs.T, j *core.JTok, user uint64) []Message {
 		contents, chunks = readAll(t, mb.sys, fd, chunks)
 		mb.sys.Close(t, fd)
 		msgs = append(msgs, Message{ID: name, Contents: contents})
+		read += uint64(len(contents))
 	}
 	trace.Exit(t, rsp)
-	mb.cfg.Metrics.observePickup(start, msgs)
+	m := &mb.cfg.Metrics
+	m.Pickups.Inc()
+	m.PickupMessages.Add(uint64(len(msgs)))
+	m.PickupBytes.Add(read)
+	m.PickupSeconds.ObserveSince(start)
 	return msgs
 }
 
@@ -604,7 +624,11 @@ func (mb *Mailboat) Delete(t gfs.T, j *core.JTok, user uint64, id string) bool {
 			mb.g.StepSim(modelT(t), j, ok)
 		}
 	}
-	mb.cfg.Metrics.observeDelete(ok)
+	if ok {
+		mb.cfg.Metrics.Deletes.Inc()
+	} else {
+		mb.cfg.Metrics.DeleteFailed.Inc()
+	}
 	return ok
 }
 
@@ -685,12 +709,12 @@ func repair(t gfs.T, sys gfs.System) repaired {
 // a latched disk-full condition). An orphan whose delete fails waits for
 // the next boot. Orphan sizes are only measured when metrics are on, so
 // the checker path issues exactly the paper's I/O.
-func sweep(t gfs.T, sys gfs.System, m *Metrics, rep repaired) swept {
+func sweep(t gfs.T, sys gfs.System, m Metrics, rep repaired) swept {
 	sp := trace.Enter(t, "recover.sweep")
 	deleted, failed := 0, 0
 	var reclaimed uint64
 	for _, name := range sys.List(t, SpoolDir) {
-		if m != nil {
+		if m.RecoverReclaimedBytes != nil {
 			if fd, ok := sys.Open(t, SpoolDir, name); ok {
 				reclaimed += sys.Size(t, fd)
 				sys.Close(t, fd)
@@ -703,7 +727,10 @@ func sweep(t gfs.T, sys gfs.System, m *Metrics, rep repaired) swept {
 		}
 	}
 	trace.Exit(t, sp)
-	m.observeRecover(deleted, failed, reclaimed)
+	m.Recoveries.Inc()
+	m.RecoverSpoolSwept.Add(uint64(deleted))
+	m.RecoverSweepFailed.Add(uint64(failed))
+	m.RecoverReclaimedBytes.Add(reclaimed)
 	return swept{rep}
 }
 

@@ -1,18 +1,15 @@
 package mailboat
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metrics is the verified library's slice of the observability surface:
 // spec-level operation outcomes rather than raw file-system calls
-// (those belong to gfs.FSMetrics). Every method is nil-receiver-safe,
-// so the library instruments itself unconditionally and scenarios that
-// run under the model checker (Config.Metrics == nil) pay nothing — in
-// particular no wall-clock reads, which keeps checker executions free
-// of stray syscalls.
+// (those belong to gfs.FSMetrics). It is held by value, and its zero
+// value means metrics are off: obs handles are nil-safe, so the library
+// instruments itself unconditionally and scenarios that run under the
+// model checker (a zero Config.Metrics) pay nothing — in particular no
+// wall-clock reads (Histogram.Start), which keeps checker executions
+// free of stray syscalls.
 type Metrics struct {
 	// Deliver protocol: attempts counts every spool-write-link round
 	// (so attempts - committed - failed = retries still in flight),
@@ -49,8 +46,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the library's metric families in r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		DeliverAttempts:  r.Counter("mailboat_deliver_attempts_total", "Spool-write-link delivery attempts (including retries)."),
 		DeliverRetries:   r.Counter("mailboat_deliver_retries_total", "Delivery attempts after the first, per Deliver call."),
 		DeliverCommitted: r.Counter("mailboat_deliver_committed_total", "Deliveries committed (message visible in the mailbox)."),
@@ -72,77 +69,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		QuotaRejected: r.Counter("mailboat_quota_rejections_total",
 			"Deliveries refused up front because the recipient is over quota."),
 	}
-}
-
-// start returns a timestamp when metrics are enabled, the zero time
-// otherwise; obs histograms ignore zero starts, so call sites need no
-// second branch.
-func (m *Metrics) start() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeDeliver records one finished Deliver call.
-func (m *Metrics) observeDeliver(start time.Time, attempts int, committed bool) {
-	if m == nil {
-		return
-	}
-	m.DeliverAttempts.Add(uint64(attempts))
-	if attempts > 1 {
-		m.DeliverRetries.Add(uint64(attempts - 1))
-	}
-	if committed {
-		m.DeliverCommitted.Inc()
-	} else {
-		m.DeliverFailed.Inc()
-	}
-	m.DeliverSeconds.ObserveSince(start)
-}
-
-// observePickup records one finished Pickup call.
-func (m *Metrics) observePickup(start time.Time, msgs []Message) {
-	if m == nil {
-		return
-	}
-	m.Pickups.Inc()
-	m.PickupMessages.Add(uint64(len(msgs)))
-	var bytes uint64
-	for _, msg := range msgs {
-		bytes += uint64(len(msg.Contents))
-	}
-	m.PickupBytes.Add(bytes)
-	m.PickupSeconds.ObserveSince(start)
-}
-
-// observeDelete records one Delete outcome.
-func (m *Metrics) observeDelete(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.Deletes.Inc()
-	} else {
-		m.DeleteFailed.Inc()
-	}
-}
-
-// observeRecover records one recovery run and its spool sweep tallies.
-func (m *Metrics) observeRecover(swept, failed int, reclaimed uint64) {
-	if m == nil {
-		return
-	}
-	m.Recoveries.Inc()
-	m.RecoverSpoolSwept.Add(uint64(swept))
-	m.RecoverSweepFailed.Add(uint64(failed))
-	m.RecoverReclaimedBytes.Add(reclaimed)
-}
-
-// observeQuotaRejected records one up-front quota refusal.
-func (m *Metrics) observeQuotaRejected() {
-	if m == nil {
-		return
-	}
-	m.QuotaRejected.Inc()
 }

@@ -362,7 +362,7 @@ func (a *Adapter) Scrub(heal bool) (gfs.ScrubReport, bool) {
 // gfs_integrity_scrub_seconds, its report as LastScrub.
 func (a *Adapter) recordScrub(rep gfs.ScrubReport, start time.Time) {
 	if c := a.stack.Checksummed(0); c != nil {
-		c.Metrics.ScrubDone(time.Since(start))
+		c.Metrics.ScrubSeconds.ObserveSince(start)
 	}
 	a.lastMu.Lock()
 	a.lastScrub, a.lastAt, a.scrubbed = rep, time.Now(), true

@@ -114,9 +114,6 @@ type shedder struct {
 // pair it with release(). A non-nil error is the refusal to hand to
 // the client (ErrOverloaded or ErrNoSpace); nothing was admitted.
 func (s *shedder) admit() error {
-	if s == nil {
-		return nil
-	}
 	if n := s.inFlight.Add(1); s.maxInFlight > 0 && n > s.maxInFlight {
 		s.inFlight.Add(-1)
 		s.rejected.Add(1)
@@ -134,9 +131,6 @@ func (s *shedder) admit() error {
 
 // release retires one admitted delivery.
 func (s *shedder) release() {
-	if s == nil {
-		return
-	}
 	s.inFlight.Add(-1)
 }
 
@@ -144,9 +138,6 @@ func (s *shedder) release() {
 // the forced drill override, the fault layer's durable latch, or the
 // statfs watermark policy.
 func (s *shedder) noSpaceNow() bool {
-	if s == nil {
-		return false
-	}
 	if s.forced.Load() {
 		s.m.active.Set(1)
 		return true
@@ -238,9 +229,6 @@ func (a *Adapter) initShed(o Options) {
 // ShedStatus reports the admission-control snapshot.
 func (a *Adapter) ShedStatus() *ShedStatus {
 	s := a.shed
-	if s == nil {
-		return nil
-	}
 	st := &ShedStatus{
 		InFlight:    s.inFlight.Load(),
 		MaxInFlight: s.maxInFlight,
@@ -267,17 +255,13 @@ func (a *Adapter) ShedStatus() *ShedStatus {
 // the disk-full drill surface (mailbench -drill diskfull); reads keep
 // working, and nothing is written to the store while forced.
 func (a *Adapter) ForceNoSpace() {
-	if a.shed != nil {
-		a.shed.forced.Store(true)
-		a.shed.m.active.Set(1)
-	}
+	a.shed.forced.Store(true)
+	a.shed.m.active.Set(1)
 }
 
 // ReleaseNoSpace lifts ForceNoSpace; the store resumes accepting
 // deliveries immediately (modulo the real watermark policy).
 func (a *Adapter) ReleaseNoSpace() {
-	if a.shed != nil {
-		a.shed.forced.Store(false)
-		a.shed.m.active.Set(0)
-	}
+	a.shed.forced.Store(false)
+	a.shed.m.active.Set(0)
 }

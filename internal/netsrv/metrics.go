@@ -2,14 +2,13 @@ package netsrv
 
 import (
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Metrics is one front end's connection and command metrics. All
-// methods are nil-receiver-safe; a Server without metrics behaves
-// exactly the same.
+// Metrics is one front end's connection and command metrics. Its owner
+// holds it by value; the zero value records nothing, and a Server
+// without metrics behaves exactly the same.
 type Metrics struct {
 	accepted *obs.Counter
 	refused  *obs.Counter
@@ -24,9 +23,9 @@ type Metrics struct {
 // the commands that get their own counter series; any other input lands
 // on "other" to bound label cardinality against hostile clients.
 // refusedHelp is the one help string that names the protocol's refusal.
-func NewMetrics(r *obs.Registry, prefix, refusedHelp string, verbs []string) *Metrics {
+func NewMetrics(r *obs.Registry, prefix, refusedHelp string, verbs []string) Metrics {
 	proto := strings.ToUpper(prefix)
-	m := &Metrics{
+	m := Metrics{
 		accepted: r.Counter(prefix+"_connections_accepted_total", proto+" connections accepted for service."),
 		refused:  r.Counter(prefix+"_connections_refused_total", refusedHelp),
 		active:   r.Gauge(prefix+"_connections_active", proto+" connections currently being served."),
@@ -40,66 +39,11 @@ func NewMetrics(r *obs.Registry, prefix, refusedHelp string, verbs []string) *Me
 	return m
 }
 
-// connOpened counts an accepted connection.
-func (m *Metrics) connOpened() {
-	if m == nil {
-		return
-	}
-	m.accepted.Inc()
-	m.active.Inc()
-}
-
-// connClosed retires an accepted connection.
-func (m *Metrics) connClosed() {
-	if m == nil {
-		return
-	}
-	m.active.Dec()
-}
-
-// connRefused counts a refused connection.
-func (m *Metrics) connRefused() {
-	if m == nil {
-		return
-	}
-	m.refused.Inc()
-}
-
-// panicked counts a session killed by a recovered panic.
-func (m *Metrics) panicked() {
-	if m == nil {
-		return
-	}
-	m.panics.Inc()
-}
-
-// cmdStart returns the command timestamp (zero when disabled, so the
-// serving path reads no clock it does not need).
-func (m *Metrics) cmdStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// counter returns the command counter of an upper-cased verb; nil when
-// disabled.
+// counter returns the command counter of an upper-cased verb: its own
+// series, or "other"'s.
 func (m *Metrics) counter(verb string) *obs.Counter {
-	if m == nil {
-		return nil
-	}
 	if c, ok := m.commands[verb]; ok {
 		return c
 	}
 	return m.commands["other"]
-}
-
-// command records a processed command, counted on c, and its handling
-// latency.
-func (m *Metrics) command(c *obs.Counter, start time.Time) {
-	if m == nil {
-		return
-	}
-	c.Inc()
-	m.cmdTime.ObserveSince(start)
 }

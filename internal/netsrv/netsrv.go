@@ -37,7 +37,7 @@ type Server struct {
 
 	refusal string // with its CRLF; "" closes silently
 	session func(net.Conn)
-	metrics func() *Metrics
+	metrics *Metrics
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -49,13 +49,11 @@ type Server struct {
 // New builds a server that runs session on each accepted connection, on
 // its own goroutine, and closes the connection when session returns. A
 // connection it cannot serve (at MaxConns, or shutting down) is sent
-// refusal and closed; an empty refusal closes it silently. metrics is
-// asked once per Serve and once per NewConn, so the owner may set its
-// metrics after New; nil means none.
-func New(refusal string, session func(net.Conn), metrics func() *Metrics) *Server {
-	if metrics == nil {
-		metrics = func() *Metrics { return nil }
-	}
+// refusal and closed; an empty refusal closes it silently. metrics
+// points at the owner's metric set, read by Serve and NewConn, so the
+// owner may fill it after New (before Serve); the zero set counts
+// nothing.
+func New(refusal string, session func(net.Conn), metrics *Metrics) *Server {
 	if refusal != "" {
 		refusal += "\r\n"
 	}
@@ -73,7 +71,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	m := s.metrics()
+	m := s.metrics
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -86,11 +84,12 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		if !s.track(conn) {
-			m.connRefused()
+			m.refused.Inc()
 			s.refuse(conn)
 			continue
 		}
-		m.connOpened()
+		m.accepted.Inc()
+		m.active.Inc()
 		go s.serve(conn, m)
 	}
 }
@@ -99,13 +98,13 @@ func (s *Server) serve(conn net.Conn, m *Metrics) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
-	defer m.connClosed()
+	defer m.active.Dec()
 	// An unverified protocol handler must not take the whole server
 	// down: a panic costs only this connection, and the session's own
 	// defers (POP3's mailbox Unlock) have run by the time it gets here.
 	defer func() {
 		if r := recover(); r != nil {
-			m.panicked()
+			m.panics.Inc()
 		}
 	}()
 	growStack()
@@ -253,7 +252,7 @@ var ErrLineTooLong = errors.New("netsrv: command line too long")
 // connection the server did not accept is never pooled again.
 func (s *Server) NewConn(conn net.Conn) *Conn {
 	c := connPool.Get().(*Conn)
-	c.conn, c.srv, c.m = conn, s, s.metrics()
+	c.conn, c.srv, c.m = conn, s, s.metrics
 	c.Writer.Reset(conn)
 	c.r.Reset(conn)
 	s.mu.Lock()
@@ -333,9 +332,10 @@ func (c *Conn) Commands(run func(verb, arg string) (quit bool)) error {
 		// The counter is found before run, which may read on (a DATA
 		// body) over the line verb points into.
 		count := c.m.counter(alias(verb))
-		start := c.m.cmdStart()
+		start := c.m.cmdTime.Start()
 		quit := run(alias(verb), alias(arg))
-		c.m.command(count, start)
+		count.Inc()
+		c.m.cmdTime.ObserveSince(start)
 		if quit {
 			return nil
 		}

@@ -19,7 +19,7 @@ import (
 // session. exits counts the sessions whose defers ran.
 type toy struct {
 	srv     *Server
-	metrics *Metrics
+	metrics Metrics
 	exits   atomic.Int32
 	served  chan error // Serve's return value
 }
@@ -59,7 +59,7 @@ func start(t *testing.T, tune func(*toy)) (*toy, string) {
 		metrics: NewMetrics(obs.NewRegistry(), "toy", "TOY connections refused.", []string{"ECHO", "QUIT"}),
 		served:  make(chan error, 1),
 	}
-	p.srv = New(busy, p.session, func() *Metrics { return p.metrics })
+	p.srv = New(busy, p.session, &p.metrics)
 	if tune != nil {
 		tune(p)
 	}
@@ -252,7 +252,7 @@ func TestLifecycle(t *testing.T) {
 			}
 		}},
 		{"sever on Close: a cancelled Shutdown silences a frame server", func(p *toy) {
-			p.srv = New("", echoFrames, nil)
+			p.srv = New("", echoFrames, new(Metrics))
 		}, func(t *testing.T, p *toy, addr string) {
 			c := dial(t, addr)
 			c.send(t, "frame")

@@ -37,7 +37,7 @@ func TestPooledBuffersNeverCrossSessions(t *testing.T) {
 		sessions <- s
 		c.WriteString("fresh reply\r\n")
 		c.Flush()
-	}, nil)
+	}, new(Metrics))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -163,9 +163,18 @@ func (h *Histogram) Observe(v float64) {
 // convention for latency histograms.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the elapsed time since start. A zero start is
-// ignored, so `var t time.Time; if enabled { t = time.Now() }` patterns
-// need no second branch.
+// Start returns the time to hand ObserveSince later: now, or the zero
+// time on a nil histogram, so code timed only for a metric reads no
+// clock while metrics are off.
+func (h *Histogram) Start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveSince records the elapsed time since start. A zero start (what
+// Start returns on a nil histogram) is ignored.
 func (h *Histogram) ObserveSince(start time.Time) {
 	if h == nil || start.IsZero() {
 		return

@@ -10,25 +10,17 @@ var pop3Verbs = []string{"USER", "PASS", "STAT", "LIST", "RETR", "TOP", "UIDL", 
 
 // Metrics is the POP3 front end's slice of the observability surface:
 // the shared connection and command set plus the transient-failure
-// counter. All methods are nil-receiver-safe; a Server with nil Metrics
+// counter. The zero value records nothing; a Server without Metrics
 // behaves exactly the same.
 type Metrics struct {
-	*netsrv.Metrics
+	netsrv.Metrics
 	TempFail *obs.Counter
 }
 
 // NewMetrics registers the pop3_* metric families in r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		Metrics:  netsrv.NewMetrics(r, "pop3", "POP3 connections refused (full or shutting down).", pop3Verbs),
 		TempFail: r.Counter("pop3_tempfail_responses_total", "-ERR [SYS/TEMP] responses sent (transient store failure surfaced to the client)."),
 	}
-}
-
-// tempFailure counts one -ERR [SYS/TEMP] response.
-func (m *Metrics) tempFailure() {
-	if m == nil {
-		return
-	}
-	m.TempFail.Inc()
 }

@@ -52,9 +52,9 @@ type Server struct {
 	users   uint64
 	backend Maildrop
 
-	// Metrics, when non-nil, records connection and command metrics
-	// (see NewMetrics). Set it before Serve.
-	Metrics *Metrics
+	// Metrics records connection and command metrics (see NewMetrics);
+	// zero, it records nothing. Set it before Serve.
+	Metrics Metrics
 	// Tracer, when non-nil, opens a root span per PASS (op "pickup")
 	// and per QUIT with pending deletes (op "delete"), threading them
 	// through a TracedMaildrop backend. Set it before Serve.
@@ -64,12 +64,7 @@ type Server struct {
 // NewServer creates a POP3 server over backend.
 func NewServer(backend Maildrop, users uint64) *Server {
 	s := &Server{users: users, backend: backend}
-	s.Server = netsrv.New("-ERR [SYS/TEMP] server too busy, try again later", s.handle, func() *netsrv.Metrics {
-		if s.Metrics == nil {
-			return nil
-		}
-		return s.Metrics.Metrics
-	})
+	s.Server = netsrv.New("-ERR [SYS/TEMP] server too busy, try again later", s.handle, &s.Metrics.Metrics)
 	return s
 }
 
@@ -157,7 +152,7 @@ func (s *Server) handle(conn net.Conn) {
 				// Transient store failure: the session stays open so
 				// the client can retry PASS, per the graceful-
 				// degradation contract.
-				s.Metrics.tempFailure()
+				s.Metrics.TempFail.Inc()
 				bad("[SYS/TEMP] maildrop unavailable, try again later")
 				return false
 			}
@@ -300,7 +295,7 @@ func (s *Server) handle(conn net.Conn) {
 					// RFC 1939 UPDATE state: deletes that could not be
 					// applied are reported, not silently dropped; the
 					// messages remain in the maildrop.
-					s.Metrics.tempFailure()
+					s.Metrics.TempFail.Inc()
 					line("-ERR [SYS/TEMP] ", failed, " message(s) not removed, still in maildrop")
 					c.Flush()
 					return true

@@ -180,12 +180,8 @@ func newTally() *tally {
 	}
 }
 
-// record counts one request; a nil tally (a run without phase windows)
-// records nothing.
+// record counts one request.
 func (t *tally) record(deliver bool, lat float64, msgs, bad int, err error) {
-	if t == nil {
-		return
-	}
 	if deliver {
 		t.deliver.Observe(lat)
 	} else {
@@ -255,7 +251,9 @@ func request(b Backend, w int, s *Sampler, size int, from time.Time, run, phase 
 	}
 	lat := time.Since(from).Seconds()
 	run.record(deliver, lat, len(msgs), bad, err)
-	phase.record(deliver, lat, len(msgs), bad, err)
+	if phase != nil {
+		phase.record(deliver, lat, len(msgs), bad, err)
+	}
 }
 
 // drive runs body for each of n workers concurrently and returns the

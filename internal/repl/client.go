@@ -108,7 +108,7 @@ func (nd *Node) deleteNamed(t gfs.T, user uint64, name string, fence fenceStage)
 func (nd *Node) replicate(t gfs.T, r request, fence fenceStage) (replicated, OpResult) {
 	res := nd.resolve(t, r, fence)
 	if res == OpFailed {
-		nd.cfg.Metrics.ReplicateObserved("failed")
+		nd.cfg.Metrics.ReplicateFailed.Inc()
 	}
 	return replicated{}, res
 }
@@ -150,7 +150,7 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 			// partial state it holds. Until that catch-up the peer lacks
 			// this operation: the node is stale.
 			trace.Event(t, "repl: peer dead, proceeding alone")
-			nd.cfg.Metrics.AckAloneInc()
+			nd.cfg.Metrics.AckAlone.Inc()
 			nd.setSeq(r.seq)
 			nd.setStale(true)
 			return OpOK
@@ -162,7 +162,7 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 			switch st {
 			case StOK:
 				nd.setSeq(r.seq)
-				nd.cfg.Metrics.ReplicateObserved("ok")
+				nd.cfg.Metrics.ReplicateOK.Inc()
 				return OpOK
 			case StNameTaken:
 				return OpNameTaken // seq was not consumed; reusable
@@ -183,13 +183,13 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 				r.seq = nd.seq + 1 // fresh epoch, fresh sequence space
 				continue
 			case StStoreFailed, StBadRequest:
-				nd.cfg.Metrics.ReplicateObserved("retry")
+				nd.cfg.Metrics.ReplicateRetry.Inc()
 			}
 		} else {
 			if oc == netmodel.Unknown {
 				everUnknown = true
 			}
-			nd.cfg.Metrics.ReplicateObserved("retry")
+			nd.cfg.Metrics.ReplicateRetry.Inc()
 		}
 		// Out of definite failures — neither store was touched: the
 		// no-ack-barrier property — or, on a native thread, out of
@@ -198,7 +198,7 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 		capped := everUnknown && !modeled && attempt >= indetRetries
 		if definite || capped || !nd.retryPause(t, attempt) {
 			if everUnknown {
-				nd.cfg.Metrics.IndeterminateInc()
+				nd.cfg.Metrics.Indeterminate.Inc()
 			}
 			return OpFailed
 		}
@@ -211,7 +211,7 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 // hazard repl_indeterminate_total counts.
 func (nd *Node) abandoned(everUnknown bool) OpResult {
 	if everUnknown {
-		nd.cfg.Metrics.IndeterminateInc()
+		nd.cfg.Metrics.Indeterminate.Inc()
 		return OpUnknown
 	}
 	return OpFailed
@@ -273,11 +273,13 @@ func (nd *Node) catchUpLocked(t gfs.T, fence fenceStage) bool {
 	defer trace.Exit(t, sp)
 	f, ok := fence(nd, t)
 	ok = ok && nd.stream(t, f)
-	nd.cfg.Metrics.ResyncObserved(ok)
 	nd.setStale(!ok)
 	if ok {
+		nd.cfg.Metrics.Resyncs.Inc()
 		nd.markResynced(t)
 		trace.Event(t, "repl: resync complete at epoch %d", f.epoch)
+	} else {
+		nd.cfg.Metrics.ResyncFailed.Inc()
 	}
 	return ok
 }
@@ -369,7 +371,7 @@ func (nd *Node) Promote(t gfs.T) bool {
 func (nd *Node) lead(t gfs.T, f fenced) {
 	nd.lastApplied = 0
 	nd.SetPrimary(true)
-	nd.cfg.Metrics.FailoverInc()
+	nd.cfg.Metrics.Failovers.Inc()
 	trace.Event(t, "repl: promoted to primary at epoch %d", f.epoch)
 }
 

@@ -2,11 +2,11 @@ package repl
 
 import "repro/internal/obs"
 
-// Metrics is the replication layer's observability surface (repl_*).
-// Every method is nil-receiver-safe, so Node instruments itself
-// unconditionally while checker runs (Metrics == nil) stay metric-free
-// by construction — the same contract as mailboat.Metrics and
-// netmodel.NetMetrics, audited by the nil-metrics full-stack test.
+// Metrics is the replication layer's observability surface (repl_*). It
+// is held by value, and its zero value — a checker run's — records
+// nothing, because obs handles are nil-safe: Node instruments itself
+// unconditionally, the same contract as mailboat.Metrics and
+// netmodel.NetMetrics, audited by the zero-metrics full-stack test.
 type Metrics struct {
 	ReplicateOK     *obs.Counter
 	ReplicateRetry  *obs.Counter
@@ -23,8 +23,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the repl_* metric families in r.
-func NewMetrics(r *obs.Registry) *Metrics {
-	return &Metrics{
+func NewMetrics(r *obs.Registry) Metrics {
+	return Metrics{
 		ReplicateOK: r.Counter("repl_replicate_total",
 			"Replicated operations by outcome.", "outcome", "ok"),
 		ReplicateRetry: r.Counter("repl_replicate_total",
@@ -50,91 +50,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		LastResyncUnix: r.Gauge("repl_last_resync_unix",
 			"Unix time of the last successful catch-up resync (0 = never)."),
 	}
-}
-
-// ReplicateObserved counts one replicated-operation outcome.
-func (m *Metrics) ReplicateObserved(outcome string) {
-	if m == nil {
-		return
-	}
-	switch outcome {
-	case "ok":
-		m.ReplicateOK.Inc()
-	case "retry":
-		m.ReplicateRetry.Inc()
-	case "failed":
-		m.ReplicateFailed.Inc()
-	}
-}
-
-// IndeterminateInc counts one abandoned-while-unknown operation.
-func (m *Metrics) IndeterminateInc() {
-	if m == nil {
-		return
-	}
-	m.Indeterminate.Inc()
-}
-
-// AckAloneInc counts one peer-dead solo acknowledgement.
-func (m *Metrics) AckAloneInc() {
-	if m == nil {
-		return
-	}
-	m.AckAlone.Inc()
-}
-
-// ResyncObserved counts one resync attempt.
-func (m *Metrics) ResyncObserved(ok bool) {
-	if m == nil {
-		return
-	}
-	if ok {
-		m.Resyncs.Inc()
-	} else {
-		m.ResyncFailed.Inc()
-	}
-}
-
-// FailoverInc counts one promotion.
-func (m *Metrics) FailoverInc() {
-	if m == nil {
-		return
-	}
-	m.Failovers.Inc()
-}
-
-// StaleRejectedInc counts one fenced frame.
-func (m *Metrics) StaleRejectedInc() {
-	if m == nil {
-		return
-	}
-	m.StaleRejected.Inc()
-}
-
-// EpochSet records the node's current epoch.
-func (m *Metrics) EpochSet(e uint64) {
-	if m == nil {
-		return
-	}
-	m.Epoch.Set(int64(e))
-}
-
-// RoleSet records the node's current role.
-func (m *Metrics) RoleSet(primary bool) {
-	if m == nil {
-		return
-	}
-	if primary {
-		m.RolePrimary.Set(1)
-	} else {
-		m.RolePrimary.Set(0)
-	}
-}
-
-// LastResyncSet records the last successful resync time.
-func (m *Metrics) LastResyncSet(unix int64) {
-	if m == nil {
-		return
-	}
-	m.LastResyncUnix.Set(unix)
 }

@@ -3,41 +3,18 @@ package repl
 import (
 	"testing"
 	"time"
-
-	"repro/internal/netmodel"
 )
 
-// TestNilMetricsReplFullStack audits the nil-receiver contract of the
-// replication observability surface the way the gfs audit does: every
-// repl_* and net_* method called on a nil receiver, then a full
+// TestNilMetricsReplFullStack audits the zero-value contract of the
+// replication observability surface the way the gfs audit does: a full
 // replicated exchange over real TCP — deliver, delete, resync, a
-// partition, a dead peer — with Metrics nil at every layer. A panic
-// anywhere is the failure; this is what lets checker runs and tests
-// leave Metrics unset without a parallel "metrics off" code path.
+// partition, a dead peer — with every repl_* and net_* set left at its
+// zero value, which records nothing. A panic anywhere is the failure;
+// this is what lets checker runs and tests leave Metrics unset without
+// a parallel "metrics off" code path.
 func TestNilMetricsReplFullStack(t *testing.T) {
-	// The explicit surface: every method, nil receiver.
-	var m *Metrics
-	m.ReplicateObserved("ok")
-	m.ReplicateObserved("retry")
-	m.ReplicateObserved("failed")
-	m.IndeterminateInc()
-	m.AckAloneInc()
-	m.ResyncObserved(true)
-	m.ResyncObserved(false)
-	m.FailoverInc()
-	m.StaleRejectedInc()
-	m.EpochSet(7)
-	m.RoleSet(true)
-	m.LastResyncSet(1)
-
-	var nm *netmodel.NetMetrics
-	nm.CallsInc()
-	nm.OutcomeObserved(netmodel.Delivered)
-	nm.OutcomeObserved(netmodel.Lost)
-	nm.OutcomeObserved(netmodel.Unknown)
-
-	// The full stack: nodes with Config.Metrics nil, a TCPClient with
-	// Metrics nil, driven through the protocol's instrumented paths.
+	// The full stack: nodes with a zero Config.Metrics, a TCPClient with
+	// zero Metrics, driven through the protocol's instrumented paths.
 	rt := &tcpRand{}
 	backup, baddr, bsrv := newTCPNode(t, rt, 1)
 	primary, _, _ := newTCPNode(t, rt, 0)
@@ -52,7 +29,7 @@ func TestNilMetricsReplFullStack(t *testing.T) {
 	if res := primary.DeleteNamed(rt, 0, "m1"); res != OpOK {
 		t.Fatalf("DeleteNamed: %v", res)
 	}
-	// Resync path (ResyncObserved, EpochSet, LastResyncSet).
+	// Resync path (Resyncs, Epoch, LastResyncUnix).
 	primary.CatchUp(rt)
 	if primary.Health().Stale {
 		t.Fatal("CatchUp failed")
@@ -62,7 +39,7 @@ func TestNilMetricsReplFullStack(t *testing.T) {
 	client.Partition(true)
 	primary.DeliverNamed(rt, 0, "m2", []byte("y"))
 	client.Partition(false)
-	// Dead-peer path (AckAloneInc): sever the backup and latch the
+	// Dead-peer path (AckAlone): sever the backup and latch the
 	// refused streak via direct pings.
 	bsrv.Close()
 	ping := encodeReq(request{kind: kPing})

@@ -66,9 +66,9 @@ type Config struct {
 	// attempt up to mailboat.BackoffCap; 0 disables pacing. Modeled threads
 	// never sleep.
 	RetryBackoff time.Duration
-	// Metrics, when non-nil, records repl_* metrics. Leave nil under
-	// the checker; every method is nil-receiver-safe.
-	Metrics *Metrics
+	// Metrics records repl_* metrics. The checker leaves it zero, which
+	// records nothing.
+	Metrics Metrics
 }
 
 // OpResult is the outcome of a primary-side replicated operation.
@@ -176,8 +176,8 @@ func NewNode(t gfs.T, id int, mb *mailboat.Mailboat, sys gfs.System, cfg Config)
 	}
 	nd.lock = sys.NewLock(t, nodeLocks.Name(uint64(id)))
 	nd.epoch = readEpoch(t, sys)
-	nd.cfg.Metrics.EpochSet(nd.epoch)
-	nd.cfg.Metrics.RoleSet(false)
+	nd.cfg.Metrics.Epoch.Set(int64(nd.epoch))
+	nd.cfg.Metrics.RolePrimary.Set(0)
 	return nd
 }
 
@@ -284,7 +284,7 @@ func (nd *Node) write(o machine.Obj, set func()) {
 
 func (nd *Node) setEpoch(e uint64) {
 	nd.write(epochObj, func() { nd.epoch = e })
-	nd.cfg.Metrics.EpochSet(e)
+	nd.cfg.Metrics.Epoch.Set(int64(e))
 }
 
 func (nd *Node) setSeq(s uint64) { nd.write(seqObj, func() { nd.seq = s }) }
@@ -299,7 +299,11 @@ func (nd *Node) setStale(on bool) { nd.write(resyncObj, func() { nd.stale = on }
 // wiring call it; promotion via Promote also does).
 func (nd *Node) SetPrimary(p bool) {
 	nd.write(roleObj, func() { nd.primary = p })
-	nd.cfg.Metrics.RoleSet(p)
+	role := int64(0)
+	if p {
+		role = 1
+	}
+	nd.cfg.Metrics.RolePrimary.Set(role)
 }
 
 func (nd *Node) markResynced(t gfs.T) {
@@ -308,7 +312,7 @@ func (nd *Node) markResynced(t gfs.T) {
 		unix = time.Now().Unix()
 	}
 	nd.write(resyncObj, func() { nd.lastResync = unix })
-	nd.cfg.Metrics.LastResyncSet(unix)
+	nd.cfg.Metrics.LastResyncUnix.Set(unix)
 }
 
 // peerGone reports the transport's fenced-dead verdict (a nil peer

@@ -65,7 +65,7 @@ func (nd *Node) HandleRequest(t gfs.T, raw []byte) []byte {
 func (nd *Node) handleApply(t gfs.T, r request) []byte {
 	if r.epoch < nd.epoch {
 		trace.Event(t, "repl: reject stale epoch %d < %d", r.epoch, nd.epoch)
-		nd.cfg.Metrics.StaleRejectedInc()
+		nd.cfg.Metrics.StaleRejected.Inc()
 		return encodeResp(StStaleEpoch, nd.epoch)
 	}
 	if r.epoch > nd.epoch || nd.resyncing {
@@ -105,7 +105,7 @@ func (nd *Node) handleApply(t gfs.T, r request) []byte {
 // mask).
 func (nd *Node) handleResyncBegin(t gfs.T, r request) []byte {
 	if r.epoch < nd.epoch {
-		nd.cfg.Metrics.StaleRejectedInc()
+		nd.cfg.Metrics.StaleRejected.Inc()
 		return encodeResp(StStaleEpoch, nd.epoch)
 	}
 	if nd.resyncing && r.epoch == nd.resyncEpoch {
@@ -120,7 +120,7 @@ func (nd *Node) handleResyncBegin(t gfs.T, r request) []byte {
 	if nd.resyncing && r.epoch < nd.resyncEpoch {
 		// A stale Begin from an older, superseded attempt must not
 		// hijack the window of the newer one.
-		nd.cfg.Metrics.StaleRejectedInc()
+		nd.cfg.Metrics.StaleRejected.Inc()
 		return encodeResp(StStaleEpoch, nd.epoch)
 	}
 	nd.setResyncing(true, r.epoch)
@@ -138,7 +138,7 @@ func (nd *Node) handleResyncBegin(t gfs.T, r request) []byte {
 func (nd *Node) handleResyncPut(t gfs.T, r request) []byte {
 	if !nd.resyncing || r.epoch != nd.resyncEpoch {
 		if r.epoch < nd.epoch {
-			nd.cfg.Metrics.StaleRejectedInc()
+			nd.cfg.Metrics.StaleRejected.Inc()
 			return encodeResp(StStaleEpoch, nd.epoch)
 		}
 		return encodeResp(StNeedResync, nd.epoch)
@@ -172,7 +172,7 @@ func (nd *Node) handleResyncCommit(t gfs.T, r request) []byte {
 			return encodeResp(StOK, nd.epoch) // duplicate of a done commit
 		}
 		if r.epoch < nd.epoch {
-			nd.cfg.Metrics.StaleRejectedInc()
+			nd.cfg.Metrics.StaleRejected.Inc()
 			return encodeResp(StStaleEpoch, nd.epoch)
 		}
 		return encodeResp(StNeedResync, nd.epoch)

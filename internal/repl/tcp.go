@@ -73,7 +73,7 @@ type Server struct {
 // NewServer builds a frame server over nd.
 func NewServer(nd *Node, t gfs.T) *Server {
 	s := &Server{nd: nd, t: t}
-	s.core = netsrv.New("", s.serveConn, nil)
+	s.core = netsrv.New("", s.serveConn, new(netsrv.Metrics)) // a frame server counts nothing
 	return s
 }
 
@@ -130,10 +130,10 @@ type TCPClient struct {
 	// DeadAfter is the consecutive-refused-dial streak after which
 	// PeerDead reports true (default 3).
 	DeadAfter int
-	// Metrics, when non-nil, records net_* outcomes — the same families
-	// the modeled network registers, so dashboards read identically
-	// against drills and deployments. Nil-receiver-safe.
-	Metrics *netmodel.NetMetrics
+	// Metrics records net_* outcomes — the same families the modeled
+	// network registers, so dashboards read identically against drills
+	// and deployments. The zero value records nothing.
+	Metrics netmodel.NetMetrics
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -200,10 +200,10 @@ func (c *TCPClient) dropConn() {
 // Call implements Transport. The t parameter is unused (the modeled
 // transport needs it for scheduling; a socket does not).
 func (c *TCPClient) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
-	c.Metrics.CallsInc()
+	c.Metrics.Calls.Inc()
 	if c.partitioned.Load() {
 		c.failed.Add(1)
-		c.Metrics.OutcomeObserved(netmodel.Lost)
+		c.Metrics.Lost.Inc()
 		return nil, netmodel.Lost
 	}
 	c.mu.Lock()
@@ -216,7 +216,7 @@ func (c *TCPClient) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
 			if errors.Is(err, syscall.ECONNREFUSED) {
 				c.refused.Add(1)
 			}
-			c.Metrics.OutcomeObserved(netmodel.Lost)
+			c.Metrics.Lost.Inc()
 			return nil, netmodel.Lost // nothing was sent: a definite no
 		}
 		c.conn = conn
@@ -226,17 +226,17 @@ func (c *TCPClient) Call(t gfs.T, req []byte) ([]byte, netmodel.Outcome) {
 	if err := writeFrame(c.conn, req); err != nil {
 		c.dropConn()
 		c.failed.Add(1)
-		c.Metrics.OutcomeObserved(netmodel.Unknown)
+		c.Metrics.Unknown.Inc()
 		return nil, netmodel.Unknown // may be buffered on the wire
 	}
 	resp, err := readFrame(c.conn)
 	if err != nil {
 		c.dropConn()
 		c.failed.Add(1)
-		c.Metrics.OutcomeObserved(netmodel.Unknown)
+		c.Metrics.Unknown.Inc()
 		return nil, netmodel.Unknown // request may have been applied
 	}
 	c.failed.Store(0)
-	c.Metrics.OutcomeObserved(netmodel.Delivered)
+	c.Metrics.Delivered.Inc()
 	return resp, netmodel.Delivered
 }

@@ -79,9 +79,9 @@ type Server struct {
 	users   uint64
 	backend Deliverer
 
-	// Metrics, when non-nil, records connection and command metrics
-	// (see NewMetrics). Set it before Serve.
-	Metrics *Metrics
+	// Metrics records connection and command metrics (see NewMetrics);
+	// zero, it records nothing. Set it before Serve.
+	Metrics Metrics
 	// Tracer, when non-nil, opens a root span per DATA command (op
 	// "deliver") and threads it through a TracedDeliverer backend, so a
 	// single delivery renders as a nested timeline. Set it before Serve.
@@ -91,12 +91,7 @@ type Server struct {
 // NewServer creates an SMTP server delivering into backend.
 func NewServer(backend Deliverer, users uint64) *Server {
 	s := &Server{users: users, backend: backend}
-	s.Server = netsrv.New("421 mailboat too busy, try again later", s.handle, func() *netsrv.Metrics {
-		if s.Metrics == nil {
-			return nil
-		}
-		return s.Metrics.Metrics
-	})
+	s.Server = netsrv.New("421 mailboat too busy, try again later", s.handle, &s.Metrics.Metrics)
 	return s
 }
 
@@ -209,13 +204,13 @@ func (s *Server) command(c *netsrv.Conn, st *session, verb, arg string, say func
 			// 452 (insufficient system storage) tells the sender to
 			// retry later. The message was NOT acknowledged, and the
 			// store was left untouched.
-			s.Metrics.insufficientStorage()
+			s.Metrics.Full.Inc()
 			say(452, "insufficient system storage, try again later")
 		case failed:
 			// Transient store failure: degrade gracefully with 451
 			// so the sender retries, instead of dropping the
 			// connection. The message was NOT acknowledged.
-			s.Metrics.tempFailure()
+			s.Metrics.TempFail.Inc()
 			say(451, "local error in processing, try again later")
 		default:
 			say(250, "delivered")

@@ -57,9 +57,6 @@ var exceptions = map[string]map[string]string{
 	"mailboat/quota.go": {
 		"sync": "the quota mutex guards no machine step",
 	},
-	"mailboat/metrics.go": {
-		"time": "read only with Metrics set, nil under the checker",
-	},
 	"repl/node.go": {
 		"sync": "mu guards the Status snapshot, held across no store or network step",
 		"time": "pauses and the resync stamp are skipped on modelled threads; Supervise's ticker only paces the checked tick",
@@ -80,9 +77,6 @@ var exceptions = map[string]map[string]string{
 	},
 	"gfs/observed.go": {
 		"time": "a layer stacked only with Metrics set",
-	},
-	"gfs/scrub.go": {
-		"time": "a Duration parameter of a nil-safe metrics method",
 	},
 }
 
@@ -192,12 +186,12 @@ func TestTrustedBase(t *testing.T) {
 	}
 	// Negative controls: the real map, with a file added and two gone.
 	files["mailboat/synthetic.go"] = importsOf(t, "synthetic.go", "package mailboat\nimport (\n\"os\"\n\"repro/internal/gfs\"\n\"repro/internal/netsrv\"\n)\n")
-	delete(files, "gfs/scrub.go")
+	delete(files, "mailboat/quota.go")
 	delete(files, "gfs/statfs_linux.go")
 	got := auditImports(files)
 	want := []string{
-		`gfs/scrub.go: stale row: no longer imports "time"`,
 		"gfs/statfs_linux.go: stale row: trusted file does not exist",
+		`mailboat/quota.go: stale row: no longer imports "sync"`,
 		`mailboat/synthetic.go imports "os":`,
 		`mailboat/synthetic.go imports "repro/internal/netsrv":`,
 	}
