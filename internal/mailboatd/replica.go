@@ -44,7 +44,7 @@ type ReplicaOptions struct {
 	PingEvery time.Duration
 	// RetryBackoff paces the client leg's retries (default 25ms here,
 	// not repl's zero: a deployment must pace its retries); the retry
-	// count is repl's default.
+	// count is repl's, a fixed six.
 	RetryBackoff time.Duration
 }
 

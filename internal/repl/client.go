@@ -194,7 +194,7 @@ func (nd *Node) resolve(t gfs.T, r request, fence fenceStage) OpResult {
 		// Out of definite failures — neither store was touched: the
 		// no-ack-barrier property — or, on a native thread, out of
 		// indeterminate ones, or shutting down.
-		definite := !everUnknown && attempt >= nd.maxCallRetries()
+		definite := !everUnknown && attempt >= maxCallRetries
 		capped := everUnknown && !modeled && attempt >= indetRetries
 		if definite || capped || !nd.retryPause(t, attempt) {
 			if everUnknown {
@@ -343,7 +343,7 @@ func (nd *Node) rcallOK(t gfs.T, r request) bool {
 				return false
 			}
 		}
-		if attempt >= nd.maxCallRetries()*2 {
+		if attempt >= maxCallRetries*2 {
 			return false
 		}
 		if !nd.retryPause(t, attempt) {

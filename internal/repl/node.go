@@ -59,9 +59,6 @@ type Transport interface {
 
 // Config tunes a Node's client leg and observability.
 type Config struct {
-	// MaxCallRetries bounds retries of a definitely-failed call (Lost,
-	// or the backup transiently refusing). 0 means the default of 6.
-	MaxCallRetries int
 	// RetryBackoff is the base pause between retries, doubled per
 	// attempt up to mailboat.BackoffCap; 0 disables pacing. Modeled threads
 	// never sleep.
@@ -325,14 +322,10 @@ func (nd *Node) peerGone() bool {
 // dead reports whether the node's own store has fail-stopped.
 func (nd *Node) dead() bool { return nd.store != nil && nd.store.FailStopped() }
 
-func (nd *Node) maxCallRetries() int {
-	if nd.cfg.MaxCallRetries > 0 {
-		return nd.cfg.MaxCallRetries
-	}
-	return 6
-}
-
 const (
+	// maxCallRetries bounds the retries of a definitely-failed call
+	// (Lost, or the backup transiently refusing).
+	maxCallRetries = 6
 	// indetRetries bounds, on native threads only, how long an operation
 	// whose outcome went Unknown keeps retrying before it is abandoned
 	// (counted in repl_indeterminate_total — the honest at-least-once

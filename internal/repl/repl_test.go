@@ -393,9 +393,11 @@ func nativeNode(t *testing.T, cfg Config) (*gfs.Native, *Node) {
 
 // TestShutdownStopsRetries pins the satellite edge: a retry loop parked
 // on backoff observes Shutdown and aborts instead of sleeping through
-// its (here effectively unbounded) retry budget.
+// its retry budget, which at a one-second backoff runs for seconds. The
+// answer must come within half a second, well inside the pause it was
+// parked on, so a loop that noticed Shutdown only between pauses fails.
 func TestShutdownStopsRetries(t *testing.T) {
-	nt, nd := nativeNode(t, Config{MaxCallRetries: 1 << 20, RetryBackoff: 5 * time.Millisecond})
+	nt, nd := nativeNode(t, Config{RetryBackoff: time.Second})
 	tr := &lostTransport{}
 	nd.SetPeer(tr)
 	done := make(chan OpResult, 1)
@@ -409,7 +411,7 @@ func TestShutdownStopsRetries(t *testing.T) {
 		if res != OpFailed {
 			t.Fatalf("result %v, want OpFailed", res)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(500 * time.Millisecond):
 		t.Fatal("retry loop ignored Shutdown")
 	}
 }
@@ -419,14 +421,14 @@ func TestShutdownStopsRetries(t *testing.T) {
 // LOCAL store untouched too — a failed replication RPC is never an ack
 // barrier behind which a half-applied delivery hides.
 func TestAllLostNeverAckBarrier(t *testing.T) {
-	nt, nd := nativeNode(t, Config{MaxCallRetries: 3})
+	nt, nd := nativeNode(t, Config{})
 	tr := &lostTransport{}
 	nd.SetPeer(tr)
 	if res := nd.DeliverNamed(nt, 0, "msg1", []byte("x")); res != OpFailed {
 		t.Fatalf("result %v, want OpFailed", res)
 	}
-	if tr.calls != 3 {
-		t.Fatalf("made %d calls, want 3", tr.calls)
+	if tr.calls != maxCallRetries {
+		t.Fatalf("made %d calls, want %d", tr.calls, maxCallRetries)
 	}
 	if box := nd.Mailboat().ReadBox(nt, 0); len(box) != 0 {
 		t.Fatalf("local store touched by failed replication: %v", box)
