@@ -12,8 +12,8 @@
 //	                [-cpuprofile FILE] [-memprofile FILE]
 //
 // Each entry is one sequential systematic search with its two
-// reductions on, crash-boundary state dedup and sleep sets (disable
-// both with -noreduce). -workers entries are checked at once (default
+// reductions on, crash-boundary state dedup and wakeup trees with sleep
+// sets (disable both with -noreduce). -workers entries are checked at once (default
 // GOMAXPROCS), and each entry's lines are printed in suite order, so
 // the output is the same at every -workers but for the timings.
 // -selfcheck runs every selected scenario twice — reductions off and on
@@ -51,7 +51,7 @@ var (
 	pattern    = flag.String("pattern", "", "only run scenarios whose pattern or name contains this substring")
 	maxExec    = flag.Int("max", 0, "override per-scenario execution budget")
 	workers    = flag.Int("workers", 0, "entries checked at once, each one sequential search (0 = GOMAXPROCS)")
-	noReduce   = flag.Bool("noreduce", false, "disable crash-boundary state dedup and sleep sets (escape hatch)")
+	noReduce   = flag.Bool("noreduce", false, "disable crash-boundary state dedup and wakeup trees (escape hatch)")
 	selfCheck  = flag.Bool("selfcheck", false, "run each scenario with the reductions off and on and fail if they change what it finds")
 	verbose    = flag.Bool("v", false, "print counterexamples for expected bugs too")
 	minimize   = flag.Bool("min", false, "minimize counterexample choice sequences before printing")

@@ -45,8 +45,8 @@ import (
 // lockstep with the memory version.
 type Ctx struct {
 	m *machine.Machine
-	// obj names all of the ghost state in footprints (DESIGN.md "Sleep
-	// sets"): every method that changes it writes obj, every other
+	// obj names all of the ghost state in footprints (DESIGN.md "Source
+	// sets and wakeup trees"): every method that changes it writes obj, every other
 	// method that looks at it reads obj.
 	obj machine.Obj
 

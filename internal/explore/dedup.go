@@ -317,6 +317,10 @@ func (d *dfsChooser) enterCrash(i int) bool {
 	if s == nil || d.points[i].chosen != s.nth || d.dd == nil {
 		return true
 	}
+	if s.leafHi == s.leafLo {
+		s.due = true // the next execution evaluates the point and takes its crash
+		return true
+	}
 	if s.cur = d.firstLive(s, d.owner(i+1)); s.cur < 0 {
 		return false
 	}
@@ -337,17 +341,13 @@ func (d *dfsChooser) firstLive(s *schedPoint, owner uint64) int32 {
 
 // dueAfter marks point i, whose option the DFS just advanced, for
 // evaluation in the next execution when the crash is the next option it
-// will take there: every thread option after this one sleeps.
+// will take there, as far as it knows yet: its wakeup tree has no other
+// branch. A branch race analysis adds later finds it evaluated.
 func (d *dfsChooser) dueAfter(i int) {
 	p := &d.points[i]
 	s := d.sched(p)
-	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth {
+	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth || len(s.wut) > 0 || s.leafHi > s.leafLo {
 		return
-	}
-	for c := p.chosen + 1; c < s.nth; c++ {
-		if !d.asleep(s, c) {
-			return
-		}
 	}
 	s.due = true
 }

@@ -37,15 +37,16 @@
 // function of the fingerprinted boundary state and an
 // already-enumerated recovery subtree need not be re-explored.
 //
-// Within an era, sleep sets (sleep.go) skip the interleavings that only
-// reorder independent transitions: the machine reports each
-// transition's declared footprint, and a thread whose next transition
-// was already explored from an equivalent state is not scheduled again.
-// Options.NoReduce turns both reductions off, and SelfCheck
-// mechanically witnesses that they change neither a scenario's verdict
-// nor, for a complete search, its outcomes. See DESIGN.md "The checker"
-// for the soundness arguments and docs/CHECKING.md for the user-facing
-// handbook.
+// Within an era, wakeup trees and sleep sets (sleep.go, wakeup.go) run
+// one execution per order of the dependent transitions: the machine
+// reports each transition's thread and declared footprint, a draw runs
+// another thread only where race analysis found that order unexplored,
+// and a thread whose next transition was already explored from an
+// equivalent state is not scheduled again. Options.NoReduce turns both
+// reductions off, and SelfCheck mechanically witnesses that they change
+// neither a scenario's verdict nor, for a complete search, its
+// outcomes. See DESIGN.md "The checker" for the soundness arguments and
+// docs/CHECKING.md for the user-facing handbook.
 package explore
 
 import (
@@ -268,7 +269,8 @@ type Stats struct {
 	// Slept counts the "sched" options the sleep sets skipped: threads
 	// whose next transition was already explored from an equivalent
 	// state. SleepBlocked counts the executions stopped, unchecked, at a
-	// draw whose every option slept.
+	// draw whose every option slept: wakeup trees leave none but where a
+	// data choice inside a wakeup sequence takes another answer.
 	Slept, SleepBlocked int
 	// VerdictsDistinct counts the refinement checks judged afresh, and
 	// VerdictsReused those the search's checker answered from its
@@ -327,9 +329,10 @@ type Options struct {
 	// only because bench/check.go still sets it.
 	Workers int
 	// NoReduce turns both reductions off: crash-boundary state dedup,
-	// even for scenarios that provide a Fingerprint hook, and sleep sets
-	// — the escape hatch for a suspected fingerprint bug, hash collision
-	// or undeclared access (perennial-check -noreduce).
+	// even for scenarios that provide a Fingerprint hook, and wakeup
+	// trees with sleep sets — the escape hatch for a suspected
+	// fingerprint bug, hash collision or undeclared access
+	// (perennial-check -noreduce).
 	NoReduce bool
 	// StressExecutions adds randomized executions after (or instead of)
 	// the systematic search.
@@ -344,7 +347,7 @@ type Options struct {
 }
 
 // Run performs a systematic DFS over the scenario's choice space, with
-// crash-boundary dedup and sleep sets unless Options.NoReduce, then
+// crash-boundary dedup and wakeup trees unless Options.NoReduce, then
 // optional randomized stress, and returns a report.
 func Run(s *Scenario, opts Options) *Report { return run(s, opts, nil) }
 
@@ -590,10 +593,10 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 // first option it has not covered; next() advances the last choice
 // point with untried options, backtracking exhausted suffixes.
 //
-// With reduce set it is also the machine's Reducer and keeps sleep sets
-// (sleep.go): a "sched" option whose thread's next transition was
-// already explored from an equivalent state is skipped, not removed, so
-// choice indices keep their meaning.
+// With reduce set it is also the machine's Reducer and keeps wakeup
+// trees and sleep sets (sleep.go, wakeup.go): a "sched" option runs only
+// when race analysis asks for it, and is skipped, not removed, so choice
+// indices keep their meaning.
 type dfsChooser struct {
 	points []choicePoint
 	pos    int
@@ -603,6 +606,7 @@ type dfsChooser struct {
 
 	reduce bool
 	sleepSets
+	races
 	crashStates
 }
 
@@ -611,13 +615,16 @@ type choicePoint struct {
 	chosen int
 	tag    string
 	// si is 1 + the index in sleepSets.scheds of the point's part of
-	// the sleep sets, for a "sched" point under reduction (0: none);
+	// the reduction, for a "sched" point under reduction (0: none);
 	// lastOn is the index of the last such point at or before this one
-	// (-1: none).
-	si, lastOn int32
+	// (-1: none); start is the option a data choice took first.
+	si, lastOn, start int32
 }
 
-func (d *dfsChooser) reset() { d.pos, d.lastSched, d.open, d.crashAt = 0, -1, -1, -1 }
+func (d *dfsChooser) reset() {
+	d.pos, d.lastSched, d.open, d.crashAt = 0, -1, -1, -1
+	d.nev, d.keep, d.eraLo = 0, len(d.evs), 0
+}
 
 // Choose implements machine.Chooser.
 func (d *dfsChooser) Choose(n int, tag string) int {
@@ -630,6 +637,8 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 			d.reseats++
 			d.points = d.points[:d.pos]
 			d.trim(d.pos - 1)
+			d.trimEvents(d.pos)
+			d.nev = min(d.nev, len(d.evs))
 			d.points = append(d.points, choicePoint{n: n, tag: tag})
 			d.placed(d.pos)
 		}
@@ -640,10 +649,19 @@ func (d *dfsChooser) Choose(n int, tag string) int {
 	}
 	d.points = append(d.points, choicePoint{n: n, tag: tag})
 	p := &d.points[d.pos]
-	if tag == "sched" && d.pend.on {
+	switch {
+	case tag == "sched" && d.pend.on:
 		d.scheds = append(d.scheds, d.pend)
 		p.si, p.chosen = int32(len(d.scheds)), d.pend.first
 		d.pend.on = false
+	case tag != "sched" && d.gnode != nil && d.gans < len(d.gnode.ans):
+		// A wakeup-tree event's data choice: its recorded answer first.
+		if a := d.gnode.ans[d.gans]; int(a.n) == n {
+			p.chosen, p.start = int(a.c), a.c
+			d.gans++
+		} else {
+			d.gnode = nil
+		}
 	}
 	d.placed(d.pos)
 	d.chose(d.pos)
@@ -663,12 +681,14 @@ func (d *dfsChooser) next() bool {
 	// Discard choice points beyond those actually consumed this run.
 	d.points = d.points[:d.pos]
 	d.cut()
+	d.gnode = nil
 	for len(d.points) > 0 {
 		i := len(d.points) - 1
 		last := &d.points[i]
 		d.trim(i)
 		if j := d.answerOf(i); j >= 0 {
 			if d.nextLeaf(j, i) {
+				d.trimEvents(d.frontier)
 				return true
 			}
 			continue // back at j, whose crash option was its last
@@ -676,10 +696,12 @@ func (d *dfsChooser) next() bool {
 		if c := d.nextOption(last); c < last.n {
 			last.chosen = c
 			d.frontier = i
+			d.trimEvents(i)
 			if d.enterCrash(i) {
 				d.dueAfter(i)
 				return true
 			}
+			d.crashed(i)
 		}
 		d.points = d.points[:i]
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // SelfCheck is the mechanical witness for both reductions' soundness
-// arguments (DESIGN.md "Crash-boundary dedup" and "Sleep sets"): it runs
-// the scenario's systematic search twice at the same budget — once with
-// Options.NoReduce, once with crash-boundary dedup and sleep sets on —
+// arguments (DESIGN.md "Crash-boundary dedup" and "Source sets and
+// wakeup trees"): it runs the scenario's systematic search twice at the
+// same budget — once with Options.NoReduce, once with crash-boundary
+// dedup and wakeup trees on —
 // and fails when the two runs disagree on the verdict (violation found
 // or not), or when only the plain search completes. When the reduced
 // search completes it also compares what they saw: the set of outcomes

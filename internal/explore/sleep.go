@@ -6,19 +6,28 @@ import (
 	"repro/internal/machine"
 )
 
-// Sleep sets (DESIGN.md "Sleep sets"), Godefroid's partial-order
-// reduction over the footprints the machine reports at each "sched"
-// draw. A transition is a thread's step plus the Go code it runs up to
-// its next draw; two transitions are independent when no access of one
-// conflicts with an access of the other (machine.Access.Conflicts). At
-// a point, once an option's subtree is finished, its thread sleeps in
-// the subtrees of the options explored after it, for as long as the
-// transitions run there are independent of its own: any execution that
-// runs it there is a reordering of one already explored. An option whose
-// thread sleeps is skipped, never removed, so every choice index keeps
-// its meaning; the crash option never sleeps. When every option of a
-// draw sleeps and none crashes, the execution stops there, unchecked
-// (Stats.SleepBlocked).
+// Source sets and wakeup trees (DESIGN.md "Source sets and wakeup
+// trees"): optimal dynamic partial-order reduction over the footprints
+// the machine reports at each "sched" draw. A transition is a thread's
+// step plus the Go code it runs up to its next draw; two transitions are
+// independent when no access of one conflicts with an access of the
+// other (machine.Access.Conflicts). A fresh draw runs one thread, the
+// first its wakeup tree names, else its first awake one; every other
+// thread option it explores, race analysis (wakeup.go) added to its
+// tree, because an execution ran a transition that conflicts with the
+// one the draw chose and comes after it through no third. The crash
+// option is explored at every draw.
+//
+// Sleep sets work beside the trees: once an option's subtree is
+// finished, its thread sleeps in the subtrees of the options explored
+// after it, for as long as the transitions run there are independent
+// of its own. A sleeping thread is never a fresh draw's first option,
+// and race analysis adds no wakeup sequence that a sleeping thread
+// already covers. An option is skipped, never removed, so every choice
+// index keeps its meaning. When every option of a fresh draw sleeps and
+// none crashes, the execution stops there, unchecked
+// (Stats.SleepBlocked): only after another answer of a data choice
+// inside a wakeup sequence (wakeup.go).
 //
 // The entries live on three stacks that grow and shrink with the choice
 // points: a point's threads, inherited entries and finished options lie
@@ -34,14 +43,14 @@ type sleeper struct {
 	lo, hi int32 // its accesses: acc[lo:hi]
 }
 
-// schedPoint is a "sched" point's part of the sleep sets, and of
-// dedup, kept beside the choice points so that replaying them walks no
-// more memory than before.
+// schedPoint is a "sched" point's part of the reduction, and of dedup,
+// kept beside the choice points.
 type schedPoint struct {
 	// on marks sleepSets.pend as prepared for Choose.
 	on bool
-	// first is the option a fresh point takes: its first awake thread,
-	// or the crash option.
+	// first is the option a fresh point takes: the thread its wakeup
+	// tree names first, else its first awake thread, else the crash
+	// option.
 	first int
 	// nth is the number of thread options; option nth, when offered,
 	// crashes. Option i runs thread tids[tidLo+i].
@@ -60,6 +69,10 @@ type schedPoint struct {
 	// says the next execution evaluates them when it replays the point.
 	leafLo, leafHi, cur int32
 	due                 bool
+	// wut is the wakeup tree's branches still to explore here, in order;
+	// era is the first event of the point's era.
+	wut []*wnode
+	era int32
 }
 
 // maxCur bounds an option's accumulated footprint; a larger one is
@@ -76,48 +89,58 @@ type sleepSets struct {
 	// Per execution: lastSched is the era's latest "sched" point, and
 	// open that point while the first transition of the thread it chose
 	// runs unreported (-1 when none). Choices at or after frontier are
-	// new in this execution. nready is the last draw's thread count.
-	// pend is the fresh point Sched prepared for Choose.
+	// new in this execution. pend is the fresh point Sched prepared for
+	// Choose.
 	lastSched, open int
 	frontier        int
-	nready          int
 	pend            schedPoint
 
 	slept, blocked int
 }
 
 // Sched implements machine.Reducer.
-func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bool) bool {
+func (d *dfsChooser) Sched(ran *machine.Transition, ready []machine.TID, crash bool) bool {
 	if ran == nil {
 		d.lastSched, d.open = -1, -1
-	} else if d.open >= 0 {
-		// A transition is the same every time its choices are replayed,
-		// so only a new one can add to the footprint.
-		if d.pos > d.frontier {
-			d.fold(d.sched(&d.points[d.open]), ran)
+		d.startEra()
+	} else {
+		d.record(ran)
+		if d.open >= 0 {
+			// A transition is the same every time its choices are
+			// replayed, so only a new one can add to the footprint.
+			if d.pos > d.frontier {
+				d.fold(d.sched(&d.points[d.open]), &ran.Footprint)
+			}
+			d.open = -1
 		}
-		d.open = -1
 	}
-	d.nready = len(ready)
 	if len(ready) == 0 {
+		d.endEra(crash && d.nev > d.keep)
 		return true
 	}
 	if d.pos < len(d.points) {
 		if s := d.sched(&d.points[d.pos]); s != nil && s.due {
 			s.due = false
-			d.evaluate(s, false)
+			if d.points[d.pos].chosen < s.nth {
+				d.evaluate(s, false)
+			} else if !d.evaluate(s, true) {
+				d.endEra(true) // as at a fresh draw whose crash is all that is left
+				return false
+			} else {
+				d.pushAnswers(d.leaves[s.cur], 0)
+			}
 		}
 		return true
 	}
 	p := &d.pend
-	*p = schedPoint{on: true, nth: len(ready), tidLo: int32(len(d.tids)), cur: -1}
+	*p = schedPoint{on: true, nth: len(ready), tidLo: int32(len(d.tids)), cur: -1, era: int32(d.eraLo)}
 	p.leafLo, p.leafHi = int32(len(d.leaves)), int32(len(d.leaves))
 	d.tids = append(d.tids, ready...)
 	p.tidHi, p.sleepLo = int32(len(d.tids)), int32(len(d.sl))
 	if ran != nil && d.lastSched >= 0 && !ran.Global() {
 		par := d.sched(&d.points[d.lastSched])
 		for _, e := range d.sl[par.sleepLo:par.doneHi] {
-			if d.independent(e, ran) {
+			if e.tid != ran.Thread() && d.independent(e, &ran.Footprint) {
 				d.sl = append(d.sl, e)
 			}
 		}
@@ -133,19 +156,22 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 			p.first = i
 		}
 	}
+	d.slept += asleep
+	d.follow(p, ready)
 	if p.first < 0 {
 		if !crash {
 			d.blocked++
+			d.endEra(false)
 			d.tids, d.sl = d.tids[:p.tidLo], d.sl[:p.sleepLo]
 			p.on = false
 			return false
 		}
 		p.first = len(ready)
 	}
-	d.slept += asleep
-	if crash && len(ready)-asleep <= 1 && !d.evaluate(p, p.first == p.nth) {
+	if crash && len(p.wut) == 0 && len(ready)-asleep <= 1 && !d.evaluate(p, p.first == p.nth) {
 		// The crash, the only option left, reaches only boundaries other
 		// prefixes own: every state of it is skipped, and so is the draw.
+		d.endEra(true)
 		d.tids, d.sl = d.tids[:p.tidLo], d.sl[:p.sleepLo]
 		p.on = false
 		return false
@@ -155,17 +181,7 @@ func (d *dfsChooser) Sched(ran *machine.Footprint, ready []machine.TID, crash bo
 
 // independent reports whether e's transition commutes with ran.
 func (d *dfsChooser) independent(e sleeper, ran *machine.Footprint) bool {
-	if e.global {
-		return false
-	}
-	for _, a := range d.acc[e.lo:e.hi] {
-		for _, b := range ran.Accesses() {
-			if a.Conflicts(b) {
-				return false
-			}
-		}
-	}
-	return true
+	return !e.global && !machine.Conflict(d.acc[e.lo:e.hi], ran.Accesses())
 }
 
 // asleep reports whether option i of s runs a thread in its inherited
@@ -203,7 +219,7 @@ func (d *dfsChooser) fold(s *schedPoint, ran *machine.Footprint) {
 	}
 }
 
-// sched returns p's part of the sleep sets, nil when it has none.
+// sched returns p's part of the reduction, nil when it has none.
 func (d *dfsChooser) sched(p *choicePoint) *schedPoint {
 	if p.si == 0 {
 		return nil
@@ -229,6 +245,7 @@ func (d *dfsChooser) chose(i int) {
 		d.open = i
 	} else {
 		d.crashAt = i
+		d.endEra(i >= d.frontier)
 	}
 }
 
@@ -277,23 +294,37 @@ func (d *dfsChooser) trim(i int) {
 }
 
 // nextOption finishes p's chosen option and returns the next one to
-// explore, p.n or more when there is none: at a "sched" point the
-// finished thread joins the point's done entries, and threads asleep
-// there are skipped.
+// explore, p.n or more when there is none. A data choice goes round
+// from the option it started at. At a "sched" point the finished thread
+// joins the point's done entries, and the next option is the wakeup
+// tree's next branch, whose transitions the next execution follows;
+// after the last, the crash.
 func (d *dfsChooser) nextOption(p *choicePoint) int {
 	s := d.sched(p)
 	if s == nil {
-		return p.chosen + 1
+		c := p.chosen + 1
+		if c == p.n {
+			c = 0
+		}
+		if c == int(p.start) {
+			return p.n
+		}
+		return c
 	}
-	if p.chosen < s.nth {
-		e := sleeper{tid: d.tids[s.tidLo+int32(p.chosen)], global: s.curGlobal, lo: s.curLo, hi: s.curHi}
-		d.sl = append(d.sl[:s.doneHi], e)
-		s.doneHi++
-		s.curLo, s.curHi, s.curGlobal = int32(len(d.acc)), int32(len(d.acc)), false
+	if p.chosen >= s.nth {
+		return p.n
 	}
-	c := p.chosen + 1
-	for c < s.nth && d.asleep(s, c) {
-		c++
+	e := sleeper{tid: d.tids[s.tidLo+int32(p.chosen)], global: s.curGlobal, lo: s.curLo, hi: s.curHi}
+	d.sl = append(d.sl[:s.doneHi], e)
+	s.doneHi++
+	s.curLo, s.curHi, s.curGlobal = int32(len(d.acc)), int32(len(d.acc)), false
+	for len(s.wut) > 0 {
+		w := s.wut[0]
+		s.wut = s.wut[1:]
+		if i := slices.Index(d.tids[s.tidLo:s.tidHi], w.tid); i >= 0 {
+			d.gnode, d.gans = w, 0
+			return i
+		}
 	}
-	return c
+	return s.nth
 }

@@ -35,9 +35,9 @@ func cells(k int, shared bool) *Scenario {
 
 // TestSleepSetsCollapseDisjointThreads: two threads of k stores on
 // disjoint cells have one execution up to reordering, and the reduced
-// search checks exactly one, stopping the others where every thread
+// search runs exactly one, with no execution stopped where every thread
 // left sleeps. On one shared cell no two stores commute: the reduced
-// search checks one execution per order of the 2k stores, C(2k, k),
+// search runs one execution per order of the 2k stores, C(2k, k),
 // where the plain search also runs every place the threads' spawns and
 // starts, which commute with everything, can take among them.
 func TestSleepSetsCollapseDisjointThreads(t *testing.T) {
@@ -54,9 +54,9 @@ func TestSleepSetsCollapseDisjointThreads(t *testing.T) {
 		if shared {
 			want = orders
 		}
-		if checked := red.Executions - red.Stats.SleepBlocked; checked != want || red.Stats.SleepBlocked == 0 {
-			t.Errorf("shared=%v: %d executions checked, %d blocked; want %d checked and some blocked",
-				shared, checked, red.Stats.SleepBlocked, want)
+		if red.Executions != want || red.Stats.SleepBlocked != 0 {
+			t.Errorf("shared=%v: %d executions, %d blocked; want %d and none blocked",
+				shared, red.Executions, red.Stats.SleepBlocked, want)
 		}
 		if plain.Executions <= red.Executions || plain.Stats.Slept != 0 || plain.Stats.SleepBlocked != 0 {
 			t.Errorf("shared=%v: plain search %s, reduced %s", shared, plain.Stats, red.Stats)
@@ -184,28 +184,30 @@ func budgeted() *Scenario {
 // nothing, so two threads whose only shared state is the budget commute.
 // Running either one first reaches every outcome — the first injects or
 // declines, and the second gets the offer only when the first declined —
-// so the reduced search checks one order and finds the same three
-// outcomes the plain search finds in both.
+// so the reduced search runs one order, three executions with none
+// blocked, and finds the same three outcomes the plain search finds in
+// both.
 func TestSleepSetsFaultBudgetCommutes(t *testing.T) {
 	red, plain, err := SelfCheck(budgeted(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !red.Complete || !plain.Complete || red.Stats.SleepBlocked == 0 {
-		t.Fatalf("reduced %s, plain %s: want both complete and the reduced one blocked", red, plain)
+	if !red.Complete || !plain.Complete || red.Stats.SleepBlocked != 0 {
+		t.Fatalf("reduced %s, plain %s: want both complete and none blocked", red, plain)
 	}
-	if checked := red.Executions - red.Stats.SleepBlocked; checked != 3 || plain.Executions <= checked {
-		t.Errorf("reduced search checked %d executions, plain %d; want 3 and more", checked, plain.Executions)
+	if red.Executions != 3 || plain.Executions <= red.Executions {
+		t.Errorf("reduced search ran %d executions, plain %d; want 3 and more", red.Executions, plain.Executions)
 	}
 }
 
 // TestSelfCheckBoundedPlainSearch: at a budget the reduced search
-// completes within and the plain one does not, SelfCheck passes when
-// every outcome the plain search reached is among the reduced search's,
-// and still reports one that is not.
+// completes within and the plain one does not — one execution short of
+// the plain search's — SelfCheck passes when every outcome the plain
+// search reached is among the reduced search's, and still reports one
+// that is not.
 func TestSelfCheckBoundedPlainSearch(t *testing.T) {
 	for _, s := range []*Scenario{cells(4, false), undeclared(false, false)} {
-		budget := Run(s, Options{}).Executions
+		budget := Run(s, Options{NoReduce: true}).Executions - 1
 		with, without, err := SelfCheck(s, Options{MaxExecutions: budget})
 		if !with.Complete || without.Complete {
 			t.Fatalf("%s at %d: reduced %s, plain %s; want only the reduced search complete", s.Name, budget, with, without)
@@ -213,5 +215,76 @@ func TestSelfCheckBoundedPlainSearch(t *testing.T) {
 		if lost := s.Name == "undeclared"; lost != (err != nil && strings.Contains(err.Error(), "outcomes")) {
 			t.Errorf("%s at %d: %v", s.Name, budget, err)
 		}
+	}
+}
+
+// TestWakeupTreesNegativeControl: the rule's mutation that never
+// inserts one race's reversal — the first the search finds and its
+// trees do not cover yet — is convicted by SelfCheck on undeclared,
+// where the two threads' declared transitions conflict and so race: the
+// one order the mutated search runs hides the violation of the other,
+// and, without the violation, its outcome.
+func TestWakeupTreesNegativeControl(t *testing.T) {
+	defer func() { dropReversal = nil }()
+	for _, violate := range []bool{true, false} {
+		dropped := 0
+		dropReversal = func() bool { dropped++; return dropped == 1 }
+		_, _, err := SelfCheck(undeclared(true, violate), Options{})
+		want := "outcomes"
+		if violate {
+			want = "verdict"
+		}
+		if dropped == 0 || err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("violate=%v: %d reversals offered, SelfCheck: %v; want a %s change", violate, dropped, err, want)
+		}
+	}
+	dropReversal = nil
+	for _, violate := range []bool{true, false} {
+		if _, _, err := SelfCheck(undeclared(true, violate), Options{}); err != nil {
+			t.Errorf("SelfCheck without the mutation, violate=%v: %v", violate, err)
+		}
+	}
+}
+
+// twoModes is two threads sharing a Go variable: A, spawned first,
+// writes it and reads it back in one transition, B reads it, and each
+// folds its mark into a durable register, so the two orders leave
+// different final states.
+func twoModes() *Scenario {
+	v := machine.StaticObj()
+	return &Scenario{
+		Name:        "two-modes",
+		Spec:        regSpec(true),
+		MachineOpts: machine.Options{MaxSteps: 500},
+		Setup: func(m *machine.Machine) any {
+			d := &durableReg{}
+			m.RegisterDevice(d)
+			return d
+		},
+		Main: func(t *machine.T, wAny any, h *Harness) {
+			d := wAny.(*durableReg)
+			mark := func(c *machine.T, x uint64, modes ...machine.Mode) {
+				c.StepDeclared("mark")
+				for _, md := range modes {
+					c.Machine().Touch(v, md)
+				}
+				d.v = d.v*4 + x
+			}
+			t.Go(func(c *machine.T) { mark(c, 1, machine.Write, machine.Read) })
+			t.Go(func(c *machine.T) { mark(c, 2, machine.Read) })
+		},
+	}
+}
+
+// TestRaceAcrossTwoModesOfOneObject: a transition that touches one
+// object in two modes indexes both accesses, so a later read finds the
+// write under the read and the search runs both orders.
+func TestRaceAcrossTwoModesOfOneObject(t *testing.T) {
+	red, _, err := SelfCheck(twoModes(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Executions != 2 || red.Stats.SleepBlocked != 0 {
+		t.Errorf("reduced search: %s (%s); want 2 executions, none blocked", red, red.Stats)
 	}
 }

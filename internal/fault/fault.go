@@ -197,7 +197,7 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	} else if !p.Eligible[c] {
 		return false
 	}
-	// The budget declares nothing (DESIGN.md "Sleep sets"): a decision
+	// The budget declares nothing (DESIGN.md "Source sets and wakeup trees"): a decision
 	// only offers an injection while the budget lasts, and an offer that
 	// is not taken leaves the state as no offer does, so two threads'
 	// decisions reach the same states in either order.

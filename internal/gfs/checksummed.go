@@ -144,7 +144,7 @@ type Checksummed struct {
 
 	// m is the machine of the Model the layer wraps (through a Faulty),
 	// nil over any other backend: the detection count declares its
-	// accesses there (DESIGN.md "Sleep sets"), as object obj.
+	// accesses there (DESIGN.md "Source sets and wakeup trees"), as object obj.
 	m   *machine.Machine
 	obj machine.Obj
 }

@@ -150,7 +150,8 @@ type Faulty struct {
 
 	// m is the machine of the Model the layer wraps, nil over any other
 	// backend: the latches declare their accesses there (DESIGN.md
-	// "Sleep sets"), as objects obj+failStopLatch and obj+noSpaceLatch.
+	// "Source sets and wakeup trees"), as objects obj+failStopLatch and
+	// obj+noSpaceLatch.
 	m   *machine.Machine
 	obj machine.Obj
 }

@@ -221,8 +221,8 @@ type Mirrored struct {
 	degradedAt  time.Time // set only with Metrics on (DegradedSeconds.Start)
 
 	// m is the machine of the Model under replica 0, nil over any other
-	// backend: the flags declare their accesses there (DESIGN.md "Sleep
-	// sets"), as objects obj+failedFlag+i, obj+repairFlags and
+	// backend: the flags declare their accesses there (DESIGN.md "Source
+	// sets and wakeup trees"), as objects obj+failedFlag+i, obj+repairFlags and
 	// obj+failoverCount.
 	m   *machine.Machine
 	obj machine.Obj

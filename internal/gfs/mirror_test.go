@@ -467,27 +467,12 @@ func TestMirroredUnwrapHelpers(t *testing.T) {
 	}
 }
 
-// footprints is a machine.Reducer that keeps every transition's
-// declared accesses, in order.
-type footprints struct{ ran [][]machine.Access }
-
-func (f *footprints) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
-	if ran != nil {
-		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
-	}
-	return true
-}
-
 // conflicts reports whether a transition of as conflicts with one of bs.
 func conflicts(as, bs [][]machine.Access) bool {
 	for _, a := range as {
 		for _, b := range bs {
-			for _, x := range a {
-				for _, y := range b {
-					if x.Conflicts(y) {
-						return true
-					}
-				}
+			if machine.Conflict(a, b) {
+				return true
 			}
 		}
 	}
@@ -501,7 +486,7 @@ func conflicts(as, bs [][]machine.Access) bool {
 // dropped Touch makes its case commute; a resilver's start and end each
 // write the repair flags Status reads.
 func TestMirrorStateDeclarations(t *testing.T) {
-	rec := &footprints{}
+	rec := &machine.Recorder{}
 	m := machine.New(machine.Options{MaxSteps: 100000, Reducer: rec})
 	r0 := NewChecksummed(NewModel(m, mirrorBackendDirs()), mirrorBackendDirs())
 	mir := NewMirrored(r0, NewModel(m, mirrorBackendDirs()), mirrorDirs)
@@ -509,10 +494,10 @@ func TestMirrorStateDeclarations(t *testing.T) {
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		span := func(name string, fn func()) {
 			mt.StepDeclared("mark")
-			lo := len(rec.ran) // the transition the mark starts ends at the next draw
+			lo := len(rec.Ran) // the transition the mark starts ends at the next draw
 			fn()
 			mt.StepDeclared("mark")
-			spans[name] = rec.ran[lo:len(rec.ran):len(rec.ran)]
+			spans[name] = rec.Ran[lo:len(rec.Ran):len(rec.Ran)]
 		}
 		span("resilver", func() { mir.Resilver(mt) })
 		span("alive(0)", func() { mir.alive(0) })

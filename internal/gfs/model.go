@@ -142,7 +142,7 @@ func NewWritebackModel(m *machine.Machine, dirs []string) *Model {
 // budget before any data is appended.
 const SpaceEntryCost = 16
 
-// Footprints (DESIGN.md "Sleep sets"): a directory's entries are one
+// Footprints (DESIGN.md "Source sets and wakeup trees"): a directory's entries are one
 // object, an inode's contents another, and the space SetCapacity bounds
 // a third, which every call that spends or frees space writes. Inode
 // numbers are not declared: two Creates commute up to the numbers they

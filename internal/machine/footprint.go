@@ -1,15 +1,18 @@
 package machine
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
-// Footprints (DESIGN.md "Sleep sets"). A transition is the step a
-// "sched" draw picks plus the Go code its thread runs up to its next
-// draw. Its footprint is what it declared it touches: each primitive
-// declares its own accesses (StepDeclared, then Touch), and Go-level
-// state shared between simulated threads declares its accesses with
-// Touch. A transition whose step was taken with plain Step declared
+// Footprints (DESIGN.md "Source sets and wakeup trees"). A transition
+// is the step a "sched" draw picks plus the Go code its thread runs up
+// to its next draw. Its footprint is what it declared it touches: each
+// primitive declares its own accesses (StepDeclared, then Touch), and
+// Go-level state shared between simulated threads declares its accesses
+// with Touch. A transition whose step was taken with plain Step declared
 // nothing and is global: dependent with every other transition. The
-// explorer's sleep sets never reorder two dependent transitions.
+// explorer never reorders two dependent transitions.
 
 // Obj names one piece of state a transition may touch. Names are plain
 // integers: a collision between two names only adds a dependency.
@@ -34,6 +37,12 @@ const (
 
 // Access is one declared access: an object and its mode.
 type Access uint64
+
+// Obj returns the object a touches.
+func (a Access) Obj() Obj { return Obj(a >> 2) }
+
+// Mode returns how a touches it.
+func (a Access) Mode() Mode { return Mode(a & 3) }
 
 // Conflicts reports whether a and b touch one object in modes that do
 // not commute.
@@ -60,8 +69,29 @@ func (f *Footprint) Global() bool { return f.global }
 // Accesses returns the declared accesses, without duplicates.
 func (f *Footprint) Accesses() []Access { return f.acc[:f.n] }
 
-// start begins a transition's footprint.
-func (f *Footprint) start(global bool) { f.global, f.n = global, 0 }
+// Transition is what the Reducer is told of the transition a draw
+// ends: the thread that ran it, the thread its go step spawned, if any,
+// and its footprint. Two transitions are ordered when their footprints
+// conflict, when one thread ran both, and by the two edges footprints
+// do not carry: a spawned thread's first transition comes after the
+// transition that spawned it, and an era's first draw (ran nil) comes
+// after everything before it.
+type Transition struct {
+	Footprint
+	thread, spawned TID
+}
+
+// Thread returns the thread that ran the transition.
+func (t *Transition) Thread() TID { return t.thread }
+
+// Spawned returns the thread the transition spawned; ok is false when
+// it spawned none. A transition spawns at most one: T.Go is a step.
+func (t *Transition) Spawned() (tid TID, ok bool) { return t.spawned, t.spawned >= 0 }
+
+// start begins thread tid's transition.
+func (t *Transition) start(tid TID, global bool) {
+	t.thread, t.spawned, t.global, t.n = tid, -1, global, 0
+}
 
 func (f *Footprint) add(a Access) {
 	if f.global {
@@ -86,14 +116,15 @@ func (f *Footprint) add(a Access) {
 // no footprint.
 type Reducer interface {
 	// Sched is called at every "sched" draw, before the Chooser's
-	// Choose(n, "sched"). ran is the footprint of the transition the draw
-	// ends, nil at an era's first draw; ready lists the threads the
-	// draw's options run, in option order; crash says a last option
-	// crashes. Returning false ends the era (Outcome Stopped) instead of
-	// drawing. Sched is called once more, with ready empty, when the era
-	// has no runnable thread left; its answer is then ignored. ran and
-	// ready are the machine's and are valid only during the call.
-	Sched(ran *Footprint, ready []TID, crash bool) bool
+	// Choose(n, "sched"). ran is the transition the draw ends, nil at an
+	// era's first draw; ready lists the threads the draw's options run,
+	// in option order (a thread blocked on a lock is not among them);
+	// crash says a last option crashes. Returning false ends the era
+	// (Outcome Stopped) instead of drawing. Sched is called once more,
+	// with ready empty, when the era has no runnable thread left; its
+	// answer is then ignored. ran and ready are the machine's and are
+	// valid only during the call.
+	Sched(ran *Transition, ready []TID, crash bool) bool
 }
 
 // staticObjs hands out the names of StaticObj.
@@ -124,15 +155,47 @@ func (m *Machine) Objects(n uint64) Obj {
 // transition.
 func (m *Machine) Touch(o Obj, md Mode) {
 	if r := m.red; r != nil {
-		r.fp.add(Access(o)<<2 | Access(md))
+		r.tr.add(Access(o)<<2 | Access(md))
 	}
 }
 
 // reduction is what a machine records for its Reducer: the running
-// transition's footprint, whether the era has run none yet, and the
-// draw's thread list.
+// transition, whether the era has run none yet, and the draw's thread
+// list.
 type reduction struct {
-	fp    Footprint
+	tr    Transition
 	first bool
 	ids   []TID
+}
+
+// Recorder is a Reducer that keeps every transition it is told of, in
+// the order they ran, and lets every draw through: the witness of tests
+// of what a primitive or a layer declares.
+type Recorder struct {
+	// Ran holds each transition's accesses, Threads the thread that ran
+	// it, and Spawned the thread it spawned (-1 when none).
+	Ran              [][]Access
+	Threads, Spawned []TID
+}
+
+// Sched implements Reducer.
+func (r *Recorder) Sched(ran *Transition, _ []TID, _ bool) bool {
+	if ran != nil {
+		r.Ran = append(r.Ran, slices.Clone(ran.Accesses()))
+		r.Threads = append(r.Threads, ran.thread)
+		r.Spawned = append(r.Spawned, ran.spawned)
+	}
+	return true
+}
+
+// Conflict reports whether an access of a conflicts with one of b.
+func Conflict(a, b []Access) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x.Conflicts(y) {
+				return true
+			}
+		}
+	}
+	return false
 }

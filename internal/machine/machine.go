@@ -502,7 +502,7 @@ func (m *Machine) draw() (choice, n int) {
 	}
 	choice = m.chooser.Choose(n, "sched")
 	if m.red != nil && choice >= 0 && choice < len(ready) {
-		m.red.fp.start(!ready[choice].declared)
+		m.red.tr.start(ready[choice].id, !ready[choice].declared)
 	}
 	return choice, n
 }
@@ -517,7 +517,7 @@ func (m *Machine) tellReducer(ready []*thread) bool {
 		ids = append(ids, th.id)
 	}
 	r.ids = ids
-	ran := &r.fp
+	ran := &r.tr
 	if r.first {
 		ran, r.first = nil, false
 	}
@@ -693,6 +693,9 @@ func (t *T) Go(fn func(t *T)) TID {
 	t.StepDeclared("go")
 	t.m.Touch(threadsObj, Write)
 	tid := t.m.spawn(fn)
+	if r := t.m.red; r != nil {
+		r.tr.spawned = tid
+	}
 	t.Tracef("go -> t%d", tid)
 	return tid
 }

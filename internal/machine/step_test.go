@@ -229,7 +229,7 @@ func (a *alternate) CrashInjected()    {}
 // the accesses it is told of.
 type countingReducer struct{ draws, accesses int }
 
-func (r *countingReducer) Sched(ran *Footprint, ready []TID, crash bool) bool {
+func (r *countingReducer) Sched(ran *Transition, ready []TID, crash bool) bool {
 	r.draws++
 	if ran != nil {
 		r.accesses += len(ran.Accesses())
@@ -263,7 +263,7 @@ func TestFootprintAllocs(t *testing.T) {
 		for o := Obj(0); o <= MaxAccesses; o++ {
 			m.Touch(o, Write)
 		}
-		if !m.red.fp.Global() {
+		if !m.red.tr.Global() {
 			t.Errorf("a transition of %d accesses is not global", MaxAccesses+1)
 		}
 		mt.Failf("done")
@@ -276,5 +276,32 @@ func TestFootprintAllocs(t *testing.T) {
 	}
 	if red.draws == 0 || red.accesses == 0 {
 		t.Fatalf("the reducer saw %d draws and %d accesses", red.draws, red.accesses)
+	}
+}
+
+// TestTransitionsSayThreadAndSpawn: the Reducer is told which thread
+// ran each transition and which thread a go step spawned, the one
+// happens-before edge between two threads that no footprint carries.
+func TestTransitionsSayThreadAndSpawn(t *testing.T) {
+	rec := &Recorder{}
+	m := New(Options{Reducer: rec})
+	var child TID
+	res := m.RunEra(SeqChooser{}, false, func(mt *T) {
+		r := NewRef(mt, "x", 0)
+		child = mt.Go(func(c *T) { r.Load(c) })
+		r.Load(mt)
+	})
+	if res.Outcome != Done {
+		t.Fatal(res)
+	}
+	// t0: start..alloc, alloc..go, go..load (spawns), load..exit; then
+	// t1: start..load, load..exit.
+	wantThreads := []TID{0, 0, 0, 0, 1, 1}
+	wantSpawned := []TID{-1, -1, child, -1, -1, -1}
+	if !slices.Equal(rec.Threads, wantThreads) || !slices.Equal(rec.Spawned, wantSpawned) {
+		t.Fatalf("threads %v, spawned %v; want %v and %v", rec.Threads, rec.Spawned, wantThreads, wantSpawned)
+	}
+	if !Conflict(rec.Ran[2], []Access{Access(threadsObj)<<2 | Access(Write)}) {
+		t.Errorf("the go step's transition %v does not write the thread table", rec.Ran[2])
 	}
 }

@@ -125,17 +125,6 @@ func TestDedupSelfCheckCorrupt(t *testing.T) {
 		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
 }
 
-// lastFootprint is a machine.Reducer that keeps every transition's
-// declared accesses, in order.
-type lastFootprint struct{ ran [][]machine.Access }
-
-func (f *lastFootprint) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
-	if ran != nil {
-		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
-	}
-	return true
-}
-
 // TestObserveUpdatesConflict: two observed sessions on different users
 // share only the count the last observation saw, which each session's
 // closing transition reads and writes, so those two transitions must
@@ -148,7 +137,7 @@ func TestObserveUpdatesConflict(t *testing.T) {
 		Checksum:    true,
 		Property:    Detection,
 	})
-	rec := &lastFootprint{}
+	rec := &machine.Recorder{}
 	m := machine.New(machine.Options{MaxSteps: 3000, Reducer: rec})
 	w := s.Setup(m).(*World)
 	if res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) { s.Init(mt, w) }); res.Outcome != machine.Done {
@@ -159,7 +148,7 @@ func TestObserveUpdatesConflict(t *testing.T) {
 		for u := range last {
 			w.session(mt, &explore.Harness{}, Detection, uint64(u), false)
 			mt.StepDeclared("mark")
-			last[u] = rec.ran[len(rec.ran)-1] // the transition the mark ended
+			last[u] = rec.Ran[len(rec.Ran)-1] // the transition the mark ended
 		}
 	})
 	if res.Outcome != machine.Done {

@@ -24,8 +24,8 @@ type quotaState struct {
 	used  []uint64
 	sizes []map[string]uint64 // per user: mailbox name -> message bytes
 	// m is the machine of a modeled store, nil on a native one: user u's
-	// accounting is object obj+u in its footprints (DESIGN.md "Sleep
-	// sets").
+	// accounting is object obj+u in its footprints (DESIGN.md "Source
+	// sets and wakeup trees").
 	m   *machine.Machine
 	obj machine.Obj
 }

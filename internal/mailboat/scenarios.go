@@ -32,7 +32,7 @@ type World struct {
 	// detected counts the detections of the stacks earlier eras ran on;
 	// seen is the detection count at the last OpObserve, which sessions
 	// on several threads update: each update declares itself on m as
-	// object seenObj (DESIGN.md "Sleep sets").
+	// object seenObj (DESIGN.md "Source sets and wakeup trees").
 	detected, seen uint64
 	m              *machine.Machine
 	seenObj        machine.Obj

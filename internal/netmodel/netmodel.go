@@ -94,7 +94,7 @@ type Net struct {
 	stash    [2][]held  // reordered frames per destination
 
 	// The charge and each destination's queue declare their accesses
-	// on m (DESIGN.md "Sleep sets"), as objects obj+chargeObj and
+	// on m (DESIGN.md "Source sets and wakeup trees"), as objects obj+chargeObj and
 	// obj+stashObj+dst.
 	m   *machine.Machine
 	obj machine.Obj

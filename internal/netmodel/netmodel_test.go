@@ -349,35 +349,11 @@ func TestUntracedCallAllocs(t *testing.T) {
 	}
 }
 
-// footprints is a machine.Reducer that records each transition's
-// declared accesses in order and lets every draw through.
-type footprints struct{ ran [][]machine.Access }
-
-func (f *footprints) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
-	if ran != nil {
-		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
-	}
-	return true
-}
-
-// conflict reports whether two footprints touch one object in modes
-// that do not commute.
-func conflict(a, b []machine.Access) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x.Conflicts(y) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TestCallsCommuteAcrossDestinations: the send declares its
 // destination's queue and reads the partition charge, so a call to node
 // 0 and one to node 1 commute, and two calls to node 0 do not.
 func TestCallsCommuteAcrossDestinations(t *testing.T) {
-	rec := &footprints{}
+	rec := &machine.Recorder{}
 	m := machine.New(machine.Options{Reducer: rec})
 	n := New(m, fault.Never{})
 	for i := range 2 {
@@ -387,7 +363,7 @@ func TestCallsCommuteAcrossDestinations(t *testing.T) {
 	res := m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		for _, dst := range []int{0, 1, 0} {
 			mt.StepDeclared("mark")
-			sends = append(sends, len(rec.ran)+1) // the send's transition ends at the next draw
+			sends = append(sends, len(rec.Ran)+1) // the send's transition ends at the next draw
 			n.Call(mt, dst, []byte("req"))
 		}
 		mt.StepDeclared("mark")
@@ -395,14 +371,14 @@ func TestCallsCommuteAcrossDestinations(t *testing.T) {
 	if res.Outcome != machine.Done {
 		t.Fatal(res)
 	}
-	to0, to1, to0again := rec.ran[sends[0]], rec.ran[sends[1]], rec.ran[sends[2]]
+	to0, to1, to0again := rec.Ran[sends[0]], rec.Ran[sends[1]], rec.Ran[sends[2]]
 	if len(to0) == 0 || len(to1) == 0 {
 		t.Fatalf("a send declared nothing: %v, %v", to0, to1)
 	}
-	if conflict(to0, to1) {
+	if machine.Conflict(to0, to1) {
 		t.Errorf("calls to nodes 0 and 1 conflict: %v vs %v", to0, to1)
 	}
-	if !conflict(to0, to0again) {
+	if !machine.Conflict(to0, to0again) {
 		t.Errorf("two calls to node 0 commute: %v vs %v", to0, to0again)
 	}
 }
@@ -416,7 +392,7 @@ func TestCallsCommuteAcrossDestinations(t *testing.T) {
 // frame late. Each declaration is the only access its case's pair of
 // transitions shares, so a dropped Touch makes its case commute.
 func TestLinkStateDeclarations(t *testing.T) {
-	rec := &footprints{}
+	rec := &machine.Recorder{}
 	m := machine.New(machine.Options{Reducer: rec})
 	n := New(m, funcPolicy(func(c fault.Class, i uint64) bool {
 		return (c == fault.Partition || c == fault.Reorder) && i == 0
@@ -424,7 +400,7 @@ func TestLinkStateDeclarations(t *testing.T) {
 	var late []int
 	n.Bind(0, func(t gfs.T, _ []byte) []byte {
 		t.(*machine.T).StepDeclared("handle")
-		late = append(late, len(rec.ran)) // the transition the step starts
+		late = append(late, len(rec.Ran)) // the transition the step starts
 		return nil
 	})
 	n.Bind(1, func(gfs.T, []byte) []byte { return nil })
@@ -434,11 +410,11 @@ func TestLinkStateDeclarations(t *testing.T) {
 		for i, dst := range []int{0, 1, 0, 1, 0} {
 			if i == 3 {
 				mt.StepDeclared("mark")
-				partitioned = len(rec.ran)
+				partitioned = len(rec.Ran)
 				n.Partitioned()
 			}
 			mt.StepDeclared("mark")
-			sends = append(sends, len(rec.ran)+1) // the send's transition ends at the next draw
+			sends = append(sends, len(rec.Ran)+1) // the send's transition ends at the next draw
 			n.Call(mt, dst, []byte("req"))
 		}
 		mt.StepDeclared("mark")
@@ -446,7 +422,7 @@ func TestLinkStateDeclarations(t *testing.T) {
 	if res.Outcome != machine.Done || len(late) != 2 {
 		t.Fatalf("era %v, %d handler runs on node 0, want 2", res, len(late))
 	}
-	start, eaten, held, delivered := rec.ran[sends[0]], rec.ran[sends[1]], rec.ran[sends[2]], rec.ran[sends[3]]
+	start, eaten, held, delivered := rec.Ran[sends[0]], rec.Ran[sends[1]], rec.Ran[sends[2]], rec.Ran[sends[3]]
 	for _, c := range []struct {
 		name     string
 		a, b     []machine.Access
@@ -454,11 +430,11 @@ func TestLinkStateDeclarations(t *testing.T) {
 	}{
 		{"burst start / later send", start, delivered, true},
 		{"eaten frame / later send", eaten, held, true},
-		{"burst start / Partitioned", start, rec.ran[partitioned], true},
-		{"after a late handler / send to its node", rec.ran[late[0]], held, true},
+		{"burst start / Partitioned", start, rec.Ran[partitioned], true},
+		{"after a late handler / send to its node", rec.Ran[late[0]], held, true},
 		{"sends to nodes 0 and 1", held, delivered, false},
 	} {
-		if got := conflict(c.a, c.b); got != c.conflict {
+		if got := machine.Conflict(c.a, c.b); got != c.conflict {
 			t.Errorf("%s: conflict %v, want %v (%v vs %v)", c.name, got, c.conflict, c.a, c.b)
 		}
 	}

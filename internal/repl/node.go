@@ -126,7 +126,7 @@ type Node struct {
 	// goroutines; protocol-path writes hold both the replication lock
 	// and (briefly) mu. Never held across store operations. Under the
 	// checker, every mu section declares the fields it reads or writes
-	// on m (DESIGN.md "Sleep sets"), as objects obj+epochObj, obj+seqObj,
+	// on m (DESIGN.md "Source sets and wakeup trees"), as objects obj+epochObj, obj+seqObj,
 	// obj+roleObj and obj+resyncObj: Pair reads them outside the
 	// replication lock. lastApplied, resyncEpoch and window are touched
 	// only under that lock, which orders them.

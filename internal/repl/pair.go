@@ -38,7 +38,7 @@ type Pair struct {
 	lockAt []int
 
 	// primary and lockAt are shared by the client threads: each access
-	// declares itself on m (DESIGN.md "Sleep sets"), as objects
+	// declares itself on m (DESIGN.md "Source sets and wakeup trees"), as objects
 	// obj+primaryObj and obj+lockAtObj+user. Nodes and sys are written
 	// only by NewPair and Recover, each alone in its era.
 	m   *machine.Machine

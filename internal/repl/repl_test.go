@@ -169,29 +169,9 @@ func TestPairFailover(t *testing.T) {
 	}
 }
 
-// footprints is a machine.Reducer that records each transition's
-// declared accesses in order and lets every draw through.
-type footprints struct{ ran [][]machine.Access }
-
-func (f *footprints) Sched(ran *machine.Footprint, _ []machine.TID, _ bool) bool {
-	if ran != nil {
-		f.ran = append(f.ran, append([]machine.Access(nil), ran.Accesses()...))
-	}
-	return true
-}
-
 // conflicts reports whether footprint a conflicts with any of bs.
 func conflicts(a []machine.Access, bs [][]machine.Access) bool {
-	for _, b := range bs {
-		for _, x := range a {
-			for _, y := range b {
-				if x.Conflicts(y) {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	return slices.ContainsFunc(bs, func(b []machine.Access) bool { return machine.Conflict(a, b) })
 }
 
 // TestPrimaryWriteConflictsWithLeaderRead: ensureLivePrimary reads the
@@ -200,26 +180,26 @@ func conflicts(a []machine.Access, bs [][]machine.Access) bool {
 // read's transition touches nothing else a failover writes: without the
 // primary's declaration the two would commute.
 func TestPrimaryWriteConflictsWithLeaderRead(t *testing.T) {
-	rec := &footprints{}
+	rec := &machine.Recorder{}
 	r := newPairRigOn(machine.Options{MaxSteps: 300000, Reducer: rec}, fault.Never{}, fault.Never{})
 	var read, fo [2]int
 	res := r.m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 		p := r.build(mt)
 		mt.StepDeclared("mark")
-		read[0] = len(rec.ran) // the transition the mark starts ends at the next draw
+		read[0] = len(rec.Ran) // the transition the mark starts ends at the next draw
 		if cur, ok := p.ensureLivePrimary(mt); cur != 0 || !ok {
 			mt.Failf("primary %d, ok %v", cur, ok)
 		}
 		mt.StepDeclared("mark")
-		read[1] = len(rec.ran)
+		read[1] = len(rec.Ran)
 		r.f[0].FailStopNow("test: primary store dies")
 		mt.StepDeclared("mark")
-		fo[0] = len(rec.ran)
+		fo[0] = len(rec.Ran)
 		if !p.failover(mt) {
 			mt.Failf("failover refused")
 		}
 		mt.StepDeclared("mark")
-		fo[1] = len(rec.ran)
+		fo[1] = len(rec.Ran)
 	})
 	if res.Outcome != machine.Done {
 		t.Fatalf("era: %+v", res)
@@ -227,8 +207,8 @@ func TestPrimaryWriteConflictsWithLeaderRead(t *testing.T) {
 	if read[1]-read[0] != 1 {
 		t.Fatalf("ensureLivePrimary on a live primary took %d transitions, want 1", read[1]-read[0])
 	}
-	if !conflicts(rec.ran[read[0]], rec.ran[fo[0]:fo[1]]) {
-		t.Errorf("ensureLivePrimary's read %v commutes with every transition of the failover", rec.ran[read[0]])
+	if !conflicts(rec.Ran[read[0]], rec.Ran[fo[0]:fo[1]]) {
+		t.Errorf("ensureLivePrimary's read %v commutes with every transition of the failover", rec.Ran[read[0]])
 	}
 }
 
@@ -262,17 +242,17 @@ func TestSharedStateDeclarations(t *testing.T) {
 		{"another user's session", setSession(1), func(p *Pair, _ *machine.T) { p.sessionAt(0) }, true},
 	}
 	for _, c := range cases {
-		rec := &footprints{}
+		rec := &machine.Recorder{}
 		r := newPairRigOn(machine.Options{MaxSteps: 300000, Reducer: rec}, fault.Never{}, fault.Never{})
 		var write, read [2]int
 		res := r.m.RunEra(machine.SeqChooser{}, false, func(mt *machine.T) {
 			p := r.build(mt)
 			span := func(fn op, at *[2]int) {
 				mt.StepDeclared("mark")
-				at[0] = len(rec.ran) // the transition the mark starts ends at the next draw
+				at[0] = len(rec.Ran) // the transition the mark starts ends at the next draw
 				fn(p, mt)
 				mt.StepDeclared("mark")
-				at[1] = len(rec.ran)
+				at[1] = len(rec.Ran)
 			}
 			span(c.write, &write)
 			span(c.read, &read)
@@ -280,7 +260,7 @@ func TestSharedStateDeclarations(t *testing.T) {
 		if res.Outcome != machine.Done {
 			t.Fatalf("%s: era %+v", c.name, res)
 		}
-		w, rd := rec.ran[write[0]:write[1]], rec.ran[read[0]:read[1]]
+		w, rd := rec.Ran[write[0]:write[1]], rec.Ran[read[0]:read[1]]
 		if got := slices.ContainsFunc(rd, func(a []machine.Access) bool { return conflicts(a, w) }); got == c.commute {
 			t.Errorf("%s: conflict %v, want %v (write %v, read %v)", c.name, got, !c.commute, w, rd)
 		}

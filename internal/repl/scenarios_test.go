@@ -202,16 +202,16 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 	}
 }
 
-// TestReplicatedSelfCheckSleepSets runs the self-check where sleep sets
-// act on the replicated stack: a delivery races a pickup session while
-// either store may fail-stop, so a failover writes the pair's primary
-// under the other client's reads. The reduced search completes; the
-// plain one cannot (past 300,000 executions), so its first 10,000
-// executions and 10,000 random ones must reach no outcome the reduced
-// search misses.
-func TestReplicatedSelfCheckSleepSets(t *testing.T) {
+// TestReplicatedSelfCheckWakeupTrees runs the self-check where wakeup
+// trees and sleep sets act on the replicated stack: a delivery races a
+// pickup session while either store may fail-stop, so a failover writes
+// the pair's primary under the other client's reads. The reduced search
+// completes, in 1,303 executions; the plain one cannot
+// (past 300,000 executions), so its first 10,000 executions and 10,000
+// random ones must reach no outcome the reduced search misses.
+func TestReplicatedSelfCheckWakeupTrees(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the reduced search needs 7,674 executions, the plain side 20,000")
+		t.Skip("the plain side runs 20,000 executions")
 	}
 	s := Scenario("mb-repl-selfcheck-sleep", ScenarioOptions{
 		Config:      mailboat.Config{Users: 1, RandBound: 1, SyncOnDeliver: true, SyncDirs: true},
@@ -226,8 +226,8 @@ func TestReplicatedSelfCheckSleepSets(t *testing.T) {
 	}
 	t.Logf("without the reductions: %s", without)
 	t.Logf("with them:              %s (%d slept, %d blocked)", with, with.Stats.Slept, with.Stats.SleepBlocked)
-	if !with.Complete || with.Stats.SleepBlocked == 0 {
-		t.Fatal("the reduced search stopped at its budget or put no thread to sleep")
+	if !with.Complete || with.Executions != 1303 {
+		t.Fatalf("the reduced search ran %d executions, complete=%v; want 1,303 and complete", with.Executions, with.Complete)
 	}
 }
 
@@ -358,10 +358,9 @@ var composedFaults = mailboat.Faults{Budget: 2, Ops: fault.Classes(fault.FailSto
 // on a fail-stop of either node's store and on a reordered frame — a
 // store fault and a network fault in one execution, which separate
 // store and network policies could not state. The pair must still
-// refine the unchanged spec, and the search must really reach
-// executions that spend the budget on both axes. The complete search
-// is 255,586 executions at one worker, about 12 s: this test stops at
-// 20,000.
+// refine the unchanged spec, the search must complete — 32,594
+// executions, about 2 s — and it must really reach executions that
+// spend the budget on both axes.
 func TestReplicatedComposedFaultAxes(t *testing.T) {
 	s := Scenario("mb-repl-composed", ScenarioOptions{
 		Config:      smallConfig(),
@@ -380,14 +379,13 @@ func TestReplicatedComposedFaultAxes(t *testing.T) {
 			composed++
 		}
 	}
-	max := 20000
-	if testing.Short() {
-		max = 3000
-	}
-	rep := explore.Run(s, explore.Options{MaxExecutions: max})
+	rep := explore.Run(s, explore.Options{MaxExecutions: 100000})
 	t.Logf("report: %s; %d executions spent the budget on both axes", rep, composed)
 	if !rep.OK() {
 		t.Fatalf("violation:\n%s", rep.Counterexample.Format())
+	}
+	if !rep.Complete {
+		t.Fatalf("the search stopped at its budget: %s", rep)
 	}
 	if composed == 0 {
 		t.Fatal("no execution injected both a store fault and a network fault")

@@ -365,7 +365,7 @@ var mailboatVerified = []mailboatEntry{
 		// what survives is, per mailbox, the state after a prefix of
 		// its operations since the last crash, with torn bodies only
 		// where a link outlived its data (mailboat.PrefixSpec). This is
-		// the checked spec behind the README caveat. With sleep sets and
+		// the checked spec behind the README caveat. With wakeup trees and
 		// crash states evaluated in place the complete search is 1,030
 		// executions on one worker, inside the 8,000 budget (1.73M
 		// without the reductions); mailboat's
