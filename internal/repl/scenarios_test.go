@@ -94,7 +94,7 @@ func TestReplicatedCrashAndNet(t *testing.T) {
 // TestReplicatedFailStop: either node's store may fail-stop at any
 // operation (one death per execution); failover must keep every acked
 // operation visible. The suite's mb/replicated+failstop, complete in
-// 7,798 executions.
+// 1,355 executions.
 func TestReplicatedFailStop(t *testing.T) {
 	runComplete(t, Scenario("mb-repl-failstop", ScenarioOptions{
 		Config:      smallConfig(),

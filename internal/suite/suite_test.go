@@ -328,8 +328,8 @@ func TestParallelSearchSharesSpecStates(t *testing.T) {
 }
 
 // TestSelfCheckCompleteEntries is the witness of both reductions over
-// the suite (DESIGN.md "Source sets and wakeup trees"): every verified entry whose reduced
-// search completes at its own budget is searched again
+// the suite (DESIGN.md "Source sets and wakeup trees"): every verified
+// entry whose reduced search completes at its own budget is searched again
 // without them, and the two searches must agree on the verdict and on
 // the set of outcomes (explore.SelfCheck). The plain searches complete
 // within 250,000 executions but for three: mb/writeback+prefix-contract's
@@ -350,7 +350,7 @@ func TestSelfCheckCompleteEntries(t *testing.T) {
 		opts.MaxExecutions = 250000 // mb/writeback+sync-discipline's plain search is 132,073
 		switch e.Scenario.Name {
 		case "mb/writeback+prefix-contract", "mb/replicated+crash+net", "mb/replicated+failstop":
-			// The reduced searches complete in 1,030, 4,259 and 7,798.
+			// The reduced searches complete in 1,030, 4,259 and 1,355.
 			opts.MaxExecutions = 50000
 		}
 		with, without, err := explore.SelfCheck(e.Scenario, opts)
