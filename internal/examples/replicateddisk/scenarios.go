@@ -169,9 +169,5 @@ func build(name string, o ScenarioOptions, v variant) *explore.Scenario {
 			return nil
 		}
 	}
-	// All crash-surviving state lives in fingerprintable devices (the
-	// disks and the ghost Ctx), so the scenario opts into crash-boundary
-	// dedup with an identity hook (DESIGN.md "Crash-boundary dedup").
-	s.Fingerprint = func(_ any, b []byte) []byte { return b }
 	return s
 }

@@ -14,10 +14,11 @@ import (
 // continuations) is ordinary Go state it cannot enumerate — so the one
 // point where a state's future is a function of observable data alone
 // is the crash boundary: right after Machine.CrashReset, every thread
-// is dead and all volatile state is gone by construction. Two
-// executions whose crash boundaries agree on (durable device state,
-// scenario-held crash-surviving state, recorded history, remaining
-// crash budget, rand-policy call index) have identical suffix behavior,
+// is dead and all volatile state is gone by construction, and what a
+// crash keeps is a registered device's by the scenario's obligation.
+// Two executions whose crash boundaries agree on (durable device
+// state, recorded history, remaining crash budget, rand-policy call
+// index) have identical suffix behavior,
 // so once one prefix's recovery subtree is enumerated, other prefixes
 // reaching the same boundary can be pruned.
 //
@@ -77,14 +78,11 @@ func (t fpTable) ownedElsewhere(fp, owner uint64) bool {
 // dedupRun carries the dedup context of one search's executions: the
 // table, and the running execution's state that a boundary's
 // fingerprint reads, which runOne fills in. A search without one runs
-// no dedup (-noreduce, or no Fingerprint hook); replay, minimize and
-// stress run none either.
+// no dedup (-noreduce); replay, minimize and stress run none either.
 type dedupRun struct {
 	table fpTable
-	s     *Scenario
 
 	m           *machine.Machine
-	w           any
 	h           *Harness
 	rpc         *randPolicyChooser
 	crashesLeft int // in the running era, before its crash
@@ -155,10 +153,10 @@ func (dd *dedupRun) appendTail(b []byte, crash bool) []byte {
 
 // fingerprint hashes the crash boundary's state as it is in place:
 // first the tail, which seed is the hash of, then the devices' durable
-// encodings and the scenario's crash-surviving state. The tail is the
-// same for every crash state of a point, so a point hashes it once.
+// encodings. The tail is the same for every crash state of a point, so
+// a point hashes it once.
 func (dd *dedupRun) fingerprint(seed uint64) uint64 {
-	dd.buf = dd.s.Fingerprint(dd.w, dd.m.AppendDurable(dd.buf[:0]))
+	dd.buf = dd.m.AppendDurable(dd.buf[:0])
 	return fnvBytes(seed, dd.buf)
 }
 
@@ -176,6 +174,10 @@ func (dd *dedupRun) evaluate(add func(fp uint64, answers []machine.CrashAnswer))
 // crash the search runs is not the crash state it evaluated in place
 // and found live.
 var errEvaluation = errors.New("crash state evaluated in place differs from the crash taken")
+
+// errFingerprint is Run's refusal of a scenario that sets the unread
+// Scenario.Fingerprint.
+var errFingerprint = errors.New("the scenario sets Fingerprint, which nothing reads: register the state it encodes as machine devices")
 
 // confirmBoundary is called immediately after Machine.CrashReset. The
 // DFS runs only crash states it evaluated in place and whose boundary no
@@ -228,7 +230,7 @@ type crashLeaf struct {
 // point lie in leaves[leafLo:leafHi] of its schedPoint, on a stack that
 // grows and shrinks with the points, as the sleep sets' do.
 type crashStates struct {
-	dd      *dedupRun // evaluates; nil without dedup
+	dd      *dedupRun // evaluates; nil without the reductions (-noreduce)
 	leaves  []crashLeaf
 	answers []machine.CrashAnswer
 	// crashAt is the "sched" point whose crash option ended the running
@@ -244,9 +246,6 @@ type crashStates struct {
 // reports false when there is none, so the draw has nothing left to
 // run.
 func (d *dfsChooser) evaluate(p *schedPoint, taken bool) bool {
-	if d.dd == nil {
-		return true
-	}
 	d.dd.evaluate(d.addLeaf)
 	p.leafHi = int32(len(d.leaves))
 	d.statesEvaluated += int(p.leafHi - p.leafLo)
@@ -314,7 +313,7 @@ func (d *dfsChooser) pushAnswers(l crashLeaf, from int32) {
 // is run, and it reports false when there is none.
 func (d *dfsChooser) enterCrash(i int) bool {
 	s := d.sched(&d.points[i])
-	if s == nil || d.points[i].chosen != s.nth || d.dd == nil {
+	if s == nil || d.points[i].chosen != s.nth {
 		return true
 	}
 	if s.leafHi == s.leafLo {
@@ -346,7 +345,7 @@ func (d *dfsChooser) firstLive(s *schedPoint, owner uint64) int32 {
 func (d *dfsChooser) dueAfter(i int) {
 	p := &d.points[i]
 	s := d.sched(p)
-	if d.dd == nil || s == nil || p.chosen >= s.nth || p.n == s.nth || len(s.wut) > 0 || s.leafHi > s.leafLo {
+	if s == nil || p.chosen >= s.nth || p.n == s.nth || len(s.wut) > 0 || s.leafHi > s.leafLo {
 		return
 	}
 	s.due = true

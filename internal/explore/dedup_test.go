@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,37 +9,25 @@ import (
 	"repro/internal/spec"
 )
 
-// fingerprinted returns the register scenario opted into crash-boundary
-// dedup: the world's two halves are its only crash-surviving state.
-func fingerprinted(durable, tearable bool) *Scenario {
-	s := scenario(durable, tearable)
-	s.Fingerprint = func(wAny any, b []byte) []byte {
-		w := wAny.(*world)
-		b = machine.AppendUint64(b, uint64(w.hi))
-		return machine.AppendUint64(b, uint64(w.lo))
-	}
-	return s
-}
-
 // convergent builds a scenario whose schedules genuinely converge at
 // crash boundaries: two racing writers with equal step counts open and
 // close transient windows (lo=1 between A's steps, hi=1 between B's),
 // so different interleavings reach boundaries that agree on everything
-// the fingerprint hashes except (with an honest hook) the register
-// halves. With buggy=true, recovery turns the hi==1 && lo==1 overlap
-// into the poison value 99, which the invariant rejects — a violation
-// reachable only by crashing inside both windows at once, which never
-// happens on the DFS spine (A runs to completion first, closing its
-// window before B opens one). An unsound fingerprint that omits the
-// registers therefore lets the spine's boundary claim the table slot
-// and prune the only violating subtrees.
-func convergent(buggy, honest bool) *Scenario {
+// but the register halves. With buggy=true, recovery turns the
+// hi==1 && lo==1 overlap into the poison value 99, which the invariant
+// rejects — a violation reachable only by crashing inside both windows
+// at once, which never happens on the DFS spine (A runs to completion
+// first, closing its window before B opens one). setup registers what
+// a crash keeps: newWorld, the whole world, is honest, and a setup that
+// leaves a register half out lets the spine's boundary claim the table
+// slot and prune the only violating subtrees.
+func convergent(buggy bool, setup func(m *machine.Machine) any) *Scenario {
 	s := &Scenario{
 		Name:        "convergent",
 		Spec:        regSpec(true),
 		MachineOpts: machine.Options{MaxSteps: 200},
 		MaxCrashes:  1,
-		Setup:       func(m *machine.Machine) any { return &world{} },
+		Setup:       setup,
 		Main: func(t *machine.T, wAny any, h *Harness) {
 			w := wAny.(*world)
 			t.Go(func(c *machine.T) {
@@ -69,17 +58,6 @@ func convergent(buggy, honest bool) *Scenario {
 			return nil
 		}
 	}
-	if honest {
-		s.Fingerprint = func(wAny any, b []byte) []byte {
-			w := wAny.(*world)
-			b = machine.AppendUint64(b, uint64(w.hi))
-			return machine.AppendUint64(b, uint64(w.lo))
-		}
-	} else {
-		// Deliberately unsound: omits the registers, so boundaries that
-		// differ only in w.hi/w.lo collapse.
-		s.Fingerprint = func(wAny any, b []byte) []byte { return b }
-	}
 	return s
 }
 
@@ -87,16 +65,13 @@ func convergent(buggy, honest bool) *Scenario {
 // the clean convergent scenario's interleavings collapse at crash
 // boundaries, and the verdict and completeness survive.
 func TestDedupPrunesConvergentBoundaries(t *testing.T) {
-	off := Run(convergent(false, true), Options{MaxExecutions: 50000, NoReduce: true})
-	on := Run(convergent(false, true), Options{MaxExecutions: 50000})
+	off := Run(convergent(false, newWorld), Options{MaxExecutions: 50000, NoReduce: true})
+	on := Run(convergent(false, newWorld), Options{MaxExecutions: 50000})
 	if !off.OK() || !on.OK() {
 		t.Fatal("clean scenario reported a violation")
 	}
 	if !off.Complete || !on.Complete {
 		t.Fatal("search did not complete")
-	}
-	if !on.Stats.DedupActive {
-		t.Fatal("dedup inactive despite Fingerprint hook")
 	}
 	if on.Stats.PrunedStates == 0 {
 		t.Fatal("no boundaries pruned in a convergent scenario")
@@ -114,7 +89,7 @@ func TestDedupPrunesConvergentBoundaries(t *testing.T) {
 // among the spins leaves the same register, the same history and the
 // same budgets, after a different number of steps.
 func volatileTail(spins int) *Scenario {
-	s := fingerprinted(true, false)
+	s := scenario(true, false)
 	s.Name = "volatile-tail"
 	s.Main = func(t *machine.T, wAny any, h *Harness) {
 		w := wAny.(*world)
@@ -160,14 +135,28 @@ func TestDedupIgnoresVolatileStepCount(t *testing.T) {
 	}
 }
 
-// TestDedupInactiveWithoutHook: scenarios that do not opt in must run
-// exactly as before, with DedupActive=false.
-func TestDedupInactiveWithoutHook(t *testing.T) {
-	rep := Run(scenario(true, true), Options{MaxExecutions: 5000})
-	if rep.Stats.DedupActive {
-		t.Fatal("dedup active without a Fingerprint hook")
+// TestRunRefusesFingerprint: nothing reads Scenario.Fingerprint, so Run
+// refuses a scenario that sets one with a checker error and no verdict,
+// rather than drop the hook silently.
+func TestRunRefusesFingerprint(t *testing.T) {
+	s := scenario(true, true)
+	s.Fingerprint = func(_ any, b []byte) []byte { return b }
+	rep := Run(s, Options{})
+	if rep.OK() || rep.Complete || rep.Counterexample != nil || rep.Executions != 0 || !errors.Is(rep.Err, errFingerprint) {
+		t.Fatalf("%s (%v), want a checker error before any execution", rep, rep.Err)
 	}
-	if rep.Stats.PrunedStates != 0 {
-		t.Fatalf("pruned %d states without a hook", rep.Stats.PrunedStates)
+}
+
+// TestExampleScenarioSelfCheck witnesses ExampleRun's counts: its
+// reduced search and its plain one both complete, with one verdict and
+// one outcome set.
+func TestExampleScenarioSelfCheck(t *testing.T) {
+	with, without, err := SelfCheck(exampleScenario(true), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !with.Complete || !without.Complete {
+		t.Fatalf("reduced %s, plain %s: both must complete", with, without)
+	}
+	t.Logf("reduced %s (%s); plain %s", with, with.Stats, without)
 }

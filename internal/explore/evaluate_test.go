@@ -49,7 +49,6 @@ func counted(forget bool) *Scenario {
 				t.Step("tick")
 			}
 		},
-		Fingerprint: func(_ any, b []byte) []byte { return b },
 	}
 }
 
@@ -92,8 +91,8 @@ func TestCrashOffItsEvaluationIsAnError(t *testing.T) {
 	var x runner
 	defer x.carriers.Release()
 	rep := &Report{Scenario: stolen.Name, Stats: Stats{Depth: obs.NewHistogram(obs.DepthBuckets)}}
-	se := &search{x: &x, s: stolen, rep: rep, budget: 100, d: dfsChooser{reduce: true}}
-	se.d.dd = &dedupRun{table: tab, s: stolen}
+	se := &search{x: &x, s: stolen, rep: rep, budget: 100}
+	se.d.dd = &dedupRun{table: tab}
 	se.dfs()
 	if rep.OK() || rep.Counterexample != nil || !errors.Is(rep.Err, errEvaluation) || !strings.Contains(rep.Err.Error(), "another prefix owns") {
 		t.Errorf("stolen boundary: %s (%v), want a checker error and no verdict", rep, rep.Err)
@@ -169,8 +168,7 @@ func settling() *Scenario {
 				})
 			}
 		},
-		Recover:     func(t *machine.T, _ any) { t.Step("recover") },
-		Fingerprint: func(_ any, b []byte) []byte { return b },
+		Recover: func(t *machine.T, _ any) { t.Step("recover") },
 	}
 }
 

@@ -31,11 +31,12 @@
 // a fresh machine, so searches of different scenarios can run at once
 // (a suite's entries do) without sharing checked state.
 //
-// When a Scenario provides a Fingerprint hook, revisited crash-boundary
-// states are pruned via a fingerprint table: after CrashReset all
-// volatile state is dead by construction, so the suffix behavior is a
-// function of the fingerprinted boundary state and an
-// already-enumerated recovery subtree need not be re-explored.
+// Revisited crash-boundary states are pruned via a fingerprint table:
+// after CrashReset all volatile state is dead by construction, and a
+// scenario registers everything a crash keeps as machine devices, so
+// the suffix behavior is a function of the devices' durable encodings,
+// the history and the budgets, and an already-enumerated recovery
+// subtree need not be re-explored.
 //
 // Within an era, wakeup trees and sleep sets (sleep.go, wakeup.go) run
 // one execution per order of the dependent transitions: the machine
@@ -162,15 +163,12 @@ type Scenario struct {
 	// each crash+recovery, and at the end); it may inspect durable state
 	// directly. Returning an error is a violation.
 	Invariant func(m *machine.Machine, w any) error
-	// Fingerprint opts the scenario into crash-boundary state dedup. It
-	// must append a canonical encoding of every piece of crash-surviving
-	// state the world holds OUTSIDE registered machine devices (fault
-	// policy budgets, counters the properties read, ...) to b and
-	// return it; device state is appended automatically, by each
-	// device's AppendDurable. A scenario whose crash-surviving state
-	// lives entirely in registered devices returns b unchanged.
-	// nil disables dedup for the scenario (the safe default: dedup with
-	// an incomplete fingerprint can unsoundly prune distinct states).
+	// Fingerprint is unread: everything a crash keeps is a registered
+	// machine.Device, and crash-boundary dedup hashes the devices'
+	// AppendDurable encodings (DESIGN.md "Crash-boundary dedup"). Run
+	// refuses a scenario that sets it, with Report.Err, so that a stale
+	// hook is never dropped silently. It remains only because
+	// bench/check.go still reads it.
 	Fingerprint func(w any, b []byte) []byte
 }
 
@@ -225,8 +223,9 @@ type Report struct {
 	Counterexample *Counterexample
 	// Err is a failure of the checker's own, not the scenario's: a
 	// crash reached another boundary than the one evaluated in place for
-	// it. It stops the search, and the report then has no verdict: no
-	// Counterexample, Complete false, and OK false.
+	// it, or the scenario sets the unread Fingerprint. It stops the
+	// search, and the report then has no verdict: no Counterexample,
+	// Complete false, and OK false.
 	Err error
 	// CheckedStates sums the refinement checker's explored states.
 	CheckedStates int
@@ -246,9 +245,6 @@ type Stats struct {
 	StatesPerSec float64
 	// Depth records the choice-sequence depth of each execution.
 	Depth *obs.Histogram
-	// DedupActive reports whether crash-boundary dedup ran: the
-	// scenario provided a Fingerprint hook and Options.NoReduce was off.
-	DedupActive bool
 	// PrunedStates counts the crash states skipped without an execution
 	// because another prefix had already claimed their boundary's
 	// recovery subtree.
@@ -284,10 +280,8 @@ func (st Stats) String() string {
 	p99 := st.Depth.Quantile(0.99)
 	s := fmt.Sprintf("%.3fs, %.0f execs/s, %.0f states/s, depth p50=%.0f p99=%.0f",
 		st.Duration.Seconds(), st.ExecsPerSec, st.StatesPerSec, p50, p99)
-	if st.DedupActive {
-		s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place",
-			st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated)
-	}
+	s += fmt.Sprintf(", dedup: %d boundaries, %d pruned, crash states: %d evaluated in place",
+		st.DistinctBoundaries, st.PrunedStates, st.CrashStatesEvaluated)
 	if st.Slept > 0 || st.SleepBlocked > 0 {
 		s += fmt.Sprintf(", sleep: %d slept, %d blocked", st.Slept, st.SleepBlocked)
 	}
@@ -328,11 +322,10 @@ type Options struct {
 	// Workers is ignored: Run is one sequential search. It remains
 	// only because bench/check.go still sets it.
 	Workers int
-	// NoReduce turns both reductions off: crash-boundary state dedup,
-	// even for scenarios that provide a Fingerprint hook, and wakeup
-	// trees with sleep sets — the escape hatch for a suspected
-	// fingerprint bug, hash collision or undeclared access
-	// (perennial-check -noreduce).
+	// NoReduce turns both reductions off: crash-boundary state dedup
+	// and wakeup trees with sleep sets — the escape hatch for a
+	// suspected unregistered device, hash collision or undeclared
+	// access (perennial-check -noreduce).
 	NoReduce bool
 	// StressExecutions adds randomized executions after (or instead of)
 	// the systematic search.
@@ -358,6 +351,10 @@ func run(s *Scenario, opts Options, outcomes *outcomeSet) *Report {
 		opts.MaxExecutions = 20000
 	}
 	rep := &Report{Scenario: s.Name, Stats: Stats{Depth: obs.NewHistogram(obs.DepthBuckets)}}
+	if s.Fingerprint != nil {
+		rep.Err = errFingerprint
+		return rep
+	}
 	start := time.Now()
 	defer func() {
 		rep.Stats.Duration = time.Since(start)
@@ -463,11 +460,8 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 	}
 	d, _ := ch.(*dfsChooser)
 	var dd *dedupRun
-	if d != nil {
-		dd = d.dd
-		if d.reduce {
-			mo.Reducer = d
-		}
+	if d != nil && d.dd != nil {
+		dd, mo.Reducer = d.dd, d
 	}
 	m := machine.NewOn(&x.carriers, mo)
 	defer func() { rep.Stats.Depth.Observe(float64(len(rec.choices))) }()
@@ -476,7 +470,7 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 	h.rec.Reset()
 	h.m = m
 	if dd != nil {
-		dd.m, dd.w, dd.h, dd.rpc = m, w, h, rpc
+		dd.m, dd.h, dd.rpc = m, h, rpc
 		dd.hist, dd.histN = dd.hist[:0], 0
 	}
 
@@ -593,10 +587,11 @@ func (x *runner) runOne(s *Scenario, ch machine.Chooser, rep *Report, traced boo
 // first option it has not covered; next() advances the last choice
 // point with untried options, backtracking exhausted suffixes.
 //
-// With reduce set it is also the machine's Reducer and keeps wakeup
-// trees and sleep sets (sleep.go, wakeup.go): a "sched" option runs only
-// when race analysis asks for it, and is skipped, not removed, so choice
-// indices keep their meaning.
+// With a dedupRun (dd, set unless Options.NoReduce) it is also the
+// machine's Reducer: it dedups crash boundaries (dedup.go) and keeps
+// wakeup trees and sleep sets (sleep.go, wakeup.go), so a "sched" option
+// runs only when race analysis asks for it, and is skipped, not
+// removed, so choice indices keep their meaning.
 type dfsChooser struct {
 	points []choicePoint
 	pos    int
@@ -604,7 +599,6 @@ type dfsChooser struct {
 	// Choose and Stats.Reseats).
 	reseats int
 
-	reduce bool
 	sleepSets
 	races
 	crashStates

@@ -48,9 +48,27 @@ func regSpec(durable bool) spec.Interface {
 }
 
 // world is a register made of two machine-visible halves so that a
-// crash can interrupt a torn write; "durable" halves survive crashes.
+// crash can interrupt a torn write. A crash keeps both halves (a
+// register that is not durable loses them in recovery), so a world is
+// a machine.Device that its scenario's Setup registers (newWorld); a
+// crash itself changes nothing.
 type world struct {
-	hi, lo int // harness-level durable state
+	hi, lo int
+}
+
+func (w *world) Crash() {}
+
+func (w *world) Save() (restore func()) { return func() {} }
+
+func (w *world) AppendDurable(b []byte) []byte {
+	return machine.AppendUint64(machine.AppendUint64(b, uint64(w.hi)), uint64(w.lo))
+}
+
+// newWorld is a Setup: a fresh world, registered on m.
+func newWorld(m *machine.Machine) any {
+	w := &world{}
+	m.RegisterDevice(w)
+	return w
 }
 
 func scenario(durable bool, tearable bool) *Scenario {
@@ -59,7 +77,7 @@ func scenario(durable bool, tearable bool) *Scenario {
 		Spec:        regSpec(durable),
 		MachineOpts: machine.Options{MaxSteps: 500},
 		MaxCrashes:  1,
-		Setup:       func(m *machine.Machine) any { return &world{} },
+		Setup:       newWorld,
 		Main: func(t *machine.T, wAny any, h *Harness) {
 			w := wAny.(*world)
 			t.Go(func(c *machine.T) {
@@ -212,7 +230,7 @@ func TestRandPolicyKeepsRandOutOfSearchSpace(t *testing.T) {
 			Spec:        regSpec(true),
 			MachineOpts: machine.Options{MaxSteps: 100},
 			RandPolicy:  policy,
-			Setup:       func(m *machine.Machine) any { return &world{} },
+			Setup:       newWorld,
 			Main: func(t *machine.T, wAny any, h *Harness) {
 				h.Op(opSet{v: 0}, func() spec.Ret {
 					t.RandUint64(8)

@@ -20,9 +20,9 @@ func TestProgressDeterminism(t *testing.T) {
 		name string
 		mk   func() *Scenario
 	}{
-		{"clean", func() *Scenario { return fingerprinted(true, true) }},
+		{"clean", func() *Scenario { return scenario(true, true) }},
 		{"buggy", func() *Scenario {
-			s := fingerprinted(true, true)
+			s := scenario(true, true)
 			s.Recover = func(t *machine.T, wAny any) {} // broken recovery
 			return s
 		}},
@@ -65,7 +65,7 @@ func TestProgressDeterminism(t *testing.T) {
 func TestProgressSnapshotContents(t *testing.T) {
 	var mu sync.Mutex
 	var snaps []Snapshot
-	rep := Run(fingerprinted(true, true), Options{
+	rep := Run(scenario(true, true), Options{
 		MaxExecutions: 5000,
 		Progress: &ProgressOptions{
 			Every: time.Millisecond,

@@ -21,9 +21,9 @@ type search struct {
 // runSystematic enumerates the scenario's choice tree depth first on x
 // and fills rep. The caller has already applied option defaults.
 func runSystematic(x *runner, s *Scenario, opts Options, rep *Report) {
-	se := &search{x: x, s: s, rep: rep, budget: opts.MaxExecutions, d: dfsChooser{reduce: !opts.NoReduce}}
-	if !opts.NoReduce && s.Fingerprint != nil {
-		se.d.dd = &dedupRun{table: fpTable{}, s: s}
+	se := &search{x: x, s: s, rep: rep, budget: opts.MaxExecutions}
+	if !opts.NoReduce {
+		se.d.dd = &dedupRun{table: fpTable{}}
 	}
 	var stop, done chan struct{}
 	if opts.Progress != nil && opts.Progress.Sink != nil {
@@ -34,9 +34,8 @@ func runSystematic(x *runner, s *Scenario, opts Options, rep *Report) {
 	se.tally()
 	d := &se.d
 	rep.Stats.Reseats, rep.Stats.Slept, rep.Stats.SleepBlocked = d.reseats, d.slept, d.blocked
-	if dd := d.dd; dd != nil {
-		rep.Stats.DedupActive = true
-		rep.Stats.DistinctBoundaries = len(dd.table)
+	if d.dd != nil {
+		rep.Stats.DistinctBoundaries = len(d.dd.table)
 	}
 	if stop != nil {
 		// Stop the sampler and wait for its final snapshot so callers

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -16,9 +17,9 @@ func TestReductionDeterminism(t *testing.T) {
 		mk   func() *Scenario
 		want bool // want a violation
 	}{
-		{"clean", func() *Scenario { return fingerprinted(true, true) }, false},
+		{"clean", func() *Scenario { return scenario(true, true) }, false},
 		{"buggy", func() *Scenario {
-			s := fingerprinted(true, true)
+			s := scenario(true, true)
 			s.Recover = func(t *machine.T, wAny any) {} // broken recovery
 			return s
 		}, true},
@@ -57,16 +58,50 @@ func TestReductionDeterminism(t *testing.T) {
 	}
 }
 
+// omitsLo registers a world through a device whose AppendDurable
+// omits the low half, which a crash keeps all the same.
+type omitsLo struct{ *world }
+
+func (d omitsLo) AppendDurable(b []byte) []byte { return machine.AppendUint64(b, uint64(d.hi)) }
+
+// hiOnly is the high half of a world as a device of its own.
+type hiOnly struct{ w *world }
+
+func (d hiOnly) Crash() {}
+
+func (d hiOnly) Save() (restore func()) { return func() {} }
+
+func (d hiOnly) AppendDurable(b []byte) []byte { return machine.AppendUint64(b, uint64(d.w.hi)) }
+
 // TestSelfCheckCatchesUnsoundFingerprint is the negative control for
-// the self-check mode: a fingerprint hook that omits crash-surviving
-// state lets dedup prune the only failing subtrees (the crash boundary
+// the self-check mode: a device whose AppendDurable omits state a crash
+// keeps lets dedup prune the only failing subtrees (the crash boundary
 // inside both transient windows, which never lies on the DFS spine),
 // and SelfCheck must report the verdict change.
 func TestSelfCheckCatchesUnsoundFingerprint(t *testing.T) {
-	if _, _, err := SelfCheck(convergent(true, true), Options{MaxExecutions: 50000}); err != nil {
-		t.Fatalf("honest fingerprint flagged: %v", err)
+	if _, _, err := SelfCheck(convergent(true, newWorld), Options{MaxExecutions: 50000}); err != nil {
+		t.Fatalf("honest device flagged: %v", err)
 	}
-	if _, _, err := SelfCheck(convergent(true, false), Options{MaxExecutions: 50000}); err == nil {
-		t.Fatal("unsound fingerprint not caught by the self-check")
+	omits := func(m *machine.Machine) any {
+		w := &world{}
+		m.RegisterDevice(omitsLo{w})
+		return w
+	}
+	if _, _, err := SelfCheck(convergent(true, omits), Options{MaxExecutions: 50000}); err == nil || !strings.Contains(err.Error(), "verdict changed") {
+		t.Fatalf("a device that omits a register half: %v, want a verdict change", err)
+	}
+}
+
+// TestSelfCheckCatchesUnregisteredState: the same half left out another
+// way, as a plain world field that Setup never registers, while the
+// other half is a device of its own. SelfCheck must convict it too.
+func TestSelfCheckCatchesUnregisteredState(t *testing.T) {
+	unregistered := func(m *machine.Machine) any {
+		w := &world{}
+		m.RegisterDevice(hiOnly{w})
+		return w
+	}
+	if _, _, err := SelfCheck(convergent(true, unregistered), Options{MaxExecutions: 50000}); err == nil || !strings.Contains(err.Error(), "verdict changed") {
+		t.Fatalf("a register half no device holds: %v, want a verdict change", err)
 	}
 }

@@ -230,7 +230,7 @@ func (d *dfsChooser) sched(p *choicePoint) *schedPoint {
 // chose notes that point i's choice was made.
 func (d *dfsChooser) chose(i int) {
 	p := &d.points[i]
-	if !d.reduce || p.tag != "sched" {
+	if d.dd == nil || p.tag != "sched" {
 		return
 	}
 	s := d.sched(p)
@@ -261,7 +261,7 @@ func (d *dfsChooser) cut() {
 // placed notes where point i, just added or learned, lies among the
 // "sched" points.
 func (d *dfsChooser) placed(i int) {
-	if !d.reduce {
+	if d.dd == nil {
 		return
 	}
 	p := &d.points[i]
@@ -277,7 +277,7 @@ func (d *dfsChooser) placed(i int) {
 
 // trim drops from the stacks everything above the points up to i.
 func (d *dfsChooser) trim(i int) {
-	if !d.reduce {
+	if d.dd == nil {
 		return
 	}
 	if i >= 0 {

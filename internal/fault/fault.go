@@ -177,7 +177,9 @@ type Policy interface {
 // A Chooser is per-execution state: build a fresh one in the scenario's
 // Setup. Every layer holding the same instance spends the same budget —
 // both replicas of a mirror, both nodes of a replicated pair and the
-// network between them.
+// network between them. The spent budget outlives a crash, so a Chooser
+// is a machine.Device, and Setup registers it (DESIGN.md "Crash-boundary
+// dedup").
 type Chooser struct {
 	Budget   int
 	Eligible map[Class]bool
@@ -208,12 +210,16 @@ func (p *Chooser) Decide(t T, c Class, _ uint64) bool {
 	return false
 }
 
-// AppendState appends the budget used so far — the only mutable state a
-// Chooser carries across a crash (it lives in the scenario's world, not
-// on the machine) — for the crash-boundary dedup fingerprint. Decisions
-// read the total alone; which classes spent it shows in the state the
-// injections left, not in the Chooser.
-func (p *Chooser) AppendState(b []byte) []byte {
+// Crash and Save implement machine.Device: a crash leaves the budget as
+// it is.
+func (p *Chooser) Crash() {}
+
+func (p *Chooser) Save() (restore func()) { return func() {} }
+
+// AppendDurable appends the budget used so far, the only mutable state
+// a Chooser carries. Decisions read the total alone; which classes spent
+// it shows in the state the injections left, not in the Chooser.
+func (p *Chooser) AppendDurable(b []byte) []byte {
 	return machine.AppendUint64(b, uint64(p.used))
 }
 

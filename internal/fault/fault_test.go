@@ -64,9 +64,9 @@ func TestChooserOptInAndBudget(t *testing.T) {
 	if fmt.Sprint(tags) != "[corrupt failstop]" {
 		t.Errorf("chooser saw tags %v: a spent budget must consume no choice", tags)
 	}
-	spent := (&Chooser{Budget: 2, Eligible: Classes(FailStop, Reorder, Corrupt)}).AppendState(nil)
-	if string(p.AppendState(nil)) == string(spent) {
-		t.Error("AppendState does not see the spent budget")
+	spent := (&Chooser{Budget: 2, Eligible: Classes(FailStop, Reorder, Corrupt)}).AppendDurable(nil)
+	if string(p.AppendDurable(nil)) == string(spent) {
+		t.Error("AppendDurable does not see the spent budget")
 	}
 	// Decisions read the total alone, so a budget spent on other classes
 	// is the same Chooser state.
@@ -74,8 +74,8 @@ func TestChooserOptInAndBudget(t *testing.T) {
 	if got := run(q); fmt.Sprint(got) != fmt.Sprint([]Class{Create, Append}) {
 		t.Errorf("budget 2 over create, append injected %v", got)
 	}
-	if string(q.AppendState(nil)) != string(p.AppendState(nil)) {
-		t.Error("AppendState tells apart two budgets spent on different classes")
+	if string(q.AppendDurable(nil)) != string(p.AppendDurable(nil)) {
+		t.Error("AppendDurable tells apart two budgets spent on different classes")
 	}
 	if (&Chooser{Budget: 1}).Decide(nativeT{}, Create, 0) {
 		t.Error("a Chooser injected on a native thread")

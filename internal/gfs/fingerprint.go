@@ -10,9 +10,9 @@ import (
 // checker's crash-boundary dedup table hashes (see DESIGN.md
 // "Crash-boundary dedup"): Model's AppendDurable, as a registered
 // machine.Device. The layers above it hold no crash-surviving state: a
-// checked recovery boots a fresh stack, as the daemon does, so the
-// scenario's explore.Scenario.Fingerprint hook only covers what its
-// world keeps across the reboot.
+// checked recovery boots a fresh stack, as the daemon does, and what a
+// scenario's world keeps across the reboot (a fault layer's no-space
+// latch, the policy's spent budget) is a device of its own.
 
 // AppendDurable implements machine.Device. The encoding is canonical
 // in the sense dedup needs: inode numbers are renamed to

@@ -145,8 +145,8 @@ func TestChooserPolicyNoSpaceOptIn(t *testing.T) {
 // operations it fails must neither allocate new decision points nor
 // consult the policy — so a full disk that stays full across a reboot
 // (the fresh layer latched again, as a checked recovery boots it) is
-// not double-counted against the chooser budget, and the fault.Chooser
-// fingerprint (AppendState) stays stable across any number of latched
+// not double-counted against the chooser budget, and the fault.Chooser's
+// durable encoding (AppendDurable) stays stable across any number of latched
 // operations and eras.
 func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	var nospaceAsks int
@@ -192,7 +192,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	if calls[fault.NoSpace] != 1 || faults[fault.NoSpace] != 1 {
 		t.Fatalf("decision points=%d faults=%d, want 1/1", calls[fault.NoSpace], faults[fault.NoSpace])
 	}
-	fp := pol.AppendState(nil)
+	fp := pol.AppendDurable(nil)
 
 	// Crash and reboot: a fresh layer over the same disk and policy, as a
 	// checked recovery era boots one. The disk is still full, so the
@@ -211,7 +211,7 @@ func TestDurableLatchNoBudgetDoubleCount(t *testing.T) {
 	if calls, _ = g.Counters(); calls[fault.NoSpace] != 0 {
 		t.Fatalf("post-crash: %d no-space decision points on a latched disk, want 0", calls[fault.NoSpace])
 	}
-	if got := pol.AppendState(nil); !reflect.DeepEqual(got, fp) {
+	if got := pol.AppendDurable(nil); !reflect.DeepEqual(got, fp) {
 		t.Fatalf("policy fingerprint drifted across latched eras: %v vs %v", got, fp)
 	}
 

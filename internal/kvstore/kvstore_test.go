@@ -148,6 +148,30 @@ func TestPutCrashExhaustive(t *testing.T) {
 	}
 }
 
+// TestCrashSelfCheck witnesses crash-boundary dedup on the store: its
+// crash-surviving state is the disk alone, a registered device, so the
+// reduced search must keep the plain one's verdict, on the crash
+// scenarios above, the clean ones and the torn put. Each clean reduced
+// search completes. kv-crash's plain search completes too, and the
+// outcome sets must be equal. kv-conc's plain search stops at the budget,
+// and what it reached must be among the reduced search's outcomes.
+func TestCrashSelfCheck(t *testing.T) {
+	for _, s := range []*explore.Scenario{
+		scenario("kv-crash", 2, []step{{kind: kPut, k: 0, v: 5}}, 2, []uint64{0, 1}),
+		scenario("kv-conc", 2, []step{{kind: kPut, k: 0, v: 5}, {kind: kGet, k: 0}, {kind: kDel, k: 0}}, 1, []uint64{0}),
+		scenario("kv-bug-notxn", 1, []step{{kind: kPutNoTxn, k: 0, v: 5}}, 1, []uint64{0}),
+	} {
+		with, without, err := explore.SelfCheck(s, explore.Options{MaxExecutions: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("reduced %s (%s); plain %s", with, with.Stats, without)
+		if with.OK() && !with.Complete {
+			t.Errorf("%s: the reduced search stopped at its budget", s.Name)
+		}
+	}
+}
+
 func TestConcurrentPutGetDelWithCrash(t *testing.T) {
 	s := scenario("kv-conc", 2, []step{
 		{kind: kPut, k: 0, v: 5},

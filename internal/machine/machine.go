@@ -75,7 +75,10 @@ type Observer interface {
 // must produce equal bytes, and the encoding must be self-delimiting
 // (length-prefix variable-size parts) so devices cannot alias each
 // other's bytes. The model checker in internal/explore builds its
-// crash-boundary fingerprints from these encodings.
+// crash-boundary fingerprints from these encodings alone, so every
+// piece of state that outlives a crash must be in some registered
+// device's: a disk, or a fault budget or a latch that a reboot carries
+// over, whose Crash and Save then do nothing.
 type Device interface {
 	Crash()
 	Save() (restore func())

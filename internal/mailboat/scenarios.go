@@ -70,6 +70,26 @@ func (w *World) boot(dirs []string) {
 // detections is the store's detection count across every era so far.
 func (w *World) detections() uint64 { return w.detected + w.Stack.Detected() }
 
+// Crash, Save and AppendDurable make a World the machine.Device of what
+// survives a crash outside the models, the ghost Ctx and the policy,
+// which are devices of their own (DESIGN.md "Crash-boundary dedup"):
+// each disk's fullness (the no-space latch boot carries over), the
+// detection count, and the count the next OpObserve compares it
+// against. A crash changes none of it; the reboot is boot's, in the
+// recovery era.
+func (w *World) Crash() {}
+
+func (w *World) Save() (restore func()) { return func() {} }
+
+func (w *World) AppendDurable(b []byte) []byte {
+	for i := 0; i < 2; i++ {
+		if f := w.Stack.Faulty(i); f != nil {
+			b = machine.AppendBool(b, f.NoSpace())
+		}
+	}
+	return machine.AppendUint64(machine.AppendUint64(b, w.detections()), w.seen)
+}
+
 // Variant selects the implementation under check: a row of optional
 // overrides, each replacing one production entry point (or one stack
 // layer) with a seeded bug from bugs.go. A nil field is the production
@@ -450,6 +470,10 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 				w.FS[i] = newModel[o.Crash](m, bdirs)
 			}
 			w.boot(dirs)
+			if c, ok := w.spec.Policy.(*fault.Chooser); ok {
+				m.RegisterDevice(c)
+			}
+			m.RegisterDevice(w)
 			if ghost {
 				w.G = core.NewCtx(m)
 				w.G.InitSim(sp, sp.Init())
@@ -495,7 +519,6 @@ func Scenario(name string, v Variant, o ScenarioOptions) *explore.Scenario {
 				prop.after(t, h, w)
 			}
 		},
-		Fingerprint: fingerprint,
 	}
 	// Between eras: the ghost relation where there is ghost state, the
 	// mirror's where there is a mirror, and the resource audit
@@ -545,27 +568,6 @@ func probeLatch(t *machine.T, h *explore.Harness, w *World) {
 		t.Failf("nospace: store refused a delivery with space free")
 	}
 	RecordSession(t, h, w, 0, false)
-}
-
-// fingerprint is the crash-boundary dedup hook (DESIGN.md "Crash-boundary
-// dedup"): the file-system models and the ghost Ctx are fingerprintable
-// devices, and the recovery era boots a fresh stack, so it only has to
-// cover the crash-surviving state the world holds outside them — the
-// policy's spent budget, each disk's fullness (the no-space latch boot
-// carries over), the detection count, and the count the next OpObserve
-// compares it against. The deferred-durability models are covered too:
-// the synced-prefix map is part of the model's own encoding.
-func fingerprint(wAny any, b []byte) []byte {
-	w := wAny.(*World)
-	if c, ok := w.spec.Policy.(*fault.Chooser); ok {
-		b = c.AppendState(b)
-	}
-	for i := 0; i < 2; i++ {
-		if f := w.Stack.Faulty(i); f != nil {
-			b = machine.AppendBool(b, f.NoSpace())
-		}
-	}
-	return machine.AppendUint64(machine.AppendUint64(b, w.detections()), w.seen)
 }
 
 // leaks is Iron-style resource accounting (§9.5 found an fd leak that

@@ -230,8 +230,8 @@ func TestWritebackSelfCheckDedup(t *testing.T) {
 	t.Logf("without reductions: %s", without)
 	t.Logf("with reductions:    %s (%d boundaries, %d pruned)",
 		with, with.Stats.DistinctBoundaries, with.Stats.PrunedStates)
-	if !with.Stats.DedupActive {
-		t.Fatal("dedup did not activate on the writeback scenario")
+	if with.Stats.DistinctBoundaries == 0 {
+		t.Fatal("dedup claimed no crash boundary on the writeback scenario")
 	}
 }
 

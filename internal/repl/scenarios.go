@@ -58,6 +58,24 @@ func (w *ScenarioWorld) boot() (sys [2]gfs.System) {
 	return sys
 }
 
+// Crash, Save and AppendDurable make a ScenarioWorld the machine.Device
+// of what survives a crash outside the models, the Net and the policy,
+// which are devices of their own (DESIGN.md "Crash-boundary dedup"):
+// each node's disk-full latch, which boot carries over. The Pair's own
+// fields (role, session locks, staleness) are all recomputed by Recover
+// from device state. A crash changes none of it; the reboot is boot's,
+// in the recovery era.
+func (w *ScenarioWorld) Crash() {}
+
+func (w *ScenarioWorld) Save() (restore func()) { return func() {} }
+
+func (w *ScenarioWorld) AppendDurable(b []byte) []byte {
+	for _, s := range w.Stacks {
+		b = machine.AppendBool(b, s.Faulty(0).NoSpace())
+	}
+	return b
+}
+
 // Deliver, Pickup, Delete and Unlock make ScenarioWorld the workload's
 // mailboat.Client: every operation goes through the Pair, which may have
 // no answer to give.
@@ -147,6 +165,10 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 				w.FS[i] = gfs.NewModel(m, w.dirs)
 			}
 			w.Net = netmodel.New(m, w.policy)
+			if c, ok := w.policy.(*fault.Chooser); ok {
+				m.RegisterDevice(c)
+			}
+			m.RegisterDevice(w)
 			return w
 		},
 		Init: func(t *machine.T, wAny any) {
@@ -204,25 +226,6 @@ func Scenario(name string, o ScenarioOptions) *explore.Scenario {
 				boxes[u] = mailboat.UserDir(uint64(u))
 			}
 			return mailboat.ReplicasIdentical(w.FS[0], w.FS[1], boxes)
-		},
-		// Crash-boundary dedup: the models and the Net are fingerprintable
-		// devices (the Net's encoding covers partition charge and the
-		// crash-surviving in-flight stash), and the recovery era boots
-		// fresh stacks, so the hook covers the crash-surviving world state
-		// outside them: the shared policy's used budget, one count for
-		// the stores and the network alike, and each node's disk-full
-		// latch, which boot carries over. The Pair's own
-		// fields (role, session locks, staleness) are all recomputed by
-		// Recover from device state, so they are not boundary state.
-		Fingerprint: func(wAny any, b []byte) []byte {
-			w := wAny.(*ScenarioWorld)
-			if c, ok := w.policy.(*fault.Chooser); ok {
-				b = c.AppendState(b)
-			}
-			for _, s := range w.Stacks {
-				b = machine.AppendBool(b, s.Faulty(0).NoSpace())
-			}
-			return b
 		},
 	}
 }

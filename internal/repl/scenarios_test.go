@@ -197,8 +197,8 @@ func TestReplicatedSelfCheckDedup(t *testing.T) {
 	if !with.Complete || !without.Complete {
 		t.Fatal("a search stopped at its budget: no outcome sets to compare")
 	}
-	if !with.Stats.DedupActive {
-		t.Fatal("dedup did not activate on the replicated scenario")
+	if with.Stats.DistinctBoundaries == 0 {
+		t.Fatal("dedup claimed no crash boundary on the replicated scenario")
 	}
 }
 
@@ -305,10 +305,10 @@ func (killer) Choose(n int, tag string) int {
 // a fault layer over the node's own model, what the single-node
 // scenarios build and, under Observed, the daemon's replica — the two
 // sharing one policy, and each node runs on its top and reads that
-// layer's latch as its own store's death. The
-// policy's used budget, one count whatever class spent it, is the
-// fingerprint's whole share of the world: a reboot's fresh stacks drop
-// the latch and keep the budget spent.
+// layer's latch as its own store's death. The policy is a registered
+// device, so its used budget, one count whatever class spent it, is in
+// the devices' durable encoding: a reboot's fresh stacks drop the latch
+// and keep the budget spent.
 func TestScenarioNodesRunOnStacks(t *testing.T) {
 	s := Scenario("stacks", ScenarioOptions{Config: smallConfig(), Faults: oneFailStop})
 	m := machine.New(machine.Options{})
@@ -326,7 +326,7 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 			t.Errorf("node %d: the node's own latch is not its stack's fault layer", i)
 		}
 	}
-	quiet := s.Fingerprint(w, nil)
+	quiet := m.AppendDurable(nil)
 	res := m.RunEra(killer{}, false, func(mt *machine.T) {
 		w.Stacks[0].Top.List(mt, mailboat.SpoolDir)
 		w.Stacks[1].Top.List(mt, mailboat.SpoolDir)
@@ -337,16 +337,16 @@ func TestScenarioNodesRunOnStacks(t *testing.T) {
 	if w.Stacks[1].Faulty(0).FailStopped() {
 		t.Error("node 1 died after node 0's fail-stop: the nodes do not share one budget")
 	}
-	spent := s.Fingerprint(w, nil)
+	spent := m.AppendDurable(nil)
 	if string(spent) == string(quiet) {
-		t.Error("the fingerprint does not see the spent budget")
+		t.Error("the devices' encoding does not see the spent budget")
 	}
 	w.boot()
 	if w.Stacks[0].Faulty(0).FailStopped() {
 		t.Error("the rebooted stack kept the fail-stop latch")
 	}
-	if string(s.Fingerprint(w, nil)) != string(spent) {
-		t.Error("the reboot changed the fingerprint: the budget must stay spent")
+	if string(m.AppendDurable(nil)) != string(spent) {
+		t.Error("the reboot changed the devices' encoding: the budget must stay spent")
 	}
 }
 
